@@ -260,17 +260,6 @@ func BenchmarkOptimizeTrendGated(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizeFullScan(b *testing.B) {
-	br, clock := newBenchBroker(b, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clock.Advance(1)
-		if _, err := br.OptimizeFullScan(bgctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchRead(b *testing.B, cacheBytes int64) {
 	br := engine.NewBroker(engine.Config{CacheBytes: cacheBytes})
 	b.Cleanup(br.Close)
@@ -624,7 +613,8 @@ func (s *slowRWBackend) PutBatch(ctx context.Context, items []cloud.BatchItem) e
 // n=3) object after a single provider failure, against providers with a
 // simulated per-op round-trip: the same-(m,n) chunk-swap path (write
 // only the missing chunk of every stripe, update metadata in place) vs
-// the forced full re-stripe (read, re-encode and rewrite everything).
+// the full re-stripe (read, re-encode and rewrite everything) that the
+// planner falls back to on a market with no spare provider.
 // The paper's §IV-E claim is the acceptance bar: the swap must write
 // strictly fewer bytes — reported as bytes-written/op and chunks/op —
 // and take less wall time per repair. The bench-gate CI job watches
@@ -639,11 +629,19 @@ func BenchmarkRepairSwap(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
-	rule := core.Rule{Name: "wide", Durability: 0.9999, Availability: 0.99, LockIn: 1.0 / 3}
-
-	run := func(b *testing.B, force bool) {
+	// run repairs a (2, 3) object on {A, B, C}. With the spare D on the
+	// market the plan is a swap; without it no same-(m, n) set exists and
+	// the rule's looser lock-in lets the planner re-stripe the object as
+	// (1, 2) on the two survivors.
+	run := func(b *testing.B, spare bool) {
 		b.Helper()
 		reg := cloud.NewRegistry()
+		rule := core.Rule{Name: "wide", Durability: 0.9999, Availability: 0.99, LockIn: 0.5}
+		names := []string{"A", "B", "C"}
+		if spare {
+			rule.LockIn = 1.0 / 3
+			names = append(names, "D")
+		}
 		// D is priced so the optimizer never includes it up front: it
 		// exists purely as the repair spare.
 		prices := []cloud.Pricing{
@@ -652,33 +650,28 @@ func BenchmarkRepairSwap(b *testing.B) {
 			{StorageGBMonth: 0.12, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
 			{StorageGBMonth: 0.50, BandwidthInGB: 0.5, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
 		}
-		for i, name := range []string{"A", "B", "C", "D"} {
+		for i, name := range names {
 			reg.Register(&slowRWBackend{BlobStore: cloud.NewBlobStore(cloud.Spec{
 				Name: name, Durability: 0.9999, Availability: 0.999,
 				Zones:   []cloud.Zone{cloud.ZoneUS},
 				Pricing: prices[i],
 			}), delay: opLatency})
 		}
-		br := engine.NewBroker(engine.Config{
-			Registry: reg, StripeBytes: stripeBytes, ForceRestripeRepair: force,
-		})
+		br := engine.NewBroker(engine.Config{Registry: reg, StripeBytes: stripeBytes})
 		b.Cleanup(br.Close)
 		br.Rules().SetContainerRule("bk", rule)
 		e := br.Engine(0)
-		meta, err := e.Put(bgctx, "bk", "obj", payload, engine.PutOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if meta.M != 2 || len(meta.Chunks) != 3 {
-			b.Fatalf("placement m=%d n=%d, want (2, 3)", meta.M, len(meta.Chunks))
-		}
 		var bytesWritten, chunksWritten int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			meta, err := e.Head(bgctx, "bk", "obj")
+			// Every repair starts from a fresh (2, 3) placement.
+			meta, err := e.Put(bgctx, "bk", "obj", payload, engine.PutOptions{})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if meta.M != 2 || len(meta.Chunks) != 3 {
+				b.Fatalf("placement m=%d n=%d, want (2, 3)", meta.M, len(meta.Chunks))
 			}
 			victim := meta.Chunks[0]
 			if !br.Registry().SetAvailable(victim, false) {
@@ -690,8 +683,8 @@ func BenchmarkRepairSwap(b *testing.B) {
 			if err != nil || rep.Repaired != 1 {
 				b.Fatalf("repair: %v (%+v)", err, rep)
 			}
-			if force && rep.Restriped != 1 || !force && rep.Swapped != 1 {
-				b.Fatalf("wrong repair mechanism: %+v (force=%v)", rep, force)
+			if spare && rep.Swapped != 1 || !spare && rep.Restriped != 1 {
+				b.Fatalf("wrong repair mechanism: %+v (spare=%v)", rep, spare)
 			}
 			bytesWritten += rep.BytesWritten
 			chunksWritten += int64(rep.ChunksWritten)
@@ -703,20 +696,18 @@ func BenchmarkRepairSwap(b *testing.B) {
 		b.ReportMetric(float64(chunksWritten)/float64(b.N), "chunks/op")
 	}
 
-	b.Run("swap", func(b *testing.B) { run(b, false) })
-	b.Run("restripe", func(b *testing.B) { run(b, true) })
+	b.Run("swap", func(b *testing.B) { run(b, true) })
+	b.Run("restripe", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkRepairAffected measures one repair pass after a
 // single-provider outage affecting ~1% of a multi-thousand-object
 // store: the provider→objects inverted index enumerates only the
-// affected objects, against the pre-index full scan kept as
-// RepairFullScan. objects-checked/op is the headline ablation metric —
-// indexed stays at the affected count while fullscan walks the store.
+// affected objects. objects-checked/op is the headline metric — it
+// stays at the affected count however large the store.
 func BenchmarkRepairAffected(b *testing.B) {
 	const total, affectedPct = 3000, 100 // 1 in 100 objects lands on the victim
-	setup := func(b *testing.B) *engine.Broker {
-		b.Helper()
+	b.Run("indexed", func(b *testing.B) {
 		reg := cloud.NewRegistry()
 		for _, name := range []string{"A", "B", "C"} {
 			reg.Register(cloud.NewBlobStore(cloud.Spec{
@@ -752,16 +743,11 @@ func BenchmarkRepairAffected(b *testing.B) {
 			}
 		}
 		br.FlushStats()
-		return br
-	}
-	run := func(b *testing.B, pass func(*engine.Broker) (engine.RepairReport, error)) {
-		b.Helper()
-		br := setup(b)
 		var checked, affected int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			br.Registry().SetAvailable("V", false)
-			rep, err := pass(br)
+			rep, err := br.Repair(bgctx, engine.RepairWait)
 			if err != nil || rep.Affected != total/affectedPct {
 				b.Fatalf("repair: %v (%+v)", err, rep)
 			}
@@ -771,23 +757,12 @@ func BenchmarkRepairAffected(b *testing.B) {
 		}
 		b.ReportMetric(float64(checked)/float64(b.N), "objects-checked/op")
 		b.ReportMetric(float64(affected)/float64(b.N), "objects-affected/op")
-	}
-	b.Run("indexed", func(b *testing.B) {
-		run(b, func(br *engine.Broker) (engine.RepairReport, error) {
-			return br.Repair(bgctx, engine.RepairWait)
-		})
-	})
-	b.Run("fullscan", func(b *testing.B) {
-		run(b, func(br *engine.Broker) (engine.RepairReport, error) {
-			return br.RepairFullScan(bgctx, engine.RepairWait)
-		})
 	})
 }
 
 // BenchmarkReoptimizeEvent measures reacting to one market event (a
 // pricing change on a provider carrying data): the event-driven path
-// drains exactly the invalidated objects from the maintenance queue,
-// against the periodic full-store Optimize the event path replaces.
+// drains exactly the invalidated objects from the maintenance queue.
 // The two pricing sheets differ by a hair so the re-plan keeps every
 // placement put — isolating invalidation + re-plan cost from migration
 // traffic.
@@ -808,23 +783,5 @@ func BenchmarkReoptimizeEvent(b *testing.B) {
 			drained += int64(br.DrainMaintenance(bgctx))
 		}
 		b.ReportMetric(float64(drained)/float64(b.N), "objects-replanned/op")
-	})
-	b.Run("full-optimize", func(b *testing.B) {
-		br, clock := newBenchBroker(b, 512)
-		victim := br.ProviderIndex().ProviderNames()[0]
-		var scanned int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := br.Registry().UpdatePricing(victim, sheets[i%2]); err != nil {
-				b.Fatal(err)
-			}
-			clock.Advance(1)
-			rep, err := br.OptimizeFullScan(bgctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scanned += int64(rep.Scanned)
-		}
-		b.ReportMetric(float64(scanned)/float64(b.N), "objects-replanned/op")
 	})
 }

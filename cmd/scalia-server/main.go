@@ -65,27 +65,18 @@ func main() {
 		"stripes a streaming write keeps in flight at once (negative = sequential)")
 	maxBufferMB := flag.Int64("max-buffer-mb", engine.DefaultMaxBufferBytes>>20,
 		"total stripe buffers streaming reads AND writes may hold at once (MB; negative = unbounded)")
-	maxReadBufferMB := flag.Int64("max-read-buffer-mb", 0,
-		"deprecated alias of -max-buffer-mb; consulted only when -max-buffer-mb is left at its default")
 	multipartTTL := flag.Duration("multipart-ttl", 24*time.Hour,
 		"evict multipart upload sessions idle this long and GC their staged chunks (0 = never)")
 	reoptWorkers := flag.Int("reopt-workers", 2,
 		"background workers draining the event-driven reoptimization queue (0 = enqueue only)")
 	reoptQueue := flag.Int("reopt-queue", engine.DefaultReoptQueueDepth,
 		"bound on queued placement invalidations (overflow is dropped and left to periodic optimize)")
-	swapBatch := flag.Int("swap-batch", engine.DefaultSwapBatchSize,
-		"prepared chunk swaps batched per provider write during repair (negative = unbatched)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	accessLog := flag.Bool("access-log", true, "log one structured line per gateway request")
 	flag.Parse()
 
 	maxBuffer := *maxBufferMB << 20
-	if *maxBufferMB == engine.DefaultMaxBufferBytes>>20 && *maxReadBufferMB != 0 {
-		maxBuffer = *maxReadBufferMB << 20
-		if *maxReadBufferMB < 0 {
-			maxBuffer = -1
-		}
-	} else if *maxBufferMB < 0 {
+	if *maxBufferMB < 0 {
 		maxBuffer = -1
 	}
 	client, err := scalia.New(scalia.Options{
@@ -99,7 +90,6 @@ func main() {
 		MaxBufferBytes:     maxBuffer,
 		ReoptWorkers:       *reoptWorkers,
 		ReoptQueueDepth:    *reoptQueue,
-		SwapBatchSize:      *swapBatch,
 		Clock:              engine.NewWallClock(*periodHours),
 	})
 	if err != nil {

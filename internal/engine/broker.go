@@ -43,11 +43,6 @@ const DefaultPrefetchStripes = 2
 // to providers).
 const DefaultMaxBufferBytes = 256 << 20
 
-// DefaultMaxReadBufferBytes is the deprecated name of
-// DefaultMaxBufferBytes, kept for callers predating the shared
-// read/write budget.
-const DefaultMaxReadBufferBytes = DefaultMaxBufferBytes
-
 // DefaultWritePipelineDepth is the default encode-ahead depth of the
 // streaming PUT pipeline: while stripe s's chunks fan out to providers,
 // up to this many following stripes may be read, erasure-coded and
@@ -91,20 +86,21 @@ type Config struct {
 	// writes (default DefaultStripeBytes). Smaller stripes lower the
 	// serving path's memory ceiling at the cost of more provider ops.
 	StripeBytes int64
-	// ReadParallelism bounds concurrent chunk fetches per stripe read
-	// (default DefaultReadParallelism). Negative forces the sequential
-	// ranked scan — one chunk at a time, cheapest provider first.
+	// ReadParallelism bounds concurrent chunk fetches per stripe read,
+	// and concurrent stripes per swap repair or verification (default
+	// DefaultReadParallelism). Negative means 1 — one chunk at a time,
+	// cheapest provider first.
 	ReadParallelism int
 	// PrefetchStripes is the streaming GET read-ahead depth: how many
 	// stripes beyond the one draining to the client are fetched and
 	// decoded in the background (default DefaultPrefetchStripes).
-	// Negative disables prefetching.
+	// Negative means none: a read pipe of depth 1.
 	PrefetchStripes int
 	// WritePipelineDepth is the streaming PUT encode-ahead depth: up to
 	// this many stripes may be in flight — encoded and fanning their
 	// chunks out to providers — concurrently per write (default
-	// DefaultWritePipelineDepth). Negative forces the sequential write
-	// path: encode stripe s, fan it out, wait, then touch stripe s+1.
+	// DefaultWritePipelineDepth). Negative means a write pipe of depth
+	// 1: encode stripe s, fan it out, wait, then touch stripe s+1.
 	WritePipelineDepth int
 	// MaxBufferBytes bounds the stripe buffers all streaming reads AND
 	// writes of the broker hold concurrently (default
@@ -115,15 +111,6 @@ type Config struct {
 	// cached stripes do not consume the budget (the cache has its own
 	// capacity).
 	MaxBufferBytes int64
-	// MaxReadBufferBytes is the deprecated name of MaxBufferBytes from
-	// before the budget covered writes; it is honored when
-	// MaxBufferBytes is unset.
-	MaxReadBufferBytes int64
-	// ForceRestripeRepair disables the chunk-swap repair fast path so
-	// every active repair does a full re-placement — an ablation knob
-	// for benchmarks and tests (BenchmarkRepairSwap compares the two
-	// mechanisms on the same failure scenario).
-	ForceRestripeRepair bool
 	// ReoptWorkers is the number of background workers draining the
 	// event-driven reoptimization queue (objects whose cached placement
 	// a market event invalidated). 0 — the default — enqueues but does
@@ -137,21 +124,10 @@ type Config struct {
 	// dropped and counted — the periodic trend-gated Optimize pass is
 	// the backstop that eventually revisits them.
 	ReoptQueueDepth int
-	// SwapBatchSize is how many prepared single-stripe chunk swaps a
-	// repair pass accumulates before flushing them to their target
-	// providers in per-provider batches (default DefaultSwapBatchSize;
-	// negative disables batching). Many small objects repaired onto the
-	// same spare then cost one provider round-trip per batch instead of
-	// one per chunk.
-	SwapBatchSize int
 }
 
 // DefaultReoptQueueDepth bounds the event-driven reoptimization queue.
 const DefaultReoptQueueDepth = 1 << 16
-
-// DefaultSwapBatchSize is how many prepared small-object swaps a repair
-// pass groups into one per-provider batched write.
-const DefaultSwapBatchSize = 16
 
 func (c *Config) fill() {
 	if len(c.Datacenters) == 0 {
@@ -197,19 +173,10 @@ func (c *Config) fill() {
 	case c.WritePipelineDepth == 0:
 		c.WritePipelineDepth = DefaultWritePipelineDepth
 	case c.WritePipelineDepth < 0:
-		c.WritePipelineDepth = 0 // sequential
+		c.WritePipelineDepth = 0
 	}
 	if c.ReoptQueueDepth <= 0 {
 		c.ReoptQueueDepth = DefaultReoptQueueDepth
-	}
-	switch {
-	case c.SwapBatchSize == 0:
-		c.SwapBatchSize = DefaultSwapBatchSize
-	case c.SwapBatchSize < 0:
-		c.SwapBatchSize = 1 // per-chunk writes
-	}
-	if c.MaxBufferBytes == 0 {
-		c.MaxBufferBytes = c.MaxReadBufferBytes // honor the deprecated knob
 	}
 	switch {
 	case c.MaxBufferBytes == 0:
@@ -217,7 +184,6 @@ func (c *Config) fill() {
 	case c.MaxBufferBytes < 0:
 		c.MaxBufferBytes = 0 // unbounded
 	}
-	c.MaxReadBufferBytes = c.MaxBufferBytes // the two views stay consistent
 }
 
 // pendingDelete is a chunk deletion postponed because its provider was
@@ -259,14 +225,9 @@ type Broker struct {
 	// bufSem is the broker-wide stripe-buffer budget shared by the
 	// streaming read and write paths: one token per stripe slot of
 	// Config.MaxBufferBytes. nil = unbounded. The gauges track current
-	// and peak slots in use per direction (write gauges are maintained
-	// even when the budget is unbounded — they double as the
-	// stripes-in-flight counters on /v1/stats).
-	bufSem        chan struct{}
-	readBufInUse  atomic.Int64
-	readBufPeak   atomic.Int64
-	writeBufInUse atomic.Int64
-	writeBufPeak  atomic.Int64
+	// and peak slots in use per direction (see acquireBuf).
+	bufSem            chan struct{}
+	readBuf, writeBuf bufGauge
 
 	// now is the wall-clock source for multipart-session idle tracking.
 	// Production brokers use time.Now; the TTL-sweep tests substitute a
@@ -304,9 +265,18 @@ type Broker struct {
 	// jobs API (POST /v1/repair|optimize without ?wait=true).
 	jobs *jobRegistry
 
+	// pending is the set of postponed chunk deletions. pendMu is held
+	// across each replayed delete (ProcessPendingDeletes), so a write
+	// cancelling the entry for the key it is about to reuse either
+	// removes it first or waits until the delete has landed. pendingN
+	// mirrors len(pending) so the write path skips the lock while
+	// nothing is queued.
+	pendMu   sync.Mutex
+	pending  map[pendingDelete]struct{}
+	pendingN atomic.Int64
+
 	mu           sync.Mutex
 	lastOpt      int64
-	pending      []pendingDelete
 	decisions    map[string]*core.DecisionController
 	placement    map[string]core.Placement // object -> current placement
 	totals       OptimizeTotals
@@ -338,9 +308,8 @@ type ReadPathStats struct {
 	// FetchFallbacks counts chunk fetches that failed and fell back to
 	// a spare provider in the ranked order.
 	FetchFallbacks int64 `json:"fetchFallbacks"`
-	// BufferedStripesPeak is the high-water mark of stripe buffers held
-	// concurrently under the MaxReadBufferBytes budget (0 while the
-	// budget is unbounded or untouched).
+	// BufferedStripesPeak is the high-water mark of stripe buffers reads
+	// held concurrently under the shared MaxBufferBytes budget.
 	BufferedStripesPeak int64 `json:"bufferedStripesPeak"`
 	// BufferedStripes is the stripe buffers reads hold right now under
 	// the shared budget. After every streaming GET has drained or been
@@ -359,8 +328,8 @@ func (b *Broker) ReadStats() ReadPathStats {
 		StripesFetched:      b.metrics.readFetched.Value(),
 		PrefetchedStripes:   b.metrics.readPrefetched.Value(),
 		FetchFallbacks:      b.metrics.readFallbacks.Value(),
-		BufferedStripesPeak: b.readBufPeak.Load(),
-		BufferedStripes:     b.readBufInUse.Load(),
+		BufferedStripesPeak: b.readBuf.peak.Load(),
+		BufferedStripes:     b.readBuf.inUse.Load(),
 	}
 }
 
@@ -368,8 +337,8 @@ func (b *Broker) ReadStats() ReadPathStats {
 // write path, served on GET /v1/stats — the PR 5 read-path counters'
 // mirror image.
 type WritePathStats struct {
-	// PipelineDepth is the configured encode-ahead depth (0 =
-	// sequential writes).
+	// PipelineDepth is the configured encode-ahead depth (0 = one
+	// stripe at a time).
 	PipelineDepth int `json:"pipelineDepth"`
 	// StripesWritten counts stripes fanned out to providers by
 	// completed writes (regular PUTs and staged multipart parts).
@@ -389,63 +358,9 @@ func (b *Broker) WriteStats() WritePathStats {
 	return WritePathStats{
 		PipelineDepth:       b.cfg.WritePipelineDepth,
 		StripesWritten:      b.metrics.writeStripes.Value(),
-		StripesInFlight:     b.writeBufInUse.Load(),
-		BufferedStripesPeak: b.writeBufPeak.Load(),
+		StripesInFlight:     b.writeBuf.inUse.Load(),
+		BufferedStripesPeak: b.writeBuf.peak.Load(),
 		ActiveUploads:       b.activeUploads(),
-	}
-}
-
-// acquireReadBuf reserves one stripe-buffer slot from the broker-wide
-// budget for a read, blocking while the budget is exhausted. The slot
-// is released when the stripe's bytes have drained to the client (or
-// the stream is torn down). Draining never re-enters the budget, so a
-// blocked acquire always unblocks once some client consumes its stripe.
-func (b *Broker) acquireReadBuf(ctx context.Context) error {
-	if b.bufSem == nil {
-		return nil
-	}
-	select {
-	case b.bufSem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	bumpPeak(&b.readBufPeak, b.readBufInUse.Add(1))
-	return nil
-}
-
-// releaseReadBuf returns a read's stripe-buffer slot to the budget.
-func (b *Broker) releaseReadBuf() {
-	if b.bufSem == nil {
-		return
-	}
-	b.readBufInUse.Add(-1)
-	<-b.bufSem
-}
-
-// acquireWriteBuf reserves one stripe-buffer slot from the shared
-// budget for a write, blocking while the budget is exhausted. The slot
-// is released once the stripe's chunks have fanned out to providers
-// (or the write is torn down); fan-out never re-enters the budget, so
-// a blocked acquire always unblocks. Unlike the read side, the in-use
-// and peak gauges are maintained even with an unbounded budget — they
-// are the write path's stripes-in-flight counters.
-func (b *Broker) acquireWriteBuf(ctx context.Context) error {
-	if b.bufSem != nil {
-		select {
-		case b.bufSem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	bumpPeak(&b.writeBufPeak, b.writeBufInUse.Add(1))
-	return nil
-}
-
-// releaseWriteBuf returns a write's stripe-buffer slot to the budget.
-func (b *Broker) releaseWriteBuf() {
-	b.writeBufInUse.Add(-1)
-	if b.bufSem != nil {
-		<-b.bufSem
 	}
 }
 
@@ -491,6 +406,7 @@ func NewBroker(cfg Config) *Broker {
 		decisions: make(map[string]*core.DecisionController),
 		placement: make(map[string]core.Placement),
 		uploads:   make(map[string]*uploadSession),
+		pending:   make(map[pendingDelete]struct{}),
 		planner:   core.NewPlanner(cfg.PeriodHours, cfg.Pruned),
 		provIndex: stats.NewProviderIndex(),
 		jobs:      newJobRegistry(),
@@ -637,11 +553,17 @@ func (b *Broker) setPlacement(object string, p core.Placement) {
 	b.mu.Lock()
 	b.placement[object] = p
 	b.mu.Unlock()
+	b.provIndex.Set(object, slotNames(p))
+}
+
+// slotNames returns a placement's provider names in slot order: chunk i
+// of every stripe goes to the i-th provider.
+func slotNames(p core.Placement) []string {
 	names := make([]string, len(p.Providers))
 	for i, spec := range p.Providers {
 		names[i] = spec.Name
 	}
-	b.provIndex.Set(object, names)
+	return names
 }
 
 func (b *Broker) dropPlacement(object string) {
@@ -668,49 +590,53 @@ func (b *Broker) planBest(rule core.Rule, load stats.Summary, objectBytes int64)
 
 // enqueuePendingDelete records a postponed chunk deletion.
 func (b *Broker) enqueuePendingDelete(provider, chunkKey string) {
-	b.mu.Lock()
-	b.pending = append(b.pending, pendingDelete{Provider: provider, ChunkKey: chunkKey})
-	b.mu.Unlock()
+	b.pendMu.Lock()
+	b.pending[pendingDelete{provider, chunkKey}] = struct{}{}
+	b.pendingN.Store(int64(len(b.pending)))
+	b.pendMu.Unlock()
+}
+
+// cancelPendingDelete drops the postponed deletion of a chunk that is
+// about to be written again, so replaying it cannot destroy the new
+// chunk.
+func (b *Broker) cancelPendingDelete(provider, chunkKey string) {
+	if b.pendingN.Load() == 0 {
+		return
+	}
+	b.pendMu.Lock()
+	delete(b.pending, pendingDelete{provider, chunkKey})
+	b.pendingN.Store(int64(len(b.pending)))
+	b.pendMu.Unlock()
 }
 
 // PendingDeletes returns the number of postponed chunk deletions.
-func (b *Broker) PendingDeletes() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
-}
+func (b *Broker) PendingDeletes() int { return int(b.pendingN.Load()) }
 
 // ProcessPendingDeletes retries postponed deletions against recovered
 // providers; it returns how many completed. Cancelling ctx stops the
 // scan; unprocessed deletions stay queued.
 func (b *Broker) ProcessPendingDeletes(ctx context.Context) int {
-	b.mu.Lock()
-	pending := b.pending
-	b.pending = nil
-	b.mu.Unlock()
+	b.pendMu.Lock()
+	queued := make([]pendingDelete, 0, len(b.pending))
+	for pd := range b.pending {
+		queued = append(queued, pd)
+	}
+	b.pendMu.Unlock()
 
 	done := 0
-	var still []pendingDelete
-	for i, pd := range pending {
+	for _, pd := range queued {
 		if ctx.Err() != nil {
-			still = append(still, pending[i:]...)
 			break
 		}
-		store, ok := b.registry.Store(pd.Provider)
-		if !ok {
-			done++ // provider left the market; nothing to delete
-			continue
-		}
-		if err := store.Delete(ctx, pd.ChunkKey); err == nil {
+		// A provider that left the market took its chunks along.
+		store, registered := b.registry.Store(pd.Provider)
+		b.pendMu.Lock()
+		if _, still := b.pending[pd]; still && (!registered || store.Delete(ctx, pd.ChunkKey) == nil) {
+			delete(b.pending, pd)
+			b.pendingN.Store(int64(len(b.pending)))
 			done++
-		} else {
-			still = append(still, pd)
 		}
-	}
-	if len(still) > 0 {
-		b.mu.Lock()
-		b.pending = append(b.pending, still...)
-		b.mu.Unlock()
+		b.pendMu.Unlock()
 	}
 	return done
 }

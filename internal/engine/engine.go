@@ -156,9 +156,15 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 		Stripes:     stripeCount(size, e.b.cfg.StripeBytes),
 		StripeBytes: e.b.cfg.StripeBytes,
 	}
-	if err := e.writeChunksStream(ctx, &meta, res.Placement, r); err != nil {
+	meta.Chunks = slotNames(res.Placement)
+	l, err := e.layoutOf(meta)
+	if err != nil {
 		return ObjectMeta{}, err
 	}
+	if meta.Checksum, err = e.writeStripes(ctx, l, r); err != nil {
+		return ObjectMeta{}, err
+	}
+	meta.StripeSums = l.sums
 
 	// Commit under the row lock — one batched metadata commit per
 	// object, no matter how many stripes streamed through above.
@@ -398,7 +404,7 @@ func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadC
 	// completes (or with the bytes actually delivered, on early Close),
 	// so aborted downloads do not inflate the statistics that drive
 	// placement.
-	or, err := e.openObjectReader(ctx, meta, true)
+	or, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, true)
 	if err != nil {
 		return nil, ObjectMeta{}, err
 	}
@@ -531,29 +537,8 @@ func (e *Engine) Head(ctx context.Context, container, key string) (ObjectMeta, e
 // deleteChunks removes every chunk of every stripe of a version,
 // postponing deletions at unreachable providers.
 func (e *Engine) deleteChunks(meta ObjectMeta) {
-	for s := 0; s < meta.StripeCount(); s++ {
-		for i, name := range meta.Chunks {
-			e.deleteChunkAt(name, meta.chunkKey(s, i))
-		}
-	}
-}
-
-// deleteChunkAt removes one chunk. Chunk deletion is cleanup that must
-// survive request cancellation, so it runs on a background context.
-func (e *Engine) deleteChunkAt(provider, chunkKey string) {
-	store, ok := e.b.registry.Store(provider)
-	if !ok {
-		return // provider gone; chunks die with it
-	}
-	t0 := time.Now()
-	err := store.Delete(context.Background(), chunkKey)
-	e.b.observeProviderOp(provider, "delete", t0, err)
-	if err != nil {
-		if errors.Is(err, cloud.ErrUnavailable) {
-			e.b.enqueuePendingDelete(provider, chunkKey)
-		}
-		// Missing chunks are already gone; nothing to do.
-	}
+	l, _ := e.layoutOf(meta) // deleting needs no coder
+	e.dropChunks(l, l.stripes, l.all, nil)
 }
 
 // cleanupVersions garbage-collects MVCC conflict losers: their chunks

@@ -110,7 +110,7 @@ func TestUpdateReplacesChunks(t *testing.T) {
 	// Old chunks must be gone.
 	for i, name := range m1.Chunks {
 		store, _ := b.Registry().Store(name)
-		if _, err := store.Get(ctx, ChunkKey(m1.SKey, i)); err == nil {
+		if _, err := store.Get(ctx, ChunkKey(m1.SKey, 0, i)); err == nil {
 			t.Fatalf("stale chunk %d at %s survived the update", i, name)
 		}
 	}
@@ -132,7 +132,7 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 	for i, name := range meta.Chunks {
 		store, _ := b.Registry().Store(name)
-		if _, err := store.Get(ctx, ChunkKey(meta.SKey, i)); err == nil {
+		if _, err := store.Get(ctx, ChunkKey(meta.SKey, 0, i)); err == nil {
 			t.Fatalf("chunk %d at %s survived deletion", i, name)
 		}
 	}
@@ -259,7 +259,7 @@ func TestDeletepostponedAtFaultyProvider(t *testing.T) {
 	if done := b.ProcessPendingDeletes(ctx); done == 0 {
 		t.Fatal("pending delete must complete after recovery")
 	}
-	if _, err := vs.Get(ctx, ChunkKey(meta.SKey, 0)); err == nil {
+	if _, err := vs.Get(ctx, ChunkKey(meta.SKey, 0, 0)); err == nil {
 		t.Fatal("chunk must be gone after postponed delete")
 	}
 }
@@ -318,12 +318,26 @@ func TestVerifyObject(t *testing.T) {
 	b := newTestBroker(t, Config{})
 	e := b.Engine(0)
 	meta, _ := e.Put(ctx, "c", "k", make([]byte, 5000), PutOptions{})
+	// Verification traffic is provider traffic: it must show up in the
+	// per-provider get series like any other chunk read.
+	providerGets := func() (n uint64) {
+		for _, h := range b.Metrics().Histograms(metricProviderOp) {
+			if h.Labels["op"] == "get" {
+				n += h.Snapshot.Count
+			}
+		}
+		return n
+	}
+	before := providerGets()
 	reachable, err := e.VerifyObject(ctx, "c", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reachable != len(meta.Chunks) {
 		t.Fatalf("reachable = %d, want %d", reachable, len(meta.Chunks))
+	}
+	if got := providerGets() - before; got != uint64(len(meta.Chunks)) {
+		t.Fatalf("verification recorded %d provider gets, want %d", got, len(meta.Chunks))
 	}
 }
 
@@ -518,23 +532,6 @@ func TestOptimizeLeaderElection(t *testing.T) {
 	}
 	if _, err := b.Optimize(ctx); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("err = %v, want ErrNoLeader", err)
-	}
-}
-
-func TestOptimizeFullScanTouchesEverything(t *testing.T) {
-	clock := NewSimClock()
-	b := newTestBroker(t, Config{Clock: clock})
-	e := b.Engine(0)
-	for i := 0; i < 5; i++ {
-		e.Put(ctx, "c", fmt.Sprintf("k%d", i), make([]byte, 100), PutOptions{})
-	}
-	b.FlushStats()
-	rep, err := b.OptimizeFullScan(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Recomputed != 5 {
-		t.Fatalf("full scan recomputed %d, want 5", rep.Recomputed)
 	}
 }
 

@@ -34,15 +34,14 @@ type ObjectMeta struct {
 	// is split into Stripes consecutive stripes of up to StripeBytes
 	// payload each, and every stripe is erasure-coded independently, so
 	// reads and writes proceed stripe by stripe without materializing
-	// the whole object. Stripes <= 1 marks a single-stripe object, which
-	// keeps the legacy chunk-key layout.
+	// the whole object.
 	Stripes     int   `json:"stripes,omitempty"`
 	StripeBytes int64 `json:"stripeBytes,omitempty"`
-	// StripeSums holds the MD5 of each stripe's payload, so the read
-	// path can verify every decoded stripe independently — before it
-	// enters the stripe cache, and on ranged reads that never see the
-	// whole object. Metadata written before stripe sums existed leaves
-	// this nil; such reads fall back to the whole-object Checksum.
+	// StripeSums holds the MD5 of each stripe's payload, so every
+	// decoded stripe is verified independently — before it enters the
+	// stripe cache, on ranged reads that never see the whole object, and
+	// before repair copies it. Every writer sets it; a stripe without a
+	// sum fails its read with ErrChecksum.
 	StripeSums []string `json:"stripeSums,omitempty"`
 	// PartStripes, set on objects assembled from a multipart upload,
 	// records how many stripes each part contributed (part 1 first; the
@@ -59,17 +58,8 @@ type ObjectMeta struct {
 // ETag-of-ETags checksum instead of a whole-body MD5.
 func (m ObjectMeta) Multipart() bool { return len(m.PartStripes) > 0 }
 
-// stripeSum returns the stored MD5 of stripe s, or "" when this
-// version's metadata predates per-stripe checksums.
-func (m ObjectMeta) stripeSum(s int) string {
-	if s < 0 || s >= len(m.StripeSums) {
-		return ""
-	}
-	return m.StripeSums[s]
-}
-
 // StripeCount returns the number of stripes the object is stored as
-// (at least 1; legacy single-stripe metadata reports 1).
+// (at least 1).
 func (m ObjectMeta) StripeCount() int {
 	if m.Stripes <= 1 {
 		return 1
@@ -120,18 +110,9 @@ func StorageKey(container, key, uuid string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ChunkKey names chunk i of a single-stripe object version.
-func ChunkKey(skey string, i int) string {
-	return fmt.Sprintf("%s/chunk%03d", skey, i)
-}
-
-// ChunkKeyAt names chunk i of stripe s for an object stored as stripes
-// stripes. Single-stripe objects keep the legacy ChunkKey layout so
-// metadata written before striping stays addressable.
-func ChunkKeyAt(skey string, stripes, s, i int) string {
-	if stripes <= 1 {
-		return ChunkKey(skey, i)
-	}
+// ChunkKey names chunk i of stripe s of a plain (non-multipart) object
+// version.
+func ChunkKey(skey string, s, i int) string {
 	return fmt.Sprintf("%s/s%05d/chunk%03d", skey, s, i)
 }
 
@@ -159,7 +140,7 @@ func (m ObjectMeta) chunkKey(s, i int) string {
 		// A stripe index past the recorded parts indicates corrupt
 		// metadata; fall through to the plain layout, which will miss.
 	}
-	return ChunkKeyAt(m.SKey, m.StripeCount(), s, i)
+	return ChunkKey(m.SKey, s, i)
 }
 
 // Checksum computes the MD5 content checksum in Fig. 11's format.

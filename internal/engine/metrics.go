@@ -230,19 +230,19 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 		func() float64 { return float64(len(b.registry.Snapshot())) })
 	reg.GaugeFunc("scalia_read_buffered_stripes",
 		"Stripe buffers currently held by reads under the shared budget.",
-		func() float64 { return float64(b.readBufInUse.Load()) })
+		func() float64 { return float64(b.readBuf.inUse.Load()) })
 	reg.GaugeFunc("scalia_read_buffered_stripes_peak",
 		"High-water mark of stripe buffers held by reads under the shared budget.",
-		func() float64 { return float64(b.readBufPeak.Load()) })
+		func() float64 { return float64(b.readBuf.peak.Load()) })
 	reg.GaugeFunc("scalia_write_pipeline_depth",
-		"Configured streaming-PUT encode-ahead depth (0 = sequential).",
+		"Configured streaming-PUT encode-ahead depth (0 = one stripe at a time).",
 		func() float64 { return float64(b.cfg.WritePipelineDepth) })
 	reg.GaugeFunc("scalia_write_buffered_stripes",
 		"Stripe buffers currently held by writes under the shared budget.",
-		func() float64 { return float64(b.writeBufInUse.Load()) })
+		func() float64 { return float64(b.writeBuf.inUse.Load()) })
 	reg.GaugeFunc("scalia_write_buffered_stripes_peak",
 		"High-water mark of stripe buffers held by writes under the shared budget.",
-		func() float64 { return float64(b.writeBufPeak.Load()) })
+		func() float64 { return float64(b.writeBuf.peak.Load()) })
 	reg.GaugeFunc("scalia_multipart_uploads_active",
 		"Open multipart upload sessions.",
 		func() float64 { return float64(b.activeUploads()) })

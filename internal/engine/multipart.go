@@ -168,10 +168,6 @@ func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHi
 	}
 
 	uuid := NewUUID()
-	names := make([]string, 0, res.Placement.N())
-	for _, spec := range res.Placement.Providers {
-		names = append(names, spec.Name)
-	}
 	s := &uploadSession{
 		id:         NewUUID(),
 		container:  container,
@@ -181,7 +177,7 @@ func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHi
 		uuid:       uuid,
 		skey:       StorageKey(container, key, uuid),
 		placement:  res.Placement,
-		names:      names,
+		names:      slotNames(res.Placement),
 		createdAt:  e.b.clock.Period(),
 		inflight:   make(map[int]bool),
 		parts:      make(map[int]*stagedPart),
@@ -239,20 +235,19 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 		e.deletePartChunks(s, replaced)
 	}
 
-	stripes := stripeCount(size, e.b.cfg.StripeBytes)
-	plan, err := e.partWritePlan(s, partNumber, size, stripes)
+	l, err := e.partLayout(s, partNumber, size)
 	if err != nil {
 		settle()
 		return PartInfo{}, err
 	}
-	etag, stripeSums, err := e.writeStripes(ctx, plan, r)
+	etag, err := e.writeStripes(ctx, l, r)
 	if err != nil {
 		settle()
 		return PartInfo{}, err
 	}
 	part := &stagedPart{
 		number: partNumber, size: size, etag: etag,
-		stripes: stripes, stripeSums: stripeSums,
+		stripes: l.stripes, stripeSums: l.sums,
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -266,28 +261,7 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 	delete(s.inflight, partNumber)
 	s.lastActive = e.b.now()
 	s.mu.Unlock()
-	return PartInfo{PartNumber: partNumber, ETag: etag, Size: size, Stripes: stripes}, nil
-}
-
-// partWritePlan builds the pipeline plan for one part: the session's
-// frozen placement, the part's local stripe geometry, part-scoped keys.
-func (e *Engine) partWritePlan(s *uploadSession, partNumber int, size int64, stripes int) (stripeWritePlan, error) {
-	coder, stores, names, err := e.resolvePlacement(s.placement)
-	if err != nil {
-		return stripeWritePlan{}, err
-	}
-	stripeBytes := e.b.cfg.StripeBytes
-	return stripeWritePlan{
-		coder: coder, stores: stores, names: names,
-		stripes: stripes,
-		stripeLen: func(st int) int64 {
-			if left := size - int64(st)*stripeBytes; left < stripeBytes {
-				return left
-			}
-			return stripeBytes
-		},
-		key: func(st, i int) string { return PartChunkKey(s.skey, partNumber, st, i) },
-	}, nil
+	return PartInfo{PartNumber: partNumber, ETag: etag, Size: size, Stripes: l.stripes}, nil
 }
 
 // ListParts reports the staged parts of an open upload, sorted by part
@@ -487,11 +461,8 @@ func (e *Engine) AbortUpload(ctx context.Context, uploadID string) error {
 
 // deletePartChunks best-effort removes every chunk a staged part wrote.
 func (e *Engine) deletePartChunks(s *uploadSession, p *stagedPart) {
-	for st := 0; st < p.stripes; st++ {
-		for i, name := range s.names {
-			e.deleteChunkAt(name, PartChunkKey(s.skey, p.number, st, i))
-		}
-	}
+	l, _ := e.partLayout(s, p.number, p.size) // deleting needs no coder
+	e.dropChunks(l, l.stripes, l.all, nil)
 }
 
 // SweepExpiredUploads evicts multipart upload sessions whose last

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"scalia/internal/cloud"
 	"scalia/internal/core"
-	"scalia/internal/erasure"
 	"scalia/internal/obs"
 	"scalia/internal/stats"
 	"scalia/internal/trend"
@@ -85,7 +83,7 @@ func (b *Broker) Optimize(ctx context.Context) (OptimizeReport, error) {
 		wg.Add(1)
 		go func(e *Engine, objs []string) {
 			defer wg.Done()
-			local := e.optimizeShard(ctx, objs, now, false)
+			local := e.optimizeShard(ctx, objs, now)
 			mu.Lock()
 			report.TrendChanged += local.TrendChanged
 			report.Recomputed += local.Recomputed
@@ -123,27 +121,6 @@ func shardObjects(objs []string, n int) [][]string {
 	return shards
 }
 
-// OptimizeFullScan recomputes every known object's placement without
-// trend gating — the full-table-scan baseline the paper rejects as
-// unscalable; kept for the ablation benchmark.
-func (b *Broker) OptimizeFullScan(ctx context.Context) (OptimizeReport, error) {
-	leader := b.electLeader()
-	if leader == nil {
-		return OptimizeReport{}, ErrNoLeader
-	}
-	b.FlushStats()
-	now := b.clock.Period()
-	planner0 := b.planner.Stats()
-	report := leader.optimizeShard(ctx, b.statsDB.Objects(), now, true)
-	report.Leader = leader.id
-	report.Scanned = report.Recomputed
-	planner1 := b.planner.Stats()
-	report.PlannerHits = planner1.Hits - planner0.Hits
-	report.PlannerMisses = planner1.Misses - planner0.Misses
-	b.recordOptimize(report)
-	return report, ctx.Err()
-}
-
 // electLeader picks the alive engine with the lowest identifier — a
 // deterministic stand-in for the paper's leader election among engines
 // of all datacenters.
@@ -161,21 +138,17 @@ func (b *Broker) electLeader() *Engine {
 }
 
 // optimizeShard processes one engine's share of the accessed-object set.
-// When force is true the trend gate is bypassed.
-func (e *Engine) optimizeShard(ctx context.Context, objs []string, now int64, force bool) OptimizeReport {
+func (e *Engine) optimizeShard(ctx context.Context, objs []string, now int64) OptimizeReport {
 	var report OptimizeReport
 	for _, obj := range objs {
 		if ctx.Err() != nil {
 			break
 		}
 		noteProgress(ctx, 1)
-		changed := force || e.detectTrendChange(obj, now)
-		if !changed {
+		if !e.detectTrendChange(obj, now) {
 			continue
 		}
-		if !force {
-			report.TrendChanged++
-		}
+		report.TrendChanged++
 		migrated, cost, recomputed, evaluated := e.reoptimizeObject(ctx, obj, now)
 		report.Evaluated += evaluated
 		if recomputed {
@@ -365,30 +338,40 @@ func currentPlacementFromMeta(e *Engine, meta ObjectMeta) core.Placement {
 
 // migrate moves an object to a new placement, streaming stripe by
 // stripe: each stripe is reconstructed from the current chunks,
-// re-encoded for the target placement and written out before the next
-// stripe is read, so migration of a large object never buffers it
-// whole. The superseded chunks are deleted once the new metadata is
-// committed.
+// re-encoded for the target placement and written out while the next
+// ones are read, so migration of a large object never buffers it whole.
+// The superseded chunks are deleted once the new metadata is committed.
 func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement) error {
-	src, err := e.openObjectReader(ctx, meta, false)
+	src, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, false)
 	if err != nil {
 		return fmt.Errorf("engine: migrate read: %w", err)
 	}
 	defer src.Close()
-	uuid := NewUUID()
 	newMeta := meta
-	newMeta.UUID = uuid
-	newMeta.SKey = StorageKey(meta.Container, meta.Key, uuid)
+	newMeta.UUID = NewUUID()
+	newMeta.SKey = StorageKey(meta.Container, meta.Key, newMeta.UUID)
 	newMeta.M = to.M
-	if err := e.writeChunksStream(ctx, &newMeta, to, src); err != nil {
+	newMeta.Chunks = slotNames(to)
+	l, err := e.layoutOf(newMeta)
+	if err != nil {
+		return err
+	}
+	bodySum, err := e.writeStripes(ctx, l, src)
+	if err != nil {
 		return fmt.Errorf("engine: migrate write: %w", err)
 	}
-	if newMeta.Checksum != meta.Checksum {
+	// End-to-end check of the copy: every stripe's MD5 must come out as
+	// stored, and so must the body MD5 — except for a multipart version,
+	// whose Checksum is the md5-N composite of its part ETags, not a body
+	// MD5, and is carried over unchanged.
+	if !meta.Multipart() {
+		newMeta.Checksum = bodySum
+	}
+	if !slices.Equal(l.sums, meta.StripeSums) || newMeta.Checksum != meta.Checksum {
 		e.deleteChunks(newMeta)
 		return fmt.Errorf("engine: migrate: %w", ErrChecksum)
 	}
-	ts := e.b.clock.Timestamp()
-	version, err := encodeMeta(newMeta, ts)
+	version, err := encodeMeta(newMeta, e.b.clock.Timestamp())
 	if err != nil {
 		e.deleteChunks(newMeta)
 		return err
@@ -419,73 +402,48 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	return nil
 }
 
-// VerifyObject checks that an object's stored chunks are sufficient and
-// parity-consistent across every stripe, returning the minimum number
-// of reachable chunks over the stripes. Verification reads every chunk
-// from its provider (never the stripe cache — a cached stripe proves
-// nothing about chunk health), fanning the per-stripe fetches out over
-// the read path's bounded worker pool.
+// VerifyObject checks that an object's stored chunks are sufficient,
+// decode to the stored per-stripe checksums and are parity-consistent
+// across every stripe, returning the minimum number of reachable chunks
+// over the stripes. Verification reads every reachable chunk from its
+// provider (never the stripe cache — a cached stripe proves nothing
+// about chunk health).
 func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reachable int, err error) {
 	meta, err := e.Head(ctx, container, key)
 	if err != nil {
 		return 0, err
 	}
-	n := len(meta.Chunks)
-	coder, err := erasure.Cached(meta.M, n)
+	l, err := e.layoutOf(meta)
 	if err != nil {
 		return 0, err
 	}
-	workers := e.b.cfg.ReadParallelism
-	if workers > n {
-		workers = n
+	n := len(meta.Chunks)
+	// Fewer than m reachable is reported by the fetch, with the count.
+	order, _ := l.rank(meta.Size, nil)
+	// Per-stripe reachable counts; a stripe never read, or cut short by
+	// another stripe's failure, does not lower the minimum.
+	got := make([]int, l.stripes)
+	for s := range got {
+		got[s] = n
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	reachable = n
-	for s := 0; s < meta.StripeCount(); s++ {
-		chunks := make([][]byte, n)
-		var stripeReachable atomic.Int32
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, name := range meta.Chunks {
-			st, ok := e.b.registry.Store(name)
-			if !ok || !st.Available() {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, st cloud.Backend) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if data, err := st.Get(ctx, meta.chunkKey(s, i)); err == nil {
-					chunks[i] = data
-					stripeReachable.Add(1)
+	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, l.stripes,
+		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
+			return func() (stripeOut, error) {
+				_, chunks, g, err := e.fetch(ctx, l, s, order, len(order))
+				if ctx.Err() == nil {
+					got[s] = g
 				}
-			}(i, st)
-		}
-		wg.Wait()
-		got := int(stripeReachable.Load())
-		if err := ctx.Err(); err != nil {
-			return reachable, err
-		}
-		if got < reachable {
-			reachable = got
-		}
-		if got < meta.M {
-			return reachable, ErrNotEnoughChunks
-		}
-		if got == n {
-			ok, err := coder.Verify(chunks)
-			if err != nil {
-				return reachable, err
-			}
-			if !ok {
-				return reachable, ErrChecksum
-			}
-		}
-	}
-	return reachable, nil
+				if err == nil && g == n {
+					var ok bool
+					if ok, err = l.coder.Verify(chunks); err == nil && !ok {
+						err = ErrChecksum
+					}
+				}
+				return stripeOut{}, err
+			}, nil
+		})
+	err = p.drain()
+	return slices.Min(got), err
 }
 
 // splitObjectName parses "container/key" (keys may contain slashes).

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,58 +163,6 @@ func TestGetRangeReader(t *testing.T) {
 	}
 }
 
-// flakyBackend reports itself available but fails Gets on demand — the
-// §III-D3 race where a provider dies between chunk ranking and fetch.
-type flakyBackend struct {
-	*cloud.BlobStore
-	failGets atomic.Bool
-}
-
-func (f *flakyBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	if f.failGets.Load() {
-		return nil, errors.New("flaky: injected fetch failure")
-	}
-	return f.BlobStore.Get(ctx, key)
-}
-
-func flakyRegistry() (*cloud.Registry, map[string]*flakyBackend) {
-	reg := cloud.NewRegistry()
-	backends := make(map[string]*flakyBackend)
-	for _, spec := range cloud.PaperProviders() {
-		fb := &flakyBackend{BlobStore: cloud.NewBlobStore(spec)}
-		backends[spec.Name] = fb
-		reg.Register(fb)
-	}
-	return reg, backends
-}
-
-// TestParallelFetchFallsBackToSpareProvider: when a ranked provider
-// fails mid-read (still "available", so ranking included it), the
-// worker pool must fall back to a spare chunk and the fallback counter
-// must move.
-func TestParallelFetchFallsBackToSpareProvider(t *testing.T) {
-	reg, backends := flakyRegistry()
-	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024, ReadParallelism: 4})
-	e := b.Engine(0)
-	payload := testPayload(4 * 1024)
-	meta, err := e.Put(ctx, "c", "k", payload, PutOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(meta.Chunks) <= meta.M {
-		t.Skipf("placement %v has no failure slack", meta.Chunks)
-	}
-	backends[meta.Chunks[0]].failGets.Store(true)
-
-	got, _, err := e.Get(ctx, "c", "k")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read with flaky provider: %v", err)
-	}
-	if rs := b.ReadStats(); rs.FetchFallbacks == 0 {
-		t.Fatal("fallback counter did not move")
-	}
-}
-
 // gatedBackend blocks Gets of gated keys until the gate opens or the
 // fetch context is cancelled, so tests can freeze a read mid-stripe.
 type gatedBackend struct {
@@ -361,7 +308,7 @@ func corruptStripe(t *testing.T, b *Broker, meta ObjectMeta, s int) {
 		if !ok {
 			t.Fatalf("provider %s missing", name)
 		}
-		key := ChunkKeyAt(meta.SKey, meta.StripeCount(), s, i)
+		key := ChunkKey(meta.SKey, s, i)
 		data, err := store.Get(ctx, key)
 		if err != nil {
 			t.Fatal(err)
@@ -407,51 +354,6 @@ func TestCorruptStripeNeverEntersCache(t *testing.T) {
 	if c := b.Caches().Datacenter(e.Datacenter()); c != nil {
 		if data, ok := c.GetStripe(stripeCacheID("c/k", meta.UUID), 2); ok {
 			t.Fatalf("corrupt stripe cached: %d bytes", len(data))
-		}
-	}
-}
-
-// TestLegacyMetaChecksumFallback: metadata written before per-stripe
-// sums existed (StripeSums nil) still fails corrupt full reads via the
-// whole-object chain, and the failing stream purges what it cached.
-func TestLegacyMetaChecksumFallback(t *testing.T) {
-	b := newTestBroker(t, Config{StripeBytes: 1024, CacheBytes: 1 << 20})
-	e := b.Engine(0)
-	payload := testPayload(4 * 1024)
-	meta, err := e.Put(ctx, "c", "k", payload, PutOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the stored metadata without stripe sums, as a pre-PR-4
-	// version would have recorded it.
-	legacy := meta
-	legacy.StripeSums = nil
-	v, err := encodeMeta(legacy, b.Clock().Timestamp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Metadata().Put(e.Datacenter(), RowKey("c", "k"), v); err != nil {
-		t.Fatal(err)
-	}
-	// A healthy legacy read passes the whole-object chain but fills no
-	// cache: without per-stripe sums there is no checksum that could
-	// vouch for an individual cached stripe.
-	got, _, err := e.Get(ctx, "c", "k")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("healthy legacy read: %v", err)
-	}
-	if c := b.Caches().Datacenter(e.Datacenter()); c != nil && c.Len() != 0 {
-		t.Fatalf("legacy read cached %d unverifiable stripes", c.Len())
-	}
-	corruptStripe(t, b, meta, 2)
-
-	for i := 0; i < 2; i++ {
-		if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("legacy read %d of corrupt object = %v, want ErrChecksum", i, err)
-		}
-		// The condemned stream's cache fills must have been purged.
-		if c := b.Caches().Datacenter(e.Datacenter()); c != nil && c.Len() != 0 {
-			t.Fatalf("read %d left %d condemned stripes cached", i, c.Len())
 		}
 	}
 }
@@ -558,17 +460,17 @@ func TestConcurrentMultiStripeReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadBufferBudgetBoundsConcurrentGets is the MaxReadBufferBytes
-// satellite: with a 3-stripe budget and many concurrent large GETs, the
+// TestReadBufferBudgetBoundsConcurrentGets is the read half of the
+// MaxBufferBytes budget: with a 3-stripe budget and many concurrent large GETs, the
 // broker must never hold more than 3 fetched stripe buffers at once,
 // deliver every byte intact, and return every slot when the streams
 // drain.
 func TestReadBufferBudgetBoundsConcurrentGets(t *testing.T) {
 	const stripe = 16 << 10
 	b := newTestBroker(t, Config{
-		StripeBytes:        stripe,
-		MaxReadBufferBytes: 3 * stripe, // 3 slots across the whole broker
-		PrefetchStripes:    2,
+		StripeBytes:     stripe,
+		MaxBufferBytes:  3 * stripe, // 3 slots across the whole broker
+		PrefetchStripes: 2,
 	})
 	const objects = 6
 	payloads := make([][]byte, objects)
@@ -609,19 +511,19 @@ func TestReadBufferBudgetBoundsConcurrentGets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if peak := b.readBufPeak.Load(); peak < 1 || peak > 3 {
+	if peak := b.readBuf.peak.Load(); peak < 1 || peak > 3 {
 		t.Fatalf("buffered-stripe peak = %d, want within (0, 3]", peak)
 	}
 	// Every slot must return to the budget once the streams drain (the
 	// prefetchers tear down asynchronously).
 	deadline := time.Now().Add(2 * time.Second)
-	for b.readBufInUse.Load() != 0 && time.Now().Before(deadline) {
+	for b.readBuf.inUse.Load() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if held := b.readBufInUse.Load(); held != 0 {
+	if held := b.readBuf.inUse.Load(); held != 0 {
 		t.Fatalf("%d stripe slots leaked after the streams drained", held)
 	}
-	if b.ReadStats().BufferedStripesPeak != b.readBufPeak.Load() {
+	if b.ReadStats().BufferedStripesPeak != b.readBuf.peak.Load() {
 		t.Fatal("BufferedStripesPeak not surfaced on ReadStats")
 	}
 }
@@ -632,9 +534,9 @@ func TestReadBufferBudgetBoundsConcurrentGets(t *testing.T) {
 func TestReadBufferBudgetReleasedOnEarlyClose(t *testing.T) {
 	const stripe = 16 << 10
 	b := newTestBroker(t, Config{
-		StripeBytes:        stripe,
-		MaxReadBufferBytes: 4 * stripe,
-		PrefetchStripes:    3,
+		StripeBytes:     stripe,
+		MaxBufferBytes:  4 * stripe,
+		PrefetchStripes: 3,
 	})
 	payload := bytes.Repeat([]byte("z"), 12*stripe)
 	if _, err := b.Engine(0).Put(ctx, "c", "big", payload, PutOptions{}); err != nil {
@@ -649,20 +551,20 @@ func TestReadBufferBudgetReleasedOnEarlyClose(t *testing.T) {
 	}
 	rc.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for b.readBufInUse.Load() != 0 && time.Now().Before(deadline) {
+	for b.readBuf.inUse.Load() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if held := b.readBufInUse.Load(); held != 0 {
+	if held := b.readBuf.inUse.Load(); held != 0 {
 		t.Fatalf("%d stripe slots leaked after early Close", held)
 	}
 }
 
-// TestReadBufferBudgetUnbounded: a negative knob disables the budget
-// entirely — no semaphore, no gauges.
+// TestReadBufferBudgetUnbounded: a negative knob removes the bound — no
+// semaphore — while the gauges keep counting, as on the write side.
 func TestReadBufferBudgetUnbounded(t *testing.T) {
-	b := newTestBroker(t, Config{StripeBytes: 16 << 10, MaxReadBufferBytes: -1})
+	b := newTestBroker(t, Config{StripeBytes: 16 << 10, MaxBufferBytes: -1})
 	if b.bufSem != nil {
-		t.Fatal("negative MaxReadBufferBytes must disable the budget")
+		t.Fatal("negative MaxBufferBytes must disable the budget")
 	}
 	payload := bytes.Repeat([]byte("u"), 64<<10)
 	if _, err := b.Engine(0).Put(ctx, "c", "k", payload, PutOptions{}); err != nil {
@@ -672,7 +574,7 @@ func TestReadBufferBudgetUnbounded(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("unbounded read failed: %v", err)
 	}
-	if b.readBufPeak.Load() != 0 {
-		t.Fatal("unbounded mode must not touch the budget gauges")
+	if rs := b.ReadStats(); rs.BufferedStripesPeak < 1 || rs.BufferedStripes != 0 {
+		t.Fatalf("read gauges with unbounded budget = %+v", rs)
 	}
 }

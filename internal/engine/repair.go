@@ -2,15 +2,13 @@ package engine
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
-	"scalia/internal/erasure"
 	"scalia/internal/obs"
 	"scalia/internal/stats"
 )
@@ -107,14 +105,6 @@ func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport,
 	return b.repairScan(ctx, policy, affected)
 }
 
-// RepairFullScan is the pre-index repair pass: every known object is
-// checked, whether or not any of its providers changed. Kept as the
-// ablation baseline BenchmarkRepairAffected compares the indexed
-// enumeration against.
-func (b *Broker) RepairFullScan(ctx context.Context, policy RepairPolicy) (RepairReport, error) {
-	return b.repairScan(ctx, policy, b.statsDB.Objects())
-}
-
 // unreachableProviders returns the indexed providers that are currently
 // unregistered or unavailable — the providers whose objects a repair
 // pass must examine. Cost is O(providers carrying data), not O(objects).
@@ -186,11 +176,11 @@ func (e *Engine) repairShard(ctx context.Context, objs []string, policy RepairPo
 		s, ok := e.b.registry.Store(name)
 		return ok && s.Available()
 	}
-	// Prepared single-stripe swaps are batched per target provider so
-	// many small objects repaired onto the same spare cost one provider
-	// round-trip per batch. The deferred flush writes into the named
-	// return value, so swaps still pending at loop exit are counted.
-	batch := newSwapBatcher(e, e.b.cfg.SwapBatchSize)
+	// Single-stripe swaps are batched per target provider so many small
+	// objects repaired onto the same spare cost one provider round-trip
+	// per batch. The deferred flush writes into the named return value,
+	// so swaps still pending at loop exit are counted.
+	batch := swapBatcher{e: e}
 	defer batch.flush(ctx, &report)
 	for _, obj := range objs {
 		if ctx.Err() != nil {
@@ -230,49 +220,34 @@ func (e *Engine) repairShard(ctx context.Context, objs []string, policy RepairPo
 		}
 		// Plan through the shared planner — the same entry point the
 		// simulator uses: a same-(m,n) swap when feasible, the best full
-		// re-placement otherwise. ForceRestripeRepair (the benchmark
-		// ablation) skips straight to the re-placement.
+		// re-placement otherwise.
 		var restripeTo core.Placement
-		if !e.b.cfg.ForceRestripeRepair {
-			epoch, specs, free := e.b.market()
-			plan, perr := e.b.planner.Repair(epoch, specs, rule,
-				e.placementFromChunks(meta), aliveFn, sum, meta.Size, free)
-			if perr == nil && plan.Mode == core.RepairSwap {
-				if batch.size > 1 && meta.StripeCount() == 1 {
-					// Small object: prepare the replacement chunks now,
-					// defer the provider writes to a per-provider batch.
-					ps, serr := e.prepareSwap(ctx, meta, plan)
-					if serr == nil {
-						batch.add(ctx, ps, &report)
-						continue
-					}
-					if ctx.Err() != nil {
-						break
-					}
-					// Preparation failed (a survivor died mid-fetch, rot);
-					// fall through to the full re-placement.
-				} else {
-					written, wbytes, serr := e.swapRepair(ctx, meta, plan)
-					if serr == nil {
-						e.b.setPlacement(obj, plan.Placement)
-						report.Repaired++
-						report.Swapped++
-						report.ChunksWritten += written
-						report.BytesWritten += wbytes
-						continue
-					}
-					if ctx.Err() != nil {
-						break
-					}
-					// The swap failed at execution (a target died
-					// mid-write); fall through to the full re-placement.
-				}
-			} else if perr == nil && e.placementReachable(plan.Placement) {
-				// Reuse the planner's re-stripe plan rather than running
-				// the same search again; the reachability re-check mirrors
-				// placeWithRetry's.
-				restripeTo = plan.Placement
+		epoch, specs, free := e.b.market()
+		plan, perr := e.b.planner.Repair(epoch, specs, rule,
+			e.placementFromChunks(meta), aliveFn, sum, meta.Size, free)
+		if perr == nil && plan.Mode == core.RepairSwap {
+			// A multi-stripe object's replacement chunks are written at
+			// once; a single-stripe object's are reconstructed now and
+			// their writes deferred to the per-provider batch.
+			sw, serr := e.planSwap(meta, plan)
+			if serr == nil && sw.src.stripes > 1 {
+				serr = e.swapRepair(ctx, sw, &report)
+			} else if serr == nil {
+				serr = batch.add(ctx, sw, &report)
 			}
+			if serr == nil {
+				continue
+			}
+			if ctx.Err() != nil {
+				break
+			}
+			// The swap failed (a survivor or target died mid-copy, rot);
+			// fall through to the full re-placement.
+		} else if perr == nil && e.placementReachable(plan.Placement) {
+			// Reuse the planner's re-stripe plan rather than running the
+			// same search again; the reachability re-check mirrors
+			// placeWithRetry's.
+			restripeTo = plan.Placement
 		}
 		if restripeTo.N() == 0 {
 			// placeWithRetry plans through the shared planner and
@@ -348,427 +323,244 @@ func restripeWritten(meta ObjectMeta, to core.Placement) (chunks int, bytes int6
 	return chunks, bytes
 }
 
-// swapRepair executes a chunk-swap repair plan: stripe by stripe it
-// fetches m surviving chunks, reconstructs only the missing ones and
-// writes them to the plan's replacement providers; then the metadata is
-// updated in place under the row lock. The object version's identity
-// (UUID, storage key, per-stripe MD5s) is preserved — chunk keys and
-// cached stripes stay valid, and only the MVCC version advances — so
-// concurrent readers are never cut off: pre-commit readers fall back
-// from the dead provider to the survivors, post-commit readers find the
-// replacement chunk already written. On any failure, including ctx
-// cancellation mid-swap, every replacement chunk already written is
-// rolled back and the old metadata stays live.
-func (e *Engine) swapRepair(ctx context.Context, meta ObjectMeta, plan core.RepairPlan) (chunksWritten int, bytesWritten int64, err error) {
+// swap is one validated chunk-swap repair: the stored layout (src), the
+// same layout with the replaced slots moved to the swap targets (dst),
+// and the read order over the surviving slots. chunks holds stripe 0 of
+// a single-stripe object between reconstruction and its batched write.
+type swap struct {
+	meta     ObjectMeta
+	plan     core.RepairPlan
+	src, dst *stripeLayout
+	order    []int
+	chunks   [][]byte
+}
+
+// planSwap validates a chunk-swap plan against the stored layout and
+// resolves both sides of it. The object version's identity (UUID,
+// storage key, per-stripe MD5s) is preserved by a swap, so src and dst
+// share chunk keys and differ only in the providers of the replaced
+// slots. The repair read follows the serving path's "m cheapest
+// providers" ranking, with the replaced slots excluded.
+func (e *Engine) planSwap(meta ObjectMeta, plan core.RepairPlan) (*swap, error) {
 	n := len(meta.Chunks)
 	if plan.Placement.N() != n || plan.Placement.M != meta.M || len(plan.Replaced) == 0 {
-		return 0, 0, fmt.Errorf("engine: swap plan does not match the stored layout")
+		return nil, fmt.Errorf("engine: swap plan does not match the stored layout")
 	}
-	coder, err := erasure.Cached(meta.M, n)
-	if err != nil {
-		return 0, 0, err
-	}
-	replaced := make(map[int]bool, len(plan.Replaced))
-	targets := make(map[int]cloud.Backend, len(plan.Replaced))
+	moved := meta
+	moved.Chunks = slices.Clone(meta.Chunks)
 	for _, i := range plan.Replaced {
 		if i < 0 || i >= n {
-			return 0, 0, fmt.Errorf("engine: swap plan slot %d out of range", i)
+			return nil, fmt.Errorf("engine: swap plan slot %d out of range", i)
 		}
-		name := plan.Placement.Providers[i].Name
-		st, ok := e.b.registry.Store(name)
-		if !ok || !st.Available() {
-			return 0, 0, fmt.Errorf("%w: swap target %s", cloud.ErrUnavailable, name)
+		moved.Chunks[i] = plan.Placement.Providers[i].Name
+	}
+	sw := &swap{meta: meta, plan: plan}
+	var err error
+	if sw.src, err = e.layoutOf(meta); err != nil {
+		return nil, err
+	}
+	if sw.dst, err = e.layoutOf(moved); err != nil {
+		return nil, err
+	}
+	for _, i := range plan.Replaced {
+		if st := sw.dst.stores[i]; st == nil || !st.Available() {
+			return nil, fmt.Errorf("%w: swap target %s", cloud.ErrUnavailable, sw.dst.names[i])
 		}
-		replaced[i] = true
-		targets[i] = st
 	}
-	// The repair read follows the serving path's "m cheapest providers"
-	// ranking, with the replaced slots excluded.
-	order, err := e.rankChunks(meta, replaced)
-	if err != nil {
-		return 0, 0, err
-	}
+	sw.order, err = sw.src.rank(meta.Size, plan.Replaced)
+	return sw, err
+}
 
-	// Stripes are independent — each one is fetched, reconstructed,
-	// verified and written on its own — so the repair fans whole stripes
-	// out over a bounded worker pool instead of serializing one provider
-	// round-trip after another. The first failure cancels the rest and
-	// rolls every written replacement chunk back.
-	stripes := meta.StripeCount()
-	swapCtx, cancelSwap := context.WithCancel(ctx)
-	defer cancelSwap()
-	workers := e.b.cfg.ReadParallelism
-	if workers < 1 {
-		workers = 1
+// rebuild fetches m surviving chunks of stripe s and returns the
+// stripe's full chunk set, the replaced slots reconstructed and the
+// payload verified against its stored MD5.
+func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error) {
+	_, chunks, _, err := e.fetch(ctx, sw.src, s, sw.order, sw.meta.M)
+	if err == nil {
+		err = sw.src.coder.Reconstruct(chunks) // the parity slots the fetch left out
 	}
-	if workers > stripes {
-		workers = stripes
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, workers)
-	for s := 0; s < stripes; s++ {
-		if swapCtx.Err() != nil {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wrote, err := e.repairStripe(swapCtx, meta, plan, coder, order, targets, s)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-					cancelSwap()
+	return chunks, err
+}
+
+// swapRepair executes a multi-stripe chunk swap: stripes are
+// independent, so whole stripes run through a pipe — each one rebuilt
+// and its replacement chunks written to the swap targets — instead of
+// serializing one provider round-trip after another; then the metadata
+// is updated in place under the row lock. Only the MVCC version
+// advances, so concurrent readers are never cut off: pre-commit readers
+// fall back from the dead provider to the survivors, post-commit
+// readers find the replacement chunk already written. On any failure,
+// including ctx cancellation mid-swap, every replacement chunk already
+// written is rolled back and the old metadata stays live.
+func (e *Engine) swapRepair(ctx context.Context, sw *swap, report *RepairReport) error {
+	wrote := make([]int64, sw.src.stripes)
+	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, sw.src.stripes,
+		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
+			return func() (stripeOut, error) {
+				chunks, err := e.rebuild(ctx, sw, s)
+				if err == nil {
+					err = e.writeChunks(ctx, sw.dst, s, chunks, sw.plan.Replaced)
+					wrote[s] = sw.replacedBytes(chunks)
 				}
-				return
-			}
-			chunksWritten += len(plan.Replaced)
-			bytesWritten += wrote
-		}(s)
+				return stripeOut{}, err
+			}, nil
+		})
+	if err := p.drain(); err != nil {
+		e.dropChunks(sw.dst, p.next, sw.plan.Replaced, nil)
+		return err
 	}
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	var bytes int64
+	for _, w := range wrote {
+		bytes += w
 	}
-	if firstErr != nil {
-		e.rollbackSwap(meta, plan, stripes, nil)
-		return 0, 0, firstErr
-	}
+	return e.commitSwap(sw, bytes, report)
+}
 
-	if err := e.commitSwap(meta, plan, stripes); err != nil {
-		return 0, 0, err
+// replacedBytes totals the replacement chunks of one rebuilt stripe.
+func (sw *swap) replacedBytes(chunks [][]byte) (n int64) {
+	for _, i := range sw.plan.Replaced {
+		n += int64(len(chunks[i]))
 	}
-	return chunksWritten, bytesWritten, nil
+	return n
 }
 
 // commitSwap installs a completed chunk swap's metadata under the row
 // lock, and only if the version repaired is still the live one: a
 // client write or delete that landed while the replacement chunks were
-// copying must win. On failure every replacement chunk of stripes
-// [0, stripes) is rolled back; on success the dead providers' stale
-// copies become postponed deletes (§III-D3).
-func (e *Engine) commitSwap(meta ObjectMeta, plan core.RepairPlan, stripes int) error {
+// copying must win. On failure every replacement chunk is rolled back;
+// on success the swap is counted into report and the dead providers'
+// stale copies become postponed deletes (§III-D3).
+func (e *Engine) commitSwap(sw *swap, bytesWritten int64, report *RepairReport) error {
+	meta, stripes, replaced := sw.meta, sw.src.stripes, sw.plan.Replaced
 	row := RowKey(meta.Container, meta.Key)
 	lk := e.b.rowLock(row)
 	lk.Lock()
 	cur, losers := e.currentVersion(row)
-	if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey || !sameChunks(cur.Chunks, meta.Chunks) {
+	if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey || !slices.Equal(cur.Chunks, meta.Chunks) {
 		lk.Unlock()
 		// Roll back only slots the live version does not reference: if a
 		// concurrent pass committed the same swap (same version, same
 		// chunk keys), deleting "our" replacement chunks would destroy
 		// the chunks its metadata now points at.
-		e.rollbackSwap(meta, plan, stripes, func(slot int) bool {
+		e.dropChunks(sw.dst, stripes, replaced, func(slot int) bool {
 			return cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey ||
-				cur.Chunks[slot] != plan.Placement.Providers[slot].Name
+				cur.Chunks[slot] != sw.dst.names[slot]
 		})
 		e.cleanupVersions(losers)
 		return fmt.Errorf("engine: swap repair: object changed mid-repair")
 	}
 	newMeta := *cur
-	newMeta.Chunks = append([]string(nil), cur.Chunks...)
-	for _, i := range plan.Replaced {
-		newMeta.Chunks[i] = plan.Placement.Providers[i].Name
-	}
-	ts := e.b.clock.Timestamp()
-	version, err := encodeMeta(newMeta, ts)
-	if err != nil {
-		lk.Unlock()
-		e.rollbackSwap(meta, plan, stripes, nil)
-		return err
-	}
-	if err := e.b.meta.Put(e.dc, row, version); err != nil {
-		lk.Unlock()
-		e.rollbackSwap(meta, plan, stripes, nil)
-		return fmt.Errorf("engine: swap repair metadata write: %w", err)
+	newMeta.Chunks = sw.dst.names
+	version, err := encodeMeta(newMeta, e.b.clock.Timestamp())
+	if err == nil {
+		if err = e.b.meta.Put(e.dc, row, version); err != nil {
+			err = fmt.Errorf("engine: swap repair metadata write: %w", err)
+		}
 	}
 	lk.Unlock()
+	if err != nil {
+		e.dropChunks(sw.dst, stripes, replaced, nil)
+		return err
+	}
 	e.cleanupVersions(losers)
 	// The dead providers' stale copies of the replaced chunks: deletion
 	// is postponed until the provider recovers (§III-D3).
-	for _, i := range plan.Replaced {
-		for s := 0; s < stripes; s++ {
-			e.deleteChunkAt(meta.Chunks[i], meta.chunkKey(s, i))
-		}
-	}
+	e.dropChunks(sw.src, stripes, replaced, nil)
+	e.b.setPlacement(objectName(meta.Container, meta.Key), sw.plan.Placement)
+	report.Repaired++
+	report.Swapped++
+	report.ChunksWritten += stripes * len(replaced)
+	report.BytesWritten += bytesWritten
 	return nil
-}
-
-// repairStripe repairs one stripe: fetch m surviving chunks, let the
-// erasure coder reconstruct the missing slots, verify the stripe
-// payload against its stored MD5 (a surviving provider serving rotted
-// bytes must fail the repair, not propagate the rot into the
-// replacement chunks), and write the replacement chunks to their
-// targets. Returns the bytes written.
-func (e *Engine) repairStripe(ctx context.Context, meta ObjectMeta, plan core.RepairPlan,
-	coder *erasure.Coder, order []int, targets map[int]cloud.Backend, s int) (int64, error) {
-	chunks, err := e.fetchRanked(ctx, meta, s, order, false)
-	if err != nil {
-		return 0, err
-	}
-	payload, err := coder.Decode(chunks, int(meta.stripeLen(s)))
-	if err != nil {
-		return 0, err
-	}
-	if want := meta.stripeSum(s); want != "" {
-		got := md5.Sum(payload)
-		if hex.EncodeToString(got[:]) != want {
-			return 0, fmt.Errorf("%w: stripe %d during swap repair", ErrChecksum, s)
-		}
-	}
-	if err := e.writeSwapChunks(ctx, meta, s, chunks, plan.Replaced, targets); err != nil {
-		return 0, err
-	}
-	var wrote int64
-	for _, i := range plan.Replaced {
-		wrote += int64(len(chunks[i]))
-	}
-	return wrote, nil
-}
-
-// writeSwapChunks fans out one stripe's replacement chunks to their
-// target providers concurrently. The first error (a target failure or
-// ctx cancellation) is returned; the remaining writes run to completion
-// so rollback sees a consistent picture.
-func (e *Engine) writeSwapChunks(ctx context.Context, meta ObjectMeta, s int, chunks [][]byte, slots []int, targets map[int]cloud.Backend) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(slots))
-	for j, i := range slots {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := targets[i].Put(ctx, meta.chunkKey(s, i), chunks[i])
-			e.b.observeProviderOp(targets[i].Spec().Name, "put", t0, err)
-			if err != nil {
-				errs[j] = fmt.Errorf("engine: swap chunk write to %s: %w",
-					targets[i].Spec().Name, err)
-			}
-		}(j, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rollbackSwap best-effort deletes the replacement chunks of stripes
-// [0, upto) from the swap targets, limited to the slots safe reports
-// true for (nil = all). Cleanup runs detached from the request context:
-// a cancelled repair must still release the chunks it managed to write.
-func (e *Engine) rollbackSwap(meta ObjectMeta, plan core.RepairPlan, upto int, safe func(slot int) bool) {
-	for _, i := range plan.Replaced {
-		if safe != nil && !safe(i) {
-			continue
-		}
-		for s := 0; s < upto; s++ {
-			e.deleteChunkAt(plan.Placement.Providers[i].Name, meta.chunkKey(s, i))
-		}
-	}
-}
-
-// sameChunks reports whether two chunk->provider maps are identical.
-func sameChunks(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- batched swap writes ---
 
-// pendingSwap is one single-stripe object's prepared chunk swap: the
-// replacement chunks are reconstructed and verified but not yet written.
-type pendingSwap struct {
-	obj  string
-	meta ObjectMeta
-	plan core.RepairPlan
-	// data holds the replacement chunk per replaced slot.
-	data  map[int][]byte
-	bytes int64
-}
+// swapBatchSize is how many single-stripe swaps a repair pass groups
+// into one batched write per target provider.
+const swapBatchSize = 16
 
-// prepareSwap reconstructs and verifies a single-stripe object's
-// replacement chunks without writing them, so the writes can be batched
-// with other objects repairing onto the same providers. Validation
-// mirrors swapRepair's.
-func (e *Engine) prepareSwap(ctx context.Context, meta ObjectMeta, plan core.RepairPlan) (*pendingSwap, error) {
-	n := len(meta.Chunks)
-	if plan.Placement.N() != n || plan.Placement.M != meta.M || len(plan.Replaced) == 0 {
-		return nil, fmt.Errorf("engine: swap plan does not match the stored layout")
-	}
-	coder, err := erasure.Cached(meta.M, n)
-	if err != nil {
-		return nil, err
-	}
-	replaced := make(map[int]bool, len(plan.Replaced))
-	for _, i := range plan.Replaced {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("engine: swap plan slot %d out of range", i)
-		}
-		name := plan.Placement.Providers[i].Name
-		st, ok := e.b.registry.Store(name)
-		if !ok || !st.Available() {
-			return nil, fmt.Errorf("%w: swap target %s", cloud.ErrUnavailable, name)
-		}
-		replaced[i] = true
-	}
-	order, err := e.rankChunks(meta, replaced)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := e.fetchRanked(ctx, meta, 0, order, false)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := coder.Decode(chunks, int(meta.stripeLen(0)))
-	if err != nil {
-		return nil, err
-	}
-	if want := meta.stripeSum(0); want != "" {
-		got := md5.Sum(payload)
-		if hex.EncodeToString(got[:]) != want {
-			return nil, fmt.Errorf("%w: stripe 0 during swap repair", ErrChecksum)
-		}
-	}
-	ps := &pendingSwap{
-		obj:  objectName(meta.Container, meta.Key),
-		meta: meta,
-		plan: plan,
-		data: make(map[int][]byte, len(plan.Replaced)),
-	}
-	for _, i := range plan.Replaced {
-		ps.data[i] = chunks[i]
-		ps.bytes += int64(len(chunks[i]))
-	}
-	return ps, nil
-}
-
-// swapBatcher accumulates prepared single-stripe swaps and flushes
-// their replacement-chunk writes grouped per target provider: one
-// PutBatch round-trip per provider per flush, instead of one Put per
-// chunk. Metadata commits stay per-object (row lock, live-version
-// check) after the writes land.
+// swapBatcher accumulates rebuilt single-stripe swaps and flushes their
+// replacement-chunk writes grouped per target provider: one PutBatch
+// round-trip per provider per flush, instead of one Put per chunk.
+// Metadata commits stay per-object (row lock, live-version check) after
+// the writes land.
 type swapBatcher struct {
 	e    *Engine
-	size int
-	pend []*pendingSwap
+	pend []*swap
 }
 
-func newSwapBatcher(e *Engine, size int) *swapBatcher {
-	if size < 1 {
-		size = 1
+// add rebuilds a single-stripe swap's replacement chunks and queues
+// their writes, flushing when the batch is full.
+func (sb *swapBatcher) add(ctx context.Context, sw *swap, report *RepairReport) (err error) {
+	if sw.chunks, err = sb.e.rebuild(ctx, sw, 0); err != nil {
+		return err
 	}
-	return &swapBatcher{e: e, size: size}
-}
-
-// add appends a prepared swap, flushing when the batch is full.
-func (sb *swapBatcher) add(ctx context.Context, ps *pendingSwap, report *RepairReport) {
-	sb.pend = append(sb.pend, ps)
-	if len(sb.pend) >= sb.size {
+	if sb.pend = append(sb.pend, sw); len(sb.pend) >= swapBatchSize {
 		sb.flush(ctx, report)
 	}
+	return nil
 }
 
 // flush writes every pending replacement chunk, one batch per target
-// provider, then commits each object whose writes all landed. Objects
-// with a failed target are rolled back (best effort, succeeded
-// providers only) and counted Skipped.
+// provider, then commits each object whose writes all landed. An object
+// with a failed target has the chunks that did land rolled back and is
+// counted Skipped.
 func (sb *swapBatcher) flush(ctx context.Context, report *RepairReport) {
-	if len(sb.pend) == 0 {
-		return
-	}
 	pend := sb.pend
 	sb.pend = nil
-
-	// Group the chunk writes by target provider.
 	groups := make(map[string][]cloud.BatchItem)
-	for _, ps := range pend {
-		for slot, data := range ps.data {
-			name := ps.plan.Placement.Providers[slot].Name
-			groups[name] = append(groups[name], cloud.BatchItem{
-				Key:  ps.meta.chunkKey(0, slot),
-				Data: data,
-			})
+	for _, sw := range pend {
+		for _, i := range sw.plan.Replaced {
+			name := sw.dst.names[i]
+			groups[name] = append(groups[name], cloud.BatchItem{Key: sw.dst.key(0, i), Data: sw.chunks[i]})
 		}
 	}
-	failed := make(map[string]error)
+	landed := make(map[pendingDelete]bool) // (provider, chunk key) written
+	failed := make(map[string]bool)
 	for name, items := range groups {
-		failed[name] = sb.e.putBatch(ctx, name, items)
+		n, err := sb.e.putBatch(ctx, name, items)
+		for _, it := range items[:n] {
+			landed[pendingDelete{name, it.Key}] = true
+		}
+		failed[name] = err != nil
 	}
-
-	for _, ps := range pend {
-		bad := false
-		for slot := range ps.data {
-			if failed[ps.plan.Placement.Providers[slot].Name] != nil {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			// Roll back this object's chunks on the providers that did
-			// accept their batch; the failed provider wrote nothing
-			// (PutBatch validates before landing anything).
-			for slot := range ps.data {
-				name := ps.plan.Placement.Providers[slot].Name
-				if failed[name] == nil {
-					sb.e.deleteChunkAt(name, ps.meta.chunkKey(0, slot))
-				}
-			}
+	for _, sw := range pend {
+		wrote := func(slot int) bool { return landed[pendingDelete{sw.dst.names[slot], sw.dst.key(0, slot)}] }
+		if slices.ContainsFunc(sw.plan.Replaced, func(i int) bool { return failed[sw.dst.names[i]] }) {
+			sb.e.dropChunks(sw.dst, 1, sw.plan.Replaced, wrote)
 			report.Skipped++
-			continue
-		}
-		if err := sb.e.commitSwap(ps.meta, ps.plan, 1); err != nil {
+		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), report) != nil {
 			report.Skipped++
-			continue
 		}
-		sb.e.b.setPlacement(ps.obj, ps.plan.Placement)
-		report.Repaired++
-		report.Swapped++
-		report.ChunksWritten += len(ps.plan.Replaced)
-		report.BytesWritten += ps.bytes
 	}
 }
 
-// putBatch writes one provider's batch: through cloud.BatchWriter when
-// the backend supports it (one simulated round-trip), item by item
-// otherwise. On a per-item failure the already-written items of the
-// batch are rolled back so the batch is all-or-nothing either way.
-func (e *Engine) putBatch(ctx context.Context, provider string, items []cloud.BatchItem) error {
+// putBatch writes one provider's batch — through cloud.BatchWriter when
+// the backend supports it (one round-trip, all or nothing), item by item
+// otherwise — and reports how many items landed. Like writeChunks it
+// first cancels the postponed deletes of the keys it writes.
+func (e *Engine) putBatch(ctx context.Context, provider string, items []cloud.BatchItem) (landed int, err error) {
 	st, ok := e.b.registry.Store(provider)
 	if !ok {
-		return fmt.Errorf("%w: %s", cloud.ErrUnavailable, provider)
+		return 0, fmt.Errorf("%w: %s", cloud.ErrUnavailable, provider)
+	}
+	for _, it := range items {
+		e.b.cancelPendingDelete(provider, it.Key)
 	}
 	t0 := time.Now()
 	if bw, isBatch := st.(cloud.BatchWriter); isBatch {
-		err := bw.PutBatch(ctx, items)
-		e.b.observeProviderOp(provider, "put-batch", t0, err)
-		return err
-	}
-	for i, it := range items {
-		if err := st.Put(ctx, it.Key, it.Data); err != nil {
-			e.b.observeProviderOp(provider, "put-batch", t0, err)
-			for j := 0; j < i; j++ {
-				e.deleteChunkAt(provider, items[j].Key)
+		if err = bw.PutBatch(ctx, items); err == nil {
+			landed = len(items)
+		}
+	} else {
+		for _, it := range items {
+			if err = st.Put(ctx, it.Key, it.Data); err != nil {
+				break
 			}
-			return err
+			landed++
 		}
 	}
-	e.b.observeProviderOp(provider, "put-batch", t0, nil)
-	return nil
+	e.b.observeProviderOp(provider, "put-batch", t0, err)
+	return landed, err
 }

@@ -2,14 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
@@ -19,9 +16,15 @@ import (
 // forces placement onto the three cheap providers {A, B, C} (m = 2) and
 // the expensive D is the only spare — a fully deterministic swap
 // scenario.
-func repairMarket() *cloud.Registry {
+func repairMarket() *cloud.Registry { return marketOf("A", "B", "C", "D") }
+
+// marketOf builds a market of the named providers, each strictly
+// pricier than the one before. {A, B, C} alone is the spare-less market:
+// with one of them down no same-(m, n) swap exists, and only a rule
+// that tolerates two providers can still be re-placed.
+func marketOf(names ...string) *cloud.Registry {
 	reg := cloud.NewRegistry()
-	for i, name := range []string{"A", "B", "C", "D"} {
+	for i, name := range names {
 		storage := 0.10 + 0.01*float64(i) // D is strictly the priciest
 		reg.Register(cloud.NewBlobStore(cloud.Spec{
 			Name: name, Durability: 0.9999, Availability: 0.999,
@@ -34,12 +37,21 @@ func repairMarket() *cloud.Registry {
 
 var repairRule = core.Rule{Name: "wide", Durability: 0.9999, Availability: 0.99, LockIn: 1.0 / 3}
 
+// restripeRule still places (m=2, n=3) on a three-provider market, but
+// its looser lock-in lets the planner fall back to (1, 2) on two.
+var restripeRule = core.Rule{Name: "wide-or-two", Durability: 0.9999, Availability: 0.99, LockIn: 0.5}
+
 // putRepairObject stores a multi-stripe object under the wide rule and
 // returns its payload and metadata. The rule is pinned on the container
 // so the repair pass resolves the same rule the write used.
 func putRepairObject(t *testing.T, b *Broker, key string, size int) ([]byte, ObjectMeta) {
 	t.Helper()
-	b.Rules().SetContainerRule("bk", repairRule)
+	return putRepairObjectUnder(t, b, repairRule, key, size)
+}
+
+func putRepairObjectUnder(t *testing.T, b *Broker, rule core.Rule, key string, size int) ([]byte, ObjectMeta) {
+	t.Helper()
+	b.Rules().SetContainerRule("bk", rule)
 	payload := make([]byte, size)
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(payload)
@@ -152,25 +164,28 @@ func TestRepairSwapQueuesStaleChunkDeletes(t *testing.T) {
 }
 
 // TestRepairSwapWritesFewerBytesThanRestripe runs the same failure
-// scenario twice — swap allowed vs ForceRestripeRepair — and asserts
-// the acceptance criterion: the swap writes strictly fewer bytes.
+// twice — on a market with a spare (swap) and on the spare-less market,
+// where production falls back to a full re-placement — and asserts the
+// acceptance criterion: the swap writes strictly fewer bytes.
 func TestRepairSwapWritesFewerBytesThanRestripe(t *testing.T) {
-	run := func(force bool) RepairReport {
-		b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: 64 << 10,
-			ForceRestripeRepair: force})
-		_, meta := putRepairObject(t, b, "obj", 256<<10)
+	run := func(reg *cloud.Registry, rule core.Rule) RepairReport {
+		b := newTestBroker(t, Config{Registry: reg, StripeBytes: 64 << 10})
+		payload, meta := putRepairObjectUnder(t, b, rule, "obj", 256<<10)
 		blob(t, b, meta.Chunks[0]).SetAvailable(false)
 		rep, err := b.Repair(ctx, RepairActive)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Repaired != 1 {
-			t.Fatalf("force=%v: report %+v", force, rep)
+			t.Fatalf("%s: report %+v", rule.Name, rep)
+		}
+		if got, _, err := b.Engine(0).Get(ctx, "bk", "obj"); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: payload lost in repair: %v", rule.Name, err)
 		}
 		return rep
 	}
-	swap := run(false)
-	restripe := run(true)
+	swap := run(repairMarket(), repairRule)
+	restripe := run(marketOf("A", "B", "C"), restripeRule)
 	if swap.Swapped != 1 || restripe.Restriped != 1 {
 		t.Fatalf("mechanism split wrong: swap=%+v restripe=%+v", swap, restripe)
 	}
@@ -187,15 +202,7 @@ func TestRepairSwapWritesFewerBytesThanRestripe(t *testing.T) {
 // surviving market cannot satisfy, the active pass must report the
 // object skipped — and leave it readable from the survivors.
 func TestRepairSkippedWhenInfeasible(t *testing.T) {
-	reg := cloud.NewRegistry()
-	for _, name := range []string{"A", "B", "C"} {
-		reg.Register(cloud.NewBlobStore(cloud.Spec{
-			Name: name, Durability: 0.9999, Availability: 0.999,
-			Zones:   []cloud.Zone{cloud.ZoneUS},
-			Pricing: cloud.Pricing{StorageGBMonth: 0.1, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
-		}))
-	}
-	b := newTestBroker(t, Config{Registry: reg})
+	b := newTestBroker(t, Config{Registry: marketOf("A", "B", "C")})
 	payload := bytes.Repeat([]byte("x"), 30<<10)
 	rule := core.Rule{Name: "all3", Durability: 0.9999, Availability: 0.99, LockIn: 1.0 / 3}
 	b.Rules().SetContainerRule("bk", rule)
@@ -214,80 +221,6 @@ func TestRepairSkippedWhenInfeasible(t *testing.T) {
 	got, _, err := b.Engine(0).Get(ctx, "bk", "obj")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("skipped object must stay readable: %v", err)
-	}
-}
-
-// cancellingBackend wraps a BlobStore and cancels the repair context
-// after the first successful chunk write, failing all later writes —
-// the deterministic mid-swap teardown.
-type cancellingBackend struct {
-	*cloud.BlobStore
-	cancel context.CancelFunc
-	puts   atomic.Int32
-}
-
-func (c *cancellingBackend) Put(ctx context.Context, key string, data []byte) error {
-	if c.puts.Add(1) > 1 {
-		c.cancel()
-		return context.Canceled
-	}
-	return c.BlobStore.Put(ctx, key, data)
-}
-
-// TestRepairSwapCancellationRollsBack cancels the repair context after
-// the swap target accepted one stripe's replacement chunk: the
-// partially written chunks must be rolled back, the metadata left
-// untouched, and the object still readable from the survivors.
-func TestRepairSwapCancellationRollsBack(t *testing.T) {
-	repairCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reg := cloud.NewRegistry()
-	for i, name := range []string{"A", "B", "C"} {
-		reg.Register(cloud.NewBlobStore(cloud.Spec{
-			Name: name, Durability: 0.9999, Availability: 0.999,
-			Zones:   []cloud.Zone{cloud.ZoneUS},
-			Pricing: cloud.Pricing{StorageGBMonth: 0.10 + 0.01*float64(i), BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
-		}))
-	}
-	target := &cancellingBackend{
-		BlobStore: cloud.NewBlobStore(cloud.Spec{
-			Name: "D", Durability: 0.9999, Availability: 0.999,
-			Zones:   []cloud.Zone{cloud.ZoneUS},
-			Pricing: cloud.Pricing{StorageGBMonth: 0.2, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
-		}),
-		cancel: cancel,
-	}
-	reg.Register(target)
-	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 64 << 10})
-	payload, meta := putRepairObject(t, b, "obj", 256<<10)
-	victim := meta.Chunks[0]
-	blob(t, b, victim).SetAvailable(false)
-
-	rep, err := b.Repair(repairCtx, RepairActive)
-	if err == nil {
-		t.Fatalf("cancelled repair must report the context error; report %+v", rep)
-	}
-	if rep.Repaired != 0 || rep.Swapped != 0 {
-		t.Fatalf("cancelled repair must not count a success: %+v", rep)
-	}
-	// Rollback: the target accepted one chunk and must hold none now.
-	deadline := time.Now().Add(2 * time.Second)
-	for target.ObjectCount() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := target.ObjectCount(); n != 0 {
-		t.Fatalf("swap target still holds %d partially written chunks", n)
-	}
-	after, err := b.Engine(0).Head(ctx, "bk", "obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameChunks(after.Chunks, meta.Chunks) || after.UUID != meta.UUID {
-		t.Fatalf("cancelled swap must leave metadata untouched: %v -> %v", meta.Chunks, after.Chunks)
-	}
-	got, _, err := b.Engine(0).Get(ctx, "bk", "obj")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("object unreadable after cancelled repair: %v", err)
 	}
 }
 

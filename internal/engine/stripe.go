@@ -1,0 +1,502 @@
+package engine
+
+import (
+	"context"
+	"crypto/md5"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"scalia/internal/cloud"
+	"scalia/internal/erasure"
+	"scalia/internal/obs"
+)
+
+// This file is the stripe engine. Everything the broker does to stored
+// data is one operation repeated: erasure-code a stripe into n chunks on
+// n providers, read it back from the m cheapest of them (§III-B), skip
+// the faulty ones (§III-D3), rewrite only what is missing (§IV-E). GET,
+// PUT, multipart part staging, migration, swap repair and verification
+// are all built from the four pieces below and hold no chunk I/O,
+// worker pool or error collection of their own:
+//
+//   - stripeLayout says where a body's stripes live;
+//   - fetch, writeChunks and dropChunks are the only chunk-level read,
+//     write and delete, and the only place the per-provider op series
+//     and the fetch/decode/fanout stage spans are recorded;
+//   - stripePipe runs the stripes of one transfer, a bounded number at a
+//     time, charging the shared buffer budget in stripe order;
+//   - acquireBuf/releaseBuf are that budget.
+
+// stripeLayout says where the stripes of one stored body — an object
+// version, or one staged part of a multipart upload — live: the (m, n)
+// coder, the provider behind each chunk slot, the stripe geometry, the
+// chunk keys and the per-stripe checksums. Reads and writes of either
+// kind of body take a layout and nothing else.
+type stripeLayout struct {
+	coder  *erasure.Coder
+	stores []cloud.Backend // per chunk slot; nil when the provider left the registry
+	names  []string        // provider name per chunk slot
+	all    []int           // every slot, 0..n-1: the slot set of a full write or delete
+
+	stripes   int
+	stripeLen func(s int) int64
+	key       func(s, i int) string
+	// sums is the MD5 of each stripe's payload: filled in by
+	// writeStripes, checked by every fetch.
+	sums []string
+}
+
+// resolveSlots starts a layout from its chunk->provider map. A coder
+// error still returns the resolved slots: deleting chunks needs no coder.
+func (e *Engine) resolveSlots(m int, names []string) (*stripeLayout, error) {
+	l := &stripeLayout{
+		stores: make([]cloud.Backend, len(names)),
+		names:  names,
+		all:    make([]int, len(names)),
+	}
+	for i, name := range names {
+		l.stores[i], _ = e.b.registry.Store(name)
+		l.all[i] = i
+	}
+	// The coder comes from the package-level cache: it depends only on
+	// (m, n), and rebuilding (and Gauss-inverting) the generator matrix
+	// per transfer would put a matrix inversion on the hot path.
+	var err error
+	l.coder, err = erasure.Cached(m, len(names))
+	return l, err
+}
+
+// layoutOf builds the layout of an object version from its metadata.
+func (e *Engine) layoutOf(meta ObjectMeta) (*stripeLayout, error) {
+	l, err := e.resolveSlots(meta.M, meta.Chunks)
+	l.stripes, l.stripeLen, l.key, l.sums = meta.StripeCount(), meta.stripeLen, meta.chunkKey, meta.StripeSums
+	return l, err
+}
+
+// partLayout builds the layout of one part of an open upload: the
+// session's frozen placement, the part's own stripe geometry and
+// part-scoped keys.
+func (e *Engine) partLayout(u *uploadSession, part int, size int64) (*stripeLayout, error) {
+	l, err := e.resolveSlots(u.placement.M, u.names)
+	stripeBytes := e.b.cfg.StripeBytes
+	l.stripes = stripeCount(size, stripeBytes)
+	l.stripeLen = func(s int) int64 {
+		return min(stripeBytes, size-int64(s)*stripeBytes)
+	}
+	l.key = func(s, i int) string { return PartChunkKey(u.skey, part, s, i) }
+	return l, err
+}
+
+// rank orders the layout's chunk slots by marginal read cost at their
+// provider, cheapest first — the paper's "chunks are read from the m
+// cheapest providers" (§III-B); objectBytes sizes the bandwidth term.
+// Slots in skip and unreachable providers are left out; when fewer than
+// m remain, the ranking and an ErrNotEnoughChunks are both returned so
+// the caller can still serve cached stripes.
+func (l *stripeLayout) rank(objectBytes int64, skip []int) ([]int, error) {
+	m := int64(l.coder.M())
+	chunkGB := cloud.GB((objectBytes + m - 1) / m)
+	cost := make([]float64, len(l.names))
+	order := make([]int, 0, len(l.names))
+	for i, store := range l.stores {
+		if slices.Contains(skip, i) || store == nil || !store.Available() {
+			continue
+		}
+		pr := store.Spec().Pricing
+		cost[i] = chunkGB*pr.BandwidthOutGB + pr.OpsPer1000/1000
+		order = append(order, i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] < cost[order[b]] })
+	if len(order) < int(m) {
+		return order, fmt.Errorf("%w: %d of %d providers reachable, need %d",
+			ErrNotEnoughChunks, len(order), len(l.names), m)
+	}
+	return order, nil
+}
+
+// fetch reads stripe s: it retrieves chunks along the ranked candidate
+// order until it holds want of them, decodes the stripe and checks the
+// payload against its stored MD5 — a provider serving rotted bytes must
+// fail the read, not reach a client, the stripe cache or a replacement
+// chunk, and a stripe with no stored sum fails closed. want is m for a
+// read and len(order) for verification ("all reachable"). A candidate
+// is claimed only while chunks held plus fetches in flight are short of
+// want, so a healthy stripe costs exactly want provider reads; a failed
+// fetch frees its claim for the next (spare) candidate (§III-D3: reads
+// proceed without the faulty provider). got counts the chunks read;
+// chunks has length n, nil at the parity slots not read.
+func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int) (payload []byte, chunks [][]byte, got int, err error) {
+	tr := obs.TraceFrom(ctx)
+	start := time.Now()
+	chunks = make([][]byte, len(l.names))
+	var (
+		mu             sync.Mutex
+		next, inFlight int
+	)
+	work := func() {
+		for {
+			mu.Lock()
+			if got+inFlight >= want || next >= len(order) || ctx.Err() != nil {
+				mu.Unlock()
+				return
+			}
+			i := order[next]
+			next++
+			inFlight++
+			mu.Unlock()
+
+			t0 := time.Now()
+			data, err := l.stores[i].Get(ctx, l.key(s, i))
+			if ctx.Err() == nil {
+				// Cancellation is stream teardown (a range read that got
+				// its bytes), not a provider failure — keep it out of the
+				// series.
+				e.b.observeProviderOp(l.names[i], "get", t0, err)
+				if err != nil {
+					e.b.metrics.readFallbacks.Inc()
+					tr.Count("fallbacks", 1)
+				}
+			}
+			mu.Lock()
+			inFlight--
+			if err == nil {
+				chunks[i] = data
+				got++
+			}
+			mu.Unlock()
+		}
+	}
+	// The calling goroutine is one of the workers, so a single-chunk
+	// read (m = 1, or ReadParallelism 1) starts no goroutine at all.
+	var wg sync.WaitGroup
+	for w := min(e.b.cfg.ReadParallelism, want, len(order)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	m := l.coder.M()
+	if got < m {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, got, err
+		}
+		return nil, nil, got, fmt.Errorf("%w: fetched %d, need %d", ErrNotEnoughChunks, got, m)
+	}
+	e.b.observeStage(tr, "fetch", start)
+	start = time.Now()
+	payload, err = l.coder.Decode(chunks, int(l.stripeLen(s)))
+	if err != nil {
+		return nil, nil, got, err
+	}
+	e.b.observeStage(tr, "decode", start)
+	if sum := md5.Sum(payload); s >= len(l.sums) || hex.EncodeToString(sum[:]) != l.sums[s] {
+		return nil, nil, got, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
+	}
+	return payload, chunks, got, nil
+}
+
+// writeChunks writes the given slots of stripe s (l.all for a full
+// stripe, a swap's replaced slots for a repair) to their providers
+// concurrently, waits for every write and returns the joined error: the
+// slower writes run to completion so a rollback sees a settled picture.
+// A postponed delete still queued for a (provider, key) about to be
+// written is cancelled first — swap repair reuses chunk keys, and a
+// stale delete replayed after the write would destroy the live chunk.
+func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks [][]byte, slots []int) error {
+	start := time.Now()
+	errs := make([]error, len(slots))
+	put := func(j int) {
+		i := slots[j]
+		if l.stores[i] == nil {
+			errs[j] = fmt.Errorf("engine: provider %s vanished", l.names[i])
+			return
+		}
+		key := l.key(s, i)
+		e.b.cancelPendingDelete(l.names[i], key)
+		t0 := time.Now()
+		err := l.stores[i].Put(ctx, key, chunks[i])
+		e.b.observeProviderOp(l.names[i], "put", t0, err)
+		if err != nil {
+			errs[j] = fmt.Errorf("engine: chunk write to %s: %w", l.names[i], err)
+		}
+	}
+	var wg sync.WaitGroup
+	for j := 1; j < len(slots); j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			put(j)
+		}(j)
+	}
+	put(0)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	e.b.observeStage(obs.TraceFrom(ctx), "fanout", start)
+	return nil
+}
+
+// dropChunks best-effort deletes the chunks of stripes [0, upto) at the
+// given slots, limited to the slots safe reports true for (nil = all of
+// them). It is the rollback of every failed write and the delete of
+// every superseded version alike. Deletion is cleanup that must survive
+// request cancellation, so it runs on a background context — and on the
+// calling goroutine, which is how request traces attribute it. A delete
+// refused by an unreachable provider is postponed until the provider
+// recovers (§III-D3); missing chunks are already gone.
+func (e *Engine) dropChunks(l *stripeLayout, upto int, slots []int, safe func(slot int) bool) {
+	for s := 0; s < upto; s++ {
+		for _, i := range slots {
+			if l.stores[i] == nil || (safe != nil && !safe(i)) {
+				continue // a provider that left the registry took its chunks along
+			}
+			key := l.key(s, i)
+			t0 := time.Now()
+			err := l.stores[i].Delete(context.Background(), key)
+			e.b.observeProviderOp(l.names[i], "delete", t0, err)
+			if errors.Is(err, cloud.ErrUnavailable) {
+				e.b.enqueuePendingDelete(l.names[i], key)
+			}
+		}
+	}
+}
+
+// stripeOut is what one stripe of a pipe yields. slot marks a result
+// that still holds its stripe's budget slot (a fetched stripe waiting
+// to drain to the client); whoever drops it must release the slot.
+type stripeOut struct {
+	data   []byte
+	cached bool
+	slot   bool
+}
+
+// stripeTask is one admitted stripe of a pipe.
+type stripeTask struct {
+	s    int
+	out  stripeOut
+	err  error
+	done chan struct{} // closed when the work returns; nil when it ran inline
+}
+
+// stripePipe runs the stripes [next, end) of one transfer, at most depth
+// at a time, and hands the results back in stripe order. It is the one
+// bounded, cancellable, first-error-wins loop under the read path's
+// read-ahead, the write pipeline, swap repair and verification.
+//
+// Stripes are admitted strictly in stripe order on the caller's
+// goroutine (inside take): a budget slot is reserved first, then stage
+// runs — the serial part of the stripe (a write reads, hashes and
+// encodes the body there) — and the work function it returns runs
+// concurrently with up to depth-1 other stripes. The budget rule that
+// keeps any mix of transfers deadlock-free: a pipe waits for a slot
+// only while it has no stripe outstanding; otherwise it merely tries,
+// and falls back to finishing its own oldest stripe first. A held slot
+// therefore always drains without needing another acquire.
+//
+// With min(depth, stripes) == 1 the work runs inline in take and nothing
+// runs ahead: a one-stripe transfer starts no goroutine and makes no
+// channel.
+type stripePipe struct {
+	b         *Broker
+	ctx       context.Context
+	cancel    context.CancelFunc
+	gauge     *bufGauge // budget direction charged per stripe; nil = unbudgeted
+	depth     int
+	next, end int
+	stage     func(ctx context.Context, s int) (work func() (stripeOut, error), err error)
+	window    []*stripeTask // admitted and not yet taken, in stripe order
+
+	once sync.Once
+	err  error // first error; set under once
+}
+
+// newStripePipe builds the pipe for stripes [from, end). A depth below 1
+// (a negative PrefetchStripes or WritePipelineDepth) means 1: the same
+// loop, one stripe at a time.
+func (b *Broker) newStripePipe(ctx context.Context, gauge *bufGauge, depth, from, end int,
+	stage func(ctx context.Context, s int) (func() (stripeOut, error), error)) *stripePipe {
+	p := &stripePipe{b: b, gauge: gauge, depth: max(1, min(depth, end-from)), next: from, end: end, stage: stage}
+	p.ctx, p.cancel = context.WithCancel(ctx)
+	return p
+}
+
+// fail records the pipe's first error, cancels everything in flight and
+// returns the error the transfer ends with.
+func (p *stripePipe) fail(err error) error {
+	p.once.Do(func() {
+		p.err = err
+		p.cancel()
+	})
+	return p.err
+}
+
+// run executes one admitted stripe's work and settles its budget slot:
+// the slot goes back unless the result carries it on.
+func (p *stripePipe) run(t *stripeTask, work func() (stripeOut, error)) {
+	t.out, t.err = work()
+	if t.err != nil || !t.out.slot {
+		p.b.releaseBuf(p.gauge)
+	}
+	if t.err != nil {
+		p.fail(t.err) //nolint:errcheck // take reports it
+	}
+}
+
+// admit tops the window up to depth stripes, in stripe order. It waits
+// for a budget slot only when mayWait is set and nothing is outstanding.
+func (p *stripePipe) admit(mayWait bool) error {
+	for p.next < p.end && len(p.window) < p.depth && p.ctx.Err() == nil {
+		ok, err := p.b.acquireBuf(p.ctx, p.gauge, mayWait && len(p.window) == 0)
+		if err != nil {
+			return p.fail(err)
+		}
+		if !ok {
+			break // budget exhausted: finish our own oldest stripe first
+		}
+		work, err := p.stage(p.ctx, p.next)
+		if err != nil {
+			p.b.releaseBuf(p.gauge)
+			return p.fail(err)
+		}
+		t := &stripeTask{s: p.next}
+		p.next++
+		p.window = append(p.window, t)
+		if p.depth == 1 {
+			p.run(t, work)
+			break
+		}
+		t.done = make(chan struct{})
+		go func() {
+			defer close(t.done)
+			p.run(t, work)
+		}()
+	}
+	return nil
+}
+
+// take returns the oldest outstanding stripe's result, io.EOF after the
+// last stripe. It fills the window before waiting for that stripe and
+// again after it, so while the caller consumes stripe s the next depth
+// stripes are already running. Any stripe's failure ends the transfer
+// with the first error recorded.
+func (p *stripePipe) take() (int, stripeOut, error) {
+	if err := p.admit(true); err != nil {
+		return 0, stripeOut{}, err
+	}
+	if len(p.window) == 0 {
+		if p.next < p.end {
+			return 0, stripeOut{}, p.fail(p.ctx.Err())
+		}
+		return 0, stripeOut{}, io.EOF
+	}
+	t := p.window[0]
+	p.window = p.window[1:]
+	if t.done != nil {
+		<-t.done
+	}
+	if t.err != nil {
+		return t.s, stripeOut{}, p.fail(t.err)
+	}
+	if p.depth > 1 {
+		p.admit(false) //nolint:errcheck // recorded by fail; the next take reports it
+	}
+	return t.s, t.out, nil
+}
+
+// readAhead raises the depth of a pipe opened at depth 1 and starts the
+// next stripes in the background at once.
+func (p *stripePipe) readAhead(depth int) {
+	if p.depth = max(1, depth); p.depth > 1 {
+		p.admit(false) //nolint:errcheck // recorded by fail; the next take reports it
+	}
+}
+
+// close cancels what is still running, waits for it and hands back the
+// budget slots of results nobody took. After close no work of the pipe
+// is in flight, so stripes [from, next) are the only ones that can have
+// touched a provider.
+func (p *stripePipe) close() {
+	p.cancel()
+	for _, t := range p.window {
+		if t.done != nil {
+			<-t.done
+		}
+		if t.err == nil && t.out.slot {
+			p.b.releaseBuf(p.gauge)
+		}
+	}
+	p.window = nil
+}
+
+// drain runs the pipe to its end for callers that need no results —
+// writes, swap repair, verification — and returns the first error.
+func (p *stripePipe) drain() error {
+	defer p.close()
+	for {
+		if _, _, err := p.take(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// bufGauge counts the stripe buffers one direction (reads or writes)
+// holds right now and at its peak; ReadStats and WriteStats report them.
+type bufGauge struct {
+	inUse, peak atomic.Int64
+}
+
+// acquireBuf reserves one stripe-buffer slot of the broker-wide
+// MaxBufferBytes budget for the direction g counts (nil g = an
+// unbudgeted transfer). With wait false it only tries, reporting
+// whether it got one. A read's slot is released once the stripe's bytes
+// have drained to the client, a write's once its chunks have fanned
+// out; neither needs another acquire first (see stripePipe), so a
+// waiting acquire always unblocks. The gauges move even when the budget
+// is unbounded — they double as the stripes-in-flight counters.
+func (b *Broker) acquireBuf(ctx context.Context, g *bufGauge, wait bool) (bool, error) {
+	if g == nil {
+		return true, nil
+	}
+	if b.bufSem != nil {
+		select {
+		case b.bufSem <- struct{}{}:
+		default:
+			if !wait {
+				return false, nil
+			}
+			select {
+			case b.bufSem <- struct{}{}:
+			case <-ctx.Done():
+				return false, ctx.Err()
+			}
+		}
+	}
+	bumpPeak(&g.peak, g.inUse.Add(1))
+	return true, nil
+}
+
+// releaseBuf returns a slot acquired for g to the budget.
+func (b *Broker) releaseBuf(g *bufGauge) {
+	if g == nil {
+		return
+	}
+	g.inUse.Add(-1)
+	if b.bufSem != nil {
+		<-b.bufSem
+	}
+}

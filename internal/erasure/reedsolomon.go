@@ -144,7 +144,12 @@ func (c *Coder) encode(data, backing []byte, chunks [][]byte) ([][]byte, error) 
 
 // Reconstruct fills in missing (nil) chunks in place. chunks must have
 // length n; at least m entries must be non-nil and of equal size.
-func (c *Coder) Reconstruct(chunks [][]byte) error {
+func (c *Coder) Reconstruct(chunks [][]byte) error { return c.reconstruct(chunks, c.n) }
+
+// reconstruct fills in the missing chunks among slots [0, upto): all of
+// them for Reconstruct, the m data chunks for Decode — a read has no use
+// for the parity it did not fetch.
+func (c *Coder) reconstruct(chunks [][]byte, upto int) error {
 	if len(chunks) != c.n {
 		return fmt.Errorf("%w: got %d want %d", ErrChunkCount, len(chunks), c.n)
 	}
@@ -164,14 +169,19 @@ func (c *Coder) Reconstruct(chunks [][]byte) error {
 	if present < c.m {
 		return fmt.Errorf("%w: have %d need %d", ErrTooFewChunks, present, c.m)
 	}
-	if present == c.n {
-		return nil // nothing missing
+	missing := 0
+	for _, ch := range chunks[:upto] {
+		if ch == nil {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return nil
 	}
 	// One backing allocation serves every missing chunk. It is a plain
 	// allocation, not pooled scratch: ownership of the reconstructed
 	// chunks passes to the caller through the chunks slice, so the
 	// memory can never be recycled from here.
-	missing := c.n - present
 	backing := make([]byte, missing*size)
 	nextOut := func() []byte {
 		out := backing[:size:size]
@@ -234,14 +244,14 @@ func (c *Coder) Reconstruct(chunks [][]byte) error {
 	// Regenerate any missing parity stripes from the (now complete)
 	// data stripes.
 	jobs := sc.jobs[:0]
-	for r := c.m; r < c.n; r++ {
+	for r := c.m; r < upto; r++ {
 		if chunks[r] == nil {
 			jobs = append(jobs, rsJob{row: c.enc.row(r), in: chunks[:c.m], out: nextOut()})
 		}
 	}
 	runJobs(jobs, size)
 	ji := 0
-	for r := c.m; r < c.n; r++ {
+	for r := c.m; r < upto; r++ {
 		if chunks[r] == nil {
 			chunks[r] = jobs[ji].out
 			ji++
@@ -251,10 +261,10 @@ func (c *Coder) Reconstruct(chunks [][]byte) error {
 	return nil
 }
 
-// Decode reconstructs missing chunks if needed and reassembles the
-// original object of length size.
+// Decode reconstructs missing data chunks if needed and reassembles the
+// original object of length size. Missing parity chunks stay nil.
 func (c *Coder) Decode(chunks [][]byte, size int) ([]byte, error) {
-	if err := c.Reconstruct(chunks); err != nil {
+	if err := c.reconstruct(chunks, c.m); err != nil {
 		return nil, err
 	}
 	chunkSize := len(chunks[0])

@@ -17,10 +17,15 @@ type replEvent struct {
 // served by the local node (eventual consistency), matching the paper's
 // Cassandra deployment.
 type Cluster struct {
-	mu     sync.Mutex
-	stores []*Store
-	queues map[string]map[string][]replEvent // src -> dst -> pending
-	links  map[string]map[string]bool        // src -> dst -> up
+	// flushMu serializes Flush calls: one that takes events off the
+	// queues delivers them before the next looks, so a returning Flush
+	// has seen everything queued before it started delivered — the
+	// read-your-writes the facade and the gateway flush for.
+	flushMu sync.Mutex
+	mu      sync.Mutex
+	stores  []*Store
+	queues  map[string]map[string][]replEvent // src -> dst -> pending
+	links   map[string]map[string]bool        // src -> dst -> up
 }
 
 // NewCluster builds a cluster over the given datacenter nodes; all
@@ -113,6 +118,8 @@ func (c *Cluster) Heal(a, b string) {
 // Flush delivers every queued replication event whose link is up.
 // Returns the number of delivered events.
 func (c *Cluster) Flush() int {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
 	c.mu.Lock()
 	type delivery struct {
 		src, dst string

@@ -207,14 +207,6 @@ type Options struct {
 	// memory (default engine.DefaultMaxBufferBytes; negative removes the
 	// bound).
 	MaxBufferBytes int64
-	// MaxReadBufferBytes is the deprecated name of MaxBufferBytes, kept
-	// so existing callers keep compiling; it is consulted only when
-	// MaxBufferBytes is zero.
-	MaxReadBufferBytes int64
-	// ForceRestripeRepair disables the chunk-swap repair fast path so
-	// every active repair fully re-places the object — an ablation knob
-	// for benchmarks comparing the two repair mechanisms.
-	ForceRestripeRepair bool
 	// ReoptWorkers sets the background worker pool that drains the
 	// event-driven reoptimization queue (market events → affected
 	// objects). 0 (the default) enqueues only; drain explicitly with
@@ -224,11 +216,6 @@ type Options struct {
 	// engine.DefaultReoptQueueDepth). Overflow invalidations are dropped
 	// and counted; the periodic Optimize pass is their backstop.
 	ReoptQueueDepth int
-	// SwapBatchSize bounds how many prepared single-stripe chunk swaps a
-	// repair pass accumulates before flushing them as one batched write
-	// per target provider (default engine.DefaultSwapBatchSize; negative
-	// disables batching).
-	SwapBatchSize int
 	// Clock overrides time (tests and simulations use a manual clock).
 	Clock engine.Clock
 }
@@ -241,25 +228,22 @@ type Client struct {
 // New builds a broker deployment.
 func New(opts Options) (*Client, error) {
 	cfg := engine.Config{
-		Datacenters:         opts.Datacenters,
-		EnginesPerDC:        opts.EnginesPerDC,
-		CacheBytes:          opts.CacheBytes,
-		PeriodHours:         opts.PeriodHours,
-		DefaultRule:         opts.DefaultRule,
-		DecisionPeriod:      opts.DecisionPeriod,
-		MigrationHorizon:    opts.MigrationHorizon,
-		Pruned:              opts.Pruned,
-		StripeBytes:         opts.StripeBytes,
-		ReadParallelism:     opts.ReadParallelism,
-		PrefetchStripes:     opts.PrefetchStripes,
-		WritePipelineDepth:  opts.WritePipelineDepth,
-		MaxBufferBytes:      opts.MaxBufferBytes,
-		MaxReadBufferBytes:  opts.MaxReadBufferBytes,
-		ForceRestripeRepair: opts.ForceRestripeRepair,
-		ReoptWorkers:        opts.ReoptWorkers,
-		ReoptQueueDepth:     opts.ReoptQueueDepth,
-		SwapBatchSize:       opts.SwapBatchSize,
-		Clock:               opts.Clock,
+		Datacenters:        opts.Datacenters,
+		EnginesPerDC:       opts.EnginesPerDC,
+		CacheBytes:         opts.CacheBytes,
+		PeriodHours:        opts.PeriodHours,
+		DefaultRule:        opts.DefaultRule,
+		DecisionPeriod:     opts.DecisionPeriod,
+		MigrationHorizon:   opts.MigrationHorizon,
+		Pruned:             opts.Pruned,
+		StripeBytes:        opts.StripeBytes,
+		ReadParallelism:    opts.ReadParallelism,
+		PrefetchStripes:    opts.PrefetchStripes,
+		WritePipelineDepth: opts.WritePipelineDepth,
+		MaxBufferBytes:     opts.MaxBufferBytes,
+		ReoptWorkers:       opts.ReoptWorkers,
+		ReoptQueueDepth:    opts.ReoptQueueDepth,
+		Clock:              opts.Clock,
 	}
 	if len(opts.Providers) > 0 {
 		reg := cloud.NewRegistry()
