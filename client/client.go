@@ -1,16 +1,16 @@
 // Package client is the typed Go client for the Scalia v1 HTTP gateway
-// (cmd/scalia-server, engine.NewGateway). It speaks the same wire
-// protocol the gateway serves and offers the same method set as the
-// in-process scalia.Client facade, so embedded and remote callers are
-// interchangeable: Put/PutReader, Get/GetReader, Head, Delete, List
-// with pagination, resumable multipart uploads
-// (CreateUpload/UploadPart/ListParts/CompleteUpload/AbortUpload), rule
-// and provider administration, optimization, repair and operational
-// stats.
+// (cmd/scalia-server, engine.NewGateway): the inverse of the gateway's
+// codec. *Client implements scalia.API — the same contract the
+// in-process scalia.Client facade implements — so embedded and remote
+// callers are interchangeable, and embeds scalia.Helpers for the Put /
+// Get / Delete / ListAll / WaitForJob conveniences. The route table is
+// documented once, on engine.Gateway.
 //
-// Wire errors are mapped back onto the facade's sentinel errors, so
-// errors.Is(err, scalia.ErrObjectNotFound) works identically against a
-// remote deployment.
+// Wire errors are mapped back onto the facade's sentinel errors through
+// the gateway's own error table, so errors.Is(err,
+// scalia.ErrObjectNotFound) works identically against a remote
+// deployment. HTTP-only reads (GetRanges, GetIfNoneMatch) sit outside
+// the contract.
 package client
 
 import (
@@ -26,17 +26,20 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"scalia"
+	"scalia/internal/engine"
 	"scalia/internal/obs"
 )
 
 // Client talks to one Scalia gateway. It is safe for concurrent use.
 type Client struct {
+	scalia.Helpers
 	base string
 	http *http.Client
 }
+
+var _ scalia.API = (*Client)(nil)
 
 // Option customizes a Client.
 type Option func(*Client)
@@ -54,20 +57,72 @@ func New(baseURL string, opts ...Option) *Client {
 		base: strings.TrimSuffix(baseURL, "/"),
 		http: http.DefaultClient,
 	}
+	c.Helpers = scalia.Helpers{API: c}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
 }
 
-// do sends the request, stamping a generated X-Request-ID first unless
-// the caller set one, so client-side errors can be correlated with the
-// gateway's access log (the gateway echoes the ID on the response).
-func (c *Client) do(req *http.Request) (*http.Response, error) {
+// --- the request codec ---
+
+// send is the one place a request is built and sent. A non-nil body
+// streams as is with size as its declared Content-Length — nothing is
+// buffered. A generated X-Request-ID is stamped unless header carries
+// one, so client-side errors can be correlated with the gateway's access
+// log (the gateway echoes the ID on the response).
+func (c *Client) send(ctx context.Context, method, u string, header http.Header, body io.Reader, size int64) (*http.Response, error) {
+	if body != nil && size == 0 {
+		// A zero ContentLength with an arbitrary non-nil body would be
+		// sent chunked (unknown length) and refused with 411; NoBody
+		// keeps the declared empty length on the wire.
+		body = http.NoBody
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.ContentLength = size
+	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
 	if req.Header.Get("X-Request-ID") == "" {
 		req.Header.Set("X-Request-ID", obs.NewRequestID())
 	}
 	return c.http.Do(req)
+}
+
+// call sends a request whose reply is a status and, with out non-nil, a
+// JSON document: any status but want becomes the sentinel error its wire
+// code stands for.
+func (c *Client) call(ctx context.Context, method, u string, header http.Header, body io.Reader, size int64, want int, out any) error {
+	resp, err := c.send(ctx, method, u, header, body, size)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		return decodeErr(resp)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("%w: malformed response: %v", ErrRemote, err)
+	}
+	return nil
+}
+
+// callJSON is call with in marshalled as the request document.
+func (c *Client) callJSON(ctx context.Context, method, u string, in any, want int, out any) error {
+	buf, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("%w: %v", scalia.ErrInvalidArgument, err)
+	}
+	return c.call(ctx, method, u, http.Header{"Content-Type": {"application/json"}},
+		bytes.NewReader(buf), int64(len(buf)), want, out)
 }
 
 // ErrRemote wraps gateway errors whose code has no sentinel mapping.
@@ -75,44 +130,17 @@ var ErrRemote = errors.New("scalia client: remote error")
 
 // wireError is the typed JSON error envelope of the v1 protocol.
 type wireError struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+	Error engine.APIError `json:"error"`
 }
 
-// sentinelFor maps wire error codes back onto the facade's sentinels.
+// sentinelFor maps a wire error code back onto the facade's sentinel:
+// a lookup in the gateway's error table, ErrRemote for codes outside it
+// ("internal").
 func sentinelFor(code string) error {
-	switch code {
-	case "not_found":
-		return scalia.ErrObjectNotFound
-	case "upload_not_found":
-		return scalia.ErrUploadNotFound
-	case "precondition_failed", "already_exists":
-		return scalia.ErrPreconditionFailed
-	case "invalid_argument", "invalid_rule", "length_required":
-		return scalia.ErrInvalidArgument
-	case "infeasible_placement":
-		return scalia.ErrInfeasiblePlacement
-	case "range_not_satisfiable":
-		return scalia.ErrRangeNotSatisfiable
-	case "unavailable":
-		return scalia.ErrNotEnoughChunks
-	case "provider_unavailable":
-		return scalia.ErrProviderUnavailable
-	case "too_large":
-		return scalia.ErrObjectTooLarge
-	case "over_capacity":
-		return scalia.ErrProviderOverCapacity
-	case "unknown_provider":
-		return scalia.ErrUnknownProvider
-	case "unsupported_mutation":
-		return scalia.ErrUnsupportedMutation
-	case "job_not_found":
-		return scalia.ErrObjectNotFound
-	default:
-		return ErrRemote
+	if sentinel, ok := engine.SentinelFor(code); ok {
+		return sentinel
 	}
+	return ErrRemote
 }
 
 // decodeErr turns a non-2xx response into a sentinel-wrapped error.
@@ -139,247 +167,105 @@ func (c *Client) objectURL(container, key string) string {
 	return u
 }
 
-// PutOption customizes a write, mirroring the facade's options.
-type PutOption func(http.Header)
-
-// WithMIME sets the object's MIME type (classification input).
-func WithMIME(mime string) PutOption {
-	return func(h http.Header) { h.Set("Content-Type", mime) }
+// uploadURL addresses an open multipart upload.
+func (c *Client) uploadURL(up scalia.UploadInfo) string {
+	return c.objectURL(up.Container, up.Key) + "?uploadId=" + url.QueryEscape(up.UploadID)
 }
 
-// WithTTL hints the object's expected lifetime in hours.
-func WithTTL(hours float64) PutOption {
-	return func(h http.Header) {
-		h.Set("X-Scalia-TTL-Hours", strconv.FormatFloat(hours, 'g', -1, 64))
+func (c *Client) providerURL(name, field string) string {
+	return c.base + "/v1/providers/" + url.PathEscape(name) + field
+}
+
+// listQuery encodes a page request; zero values are left to the gateway.
+func listQuery(opts scalia.ListOptions) string {
+	q := url.Values{}
+	if opts.Prefix != "" {
+		q.Set("prefix", opts.Prefix)
 	}
+	if opts.After != "" {
+		q.Set("after", opts.After)
+	}
+	if opts.Limit > 0 {
+		q.Set("limit", strconv.Itoa(opts.Limit))
+	}
+	if len(q) == 0 {
+		return ""
+	}
+	return "?" + q.Encode()
 }
 
-// WithIfMatch makes the write conditional on the stored ETag ("*" = any
-// existing version).
-func WithIfMatch(etag string) PutOption {
-	return func(h http.Header) { h.Set("If-Match", etag) }
-}
+// --- the contract, as requests (documented on scalia.API) ---
 
-// WithIfAbsent makes the write create-only: it fails with
-// ErrPreconditionFailed when the object already exists.
-func WithIfAbsent() PutOption {
-	return func(h http.Header) { h.Set("If-None-Match", "*") }
-}
-
-// Put stores or updates an object from an in-memory payload.
-func (c *Client) Put(ctx context.Context, container, key string, data []byte, opts ...PutOption) (scalia.ObjectMeta, error) {
-	return c.PutReader(ctx, container, key, bytes.NewReader(data), int64(len(data)), opts...)
-}
-
-// PutReader stores or updates an object streamed from r; size must be
-// the exact body length. The body streams to the gateway, which stripes
+// PutReader streams r to the gateway as the request body, which stripes
 // it to the providers without buffering the whole object.
-func (c *Client) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...PutOption) (scalia.ObjectMeta, error) {
-	if size == 0 {
-		// A zero ContentLength with an arbitrary non-nil body would be
-		// sent chunked (unknown length) and refused with 411; NoBody
-		// keeps the declared empty length on the wire.
-		r = http.NoBody
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.objectURL(container, key), r)
+func (c *Client) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...scalia.PutOption) (meta scalia.ObjectMeta, err error) {
+	header, err := engine.EncodePutOptions(scalia.PutOptionsOf(opts))
 	if err != nil {
-		return scalia.ObjectMeta{}, err
+		return meta, err
 	}
-	req.ContentLength = size
-	for _, o := range opts {
-		o(req.Header)
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return scalia.ObjectMeta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return scalia.ObjectMeta{}, decodeErr(resp)
-	}
-	var meta scalia.ObjectMeta
-	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
-		return scalia.ObjectMeta{}, fmt.Errorf("%w: malformed meta: %v", ErrRemote, err)
-	}
-	return meta, nil
+	err = c.call(ctx, http.MethodPut, c.objectURL(container, key), header, r, size, http.StatusCreated, &meta)
+	return meta, err
 }
 
-// CreateUpload opens a resumable multipart upload for an object
-// (POST …?uploads). sizeHint (0 = unknown) feeds the gateway's
-// placement planning; the write options mirror PutReader's.
-func (c *Client) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...PutOption) (scalia.UploadInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.objectURL(container, key)+"?uploads", nil)
+func (c *Client) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...scalia.PutOption) (up scalia.UploadInfo, err error) {
+	header, err := engine.EncodePutOptions(scalia.PutOptionsOf(opts))
 	if err != nil {
-		return scalia.UploadInfo{}, err
-	}
-	for _, o := range opts {
-		o(req.Header)
+		return up, err
 	}
 	if sizeHint > 0 {
-		req.Header.Set("X-Scalia-Size-Hint", strconv.FormatInt(sizeHint, 10))
+		header.Set("X-Scalia-Size-Hint", strconv.FormatInt(sizeHint, 10))
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return scalia.UploadInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return scalia.UploadInfo{}, decodeErr(resp)
-	}
-	var info scalia.UploadInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return scalia.UploadInfo{}, fmt.Errorf("%w: malformed upload info: %v", ErrRemote, err)
-	}
-	return info, nil
+	err = c.call(ctx, http.MethodPost, c.objectURL(container, key)+"?uploads", header, nil, 0, http.StatusCreated, &up)
+	return up, err
 }
 
-// UploadPart streams one part of an open upload
-// (PUT …?partNumber=N&uploadId=…). size must be the exact part length;
-// every part except the upload's final one must be a whole multiple of
-// the deployment's stripe size. Re-sending a part number replaces the
-// earlier attempt.
-func (c *Client) UploadPart(ctx context.Context, info scalia.UploadInfo, partNumber int, r io.Reader, size int64) (scalia.PartInfo, error) {
-	if size == 0 {
-		r = http.NoBody
-	}
-	u := fmt.Sprintf("%s?partNumber=%d&uploadId=%s",
-		c.objectURL(info.Container, info.Key), partNumber, url.QueryEscape(info.UploadID))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, r)
-	if err != nil {
-		return scalia.PartInfo{}, err
-	}
-	req.ContentLength = size
-	resp, err := c.do(req)
-	if err != nil {
-		return scalia.PartInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return scalia.PartInfo{}, decodeErr(resp)
-	}
-	var part scalia.PartInfo
-	if err := json.NewDecoder(resp.Body).Decode(&part); err != nil {
-		return scalia.PartInfo{}, fmt.Errorf("%w: malformed part info: %v", ErrRemote, err)
-	}
-	return part, nil
+func (c *Client) UploadPart(ctx context.Context, up scalia.UploadInfo, partNumber int, r io.Reader, size int64) (part scalia.PartInfo, err error) {
+	u := c.uploadURL(up) + "&partNumber=" + strconv.Itoa(partNumber)
+	err = c.call(ctx, http.MethodPut, u, nil, r, size, http.StatusOK, &part)
+	return part, err
 }
 
-// ListParts reports the staged parts of an open upload, sorted by part
-// number (GET …?uploadId=…) — what survived a dropped connection, so a
-// resume re-sends only the missing parts.
-func (c *Client) ListParts(ctx context.Context, info scalia.UploadInfo) ([]scalia.PartInfo, error) {
-	var res struct {
-		Upload scalia.UploadInfo `json:"upload"`
-		Parts  []scalia.PartInfo `json:"parts"`
-	}
-	u := c.objectURL(info.Container, info.Key) + "?uploadId=" + url.QueryEscape(info.UploadID)
-	if err := c.getJSON(ctx, u, &res); err != nil {
-		return nil, err
-	}
-	return res.Parts, nil
+func (c *Client) ListParts(ctx context.Context, up scalia.UploadInfo) ([]scalia.PartInfo, error) {
+	var res engine.ListPartsResult
+	err := c.call(ctx, http.MethodGet, c.uploadURL(up), nil, nil, 0, http.StatusOK, &res)
+	return res.Parts, err
 }
 
-// CompleteUpload assembles the staged parts into the live object
-// version (POST …?uploadId=… with the part list). A mismatched or
-// missing part fails with scalia.ErrInvalidArgument and leaves the
-// upload open for a retry.
-func (c *Client) CompleteUpload(ctx context.Context, info scalia.UploadInfo, parts []scalia.CompletedPart) (scalia.ObjectMeta, error) {
-	body, err := json.Marshal(struct {
-		Parts []scalia.CompletedPart `json:"parts"`
-	}{Parts: parts})
-	if err != nil {
-		return scalia.ObjectMeta{}, err
-	}
-	u := c.objectURL(info.Container, info.Key) + "?uploadId=" + url.QueryEscape(info.UploadID)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return scalia.ObjectMeta{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req)
-	if err != nil {
-		return scalia.ObjectMeta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return scalia.ObjectMeta{}, decodeErr(resp)
-	}
-	var meta scalia.ObjectMeta
-	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
-		return scalia.ObjectMeta{}, fmt.Errorf("%w: malformed meta: %v", ErrRemote, err)
-	}
-	return meta, nil
+func (c *Client) CompleteUpload(ctx context.Context, up scalia.UploadInfo, parts []scalia.CompletedPart) (meta scalia.ObjectMeta, err error) {
+	err = c.callJSON(ctx, http.MethodPost, c.uploadURL(up),
+		map[string][]scalia.CompletedPart{"parts": parts}, http.StatusCreated, &meta)
+	return meta, err
 }
 
-// AbortUpload tears an upload down and garbage-collects its staged
-// parts (DELETE …?uploadId=…).
-func (c *Client) AbortUpload(ctx context.Context, info scalia.UploadInfo) error {
-	u := c.objectURL(info.Container, info.Key) + "?uploadId=" + url.QueryEscape(info.UploadID)
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeErr(resp)
-	}
-	return nil
+func (c *Client) AbortUpload(ctx context.Context, up scalia.UploadInfo) error {
+	return c.call(ctx, http.MethodDelete, c.uploadURL(up), nil, nil, 0, http.StatusNoContent, nil)
 }
 
-// Get fetches an object fully buffered, with its metadata.
-func (c *Client) Get(ctx context.Context, container, key string) ([]byte, scalia.ObjectMeta, error) {
-	rc, meta, err := c.GetReader(ctx, container, key)
-	if err != nil {
-		return nil, scalia.ObjectMeta{}, err
-	}
-	defer rc.Close()
-	data, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, scalia.ObjectMeta{}, err
-	}
-	return data, meta, nil
-}
-
-// GetReader fetches an object as a stream. The returned metadata is
-// reconstructed from response headers (size, checksum, placement); the
-// caller must Close the reader.
+// GetReader hands back the response body as the stream; the returned
+// metadata is reconstructed from response headers (size, checksum,
+// placement).
 func (c *Client) GetReader(ctx context.Context, container, key string) (io.ReadCloser, scalia.ObjectMeta, error) {
-	rc, meta, _, err := c.getConditional(ctx, container, key, "")
+	rc, meta, _, err := c.GetIfNoneMatch(ctx, container, key, "")
 	return rc, meta, err
 }
 
-// GetRange fetches the byte range [offset, offset+length) of an object
-// as a stream via a Range request; the gateway maps the range onto
-// whole stripes so only the overlapped stripes are fetched or served
-// from its stripe cache. length < 0 requests everything from offset to
-// the object end; otherwise it is clamped to the object end. A range
-// starting at or past the end fails with scalia.ErrRangeNotSatisfiable.
-// Should a server or intermediary ignore the Range header and answer
-// 200, the requested window is carved out of the full body client-side
-// — the caller always receives exactly the bytes asked for.
+// GetRange sends a Range request. Should a server or intermediary ignore
+// the Range header and answer 200, the requested window is carved out of
+// the full body client-side — the caller always receives exactly the
+// bytes asked for.
 func (c *Client) GetRange(ctx context.Context, container, key string, offset, length int64) (io.ReadCloser, scalia.ObjectMeta, error) {
 	// Reject what the wire form cannot express before building a header:
 	// length 0 would serialize as the malformed "bytes=N-(N-1)", which
-	// the gateway ignores, silently serving the whole object. The
-	// embedded facade fails the same call with ErrInvalidArgument.
+	// the gateway ignores, silently serving the whole object.
 	if offset < 0 || length == 0 || length < -1 {
 		return nil, scalia.ObjectMeta{}, fmt.Errorf("%w: range offset %d length %d",
 			scalia.ErrInvalidArgument, offset, length)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.objectURL(container, key), nil)
-	if err != nil {
-		return nil, scalia.ObjectMeta{}, err
+	rng := fmt.Sprintf("bytes=%d-", offset)
+	if length > 0 {
+		rng += strconv.FormatInt(offset+length-1, 10)
 	}
-	if length < 0 {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", offset))
-	} else {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", offset, offset+length-1))
-	}
-	resp, err := c.do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.objectURL(container, key), http.Header{"Range": {rng}}, nil, 0)
 	if err != nil {
 		return nil, scalia.ObjectMeta{}, err
 	}
@@ -388,15 +274,154 @@ func (c *Client) GetRange(ctx context.Context, container, key string, offset, le
 		return resp.Body, metaFromHeaders(container, key, resp.Header), nil
 	case http.StatusOK:
 		// The gateway — or an intermediary that stripped the Range
-		// header — served the whole body, which RFC 9110 permits. Carve
-		// the requested window out client-side so the caller still gets
-		// exactly [offset, offset+length).
+		// header — served the whole body, which RFC 9110 permits.
 		return &windowReadCloser{rc: resp.Body, skip: offset, remaining: length},
 			metaFromHeaders(container, key, resp.Header), nil
 	default:
 		defer resp.Body.Close()
 		return nil, scalia.ObjectMeta{}, decodeErr(resp)
 	}
+}
+
+func (c *Client) Head(ctx context.Context, container, key string) (scalia.ObjectMeta, error) {
+	resp, err := c.send(ctx, http.MethodHead, c.objectURL(container, key), nil, nil, 0)
+	if err != nil {
+		return scalia.ObjectMeta{}, err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return metaFromHeaders(container, key, resp.Header), nil
+	case http.StatusNotFound:
+		// HEAD responses carry no body, hence no code; the status alone
+		// names the sentinel.
+		return scalia.ObjectMeta{}, fmt.Errorf("%w: %s/%s", scalia.ErrObjectNotFound, container, key)
+	default:
+		return scalia.ObjectMeta{}, fmt.Errorf("%w: %s", ErrRemote, resp.Status)
+	}
+}
+
+func (c *Client) DeleteIf(ctx context.Context, container, key, ifMatch string) error {
+	var header http.Header
+	if ifMatch != "" {
+		header = http.Header{"If-Match": {ifMatch}}
+	}
+	return c.call(ctx, http.MethodDelete, c.objectURL(container, key), header, nil, 0, http.StatusNoContent, nil)
+}
+
+func (c *Client) List(ctx context.Context, container string, opts scalia.ListOptions) (res scalia.ListResult, err error) {
+	err = c.call(ctx, http.MethodGet, c.objectURL(container, "")+listQuery(opts), nil, nil, 0, http.StatusOK, &res)
+	return res, err
+}
+
+func (c *Client) Providers(ctx context.Context) (out []scalia.ProviderStatus, err error) {
+	err = c.call(ctx, http.MethodGet, c.base+"/v1/providers", nil, nil, 0, http.StatusOK, &out)
+	return out, err
+}
+
+func (c *Client) AddProvider(ctx context.Context, spec scalia.Provider) error {
+	return c.callJSON(ctx, http.MethodPost, c.base+"/v1/providers", spec, http.StatusCreated, nil)
+}
+
+func (c *Client) RemoveProvider(ctx context.Context, name string) error {
+	return c.call(ctx, http.MethodDelete, c.providerURL(name, ""), nil, nil, 0, http.StatusNoContent, nil)
+}
+
+func (c *Client) SetProviderAvailable(ctx context.Context, name string, up bool) (mut scalia.ProviderMutation, err error) {
+	err = c.callJSON(ctx, http.MethodPut, c.providerURL(name, "/availability"),
+		map[string]bool{"available": up}, http.StatusOK, &mut)
+	return mut, err
+}
+
+func (c *Client) SetProviderPricing(ctx context.Context, name string, p scalia.Pricing) (mut scalia.ProviderMutation, err error) {
+	err = c.callJSON(ctx, http.MethodPut, c.providerURL(name, "/pricing"),
+		map[string]scalia.Pricing{"pricing": p}, http.StatusOK, &mut)
+	return mut, err
+}
+
+func (c *Client) SetContainerRule(ctx context.Context, container string, rule scalia.Rule) error {
+	return c.callJSON(ctx, http.MethodPut, c.base+"/v1/rules/"+url.PathEscape(container), rule, http.StatusNoContent, nil)
+}
+
+// Optimize holds the request open for the whole round (?wait=true).
+func (c *Client) Optimize(ctx context.Context) (rep scalia.OptimizeReport, err error) {
+	err = c.call(ctx, http.MethodPost, c.base+"/v1/optimize?wait=true", nil, nil, 0, http.StatusOK, &rep)
+	return rep, err
+}
+
+// Repair holds the request open for the whole pass (?wait=true).
+func (c *Client) Repair(ctx context.Context, policy scalia.RepairPolicy) (rep scalia.RepairReport, err error) {
+	err = c.call(ctx, http.MethodPost, c.base+"/v1/repair?wait=true&policy="+policy.String(), nil, nil, 0, http.StatusOK, &rep)
+	return rep, err
+}
+
+func (c *Client) StartOptimize(ctx context.Context) (job scalia.Job, err error) {
+	err = c.call(ctx, http.MethodPost, c.base+"/v1/optimize", nil, nil, 0, http.StatusAccepted, &job)
+	return job, err
+}
+
+func (c *Client) StartRepair(ctx context.Context, policy scalia.RepairPolicy) (job scalia.Job, err error) {
+	err = c.call(ctx, http.MethodPost, c.base+"/v1/repair?policy="+policy.String(), nil, nil, 0, http.StatusAccepted, &job)
+	return job, err
+}
+
+func (c *Client) Job(ctx context.Context, id string) (job scalia.Job, err error) {
+	err = c.call(ctx, http.MethodGet, c.base+"/v1/jobs/"+url.PathEscape(id), nil, nil, 0, http.StatusOK, &job)
+	return job, err
+}
+
+func (c *Client) Jobs(ctx context.Context, opts scalia.ListOptions) (list scalia.JobList, err error) {
+	err = c.call(ctx, http.MethodGet, c.base+"/v1/jobs"+listQuery(opts), nil, nil, 0, http.StatusOK, &list)
+	return list, err
+}
+
+func (c *Client) Stats(ctx context.Context) (st scalia.Stats, err error) {
+	err = c.call(ctx, http.MethodGet, c.base+"/v1/stats", nil, nil, 0, http.StatusOK, &st)
+	return st, err
+}
+
+// --- HTTP-only reads, outside the contract ---
+
+// GetIfNoneMatch is a conditional fetch: when the stored ETag equals
+// etag the gateway answers 304 and notModified is true with a nil
+// reader. An empty etag is a plain GET.
+func (c *Client) GetIfNoneMatch(ctx context.Context, container, key, etag string) (rc io.ReadCloser, meta scalia.ObjectMeta, notModified bool, err error) {
+	var header http.Header
+	if etag != "" {
+		header = http.Header{"If-None-Match": {etag}}
+	}
+	resp, err := c.send(ctx, http.MethodGet, c.objectURL(container, key), header, nil, 0)
+	if err != nil {
+		return nil, scalia.ObjectMeta{}, false, err
+	}
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return resp.Body, metaFromHeaders(container, key, resp.Header), false, nil
+	case http.StatusNotModified:
+		resp.Body.Close()
+		return nil, metaFromHeaders(container, key, resp.Header), true, nil
+	default:
+		defer resp.Body.Close()
+		return nil, scalia.ObjectMeta{}, false, decodeErr(resp)
+	}
+}
+
+// metaFromHeaders rebuilds the wire-visible ObjectMeta subset from the
+// gateway's response headers.
+func metaFromHeaders(container, key string, h http.Header) scalia.ObjectMeta {
+	meta := scalia.ObjectMeta{
+		Container: container,
+		Key:       key,
+		MIME:      h.Get("Content-Type"),
+		Checksum:  strings.Trim(h.Get("ETag"), `"`),
+	}
+	meta.Size, _ = strconv.ParseInt(h.Get("X-Scalia-Size"), 10, 64)
+	meta.M, _ = strconv.Atoi(h.Get("X-Scalia-M"))
+	meta.Stripes, _ = strconv.Atoi(h.Get("X-Scalia-Stripes"))
+	if provs := h.Get("X-Scalia-Providers"); provs != "" {
+		meta.Chunks = strings.Split(provs, ",")
+	}
+	return meta
 }
 
 // windowReadCloser recovers a byte range from a full-body stream:
@@ -479,12 +504,7 @@ func (c *Client) GetRanges(ctx context.Context, container, key string, ranges []
 			fmt.Fprintf(&hdr, "%d-%d", r.Offset, r.Offset+r.Length-1)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.objectURL(container, key), nil)
-	if err != nil {
-		return nil, scalia.ObjectMeta{}, err
-	}
-	req.Header.Set("Range", hdr.String())
-	resp, err := c.do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.objectURL(container, key), http.Header{"Range": {hdr.String()}}, nil, 0)
 	if err != nil {
 		return nil, scalia.ObjectMeta{}, err
 	}
@@ -561,432 +581,4 @@ func contentRangeStart(h string) (int64, bool) {
 		return 0, false
 	}
 	return start, true
-}
-
-// GetIfNoneMatch is a conditional fetch: when the stored ETag equals
-// etag the gateway answers 304 and notModified is true with a nil
-// reader.
-func (c *Client) GetIfNoneMatch(ctx context.Context, container, key, etag string) (rc io.ReadCloser, meta scalia.ObjectMeta, notModified bool, err error) {
-	return c.getConditional(ctx, container, key, etag)
-}
-
-func (c *Client) getConditional(ctx context.Context, container, key, ifNoneMatch string) (io.ReadCloser, scalia.ObjectMeta, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.objectURL(container, key), nil)
-	if err != nil {
-		return nil, scalia.ObjectMeta{}, false, err
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, scalia.ObjectMeta{}, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return resp.Body, metaFromHeaders(container, key, resp.Header), false, nil
-	case http.StatusNotModified:
-		resp.Body.Close()
-		return nil, metaFromHeaders(container, key, resp.Header), true, nil
-	default:
-		defer resp.Body.Close()
-		return nil, scalia.ObjectMeta{}, false, decodeErr(resp)
-	}
-}
-
-// Head fetches an object's metadata only.
-func (c *Client) Head(ctx context.Context, container, key string) (scalia.ObjectMeta, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.objectURL(container, key), nil)
-	if err != nil {
-		return scalia.ObjectMeta{}, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return scalia.ObjectMeta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// HEAD responses carry no body; synthesize the sentinel from the
-		// status code alone.
-		switch resp.StatusCode {
-		case http.StatusNotFound:
-			return scalia.ObjectMeta{}, fmt.Errorf("%w: %s/%s", scalia.ErrObjectNotFound, container, key)
-		default:
-			return scalia.ObjectMeta{}, fmt.Errorf("%w: %s", ErrRemote, resp.Status)
-		}
-	}
-	return metaFromHeaders(container, key, resp.Header), nil
-}
-
-// metaFromHeaders rebuilds the wire-visible ObjectMeta subset from the
-// gateway's response headers.
-func metaFromHeaders(container, key string, h http.Header) scalia.ObjectMeta {
-	meta := scalia.ObjectMeta{
-		Container: container,
-		Key:       key,
-		MIME:      h.Get("Content-Type"),
-		Checksum:  strings.Trim(h.Get("ETag"), `"`),
-	}
-	meta.Size, _ = strconv.ParseInt(h.Get("X-Scalia-Size"), 10, 64)
-	meta.M, _ = strconv.Atoi(h.Get("X-Scalia-M"))
-	meta.Stripes, _ = strconv.Atoi(h.Get("X-Scalia-Stripes"))
-	if provs := h.Get("X-Scalia-Providers"); provs != "" {
-		meta.Chunks = strings.Split(provs, ",")
-	}
-	return meta
-}
-
-// Delete removes an object.
-func (c *Client) Delete(ctx context.Context, container, key string) error {
-	return c.DeleteIf(ctx, container, key, "")
-}
-
-// DeleteIf removes an object only if its stored ETag matches ifMatch.
-func (c *Client) DeleteIf(ctx context.Context, container, key, ifMatch string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.objectURL(container, key), nil)
-	if err != nil {
-		return err
-	}
-	if ifMatch != "" {
-		req.Header.Set("If-Match", ifMatch)
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeErr(resp)
-	}
-	return nil
-}
-
-// ListOptions parameterize a container listing.
-type ListOptions struct {
-	// Prefix filters keys.
-	Prefix string
-	// Limit caps one page (gateway default and maximum: 1000).
-	Limit int
-	// After resumes after the given cursor (ListResult.Next).
-	After string
-}
-
-// List returns one page of a container's keys.
-func (c *Client) List(ctx context.Context, container string, opts ListOptions) (scalia.ListResult, error) {
-	q := url.Values{}
-	if opts.Prefix != "" {
-		q.Set("prefix", opts.Prefix)
-	}
-	if opts.Limit > 0 {
-		q.Set("limit", strconv.Itoa(opts.Limit))
-	}
-	if opts.After != "" {
-		q.Set("after", opts.After)
-	}
-	u := c.objectURL(container, "")
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	var res scalia.ListResult
-	err := c.getJSON(ctx, u, &res)
-	return res, err
-}
-
-// ListAll walks every page and returns the container's full key set.
-func (c *Client) ListAll(ctx context.Context, container, prefix string) ([]string, error) {
-	var keys []string
-	opts := ListOptions{Prefix: prefix}
-	for {
-		page, err := c.List(ctx, container, opts)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, page.Keys...)
-		if !page.Truncated {
-			return keys, nil
-		}
-		opts.After = page.Next
-	}
-}
-
-// SetContainerRule pins a placement rule to a container.
-func (c *Client) SetContainerRule(ctx context.Context, container string, rule scalia.Rule) error {
-	body, err := json.Marshal(rule)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+"/v1/rules/"+url.PathEscape(container), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeErr(resp)
-	}
-	return nil
-}
-
-// Providers returns the provider market with availability and usage.
-func (c *Client) Providers(ctx context.Context) ([]scalia.ProviderStatus, error) {
-	var out []scalia.ProviderStatus
-	err := c.getJSON(ctx, c.base+"/v1/providers", &out)
-	return out, err
-}
-
-// AddProvider registers a provider at runtime (the CheapStor scenario).
-func (c *Client) AddProvider(ctx context.Context, spec scalia.Provider) error {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/providers", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return decodeErr(resp)
-	}
-	return nil
-}
-
-// RemoveProvider deregisters a provider (market exit).
-func (c *Client) RemoveProvider(ctx context.Context, name string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		c.base+"/v1/providers/"+url.PathEscape(name), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeErr(resp)
-	}
-	return nil
-}
-
-// UpdateProviderAvailability injects or clears a transient provider
-// outage through the admin API (PUT /v1/providers/{name}/availability)
-// and returns the market epoch the mutation advanced the deployment to.
-// Unknown providers surface as scalia.ErrUnknownProvider; backends
-// without failure injection as scalia.ErrUnsupportedMutation.
-func (c *Client) UpdateProviderAvailability(ctx context.Context, name string, up bool) (scalia.ProviderMutation, error) {
-	body := struct {
-		Available bool `json:"available"`
-	}{Available: up}
-	var mut scalia.ProviderMutation
-	err := c.putJSON(ctx,
-		c.base+"/v1/providers/"+url.PathEscape(name)+"/availability", body, &mut)
-	return mut, err
-}
-
-// SetProviderAvailable is UpdateProviderAvailability without the
-// epoch-echoing response — the error-only convenience chaos schedules
-// use.
-func (c *Client) SetProviderAvailable(ctx context.Context, name string, up bool) error {
-	_, err := c.UpdateProviderAvailability(ctx, name, up)
-	return err
-}
-
-// UpdateProviderPricing replaces a provider's price sheet at runtime
-// (PUT /v1/providers/{name}/pricing) — a scripted market price event;
-// the response echoes the new market epoch, so the caller can correlate
-// the event with subsequent placement decisions. Error contract as
-// UpdateProviderAvailability.
-func (c *Client) UpdateProviderPricing(ctx context.Context, name string, p scalia.Pricing) (scalia.ProviderMutation, error) {
-	body := struct {
-		Pricing scalia.Pricing `json:"pricing"`
-	}{Pricing: p}
-	var mut scalia.ProviderMutation
-	err := c.putJSON(ctx,
-		c.base+"/v1/providers/"+url.PathEscape(name)+"/pricing", body, &mut)
-	return mut, err
-}
-
-// SetProviderPricing is UpdateProviderPricing without the epoch-echoing
-// response.
-func (c *Client) SetProviderPricing(ctx context.Context, name string, p scalia.Pricing) error {
-	_, err := c.UpdateProviderPricing(ctx, name, p)
-	return err
-}
-
-// putJSON PUTs a JSON body and decodes a 200 JSON response into v.
-func (c *Client) putJSON(ctx context.Context, u string, body, v any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.doJSONStatus(req, http.StatusOK, v)
-}
-
-// Optimize runs one optimization round synchronously (?wait=true) and
-// returns the final report — the pre-jobs blocking contract. Large
-// deployments should prefer StartOptimize + WaitForJob so no HTTP
-// request stays open across a full scan.
-func (c *Client) Optimize(ctx context.Context) (scalia.OptimizeReport, error) {
-	var rep scalia.OptimizeReport
-	err := c.postJSON(ctx, c.base+"/v1/optimize?wait=true", &rep)
-	return rep, err
-}
-
-// Repair runs a repair pass synchronously (?wait=true) with the given
-// policy and returns the final report.
-func (c *Client) Repair(ctx context.Context, policy scalia.RepairPolicy) (scalia.RepairReport, error) {
-	var rep scalia.RepairReport
-	err := c.postJSON(ctx, c.base+"/v1/repair?wait=true&policy="+policyName(policy), &rep)
-	return rep, err
-}
-
-func policyName(policy scalia.RepairPolicy) string {
-	if policy == scalia.RepairActive {
-		return "active"
-	}
-	return "wait"
-}
-
-// StartOptimize dispatches an asynchronous optimization round (POST
-// /v1/optimize, 202 Accepted) and returns the job resource to poll.
-func (c *Client) StartOptimize(ctx context.Context) (scalia.Job, error) {
-	var job scalia.Job
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/optimize", nil)
-	if err != nil {
-		return job, err
-	}
-	err = c.doJSONStatus(req, http.StatusAccepted, &job)
-	return job, err
-}
-
-// StartRepair dispatches an asynchronous repair pass (POST /v1/repair,
-// 202 Accepted) and returns the job resource to poll.
-func (c *Client) StartRepair(ctx context.Context, policy scalia.RepairPolicy) (scalia.Job, error) {
-	var job scalia.Job
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/repair?policy="+policyName(policy), nil)
-	if err != nil {
-		return job, err
-	}
-	err = c.doJSONStatus(req, http.StatusAccepted, &job)
-	return job, err
-}
-
-// Job fetches one maintenance job: state, live progress, and the final
-// report once the pass finishes. Unknown jobs surface as
-// scalia.ErrObjectNotFound.
-func (c *Client) Job(ctx context.Context, id string) (scalia.Job, error) {
-	var job scalia.Job
-	err := c.getJSON(ctx, c.base+"/v1/jobs/"+url.PathEscape(id), &job)
-	return job, err
-}
-
-// Jobs pages through the deployment's maintenance jobs with the same
-// prefix/limit/after shape as the object listing. Zero values mean no
-// prefix filter, first page, server default page size.
-func (c *Client) Jobs(ctx context.Context, prefix, after string, limit int) (scalia.JobList, error) {
-	q := url.Values{}
-	if prefix != "" {
-		q.Set("prefix", prefix)
-	}
-	if after != "" {
-		q.Set("after", after)
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	u := c.base + "/v1/jobs"
-	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	var list scalia.JobList
-	err := c.getJSON(ctx, u, &list)
-	return list, err
-}
-
-// WaitForJob polls a job every interval (default 50ms when <= 0) until
-// it leaves the running state or ctx is cancelled. A job that finishes
-// in the failed state is returned with a non-nil error wrapping its
-// message.
-func (c *Client) WaitForJob(ctx context.Context, id string, interval time.Duration) (scalia.Job, error) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	for {
-		job, err := c.Job(ctx, id)
-		if err != nil {
-			return job, err
-		}
-		switch job.State {
-		case scalia.JobDone:
-			return job, nil
-		case scalia.JobFailed:
-			return job, fmt.Errorf("%w: job %s failed: %s", ErrRemote, id, job.Error)
-		}
-		select {
-		case <-ctx.Done():
-			return job, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
-}
-
-// Stats returns the deployment's operational counters: planner cache
-// hits/misses, optimizer totals, billed usage and cost.
-func (c *Client) Stats(ctx context.Context) (scalia.Stats, error) {
-	var st scalia.Stats
-	err := c.getJSON(ctx, c.base+"/v1/stats", &st)
-	return st, err
-}
-
-func (c *Client) getJSON(ctx context.Context, u string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	return c.doJSON(req, v)
-}
-
-func (c *Client) postJSON(ctx context.Context, u string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return err
-	}
-	return c.doJSON(req, v)
-}
-
-func (c *Client) doJSON(req *http.Request, v any) error {
-	return c.doJSONStatus(req, http.StatusOK, v)
-}
-
-func (c *Client) doJSONStatus(req *http.Request, want int, v any) error {
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		return decodeErr(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("%w: malformed response: %v", ErrRemote, err)
-	}
-	return nil
 }

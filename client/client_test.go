@@ -1,17 +1,19 @@
 package client_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"testing"
+	"time"
 
 	"scalia"
 	"scalia/client"
+	"scalia/internal/apitest"
 )
 
 var ctx = context.Background()
@@ -31,126 +33,75 @@ func newRemote(t *testing.T, opts scalia.Options) (*scalia.Client, *client.Clien
 	return deployment, client.New(ts.URL, client.WithHTTPClient(ts.Client()))
 }
 
-func TestClientRoundTrip(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{})
-
-	payload := bytes.Repeat([]byte("remote"), 1000)
-	meta, err := c.Put(ctx, "docs", "readme.md", payload,
-		client.WithMIME("text/markdown"), client.WithTTL(24))
-	if err != nil {
-		t.Fatal(err)
+// TestConformance runs the v1 contract suite through the typed client:
+// against an in-process gateway, one fresh deployment per case — or, when
+// SCALIA_GATEWAY_ADDR names a running scalia-server (e.g.
+// "http://127.0.0.1:8080"; the CI gateway-smoke job), against that real
+// process over TCP, where cases needing their own options skip.
+func TestConformance(t *testing.T) {
+	addr := os.Getenv("SCALIA_GATEWAY_ADDR")
+	if addr == "" {
+		apitest.Run(t, func(t *testing.T, opts scalia.Options) scalia.API {
+			_, c := newRemote(t, opts)
+			return c
+		})
+		return
 	}
-	if meta.Size != int64(len(payload)) || meta.M < 1 || meta.TTLHours != 24 {
-		t.Fatalf("meta = %+v", meta)
-	}
-
-	got, gotMeta, err := c.Get(ctx, "docs", "readme.md")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Get: %v", err)
-	}
-	if gotMeta.MIME != "text/markdown" || gotMeta.Checksum != meta.Checksum {
-		t.Fatalf("wire meta = %+v", gotMeta)
-	}
-
-	head, err := c.Head(ctx, "docs", "readme.md")
-	if err != nil || head.Size != meta.Size || head.Checksum != meta.Checksum {
-		t.Fatalf("Head = %+v, %v", head, err)
-	}
-
-	// Zero-byte objects round-trip (the empty body must not be sent
-	// chunked, which the gateway would refuse with 411).
-	if _, err := c.PutReader(ctx, "docs", "empty", bytes.NewReader(nil), 0); err != nil {
-		t.Fatalf("zero-byte put: %v", err)
-	}
-	if got, _, err := c.Get(ctx, "docs", "empty"); err != nil || len(got) != 0 {
-		t.Fatalf("zero-byte get: %v (%d bytes)", err, len(got))
-	}
-
-	if err := c.Delete(ctx, "docs", "readme.md"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get(ctx, "docs", "readme.md"); !errors.Is(err, scalia.ErrObjectNotFound) {
-		t.Fatalf("Get after delete = %v, want ErrObjectNotFound", err)
-	}
-	if _, err := c.Head(ctx, "docs", "readme.md"); !errors.Is(err, scalia.ErrObjectNotFound) {
-		t.Fatalf("Head after delete = %v, want ErrObjectNotFound", err)
-	}
-}
-
-func TestClientStreamsLargeObject(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{StripeBytes: 2048})
-
-	payload := make([]byte, 32*1024+5)
-	rand.New(rand.NewSource(7)).Read(payload)
-	meta, err := c.PutReader(ctx, "big", "blob", bytes.NewReader(payload), int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Stripes < 2 {
-		t.Fatalf("Stripes = %d, want a striped object", meta.Stripes)
-	}
-
-	rc, rmeta, err := c.GetReader(ctx, "big", "blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if rmeta.Size != int64(len(payload)) || rmeta.Stripes != meta.Stripes {
-		t.Fatalf("stream meta = %+v", rmeta)
-	}
-	got, err := io.ReadAll(rc)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("streamed read: %v, %d bytes", err, len(got))
-	}
-}
-
-func TestClientGetRange(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{StripeBytes: 2048, CacheBytes: 1 << 20})
-
-	payload := make([]byte, 16*1024+9)
-	rand.New(rand.NewSource(11)).Read(payload)
-	if _, err := c.Put(ctx, "big", "blob", payload); err != nil {
-		t.Fatal(err)
-	}
-
-	rc, meta, err := c.GetRange(ctx, "big", "blob", 3000, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil || !bytes.Equal(got, payload[3000:8000]) {
-		t.Fatalf("ranged read: %v, %d bytes", err, len(got))
-	}
-	if meta.Size != int64(len(payload)) {
-		t.Fatalf("range meta = %+v", meta)
-	}
-
-	// Open-ended tail.
-	rc, _, err = c.GetRange(ctx, "big", "blob", int64(len(payload))-100, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = io.ReadAll(rc)
-	rc.Close()
-	if err != nil || !bytes.Equal(got, payload[len(payload)-100:]) {
-		t.Fatalf("tail read: %v, %d bytes", err, len(got))
-	}
-
-	// Past the end: the sentinel must round-trip the wire.
-	if _, _, err := c.GetRange(ctx, "big", "blob", int64(len(payload)), 10); !errors.Is(err, scalia.ErrRangeNotSatisfiable) {
-		t.Fatalf("past-end range = %v, want ErrRangeNotSatisfiable", err)
-	}
-
-	// Lengths the wire form cannot express fail fast, matching the
-	// embedded facade, instead of degrading into a full-body fetch.
-	for _, length := range []int64{0, -2} {
-		if _, _, err := c.GetRange(ctx, "big", "blob", 100, length); !errors.Is(err, scalia.ErrInvalidArgument) {
-			t.Fatalf("GetRange length %d = %v, want ErrInvalidArgument", length, err)
+	c := client.New(addr)
+	var err error
+	for i := 0; i < 50; i++ { // the server may still be binding its listener
+		if _, err = c.Stats(ctx); err == nil {
+			break
 		}
+		time.Sleep(100 * time.Millisecond)
 	}
-	if _, _, err := c.GetRange(ctx, "big", "blob", -5, 10); !errors.Is(err, scalia.ErrInvalidArgument) {
-		t.Fatalf("negative offset = %v, want ErrInvalidArgument", err)
+	if err != nil {
+		t.Fatalf("gateway unreachable at %s: %v", addr, err)
+	}
+	apitest.Run(t, func(t *testing.T, opts scalia.Options) scalia.API {
+		if !reflect.ValueOf(opts).IsZero() {
+			t.Skip("needs its own deployment options; the server under test has its own")
+		}
+		return c
+	})
+}
+
+// TestClientRejectsPerObjectRule: WithRule has no wire form, and dropping
+// it silently would store the object under the wrong rule.
+func TestClientRejectsPerObjectRule(t *testing.T) {
+	_, c := newRemote(t, scalia.Options{})
+	rule := scalia.Rule{Name: "wide", Durability: 0.99999, Availability: 0.99, LockIn: 0.2}
+	if _, err := c.Put(ctx, "c", "k", []byte("v"), scalia.WithRule(rule)); !errors.Is(err, scalia.ErrInvalidArgument) {
+		t.Fatalf("Put with a per-object rule = %v, want ErrInvalidArgument", err)
+	}
+	if _, err := c.CreateUpload(ctx, "c", "k", 0, scalia.WithRule(rule)); !errors.Is(err, scalia.ErrInvalidArgument) {
+		t.Fatalf("CreateUpload with a per-object rule = %v, want ErrInvalidArgument", err)
+	}
+	if _, err := c.Head(ctx, "c", "k"); !errors.Is(err, scalia.ErrObjectNotFound) {
+		t.Fatalf("Head after the refused writes = %v", err)
+	}
+}
+
+// TestClientGetIfNoneMatch: the HTTP-only conditional fetch answers 304
+// for the current ETag and the body for a stale one.
+func TestClientGetIfNoneMatch(t *testing.T) {
+	_, c := newRemote(t, scalia.Options{})
+	meta, err := c.Put(ctx, "c", "k", []byte("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, got, notModified, err := c.GetIfNoneMatch(ctx, "c", "k", meta.ETag())
+	if err != nil || !notModified || rc != nil || got.Checksum != meta.Checksum {
+		t.Fatalf("current ETag: notModified=%v, meta %+v, %v", notModified, got, err)
+	}
+	rc, _, notModified, err = c.GetIfNoneMatch(ctx, "c", "k", `"stale"`)
+	if err != nil || notModified {
+		t.Fatalf("stale ETag: notModified=%v, %v", notModified, err)
+	}
+	body, _ := io.ReadAll(rc)
+	rc.Close()
+	if string(body) != "v1" {
+		t.Fatalf("stale ETag body = %q", body)
 	}
 }
 
@@ -186,204 +137,6 @@ func TestClientGetRangeFullBodyFallback(t *testing.T) {
 	rc.Close()
 	if err != nil || string(got) != "fghij" {
 		t.Fatalf("open-ended fallback = %q, %v; want \"fghij\"", got, err)
-	}
-}
-
-func TestClientConditional(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{})
-
-	meta, err := c.Put(ctx, "c", "k", []byte("v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	etag := `"` + meta.Checksum + `"`
-
-	// 304 on matching ETag.
-	rc, _, notModified, err := c.GetIfNoneMatch(ctx, "c", "k", etag)
-	if err != nil || !notModified || rc != nil {
-		t.Fatalf("conditional get = %v, notModified=%v", err, notModified)
-	}
-
-	// Conditional update paths.
-	if _, err := c.Put(ctx, "c", "k", []byte("v2"), client.WithIfMatch(`"bogus"`)); !errors.Is(err, scalia.ErrPreconditionFailed) {
-		t.Fatalf("stale If-Match = %v", err)
-	}
-	if _, err := c.Put(ctx, "c", "k", []byte("v2"), client.WithIfMatch(etag)); err != nil {
-		t.Fatalf("fresh If-Match = %v", err)
-	}
-	if _, err := c.Put(ctx, "c", "k", []byte("v3"), client.WithIfAbsent()); !errors.Is(err, scalia.ErrPreconditionFailed) {
-		t.Fatalf("create-only over existing = %v", err)
-	}
-	if err := c.DeleteIf(ctx, "c", "k", `"bogus"`); !errors.Is(err, scalia.ErrPreconditionFailed) {
-		t.Fatalf("stale delete = %v", err)
-	}
-}
-
-func TestClientListPagination(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{})
-	for _, k := range []string{"x1", "x2", "x3", "y1"} {
-		if _, err := c.Put(ctx, "c", k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	page, err := c.List(ctx, "c", client.ListOptions{Prefix: "x", Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Keys) != 2 || !page.Truncated || page.Next != "x2" {
-		t.Fatalf("page = %+v", page)
-	}
-	all, err := c.ListAll(ctx, "c", "x")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("ListAll = %v, %v", all, err)
-	}
-}
-
-func TestClientAdmin(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{})
-
-	provs, err := c.Providers(ctx)
-	if err != nil || len(provs) != 5 {
-		t.Fatalf("Providers = %d, %v", len(provs), err)
-	}
-	if err := c.AddProvider(ctx, scalia.Provider{
-		Name: "budget", Durability: 0.999999, Availability: 0.999,
-		Zones:   []scalia.Zone{scalia.ZoneUS},
-		Pricing: scalia.Pricing{StorageGBMonth: 0.01, BandwidthInGB: 0.01, BandwidthOutGB: 0.01},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	provs, _ = c.Providers(ctx)
-	if len(provs) != 6 {
-		t.Fatalf("Providers after add = %d", len(provs))
-	}
-
-	// Rules: a valid rule lands, an invalid one maps to the sentinel.
-	if err := c.SetContainerRule(ctx, "eu", scalia.Rule{
-		Name: "eu", Durability: 0.9999, Availability: 0.999,
-		Zones: []scalia.Zone{scalia.ZoneEU}, LockIn: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetContainerRule(ctx, "bad", scalia.Rule{LockIn: 7}); !errors.Is(err, scalia.ErrInvalidArgument) {
-		t.Fatalf("invalid rule = %v", err)
-	}
-	meta, err := c.Put(ctx, "eu", "doc", []byte("bytes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range meta.Chunks {
-		if p != "S3(h)" && p != "S3(l)" {
-			t.Fatalf("non-EU provider %s for EU container", p)
-		}
-	}
-
-	rep, err := c.Optimize(ctx)
-	if err != nil || rep.Leader == "" {
-		t.Fatalf("Optimize = %+v, %v", rep, err)
-	}
-	if _, err := c.Repair(ctx, scalia.RepairActive); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Planner.Hits+st.Planner.Misses == 0 {
-		t.Fatalf("planner counters missing: %+v", st)
-	}
-	if st.Optimizer.Rounds == 0 {
-		t.Fatalf("optimizer totals missing: %+v", st)
-	}
-	if st.Repair.Passes == 0 {
-		t.Fatalf("repair totals missing: %+v", st.Repair)
-	}
-	if st.Providers != 6 || st.Usage.Ops == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	if err := c.RemoveProvider(ctx, "budget"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveProvider(ctx, "budget"); !errors.Is(err, scalia.ErrObjectNotFound) {
-		t.Fatalf("double remove = %v", err)
-	}
-}
-
-// TestClientMultipart drives the resumable-upload protocol through the
-// typed client: open, stage parts, list, complete, read back, plus the
-// abort path and the upload_not_found sentinel mapping.
-func TestClientMultipart(t *testing.T) {
-	_, c := newRemote(t, scalia.Options{StripeBytes: 2048})
-
-	part1 := make([]byte, 6*1024) // three whole stripes
-	part2 := make([]byte, 1500)   // ragged final part
-	rand.New(rand.NewSource(42)).Read(part1)
-	rand.New(rand.NewSource(43)).Read(part2)
-	whole := append(append([]byte(nil), part1...), part2...)
-
-	up, err := c.CreateUpload(ctx, "mp", "resumable", int64(len(whole)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.UploadID == "" || up.Container != "mp" || up.Key != "resumable" {
-		t.Fatalf("upload info = %+v", up)
-	}
-
-	p1, err := c.UploadPart(ctx, up, 1, bytes.NewReader(part1), int64(len(part1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.UploadPart(ctx, up, 2, bytes.NewReader(part2), int64(len(part2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Stripes != 3 || p1.ETag == "" || p2.Size != int64(len(part2)) {
-		t.Fatalf("parts = %+v, %+v", p1, p2)
-	}
-
-	parts, err := c.ListParts(ctx, up)
-	if err != nil || len(parts) != 2 || parts[1].ETag != p2.ETag {
-		t.Fatalf("ListParts = %+v, %v", parts, err)
-	}
-
-	meta, err := c.CompleteUpload(ctx, up, []scalia.CompletedPart{
-		{PartNumber: 1, ETag: p1.ETag}, {PartNumber: 2, ETag: p2.ETag},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Size != int64(len(whole)) || !meta.Multipart() {
-		t.Fatalf("completed meta = %+v", meta)
-	}
-	got, _, err := c.Get(ctx, "mp", "resumable")
-	if err != nil || !bytes.Equal(got, whole) {
-		t.Fatalf("round-trip: %v (%d bytes)", err, len(got))
-	}
-
-	// The session is gone once completed: the wire code maps back to the
-	// dedicated sentinel.
-	if _, err := c.ListParts(ctx, up); !errors.Is(err, scalia.ErrUploadNotFound) {
-		t.Fatalf("ListParts after complete = %v, want ErrUploadNotFound", err)
-	}
-
-	// Abort path: staged chunks vanish and the session stops answering.
-	up2, err := c.CreateUpload(ctx, "mp", "doomed", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.UploadPart(ctx, up2, 1, bytes.NewReader(part1), int64(len(part1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AbortUpload(ctx, up2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AbortUpload(ctx, up2); !errors.Is(err, scalia.ErrUploadNotFound) {
-		t.Fatalf("double abort = %v, want ErrUploadNotFound", err)
-	}
-	if _, _, err := c.Get(ctx, "mp", "doomed"); !errors.Is(err, scalia.ErrObjectNotFound) {
-		t.Fatalf("aborted object = %v, want ErrObjectNotFound", err)
 	}
 }
 

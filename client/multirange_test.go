@@ -116,70 +116,3 @@ func TestClientGetRangesFullBodyFallback(t *testing.T) {
 		t.Fatalf("fallback parts = %v", parts)
 	}
 }
-
-// TestClientChaosAdmin drives the scripted-chaos admin surface over the
-// wire: availability flips take real effect (reads fall back, the
-// provider market shrinks), pricing changes land in the market snapshot
-// and echo an advancing epoch, and unknown providers surface the typed
-// unknown-provider sentinel.
-func TestClientChaosAdmin(t *testing.T) {
-	deployment, c := newRemote(t, scalia.Options{})
-
-	mut, err := c.UpdateProviderAvailability(ctx, "S3(l)", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mut.Provider != "S3(l)" || mut.Field != "availability" || mut.Epoch == 0 ||
-		mut.Available == nil || *mut.Available {
-		t.Fatalf("availability mutation echo = %+v", mut)
-	}
-	providers, err := c.Providers(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevEpoch := mut.Epoch
-	var s3lUp = true
-	for _, p := range providers {
-		if p.Name == "S3(l)" {
-			s3lUp = p.Available
-		}
-	}
-	if s3lUp {
-		t.Fatal("outage injected over the wire did not land")
-	}
-	if err := c.SetProviderAvailable(ctx, "S3(l)", true); err != nil {
-		t.Fatal(err)
-	}
-
-	newPrices := scalia.Pricing{StorageGBMonth: 0.9, BandwidthInGB: 0.2, BandwidthOutGB: 0.4, OpsPer1000: 0.05}
-	pmut, err := c.UpdateProviderPricing(ctx, "Azu", newPrices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pmut.Field != "pricing" || pmut.Epoch <= prevEpoch ||
-		pmut.Pricing == nil || *pmut.Pricing != newPrices {
-		t.Fatalf("pricing mutation echo = %+v (prev epoch %d)", pmut, prevEpoch)
-	}
-	// The embedded facade sees the same registry: the new sheet is live.
-	found := false
-	for _, spec := range deployment.Broker().Registry().Specs() {
-		if spec.Name == "Azu" {
-			found = true
-			if spec.Pricing != newPrices {
-				t.Fatalf("pricing not applied: %+v", spec.Pricing)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("provider missing")
-	}
-
-	for _, call := range []error{
-		c.SetProviderAvailable(ctx, "nope", false),
-		c.SetProviderPricing(ctx, "nope", newPrices),
-	} {
-		if !errors.Is(call, scalia.ErrUnknownProvider) {
-			t.Fatalf("unknown provider = %v, want unknown-provider sentinel", call)
-		}
-	}
-}

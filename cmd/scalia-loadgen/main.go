@@ -85,7 +85,9 @@ func main() {
 
 	base := *addr
 	if *spawn {
-		deployment, err := scalia.New(scalia.Options{})
+		// The deployment scalia-server runs by default — not the library's
+		// zero Options, which (for one) have no stripe cache.
+		deployment, err := scalia.New(scalia.ServerOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,28 +4,7 @@
 // directions, and a client disconnect cancels the in-flight chunk
 // fan-out.
 //
-// Object routes:
-//
-//	PUT    /v1/objects/{container}/{key}  store (Content-Type = MIME,
-//	       X-Scalia-TTL-Hours = lifetime hint, If-Match conditional)
-//	GET    /v1/objects/{container}/{key}  fetch (If-None-Match -> 304,
-//	       Range: bytes=... -> 206 served stripe-aligned)
-//	HEAD   /v1/objects/{container}/{key}  metadata only
-//	DELETE /v1/objects/{container}/{key}  delete (If-Match conditional)
-//	GET    /v1/objects/{container}?prefix=&limit=&after=  paginated list
-//	POST   /v1/objects/{container}/{key}?uploads        open multipart upload
-//	PUT    /v1/objects/{container}/{key}?partNumber=N&uploadId=ID  stage part
-//	POST   /v1/objects/{container}/{key}?uploadId=ID    complete upload
-//	GET    /v1/objects/{container}/{key}?uploadId=ID    list staged parts
-//	DELETE /v1/objects/{container}/{key}?uploadId=ID    abort upload
-//
-// Admin routes:
-//
-//	GET/POST /v1/providers, DELETE /v1/providers/{name}
-//	PUT  /v1/rules/{container}
-//	POST /v1/optimize, POST /v1/repair?policy=wait|active
-//	GET  /v1/stats  (planner hit/miss, optimizer, usage/cost counters,
-//	     stripe-cache and read-path counters)
+// The route table is documented on engine.Gateway.
 //
 // The default deployment brokers across the five simulated providers of
 // the paper's Fig. 3 and runs the periodic optimization procedure in
@@ -50,13 +29,16 @@ import (
 )
 
 func main() {
+	// The flag defaults are scalia.ServerOptions — the same deployment
+	// scalia-loadgen -spawn boots.
+	opts := scalia.ServerOptions()
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheMB := flag.Int64("cache-mb", 256, "per-datacenter cache size (MB)")
+	cacheMB := flag.Int64("cache-mb", opts.CacheBytes>>20, "per-datacenter cache size (MB)")
 	optimizeEvery := flag.Duration("optimize-every", 5*time.Minute,
 		"periodic optimization interval")
-	periodHours := flag.Float64("period-hours", 1, "statistics sampling period (hours)")
-	stripeMB := flag.Int64("stripe-mb", 4, "streaming stripe size (MB)")
-	enginesPerDC := flag.Int("engines-per-dc", 2, "stateless engines per datacenter")
+	periodHours := flag.Float64("period-hours", opts.PeriodHours, "statistics sampling period (hours)")
+	stripeMB := flag.Int64("stripe-mb", opts.StripeBytes>>20, "streaming stripe size (MB)")
+	enginesPerDC := flag.Int("engines-per-dc", opts.EnginesPerDC, "stateless engines per datacenter")
 	readParallelism := flag.Int("read-parallelism", engine.DefaultReadParallelism,
 		"concurrent chunk fetches per stripe read (negative = sequential)")
 	prefetchStripes := flag.Int("prefetch-stripes", engine.DefaultPrefetchStripes,
@@ -67,7 +49,7 @@ func main() {
 		"total stripe buffers streaming reads AND writes may hold at once (MB; negative = unbounded)")
 	multipartTTL := flag.Duration("multipart-ttl", 24*time.Hour,
 		"evict multipart upload sessions idle this long and GC their staged chunks (0 = never)")
-	reoptWorkers := flag.Int("reopt-workers", 2,
+	reoptWorkers := flag.Int("reopt-workers", opts.ReoptWorkers,
 		"background workers draining the event-driven reoptimization queue (0 = enqueue only)")
 	reoptQueue := flag.Int("reopt-queue", engine.DefaultReoptQueueDepth,
 		"bound on queued placement invalidations (overflow is dropped and left to periodic optimize)")
@@ -79,19 +61,18 @@ func main() {
 	if *maxBufferMB < 0 {
 		maxBuffer = -1
 	}
-	client, err := scalia.New(scalia.Options{
-		EnginesPerDC:       *enginesPerDC,
-		CacheBytes:         *cacheMB << 20,
-		PeriodHours:        *periodHours,
-		StripeBytes:        *stripeMB << 20,
-		ReadParallelism:    *readParallelism,
-		PrefetchStripes:    *prefetchStripes,
-		WritePipelineDepth: *writeDepth,
-		MaxBufferBytes:     maxBuffer,
-		ReoptWorkers:       *reoptWorkers,
-		ReoptQueueDepth:    *reoptQueue,
-		Clock:              engine.NewWallClock(*periodHours),
-	})
+	opts.EnginesPerDC = *enginesPerDC
+	opts.CacheBytes = *cacheMB << 20
+	opts.PeriodHours = *periodHours
+	opts.StripeBytes = *stripeMB << 20
+	opts.ReadParallelism = *readParallelism
+	opts.PrefetchStripes = *prefetchStripes
+	opts.WritePipelineDepth = *writeDepth
+	opts.MaxBufferBytes = maxBuffer
+	opts.ReoptWorkers = *reoptWorkers
+	opts.ReoptQueueDepth = *reoptQueue
+	opts.Clock = engine.NewWallClock(*periodHours)
+	client, err := scalia.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

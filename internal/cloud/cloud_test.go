@@ -295,39 +295,6 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestRegistryAvailableSpecs(t *testing.T) {
-	r := NewPaperRegistry()
-	r.MustStore(NameS3Low).(*BlobStore).SetAvailable(false)
-	specs := r.AvailableSpecs()
-	if len(specs) != 4 {
-		t.Fatalf("AvailableSpecs = %d, want 4", len(specs))
-	}
-	for _, s := range specs {
-		if s.Name == NameS3Low {
-			t.Fatal("S3(l) must be excluded while down")
-		}
-	}
-}
-
-func TestRegistryWatch(t *testing.T) {
-	r := NewRegistry()
-	ch := r.Watch()
-	r.Register(NewBlobStore(Spec{Name: "a"}))
-	select {
-	case <-ch:
-	default:
-		t.Fatal("expected a watch notification")
-	}
-	// Coalescing: two rapid changes yield at least one pending signal.
-	r.Register(NewBlobStore(Spec{Name: "b"}))
-	r.Register(NewBlobStore(Spec{Name: "c"}))
-	select {
-	case <-ch:
-	default:
-		t.Fatal("expected a coalesced watch notification")
-	}
-}
-
 func TestRegistryTotals(t *testing.T) {
 	r := NewPaperRegistry()
 	r.MustStore(NameS3High).(*BlobStore).Put(ctx, "k", make([]byte, 1e9))

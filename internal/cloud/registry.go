@@ -97,9 +97,6 @@ type ChangeNotifierSetter interface {
 type Registry struct {
 	mu     sync.RWMutex
 	stores map[string]Backend
-	// watchers are notified (non-blocking) on membership changes so
-	// engines can trigger re-optimization when P(obj) changes.
-	watchers []chan struct{}
 	// epoch increases monotonically on every market change (Register,
 	// Deregister, SetAvailable). Placement planners key their prepared
 	// searches on it: an unchanged epoch means the feasible-set work of
@@ -147,7 +144,6 @@ func (r *Registry) Register(s Backend) {
 	r.stores[name] = s
 	r.bumpEpochLocked()
 	epoch := r.epoch
-	r.notifyLocked()
 	r.mu.Unlock()
 	if old != nil && old != s {
 		if n, ok := old.(ChangeNotifierSetter); ok {
@@ -170,14 +166,13 @@ func (r *Registry) attach(s Backend) {
 }
 
 // noteBackendChange records an out-of-band backend state change:
-// advance the market epoch, wake the membership watchers, and emit a
-// named MarketEvent. It is the callback handed to ChangeNotifierSetter
-// backends (wrapped to capture the provider name).
+// advance the market epoch and emit a named MarketEvent. It is the
+// callback handed to ChangeNotifierSetter backends (wrapped to capture
+// the provider name).
 func (r *Registry) noteBackendChange(name string) {
 	r.mu.Lock()
 	r.bumpEpochLocked()
 	epoch := r.epoch
-	r.notifyLocked()
 	r.mu.Unlock()
 	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: KindChange})
 }
@@ -216,7 +211,6 @@ func (r *Registry) RegisterIfAbsent(s Backend) bool {
 	r.stores[name] = s
 	r.bumpEpochLocked()
 	epoch := r.epoch
-	r.notifyLocked()
 	r.mu.Unlock()
 	r.attach(s)
 	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: KindRegister})
@@ -233,7 +227,6 @@ func (r *Registry) Deregister(name string) (Backend, bool) {
 		delete(r.stores, name)
 		r.bumpEpochLocked()
 		epoch = r.epoch
-		r.notifyLocked()
 	}
 	r.mu.Unlock()
 	if ok {
@@ -321,7 +314,6 @@ func (r *Registry) noteNamed(name string, kind MarketEventKind) {
 	r.mu.Lock()
 	r.bumpEpochLocked()
 	epoch := r.epoch
-	r.notifyLocked()
 	r.mu.Unlock()
 	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: kind})
 }
@@ -455,43 +447,11 @@ func (r *Registry) Specs() []Spec {
 	return specs
 }
 
-// AvailableSpecs returns only the specs of providers that are currently
-// reachable; write-time placement excludes faulty providers (§III-D3).
-func (r *Registry) AvailableSpecs() []Spec {
-	var specs []Spec
-	for _, s := range r.Snapshot() {
-		if s.Available() {
-			specs = append(specs, s.Spec())
-		}
-	}
-	return specs
-}
-
 // Len returns the number of registered providers.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.stores)
-}
-
-// Watch returns a channel that receives a signal after each membership
-// change. The channel has capacity 1 and drops signals when full, so
-// slow consumers coalesce changes.
-func (r *Registry) Watch() <-chan struct{} {
-	ch := make(chan struct{}, 1)
-	r.mu.Lock()
-	r.watchers = append(r.watchers, ch)
-	r.mu.Unlock()
-	return ch
-}
-
-func (r *Registry) notifyLocked() {
-	for _, ch := range r.watchers {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // TotalUsage sums the billing meters of all metered providers.

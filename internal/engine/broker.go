@@ -278,7 +278,7 @@ type Broker struct {
 	mu           sync.Mutex
 	lastOpt      int64
 	decisions    map[string]*core.DecisionController
-	placement    map[string]core.Placement // object -> current placement
+	placement    map[string]placed // object -> current placement
 	totals       OptimizeTotals
 	repairTotals RepairTotals
 }
@@ -404,7 +404,7 @@ func NewBroker(cfg Config) *Broker {
 		clock:     cfg.Clock,
 		now:       time.Now,
 		decisions: make(map[string]*core.DecisionController),
-		placement: make(map[string]core.Placement),
+		placement: make(map[string]placed),
 		uploads:   make(map[string]*uploadSession),
 		pending:   make(map[pendingDelete]struct{}),
 		planner:   core.NewPlanner(cfg.PeriodHours, cfg.Pruned),
@@ -534,15 +534,56 @@ func (b *Broker) Clock() Clock { return b.clock }
 // simulator calls it at period boundaries.
 func (b *Broker) FlushStats() {
 	b.agg.Flush()
-	b.meta.Flush()
+	b.replicate()
 }
 
-// CurrentPlacement returns the last known placement of an object.
+// replicate delivers every queued metadata change to the other
+// datacenters. Engine.publish calls it after each row commit (a batch of
+// swap commits once, at its end), which is what gives every caller —
+// facade, gateway, background worker, direct Broker use — read-your-
+// writes on any engine over the eventually consistent store (§III-D3).
+// Severed links (metadata.Cluster.Partition) keep their queues; tests
+// staging a cross-datacenter conflict partition first.
+func (b *Broker) replicate() { b.meta.Flush() }
+
+// placed is what the placement cache remembers of an object: where its
+// chunks are and the threshold, never a price sheet — those are read
+// from the registry when asked, so a market event cannot leave a stale
+// one behind.
+type placed struct {
+	m     int
+	names []string // provider per chunk slot
+}
+
+// CurrentPlacement returns the last known placement of an object, its
+// providers described by their current specs.
 func (b *Broker) CurrentPlacement(object string) (core.Placement, bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	p, ok := b.placement[object]
-	return p, ok
+	b.mu.Unlock()
+	if !ok {
+		return core.Placement{}, false
+	}
+	return b.livePlacement(p.m, p.names), true
+}
+
+// livePlacement builds the slot-ordered placement of chunks stored at
+// the named providers, each with its current spec from the registry:
+// index i is the provider holding chunk i, the alignment the swap
+// planner and executor need, and the price sheets are the live ones,
+// which is what "what does staying put cost now" must be priced with.
+// Providers that left the registry are represented by name alone; an
+// alive predicate reports them dead and the planner replaces them.
+func (b *Broker) livePlacement(m int, names []string) core.Placement {
+	p := core.Placement{M: m, Providers: make([]cloud.Spec, len(names))}
+	for i, name := range names {
+		if s, ok := b.registry.Store(name); ok {
+			p.Providers[i] = s.Spec()
+		} else {
+			p.Providers[i] = cloud.Spec{Name: name}
+		}
+	}
+	return p
 }
 
 // setPlacement is the single commit hook of every path that (re)places
@@ -550,10 +591,11 @@ func (b *Broker) CurrentPlacement(object string) (core.Placement, bool) {
 // re-stripe — so updating the provider index here keeps it in sync with
 // the committed layout.
 func (b *Broker) setPlacement(object string, p core.Placement) {
+	names := slotNames(p)
 	b.mu.Lock()
-	b.placement[object] = p
+	b.placement[object] = placed{m: p.M, names: names}
 	b.mu.Unlock()
-	b.provIndex.Set(object, slotNames(p))
+	b.provIndex.Set(object, names)
 }
 
 // slotNames returns a placement's provider names in slot order: chunk i

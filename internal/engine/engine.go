@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -85,6 +87,21 @@ type PutOptions struct {
 	IfAbsent bool
 }
 
+// validate is the one check of caller-supplied write options, run at the
+// engine entry of PutReader and CreateUpload before any planning or chunk
+// traffic: a TTL hint must be a finite, non-negative hour count (it is
+// stored in the metadata row, which cannot encode NaN or Inf) and a
+// pinned rule must be well-formed.
+func (o PutOptions) validate() error {
+	if math.IsNaN(o.TTLHours) || math.IsInf(o.TTLHours, 0) || o.TTLHours < 0 {
+		return fmt.Errorf("%w: TTL hint %v hours is not a finite, non-negative number", ErrInvalidArgument, o.TTLHours)
+	}
+	if o.Rule != nil {
+		return validRule(*o.Rule)
+	}
+	return nil
+}
+
 // objectName joins container and key into the statistics identity.
 func objectName(container, key string) string { return container + "/" + key }
 
@@ -111,13 +128,13 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	if size < 0 {
 		return ObjectMeta{}, fmt.Errorf("%w: object size must be declared up front", ErrInvalidArgument)
 	}
+	if err := opts.validate(); err != nil {
+		return ObjectMeta{}, err
+	}
 	class := stats.ClassKey(opts.MIME, size)
 	rule := e.b.rules.Resolve(container, key, class)
 	if opts.Rule != nil {
 		rule = *opts.Rule
-		if err := rule.Validate(); err != nil {
-			return ObjectMeta{}, err
-		}
 	}
 	obj := objectName(container, key)
 	now := e.b.clock.Period()
@@ -192,50 +209,64 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	return meta, nil
 }
 
-// commitObject publishes meta as its row's live version under the row
-// lock: the stored version is re-read and the write preconditions
-// re-checked inside the lock, so two concurrent conditional writes
-// cannot both pass the check-then-act window. The body transfer runs
-// unlocked; only this metadata commit serializes. On success the
-// superseded version (nil if none) is returned for the caller to clean
-// up; on failure meta's staged chunks are rolled back — except after a
-// listing-index failure, where the object itself committed and the
-// chunks must survive.
-func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) (*ObjectMeta, error) {
-	row := RowKey(meta.Container, meta.Key)
+// publish is the one step that makes a row change visible. Under the
+// row lock it re-reads the live version and hands it to write, which
+// either vetoes (a stale precondition, a version that changed under a
+// background copy) or stores the new row; then, the lock released, the
+// change replicates to every other datacenter before publish returns.
+// Callers delete the superseded version's chunks only afterwards, so no
+// datacenter is left holding a row whose chunks are gone, and
+// read-your-writes holds on every path — foreground or background, with
+// or without a front-end. replicate is false only for a batch of commits
+// that replicates once at its end. cur is the version write was shown
+// (nil = absent); conflict losers are cleaned up outside the lock, their
+// chunk deletions may hit remote providers.
+func (e *Engine) publish(row string, replicate bool, write func(cur *ObjectMeta, ts int64) error) (cur *ObjectMeta, err error) {
 	lk := e.b.rowLock(row)
 	lk.Lock()
-	prev, losers := e.currentVersion(row)
-	if err := checkWriteConditions(opts, prev); err != nil {
-		lk.Unlock()
-		e.deleteChunks(*meta) // the loser's chunks, staged above
-		e.cleanupVersions(losers)
-		return nil, err
-	}
-	if prev != nil {
-		meta.CreatedAt = prev.CreatedAt
-	}
-	ts := e.b.clock.Timestamp()
-	version, err := encodeMeta(*meta, ts)
-	if err != nil {
-		lk.Unlock()
-		e.deleteChunks(*meta) // commit never happened; reclaim the chunks
-		return nil, err
-	}
-	if err := e.b.meta.Put(e.dc, row, version); err != nil {
-		lk.Unlock()
-		e.deleteChunks(*meta)
-		return nil, fmt.Errorf("engine: metadata write: %w", err)
-	}
-	if err := e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts); err != nil {
-		// The object itself committed; only the listing entry failed.
-		// Keep the chunks — deleting them now would corrupt a readable
-		// object.
-		lk.Unlock()
-		return nil, err
-	}
+	cur, losers := e.currentVersion(row)
+	err = write(cur, e.b.clock.Timestamp())
 	lk.Unlock()
 	e.cleanupVersions(losers)
+	if err == nil && replicate {
+		e.b.replicate()
+	}
+	return cur, err
+}
+
+// commitObject publishes meta as its row's live version: the write
+// preconditions are re-checked against the stored version inside the
+// row lock, so two concurrent conditional writes cannot both pass the
+// check-then-act window. The body transfer runs unlocked; only this
+// metadata commit serializes. On success the superseded version (nil if
+// none) is returned for the caller to clean up; on failure meta's staged
+// chunks are rolled back — except after a listing-index failure, where
+// the object itself committed and the chunks must survive.
+func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) (*ObjectMeta, error) {
+	committed := false
+	prev, err := e.publish(RowKey(meta.Container, meta.Key), true, func(prev *ObjectMeta, ts int64) error {
+		if err := checkWriteConditions(opts, prev); err != nil {
+			return err
+		}
+		if prev != nil {
+			meta.CreatedAt = prev.CreatedAt
+		}
+		version, err := encodeMeta(*meta, ts)
+		if err != nil {
+			return err
+		}
+		if err := e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
+			return fmt.Errorf("engine: metadata write: %w", err)
+		}
+		committed = true
+		return e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts)
+	})
+	if err != nil {
+		if !committed {
+			e.deleteChunks(*meta) // the commit never happened; reclaim the staged chunks
+		}
+		return nil, err
+	}
 	return prev, nil
 }
 
@@ -480,33 +511,23 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	}
 	obj := objectName(container, key)
 	row := RowKey(container, key)
-
-	lk := e.b.rowLock(row)
-	lk.Lock()
-	prev, losers := e.currentVersion(row)
-	if prev == nil {
-		lk.Unlock()
-		e.cleanupVersions(losers)
-		return ErrObjectNotFound
-	}
-	if err := checkPrecondition(ifMatch, prev); err != nil {
-		lk.Unlock()
-		e.cleanupVersions(losers)
+	prev, err := e.publish(row, true, func(prev *ObjectMeta, ts int64) error {
+		if prev == nil {
+			return ErrObjectNotFound
+		}
+		if err := checkPrecondition(ifMatch, prev); err != nil {
+			return err
+		}
+		if err := e.b.meta.Put(e.dc, row, metadata.Version{
+			UUID: NewUUID(), Timestamp: ts, Deleted: true,
+		}); err != nil {
+			return err
+		}
+		return e.b.removeIndex(e.dc, container, key, NewUUID(), ts)
+	})
+	if err != nil {
 		return err
 	}
-	ts := e.b.clock.Timestamp()
-	if err := e.b.meta.Put(e.dc, row, metadata.Version{
-		UUID: NewUUID(), Timestamp: ts, Deleted: true,
-	}); err != nil {
-		lk.Unlock()
-		return err
-	}
-	if err := e.b.removeIndex(e.dc, container, key, NewUUID(), ts); err != nil {
-		lk.Unlock()
-		return err
-	}
-	lk.Unlock()
-	e.cleanupVersions(losers)
 	meta := *prev
 	e.deleteChunks(meta)
 	e.invalidateCached(meta)
@@ -518,12 +539,63 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	return nil
 }
 
-// List returns the keys stored in a container, sorted.
-func (e *Engine) List(ctx context.Context, container string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// ListResult is one page of a container listing (GET
+// /v1/objects/{container}).
+type ListResult struct {
+	Container string   `json:"container"`
+	Keys      []string `json:"keys"`
+	Truncated bool     `json:"truncated"`
+	// Next is the cursor to pass as After for the following page; set
+	// only when Truncated.
+	Next string `json:"next,omitempty"`
+}
+
+// ListOptions parameterize one page of a listing.
+type ListOptions struct {
+	// Prefix filters keys.
+	Prefix string
+	// After resumes after the given cursor (ListResult.Next).
+	After string
+	// Limit caps the page; <= 0 or above MaxListLimit means MaxListLimit.
+	Limit int
+}
+
+// MaxListLimit is the default and the maximum size of one listing page,
+// for objects and for jobs.
+const MaxListLimit = 1000
+
+// pageLimit resolves a caller's page-size request.
+func pageLimit(limit int) int {
+	if limit <= 0 || limit > MaxListLimit {
+		return MaxListLimit
 	}
-	return e.b.listContainer(e.dc, container)
+	return limit
+}
+
+// List returns one page of the keys stored in a container, sorted, so
+// the cursor of a truncated page is simply its last key.
+func (e *Engine) List(ctx context.Context, container string, opts ListOptions) (ListResult, error) {
+	res := ListResult{Container: container, Keys: []string{}}
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	keys, err := e.b.listContainer(e.dc, container)
+	if err != nil {
+		return res, err
+	}
+	limit := pageLimit(opts.Limit)
+	for _, k := range keys {
+		if !strings.HasPrefix(k, opts.Prefix) || (opts.After != "" && k <= opts.After) {
+			continue
+		}
+		if len(res.Keys) == limit {
+			res.Truncated = true
+			res.Next = res.Keys[len(res.Keys)-1]
+			break
+		}
+		res.Keys = append(res.Keys, k)
+	}
+	return res, nil
 }
 
 // Head returns an object's metadata without transferring the payload.

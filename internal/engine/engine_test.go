@@ -136,9 +136,9 @@ func TestDeleteRemovesEverything(t *testing.T) {
 			t.Fatalf("chunk %d at %s survived deletion", i, name)
 		}
 	}
-	keys, _ := e.List(ctx, "c")
-	if len(keys) != 0 {
-		t.Fatalf("List after delete = %v", keys)
+	page, _ := e.List(ctx, "c", ListOptions{})
+	if len(page.Keys) != 0 {
+		t.Fatalf("List after delete = %v", page.Keys)
 	}
 	if err := e.Delete(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("double delete: %v", err)
@@ -151,11 +151,11 @@ func TestListContainer(t *testing.T) {
 	e.Put(ctx, "c", "b-key", []byte("1"), PutOptions{})
 	e.Put(ctx, "c", "a-key", []byte("2"), PutOptions{})
 	e.Put(ctx, "other", "x", []byte("3"), PutOptions{})
-	keys, err := e.List(ctx, "c")
+	page, err := e.List(ctx, "c", ListOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 2 || keys[0] != "a-key" || keys[1] != "b-key" {
+	if keys := page.Keys; len(keys) != 2 || keys[0] != "a-key" || keys[1] != "b-key" {
 		t.Fatalf("List = %v", keys)
 	}
 }
@@ -280,11 +280,18 @@ func TestMultiDatacenterReadAfterReplication(t *testing.T) {
 
 func TestConcurrentUpdateConflictResolution(t *testing.T) {
 	// Fig. 10: concurrent updates in two DCs; the freshest wins and the
-	// loser's chunks are garbage-collected on the next read.
+	// loser's chunks are garbage-collected on the next read. Every commit
+	// replicates before it returns, so "concurrent" has to be staged: the
+	// link is severed while both datacenters write.
 	b := newTestBroker(t, Config{Datacenters: []string{"dc1", "dc2"}, EnginesPerDC: 1})
 	e1, e2 := b.Engine(0), b.Engine(1)
-	e1.Put(ctx, "c", "k", []byte("from-dc1"), PutOptions{})
+	b.Metadata().Partition("dc1", "dc2")
+	m1, _ := e1.Put(ctx, "c", "k", []byte("from-dc1"), PutOptions{})
 	m2, _ := e2.Put(ctx, "c", "k", []byte("from-dc2"), PutOptions{})
+	if m1.UUID == "" || m2.UUID == "" || b.Metadata().PendingReplication() == 0 {
+		t.Fatalf("conflict not staged: %q %q, %d events pending", m1.UUID, m2.UUID, b.Metadata().PendingReplication())
+	}
+	b.Metadata().Heal("dc1", "dc2")
 	b.FlushStats()
 
 	got, _, err := e1.Get(ctx, "c", "k")
@@ -294,7 +301,6 @@ func TestConcurrentUpdateConflictResolution(t *testing.T) {
 	if string(got) != "from-dc2" {
 		t.Fatalf("winner = %q, want the freshest write", got)
 	}
-	_ = m2
 }
 
 func TestHeadDoesNotTouchProviders(t *testing.T) {

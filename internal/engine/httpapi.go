@@ -1,80 +1,79 @@
 package engine
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"mime/multipart"
 	"net/http"
 	"net/http/pprof"
-	"net/textproto"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"scalia/internal/cache"
-	"scalia/internal/cloud"
-	"scalia/internal/core"
 	"scalia/internal/obs"
 )
 
 // Gateway is the versioned HTTP surface of a whole Scalia deployment —
 // the paper's "Amazon S3-like interface ... where the users can put,
 // get, list and delete their data" (§III), grown into a v1 wire
-// protocol. Unlike a per-engine handler, the gateway fronts the broker:
-// every request is routed round-robin across all engines of all
-// datacenters (through the same atomic counter the embedded facade
-// uses), object bodies stream stripe by stripe in both directions, and
+// protocol. It is the HTTP codec of the v1 contract (scalia.API): every
+// handler decodes a request, calls the one broker or engine method that
+// owns the operation's meaning, and encodes the reply or the error — it
+// adds no behaviour of its own. Requests are routed round-robin across
+// all engines of all datacenters (the counter the embedded facade
+// shares), object bodies stream stripe by stripe in both directions, and
 // the request context cancels in-flight chunk fan-out.
 //
-// Object routes:
+// This is the one route table of the protocol; the typed scalia/client
+// package is its inverse.
+//
+// Objects (httpapi_objects.go):
 //
 //	PUT    /v1/objects/{container}/{key}  store (streaming body;
 //	       Content-Type = MIME, X-Scalia-TTL-Hours = lifetime hint,
-//	       If-Match / If-None-Match:* = conditional write)
-//	GET    /v1/objects/{container}/{key}  fetch (streaming; If-None-Match -> 304;
-//	       Range: bytes=... -> 206, mapped onto whole stripes so only
-//	       the overlapped stripes are fetched or served from cache;
-//	       multi-range requests stream a multipart/byteranges body)
-//	HEAD   /v1/objects/{container}/{key}  metadata only
-//	DELETE /v1/objects/{container}/{key}  delete (If-Match = conditional)
-//	GET    /v1/objects/{container}?prefix=&limit=&after=  paginated list
+//	       If-Match / If-None-Match:* = conditional write)        201
+//	GET    /v1/objects/{container}/{key}  fetch (streaming; If-None-Match
+//	       -> 304; Range: bytes=... -> 206, mapped onto whole stripes so
+//	       only the overlapped stripes are fetched or served from cache;
+//	       multi-range requests stream a multipart/byteranges body; If-Range
+//	       gates the range on the current ETag)                     200
+//	HEAD   /v1/objects/{container}/{key}  metadata only              200
+//	DELETE /v1/objects/{container}/{key}  delete (If-Match = conditional)  204
+//	GET    /v1/objects/{container}?prefix=&limit=&after=  one list page  200
 //
-// Multipart routes (S3-style, selected by query parameters on the
-// object path):
+// Multipart (S3-style, selected by query parameters on the object path):
 //
-//	POST   /v1/objects/{container}/{key}?uploads            open an upload
-//	       session (X-Scalia-Size-Hint = expected total bytes for
-//	       placement planning; Content-Type / TTL / preconditions as PUT)
-//	PUT    /v1/objects/{container}/{key}?partNumber=N&uploadId=ID
-//	       stage one part (streaming body; every part except the final
-//	       one must be a whole multiple of the stripe size); the response
-//	       ETag is the part's MD5, quoted
-//	POST   /v1/objects/{container}/{key}?uploadId=ID        complete: JSON
-//	       body {"parts":[{"partNumber":1,"etag":"..."}, ...]}
-//	GET    /v1/objects/{container}/{key}?uploadId=ID        list staged parts
-//	DELETE /v1/objects/{container}/{key}?uploadId=ID        abort
+//	POST   …/{key}?uploads                 open an upload session
+//	       (X-Scalia-Size-Hint = expected total bytes for placement
+//	       planning; Content-Type / TTL / preconditions as PUT)      201
+//	PUT    …/{key}?partNumber=N&uploadId=ID  stage one part (streaming
+//	       body; every part except the final one must be a whole multiple
+//	       of the stripe size); the response ETag is the part's MD5   200
+//	POST   …/{key}?uploadId=ID             complete: JSON body
+//	       {"parts":[{"partNumber":1,"etag":"..."}, ...]}            201
+//	GET    …/{key}?uploadId=ID             list staged parts         200
+//	DELETE …/{key}?uploadId=ID             abort                     204
 //
-// Admin routes:
+// Admin and jobs (httpapi_admin.go):
 //
-//	GET    /v1/providers        provider market with availability + usage
-//	POST   /v1/providers        register a provider (JSON cloud.Spec)
-//	DELETE /v1/providers/{name} deregister a provider
+//	GET    /v1/providers        provider market with availability + usage  200
+//	POST   /v1/providers        register a provider (JSON cloud.Spec)  201
+//	DELETE /v1/providers/{name} deregister a provider                204
 //	PUT    /v1/providers/{name}/availability  inject/clear an outage
-//	       (JSON {"available": bool} — scripted chaos)
+//	       (JSON {"available": bool} — scripted chaos)               200
 //	PUT    /v1/providers/{name}/pricing  replace the price sheet at
-//	       runtime (JSON cloud.Pricing — scripted market event)
-//	PUT    /v1/rules/{container} pin a placement rule (JSON core.Rule)
-//	POST   /v1/optimize         run one optimization round
-//	POST   /v1/repair?policy=wait|active  run a repair pass
-//	GET    /v1/stats            planner/optimizer/usage/cost counters,
-//	       stripe-cache hit/miss/evictions and read-path fan-out counters
+//	       runtime (JSON {"pricing": cloud.Pricing} — market event)  200
+//	PUT    /v1/rules/{container} pin a placement rule (JSON core.Rule)  204
+//	POST   /v1/optimize[?wait=true]  dispatch an optimization round: 202
+//	       with the job resource and a Location header, or — wait=true —
+//	       block and answer 200 with the report
+//	POST   /v1/repair?policy=wait|active[&wait=true]  same, a repair pass
+//	GET    /v1/jobs?prefix=&limit=&after=  one page of maintenance jobs  200
+//	GET    /v1/jobs/{id}        one job: state, progress, final report  200
+//	GET    /v1/stats            planner/optimizer/repair/usage/cost counters,
+//	       stripe-cache, read-path, write-path and maintenance counters  200
 //
-// Observability routes:
+// Observability (httpapi_obs.go; outside the contract):
 //
 //	GET    /metrics     Prometheus text exposition of the broker registry
 //	GET    /v1/healthz  build info, uptime, per-provider alive + latency
@@ -89,7 +88,8 @@ import (
 // duration and the trace's stripe fan-out / cache-hit / fallback
 // counts and span timings.
 //
-// Errors are typed JSON: {"error": {"code": "...", "message": "..."}}.
+// Errors are typed JSON: {"error": {"code": "...", "message": "..."}};
+// httpapi_errors.go holds the one table of sentinels, statuses and codes.
 type Gateway struct {
 	broker *Broker
 	mux    *http.ServeMux
@@ -103,27 +103,10 @@ type Gateway struct {
 
 // NewGateway wraps a broker deployment in the v1 REST interface.
 func NewGateway(b *Broker) *Gateway {
-	g := &Gateway{broker: b, MaxObjectBytes: 1 << 30}
-	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/objects/{container}/{key...}", g.putObject)
-	mux.HandleFunc("GET /v1/objects/{container}/{key...}", g.getObject)
-	mux.HandleFunc("POST /v1/objects/{container}/{key...}", g.postObject)
-	mux.HandleFunc("DELETE /v1/objects/{container}/{key...}", g.deleteObject)
-	mux.HandleFunc("GET /v1/objects/{container}", g.listObjects)
-	mux.HandleFunc("GET /v1/providers", g.listProviders)
-	mux.HandleFunc("POST /v1/providers", g.addProvider)
-	mux.HandleFunc("DELETE /v1/providers/{name}", g.removeProvider)
-	mux.HandleFunc("PUT /v1/providers/{name}/availability", g.setProviderAvailability)
-	mux.HandleFunc("PUT /v1/providers/{name}/pricing", g.setProviderPricing)
-	mux.HandleFunc("PUT /v1/rules/{container}", g.setRule)
-	mux.HandleFunc("POST /v1/optimize", g.optimize)
-	mux.HandleFunc("POST /v1/repair", g.repair)
-	mux.HandleFunc("GET /v1/jobs", g.listJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", g.getJob)
-	mux.HandleFunc("GET /v1/stats", g.stats)
-	mux.HandleFunc("GET /v1/healthz", g.healthz)
-	mux.HandleFunc("GET /metrics", g.metricsHandler)
-	g.mux = mux
+	g := &Gateway{broker: b, MaxObjectBytes: 1 << 30, mux: http.NewServeMux()}
+	g.objectRoutes()
+	g.adminRoutes()
+	g.obsRoutes()
 	return g
 }
 
@@ -230,1026 +213,57 @@ func (sw *statusWriter) Flush() {
 // engines of all datacenters via the broker's shared counter.
 func (g *Gateway) engine() *Engine { return g.broker.NextEngine() }
 
-// --- wire error schema ---
+// --- the JSON codec ---
 
-// APIError is the typed error payload of the v1 protocol.
-type APIError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+// operation is one JSON route's body: it decodes what it needs from r,
+// calls the broker, and returns the success status with the reply to
+// encode (nil = no body). Reply headers (Location, ETag) go on h.
+type operation func(h http.Header, r *http.Request) (status int, reply any, err error)
+
+// handle registers a JSON route. It is the only place a JSON route's
+// outcome is turned into a response: the operation's error through the
+// error table, its reply as a JSON document, no reply as a bare status.
+func (g *Gateway) handle(pattern string, op operation) {
+	g.mux.HandleFunc(pattern, serve(op))
 }
 
-// Error implements error (the typed client returns APIError values).
-func (e *APIError) Error() string { return e.Code + ": " + e.Message }
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]APIError{ //nolint:errcheck
-		"error": {Code: code, Message: msg},
-	})
-}
-
-// statusFromErr maps engine/core/cloud sentinel errors onto protocol
-// status codes: client mistakes are 4xx (malformed input 400,
-// infeasible rules 422, stale preconditions 412) and only genuine
-// server trouble is 5xx.
-func statusFromErr(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrObjectNotFound):
-		return http.StatusNotFound, "not_found"
-	case errors.Is(err, ErrUploadNotFound):
-		return http.StatusNotFound, "upload_not_found"
-	case errors.Is(err, ErrPreconditionFailed):
-		return http.StatusPreconditionFailed, "precondition_failed"
-	case errors.Is(err, ErrInvalidArgument):
-		return http.StatusBadRequest, "invalid_argument"
-	case errors.Is(err, ErrRangeNotSatisfiable):
-		return http.StatusRequestedRangeNotSatisfiable, "range_not_satisfiable"
-	case errors.Is(err, core.ErrBadLockIn), errors.Is(err, core.ErrBadProbability):
-		return http.StatusBadRequest, "invalid_rule"
-	case errors.Is(err, core.ErrNoProviders):
-		// The rule is well-formed but no feasible provider set satisfies
-		// it on the current market: the request is semantically
-		// unprocessable, not a server fault.
-		return http.StatusUnprocessableEntity, "infeasible_placement"
-	case errors.Is(err, cloud.ErrUnknownProvider):
-		return http.StatusNotFound, "unknown_provider"
-	case errors.Is(err, cloud.ErrUnsupportedMutation):
-		// The provider exists but its backend cannot take this mutation
-		// (remote private resources have no failure injection, fixed
-		// pricing): the request is well-formed but unprocessable here.
-		return http.StatusUnprocessableEntity, "unsupported_mutation"
-	case errors.Is(err, cloud.ErrTooLarge):
-		return http.StatusRequestEntityTooLarge, "too_large"
-	case errors.Is(err, cloud.ErrOverCapacity):
-		return http.StatusInsufficientStorage, "over_capacity"
-	case errors.Is(err, cloud.ErrUnavailable):
-		// A provider dropped between the placement decision and the chunk
-		// fan-out (§III-D3's race) — transient, retryable, not a fault of
-		// the deployment itself.
-		return http.StatusServiceUnavailable, "provider_unavailable"
-	case errors.Is(err, ErrNotEnoughChunks), errors.Is(err, ErrNoLeader):
-		return http.StatusServiceUnavailable, "unavailable"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The client went away mid-request; it will not read the status,
-		// but logs and tests should not see a 500.
-		return http.StatusRequestTimeout, "request_cancelled"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
-func failErr(w http.ResponseWriter, err error) {
-	status, code := statusFromErr(err)
-	writeError(w, status, code, err.Error())
-}
-
-// --- object routes ---
-
-// parsePutOptions extracts the write options shared by PUT and the
-// multipart session open: MIME, conditional headers and the TTL hint.
-// A non-"*" If-None-Match reports an error — silently ignoring a value
-// the client explicitly asked for would drop a precondition
-// (RFC 9110 §13.1.2).
-func parsePutOptions(r *http.Request) (PutOptions, error) {
-	if inm := r.Header.Get("If-None-Match"); inm != "" && inm != "*" {
-		return PutOptions{}, fmt.Errorf(`writes support only If-None-Match: *`)
-	}
-	opts := PutOptions{
-		MIME:    r.Header.Get("Content-Type"),
-		IfMatch: r.Header.Get("If-Match"),
-		// Create only if absent; enforced by the engine against the
-		// stored version, not a separate Head probe.
-		IfAbsent: r.Header.Get("If-None-Match") == "*",
-	}
-	if ttl := r.Header.Get("X-Scalia-TTL-Hours"); ttl != "" {
-		if v, err := strconv.ParseFloat(ttl, 64); err == nil && v > 0 {
-			opts.TTLHours = v
+func serve(op operation) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		status, reply, err := op(w.Header(), r)
+		switch {
+		case err != nil:
+			failErr(w, err)
+		case reply == nil:
+			w.WriteHeader(status)
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(reply) //nolint:errcheck
 		}
+	}
+}
+
+// decodeBody decodes a JSON request body into v; what names the document
+// in the invalid_argument message.
+func decodeBody(r *http.Request, v any, what string) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return fmt.Errorf("%w: malformed %s: %v", ErrInvalidArgument, what, err)
+	}
+	return nil
+}
+
+// listOptions decodes the prefix/after/limit query of the two paged
+// listings. An absent limit leaves the page size to the broker; a present
+// one must be a positive integer.
+func listOptions(r *http.Request) (ListOptions, error) {
+	q := r.URL.Query()
+	opts := ListOptions{Prefix: q.Get("prefix"), After: q.Get("after")}
+	if s := q.Get("limit"); s != "" {
+		v, err := strconv.Atoi(s)
+		if err != nil || v < 1 {
+			return opts, fmt.Errorf("%w: limit must be a positive integer", ErrInvalidArgument)
+		}
+		opts.Limit = v
 	}
 	return opts, nil
-}
-
-func (g *Gateway) putObject(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("uploadId") != "" || r.URL.Query().Get("partNumber") != "" {
-		g.uploadPart(w, r)
-		return
-	}
-	container, key := r.PathValue("container"), r.PathValue("key")
-	size := r.ContentLength
-	if size < 0 {
-		writeError(w, http.StatusLengthRequired, "length_required",
-			"streaming writes need a declared Content-Length")
-		return
-	}
-	if size > g.MaxObjectBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("object exceeds %d bytes", g.MaxObjectBytes))
-		return
-	}
-	opts, err := parsePutOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
-	}
-	meta, err := g.engine().PutReader(r.Context(), container, key, r.Body, size, opts)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	g.broker.Metadata().Flush()
-	writeMetaHeaders(w, meta)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(meta) //nolint:errcheck
-}
-
-func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("uploadId"); id != "" {
-		g.listParts(w, r, id)
-		return
-	}
-	container, key := r.PathValue("container"), r.PathValue("key")
-	e := g.engine()
-	w.Header().Set("Accept-Ranges", "bytes")
-	// HEAD and conditional GET resolve from metadata alone, so the
-	// common revalidation case (ETag still current -> 304) never touches
-	// a chunk. A stale ETag pays one extra in-memory metadata read when
-	// GetReader re-resolves below — and serves whatever version is live
-	// at that moment, which is the later of the two and self-consistent
-	// with its own headers.
-	if inm := r.Header.Get("If-None-Match"); inm != "" || r.Method == http.MethodHead {
-		meta, err := e.Head(r.Context(), container, key)
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		if inm != "" && etagMatches(inm, meta) {
-			w.Header().Set("ETag", meta.ETag())
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if r.Method == http.MethodHead {
-			writeMetaHeaders(w, meta)
-			if meta.MIME != "" {
-				w.Header().Set("Content-Type", meta.MIME)
-			}
-			w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-	}
-	if specs, ok := parseRangeHeader(r.Header.Get("Range")); ok {
-		serve := true
-		if ir := strings.TrimSpace(r.Header.Get("If-Range")); ir != "" {
-			// If-Range gates the range on validator currency (RFC 9110
-			// §13.1.5): current ETag -> the 206 the client asked for,
-			// stale -> the full 200 body so a resumed download cannot
-			// splice bytes of two different versions.
-			head, err := e.Head(r.Context(), container, key)
-			if err != nil {
-				failErr(w, err)
-				return
-			}
-			serve = ifRangeMatches(ir, head)
-		}
-		if serve {
-			if len(specs) == 1 {
-				g.serveRange(w, r, e, container, key, specs[0])
-			} else {
-				g.serveMultiRange(w, r, e, container, key, specs)
-			}
-			return
-		}
-	}
-	rc, meta, err := e.GetReader(r.Context(), container, key)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	defer rc.Close()
-	writeMetaHeaders(w, meta)
-	if meta.MIME != "" {
-		w.Header().Set("Content-Type", meta.MIME)
-	}
-	w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
-	w.WriteHeader(http.StatusOK)
-	// The body streams stripe by stripe; a mid-stream failure can only
-	// truncate the response (the status is already on the wire), which
-	// the client detects against Content-Length.
-	io.Copy(w, rc) //nolint:errcheck
-}
-
-// rangeSpec is one parsed single-range header. Exactly one of the two
-// forms is set: suffix < 0 means an absolute range [start, start+length)
-// with length < 0 standing for "to the object end"; suffix >= 0 means
-// "the last suffix bytes".
-type rangeSpec struct {
-	start, length int64
-	suffix        int64
-}
-
-// parseRangeHeader parses a "bytes=" Range header into its full
-// ranges-specifier list. One element yields a plain 206 (serveRange);
-// several yield a multipart/byteranges body (serveMultiRange, RFC 9110
-// §14.6). Any syntactically invalid element invalidates the whole
-// header (§14.2 — an invalid ranges-specifier is ignored), reported as
-// !ok so the caller falls back to the full 200 body.
-func parseRangeHeader(h string) ([]rangeSpec, bool) {
-	const prefix = "bytes="
-	if !strings.HasPrefix(h, prefix) {
-		return nil, false
-	}
-	parts := strings.Split(strings.TrimPrefix(h, prefix), ",")
-	specs := make([]rangeSpec, 0, len(parts))
-	for _, part := range parts {
-		spec, ok := parseRangeSpec(strings.TrimSpace(part))
-		if !ok {
-			return nil, false
-		}
-		specs = append(specs, spec)
-	}
-	return specs, true
-}
-
-// parseRangeSpec parses one ranges-specifier element ("a-b", "a-",
-// "-n").
-func parseRangeSpec(val string) (rangeSpec, bool) {
-	spec := rangeSpec{suffix: -1}
-	if val == "" {
-		return spec, false
-	}
-	dash := strings.IndexByte(val, '-')
-	if dash < 0 {
-		return spec, false
-	}
-	first, last := strings.TrimSpace(val[:dash]), strings.TrimSpace(val[dash+1:])
-	if first == "" {
-		// Suffix form: bytes=-N, the last N bytes.
-		n, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || n < 0 {
-			return spec, false
-		}
-		spec.suffix = n
-		return spec, true
-	}
-	start, err := strconv.ParseInt(first, 10, 64)
-	if err != nil || start < 0 {
-		return spec, false
-	}
-	spec.start = start
-	spec.length = -1 // open-ended: bytes=N-
-	if last != "" {
-		end, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || end < start {
-			return spec, false
-		}
-		spec.length = end - start + 1
-	}
-	return spec, true
-}
-
-// serveRange answers a single-range GET: the engine maps the byte range
-// onto the stripes it overlaps, so only those are consulted in the
-// stripe cache or fetched from the providers. GetRangeReader owns the
-// clamp and the unsatisfiable check; the gateway only translates the
-// suffix form (which needs the object size before the offset exists)
-// and the wire headers.
-func (g *Gateway) serveRange(w http.ResponseWriter, r *http.Request, e *Engine, container, key string, spec rangeSpec) {
-	offset, length := spec.start, spec.length
-	if spec.suffix >= 0 {
-		// Head is a pure in-memory metadata read.
-		head, err := e.Head(r.Context(), container, key)
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		if spec.suffix == 0 {
-			w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(head.Size, 10))
-			writeError(w, http.StatusRequestedRangeNotSatisfiable, "range_not_satisfiable",
-				"zero-length suffix range")
-			return
-		}
-		offset = head.Size - spec.suffix
-		if offset < 0 {
-			offset = 0
-		}
-		length = -1
-	}
-	rc, meta, err := e.GetRangeReader(r.Context(), container, key, offset, length)
-	if err != nil {
-		if errors.Is(err, ErrRangeNotSatisfiable) {
-			if head, herr := e.Head(r.Context(), container, key); herr == nil {
-				w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(head.Size, 10))
-			}
-		}
-		failErr(w, err)
-		return
-	}
-	defer rc.Close()
-	// Mirror the reader's clamp against the meta it actually resolved.
-	served := length
-	if rest := meta.Size - offset; served < 0 || served > rest {
-		served = rest
-	}
-	writeMetaHeaders(w, meta)
-	if meta.MIME != "" {
-		w.Header().Set("Content-Type", meta.MIME)
-	}
-	w.Header().Set("Content-Range",
-		fmt.Sprintf("bytes %d-%d/%d", offset, offset+served-1, meta.Size))
-	w.Header().Set("Content-Length", strconv.FormatInt(served, 10))
-	w.WriteHeader(http.StatusPartialContent)
-	io.Copy(w, rc) //nolint:errcheck
-}
-
-// serveMultiRange answers a multi-range GET with a multipart/byteranges
-// body (RFC 9110 §14.6): one part per satisfiable requested range, in
-// request order, each carrying its own Content-Range. All ranges are
-// resolved against a single metadata snapshot so every Content-Range
-// names the same complete-length. Unsatisfiable elements are dropped
-// (§15.3.7 allows serving the satisfiable subset); a request with no
-// satisfiable range at all is a 416. Ranges are served as requested —
-// overlapping or out-of-order elements are not coalesced. The body
-// streams stripe by stripe per part, so there is no Content-Length; a
-// mid-stream failure truncates the multipart payload, which the client
-// detects by the missing closing boundary.
-func (g *Gateway) serveMultiRange(w http.ResponseWriter, r *http.Request, e *Engine, container, key string, specs []rangeSpec) {
-	head, err := e.Head(r.Context(), container, key)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	type window struct{ offset, length int64 }
-	windows := make([]window, 0, len(specs))
-	for _, spec := range specs {
-		offset, length := spec.start, spec.length
-		if spec.suffix >= 0 {
-			if spec.suffix == 0 {
-				continue
-			}
-			offset = head.Size - spec.suffix
-			if offset < 0 {
-				offset = 0
-			}
-			length = -1
-		}
-		if offset >= head.Size {
-			continue
-		}
-		if rest := head.Size - offset; length < 0 || length > rest {
-			length = rest
-		}
-		windows = append(windows, window{offset, length})
-	}
-	if len(windows) == 0 {
-		w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(head.Size, 10))
-		writeError(w, http.StatusRequestedRangeNotSatisfiable, "range_not_satisfiable",
-			"no satisfiable range")
-		return
-	}
-
-	mw := multipart.NewWriter(w)
-	writeMetaHeaders(w, head)
-	w.Header().Set("Content-Type", "multipart/byteranges; boundary="+mw.Boundary())
-	w.WriteHeader(http.StatusPartialContent)
-	for _, win := range windows {
-		rc, _, err := e.GetRangeReader(r.Context(), container, key, win.offset, win.length)
-		if err != nil {
-			// The 206 status line is already on the wire: all we can do
-			// is stop, leaving the payload visibly truncated.
-			return
-		}
-		ph := make(textproto.MIMEHeader)
-		if head.MIME != "" {
-			ph.Set("Content-Type", head.MIME)
-		}
-		ph.Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/%d", win.offset, win.offset+win.length-1, head.Size))
-		pw, err := mw.CreatePart(ph)
-		if err != nil {
-			rc.Close()
-			return
-		}
-		_, err = io.Copy(pw, rc)
-		rc.Close()
-		if err != nil {
-			return
-		}
-	}
-	mw.Close() //nolint:errcheck
-}
-
-// ifRangeMatches evaluates an If-Range validator against the stored
-// version. Only a strong entity-tag comparison can authorize the range
-// (RFC 9110 §13.1.5): a weak ETag ("W/...") never matches, and an
-// HTTP-date validator is treated as stale because the gateway does not
-// serve Last-Modified. Anything but an exact current ETag falls back
-// to the full 200 body.
-func ifRangeMatches(header string, meta ObjectMeta) bool {
-	if strings.HasPrefix(header, "W/") {
-		return false
-	}
-	if strings.HasPrefix(header, `"`) {
-		return header == meta.ETag()
-	}
-	return false
-}
-
-// etagMatches evaluates an If-None-Match header against the stored
-// version: "*", the quoted ETag, or a comma-separated candidate list.
-func etagMatches(header string, meta ObjectMeta) bool {
-	if header == "*" {
-		return true
-	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == meta.ETag() || cand == meta.Checksum {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Gateway) deleteObject(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("uploadId"); id != "" {
-		if err := g.engine().AbortUpload(r.Context(), id); err != nil {
-			failErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	container, key := r.PathValue("container"), r.PathValue("key")
-	if err := g.engine().DeleteIf(r.Context(), container, key, r.Header.Get("If-Match")); err != nil {
-		failErr(w, err)
-		return
-	}
-	g.broker.Metadata().Flush()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// --- multipart routes ---
-
-// postObject dispatches the two POST forms of the object path:
-// ?uploads opens a multipart session, ?uploadId=… completes one.
-func (g *Gateway) postObject(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	switch {
-	case q.Has("uploads"):
-		g.createUpload(w, r)
-	case q.Get("uploadId") != "":
-		g.completeUpload(w, r, q.Get("uploadId"))
-	default:
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			"POST on an object needs ?uploads or ?uploadId=")
-	}
-}
-
-func (g *Gateway) createUpload(w http.ResponseWriter, r *http.Request) {
-	container, key := r.PathValue("container"), r.PathValue("key")
-	opts, err := parsePutOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", err.Error())
-		return
-	}
-	var sizeHint int64
-	if h := r.Header.Get("X-Scalia-Size-Hint"); h != "" {
-		v, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid_argument",
-				"X-Scalia-Size-Hint must be a non-negative byte count")
-			return
-		}
-		sizeHint = v
-	}
-	info, err := g.engine().CreateUpload(r.Context(), container, key, sizeHint, opts)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
-}
-
-func (g *Gateway) uploadPart(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	id := q.Get("uploadId")
-	if id == "" || q.Get("partNumber") == "" {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			"part uploads need both ?partNumber= and ?uploadId=")
-		return
-	}
-	partNumber, err := strconv.Atoi(q.Get("partNumber"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "partNumber must be an integer")
-		return
-	}
-	size := r.ContentLength
-	if size < 0 {
-		writeError(w, http.StatusLengthRequired, "length_required",
-			"part uploads need a declared Content-Length")
-		return
-	}
-	if size > g.MaxObjectBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("part exceeds %d bytes", g.MaxObjectBytes))
-		return
-	}
-	part, err := g.engine().UploadPart(r.Context(), id, partNumber, r.Body, size)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	w.Header().Set("ETag", `"`+part.ETag+`"`)
-	writeJSON(w, http.StatusOK, part)
-}
-
-// completeUploadRequest is the JSON body of POST …?uploadId=….
-type completeUploadRequest struct {
-	Parts []CompletedPart `json:"parts"`
-}
-
-func (g *Gateway) completeUpload(w http.ResponseWriter, r *http.Request, id string) {
-	var req completeUploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "malformed part list: "+err.Error())
-		return
-	}
-	meta, err := g.engine().CompleteUpload(r.Context(), id, req.Parts)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	g.broker.Metadata().Flush()
-	writeMetaHeaders(w, meta)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(meta) //nolint:errcheck
-}
-
-// ListPartsResult is the GET …?uploadId=… response document.
-type ListPartsResult struct {
-	Upload UploadInfo `json:"upload"`
-	Parts  []PartInfo `json:"parts"`
-}
-
-func (g *Gateway) listParts(w http.ResponseWriter, r *http.Request, id string) {
-	info, parts, err := g.engine().ListParts(r.Context(), id)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	if parts == nil {
-		parts = []PartInfo{}
-	}
-	writeJSON(w, http.StatusOK, ListPartsResult{Upload: info, Parts: parts})
-}
-
-// ListResult is the paginated response of GET /v1/objects/{container}.
-type ListResult struct {
-	Container string   `json:"container"`
-	Keys      []string `json:"keys"`
-	Truncated bool     `json:"truncated"`
-	// Next is the cursor to pass as ?after= for the following page; set
-	// only when Truncated.
-	Next string `json:"next,omitempty"`
-}
-
-// defaultListLimit caps one list page when the client does not ask for
-// a limit.
-const defaultListLimit = 1000
-
-func (g *Gateway) listObjects(w http.ResponseWriter, r *http.Request) {
-	container := r.PathValue("container")
-	q := r.URL.Query()
-	limit := defaultListLimit
-	if s := q.Get("limit"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "invalid_argument", "limit must be a positive integer")
-			return
-		}
-		if v < limit {
-			limit = v
-		}
-	}
-	prefix, after := q.Get("prefix"), q.Get("after")
-
-	keys, err := g.engine().List(r.Context(), container)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	res := ListResult{Container: container, Keys: []string{}}
-	for _, k := range keys { // keys are sorted; cursor = last key served
-		if !strings.HasPrefix(k, prefix) || (after != "" && k <= after) {
-			continue
-		}
-		if len(res.Keys) == limit {
-			res.Truncated = true
-			res.Next = res.Keys[len(res.Keys)-1]
-			break
-		}
-		res.Keys = append(res.Keys, k)
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// --- admin routes ---
-
-// ProviderStatus describes one market participant on GET /v1/providers.
-type ProviderStatus struct {
-	cloud.Spec
-	Available bool  `json:"available"`
-	UsedBytes int64 `json:"usedBytes"`
-}
-
-func (g *Gateway) listProviders(w http.ResponseWriter, r *http.Request) {
-	stores := g.broker.Registry().Snapshot()
-	out := make([]ProviderStatus, 0, len(stores))
-	for _, s := range stores {
-		out = append(out, ProviderStatus{
-			Spec: s.Spec(), Available: s.Available(), UsedBytes: s.UsedBytes(),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (g *Gateway) addProvider(w http.ResponseWriter, r *http.Request) {
-	var spec cloud.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "malformed provider spec: "+err.Error())
-		return
-	}
-	if spec.Name == "" {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "provider name is required")
-		return
-	}
-	// Replacing a live backend would orphan every chunk stored at it;
-	// the wire surface only ever adds.
-	if !g.broker.Registry().RegisterIfAbsent(cloud.NewBlobStore(spec)) {
-		writeError(w, http.StatusConflict, "already_exists",
-			"provider "+spec.Name+" is already registered")
-		return
-	}
-	writeJSON(w, http.StatusCreated, spec)
-}
-
-func (g *Gateway) removeProvider(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if _, ok := g.broker.Registry().Deregister(name); !ok {
-		writeError(w, http.StatusNotFound, "not_found", "unknown provider "+name)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// ProviderMutation is the unified response of both admin mutation
-// routes (PUT /v1/providers/{name}/availability and .../pricing): the
-// provider acted on, which field changed, its new value, and the market
-// epoch the mutation advanced the registry to — so a caller can
-// correlate the event with subsequent placement decisions and stats.
-type ProviderMutation struct {
-	Provider string `json:"provider"`
-	// Epoch is the market epoch after the mutation; every cached
-	// placement search from before it is now invalid.
-	Epoch uint64 `json:"epoch"`
-	// Field names the mutated attribute: "availability" or "pricing".
-	Field     string         `json:"field"`
-	Available *bool          `json:"available,omitempty"`
-	Pricing   *cloud.Pricing `json:"pricing,omitempty"`
-}
-
-// setProviderAvailability is the scripted-chaos admin route: it injects
-// or clears a transient outage on a provider that supports failure
-// injection. The flip goes through the registry, so the market epoch
-// bumps, cached placement searches are invalidated and the maintenance
-// queue sees the event — exactly the semantics of flipping the backend
-// in-process, but reachable from a load generator on the other side of
-// the wire. Unknown providers are 404 unknown_provider; backends
-// without failure injection (remote private resources) are 422
-// unsupported_mutation.
-func (g *Gateway) setProviderAvailability(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req struct {
-		Available *bool `json:"available"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Available == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			`body must be {"available": true|false}`)
-		return
-	}
-	epoch, err := g.broker.Registry().UpdateAvailability(name, *req.Available)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ProviderMutation{
-		Provider: name, Epoch: epoch, Field: "availability", Available: req.Available,
-	})
-}
-
-// setProviderPricing replaces a provider's price sheet at runtime — a
-// scripted market price event (the paper's provider "suddenly
-// increasing its pricing policy"). The registry bumps the market epoch
-// so subsequent placements re-plan against the new prices and the
-// maintenance queue re-plans the objects placed on the provider.
-// Unknown providers are 404 unknown_provider; backends with immutable
-// pricing are 422 unsupported_mutation.
-func (g *Gateway) setProviderPricing(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req struct {
-		Pricing *cloud.Pricing `json:"pricing"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Pricing == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			`body must be {"pricing": {...}}`)
-		return
-	}
-	epoch, err := g.broker.Registry().UpdatePricing(name, *req.Pricing)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ProviderMutation{
-		Provider: name, Epoch: epoch, Field: "pricing", Pricing: req.Pricing,
-	})
-}
-
-func (g *Gateway) setRule(w http.ResponseWriter, r *http.Request) {
-	container := r.PathValue("container")
-	var rule core.Rule
-	if err := json.NewDecoder(r.Body).Decode(&rule); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", "malformed rule: "+err.Error())
-		return
-	}
-	if err := rule.Validate(); err != nil {
-		failErr(w, err)
-		return
-	}
-	g.broker.Rules().SetContainerRule(container, rule)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// wantWait reports whether the maintenance dispatch should block:
-// ?wait=true is the synchronous back-compat mode that holds the request
-// open and returns the final report with a 200, exactly the pre-jobs
-// contract.
-func wantWait(r *http.Request) (bool, error) {
-	s := r.URL.Query().Get("wait")
-	if s == "" {
-		return false, nil
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		return false, fmt.Errorf("%w: wait must be a boolean", ErrInvalidArgument)
-	}
-	return v, nil
-}
-
-// optimize dispatches an optimization round. Default: 202 Accepted with
-// the job resource and a Location header pointing at /v1/jobs/{id};
-// poll there for progress and the final report. ?wait=true blocks and
-// answers 200 with the report.
-func (g *Gateway) optimize(w http.ResponseWriter, r *http.Request) {
-	wait, err := wantWait(r)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	if wait {
-		rep, err := g.broker.Optimize(r.Context())
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		g.broker.Metadata().Flush()
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	job := g.broker.StartOptimize()
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
-}
-
-// repair dispatches a repair pass; the async/wait contract mirrors
-// optimize's.
-func (g *Gateway) repair(w http.ResponseWriter, r *http.Request) {
-	policy := RepairWait
-	switch r.URL.Query().Get("policy") {
-	case "", "wait":
-	case "active":
-		policy = RepairActive
-	default:
-		writeError(w, http.StatusBadRequest, "invalid_argument", "policy must be wait or active")
-		return
-	}
-	wait, err := wantWait(r)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	if wait {
-		rep, err := g.broker.Repair(r.Context(), policy)
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		g.broker.Metadata().Flush()
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	job := g.broker.StartRepair(policy)
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, job)
-}
-
-// getJob serves one job resource: state, live progress, and the final
-// report once the pass finishes.
-func (g *Gateway) getJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := g.broker.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "job_not_found", "unknown job "+id)
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
-}
-
-// listJobs pages through the job registry with the same
-// prefix/limit/after shape as the object listing.
-func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := defaultListLimit
-	if s := q.Get("limit"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			writeError(w, http.StatusBadRequest, "invalid_argument", "limit must be a positive integer")
-			return
-		}
-		if v < limit {
-			limit = v
-		}
-	}
-	res := g.broker.Jobs(q.Get("prefix"), q.Get("after"), limit)
-	if res.Jobs == nil {
-		res.Jobs = []JobView{}
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// Stats is the operational counter snapshot served on GET /v1/stats.
-type Stats struct {
-	// Planner reports the shared placement planner's prepared-search
-	// cache hits and misses (process lifetime).
-	Planner core.PlannerStats `json:"planner"`
-	// Optimizer accumulates the periodic optimization rounds.
-	Optimizer OptimizeTotals `json:"optimizer"`
-	// Repair accumulates the repair passes: how many objects were fixed
-	// by a same-(m,n) chunk swap versus a full re-stripe, how many were
-	// skipped, and the replacement chunks/bytes written.
-	Repair RepairTotals `json:"repair"`
-	// Usage and CostUSD aggregate billed resources across providers.
-	Usage   cloud.Usage `json:"usage"`
-	CostUSD float64     `json:"costUSD"`
-	// StripeCache aggregates the stripe-granular read cache across all
-	// datacenters: hits, misses, evictions and the current footprint.
-	StripeCache cache.Stats `json:"stripeCache"`
-	// ReadPath reports the streaming read path: stripes served from
-	// cache vs fetched, prefetch pipeline deliveries, and parallel-fetch
-	// fallbacks onto spare providers.
-	ReadPath ReadPathStats `json:"readPath"`
-	// WritePath reports the streaming write path: configured pipeline
-	// depth, stripes fanned out, write buffers in flight against the
-	// shared budget (current and peak), and open multipart uploads.
-	WritePath WritePathStats `json:"writePath"`
-	// Maint reports the event-driven reoptimization queue: depth, worker
-	// pool size, and the enqueue/drain/drop counters.
-	Maint MaintStats `json:"maint"`
-
-	Engines        int `json:"engines"`
-	Providers      int `json:"providers"`
-	PendingDeletes int `json:"pendingDeletes"`
-	// StripeBytes is the deployment's stripe size. Multipart callers
-	// need it to build stripe-aligned non-final parts.
-	StripeBytes int64 `json:"stripeBytes"`
-}
-
-func (g *Gateway) stats(w http.ResponseWriter, r *http.Request) {
-	b := g.broker
-	writeJSON(w, http.StatusOK, Stats{
-		Planner:        b.Planner().Stats(),
-		Optimizer:      b.OptimizeTotals(),
-		Repair:         b.RepairTotals(),
-		Usage:          b.Registry().TotalUsage(),
-		CostUSD:        b.Registry().TotalCost(),
-		StripeCache:    b.Caches().Stats(),
-		ReadPath:       b.ReadStats(),
-		WritePath:      b.WriteStats(),
-		Maint:          b.MaintStats(),
-		Engines:        len(b.Engines()),
-		Providers:      b.Registry().Len(),
-		PendingDeletes: b.PendingDeletes(),
-		StripeBytes:    b.cfg.StripeBytes,
-	})
-}
-
-// --- observability routes ---
-
-// metricsHandler serves the broker registry in Prometheus text format.
-func (g *Gateway) metricsHandler(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	g.broker.Metrics().WritePrometheus(w) //nolint:errcheck
-}
-
-// ProviderHealth is one provider's row on GET /v1/healthz: liveness,
-// footprint and observed backend-call latency (merged across get, put
-// and delete; zero until the provider has served a call).
-type ProviderHealth struct {
-	Name      string  `json:"name"`
-	Available bool    `json:"available"`
-	UsedBytes int64   `json:"usedBytes"`
-	Calls     uint64  `json:"calls"`
-	Errors    int64   `json:"errors"`
-	P50Ms     float64 `json:"p50Ms"`
-	P99Ms     float64 `json:"p99Ms"`
-}
-
-// Health is the GET /v1/healthz document.
-type Health struct {
-	// Status is "ok", or "degraded" when any provider is unreachable.
-	Status         string           `json:"status"`
-	GoVersion      string           `json:"goVersion"`
-	UptimeSeconds  float64          `json:"uptimeSeconds"`
-	Engines        int              `json:"engines"`
-	PendingDeletes int              `json:"pendingDeletes"`
-	Providers      []ProviderHealth `json:"providers"`
-}
-
-func (g *Gateway) healthz(w http.ResponseWriter, r *http.Request) {
-	b := g.broker
-	// Per-provider latency: merge that provider's get/put/delete series
-	// out of the backend-call histogram family.
-	byProvider := make(map[string]obs.HistogramSnapshot)
-	errsByProvider := make(map[string]int64)
-	for _, lh := range b.Metrics().Histograms(metricProviderOp) {
-		p := lh.Labels["provider"]
-		byProvider[p] = byProvider[p].Merge(lh.Snapshot)
-	}
-	for _, s := range b.registry.Snapshot() {
-		name := s.Spec().Name
-		errsByProvider[name] = b.metrics.providerErrs.With(name, "get").Value() +
-			b.metrics.providerErrs.With(name, "put").Value() +
-			b.metrics.providerErrs.With(name, "delete").Value()
-	}
-
-	h := Health{
-		Status:         "ok",
-		GoVersion:      runtime.Version(),
-		UptimeSeconds:  time.Since(b.metrics.start).Seconds(),
-		Engines:        len(b.Engines()),
-		PendingDeletes: b.PendingDeletes(),
-		Providers:      []ProviderHealth{},
-	}
-	for _, s := range b.registry.Snapshot() {
-		name := s.Spec().Name
-		ph := ProviderHealth{
-			Name:      name,
-			Available: s.Available(),
-			UsedBytes: s.UsedBytes(),
-			Errors:    errsByProvider[name],
-		}
-		if snap, ok := byProvider[name]; ok && snap.Count > 0 {
-			ph.Calls = snap.Count
-			// Quantile is NaN only on empty snapshots, which Count>0
-			// excludes — and NaN must never reach encoding/json.
-			ph.P50Ms = snap.Quantile(0.5) * 1000
-			ph.P99Ms = snap.Quantile(0.99) * 1000
-		}
-		if !ph.Available {
-			h.Status = "degraded"
-		}
-		h.Providers = append(h.Providers, ph)
-	}
-	// Degraded still answers 200: the deployment serves reads through
-	// erasure redundancy while providers are down, and a load balancer
-	// pulling the gateway for that would kill the one path that works.
-	// Probes read the status field.
-	writeJSON(w, http.StatusOK, h)
-}
-
-// --- helpers ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
-func writeMetaHeaders(w http.ResponseWriter, meta ObjectMeta) {
-	w.Header().Set("ETag", meta.ETag())
-	w.Header().Set("X-Scalia-M", strconv.Itoa(meta.M))
-	w.Header().Set("X-Scalia-Providers", strings.Join(meta.Chunks, ","))
-	w.Header().Set("X-Scalia-Size", strconv.FormatInt(meta.Size, 10))
-	w.Header().Set("X-Scalia-Stripes", strconv.Itoa(meta.StripeCount()))
 }

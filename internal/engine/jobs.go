@@ -127,9 +127,9 @@ func (jr *jobRegistry) list(prefix, after string, limit int) JobList {
 	jr.mu.Unlock()
 	sort.Strings(ids)
 
-	out := JobList{}
+	out := JobList{Jobs: []JobView{}}
 	for _, id := range ids {
-		if limit > 0 && len(out.Jobs) == limit {
+		if len(out.Jobs) == limit {
 			out.Truncated = true
 			out.Next = out.Jobs[len(out.Jobs)-1].ID
 			break
@@ -166,18 +166,9 @@ func noteProgress(ctx context.Context, n int64) {
 // job resource immediately. The pass runs under the broker's lifetime
 // context: Close cancels it.
 func (b *Broker) StartRepair(policy RepairPolicy) JobView {
-	name := "active"
-	if policy == RepairWait {
-		name = "wait"
-	}
-	rec := b.jobs.add(JobRepair, name, b.now())
+	rec := b.jobs.add(JobRepair, policy.String(), b.now())
 	go func() {
 		rep, err := b.Repair(withProgress(b.maint.ctx, rec), policy)
-		if err == nil {
-			// Same post-pass metadata flush the synchronous (?wait=true)
-			// handler performs.
-			b.meta.Flush()
-		}
 		b.finishJob(rec, func(v *JobView) { v.Repair = &rep }, err)
 	}()
 	return rec.snapshot()
@@ -189,9 +180,6 @@ func (b *Broker) StartOptimize() JobView {
 	rec := b.jobs.add(JobOptimize, "", b.now())
 	go func() {
 		rep, err := b.Optimize(withProgress(b.maint.ctx, rec))
-		if err == nil {
-			b.FlushStats()
-		}
 		b.finishJob(rec, func(v *JobView) { v.Optimize = &rep }, err)
 	}()
 	return rec.snapshot()
@@ -211,16 +199,22 @@ func (b *Broker) finishJob(rec *jobRecord, attach func(*JobView), err error) {
 	rec.mu.Unlock()
 }
 
-// Job returns one job by ID.
-func (b *Broker) Job(id string) (JobView, bool) {
+// ErrJobNotFound marks a lookup of an unknown maintenance job. It wraps
+// ErrObjectNotFound, the sentinel remote callers have always seen for it.
+var ErrJobNotFound = fmt.Errorf("%w: no such job", ErrObjectNotFound)
+
+// Job returns one job by ID, or ErrJobNotFound.
+func (b *Broker) Job(id string) (JobView, error) {
 	rec, ok := b.jobs.get(id)
 	if !ok {
-		return JobView{}, false
+		return JobView{}, fmt.Errorf("%w: %s", ErrJobNotFound, id)
 	}
-	return rec.snapshot(), true
+	return rec.snapshot(), nil
 }
 
-// Jobs lists jobs with the object-listing pagination shape.
-func (b *Broker) Jobs(prefix, after string, limit int) JobList {
-	return b.jobs.list(prefix, after, limit)
+// Jobs lists jobs with the object-listing pagination shape: opts.Limit
+// resolves like an object page's (<= 0 or above MaxListLimit means
+// MaxListLimit).
+func (b *Broker) Jobs(opts ListOptions) JobList {
+	return b.jobs.list(opts.Prefix, opts.After, pageLimit(opts.Limit))
 }

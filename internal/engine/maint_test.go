@@ -357,3 +357,110 @@ func TestGatewayAsyncJobs(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// storeObjects puts n objects of size bytes and returns the provider
+// carrying the most of them.
+func storeObjects(t *testing.T, b *Broker, n, size int) (busiest string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := b.NextEngine().Put(ctx, "c", fmt.Sprintf("k%02d", i), make([]byte, size), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range b.ProviderIndex().ProviderNames() {
+		if busiest == "" || b.ProviderIndex().Count(name) > b.ProviderIndex().Count(busiest) {
+			busiest = name
+		}
+	}
+	return busiest
+}
+
+// wantVisibleEverywhere asserts that every one of the n objects reads
+// back through every engine of every datacenter, on none of the avoid
+// providers: committed maintenance must not be visible in one datacenter
+// only (the others would still point at chunks the commit deleted).
+func wantVisibleEverywhere(t *testing.T, b *Broker, n, size int, avoid string) {
+	t.Helper()
+	for _, e := range b.Engines() {
+		for i := 0; i < n; i++ {
+			data, meta, err := e.Get(ctx, "c", fmt.Sprintf("k%02d", i))
+			if err != nil || len(data) != size {
+				t.Fatalf("%s (%s): k%02d: %d bytes, %v", e.ID(), e.Datacenter(), i, len(data), err)
+			}
+			for _, p := range meta.Chunks {
+				if p == avoid {
+					t.Fatalf("%s: k%02d still holds a chunk on %s: %v", e.ID(), i, avoid, meta.Chunks)
+				}
+			}
+		}
+	}
+}
+
+// TestPriceRiseMigratesOffProvider is the paper's own market event — "a
+// provider suddenly increasing its pricing policy": every object on the
+// provider must be re-planned against the NEW price sheet and move, and
+// the moves must be readable from every datacenter — with an explicit
+// drain and with background workers, neither of which has a front-end to
+// flush metadata for it.
+func TestPriceRiseMigratesOffProvider(t *testing.T) {
+	const n, size = 24, 1 << 20
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			b := newTestBroker(t, Config{MigrationHorizon: 1_000_000, ReoptWorkers: workers})
+			victim := storeObjects(t, b, n, size)
+			invalidated := len(b.ProviderIndex().Objects(victim))
+			store, _ := b.Registry().Store(victim)
+			p := store.Spec().Pricing
+			p.StorageGBMonth, p.BandwidthOutGB, p.OpsPer1000 = p.StorageGBMonth*1000, p.BandwidthOutGB*1000, p.OpsPer1000*1000
+			if _, err := b.SetProviderPricing(victim, p); err != nil {
+				t.Fatal(err)
+			}
+			if workers == 0 {
+				if got := b.DrainMaintenance(ctx); got != invalidated {
+					t.Fatalf("drained %d, want %d", got, invalidated)
+				}
+			} else if err := b.WaitMaintIdle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if st := b.MaintStats(); st.Migrated != int64(invalidated) || invalidated == 0 {
+				t.Fatalf("migrated %d of %d invalidated objects: %+v", st.Migrated, invalidated, st)
+			}
+			if cur, ok := b.CurrentPlacement("c/k00"); !ok || cur.Has(victim) {
+				t.Fatalf("CurrentPlacement = %v, %v", cur, ok)
+			}
+			wantVisibleEverywhere(t, b, n, size, victim)
+		})
+	}
+}
+
+// TestCurrentPlacementCarriesLivePrices: the placement view resolves its
+// specs when asked, so it cannot hand out a pre-event price sheet.
+func TestCurrentPlacementCarriesLivePrices(t *testing.T) {
+	b := newTestBroker(t, Config{})
+	victim := storeObjects(t, b, 1, 4096)
+	if _, err := b.SetProviderPricing(victim, cloud.Pricing{StorageGBMonth: 7}); err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := b.CurrentPlacement("c/k00")
+	for _, spec := range cur.Providers {
+		if spec.Name == victim && spec.Pricing.StorageGBMonth != 7 {
+			t.Fatalf("CurrentPlacement prices %s at %+v after the event", victim, spec.Pricing)
+		}
+	}
+}
+
+// TestDirectRepairVisibleEverywhere: a repair run on the broker itself —
+// no facade, no gateway — still replicates what it commits.
+func TestDirectRepairVisibleEverywhere(t *testing.T) {
+	const n, size = 24, 64 << 10
+	b := newTestBroker(t, Config{})
+	victim := storeObjects(t, b, n, size)
+	if _, err := b.SetProviderAvailable(victim, false); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := b.Repair(ctx, RepairActive)
+	if err != nil || rep.Repaired == 0 || rep.Repaired != rep.Affected {
+		t.Fatalf("repair = %+v, %v", rep, err)
+	}
+	wantVisibleEverywhere(t, b, n, size, victim)
+}

@@ -145,6 +145,9 @@ func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHi
 	if sizeHint < 0 {
 		return UploadInfo{}, fmt.Errorf("%w: negative size hint", ErrInvalidArgument)
 	}
+	if err := opts.validate(); err != nil {
+		return UploadInfo{}, err
+	}
 	planBytes := sizeHint
 	if planBytes == 0 {
 		planBytes = e.b.cfg.StripeBytes
@@ -153,9 +156,6 @@ func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHi
 	rule := e.b.rules.Resolve(container, key, class)
 	if opts.Rule != nil {
 		rule = *opts.Rule
-		if err := rule.Validate(); err != nil {
-			return UploadInfo{}, err
-		}
 	}
 	res, err := e.placeWithRetry(rule, e.writeLoad(objectName(container, key), class, planBytes), planBytes)
 	if err != nil {

@@ -218,7 +218,11 @@ func (e *Engine) reoptimizeObject(ctx context.Context, obj string, now int64) (m
 	if err != nil {
 		return false, 0, true, evaluated
 	}
-	cur := currentPlacementFromMeta(e, meta)
+	// Price staying put against the live market: the stored chunk
+	// locations with the registry's current price sheets, so a provider
+	// that raised its prices makes its objects look as expensive as they
+	// now are.
+	cur := e.b.livePlacement(meta.M, meta.Chunks)
 	if res.Placement.Equal(cur) {
 		return false, 0, true, evaluated
 	}
@@ -320,22 +324,6 @@ func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 	return 0
 }
 
-// currentPlacementFromMeta rebuilds the Placement from stored chunk
-// locations (engines are stateless; the broker's placement map is only a
-// cache).
-func currentPlacementFromMeta(e *Engine, meta ObjectMeta) core.Placement {
-	if p, ok := e.b.CurrentPlacement(objectName(meta.Container, meta.Key)); ok {
-		return p
-	}
-	p := core.Placement{M: meta.M}
-	for _, name := range meta.Chunks {
-		if s, ok := e.b.registry.Store(name); ok {
-			p.Providers = append(p.Providers, s.Spec())
-		}
-	}
-	return p
-}
-
 // migrate moves an object to a new placement, streaming stripe by
 // stripe: each stripe is reconstructed from the current chunks,
 // re-encoded for the target placement and written out while the next
@@ -371,32 +359,24 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 		e.deleteChunks(newMeta)
 		return fmt.Errorf("engine: migrate: %w", ErrChecksum)
 	}
-	version, err := encodeMeta(newMeta, e.b.clock.Timestamp())
-	if err != nil {
-		e.deleteChunks(newMeta)
-		return err
-	}
-	// Commit under the row lock, and only if the version we migrated is
-	// still the live one: a client write (or delete) that landed while
-	// the chunks were copying must win — a background migration may
-	// never clobber an acknowledged update or resurrect a tombstone.
+	// Commit only if the version we migrated is still the live one: a
+	// client write (or delete) that landed while the chunks were copying
+	// must win — a background migration may never clobber an acknowledged
+	// update or resurrect a tombstone.
 	row := RowKey(meta.Container, meta.Key)
-	lk := e.b.rowLock(row)
-	lk.Lock()
-	cur, losers := e.currentVersion(row)
-	if cur == nil || cur.UUID != meta.UUID {
-		lk.Unlock()
-		e.deleteChunks(newMeta)
-		e.cleanupVersions(losers)
-		return fmt.Errorf("engine: migrate: object changed mid-migration")
-	}
-	if err := e.b.meta.Put(e.dc, row, version); err != nil {
-		lk.Unlock()
+	if _, err := e.publish(row, true, func(cur *ObjectMeta, ts int64) error {
+		if cur == nil || cur.UUID != meta.UUID {
+			return fmt.Errorf("engine: migrate: object changed mid-migration")
+		}
+		version, err := encodeMeta(newMeta, ts)
+		if err != nil {
+			return err
+		}
+		return e.b.meta.Put(e.dc, row, version)
+	}); err != nil {
 		e.deleteChunks(newMeta)
 		return err
 	}
-	lk.Unlock()
-	e.cleanupVersions(losers)
 	e.deleteChunks(meta)
 	e.invalidateCached(meta)
 	return nil

@@ -58,6 +58,26 @@ const (
 	RepairActive
 )
 
+// String returns the policy's wire name ("wait" or "active").
+func (p RepairPolicy) String() string {
+	if p == RepairActive {
+		return "active"
+	}
+	return "wait"
+}
+
+// ParseRepairPolicy is the inverse of RepairPolicy.String; the empty
+// name selects RepairWait.
+func ParseRepairPolicy(name string) (RepairPolicy, error) {
+	switch name {
+	case "", "wait":
+		return RepairWait, nil
+	case "active":
+		return RepairActive, nil
+	}
+	return RepairWait, fmt.Errorf("%w: repair policy must be wait or active", ErrInvalidArgument)
+}
+
 // RepairTotals accumulates repair activity over the broker's lifetime;
 // the gateway surfaces it on GET /v1/stats.
 type RepairTotals struct {
@@ -224,7 +244,7 @@ func (e *Engine) repairShard(ctx context.Context, objs []string, policy RepairPo
 		var restripeTo core.Placement
 		epoch, specs, free := e.b.market()
 		plan, perr := e.b.planner.Repair(epoch, specs, rule,
-			e.placementFromChunks(meta), aliveFn, sum, meta.Size, free)
+			e.b.livePlacement(meta.M, meta.Chunks), aliveFn, sum, meta.Size, free)
 		if perr == nil && plan.Mode == core.RepairSwap {
 			// A multi-stripe object's replacement chunks are written at
 			// once; a single-stripe object's are reconstructed now and
@@ -287,24 +307,6 @@ func (e *Engine) placementReachable(p core.Placement) bool {
 		}
 	}
 	return true
-}
-
-// placementFromChunks rebuilds the slot-ordered placement from stored
-// chunk locations: index i of the result is the provider holding chunk
-// i, which is the alignment the swap planner and executor need (unlike
-// the broker's placement cache, whose provider order is arbitrary).
-// Providers that left the registry are represented by name alone; the
-// alive predicate reports them dead and the planner replaces them.
-func (e *Engine) placementFromChunks(meta ObjectMeta) core.Placement {
-	p := core.Placement{M: meta.M, Providers: make([]cloud.Spec, len(meta.Chunks))}
-	for i, name := range meta.Chunks {
-		if s, ok := e.b.registry.Store(name); ok {
-			p.Providers[i] = s.Spec()
-		} else {
-			p.Providers[i] = cloud.Spec{Name: name}
-		}
-	}
-	return p
 }
 
 // restripeWritten accounts the chunk writes of a full re-placement:
@@ -413,7 +415,7 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, report *RepairReport)
 	for _, w := range wrote {
 		bytes += w
 	}
-	return e.commitSwap(sw, bytes, report)
+	return e.commitSwap(sw, bytes, report, true)
 }
 
 // replacedBytes totals the replacement chunks of one rebuilt stripe.
@@ -429,40 +431,37 @@ func (sw *swap) replacedBytes(chunks [][]byte) (n int64) {
 // client write or delete that landed while the replacement chunks were
 // copying must win. On failure every replacement chunk is rolled back;
 // on success the swap is counted into report and the dead providers'
-// stale copies become postponed deletes (§III-D3).
-func (e *Engine) commitSwap(sw *swap, bytesWritten int64, report *RepairReport) error {
+// stale copies become postponed deletes (§III-D3). replicate is false
+// inside a batch, which replicates once after its last commit.
+func (e *Engine) commitSwap(sw *swap, bytesWritten int64, report *RepairReport, replicate bool) error {
 	meta, stripes, replaced := sw.meta, sw.src.stripes, sw.plan.Replaced
 	row := RowKey(meta.Container, meta.Key)
-	lk := e.b.rowLock(row)
-	lk.Lock()
-	cur, losers := e.currentVersion(row)
-	if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey || !slices.Equal(cur.Chunks, meta.Chunks) {
-		lk.Unlock()
+	cur, err := e.publish(row, replicate, func(cur *ObjectMeta, ts int64) error {
+		if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey || !slices.Equal(cur.Chunks, meta.Chunks) {
+			return fmt.Errorf("engine: swap repair: object changed mid-repair")
+		}
+		newMeta := *cur
+		newMeta.Chunks = sw.dst.names
+		version, err := encodeMeta(newMeta, ts)
+		if err == nil {
+			if err = e.b.meta.Put(e.dc, row, version); err != nil {
+				err = fmt.Errorf("engine: swap repair metadata write: %w", err)
+			}
+		}
+		return err
+	})
+	if err != nil {
 		// Roll back only slots the live version does not reference: if a
-		// concurrent pass committed the same swap (same version, same
-		// chunk keys), deleting "our" replacement chunks would destroy
-		// the chunks its metadata now points at.
+		// concurrent pass committed the same swap (same version, same chunk
+		// keys), deleting "our" replacement chunks would destroy the chunks
+		// its metadata now points at. (After a failed metadata write the
+		// live version is still the one repaired, which references none.)
 		e.dropChunks(sw.dst, stripes, replaced, func(slot int) bool {
 			return cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey ||
 				cur.Chunks[slot] != sw.dst.names[slot]
 		})
-		e.cleanupVersions(losers)
-		return fmt.Errorf("engine: swap repair: object changed mid-repair")
-	}
-	newMeta := *cur
-	newMeta.Chunks = sw.dst.names
-	version, err := encodeMeta(newMeta, e.b.clock.Timestamp())
-	if err == nil {
-		if err = e.b.meta.Put(e.dc, row, version); err != nil {
-			err = fmt.Errorf("engine: swap repair metadata write: %w", err)
-		}
-	}
-	lk.Unlock()
-	if err != nil {
-		e.dropChunks(sw.dst, stripes, replaced, nil)
 		return err
 	}
-	e.cleanupVersions(losers)
 	// The dead providers' stale copies of the replaced chunks: deletion
 	// is postponed until the provider recovers (§III-D3).
 	e.dropChunks(sw.src, stripes, replaced, nil)
@@ -509,6 +508,9 @@ func (sb *swapBatcher) add(ctx context.Context, sw *swap, report *RepairReport) 
 func (sb *swapBatcher) flush(ctx context.Context, report *RepairReport) {
 	pend := sb.pend
 	sb.pend = nil
+	if len(pend) == 0 {
+		return
+	}
 	groups := make(map[string][]cloud.BatchItem)
 	for _, sw := range pend {
 		for _, i := range sw.plan.Replaced {
@@ -530,10 +532,11 @@ func (sb *swapBatcher) flush(ctx context.Context, report *RepairReport) {
 		if slices.ContainsFunc(sw.plan.Replaced, func(i int) bool { return failed[sw.dst.names[i]] }) {
 			sb.e.dropChunks(sw.dst, 1, sw.plan.Replaced, wrote)
 			report.Skipped++
-		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), report) != nil {
+		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), report, false) != nil {
 			report.Skipped++
 		}
 	}
+	sb.e.b.replicate()
 }
 
 // putBatch writes one provider's batch — through cloud.BatchWriter when

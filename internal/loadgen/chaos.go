@@ -213,12 +213,12 @@ func (s *Schedule) run(ctx context.Context, start time.Time, c *client.Client) [
 // execute maps one event onto the typed client's admin surface.
 func execute(ctx context.Context, c *client.Client, e Event) error {
 	switch e.Action {
-	case ActionProviderDown:
-		return c.SetProviderAvailable(ctx, e.Provider, false)
-	case ActionProviderUp:
-		return c.SetProviderAvailable(ctx, e.Provider, true)
+	case ActionProviderDown, ActionProviderUp:
+		_, err := c.SetProviderAvailable(ctx, e.Provider, e.Action == ActionProviderUp)
+		return err
 	case ActionSetPricing:
-		return c.SetProviderPricing(ctx, e.Provider, *e.Pricing)
+		_, err := c.SetProviderPricing(ctx, e.Provider, *e.Pricing)
+		return err
 	case ActionOptimize:
 		// Dispatch-then-poll through the async jobs API: the chaos runner
 		// observes the 202 contract end-to-end instead of holding one HTTP

@@ -19,14 +19,16 @@
 //
 // # The v1 API
 //
-// Every I/O method takes a context.Context; cancelling it aborts the
+// The API interface is the v1 contract, written down once: every
+// operation that has a v1 route. *Client (this package, in-process) and
+// *client.Client (package scalia/client, over HTTP against
+// engine.NewGateway / cmd/scalia-server) both implement it, so embedded
+// and remote callers are interchangeable; Helpers adds the byte-slice
+// and loop conveniences (Put, Get, Delete, ListAll, WaitForJob) to both.
+// Every method takes a context.Context; cancelling it aborts the
 // in-flight chunk fan-out against the providers. Large objects stream:
 // PutReader and GetReader split the body into erasure-coded stripes so
-// the serving path never buffers a whole object, while Put and Get
-// remain as byte-slice conveniences. The same surface is served over
-// HTTP by the v1 gateway (engine.NewGateway / cmd/scalia-server) and
-// consumed remotely by the typed scalia/client package — embedded and
-// remote callers share one method set.
+// the serving path never buffers a whole object.
 //
 // Quick start:
 //
@@ -39,8 +41,12 @@
 package scalia
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"time"
 
 	"scalia/internal/cache"
 	"scalia/internal/cloud"
@@ -80,8 +86,12 @@ type (
 	RepairTotals = engine.RepairTotals
 	// Stats is the operational counter snapshot of GET /v1/stats.
 	Stats = engine.Stats
-	// ListResult is the paginated container listing of the v1 protocol.
+	// ListResult is one page of a container listing.
 	ListResult = engine.ListResult
+	// ListOptions parameterize one page of a listing: prefix filter,
+	// cursor (ListResult.Next / JobList.Next) and page size (0 = the
+	// deployment's default and maximum, 1000).
+	ListOptions = engine.ListOptions
 	// CacheStats is the stripe-cache counter snapshot (GET /v1/stats).
 	CacheStats = cache.Stats
 	// ReadPathStats is the streaming-read counter snapshot: stripes from
@@ -140,9 +150,15 @@ const (
 // facade without importing internal packages. The typed remote client
 // maps v1 wire errors back onto the same values.
 var (
-	ErrObjectNotFound       = engine.ErrObjectNotFound
-	ErrPreconditionFailed   = engine.ErrPreconditionFailed
-	ErrInvalidArgument      = engine.ErrInvalidArgument
+	ErrObjectNotFound     = engine.ErrObjectNotFound
+	ErrPreconditionFailed = engine.ErrPreconditionFailed
+	ErrInvalidArgument    = engine.ErrInvalidArgument
+	// ErrJobNotFound (an ErrObjectNotFound), ErrProviderExists (an
+	// ErrPreconditionFailed) and ErrInvalidRule (an ErrInvalidArgument)
+	// refine the sentinel they wrap.
+	ErrJobNotFound          = engine.ErrJobNotFound
+	ErrProviderExists       = engine.ErrProviderExists
+	ErrInvalidRule          = engine.ErrInvalidRule
 	ErrNotEnoughChunks      = engine.ErrNotEnoughChunks
 	ErrRangeNotSatisfiable  = engine.ErrRangeNotSatisfiable
 	ErrUploadNotFound       = engine.ErrUploadNotFound
@@ -220,8 +236,192 @@ type Options struct {
 	Clock engine.Clock
 }
 
-// Client is a Scalia deployment handle. It is safe for concurrent use.
+// API is the v1 contract: every operation that has a v1 route, with one
+// shape — ctx first, error last, wire types in and out. The broker owns
+// what each operation means; *Client is the Go-call codec of this
+// interface, engine.Gateway the HTTP codec and *client.Client its
+// inverse. One conformance suite (internal/apitest) runs against all of
+// them. Failures wrap the sentinel errors of this package, identically
+// on every transport.
+type API interface {
+	// PutReader stores or updates an object streamed from r. size must be
+	// the exact body length; at most one stripe is buffered at a time, so
+	// arbitrarily large objects upload in constant memory. Cancelling ctx
+	// aborts the in-flight chunk fan-out and rolls back written chunks.
+	PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...PutOption) (ObjectMeta, error)
+	// GetReader fetches an object as a stream: each stripe is served from
+	// the stripe cache or reconstructed from the m cheapest reachable
+	// providers, while the next stripes prefetch in the background. The
+	// caller must Close the reader.
+	GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error)
+	// GetRange fetches the byte range [offset, offset+length) as a stream.
+	// The range maps onto whole stripes, so only the stripes it overlaps
+	// are consulted in the cache or fetched. length is clamped to the
+	// object end and -1 means "to the end"; length 0 or a negative offset
+	// fails with ErrInvalidArgument, a range starting at or past the end
+	// with ErrRangeNotSatisfiable. The caller must Close the reader.
+	GetRange(ctx context.Context, container, key string, offset, length int64) (io.ReadCloser, ObjectMeta, error)
+	// Head fetches an object's metadata only.
+	Head(ctx context.Context, container, key string) (ObjectMeta, error)
+	// DeleteIf removes an object, if ifMatch is non-empty only when its
+	// stored ETag matches ("*" = any existing version).
+	DeleteIf(ctx context.Context, container, key, ifMatch string) error
+	// List returns one page of a container's keys, sorted.
+	List(ctx context.Context, container string, opts ListOptions) (ListResult, error)
+
+	// CreateUpload opens a resumable multipart upload. The placement —
+	// provider set and erasure threshold — is planned once, using sizeHint
+	// (0 = unknown) as the cost-model input, and every part inherits it.
+	// Stream the parts with UploadPart (each except the final one a whole
+	// multiple of Stats.StripeBytes), then CompleteUpload with the part
+	// list; a dropped connection costs only the part it interrupted.
+	CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...PutOption) (UploadInfo, error)
+	// UploadPart streams one part of an open upload through the write
+	// pipeline. size must be the exact part length; re-sending a part
+	// number replaces the earlier attempt.
+	UploadPart(ctx context.Context, up UploadInfo, partNumber int, r io.Reader, size int64) (PartInfo, error)
+	// ListParts reports an open upload's staged parts, sorted by number —
+	// what survived a dropped connection.
+	ListParts(ctx context.Context, up UploadInfo) ([]PartInfo, error)
+	// CompleteUpload assembles the staged parts into the live object
+	// version in one metadata commit — no chunk data moves. parts must
+	// name every part, consecutively from 1; a mismatch fails with
+	// ErrInvalidArgument and leaves the upload open for a retry.
+	CompleteUpload(ctx context.Context, up UploadInfo, parts []CompletedPart) (ObjectMeta, error)
+	// AbortUpload tears an upload down and garbage-collects every staged
+	// part's chunks.
+	AbortUpload(ctx context.Context, up UploadInfo) error
+
+	// Providers lists the provider market with availability and usage.
+	Providers(ctx context.Context) ([]ProviderStatus, error)
+	// AddProvider registers a simulated provider at runtime (the paper's
+	// CheapStor scenario); existing objects migrate when the optimizer
+	// finds the new market cheaper. It never replaces a live backend: a
+	// name already in the market fails with ErrProviderExists.
+	AddProvider(ctx context.Context, spec Provider) error
+	// RemoveProvider deregisters a provider (market exit); an unknown name
+	// fails with ErrObjectNotFound.
+	RemoveProvider(ctx context.Context, name string) error
+	// SetProviderAvailable injects or clears a transient provider outage
+	// and reports the market epoch the mutation advanced the deployment
+	// to. Unknown providers fail with ErrUnknownProvider, backends without
+	// failure injection with ErrUnsupportedMutation.
+	SetProviderAvailable(ctx context.Context, name string, up bool) (ProviderMutation, error)
+	// SetProviderPricing replaces a provider's price sheet — the paper's
+	// market price event: later placements plan against the new prices and
+	// the objects placed on the provider are re-planned. Error contract as
+	// SetProviderAvailable.
+	SetProviderPricing(ctx context.Context, name string, p Pricing) (ProviderMutation, error)
+	// SetContainerRule pins a placement rule to a container; a malformed
+	// rule fails with ErrInvalidRule.
+	SetContainerRule(ctx context.Context, container string, r Rule) error
+
+	// Optimize runs one optimization round (leader election, trend-gated
+	// recomputation, cost-justified migration) and returns its report.
+	// Large deployments should prefer StartOptimize and WaitForJob.
+	Optimize(ctx context.Context) (OptimizeReport, error)
+	// Repair scans for objects with chunks at unreachable providers and
+	// applies the policy; the pass costs O(affected), not O(store).
+	Repair(ctx context.Context, policy RepairPolicy) (RepairReport, error)
+	// StartOptimize dispatches an asynchronous optimization round and
+	// returns its job resource immediately; poll with Job.
+	StartOptimize(ctx context.Context) (Job, error)
+	// StartRepair dispatches an asynchronous repair pass.
+	StartRepair(ctx context.Context, policy RepairPolicy) (Job, error)
+	// Job returns one maintenance job: state, live progress, and the
+	// final report once the pass finishes; an unknown ID fails with
+	// ErrJobNotFound.
+	Job(ctx context.Context, id string) (Job, error)
+	// Jobs returns one page of the deployment's maintenance jobs, in
+	// creation order.
+	Jobs(ctx context.Context, opts ListOptions) (JobList, error)
+	// Stats returns the deployment's operational counters.
+	Stats(ctx context.Context) (Stats, error)
+}
+
+var _ API = (*Client)(nil)
+
+// Helpers is the derived part of the v1 surface: conveniences that are
+// loops or wrappers over API methods, written once and embedded by both
+// *Client and *client.Client.
+type Helpers struct{ API API }
+
+// Put stores or updates an object from an in-memory payload.
+func (h Helpers) Put(ctx context.Context, container, key string, data []byte, opts ...PutOption) (ObjectMeta, error) {
+	return h.API.PutReader(ctx, container, key, bytes.NewReader(data), int64(len(data)), opts...)
+}
+
+// Get fetches an object fully buffered, with its metadata.
+func (h Helpers) Get(ctx context.Context, container, key string) ([]byte, ObjectMeta, error) {
+	rc, meta, err := h.API.GetReader(ctx, container, key)
+	if err != nil {
+		return nil, ObjectMeta{}, err
+	}
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
+	if err != nil {
+		return nil, ObjectMeta{}, err
+	}
+	return data, meta, nil
+}
+
+// Delete removes an object.
+func (h Helpers) Delete(ctx context.Context, container, key string) error {
+	return h.API.DeleteIf(ctx, container, key, "")
+}
+
+// ListAll walks every page and returns the container's full key set.
+func (h Helpers) ListAll(ctx context.Context, container, prefix string) ([]string, error) {
+	var keys []string
+	opts := ListOptions{Prefix: prefix}
+	for {
+		page, err := h.API.List(ctx, container, opts)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, page.Keys...)
+		if !page.Truncated {
+			return keys, nil
+		}
+		opts.After = page.Next
+	}
+}
+
+// ErrJobFailed wraps the message of a maintenance job that finished in
+// the failed state (WaitForJob).
+var ErrJobFailed = errors.New("scalia: maintenance job failed")
+
+// WaitForJob polls a job every interval (default 50ms when <= 0) until
+// it leaves the running state or ctx is cancelled. A job that finishes
+// in the failed state is returned with an error wrapping ErrJobFailed.
+func (h Helpers) WaitForJob(ctx context.Context, id string, interval time.Duration) (Job, error) {
+	if interval <= 0 {
+		interval = 50 * time.Millisecond
+	}
+	for {
+		job, err := h.API.Job(ctx, id)
+		if err != nil {
+			return job, err
+		}
+		switch job.State {
+		case JobDone:
+			return job, nil
+		case JobFailed:
+			return job, fmt.Errorf("%w: job %s: %s", ErrJobFailed, id, job.Error)
+		}
+		select {
+		case <-ctx.Done():
+			return job, ctx.Err()
+		case <-time.After(interval):
+		}
+	}
+}
+
+// Client is an embedded Scalia deployment: the Go-call codec of API over
+// a broker it owns, plus the embedded-only controls below the contract
+// methods. It is safe for concurrent use.
 type Client struct {
+	Helpers
 	broker *engine.Broker
 }
 
@@ -257,7 +457,23 @@ func New(opts Options) (*Client, error) {
 			return nil, err
 		}
 	}
-	return &Client{broker: engine.NewBroker(cfg)}, nil
+	c := &Client{broker: engine.NewBroker(cfg)}
+	c.Helpers = Helpers{API: c}
+	return c, nil
+}
+
+// ServerOptions is the deployment cmd/scalia-server runs when no flag
+// says otherwise — and therefore the one scalia-loadgen -spawn boots, so
+// an in-process load test measures the configuration a server would run.
+func ServerOptions() Options {
+	return Options{
+		EnginesPerDC: 2,
+		CacheBytes:   256 << 20,
+		PeriodHours:  1,
+		StripeBytes:  engine.DefaultStripeBytes,
+		ReoptWorkers: 2,
+		Clock:        engine.NewWallClock(1),
+	}
 }
 
 // Close releases the deployment's background pipelines.
@@ -269,20 +485,33 @@ func (c *Client) Close() { c.broker.Close() }
 // embedded/remote traffic spreads evenly.
 func (c *Client) engine() *engine.Engine { return c.broker.NextEngine() }
 
-// PutOption customizes a write.
+// PutOption customizes a write (PutReader, Put, CreateUpload), on either
+// transport.
 type PutOption func(*engine.PutOptions)
+
+// PutOptionsOf folds write options into the value the engine — or the
+// remote client's header encoder — takes.
+func PutOptionsOf(opts []PutOption) engine.PutOptions {
+	var po engine.PutOptions
+	for _, opt := range opts {
+		opt(&po)
+	}
+	return po
+}
 
 // WithMIME sets the object's MIME type (classification input).
 func WithMIME(mime string) PutOption {
 	return func(o *engine.PutOptions) { o.MIME = mime }
 }
 
-// WithTTL hints the object's expected lifetime in hours.
+// WithTTL hints the object's expected lifetime in hours; it must be
+// finite and non-negative.
 func WithTTL(hours float64) PutOption {
 	return func(o *engine.PutOptions) { o.TTLHours = hours }
 }
 
-// WithRule pins a placement rule for this object.
+// WithRule pins a placement rule for this object. It has no wire form:
+// the remote client refuses it with ErrInvalidArgument.
 func WithRule(r Rule) PutOption {
 	return func(o *engine.PutOptions) { o.Rule = &r }
 }
@@ -295,143 +524,112 @@ func WithIfMatch(etag string) PutOption {
 }
 
 // WithIfAbsent makes the write create-only: it fails with
-// ErrPreconditionFailed when the object already exists (the facade
-// counterpart of the wire's If-None-Match: *).
+// ErrPreconditionFailed when the object already exists (the wire's
+// If-None-Match: *).
 func WithIfAbsent() PutOption {
 	return func(o *engine.PutOptions) { o.IfAbsent = true }
 }
 
-// Put stores or updates an object from an in-memory payload.
-func (c *Client) Put(ctx context.Context, container, key string, data []byte, opts ...PutOption) (ObjectMeta, error) {
-	var po engine.PutOptions
-	for _, opt := range opts {
-		opt(&po)
-	}
-	meta, err := c.engine().Put(ctx, container, key, data, po)
-	if err != nil {
-		return meta, err
-	}
-	// Synchronously drain inter-DC metadata replication so the facade
-	// offers read-your-writes across datacenters (the underlying store is
-	// eventually consistent, §III-D3).
-	c.broker.Metadata().Flush()
-	return meta, nil
-}
+// --- the contract, as Go calls (documented on API) ---
 
-// PutReader stores or updates an object streamed from r. size must be
-// the exact body length; at most one stripe is buffered at a time, so
-// arbitrarily large objects upload in constant memory. Cancelling ctx
-// aborts the in-flight chunk fan-out and rolls back written chunks.
 func (c *Client) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...PutOption) (ObjectMeta, error) {
-	var po engine.PutOptions
-	for _, opt := range opts {
-		opt(&po)
-	}
-	meta, err := c.engine().PutReader(ctx, container, key, r, size, po)
-	if err != nil {
-		return meta, err
-	}
-	c.broker.Metadata().Flush()
-	return meta, nil
+	return c.engine().PutReader(ctx, container, key, r, size, PutOptionsOf(opts))
 }
 
-// CreateUpload opens a resumable multipart upload for an object. The
-// placement — provider set and erasure threshold — is planned once,
-// using sizeHint (0 = unknown) as the cost-model input, and every part
-// inherits it. Stream the parts with UploadPart (each except the final
-// one a whole multiple of the stripe size), then CompleteUpload with
-// the part list; a dropped connection costs only the part it
-// interrupted (ListParts reports what survived).
-func (c *Client) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...PutOption) (UploadInfo, error) {
-	var po engine.PutOptions
-	for _, opt := range opts {
-		opt(&po)
-	}
-	return c.engine().CreateUpload(ctx, container, key, sizeHint, po)
-}
-
-// UploadPart streams one part of an open upload through the write
-// pipeline. size must be the exact part length; re-sending a part
-// number replaces the earlier attempt.
-func (c *Client) UploadPart(ctx context.Context, uploadID string, partNumber int, r io.Reader, size int64) (PartInfo, error) {
-	return c.engine().UploadPart(ctx, uploadID, partNumber, r, size)
-}
-
-// ListParts reports an open upload's staged parts, sorted by number.
-func (c *Client) ListParts(ctx context.Context, uploadID string) (UploadInfo, []PartInfo, error) {
-	return c.engine().ListParts(ctx, uploadID)
-}
-
-// CompleteUpload assembles the staged parts into the live object
-// version in one batched metadata commit — no chunk data moves. parts
-// must name every part, consecutively from 1; a mismatch fails with
-// ErrInvalidArgument and leaves the upload open for a retry.
-func (c *Client) CompleteUpload(ctx context.Context, uploadID string, parts []CompletedPart) (ObjectMeta, error) {
-	meta, err := c.engine().CompleteUpload(ctx, uploadID, parts)
-	if err != nil {
-		return meta, err
-	}
-	c.broker.Metadata().Flush()
-	return meta, nil
-}
-
-// AbortUpload tears an upload session down and garbage-collects every
-// staged part's chunks.
-func (c *Client) AbortUpload(ctx context.Context, uploadID string) error {
-	return c.engine().AbortUpload(ctx, uploadID)
-}
-
-// Get fetches an object fully buffered, with its metadata.
-func (c *Client) Get(ctx context.Context, container, key string) ([]byte, ObjectMeta, error) {
-	return c.engine().Get(ctx, container, key)
-}
-
-// GetReader fetches an object as a stream: each stripe is served from
-// the stripe cache or reconstructed from the m cheapest reachable
-// providers with a bounded parallel chunk fan-out, while the next
-// stripes prefetch in the background. The caller must Close the reader.
 func (c *Client) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
 	return c.engine().GetReader(ctx, container, key)
 }
 
-// GetRange fetches the byte range [offset, offset+length) of an object
-// as a stream. The range maps onto whole stripes, so only the stripes
-// it overlaps are consulted in the cache or fetched. length is clamped
-// to the object end and -1 means "to the end" (as in the remote
-// client's GetRange); a range starting at or past the end fails with
-// ErrRangeNotSatisfiable. The caller must Close the reader.
 func (c *Client) GetRange(ctx context.Context, container, key string, offset, length int64) (io.ReadCloser, ObjectMeta, error) {
 	return c.engine().GetRangeReader(ctx, container, key, offset, length)
 }
 
-// Head fetches an object's metadata only.
 func (c *Client) Head(ctx context.Context, container, key string) (ObjectMeta, error) {
 	return c.engine().Head(ctx, container, key)
 }
 
-// Delete removes an object.
-func (c *Client) Delete(ctx context.Context, container, key string) error {
-	if err := c.engine().Delete(ctx, container, key); err != nil {
-		return err
-	}
-	c.broker.Metadata().Flush()
-	return nil
-}
-
-// DeleteIf removes an object only if its stored ETag matches ifMatch
-// ("*" = any existing version).
 func (c *Client) DeleteIf(ctx context.Context, container, key, ifMatch string) error {
-	if err := c.engine().DeleteIf(ctx, container, key, ifMatch); err != nil {
-		return err
-	}
-	c.broker.Metadata().Flush()
-	return nil
+	return c.engine().DeleteIf(ctx, container, key, ifMatch)
 }
 
-// List returns the keys of a container, sorted.
-func (c *Client) List(ctx context.Context, container string) ([]string, error) {
-	return c.engine().List(ctx, container)
+func (c *Client) List(ctx context.Context, container string, opts ListOptions) (ListResult, error) {
+	return c.engine().List(ctx, container, opts)
 }
+
+func (c *Client) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...PutOption) (UploadInfo, error) {
+	return c.engine().CreateUpload(ctx, container, key, sizeHint, PutOptionsOf(opts))
+}
+
+func (c *Client) UploadPart(ctx context.Context, up UploadInfo, partNumber int, r io.Reader, size int64) (PartInfo, error) {
+	return c.engine().UploadPart(ctx, up.UploadID, partNumber, r, size)
+}
+
+func (c *Client) ListParts(ctx context.Context, up UploadInfo) ([]PartInfo, error) {
+	_, parts, err := c.engine().ListParts(ctx, up.UploadID)
+	return parts, err
+}
+
+func (c *Client) CompleteUpload(ctx context.Context, up UploadInfo, parts []CompletedPart) (ObjectMeta, error) {
+	return c.engine().CompleteUpload(ctx, up.UploadID, parts)
+}
+
+func (c *Client) AbortUpload(ctx context.Context, up UploadInfo) error {
+	return c.engine().AbortUpload(ctx, up.UploadID)
+}
+
+func (c *Client) Providers(ctx context.Context) ([]ProviderStatus, error) {
+	return c.broker.Providers(), nil
+}
+
+func (c *Client) AddProvider(ctx context.Context, spec Provider) error {
+	return c.broker.AddProvider(spec)
+}
+
+func (c *Client) RemoveProvider(ctx context.Context, name string) error {
+	return c.broker.RemoveProvider(name)
+}
+
+func (c *Client) SetProviderAvailable(ctx context.Context, name string, up bool) (ProviderMutation, error) {
+	return c.broker.SetProviderAvailable(name, up)
+}
+
+func (c *Client) SetProviderPricing(ctx context.Context, name string, p Pricing) (ProviderMutation, error) {
+	return c.broker.SetProviderPricing(name, p)
+}
+
+func (c *Client) SetContainerRule(ctx context.Context, container string, r Rule) error {
+	return c.broker.SetContainerRule(container, r)
+}
+
+func (c *Client) Optimize(ctx context.Context) (OptimizeReport, error) {
+	return c.broker.Optimize(ctx)
+}
+
+func (c *Client) Repair(ctx context.Context, policy RepairPolicy) (RepairReport, error) {
+	return c.broker.Repair(ctx, policy)
+}
+
+func (c *Client) StartOptimize(ctx context.Context) (Job, error) {
+	return c.broker.StartOptimize(), nil
+}
+
+func (c *Client) StartRepair(ctx context.Context, policy RepairPolicy) (Job, error) {
+	return c.broker.StartRepair(policy), nil
+}
+
+func (c *Client) Job(ctx context.Context, id string) (Job, error) {
+	return c.broker.Job(id)
+}
+
+func (c *Client) Jobs(ctx context.Context, opts ListOptions) (JobList, error) {
+	return c.broker.Jobs(opts), nil
+}
+
+func (c *Client) Stats(ctx context.Context) (Stats, error) {
+	return c.broker.DeploymentStats(), nil
+}
+
+// --- embedded-only control ---
 
 // SetDefaultRule replaces the default placement rule.
 func (c *Client) SetDefaultRule(r Rule) error {
@@ -440,22 +638,6 @@ func (c *Client) SetDefaultRule(r Rule) error {
 	}
 	c.broker.Rules().SetDefault(r)
 	return nil
-}
-
-// SetContainerRule pins a rule to a container.
-func (c *Client) SetContainerRule(container string, r Rule) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	c.broker.Rules().SetContainerRule(container, r)
-	return nil
-}
-
-// AddProvider registers a storage provider at runtime (the paper's
-// CheapStor scenario); existing objects migrate when the optimizer finds
-// the new market cheaper.
-func (c *Client) AddProvider(spec Provider) {
-	c.broker.Registry().Register(cloud.NewBlobStore(spec))
 }
 
 // AddPrivateResource registers a corporate private storage resource
@@ -473,78 +655,6 @@ func NewPrivateStoreServer(dir string, token []byte, capacityBytes int64) (*priv
 	return privstore.NewServer(dir, token, capacityBytes)
 }
 
-// RemoveProvider deregisters a provider (market exit).
-func (c *Client) RemoveProvider(name string) bool {
-	_, ok := c.broker.Registry().Deregister(name)
-	return ok
-}
-
-// SetProviderAvailable injects or clears a transient provider outage on
-// backends that support failure injection (simulated providers do). The
-// change goes through the registry, so it bumps the market epoch and
-// invalidates the broker's cached placement searches immediately.
-func (c *Client) SetProviderAvailable(name string, up bool) bool {
-	return c.broker.Registry().SetAvailable(name, up)
-}
-
-// UpdateProviderAvailability is SetProviderAvailable with the unified
-// admin contract: it returns the market epoch the mutation advanced the
-// registry to, ErrUnknownProvider for absent providers, and
-// ErrUnsupportedMutation for backends without failure injection.
-func (c *Client) UpdateProviderAvailability(name string, up bool) (uint64, error) {
-	return c.broker.Registry().UpdateAvailability(name, up)
-}
-
-// SetProviderPricing replaces a provider's price sheet at runtime — the
-// paper's market price event. The market epoch bumps so cached
-// placement searches re-plan against the new prices; false means the
-// provider is unknown or its backend has immutable pricing.
-func (c *Client) SetProviderPricing(name string, p Pricing) bool {
-	return c.broker.Registry().SetPricing(name, p)
-}
-
-// UpdateProviderPricing is SetProviderPricing with the unified admin
-// contract: new market epoch on success, ErrUnknownProvider /
-// ErrUnsupportedMutation on failure.
-func (c *Client) UpdateProviderPricing(name string, p Pricing) (uint64, error) {
-	return c.broker.Registry().UpdatePricing(name, p)
-}
-
-// Optimize runs one periodic optimization procedure (leader election,
-// trend-gated recomputation, cost-justified migration). Cancelling ctx
-// stops the shard scans early.
-func (c *Client) Optimize(ctx context.Context) (OptimizeReport, error) {
-	rep, err := c.broker.Optimize(ctx)
-	c.broker.Metadata().Flush()
-	return rep, err
-}
-
-// Repair scans for objects with chunks at unreachable providers and
-// applies the policy. The candidate set comes from the provider→objects
-// index, so the pass costs O(affected), not O(store).
-func (c *Client) Repair(ctx context.Context, policy engine.RepairPolicy) (RepairReport, error) {
-	rep, err := c.broker.Repair(ctx, policy)
-	c.broker.Metadata().Flush()
-	return rep, err
-}
-
-// StartOptimize dispatches an asynchronous optimization round and
-// returns its job resource immediately; poll with Job.
-func (c *Client) StartOptimize() Job { return c.broker.StartOptimize() }
-
-// StartRepair dispatches an asynchronous repair pass and returns its
-// job resource immediately; poll with Job.
-func (c *Client) StartRepair(policy RepairPolicy) Job { return c.broker.StartRepair(policy) }
-
-// Job returns one maintenance job by ID.
-func (c *Client) Job(id string) (Job, bool) { return c.broker.Job(id) }
-
-// Jobs lists maintenance jobs with the object-listing pagination shape
-// (prefix/after/limit; limit <= 0 means no cap).
-func (c *Client) Jobs(prefix, after string, limit int) JobList {
-	return c.broker.Jobs(prefix, after, limit)
-}
-
 // DrainMaintenance synchronously re-plans the objects queued by market
 // events until the queue is empty or ctx is cancelled, returning how
 // many it processed. Deployments with Options.ReoptWorkers > 0 drain in
@@ -553,9 +663,6 @@ func (c *Client) Jobs(prefix, after string, limit int) JobList {
 func (c *Client) DrainMaintenance(ctx context.Context) int {
 	return c.broker.DrainMaintenance(ctx)
 }
-
-// MaintStats snapshots the event-driven reoptimization queue counters.
-func (c *Client) MaintStats() MaintStats { return c.broker.MaintStats() }
 
 // ProcessPendingDeletes retries chunk deletions postponed during
 // provider outages.
@@ -578,24 +685,17 @@ func (c *Client) TotalUsage() Usage { return c.broker.Registry().TotalUsage() }
 // deployments call this at period boundaries).
 func (c *Client) AccrueStorage(hours float64) { c.broker.Registry().AccrueStorage(hours) }
 
-// Flush drains the statistics pipeline and metadata replication;
-// deterministic tests call it before reading statistics.
+// Flush drains the statistics pipeline; deterministic tests call it
+// before reading statistics. (Metadata needs no flushing: every commit
+// replicates to all datacenters before it returns.)
 func (c *Client) Flush() { c.broker.FlushStats() }
 
 // Broker exposes the underlying deployment for advanced integration
-// (HTTP serving via engine.NewGateway, direct registry access, the
-// Broker().Metrics() observability registry backing /metrics and
-// /v1/stats).
+// (direct registry access, the Broker().Metrics() observability registry
+// backing /metrics and /v1/stats).
 func (c *Client) Broker() *engine.Broker { return c.broker }
 
-// NewGateway wraps the deployment in the versioned v1 HTTP interface:
-// object routes under /v1/objects (streaming bodies, conditional
-// requests, paginated listing), the admin surface (/v1/providers,
-// /v1/rules, /v1/optimize, /v1/repair, /v1/stats) and the
-// observability endpoints (/metrics in Prometheus text format,
-// /v1/healthz; optional pprof via Gateway.EnablePprof, structured
-// access logs via Gateway.Logger). Requests round-robin across all
-// engines of all datacenters and carry an X-Request-ID echoed on the
-// response. Serve it with net/http; the scalia/client package speaks
-// the matching wire protocol.
+// NewGateway wraps the deployment in the v1 HTTP interface (see
+// engine.Gateway for the route table). Serve it with net/http; the
+// scalia/client package speaks the matching wire protocol.
 func (c *Client) NewGateway() *engine.Gateway { return engine.NewGateway(c.broker) }

@@ -1,21 +1,22 @@
-package scalia
+package scalia_test
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
+	"scalia"
+	"scalia/internal/apitest"
 	"scalia/internal/engine"
 )
 
 var ctx = context.Background()
 
-func newClient(t *testing.T, opts Options) *Client {
+func newClient(t *testing.T, opts scalia.Options) *scalia.Client {
 	t.Helper()
-	c, err := New(opts)
+	c, err := scalia.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,72 +24,17 @@ func newClient(t *testing.T, opts Options) *Client {
 	return c
 }
 
-func TestFacadeRoundTrip(t *testing.T) {
-	c := newClient(t, Options{})
-	payload := bytes.Repeat([]byte("multi-cloud"), 500)
-	meta, err := c.Put(ctx, "docs", "readme.txt", payload, WithMIME("text/plain"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.M < 1 || len(meta.Chunks) < 2 {
-		t.Fatalf("placement: %+v", meta)
-	}
-	got, gotMeta, err := c.Get(ctx, "docs", "readme.txt")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Get: %v", err)
-	}
-	if gotMeta.MIME != "text/plain" {
-		t.Fatalf("MIME = %q", gotMeta.MIME)
-	}
-	keys, err := c.List(ctx, "docs")
-	if err != nil || len(keys) != 1 || keys[0] != "readme.txt" {
-		t.Fatalf("List = %v, %v", keys, err)
-	}
-	if err := c.Delete(ctx, "docs", "readme.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get(ctx, "docs", "readme.txt"); err == nil {
-		t.Fatal("object must be gone")
-	}
+// TestConformance runs the v1 contract suite against the embedded facade.
+func TestConformance(t *testing.T) {
+	apitest.Run(t, func(t *testing.T, opts scalia.Options) scalia.API { return newClient(t, opts) })
 }
 
-// TestFacadeGetRangeAndReadKnobs drives the ranged read and the
-// read-path knobs through the embedded facade: a mid-object range
-// returns exactly its bytes, and a deployment pinned to the sequential
-// path still serves correct data.
-func TestFacadeGetRangeAndReadKnobs(t *testing.T) {
-	c := newClient(t, Options{StripeBytes: 2048, CacheBytes: 1 << 20})
-	payload := bytes.Repeat([]byte("stripes!"), 2048) // 16 KiB, 8 stripes
-	if _, err := c.Put(ctx, "big", "blob", payload); err != nil {
-		t.Fatal(err)
-	}
-	rc, meta, err := c.GetRange(ctx, "big", "blob", 5000, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil || !bytes.Equal(got, payload[5000:8000]) {
-		t.Fatalf("GetRange: %v, %d bytes", err, len(got))
-	}
-	if meta.Stripes < 8 {
-		t.Fatalf("Stripes = %d, want a striped object", meta.Stripes)
-	}
-
-	seq := newClient(t, Options{StripeBytes: 2048, ReadParallelism: -1, PrefetchStripes: -1})
-	if _, err := seq.Put(ctx, "big", "blob", payload); err != nil {
-		t.Fatal(err)
-	}
-	got2, _, err := seq.Get(ctx, "big", "blob")
-	if err != nil || !bytes.Equal(got2, payload) {
-		t.Fatalf("sequential-mode Get: %v", err)
-	}
-}
-
+// TestFacadeRuleOptions: a per-object rule is an embedded-only write
+// option (it has no wire form).
 func TestFacadeRuleOptions(t *testing.T) {
-	c := newClient(t, Options{})
-	rule := Rule{Name: "wide", Durability: 0.99999, Availability: 0.99, LockIn: 0.2}
-	meta, err := c.Put(ctx, "c", "k", make([]byte, 4096), WithRule(rule), WithTTL(48))
+	c := newClient(t, scalia.Options{})
+	rule := scalia.Rule{Name: "wide", Durability: 0.99999, Availability: 0.99, LockIn: 0.2}
+	meta, err := c.Put(ctx, "c", "k", make([]byte, 4096), scalia.WithRule(rule), scalia.WithTTL(48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,134 +47,64 @@ func TestFacadeRuleOptions(t *testing.T) {
 }
 
 func TestFacadeInvalidDefaultRule(t *testing.T) {
-	if _, err := New(Options{DefaultRule: Rule{LockIn: 2}}); err == nil {
+	if _, err := scalia.New(scalia.Options{DefaultRule: scalia.Rule{LockIn: 2}}); err == nil {
 		t.Fatal("invalid rule must be rejected")
 	}
-}
-
-func TestFacadeProviderLifecycle(t *testing.T) {
-	c := newClient(t, Options{})
-	cheap := Provider{
-		Name: "budget", Durability: 0.999999, Availability: 0.999,
-		Zones:   []Zone{ZoneUS},
-		Pricing: Pricing{StorageGBMonth: 0.01, BandwidthInGB: 0.01, BandwidthOutGB: 0.01},
-	}
-	c.AddProvider(cheap)
-	meta, err := c.Put(ctx, "c", "k", make([]byte, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range meta.Chunks {
-		if p == "budget" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dirt-cheap provider ignored: %v", meta.Chunks)
-	}
-	if !c.RemoveProvider("budget") {
-		t.Fatal("RemoveProvider failed")
-	}
-	if c.RemoveProvider("budget") {
-		t.Fatal("double remove must report false")
+	c := newClient(t, scalia.Options{})
+	if err := c.SetDefaultRule(scalia.Rule{LockIn: -1}); err == nil {
+		t.Fatal("invalid default rule accepted")
 	}
 }
 
-func TestFacadeOutageAndRepair(t *testing.T) {
-	c := newClient(t, Options{})
-	meta, err := c.Put(ctx, "c", "k", make([]byte, 10000))
+// TestFacadeEmbeddedControls covers what sits below the contract on the
+// facade: simulated-time billing, the cost/usage getters, the placement
+// view and the explicit maintenance drains.
+func TestFacadeEmbeddedControls(t *testing.T) {
+	c := newClient(t, scalia.Options{})
+	meta, err := c.Put(ctx, "c", "k", make([]byte, 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.SetProviderAvailable(meta.Chunks[0], false) {
-		t.Fatal("SetProviderAvailable failed")
-	}
-	// Reads survive the outage thanks to erasure redundancy.
-	got, _, err := c.Get(ctx, "c", "k")
-	if err != nil || len(got) != 10000 {
-		t.Fatalf("read during outage: %v", err)
-	}
-	rep, err := c.Repair(ctx, RepairActive)
-	if err != nil {
+	if _, _, err := c.Get(ctx, "c", "k"); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Repaired != 1 {
-		t.Fatalf("repair report: %+v", rep)
-	}
-	if rep.Swapped+rep.Restriped != rep.Repaired || rep.ChunksWritten == 0 {
-		t.Fatalf("repair mechanism split missing from the report: %+v", rep)
-	}
-	after, _ := c.Head(ctx, "c", "k")
-	for _, p := range after.Chunks {
-		if p == meta.Chunks[0] {
-			t.Fatal("repaired object still on the failed provider")
-		}
-	}
-}
-
-func TestFacadeOptimizeAndCosting(t *testing.T) {
-	clock := engine.NewSimClock()
-	c := newClient(t, Options{Clock: clock, CacheBytes: 0})
-	if _, err := c.Put(ctx, "c", "k", make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	for h := 0; h < 5; h++ {
-		clock.Advance(1)
-		for r := 0; r < 120; r++ {
-			if _, _, err := c.Get(ctx, "c", "k"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := c.Optimize(ctx); err != nil {
-			t.Fatal(err)
-		}
-		c.AccrueStorage(1)
-	}
-	p, ok := c.CurrentPlacement("c", "k")
-	if !ok {
-		t.Fatal("placement unknown")
-	}
-	if p.M != 1 {
-		t.Fatalf("hot object placement %v, want m:1", p)
-	}
+	c.AccrueStorage(1)
 	if c.TotalCost() <= 0 {
 		t.Fatal("usage must have accrued cost")
 	}
-	u := c.TotalUsage()
-	if u.BandwidthOutGB <= 0 || u.Ops <= 0 || u.StorageGBHours <= 0 {
+	if u := c.TotalUsage(); u.BandwidthOutGB <= 0 || u.Ops <= 0 || u.StorageGBHours <= 0 {
 		t.Fatalf("usage = %+v", u)
 	}
-}
-
-func TestFacadeContainerRule(t *testing.T) {
-	c := newClient(t, Options{})
-	err := c.SetContainerRule("eu-only", Rule{
-		Name: "eu", Durability: 0.9999, Availability: 0.9999,
-		Zones: []Zone{ZoneEU}, LockIn: 1,
-	})
-	if err != nil {
+	if p, ok := c.CurrentPlacement("c", "k"); !ok || p.M != meta.M || p.N() != len(meta.Chunks) {
+		t.Fatalf("CurrentPlacement = %v, %v; stored %+v", p, ok, meta)
+	}
+	// An outage queues the object for re-planning and postpones the
+	// delete of its chunk at the dead provider; both drains are explicit
+	// without background workers.
+	if _, err := c.SetProviderAvailable(ctx, meta.Chunks[0], false); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := c.Put(ctx, "eu-only", "doc", make([]byte, 100))
-	if err != nil {
+	if n := c.DrainMaintenance(ctx); n != 1 {
+		t.Fatalf("DrainMaintenance = %d, want the one invalidated object", n)
+	}
+	if err := c.Delete(ctx, "c", "k"); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range meta.Chunks {
-		if p != "S3(h)" && p != "S3(l)" {
-			t.Fatalf("non-EU provider %s for EU container", p)
-		}
+	if _, err := c.SetProviderAvailable(ctx, meta.Chunks[0], true); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.SetContainerRule("bad", Rule{LockIn: -1}); err == nil {
-		t.Fatal("invalid container rule accepted")
+	c.ProcessPendingDeletes(ctx)
+	c.Flush()
+	if st, _ := c.Stats(ctx); st.PendingDeletes != 0 || st.Maint.Drained != 1 {
+		t.Fatalf("after the drains: %d pending deletes, maint %+v", st.PendingDeletes, st.Maint)
 	}
 }
 
 func TestPaperTables(t *testing.T) {
-	if got := len(PaperProviders()); got != 5 {
+	if got := len(scalia.PaperProviders()); got != 5 {
 		t.Fatalf("PaperProviders = %d", got)
 	}
-	if got := len(PaperRules()); got != 3 {
+	if got := len(scalia.PaperRules()); got != 3 {
 		t.Fatalf("PaperRules = %d", got)
 	}
 }
@@ -237,7 +113,7 @@ func TestPaperTables(t *testing.T) {
 // round-robin counter: Put/Get/Delete from many goroutines must neither
 // race nor skew the rotation out of range.
 func TestConcurrentRoundRobin(t *testing.T) {
-	c := newClient(t, Options{EnginesPerDC: 3})
+	c := newClient(t, scalia.Options{EnginesPerDC: 3})
 	if _, err := c.Put(ctx, "c", "shared", bytes.Repeat([]byte("x"), 4096)); err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +154,11 @@ func TestConcurrentRoundRobin(t *testing.T) {
 // the new market instead of a stale one.
 func TestMarketEventsInvalidateCachedSearches(t *testing.T) {
 	clock := engine.NewSimClock()
-	c := newClient(t, Options{Clock: clock, DecisionPeriod: 4, MigrationHorizon: 5000})
+	c := newClient(t, scalia.Options{Clock: clock, DecisionPeriod: 4, MigrationHorizon: 5000})
 	reg := c.Broker().Registry()
-	rule := Rule{Name: "lockin", Durability: 0.99999, Availability: 0.99, LockIn: 0.2}
+	rule := scalia.Rule{Name: "lockin", Durability: 0.99999, Availability: 0.99, LockIn: 0.2}
 	payload := bytes.Repeat([]byte("b"), 40<<20) // 40 MB backup object
-	if _, err := c.Put(ctx, "bk", "o", payload, WithRule(rule)); err != nil {
+	if _, err := c.Put(ctx, "bk", "o", payload, scalia.WithRule(rule)); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := c.CurrentPlacement("bk", "o")
@@ -293,11 +169,13 @@ func TestMarketEventsInvalidateCachedSearches(t *testing.T) {
 	// Arrival: the epoch must move and the optimizer must migrate onto
 	// the cheaper provider, as in the paper's Fig. 17 scenario.
 	e0 := reg.Epoch()
-	c.AddProvider(Provider{
+	if err := c.AddProvider(ctx, scalia.Provider{
 		Name: "CheapStor", Durability: 0.999999, Availability: 0.999,
-		Zones:   []Zone{ZoneUS},
-		Pricing: Pricing{StorageGBMonth: 0.09, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
-	})
+		Zones:   []scalia.Zone{scalia.ZoneUS},
+		Pricing: scalia.Pricing{StorageGBMonth: 0.09, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if reg.Epoch() == e0 {
 		t.Fatal("AddProvider must bump the market epoch")
 	}
@@ -320,13 +198,13 @@ func TestMarketEventsInvalidateCachedSearches(t *testing.T) {
 	// next write plans around the down provider.
 	e1 := reg.Epoch()
 	miss0 := c.Broker().Planner().Stats().Misses
-	if !c.SetProviderAvailable("CheapStor", false) {
-		t.Fatal("SetProviderAvailable failed")
+	if mut, err := c.SetProviderAvailable(ctx, "CheapStor", false); err != nil || mut.Epoch != reg.Epoch() {
+		t.Fatalf("SetProviderAvailable = %+v, %v", mut, err)
 	}
 	if reg.Epoch() == e1 {
 		t.Fatal("SetProviderAvailable must bump the market epoch")
 	}
-	meta, err := c.Put(ctx, "bk", "fresh", bytes.Repeat([]byte("x"), 4096), WithRule(rule))
+	meta, err := c.Put(ctx, "bk", "fresh", bytes.Repeat([]byte("x"), 4096), scalia.WithRule(rule))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +219,8 @@ func TestMarketEventsInvalidateCachedSearches(t *testing.T) {
 
 	// Departure: epoch bump and the market shrinks for good.
 	e2 := reg.Epoch()
-	if !c.RemoveProvider("CheapStor") {
-		t.Fatal("RemoveProvider failed")
+	if err := c.RemoveProvider(ctx, "CheapStor"); err != nil {
+		t.Fatal(err)
 	}
 	if reg.Epoch() == e2 {
 		t.Fatal("RemoveProvider must bump the market epoch")
