@@ -289,23 +289,12 @@ func BenchmarkDecisionCoupling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	market := core.Market{Now: 199}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl := core.NewDecisionController(24, 0)
+		obj := core.Object{History: h, Ctl: core.NewDecisionController(24, 0), Size: 1e6}
 		for round := 0; round < 16; round++ {
-			if !ctl.Tick() {
-				continue
-			}
-			cands := ctl.Candidates(h.Span(199))
-			bestIdx, bestPrice := 1, 0.0
-			for j, d := range cands {
-				sum := h.Summary(199, d)
-				r := search.Best(sum, 0, nil)
-				if j == 0 || r.Price < bestPrice {
-					bestIdx, bestPrice = j, r.Price
-				}
-			}
-			ctl.Update(bestIdx, cands)
+			core.Couple(obj, market, search)
 		}
 	}
 }

@@ -51,8 +51,6 @@ func main() {
 		"evict multipart upload sessions idle this long and GC their staged chunks (0 = never)")
 	reoptWorkers := flag.Int("reopt-workers", opts.ReoptWorkers,
 		"background workers draining the event-driven reoptimization queue (0 = enqueue only)")
-	reoptQueue := flag.Int("reopt-queue", engine.DefaultReoptQueueDepth,
-		"bound on queued placement invalidations (overflow is dropped and left to periodic optimize)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	accessLog := flag.Bool("access-log", true, "log one structured line per gateway request")
 	flag.Parse()
@@ -70,7 +68,6 @@ func main() {
 	opts.WritePipelineDepth = *writeDepth
 	opts.MaxBufferBytes = maxBuffer
 	opts.ReoptWorkers = *reoptWorkers
-	opts.ReoptQueueDepth = *reoptQueue
 	opts.Clock = engine.NewWallClock(*periodHours)
 	client, err := scalia.New(opts)
 	if err != nil {

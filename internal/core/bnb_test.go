@@ -75,7 +75,7 @@ func TestBestBranchAndBoundDifferential(t *testing.T) {
 			want := exhaustiveBest(s, load, objectBytes, free)
 			if got.Feasible != want.Feasible || got.Price != want.Price ||
 				got.Placement.M != want.Placement.M ||
-				got.Placement.Key() != want.Placement.Key() {
+				got.Placement.String() != want.Placement.String() {
 				t.Fatalf("rule %+v trial %d: pruned %+v != exhaustive %+v", rule, trial, got, want)
 			}
 			if got.Evaluated > want.Evaluated {

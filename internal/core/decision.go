@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // DecisionController adapts an object's decision period D_obj — the span
 // of historical access statistics used when recomputing its placement
 // (paper §III-A). D is searched dichotomically: every T optimization
@@ -8,7 +10,10 @@ package core
 // cheapest. When D is found adequate (the middle candidate wins), T
 // doubles; otherwise T resets to 1. T is capped so D is revisited at
 // least every maxT rounds (the paper bounds it at "a period of weeks").
+// It is safe for concurrent use: a background re-plan and a write pricing
+// its load may reach one object's controller together.
 type DecisionController struct {
+	mu   sync.Mutex
 	d    int // current decision period, in sampling periods
 	t    int // rounds between evaluations
 	left int // rounds until the next evaluation
@@ -35,14 +40,24 @@ func NewDecisionController(initialD, maxT int) *DecisionController {
 }
 
 // D returns the current decision period.
-func (c *DecisionController) D() int { return c.d }
+func (c *DecisionController) D() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.d
+}
 
 // T returns the current evaluation interval.
-func (c *DecisionController) T() int { return c.t }
+func (c *DecisionController) T() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
 
 // Tick marks one optimization round and reports whether this round must
 // run the three-window coupling evaluation.
 func (c *DecisionController) Tick() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.left--
 	if c.left <= 0 {
 		c.left = c.t
@@ -55,6 +70,8 @@ func (c *DecisionController) Tick() bool {
 // [MinDecisionPeriod, limit]. limit is the paper's dichotomic-search
 // bound min(TTL_obj, |H_obj|); pass limit <= 0 for no bound.
 func (c *DecisionController) Candidates(limit int) [3]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	half := c.d / 2
 	if half < MinDecisionPeriod {
 		half = MinDecisionPeriod
@@ -78,6 +95,8 @@ func (c *DecisionController) Candidates(limit int) [3]int {
 // cheapest. Keeping the middle window means D was adequate: T doubles.
 // Any change of D resets T to 1 so the new value is re-examined soon.
 func (c *DecisionController) Update(bestIdx int, candidates [3]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
 	case bestIdx == 1 || candidates[bestIdx] == c.d:
 		c.t *= 2

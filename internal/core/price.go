@@ -35,9 +35,6 @@ func (p Placement) String() string {
 	return fmt.Sprintf("[%s; m:%d]", strings.Join(p.Names(), ", "), p.M)
 }
 
-// Key returns a canonical identity string for map keys and comparisons.
-func (p Placement) Key() string { return p.String() }
-
 // Equal reports whether two placements use the same provider names and
 // threshold.
 func (p Placement) Equal(other Placement) bool {
@@ -130,15 +127,6 @@ func PeriodCost(p Placement, load stats.Summary, periodHours float64) float64 {
 		}
 	}
 	return cost
-}
-
-// WindowCost prices the placement over an entire decision period of
-// `periods` sampling periods.
-func WindowCost(p Placement, load stats.Summary, periodHours float64, periods int) float64 {
-	if periods < 1 {
-		periods = 1
-	}
-	return PeriodCost(p, load, periodHours) * float64(periods)
 }
 
 // MigrationCost estimates the one-off USD cost of moving an object of

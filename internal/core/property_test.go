@@ -181,8 +181,8 @@ func TestPlanSwapSingleFailureProperty(t *testing.T) {
 			continue
 		}
 		swaps++
-		if plan.Mode != RepairSwap {
-			t.Fatalf("trial %d: mode = %v, want RepairSwap", trial, plan.Mode)
+		if plan.Mode != Swap {
+			t.Fatalf("trial %d: mode = %v, want Swap", trial, plan.Mode)
 		}
 		// Shape: same threshold, same chunk count.
 		if plan.Placement.M != cur.M || plan.Placement.N() != cur.N() {
@@ -317,7 +317,7 @@ func TestPlannerRepairFallsBackToRestripe(t *testing.T) {
 	dead := best.Placement.Providers[0].Name
 	aliveSpecs := removeByName(specs, dead)
 	alive := func(name string) bool { return name != dead }
-	plan, err := planner.Repair(2, aliveSpecs, rule, best.Placement, alive, load, 0, nil)
+	plan, err := planner.Repair(Market{Epoch: 2, Specs: aliveSpecs, Alive: alive}, rule, best.Placement, load, 0)
 	if err == nil {
 		t.Fatalf("no market subset satisfies lock-in 1/%d with %d providers; want error, got %+v",
 			len(specs), len(aliveSpecs), plan)
@@ -332,11 +332,11 @@ func TestPlannerRepairFallsBackToRestripe(t *testing.T) {
 	// Build a degraded placement over every surviving provider plus the
 	// dead one, so no spare exists.
 	cur := Placement{M: best.Placement.M, Providers: append([]cloud.Spec(nil), specs...)}
-	plan, err = planner.Repair(2, aliveSpecs, loose, cur, alive, load, 0, nil)
+	plan, err = planner.Repair(Market{Epoch: 2, Specs: aliveSpecs, Alive: alive}, loose, cur, load, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Mode != RepairRestripe {
+	if plan.Mode != Restripe {
 		t.Fatalf("spare-less market must re-stripe, got mode %v", plan.Mode)
 	}
 	for _, s := range plan.Placement.Providers {

@@ -5,25 +5,15 @@ import (
 	"scalia/internal/stats"
 )
 
-// RepairMode says how a degraded placement is to be repaired.
-type RepairMode int
-
-// Repair modes: the paper's cheap same-(m,n) chunk swap, or a full
-// re-placement that re-stripes the object.
-const (
-	// RepairSwap keeps the placement's threshold m and chunk count n and
-	// replaces only the dead providers — "only the faulty chunk needs to
-	// be written, which corresponds to the cheapest case" (§IV-E).
-	RepairSwap RepairMode = iota
-	// RepairRestripe re-places the object from scratch: read m chunks,
-	// re-encode under the new (m, n) and rewrite everything.
-	RepairRestripe
-)
-
 // RepairPlan is the outcome of planning a repair for a degraded
 // placement (Planner.Repair / PlanSwap).
 type RepairPlan struct {
-	Mode RepairMode
+	// Mode is Swap — the threshold m and chunk count n are kept and only
+	// the dead providers replaced, "only the faulty chunk needs to be
+	// written, which corresponds to the cheapest case" (§IV-E) — or
+	// Restripe: read m chunks, re-encode under the new (m, n) and rewrite
+	// everything.
+	Mode Action
 	// Placement is the repaired placement. In swap mode it has the same
 	// threshold and chunk count as the degraded one, with survivors kept
 	// at their slots; in re-stripe mode it is the best full re-placement.
@@ -83,7 +73,7 @@ func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
 		spares = append(spares, s)
 	}
 
-	plan := RepairPlan{Mode: RepairSwap}
+	plan := RepairPlan{Mode: Swap}
 	swapped := Placement{M: cur.M, Providers: append([]cloud.Spec(nil), cur.Providers...)}
 	for i, s := range swapped.Providers {
 		if alive(s.Name) {
@@ -118,24 +108,21 @@ func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
 	return plan, true
 }
 
-// Repair plans the repair of a degraded placement on the market at
-// epoch: the cheap same-(m,n) chunk swap when one is feasible (§IV-E's
-// "only the faulty chunk needs to be written"), otherwise the best full
-// re-placement through the epoch-cached prepared search. The production
-// broker and the cost simulator both plan repairs through this one
-// entry point, so their repair decisions provably agree.
-func (p *Planner) Repair(epoch uint64, specs []cloud.Spec, rule Rule,
-	cur Placement, alive func(string) bool, load stats.Summary,
-	objectBytes int64, free map[string]int64) (RepairPlan, error) {
-	if plan, ok := PlanSwap(cur, specs, alive, rule, load, p.periodHours, objectBytes, free); ok {
+// Repair plans the repair of a degraded placement on the market m: the
+// cheap same-(m,n) chunk swap when one is feasible (§IV-E's "only the
+// faulty chunk needs to be written"), otherwise the best full
+// re-placement that is reachable right now (BestAlive). Decider.Decide
+// plans every repair, the broker's and the simulator's, through it.
+func (p *Planner) Repair(m Market, rule Rule, cur Placement, load stats.Summary, objectBytes int64) (RepairPlan, error) {
+	if plan, ok := PlanSwap(cur, m.Specs, m.Alive, rule, load, p.periodHours, objectBytes, m.Free); ok {
 		return plan, nil
 	}
-	res, err := p.Best(epoch, specs, rule, load, objectBytes, free)
+	res, err := p.BestAlive(m, rule, load, objectBytes)
 	if err != nil {
 		return RepairPlan{}, err
 	}
 	return RepairPlan{
-		Mode:      RepairRestripe,
+		Mode:      Restripe,
 		Placement: res.Placement,
 		Price:     res.Price,
 		Evaluated: res.Evaluated,

@@ -15,7 +15,6 @@ import (
 	"scalia/internal/core"
 	"scalia/internal/metadata"
 	"scalia/internal/stats"
-	"scalia/internal/trend"
 )
 
 // DefaultStripeBytes is the default streaming stripe size: objects
@@ -67,10 +66,6 @@ type Config struct {
 	Registry *cloud.Registry
 	// DefaultRule applies when no finer rule matches.
 	DefaultRule core.Rule
-	// DetectWindow and DetectLimit parameterize trend detection
-	// (defaults w = 3, limit = 0.1).
-	DetectWindow int
-	DetectLimit  float64
 	// DecisionPeriod is the initial D_obj in sampling periods (default 24).
 	DecisionPeriod int
 	// MigrationHorizon is the minimum number of sampling periods over
@@ -119,14 +114,12 @@ type Config struct {
 	// tests). scalia-server enables background draining with
 	// -reopt-workers.
 	ReoptWorkers int
-	// ReoptQueueDepth bounds the maintenance queue (default
-	// DefaultReoptQueueDepth); when full, further invalidations are
-	// dropped and counted — the periodic trend-gated Optimize pass is
-	// the backstop that eventually revisits them.
-	ReoptQueueDepth int
 }
 
-// DefaultReoptQueueDepth bounds the event-driven reoptimization queue.
+// DefaultReoptQueueDepth bounds the event-driven reoptimization queue;
+// when it is full, further invalidations are dropped and counted — the
+// periodic trend-gated Optimize pass is the backstop that eventually
+// revisits them.
 const DefaultReoptQueueDepth = 1 << 16
 
 func (c *Config) fill() {
@@ -144,12 +137,6 @@ func (c *Config) fill() {
 	}
 	if c.Registry == nil {
 		c.Registry = cloud.NewPaperRegistry()
-	}
-	if c.DetectWindow <= 0 {
-		c.DetectWindow = trend.DefaultWindow
-	}
-	if c.DetectLimit <= 0 {
-		c.DetectLimit = trend.DefaultLimit
 	}
 	if c.DecisionPeriod <= 0 {
 		c.DecisionPeriod = core.DefaultDecisionPeriod
@@ -174,9 +161,6 @@ func (c *Config) fill() {
 		c.WritePipelineDepth = DefaultWritePipelineDepth
 	case c.WritePipelineDepth < 0:
 		c.WritePipelineDepth = 0
-	}
-	if c.ReoptQueueDepth <= 0 {
-		c.ReoptQueueDepth = DefaultReoptQueueDepth
 	}
 	switch {
 	case c.MaxBufferBytes == 0:
@@ -209,8 +193,13 @@ type Broker struct {
 	engines  []*Engine
 	// planner is the shared placement-planning layer: prepared searches
 	// cached per (market epoch, rule fingerprint), used by every engine
-	// for Put, re-optimization, decision coupling and repair.
+	// for Put and, through decider — the per-object decision step of
+	// Optimize, Repair and the event queue — for every re-plan.
 	planner *core.Planner
+	decider core.Decider
+	// alive is the ground-truth reachability of a provider by name:
+	// registered and answering, whatever the market epoch believes.
+	alive func(name string) bool
 	// next drives NextEngine's round-robin. The facade and the HTTP
 	// gateway share this one counter, so mixed embedded/remote traffic
 	// still spreads evenly across all engines of all datacenters.
@@ -253,8 +242,8 @@ type Broker struct {
 	repairMu sync.Mutex
 
 	// provIndex is the provider→objects inverted index behind
-	// O(affected) maintenance: every placement commit keeps it in sync
-	// with the placement cache, and repair/reoptimization enumerate
+	// O(affected) maintenance: Engine.publish updates it with every row
+	// it commits, under the row lock, and repair/reoptimization enumerate
 	// affected objects through it instead of scanning the whole store.
 	provIndex *stats.ProviderIndex
 	// maint is the event-driven reoptimization queue: a registry
@@ -275,12 +264,12 @@ type Broker struct {
 	pending  map[pendingDelete]struct{}
 	pendingN atomic.Int64
 
-	mu           sync.Mutex
-	lastOpt      int64
-	decisions    map[string]*core.DecisionController
-	placement    map[string]placed // object -> current placement
-	totals       OptimizeTotals
-	repairTotals RepairTotals
+	mu        sync.Mutex
+	lastOpt   int64
+	decisions map[string]*core.DecisionController
+	// optimized and repaired are the lifetime sums behind OptimizeTotals
+	// and RepairTotals.
+	optimized, repaired passTotals
 }
 
 // OptimizeTotals accumulates optimization activity over the broker's
@@ -404,7 +393,6 @@ func NewBroker(cfg Config) *Broker {
 		clock:     cfg.Clock,
 		now:       time.Now,
 		decisions: make(map[string]*core.DecisionController),
-		placement: make(map[string]placed),
 		uploads:   make(map[string]*uploadSession),
 		pending:   make(map[pendingDelete]struct{}),
 		planner:   core.NewPlanner(cfg.PeriodHours, cfg.Pruned),
@@ -417,6 +405,15 @@ func NewBroker(cfg Config) *Broker {
 			slots = 1 // a deployment can always buffer one stripe
 		}
 		b.bufSem = make(chan struct{}, slots)
+	}
+	b.alive = func(name string) bool {
+		s, ok := b.registry.Store(name)
+		return ok && s.Available()
+	}
+	b.decider = core.Decider{
+		Planner:          b.planner,
+		MigrationHorizon: cfg.MigrationHorizon,
+		MigrationCost:    core.MigrationCost,
 	}
 	b.agg = stats.NewAggregator(b.statsDB, 0)
 	id := 0
@@ -435,7 +432,7 @@ func NewBroker(cfg Config) *Broker {
 	// The maintenance queue subscribes to named market events before the
 	// metric collectors are built, so its gauges are readable at scrape
 	// time.
-	b.maint = newMaintQueue(b, cfg.ReoptWorkers, cfg.ReoptQueueDepth)
+	b.maint = newMaintQueue(b, cfg.ReoptWorkers, DefaultReoptQueueDepth)
 	b.registry.Subscribe(b.maint.onMarketEvent)
 	// Last: the metric collectors read the fields built above.
 	b.metrics = newBrokerMetrics(b)
@@ -491,21 +488,13 @@ func (b *Broker) NextEngine() *Engine {
 // OptimizeTotals returns the cumulative optimization counters.
 func (b *Broker) OptimizeTotals() OptimizeTotals {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.totals
-}
-
-// recordOptimize folds one round's report into the lifetime totals.
-func (b *Broker) recordOptimize(rep OptimizeReport) {
-	b.mu.Lock()
-	b.totals.Rounds++
-	b.totals.Scanned += rep.Scanned
-	b.totals.TrendChanged += rep.TrendChanged
-	b.totals.Recomputed += rep.Recomputed
-	b.totals.Migrated += rep.Migrated
-	b.totals.MigrationUSD += rep.MigrationUSD
-	b.totals.Evaluated += rep.Evaluated
+	t := b.optimized
 	b.mu.Unlock()
+	return OptimizeTotals{
+		Rounds: t.passes, Scanned: t.objects, TrendChanged: t.trendChanged,
+		Recomputed: t.recomputed, Migrated: t.migrated,
+		MigrationUSD: t.migrationUSD, Evaluated: t.evaluated,
+	}
 }
 
 // Registry exposes the provider registry.
@@ -546,25 +535,15 @@ func (b *Broker) FlushStats() {
 // staging a cross-datacenter conflict partition first.
 func (b *Broker) replicate() { b.meta.Flush() }
 
-// placed is what the placement cache remembers of an object: where its
-// chunks are and the threshold, never a price sheet — those are read
-// from the registry when asked, so a market event cannot leave a stale
-// one behind.
-type placed struct {
-	m     int
-	names []string // provider per chunk slot
-}
-
-// CurrentPlacement returns the last known placement of an object, its
-// providers described by their current specs.
+// CurrentPlacement returns where an object's chunks are, read from its
+// live metadata row, its providers described by their current specs.
 func (b *Broker) CurrentPlacement(object string) (core.Placement, bool) {
-	b.mu.Lock()
-	p, ok := b.placement[object]
-	b.mu.Unlock()
-	if !ok {
+	container, key, _ := splitObjectName(object) // a malformed name is no object's
+	meta, err := b.engines[0].headMeta(container, key)
+	if err != nil {
 		return core.Placement{}, false
 	}
-	return b.livePlacement(p.m, p.names), true
+	return b.livePlacement(meta.M, meta.Chunks), true
 }
 
 // livePlacement builds the slot-ordered placement of chunks stored at
@@ -586,18 +565,6 @@ func (b *Broker) livePlacement(m int, names []string) core.Placement {
 	return p
 }
 
-// setPlacement is the single commit hook of every path that (re)places
-// an object — Put, multipart complete, migrate, repair swap and
-// re-stripe — so updating the provider index here keeps it in sync with
-// the committed layout.
-func (b *Broker) setPlacement(object string, p core.Placement) {
-	names := slotNames(p)
-	b.mu.Lock()
-	b.placement[object] = placed{m: p.M, names: names}
-	b.mu.Unlock()
-	b.provIndex.Set(object, names)
-}
-
 // slotNames returns a placement's provider names in slot order: chunk i
 // of every stripe goes to the i-th provider.
 func slotNames(p core.Placement) []string {
@@ -608,26 +575,13 @@ func slotNames(p core.Placement) []string {
 	return names
 }
 
-func (b *Broker) dropPlacement(object string) {
-	b.mu.Lock()
-	delete(b.placement, object)
-	delete(b.decisions, object)
-	b.mu.Unlock()
-	b.provIndex.Drop(object)
-}
-
-// market returns the registry's epoch-cached available-market view:
-// epoch, reachable provider specs (shared slice — do not mutate) and
-// free capacities of capacity-bounded providers (nil when none).
-func (b *Broker) market() (epoch uint64, specs []cloud.Spec, free map[string]int64) {
-	return b.registry.Market()
-}
-
-// planBest plans the cheapest feasible placement for one object through
-// the shared planner.
-func (b *Broker) planBest(rule core.Rule, load stats.Summary, objectBytes int64) (core.Result, error) {
-	epoch, specs, free := b.market()
-	return b.planner.Best(epoch, specs, rule, load, objectBytes, free)
+// marketView is the market a decision at period now is taken on: the
+// registry's epoch-cached available providers (shared slice — do not
+// mutate), the free capacities of the capacity-bounded ones (nil when
+// none) and the ground-truth reachability check.
+func (b *Broker) marketView(now int64) core.Market {
+	epoch, specs, free := b.registry.Market()
+	return core.Market{Now: now, Epoch: epoch, Specs: specs, Free: free, Alive: b.alive}
 }
 
 // enqueuePendingDelete records a postponed chunk deletion.

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"scalia/internal/cloud"
 	"scalia/internal/core"
 	"scalia/internal/metadata"
 	"scalia/internal/obs"
@@ -201,7 +200,6 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 		e.deleteChunks(*prev)
 		e.invalidateCached(*prev)
 	}
-	e.b.setPlacement(obj, res.Placement)
 	e.agent.Log(stats.Event{
 		Object: obj, Class: class, Kind: stats.EventWrite,
 		Bytes: size, StorageBytes: size, Period: now,
@@ -212,20 +210,35 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 // publish is the one step that makes a row change visible. Under the
 // row lock it re-reads the live version and hands it to write, which
 // either vetoes (a stale precondition, a version that changed under a
-// background copy) or stores the new row; then, the lock released, the
-// change replicates to every other datacenter before publish returns.
-// Callers delete the superseded version's chunks only afterwards, so no
-// datacenter is left holding a row whose chunks are gone, and
-// read-your-writes holds on every path — foreground or background, with
-// or without a front-end. replicate is false only for a batch of commits
-// that replicates once at its end. cur is the version write was shown
-// (nil = absent); conflict losers are cleaned up outside the lock, their
-// chunk deletions may hit remote providers.
-func (e *Engine) publish(row string, replicate bool, write func(cur *ObjectMeta, ts int64) error) (cur *ObjectMeta, err error) {
+// background copy) or stores the new row and returns it (nil for a
+// tombstone). Still under the lock — commits of one key index in the
+// order they commit — the provider index is brought in line with the
+// stored row, and a deleted object's decision-period controller is let
+// go. Then, the lock released, the change replicates to every other
+// datacenter before publish returns. Callers delete the superseded
+// version's chunks only afterwards, so no datacenter is left holding a
+// row whose chunks are gone, and read-your-writes holds on every path —
+// foreground or background, with or without a front-end. replicate is
+// false only for a batch of commits that replicates once at its end. cur
+// is the version write was shown (nil = absent); conflict losers are
+// cleaned up outside the lock, their chunk deletions may hit remote
+// providers.
+func (e *Engine) publish(container, key string, replicate bool, write func(cur *ObjectMeta, ts int64) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
+	row := RowKey(container, key)
 	lk := e.b.rowLock(row)
 	lk.Lock()
 	cur, losers := e.currentVersion(row)
-	err = write(cur, e.b.clock.Timestamp())
+	stored, err := write(cur, e.b.clock.Timestamp())
+	switch obj := objectName(container, key); {
+	case err != nil: // vetoed or failed: the index keeps what it has
+	case stored != nil:
+		e.b.provIndex.Set(obj, stored.Chunks)
+	default:
+		e.b.provIndex.Drop(obj)
+		e.b.mu.Lock()
+		delete(e.b.decisions, obj)
+		e.b.mu.Unlock()
+	}
 	lk.Unlock()
 	e.cleanupVersions(losers)
 	if err == nil && replicate {
@@ -244,22 +257,22 @@ func (e *Engine) publish(row string, replicate bool, write func(cur *ObjectMeta,
 // the object itself committed and the chunks must survive.
 func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) (*ObjectMeta, error) {
 	committed := false
-	prev, err := e.publish(RowKey(meta.Container, meta.Key), true, func(prev *ObjectMeta, ts int64) error {
+	prev, err := e.publish(meta.Container, meta.Key, true, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if err := checkWriteConditions(opts, prev); err != nil {
-			return err
+			return nil, err
 		}
 		if prev != nil {
 			meta.CreatedAt = prev.CreatedAt
 		}
 		version, err := encodeMeta(*meta, ts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
-			return fmt.Errorf("engine: metadata write: %w", err)
+			return nil, fmt.Errorf("engine: metadata write: %w", err)
 		}
 		committed = true
-		return e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts)
+		return meta, e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts)
 	})
 	if err != nil {
 		if !committed {
@@ -323,9 +336,14 @@ func stripeCount(size, stripeBytes int64) int {
 // otherwise just this write.
 func (e *Engine) writeLoad(obj, class string, size int64) stats.Summary {
 	if h := e.b.statsDB.History(obj); h != nil && h.Len() > 0 {
-		now := e.b.clock.Period()
-		d := e.decisionWindow(obj, now)
-		sum := h.Summary(now, d)
+		// Over the object's current decision period D_obj.
+		d := e.b.cfg.DecisionPeriod
+		e.b.mu.Lock()
+		if ctl, ok := e.b.decisions[obj]; ok {
+			d = ctl.D()
+		}
+		e.b.mu.Unlock()
+		sum := h.Summary(e.b.clock.Period(), d)
 		sum.StorageBytes = float64(size)
 		return sum
 	}
@@ -341,61 +359,14 @@ func (e *Engine) writeLoad(obj, class string, size int64) stats.Summary {
 	}
 }
 
-// placeWithRetry plans the placement through the broker's shared
-// planner, excluding providers that fail mid-write ("Scalia will choose
-// the best placement that does not include the faulty provider",
-// §III-D3). The common case is a single planner hit; a provider found
-// unreachable after the decision (including one whose outage was
-// injected directly on the backend, bypassing the registry's market
-// epoch) drops to an ad-hoc search over the reduced market. The retry
-// loop is bounded by the provider count.
+// placeWithRetry plans a write's placement through the broker's shared
+// planner, on providers that are reachable right now: one found down
+// after the decision — including one whose outage was injected directly
+// on the backend, bypassing the registry's market epoch — is excluded
+// and the placement re-planned ("Scalia will choose the best placement
+// that does not include the faulty provider", §III-D3).
 func (e *Engine) placeWithRetry(rule core.Rule, load stats.Summary, size int64) (core.Result, error) {
-	epoch, specs, free := e.b.market()
-	planned := true
-	for len(specs) > 0 {
-		var res core.Result
-		var err error
-		if planned {
-			res, err = e.b.planner.Best(epoch, specs, rule, load, size, free)
-		} else {
-			res, err = core.BestPlacement(specs, rule, load, core.Options{
-				PeriodHours: e.b.cfg.PeriodHours,
-				Pruned:      e.b.cfg.Pruned,
-				FreeBytes:   free,
-				ObjectBytes: size,
-			})
-		}
-		if err != nil {
-			return core.Result{}, err
-		}
-		// Verify reachability now (a provider may have gone down between
-		// the snapshot and the placement decision).
-		ok := true
-		for _, spec := range res.Placement.Providers {
-			if s, found := e.b.registry.Store(spec.Name); !found || !s.Available() {
-				specs = removeSpec(specs, spec.Name)
-				planned = false
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return res, nil
-		}
-	}
-	return core.Result{}, core.ErrNoProviders
-}
-
-// removeSpec returns specs without the named provider. It copies: the
-// input may be the registry's shared market snapshot.
-func removeSpec(specs []cloud.Spec, name string) []cloud.Spec {
-	out := make([]cloud.Spec, 0, len(specs))
-	for _, s := range specs {
-		if s.Name != name {
-			out = append(out, s)
-		}
-	}
-	return out
+	return e.b.planner.BestAlive(e.b.marketView(e.b.clock.Period()), rule, load, size)
 }
 
 // Get serves an object fully buffered: stripes come from the stripe
@@ -509,21 +480,19 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	obj := objectName(container, key)
-	row := RowKey(container, key)
-	prev, err := e.publish(row, true, func(prev *ObjectMeta, ts int64) error {
+	prev, err := e.publish(container, key, true, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if prev == nil {
-			return ErrObjectNotFound
+			return nil, ErrObjectNotFound
 		}
 		if err := checkPrecondition(ifMatch, prev); err != nil {
-			return err
+			return nil, err
 		}
-		if err := e.b.meta.Put(e.dc, row, metadata.Version{
+		if err := e.b.meta.Put(e.dc, RowKey(container, key), metadata.Version{
 			UUID: NewUUID(), Timestamp: ts, Deleted: true,
 		}); err != nil {
-			return err
+			return nil, err
 		}
-		return e.b.removeIndex(e.dc, container, key, NewUUID(), ts)
+		return nil, e.b.removeIndex(e.dc, container, key, NewUUID(), ts)
 	})
 	if err != nil {
 		return err
@@ -531,9 +500,8 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	meta := *prev
 	e.deleteChunks(meta)
 	e.invalidateCached(meta)
-	e.b.dropPlacement(obj)
 	e.agent.Log(stats.Event{
-		Object: obj, Class: meta.Class, Kind: stats.EventDelete,
+		Object: objectName(container, key), Class: meta.Class, Kind: stats.EventDelete,
 		StorageBytes: 0, Period: e.b.clock.Period(),
 	})
 	return nil
@@ -632,14 +600,4 @@ func (e *Engine) cleanupVersions(losers []metadata.Version) {
 // cache.
 func (e *Engine) invalidateCached(meta ObjectMeta) {
 	e.b.caches.InvalidateAll(stripeCacheID(objectName(meta.Container, meta.Key), meta.UUID))
-}
-
-// decisionWindow returns the object's current decision period D_obj.
-func (e *Engine) decisionWindow(obj string, now int64) int {
-	e.b.mu.Lock()
-	defer e.b.mu.Unlock()
-	if dc, ok := e.b.decisions[obj]; ok {
-		return dc.D()
-	}
-	return e.b.cfg.DecisionPeriod
 }

@@ -127,6 +127,19 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	if err := e.Delete(ctx, "c", "k"); err != nil {
 		t.Fatal(err)
 	}
+	// The statistics database folds the lifetime into the class and then
+	// forgets the object: deleted keys must not pile up there or be
+	// scanned by the next optimization round.
+	b.FlushStats()
+	if h := b.Stats().History("c/k"); h != nil || len(b.Stats().AccessedSince(0)) != 0 {
+		t.Fatalf("deleted object still in the statistics: history %v, accessed %v", h, b.Stats().AccessedSince(0))
+	}
+	if n := b.Stats().Classes().Class(meta.Class).Lifetimes().Count(); n != 1 {
+		t.Fatalf("class lifetime observations = %d, want 1", n)
+	}
+	if rep, err := b.Optimize(ctx); err != nil || rep.Scanned != 0 || b.ProviderIndex().Len() != 0 {
+		t.Fatalf("after the delete: optimize scanned %d (%v), %d objects indexed", rep.Scanned, err, b.ProviderIndex().Len())
+	}
 	if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("Get after delete: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,8 +36,7 @@ func maintMarket() *cloud.Registry {
 // metadata-only synthetic store of 1,000,000 objects where only 10,000
 // hold a chunk on the failed provider. The repair pass must enumerate
 // its candidates through the provider→objects index — touching exactly
-// the affected objects (a 100x reduction, well past the required 10x)
-// and never calling statsDB.Objects() (the full-scan enumerator).
+// the affected objects (a 100x reduction, well past the required 10x).
 func TestRepairIndexedOutage1M(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-object synthetic store is not a -short test")
@@ -45,25 +45,15 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 	b := newTestBroker(t, Config{Registry: reg})
 	e0 := b.Engine(0)
 
-	specOf := func(name string) cloud.Spec {
-		s, ok := reg.Store(name)
-		if !ok {
-			t.Fatalf("unknown provider %s", name)
-		}
-		return s.Spec()
-	}
-	// 990k unaffected objects: placement on healthy providers only,
-	// committed through setPlacement — the same hook Put/migrate/repair
-	// use — so the inverted index sees them. No metadata rows exist for
-	// them: an O(affected) repair never looks.
-	pHealthy := core.Placement{M: 2, Providers: []cloud.Spec{specOf("A"), specOf("B"), specOf("C")}}
+	// 990k unaffected objects: on healthy providers only, entered in the
+	// inverted index as a commit would. No metadata rows exist for them:
+	// an O(affected) repair never looks.
 	const total, affected = 1_000_000, 10_000
 	for i := 0; i < total-affected; i++ {
-		b.setPlacement(fmt.Sprintf("bulk/obj%07d", i), pHealthy)
+		b.provIndex.Set(fmt.Sprintf("bulk/obj%07d", i), []string{"A", "B", "C"})
 	}
 	// 10k affected objects: a chunk on the victim, plus real metadata
 	// rows so the pass can Head them.
-	pVictim := core.Placement{M: 2, Providers: []cloud.Spec{specOf("V"), specOf("A"), specOf("B")}}
 	ts := b.clock.Timestamp()
 	for i := 0; i < affected; i++ {
 		key := fmt.Sprintf("obj%07d", i)
@@ -80,7 +70,7 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 		if err := b.meta.Put(e0.dc, RowKey("hot", key), version); err != nil {
 			t.Fatal(err)
 		}
-		b.setPlacement("hot/"+key, pVictim)
+		b.provIndex.Set("hot/"+key, meta.Chunks)
 	}
 	if got := b.ProviderIndex().Len(); got != total {
 		t.Fatalf("indexed objects = %d, want %d", got, total)
@@ -88,7 +78,6 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 
 	reg.SetAvailable("V", false)
 
-	objCalls0 := b.statsDB.ObjectsCalls()
 	indexed0 := b.metrics.repairIndexed.Value()
 	rep, err := b.Repair(ctx, RepairWait)
 	if err != nil {
@@ -96,9 +85,6 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 	}
 	if rep.Checked != affected || rep.Affected != affected || rep.Waited != affected {
 		t.Fatalf("repair touched the wrong population: %+v", rep)
-	}
-	if delta := b.statsDB.ObjectsCalls() - objCalls0; delta != 0 {
-		t.Fatalf("repair fell back to statsDB.Objects() %d times", delta)
 	}
 	if got := b.metrics.repairIndexed.Value() - indexed0; got != affected {
 		t.Fatalf("repair.objectsIndexed = %d, want %d", got, affected)
@@ -112,9 +98,8 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 
 // TestMaintQueueDrainsInvalidatedSet asserts the event-driven
 // reoptimization contract: a pricing bump on one provider enqueues
-// exactly the objects holding a chunk there (deduplicated), the drain
-// re-plans exactly that set, and the whole cycle never enumerates the
-// object population through statsDB.Objects().
+// exactly the objects holding a chunk there (deduplicated) and the drain
+// re-plans exactly that set.
 func TestMaintQueueDrainsInvalidatedSet(t *testing.T) {
 	b := newTestBroker(t, Config{})
 	e := b.Engine(0)
@@ -138,7 +123,6 @@ func TestMaintQueueDrainsInvalidatedSet(t *testing.T) {
 		t.Fatal("no objects indexed on any provider")
 	}
 
-	objCalls0 := b.statsDB.ObjectsCalls()
 	st0 := b.MaintStats()
 	if _, err := b.Registry().UpdatePricing(victim, cloud.Pricing{
 		StorageGBMonth: 5, BandwidthInGB: 1, BandwidthOutGB: 1, OpsPer1000: 1,
@@ -168,9 +152,6 @@ func TestMaintQueueDrainsInvalidatedSet(t *testing.T) {
 	st3 := b.MaintStats()
 	if st3.QueueDepth != 0 || st3.Drained-st0.Drained != int64(len(invalidated)) {
 		t.Fatalf("queue state after drain: %+v", st3)
-	}
-	if delta := b.statsDB.ObjectsCalls() - objCalls0; delta != 0 {
-		t.Fatalf("event-driven reoptimization called statsDB.Objects() %d times", delta)
 	}
 }
 
@@ -409,12 +390,7 @@ func TestPriceRiseMigratesOffProvider(t *testing.T) {
 			b := newTestBroker(t, Config{MigrationHorizon: 1_000_000, ReoptWorkers: workers})
 			victim := storeObjects(t, b, n, size)
 			invalidated := len(b.ProviderIndex().Objects(victim))
-			store, _ := b.Registry().Store(victim)
-			p := store.Spec().Pricing
-			p.StorageGBMonth, p.BandwidthOutGB, p.OpsPer1000 = p.StorageGBMonth*1000, p.BandwidthOutGB*1000, p.OpsPer1000*1000
-			if _, err := b.SetProviderPricing(victim, p); err != nil {
-				t.Fatal(err)
-			}
+			raisePrices(t, b, victim)
 			if workers == 0 {
 				if got := b.DrainMaintenance(ctx); got != invalidated {
 					t.Fatalf("drained %d, want %d", got, invalidated)
@@ -430,6 +406,158 @@ func TestPriceRiseMigratesOffProvider(t *testing.T) {
 			}
 			wantVisibleEverywhere(t, b, n, size, victim)
 		})
+	}
+}
+
+// wantIndexedAsStored asserts that the provider index and CurrentPlacement
+// both say what the object's live metadata row says.
+func wantIndexedAsStored(t *testing.T, b *Broker, container, key string) {
+	t.Helper()
+	meta, err := b.Engine(0).Head(ctx, container, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := slices.Clone(meta.Chunks)
+	slices.Sort(stored)
+	obj := objectName(container, key)
+	var indexed []string
+	for _, name := range b.ProviderIndex().ProviderNames() {
+		if slices.Contains(b.ProviderIndex().Objects(name), obj) {
+			indexed = append(indexed, name)
+		}
+	}
+	cur, _ := b.CurrentPlacement(obj)
+	if !slices.Equal(indexed, stored) || !slices.Equal(cur.Names(), stored) || cur.M != meta.M {
+		t.Fatalf("live row is on %v (m:%d), the index says %v, CurrentPlacement %v", stored, meta.M, indexed, cur)
+	}
+}
+
+// TestProviderIndexFollowsCommitOrder: two overwrites of one key must
+// index in the order they commit. PUT A commits and stalls deleting the
+// chunks of the version it superseded; PUT B (a wider rule) commits over
+// it. An index updated after that cleanup would end on A's providers while
+// the live row is B's — and Repair, which enumerates through the index,
+// would never see an outage of B's other providers. Then the same at rest,
+// after a hammer of concurrent overwrites (run under -race).
+func TestProviderIndexFollowsCommitOrder(t *testing.T) {
+	reg, backends := hooked(cloud.NewPaperRegistry())
+	b := newTestBroker(t, Config{Registry: reg})
+	narrow := core.Rule{Name: "narrow", Durability: 0.9999, Availability: 0.99, LockIn: 1}
+	wide := core.Rule{Name: "wide", Durability: 0.9999, Availability: 0.99, LockIn: 0.25}
+	put := func(e *Engine, body string, rule *core.Rule) error {
+		_, err := e.Put(ctx, "c", "k", []byte(body), PutOptions{Rule: rule})
+		return err
+	}
+	v0, err := b.Engine(0).Put(ctx, "c", "k", []byte("v0"), PutOptions{Rule: &narrow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := make(chan struct{}, len(v0.Chunks)), make(chan struct{})
+	for _, hb := range backends {
+		hb.del = func(_ context.Context, key string) error {
+			if strings.HasPrefix(key, v0.SKey) {
+				stalled <- struct{}{}
+				<-release
+			}
+			return nil
+		}
+	}
+	aDone := make(chan error, 1)
+	go func() { aDone <- put(b.Engine(0), "A", &narrow) }()
+	<-stalled // A is committed and busy deleting v0
+	if err := put(b.Engine(0), "B", &wide); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	wantIndexedAsStored(t, b, "c", "k")
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				if err := put(b.Engine(w), fmt.Sprint(w, i), []*core.Rule{&narrow, &wide}[(w+i)%2]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	wantIndexedAsStored(t, b, "c", "k")
+}
+
+// TestMaintQueueOverflowLeftToOptimize: the queue is bounded; what does
+// not fit is dropped and counted, and the periodic optimization is the
+// backstop that still reaches those objects.
+func TestMaintQueueOverflowLeftToOptimize(t *testing.T) {
+	const n, bound, size = 10, 4, 1 << 20 // big enough that storage, not operations, prices the object
+	clock := NewSimClock()
+	b := newTestBroker(t, Config{Clock: clock, MigrationHorizon: 1_000_000})
+	b.maint.depth = bound
+	victim := storeObjects(t, b, n, size)
+	b.FlushStats() // a drain, unlike a pass, does not flush the log pipeline first
+	if on := b.ProviderIndex().Count(victim); on != n {
+		t.Fatalf("scenario expects all %d objects on %s, got %d", n, victim, on)
+	}
+	raisePrices(t, b, victim)
+	if st := b.MaintStats(); st.Enqueued != bound || st.Dropped != n-bound || st.QueueDepth != bound {
+		t.Fatalf("queue of %d fed %d invalidations: %+v", bound, n, st)
+	}
+	if got := b.DrainMaintenance(ctx); got != bound || b.ProviderIndex().Count(victim) != n-bound {
+		t.Fatalf("drained %d, %d objects still on %s", got, b.ProviderIndex().Count(victim), victim)
+	}
+	// The dropped objects get traffic; the trend gate admits them.
+	clock.Advance(4)
+	for _, obj := range b.ProviderIndex().Objects(victim) {
+		_, key, _ := splitObjectName(obj)
+		for r := 0; r < 5; r++ {
+			if _, _, err := b.Engine(0).Get(ctx, "c", key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rep, err := b.Optimize(ctx)
+	if err != nil || rep.Migrated != n-bound {
+		t.Fatalf("optimize = %+v, %v; want the %d dropped objects migrated", rep, err, n-bound)
+	}
+	wantVisibleEverywhere(t, b, n, size, victim)
+}
+
+// TestMaintQueueWorkersAndDrainCountAlike: background workers and an
+// explicit drain run one loop, so the same event leaves the same counters.
+func TestMaintQueueWorkersAndDrainCountAlike(t *testing.T) {
+	run := func(workers int) MaintStats {
+		b := newTestBroker(t, Config{MigrationHorizon: 1_000_000, ReoptWorkers: workers})
+		victim := storeObjects(t, b, 12, 1<<20)
+		b.FlushStats()
+		raisePrices(t, b, victim)
+		b.DrainMaintenance(ctx)
+		if err := b.WaitMaintIdle(ctx); err != nil {
+			t.Fatal(err)
+		}
+		st := b.MaintStats()
+		st.Workers = 0
+		return st
+	}
+	if drained, worked := run(0), run(2); drained != worked || drained.Migrated == 0 || drained.Drained != drained.Enqueued {
+		t.Fatalf("explicit drain left %+v, workers left %+v", drained, worked)
+	}
+}
+
+// raisePrices multiplies a provider's storage, egress and operation
+// prices by 1000 — the paper's "provider suddenly increasing its pricing
+// policy".
+func raisePrices(t *testing.T, b *Broker, provider string) {
+	t.Helper()
+	store, _ := b.Registry().Store(provider)
+	p := store.Spec().Pricing
+	p.StorageGBMonth, p.BandwidthOutGB, p.OpsPer1000 = p.StorageGBMonth*1000, p.BandwidthOutGB*1000, p.OpsPer1000*1000
+	if _, err := b.SetProviderPricing(provider, p); err != nil {
+		t.Fatal(err)
 	}
 }
 

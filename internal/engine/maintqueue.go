@@ -14,9 +14,9 @@ import (
 // exactly the objects whose cached placement decision the event
 // invalidated (they hold a chunk on the changed provider) and enqueues
 // them. A bounded worker pool (Config.ReoptWorkers) drains the queue
-// through the same reoptimizeObject entry point the periodic optimizer
-// uses; deployments without workers drain explicitly via
-// Broker.DrainMaintenance.
+// through the per-object step the periodic optimizer and repair run
+// (Engine.maintain, the zero trigger); deployments without workers drain
+// explicitly via Broker.DrainMaintenance.
 //
 // Scope note: a price *drop* on a provider an object is NOT placed on
 // can also make its placement suboptimal. Those opportunities are not
@@ -117,55 +117,11 @@ func (m *maintQueue) onMarketEvent(ev cloud.MarketEvent) {
 	m.mu.Unlock()
 }
 
-// worker drains the queue until close.
+// worker drains the queue until close, sleeping while it is empty.
 func (m *maintQueue) worker() {
 	defer m.wg.Done()
-	for {
-		m.mu.Lock()
-		for len(m.queue) == 0 && !m.closed {
-			m.cond.Wait()
-		}
-		if len(m.queue) == 0 && m.closed {
-			m.mu.Unlock()
-			return
-		}
-		obj := m.pop()
-		m.inflight++
-		m.mu.Unlock()
-
-		migrated := m.process(m.ctx, obj)
-
-		m.mu.Lock()
-		m.inflight--
-		m.drained++
-		if migrated {
-			m.migrated++
-		}
-		m.cond.Broadcast()
-		m.mu.Unlock()
+	for m.step(m.ctx, true) {
 	}
-}
-
-// pop removes the queue head. Callers hold m.mu and have checked the
-// queue is non-empty.
-func (m *maintQueue) pop() string {
-	obj := m.queue[0]
-	m.queue = m.queue[1:]
-	if len(m.queue) == 0 {
-		m.queue = nil // let the backing array go once drained
-	}
-	delete(m.queued, obj)
-	return obj
-}
-
-// process re-plans one invalidated object. The trend gate is skipped on
-// purpose: the market changed, not the workload, so the cached decision
-// is stale regardless of the access trend.
-func (m *maintQueue) process(ctx context.Context, obj string) (migrated bool) {
-	e := m.b.NextEngine()
-	now := m.b.clock.Period()
-	migrated, _, _, _ = e.reoptimizeObject(ctx, obj, now)
-	return migrated
 }
 
 // drain synchronously processes queued invalidations until the queue is
@@ -173,29 +129,43 @@ func (m *maintQueue) process(ctx context.Context, obj string) (migrated bool) {
 // Safe to run alongside background workers.
 func (m *maintQueue) drain(ctx context.Context) int {
 	n := 0
-	for ctx.Err() == nil {
-		m.mu.Lock()
-		if len(m.queue) == 0 || m.closed {
-			m.mu.Unlock()
-			break
-		}
-		obj := m.pop()
-		m.inflight++
-		m.mu.Unlock()
-
-		migrated := m.process(ctx, obj)
-
-		m.mu.Lock()
-		m.inflight--
-		m.drained++
-		if migrated {
-			m.migrated++
-		}
-		m.cond.Broadcast()
-		m.mu.Unlock()
+	for ctx.Err() == nil && m.step(ctx, false) {
 		n++
 	}
 	return n
+}
+
+// step pops the queue head and re-plans it, the one loop body of workers
+// and explicit drains. It reports false once there is nothing to do: the
+// queue is closed, or empty — which a caller that asked to wait sleeps
+// through until the next event.
+func (m *maintQueue) step(ctx context.Context, wait bool) bool {
+	m.mu.Lock()
+	for wait && len(m.queue) == 0 && !m.closed {
+		m.cond.Wait()
+	}
+	if len(m.queue) == 0 || m.closed {
+		m.mu.Unlock()
+		return false
+	}
+	obj := m.queue[0]
+	m.queue = m.queue[1:]
+	if len(m.queue) == 0 {
+		m.queue = nil // let the backing array go once drained
+	}
+	delete(m.queued, obj)
+	m.inflight++
+	m.mu.Unlock()
+
+	out := m.b.NextEngine().maintain(ctx, []string{obj}, m.b.clock.Period(), trigger{})
+
+	m.mu.Lock()
+	m.inflight--
+	m.drained++
+	m.migrated += int64(out.migrated)
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	return true
 }
 
 // waitIdle blocks until the queue is empty and no object is mid-flight.

@@ -382,10 +382,8 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		e.deleteChunks(*prev)
 		e.invalidateCached(*prev)
 	}
-	obj := objectName(s.container, s.key)
-	e.b.setPlacement(obj, s.placement)
 	e.agent.Log(stats.Event{
-		Object: obj, Class: class, Kind: stats.EventWrite,
+		Object: objectName(s.container, s.key), Class: class, Kind: stats.EventWrite,
 		Bytes: size, StorageBytes: size, Period: now,
 	})
 	return meta, nil

@@ -47,69 +47,139 @@ var ErrNoLeader = errors.New("engine: no alive engine for leader election")
 // exceed the migration cost. Cancelling ctx stops the shard scans;
 // objects not yet examined are picked up by a later round.
 func (b *Broker) Optimize(ctx context.Context) (OptimizeReport, error) {
-	defer b.observeStage(obs.TraceFrom(ctx), "optimize", time.Now())
-	leader := b.electLeader()
-	if leader == nil {
-		return OptimizeReport{}, ErrNoLeader
+	planner0 := b.planner.Stats()
+	leader, scanned, sum, err := b.pass(ctx, "optimize", trigger{gated: true}, &b.optimized, func(now int64) []string {
+		b.mu.Lock()
+		since := b.lastOpt
+		b.lastOpt = now
+		b.mu.Unlock()
+		return b.statsDB.AccessedSince(since)
+	})
+	planner1 := b.planner.Stats()
+	return OptimizeReport{
+		Leader: leader, Scanned: scanned, TrendChanged: sum.trendChanged,
+		Recomputed: sum.recomputed, Migrated: sum.migrated,
+		MigrationUSD: sum.migrationUSD, Evaluated: sum.evaluated,
+		PlannerHits:   planner1.Hits - planner0.Hits,
+		PlannerMisses: planner1.Misses - planner0.Misses,
+	}, err
+}
+
+// outcome is what one run of the per-object step did. Shards, passes and
+// the lifetime totals sum it with add; every report is a view of a sum.
+type outcome struct {
+	checked, affected, waited          int // Repair's admission counts
+	trendChanged, recomputed, migrated int
+	swapped, restriped, skipped        int
+	evaluated                          int // candidate sets priced
+	migrationUSD                       float64
+	chunks                             int // replacement chunks repairs wrote
+	bytes                              int64
+}
+
+func (o *outcome) add(x outcome) {
+	o.checked += x.checked
+	o.affected += x.affected
+	o.waited += x.waited
+	o.trendChanged += x.trendChanged
+	o.recomputed += x.recomputed
+	o.migrated += x.migrated
+	o.swapped += x.swapped
+	o.restriped += x.restriped
+	o.skipped += x.skipped
+	o.evaluated += x.evaluated
+	o.migrationUSD += x.migrationUSD
+	o.chunks += x.chunks
+	o.bytes += x.bytes
+}
+
+// passTotals sums one kind of pass over the broker's lifetime.
+type passTotals struct {
+	passes, objects int
+	outcome
+}
+
+// trigger is what brings a pass to an object, which is also what the
+// decision step is told about it. The zero trigger is the event queue's:
+// a provider holding a chunk of the object changed, and no gate applies
+// — the market moved, not the workload, so the last decision is stale
+// whatever the access trend.
+type trigger struct {
+	// gated admits only objects whose access trend changed (Optimize).
+	gated bool
+	// degraded admits only objects with a chunk at an unreachable
+	// provider (Repair); active repairs them, otherwise they wait out the
+	// outage.
+	degraded, active bool
+}
+
+// pass is the one maintenance driver, under Optimize and Repair (Fig. 7,
+// steps 1-4): a leader elected among the alive engines flushes the
+// statistics pipeline, lists the pass's objects, splits them evenly
+// across the alive engines, and each engine runs the per-object step
+// over its share in parallel. The summed outcome is also folded into the
+// lifetime totals tot.
+func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTotals,
+	list func(now int64) []string) (leader string, objects int, sum outcome, err error) {
+	defer b.observeStage(obs.TraceFrom(ctx), stage, time.Now())
+	lead := b.electLeader()
+	if lead == nil {
+		return "", 0, sum, ErrNoLeader
 	}
 	b.FlushStats()
-
-	b.mu.Lock()
-	since := b.lastOpt
 	now := b.clock.Period()
-	b.lastOpt = now
-	b.mu.Unlock()
-
-	accessed := b.statsDB.AccessedSince(since)
-	report := OptimizeReport{Leader: leader.id, Scanned: len(accessed)}
-	if len(accessed) == 0 {
-		// Quiet round: nothing to shard, skip the fan-out machinery (the
-		// common case for a broker ticking every sampling period).
-		b.recordOptimize(report)
-		return report, nil
-	}
-	planner0 := b.planner.Stats()
-
-	// Fan out over alive engines (step 3-4 of Fig. 7).
-	alive := b.aliveEngines()
-	shards := shardObjects(accessed, len(alive))
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, e := range alive {
-		if len(shards[i]) == 0 {
-			continue
+	objs := list(now)
+	// A quiet pass has nothing to shard and skips the fan-out machinery:
+	// the common case for a broker ticking every sampling period.
+	if len(objs) > 0 {
+		alive := b.aliveEngines()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for i, shard := range shardObjects(objs, len(alive)) {
+			if len(shard) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(e *Engine, shard []string) {
+				defer wg.Done()
+				local := e.maintain(ctx, shard, now, t)
+				mu.Lock()
+				sum.add(local)
+				mu.Unlock()
+			}(alive[i], shard)
 		}
-		wg.Add(1)
-		go func(e *Engine, objs []string) {
-			defer wg.Done()
-			local := e.optimizeShard(ctx, objs, now)
-			mu.Lock()
-			report.TrendChanged += local.TrendChanged
-			report.Recomputed += local.Recomputed
-			report.Migrated += local.Migrated
-			report.MigrationUSD += local.MigrationUSD
-			report.Evaluated += local.Evaluated
-			mu.Unlock()
-		}(e, shards[i])
+		wg.Wait()
 	}
-	wg.Wait()
-	planner1 := b.planner.Stats()
-	report.PlannerHits = planner1.Hits - planner0.Hits
-	report.PlannerMisses = planner1.Misses - planner0.Misses
-	b.recordOptimize(report)
-	return report, ctx.Err()
+	b.mu.Lock()
+	tot.passes++
+	tot.objects += len(objs)
+	tot.add(sum)
+	b.mu.Unlock()
+	return lead.id, len(objs), sum, ctx.Err()
 }
 
 // aliveEngines returns the engines participating in fan-out work.
 func (b *Broker) aliveEngines() []*Engine {
-	var alive []*Engine
+	alive := make([]*Engine, 0, len(b.engines))
 	for _, e := range b.engines {
 		if e.Alive() {
 			alive = append(alive, e)
 		}
 	}
 	return alive
+}
+
+// electLeader picks the alive engine with the lowest identifier — a
+// deterministic stand-in for the paper's leader election among engines
+// of all datacenters.
+func (b *Broker) electLeader() *Engine {
+	var leader *Engine
+	for _, e := range b.engines {
+		if e.Alive() && (leader == nil || e.id < leader.id) {
+			leader = e
+		}
+	}
+	return leader
 }
 
 // shardObjects splits the object list round-robin across n workers.
@@ -121,190 +191,138 @@ func shardObjects(objs []string, n int) [][]string {
 	return shards
 }
 
-// electLeader picks the alive engine with the lowest identifier — a
-// deterministic stand-in for the paper's leader election among engines
-// of all datacenters.
-func (b *Broker) electLeader() *Engine {
-	var leader *Engine
-	for _, e := range b.engines {
-		if !e.Alive() {
-			continue
-		}
-		if leader == nil || e.id < leader.id {
-			leader = e
-		}
-	}
-	return leader
-}
-
-// optimizeShard processes one engine's share of the accessed-object set.
-func (e *Engine) optimizeShard(ctx context.Context, objs []string, now int64) OptimizeReport {
-	var report OptimizeReport
+// maintain runs the per-object step over objs — one engine's share of a
+// pass, or one object popped off the event queue. Single-stripe swaps
+// are batched per target provider, so many small objects repaired onto
+// the same spare cost one provider round-trip per batch; the deferred
+// flush writes into the named result, so swaps still pending at loop
+// exit are counted.
+func (e *Engine) maintain(ctx context.Context, objs []string, now int64, t trigger) (sum outcome) {
+	batch := swapBatcher{e: e}
+	defer batch.flush(ctx, &sum)
 	for _, obj := range objs {
 		if ctx.Err() != nil {
 			break
 		}
 		noteProgress(ctx, 1)
-		if !e.detectTrendChange(obj, now) {
-			continue
-		}
-		report.TrendChanged++
-		migrated, cost, recomputed, evaluated := e.reoptimizeObject(ctx, obj, now)
-		report.Evaluated += evaluated
-		if recomputed {
-			report.Recomputed++
-		}
-		if migrated {
-			report.Migrated++
-			report.MigrationUSD += cost
-		}
+		sum.add(e.maintainObject(ctx, obj, now, t, &batch))
 	}
-	return report
+	return sum
 }
 
-// detectTrendChange applies the momentum detector statelessly over the
-// object's recorded history: it compares the SMA of the last w periods
-// against the SMA of the preceding w periods.
-func (e *Engine) detectTrendChange(obj string, now int64) bool {
+// maintainObject is the per-object step every trigger shares: admit the
+// object (t), Head it, resolve its rule, let core.Decider.Decide — the
+// step the cost simulator runs too — say what to do, and execute that:
+// migrate, swap the lost chunks, re-stripe, or leave it.
+func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t trigger, batch *swapBatcher) (out outcome) {
+	// The trend gate compares the SMA of the last w periods of the
+	// object's recorded history against the SMA of the w before.
 	h := e.b.statsDB.History(obj)
-	if h == nil {
-		return false
+	if t.gated {
+		if h == nil || !trend.Changed(h.OpsSeries(now, trend.DefaultWindow+1), trend.DefaultWindow, trend.DefaultLimit) {
+			return out
+		}
+		out.trendChanged = 1
 	}
-	w := e.b.cfg.DetectWindow
-	series := h.OpsSeries(now, w+1)
-	if len(series) < w+1 {
-		return true // young object: history shorter than the window
-	}
-	var prev, cur float64
-	for i := 0; i < w; i++ {
-		prev += series[i]
-		cur += series[i+1]
-	}
-	prev /= float64(w)
-	cur /= float64(w)
-	return trend.Momentum(prev, cur) > e.b.cfg.DetectLimit
-}
-
-// reoptimizeObject recomputes an object's placement from its access
-// history over the adaptive decision period, migrating when worthwhile.
-// evaluated counts the candidate sets examined by this object's
-// searches (placement plus coupling probes).
-func (e *Engine) reoptimizeObject(ctx context.Context, obj string, now int64) (migrated bool, cost float64, recomputed bool, evaluated int) {
 	container, key, ok := splitObjectName(obj)
 	if !ok {
-		return false, 0, false, 0
+		return out
 	}
 	meta, err := e.Head(ctx, container, key)
 	if err != nil {
-		return false, 0, false, 0
+		return out
 	}
-	h := e.b.statsDB.History(obj)
+	out.checked = 1
+	why := core.CostDriven
+	if t.degraded {
+		if !slices.ContainsFunc(meta.Chunks, func(name string) bool { return !e.b.alive(name) }) {
+			return out
+		}
+		out.affected = 1
+		if !t.active {
+			out.waited = 1
+			return out
+		}
+		why = core.Repairing
+	}
 	if h == nil {
-		return false, 0, false, 0
+		if why != core.Repairing {
+			return out // its first write event is still in the log pipeline
+		}
+		h = stats.NewHistory(0) // repair it on its storage cost alone
 	}
+
 	rule := e.b.rules.Resolve(container, key, meta.Class)
-
-	d, coupleEval := e.updateDecisionPeriod(obj, meta, h, rule, now)
-	evaluated += coupleEval
-	sum := h.Summary(now, d)
-	sum.StorageBytes = float64(meta.Size)
-
-	// placeWithRetry (not a bare planner call): the planned providers are
-	// re-verified as reachable, so a backend that died without a registry
-	// event (no epoch bump) is excluded instead of poisoning the
-	// migration target until the next market change.
-	res, err := e.placeWithRetry(rule, sum, meta.Size)
-	evaluated += res.Evaluated
-	if err != nil {
-		return false, 0, true, evaluated
-	}
-	// Price staying put against the live market: the stored chunk
+	view := e.b.marketView(now)
+	// A rule this market cannot satisfy has no search; Decide keeps the
+	// object (a repair may still find a swap).
+	search, _ := e.b.planner.Search(view.Epoch, view.Specs, rule)
+	// Staying put is priced against the live market: the stored chunk
 	// locations with the registry's current price sheets, so a provider
 	// that raised its prices makes its objects look as expensive as they
 	// now are.
-	cur := e.b.livePlacement(meta.M, meta.Chunks)
-	if res.Placement.Equal(cur) {
-		return false, 0, true, evaluated
+	dec := e.b.decider.Decide(core.Object{
+		History: h, Ctl: e.b.controller(obj, meta, now),
+		Size: meta.Size, FitBytes: meta.Size,
+		Current: e.b.livePlacement(meta.M, meta.Chunks),
+		TTL:     e.ttlPeriods(obj, meta, now),
+	}, view, rule, search, why)
+	out.recomputed = 1
+	out.evaluated = dec.Evaluated
+
+	done := false
+	switch dec.Action {
+	case core.Migrate:
+		if done = e.migrate(ctx, meta, dec.Target) == nil; done {
+			out.migrated, out.migrationUSD = 1, dec.MigrationCost
+		}
+	case core.Restripe:
+		if done = e.migrate(ctx, meta, dec.Target) == nil; done {
+			out.restriped = 1
+			out.chunks, out.bytes = restripeWritten(meta, dec.Target)
+		}
+	case core.Swap:
+		// A multi-stripe object's replacement chunks are written at once; a
+		// single-stripe object's are reconstructed now and their writes
+		// deferred to the per-provider batch.
+		sw, err := e.planSwap(meta, dec.Target, dec.Replaced)
+		if err == nil && sw.src.stripes > 1 {
+			err = e.swapRepair(ctx, sw, &out)
+		} else if err == nil {
+			err = batch.add(ctx, sw, &out)
+		}
+		done = err == nil
 	}
-	// Migrate only if the savings over the benefit horizon cover the
-	// migration cost (§III-A3). The horizon is the decision period,
-	// stretched to the object's expected remaining lifetime and the
-	// configured minimum.
-	horizon := d
-	if ttl := e.ttlPeriods(obj, meta, now); ttl > horizon {
-		horizon = ttl
+	// A degraded object with no feasible plan, or whose repair failed (a
+	// survivor or target died mid-copy, rot), stays degraded, which the
+	// report must show. It is still indexed on the dead provider, so the
+	// next repair pass plans it again on the market as it is then. A
+	// cancelled pass counts nothing.
+	if !done && why == core.Repairing && ctx.Err() == nil {
+		out.skipped = 1
 	}
-	if e.b.cfg.MigrationHorizon > horizon {
-		horizon = e.b.cfg.MigrationHorizon
-	}
-	curPrice := core.PeriodCost(cur, sum, e.b.cfg.PeriodHours)
-	saving := (curPrice - res.Price) * float64(horizon)
-	migCost := core.MigrationCost(cur, res.Placement, float64(meta.Size)/1e9)
-	if saving <= migCost {
-		return false, 0, true, evaluated
-	}
-	if err := e.migrate(ctx, meta, res.Placement); err != nil {
-		return false, 0, true, evaluated
-	}
-	e.b.setPlacement(obj, res.Placement)
-	return true, migCost, true, evaluated
+	return out
 }
 
-// updateDecisionPeriod runs the coupling evaluation (D/2, D, 2D) when
-// the object's controller is due, returning the decision period to use
-// and the number of candidate sets the probes examined. The coupling
-// probes share one prepared search: the market does not change between
-// the D/2, D and 2D evaluations.
-func (e *Engine) updateDecisionPeriod(obj string, meta ObjectMeta, h *stats.History, rule core.Rule, now int64) (int, int) {
-	e.b.mu.Lock()
-	ctl, ok := e.b.decisions[obj]
+// controller returns the object's decision-period controller, creating
+// it on first use. D is seeded from the class's expected lifetime when
+// available: a short-lived class should not be optimized with a long
+// horizon.
+func (b *Broker) controller(obj string, meta ObjectMeta, now int64) *core.DecisionController {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ctl, ok := b.decisions[obj]
 	if !ok {
-		initial := e.b.cfg.DecisionPeriod
-		// Seed from the class's expected lifetime when available: a
-		// short-lived class should not be optimized with a long horizon.
-		if ttl, ok := e.b.statsDB.Classes().ExpectedTTL(meta.Class, e.b.statsDB.AgeHours(obj, now)); ok {
-			if p := int(ttl / e.b.cfg.PeriodHours); p >= core.MinDecisionPeriod && p < initial {
+		initial := b.cfg.DecisionPeriod
+		if ttl, ok := b.statsDB.Classes().ExpectedTTL(meta.Class, b.statsDB.AgeHours(obj, now)); ok {
+			if p := int(ttl / b.cfg.PeriodHours); p >= core.MinDecisionPeriod && p < initial {
 				initial = p
 			}
 		}
 		ctl = core.NewDecisionController(initial, 0)
-		e.b.decisions[obj] = ctl
+		b.decisions[obj] = ctl
 	}
-	due := ctl.Tick()
-	e.b.mu.Unlock()
-	if !due {
-		return ctl.D(), 0
-	}
-
-	// limit = min(TTL_obj, |H_obj|) in sampling periods.
-	limit := h.Span(now)
-	if ttl := e.ttlPeriods(obj, meta, now); ttl > 0 && ttl < limit {
-		limit = ttl
-	}
-	cands := ctl.Candidates(limit)
-	epoch, specs, free := e.b.market()
-	evaluated := 0
-	search, err := e.b.planner.Search(epoch, specs, rule)
-	bestIdx, bestPrice := 1, 0.0
-	if err == nil {
-		for i, d := range cands {
-			sum := h.Summary(now, d)
-			sum.StorageBytes = float64(meta.Size)
-			res := search.Best(sum, meta.Size, free)
-			evaluated += res.Evaluated
-			if !res.Feasible {
-				continue
-			}
-			if i == 0 || res.Price < bestPrice {
-				bestIdx, bestPrice = i, res.Price
-			}
-		}
-	}
-	e.b.mu.Lock()
-	ctl.Update(bestIdx, cands)
-	d := ctl.D()
-	e.b.mu.Unlock()
-	return d, evaluated
+	return ctl
 }
 
 // ttlPeriods resolves the object's time left to live in sampling
@@ -312,11 +330,7 @@ func (e *Engine) updateDecisionPeriod(obj string, meta ObjectMeta, h *stats.Hist
 func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 	age := e.b.statsDB.AgeHours(obj, now)
 	if meta.TTLHours > 0 {
-		left := meta.TTLHours - age
-		if left < 0 {
-			left = 0
-		}
-		return int(left / e.b.cfg.PeriodHours)
+		return int(max(meta.TTLHours-age, 0) / e.b.cfg.PeriodHours)
 	}
 	if ttl, ok := e.b.statsDB.Classes().ExpectedTTL(meta.Class, age); ok {
 		return int(ttl / e.b.cfg.PeriodHours)
@@ -363,16 +377,15 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	// client write (or delete) that landed while the chunks were copying
 	// must win — a background migration may never clobber an acknowledged
 	// update or resurrect a tombstone.
-	row := RowKey(meta.Container, meta.Key)
-	if _, err := e.publish(row, true, func(cur *ObjectMeta, ts int64) error {
+	if _, err := e.publish(meta.Container, meta.Key, true, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID {
-			return fmt.Errorf("engine: migrate: object changed mid-migration")
+			return nil, fmt.Errorf("engine: migrate: object changed mid-migration")
 		}
 		version, err := encodeMeta(newMeta, ts)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return e.b.meta.Put(e.dc, row, version)
+		return &newMeta, e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version)
 	}); err != nil {
 		e.deleteChunks(newMeta)
 		return err

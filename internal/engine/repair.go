@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
-	"scalia/internal/obs"
-	"scalia/internal/stats"
 )
 
 // This file is the production repair path (§IV-E). A repair pass scans
@@ -25,8 +22,8 @@ import (
 //  2. re-stripe — otherwise the object is fully re-placed through the
 //     planner and migrated, rewriting every chunk.
 //
-// Swap plans come from core.Planner.Repair — the same entry point the
-// cost simulator uses — so simulated and production repair decisions
+// Which of the two is decided by core.Decider.Decide — the step the cost
+// simulator runs too — so simulated and production repair decisions
 // provably agree.
 
 // RepairReport summarizes an active-repair pass (§IV-E).
@@ -93,21 +90,13 @@ type RepairTotals struct {
 // RepairTotals returns the cumulative repair counters.
 func (b *Broker) RepairTotals() RepairTotals {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.repairTotals
-}
-
-// recordRepair folds one pass's report into the lifetime totals.
-func (b *Broker) recordRepair(rep RepairReport) {
-	b.mu.Lock()
-	b.repairTotals.Passes++
-	b.repairTotals.Repaired += rep.Repaired
-	b.repairTotals.Swapped += rep.Swapped
-	b.repairTotals.Restriped += rep.Restriped
-	b.repairTotals.Skipped += rep.Skipped
-	b.repairTotals.ChunksWritten += rep.ChunksWritten
-	b.repairTotals.BytesWritten += rep.BytesWritten
+	t := b.repaired
 	b.mu.Unlock()
+	return RepairTotals{
+		Passes: t.passes, Repaired: t.swapped + t.restriped, Swapped: t.swapped,
+		Restriped: t.restriped, Skipped: t.skipped,
+		ChunksWritten: t.chunks, BytesWritten: t.bytes,
+	}
 }
 
 // Repair applies the policy to objects with chunks at unreachable
@@ -120,27 +109,6 @@ func (b *Broker) recordRepair(rep RepairReport) {
 // fallback. Like Optimize, the scan is sharded across all alive engines
 // and runs in parallel.
 func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport, error) {
-	affected := b.provIndex.ObjectsOn(b.unreachableProviders())
-	b.metrics.repairIndexed.Add(int64(len(affected)))
-	return b.repairScan(ctx, policy, affected)
-}
-
-// unreachableProviders returns the indexed providers that are currently
-// unregistered or unavailable — the providers whose objects a repair
-// pass must examine. Cost is O(providers carrying data), not O(objects).
-func (b *Broker) unreachableProviders() []string {
-	var down []string
-	for _, name := range b.provIndex.ProviderNames() {
-		s, ok := b.registry.Store(name)
-		if !ok || !s.Available() {
-			down = append(down, name)
-		}
-	}
-	return down
-}
-
-// repairScan runs one repair pass over the given candidate objects.
-func (b *Broker) repairScan(ctx context.Context, policy RepairPolicy, objs []string) (RepairReport, error) {
 	// One pass at a time: swap repairs reuse the live version's chunk
 	// keys, so two concurrent passes planning the same deterministic
 	// swap would race commit-vs-rollback on the same keys. (The commit
@@ -149,164 +117,31 @@ func (b *Broker) repairScan(ctx context.Context, policy RepairPolicy, objs []str
 	// keeps the race from arising at all.)
 	b.repairMu.Lock()
 	defer b.repairMu.Unlock()
-	defer b.observeStage(obs.TraceFrom(ctx), "repair", time.Now())
-	leader := b.electLeader()
-	if leader == nil {
-		return RepairReport{}, ErrNoLeader
-	}
-	b.FlushStats()
-	now := b.clock.Period()
-
-	alive := b.aliveEngines()
-	shards := shardObjects(objs, len(alive))
-
-	var report RepairReport
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, e := range alive {
-		if len(shards[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(e *Engine, objs []string) {
-			defer wg.Done()
-			local := e.repairShard(ctx, objs, policy, now)
-			mu.Lock()
-			report.Checked += local.Checked
-			report.Affected += local.Affected
-			report.Repaired += local.Repaired
-			report.Waited += local.Waited
-			report.Swapped += local.Swapped
-			report.Restriped += local.Restriped
-			report.Skipped += local.Skipped
-			report.ChunksWritten += local.ChunksWritten
-			report.BytesWritten += local.BytesWritten
-			mu.Unlock()
-		}(e, shards[i])
-	}
-	wg.Wait()
-	b.recordRepair(report)
-	return report, ctx.Err()
+	t := trigger{degraded: true, active: policy == RepairActive}
+	_, _, sum, err := b.pass(ctx, "repair", t, &b.repaired, func(int64) []string {
+		affected := b.provIndex.ObjectsOn(b.unreachableProviders())
+		b.metrics.repairIndexed.Add(int64(len(affected)))
+		return affected
+	})
+	return RepairReport{
+		Checked: sum.checked, Affected: sum.affected, Waited: sum.waited,
+		Repaired: sum.swapped + sum.restriped, Swapped: sum.swapped,
+		Restriped: sum.restriped, Skipped: sum.skipped,
+		ChunksWritten: sum.chunks, BytesWritten: sum.bytes,
+	}, err
 }
 
-// repairShard applies the repair policy to one engine's share of the
-// object population.
-func (e *Engine) repairShard(ctx context.Context, objs []string, policy RepairPolicy, now int64) (report RepairReport) {
-	aliveFn := func(name string) bool {
-		s, ok := e.b.registry.Store(name)
-		return ok && s.Available()
-	}
-	// Single-stripe swaps are batched per target provider so many small
-	// objects repaired onto the same spare cost one provider round-trip
-	// per batch. The deferred flush writes into the named return value,
-	// so swaps still pending at loop exit are counted.
-	batch := swapBatcher{e: e}
-	defer batch.flush(ctx, &report)
-	for _, obj := range objs {
-		if ctx.Err() != nil {
-			break
-		}
-		noteProgress(ctx, 1)
-		container, key, ok := splitObjectName(obj)
-		if !ok {
-			continue
-		}
-		meta, err := e.Head(ctx, container, key)
-		if err != nil {
-			continue
-		}
-		report.Checked++
-		affected := false
-		for _, name := range meta.Chunks {
-			if !aliveFn(name) {
-				affected = true
-				break
-			}
-		}
-		if !affected {
-			continue
-		}
-		report.Affected++
-		if policy == RepairWait {
-			report.Waited++
-			continue
-		}
-		rule := e.b.rules.Resolve(container, key, meta.Class)
-		h := e.b.statsDB.History(obj)
-		sum := stats.Summary{Periods: 1, StorageBytes: float64(meta.Size)}
-		if h != nil {
-			sum = h.Summary(now, e.decisionWindow(obj, now))
-			sum.StorageBytes = float64(meta.Size)
-		}
-		// Plan through the shared planner — the same entry point the
-		// simulator uses: a same-(m,n) swap when feasible, the best full
-		// re-placement otherwise.
-		var restripeTo core.Placement
-		epoch, specs, free := e.b.market()
-		plan, perr := e.b.planner.Repair(epoch, specs, rule,
-			e.b.livePlacement(meta.M, meta.Chunks), aliveFn, sum, meta.Size, free)
-		if perr == nil && plan.Mode == core.RepairSwap {
-			// A multi-stripe object's replacement chunks are written at
-			// once; a single-stripe object's are reconstructed now and
-			// their writes deferred to the per-provider batch.
-			sw, serr := e.planSwap(meta, plan)
-			if serr == nil && sw.src.stripes > 1 {
-				serr = e.swapRepair(ctx, sw, &report)
-			} else if serr == nil {
-				serr = batch.add(ctx, sw, &report)
-			}
-			if serr == nil {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			// The swap failed (a survivor or target died mid-copy, rot);
-			// fall through to the full re-placement.
-		} else if perr == nil && e.placementReachable(plan.Placement) {
-			// Reuse the planner's re-stripe plan rather than running the
-			// same search again; the reachability re-check mirrors
-			// placeWithRetry's.
-			restripeTo = plan.Placement
-		}
-		if restripeTo.N() == 0 {
-			// placeWithRetry plans through the shared planner and
-			// guarantees every chosen provider is reachable right now.
-			res, err := e.placeWithRetry(rule, sum, meta.Size)
-			if err != nil {
-				report.Skipped++
-				continue
-			}
-			restripeTo = res.Placement
-		}
-		if err := e.migrate(ctx, meta, restripeTo); err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			report.Skipped++
-			continue
-		}
-		e.b.setPlacement(obj, restripeTo)
-		report.Repaired++
-		report.Restriped++
-		chunks, wbytes := restripeWritten(meta, restripeTo)
-		report.ChunksWritten += chunks
-		report.BytesWritten += wbytes
-	}
-	return report
-}
-
-// placementReachable reports whether every provider of p is currently
-// registered and available — the re-check placeWithRetry performs on
-// freshly planned placements.
-func (e *Engine) placementReachable(p core.Placement) bool {
-	for _, spec := range p.Providers {
-		s, ok := e.b.registry.Store(spec.Name)
-		if !ok || !s.Available() {
-			return false
+// unreachableProviders returns the indexed providers that are currently
+// unregistered or unavailable — the providers whose objects a repair
+// pass must examine. Cost is O(providers carrying data), not O(objects).
+func (b *Broker) unreachableProviders() []string {
+	var down []string
+	for _, name := range b.provIndex.ProviderNames() {
+		if !b.alive(name) {
+			down = append(down, name)
 		}
 	}
-	return true
+	return down
 }
 
 // restripeWritten accounts the chunk writes of a full re-placement:
@@ -331,7 +166,7 @@ func restripeWritten(meta ObjectMeta, to core.Placement) (chunks int, bytes int6
 // a single-stripe object between reconstruction and its batched write.
 type swap struct {
 	meta     ObjectMeta
-	plan     core.RepairPlan
+	replaced []int // the slots rewritten, ascending
 	src, dst *stripeLayout
 	order    []int
 	chunks   [][]byte
@@ -343,20 +178,20 @@ type swap struct {
 // share chunk keys and differ only in the providers of the replaced
 // slots. The repair read follows the serving path's "m cheapest
 // providers" ranking, with the replaced slots excluded.
-func (e *Engine) planSwap(meta ObjectMeta, plan core.RepairPlan) (*swap, error) {
+func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*swap, error) {
 	n := len(meta.Chunks)
-	if plan.Placement.N() != n || plan.Placement.M != meta.M || len(plan.Replaced) == 0 {
+	if to.N() != n || to.M != meta.M || len(replaced) == 0 {
 		return nil, fmt.Errorf("engine: swap plan does not match the stored layout")
 	}
 	moved := meta
 	moved.Chunks = slices.Clone(meta.Chunks)
-	for _, i := range plan.Replaced {
+	for _, i := range replaced {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("engine: swap plan slot %d out of range", i)
 		}
-		moved.Chunks[i] = plan.Placement.Providers[i].Name
+		moved.Chunks[i] = to.Providers[i].Name
 	}
-	sw := &swap{meta: meta, plan: plan}
+	sw := &swap{meta: meta, replaced: replaced}
 	var err error
 	if sw.src, err = e.layoutOf(meta); err != nil {
 		return nil, err
@@ -364,12 +199,12 @@ func (e *Engine) planSwap(meta ObjectMeta, plan core.RepairPlan) (*swap, error) 
 	if sw.dst, err = e.layoutOf(moved); err != nil {
 		return nil, err
 	}
-	for _, i := range plan.Replaced {
+	for _, i := range replaced {
 		if st := sw.dst.stores[i]; st == nil || !st.Available() {
 			return nil, fmt.Errorf("%w: swap target %s", cloud.ErrUnavailable, sw.dst.names[i])
 		}
 	}
-	sw.order, err = sw.src.rank(meta.Size, plan.Replaced)
+	sw.order, err = sw.src.rank(meta.Size, replaced)
 	return sw, err
 }
 
@@ -394,33 +229,33 @@ func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error)
 // readers find the replacement chunk already written. On any failure,
 // including ctx cancellation mid-swap, every replacement chunk already
 // written is rolled back and the old metadata stays live.
-func (e *Engine) swapRepair(ctx context.Context, sw *swap, report *RepairReport) error {
+func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 	wrote := make([]int64, sw.src.stripes)
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, sw.src.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) {
 				chunks, err := e.rebuild(ctx, sw, s)
 				if err == nil {
-					err = e.writeChunks(ctx, sw.dst, s, chunks, sw.plan.Replaced)
+					err = e.writeChunks(ctx, sw.dst, s, chunks, sw.replaced)
 					wrote[s] = sw.replacedBytes(chunks)
 				}
 				return stripeOut{}, err
 			}, nil
 		})
 	if err := p.drain(); err != nil {
-		e.dropChunks(sw.dst, p.next, sw.plan.Replaced, nil)
+		e.dropChunks(sw.dst, p.next, sw.replaced, nil)
 		return err
 	}
 	var bytes int64
 	for _, w := range wrote {
 		bytes += w
 	}
-	return e.commitSwap(sw, bytes, report, true)
+	return e.commitSwap(sw, bytes, out, true)
 }
 
 // replacedBytes totals the replacement chunks of one rebuilt stripe.
 func (sw *swap) replacedBytes(chunks [][]byte) (n int64) {
-	for _, i := range sw.plan.Replaced {
+	for _, i := range sw.replaced {
 		n += int64(len(chunks[i]))
 	}
 	return n
@@ -430,25 +265,24 @@ func (sw *swap) replacedBytes(chunks [][]byte) (n int64) {
 // lock, and only if the version repaired is still the live one: a
 // client write or delete that landed while the replacement chunks were
 // copying must win. On failure every replacement chunk is rolled back;
-// on success the swap is counted into report and the dead providers'
+// on success the swap is counted into out and the dead providers'
 // stale copies become postponed deletes (§III-D3). replicate is false
 // inside a batch, which replicates once after its last commit.
-func (e *Engine) commitSwap(sw *swap, bytesWritten int64, report *RepairReport, replicate bool) error {
-	meta, stripes, replaced := sw.meta, sw.src.stripes, sw.plan.Replaced
-	row := RowKey(meta.Container, meta.Key)
-	cur, err := e.publish(row, replicate, func(cur *ObjectMeta, ts int64) error {
+func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome, replicate bool) error {
+	meta, stripes, replaced := sw.meta, sw.src.stripes, sw.replaced
+	cur, err := e.publish(meta.Container, meta.Key, replicate, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey || !slices.Equal(cur.Chunks, meta.Chunks) {
-			return fmt.Errorf("engine: swap repair: object changed mid-repair")
+			return nil, fmt.Errorf("engine: swap repair: object changed mid-repair")
 		}
 		newMeta := *cur
 		newMeta.Chunks = sw.dst.names
 		version, err := encodeMeta(newMeta, ts)
 		if err == nil {
-			if err = e.b.meta.Put(e.dc, row, version); err != nil {
+			if err = e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
 				err = fmt.Errorf("engine: swap repair metadata write: %w", err)
 			}
 		}
-		return err
+		return &newMeta, err
 	})
 	if err != nil {
 		// Roll back only slots the live version does not reference: if a
@@ -465,11 +299,9 @@ func (e *Engine) commitSwap(sw *swap, bytesWritten int64, report *RepairReport, 
 	// The dead providers' stale copies of the replaced chunks: deletion
 	// is postponed until the provider recovers (§III-D3).
 	e.dropChunks(sw.src, stripes, replaced, nil)
-	e.b.setPlacement(objectName(meta.Container, meta.Key), sw.plan.Placement)
-	report.Repaired++
-	report.Swapped++
-	report.ChunksWritten += stripes * len(replaced)
-	report.BytesWritten += bytesWritten
+	out.swapped++
+	out.chunks += stripes * len(replaced)
+	out.bytes += bytesWritten
 	return nil
 }
 
@@ -491,12 +323,12 @@ type swapBatcher struct {
 
 // add rebuilds a single-stripe swap's replacement chunks and queues
 // their writes, flushing when the batch is full.
-func (sb *swapBatcher) add(ctx context.Context, sw *swap, report *RepairReport) (err error) {
+func (sb *swapBatcher) add(ctx context.Context, sw *swap, out *outcome) (err error) {
 	if sw.chunks, err = sb.e.rebuild(ctx, sw, 0); err != nil {
 		return err
 	}
 	if sb.pend = append(sb.pend, sw); len(sb.pend) >= swapBatchSize {
-		sb.flush(ctx, report)
+		sb.flush(ctx, out)
 	}
 	return nil
 }
@@ -505,7 +337,7 @@ func (sb *swapBatcher) add(ctx context.Context, sw *swap, report *RepairReport) 
 // provider, then commits each object whose writes all landed. An object
 // with a failed target has the chunks that did land rolled back and is
 // counted Skipped.
-func (sb *swapBatcher) flush(ctx context.Context, report *RepairReport) {
+func (sb *swapBatcher) flush(ctx context.Context, out *outcome) {
 	pend := sb.pend
 	sb.pend = nil
 	if len(pend) == 0 {
@@ -513,7 +345,7 @@ func (sb *swapBatcher) flush(ctx context.Context, report *RepairReport) {
 	}
 	groups := make(map[string][]cloud.BatchItem)
 	for _, sw := range pend {
-		for _, i := range sw.plan.Replaced {
+		for _, i := range sw.replaced {
 			name := sw.dst.names[i]
 			groups[name] = append(groups[name], cloud.BatchItem{Key: sw.dst.key(0, i), Data: sw.chunks[i]})
 		}
@@ -529,11 +361,11 @@ func (sb *swapBatcher) flush(ctx context.Context, report *RepairReport) {
 	}
 	for _, sw := range pend {
 		wrote := func(slot int) bool { return landed[pendingDelete{sw.dst.names[slot], sw.dst.key(0, slot)}] }
-		if slices.ContainsFunc(sw.plan.Replaced, func(i int) bool { return failed[sw.dst.names[i]] }) {
-			sb.e.dropChunks(sw.dst, 1, sw.plan.Replaced, wrote)
-			report.Skipped++
-		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), report, false) != nil {
-			report.Skipped++
+		if slices.ContainsFunc(sw.replaced, func(i int) bool { return failed[sw.dst.names[i]] }) {
+			sb.e.dropChunks(sw.dst, 1, sw.replaced, wrote)
+			out.skipped++
+		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), out, false) != nil {
+			out.skipped++
 		}
 	}
 	sb.e.b.replicate()

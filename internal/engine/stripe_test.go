@@ -17,15 +17,25 @@ import (
 )
 
 // hookBackend wraps a simulated provider with a per-op delay, hooks that
-// can fail (or observe) Gets and Puts before they reach the store, and
+// can fail (or observe, or stall) Gets, Puts and Deletes before they
+// reach the store, and
 // tallies of the Gets that succeeded and failed. It still reports
 // Available() while its hooks fail — the §III-D3 provider that dies
 // between ranking and fetch.
 type hookBackend struct {
 	*cloud.BlobStore
 	delay         time.Duration
-	get, put      func(ctx context.Context, key string) error
+	get, put, del func(ctx context.Context, key string) error
 	gets, getErrs atomic.Int64
+}
+
+func (h *hookBackend) Delete(ctx context.Context, key string) error {
+	if h.del != nil {
+		if err := h.del(ctx, key); err != nil {
+			return err
+		}
+	}
+	return h.BlobStore.Delete(ctx, key)
 }
 
 func (h *hookBackend) Get(ctx context.Context, key string) ([]byte, error) {

@@ -19,6 +19,13 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 	objects := make(map[string]*simObject)
 	var order []string
 	planner := core.NewPlanner(cfg.PeriodHours, cfg.Pruned)
+	decider := core.Decider{
+		Planner:          planner,
+		MigrationHorizon: cfg.MigrationHorizon,
+		MigrationCost: func(from, to core.Placement, sizeGB float64) float64 {
+			return migrationCost(from, to, sizeGB, cfg.MigrationBilling)
+		},
+	}
 
 	var total float64
 	for p := 0; p < sc.Periods(); p++ {
@@ -51,7 +58,6 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 					placement: best.Placement,
 					hist:      stats.NewHistory(0),
 					ctl:       core.NewDecisionController(cfg.DecisionPeriod, 0),
-					createdAt: p,
 					alive:     true,
 				}
 				order = append(order, l.Object)
@@ -89,7 +95,7 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 
 		// Adaptation pass: trend-gated recomputation, membership-change
 		// recomputation, and active repair.
-		migUSD, migIn, migOut := adaptScalia(objects, order, cfg, mkt, planner, search, p, membership, res)
+		migUSD, migIn, migOut := adaptScalia(objects, order, cfg, mkt, decider, search, p, membership, res)
 		total += periodCost + migUSD
 		res.MigrationUSD += migUSD
 		if cfg.TrackResources {
@@ -106,14 +112,19 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 }
 
 // adaptScalia runs the per-period optimization procedure over the
-// simulated objects, returning the migration spend and traffic. Repair
-// placements are planned through the shared core.Planner entry point —
-// the same one the production Broker.Repair uses — so simulated and
-// production repair decisions provably agree.
+// simulated objects, returning the migration spend and traffic. It only
+// picks the objects — membership change, degraded below the threshold
+// under active repair, or the trend gate — and accounts what the
+// decision costs; the decision itself is core.Decider.Decide, the step
+// the production broker runs, so simulated and production decisions
+// provably agree.
 func adaptScalia(objects map[string]*simObject, order []string, cfg Config,
-	mkt *market, planner *core.Planner, search *core.Search, p int, membership bool, res *Result) (usd, inGB, outGB float64) {
+	mkt *market, decider core.Decider, search *core.Search, p int, membership bool, res *Result) (usd, inGB, outGB float64) {
 	_, up := mkt.specsAt(p)
-	aliveAt := func(name string) bool { return mkt.isUp(name, p) }
+	view := core.Market{
+		Now: int64(p), Epoch: mkt.epochAt(p), Specs: up,
+		Alive: func(name string) bool { return mkt.isUp(name, p) },
+	}
 	for _, name := range order {
 		obj := objects[name]
 		if !obj.alive {
@@ -134,55 +145,34 @@ func adaptScalia(objects map[string]*simObject, order []string, cfg Config,
 		degraded := downChunk &&
 			core.FeasibleThreshold(reachable, cfg.Rule.Durability, cfg.Rule.Availability) < obj.placement.M
 		repairing := cfg.ActiveRepair && degraded
-
-		trigger := membership || repairing ||
-			trendChanged(obj.hist, int64(p), cfg.DetectWindow, cfg.DetectLimit)
-		if !trigger {
+		if !membership && !repairing &&
+			!trend.Changed(obj.hist.OpsSeries(int64(p), trend.DefaultWindow+1), trend.DefaultWindow, trend.DefaultLimit) {
 			continue
 		}
 		res.TrendRecomputations++
-
-		d := updateDecision(obj, cfg, search, int64(p))
-		sum := obj.hist.Summary(int64(p), d)
-		sum.StorageBytes = float64(obj.size)
-
-		var best core.Result
+		why := core.CostDriven
 		if repairing {
-			// The paper's cheap repair: keep m and n, swap the unreachable
-			// provider(s) for the best spare(s); re-stripe only when no
-			// feasible swap exists. Planner.Repair makes that choice.
-			if plan, err := planner.Repair(mkt.epochAt(p), up, cfg.Rule,
-				obj.placement, aliveAt, sum, 0, nil); err == nil {
-				best = core.Result{Placement: plan.Placement, Feasible: true, Price: plan.Price}
-			}
-		} else {
-			best = search.Best(sum, 0, nil)
+			why = core.Repairing
 		}
-		if !best.Feasible || best.Placement.Equal(obj.placement) {
+
+		// No TTL, no chunk-size or capacity limits: scenario objects carry
+		// no lifetime hint and the paper's providers are unbounded.
+		dec := decider.Decide(core.Object{
+			History: obj.hist, Ctl: obj.ctl, Size: obj.size, Current: obj.placement,
+		}, view, cfg.Rule, search, why)
+		if dec.Action == core.Keep {
 			continue
 		}
-		// Repair migrations are durability-driven and bypass economics;
-		// cost-driven ones must pay back within the horizon.
-		migCost := migrationCost(obj.placement, best.Placement, float64(obj.size)/1e9, cfg.MigrationBilling)
-		if !repairing {
-			horizon := d
-			if cfg.MigrationHorizon > horizon {
-				horizon = cfg.MigrationHorizon
-			}
-			curPrice := core.PeriodCost(obj.placement, sum, cfg.PeriodHours)
-			if (curPrice-best.Price)*float64(horizon) <= migCost {
-				continue
-			}
-		}
+		best := dec.Target
 		// The migration read needs m reachable chunks.
 		if _, ok := reachablePlacement(obj.placement, mkt, p); !ok {
 			continue
 		}
-		usd += migCost
+		usd += dec.MigrationCost
 		moved := float64(obj.size) / 1e9 / float64(obj.placement.M) // per-chunk GB
-		if obj.placement.M == best.Placement.M && obj.placement.N() == best.Placement.N() {
+		if obj.placement.M == best.M && obj.placement.N() == best.N() {
 			diff := 0
-			for _, s := range best.Placement.Providers {
+			for _, s := range best.Providers {
 				if !obj.placement.Has(s.Name) {
 					diff++
 				}
@@ -191,15 +181,15 @@ func adaptScalia(objects map[string]*simObject, order []string, cfg Config,
 			inGB += moved * float64(diff)
 		} else {
 			outGB += float64(obj.size) / 1e9 // read m chunks
-			inGB += float64(obj.size) / 1e9 / float64(best.Placement.M) * float64(best.Placement.N())
+			inGB += float64(obj.size) / 1e9 / float64(best.M) * float64(best.N())
 		}
 		res.Changes = append(res.Changes, PlacementChange{
 			Period: p, Object: obj.name,
-			From: obj.placement.String(), To: best.Placement.String(),
+			From: obj.placement.String(), To: best.String(),
 			Reason: reason(membership, repairing),
 		})
 		res.Migrations++
-		obj.placement = best.Placement
+		obj.placement = best
 	}
 	return usd, inGB, outGB
 }
@@ -233,45 +223,6 @@ func reason(membership, repairing bool) string {
 	default:
 		return "trend-change"
 	}
-}
-
-// updateDecision advances the object's decision-period controller,
-// running the D/2, D, 2D coupling evaluation when due.
-func updateDecision(obj *simObject, cfg Config, search *core.Search, now int64) int {
-	if !obj.ctl.Tick() {
-		return obj.ctl.D()
-	}
-	limit := obj.hist.Span(now)
-	cands := obj.ctl.Candidates(limit)
-	bestIdx, bestPrice := 1, 0.0
-	for i, d := range cands {
-		sum := obj.hist.Summary(now, d)
-		sum.StorageBytes = float64(obj.size)
-		r := search.Best(sum, 0, nil)
-		if !r.Feasible {
-			continue
-		}
-		if i == 0 || r.Price < bestPrice {
-			bestIdx, bestPrice = i, r.Price
-		}
-	}
-	obj.ctl.Update(bestIdx, cands)
-	return obj.ctl.D()
-}
-
-// trendChanged is the stateless momentum gate over the recorded ops
-// series (w-period SMA shift at the newest observation).
-func trendChanged(h *stats.History, now int64, w int, limit float64) bool {
-	series := h.OpsSeries(now, w+1)
-	if len(series) < w+1 {
-		return false
-	}
-	var prev, cur float64
-	for i := 0; i < w; i++ {
-		prev += series[i]
-		cur += series[i+1]
-	}
-	return trend.Momentum(prev/float64(w), cur/float64(w)) > limit
 }
 
 // runIdeal prices the per-period cheapest feasible placement with the

@@ -6,7 +6,6 @@ import (
 	"scalia/internal/cloud"
 	"scalia/internal/core"
 	"scalia/internal/stats"
-	"scalia/internal/trend"
 	"scalia/internal/workload"
 )
 
@@ -30,9 +29,6 @@ type Config struct {
 	Rule core.Rule
 	// PeriodHours is the sampling-period length (default 1).
 	PeriodHours float64
-	// DetectWindow/DetectLimit parameterize trend gating (defaults 3, 0.1).
-	DetectWindow int
-	DetectLimit  float64
 	// DecisionPeriod is the initial D_obj (default 24).
 	DecisionPeriod int
 	// MigrationHorizon stretches the migration payback horizon (periods).
@@ -74,12 +70,6 @@ func (c *Config) fill() {
 	}
 	if c.PeriodHours <= 0 {
 		c.PeriodHours = 1
-	}
-	if c.DetectWindow <= 0 {
-		c.DetectWindow = trend.DefaultWindow
-	}
-	if c.DetectLimit <= 0 {
-		c.DetectLimit = trend.DefaultLimit
 	}
 	if c.DecisionPeriod <= 0 {
 		c.DecisionPeriod = core.DefaultDecisionPeriod
@@ -166,7 +156,6 @@ type simObject struct {
 	placement core.Placement
 	hist      *stats.History
 	ctl       *core.DecisionController
-	createdAt int
 	alive     bool
 }
 

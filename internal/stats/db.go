@@ -3,7 +3,6 @@ package stats
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // EventKind classifies an access event.
@@ -43,11 +42,6 @@ type DB struct {
 	created  map[string]int64  // object -> creation period
 
 	classes *ClassStats
-
-	// objectsCalls counts Objects() full-table scans, so tests and
-	// metrics can assert the O(affected) maintenance paths never fall
-	// back to a full scan.
-	objectsCalls atomic.Uint64
 }
 
 // NewDB returns an empty statistics database. periodHours is the wall
@@ -69,7 +63,12 @@ func NewDB(periodHours float64) *DB {
 // PeriodHours returns the sampling-period duration in hours.
 func (db *DB) PeriodHours() float64 { return db.periodHours }
 
-// Apply folds one event into the database.
+// Apply folds one event into the database. A delete is the object's last
+// event: once its lifetime is folded into the class distribution the
+// object is forgotten, so deleted keys neither accumulate nor show up in
+// AccessedSince; a key created again later starts a fresh history with
+// its write event. A delete of an object the database does not know has
+// nothing to fold or forget and is dropped.
 func (db *DB) Apply(ev Event) {
 	s := Sample{Period: ev.Period, StorageBytes: ev.StorageBytes}
 	switch ev.Kind {
@@ -86,6 +85,10 @@ func (db *DB) Apply(ev Event) {
 	db.mu.Lock()
 	h, ok := db.hist[ev.Object]
 	if !ok {
+		if ev.Kind == EventDelete {
+			db.mu.Unlock()
+			return
+		}
 		h = NewHistory(0)
 		db.hist[ev.Object] = h
 		db.created[ev.Object] = ev.Period
@@ -105,6 +108,14 @@ func (db *DB) Apply(ev Event) {
 			lifetime := float64(ev.Period-created) * db.periodHours
 			db.classes.Class(class).ObserveDeletion(lifetime)
 		}
+	}
+	if ev.Kind == EventDelete {
+		db.mu.Lock()
+		delete(db.hist, ev.Object)
+		delete(db.class, ev.Object)
+		delete(db.accessed, ev.Object)
+		delete(db.created, ev.Object)
+		db.mu.Unlock()
 	}
 }
 
@@ -141,27 +152,6 @@ func (db *DB) AccessedSince(period int64) []string {
 	return out
 }
 
-// Objects returns all known object keys, sorted (the full-table-scan
-// baseline the paper argues against; used by the ablation bench). Every
-// call is counted; see ObjectsCalls.
-func (db *DB) Objects() []string {
-	db.objectsCalls.Add(1)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.hist))
-	for obj := range db.hist {
-		out = append(out, obj)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ObjectsCalls returns how many times Objects() — the full-table scan —
-// has been invoked since the DB was created. The O(affected)
-// maintenance tests assert a zero delta across indexed repair and
-// event-driven reoptimization passes.
-func (db *DB) ObjectsCalls() uint64 { return db.objectsCalls.Load() }
-
 // CreatedAt returns the creation period of an object.
 func (db *DB) CreatedAt(object string) (int64, bool) {
 	db.mu.RLock()
@@ -177,72 +167,4 @@ func (db *DB) AgeHours(object string, now int64) float64 {
 		return 0
 	}
 	return float64(now-created) * db.periodHours
-}
-
-// Forget drops an object's history (after deletion has been fully
-// processed and its lifetime folded into the class statistics).
-func (db *DB) Forget(object string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.hist, object)
-	delete(db.class, object)
-	delete(db.accessed, object)
-	delete(db.created, object)
-}
-
-// RefreshClasses rebuilds the class aggregates from the retained
-// per-object histories, sharded across workers — the in-process
-// equivalent of the paper's periodic map-reduce refresh job. Lifetime
-// distributions are preserved (they derive from deletions, which are no
-// longer present in histories of deleted objects).
-func (db *DB) RefreshClasses(workers int) {
-	if workers <= 0 {
-		workers = 4
-	}
-	db.mu.RLock()
-	type job struct {
-		class string
-		hist  *History
-	}
-	jobs := make([]job, 0, len(db.hist))
-	for obj, h := range db.hist {
-		if c, ok := db.class[obj]; ok {
-			jobs = append(jobs, job{class: c, hist: h})
-		}
-	}
-	db.mu.RUnlock()
-
-	fresh := NewClassStats()
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				rec := fresh.Class(j.class)
-				for _, p := range j.hist.Periods() {
-					for _, s := range j.hist.Window(p, 1) {
-						rec.ObserveSample(s)
-					}
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-
-	// Carry lifetime distributions over from the live table.
-	db.classes.mu.RLock()
-	for key, old := range db.classes.classes {
-		fresh.Class(key).lifetimes = old.lifetimes
-	}
-	db.classes.mu.RUnlock()
-
-	db.classes.mu.Lock()
-	db.classes.classes = fresh.classes
-	db.classes.mu.Unlock()
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // History holds the access statistics H(obj) of one data object: one
 // Sample per sampling period, bounded to the most recent maxPeriods
@@ -99,18 +96,6 @@ func (h *History) Span(now int64) int {
 		return 0
 	}
 	return int(now - oldest + 1)
-}
-
-// Periods returns the recorded period indexes, ascending.
-func (h *History) Periods() []int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]int64, 0, len(h.samples))
-	for p := range h.samples {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // OpsSeries returns the per-period operation counts for the periods

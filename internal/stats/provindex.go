@@ -8,14 +8,13 @@ import (
 // ProviderIndex is the provider→objects inverted index behind
 // O(affected) maintenance: instead of scanning every known object after
 // a market event, repair and reoptimization enumerate only the objects
-// that actually hold a chunk on the affected provider. The index is
-// maintained on every placement commit (Put, multipart complete,
-// migrate, repair swap/restripe) and teardown (Delete), so it always
-// mirrors the committed metadata.
+// that actually hold a chunk on the affected provider. The engine updates
+// it with every metadata row it commits (Put, multipart complete,
+// migrate, repair swap/restripe, Delete), under that row's lock, so it
+// always mirrors the committed metadata.
 //
-// It is safe for concurrent use: commits happen under per-row engine
-// locks but from many engines at once, while maintenance passes read it
-// concurrently.
+// It is safe for concurrent use: commits of different rows arrive from
+// many engines at once, while maintenance passes read it concurrently.
 type ProviderIndex struct {
 	mu sync.RWMutex
 	// byProvider maps provider name -> set of objects with >=1 chunk
@@ -107,20 +106,6 @@ func (ix *ProviderIndex) ObjectsOn(providers []string) []string {
 		out = append(out, obj)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Providers returns the providers of one object as last committed
-// (unsorted, in commit order), or nil if unknown.
-func (ix *ProviderIndex) Providers(object string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ps := ix.byObject[object]
-	if ps == nil {
-		return nil
-	}
-	out := make([]string, len(ps))
-	copy(out, ps)
 	return out
 }
 

@@ -24,8 +24,8 @@ func TestProviderIndexSetDiffsMembership(t *testing.T) {
 		t.Fatalf("re-set left stale postings: P1=%d P2=%d P4=%d",
 			ix.Count("P1"), ix.Count("P2"), ix.Count("P4"))
 	}
-	if got := ix.Providers("c/a"); !reflect.DeepEqual(got, []string{"P3", "P4"}) {
-		t.Fatalf("Providers(c/a) = %v", got)
+	if got := ix.ObjectsOn([]string{"P4"}); !reflect.DeepEqual(got, []string{"c/a"}) {
+		t.Fatalf("ObjectsOn(P4) = %v", got)
 	}
 	// Idempotent re-set is a no-op.
 	ix.Set("c/a", []string{"P3", "P4"})
@@ -34,7 +34,7 @@ func TestProviderIndexSetDiffsMembership(t *testing.T) {
 	}
 	// Setting an empty placement deletes the object outright.
 	ix.Set("c/dup", nil)
-	if ix.Len() != 2 || ix.Count("P1") != 0 || ix.Providers("c/dup") != nil {
+	if ix.Len() != 2 || ix.Count("P1") != 0 {
 		t.Fatalf("empty placement did not delete: len=%d P1=%d", ix.Len(), ix.Count("P1"))
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -89,9 +88,8 @@ func TestHistoryEviction(t *testing.T) {
 	if h.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", h.Len())
 	}
-	periods := h.Periods()
-	if periods[0] != 4 {
-		t.Fatalf("oldest retained = %d, want 4", periods[0])
+	if span := h.Span(8); span != 5 {
+		t.Fatalf("span to the oldest retained = %d, want 5 (periods 4..8)", span)
 	}
 }
 
@@ -332,7 +330,11 @@ func TestDBAccessedSince(t *testing.T) {
 	}
 }
 
-func TestDBDeletionFeedsLifetime(t *testing.T) {
+// TestDBDeletionFeedsLifetimeThenForgets: a delete event folds the
+// object's lifetime into its class and is the last thing the database
+// remembers of the object — deleted keys must not pile up or be scanned
+// by the next optimization round — until a later write starts it afresh.
+func TestDBDeletionFeedsLifetimeThenForgets(t *testing.T) {
 	db := NewDB(1)
 	class := ClassKey("backup/tar", 40<<20)
 	db.Apply(Event{Object: "o", Class: class, Kind: EventWrite, Period: 10, StorageBytes: 40 << 20})
@@ -344,35 +346,19 @@ func TestDBDeletionFeedsLifetime(t *testing.T) {
 	if ttl != 6 {
 		t.Fatalf("ExpectedTTL = %v, want 6", ttl)
 	}
-}
-
-func TestDBForget(t *testing.T) {
-	db := NewDB(1)
-	db.Apply(Event{Object: "o", Class: "c", Kind: EventWrite, Period: 1})
-	db.Forget("o")
-	if db.History("o") != nil {
-		t.Fatal("history must be gone after Forget")
+	if db.History("o") != nil || len(db.AccessedSince(0)) != 0 {
+		t.Fatalf("deleted object still known: history %v, accessed %v", db.History("o"), db.AccessedSince(0))
 	}
-	if got := db.AccessedSince(0); len(got) != 0 {
-		t.Fatalf("AccessedSince after Forget = %v", got)
+	// A stray second delete has nothing to fold and must not invent a
+	// zero-hour lifetime.
+	db.Apply(Event{Object: "o", Class: class, Kind: EventDelete, Period: 17})
+	if n := db.Classes().Class(class).Lifetimes().Count(); n != 1 {
+		t.Fatalf("lifetime observations = %d, want 1", n)
 	}
-}
-
-func TestDBRefreshClasses(t *testing.T) {
-	db := NewDB(1)
-	for i := 0; i < 20; i++ {
-		obj := fmt.Sprintf("o%d", i)
-		db.Apply(Event{Object: obj, Class: "c", Kind: EventWrite, Bytes: 100, StorageBytes: 100, Period: 1})
-		db.Apply(Event{Object: obj, Class: "c", Kind: EventRead, Bytes: 100, StorageBytes: 100, Period: 2})
-	}
-	db.RefreshClasses(4)
-	sum, ok := db.Classes().Class("c").ExpectedSummary()
-	if !ok {
-		t.Fatal("class summary missing after refresh")
-	}
-	// Each object contributes 2 object-periods: one write, one read.
-	if sum.Reads != 0.5 || sum.Writes != 0.5 {
-		t.Fatalf("refreshed summary = %+v", sum)
+	// The key created again starts from nothing.
+	db.Apply(Event{Object: "o", Class: class, Kind: EventWrite, Period: 20, StorageBytes: 1})
+	if created, _ := db.CreatedAt("o"); created != 20 || db.History("o").Len() != 1 {
+		t.Fatalf("re-created object: created %d, %d recorded periods", created, db.History("o").Len())
 	}
 }
 

@@ -22,13 +22,10 @@ const DefaultLimit = 0.1
 type Detector struct {
 	window int
 	limit  float64
-
-	buf   []float64 // ring buffer of the last `window` values
-	next  int
+	// last holds the newest window+1 observations, oldest first — the two
+	// overlapping SMA windows Changed compares.
+	last  []float64
 	count int
-
-	prevSMA float64
-	primed  bool
 }
 
 // NewDetector returns a detector with the given SMA window and relative
@@ -41,62 +38,30 @@ func NewDetector(window int, limit float64) *Detector {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Detector{window: window, limit: limit, buf: make([]float64, window)}
-}
-
-// Window returns the SMA window size.
-func (d *Detector) Window() int { return d.window }
-
-// Limit returns the current momentum limit.
-func (d *Detector) Limit() float64 { return d.limit }
-
-// SetLimit updates the momentum limit; the engine adjusts it dynamically
-// to the minimum momentum per object class that would change the best
-// provider set.
-func (d *Detector) SetLimit(limit float64) {
-	if limit > 0 {
-		d.limit = limit
-	}
-}
-
-// SMA returns the current simple moving average (over up to window
-// observations).
-func (d *Detector) SMA() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	n := d.count
-	if n > d.window {
-		n = d.window
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += d.buf[i]
-	}
-	return sum / float64(n)
+	return &Detector{window: window, limit: limit, last: make([]float64, window+1)}
 }
 
 // Observe feeds the next per-period value (typically the object's
 // operation count) and reports whether a trend change was detected at
-// this observation.
+// this observation. The first window observations only establish the
+// baseline SMA; detection begins with the one after.
 func (d *Detector) Observe(v float64) bool {
-	d.buf[d.next] = v
-	d.next = (d.next + 1) % d.window
+	copy(d.last, d.last[1:])
+	d.last[d.window] = v
 	d.count++
+	return d.count > d.window && Changed(d.last, d.window, d.limit)
+}
 
-	sma := d.SMA()
-	if !d.primed {
-		// The first SMA only establishes the baseline; detection begins
-		// once the window has filled.
-		if d.count >= d.window {
-			d.primed = true
-			d.prevSMA = sma
-		}
-		return false
+// Changed is the stateless trend gate over the newest w+1 values of a
+// series, oldest first: it reports whether the w-period SMA moved by
+// more than limit, relatively, at the newest value.
+func Changed(series []float64, w int, limit float64) bool {
+	var prev, cur float64
+	for i := 0; i < w; i++ {
+		prev += series[i]
+		cur += series[i+1]
 	}
-	changed := Momentum(d.prevSMA, sma) > d.limit
-	d.prevSMA = sma
-	return changed
+	return Momentum(prev/float64(w), cur/float64(w)) > limit
 }
 
 // Momentum returns the relative momentum between two consecutive SMA
@@ -123,24 +88,4 @@ func Detect(series []float64, window int, limit float64) []int {
 		}
 	}
 	return changes
-}
-
-// MinimumMomentum searches for the smallest relative load change that
-// flips a placement decision, which is how the engine derives a per-class
-// dynamic limit. flips(scale) must report whether multiplying the
-// object's load by (1+scale) changes the best provider set; the search
-// assumes monotonicity and runs a bisection over (lo, hi].
-func MinimumMomentum(flips func(scale float64) bool, lo, hi float64, iters int) (float64, bool) {
-	if hi <= lo || !flips(hi) {
-		return 0, false
-	}
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		if flips(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
 }

@@ -6,10 +6,29 @@ import (
 	"testing/quick"
 )
 
-func TestDefaults(t *testing.T) {
-	d := NewDetector(0, 0)
-	if d.Window() != 3 || d.Limit() != 0.1 {
-		t.Fatalf("defaults = w%d l%v, want w3 l0.1", d.Window(), d.Limit())
+// TestChangedIsDetectsGate pins the contract between the two entry points:
+// Detect (the Fig. 8/9 marker series) fires at i exactly when the
+// stateless gate the optimizer applies to an object's last w+1 periods
+// does, and non-positive detector arguments mean the paper defaults.
+func TestChangedIsDetectsGate(t *testing.T) {
+	var series []float64
+	for i := 0; i < 120; i++ {
+		series = append(series, 50+40*math.Sin(float64(i)/5)+float64(i%7))
+	}
+	for _, w := range []int{1, DefaultWindow, 10} {
+		fired := make(map[int]bool)
+		for _, i := range Detect(series, w, DefaultLimit) {
+			fired[i] = true
+		}
+		for i := range series {
+			want := i >= w && Changed(series[i-w:i+1], w, DefaultLimit)
+			if fired[i] != want {
+				t.Fatalf("w=%d i=%d: Detect fired %v, Changed says %v", w, i, fired[i], want)
+			}
+		}
+	}
+	if got, want := Detect(series, 0, 0), Detect(series, DefaultWindow, DefaultLimit); len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("defaults fired %d times, w=3 limit=0.1 %d times", len(got), len(want))
 	}
 }
 
@@ -150,33 +169,5 @@ func TestLargerWindowSmoothes(t *testing.T) {
 	wide := Detect(series, 10, 0.15)
 	if len(wide) > len(narrow) {
 		t.Fatalf("wide window fired %d > narrow %d", len(wide), len(narrow))
-	}
-}
-
-func TestSetLimit(t *testing.T) {
-	d := NewDetector(3, 0.1)
-	d.SetLimit(0.4)
-	if d.Limit() != 0.4 {
-		t.Fatal("SetLimit ignored")
-	}
-	d.SetLimit(-1)
-	if d.Limit() != 0.4 {
-		t.Fatal("invalid limit must be rejected")
-	}
-}
-
-func TestMinimumMomentum(t *testing.T) {
-	// The decision flips once load grows by more than 37%.
-	flips := func(scale float64) bool { return scale > 0.37 }
-	got, ok := MinimumMomentum(flips, 0, 4, 40)
-	if !ok {
-		t.Fatal("expected a flip point")
-	}
-	if math.Abs(got-0.37) > 1e-6 {
-		t.Fatalf("MinimumMomentum = %v, want ~0.37", got)
-	}
-	// No flip anywhere within range.
-	if _, ok := MinimumMomentum(func(float64) bool { return false }, 0, 4, 40); ok {
-		t.Fatal("expected no flip")
 	}
 }

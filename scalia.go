@@ -228,10 +228,6 @@ type Options struct {
 	// objects). 0 (the default) enqueues only; drain explicitly with
 	// DrainMaintenance. scalia-server enables workers via -reopt-workers.
 	ReoptWorkers int
-	// ReoptQueueDepth bounds the reoptimization queue (default
-	// engine.DefaultReoptQueueDepth). Overflow invalidations are dropped
-	// and counted; the periodic Optimize pass is their backstop.
-	ReoptQueueDepth int
 	// Clock overrides time (tests and simulations use a manual clock).
 	Clock engine.Clock
 }
@@ -442,7 +438,6 @@ func New(opts Options) (*Client, error) {
 		WritePipelineDepth: opts.WritePipelineDepth,
 		MaxBufferBytes:     opts.MaxBufferBytes,
 		ReoptWorkers:       opts.ReoptWorkers,
-		ReoptQueueDepth:    opts.ReoptQueueDepth,
 		Clock:              opts.Clock,
 	}
 	if len(opts.Providers) > 0 {
