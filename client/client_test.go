@@ -14,6 +14,7 @@ import (
 	"scalia"
 	"scalia/client"
 	"scalia/internal/apitest"
+	"scalia/internal/engine"
 )
 
 var ctx = context.Background()
@@ -41,9 +42,9 @@ func newRemote(t *testing.T, opts scalia.Options) (*scalia.Client, *client.Clien
 func TestConformance(t *testing.T) {
 	addr := os.Getenv("SCALIA_GATEWAY_ADDR")
 	if addr == "" {
-		apitest.Run(t, func(t *testing.T, opts scalia.Options) scalia.API {
-			_, c := newRemote(t, opts)
-			return c
+		apitest.Run(t, func(t *testing.T, opts scalia.Options) (scalia.API, *engine.Broker) {
+			deployment, c := newRemote(t, opts)
+			return c, deployment.Broker()
 		})
 		return
 	}
@@ -58,11 +59,11 @@ func TestConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gateway unreachable at %s: %v", addr, err)
 	}
-	apitest.Run(t, func(t *testing.T, opts scalia.Options) scalia.API {
+	apitest.Run(t, func(t *testing.T, opts scalia.Options) (scalia.API, *engine.Broker) {
 		if !reflect.ValueOf(opts).IsZero() {
 			t.Skip("needs its own deployment options; the server under test has its own")
 		}
-		return c
+		return c, nil
 	})
 }
 

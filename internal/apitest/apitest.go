@@ -27,9 +27,11 @@ import (
 )
 
 // Open returns an implementation of the contract over a deployment built
-// from opts. A factory bound to a deployment it did not build (a real
-// server) calls t.Skip for non-zero opts.
-type Open func(t *testing.T, opts scalia.Options) scalia.API
+// from opts, and that deployment's broker when it runs in this process —
+// the way to a fault no route injects (bit rot). A factory bound to a
+// deployment it did not build (a real server) calls t.Skip for non-zero
+// opts and returns a nil broker.
+type Open func(t *testing.T, opts scalia.Options) (scalia.API, *engine.Broker)
 
 var ctx = context.Background()
 
@@ -41,6 +43,7 @@ type tc struct {
 	scalia.API
 	scalia.Helpers
 	container string
+	broker    *engine.Broker // nil against a real server
 }
 
 var cases = []struct {
@@ -61,6 +64,7 @@ var cases = []struct {
 	{"ProviderMutations", with(scalia.Options{}, providerMutations)},
 	{"ContainerRule", with(scalia.Options{}, containerRule)},
 	{"OutageAndRepair", with(scalia.Options{}, outageAndRepair)},
+	{"BitRot", with(scalia.Options{}, bitRot)},
 	{"OptimizeMigratesHotObject", func(t *testing.T, open Open) {
 		clock := engine.NewSimClock()
 		with(scalia.Options{Clock: clock}, func(t *tc) { optimizeMigratesHotObject(t, clock) })(t, open)
@@ -72,8 +76,8 @@ var cases = []struct {
 // with opens a deployment built from opts and runs a case against it.
 func with(opts scalia.Options, run func(*tc)) func(*testing.T, Open) {
 	return func(t *testing.T, open Open) {
-		api := open(t, opts)
-		run(&tc{T: t, API: api, Helpers: scalia.Helpers{API: api},
+		api, broker := open(t, opts)
+		run(&tc{T: t, API: api, Helpers: scalia.Helpers{API: api}, broker: broker,
 			container: fmt.Sprintf("%s-%d", t.Name()[strings.LastIndexByte(t.Name(), '/')+1:], time.Now().UnixNano())})
 	}
 }
@@ -527,6 +531,35 @@ func outageAndRepair(t *tc) {
 	}
 	_, _, err = t.Get(ctx, t.container, "cold")
 	t.wantErr(err, scalia.ErrNotEnoughChunks, "read beyond the erasure threshold")
+}
+
+// bitRot: a chunk whose stored bytes rotted is an erasure — the read takes
+// a spare and says so in the counters — and an object rotten beyond its
+// spares fails with ErrChecksum, as itself on every transport.
+func bitRot(t *tc) {
+	if t.broker == nil {
+		t.Skip("no route injects bit rot; needs the deployment in this process")
+	}
+	payload := random(11, 10000)
+	meta := t.put("k", payload)
+	rot := func(slot int) {
+		store, _ := t.broker.Registry().Store(meta.Chunks[slot])
+		key := engine.ChunkKey(meta.SKey, 0, slot)
+		data, err := store.Get(ctx, key)
+		t.must(err)
+		data[len(data)/2] ^= 0x01
+		t.must(store.Put(ctx, key, data))
+	}
+	rot(0)
+	t.wantBody("k", payload)
+	for slot := 1; slot < len(meta.Chunks); slot++ {
+		rot(slot)
+	}
+	_, _, err := t.Get(ctx, t.container, "k")
+	t.wantErr(err, scalia.ErrChecksum, "read of an object rotten beyond its spares")
+	if st := t.stats(); st.ReadPath.CorruptChunks < int64(len(meta.Chunks)-meta.M+1) {
+		t.Fatalf("CorruptChunks = %d after a read that ran out of good chunks", st.ReadPath.CorruptChunks)
+	}
 }
 
 func optimizeMigratesHotObject(t *tc, clock *engine.SimClock) {

@@ -217,6 +217,9 @@ type Broker struct {
 	// and peak slots in use per direction (see acquireBuf).
 	bufSem            chan struct{}
 	readBuf, writeBuf bufGauge
+	// joinBufs recycles the buffers fetched stripes are decoded into: a
+	// streaming read hands each back with the stripe's budget slot.
+	joinBufs sync.Pool
 
 	// now is the wall-clock source for multipart-session idle tracking.
 	// Production brokers use time.Now; the TTL-sweep tests substitute a
@@ -267,6 +270,10 @@ type Broker struct {
 	mu        sync.Mutex
 	lastOpt   int64
 	decisions map[string]*core.DecisionController
+	// rot is the bounded set of chunk slots that failed their sum on a
+	// read, by object, waiting for the maintenance step to rewrite them
+	// (noteRot, Engine.healRot).
+	rot map[string]*rotEntry
 	// optimized and repaired are the lifetime sums behind OptimizeTotals
 	// and RepairTotals.
 	optimized, repaired passTotals
@@ -297,6 +304,10 @@ type ReadPathStats struct {
 	// FetchFallbacks counts chunk fetches that failed and fell back to
 	// a spare provider in the ranked order.
 	FetchFallbacks int64 `json:"fetchFallbacks"`
+	// CorruptChunks counts chunks that were served but failed their
+	// stored sum; the read took a spare for each, like a fallback, but
+	// the provider's op series saw a success.
+	CorruptChunks int64 `json:"corruptChunks"`
 	// BufferedStripesPeak is the high-water mark of stripe buffers reads
 	// held concurrently under the shared MaxBufferBytes budget.
 	BufferedStripesPeak int64 `json:"bufferedStripesPeak"`
@@ -317,6 +328,7 @@ func (b *Broker) ReadStats() ReadPathStats {
 		StripesFetched:      b.metrics.readFetched.Value(),
 		PrefetchedStripes:   b.metrics.readPrefetched.Value(),
 		FetchFallbacks:      b.metrics.readFallbacks.Value(),
+		CorruptChunks:       b.metrics.chunkSumFailures.Total(),
 		BufferedStripesPeak: b.readBuf.peak.Load(),
 		BufferedStripes:     b.readBuf.inUse.Load(),
 	}
@@ -393,6 +405,7 @@ func NewBroker(cfg Config) *Broker {
 		clock:     cfg.Clock,
 		now:       time.Now,
 		decisions: make(map[string]*core.DecisionController),
+		rot:       make(map[string]*rotEntry),
 		uploads:   make(map[string]*uploadSession),
 		pending:   make(map[pendingDelete]struct{}),
 		planner:   core.NewPlanner(cfg.PeriodHours, cfg.Pruned),

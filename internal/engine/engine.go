@@ -21,8 +21,11 @@ import (
 // protocol status codes (the v1 gateway's statusFromErr).
 var (
 	ErrObjectNotFound  = errors.New("engine: object not found")
-	ErrChecksum        = errors.New("engine: checksum mismatch after reconstruction")
 	ErrNotEnoughChunks = errors.New("engine: not enough reachable chunks to reconstruct")
+	// ErrChecksum marks a read the stored sums condemn: a decoded stripe
+	// that fails its sum, fewer than m chunks left that pass theirs, or a
+	// stripe stored without usable sums.
+	ErrChecksum = errors.New("engine: checksum mismatch")
 	// ErrInvalidArgument marks malformed requests (missing container or
 	// key, negative size, short body); gateways map it to 400.
 	ErrInvalidArgument = errors.New("engine: invalid argument")
@@ -180,7 +183,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	if meta.Checksum, err = e.writeStripes(ctx, l, r); err != nil {
 		return ObjectMeta{}, err
 	}
-	meta.StripeSums = l.sums
+	meta.Sums = l.sums
 
 	// Commit under the row lock — one batched metadata commit per
 	// object, no matter how many stripes streamed through above.
@@ -213,8 +216,8 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 // background copy) or stores the new row and returns it (nil for a
 // tombstone). Still under the lock — commits of one key index in the
 // order they commit — the provider index is brought in line with the
-// stored row, and a deleted object's decision-period controller is let
-// go. Then, the lock released, the change replicates to every other
+// stored row, and a deleted object's decision-period controller and
+// noted rot are let go. Then, the lock released, the change replicates to every other
 // datacenter before publish returns. Callers delete the superseded
 // version's chunks only afterwards, so no datacenter is left holding a
 // row whose chunks are gone, and read-your-writes holds on every path —
@@ -237,6 +240,7 @@ func (e *Engine) publish(container, key string, replicate bool, write func(cur *
 		e.b.provIndex.Drop(obj)
 		e.b.mu.Lock()
 		delete(e.b.decisions, obj)
+		delete(e.b.rot, obj)
 		e.b.mu.Unlock()
 	}
 	lk.Unlock()
@@ -393,10 +397,10 @@ func (e *Engine) Get(ctx context.Context, container, key string) ([]byte, Object
 // the caller, the next ones prefetch in the background
 // (Config.ReadParallelism / Config.PrefetchStripes). The first stripe
 // is produced eagerly so placement and availability errors surface on
-// the call itself rather than mid-stream; the content checksum is
-// verified as the last stripe drains (on fully provider-fetched
-// streams). Cancelling ctx tears down the prefetcher and all in-flight
-// chunk fetches.
+// the call itself rather than mid-stream; every fetched chunk and every
+// decoded stripe is verified against its stored sum before a byte of it
+// is handed out. Cancelling ctx tears down the prefetcher and all
+// in-flight chunk fetches.
 func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
 	meta, err := e.headMeta(container, key)
 	if err != nil {

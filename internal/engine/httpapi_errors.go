@@ -69,6 +69,9 @@ var wireErrors = []struct {
 	// fan-out (§III-D3's race) — transient, retryable.
 	{cloud.ErrUnavailable, http.StatusServiceUnavailable, "provider_unavailable"},
 	{ErrNotEnoughChunks, http.StatusServiceUnavailable, "unavailable"},
+	// Stored bytes the sums condemn, beyond what the spare chunks could
+	// cover: server trouble, and not the retryable kind.
+	{ErrChecksum, http.StatusInternalServerError, "checksum_mismatch"},
 	{ErrNoLeader, http.StatusServiceUnavailable, "unavailable"},
 	// The client went away mid-request; it will not read the status, but
 	// logs and tests should not see a 500.

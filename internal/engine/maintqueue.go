@@ -13,10 +13,11 @@ import (
 // market events looks up — through the provider→objects inverted index —
 // exactly the objects whose cached placement decision the event
 // invalidated (they hold a chunk on the changed provider) and enqueues
-// them. A bounded worker pool (Config.ReoptWorkers) drains the queue
-// through the per-object step the periodic optimizer and repair run
-// (Engine.maintain, the zero trigger); deployments without workers drain
-// explicitly via Broker.DrainMaintenance.
+// them. A read that rejected a rotten chunk enqueues its object the same
+// way (Broker.noteRot). A bounded worker pool (Config.ReoptWorkers)
+// drains the queue through the per-object step the periodic optimizer
+// and repair run (Engine.maintain, the zero trigger); deployments without
+// workers drain explicitly via Broker.DrainMaintenance.
 //
 // Scope note: a price *drop* on a provider an object is NOT placed on
 // can also make its placement suboptimal. Those opportunities are not
@@ -99,6 +100,14 @@ func (m *maintQueue) onMarketEvent(ev cloud.MarketEvent) {
 	objs := m.b.provIndex.Objects(ev.Provider)
 	m.mu.Lock()
 	m.events++
+	m.mu.Unlock()
+	m.enqueue(objs...)
+}
+
+// enqueue queues the objects not already waiting, counting the ones a
+// full queue turns away, and wakes the workers.
+func (m *maintQueue) enqueue(objs ...string) {
+	m.mu.Lock()
 	if !m.closed {
 		for _, obj := range objs {
 			if _, dup := m.queued[obj]; dup {

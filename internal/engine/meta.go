@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 
 	"scalia/internal/metadata"
 )
@@ -19,7 +20,7 @@ type ObjectMeta struct {
 	Key       string `json:"key"`
 	MIME      string `json:"mime"`
 	Size      int64  `json:"size"`
-	Checksum  string `json:"checksum"` // MD5 of the object payload
+	Checksum  string `json:"checksum"` // MD5 of the object payload: the ETag
 	RuleName  string `json:"policy"`
 	Class     string `json:"class"`
 
@@ -37,12 +38,14 @@ type ObjectMeta struct {
 	// the whole object.
 	Stripes     int   `json:"stripes,omitempty"`
 	StripeBytes int64 `json:"stripeBytes,omitempty"`
-	// StripeSums holds the MD5 of each stripe's payload, so every
-	// decoded stripe is verified independently — before it enters the
-	// stripe cache, on ranged reads that never see the whole object, and
-	// before repair copies it. Every writer sets it; a stripe without a
-	// sum fails its read with ErrChecksum.
-	StripeSums []string `json:"stripeSums,omitempty"`
+	// Sums holds the integrity record of each stripe, in stripe order:
+	// what every fetched chunk and every decoded payload is checked
+	// against. Every writer sets it; a stripe whose record is missing or
+	// does not cover all n chunk slots fails its read with ErrChecksum.
+	// Checksum stays an MD5 because it is the wire-visible, S3-compatible
+	// ETag; it is computed once, as the body streams in, and no read
+	// recomputes it.
+	Sums []StripeSum `json:"sums,omitempty"`
 	// PartStripes, set on objects assembled from a multipart upload,
 	// records how many stripes each part contributed (part 1 first; the
 	// values sum to Stripes). Multipart chunk keys are part-scoped — the
@@ -52,6 +55,25 @@ type ObjectMeta struct {
 	// geometry (stripeSpan, stripeLen) is identical to a plain object's.
 	PartStripes []int `json:"partStripes,omitempty"`
 }
+
+// StripeSum is the integrity record of one stripe: the CRC-32C
+// (Castagnoli) of each stored chunk, by chunk slot, and of the stripe's
+// payload. The stored chunk is the unit of integrity: a chunk whose bytes
+// no longer match its sum is an erasure like a missing one — the read
+// takes a spare instead (§III-D3) — and the payload sum checks what the
+// decode made of the chunks that passed. The sums live here, in the
+// metadata row; nothing is appended to the chunks themselves.
+type StripeSum struct {
+	Payload uint32   `json:"payload"`
+	Chunks  []uint32 `json:"chunks"`
+}
+
+// castagnoli is the CRC-32C table; amd64 and arm64 compute it in
+// hardware.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crc32c returns the CRC-32C of data.
+func crc32c(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // Multipart reports whether this version was assembled from a
 // multipart upload. Such versions use part-scoped chunk keys and an
@@ -141,12 +163,6 @@ func (m ObjectMeta) chunkKey(s, i int) string {
 		// metadata; fall through to the plain layout, which will miss.
 	}
 	return ChunkKey(m.SKey, s, i)
-}
-
-// Checksum computes the MD5 content checksum in Fig. 11's format.
-func Checksum(data []byte) string {
-	sum := md5.Sum(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // NewUUID returns a random 128-bit identifier (RFC 4122 v4 layout).

@@ -23,8 +23,8 @@ type brokerMetrics struct {
 	httpReqs  *obs.CounterVec   // {method, route, code}
 	httpBytes *obs.CounterVec   // {method, route}
 
-	// Hot-stage timings: plan, encode, fanout, commit, fetch, decode,
-	// repair, optimize.
+	// Hot-stage timings: plan, hash, encode, fanout, commit, fetch,
+	// verify, decode, repair, optimize.
 	stageDur *obs.HistogramVec // {stage}
 
 	// Per-provider backend calls, observed at the engine call sites
@@ -32,6 +32,10 @@ type brokerMetrics struct {
 	// type assertions tests rely on).
 	providerDur  *obs.HistogramVec // {provider, op}
 	providerErrs *obs.CounterVec   // {provider, op}
+	// chunkSumFailures counts chunks a provider served whose bytes failed
+	// their stored sum. Rot is not an outage: the call succeeded, so it
+	// stays out of providerErrs, the series provider health is read from.
+	chunkSumFailures *obs.CounterVec // {provider}
 
 	// Read-path counters. These are the registry-owned source of truth;
 	// Broker.ReadStats (and hence /v1/stats) reads them back out.
@@ -77,7 +81,7 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 			"method", "route"),
 
 		stageDur: reg.HistogramVec(metricStage,
-			"Latency of serving-path stages (plan, encode, fanout, commit, fetch, decode, repair, optimize).",
+			"Latency of serving-path stages (plan, hash, encode, fanout, commit, fetch, verify, decode, repair, optimize).",
 			obs.DefaultLatencyBuckets, "stage"),
 
 		providerDur: reg.HistogramVec(metricProviderOp,
@@ -86,6 +90,9 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 		providerErrs: reg.CounterVec("scalia_provider_op_errors_total",
 			"Failed backend calls by provider and operation.",
 			"provider", "op"),
+		chunkSumFailures: reg.CounterVec("scalia_chunk_checksum_failures_total",
+			"Chunks read from a provider whose bytes failed their stored CRC-32C; the read took a spare.",
+			"provider"),
 
 		readCached: reg.Counter("scalia_read_stripes_cached_total",
 			"Stripes served from the stripe cache."),
@@ -295,11 +302,16 @@ func (b *Broker) observeProviderOp(provider, op string, start time.Time, err err
 	}
 }
 
-// observeStage records one serving-path stage: into the broker-wide
-// stage histogram and, when the request carries a trace, into its
-// per-request span aggregation.
+// observeStage records one serving-path stage that ran from start until
+// now.
 func (b *Broker) observeStage(tr *obs.Trace, stage string, start time.Time) {
-	d := time.Since(start)
+	b.observeStageFor(tr, stage, time.Since(start))
+}
+
+// observeStageFor records one occurrence of a serving-path stage that
+// took d: into the broker-wide stage histogram and, when the request
+// carries a trace, into its per-request span aggregation.
+func (b *Broker) observeStageFor(tr *obs.Trace, stage string, d time.Duration) {
 	b.metrics.stageDur.With(stage).Observe(d.Seconds())
 	tr.AddSpan(stage, d)
 }

@@ -90,11 +90,11 @@ type uploadSession struct {
 
 // stagedPart records one fully staged part.
 type stagedPart struct {
-	number     int
-	size       int64
-	etag       string
-	stripes    int
-	stripeSums []string
+	number  int
+	size    int64
+	etag    string
+	stripes int
+	sums    []StripeSum // chunk and payload sums, one record per stripe
 }
 
 // --- broker session table ---
@@ -247,7 +247,7 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 	}
 	part := &stagedPart{
 		number: partNumber, size: size, etag: etag,
-		stripes: l.stripes, stripeSums: l.sums,
+		stripes: l.stripes, sums: l.sums,
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -334,14 +334,14 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		size        int64
 		totalStripe int
 		partStripes = make([]int, len(staged))
-		stripeSums  []string
+		sums        []StripeSum
 		etagSum     = md5.New()
 	)
 	for i, p := range staged {
 		size += p.size
 		totalStripe += p.stripes
 		partStripes[i] = p.stripes
-		stripeSums = append(stripeSums, p.stripeSums...)
+		sums = append(sums, p.sums...)
 		if raw, err := hex.DecodeString(p.etag); err == nil {
 			etagSum.Write(raw) //nolint:errcheck
 		}
@@ -354,8 +354,8 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		MIME:      s.opts.MIME,
 		Size:      size,
 		// S3-style composite: MD5 over the concatenated part digests,
-		// suffixed with the part count. Not a body MD5 — the read path
-		// relies on the per-stripe sums instead.
+		// suffixed with the part count. Not a body MD5; reads verify the
+		// per-stripe sums, as they do for every object.
 		Checksum:    hex.EncodeToString(etagSum.Sum(nil)) + "-" + strconv.Itoa(len(staged)),
 		RuleName:    s.ruleName,
 		Class:       class,
@@ -367,7 +367,7 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		CreatedAt:   now,
 		Stripes:     totalStripe,
 		StripeBytes: e.b.cfg.StripeBytes,
-		StripeSums:  stripeSums,
+		Sums:        sums,
 		PartStripes: partStripes,
 	}
 

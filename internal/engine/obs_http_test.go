@@ -96,7 +96,7 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	}
 
 	// Stage histogram series exist for the write and read hot stages.
-	for _, stage := range []string{"plan", "encode", "fanout", "commit", "fetch", "decode"} {
+	for _, stage := range []string{"plan", "hash", "encode", "fanout", "commit", "fetch", "verify", "decode"} {
 		key := fmt.Sprintf(`scalia_stage_duration_seconds_count{stage=%q}`, stage)
 		if vals[key] == 0 {
 			t.Errorf("stage %q unobserved", stage)

@@ -233,6 +233,13 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 		return out
 	}
 	out.checked = 1
+	// Chunks a read found rotten come first, whatever brought the pass
+	// here; the step then goes on with the healed row.
+	if e.healRot(ctx, obj, meta, &out) {
+		if meta, err = e.Head(ctx, container, key); err != nil {
+			return out
+		}
+	}
 	why := core.CostDriven
 	if t.degraded {
 		if !slices.ContainsFunc(meta.Chunks, func(name string) bool { return !e.b.alive(name) }) {
@@ -362,14 +369,17 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	if err != nil {
 		return fmt.Errorf("engine: migrate write: %w", err)
 	}
-	// End-to-end check of the copy: every stripe's MD5 must come out as
-	// stored, and so must the body MD5 — except for a multipart version,
-	// whose Checksum is the md5-N composite of its part ETags, not a body
-	// MD5, and is carried over unchanged.
+	// End-to-end check of the copy: every stripe's payload sum must come
+	// out as stored, and so must the body MD5 — except for a multipart
+	// version, whose Checksum is the md5-N composite of its part ETags, not
+	// a body MD5, and is carried over unchanged. The chunk sums are the
+	// destination's own: a new (m, n) cuts different chunks.
 	if !meta.Multipart() {
 		newMeta.Checksum = bodySum
 	}
-	if !slices.Equal(l.sums, meta.StripeSums) || newMeta.Checksum != meta.Checksum {
+	newMeta.Sums = l.sums
+	samePayload := func(a, b StripeSum) bool { return a.Payload == b.Payload }
+	if !slices.EqualFunc(l.sums, meta.Sums, samePayload) || newMeta.Checksum != meta.Checksum {
 		e.deleteChunks(newMeta)
 		return fmt.Errorf("engine: migrate: %w", ErrChecksum)
 	}
@@ -396,11 +406,12 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 }
 
 // VerifyObject checks that an object's stored chunks are sufficient,
-// decode to the stored per-stripe checksums and are parity-consistent
-// across every stripe, returning the minimum number of reachable chunks
-// over the stripes. Verification reads every reachable chunk from its
-// provider (never the stripe cache — a cached stripe proves nothing
-// about chunk health).
+// decode to the stored per-stripe sums and are parity-consistent across
+// every stripe, returning the minimum over the stripes of the chunks that
+// are reachable and pass their own sum — a rotten chunk counts as a lost
+// one, and is noted for the maintenance queue like any a read finds.
+// Verification reads every reachable chunk from its provider (never the
+// stripe cache — a cached stripe proves nothing about chunk health).
 func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reachable int, err error) {
 	meta, err := e.Head(ctx, container, key)
 	if err != nil {
@@ -422,7 +433,7 @@ func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reach
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, l.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) {
-				_, chunks, g, err := e.fetch(ctx, l, s, order, len(order))
+				_, chunks, g, err := e.fetch(ctx, l, s, order, len(order), nil)
 				if ctx.Err() == nil {
 					got[s] = g
 				}

@@ -2,10 +2,7 @@ package engine
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"errors"
-	"hash"
 	"io"
 
 	"scalia/internal/obs"
@@ -17,8 +14,11 @@ import (
 //
 // A read of stripe s consults the stripe cache first — a hit costs no
 // provider traffic at all — and otherwise fetches the stripe's m
-// cheapest chunks, decodes and verifies it, and (user-facing reads
-// only) writes it back to the cache. The stream is a stripePipe of
+// cheapest chunks that pass their sums, decodes and verifies it, and
+// (user-facing reads only) writes it back to the cache. That per-stripe
+// verification is the read's whole integrity check: it holds for ranged
+// and multipart reads alike, and it runs before a stripe's first byte is
+// handed out — no hash over the whole object follows it. The stream is a stripePipe of
 // depth PrefetchStripes: while stripe s drains to the client, up to
 // PrefetchStripes following stripes are fetched and decoded
 // concurrently and handed over in order, so provider latency and decode
@@ -52,18 +52,11 @@ type objectReader struct {
 
 	start, end int // inclusive stripe range
 
-	// sum accumulates the whole-object checksum; hashAll stays true
-	// only while every stripe so far was hashed in order, which makes
-	// the final comparison meaningful. A stripe served from the cache
-	// breaks the chain (cache entries are trusted: they were decoded by
-	// a verified read and are invalidated on writes).
-	sum     hash.Hash
-	hashAll bool
-
 	pipe *stripePipe
 
 	cur     []byte // decoded, unconsumed bytes of the current stripe
 	curSlot bool   // cur holds a stripe slot of the broker read budget
+	curBuf  []byte // the fetched stripe cur is what is left of; recycled with the slot
 	fetched int64  // payload bytes delivered so far
 	logged  bool   // read event emitted
 	err     error  // sticky terminal state (io.EOF after full drain)
@@ -83,12 +76,6 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, en
 	or := &objectReader{
 		e: e, meta: meta, layout: l, obj: obj, cacheID: stripeCacheID(obj, meta.UUID),
 		userRead: userRead, start: start, end: end,
-		// The whole-object hash chain only pays off when the final
-		// comparison can run, i.e. the stream covers every stripe.
-		// Multipart versions opt out: their Checksum is an ETag-of-ETags
-		// composite, not a body MD5 (per-stripe sums still verify every
-		// fetched stripe).
-		sum: md5.New(), hashAll: start == 0 && end == l.stripes-1 && !meta.Multipart(),
 	}
 	or.order, or.rankErr = l.rank(meta.Size, nil)
 	// The first stripe is taken alone, inline on the caller's goroutine,
@@ -123,7 +110,8 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 	if or.rankErr != nil {
 		return stripeOut{}, or.rankErr
 	}
-	data, _, _, err := e.fetch(ctx, or.layout, s, or.order, or.meta.M)
+	buf, _ := e.b.joinBufs.Get().([]byte)
+	data, _, _, err := e.fetch(ctx, or.layout, s, or.order, or.meta.M, buf)
 	if err != nil {
 		return stripeOut{}, err
 	}
@@ -138,10 +126,8 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 // stripeCacheID builds the stripe-cache identity of one object version.
 func stripeCacheID(obj, uuid string) string { return obj + "\x00" + uuid }
 
-// advance drops the drained stripe and takes the next one off the pipe,
-// running the in-order tail of stripe production — the whole-object
-// checksum chain — on it. At the end of the range it logs the read and
-// returns io.EOF.
+// advance drops the drained stripe and takes the next one off the pipe.
+// At the end of the range it logs the read and returns io.EOF.
 func (or *objectReader) advance() error {
 	or.releaseCur()
 	s, out, err := or.pipe.take()
@@ -157,21 +143,8 @@ func (or *objectReader) advance() error {
 		or.e.b.metrics.readPrefetched.Inc()
 	}
 	or.cur, or.curSlot = out.data, out.slot
-	if out.cached {
-		or.hashAll = false
-	} else if or.hashAll {
-		or.sum.Write(out.data)
-	}
-	if or.hashAll && s == or.layout.stripes-1 && hex.EncodeToString(or.sum.Sum(nil)) != or.meta.Checksum {
-		// Do not hand the condemned stripe to the caller: a Read retried
-		// after ErrChecksum must not serve corrupted bytes. The stripes
-		// this stream cached are condemned with it: each passed its own
-		// sum, so the object-level mismatch means the metadata and the
-		// data disagree, and a cache that outlives that is a liability.
-		or.cur = nil
-		or.releaseCur()
-		or.e.b.caches.InvalidateAll(or.cacheID)
-		return ErrChecksum
+	if out.slot {
+		or.curBuf = out.data
 	}
 	or.fetched += int64(len(or.cur))
 	return nil
@@ -196,11 +169,16 @@ func (or *objectReader) Read(p []byte) (int, error) {
 }
 
 // releaseCur returns the current stripe's read-budget slot once its
-// bytes are gone (fully drained to the caller, or dropped at teardown).
+// bytes are gone (fully drained to the caller, or dropped at teardown),
+// and with it the stripe's join buffer: a fetched stripe is the reader's
+// alone — the stripe cache keeps a copy, Read copies out — so the next
+// fetch may decode into it.
 func (or *objectReader) releaseCur() {
 	if or.curSlot {
 		or.curSlot = false
 		or.e.b.releaseBuf(&or.e.b.readBuf)
+		or.e.b.joinBufs.Put(or.curBuf) //nolint:staticcheck // a slice header per stripe is noise next to the stripe
+		or.curBuf = nil
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
+	"scalia/internal/obs"
 )
 
 // This file is the production repair path (§IV-E). A repair pass scans
@@ -25,6 +26,10 @@ import (
 // Which of the two is decided by core.Decider.Decide — the step the cost
 // simulator runs too — so simulated and production repair decisions
 // provably agree.
+//
+// Bit rot is the same repair at a provider that is still there: a chunk
+// a read rejected for its sum is rewritten by a swap whose target is the
+// provider already holding it (healRot).
 
 // RepairReport summarizes an active-repair pass (§IV-E).
 type RepairReport struct {
@@ -174,10 +179,12 @@ type swap struct {
 
 // planSwap validates a chunk-swap plan against the stored layout and
 // resolves both sides of it. The object version's identity (UUID,
-// storage key, per-stripe MD5s) is preserved by a swap, so src and dst
-// share chunk keys and differ only in the providers of the replaced
-// slots. The repair read follows the serving path's "m cheapest
-// providers" ranking, with the replaced slots excluded.
+// storage key, chunk and payload sums) is preserved by a swap — the
+// replacement chunks are the stored ones again, byte for byte — so src
+// and dst share chunk keys and differ only in the providers of the
+// replaced slots, or not at all when rot is healed in place. The repair
+// read follows the serving path's "m cheapest providers" ranking, with
+// the replaced slots excluded.
 func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*swap, error) {
 	n := len(meta.Chunks)
 	if to.N() != n || to.M != meta.M || len(replaced) == 0 {
@@ -208,15 +215,26 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 	return sw, err
 }
 
-// rebuild fetches m surviving chunks of stripe s and returns the
-// stripe's full chunk set, the replaced slots reconstructed and the
-// payload verified against its stored MD5.
+// rebuild fetches m surviving chunks of stripe s that pass their sums
+// and returns the stripe's full chunk set, the payload verified and the
+// replaced slots reconstructed. Every replacement chunk is checked
+// against the sum stored for its slot before it is returned to be
+// written: a swap keeps the sums, so a replacement that does not match
+// would be rot written by the repair itself.
 func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error) {
-	_, chunks, _, err := e.fetch(ctx, sw.src, s, sw.order, sw.meta.M)
+	_, chunks, _, err := e.fetch(ctx, sw.src, s, sw.order, sw.meta.M, nil)
 	if err == nil {
 		err = sw.src.coder.Reconstruct(chunks) // the parity slots the fetch left out
 	}
-	return chunks, err
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range sw.replaced {
+		if crc32c(chunks[i]) != sw.src.sums[s].Chunks[i] {
+			return nil, fmt.Errorf("%w: rebuilt chunk %d of stripe %d", ErrChecksum, i, s)
+		}
+	}
+	return chunks, nil
 }
 
 // swapRepair executes a multi-stripe chunk swap: stripes are
@@ -228,7 +246,8 @@ func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error)
 // fall back from the dead provider to the survivors, post-commit
 // readers find the replacement chunk already written. On any failure,
 // including ctx cancellation mid-swap, every replacement chunk already
-// written is rolled back and the old metadata stays live.
+// written is rolled back (see unreferenced) and the old metadata stays
+// live.
 func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 	wrote := make([]int64, sw.src.stripes)
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, sw.src.stripes,
@@ -243,7 +262,8 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 			}, nil
 		})
 	if err := p.drain(); err != nil {
-		e.dropChunks(sw.dst, p.next, sw.replaced, nil)
+		cur, _ := e.currentVersion(RowKey(sw.meta.Container, sw.meta.Key))
+		e.dropChunks(sw.dst, p.next, sw.replaced, sw.unreferenced(cur))
 		return err
 	}
 	var bytes int64
@@ -251,6 +271,24 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 		bytes += w
 	}
 	return e.commitSwap(sw, bytes, out, true)
+}
+
+// moved reports whether the swap takes a slot to another provider. A slot
+// healed in place has no stale copy to clean up: its old chunk is the key
+// the new one was written under.
+func (sw *swap) moved(slot int) bool { return sw.src.names[slot] != sw.dst.names[slot] }
+
+// unreferenced is the rollback rule of a failed swap, given the live
+// version cur: a replacement chunk goes only if cur does not point at it.
+// That spares a slot healed in place (the rewritten chunk is the live
+// one) and the chunks of a concurrent pass that committed the same swap
+// (same version, same chunk keys), and still reclaims everything once
+// the version repaired is gone.
+func (sw *swap) unreferenced(cur *ObjectMeta) func(slot int) bool {
+	return func(slot int) bool {
+		return cur == nil || cur.UUID != sw.meta.UUID || cur.SKey != sw.meta.SKey ||
+			cur.Chunks[slot] != sw.dst.names[slot]
+	}
 }
 
 // replacedBytes totals the replacement chunks of one rebuilt stripe.
@@ -285,24 +323,101 @@ func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome, replicat
 		return &newMeta, err
 	})
 	if err != nil {
-		// Roll back only slots the live version does not reference: if a
-		// concurrent pass committed the same swap (same version, same chunk
-		// keys), deleting "our" replacement chunks would destroy the chunks
-		// its metadata now points at. (After a failed metadata write the
-		// live version is still the one repaired, which references none.)
-		e.dropChunks(sw.dst, stripes, replaced, func(slot int) bool {
-			return cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey ||
-				cur.Chunks[slot] != sw.dst.names[slot]
-		})
+		// After a failed metadata write the live version is still the one
+		// repaired, which references no moved slot.
+		e.dropChunks(sw.dst, stripes, replaced, sw.unreferenced(cur))
 		return err
 	}
 	// The dead providers' stale copies of the replaced chunks: deletion
 	// is postponed until the provider recovers (§III-D3).
-	e.dropChunks(sw.src, stripes, replaced, nil)
+	e.dropChunks(sw.src, stripes, replaced, sw.moved)
+	e.b.healed(sw.src, replaced)
 	out.swapped++
 	out.chunks += stripes * len(replaced)
 	out.bytes += bytesWritten
 	return nil
+}
+
+// --- bit rot ---
+
+// rotEntry is the chunk slots of one object version that failed their
+// sum on a read.
+type rotEntry struct {
+	uuid  string
+	slots []int
+}
+
+// maxRotObjects bounds Broker.rot. Past it a rejected chunk is still
+// counted and read around, just not noted: the next read of it, or a
+// VerifyObject, notes it again once there is room.
+const maxRotObjects = 1024
+
+// noteRot is what a fetch does about a chunk that failed its sum, besides
+// reading a spare: count it — per provider, and on the request's trace —
+// note (object, version, slot) in the broker's bounded set and put the
+// object on the maintenance queue, whose step rewrites the slot
+// (healRot). Nothing is written here: the fetch may be serving a GET.
+// Only a slot not yet noted enqueues, so a heal that cannot succeed — more
+// than n - m slots of a stripe rotten — is not retried by its own reads.
+func (b *Broker) noteRot(tr *obs.Trace, l *stripeLayout, slot int) {
+	b.metrics.chunkSumFailures.With(l.names[slot]).Inc()
+	tr.Count("corrupt_chunks", 1)
+	if l.obj == "" {
+		return
+	}
+	b.mu.Lock()
+	r, fresh := b.rot[l.obj], false
+	switch {
+	case r != nil && r.uuid == l.uuid:
+		if fresh = !slices.Contains(r.slots, slot); fresh {
+			r.slots = append(r.slots, slot)
+		}
+	case r != nil || len(b.rot) < maxRotObjects:
+		b.rot[l.obj], fresh = &rotEntry{uuid: l.uuid, slots: []int{slot}}, true
+	}
+	b.mu.Unlock()
+	if fresh {
+		b.maint.enqueue(l.obj)
+	}
+}
+
+// healed forgets the noted rot of slots a committed swap has rewritten.
+func (b *Broker) healed(l *stripeLayout, slots []int) {
+	b.mu.Lock()
+	if r := b.rot[l.obj]; r != nil && r.uuid == l.uuid {
+		r.slots = slices.DeleteFunc(r.slots, func(i int) bool { return slices.Contains(slots, i) })
+		if len(r.slots) == 0 {
+			delete(b.rot, l.obj)
+		}
+	}
+	b.mu.Unlock()
+}
+
+// healRot rewrites the chunk slots of meta's version that reads found
+// rotten, with the machinery of a chunk swap whose targets are the
+// providers already holding them: per stripe, m chunks that pass their
+// sums are read and only the noted slots are written, in place. It
+// reports whether the row was republished. Slots it could not heal stay
+// noted for the next visit; rot noted on a version since replaced is
+// dropped.
+func (e *Engine) healRot(ctx context.Context, obj string, meta ObjectMeta, out *outcome) bool {
+	e.b.mu.Lock()
+	var slots []int
+	if r := e.b.rot[obj]; r != nil && r.uuid != meta.UUID {
+		delete(e.b.rot, obj)
+	} else if r != nil {
+		slots = slices.Clone(r.slots)
+	}
+	e.b.mu.Unlock()
+	if len(slots) == 0 {
+		return false
+	}
+	slices.Sort(slots)
+	sw, err := e.planSwap(meta, e.b.livePlacement(meta.M, meta.Chunks), slots)
+	if err == nil {
+		err = e.swapRepair(ctx, sw, out)
+	}
+	return err == nil
 }
 
 // --- batched swap writes ---

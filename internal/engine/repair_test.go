@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -104,10 +105,8 @@ func TestRepairSwapPreservesIdentity(t *testing.T) {
 		t.Fatalf("swap must update metadata in place: uuid %s->%s skey %s->%s",
 			meta.UUID, after.UUID, meta.SKey, after.SKey)
 	}
-	for s := range meta.StripeSums {
-		if after.StripeSums[s] != meta.StripeSums[s] {
-			t.Fatalf("stripe %d sum changed across swap", s)
-		}
+	if !reflect.DeepEqual(after.Sums, meta.Sums) {
+		t.Fatal("a swap must preserve the chunk and payload sums")
 	}
 	for i, name := range after.Chunks {
 		switch {

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -37,8 +35,8 @@ import (
 // stripeLayout says where the stripes of one stored body — an object
 // version, or one staged part of a multipart upload — live: the (m, n)
 // coder, the provider behind each chunk slot, the stripe geometry, the
-// chunk keys and the per-stripe checksums. Reads and writes of either
-// kind of body take a layout and nothing else.
+// chunk keys and the per-stripe integrity sums. Reads and writes of
+// either kind of body take a layout and nothing else.
 type stripeLayout struct {
 	coder  *erasure.Coder
 	stores []cloud.Backend // per chunk slot; nil when the provider left the registry
@@ -48,9 +46,13 @@ type stripeLayout struct {
 	stripes   int
 	stripeLen func(s int) int64
 	key       func(s, i int) string
-	// sums is the MD5 of each stripe's payload: filled in by
+	// sums is the integrity record of each stripe: filled in by
 	// writeStripes, checked by every fetch.
-	sums []string
+	sums []StripeSum
+	// obj and uuid name the object version a stored layout belongs to, so
+	// a fetch that rejects a chunk can say whose it was. A part still
+	// being staged has neither; nothing reads one.
+	obj, uuid string
 }
 
 // resolveSlots starts a layout from its chunk->provider map. A coder
@@ -76,7 +78,8 @@ func (e *Engine) resolveSlots(m int, names []string) (*stripeLayout, error) {
 // layoutOf builds the layout of an object version from its metadata.
 func (e *Engine) layoutOf(meta ObjectMeta) (*stripeLayout, error) {
 	l, err := e.resolveSlots(meta.M, meta.Chunks)
-	l.stripes, l.stripeLen, l.key, l.sums = meta.StripeCount(), meta.stripeLen, meta.chunkKey, meta.StripeSums
+	l.stripes, l.stripeLen, l.key, l.sums = meta.StripeCount(), meta.stripeLen, meta.chunkKey, meta.Sums
+	l.obj, l.uuid = objectName(meta.Container, meta.Key), meta.UUID
 	return l, err
 }
 
@@ -122,23 +125,37 @@ func (l *stripeLayout) rank(objectBytes int64, skip []int) ([]int, error) {
 }
 
 // fetch reads stripe s: it retrieves chunks along the ranked candidate
-// order until it holds want of them, decodes the stripe and checks the
-// payload against its stored MD5 — a provider serving rotted bytes must
-// fail the read, not reach a client, the stripe cache or a replacement
-// chunk, and a stripe with no stored sum fails closed. want is m for a
-// read and len(order) for verification ("all reachable"). A candidate
-// is claimed only while chunks held plus fetches in flight are short of
-// want, so a healthy stripe costs exactly want provider reads; a failed
-// fetch frees its claim for the next (spare) candidate (§III-D3: reads
-// proceed without the faulty provider). got counts the chunks read;
-// chunks has length n, nil at the parity slots not read.
-func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int) (payload []byte, chunks [][]byte, got int, err error) {
+// order until it holds want of them that pass their stored CRC-32C,
+// decodes the stripe and checks the payload against its own sum — rotted
+// bytes must not reach a client, the stripe cache or a replacement chunk.
+// want is m for a read and len(order) for verification ("all
+// reachable"). A candidate is claimed only while chunks held plus fetches
+// in flight are short of want, so a healthy stripe costs exactly want
+// provider reads. A fetch that fails and a chunk that fails its sum both
+// free their claim for the next (spare) candidate (§III-D3: reads proceed
+// without the faulty provider): the stored chunk is the unit of
+// integrity, so one rotten chunk is an erasure that costs one extra chunk
+// read, not a failed stripe. It is not an outage either — the provider
+// answered, so its op series records a success — and the slot is noted
+// for the maintenance queue to rewrite (noteRot); the read itself never
+// writes. A stripe whose sum record is missing or does not cover every
+// slot fails closed before any provider is asked, and a stripe left short
+// of m after rejecting a chunk fails with ErrChecksum. got counts the
+// chunks read and accepted; chunks has length n, nil at the slots not
+// read or rejected. The payload is decoded into dst when it has the
+// capacity (nil: a fresh buffer).
+func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int, dst []byte) (payload []byte, chunks [][]byte, got int, err error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
+	if s >= len(l.sums) || len(l.sums[s].Chunks) != len(l.names) {
+		return nil, nil, 0, fmt.Errorf("%w: stripe %d has no sum for each of its %d chunks", ErrChecksum, s, len(l.names))
+	}
+	sum := l.sums[s]
 	chunks = make([][]byte, len(l.names))
 	var (
-		mu             sync.Mutex
-		next, inFlight int
+		mu                     sync.Mutex
+		next, inFlight, rotten int
+		verifying              time.Duration // summed over the workers
 	)
 	work := func() {
 		for {
@@ -164,9 +181,23 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 					tr.Count("fallbacks", 1)
 				}
 			}
+			var rot bool
+			var spent time.Duration
+			if err == nil {
+				t0 = time.Now()
+				rot = crc32c(data) != sum.Chunks[i]
+				spent = time.Since(t0)
+				if rot {
+					e.b.noteRot(tr, l, i)
+				}
+			}
 			mu.Lock()
 			inFlight--
-			if err == nil {
+			verifying += spent
+			switch {
+			case rot:
+				rotten++
+			case err == nil:
 				chunks[i] = data
 				got++
 			}
@@ -191,16 +222,23 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 		if err := ctx.Err(); err != nil {
 			return nil, nil, got, err
 		}
+		if rotten > 0 {
+			return nil, nil, got, fmt.Errorf("%w: stripe %d: %d chunks failed their sum, %d of the %d needed are left",
+				ErrChecksum, s, rotten, got, m)
+		}
 		return nil, nil, got, fmt.Errorf("%w: fetched %d, need %d", ErrNotEnoughChunks, got, m)
 	}
 	e.b.observeStage(tr, "fetch", start)
 	start = time.Now()
-	payload, err = l.coder.Decode(chunks, int(l.stripeLen(s)))
+	payload, err = l.coder.DecodeInto(dst, chunks, int(l.stripeLen(s)))
 	if err != nil {
 		return nil, nil, got, err
 	}
 	e.b.observeStage(tr, "decode", start)
-	if sum := md5.Sum(payload); s >= len(l.sums) || hex.EncodeToString(sum[:]) != l.sums[s] {
+	start = time.Now()
+	ok := crc32c(payload) == sum.Payload
+	e.b.observeStageFor(tr, "verify", verifying+time.Since(start))
+	if !ok {
 		return nil, nil, got, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
 	}
 	return payload, chunks, got, nil

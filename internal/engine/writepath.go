@@ -20,8 +20,9 @@ import (
 //
 // The stripes of a body run through a stripePipe of depth
 // WritePipelineDepth. The serial stage of stripe s reads its payload
-// off the body, folds it into the body and per-stripe checksums and
-// erasure-codes it into n chunks (scratch drawn from the erasure pool);
+// off the body, folds it into the body MD5 — the one pass that makes the
+// ETag — erasure-codes it into n chunks (scratch drawn from the erasure
+// pool) and takes the CRC-32C of the payload and of each chunk;
 // the concurrent stage writes the n chunks to their providers, so
 // provider round-trips of neighbouring stripes overlap with each other
 // and with encoding. The body is consumed strictly in order, so it
@@ -31,13 +32,13 @@ import (
 // metadata once — one commit per object, not per stripe.
 
 // writeStripes streams the body r into the layout's stripes, returning
-// the body's MD5 and leaving the per-stripe MD5s in l.sums. On any
+// the body's MD5 and leaving each stripe's integrity sums in l.sums. On any
 // failure — a provider error, a short body, ctx cancellation — the
 // pipe is drained and every chunk already written is rolled back, so
 // the providers never keep a partial write.
 func (e *Engine) writeStripes(ctx context.Context, l *stripeLayout, r io.Reader) (string, error) {
 	bodySum := md5.New()
-	l.sums = make([]string, l.stripes)
+	l.sums = make([]StripeSum, l.stripes)
 	var payload []byte // reused across stripes: encoding copies out of it
 	p := e.b.newStripePipe(ctx, &e.b.writeBuf, e.b.cfg.WritePipelineDepth, 0, l.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
@@ -60,8 +61,10 @@ func (e *Engine) writeStripes(ctx context.Context, l *stripeLayout, r io.Reader)
 }
 
 // encodeStripe reads stripe s's payload from r (into *payload, grown as
-// needed), folds it into the body and per-stripe checksums, and
-// erasure-codes it with pooled scratch. The returned chunks must be
+// needed), folds it into the body MD5, erasure-codes it with pooled
+// scratch and records the CRC-32C of the payload and of every chunk —
+// the sums of what is about to be stored, so a read can tell a rotten
+// chunk from a good one before it decodes. The returned chunks must be
 // handed back via erasure.ReleaseChunks once their fan-out completes.
 func (e *Engine) encodeStripe(ctx context.Context, l *stripeLayout, s int, r io.Reader, payload *[]byte, bodySum hash.Hash) ([][]byte, error) {
 	plen := l.stripeLen(s)
@@ -78,14 +81,22 @@ func (e *Engine) encodeStripe(ctx context.Context, l *stripeLayout, s int, r io.
 		}
 		return nil, fmt.Errorf("engine: object body read: %w", err)
 	}
-	bodySum.Write(buf)
-	stripeSum := md5.Sum(buf)
-	l.sums[s] = hex.EncodeToString(stripeSum[:])
+	tr := obs.TraceFrom(ctx)
 	start := time.Now()
+	bodySum.Write(buf)
+	hashing := time.Since(start)
+	start = time.Now()
 	chunks, err := l.coder.EncodePooled(buf)
 	if err != nil {
 		return nil, err
 	}
-	e.b.observeStage(obs.TraceFrom(ctx), "encode", start)
+	e.b.observeStage(tr, "encode", start)
+	start = time.Now()
+	sum := StripeSum{Payload: crc32c(buf), Chunks: make([]uint32, len(chunks))}
+	for i, chunk := range chunks {
+		sum.Chunks[i] = crc32c(chunk)
+	}
+	l.sums[s] = sum
+	e.b.observeStageFor(tr, "hash", hashing+time.Since(start))
 	return chunks, nil
 }

@@ -264,6 +264,14 @@ func (c *Coder) reconstruct(chunks [][]byte, upto int) error {
 // Decode reconstructs missing data chunks if needed and reassembles the
 // original object of length size. Missing parity chunks stay nil.
 func (c *Coder) Decode(chunks [][]byte, size int) ([]byte, error) {
+	return c.DecodeInto(nil, chunks, size)
+}
+
+// DecodeInto is Decode with the object reassembled into dst's backing
+// array when it has the capacity for size bytes (a fresh buffer
+// otherwise), so a caller that reads stripe after stripe can recycle one
+// join buffer. The returned slice does not alias any chunk.
+func (c *Coder) DecodeInto(dst []byte, chunks [][]byte, size int) ([]byte, error) {
 	if err := c.reconstruct(chunks, c.m); err != nil {
 		return nil, err
 	}
@@ -272,7 +280,10 @@ func (c *Coder) Decode(chunks [][]byte, size int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: chunks hold %d bytes, need %d",
 			ErrShortData, c.m*chunkSize, size)
 	}
-	out := make([]byte, size)
+	if cap(dst) < size {
+		dst = make([]byte, size)
+	}
+	out := dst[:size]
 	done := 0
 	for i := 0; i < c.m && done < size; i++ {
 		done += copy(out[done:], chunks[i])

@@ -187,6 +187,8 @@ func errCode(err error) string {
 		return "too_large"
 	case errors.Is(err, scalia.ErrNotEnoughChunks):
 		return "not_enough_chunks"
+	case errors.Is(err, scalia.ErrChecksum):
+		return "checksum_mismatch"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "cancelled"
 	default:

@@ -231,6 +231,16 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.get(labelValues).(*Counter)
 }
 
+// Total returns the sum over every series of the family.
+func (v *CounterVec) Total() (n int64) {
+	v.f.mu.RLock()
+	defer v.f.mu.RUnlock()
+	for _, s := range v.f.series {
+		n += s.(*Counter).Value()
+	}
+	return n
+}
+
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 

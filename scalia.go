@@ -160,6 +160,7 @@ var (
 	ErrProviderExists       = engine.ErrProviderExists
 	ErrInvalidRule          = engine.ErrInvalidRule
 	ErrNotEnoughChunks      = engine.ErrNotEnoughChunks
+	ErrChecksum             = engine.ErrChecksum
 	ErrRangeNotSatisfiable  = engine.ErrRangeNotSatisfiable
 	ErrUploadNotFound       = engine.ErrUploadNotFound
 	ErrInfeasiblePlacement  = core.ErrNoProviders

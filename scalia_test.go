@@ -26,7 +26,10 @@ func newClient(t *testing.T, opts scalia.Options) *scalia.Client {
 
 // TestConformance runs the v1 contract suite against the embedded facade.
 func TestConformance(t *testing.T) {
-	apitest.Run(t, func(t *testing.T, opts scalia.Options) scalia.API { return newClient(t, opts) })
+	apitest.Run(t, func(t *testing.T, opts scalia.Options) (scalia.API, *engine.Broker) {
+		c := newClient(t, opts)
+		return c, c.Broker()
+	})
 }
 
 // TestFacadeRuleOptions: a per-object rule is an embedded-only write
