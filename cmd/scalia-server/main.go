@@ -28,6 +28,16 @@ import (
 	"scalia/internal/engine"
 )
 
+// Connection deadlines. A client that stalls before its request headers
+// are in, or parks an idle keep-alive connection, must not hold it — or,
+// through an open read, a pinned object version — forever. Body reads
+// and response writes carry no deadline: an 8 MiB object streaming to a
+// slow client is legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	// The flag defaults are scalia.ServerOptions — the same deployment
 	// scalia-loadgen -spawn boots.
@@ -145,7 +155,10 @@ func main() {
 		"pprof", *pprofOn,
 		"providers", "Fig. 3 simulated set")
 
-	srv := &http.Server{Addr: *addr, Handler: gw}
+	srv := &http.Server{
+		Addr: *addr, Handler: gw,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 

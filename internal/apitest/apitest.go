@@ -57,6 +57,7 @@ var cases = []struct {
 		StripeBytes: 2048, ReadParallelism: -1, PrefetchStripes: -1, WritePipelineDepth: -1,
 	}, streamsMultiStripe)},
 	{"GetRange", with(scalia.Options{StripeBytes: 2048, CacheBytes: 1 << 20}, getRange)},
+	{"OverwriteDuringRead", with(scalia.Options{StripeBytes: 2048}, overwriteDuringRead)},
 	{"ConditionalWrites", with(scalia.Options{}, conditionalWrites)},
 	{"PagedList", with(scalia.Options{}, pagedList)},
 	{"Multipart", with(scalia.Options{}, multipart)},
@@ -243,6 +244,42 @@ func streamsMultiStripe(t *tc) {
 	}
 	if rmeta.Size != meta.Size || rmeta.Stripes != meta.Stripes {
 		t.Fatalf("stream meta = %+v", rmeta)
+	}
+}
+
+// overwriteDuringRead: a stream half read when its object is overwritten
+// and then deleted still delivers, to its last byte, the version it was
+// opened on — a settle in between included — and once it is closed
+// nothing of that version is left behind.
+func overwriteDuringRead(t *tc) {
+	old, fresh := random(21, 32*1024+5), random(22, 3000)
+	t.put("k", old)
+	rc, meta, err := t.GetReader(ctx, t.container, "k")
+	t.must(err)
+	defer rc.Close()
+	got := make([]byte, len(old))
+	_, err = io.ReadFull(rc, got[:2048])
+	t.must(err)
+
+	if over := t.put("k", fresh); over.Checksum == meta.Checksum {
+		t.Fatal("the overwrite kept the old ETag")
+	}
+	t.wantBody("k", fresh)
+	t.must(t.Delete(ctx, t.container, "k"))
+	if t.broker != nil {
+		t.broker.ProcessPendingDeletes(ctx)
+	}
+	_, err = io.ReadFull(rc, got[2048:])
+	t.must(err)
+	if !bytes.Equal(got, old) {
+		t.Fatal("the held stream did not deliver the version it was opened on")
+	}
+	t.must(rc.Close())
+	if t.broker != nil {
+		t.broker.ProcessPendingDeletes(ctx)
+		if st := t.stats(); st.Retired != (scalia.RetiredStats{}) || st.PendingDeletes != 0 {
+			t.Fatalf("at rest: retired %+v, %d postponed deletes", st.Retired, st.PendingDeletes)
+		}
 	}
 }
 

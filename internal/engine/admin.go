@@ -156,6 +156,9 @@ type Stats struct {
 	Engines        int `json:"engines"`
 	Providers      int `json:"providers"`
 	PendingDeletes int `json:"pendingDeletes"`
+	// Retired is the reaper's backlog: superseded versions whose chunks
+	// are still at their providers, and the versions open reads pin.
+	Retired RetiredStats `json:"retired"`
 	// StripeBytes is the deployment's stripe size. Multipart callers
 	// need it to build stripe-aligned non-final parts.
 	StripeBytes int64 `json:"stripeBytes"`
@@ -176,6 +179,7 @@ func (b *Broker) DeploymentStats() Stats {
 		Engines:        len(b.engines),
 		Providers:      b.registry.Len(),
 		PendingDeletes: b.PendingDeletes(),
+		Retired:        b.Retired(),
 		StripeBytes:    b.cfg.StripeBytes,
 	}
 }

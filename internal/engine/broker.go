@@ -257,15 +257,19 @@ type Broker struct {
 	// jobs API (POST /v1/repair|optimize without ?wait=true).
 	jobs *jobRegistry
 
+	// reaper deletes retired versions in the background and counts the
+	// readers that pin them (reaper.go).
+	reaper *reaper
 	// pending is the set of postponed chunk deletions. pendMu is held
-	// across each replayed delete (ProcessPendingDeletes), so a write
-	// cancelling the entry for the key it is about to reuse either
-	// removes it first or waits until the delete has landed. pendingN
-	// mirrors len(pending) so the write path skips the lock while
-	// nothing is queued.
+	// across each replayed delete (replayPending), so a write cancelling
+	// the entry for the key it is about to reuse either removes it first
+	// or waits until the delete has landed. pendingN mirrors len(pending)
+	// so the write path skips the lock while nothing is queued; replayed
+	// counts the replays ProcessPendingDeletes has not reported yet.
 	pendMu   sync.Mutex
 	pending  map[pendingDelete]struct{}
 	pendingN atomic.Int64
+	replayed atomic.Int64
 
 	mu        sync.Mutex
 	lastOpt   int64
@@ -447,15 +451,19 @@ func NewBroker(cfg Config) *Broker {
 	// time.
 	b.maint = newMaintQueue(b, cfg.ReoptWorkers, DefaultReoptQueueDepth)
 	b.registry.Subscribe(b.maint.onMarketEvent)
+	b.reaper = newReaper(b)
+	b.registry.Subscribe(b.reaper.onMarketEvent)
 	// Last: the metric collectors read the fields built above.
 	b.metrics = newBrokerMetrics(b)
 	return b
 }
 
-// Close releases the statistics pipeline and stops the maintenance
-// queue workers.
+// Close stops the maintenance queue workers, then the reaper — after a
+// last pass over what they retired — and releases the statistics
+// pipeline.
 func (b *Broker) Close() {
 	b.maint.close()
+	b.reaper.close()
 	b.agg.Close()
 }
 
@@ -620,35 +628,6 @@ func (b *Broker) cancelPendingDelete(provider, chunkKey string) {
 
 // PendingDeletes returns the number of postponed chunk deletions.
 func (b *Broker) PendingDeletes() int { return int(b.pendingN.Load()) }
-
-// ProcessPendingDeletes retries postponed deletions against recovered
-// providers; it returns how many completed. Cancelling ctx stops the
-// scan; unprocessed deletions stay queued.
-func (b *Broker) ProcessPendingDeletes(ctx context.Context) int {
-	b.pendMu.Lock()
-	queued := make([]pendingDelete, 0, len(b.pending))
-	for pd := range b.pending {
-		queued = append(queued, pd)
-	}
-	b.pendMu.Unlock()
-
-	done := 0
-	for _, pd := range queued {
-		if ctx.Err() != nil {
-			break
-		}
-		// A provider that left the market took its chunks along.
-		store, registered := b.registry.Store(pd.Provider)
-		b.pendMu.Lock()
-		if _, still := b.pending[pd]; still && (!registered || store.Delete(ctx, pd.ChunkKey) == nil) {
-			delete(b.pending, pd)
-			b.pendingN.Store(int64(len(b.pending)))
-			done++
-		}
-		b.pendMu.Unlock()
-	}
-	return done
-}
 
 // --- container index ---
 

@@ -152,10 +152,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 
 	// Fast-fail the precondition before any chunk traffic; the
 	// authoritative check repeats under the row lock at commit time.
-	row := RowKey(container, key)
-	prev, losers := e.currentVersion(row)
-	e.cleanupVersions(losers)
-	if err := checkWriteConditions(opts, prev); err != nil {
+	if err := checkWriteConditions(opts, e.currentVersion(RowKey(container, key))); err != nil {
 		return ObjectMeta{}, err
 	}
 
@@ -188,20 +185,10 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	// Commit under the row lock — one batched metadata commit per
 	// object, no matter how many stripes streamed through above.
 	commitStart := time.Now()
-	prev, err = e.commitObject(&meta, opts)
+	err = e.commitObject(&meta, opts)
 	e.b.observeStage(tr, "commit", commitStart)
 	if err != nil {
 		return ObjectMeta{}, err
-	}
-
-	// Update is in place: discard the superseded version's chunks and
-	// cached stripes (outside the lock — chunk deletion may hit remote
-	// providers). Cache keys are versioned, so the new version can
-	// never hit a stale entry even before this invalidation lands; the
-	// eager purge just frees the space.
-	if prev != nil {
-		e.deleteChunks(*prev)
-		e.invalidateCached(*prev)
 	}
 	e.agent.Log(stats.Event{
 		Object: obj, Class: class, Kind: stats.EventWrite,
@@ -210,27 +197,30 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	return meta, nil
 }
 
-// publish is the one step that makes a row change visible. Under the
-// row lock it re-reads the live version and hands it to write, which
-// either vetoes (a stale precondition, a version that changed under a
-// background copy) or stores the new row and returns it (nil for a
-// tombstone). Still under the lock — commits of one key index in the
-// order they commit — the provider index is brought in line with the
-// stored row, and a deleted object's decision-period controller and
-// noted rot are let go. Then, the lock released, the change replicates to every other
-// datacenter before publish returns. Callers delete the superseded
-// version's chunks only afterwards, so no datacenter is left holding a
-// row whose chunks are gone, and read-your-writes holds on every path —
-// foreground or background, with or without a front-end. replicate is
-// false only for a batch of commits that replicates once at its end. cur
-// is the version write was shown (nil = absent); conflict losers are
-// cleaned up outside the lock, their chunk deletions may hit remote
-// providers.
+// publish is the one step that makes a row change visible, and the one
+// place a version is retired. Under the row lock it re-reads the live
+// version and hands it to write, which either vetoes (a stale
+// precondition, a version that changed under a background copy) or stores
+// the new row and returns it (nil for a tombstone). Still under the lock
+// — commits of one key index in the order they commit — the provider
+// index is brought in line with the stored row, and a deleted object's
+// decision-period controller and noted rot are let go. Then, the lock
+// released, the change replicates to every other datacenter, so
+// read-your-writes holds on every path — foreground or background, with
+// or without a front-end; replicate is false only for a batch of commits
+// that replicates once at its end. Last, if the stored row carries
+// another UUID than the one it replaced (or is a tombstone), the
+// superseded version goes to the reaper (reaper.retire): only after
+// replication, so no datacenter is left serving a row whose chunks are
+// going, and without waiting for a single provider — its chunks are
+// deleted in the background once no reader pins them. Past the backlog
+// bound the committer reaps before it returns. cur is the version write
+// was shown (nil = absent).
 func (e *Engine) publish(container, key string, replicate bool, write func(cur *ObjectMeta, ts int64) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
 	row := RowKey(container, key)
 	lk := e.b.rowLock(row)
 	lk.Lock()
-	cur, losers := e.currentVersion(row)
+	cur = e.currentVersion(row)
 	stored, err := write(cur, e.b.clock.Timestamp())
 	switch obj := objectName(container, key); {
 	case err != nil: // vetoed or failed: the index keeps what it has
@@ -244,24 +234,28 @@ func (e *Engine) publish(container, key string, replicate bool, write func(cur *
 		e.b.mu.Unlock()
 	}
 	lk.Unlock()
-	e.cleanupVersions(losers)
-	if err == nil && replicate {
+	if err != nil {
+		return cur, err
+	}
+	if replicate {
 		e.b.replicate()
 	}
-	return cur, err
+	if r := e.b.reaper; cur != nil && (stored == nil || stored.UUID != cur.UUID) && r.retire(*cur) {
+		r.reap()
+	}
+	return cur, nil
 }
 
 // commitObject publishes meta as its row's live version: the write
 // preconditions are re-checked against the stored version inside the
 // row lock, so two concurrent conditional writes cannot both pass the
 // check-then-act window. The body transfer runs unlocked; only this
-// metadata commit serializes. On success the superseded version (nil if
-// none) is returned for the caller to clean up; on failure meta's staged
-// chunks are rolled back — except after a listing-index failure, where
-// the object itself committed and the chunks must survive.
-func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) (*ObjectMeta, error) {
+// metadata commit serializes. On failure meta's staged chunks are rolled
+// back — except after a listing-index failure, where the object itself
+// committed and the chunks must survive.
+func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) error {
 	committed := false
-	prev, err := e.publish(meta.Container, meta.Key, true, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	_, err := e.publish(meta.Container, meta.Key, true, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if err := checkWriteConditions(opts, prev); err != nil {
 			return nil, err
 		}
@@ -278,28 +272,32 @@ func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) (*ObjectMeta, e
 		committed = true
 		return meta, e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts)
 	})
-	if err != nil {
-		if !committed {
-			e.deleteChunks(*meta) // the commit never happened; reclaim the staged chunks
-		}
-		return nil, err
+	if err != nil && !committed {
+		e.deleteChunks(*meta) // the commit never happened; reclaim the staged chunks
 	}
-	return prev, nil
+	return err
 }
 
-// currentVersion reads a row's live version. Conflict losers are
-// returned for the caller to clean up outside any row lock (their
-// chunk deletions may hit remote providers).
-func (e *Engine) currentVersion(row string) (prev *ObjectMeta, losers []metadata.Version) {
-	node := e.b.meta.Store(e.dc)
-	v, losers, err := node.Get(row)
-	if err != nil {
-		return nil, nil
+// liveRow reads a row's winning version from the engine's datacenter
+// node. The read collapses an MVCC conflict it finds, and the versions
+// that lost are retired here (Fig. 10): handing them to the reaper costs
+// no provider call, so this may run under the row lock.
+func (e *Engine) liveRow(row string) (metadata.Version, error) {
+	v, losers, err := e.b.meta.Store(e.dc).Get(row)
+	for _, l := range losers {
+		if m, derr := decodeMeta(l); !l.Deleted && derr == nil {
+			e.b.reaper.retire(m)
+		}
 	}
-	if m, err := decodeMeta(v); err == nil {
-		prev = &m
+	return v, err
+}
+
+// currentVersion reads a row's live version, nil when there is none.
+func (e *Engine) currentVersion(row string) *ObjectMeta {
+	if m, err := e.rowMeta(row); err == nil {
+		return &m
 	}
-	return prev, losers
+	return nil
 }
 
 // checkWriteConditions evaluates a write's If-Match / create-only
@@ -399,22 +397,29 @@ func (e *Engine) Get(ctx context.Context, container, key string) ([]byte, Object
 // is produced eagerly so placement and availability errors surface on
 // the call itself rather than mid-stream; every fetched chunk and every
 // decoded stripe is verified against its stored sum before a byte of it
-// is handed out. Cancelling ctx tears down the prefetcher and all
-// in-flight chunk fetches.
+// is handed out. The stream pins the version it was opened on until it
+// is drained or closed, so an overwrite or delete that lands meanwhile
+// cannot take its chunks away. Cancelling ctx tears down the prefetcher
+// and all in-flight chunk fetches.
 func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
-	meta, err := e.headMeta(container, key)
-	if err != nil {
-		return nil, ObjectMeta{}, err
+	for {
+		meta, err := e.headMeta(container, key)
+		if err != nil {
+			return nil, ObjectMeta{}, err
+		}
+		// The read event is logged by the reader itself once the stream
+		// completes (or with the bytes actually delivered, on early Close),
+		// so aborted downloads do not inflate the statistics that drive
+		// placement.
+		or, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, true)
+		if errors.Is(err, errSuperseded) {
+			continue // a commit got in before the pin: read what it stored
+		}
+		if err != nil {
+			return nil, ObjectMeta{}, err
+		}
+		return or, meta, nil
 	}
-	// The read event is logged by the reader itself once the stream
-	// completes (or with the bytes actually delivered, on early Close),
-	// so aborted downloads do not inflate the statistics that drive
-	// placement.
-	or, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, true)
-	if err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	return or, meta, nil
 }
 
 // GetRangeReader serves the byte range [offset, offset+length) of an
@@ -428,51 +433,60 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 	if offset < 0 || length == 0 || length < -1 {
 		return nil, ObjectMeta{}, fmt.Errorf("%w: range offset %d length %d", ErrInvalidArgument, offset, length)
 	}
-	meta, err := e.headMeta(container, key)
-	if err != nil {
-		return nil, ObjectMeta{}, err
+	for {
+		meta, err := e.headMeta(container, key)
+		if err != nil {
+			return nil, ObjectMeta{}, err
+		}
+		if offset >= meta.Size {
+			return nil, ObjectMeta{}, fmt.Errorf("%w: offset %d of %d-byte object",
+				ErrRangeNotSatisfiable, offset, meta.Size)
+		}
+		n := meta.Size - offset
+		if length >= 0 && length < n {
+			n = length
+		}
+		span := meta.stripeSpan()
+		start := int(offset / span)
+		end := int((offset + n - 1) / span)
+		or, err := e.openObjectRange(ctx, meta, start, end, true)
+		if errors.Is(err, errSuperseded) {
+			continue // as in GetReader; the new version has its own size
+		}
+		if err != nil {
+			return nil, ObjectMeta{}, err
+		}
+		// Discard the lead-in of the first stripe — the eager open already
+		// decoded it — and keep it out of the read statistics: only bytes
+		// the client can actually receive drive placement.
+		or.cur = or.cur[offset-int64(start)*span:]
+		or.fetched = int64(len(or.cur))
+		return &rangeReader{or: or, remaining: n}, meta, nil
 	}
-	if offset >= meta.Size {
-		return nil, ObjectMeta{}, fmt.Errorf("%w: offset %d of %d-byte object",
-			ErrRangeNotSatisfiable, offset, meta.Size)
-	}
-	if rest := meta.Size - offset; length < 0 || length > rest {
-		length = rest
-	}
-	span := meta.stripeSpan()
-	start := int(offset / span)
-	end := int((offset + length - 1) / span)
-	or, err := e.openObjectRange(ctx, meta, start, end, true)
-	if err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	// Discard the lead-in of the first stripe — the eager open already
-	// decoded it — and keep it out of the read statistics: only bytes
-	// the client can actually receive drive placement.
-	or.cur = or.cur[offset-int64(start)*span:]
-	or.fetched = int64(len(or.cur))
-	return &rangeReader{or: or, remaining: length}, meta, nil
 }
 
 // headMeta resolves an object's live metadata from the engine's
-// datacenter node, garbage-collecting MVCC conflict losers on the way.
+// datacenter node.
 func (e *Engine) headMeta(container, key string) (ObjectMeta, error) {
-	node := e.b.meta.Store(e.dc)
-	v, losers, err := node.Get(RowKey(container, key))
+	return e.rowMeta(RowKey(container, key))
+}
+
+// rowMeta decodes a row's live version.
+func (e *Engine) rowMeta(row string) (ObjectMeta, error) {
+	v, err := e.liveRow(row)
 	if err != nil {
 		if errors.Is(err, metadata.ErrRowNotFound) {
 			return ObjectMeta{}, ErrObjectNotFound
 		}
 		return ObjectMeta{}, err
 	}
-	e.cleanupVersions(losers)
 	return decodeMeta(v)
 }
 
-// Delete removes an object: tombstones its metadata, deletes chunks
-// (postponing those at faulty providers), invalidates caches and logs
-// the deletion for lifetime statistics. A non-empty ifMatch in opts
-// makes the delete conditional on the stored ETag.
+// Delete removes an object: it tombstones the metadata — which retires
+// the version: its cached stripes go at once, its chunks in the
+// background (see publish) — and logs the deletion for lifetime
+// statistics.
 func (e *Engine) Delete(ctx context.Context, container, key string) error {
 	return e.DeleteIf(ctx, container, key, "")
 }
@@ -501,11 +515,8 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	if err != nil {
 		return err
 	}
-	meta := *prev
-	e.deleteChunks(meta)
-	e.invalidateCached(meta)
 	e.agent.Log(stats.Event{
-		Object: objectName(container, key), Class: meta.Class, Kind: stats.EventDelete,
+		Object: objectName(container, key), Class: prev.Class, Kind: stats.EventDelete,
 		StorageBytes: 0, Period: e.b.clock.Period(),
 	})
 	return nil
@@ -578,30 +589,10 @@ func (e *Engine) Head(ctx context.Context, container, key string) (ObjectMeta, e
 	return e.headMeta(container, key)
 }
 
-// deleteChunks removes every chunk of every stripe of a version,
-// postponing deletions at unreachable providers.
+// deleteChunks removes every chunk of every stripe of a version that
+// never became (or never was) the live one: the rollback of a commit
+// that did not happen. A version that was live is retired instead.
 func (e *Engine) deleteChunks(meta ObjectMeta) {
 	l, _ := e.layoutOf(meta) // deleting needs no coder
 	e.dropChunks(l, l.stripes, l.all, nil)
-}
-
-// cleanupVersions garbage-collects MVCC conflict losers: their chunks
-// are removed from the storage providers and their stripes from the
-// caches (Fig. 10).
-func (e *Engine) cleanupVersions(losers []metadata.Version) {
-	for _, v := range losers {
-		if v.Deleted {
-			continue
-		}
-		if m, err := decodeMeta(v); err == nil {
-			e.deleteChunks(m)
-			e.invalidateCached(m)
-		}
-	}
-}
-
-// invalidateCached drops a version's stripes from every datacenter's
-// cache.
-func (e *Engine) invalidateCached(meta ObjectMeta) {
-	e.b.caches.InvalidateAll(stripeCacheID(objectName(meta.Container, meta.Key), meta.UUID))
 }

@@ -107,7 +107,8 @@ func TestUpdateReplacesChunks(t *testing.T) {
 	if m1.SKey == m2.SKey {
 		t.Fatal("update must write under a fresh skey")
 	}
-	// Old chunks must be gone.
+	// Old chunks must be gone once the reaper has settled.
+	b.ProcessPendingDeletes(ctx)
 	for i, name := range m1.Chunks {
 		store, _ := b.Registry().Store(name)
 		if _, err := store.Get(ctx, ChunkKey(m1.SKey, 0, i)); err == nil {
@@ -142,6 +143,10 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 	if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("Get after delete: %v", err)
+	}
+	b.ProcessPendingDeletes(ctx)
+	if r := b.Retired(); r != (RetiredStats{}) {
+		t.Fatalf("after the settle: %+v", r)
 	}
 	for i, name := range meta.Chunks {
 		store, _ := b.Registry().Store(name)
@@ -265,8 +270,10 @@ func TestDeletepostponedAtFaultyProvider(t *testing.T) {
 	if err := e.Delete(ctx, "c", "k"); err != nil {
 		t.Fatal(err)
 	}
-	if b.PendingDeletes() == 0 {
-		t.Fatal("expected a postponed delete")
+	// The settle reaps the deleted version; the victim refuses its chunk's
+	// delete, which is postponed.
+	if done := b.ProcessPendingDeletes(ctx); done != 0 || b.PendingDeletes() == 0 {
+		t.Fatalf("expected a postponed delete, none replayed: %d pending, %d replayed", b.PendingDeletes(), done)
 	}
 	vs.SetAvailable(true)
 	if done := b.ProcessPendingDeletes(ctx); done == 0 {
@@ -443,8 +450,9 @@ func TestConditionalWritesAreAtomic(t *testing.T) {
 	if got := updated.Load(); got != 1 {
 		t.Fatalf("If-Match updates succeeded %d times, want exactly 1", got)
 	}
-	// No loser may have leaked chunks: the sole live version accounts
-	// for every stored chunk.
+	// No loser may have leaked chunks: once the version the winner replaced
+	// is reaped, the sole live version accounts for every stored chunk.
+	b.ProcessPendingDeletes(ctx)
 	after, err := e.Head(ctx, "c", "once")
 	if err != nil {
 		t.Fatal(err)

@@ -168,6 +168,7 @@ func TestGatewayStreamsMultiStripeObject(t *testing.T) {
 	// Deleting must clear all stripes' chunks everywhere.
 	resp = doReq(t, client, http.MethodDelete, ts.URL+"/v1/objects/big/blob", nil, nil)
 	resp.Body.Close()
+	b.ProcessPendingDeletes(context.Background())
 	for _, s := range b.Registry().Snapshot() {
 		if bs, ok := s.(*cloud.BlobStore); ok && bs.ObjectCount() != 0 {
 			t.Fatalf("%s still holds %d chunks after delete", bs.Spec().Name, bs.ObjectCount())

@@ -433,9 +433,9 @@ func wantIndexedAsStored(t *testing.T, b *Broker, container, key string) {
 }
 
 // TestProviderIndexFollowsCommitOrder: two overwrites of one key must
-// index in the order they commit. PUT A commits and stalls deleting the
-// chunks of the version it superseded; PUT B (a wider rule) commits over
-// it. An index updated after that cleanup would end on A's providers while
+// index in the order they commit. PUT A commits, and the deletes of the
+// version it superseded stall; PUT B (a wider rule) commits over it. An
+// index updated after that cleanup would end on A's providers while
 // the live row is B's — and Repair, which enumerates through the index,
 // would never see an outage of B's other providers. Then the same at rest,
 // after a hammer of concurrent overwrites (run under -race).
@@ -464,7 +464,7 @@ func TestProviderIndexFollowsCommitOrder(t *testing.T) {
 	}
 	aDone := make(chan error, 1)
 	go func() { aDone <- put(b.Engine(0), "A", &narrow) }()
-	<-stalled // A is committed and busy deleting v0
+	<-stalled // A is committed: v0 is retired and its deletes have begun
 	if err := put(b.Engine(0), "B", &wide); err != nil {
 		t.Fatal(err)
 	}

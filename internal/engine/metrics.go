@@ -229,6 +229,15 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 	reg.GaugeFunc("scalia_pending_deletes",
 		"Chunk deletions postponed behind unreachable providers.",
 		func() float64 { return float64(b.PendingDeletes()) })
+	reg.GaugeFunc("scalia_retired_versions",
+		"Superseded versions whose chunks the reaper has not deleted yet.",
+		func() float64 { return float64(b.Retired().Versions) })
+	reg.GaugeFunc("scalia_retired_bytes",
+		"Stored bytes of the retired versions still at their providers (reclaim lag).",
+		func() float64 { return float64(b.Retired().Bytes) })
+	reg.GaugeFunc("scalia_pinned_versions",
+		"Object versions held by open read streams.",
+		func() float64 { return float64(b.Retired().Pinned) })
 	reg.GaugeFunc("scalia_engines",
 		"Stateless engines in the deployment.",
 		func() float64 { return float64(len(b.engines)) })

@@ -161,9 +161,7 @@ func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHi
 	if err != nil {
 		return UploadInfo{}, err
 	}
-	prev, losers := e.currentVersion(RowKey(container, key))
-	e.cleanupVersions(losers)
-	if err := checkWriteConditions(opts, prev); err != nil {
+	if err := checkWriteConditions(opts, e.currentVersion(RowKey(container, key))); err != nil {
 		return UploadInfo{}, err
 	}
 
@@ -373,14 +371,10 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 
 	tr := obs.TraceFrom(ctx)
 	commitStart := time.Now()
-	prev, err := e.commitObject(&meta, s.opts)
+	err = e.commitObject(&meta, s.opts)
 	e.b.observeStage(tr, "commit", commitStart)
 	if err != nil {
 		return ObjectMeta{}, err
-	}
-	if prev != nil {
-		e.deleteChunks(*prev)
-		e.invalidateCached(*prev)
 	}
 	e.agent.Log(stats.Event{
 		Object: objectName(s.container, s.key), Class: class, Kind: stats.EventWrite,

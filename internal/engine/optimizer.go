@@ -286,7 +286,7 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 	case core.Restripe:
 		if done = e.migrate(ctx, meta, dec.Target) == nil; done {
 			out.restriped = 1
-			out.chunks, out.bytes = restripeWritten(meta, dec.Target)
+			out.chunks, out.bytes = chunkVolume(meta, dec.Target.M, dec.Target.N())
 		}
 	case core.Swap:
 		// A multi-stripe object's replacement chunks are written at once; a
@@ -349,7 +349,8 @@ func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 // stripe: each stripe is reconstructed from the current chunks,
 // re-encoded for the target placement and written out while the next
 // ones are read, so migration of a large object never buffers it whole.
-// The superseded chunks are deleted once the new metadata is committed.
+// The commit retires the source version; its chunks go once the source
+// stream, which pins it like any reader, is closed.
 func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement) error {
 	src, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, false)
 	if err != nil {
@@ -400,8 +401,6 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 		e.deleteChunks(newMeta)
 		return err
 	}
-	e.deleteChunks(meta)
-	e.invalidateCached(meta)
 	return nil
 }
 

@@ -59,14 +59,27 @@ type objectReader struct {
 	curBuf  []byte // the fetched stripe cur is what is left of; recycled with the slot
 	fetched int64  // payload bytes delivered so far
 	logged  bool   // read event emitted
+	pinned  bool   // holds a reader pin on meta.UUID
 	err     error  // sticky terminal state (io.EOF after full drain)
 }
+
+// errSuperseded fails an open whose version stopped being the live one
+// before the reader had pinned it. User reads start over on the version
+// that replaced it; a migration gives the object up.
+var errSuperseded = errors.New("engine: version superseded before the read pinned it")
 
 // openObjectRange builds the stripe stream for stripes [start, end] and
 // takes the first stripe before returning, so placement and
 // availability errors surface at open rather than mid-stream. userRead
 // selects client-read semantics: stripe-cache fill and a read
 // statistics event when the stream completes.
+//
+// Every stream pins meta's version against the reaper until it is
+// drained or closed. Pin first, then look at the row again: a version is
+// retired only after the row that supersedes it has been stored and
+// replicated, so if the row still names this UUID the pin precedes the
+// retirement and the reaper will see it; if the row has moved, the pin
+// may have come too late and the open fails with errSuperseded.
 func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, end int, userRead bool) (*objectReader, error) {
 	l, err := e.layoutOf(meta)
 	if err != nil {
@@ -75,7 +88,12 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, en
 	obj := objectName(meta.Container, meta.Key)
 	or := &objectReader{
 		e: e, meta: meta, layout: l, obj: obj, cacheID: stripeCacheID(obj, meta.UUID),
-		userRead: userRead, start: start, end: end,
+		userRead: userRead, start: start, end: end, pinned: true,
+	}
+	e.b.reaper.pin(meta.UUID)
+	if v, err := e.liveRow(RowKey(meta.Container, meta.Key)); err != nil || v.UUID != meta.UUID {
+		or.unpin()
+		return nil, errSuperseded
 	}
 	or.order, or.rankErr = l.rank(meta.Size, nil)
 	// The first stripe is taken alone, inline on the caller's goroutine,
@@ -87,6 +105,7 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, en
 		})
 	if err := or.advance(); err != nil {
 		or.pipe.close()
+		or.unpin()
 		return nil, err
 	}
 	or.pipe.readAhead(e.b.cfg.PrefetchStripes)
@@ -134,6 +153,7 @@ func (or *objectReader) advance() error {
 	if err == io.EOF {
 		or.logRead()
 		or.pipe.close()
+		or.unpin()
 		return io.EOF
 	}
 	if err != nil {
@@ -193,8 +213,18 @@ func (or *objectReader) Close() error {
 	or.cur = nil
 	or.releaseCur()
 	or.pipe.close()
+	or.unpin()
 	or.logRead()
 	return nil
+}
+
+// unpin releases the stream's hold on its version, once: no fetch of the
+// stream is in flight any more (the pipe is closed) and none will start.
+func (or *objectReader) unpin() {
+	if or.pinned {
+		or.pinned = false
+		or.e.b.reaper.unpin(or.meta.UUID)
+	}
 }
 
 // logRead emits the read statistics event exactly once per user-facing

@@ -1,0 +1,362 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"crypto/md5"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"scalia/internal/cloud"
+)
+
+// chunksUnder counts the chunks the providers hold under a version's
+// storage key.
+func chunksUnder(b *Broker, skey string) int {
+	n := 0
+	for _, s := range b.Registry().Snapshot() {
+		keys, _ := s.List(ctx, skey)
+		n += len(keys)
+	}
+	return n
+}
+
+// TestHeldStreamSurvivesOverwrite: a GET stream opened on a version pins
+// it. An overwrite that lands mid-stream returns without touching the old
+// chunks, a settle leaves them alone while the stream is open, the stream
+// delivers the old bytes intact, and only its Close lets the reaper have
+// them.
+func TestHeldStreamSurvivesOverwrite(t *testing.T) {
+	const stripe = 1024
+	b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: stripe})
+	b.Rules().SetContainerRule("bk", repairRule)
+	e := b.Engine(0)
+	old := testPayload(8 * stripe) // well past the read-ahead window
+	v1, err := e.Put(ctx, "bk", "obj", old, PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := len(v1.Chunks) * v1.StripeCount()
+
+	rc, _, err := e.GetReader(ctx, "bk", "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(old))
+	if _, err := io.ReadFull(rc, got[:stripe]); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := bytes.Repeat([]byte("new"), 1000)
+	if _, err := e.Put(ctx, "bk", "obj", fresh, PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b.ProcessPendingDeletes(ctx)
+	if r := b.Retired(); r.Versions != 1 || r.Pinned != 1 || r.Bytes != storedBytes(v1) {
+		t.Fatalf("with the stream open: %+v, want the old version (%d bytes) retired and pinned", r, storedBytes(v1))
+	}
+	var text bytes.Buffer
+	b.Metrics().WritePrometheus(&text) //nolint:errcheck
+	if g := promValues(t, text.String()); g["scalia_retired_versions"] != 1 || g["scalia_pinned_versions"] != 1 ||
+		g["scalia_retired_bytes"] != float64(storedBytes(v1)) {
+		t.Fatalf("gauges with the stream open: %v retired, %v bytes, %v pinned", g["scalia_retired_versions"], g["scalia_retired_bytes"], g["scalia_pinned_versions"])
+	}
+	if n := chunksUnder(b, v1.SKey); n != held {
+		t.Fatalf("the settle took %d of the pinned version's %d chunks", held-n, held)
+	}
+
+	if _, err := io.ReadFull(rc, got[stripe:]); err != nil {
+		t.Fatalf("stream cut off by the overwrite: %v", err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatal("the held stream did not deliver the version it was opened on")
+	}
+	if n := chunksUnder(b, v1.SKey); n != held {
+		t.Fatalf("%d of %d old chunks left before Close", n, held)
+	}
+	rc.Close()
+	b.ProcessPendingDeletes(ctx)
+	if n := chunksUnder(b, v1.SKey); n != 0 {
+		t.Fatalf("%d old chunks survive the stream's Close and a settle", n)
+	}
+	if r := b.Retired(); r != (RetiredStats{}) {
+		t.Fatalf("at rest: %+v", r)
+	}
+	if data, _, err := e.Get(ctx, "bk", "obj"); err != nil || !bytes.Equal(data, fresh) {
+		t.Fatalf("new version: %d bytes, %v", len(data), err)
+	}
+}
+
+// TestSharedKeyHammer races readers (full, ranged, and slow ones that
+// hold their stream open), overwriters, a deleter and the optimizer — with price swings that make it migrate — on
+// the same few multi-stripe keys, behind providers that take a couple of
+// milliseconds per operation. Every version is registered in the oracle
+// under its ETag before it is written. Every read that returns bytes
+// returns exactly one version's bytes; no read fails with anything but
+// ErrObjectNotFound; and at rest the providers hold exactly the live
+// versions' chunks.
+func TestSharedKeyHammer(t *testing.T) {
+	const (
+		stripe              = 1024
+		readers, writers    = 4, 2
+		reads, writes       = 60, 40
+		deletes, optimizes  = 12, 12
+		latency             = 2 * time.Millisecond
+		container, keyCount = "hammer", 3
+	)
+	reg, backends := hooked(repairMarket())
+	wait := func(context.Context, string) error { time.Sleep(latency); return nil }
+	for _, hb := range backends {
+		hb.delay, hb.put, hb.del = latency, wait, wait
+	}
+	clock := NewSimClock()
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Clock: clock, MigrationHorizon: 1_000_000})
+	b.Rules().SetContainerRule(container, repairRule)
+
+	var oracle sync.Map // ETag (hex MD5) -> payload
+	version := func(rng *rand.Rand) []byte {
+		p := make([]byte, 3*stripe+rng.Intn(2*stripe)) // 4 or 5 stripes, ragged tail
+		rng.Read(p)
+		sum := md5.Sum(p)
+		oracle.Store(hex.EncodeToString(sum[:]), p)
+		return p
+	}
+	key := func(rng *rand.Rand) string { return fmt.Sprintf("k%d", rng.Intn(keyCount)) }
+	check := func(meta ObjectMeta, off int64, got []byte) {
+		want, ok := oracle.Load(meta.Checksum)
+		if !ok {
+			t.Errorf("read returned version %s nobody wrote", meta.Checksum)
+		} else if w := want.([]byte)[off:]; len(got) > len(w) || !bytes.Equal(got, w[:len(got)]) {
+			t.Errorf("read of version %s at %d: %d bytes that are not that version's", meta.Checksum, off, len(got))
+		}
+	}
+	for k := 0; k < keyCount; k++ {
+		if _, err := b.Engine(0).Put(ctx, container, fmt.Sprintf("k%d", k), version(rand.New(rand.NewSource(int64(k)))), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	run := func(n int, seed int64, step func(e *Engine, rng *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < n; i++ {
+				if err := step(b.NextEngine(), rng); err != nil && !errors.Is(err, ErrObjectNotFound) {
+					t.Errorf("seed %d step %d: %v", seed, i, err)
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		run(reads, int64(100+r), func(e *Engine, rng *rand.Rand) error {
+			if rng.Intn(3) == 0 {
+				off := int64(rng.Intn(3 * stripe))
+				rc, meta, err := e.GetRangeReader(ctx, container, key(rng), off, int64(1+rng.Intn(2*stripe)))
+				if err != nil {
+					return err
+				}
+				defer rc.Close()
+				got, err := io.ReadAll(rc)
+				if err == nil {
+					check(meta, off, got)
+				}
+				return err
+			}
+			// A full read, by a client that at times stalls after its first
+			// bytes for longer than an overwrite takes to delete what it
+			// replaced: the stripes behind the read-ahead window are
+			// fetched long after the stream was opened.
+			rc, meta, err := e.GetReader(ctx, container, key(rng))
+			if err != nil {
+				return err
+			}
+			defer rc.Close()
+			stall := rng.Intn(4) == 0
+			got := make([]byte, 0, meta.Size)
+			for piece := make([]byte, stripe); err == nil; {
+				var n int
+				n, err = rc.Read(piece)
+				got = append(got, piece[:n]...)
+				if stall {
+					time.Sleep(20 * latency)
+					stall = false
+				}
+			}
+			if err != io.EOF {
+				return err
+			}
+			check(meta, 0, got)
+			if int64(len(got)) != meta.Size {
+				t.Errorf("full read of %s: %d of %d bytes", meta.Checksum, len(got), meta.Size)
+			}
+			return nil
+		})
+	}
+	for w := 0; w < writers; w++ {
+		run(writes, int64(200+w), func(e *Engine, rng *rand.Rand) error {
+			_, err := e.Put(ctx, container, key(rng), version(rng), PutOptions{})
+			return err
+		})
+	}
+	run(deletes, 300, func(e *Engine, rng *rand.Rand) error {
+		return e.Delete(ctx, container, key(rng))
+	})
+	var migrated atomic.Int64
+	run(optimizes, 400, func(_ *Engine, rng *rand.Rand) error {
+		// A provider's storage price jumps or falls back: the event queue
+		// re-plans the objects it holds, the optimizer the ones whose
+		// trend moved.
+		name := []string{"A", "B", "C"}[rng.Intn(3)]
+		storage := 0.10
+		if rng.Intn(2) == 0 {
+			storage = 500
+		}
+		if _, err := b.SetProviderPricing(name, cloud.Pricing{StorageGBMonth: storage, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
+			return err
+		}
+		clock.Advance(1)
+		b.FlushStats() // the queue's step wants the objects' write events in
+		b.DrainMaintenance(ctx)
+		rep, err := b.Optimize(ctx)
+		migrated.Add(int64(rep.Migrated))
+		return err
+	})
+	wg.Wait()
+
+	b.DrainMaintenance(ctx)
+	b.ProcessPendingDeletes(ctx)
+	t.Logf("migrations: %d by the optimizer, %d by the event queue", migrated.Load(), b.MaintStats().Migrated)
+	var live, used int64
+	for k := 0; k < keyCount; k++ {
+		meta, err := b.Engine(0).Head(ctx, container, fmt.Sprintf("k%d", k))
+		if errors.Is(err, ErrObjectNotFound) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		live += storedBytes(meta)
+	}
+	for _, s := range b.Registry().Snapshot() {
+		used += s.UsedBytes()
+	}
+	if used != live {
+		t.Errorf("providers hold %d bytes at rest, the live versions account for %d", used, live)
+	}
+	if r := b.Retired(); r != (RetiredStats{}) || b.PendingDeletes() != 0 {
+		t.Errorf("at rest: %+v, %d postponed deletes", r, b.PendingDeletes())
+	}
+}
+
+// TestRetiredBacklogBoundReapsInline: past the backlog bound the
+// committing request reaps before it returns, as every commit did before
+// the reaper — every delete of the version an overwrite retired has landed
+// by the time the overwrite returns, with no settle call.
+func TestRetiredBacklogBoundReapsInline(t *testing.T) {
+	reg, backends := hooked(repairMarket())
+	var inPut atomic.Bool
+	var duringPut, afterPut atomic.Int64
+	for _, hb := range backends {
+		hb.del = func(_ context.Context, key string) error {
+			time.Sleep(time.Millisecond) // a provider round trip: a background delete would outlast the Put
+			if inPut.Load() {
+				duringPut.Add(1)
+			} else {
+				afterPut.Add(1)
+			}
+			return nil
+		}
+	}
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024})
+	b.reaper.bound = 0
+	b.Rules().SetContainerRule("bk", repairRule)
+	e := b.Engine(0)
+	v1, err := e.Put(ctx, "bk", "obj", testPayload(4*1024), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPut.Store(true)
+	_, err = e.Put(ctx, "bk", "obj", testPayload(1024), PutOptions{})
+	inPut.Store(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(v1.Chunks) * v1.StripeCount()); duringPut.Load() != want || afterPut.Load() != 0 {
+		t.Fatalf("%d deletes landed before the overwrite returned and %d after, want all %d before", duringPut.Load(), afterPut.Load(), want)
+	}
+	if r := b.Retired(); r.Versions != 0 || chunksUnder(b, v1.SKey) != 0 {
+		t.Fatalf("after the overwrite returned: %+v, %d old chunks", r, chunksUnder(b, v1.SKey))
+	}
+}
+
+// TestReaperReplaysPostponedDeletesOnRecovery: nobody has to call
+// ProcessPendingDeletes for a recovered provider to lose its garbage — the
+// registry's event is enough — and the next settle reports the replays.
+func TestReaperReplaysPostponedDeletesOnRecovery(t *testing.T) {
+	b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: 1024})
+	b.Rules().SetContainerRule("bk", repairRule)
+	meta, err := b.Engine(0).Put(ctx, "bk", "obj", testPayload(4*1024), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := blob(t, b, meta.Chunks[0])
+	victim.SetAvailable(false)
+	if err := b.Engine(0).Delete(ctx, "bk", "obj"); err != nil {
+		t.Fatal(err)
+	}
+	if done := b.ProcessPendingDeletes(ctx); done != 0 || b.PendingDeletes() != meta.StripeCount() {
+		t.Fatalf("with the victim down: %d replayed, %d postponed, want 0 and %d", done, b.PendingDeletes(), meta.StripeCount())
+	}
+	victim.SetAvailable(true)
+	for deadline := time.Now().Add(5 * time.Second); b.PendingDeletes() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d deletes still postponed after the provider recovered", b.PendingDeletes())
+		}
+	}
+	if n := victim.ObjectCount(); n != 0 {
+		t.Fatalf("recovered provider still holds %d chunks", n)
+	}
+	if done := b.ProcessPendingDeletes(ctx); done != meta.StripeCount() {
+		t.Fatalf("settle reported %d replays, want %d", done, meta.StripeCount())
+	}
+}
+
+// TestCloseStopsReaper: Close leaves no reaper goroutine behind, and
+// reaps what the reaper had not got to.
+func TestCloseStopsReaper(t *testing.T) {
+	base := runtime.NumGoroutine()
+	b := NewBroker(Config{Registry: repairMarket(), StripeBytes: 1024})
+	e := b.Engine(0)
+	var first ObjectMeta
+	for i := 0; i < 5; i++ {
+		meta, err := e.Put(ctx, "bk", "obj", testPayload(3*1024+i), PutOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = meta
+		}
+	}
+	b.Close()
+	if r := b.Retired(); r.Versions != 0 || chunksUnder(b, first.SKey) != 0 {
+		t.Fatalf("after Close: %+v, %d chunks of the first version", r, chunksUnder(b, first.SKey))
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			t.Fatalf("goroutines %d -> %d after Close (reaper present: %v)", base, runtime.NumGoroutine(), strings.Contains(stacks, "(*reaper)"))
+		}
+	}
+}

@@ -149,18 +149,19 @@ func (b *Broker) unreachableProviders() []string {
 	return down
 }
 
-// restripeWritten accounts the chunk writes of a full re-placement:
-// every stripe is re-encoded under the target (m, n) and all n chunks
-// are written.
-func restripeWritten(meta ObjectMeta, to core.Placement) (chunks int, bytes int64) {
+// chunkVolume is what a body of meta's stripe geometry occupies when
+// coded (m, n): every stripe cut into n chunks of ceil(len/m) bytes. It
+// sizes the writes of a full re-placement and the garbage of a retired
+// version alike.
+func chunkVolume(meta ObjectMeta, m, n int) (chunks int, bytes int64) {
 	stripes := meta.StripeCount()
-	chunks = stripes * to.N()
+	chunks = stripes * n
 	for s := 0; s < stripes; s++ {
-		c := (meta.stripeLen(s) + int64(to.M) - 1) / int64(to.M)
+		c := (meta.stripeLen(s) + int64(m) - 1) / int64(m)
 		if c == 0 {
 			c = 1 // zero-length stripes still produce 1-byte chunks
 		}
-		bytes += c * int64(to.N())
+		bytes += c * int64(n)
 	}
 	return chunks, bytes
 }
@@ -262,7 +263,7 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 			}, nil
 		})
 	if err := p.drain(); err != nil {
-		cur, _ := e.currentVersion(RowKey(sw.meta.Container, sw.meta.Key))
+		cur := e.currentVersion(RowKey(sw.meta.Container, sw.meta.Key))
 		e.dropChunks(sw.dst, p.next, sw.replaced, sw.unreferenced(cur))
 		return err
 	}

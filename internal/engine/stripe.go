@@ -288,12 +288,13 @@ func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks
 
 // dropChunks best-effort deletes the chunks of stripes [0, upto) at the
 // given slots, limited to the slots safe reports true for (nil = all of
-// them). It is the rollback of every failed write and the delete of
-// every superseded version alike. Deletion is cleanup that must survive
-// request cancellation, so it runs on a background context — and on the
-// calling goroutine, which is how request traces attribute it. A delete
-// refused by an unreachable provider is postponed until the provider
-// recovers (§III-D3); missing chunks are already gone.
+// them). It is the one delete primitive: the rollback of every failed
+// write and a swap's same-key slot cleanup call it on their own
+// goroutine, where request traces attribute it; the reaper calls it in
+// the background for every retired version. Deletion is cleanup that
+// must survive request cancellation, so it runs on a background context.
+// A delete refused by an unreachable provider is postponed until the
+// provider recovers (§III-D3); missing chunks are already gone.
 func (e *Engine) dropChunks(l *stripeLayout, upto int, slots []int, safe func(slot int) bool) {
 	for s := 0; s < upto; s++ {
 		for _, i := range slots {

@@ -119,6 +119,10 @@ type (
 	// MaintStats is the event-driven reoptimization queue's counter
 	// snapshot (GET /v1/stats).
 	MaintStats = engine.MaintStats
+	// RetiredStats is the background reaper's backlog (GET /v1/stats):
+	// superseded versions whose chunks are not deleted yet, their stored
+	// bytes, and the versions open reads pin.
+	RetiredStats = engine.RetiredStats
 	// ProviderMutation is the epoch-echoing response of the admin
 	// provider-mutation routes.
 	ProviderMutation = engine.ProviderMutation
@@ -660,8 +664,13 @@ func (c *Client) DrainMaintenance(ctx context.Context) int {
 	return c.broker.DrainMaintenance(ctx)
 }
 
-// ProcessPendingDeletes retries chunk deletions postponed during
-// provider outages.
+// ProcessPendingDeletes is the settle point of deletion. An overwrite or
+// delete returns once its metadata has replicated; the superseded
+// version's chunks are deleted in the background, after the last open
+// read of it is closed. This call returns when every such version no
+// read holds is gone from the reachable providers and the deletions
+// postponed during provider outages have been retried, and reports how
+// many of the latter completed since the previous call.
 func (c *Client) ProcessPendingDeletes(ctx context.Context) int {
 	return c.broker.ProcessPendingDeletes(ctx)
 }
