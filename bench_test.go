@@ -54,7 +54,9 @@ func BenchmarkFig05Lifetime(b *testing.B) {
 		for j := 0; j < 20; j++ {
 			d.Observe(6 * float64(j) / 19)
 		}
-		_ = d.TTLCurve(0.5, 6)
+		for age := 0.0; age <= 6; age += 0.5 {
+			d.ExpectedTTL(age)
+		}
 	}
 }
 
@@ -663,8 +665,8 @@ func BenchmarkRepairSwap(b *testing.B) {
 				b.Fatalf("placement m=%d n=%d, want (2, 3)", meta.M, len(meta.Chunks))
 			}
 			victim := meta.Chunks[0]
-			if !br.Registry().SetAvailable(victim, false) {
-				b.Fatalf("cannot down %s", victim)
+			if _, err := br.Registry().UpdateAvailability(victim, false); err != nil {
+				b.Fatal(err)
 			}
 			b.StartTimer()
 			rep, err := br.Repair(bgctx, engine.RepairActive)
@@ -677,7 +679,7 @@ func BenchmarkRepairSwap(b *testing.B) {
 			}
 			bytesWritten += rep.BytesWritten
 			chunksWritten += int64(rep.ChunksWritten)
-			br.Registry().SetAvailable(victim, true)
+			br.Registry().UpdateAvailability(victim, true)
 			br.ProcessPendingDeletes(bgctx)
 			b.StartTimer()
 		}
@@ -735,12 +737,12 @@ func BenchmarkRepairAffected(b *testing.B) {
 		var checked, affected int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			br.Registry().SetAvailable("V", false)
+			br.Registry().UpdateAvailability("V", false)
 			rep, err := br.Repair(bgctx, engine.RepairWait)
 			if err != nil || rep.Affected != total/affectedPct {
 				b.Fatalf("repair: %v (%+v)", err, rep)
 			}
-			br.Registry().SetAvailable("V", true)
+			br.Registry().UpdateAvailability("V", true)
 			checked += int64(rep.Checked)
 			affected += int64(rep.Affected)
 		}

@@ -49,14 +49,6 @@ func main() {
 	periodHours := flag.Float64("period-hours", opts.PeriodHours, "statistics sampling period (hours)")
 	stripeMB := flag.Int64("stripe-mb", opts.StripeBytes>>20, "streaming stripe size (MB)")
 	enginesPerDC := flag.Int("engines-per-dc", opts.EnginesPerDC, "stateless engines per datacenter")
-	readParallelism := flag.Int("read-parallelism", engine.DefaultReadParallelism,
-		"concurrent chunk fetches per stripe read (negative = sequential)")
-	prefetchStripes := flag.Int("prefetch-stripes", engine.DefaultPrefetchStripes,
-		"stripes decoded ahead of the client on streaming GETs (negative = none)")
-	writeDepth := flag.Int("write-pipeline-depth", engine.DefaultWritePipelineDepth,
-		"stripes a streaming write keeps in flight at once (negative = sequential)")
-	maxBufferMB := flag.Int64("max-buffer-mb", engine.DefaultMaxBufferBytes>>20,
-		"total stripe buffers streaming reads AND writes may hold at once (MB; negative = unbounded)")
 	multipartTTL := flag.Duration("multipart-ttl", 24*time.Hour,
 		"evict multipart upload sessions idle this long and GC their staged chunks (0 = never)")
 	reoptWorkers := flag.Int("reopt-workers", opts.ReoptWorkers,
@@ -65,18 +57,10 @@ func main() {
 	accessLog := flag.Bool("access-log", true, "log one structured line per gateway request")
 	flag.Parse()
 
-	maxBuffer := *maxBufferMB << 20
-	if *maxBufferMB < 0 {
-		maxBuffer = -1
-	}
 	opts.EnginesPerDC = *enginesPerDC
 	opts.CacheBytes = *cacheMB << 20
 	opts.PeriodHours = *periodHours
 	opts.StripeBytes = *stripeMB << 20
-	opts.ReadParallelism = *readParallelism
-	opts.PrefetchStripes = *prefetchStripes
-	opts.WritePipelineDepth = *writeDepth
-	opts.MaxBufferBytes = maxBuffer
 	opts.ReoptWorkers = *reoptWorkers
 	opts.Clock = engine.NewWallClock(*periodHours)
 	client, err := scalia.New(opts)
@@ -88,46 +72,23 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	go func() {
-		ticker := time.NewTicker(*optimizeEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			rep, err := client.Optimize(ctx)
-			if err != nil {
-				log.Printf("optimize: %v", err)
-				continue
-			}
-			log.Printf("optimize: leader=%s scanned=%d trend-changed=%d migrated=%d planner-hits=%d",
-				rep.Leader, rep.Scanned, rep.TrendChanged, rep.Migrated, rep.PlannerHits)
+	go every(ctx, *optimizeEvery, func() {
+		rep, err := client.Optimize(ctx)
+		if err != nil {
+			log.Printf("optimize: %v", err)
+			return
 		}
-	}()
-
+		log.Printf("optimize: leader=%s scanned=%d trend-changed=%d migrated=%d planner-hits=%d",
+			rep.Leader, rep.Scanned, rep.TrendChanged, rep.Migrated, rep.PlannerHits)
+	})
 	if *multipartTTL > 0 {
-		go func() {
-			// Sweeping at a quarter of the TTL bounds over-retention to
-			// 1.25x the deadline without busy-scanning the table.
-			every := *multipartTTL / 4
-			if every > time.Minute {
-				every = time.Minute
+		// Sweeping at a quarter of the TTL bounds over-retention to 1.25x
+		// the deadline without busy-scanning the table.
+		go every(ctx, min(*multipartTTL/4, time.Minute), func() {
+			if n := client.Broker().SweepExpiredUploads(*multipartTTL); n > 0 {
+				log.Printf("multipart-gc: evicted %d abandoned upload sessions (ttl %s)", n, multipartTTL)
 			}
-			ticker := time.NewTicker(every)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-				}
-				if n := client.Broker().SweepExpiredUploads(*multipartTTL); n > 0 {
-					log.Printf("multipart-gc: evicted %d abandoned upload sessions (ttl %s)", n, multipartTTL)
-				}
-			}
-		}()
+		})
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -145,10 +106,6 @@ func main() {
 		"enginesPerDC", *enginesPerDC,
 		"stripeBytes", *stripeMB<<20,
 		"cacheBytes", *cacheMB<<20,
-		"bufferBytes", maxBuffer,
-		"readParallelism", *readParallelism,
-		"prefetchStripes", *prefetchStripes,
-		"writePipelineDepth", *writeDepth,
 		"optimizeEvery", optimizeEvery.String(),
 		"multipartTTL", multipartTTL.String(),
 		"periodHours", *periodHours,
@@ -184,4 +141,18 @@ func main() {
 	}
 	logger.Info("scalia-server shut down cleanly",
 		"drain", time.Since(drainStart).String())
+}
+
+// every runs fn each interval until ctx is done.
+func every(ctx context.Context, interval time.Duration, fn func()) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			fn()
+		}
+	}
 }

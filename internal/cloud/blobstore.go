@@ -44,7 +44,7 @@ type BlobStore struct {
 	// notify is the registry back-reference installed at Register time:
 	// it is called (outside the store lock) whenever availability
 	// changes, so failure injected directly on the backend — bypassing
-	// Registry.SetAvailable — still bumps the market epoch and
+	// Registry.UpdateAvailability — still bumps the market epoch and
 	// invalidates cached placement searches.
 	notify func()
 

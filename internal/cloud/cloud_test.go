@@ -297,8 +297,10 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 
 func TestRegistryTotals(t *testing.T) {
 	r := NewPaperRegistry()
-	r.MustStore(NameS3High).(*BlobStore).Put(ctx, "k", make([]byte, 1e9))
-	r.MustStore(NameGoogle).(*BlobStore).Put(ctx, "k", make([]byte, 1e9))
+	for _, name := range []string{NameS3High, NameGoogle} {
+		s, _ := r.Store(name)
+		s.Put(ctx, "k", make([]byte, 1e9))
+	}
 	r.AccrueStorage(HoursPerMonth)
 	u := r.TotalUsage()
 	if math.Abs(u.StorageGBHours-2*HoursPerMonth) > 1e-6 {
@@ -319,12 +321,12 @@ func TestRegistryEpochBumps(t *testing.T) {
 	if e1 <= e0 {
 		t.Fatalf("Register must bump the epoch: %d -> %d", e0, e1)
 	}
-	if !r.SetAvailable(NameS3Low, false) {
-		t.Fatal("SetAvailable on a registered blob store must succeed")
+	e2, err := r.UpdateAvailability(NameS3Low, false)
+	if err != nil {
+		t.Fatalf("UpdateAvailability on a registered blob store: %v", err)
 	}
-	e2 := r.Epoch()
-	if e2 <= e1 {
-		t.Fatalf("SetAvailable must bump the epoch: %d -> %d", e1, e2)
+	if e2 <= e1 || e2 != r.Epoch() {
+		t.Fatalf("UpdateAvailability must bump and report the epoch: %d -> %d (now %d)", e1, e2, r.Epoch())
 	}
 	if _, ok := r.Deregister(NameCheapStor); !ok {
 		t.Fatal("Deregister failed")
@@ -332,14 +334,14 @@ func TestRegistryEpochBumps(t *testing.T) {
 	if e3 := r.Epoch(); e3 <= e2 {
 		t.Fatalf("Deregister must bump the epoch: %d -> %d", e2, e3)
 	}
-	if r.SetAvailable("nope", false) {
-		t.Fatal("SetAvailable on an unknown provider must fail")
+	if _, err := r.UpdateAvailability("nope", false); !errors.Is(err, ErrUnknownProvider) {
+		t.Fatalf("UpdateAvailability on an unknown provider: %v", err)
 	}
 }
 
 // TestDirectAvailabilityBumpsEpoch is the regression test for the
 // registry back-reference: failure injected directly on a registered
-// backend (bypassing Registry.SetAvailable) must still advance the
+// backend (bypassing Registry.UpdateAvailability) must still advance the
 // market epoch and drop the down provider from the cached Market view —
 // otherwise placement planners keep serving searches prepared against a
 // market that includes the dead provider.
@@ -400,8 +402,8 @@ func TestSetPricingBumpsEpoch(t *testing.T) {
 	e0 := r.Epoch()
 
 	newPrices := Pricing{StorageGBMonth: 0.5, BandwidthInGB: 0.1, BandwidthOutGB: 0.3, OpsPer1000: 0.02}
-	if !r.SetPricing(NameAzure, newPrices) {
-		t.Fatal("SetPricing on a known BlobStore provider must succeed")
+	if _, err := r.UpdatePricing(NameAzure, newPrices); err != nil {
+		t.Fatalf("UpdatePricing on a known BlobStore provider: %v", err)
 	}
 	e1, specs, _ := r.Market()
 	if e1 <= e0 {
@@ -421,13 +423,13 @@ func TestSetPricingBumpsEpoch(t *testing.T) {
 	}
 
 	// Re-applying the identical sheet must not churn the epoch.
-	r.SetPricing(NameAzure, newPrices)
+	r.UpdatePricing(NameAzure, newPrices)
 	if e2 := r.Epoch(); e2 != e1 {
 		t.Fatalf("unchanged pricing must not move the epoch: %d -> %d", e1, e2)
 	}
 
-	if r.SetPricing("nope", newPrices) {
-		t.Fatal("SetPricing on an unknown provider must report false")
+	if _, err := r.UpdatePricing("nope", newPrices); !errors.Is(err, ErrUnknownProvider) {
+		t.Fatalf("UpdatePricing on an unknown provider: %v", err)
 	}
 }
 
@@ -448,7 +450,7 @@ func TestRegistryMarketCachesSnapshot(t *testing.T) {
 		t.Fatalf("paper market has no capacity-bounded providers, free = %v", free1)
 	}
 
-	r.SetAvailable(NameS3Low, false)
+	r.UpdateAvailability(NameS3Low, false)
 	e3, specs3, _ := r.Market()
 	if e3 == e2 {
 		t.Fatal("outage through the registry must move the epoch")

@@ -98,9 +98,9 @@ type Registry struct {
 	mu     sync.RWMutex
 	stores map[string]Backend
 	// epoch increases monotonically on every market change (Register,
-	// Deregister, SetAvailable). Placement planners key their prepared
-	// searches on it: an unchanged epoch means the feasible-set work of
-	// Algorithm 1 is still valid.
+	// Deregister, UpdateAvailability). Placement planners key their
+	// prepared searches on it: an unchanged epoch means the feasible-set
+	// work of Algorithm 1 is still valid.
 	epoch uint64
 	// snap caches the available-provider view for the current epoch.
 	snap *marketSnapshot
@@ -240,23 +240,16 @@ func (r *Registry) Deregister(name string) (Backend, bool) {
 	return s, ok
 }
 
-// SetAvailable injects or clears a transient outage on the named
-// provider, when its backend supports failure injection. Backends with
-// a registry back-reference (ChangeNotifierSetter, e.g. *BlobStore)
-// bump the market epoch themselves — exactly once, and only when the
-// state actually flips — so failure injection directly on the backend
+// UpdateAvailability injects or clears a transient outage on the named
+// provider and reports the market epoch after the change. An unknown
+// provider fails with ErrUnknownProvider, a backend without failure
+// injection with ErrUnsupportedMutation. Backends with a registry
+// back-reference (ChangeNotifierSetter, e.g. *BlobStore) bump the
+// market epoch themselves — exactly once, and only when the state
+// actually flips — so failure injection directly on the backend
 // invalidates cached placement searches too; the registry bumps only
 // for backends without one. The setter runs outside the registry lock:
 // its back-reference notification re-enters the registry.
-func (r *Registry) SetAvailable(name string, up bool) bool {
-	_, err := r.UpdateAvailability(name, up)
-	return err == nil
-}
-
-// UpdateAvailability is SetAvailable with the unified admin contract:
-// it reports the market epoch after the change and distinguishes an
-// unknown provider (ErrUnknownProvider) from a backend without failure
-// injection (ErrUnsupportedMutation).
 func (r *Registry) UpdateAvailability(name string, up bool) (uint64, error) {
 	r.mu.RLock()
 	s, ok := r.stores[name]
@@ -275,21 +268,11 @@ func (r *Registry) UpdateAvailability(name string, up bool) (uint64, error) {
 	return r.Epoch(), nil
 }
 
-// SetPricing replaces the named provider's price sheet at runtime, when
-// its backend supports pricing mutation (PricingSetter). Epoch
-// bookkeeping mirrors SetAvailable: self-notifying backends push the
-// change back themselves (exactly once, only on a real change); the
-// registry bumps for the rest. The setter runs outside the registry
-// lock because its back-reference notification re-enters the registry.
-func (r *Registry) SetPricing(name string, p Pricing) bool {
-	_, err := r.UpdatePricing(name, p)
-	return err == nil
-}
-
-// UpdatePricing is SetPricing with the unified admin contract: it
-// reports the market epoch after the change and distinguishes an
-// unknown provider (ErrUnknownProvider) from a backend without a
-// mutable price sheet (ErrUnsupportedMutation).
+// UpdatePricing replaces the named provider's price sheet at runtime
+// and reports the market epoch after the change. An unknown provider
+// fails with ErrUnknownProvider, a backend without a mutable price
+// sheet (PricingSetter) with ErrUnsupportedMutation. Epoch bookkeeping
+// and locking mirror UpdateAvailability.
 func (r *Registry) UpdatePricing(name string, p Pricing) (uint64, error) {
 	r.mu.RLock()
 	s, ok := r.stores[name]
@@ -319,8 +302,8 @@ func (r *Registry) noteNamed(name string, kind MarketEventKind) {
 }
 
 // Epoch returns the current market epoch. The epoch increases on every
-// Register, Deregister and SetAvailable; two equal epochs guarantee the
-// available-provider market has not changed through the registry.
+// Register, Deregister and UpdateAvailability; two equal epochs guarantee
+// the available-provider market has not changed through the registry.
 func (r *Registry) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -342,7 +325,7 @@ func (r *Registry) bumpEpochLocked() {
 // free bytes are recomputed per call because they move with every write.
 //
 // Availability flipped directly on a backend (bypassing
-// Registry.SetAvailable) is not visible until the next epoch bump;
+// Registry.UpdateAvailability) is not visible until the next epoch bump;
 // write paths must re-verify reachability of chosen providers, which
 // the engine's placement retry loop does (§III-D3).
 func (r *Registry) Market() (epoch uint64, specs []Spec, free map[string]int64) {
@@ -414,15 +397,6 @@ func (r *Registry) Store(name string) (Backend, bool) {
 	defer r.mu.RUnlock()
 	s, ok := r.stores[name]
 	return s, ok
-}
-
-// MustStore is Store for callers holding a name from a fresh snapshot.
-func (r *Registry) MustStore(name string) Backend {
-	s, ok := r.Store(name)
-	if !ok {
-		panic(fmt.Sprintf("cloud: unknown provider %q", name))
-	}
-	return s
 }
 
 // Snapshot returns the current provider set, sorted by name.

@@ -13,7 +13,6 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -165,9 +164,4 @@ func CheapStorProvider() Spec {
 		Zones:        []Zone{ZoneUS},
 		Pricing:      Pricing{StorageGBMonth: 0.09, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
 	}
-}
-
-// SortSpecs orders specs by name, for deterministic iteration.
-func SortSpecs(specs []Spec) {
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 }

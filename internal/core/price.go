@@ -69,11 +69,6 @@ func (p Placement) ChunkGB(storageGB float64) float64 {
 	return storageGB / float64(p.M)
 }
 
-// StoredGB returns the total stored volume including erasure overhead.
-func (p Placement) StoredGB(storageGB float64) float64 {
-	return p.ChunkGB(storageGB) * float64(p.N())
-}
-
 // PeriodCost implements computePrice (Algorithm 1, line 11): the
 // expected USD cost of one sampling period on placement p for an object
 // with the given per-period average load.

@@ -355,18 +355,3 @@ func removeByName(specs []cloud.Spec, name string) []cloud.Spec {
 	}
 	return out
 }
-
-func TestStoredGBAccountsOverheadProperty(t *testing.T) {
-	f := func(mSel, nSel uint8, sizeMB uint8) bool {
-		n := int(nSel%5) + 1
-		m := int(mSel%uint8(n)) + 1
-		p := Placement{Providers: cloud.PaperProviders()[:n], M: m}
-		size := float64(sizeMB) / 100
-		stored := p.StoredGB(size)
-		// Stored volume is size * n/m, always >= the logical size.
-		return stored >= size-1e-12 && stored <= size*float64(n)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

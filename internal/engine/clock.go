@@ -39,9 +39,6 @@ func (c *SimClock) Timestamp() int64 { return atomic.AddInt64(&c.stamp, 1) }
 // Advance moves the clock forward by n periods.
 func (c *SimClock) Advance(n int64) { atomic.AddInt64(&c.period, n) }
 
-// SetPeriod jumps to an absolute period.
-func (c *SimClock) SetPeriod(p int64) { atomic.StoreInt64(&c.period, p) }
-
 // WallClock derives sampling periods from real time.
 type WallClock struct {
 	epoch       time.Time

@@ -735,8 +735,8 @@ func TestRepairShardsAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := meta.Chunks[0]
-	if !b.Registry().SetAvailable(victim, false) {
-		t.Fatal("failed to down the victim provider")
+	if _, err := b.Registry().UpdateAvailability(victim, false); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := b.Repair(ctx, RepairActive)
 	if err != nil {

@@ -76,7 +76,7 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 		t.Fatalf("indexed objects = %d, want %d", got, total)
 	}
 
-	reg.SetAvailable("V", false)
+	reg.UpdateAvailability("V", false)
 
 	indexed0 := b.metrics.repairIndexed.Value()
 	rep, err := b.Repair(ctx, RepairWait)

@@ -437,18 +437,22 @@ func (e *Engine) AbortUpload(ctx context.Context, uploadID string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUploadNotFound, uploadID)
 	}
+	e.discardLocked(s)
+	return nil
+}
+
+// discardLocked closes the session, drops it from the table and
+// garbage-collects every staged part's chunks. The caller holds s.mu,
+// which it releases before the provider calls.
+func (e *Engine) discardLocked(s *uploadSession) {
 	s.closed = true
-	staged := make([]*stagedPart, 0, len(s.parts))
-	for _, p := range s.parts {
-		staged = append(staged, p)
-	}
+	staged := s.parts
 	s.parts = nil
 	s.mu.Unlock()
-	e.b.removeUpload(uploadID)
+	e.b.removeUpload(s.id)
 	for _, p := range staged {
 		e.deletePartChunks(s, p)
 	}
-	return nil
 }
 
 // deletePartChunks best-effort removes every chunk a staged part wrote.
@@ -487,17 +491,7 @@ func (b *Broker) SweepExpiredUploads(ttl time.Duration) int {
 			s.mu.Unlock()
 			continue
 		}
-		s.closed = true
-		staged := make([]*stagedPart, 0, len(s.parts))
-		for _, p := range s.parts {
-			staged = append(staged, p)
-		}
-		s.parts = nil
-		s.mu.Unlock()
-		b.removeUpload(s.id)
-		for _, p := range staged {
-			e.deletePartChunks(s, p)
-		}
+		e.discardLocked(s)
 		evicted++
 	}
 	return evicted

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync/atomic"
 
 	"scalia/internal/obs"
 	"scalia/internal/stats"
@@ -27,10 +28,9 @@ import (
 
 // objectReader streams the stripes [start, end] of a stored object.
 type objectReader struct {
-	e      *Engine
-	meta   ObjectMeta
-	layout *stripeLayout
-	obj    string
+	e    *Engine
+	meta ObjectMeta
+	obj  string
 	// cacheID is the stripe-cache identity of this object VERSION:
 	// objectName plus the version UUID. Versioned keys make the cache
 	// immune to the invalidate-then-fill race — a slow reader of the
@@ -39,12 +39,11 @@ type objectReader struct {
 	// eagerly where the previous version is known and age out of the
 	// LRU otherwise.
 	cacheID string
-	// order ranks chunk slots cheapest provider first; computed once at
-	// open. rankErr defers an insufficient-providers error until a
-	// stripe actually needs a provider fetch, so fully cached objects
-	// stay readable through an outage.
-	order   []int
-	rankErr error
+	// via is where the stream fetches from. Outages come and go and a
+	// swap repair moves chunks of the pinned version mid-stream, so a
+	// stripe that comes up short replaces it from the live row (refresh)
+	// while other stripes are being produced.
+	via atomic.Pointer[readVia]
 	// userRead marks a client-facing stream: it fills the stripe cache
 	// and logs the read event on completion. Internal streams
 	// (migration) do neither.
@@ -61,6 +60,27 @@ type objectReader struct {
 	logged  bool   // read event emitted
 	pinned  bool   // holds a reader pin on meta.UUID
 	err     error  // sticky terminal state (io.EOF after full drain)
+}
+
+// readVia is one chunk->provider map of a version and its ranking:
+// order ranks the chunk slots cheapest provider first, computed once per
+// map; rankErr defers an insufficient-providers error until a stripe
+// actually needs a provider fetch, so fully cached objects stay readable
+// through an outage.
+type readVia struct {
+	layout  *stripeLayout
+	order   []int
+	rankErr error
+}
+
+func (e *Engine) readViaOf(meta ObjectMeta) (*readVia, error) {
+	l, err := e.layoutOf(meta)
+	if err != nil {
+		return nil, err
+	}
+	via := &readVia{layout: l}
+	via.order, via.rankErr = l.rank(meta.Size, nil)
+	return via, nil
 }
 
 // errSuperseded fails an open whose version stopped being the live one
@@ -81,21 +101,21 @@ var errSuperseded = errors.New("engine: version superseded before the read pinne
 // retirement and the reaper will see it; if the row has moved, the pin
 // may have come too late and the open fails with errSuperseded.
 func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, end int, userRead bool) (*objectReader, error) {
-	l, err := e.layoutOf(meta)
+	via, err := e.readViaOf(meta)
 	if err != nil {
 		return nil, err
 	}
 	obj := objectName(meta.Container, meta.Key)
 	or := &objectReader{
-		e: e, meta: meta, layout: l, obj: obj, cacheID: stripeCacheID(obj, meta.UUID),
+		e: e, meta: meta, obj: obj, cacheID: stripeCacheID(obj, meta.UUID),
 		userRead: userRead, start: start, end: end, pinned: true,
 	}
+	or.via.Store(via)
 	e.b.reaper.pin(meta.UUID)
 	if v, err := e.liveRow(RowKey(meta.Container, meta.Key)); err != nil || v.UUID != meta.UUID {
 		or.unpin()
 		return nil, errSuperseded
 	}
-	or.order, or.rankErr = l.rank(meta.Size, nil)
 	// The first stripe is taken alone, inline on the caller's goroutine,
 	// so a failing open has fetched one stripe, not PrefetchStripes more;
 	// read-ahead starts once it is in hand.
@@ -126,11 +146,14 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 		obs.TraceFrom(ctx).Count("stripes_cached", 1)
 		return stripeOut{data: data, cached: true}, nil
 	}
-	if or.rankErr != nil {
-		return stripeOut{}, or.rankErr
-	}
+	via := or.via.Load()
 	buf, _ := e.b.joinBufs.Get().([]byte)
-	data, _, _, err := e.fetch(ctx, or.layout, s, or.order, or.meta.M, buf)
+	data, err := or.fetchVia(ctx, via, s, buf)
+	if errors.Is(err, ErrNotEnoughChunks) {
+		if moved := or.refresh(via); moved != via {
+			data, err = or.fetchVia(ctx, moved, s, buf)
+		}
+	}
 	if err != nil {
 		return stripeOut{}, err
 	}
@@ -140,6 +163,34 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 		e.b.caches.PutStripe(e.dc, or.cacheID, s, data)
 	}
 	return stripeOut{data: data, slot: true}, nil
+}
+
+// fetchVia fetches stripe s through one chunk->provider map.
+func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int, dst []byte) ([]byte, error) {
+	if via.rankErr != nil {
+		return nil, via.rankErr
+	}
+	data, _, _, err := or.e.fetch(ctx, via.layout, s, via.order, or.meta.M, dst)
+	return data, err
+}
+
+// refresh is called by a stripe that came up short of m chunks through
+// stale: providers ranked at open have gone, or a swap repair has moved
+// chunks of the pinned version since. It returns what the stream reads
+// through now — what a concurrent stripe already replaced stale with, or,
+// while the live row still names the pinned version, that row's map
+// ranked afresh; otherwise stale itself, and the shortage stands.
+func (or *objectReader) refresh(stale *readVia) *readVia {
+	if now := or.via.Load(); now != stale {
+		return now
+	}
+	cur, err := or.e.rowMeta(RowKey(or.meta.Container, or.meta.Key))
+	if err == nil && cur.UUID == or.meta.UUID {
+		if fresh, err := or.e.readViaOf(cur); err == nil {
+			or.via.CompareAndSwap(stale, fresh)
+		}
+	}
+	return or.via.Load()
 }
 
 // stripeCacheID builds the stripe-cache identity of one object version.

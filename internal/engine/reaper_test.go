@@ -96,6 +96,148 @@ func TestHeldStreamSurvivesOverwrite(t *testing.T) {
 	}
 }
 
+// TestHeldStreamSurvivesSwapThenOutage: a stream ranks its providers once,
+// at open. A swap repair that lands mid-stream keeps the version (and the
+// stream's pin) but moves a chunk, so when one more provider of the old
+// row goes down the ranking the stream holds is short of m although the
+// live row is not — and so it is, without any repair, when the provider
+// that was down at open is back. The stream re-reads the row and carries
+// on.
+func TestHeldStreamSurvivesSwapThenOutage(t *testing.T) {
+	const stripe = 1024
+	for _, repair := range []bool{true, false} {
+		t.Run(fmt.Sprintf("repair-%v", repair), func(t *testing.T) {
+			b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: stripe, PrefetchStripes: -1})
+			payload, meta := putRepairObject(t, b, "obj", 6*stripe)
+			if got := strings.Join(meta.Chunks, ""); got != "ABC" {
+				t.Fatalf("placed on %s, want ABC", got)
+			}
+			e := b.Engine(0)
+
+			blob(t, b, "A").SetAvailable(false)
+			rc, _, err := e.GetReader(ctx, "bk", "obj") // ranks {B, C}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			got := make([]byte, len(payload))
+			if _, err := io.ReadFull(rc, got[:stripe]); err != nil {
+				t.Fatal(err)
+			}
+
+			row := "ABC"
+			if repair {
+				row = "DBC"
+				if rep, err := b.Repair(ctx, RepairActive); err != nil || rep.Swapped != 1 {
+					t.Fatalf("repair: %+v, %v, want one swap", rep, err)
+				}
+			}
+			if cur, err := e.Head(ctx, "bk", "obj"); err != nil || cur.UUID != meta.UUID || strings.Join(cur.Chunks, "") != row {
+				t.Fatalf("live row: %s %v (%v), want the same version on %s", cur.UUID, cur.Chunks, err, row)
+			}
+			blob(t, b, "A").SetAvailable(true)
+			b.ProcessPendingDeletes(ctx)
+			blob(t, b, "B").SetAvailable(false)
+
+			if _, err := io.ReadFull(rc, got[stripe:]); err != nil {
+				t.Fatalf("held stream, with two chunks of the live row reachable: %v", err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatal("the held stream delivered other bytes than were stored")
+			}
+			if data, _, err := e.Get(ctx, "bk", "obj"); err != nil || !bytes.Equal(data, payload) {
+				t.Fatalf("fresh read: %d bytes, %v", len(data), err)
+			}
+		})
+	}
+}
+
+// TestHeldStreamsThroughRepairChurn holds streams open — some stalling
+// mid-object — while one provider after another fails, is repaired around
+// and recovers. No read fails or returns other bytes than were stored,
+// and at rest every object verifies all n chunks. With one spare chunk
+// (n - m = 1) a stripe survives losing one slot of the row it reads
+// through, and its one retry one more; so the events that cost a slot —
+// an outage, and the delete of a recovered provider's stale chunks — take
+// the world lock a stripe fetch holds shared, and only the repair pass
+// overlaps the fetches.
+func TestHeldStreamsThroughRepairChurn(t *testing.T) {
+	const (
+		stripe, objects = 1024, 4
+		readers, rounds = 4, 150
+	)
+	b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: stripe, PrefetchStripes: -1})
+	payloads := make([][]byte, objects)
+	for i := range payloads {
+		payloads[i], _ = putRepairObject(t, b, fmt.Sprintf("o%d", i), 6*stripe)
+	}
+
+	var world sync.RWMutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := rng.Intn(objects)
+				world.RLock()
+				rc, _, err := b.NextEngine().GetReader(ctx, "bk", fmt.Sprintf("o%d", i))
+				world.RUnlock()
+				if err != nil {
+					t.Errorf("open o%d: %v", i, err)
+					continue
+				}
+				got, stall := make([]byte, 0, 6*stripe), rng.Intn(6)
+				for piece := make([]byte, stripe); err == nil; {
+					world.RLock()
+					n, rerr := rc.Read(piece)
+					world.RUnlock()
+					got, err = append(got, piece[:n]...), rerr
+					if len(got) == (stall+1)*stripe {
+						time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+					}
+				}
+				rc.Close()
+				if err != io.EOF || !bytes.Equal(got, payloads[i]) {
+					t.Errorf("read o%d: %d bytes, %v", i, len(got), err)
+				}
+				reads.Add(1)
+			}
+		}(int64(r))
+	}
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < rounds; i++ {
+		victim := blob(t, b, string("ABCD"[rng.Intn(4)]))
+		world.Lock()
+		victim.SetAvailable(false)
+		world.Unlock()
+		if _, err := b.Repair(ctx, RepairActive); err != nil {
+			t.Errorf("round %d: %v", i, err)
+		}
+		world.Lock()
+		victim.SetAvailable(true)
+		b.ProcessPendingDeletes(ctx)
+		world.Unlock()
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d reads over %d outage rounds", reads.Load(), rounds)
+
+	for i := range payloads {
+		if n, err := b.Engine(0).VerifyObject(ctx, "bk", fmt.Sprintf("o%d", i)); err != nil || n != 3 {
+			t.Errorf("o%d at rest: %d chunks verify, %v, want 3", i, n, err)
+		}
+	}
+}
+
 // TestSharedKeyHammer races readers (full, ranged, and slow ones that
 // hold their stream open), overwriters, a deleter and the optimizer — with price swings that make it migrate — on
 // the same few multi-stripe keys, behind providers that take a couple of

@@ -295,7 +295,8 @@ func TestStripeEngineTeardown(t *testing.T) {
 		{name: "migrate", kind: "put", run: func(f *fixture) bool {
 			to := core.Placement{M: 2}
 			for _, name := range []string{"B", "C", "D"} {
-				to.Providers = append(to.Providers, f.b.Registry().MustStore(name).Spec())
+				s, _ := f.b.Registry().Store(name)
+				to.Providers = append(to.Providers, s.Spec())
 			}
 			return f.e.migrate(f.ctx, f.meta, to) != nil
 		}},

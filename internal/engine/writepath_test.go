@@ -198,12 +198,12 @@ func TestConcurrentPutGetRepair(t *testing.T) {
 		providers := b.Registry().Snapshot()
 		for i := 0; i < 4; i++ {
 			name := providers[i%len(providers)].Spec().Name
-			b.Registry().SetAvailable(name, false)
+			b.Registry().UpdateAvailability(name, false)
 			if _, err := b.Repair(context.Background(), RepairActive); err != nil {
 				report(fmt.Errorf("repair with %s down: %w", name, err))
 				return
 			}
-			b.Registry().SetAvailable(name, true)
+			b.Registry().UpdateAvailability(name, true)
 			b.ProcessPendingDeletes(context.Background())
 		}
 	}()

@@ -332,7 +332,4 @@ func TestRateOverhead(t *testing.T) {
 	if c.Rate() != 0.75 {
 		t.Errorf("Rate = %v, want 0.75", c.Rate())
 	}
-	if got := c.Overhead(); got < 1.333 || got > 1.334 {
-		t.Errorf("Overhead = %v, want ~1.333", got)
-	}
 }

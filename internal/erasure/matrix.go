@@ -19,11 +19,6 @@ func (m matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
 func (m matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 func (m matrix) row(r int) []byte     { return m.data[r*m.cols : (r+1)*m.cols] }
 func (m matrix) String() string       { return fmt.Sprintf("matrix(%dx%d)", m.rows, m.cols) }
-func (m matrix) clone() matrix {
-	out := newMatrix(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
 
 // identityMatrix returns the n x n identity matrix.
 func identityMatrix(n int) matrix {

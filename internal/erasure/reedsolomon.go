@@ -59,9 +59,6 @@ func (c *Coder) N() int { return c.n }
 // Rate returns the code rate m/n.
 func (c *Coder) Rate() float64 { return float64(c.m) / float64(c.n) }
 
-// Overhead returns the storage expansion factor n/m (the paper's 1/r).
-func (c *Coder) Overhead() float64 { return float64(c.n) / float64(c.m) }
-
 // ChunkSize returns the nominal per-chunk size for an object of dataLen
 // bytes: ceil(dataLen/m). Note ChunkSize(0) == 0, but Encode never
 // emits empty chunks — zero-length objects are encoded as one zero

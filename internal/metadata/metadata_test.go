@@ -53,7 +53,7 @@ func TestVectorClockTickMerge(t *testing.T) {
 	if a["dc1"] != 2 || a["dc2"] != 7 {
 		t.Fatalf("merge = %v", a)
 	}
-	if !a.Dominates(b) {
+	if a.Compare(b) != After {
 		t.Error("merged clock must dominate its input")
 	}
 }
@@ -146,10 +146,6 @@ func TestStoreTombstone(t *testing.T) {
 	}
 	if got := s.Rows(); len(got) != 0 {
 		t.Fatalf("Rows = %v", got)
-	}
-	s.Purge("r")
-	if s.Len() != 0 {
-		t.Fatal("purge must remove the row")
 	}
 }
 

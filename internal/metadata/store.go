@@ -189,13 +189,6 @@ func (s *Store) Delete(row string, uuid string, timestamp int64) error {
 	return s.Put(row, Version{UUID: uuid, Timestamp: timestamp, Deleted: true})
 }
 
-// Purge physically removes a row (after chunk cleanup completes).
-func (s *Store) Purge(row string) {
-	s.mu.Lock()
-	delete(s.rows, row)
-	s.mu.Unlock()
-}
-
 // Rows returns all row keys with at least one live (non-tombstone)
 // head, sorted.
 func (s *Store) Rows() []string {

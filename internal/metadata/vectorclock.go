@@ -88,9 +88,3 @@ func (vc VectorClock) Compare(other VectorClock) Ordering {
 		return Equal
 	}
 }
-
-// Dominates reports whether vc is causally at or after other.
-func (vc VectorClock) Dominates(other VectorClock) bool {
-	ord := vc.Compare(other)
-	return ord == After || ord == Equal
-}

@@ -28,8 +28,7 @@ func NewRequestID() string {
 // instrumented code never has to check whether a trace is attached
 // (background work like the optimizer runs traceless).
 type Trace struct {
-	ID    string
-	start time.Time
+	ID string
 
 	mu     sync.Mutex
 	spans  map[string]*spanAgg
@@ -41,9 +40,9 @@ type spanAgg struct {
 	total time.Duration
 }
 
-// NewTrace returns a trace with the given request ID, started now.
+// NewTrace returns a trace with the given request ID.
 func NewTrace(id string) *Trace {
-	return &Trace{ID: id, start: time.Now()}
+	return &Trace{ID: id}
 }
 
 // AddSpan records one timed occurrence of a named stage ("plan",
@@ -110,14 +109,6 @@ func (t *Trace) SpanSummary() string {
 	t.mu.Unlock()
 	sort.Strings(parts)
 	return strings.Join(parts, " ")
-}
-
-// Elapsed is the time since the trace started.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
 }
 
 type traceKey struct{}

@@ -74,6 +74,11 @@ func NewServer(dir string, token []byte, capacity int64) (*Server, error) {
 		return nil, fmt.Errorf("privstore: %w", err)
 	}
 	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), tmpSuffix) {
+			// A put that died before its rename.
+			os.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck // retried at the next start
+			continue
+		}
 		if info, err := e.Info(); err == nil && !e.IsDir() {
 			s.used += info.Size()
 		}
@@ -172,7 +177,7 @@ func (s *Server) put(w http.ResponseWriter, r *http.Request, key string) {
 	}
 	s.used += int64(len(data)) - old
 	s.mu.Unlock()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeAtomic(path, data); err != nil {
 		s.mu.Lock()
 		s.used -= int64(len(data)) - old
 		s.mu.Unlock()
@@ -180,6 +185,34 @@ func (s *Server) put(w http.ResponseWriter, r *http.Request, key string) {
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
+}
+
+// tmpSuffix marks a file a put has not renamed into place yet. It is
+// not hex, so list never takes one for a key.
+const tmpSuffix = ".tmp"
+
+// writeAtomic replaces path with data through a temporary file in the
+// same directory and a rename, so a GET racing an overwrite reads the old
+// body or the new one, never a truncated file.
+func writeAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "put-*"+tmpSuffix)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) //nolint:errcheck // best effort; NewServer sweeps leftovers
+	}
+	return err
 }
 
 func (s *Server) get(w http.ResponseWriter, key string) {

@@ -80,27 +80,18 @@ func AddProviderExperiment() (*Result, error) {
 	})
 }
 
-// CustomRule is the rule applied to registry workloads run through
-// CustomExperiment: the Slashdot scenario's constraints (which every
-// paper provider set can satisfy), derived so the two never drift.
+// CustomRule is the rule applied to workloads run through CustomRun:
+// the Slashdot scenario's constraints (which every paper provider set
+// can satisfy), derived so the two never drift.
 var CustomRule = func() core.Rule {
 	r := SlashdotRule
 	r.Name = "custom"
 	return r
 }()
 
-// CustomExperiment runs any registered workload (see workload.Names)
-// through the standard Scalia-versus-static comparison.
-func CustomExperiment(workloadName string) (*Result, error) {
-	sc, err := workload.New(workloadName)
-	if err != nil {
-		return nil, err
-	}
-	return CustomRun(sc)
-}
-
-// CustomRun runs an arbitrary scenario — registered, combined, or
-// replayed from a trace — through the same comparison.
+// CustomRun runs an arbitrary scenario — registered (workload.New),
+// combined, or replayed from a trace — through the standard
+// Scalia-versus-static comparison.
 func CustomRun(sc workload.Scenario) (*Result, error) {
 	return Run(sc, Config{
 		Rule:            CustomRule,

@@ -10,14 +10,12 @@ import (
 	"scalia/internal/workload"
 )
 
-// runScalia simulates the adaptive policy, filling res.ScaliaUSD,
-// resource series, placement-change log and cumulative series. The
-// placement searches run through the shared core.Planner — the same
-// layer the production engine uses — keyed by the market's epoch, so
-// almost every period reuses the previous prepared search.
-func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error {
-	objects := make(map[string]*simObject)
-	var order []string
+// runScalia simulates the adaptive policy, filling the resource series,
+// placement-change log and planner counters of res. The placement
+// searches run through the shared core.Planner — the same layer the
+// production engine uses — keyed by the market's epoch, so almost every
+// period reuses the previous prepared search.
+func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) (float64, []float64, error) {
 	planner := core.NewPlanner(cfg.PeriodHours, cfg.Pruned)
 	decider := core.Decider{
 		Planner:          planner,
@@ -26,61 +24,39 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 			return migrationCost(from, to, sizeGB, cfg.MigrationBilling)
 		},
 	}
-
-	var total float64
-	for p := 0; p < sc.Periods(); p++ {
-		_, up := mkt.specsAt(p)
-		search, err := planner.Search(mkt.epochAt(p), up, cfg.Rule)
-		if err != nil {
-			return fmt.Errorf("sim: period %d: %w", p, err)
+	if cfg.TrackResources {
+		res.Resources = make([]SeriesPoint, sc.Periods())
+		for p := range res.Resources {
+			res.Resources[p].Period = p
 		}
-		membership := mkt.membershipChanged(p)
-		loads := sc.Load(p)
-		loadByObj := make(map[string]workload.PeriodLoad, len(loads))
-		for _, l := range loads {
-			loadByObj[l.Object] = l
-			if _, ok := objects[l.Object]; !ok {
-				// First placement: no access history; price the creation
-				// write itself (class statistics are the engine-layer
-				// refinement; scenario objects are homogeneous).
-				sum := stats.Summary{
-					Periods: 1, Writes: 1,
-					BytesIn:      float64(l.Size),
-					StorageBytes: float64(l.Size),
-				}
-				best := search.Best(sum, 0, nil)
-				if !best.Feasible {
-					return fmt.Errorf("sim: no feasible placement for %s", l.Object)
-				}
-				objects[l.Object] = &simObject{
-					name:      l.Object,
-					size:      l.Size,
-					placement: best.Placement,
-					hist:      stats.NewHistory(0),
-					ctl:       core.NewDecisionController(cfg.DecisionPeriod, 0),
-					alive:     true,
-				}
-				order = append(order, l.Object)
+	}
+	total, series, err := replay(sc, cfg, mkt, policy{
+		planner: planner,
+		// A first placement: no access history, so it prices the creation
+		// write itself (class statistics are the engine-layer refinement;
+		// scenario objects are homogeneous).
+		place: func(obj *simObject, p int, search *core.Search) error {
+			best := search.Best(stats.Summary{
+				Periods: 1, Writes: 1,
+				BytesIn:      float64(obj.size),
+				StorageBytes: float64(obj.size),
+			}, 0, nil)
+			if !best.Feasible {
+				return fmt.Errorf("sim: no feasible placement for %s", obj.name)
 			}
-		}
-
-		point := SeriesPoint{Period: p}
-		var periodCost float64
-		for _, name := range order {
-			obj := objects[name]
-			if !obj.alive {
-				continue
-			}
-			l := loadByObj[name]
-			l.Size = obj.size
-			sum := periodSummary(l, true)
+			obj.placement = best.Placement
+			obj.hist = stats.NewHistory(0)
+			obj.ctl = core.NewDecisionController(cfg.DecisionPeriod, 0)
+			return nil
+		},
+		price: func(obj *simObject, l workload.PeriodLoad, p int, _ *core.Search) (float64, error) {
 			obj.hist.Record(stats.Sample{
 				Period: int64(p), Reads: l.Reads, Writes: l.Writes,
 				BytesOut: l.Reads * obj.size, BytesIn: l.Writes * obj.size,
 				StorageBytes: obj.size,
 			})
-			periodCost += placementPeriodCost(obj.placement, mkt, p, sum, cfg.PeriodHours)
 			if cfg.TrackResources {
+				point := &res.Resources[p]
 				overhead := float64(obj.placement.N()) / float64(obj.placement.M)
 				point.StorageGB += float64(obj.size) / 1e9 * overhead
 				point.BwInGB += float64(l.Writes) * float64(obj.size) / 1e9 * overhead
@@ -88,27 +64,23 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 					point.BwOutGB += float64(l.Reads) * float64(obj.size) / 1e9
 				}
 			}
-			if l.Deleted {
-				obj.alive = false
-			}
-		}
-
-		// Adaptation pass: trend-gated recomputation, membership-change
+			return placementPeriodCost(obj.placement, mkt, p, periodSummary(l), cfg.PeriodHours), nil
+		},
+		// The adaptation pass: trend-gated recomputation, membership-change
 		// recomputation, and active repair.
-		migUSD, migIn, migOut := adaptScalia(objects, order, cfg, mkt, decider, search, p, membership, res)
-		total += periodCost + migUSD
-		res.MigrationUSD += migUSD
-		if cfg.TrackResources {
-			point.BwInGB += migIn
-			point.BwOutGB += migOut
-			res.Resources = append(res.Resources, point)
-		}
-		res.CumulativeScalia = append(res.CumulativeScalia, total)
-	}
-	res.ScaliaUSD = total
+		adapt: func(objects []*simObject, p int, search *core.Search) float64 {
+			migUSD, migIn, migOut := adaptScalia(objects, cfg, mkt, decider, search, p, res)
+			res.MigrationUSD += migUSD
+			if cfg.TrackResources {
+				res.Resources[p].BwInGB += migIn
+				res.Resources[p].BwOutGB += migOut
+			}
+			return migUSD
+		},
+	})
 	st := planner.Stats()
 	res.PlannerHits, res.PlannerMisses = st.Hits, st.Misses
-	return nil
+	return total, series, err
 }
 
 // adaptScalia runs the per-period optimization procedure over the
@@ -118,15 +90,15 @@ func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) error
 // decision costs; the decision itself is core.Decider.Decide, the step
 // the production broker runs, so simulated and production decisions
 // provably agree.
-func adaptScalia(objects map[string]*simObject, order []string, cfg Config,
-	mkt *market, decider core.Decider, search *core.Search, p int, membership bool, res *Result) (usd, inGB, outGB float64) {
+func adaptScalia(objects []*simObject, cfg Config, mkt *market, decider core.Decider,
+	search *core.Search, p int, res *Result) (usd, inGB, outGB float64) {
+	membership := mkt.membershipChanged(p)
 	_, up := mkt.specsAt(p)
 	view := core.Market{
 		Now: int64(p), Epoch: mkt.epochAt(p), Specs: up,
 		Alive: func(name string) bool { return mkt.isUp(name, p) },
 	}
-	for _, name := range order {
-		obj := objects[name]
+	for _, obj := range objects {
 		if !obj.alive {
 			continue
 		}
@@ -225,62 +197,12 @@ func reason(membership, repairing bool) string {
 	}
 }
 
-// runIdeal prices the per-period cheapest feasible placement with the
-// load known a priori — the paper's baseline.
-func runIdeal(sc workload.Scenario, cfg Config, mkt *market, res *Result) error {
-	// The baseline always prices with the exact search, even when
-	// Scalia's engine runs the pruned heuristic — Pruned is an engine
-	// ablation, not a change to the ideal cost.
-	planner := core.NewPlanner(cfg.PeriodHours, false)
-	sizes := make(map[string]int64)
-	alive := make(map[string]bool)
-	var order []string
-
-	var total float64
-	for p := 0; p < sc.Periods(); p++ {
-		_, up := mkt.specsAt(p)
-		search, err := planner.Search(mkt.epochAt(p), up, cfg.Rule)
-		if err != nil {
-			return err
-		}
-		loadByObj := make(map[string]workload.PeriodLoad)
-		for _, l := range sc.Load(p) {
-			loadByObj[l.Object] = l
-			if !alive[l.Object] {
-				if _, seen := sizes[l.Object]; !seen {
-					order = append(order, l.Object)
-				}
-				alive[l.Object] = true
-				sizes[l.Object] = l.Size
-			}
-		}
-		for _, name := range order {
-			if !alive[name] {
-				continue
-			}
-			l := loadByObj[name]
-			l.Size = sizes[name]
-			sum := periodSummary(l, true)
-			best := search.Best(sum, 0, nil)
-			if !best.Feasible {
-				return fmt.Errorf("sim: ideal infeasible for %s at %d", name, p)
-			}
-			total += best.Price
-			if l.Deleted {
-				alive[name] = false
-			}
-		}
-	}
-	res.IdealUSD = total
-	return nil
-}
-
-// staticCumulative prices the scenario on one fixed provider set and
-// returns the per-period cumulative cost series. Objects are placed at
+// runStatic prices the scenario on one fixed provider set and returns
+// its total and per-period cumulative cost. Objects are placed at
 // creation on the reachable members of the set with the largest feasible
 // threshold; placements never change afterwards (chunks at a failed
 // provider stay there, §IV-E).
-func staticCumulative(sc workload.Scenario, cfg Config, mkt *market, set StaticSet) ([]float64, error) {
+func runStatic(sc workload.Scenario, cfg Config, mkt *market, set StaticSet) (float64, []float64, error) {
 	specsByName := make(map[string]cloud.Spec)
 	for _, s := range cfg.Specs {
 		specsByName[s.Name] = s
@@ -292,69 +214,35 @@ func staticCumulative(sc workload.Scenario, cfg Config, mkt *market, set StaticS
 	for _, n := range set.Names {
 		s, ok := specsByName[n]
 		if !ok {
-			return nil, fmt.Errorf("sim: static set references unknown provider %q", n)
+			return 0, nil, fmt.Errorf("sim: static set references unknown provider %q", n)
 		}
 		members = append(members, s)
 	}
-
-	placements := make(map[string]core.Placement)
-	sizes := make(map[string]int64)
-	alive := make(map[string]bool)
-	var order []string
-
-	var total float64
-	out := make([]float64, 0, sc.Periods())
-	for p := 0; p < sc.Periods(); p++ {
-		loadByObj := make(map[string]workload.PeriodLoad)
-		for _, l := range sc.Load(p) {
-			loadByObj[l.Object] = l
-			if _, ok := placements[l.Object]; !ok {
-				upMembers := make([]cloud.Spec, 0, len(members))
-				for _, s := range members {
-					if mkt.isUp(s.Name, p) {
-						upMembers = append(upMembers, s)
-					}
+	return replay(sc, cfg, mkt, policy{
+		place: func(obj *simObject, p int, _ *core.Search) error {
+			upMembers := make([]cloud.Spec, 0, len(members))
+			for _, s := range members {
+				if mkt.isUp(s.Name, p) {
+					upMembers = append(upMembers, s)
 				}
-				m := core.FeasibleThreshold(upMembers, cfg.Rule.Durability, cfg.Rule.Availability)
-				if m <= 0 {
-					// The degraded set cannot satisfy the rule; the static
-					// deployment stores anyway at maximum striping (its
-					// whole point is that it cannot adapt).
-					m = len(upMembers)
-					if m == 0 {
-						return nil, fmt.Errorf("sim: static set %s entirely down at %d", set.Label(), p)
-					}
+			}
+			m := core.FeasibleThreshold(upMembers, cfg.Rule.Durability, cfg.Rule.Availability)
+			if m <= 0 {
+				// The degraded set cannot satisfy the rule; the static
+				// deployment stores anyway at maximum striping (its
+				// whole point is that it cannot adapt).
+				m = len(upMembers)
+				if m == 0 {
+					return fmt.Errorf("sim: static set %s entirely down at %d", set.Label(), p)
 				}
-				placements[l.Object] = core.Placement{Providers: upMembers, M: m}
-				sizes[l.Object] = l.Size
-				alive[l.Object] = true
-				order = append(order, l.Object)
 			}
-		}
-		for _, name := range order {
-			if !alive[name] {
-				continue
-			}
-			l := loadByObj[name]
-			l.Size = sizes[name]
-			sum := periodSummary(l, true)
-			total += placementPeriodCost(placements[name], mkt, p, sum, cfg.PeriodHours)
-			if l.Deleted {
-				alive[name] = false
-			}
-		}
-		out = append(out, total)
-	}
-	return out, nil
-}
-
-// runStatic prices one fixed set, returning its total cost.
-func runStatic(sc workload.Scenario, cfg Config, mkt *market, set StaticSet) (float64, error) {
-	series, err := staticCumulative(sc, cfg, mkt, set)
-	if err != nil {
-		return 0, err
-	}
-	return series[len(series)-1], nil
+			obj.placement = core.Placement{Providers: upMembers, M: m}
+			return nil
+		},
+		price: func(obj *simObject, l workload.PeriodLoad, p int, _ *core.Search) (float64, error) {
+			return placementPeriodCost(obj.placement, mkt, p, periodSummary(l), cfg.PeriodHours), nil
+		},
+	})
 }
 
 // StaticCumulative prices one fixed set and returns the per-period
@@ -362,5 +250,6 @@ func runStatic(sc workload.Scenario, cfg Config, mkt *market, set StaticSet) (fl
 func StaticCumulative(sc workload.Scenario, cfg Config, set StaticSet) ([]float64, error) {
 	cfg.fill()
 	mkt := &market{specs: cfg.Specs, arrivals: cfg.Arrivals, outages: cfg.Outages}
-	return staticCumulative(sc, cfg, mkt, set)
+	_, series, err := runStatic(sc, cfg, mkt, set)
+	return series, err
 }

@@ -6,8 +6,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"scalia/internal/cloud"
 )
 
@@ -61,14 +59,4 @@ func StaticSets() []StaticSet {
 		emit([]int{first}, first+1)
 	}
 	return sets
-}
-
-// SetByLabel finds a static set by its Fig. 13 label.
-func SetByLabel(label string) (StaticSet, error) {
-	for _, s := range StaticSets() {
-		if s.Label() == label {
-			return s, nil
-		}
-	}
-	return StaticSet{}, fmt.Errorf("sim: unknown provider set %q", label)
 }

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
@@ -114,10 +115,8 @@ type Result struct {
 	Statics       []StaticCost
 	Resources     []SeriesPoint
 	Changes       []PlacementChange
-	// CumulativeScalia/CumulativeStatic hold per-period running totals
-	// (Fig. 18); CumulativeStatic follows Config.StaticBaselines[0].
+	// CumulativeScalia holds Scalia's per-period running total (Fig. 18).
 	CumulativeScalia []float64
-	CumulativeStatic []float64
 	// TrendRecomputations counts placement recomputation triggers.
 	TrendRecomputations int
 	// PlannerHits/PlannerMisses report the shared planner's prepared-
@@ -149,7 +148,9 @@ func (r *Result) WorstStatic() StaticCost {
 	return worst
 }
 
-// simObject is the simulator's view of one stored object.
+// simObject is the simulator's view of one stored object. The replay
+// driver owns name, size and alive; placement, hist and ctl belong to
+// the policy being priced.
 type simObject struct {
 	name      string
 	size      int64
@@ -157,6 +158,87 @@ type simObject struct {
 	hist      *stats.History
 	ctl       *core.DecisionController
 	alive     bool
+}
+
+// policy is what differs between Scalia, the ideal baseline and a
+// static set: how an object is placed, what one object-period on that
+// placement costs, and what the policy does about it afterwards.
+type policy struct {
+	// planner, when set, makes replay hand every step the period's
+	// prepared search on the reachable market.
+	planner *core.Planner
+	// place runs when an object is created — or re-created after a
+	// delete; nil places nothing.
+	place func(obj *simObject, p int, search *core.Search) error
+	// price bills one object-period of a live object; l carries the
+	// object's size, and zero load when the scenario names no access.
+	price func(obj *simObject, l workload.PeriodLoad, p int, search *core.Search) (float64, error)
+	// adapt closes period p over every object seen so far, dead or alive,
+	// in first-seen order, and returns what it spent; nil adapts nothing.
+	adapt func(objects []*simObject, p int, search *core.Search) float64
+}
+
+// replay drives one policy through the scenario and returns its total
+// and per-period cumulative cost. It owns what the policies share —
+// period iteration, object lifecycle and the books: an object is created
+// by the first load that names it, keeps that size, is billed every
+// period it is alive in first-seen order, dies at the end of the period
+// that deletes it, and a later load re-creates it (at that load's size)
+// in its original position.
+func replay(sc workload.Scenario, cfg Config, mkt *market, pol policy) (total float64, series []float64, err error) {
+	byName := make(map[string]*simObject)
+	var objects []*simObject
+	for p := 0; p < sc.Periods(); p++ {
+		var search *core.Search
+		if pol.planner != nil {
+			_, up := mkt.specsAt(p)
+			if search, err = pol.planner.Search(mkt.epochAt(p), up, cfg.Rule); err != nil {
+				return 0, nil, fmt.Errorf("sim: period %d: %w", p, err)
+			}
+		}
+		loads := sc.Load(p)
+		loadByObj := make(map[string]workload.PeriodLoad, len(loads))
+		for _, l := range loads {
+			loadByObj[l.Object] = l
+			obj, seen := byName[l.Object]
+			if seen && obj.alive {
+				continue
+			}
+			if !seen {
+				obj = &simObject{name: l.Object}
+				byName[l.Object] = obj
+				objects = append(objects, obj)
+			}
+			obj.size, obj.alive = l.Size, true
+			if pol.place != nil {
+				if err := pol.place(obj, p, search); err != nil {
+					return 0, nil, err
+				}
+			}
+		}
+		var period float64
+		for _, obj := range objects {
+			if !obj.alive {
+				continue
+			}
+			l := loadByObj[obj.name]
+			l.Size = obj.size
+			cost, err := pol.price(obj, l, p, search)
+			if err != nil {
+				return 0, nil, err
+			}
+			period += cost
+			if l.Deleted {
+				obj.alive = false
+			}
+		}
+		if pol.adapt != nil {
+			period += pol.adapt(objects, p, search)
+		}
+		total += period
+		series = append(series, total)
+	}
+	return total, series, nil
 }
 
 // market tracks provider membership and reachability over time.
@@ -222,27 +304,10 @@ func (m *market) membershipChanged(p int) bool {
 	}
 	prevAll, prevUp := m.specsAt(p - 1)
 	curAll, curUp := m.specsAt(p)
-	return len(prevAll) != len(curAll) || len(prevUp) != len(curUp) ||
-		!sameNames(prevUp, curUp)
-}
-
-func sameNames(a, b []cloud.Spec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	an := make([]string, len(a))
-	bn := make([]string, len(b))
-	for i := range a {
-		an[i], bn[i] = a[i].Name, b[i].Name
-	}
-	sort.Strings(an)
-	sort.Strings(bn)
-	for i := range an {
-		if an[i] != bn[i] {
-			return false
-		}
-	}
-	return true
+	// Both views list providers in registration order, so equal sets are
+	// equal sequences.
+	return len(prevAll) != len(curAll) ||
+		!slices.EqualFunc(prevUp, curUp, func(a, b cloud.Spec) bool { return a.Name == b.Name })
 }
 
 // Run simulates the scenario under cfg.
@@ -254,20 +319,32 @@ func Run(sc workload.Scenario, cfg Config) (*Result, error) {
 	mkt := &market{specs: cfg.Specs, arrivals: cfg.Arrivals, outages: cfg.Outages}
 	res := &Result{Scenario: sc.Name(), Periods: sc.Periods()}
 
-	if err := runScalia(sc, cfg, mkt, res); err != nil {
+	var err error
+	if res.ScaliaUSD, res.CumulativeScalia, err = runScalia(sc, cfg, mkt, res); err != nil {
 		return nil, err
 	}
-	if err := runIdeal(sc, cfg, mkt, res); err != nil {
+	// The baseline always prices with the exact search, even when
+	// Scalia's engine runs the pruned heuristic — Pruned is an engine
+	// ablation, not a change to the ideal cost.
+	res.IdealUSD, _, err = replay(sc, cfg, mkt, policy{
+		planner: core.NewPlanner(cfg.PeriodHours, false),
+		price: func(obj *simObject, l workload.PeriodLoad, p int, search *core.Search) (float64, error) {
+			best := search.Best(periodSummary(l), 0, nil)
+			if !best.Feasible {
+				return 0, fmt.Errorf("sim: ideal infeasible for %s at %d", obj.name, p)
+			}
+			return best.Price, nil
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, set := range cfg.StaticBaselines {
-		cost, err := runStatic(sc, cfg, mkt, set)
+		cost, _, err := runStatic(sc, cfg, mkt, set)
 		if err != nil {
 			return nil, err
 		}
-		res.Statics = append(res.Statics, StaticCost{
-			Index: set.Index, Label: set.Label(), CostUSD: cost,
-		})
+		res.Statics = append(res.Statics, StaticCost{Index: set.Index, Label: set.Label(), CostUSD: cost})
 	}
 	if res.IdealUSD > 0 {
 		res.ScaliaOverPct = (res.ScaliaUSD/res.IdealUSD - 1) * 100
@@ -278,17 +355,17 @@ func Run(sc workload.Scenario, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// periodSummary converts one period's actual load into a pricing summary.
-func periodSummary(l workload.PeriodLoad, alive bool) stats.Summary {
-	sum := stats.Summary{Periods: 1}
-	sum.Reads = float64(l.Reads)
-	sum.Writes = float64(l.Writes)
-	sum.BytesOut = float64(l.Reads) * float64(l.Size)
-	sum.BytesIn = float64(l.Writes) * float64(l.Size)
-	if alive {
-		sum.StorageBytes = float64(l.Size)
+// periodSummary converts one period's actual load of a live object into
+// a pricing summary.
+func periodSummary(l workload.PeriodLoad) stats.Summary {
+	return stats.Summary{
+		Periods:      1,
+		Reads:        float64(l.Reads),
+		Writes:       float64(l.Writes),
+		BytesOut:     float64(l.Reads) * float64(l.Size),
+		BytesIn:      float64(l.Writes) * float64(l.Size),
+		StorageBytes: float64(l.Size),
 	}
-	return sum
 }
 
 // reachablePlacement restricts a placement to reachable providers for

@@ -34,16 +34,6 @@ func TestStaticSetsMatchFig13(t *testing.T) {
 	}
 }
 
-func TestSetByLabel(t *testing.T) {
-	s, err := SetByLabel("S3(h)-S3(l)-Azu")
-	if err != nil || s.Index != 2 {
-		t.Fatalf("SetByLabel = %+v, %v", s, err)
-	}
-	if _, err := SetByLabel("nope"); err == nil {
-		t.Fatal("expected error for unknown label")
-	}
-}
-
 func TestSlashdotExperimentShape(t *testing.T) {
 	res, err := SlashdotExperiment()
 	if err != nil {
@@ -207,7 +197,11 @@ func TestCustomExperimentRegistryWorkloads(t *testing.T) {
 	// full Scalia-vs-static comparison. zipf-flashcrowd exercises the
 	// combinator layer; churn exercises deletes inside the simulator.
 	for _, name := range []string{"zipf-flashcrowd", "churn"} {
-		res, err := CustomExperiment(name)
+		sc, err := workload.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := CustomRun(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -220,9 +214,6 @@ func TestCustomExperimentRegistryWorkloads(t *testing.T) {
 		if res.IdealUSD <= 0 || res.ScaliaUSD <= 0 {
 			t.Fatalf("%s: degenerate costs: ideal=%v scalia=%v", name, res.IdealUSD, res.ScaliaUSD)
 		}
-	}
-	if _, err := CustomExperiment("no-such-workload"); err == nil {
-		t.Fatal("unknown workload must error")
 	}
 }
 
@@ -279,5 +270,53 @@ func TestTrendGatingSparse(t *testing.T) {
 	if res.TrendRecomputations >= totalObjectPeriods/2 {
 		t.Fatalf("trend gate too chatty: %d of %d object-periods",
 			res.TrendRecomputations, totalObjectPeriods)
+	}
+}
+
+// recreate is a scenario that deletes a name and later re-creates it at
+// another size, next to an object that lives throughout.
+type recreate struct{}
+
+func (recreate) Name() string { return "recreate" }
+func (recreate) Periods() int { return 10 }
+func (recreate) Load(p int) []workload.PeriodLoad {
+	var loads []workload.PeriodLoad
+	switch p {
+	case 0:
+		loads = append(loads, workload.PeriodLoad{Object: "a", Size: 1 << 30, Writes: 1, Created: true})
+	case 1:
+		loads = append(loads, workload.PeriodLoad{Object: "b", Size: 1 << 30, Writes: 1, Created: true})
+	case 2:
+		loads = append(loads, workload.PeriodLoad{Object: "a", Deleted: true})
+	case 5:
+		loads = append(loads, workload.PeriodLoad{Object: "a", Size: 2 << 30, Writes: 1, Created: true})
+	}
+	return loads
+}
+
+// TestPoliciesShareObjectLifecycle pins what the one replay driver
+// guarantees: Scalia, the ideal baseline and every static set bill the
+// same object-periods, a re-created name included. On a market whose
+// only feasible set is both providers the three therefore cost the same
+// — and more than the scenario cut short before the re-creation.
+func TestPoliciesShareObjectLifecycle(t *testing.T) {
+	cfg := Config{Rule: BackupRule, Specs: cloud.PaperProviders()[:2]}
+	cfg.StaticBaselines = []StaticSet{{Index: 1, Names: []string{cfg.Specs[0].Name, cfg.Specs[1].Name}}}
+	res, err := Run(recreate{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, usd := range map[string]float64{"scalia": res.ScaliaUSD, "static": res.Statics[0].CostUSD} {
+		if diff := usd/res.IdealUSD - 1; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("%s = %.9f USD, ideal = %.9f USD: not the same object-periods", name, usd, res.IdealUSD)
+		}
+	}
+	cut, err := Run(workload.Truncate(recreate{}, 5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ScaliaUSD-res.CumulativeScalia[4] <= cut.ScaliaUSD {
+		t.Errorf("periods 5-9 cost %.9f USD, periods 0-4 %.9f: the re-created 2 GiB object is not billed",
+			res.ScaliaUSD-res.CumulativeScalia[4], cut.ScaliaUSD)
 	}
 }

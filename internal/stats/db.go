@@ -126,14 +126,6 @@ func (db *DB) History(object string) *History {
 	return db.hist[object]
 }
 
-// ObjectClass returns the recorded class of an object.
-func (db *DB) ObjectClass(object string) (string, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, ok := db.class[object]
-	return c, ok
-}
-
 // Classes exposes the per-class aggregates.
 func (db *DB) Classes() *ClassStats { return db.classes }
 

@@ -130,17 +130,3 @@ func (d *LifetimeDist) Histogram(binWidth float64, bins int) []int {
 	}
 	return out
 }
-
-// TTLCurve evaluates ExpectedTTL at ages 0, step, 2*step, ... up to
-// maxAge and returns the series — the Fig. 5 right panel.
-func (d *LifetimeDist) TTLCurve(step, maxAge float64) []float64 {
-	var out []float64
-	for age := 0.0; age <= maxAge+1e-9; age += step {
-		ttl, ok := d.ExpectedTTL(age)
-		if !ok {
-			ttl = 0
-		}
-		out = append(out, ttl)
-	}
-	return out
-}

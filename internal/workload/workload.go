@@ -12,7 +12,10 @@
 // strong daily cycle with regional phase shifts.
 package workload
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // PeriodLoad is one object's load during one sampling period.
 type PeriodLoad struct {
@@ -232,12 +235,7 @@ func (g *Gallery) Periods() int { return g.TotalHours }
 
 // PictureName returns the object key of picture i.
 func (g *Gallery) PictureName(i int) string {
-	return "pictures/img" + itoa3(i)
-}
-
-func itoa3(i int) string {
-	d := [3]byte{'0' + byte(i/100%10), '0' + byte(i/10%10), '0' + byte(i%10)}
-	return string(d[:])
+	return fmt.Sprintf("pictures/img%03d", i)
 }
 
 // Load implements Scenario: hour 0 uploads all pictures; every hour the
@@ -271,9 +269,6 @@ type Backup struct {
 	ObjectBytes   int64
 	IntervalHours int
 	TotalHours    int
-	// ReadsPerObjectPerDay models occasional restore/verification reads
-	// (0 in the paper's scenarios).
-	ReadsPerObjectPerDay float64
 }
 
 // NewBackup returns the paper's parameterization: 40 MB every 5 hours.
@@ -293,15 +288,7 @@ func (b *Backup) Periods() int { return b.TotalHours }
 
 // ObjectName returns the key of the backup written at hour h.
 func (b *Backup) ObjectName(h int) string {
-	return "backups/obj" + itoa5(h)
-}
-
-func itoa5(i int) string {
-	d := [5]byte{
-		'0' + byte(i/10000%10), '0' + byte(i/1000%10), '0' + byte(i/100%10),
-		'0' + byte(i/10%10), '0' + byte(i%10),
-	}
-	return string(d[:])
+	return fmt.Sprintf("backups/obj%05d", h)
 }
 
 // Load implements Scenario.

@@ -48,7 +48,6 @@ import (
 	"io"
 	"time"
 
-	"scalia/internal/cache"
 	"scalia/internal/cloud"
 	"scalia/internal/core"
 	"scalia/internal/engine"
@@ -92,8 +91,6 @@ type (
 	// cursor (ListResult.Next / JobList.Next) and page size (0 = the
 	// deployment's default and maximum, 1000).
 	ListOptions = engine.ListOptions
-	// CacheStats is the stripe-cache counter snapshot (GET /v1/stats).
-	CacheStats = cache.Stats
 	// ReadPathStats is the streaming-read counter snapshot: stripes from
 	// cache vs fetched, prefetch deliveries, fan-out fallbacks.
 	ReadPathStats = engine.ReadPathStats
@@ -182,60 +179,9 @@ func PaperProviders() []Provider { return cloud.PaperProviders() }
 // PaperRules returns the example rules of the paper's Fig. 2.
 func PaperRules() []Rule { return core.PaperRules() }
 
-// Options configures a broker deployment.
-type Options struct {
-	// Datacenters names the deployment's datacenters (default dc1, dc2).
-	Datacenters []string
-	// EnginesPerDC sets the stateless engine count per datacenter.
-	EnginesPerDC int
-	// CacheBytes enables the per-datacenter read cache when > 0.
-	CacheBytes int64
-	// Providers overrides the provider market (default: PaperProviders,
-	// as in-memory simulated stores).
-	Providers []Provider
-	// DefaultRule applies when no finer-grained rule matches.
-	DefaultRule Rule
-	// PeriodHours is the statistics sampling period (default 1 hour).
-	PeriodHours float64
-	// DecisionPeriod is the initial per-object decision period D, in
-	// sampling periods (default 24).
-	DecisionPeriod int
-	// MigrationHorizon stretches the migration payback horizon (periods).
-	MigrationHorizon int
-	// Pruned selects the polynomial placement heuristic instead of the
-	// exact subset enumeration.
-	Pruned bool
-	// StripeBytes bounds the per-stripe payload of streaming reads and
-	// writes (default engine.DefaultStripeBytes, 4 MiB).
-	StripeBytes int64
-	// ReadParallelism bounds concurrent chunk fetches per stripe read
-	// (default engine.DefaultReadParallelism). Negative forces the
-	// sequential ranked scan.
-	ReadParallelism int
-	// PrefetchStripes is the streaming GET read-ahead depth: stripes
-	// decoded in the background while the previous one drains to the
-	// caller (default engine.DefaultPrefetchStripes). Negative disables
-	// prefetching.
-	PrefetchStripes int
-	// WritePipelineDepth bounds how many stripes a streaming write keeps
-	// in flight at once: stripe s+1 erasure-codes while stripe s's chunks
-	// fan out to the providers (default engine.DefaultWritePipelineDepth).
-	// Negative forces the sequential encode-then-fan-out loop.
-	WritePipelineDepth int
-	// MaxBufferBytes bounds the stripe buffers ALL streaming reads and
-	// writes of the deployment hold concurrently — one shared budget, so
-	// any mix of concurrent large GETs and PUTs cannot blow up broker
-	// memory (default engine.DefaultMaxBufferBytes; negative removes the
-	// bound).
-	MaxBufferBytes int64
-	// ReoptWorkers sets the background worker pool that drains the
-	// event-driven reoptimization queue (market events → affected
-	// objects). 0 (the default) enqueues only; drain explicitly with
-	// DrainMaintenance. scalia-server enables workers via -reopt-workers.
-	ReoptWorkers int
-	// Clock overrides time (tests and simulations use a manual clock).
-	Clock engine.Clock
-}
+// Options configures a broker deployment. It is the engine's own
+// configuration: a custom provider market is Options.Registry.
+type Options = engine.Config
 
 // API is the v1 contract: every operation that has a v1 route, with one
 // shape — ctx first, error last, wire types in and out. The broker owns
@@ -428,36 +374,12 @@ type Client struct {
 
 // New builds a broker deployment.
 func New(opts Options) (*Client, error) {
-	cfg := engine.Config{
-		Datacenters:        opts.Datacenters,
-		EnginesPerDC:       opts.EnginesPerDC,
-		CacheBytes:         opts.CacheBytes,
-		PeriodHours:        opts.PeriodHours,
-		DefaultRule:        opts.DefaultRule,
-		DecisionPeriod:     opts.DecisionPeriod,
-		MigrationHorizon:   opts.MigrationHorizon,
-		Pruned:             opts.Pruned,
-		StripeBytes:        opts.StripeBytes,
-		ReadParallelism:    opts.ReadParallelism,
-		PrefetchStripes:    opts.PrefetchStripes,
-		WritePipelineDepth: opts.WritePipelineDepth,
-		MaxBufferBytes:     opts.MaxBufferBytes,
-		ReoptWorkers:       opts.ReoptWorkers,
-		Clock:              opts.Clock,
-	}
-	if len(opts.Providers) > 0 {
-		reg := cloud.NewRegistry()
-		for _, spec := range opts.Providers {
-			reg.Register(cloud.NewBlobStore(spec))
-		}
-		cfg.Registry = reg
-	}
 	if opts.DefaultRule.LockIn != 0 {
 		if err := opts.DefaultRule.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	c := &Client{broker: engine.NewBroker(cfg)}
+	c := &Client{broker: engine.NewBroker(opts)}
 	c.Helpers = Helpers{API: c}
 	return c, nil
 }
