@@ -519,7 +519,7 @@ func (c *Client) GetRanges(ctx context.Context, container, key string, ranges []
 			if !ok {
 				offset = ranges[0].Offset
 			}
-			data, rerr := io.ReadAll(resp.Body)
+			data, rerr := engine.ReadSized(resp.Body, resp.ContentLength)
 			if rerr != nil {
 				return nil, meta, rerr
 			}
@@ -546,7 +546,7 @@ func (c *Client) GetRanges(ctx context.Context, container, key string, ranges []
 			parts = append(parts, RangePart{Offset: offset, Data: data})
 		}
 	case http.StatusOK:
-		data, rerr := io.ReadAll(resp.Body)
+		data, rerr := engine.ReadSized(resp.Body, resp.ContentLength)
 		if rerr != nil {
 			return nil, meta, rerr
 		}

@@ -582,8 +582,9 @@ func bitRot(t *tc) {
 	rot := func(slot int) {
 		store, _ := t.broker.Registry().Store(meta.Chunks[slot])
 		key := engine.ChunkKey(meta.SKey, 0, slot)
-		data, err := store.Get(ctx, key)
+		stored, err := store.Get(ctx, key)
 		t.must(err)
+		data := bytes.Clone(stored) // Get's result is read-only
 		data[len(data)/2] ^= 0x01
 		t.must(store.Put(ctx, key, data))
 	}

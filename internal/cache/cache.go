@@ -74,8 +74,10 @@ func NewLRU(capacity int64) *LRU {
 	}
 }
 
-// GetStripe returns a copy of the cached stripe and marks it recently
-// used.
+// GetStripe returns the cached stripe itself, read-only to the caller,
+// and marks it recently used. The slice stays valid for as long as the
+// caller holds it: a cached stripe's bytes are never written — an
+// overwrite replaces the slice, Invalidate and eviction drop it.
 func (c *LRU) GetStripe(obj string, stripe int) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -86,15 +88,12 @@ func (c *LRU) GetStripe(obj string, stripe int) ([]byte, bool) {
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	data := el.Value.(*entry).data
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, true
+	return el.Value.(*entry).data, true
 }
 
-// PutStripe stores a copy of one decoded stripe, evicting
-// least-recently-used stripes as needed. Stripes larger than the
-// capacity are not cached.
+// PutStripe stores a copy of one decoded stripe (data stays the
+// caller's), evicting least-recently-used stripes as needed. Stripes
+// larger than the capacity are not cached.
 func (c *LRU) PutStripe(obj string, stripe int, data []byte) {
 	size := int64(len(data))
 	if c.capacity <= 0 || size > c.capacity {

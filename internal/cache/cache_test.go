@@ -19,19 +19,37 @@ func TestLRUBasic(t *testing.T) {
 	}
 }
 
-func TestLRUReturnsCopies(t *testing.T) {
-	c := NewLRU(100)
+// TestLRUCopiesInAndNeverMutates is the ownership contract of a stripe:
+// PutStripe copies in, so the caller's buffer is its own again at once,
+// and GetStripe lends the cached slice itself, which nothing ever writes —
+// a slice obtained before its key was overwritten, invalidated or evicted
+// still holds the bytes it was lent with.
+func TestLRUCopiesInAndNeverMutates(t *testing.T) {
+	c := NewLRU(8)
 	data := []byte("abc")
 	c.Put("k", data)
 	data[0] = 'X'
-	got, _ := c.Get("k")
-	if got[0] != 'a' {
-		t.Fatal("Put must copy")
+	if got, _ := c.Get("k"); string(got) != "abc" {
+		t.Fatalf("cached %q after the caller reused its buffer: Put must copy in", got)
 	}
-	got[1] = 'Y'
-	again, _ := c.Get("k")
-	if again[1] != 'b' {
-		t.Fatal("Get must copy")
+	for name, drop := range map[string]func(){
+		"overwrite":  func() { c.Put("k", []byte("xyz")) },
+		"invalidate": func() { c.Invalidate("k") },
+		"eviction":   func() { c.Put("big", make([]byte, 8)) },
+	} {
+		c.Put("k", []byte("abc"))
+		held, ok := c.Get("k")
+		if !ok {
+			t.Fatalf("%s: miss on a key just put", name)
+		}
+		drop()
+		if string(held) != "abc" {
+			t.Errorf("%s changed a slice handed out before it to %q", name, held)
+		}
+		if now, ok := c.Get("k"); ok && string(now) == "abc" {
+			t.Errorf("%s left the old bytes cached", name)
+		}
+		c.Invalidate("big")
 	}
 }
 

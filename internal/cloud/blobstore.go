@@ -15,6 +15,10 @@ import (
 // context: cancelling it aborts the call (remote backends abort the HTTP
 // request; the simulated store fails fast), which is how the engine's
 // chunk fan-out is cancelled mid-flight.
+//
+// Ownership of the bytes: Put does not retain data, and Get's result is
+// read-only to the caller, who may hold it for as long as it likes — a
+// store that hands out the bytes it keeps never writes them again.
 type Store interface {
 	Put(ctx context.Context, key string, data []byte) error
 	Get(ctx context.Context, key string) ([]byte, error)
@@ -203,7 +207,9 @@ func (s *BlobStore) PutBatch(ctx context.Context, items []BatchItem) error {
 	return nil
 }
 
-// Get retrieves the object stored under key.
+// Get retrieves the object stored under key: the stored slice itself.
+// Put and PutBatch install fresh copies and Delete drops the reference,
+// so a slice handed out keeps its bytes.
 func (s *BlobStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -217,10 +223,8 @@ func (s *BlobStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, s.spec.Name, key)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.meter.RecordOut(int64(len(data)))
-	return cp, nil
+	return data, nil
 }
 
 // Delete removes the object stored under key. Deleting a missing key is

@@ -135,14 +135,41 @@ func TestBlobStoreOverwriteAccounting(t *testing.T) {
 	}
 }
 
-func TestBlobStoreGetIsCopy(t *testing.T) {
+// TestBlobStoreCopiesInAndNeverMutates is the Store contract on bytes:
+// Put and PutBatch do not retain the caller's buffer, and Get lends the
+// stored slice itself, which the store never writes again — a slice
+// obtained before its key was overwritten or deleted keeps its bytes.
+func TestBlobStoreCopiesInAndNeverMutates(t *testing.T) {
 	s := NewBlobStore(Spec{Name: "t"})
-	s.Put(ctx, "k", []byte{1, 2, 3})
-	got, _ := s.Get(ctx, "k")
-	got[0] = 99
-	again, _ := s.Get(ctx, "k")
-	if again[0] != 1 {
-		t.Fatal("Get must return a defensive copy")
+	data, batched := []byte{1, 2, 3}, []byte{4, 5, 6}
+	s.Put(ctx, "k", data)
+	s.PutBatch(ctx, []BatchItem{{Key: "b", Data: batched}})
+	data[0], batched[0] = 99, 99
+	if got, _ := s.Get(ctx, "k"); !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("stored %v after the caller reused its buffer: Put must copy in", got)
+	}
+	if got, _ := s.Get(ctx, "b"); !bytes.Equal(got, []byte{4, 5, 6}) {
+		t.Fatalf("stored %v after the caller reused its buffer: PutBatch must copy in", got)
+	}
+	for name, drop := range map[string]func() error{
+		"Put":      func() error { return s.Put(ctx, "k", []byte{7, 8, 9}) },
+		"PutBatch": func() error { return s.PutBatch(ctx, []BatchItem{{Key: "k", Data: []byte{7, 8, 9}}}) },
+		"Delete":   func() error { return s.Delete(ctx, "k") },
+	} {
+		s.Put(ctx, "k", []byte{1, 2, 3})
+		held, err := s.Get(ctx, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := drop(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(held, []byte{1, 2, 3}) {
+			t.Errorf("%s changed a slice handed out before it to %v", name, held)
+		}
+		if now, err := s.Get(ctx, "k"); err == nil && bytes.Equal(now, held) {
+			t.Errorf("%s left the old bytes stored", name)
+		}
 	}
 }
 

@@ -97,10 +97,11 @@ func putRotObject(t *testing.T, e *Engine, multipart bool) ([]byte, ObjectMeta) 
 func rotChunk(t *testing.T, b *Broker, meta ObjectMeta, s, i int) {
 	t.Helper()
 	store, _ := b.Registry().Store(meta.Chunks[i])
-	data, err := store.Get(ctx, meta.chunkKey(s, i))
+	stored, err := store.Get(ctx, meta.chunkKey(s, i))
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := bytes.Clone(stored) // Get's result is read-only
 	data[len(data)/2] ^= 0x10
 	if err := store.Put(ctx, meta.chunkKey(s, i), data); err != nil {
 		t.Fatal(err)

@@ -218,7 +218,8 @@ type Broker struct {
 	bufSem            chan struct{}
 	readBuf, writeBuf bufGauge
 	// joinBufs recycles the buffers fetched stripes are decoded into: a
-	// streaming read hands each back with the stripe's budget slot.
+	// streaming read hands each back with the stripe's budget slot, repair
+	// and verification as soon as the stripe has passed its sum.
 	joinBufs sync.Pool
 
 	// now is the wall-clock source for multipart-session idle tracking.

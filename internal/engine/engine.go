@@ -203,19 +203,22 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 // precondition, a version that changed under a background copy) or stores
 // the new row and returns it (nil for a tombstone). Still under the lock
 // — commits of one key index in the order they commit — the provider
-// index is brought in line with the stored row, and a deleted object's
-// decision-period controller and noted rot are let go. Then, the lock
-// released, the change replicates to every other datacenter, so
-// read-your-writes holds on every path — foreground or background, with
-// or without a front-end; replicate is false only for a batch of commits
-// that replicates once at its end. Last, if the stored row carries
-// another UUID than the one it replaced (or is a tombstone), the
-// superseded version goes to the reaper (reaper.retire): only after
-// replication, so no datacenter is left serving a row whose chunks are
-// going, and without waiting for a single provider — its chunks are
-// deleted in the background once no reader pins them. Past the backlog
-// bound the committer reaps before it returns. cur is the version write
-// was shown (nil = absent).
+// index is brought in line with the stored row, a deleted object's
+// decision-period controller and noted rot are let go, and the change
+// replicates to every other datacenter, so read-your-writes holds on
+// every path — foreground or background, with or without a front-end;
+// replicate is false only for a batch of commits that replicates once at
+// its end. The lock covers the replication because a row's next writer,
+// in whichever datacenter, must be shown this version as cur: its write
+// dominates every head its node holds, seen or not, so a version arriving
+// between its read and its write would vanish with nobody to retire it.
+// Last, the lock released, if the stored row carries another UUID than
+// the one it replaced (or is a tombstone), the superseded version goes to
+// the reaper (reaper.retire): only after replication, so no datacenter is
+// left serving a row whose chunks are going, and without waiting for a
+// single provider — its chunks are deleted in the background once no
+// reader pins them. Past the backlog bound the committer reaps before it
+// returns. cur is the version write was shown (nil = absent).
 func (e *Engine) publish(container, key string, replicate bool, write func(cur *ObjectMeta, ts int64) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
 	row := RowKey(container, key)
 	lk := e.b.rowLock(row)
@@ -233,12 +236,12 @@ func (e *Engine) publish(container, key string, replicate bool, write func(cur *
 		delete(e.b.rot, obj)
 		e.b.mu.Unlock()
 	}
+	if err == nil && replicate {
+		e.b.replicate()
+	}
 	lk.Unlock()
 	if err != nil {
 		return cur, err
-	}
-	if replicate {
-		e.b.replicate()
 	}
 	if r := e.b.reaper; cur != nil && (stored == nil || stored.UUID != cur.UUID) && r.retire(*cur) {
 		r.reap()
@@ -280,8 +283,9 @@ func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) error {
 
 // liveRow reads a row's winning version from the engine's datacenter
 // node. The read collapses an MVCC conflict it finds, and the versions
-// that lost are retired here (Fig. 10): handing them to the reaper costs
-// no provider call, so this may run under the row lock.
+// that lost are retired here (Fig. 10) — also when the winner is a
+// tombstone and the row reads as not found: handing them to the reaper
+// costs no provider call, so this may run under the row lock.
 func (e *Engine) liveRow(row string) (metadata.Version, error) {
 	v, losers, err := e.b.meta.Store(e.dc).Get(row)
 	for _, l := range losers {
@@ -381,11 +385,26 @@ func (e *Engine) Get(ctx context.Context, container, key string) ([]byte, Object
 		return nil, ObjectMeta{}, err
 	}
 	defer rc.Close()
-	data, err := io.ReadAll(rc)
+	data, err := ReadSized(rc, meta.Size)
 	if err != nil {
 		return nil, ObjectMeta{}, err
 	}
 	return data, meta, nil
+}
+
+// ReadSized buffers a body of known length — an object's Size, a
+// response's Content-Length — in one allocation of that size, where
+// io.ReadAll doubles its way to several times the body. A body that ends
+// short fails with io.ErrUnexpectedEOF; a negative size means unknown.
+func ReadSized(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // GetReader serves an object as a stream. Each stripe is consulted in
@@ -407,11 +426,7 @@ func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadC
 		if err != nil {
 			return nil, ObjectMeta{}, err
 		}
-		// The read event is logged by the reader itself once the stream
-		// completes (or with the bytes actually delivered, on early Close),
-		// so aborted downloads do not inflate the statistics that drive
-		// placement.
-		or, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, true)
+		or, err := e.openObjectRange(ctx, meta, 0, meta.Size, true)
 		if errors.Is(err, errSuperseded) {
 			continue // a commit got in before the pin: read what it stored
 		}
@@ -446,22 +461,14 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 		if length >= 0 && length < n {
 			n = length
 		}
-		span := meta.stripeSpan()
-		start := int(offset / span)
-		end := int((offset + n - 1) / span)
-		or, err := e.openObjectRange(ctx, meta, start, end, true)
+		or, err := e.openObjectRange(ctx, meta, offset, n, true)
 		if errors.Is(err, errSuperseded) {
 			continue // as in GetReader; the new version has its own size
 		}
 		if err != nil {
 			return nil, ObjectMeta{}, err
 		}
-		// Discard the lead-in of the first stripe — the eager open already
-		// decoded it — and keep it out of the read statistics: only bytes
-		// the client can actually receive drive placement.
-		or.cur = or.cur[offset-int64(start)*span:]
-		or.fetched = int64(len(or.cur))
-		return &rangeReader{or: or, remaining: n}, meta, nil
+		return or, meta, nil
 	}
 }
 

@@ -352,7 +352,7 @@ func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 // The commit retires the source version; its chunks go once the source
 // stream, which pins it like any reader, is closed.
 func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement) error {
-	src, err := e.openObjectRange(ctx, meta, 0, meta.StripeCount()-1, false)
+	src, err := e.openObjectRange(ctx, meta, 0, meta.Size, false)
 	if err != nil {
 		return fmt.Errorf("engine: migrate read: %w", err)
 	}
@@ -432,7 +432,7 @@ func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reach
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, l.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) {
-				_, chunks, g, err := e.fetch(ctx, l, s, order, len(order), nil)
+				chunks, g, err := e.fetchChunks(ctx, l, s, order, len(order))
 				if ctx.Err() == nil {
 					got[s] = g
 				}

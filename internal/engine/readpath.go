@@ -19,14 +19,21 @@ import (
 // (user-facing reads only) writes it back to the cache. That per-stripe
 // verification is the read's whole integrity check: it holds for ranged
 // and multipart reads alike, and it runs before a stripe's first byte is
-// handed out — no hash over the whole object follows it. The stream is a stripePipe of
-// depth PrefetchStripes: while stripe s drains to the client, up to
-// PrefetchStripes following stripes are fetched and decoded
+// handed out — no hash over the whole object follows it. The stream is a
+// stripePipe of depth PrefetchStripes: while stripe s drains to the
+// client, up to PrefetchStripes following stripes are fetched and decoded
 // concurrently and handed over in order, so provider latency and decode
 // cost overlap with client consumption. Cancelling the request context
 // tears down every in-flight chunk fetch.
+//
+// Who owns a stripe's bytes (EXPERIMENTS.md "The read path" has the whole
+// chain): provider chunks and cache hits are lent to the reader read-only
+// and are never written by their owners again; only the join buffer a
+// fetched stripe was decoded into is the reader's, for as long as it
+// holds the stripe's budget slot. Each stripe moves once on the way out:
+// copied by Read, or handed to the caller's Writer as it lies by WriteTo.
 
-// objectReader streams the stripes [start, end] of a stored object.
+// objectReader streams a byte range of a stored object, stripe by stripe.
 type objectReader struct {
 	e    *Engine
 	meta ObjectMeta
@@ -49,17 +56,16 @@ type objectReader struct {
 	// (migration) do neither.
 	userRead bool
 
-	start, end int // inclusive stripe range
+	start int // first stripe of the range
+	pipe  *stripePipe
 
-	pipe *stripePipe
-
-	cur     []byte // decoded, unconsumed bytes of the current stripe
-	curSlot bool   // cur holds a stripe slot of the broker read budget
-	curBuf  []byte // the fetched stripe cur is what is left of; recycled with the slot
-	fetched int64  // payload bytes delivered so far
-	logged  bool   // read event emitted
-	pinned  bool   // holds a reader pin on meta.UUID
-	err     error  // sticky terminal state (io.EOF after full drain)
+	cur     []byte  // decoded, undelivered bytes of the current stripe
+	curSlot bool    // cur holds a stripe slot of the broker read budget
+	curBuf  []byte  // the fetched stripe cur is what is left of; recycled with the slot
+	tail    [1]byte // where WriteTo keeps a stream's last byte once its join buffer is gone
+	left    int64   // bytes still due to the caller; the stream ends behind the last one
+	fetched int64   // payload bytes delivered so far
+	err     error   // terminal state, set once by finish (io.EOF after full drain)
 }
 
 // readVia is one chunk->provider map of a version and its ranking:
@@ -88,11 +94,11 @@ func (e *Engine) readViaOf(meta ObjectMeta) (*readVia, error) {
 // that replaced it; a migration gives the object up.
 var errSuperseded = errors.New("engine: version superseded before the read pinned it")
 
-// openObjectRange builds the stripe stream for stripes [start, end] and
-// takes the first stripe before returning, so placement and
-// availability errors surface at open rather than mid-stream. userRead
-// selects client-read semantics: stripe-cache fill and a read
-// statistics event when the stream completes.
+// openObjectRange builds the stream of the n bytes at offset (a range
+// inside the object) over the stripes they lie in, and takes the first
+// stripe before returning, so placement and availability errors surface
+// at open rather than mid-stream. userRead selects client-read semantics:
+// stripe-cache fill and a read statistics event when the stream ends.
 //
 // Every stream pins meta's version against the reaper until it is
 // drained or closed. Pin first, then look at the row again: a version is
@@ -100,34 +106,35 @@ var errSuperseded = errors.New("engine: version superseded before the read pinne
 // replicated, so if the row still names this UUID the pin precedes the
 // retirement and the reaper will see it; if the row has moved, the pin
 // may have come too late and the open fails with errSuperseded.
-func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, start, end int, userRead bool) (*objectReader, error) {
+func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n int64, userRead bool) (*objectReader, error) {
 	via, err := e.readViaOf(meta)
 	if err != nil {
 		return nil, err
 	}
-	obj := objectName(meta.Container, meta.Key)
+	obj, span := objectName(meta.Container, meta.Key), meta.stripeSpan()
 	or := &objectReader{
 		e: e, meta: meta, obj: obj, cacheID: stripeCacheID(obj, meta.UUID),
-		userRead: userRead, start: start, end: end, pinned: true,
+		userRead: userRead, start: int(offset / span), left: n,
 	}
 	or.via.Store(via)
 	e.b.reaper.pin(meta.UUID)
 	if v, err := e.liveRow(RowKey(meta.Container, meta.Key)); err != nil || v.UUID != meta.UUID {
-		or.unpin()
+		e.b.reaper.unpin(meta.UUID)
 		return nil, errSuperseded
 	}
 	// The first stripe is taken alone, inline on the caller's goroutine,
 	// so a failing open has fetched one stripe, not PrefetchStripes more;
 	// read-ahead starts once it is in hand.
-	or.pipe = e.b.newStripePipe(ctx, &e.b.readBuf, 1, start, end+1,
+	or.pipe = e.b.newStripePipe(ctx, &e.b.readBuf, 1, or.start, int((offset+max(n, 1)-1)/span)+1,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) { return or.produce(ctx, s) }, nil
 		})
 	if err := or.advance(); err != nil {
 		or.pipe.close()
-		or.unpin()
+		e.b.reaper.unpin(meta.UUID)
 		return nil, err
 	}
+	or.cur = or.cur[offset-int64(or.start)*span:] // the first stripe's lead-in is not the caller's
 	or.pipe.readAhead(e.b.cfg.PrefetchStripes)
 	return or, nil
 }
@@ -144,7 +151,7 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 	if data, ok := e.b.caches.GetStripe(e.dc, or.cacheID, s); ok {
 		e.b.metrics.readCached.Inc()
 		obs.TraceFrom(ctx).Count("stripes_cached", 1)
-		return stripeOut{data: data, cached: true}, nil
+		return stripeOut{data: data}, nil
 	}
 	via := or.via.Load()
 	buf, _ := e.b.joinBufs.Get().([]byte)
@@ -196,17 +203,11 @@ func (or *objectReader) refresh(stale *readVia) *readVia {
 // stripeCacheID builds the stripe-cache identity of one object version.
 func stripeCacheID(obj, uuid string) string { return obj + "\x00" + uuid }
 
-// advance drops the drained stripe and takes the next one off the pipe.
-// At the end of the range it logs the read and returns io.EOF.
+// advance drops the drained stripe and takes the next one off the pipe;
+// io.EOF past the last.
 func (or *objectReader) advance() error {
 	or.releaseCur()
 	s, out, err := or.pipe.take()
-	if err == io.EOF {
-		or.logRead()
-		or.pipe.close()
-		or.unpin()
-		return io.EOF
-	}
 	if err != nil {
 		return err
 	}
@@ -217,33 +218,101 @@ func (or *objectReader) advance() error {
 	if out.slot {
 		or.curBuf = out.data
 	}
-	or.fetched += int64(len(or.cur))
 	return nil
+}
+
+// pending returns the bytes of the current stripe that are due to the
+// caller — of the next stripe once the current one is drained — or the
+// stream's terminal state.
+func (or *objectReader) pending() ([]byte, error) {
+	for len(or.cur) == 0 && or.err == nil {
+		if err := or.advance(); err != nil {
+			or.finish(err)
+		}
+	}
+	if or.err != nil {
+		return nil, or.err
+	}
+	return or.cur[:min(int64(len(or.cur)), or.left)], nil
+}
+
+// consume marks the first n pending bytes delivered. Behind the last byte
+// due the stream is over: a ranged read stops fetching stripes nobody will
+// read, and what is left of its last stripe never counts as read.
+func (or *objectReader) consume(n int) {
+	or.cur = or.cur[n:]
+	or.fetched += int64(n)
+	if or.left -= int64(n); or.left == 0 {
+		or.finish(io.EOF)
+	} else if len(or.cur) == 0 {
+		or.releaseCur()
+	}
 }
 
 // Read implements io.Reader.
 func (or *objectReader) Read(p []byte) (int, error) {
-	for len(or.cur) == 0 {
-		if or.err == nil {
-			or.err = or.advance()
-		}
-		if or.err != nil {
-			return 0, or.err
-		}
+	pending, err := or.pending()
+	if err != nil {
+		return 0, err
 	}
-	n := copy(p, or.cur)
-	or.cur = or.cur[n:]
-	if len(or.cur) == 0 {
-		or.releaseCur()
-	}
+	n := copy(p, pending)
+	or.consume(n)
 	return n, nil
+}
+
+// maxWrite bounds one Write of WriteTo. A cached 256 KiB stripe still goes
+// out whole; a 4 MiB stripe goes out in sixteen pieces, because a socket
+// is locked for as long as one write copies into it and the peer's ACKs
+// queue up behind the lock: with one 4 MiB Write per stripe, loopback TCP
+// ran five times the SACK recoveries per run that it runs with 32 KiB or
+// 256 KiB writes, at the same throughput; at 64 KiB the kernel's copy
+// cost doubles (EXPERIMENTS.md, "Move each byte once", has the counters).
+const maxWrite = 256 << 10
+
+// WriteTo implements io.WriterTo, which io.Copy prefers to Read: each
+// stripe reaches w straight from where its bytes live, through no transfer
+// buffer, in Writes of up to maxWrite. w must not keep the slice, as
+// io.Writer says.
+// Only the stream's last byte, when a join buffer holds it, is moved out
+// (into tail) and gets a Write of its own, after the slot went back: a
+// client that has the whole body — a test, the benchmark's resting-state
+// check — finds the read budget settled, as it did when Read copied every
+// stripe out ahead of its Write.
+func (or *objectReader) WriteTo(w io.Writer) (total int64, err error) {
+	for {
+		pending, err := or.pending()
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return total, err
+		}
+		if or.curSlot && int64(len(pending)) == or.left && or.left > 1 {
+			pending = pending[:or.left-1]
+		}
+		pending = pending[:min(len(pending), maxWrite)]
+		n, err := w.Write(pending)
+		or.consume(n)
+		total += int64(n)
+		if or.curSlot && or.left == 1 {
+			or.tail[0] = or.cur[0]
+			or.cur = or.tail[:]
+			or.releaseCur()
+		}
+		if err == nil && n < len(pending) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return total, err
+		}
+	}
 }
 
 // releaseCur returns the current stripe's read-budget slot once its
 // bytes are gone (fully drained to the caller, or dropped at teardown),
-// and with it the stripe's join buffer: a fetched stripe is the reader's
-// alone — the stripe cache keeps a copy, Read copies out — so the next
-// fetch may decode into it.
+// and with it the stripe's join buffer: the stripe cache took a copy, Read
+// copies out and a Write has returned, so the next fetch may decode into
+// it. A cache hit holds neither.
 func (or *objectReader) releaseCur() {
 	if or.curSlot {
 		or.curSlot = false
@@ -253,76 +322,34 @@ func (or *objectReader) releaseCur() {
 	}
 }
 
-// Close implements io.Closer; further Reads fail. Closing cancels every
-// in-flight chunk fetch and returns the budget slots of stripes fetched
-// ahead. A stream closed before draining logs the bytes actually
-// delivered, not the full size.
-func (or *objectReader) Close() error {
-	if or.err == nil {
-		or.err = errors.New("engine: object stream closed")
+// finish ends the stream in state err, once: it cancels every in-flight
+// chunk fetch, returns the budget slots of the current stripe and of those
+// fetched ahead, releases the stream's pin on its version — no fetch is in
+// flight any more and none will start — and, for a user-facing stream,
+// emits the read statistics event with the payload bytes actually
+// delivered: an aborted download must not inflate the access statistics
+// that drive placement.
+func (or *objectReader) finish(err error) {
+	if or.err != nil {
+		return
 	}
+	or.err = err
 	or.cur = nil
 	or.releaseCur()
 	or.pipe.close()
-	or.unpin()
-	or.logRead()
+	e, meta := or.e, or.meta
+	e.b.reaper.unpin(meta.UUID)
+	if or.userRead {
+		e.agent.Log(stats.Event{
+			Object: or.obj, Class: meta.Class,
+			Kind: stats.EventRead, Bytes: or.fetched, StorageBytes: meta.Size,
+			Period: e.b.clock.Period(),
+		})
+	}
+}
+
+// Close implements io.Closer; further Reads fail.
+func (or *objectReader) Close() error {
+	or.finish(errors.New("engine: object stream closed"))
 	return nil
 }
-
-// unpin releases the stream's hold on its version, once: no fetch of the
-// stream is in flight any more (the pipe is closed) and none will start.
-func (or *objectReader) unpin() {
-	if or.pinned {
-		or.pinned = false
-		or.e.b.reaper.unpin(or.meta.UUID)
-	}
-}
-
-// logRead emits the read statistics event exactly once per user-facing
-// stream, with the payload bytes that were actually delivered — an
-// aborted download must not inflate the access statistics that drive
-// placement.
-func (or *objectReader) logRead() {
-	if !or.userRead || or.logged {
-		return
-	}
-	or.logged = true
-	e, meta := or.e, or.meta
-	e.agent.Log(stats.Event{
-		Object: or.obj, Class: meta.Class,
-		Kind: stats.EventRead, Bytes: or.fetched, StorageBytes: meta.Size,
-		Period: e.b.clock.Period(),
-	})
-}
-
-// rangeReader caps an objectReader at the requested byte length and
-// tears the stream down as soon as the range is fully served, so the
-// pipe does not keep fetching stripes nobody will read.
-type rangeReader struct {
-	or        *objectReader
-	remaining int64
-}
-
-func (r *rangeReader) Read(p []byte) (int, error) {
-	if r.remaining <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > r.remaining {
-		p = p[:r.remaining]
-	}
-	n, err := r.or.Read(p)
-	r.remaining -= int64(n)
-	if r.remaining == 0 {
-		// The undelivered tail of the last stripe must not count toward
-		// the read statistics; Close below emits the event.
-		r.or.fetched -= int64(len(r.or.cur))
-		r.or.cur = nil
-		r.or.Close() //nolint:errcheck
-		if err == nil || errors.Is(err, io.EOF) {
-			err = nil
-		}
-	}
-	return n, err
-}
-
-func (r *rangeReader) Close() error { return r.or.Close() }

@@ -96,6 +96,73 @@ func TestHeldStreamSurvivesOverwrite(t *testing.T) {
 	}
 }
 
+// TestHeldHitSurvivesEvictionAndOverwrite: a cache hit is the cached slice
+// itself, lent to the stream. A stream that holds hits — the stripe it is
+// draining and the ones read ahead — while the object is overwritten (its
+// cached stripes invalidated) and other reads push the cache past its
+// capacity (evicted, their room refilled) still delivers the version it
+// was opened on: the cache drops references, it never writes the bytes.
+func TestHeldHitSurvivesEvictionAndOverwrite(t *testing.T) {
+	const stripe = 1024
+	b := newTestBroker(t, Config{StripeBytes: stripe, CacheBytes: 10 * stripe, PrefetchStripes: 2})
+	e := b.Engine(0)
+	old := testPayload(8 * stripe)
+	if _, err := e.Put(ctx, "c", "obj", old, PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Get(ctx, "c", "obj"); err != nil { // fill
+		t.Fatal(err)
+	}
+	fetched := b.ReadStats().StripesFetched
+
+	rc, _, err := e.GetReader(ctx, "c", "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	got := make([]byte, len(old))
+	if _, err := io.ReadFull(rc, got[:stripe+stripe/2]); err != nil { // half a borrowed stripe in hand
+		t.Fatal(err)
+	}
+	if rs := b.ReadStats(); rs.StripesFetched != fetched {
+		t.Fatalf("a stream over a fully cached object fetched %d stripes", rs.StripesFetched-fetched)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key := fmt.Sprintf("other%d", w)
+			if w == 0 {
+				key = "obj" // the overwrite
+			}
+			fill := bytes.Repeat([]byte{byte('A' + w)}, 8*stripe)
+			if _, err := e.Put(ctx, "c", key, fill, PutOptions{}); err != nil {
+				t.Error(err)
+			}
+			if data, _, err := e.Get(ctx, "c", key); err != nil || !bytes.Equal(data, fill) {
+				t.Errorf("%s: %d bytes, %v", key, len(data), err)
+			}
+		}(w)
+	}
+	// The stream drains while the cache churns under it.
+	if _, err := io.ReadFull(rc, got[stripe+stripe/2:]); err != nil {
+		t.Fatalf("stream cut off: %v", err)
+	}
+	wg.Wait()
+	if !bytes.Equal(got, old) {
+		t.Fatal("the held stream did not deliver the version it was opened on")
+	}
+	if cs := b.Caches().Stats(); cs.Evictions == 0 {
+		t.Fatalf("scenario expects evictions: %+v", cs)
+	}
+	rc.Close()
+	if rs := b.ReadStats(); rs.CorruptChunks != 0 || rs.BufferedStripes != 0 {
+		t.Fatalf("%d chunks failed their sum, %d budget slots held after Close", rs.CorruptChunks, rs.BufferedStripes)
+	}
+}
+
 // TestHeldStreamSurvivesSwapThenOutage: a stream ranks its providers once,
 // at open. A swap repair that lands mid-stream keeps the version (and the
 // stream's pin) but moves a chunk, so when one more provider of the old
@@ -230,6 +297,9 @@ func TestHeldStreamsThroughRepairChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	t.Logf("%d reads over %d outage rounds", reads.Load(), rounds)
+	if n := b.ReadStats().CorruptChunks; n != 0 {
+		t.Errorf("%d chunks failed their sum: somebody wrote to bytes it had borrowed", n)
+	}
 
 	for i := range payloads {
 		if n, err := b.Engine(0).VerifyObject(ctx, "bk", fmt.Sprintf("o%d", i)); err != nil || n != 3 {
@@ -395,6 +465,47 @@ func TestSharedKeyHammer(t *testing.T) {
 	}
 	if used != live {
 		t.Errorf("providers hold %d bytes at rest, the live versions account for %d", used, live)
+	}
+	if r := b.Retired(); r != (RetiredStats{}) || b.PendingDeletes() != 0 {
+		t.Errorf("at rest: %+v, %d postponed deletes", r, b.PendingDeletes())
+	}
+	if n := b.ReadStats().CorruptChunks; n != 0 {
+		t.Errorf("%d chunks failed their sum: somebody wrote to bytes it had borrowed", n)
+	}
+}
+
+// TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans: a delete in
+// one datacenter that wins against an overwrite in the other hides a live
+// version nobody retired. The read that resolves the conflict must hand
+// it to the reaper, or its chunks stay at the providers for good.
+func TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans(t *testing.T) {
+	b := newTestBroker(t, Config{Datacenters: []string{"dc1", "dc2"}, EnginesPerDC: 1})
+	e1, e2 := b.Engine(0), b.Engine(1)
+	if _, err := e1.Put(ctx, "c", "k", bytes.Repeat([]byte{1}, 4096), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b.Metadata().Partition("dc1", "dc2")
+	if _, err := e1.Put(ctx, "c", "k", bytes.Repeat([]byte{2}, 4096), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Delete(ctx, "c", "k"); err != nil {
+		t.Fatal(err)
+	}
+	b.Metadata().Heal("dc1", "dc2")
+	b.FlushStats()
+
+	for _, e := range []*Engine{e1, e2} {
+		if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {
+			t.Fatalf("%s: Get = %v, want the delete to have won", e.Datacenter(), err)
+		}
+	}
+	b.ProcessPendingDeletes(ctx)
+	var used int64
+	for _, s := range b.Registry().Snapshot() {
+		used += s.UsedBytes()
+	}
+	if used != 0 {
+		t.Errorf("providers hold %d bytes of an object both datacenters report deleted", used)
 	}
 	if r := b.Retired(); r != (RetiredStats{}) || b.PendingDeletes() != 0 {
 		t.Errorf("at rest: %+v, %d postponed deletes", r, b.PendingDeletes())

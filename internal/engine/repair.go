@@ -223,7 +223,7 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 // written: a swap keeps the sums, so a replacement that does not match
 // would be rot written by the repair itself.
 func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error) {
-	_, chunks, _, err := e.fetch(ctx, sw.src, s, sw.order, sw.meta.M, nil)
+	chunks, _, err := e.fetchChunks(ctx, sw.src, s, sw.order, sw.meta.M)
 	if err == nil {
 		err = sw.src.coder.Reconstruct(chunks) // the parity slots the fetch left out
 	}

@@ -124,6 +124,18 @@ func (l *stripeLayout) rank(objectBytes int64, skip []int) ([]int, error) {
 	return order, nil
 }
 
+// fetchChunks is fetch for the callers that want the chunk set and not
+// the payload (repair, verification): the stripe is decoded and checked
+// in a recycled join buffer, which goes straight back.
+func (e *Engine) fetchChunks(ctx context.Context, l *stripeLayout, s int, order []int, want int) ([][]byte, int, error) {
+	buf, _ := e.b.joinBufs.Get().([]byte)
+	payload, chunks, got, err := e.fetch(ctx, l, s, order, want, buf)
+	if payload != nil {
+		e.b.joinBufs.Put(payload) //nolint:staticcheck // as in releaseCur
+	}
+	return chunks, got, err
+}
+
 // fetch reads stripe s: it retrieves chunks along the ranked candidate
 // order until it holds want of them that pass their stored CRC-32C,
 // decodes the stripe and checks the payload against its own sum — rotted
@@ -316,9 +328,8 @@ func (e *Engine) dropChunks(l *stripeLayout, upto int, slots []int, safe func(sl
 // that still holds its stripe's budget slot (a fetched stripe waiting
 // to drain to the client); whoever drops it must release the slot.
 type stripeOut struct {
-	data   []byte
-	cached bool
-	slot   bool
+	data []byte
+	slot bool
 }
 
 // stripeTask is one admitted stripe of a pipe.

@@ -71,9 +71,9 @@ func (c *Cluster) Put(node, row string, v Version) error {
 		return err
 	}
 	// Replicate the post-write head set (the version as causally stamped
-	// by the source node).
+	// by the source node), a tombstone like any other version.
 	heads, err := src.Heads(row)
-	if err != nil && err != ErrRowNotFound {
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -84,14 +84,6 @@ func (c *Cluster) Put(node, row string, v Version) error {
 		for _, h := range heads {
 			c.queues[src.Node()][dst.Node()] = append(c.queues[src.Node()][dst.Node()],
 				replEvent{row: row, v: h})
-		}
-		if len(heads) == 0 { // tombstone write
-			if hs := src.dump()[row]; hs != nil {
-				for _, h := range hs {
-					c.queues[src.Node()][dst.Node()] = append(c.queues[src.Node()][dst.Node()],
-						replEvent{row: row, v: h})
-				}
-			}
 		}
 	}
 	c.mu.Unlock()

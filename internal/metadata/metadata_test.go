@@ -248,6 +248,36 @@ func TestClusterConcurrentWriteConflictFreshestWins(t *testing.T) {
 	}
 }
 
+func TestClusterTombstoneWinnerReportsLiveLoser(t *testing.T) {
+	// A delete in one datacenter races an overwrite in the other and wins
+	// on timestamp: the row is gone, but the overwrite's version is the
+	// only record of chunks somebody must still collect.
+	c, dc1, dc2 := twoDC()
+	c.Put("dc1", "r", ver("live", 100, map[string]string{"v": "live"}))
+	c.Put("dc2", "r", Version{UUID: "tomb", Timestamp: 200, Deleted: true})
+	c.Flush()
+
+	for _, s := range []*Store{dc1, dc2} {
+		if heads, err := s.Heads("r"); err != nil || len(heads) != 2 || !heads[0].Deleted {
+			t.Fatalf("%s: heads = %+v, %v, want the tombstone ahead of the version it hides", s.Node(), heads, err)
+		}
+		_, losers, err := s.Get("r")
+		if !errors.Is(err, ErrRowNotFound) {
+			t.Fatalf("%s: err = %v, want ErrRowNotFound", s.Node(), err)
+		}
+		if len(losers) != 1 || losers[0].UUID != "live" || losers[0].Columns["v"] != "live" {
+			t.Fatalf("%s: losers = %+v, want the live version", s.Node(), losers)
+		}
+		// Collapsed for good: a second read has nothing left to report.
+		if _, losers, err := s.Get("r"); !errors.Is(err, ErrRowNotFound) || len(losers) != 0 {
+			t.Fatalf("%s: second Get = %+v, %v", s.Node(), losers, err)
+		}
+		if heads, err := s.Heads("r"); err != nil || len(heads) != 1 || !heads[0].Deleted {
+			t.Fatalf("%s: heads after collapse = %+v, %v, want the tombstone alone", s.Node(), heads, err)
+		}
+	}
+}
+
 func TestClusterResolutionConverges(t *testing.T) {
 	c, dc1, dc2 := twoDC()
 	c.Put("dc1", "r", ver("a", 100, nil))

@@ -131,8 +131,7 @@ func (s *Store) merge(row string, v Version) error {
 }
 
 // Heads returns all current (mutually concurrent) versions of a row,
-// newest first. A single head means no conflict. Tombstoned rows with a
-// single deleted head report ErrRowNotFound.
+// tombstones included, newest first. A single head means no conflict.
 func (s *Store) Heads(row string) ([]Version, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -148,39 +147,40 @@ func (s *Store) Heads(row string) ([]Version, error) {
 		out[i] = h.Clone()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Newer(out[j]) })
-	if out[0].Deleted {
-		return nil, ErrRowNotFound
-	}
 	return out, nil
 }
 
 // Get returns the winning version of a row, resolving any conflict by
 // freshest timestamp, plus the deprecated versions the caller must
 // garbage-collect (delete chunks at providers and drop statistics; the
-// paper's Fig. 10 procedure). The losing versions are removed.
+// paper's Fig. 10 procedure). The losing versions are removed. A
+// tombstone wins like any other version: the row reports ErrRowNotFound,
+// and the losers — the only record left of the live versions the delete
+// raced — are still returned.
 func (s *Store) Get(row string) (Version, []Version, error) {
 	heads, err := s.Heads(row)
 	if err != nil {
 		return Version{}, nil, err
 	}
-	if len(heads) == 1 {
-		return heads[0], nil, nil
-	}
-	winner := heads[0]
-	losers := heads[1:]
-	// Collapse the row to the winner; its clock absorbs the losers' so
-	// replication converges.
-	s.mu.Lock()
-	if !s.down {
-		merged := winner.Clone()
-		for _, l := range losers {
-			merged.Clock.Merge(l.Clock)
+	winner, losers := heads[0], heads[1:]
+	if len(losers) > 0 {
+		// Collapse the row to the winner; its clock absorbs the losers' so
+		// replication converges.
+		s.mu.Lock()
+		if !s.down {
+			merged := winner.Clone()
+			for _, l := range losers {
+				merged.Clock.Merge(l.Clock)
+			}
+			merged.Clock.Tick(s.node)
+			s.rows[row] = []Version{merged}
+			winner = merged
 		}
-		merged.Clock.Tick(s.node)
-		s.rows[row] = []Version{merged}
-		winner = merged
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
+	if winner.Deleted {
+		return Version{}, losers, ErrRowNotFound
+	}
 	return winner, losers, nil
 }
 

@@ -305,7 +305,7 @@ func (h Helpers) Get(ctx context.Context, container, key string) ([]byte, Object
 		return nil, ObjectMeta{}, err
 	}
 	defer rc.Close()
-	data, err := io.ReadAll(rc)
+	data, err := engine.ReadSized(rc, meta.Size)
 	if err != nil {
 		return nil, ObjectMeta{}, err
 	}
