@@ -476,10 +476,11 @@ func slowRegistry(delay time.Duration) *cloud.Registry {
 // BenchmarkGetLargeObject measures the streaming GET of an 8-stripe,
 // m=4 object against providers with a simulated per-fetch round-trip:
 // the sequential seed path (one chunk at a time, no read-ahead) vs the
-// parallel chunk fan-out with stripe prefetch, vs a stripe-cache hit.
-// The acceptance bar for the read-path rebuild is parallel-prefetch
-// >= 2x faster than sequential; the bench-gate CI job watches all
-// three for regressions.
+// parallel chunk fan-out with stripe prefetch, vs a stripe-cache hit —
+// and, with the round-trip taken away, what the broker's own CPU makes
+// of a large GET (cpu-bound). The acceptance bar for the read-path
+// rebuild is parallel-prefetch >= 2x faster than sequential; the
+// bench-gate CI job watches all four for regressions.
 func BenchmarkGetLargeObject(b *testing.B) {
 	const (
 		stripeBytes  = 256 << 10
@@ -529,6 +530,45 @@ func BenchmarkGetLargeObject(b *testing.B) {
 	})
 	b.Run("stripe-cached", func(b *testing.B) {
 		run(b, engine.Config{CacheBytes: 64 << 20}, true)
+	})
+	// The other end of the same path: no provider latency to hide behind,
+	// so what is left of a GET is checksums, the decode and copies — the
+	// bench/ large-local shape (8 MiB, paper Rule 3, two default stripes,
+	// streamed, not buffered). Its decode must be a join: the data chunks
+	// sit on the m providers the read asks, so B/op stays far below one
+	// reconstructed chunk (1 MiB).
+	b.Run("cpu-bound", func(b *testing.B) {
+		br := engine.NewBroker(engine.Config{}) // the paper's five providers, no latency
+		b.Cleanup(br.Close)
+		e := br.Engine(0)
+		big := make([]byte, 8<<20)
+		for i := range big {
+			big[i] = byte(i)
+		}
+		if _, err := e.Put(bgctx, "big", "blob", big, engine.PutOptions{Rule: &core.PaperRules()[2]}); err != nil {
+			b.Fatal(err)
+		}
+		get := func() {
+			rc, _, err := e.GetReader(bgctx, "big", "blob")
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := io.Copy(io.Discard, rc)
+			rc.Close()
+			if err != nil || n != int64(len(big)) {
+				b.Fatalf("get: %v (%d bytes)", err, n)
+			}
+		}
+		get() // the two recycled join buffers are allocated once, not per op
+		b.SetBytes(int64(len(big)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get()
+		}
+		if n := br.ReadStats().StripesReconstructed; n != 0 {
+			b.Fatalf("%d stripes of a healthy read were reconstructed", n)
+		}
 	})
 }
 
@@ -801,11 +841,17 @@ func BenchmarkRepairAffected(b *testing.B) {
 }
 
 // BenchmarkReoptimizeEvent measures reacting to one market event (a
-// pricing change on a provider carrying data): the event-driven path
-// drains exactly the invalidated objects from the maintenance queue.
-// The two pricing sheets differ by a hair so the re-plan keeps every
-// placement put — isolating invalidation + re-plan cost from migration
-// traffic.
+// pricing change on a provider carrying data), two ways. event-drain is
+// the event-driven path: it re-plans exactly the invalidated objects off
+// the maintenance queue (objects-replanned/op — here all 512, every
+// object holds a chunk on the victim). full-pass is the only other
+// answer the broker has, the periodic Optimize: with every object read
+// since the last round it scans all 512 (objects-scanned/op) and
+// re-plans the ones its trend gate admits, so what it costs per event
+// is a walk of the accessed set, and what it leaves on the stale price
+// sheet is scanned minus re-planned. The two pricing sheets differ by a
+// hair so the re-plan keeps every placement put — isolating invalidation
+// + re-plan cost from migration traffic.
 func BenchmarkReoptimizeEvent(b *testing.B) {
 	sheets := []cloud.Pricing{
 		{StorageGBMonth: 0.100, BandwidthInGB: 0.10, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
@@ -823,5 +869,35 @@ func BenchmarkReoptimizeEvent(b *testing.B) {
 			drained += int64(br.DrainMaintenance(bgctx))
 		}
 		b.ReportMetric(float64(drained)/float64(b.N), "objects-replanned/op")
+	})
+	b.Run("full-pass", func(b *testing.B) {
+		const objects = 512
+		br, clock := newBenchBroker(b, objects)
+		victim := br.ProviderIndex().ProviderNames()[0]
+		var scanned, replanned int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Optimize lists the objects accessed since its last round:
+			// give it all of them, off the clock.
+			b.StopTimer()
+			clock.Advance(1)
+			for k := 0; k < objects; k++ {
+				if _, _, err := br.Engine(0).Get(bgctx, "c", fmt.Sprintf("k%d", k)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			if _, err := br.Registry().UpdatePricing(victim, sheets[i%2]); err != nil {
+				b.Fatal(err)
+			}
+			rep, err := br.Optimize(bgctx)
+			if err != nil || rep.Scanned != objects {
+				b.Fatalf("optimize: %v (%+v)", err, rep)
+			}
+			scanned += int64(rep.Scanned)
+			replanned += int64(rep.Recomputed)
+		}
+		b.ReportMetric(float64(scanned)/float64(b.N), "objects-scanned/op")
+		b.ReportMetric(float64(replanned)/float64(b.N), "objects-replanned/op")
 	})
 }

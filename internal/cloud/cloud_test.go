@@ -326,15 +326,20 @@ func TestRegistryTotals(t *testing.T) {
 	r := NewPaperRegistry()
 	for _, name := range []string{NameS3High, NameGoogle} {
 		s, _ := r.Store(name)
-		s.Put(ctx, "k", make([]byte, 1e9))
+		s.Put(ctx, "k", make([]byte, 1e6))
 	}
-	r.AccrueStorage(HoursPerMonth)
+	// 1 MB held for 1000 months is one GB-month per store: the sums
+	// below are the ones 1 GB for a month would give, without the 4 GB.
+	r.AccrueStorage(1000 * HoursPerMonth)
 	u := r.TotalUsage()
 	if math.Abs(u.StorageGBHours-2*HoursPerMonth) > 1e-6 {
 		t.Errorf("StorageGBHours = %v", u.StorageGBHours)
 	}
-	// 1 GB-month at S3(h)=0.14 + 1 at Ggl=0.17, plus 2 PUTs of 1GB in.
-	wantCost := 0.14 + 0.17 + 1*0.1 + 1*0.1 + 2.0/1000*0.01
+	if math.Abs(u.BandwidthInGB-2e-3) > 1e-12 || u.Ops != 2 {
+		t.Errorf("BandwidthInGB = %v, Ops = %d, want 0.002 and 2", u.BandwidthInGB, u.Ops)
+	}
+	// 1 GB-month at S3(h)=0.14 + 1 at Ggl=0.17, plus 2 PUTs of 1 MB in.
+	wantCost := 0.14 + 0.17 + 1e-3*0.1 + 1e-3*0.1 + 2.0/1000*0.01
 	if got := r.TotalCost(); math.Abs(got-wantCost) > 1e-9 {
 		t.Errorf("TotalCost = %v, want %v", got, wantCost)
 	}

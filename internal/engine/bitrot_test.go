@@ -240,7 +240,7 @@ func TestBitRotIsAnErasure(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					order, _ := l.rank(v.meta.Size, nil)
+					order, _ := l.rank(nil)
 					// The rotten slot: the cheapest data chunk, which every
 					// ranked read touches, or the parity chunk, touched only
 					// if its provider is among the m cheapest.

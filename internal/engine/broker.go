@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -303,6 +305,12 @@ type ReadPathStats struct {
 	// source: the stripe cache vs a provider chunk fan-out.
 	StripesFromCache int64 `json:"stripesFromCache"`
 	StripesFetched   int64 `json:"stripesFetched"`
+	// StripesReconstructed counts the fetched stripes that came back
+	// short of a data chunk, so the decode was a GF(2^8) reconstruct and
+	// not a join: degraded reads, and layouts whose data slots a swap or
+	// a price change moved off the cheapest-to-read providers. A healthy
+	// read adds 0.
+	StripesReconstructed int64 `json:"stripesReconstructed"`
 	// PrefetchedStripes counts stripes delivered by the background
 	// prefetcher rather than fetched on demand by a client Read.
 	PrefetchedStripes int64 `json:"prefetchedStripes"`
@@ -329,13 +337,14 @@ type ReadPathStats struct {
 // counters /metrics serves.
 func (b *Broker) ReadStats() ReadPathStats {
 	return ReadPathStats{
-		StripesFromCache:    b.metrics.readCached.Value(),
-		StripesFetched:      b.metrics.readFetched.Value(),
-		PrefetchedStripes:   b.metrics.readPrefetched.Value(),
-		FetchFallbacks:      b.metrics.readFallbacks.Value(),
-		CorruptChunks:       b.metrics.chunkSumFailures.Total(),
-		BufferedStripesPeak: b.readBuf.peak.Load(),
-		BufferedStripes:     b.readBuf.inUse.Load(),
+		StripesFromCache:     b.metrics.readCached.Value(),
+		StripesFetched:       b.metrics.readFetched.Value(),
+		StripesReconstructed: b.metrics.readReconstructed.Value(),
+		PrefetchedStripes:    b.metrics.readPrefetched.Value(),
+		FetchFallbacks:       b.metrics.readFallbacks.Value(),
+		CorruptChunks:        b.metrics.chunkSumFailures.Total(),
+		BufferedStripesPeak:  b.readBuf.peak.Load(),
+		BufferedStripes:      b.readBuf.inUse.Load(),
 	}
 }
 
@@ -587,11 +596,22 @@ func (b *Broker) livePlacement(m int, names []string) core.Placement {
 	return p
 }
 
-// slotNames returns a placement's provider names in slot order: chunk i
-// of every stripe goes to the i-th provider.
-func slotNames(p core.Placement) []string {
-	names := make([]string, len(p.Providers))
-	for i, spec := range p.Providers {
+// slotNames assigns a placement's providers to chunk slots (chunk i of
+// every stripe goes to the i-th name), cheapest to read first by the
+// readCost of a stripeLen-byte stripe. Slots 0..m-1 are the identity
+// rows of the systematic code, so the data chunks land on exactly the m
+// providers rank will ask and the parity on the ones it leaves out: a
+// healthy read is a join, with no Galois-field pass. Ties keep the
+// planner's order. A stored object is never re-slotted: when a swap or
+// a price change moves rank off its data slots it still reads correctly
+// (ReadPathStats.StripesReconstructed counts those stripes).
+func slotNames(p core.Placement, stripeLen int64) []string {
+	specs := slices.Clone(p.Providers)
+	slices.SortStableFunc(specs, func(a, b cloud.Spec) int {
+		return cmp.Compare(readCost(a.Pricing, stripeLen, p.M), readCost(b.Pricing, stripeLen, p.M))
+	})
+	names := make([]string, len(specs))
+	for i, spec := range specs {
 		names[i] = spec.Name
 	}
 	return names

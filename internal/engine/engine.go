@@ -172,7 +172,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 		Stripes:     stripeCount(size, e.b.cfg.StripeBytes),
 		StripeBytes: e.b.cfg.StripeBytes,
 	}
-	meta.Chunks = slotNames(res.Placement)
+	meta.Chunks = slotNames(res.Placement, meta.stripeLen(0))
 	l, err := e.layoutOf(meta)
 	if err != nil {
 		return ObjectMeta{}, err

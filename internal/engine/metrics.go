@@ -39,10 +39,11 @@ type brokerMetrics struct {
 
 	// Read-path counters. These are the registry-owned source of truth;
 	// Broker.ReadStats (and hence /v1/stats) reads them back out.
-	readCached     *obs.Counter
-	readFetched    *obs.Counter
-	readPrefetched *obs.Counter
-	readFallbacks  *obs.Counter
+	readCached        *obs.Counter
+	readFetched       *obs.Counter
+	readReconstructed *obs.Counter
+	readPrefetched    *obs.Counter
+	readFallbacks     *obs.Counter
 
 	// Write-path counters, Broker.WriteStats's source of truth.
 	writeStripes *obs.Counter
@@ -98,6 +99,8 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 			"Stripes served from the stripe cache."),
 		readFetched: reg.Counter("scalia_read_stripes_fetched_total",
 			"Stripes fetched from providers via chunk fan-out."),
+		readReconstructed: reg.Counter("scalia_read_stripes_reconstructed_total",
+			"Stripes fetched short of a data chunk and rebuilt in GF(2^8); a healthy read adds none."),
 		readPrefetched: reg.Counter("scalia_read_stripes_prefetched_total",
 			"Stripes delivered by the background prefetcher."),
 		readFallbacks: reg.Counter("scalia_read_fallbacks_total",

@@ -175,7 +175,7 @@ func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHi
 		uuid:       uuid,
 		skey:       StorageKey(container, key, uuid),
 		placement:  res.Placement,
-		names:      slotNames(res.Placement),
+		names:      slotNames(res.Placement, min(planBytes, e.b.cfg.StripeBytes)),
 		createdAt:  e.b.clock.Period(),
 		inflight:   make(map[int]bool),
 		parts:      make(map[int]*stagedPart),

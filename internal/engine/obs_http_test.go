@@ -122,6 +122,9 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	if got := vals["scalia_read_stripes_fetched_total"]; got != float64(st.ReadPath.StripesFetched) {
 		t.Errorf("registry fetched=%v, /v1/stats=%d", got, st.ReadPath.StripesFetched)
 	}
+	if got, ok := vals["scalia_read_stripes_reconstructed_total"]; !ok || got != 0 || st.ReadPath.StripesReconstructed != 0 {
+		t.Errorf("registry reconstructed=%v (present %v), /v1/stats=%d; want 0 for healthy reads", got, ok, st.ReadPath.StripesReconstructed)
+	}
 	if got := vals["scalia_read_fallbacks_total"]; got != float64(st.ReadPath.FetchFallbacks) {
 		t.Errorf("registry fallbacks=%v, /v1/stats=%d", got, st.ReadPath.FetchFallbacks)
 	}

@@ -361,7 +361,7 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	newMeta.UUID = NewUUID()
 	newMeta.SKey = StorageKey(meta.Container, meta.Key, newMeta.UUID)
 	newMeta.M = to.M
-	newMeta.Chunks = slotNames(to)
+	newMeta.Chunks = slotNames(to, meta.stripeLen(0))
 	l, err := e.layoutOf(newMeta)
 	if err != nil {
 		return err
@@ -422,7 +422,7 @@ func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reach
 	}
 	n := len(meta.Chunks)
 	// Fewer than m reachable is reported by the fetch, with the count.
-	order, _ := l.rank(meta.Size, nil)
+	order, _ := l.rank(nil)
 	// Per-stripe reachable counts; a stripe never read, or cut short by
 	// another stripe's failure, does not lower the minimum.
 	got := make([]int, l.stripes)

@@ -85,7 +85,7 @@ func (e *Engine) readViaOf(meta ObjectMeta) (*readVia, error) {
 		return nil, err
 	}
 	via := &readVia{layout: l}
-	via.order, via.rankErr = l.rank(meta.Size, nil)
+	via.order, via.rankErr = l.rank(nil)
 	return via, nil
 }
 

@@ -212,7 +212,7 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 			return nil, fmt.Errorf("%w: swap target %s", cloud.ErrUnavailable, sw.dst.names[i])
 		}
 	}
-	sw.order, err = sw.src.rank(meta.Size, replaced)
+	sw.order, err = sw.src.rank(replaced)
 	return sw, err
 }
 

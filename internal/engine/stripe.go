@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +37,9 @@ import (
 // coder, the provider behind each chunk slot, the stripe geometry, the
 // chunk keys and the per-stripe integrity sums. Reads and writes of
 // either kind of body take a layout and nothing else.
+// A slot is a row of the systematic code — 0..m-1 the payload cut m
+// ways, m..n-1 the parity — so a chunk's content is its slot; which
+// provider gets which is decided once, at write time (slotNames).
 type stripeLayout struct {
 	coder  *erasure.Coder
 	stores []cloud.Backend // per chunk slot; nil when the provider left the registry
@@ -97,27 +100,37 @@ func (e *Engine) partLayout(u *uploadSession, part int, size int64) (*stripeLayo
 	return l, err
 }
 
-// rank orders the layout's chunk slots by marginal read cost at their
-// provider, cheapest first — the paper's "chunks are read from the m
-// cheapest providers" (§III-B); objectBytes sizes the bandwidth term.
-// Slots in skip and unreachable providers are left out; when fewer than
-// m remain, the ranking and an ErrNotEnoughChunks are both returned so
-// the caller can still serve cached stripes.
-func (l *stripeLayout) rank(objectBytes int64, skip []int) ([]int, error) {
-	m := int64(l.coder.M())
-	chunkGB := cloud.GB((objectBytes + m - 1) / m)
+// readCost is what the meter charges one provider for its chunk of a
+// stripeLen-byte stripe cut m ways: the chunk's bytes out (never fewer
+// than the one an empty stripe stores) plus one operation. It is the
+// stripe engine's only ordering: rank and slotNames both sort by it.
+func readCost(pr cloud.Pricing, stripeLen int64, m int) float64 {
+	chunk := max(1, (stripeLen+int64(m)-1)/int64(m))
+	return cloud.GB(chunk)*pr.BandwidthOutGB + pr.OpsPer1000/1000
+}
+
+// rank orders the layout's chunk slots by readCost at their provider,
+// cheapest first — the paper's "chunks are read from the m cheapest
+// providers" (§III-B). The stripe priced is the first, the full-size one
+// of a many-stripe body: the meter charges an operation per stripe, not
+// per object. Ties keep slot order, so among equals a read prefers the
+// data slots. Slots in skip and unreachable providers are left out; when
+// fewer than m remain, the ranking and an ErrNotEnoughChunks are both
+// returned so the caller can still serve cached stripes.
+func (l *stripeLayout) rank(skip []int) ([]int, error) {
+	m := l.coder.M()
+	// Priced once per slot: a price change must not unsettle the sort.
 	cost := make([]float64, len(l.names))
 	order := make([]int, 0, len(l.names))
 	for i, store := range l.stores {
 		if slices.Contains(skip, i) || store == nil || !store.Available() {
 			continue
 		}
-		pr := store.Spec().Pricing
-		cost[i] = chunkGB*pr.BandwidthOutGB + pr.OpsPer1000/1000
+		cost[i] = readCost(store.Spec().Pricing, l.stripeLen(0), m)
 		order = append(order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] < cost[order[b]] })
-	if len(order) < int(m) {
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost[a], cost[b]) })
+	if len(order) < m {
 		return order, fmt.Errorf("%w: %d of %d providers reachable, need %d",
 			ErrNotEnoughChunks, len(order), len(l.names), m)
 	}
@@ -241,6 +254,10 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 		return nil, nil, got, fmt.Errorf("%w: fetched %d, need %d", ErrNotEnoughChunks, got, m)
 	}
 	e.b.observeStage(tr, "fetch", start)
+	if slices.ContainsFunc(chunks[:m], func(c []byte) bool { return c == nil }) {
+		e.b.metrics.readReconstructed.Inc()
+		tr.Count("stripes_reconstructed", 1)
+	}
 	start = time.Now()
 	payload, err = l.coder.DecodeInto(dst, chunks, int(l.stripeLen(s)))
 	if err != nil {

@@ -266,3 +266,47 @@ func TestCoderCacheParallelHammer(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDecodeIntoAllDataPresentAllocatesNothing pins the join the read
+// path relies on: with every data chunk present (parity slots nil, the
+// shape a healthy fetch hands over) and a dst of capacity, DecodeInto
+// is m copies — no reconstruct, no scratch, no allocation. The mirror
+// case, one data slot nil and a parity chunk in its place, returns the
+// same bytes and pays at least the rebuilt chunk's allocation.
+func TestDecodeIntoAllDataPresentAllocatesNothing(t *testing.T) {
+	for _, mn := range [][2]int{{1, 2}, {3, 4}, {4, 5}} {
+		c, err := New(mn[0], mn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 64<<10+7)
+		rand.New(rand.NewSource(int64(c.n))).Read(data)
+		full, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, len(data))
+		chunks := make([][]byte, c.n)
+		decode := func(lost int) func() {
+			return func() {
+				copy(chunks, full)
+				for i := c.m; i < c.n; i++ {
+					chunks[i] = nil
+				}
+				if lost >= 0 {
+					chunks[lost], chunks[c.m] = nil, full[c.m]
+				}
+				got, err := c.DecodeInto(dst, chunks, len(data))
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("(%d,%d) lost %d: err %v, equal %v", c.m, c.n, lost, err, bytes.Equal(got, data))
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(20, decode(-1)); a != 0 {
+			t.Errorf("(%d,%d): all data present: %v allocs per DecodeInto, want 0", c.m, c.n, a)
+		}
+		if a := testing.AllocsPerRun(20, decode(0)); a < 1 {
+			t.Errorf("(%d,%d): data slot 0 lost: %v allocs per DecodeInto, want >= 1 (the rebuilt chunk)", c.m, c.n, a)
+		}
+	}
+}
