@@ -432,6 +432,69 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeSingleParity and BenchmarkDecodeOneLost gate the
+// geometry the broker actually places on the paper's providers — (4, 5),
+// one chunk of redundancy — on the paths it actually runs: the pooled
+// encode of a 4 MiB stripe, which must not allocate, and the decode of
+// that stripe with one data chunk lost and the parity in its place (a
+// degraded GET, a swap repair's rebuild) into a reused join buffer. Both
+// are one XOR pass: generator row m is all ones.
+func BenchmarkEncodeSingleParity(b *testing.B) {
+	coder, err := erasure.Cached(4, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 4<<20)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	encode := func() {
+		chunks, err := coder.EncodePooled(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		erasure.ReleaseChunks(chunks)
+	}
+	encode() // fill the pools
+	if a := testing.AllocsPerRun(5, encode); a != 0 {
+		b.Fatalf("pooled (4,5) encode: %v allocs/op, want 0", a)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
+	}
+}
+
+func BenchmarkDecodeOneLost(b *testing.B) {
+	coder, err := erasure.Cached(4, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 4<<20)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	chunks, err := coder.Encode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	damaged := make([][]byte, len(chunks))
+	dst := make([]byte, len(data))
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(damaged, chunks)
+		damaged[i%4] = nil
+		got, err := coder.DecodeInto(dst, damaged, len(data))
+		if err != nil || len(got) != len(data) {
+			b.Fatalf("decode: %d bytes, %v", len(got), err)
+		}
+	}
+}
+
 func BenchmarkErasureDecodeWithLoss(b *testing.B) {
 	coder, _ := erasure.New(3, 5)
 	data := make([]byte, 1<<20)
@@ -778,6 +841,108 @@ func BenchmarkRepairSwap(b *testing.B) {
 
 	b.Run("swap", func(b *testing.B) { run(b, true) })
 	b.Run("restripe", func(b *testing.B) { run(b, false) })
+}
+
+// BenchmarkMaintenanceCycle is bench/'s small-maint cycle without HTTP:
+// 1 500 objects of 128 KiB spread over the default rule, Rule 1 and
+// Rule 3 on the paper's five providers, and per op one provider outage
+// (the victim rotates) -> drain -> degraded GETs -> Repair -> recovery
+// -> drain -> healthy PUTs and GETs -> Optimize. It gates the control
+// plane — row decoding, re-planning, swap repair's rebuild — that the
+// per-request benchmarks never enter; repair-ms/op and drain-ms/op say
+// where a change sits, swapped/op and skipped/op that the passes still
+// do the same work (Rule 3's (4,5) spans all five providers, so it has
+// no spare to swap onto and is skipped).
+func BenchmarkMaintenanceCycle(b *testing.B) {
+	const objects, objectBytes, foreground = 1500, 128 << 10, 200
+	clock := engine.NewSimClock()
+	br := engine.NewBroker(engine.Config{
+		Datacenters: []string{"dc1", "dc2"}, EnginesPerDC: 2, PeriodHours: 1,
+		Registry: cloud.NewPaperRegistry(), StripeBytes: 4 << 20, Clock: clock,
+	})
+	b.Cleanup(br.Close)
+	br.Rules().SetContainerRule("r1", core.PaperRules()[0])
+	br.Rules().SetContainerRule("r3", core.PaperRules()[2])
+	containers := []string{"def", "r1", "r3"}
+	payload := make([]byte, objectBytes)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	name := func(k int) (container, key string) { return containers[k%3], fmt.Sprintf("k%07d", k) }
+	put := func(k int) {
+		payload[0]++ // every version differs
+		c, key := name(k)
+		if _, err := br.NextEngine().Put(bgctx, c, key, payload, engine.PutOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	get := func(k int) {
+		c, key := name(k)
+		if got, _, err := br.NextEngine().Get(bgctx, c, key); err != nil || len(got) != objectBytes {
+			b.Fatalf("get %s/%s: %d bytes, %v", c, key, len(got), err)
+		}
+	}
+	for k := 0; k < objects; k++ {
+		put(k)
+	}
+	br.Metadata().Flush()
+	providers := cloud.PaperProviders()
+	var repair, drain time.Duration
+	var swapped, skipped, next int
+	setVictim := func(name string, up bool) {
+		if _, err := br.Registry().UpdateAvailability(name, up); err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		br.DrainMaintenance(bgctx)
+		drain += time.Since(t0)
+		br.Metadata().Flush()
+	}
+	cycle := func(c int) {
+		victim := providers[c%len(providers)].Name
+		setVictim(victim, false)
+		for i := 0; i < foreground; i++ {
+			get(next % objects)
+			next += 7
+		}
+		t0 := time.Now()
+		rep, err := br.Repair(bgctx, engine.RepairActive)
+		br.Metadata().Flush()
+		repair += time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		swapped += rep.Swapped
+		skipped += rep.Skipped
+		setVictim(victim, true)
+		br.ProcessPendingDeletes(bgctx)
+		for i := 0; i < foreground; i++ {
+			if i%2 == 0 {
+				put(next % objects)
+			} else {
+				get(next % objects)
+			}
+			next += 7
+		}
+		clock.Advance(1)
+		if _, err := br.Optimize(bgctx); err != nil {
+			b.Fatal(err)
+		}
+		br.Metadata().Flush()
+	}
+	for c := 0; c < len(providers); c++ {
+		cycle(c) // one warm-up cycle per victim, as bench/ does
+	}
+	repair, drain, swapped, skipped = 0, 0, 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(len(providers) + i)
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(ms(repair), "repair-ms/op")
+	b.ReportMetric(ms(drain), "drain-ms/op")
+	b.ReportMetric(float64(swapped)/float64(b.N), "swapped/op")
+	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
 }
 
 // BenchmarkRepairAffected measures one repair pass after a

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"scalia/internal/metadata"
 )
@@ -179,24 +180,45 @@ func NewUUID() string {
 // metaColumn is the column name holding the JSON-encoded ObjectMeta.
 const metaColumn = "meta"
 
-// encodeMeta packs an ObjectMeta into an MVCC version.
+// encodeMeta packs an ObjectMeta into an MVCC version. The version
+// carries, beside the JSON column, a private copy of the value it
+// encodes: it lives exactly as long as the stored version does and
+// spares every later read of the row its json.Unmarshal.
 func encodeMeta(m ObjectMeta, timestamp int64) (metadata.Version, error) {
 	blob, err := json.Marshal(m)
 	if err != nil {
 		return metadata.Version{}, fmt.Errorf("engine: encode meta: %w", err)
 	}
+	own := m.clone()
 	return metadata.Version{
 		UUID:      m.UUID,
 		Timestamp: timestamp,
 		Columns:   map[string]string{metaColumn: string(blob)},
+		Decoded:   &own,
 	}, nil
 }
 
-// decodeMeta unpacks an MVCC version into an ObjectMeta.
+// decodeMeta unpacks an MVCC version into an ObjectMeta the caller owns:
+// a copy of the value encodeMeta attached, or, for a version that
+// carries none, the parsed column.
 func decodeMeta(v metadata.Version) (ObjectMeta, error) {
+	if own, ok := v.Decoded.(*ObjectMeta); ok {
+		return own.clone(), nil
+	}
 	var m ObjectMeta
 	if err := json.Unmarshal([]byte(v.Columns[metaColumn]), &m); err != nil {
 		return ObjectMeta{}, fmt.Errorf("engine: decode meta: %w", err)
 	}
 	return m, nil
+}
+
+// clone returns a copy of m that shares no slice with it.
+func (m ObjectMeta) clone() ObjectMeta {
+	m.Chunks = slices.Clone(m.Chunks)
+	m.PartStripes = slices.Clone(m.PartStripes)
+	m.Sums = slices.Clone(m.Sums)
+	for i := range m.Sums {
+		m.Sums[i].Chunks = slices.Clone(m.Sums[i].Chunks)
+	}
+	return m
 }

@@ -217,15 +217,16 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 }
 
 // rebuild fetches m surviving chunks of stripe s that pass their sums
-// and returns the stripe's full chunk set, the payload verified and the
-// replaced slots reconstructed. Every replacement chunk is checked
-// against the sum stored for its slot before it is returned to be
-// written: a swap keeps the sums, so a replacement that does not match
-// would be rot written by the repair itself.
+// and returns them with the payload verified and the replaced slots
+// reconstructed; a parity slot neither fetched nor replaced stays nil.
+// Every replacement chunk is checked against the sum stored for its
+// slot before it is returned to be written: a swap keeps the sums, so a
+// replacement that does not match would be rot written by the repair
+// itself.
 func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error) {
 	chunks, _, err := e.fetchChunks(ctx, sw.src, s, sw.order, sw.meta.M)
 	if err == nil {
-		err = sw.src.coder.Reconstruct(chunks) // the parity slots the fetch left out
+		err = sw.src.coder.ReconstructSlots(chunks, sw.replaced)
 	}
 	if err != nil {
 		return nil, err

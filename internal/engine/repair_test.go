@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -277,5 +279,58 @@ func TestRepairConcurrentWithReads(t *testing.T) {
 	}
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestRebuildProducesOnlyTheReplacedSlots: on a (3, 5) stripe a swap of
+// one data slot reads three survivors and produces exactly the
+// replacement — the parity slot the fetch skipped and the swap leaves
+// where it is stays nil — and that replacement is still held against the
+// sum stored for its slot.
+func TestRebuildProducesOnlyTheReplacedSlots(t *testing.T) {
+	b := newTestBroker(t, Config{Registry: marketOf("A", "B", "C", "D", "E", "F")})
+	e := b.Engine(0)
+	if _, err := e.Put(ctx, "bk", "obj", testPayload(3000), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.Head(ctx, "bk", "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.migrate(ctx, first, b.livePlacement(3, []string{"A", "B", "C", "D", "E"})); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := e.Head(ctx, "bk", "obj")
+	if err != nil || meta.M != 3 || len(meta.Chunks) != 5 {
+		t.Fatalf("scenario expects (3, 5), got m=%d on %v (%v)", meta.M, meta.Chunks, err)
+	}
+	const replaced = 1
+	to := slices.Clone(meta.Chunks)
+	to[replaced] = "F"
+	sw, err := e.planSwap(meta, b.livePlacement(3, to), []int{replaced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := e.rebuild(ctx, sw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, absent := 0, -1
+	for i, ch := range chunks {
+		if ch != nil {
+			held++
+		} else {
+			absent = i
+		}
+	}
+	if held != meta.M+1 || absent < meta.M {
+		t.Fatalf("rebuild holds %d chunks (nil at slot %d), want the %d read, the one replaced and one parity slot left nil", held, absent, meta.M)
+	}
+	if crc32c(chunks[replaced]) != meta.Sums[0].Chunks[replaced] {
+		t.Fatal("the replacement does not match its stored sum")
+	}
+	sw.src.sums[0].Chunks[replaced] ^= 1
+	if _, err := e.rebuild(ctx, sw, 0); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("rebuild against a wrong stored sum: %v, want ErrChecksum", err)
 	}
 }

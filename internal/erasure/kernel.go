@@ -2,6 +2,11 @@
 
 package erasure
 
+import (
+	"crypto/subtle"
+	"slices"
+)
+
 // Table-driven GF(2^8) slice kernels. Each coefficient's full 256-entry
 // product table is precomputed (mulTable, galois.go), so the inner loop
 // is a single branch-free lookup-and-xor per byte. The loops walk
@@ -13,13 +18,20 @@ package erasure
 // use: it computes one output row out = sum_k coefs[k]*in[k] over a
 // span, fusing up to four inputs per pass so the accumulator stays in
 // a register instead of being re-loaded and re-stored once per input.
-// kernel_ref.go swaps in the scalar reference path under
-// -tags erasure_ref.
+// A row whose coefficients are all 1 — the first parity row of every
+// code New builds, and the decode row of a stripe that lost one data
+// chunk and holds that parity — needs no table at all: kernRow sends it
+// to a word-wide XOR. kernel_ref.go swaps in the scalar reference path
+// under -tags erasure_ref.
 
 // kernRow computes dst = sum_k coefs[k] * ins[k][lo:hi], where dst has
 // length hi-lo. The first term assigns rather than accumulates, so dst
 // may arrive dirty (pooled scratch needs no pre-zeroing).
 func kernRow(coefs []byte, ins [][]byte, lo, hi int, dst []byte) {
+	if len(ins) >= 2 && allOnes(coefs[:len(ins)]) {
+		xorRow(ins, lo, hi, dst)
+		return
+	}
 	switch len(ins) {
 	case 0:
 		clear(dst)
@@ -42,6 +54,30 @@ func kernRow(coefs []byte, ins [][]byte, lo, hi int, dst []byte) {
 			mul2add(coefs[k:], ins[k][lo:hi], ins[k+1][lo:hi], dst)
 		case 3:
 			mul3add(coefs[k:], ins[k][lo:hi], ins[k+1][lo:hi], ins[k+2][lo:hi], dst)
+		}
+	}
+}
+
+// allOnes reports whether every coefficient is 1.
+func allOnes(coefs []byte) bool {
+	return !slices.ContainsFunc(coefs, func(c byte) bool { return c != 1 })
+}
+
+// xorBlock is how much of dst xorRow finishes before moving on: small
+// enough that the block stays in L1 while the inputs are folded into it
+// one after another.
+const xorBlock = 16 << 10
+
+// xorRow computes dst = ins[0][lo:hi] ^ ins[1][lo:hi] ^ ... for two or
+// more inputs. The first pair assigns, so dst may arrive dirty.
+func xorRow(ins [][]byte, lo, hi int, dst []byte) {
+	for ; lo < hi; lo += xorBlock {
+		end := min(lo+xorBlock, hi)
+		d := dst[:end-lo]
+		dst = dst[end-lo:]
+		subtle.XORBytes(d, ins[0][lo:end], ins[1][lo:end])
+		for _, in := range ins[2:] {
+			subtle.XORBytes(d, d, in[lo:end])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -58,5 +59,31 @@ func BenchmarkEncodeSerial4MiB(b *testing.B) {
 			b.Fatal(err)
 		}
 		ReleaseChunks(chunks)
+	}
+}
+
+// BenchmarkKernRow measures one output row over four inputs, the shape
+// of a (4, n) parity row: an all-ones coefficient row (generator row m,
+// the XOR route) against a general one (the table kernels), at a chunk
+// that fits L1/L2 and at one that does not. Bytes are input bytes.
+func BenchmarkKernRow(b *testing.B) {
+	for _, size := range []int{32 << 10, 1 << 20} {
+		ins := make([][]byte, 4)
+		for k := range ins {
+			ins[k] = make([]byte, size)
+			rand.New(rand.NewSource(int64(k))).Read(ins[k])
+		}
+		dst := make([]byte, size)
+		for _, row := range []struct {
+			name  string
+			coefs []byte
+		}{{"ones", []byte{1, 1, 1, 1}}, {"table", []byte{27, 28, 18, 20}}} {
+			b.Run(fmt.Sprintf("%s/%dKiB", row.name, size>>10), func(b *testing.B) {
+				b.SetBytes(int64(4 * size))
+				for i := 0; i < b.N; i++ {
+					kernRow(row.coefs, ins, 0, size, dst)
+				}
+			})
+		}
 	}
 }

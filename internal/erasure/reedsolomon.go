@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -18,6 +19,9 @@ type Coder struct {
 	// enc is the n x m systematic generator matrix: the top m rows are the
 	// identity, so the first m chunks are the raw data stripes.
 	enc matrix
+	// slots is 0..n-1: what Reconstruct asks for, and, cut at m, what
+	// Decode does.
+	slots []int
 }
 
 // Common parameter errors.
@@ -47,7 +51,26 @@ func New(m, n int) (*Coder, error) {
 		// for valid parameters.
 		return nil, err
 	}
-	return &Coder{m: m, n: n, enc: v.mul(topInv)}, nil
+	enc := v.mul(topInv)
+	// Normalize the parity block so its first row is all ones: column j
+	// of rows m..n-1 is scaled by 1/enc[m][j]. An entry of an MDS parity
+	// block is never zero, and scaling a column scales every square
+	// sub-determinant that holds it by a non-zero factor, so any m rows
+	// still invert. Single parity — and the decode of a stripe that lost
+	// one data chunk and holds row m — is then a plain XOR (kernRow).
+	if n > m {
+		for j := 0; j < m; j++ {
+			inv := gfInv(enc.at(m, j))
+			for r := m; r < n; r++ {
+				enc.set(r, j, gfMul(enc.at(r, j), inv))
+			}
+		}
+	}
+	slots := make([]int, n)
+	for i := range slots {
+		slots[i] = i
+	}
+	return &Coder{m: m, n: n, enc: enc, slots: slots}, nil
 }
 
 // M returns the reconstruction threshold.
@@ -141,12 +164,23 @@ func (c *Coder) encode(data, backing []byte, chunks [][]byte) ([][]byte, error) 
 
 // Reconstruct fills in missing (nil) chunks in place. chunks must have
 // length n; at least m entries must be non-nil and of equal size.
-func (c *Coder) Reconstruct(chunks [][]byte) error { return c.reconstruct(chunks, c.n) }
+func (c *Coder) Reconstruct(chunks [][]byte) error { return c.reconstruct(chunks, c.slots) }
 
-// reconstruct fills in the missing chunks among slots [0, upto): all of
-// them for Reconstruct, the m data chunks for Decode — a read has no use
-// for the parity it did not fetch.
-func (c *Coder) reconstruct(chunks [][]byte, upto int) error {
+// ReconstructSlots is Reconstruct for the listed slots only: a nil chunk
+// outside slots stays nil — a swap repair has no use for the chunks it
+// does not rewrite.
+func (c *Coder) ReconstructSlots(chunks [][]byte, slots []int) error {
+	for _, i := range slots {
+		if i < 0 || i >= c.n {
+			return fmt.Errorf("%w: slot %d of %d", ErrChunkCount, i, c.n)
+		}
+	}
+	return c.reconstruct(chunks, slots)
+}
+
+// reconstruct fills in the missing chunks among slots, each in one
+// kernel pass over the first m chunks present.
+func (c *Coder) reconstruct(chunks [][]byte, slots []int) error {
 	if len(chunks) != c.n {
 		return fmt.Errorf("%w: got %d want %d", ErrChunkCount, len(chunks), c.n)
 	}
@@ -166,96 +200,82 @@ func (c *Coder) reconstruct(chunks [][]byte, upto int) error {
 	if present < c.m {
 		return fmt.Errorf("%w: have %d need %d", ErrTooFewChunks, present, c.m)
 	}
-	missing := 0
-	for _, ch := range chunks[:upto] {
-		if ch == nil {
-			missing++
-		}
-	}
-	if missing == 0 {
+	if !slices.ContainsFunc(slots, func(i int) bool { return chunks[i] == nil }) {
 		return nil
+	}
+	sc := reconScratchPool.Get().(*reconScratch)
+	defer sc.release()
+	jobs, err := c.decodeJobs(chunks, slots, sc)
+	if err != nil {
+		return err
 	}
 	// One backing allocation serves every missing chunk. It is a plain
 	// allocation, not pooled scratch: ownership of the reconstructed
 	// chunks passes to the caller through the chunks slice, so the
 	// memory can never be recycled from here.
-	backing := make([]byte, missing*size)
-	nextOut := func() []byte {
-		out := backing[:size:size]
-		backing = backing[size:]
-		return out
+	backing := make([]byte, len(jobs)*size)
+	for j := range jobs {
+		jobs[j].out = backing[j*size : (j+1)*size : (j+1)*size]
 	}
-
-	// Fast path: all m data chunks survived (parity-only loss). The
-	// decode sub-matrix would be the identity — generator rows 0..m-1
-	// are the identity block of the systematic code — so skip the
-	// O(m^3) inversion and regenerate parity straight from the data.
-	dataIntact := true
-	for i := 0; i < c.m; i++ {
+	runJobs(jobs, size)
+	j := 0
+	for _, i := range slots {
 		if chunks[i] == nil {
-			dataIntact = false
-			break
+			chunks[i] = jobs[j].out
+			j++
 		}
 	}
-	sc := reconScratchPool.Get().(*reconScratch)
-	defer sc.release()
+	return nil
+}
+
+// decodeJobs returns one job per missing chunk among slots, in slots'
+// order and with out unset: the coefficient row that yields the chunk
+// from the first m chunks present — its generator row times the inverted
+// decode matrix (for a data slot, whose generator row is a unit vector,
+// that is a row of the inverse), so a wanted parity chunk never waits
+// for data chunks nobody asked for.
+func (c *Coder) decodeJobs(chunks [][]byte, slots []int, sc *reconScratch) ([]rsJob, error) {
+	// All m data chunks survived (parity-only loss): the decode matrix
+	// would be the identity block of the systematic code, so skip the
+	// O(m^3) inversion and use the generator rows as they are.
+	in := chunks[:c.m]
+	dataIntact := !slices.ContainsFunc(in, func(ch []byte) bool { return ch == nil })
+	var dec matrix
 	if !dataIntact {
-		// Build the m x m decode matrix from the generator rows of m
-		// surviving chunks, invert it, and recover the data stripes.
+		if cap(sc.chunkRefs) < c.m {
+			sc.chunkRefs = make([][]byte, c.m)
+		}
+		in = sc.chunkRefs[:c.m]
 		if cap(sc.matData) < c.m*c.m {
 			sc.matData = make([]byte, c.m*c.m)
 		}
 		sub := matrix{rows: c.m, cols: c.m, data: sc.matData[:c.m*c.m]}
-		if cap(sc.chunkRefs) < c.m {
-			sc.chunkRefs = make([][]byte, c.m)
-		}
-		subChunks := sc.chunkRefs[:c.m]
 		got := 0
 		for i := 0; i < c.n && got < c.m; i++ {
 			if chunks[i] != nil {
 				copy(sub.row(got), c.enc.row(i))
-				subChunks[got] = chunks[i]
+				in[got] = chunks[i]
 				got++
 			}
 		}
-		dec, err := sub.invert()
-		if err != nil {
-			return err
+		var err error
+		if dec, err = sub.invert(); err != nil {
+			return nil, err
 		}
-		jobs := sc.jobs[:0]
-		for i := 0; i < c.m; i++ {
-			if chunks[i] == nil {
-				jobs = append(jobs, rsJob{row: dec.row(i), in: subChunks, out: nextOut()})
-			}
-		}
-		runJobs(jobs, size)
-		ji := 0
-		for i := 0; i < c.m; i++ {
-			if chunks[i] == nil {
-				chunks[i] = jobs[ji].out
-				ji++
-			}
-		}
-		sc.jobs, sc.chunkRefs = jobs, subChunks
 	}
-	// Regenerate any missing parity stripes from the (now complete)
-	// data stripes.
 	jobs := sc.jobs[:0]
-	for r := c.m; r < upto; r++ {
-		if chunks[r] == nil {
-			jobs = append(jobs, rsJob{row: c.enc.row(r), in: chunks[:c.m], out: nextOut()})
+	for _, i := range slots {
+		if chunks[i] != nil {
+			continue
 		}
-	}
-	runJobs(jobs, size)
-	ji := 0
-	for r := c.m; r < upto; r++ {
-		if chunks[r] == nil {
-			chunks[r] = jobs[ji].out
-			ji++
+		row := c.enc.row(i)
+		if !dataIntact {
+			row = matrix{rows: 1, cols: c.m, data: row}.mul(dec).data
 		}
+		jobs = append(jobs, rsJob{row: row, in: in})
 	}
 	sc.jobs = jobs
-	return nil
+	return jobs, nil
 }
 
 // Decode reconstructs missing data chunks if needed and reassembles the
@@ -269,7 +289,7 @@ func (c *Coder) Decode(chunks [][]byte, size int) ([]byte, error) {
 // otherwise), so a caller that reads stripe after stripe can recycle one
 // join buffer. The returned slice does not alias any chunk.
 func (c *Coder) DecodeInto(dst []byte, chunks [][]byte, size int) ([]byte, error) {
-	if err := c.reconstruct(chunks, c.m); err != nil {
+	if err := c.reconstruct(chunks, c.slots[:c.m]); err != nil {
 		return nil, err
 	}
 	chunkSize := len(chunks[0])

@@ -16,9 +16,15 @@ type Version struct {
 	Clock     VectorClock
 	Columns   map[string]string
 	Deleted   bool // tombstone
+	// Decoded is the writer's parsed form of Columns, when it attached
+	// one, so a reader need not parse them again. It is opaque here and
+	// shared by every copy of the version — it lives and dies with the
+	// stored version — so whoever reads it must treat it as immutable.
+	Decoded any
 }
 
-// Clone returns a deep copy of the version.
+// Clone returns a deep copy of the version; Decoded is carried by
+// reference.
 func (v Version) Clone() Version {
 	out := v
 	out.Clock = v.Clock.Clone()
