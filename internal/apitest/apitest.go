@@ -581,7 +581,7 @@ func bitRot(t *tc) {
 	meta := t.put("k", payload)
 	rot := func(slot int) {
 		store, _ := t.broker.Registry().Store(meta.Chunks[slot])
-		key := engine.ChunkKey(meta.SKey, 0, slot)
+		key := engine.ChunkKey(meta.SKey, 0, slot, 0) // a fresh put: generation 0
 		stored, err := store.Get(ctx, key)
 		t.must(err)
 		data := bytes.Clone(stored) // Get's result is read-only

@@ -299,10 +299,11 @@ func TestBitRotIsAnErasure(t *testing.T) {
 	}
 }
 
-// TestFailedHealDestroysNothing: a heal rewrites chunks under the keys of
-// the live ones, so when it fails part-way its rollback must leave them
-// alone — the object keeps all n chunks of every stripe, and the rot
-// stays noted for the next visit.
+// TestFailedHealDestroysNothing: a heal writes its chunks beside the live
+// ones, under a generation of its own, so when it fails part-way its
+// rollback takes exactly what it wrote — the object keeps all n chunks of
+// every stripe, the provider holds nothing else, and the rot stays noted
+// for the next visit.
 func TestFailedHealDestroysNothing(t *testing.T) {
 	rb := newRotBroker(t)
 	e := rb.Engine(0)
@@ -310,8 +311,9 @@ func TestFailedHealDestroysNothing(t *testing.T) {
 	const slot = 0
 	rotChunk(t, rb.Broker, meta, 2, slot)
 	hb, _ := rb.Registry().Store(meta.Chunks[slot])
+	stripe3 := strings.TrimSuffix(meta.chunkKey(3, slot), "0") // of any generation
 	hb.(*hookBackend).put = func(_ context.Context, key string) error {
-		if key == meta.chunkKey(3, slot) {
+		if strings.HasPrefix(key, stripe3) {
 			return errors.New("injected write failure")
 		}
 		return nil
@@ -323,12 +325,15 @@ func TestFailedHealDestroysNothing(t *testing.T) {
 	if len(rb.rot) != 1 {
 		t.Fatalf("a failed heal must leave the rot noted, have %v", rb.rot)
 	}
-	// Whichever stripes were rewritten before stripe 3 failed, nothing
-	// was rolled back from under the live version.
+	// Whichever stripes were rewritten before stripe 3 failed, the rollback
+	// took those chunks and no other.
+	rb.ProcessPendingDeletes(ctx)
+	var want []string
 	for s := 0; s < 4; s++ {
-		if _, err := hb.Get(ctx, meta.chunkKey(s, slot)); err != nil {
-			t.Fatalf("the failed heal's rollback deleted the live chunk of stripe %d: %v", s, err)
-		}
+		want = append(want, meta.chunkKey(s, slot))
+	}
+	if keys, err := hb.List(ctx, ""); err != nil || !slices.Equal(keys, want) {
+		t.Fatalf("after the failed heal and a settle the provider holds %v (%v), want the live chunks %v", keys, err, want)
 	}
 	if got, _, err := e.Get(ctx, "c", "k"); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read after the failed heal: %v", err)
@@ -353,7 +358,7 @@ func TestMalformedSumsFailClosed(t *testing.T) {
 			bad := meta
 			bad.Sums = slices.Clone(meta.Sums)
 			maim(&bad)
-			if _, err := e.publish("c", "k", true, func(_ *ObjectMeta, ts int64) (*ObjectMeta, error) {
+			if _, err := e.publish("c", "k", func(_ *ObjectMeta, ts int64) (*ObjectMeta, error) {
 				version, err := encodeMeta(bad, ts)
 				if err != nil {
 					return nil, err

@@ -172,14 +172,6 @@ func (c *Config) fill() {
 	}
 }
 
-// pendingDelete is a chunk deletion postponed because its provider was
-// unreachable (§III-D3: "the deletion of the chunk residing at a faulty
-// provider is postponed until the provider recovers").
-type pendingDelete struct {
-	Provider string
-	ChunkKey string
-}
-
 // Broker is a full Scalia deployment: shared storage registry, metadata
 // cluster, cache cluster, statistics pipeline and a set of stateless
 // engines across datacenters.
@@ -242,9 +234,9 @@ type Broker struct {
 	// datacenter concurrency remains last-write-wins MVCC (§III-D3).
 	rowLocks [rowLockStripes]sync.Mutex
 
-	// repairMu serializes repair passes: swap repairs write under the
-	// live version's chunk keys, which two concurrent passes must not
-	// race on.
+	// repairMu serializes repair passes: two at once would plan the same
+	// swaps from the same rows and rebuild every lost chunk twice, for one
+	// of each pair to lose its commit and be rolled back.
 	repairMu sync.Mutex
 
 	// provIndex is the provider→objects inverted index behind
@@ -260,19 +252,13 @@ type Broker struct {
 	// jobs API (POST /v1/repair|optimize without ?wait=true).
 	jobs *jobRegistry
 
-	// reaper deletes retired versions in the background and counts the
-	// readers that pin them (reaper.go).
+	// reaper deletes retired chunks in the background — it is the one
+	// place garbage is kept — and counts the readers that pin them
+	// (reaper.go).
 	reaper *reaper
-	// pending is the set of postponed chunk deletions. pendMu is held
-	// across each replayed delete (replayPending), so a write cancelling
-	// the entry for the key it is about to reuse either removes it first
-	// or waits until the delete has landed. pendingN mirrors len(pending)
-	// so the write path skips the lock while nothing is queued; replayed
-	// counts the replays ProcessPendingDeletes has not reported yet.
-	pendMu   sync.Mutex
-	pending  map[pendingDelete]struct{}
-	pendingN atomic.Int64
-	replayed atomic.Int64
+	// gen is the source of chunk generations (ObjectMeta.Gens). It never
+	// repeats: two attempts at one part or one swap never share a key.
+	gen atomic.Uint64
 
 	mu        sync.Mutex
 	lastOpt   int64
@@ -421,7 +407,6 @@ func NewBroker(cfg Config) *Broker {
 		decisions: make(map[string]*core.DecisionController),
 		rot:       make(map[string]*rotEntry),
 		uploads:   make(map[string]*uploadSession),
-		pending:   make(map[pendingDelete]struct{}),
 		planner:   core.NewPlanner(cfg.PeriodHours, cfg.Pruned),
 		provIndex: stats.NewProviderIndex(),
 		jobs:      newJobRegistry(),
@@ -558,10 +543,10 @@ func (b *Broker) FlushStats() {
 }
 
 // replicate delivers every queued metadata change to the other
-// datacenters. Engine.publish calls it after each row commit (a batch of
-// swap commits once, at its end), which is what gives every caller —
-// facade, gateway, background worker, direct Broker use — read-your-
-// writes on any engine over the eventually consistent store (§III-D3).
+// datacenters. Engine.publish calls it after each row commit, which is
+// what gives every caller — facade, gateway, background worker, direct
+// Broker use — read-your-writes on any engine over the eventually
+// consistent store (§III-D3).
 // Severed links (metadata.Cluster.Partition) keep their queues; tests
 // staging a cross-datacenter conflict partition first.
 func (b *Broker) replicate() { b.meta.Flush() }
@@ -625,30 +610,6 @@ func (b *Broker) marketView(now int64) core.Market {
 	epoch, specs, free := b.registry.Market()
 	return core.Market{Now: now, Epoch: epoch, Specs: specs, Free: free, Alive: b.alive}
 }
-
-// enqueuePendingDelete records a postponed chunk deletion.
-func (b *Broker) enqueuePendingDelete(provider, chunkKey string) {
-	b.pendMu.Lock()
-	b.pending[pendingDelete{provider, chunkKey}] = struct{}{}
-	b.pendingN.Store(int64(len(b.pending)))
-	b.pendMu.Unlock()
-}
-
-// cancelPendingDelete drops the postponed deletion of a chunk that is
-// about to be written again, so replaying it cannot destroy the new
-// chunk.
-func (b *Broker) cancelPendingDelete(provider, chunkKey string) {
-	if b.pendingN.Load() == 0 {
-		return
-	}
-	b.pendMu.Lock()
-	delete(b.pending, pendingDelete{provider, chunkKey})
-	b.pendingN.Store(int64(len(b.pending)))
-	b.pendMu.Unlock()
-}
-
-// PendingDeletes returns the number of postponed chunk deletions.
-func (b *Broker) PendingDeletes() int { return int(b.pendingN.Load()) }
 
 // --- container index ---
 

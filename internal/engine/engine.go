@@ -206,20 +206,19 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 // index is brought in line with the stored row, a deleted object's
 // decision-period controller and noted rot are let go, and the change
 // replicates to every other datacenter, so read-your-writes holds on
-// every path — foreground or background, with or without a front-end;
-// replicate is false only for a batch of commits that replicates once at
-// its end. The lock covers the replication because a row's next writer,
+// every path — foreground or background, with or without a front-end.
+// The lock covers the replication because a row's next writer,
 // in whichever datacenter, must be shown this version as cur: its write
 // dominates every head its node holds, seen or not, so a version arriving
 // between its read and its write would vanish with nobody to retire it.
 // Last, the lock released, if the stored row carries another UUID than
 // the one it replaced (or is a tombstone), the superseded version goes to
-// the reaper (reaper.retire): only after replication, so no datacenter is
+// the reaper (retireVersion): only after replication, so no datacenter is
 // left serving a row whose chunks are going, and without waiting for a
 // single provider — its chunks are deleted in the background once no
 // reader pins them. Past the backlog bound the committer reaps before it
 // returns. cur is the version write was shown (nil = absent).
-func (e *Engine) publish(container, key string, replicate bool, write func(cur *ObjectMeta, ts int64) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
+func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts int64) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
 	row := RowKey(container, key)
 	lk := e.b.rowLock(row)
 	lk.Lock()
@@ -236,15 +235,15 @@ func (e *Engine) publish(container, key string, replicate bool, write func(cur *
 		delete(e.b.rot, obj)
 		e.b.mu.Unlock()
 	}
-	if err == nil && replicate {
+	if err == nil {
 		e.b.replicate()
 	}
 	lk.Unlock()
 	if err != nil {
 		return cur, err
 	}
-	if r := e.b.reaper; cur != nil && (stored == nil || stored.UUID != cur.UUID) && r.retire(*cur) {
-		r.reap()
+	if cur != nil && (stored == nil || stored.UUID != cur.UUID) && e.retireVersion(*cur) {
+		e.b.reaper.reap(false)
 	}
 	return cur, nil
 }
@@ -258,7 +257,7 @@ func (e *Engine) publish(container, key string, replicate bool, write func(cur *
 // committed and the chunks must survive.
 func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) error {
 	committed := false
-	_, err := e.publish(meta.Container, meta.Key, true, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	_, err := e.publish(meta.Container, meta.Key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if err := checkWriteConditions(opts, prev); err != nil {
 			return nil, err
 		}
@@ -276,7 +275,8 @@ func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) error {
 		return meta, e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts)
 	})
 	if err != nil && !committed {
-		e.deleteChunks(*meta) // the commit never happened; reclaim the staged chunks
+		l, _ := e.layoutOf(*meta)      // deleting needs no coder
+		e.discard(l, l.stripes, l.all) // the commit never happened; reclaim the staged chunks
 	}
 	return err
 }
@@ -290,7 +290,7 @@ func (e *Engine) liveRow(row string) (metadata.Version, error) {
 	v, losers, err := e.b.meta.Store(e.dc).Get(row)
 	for _, l := range losers {
 		if m, derr := decodeMeta(l); !l.Deleted && derr == nil {
-			e.b.reaper.retire(m)
+			e.retireVersion(m)
 		}
 	}
 	return v, err
@@ -505,7 +505,7 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	prev, err := e.publish(container, key, true, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	prev, err := e.publish(container, key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if prev == nil {
 			return nil, ErrObjectNotFound
 		}
@@ -594,12 +594,4 @@ func (e *Engine) Head(ctx context.Context, container, key string) (ObjectMeta, e
 		return ObjectMeta{}, err
 	}
 	return e.headMeta(container, key)
-}
-
-// deleteChunks removes every chunk of every stripe of a version that
-// never became (or never was) the live one: the rollback of a commit
-// that did not happen. A version that was live is retired instead.
-func (e *Engine) deleteChunks(meta ObjectMeta) {
-	l, _ := e.layoutOf(meta) // deleting needs no coder
-	e.dropChunks(l, l.stripes, l.all, nil)
 }

@@ -111,7 +111,7 @@ func TestUpdateReplacesChunks(t *testing.T) {
 	b.ProcessPendingDeletes(ctx)
 	for i, name := range m1.Chunks {
 		store, _ := b.Registry().Store(name)
-		if _, err := store.Get(ctx, ChunkKey(m1.SKey, 0, i)); err == nil {
+		if _, err := store.Get(ctx, m1.chunkKey(0, i)); err == nil {
 			t.Fatalf("stale chunk %d at %s survived the update", i, name)
 		}
 	}
@@ -150,7 +150,7 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	}
 	for i, name := range meta.Chunks {
 		store, _ := b.Registry().Store(name)
-		if _, err := store.Get(ctx, ChunkKey(meta.SKey, 0, i)); err == nil {
+		if _, err := store.Get(ctx, meta.chunkKey(0, i)); err == nil {
 			t.Fatalf("chunk %d at %s survived deletion", i, name)
 		}
 	}
@@ -279,7 +279,7 @@ func TestDeletepostponedAtFaultyProvider(t *testing.T) {
 	if done := b.ProcessPendingDeletes(ctx); done == 0 {
 		t.Fatal("pending delete must complete after recovery")
 	}
-	if _, err := vs.Get(ctx, ChunkKey(meta.SKey, 0, 0)); err == nil {
+	if _, err := vs.Get(ctx, meta.chunkKey(0, 0)); err == nil {
 		t.Fatal("chunk must be gone after postponed delete")
 	}
 }

@@ -55,6 +55,14 @@ type ObjectMeta struct {
 	// last covers a whole number of stripes, so the global stripe
 	// geometry (stripeSpan, stripeLen) is identical to a plain object's.
 	PartStripes []int `json:"partStripes,omitempty"`
+	// Gens is the generation of every chunk column — one per chunk slot,
+	// part by part for a multipart version (part p's slot i at p*n + i) —
+	// and part of its chunk keys. Whoever writes a column where another
+	// writer's chunks may lie draws one from the broker's never-repeating
+	// source — an attempt at a multipart part, a swap or heal for each slot
+	// it replaces — which makes those writes copy-on-write. A version
+	// nobody did that to omits it: every column reads as generation 0.
+	Gens []uint64 `json:"gens,omitempty"`
 }
 
 // StripeSum is the integrity record of one stripe: the CRC-32C
@@ -133,38 +141,44 @@ func StorageKey(container, key, uuid string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ChunkKey names chunk i of stripe s of a plain (non-multipart) object
-// version.
-func ChunkKey(skey string, s, i int) string {
-	return fmt.Sprintf("%s/s%05d/chunk%03d", skey, s, i)
+// ChunkKey names generation gen of chunk i of stripe s of a plain
+// (non-multipart) object version.
+func ChunkKey(skey string, s, i int, gen uint64) string {
+	return fmt.Sprintf("%s/s%05d/chunk%03d.%d", skey, s, i, gen)
 }
 
-// PartChunkKey names chunk i of local stripe s of part number part of a
-// multipart upload. Parts stage their chunks under these keys, and a
-// completed multipart object keeps them, so completion is a metadata-
-// only commit.
-func PartChunkKey(skey string, part, s, i int) string {
-	return fmt.Sprintf("%s/p%05d/s%05d/chunk%03d", skey, part, s, i)
+// PartChunkKey names generation gen of chunk i of local stripe s of part
+// number part of a multipart upload. Parts stage their chunks under these
+// keys, and a completed multipart object keeps them, so completion is a
+// metadata-only commit.
+func PartChunkKey(skey string, part, s, i int, gen uint64) string {
+	return fmt.Sprintf("%s/p%05d/s%05d/chunk%03d.%d", skey, part, s, i, gen)
 }
 
 // chunkKey names chunk i of stripe s of this object version. For
 // multipart versions the global stripe index is mapped to (part, local
-// stripe) through PartStripes.
+// stripe) through PartStripes. A stripe past the recorded parts, or a
+// column Gens does not cover (layoutOf rejects such a row), gets a key
+// nothing was stored under.
 func (m ObjectMeta) chunkKey(s, i int) string {
-	if len(m.PartStripes) > 0 {
-		part := 1
-		for _, ns := range m.PartStripes {
-			if s < ns {
-				return PartChunkKey(m.SKey, part, s, i)
-			}
-			s -= ns
-			part++
-		}
-		// A stripe index past the recorded parts indicates corrupt
-		// metadata; fall through to the plain layout, which will miss.
+	part := 0
+	for part < len(m.PartStripes) && s >= m.PartStripes[part] {
+		s -= m.PartStripes[part]
+		part++
 	}
-	return ChunkKey(m.SKey, s, i)
+	var gen uint64
+	if col := part*len(m.Chunks) + i; col < len(m.Gens) {
+		gen = m.Gens[col]
+	}
+	if m.Multipart() {
+		return PartChunkKey(m.SKey, part+1, s, i, gen)
+	}
+	return ChunkKey(m.SKey, s, i, gen)
 }
+
+// columns is how many chunk columns the version has, which is how many
+// generations a Gens that is present must hold.
+func (m ObjectMeta) columns() int { return max(1, len(m.PartStripes)) * len(m.Chunks) }
 
 // NewUUID returns a random 128-bit identifier (RFC 4122 v4 layout).
 func NewUUID() string {
@@ -216,6 +230,7 @@ func decodeMeta(v metadata.Version) (ObjectMeta, error) {
 func (m ObjectMeta) clone() ObjectMeta {
 	m.Chunks = slices.Clone(m.Chunks)
 	m.PartStripes = slices.Clone(m.PartStripes)
+	m.Gens = slices.Clone(m.Gens)
 	m.Sums = slices.Clone(m.Sums)
 	for i := range m.Sums {
 		m.Sums[i].Chunks = slices.Clone(m.Sums[i].Chunks)

@@ -11,14 +11,15 @@ import (
 // carries the value it encodes, every decode is the caller's own (no
 // slice shared with the writer, the store or the next decode), a version
 // without one still parses its column to the same value, and a swap —
-// the same UUID republished with a new timestamp and new Chunks — decodes
-// to the new layout, never to the one remembered for that UUID.
+// the same UUID republished with a new timestamp, new Chunks and new Gens —
+// decodes to the new layout, never to the one remembered for that UUID.
 func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	meta := ObjectMeta{
 		Container: "c", Key: "k", Size: 5000, UUID: "u1", SKey: "s", M: 2,
 		Chunks: []string{"A", "B", "C"}, Stripes: 2, StripeBytes: 4096,
 		Sums:        []StripeSum{{Payload: 1, Chunks: []uint32{10, 11, 12}}, {Payload: 2, Chunks: []uint32{20, 21, 22}}},
 		PartStripes: []int{1, 1},
+		Gens:        []uint64{4, 4, 4, 5, 9, 5},
 	}
 	v, err := encodeMeta(meta, 7)
 	if err != nil {
@@ -28,7 +29,7 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(want, meta) {
 		t.Fatalf("column decodes to %+v (%v), want %+v", want, err, meta)
 	}
-	meta.Chunks[0], meta.Sums[1].Chunks[2], meta.PartStripes[0] = "writer", 99, 9 // the writer moves on
+	meta.Chunks[0], meta.Sums[1].Chunks[2], meta.PartStripes[0], meta.Gens[4] = "writer", 99, 9, 99 // the writer moves on
 
 	store := metadata.NewStore("dc1")
 	if err := store.Put("row", v); err != nil {
@@ -46,12 +47,13 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: decoded %+v (%v), want %+v", round, got, err, want)
 		}
-		got.Chunks[0], got.Sums[0].Chunks[0], got.PartStripes[1] = "reader", 77, 7
+		got.Chunks[0], got.Sums[0].Chunks[0], got.PartStripes[1], got.Gens[0] = "reader", 77, 7, 77
 		got.Sums[1] = StripeSum{}
 	}
 
 	swapped := want
 	swapped.Chunks = []string{"A", "D", "C"}
+	swapped.Gens = []uint64{4, 12, 4, 5, 12, 5}
 	sv, err := encodeMeta(swapped, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -66,4 +68,86 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	if got, err := decodeMeta(stored); err != nil || stored.UUID != "u1" || !reflect.DeepEqual(got, swapped) {
 		t.Fatalf("after the swap: decoded %+v (%v), want %+v", got, err, swapped)
 	}
+}
+
+// TestMalformedGensFailClosed: a row whose generations do not cover its
+// chunk columns has no layout — every read of it fails with an error before
+// a provider is asked, and naming a chunk of it does not panic.
+func TestMalformedGensFailClosed(t *testing.T) {
+	b := newTestBroker(t, Config{StripeBytes: 1024})
+	e := b.Engine(0)
+	meta, err := e.Put(ctx, "c", "k", testPayload(3*1024), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, gens := range map[string][]uint64{
+		"short": make([]uint64, len(meta.Chunks)-1),
+		"long":  make([]uint64, len(meta.Chunks)+1),
+	} {
+		bad := meta
+		bad.Gens = gens
+		l, err := e.layoutOf(bad)
+		if err == nil {
+			t.Fatalf("%s: layoutOf accepted %d generations for %d slots", name, len(gens), len(meta.Chunks))
+		}
+		if key := l.key(0, len(meta.Chunks)-1); key != meta.chunkKey(0, len(meta.Chunks)-1) {
+			t.Fatalf("%s: an uncovered column names %s, want generation 0", name, key)
+		}
+		if _, err := e.publish("c", "k", func(_ *ObjectMeta, ts int64) (*ObjectMeta, error) {
+			version, err := encodeMeta(bad, ts)
+			if err != nil {
+				return nil, err
+			}
+			return &bad, b.meta.Put(e.dc, RowKey("c", "k"), version)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Get(ctx, "c", "k"); err == nil {
+			t.Fatalf("%s: GET served a row with malformed generations", name)
+		}
+		if _, err := e.VerifyObject(ctx, "c", "k"); err == nil {
+			t.Fatalf("%s: VerifyObject accepted a row with malformed generations", name)
+		}
+	}
+}
+
+// FuzzDecodeMeta feeds arbitrary bytes as a row's metadata column through
+// decodeMeta and layoutOf and names every chunk of what comes out: hostile
+// or damaged rows may fail, never panic.
+func FuzzDecodeMeta(f *testing.F) {
+	seed, err := encodeMeta(ObjectMeta{
+		Container: "c", Key: "k", Size: 5000, UUID: "u1", SKey: "s", M: 2,
+		Chunks: []string{"A", "B", "C"}, Stripes: 2, StripeBytes: 4096,
+		Sums:        []StripeSum{{Payload: 1, Chunks: []uint32{10, 11, 12}}, {Payload: 2, Chunks: []uint32{20, 21, 22}}},
+		PartStripes: []int{1, 1}, Gens: []uint64{4, 4, 4, 5, 9, 5},
+	}, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Columns[metaColumn])
+	f.Add(`{"m":2,"chunks":["A","B","C"],"gens":[1]}`)
+	f.Add(`{"m":0,"chunks":[],"stripes":-1,"partStripes":[-3,9223372036854775807],"gens":[1,2]}`)
+	b := NewBroker(Config{})
+	f.Cleanup(b.Close)
+	e := b.Engine(0)
+	f.Fuzz(func(t *testing.T, column string) {
+		meta, err := decodeMeta(metadata.Version{Columns: map[string]string{metaColumn: column}})
+		if err != nil {
+			return
+		}
+		l, _ := e.layoutOf(meta) // a layout that failed must still not panic whoever deletes through it
+		for s := 0; s < min(l.stripes, 64); s++ {
+			l.stripeLen(s)
+			for i := range l.names {
+				l.key(s, i)
+			}
+		}
+		clone := meta.clone()
+		if len(clone.Gens) > 0 {
+			clone.Gens[0]++
+			if clone.Gens[0] == meta.Gens[0] {
+				t.Fatal("clone shares Gens with its source")
+			}
+		}
+	})
 }

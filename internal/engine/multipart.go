@@ -26,8 +26,10 @@ import (
 // under part-scoped keys that ARE the committed object's chunk keys
 // (ObjectMeta.PartStripes maps global stripe indexes onto them), so
 // completion is one batched metadata commit under the row lock — no
-// chunk data moves. A dropped part is simply re-sent; completed parts
-// are never re-transferred (ListParts reports what survived).
+// chunk data moves. A dropped part is simply re-sent — every attempt
+// draws a generation (ObjectMeta.Gens), so under keys of its own, and the
+// replaced attempt's chunks go whenever the reaper gets to them; completed
+// parts are never re-transferred (ListParts reports what survived).
 //
 // Wire-level the /v1 gateway mirrors S3: POST …?uploads opens a
 // session, PUT …?partNumber=N&uploadId=… stages a part and returns its
@@ -91,6 +93,7 @@ type uploadSession struct {
 // stagedPart records one fully staged part.
 type stagedPart struct {
 	number  int
+	gen     uint64 // of this attempt at the part: in its chunk keys
 	size    int64
 	etag    string
 	stripes int
@@ -233,7 +236,8 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 		e.deletePartChunks(s, replaced)
 	}
 
-	l, err := e.partLayout(s, partNumber, size)
+	gen := e.b.gen.Add(1)
+	l, err := e.partLayout(s, partNumber, gen, size)
 	if err != nil {
 		settle()
 		return PartInfo{}, err
@@ -244,7 +248,7 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 		return PartInfo{}, err
 	}
 	part := &stagedPart{
-		number: partNumber, size: size, etag: etag,
+		number: partNumber, gen: gen, size: size, etag: etag,
 		stripes: l.stripes, sums: l.sums,
 	}
 	s.mu.Lock()
@@ -332,6 +336,7 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		size        int64
 		totalStripe int
 		partStripes = make([]int, len(staged))
+		gens        = make([]uint64, 0, len(staged)*len(s.names))
 		sums        []StripeSum
 		etagSum     = md5.New()
 	)
@@ -339,6 +344,9 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		size += p.size
 		totalStripe += p.stripes
 		partStripes[i] = p.stripes
+		for range s.names {
+			gens = append(gens, p.gen)
+		}
 		sums = append(sums, p.sums...)
 		if raw, err := hex.DecodeString(p.etag); err == nil {
 			etagSum.Write(raw) //nolint:errcheck
@@ -367,6 +375,7 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		StripeBytes: e.b.cfg.StripeBytes,
 		Sums:        sums,
 		PartStripes: partStripes,
+		Gens:        gens,
 	}
 
 	tr := obs.TraceFrom(ctx)
@@ -455,10 +464,10 @@ func (e *Engine) discardLocked(s *uploadSession) {
 	}
 }
 
-// deletePartChunks best-effort removes every chunk a staged part wrote.
+// deletePartChunks discards every chunk a staged part wrote.
 func (e *Engine) deletePartChunks(s *uploadSession, p *stagedPart) {
-	l, _ := e.partLayout(s, p.number, p.size) // deleting needs no coder
-	e.dropChunks(l, l.stripes, l.all, nil)
+	l, _ := e.partLayout(s, p.number, p.gen, p.size) // deleting needs no coder
+	e.discard(l, l.stripes, l.all)
 }
 
 // SweepExpiredUploads evicts multipart upload sessions whose last

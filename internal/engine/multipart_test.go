@@ -192,6 +192,7 @@ func TestAbortUploadGarbageCollectsParts(t *testing.T) {
 	if err := e.AbortUpload(ctx, up.UploadID); err != nil {
 		t.Fatal(err)
 	}
+	b.ProcessPendingDeletes(ctx)
 	for _, cb := range backends {
 		if n := cb.ObjectCount(); n != 0 {
 			t.Fatalf("%s holds %d chunks after abort", cb.Spec().Name, n)

@@ -76,6 +76,7 @@ func TestSweepExpiredUploads(t *testing.T) {
 	if b.activeUploads() != 0 {
 		t.Fatalf("activeUploads = %d after sweep, want 0", b.activeUploads())
 	}
+	b.ProcessPendingDeletes(ctx)
 	if used := usedBytesTotal(b); used != 0 {
 		t.Fatalf("staged chunks not garbage-collected: %d bytes remain", used)
 	}

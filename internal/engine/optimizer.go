@@ -362,6 +362,7 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	newMeta.SKey = StorageKey(meta.Container, meta.Key, newMeta.UUID)
 	newMeta.M = to.M
 	newMeta.Chunks = slotNames(to, meta.stripeLen(0))
+	newMeta.Gens = nil // fresh keys under a fresh UUID: nothing to tell apart
 	l, err := e.layoutOf(newMeta)
 	if err != nil {
 		return err
@@ -381,14 +382,14 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	newMeta.Sums = l.sums
 	samePayload := func(a, b StripeSum) bool { return a.Payload == b.Payload }
 	if !slices.EqualFunc(l.sums, meta.Sums, samePayload) || newMeta.Checksum != meta.Checksum {
-		e.deleteChunks(newMeta)
+		e.discard(l, l.stripes, l.all)
 		return fmt.Errorf("engine: migrate: %w", ErrChecksum)
 	}
 	// Commit only if the version we migrated is still the live one: a
 	// client write (or delete) that landed while the chunks were copying
 	// must win — a background migration may never clobber an acknowledged
 	// update or resurrect a tombstone.
-	if _, err := e.publish(meta.Container, meta.Key, true, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	if _, err := e.publish(meta.Container, meta.Key, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID {
 			return nil, fmt.Errorf("engine: migrate: object changed mid-migration")
 		}
@@ -398,7 +399,7 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 		}
 		return &newMeta, e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version)
 	}); err != nil {
-		e.deleteChunks(newMeta)
+		e.discard(l, l.stripes, l.all)
 		return err
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"scalia/internal/obs"
@@ -58,6 +59,7 @@ type objectReader struct {
 
 	start int // first stripe of the range
 	pipe  *stripePipe
+	pin   uint64 // the reaper ticket holding meta's version
 
 	cur     []byte  // decoded, undelivered bytes of the current stripe
 	curSlot bool    // cur holds a stripe slot of the broker read budget
@@ -89,10 +91,10 @@ func (e *Engine) readViaOf(meta ObjectMeta) (*readVia, error) {
 	return via, nil
 }
 
-// errSuperseded fails an open whose version stopped being the live one
-// before the reader had pinned it. User reads start over on the version
-// that replaced it; a migration gives the object up.
-var errSuperseded = errors.New("engine: version superseded before the read pinned it")
+// errSuperseded fails an open whose row stopped being the live one before
+// the reader had pinned it. User reads start over on the row that
+// replaced it; a migration gives the object up.
+var errSuperseded = errors.New("engine: row superseded before the read pinned it")
 
 // openObjectRange builds the stream of the n bytes at offset (a range
 // inside the object) over the stripes they lie in, and takes the first
@@ -101,11 +103,13 @@ var errSuperseded = errors.New("engine: version superseded before the read pinne
 // stripe-cache fill and a read statistics event when the stream ends.
 //
 // Every stream pins meta's version against the reaper until it is
-// drained or closed. Pin first, then look at the row again: a version is
-// retired only after the row that supersedes it has been stored and
-// replicated, so if the row still names this UUID the pin precedes the
-// retirement and the reaper will see it; if the row has moved, the pin
-// may have come too late and the open fails with errSuperseded.
+// drained or closed. Pin first, then look at the row again: chunks are
+// retired only after the row that no longer names them has been stored
+// and replicated, so if the row still is the one in hand — same version,
+// same generations: a swap keeps the one and changes the other — the pin
+// precedes the retirement and the reaper will see it; if the row has
+// moved, the pin may have come too late and the open fails with
+// errSuperseded.
 func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n int64, userRead bool) (*objectReader, error) {
 	via, err := e.readViaOf(meta)
 	if err != nil {
@@ -117,9 +121,9 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n
 		userRead: userRead, start: int(offset / span), left: n,
 	}
 	or.via.Store(via)
-	e.b.reaper.pin(meta.UUID)
-	if v, err := e.liveRow(RowKey(meta.Container, meta.Key)); err != nil || v.UUID != meta.UUID {
-		e.b.reaper.unpin(meta.UUID)
+	or.pin = e.b.reaper.pin(meta.UUID)
+	if cur := e.currentVersion(RowKey(meta.Container, meta.Key)); cur == nil || cur.UUID != meta.UUID || !slices.Equal(cur.Gens, meta.Gens) {
+		e.b.reaper.unpin(meta.UUID, or.pin)
 		return nil, errSuperseded
 	}
 	// The first stripe is taken alone, inline on the caller's goroutine,
@@ -131,7 +135,7 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n
 		})
 	if err := or.advance(); err != nil {
 		or.pipe.close()
-		e.b.reaper.unpin(meta.UUID)
+		e.b.reaper.unpin(meta.UUID, or.pin)
 		return nil, err
 	}
 	or.cur = or.cur[offset-int64(or.start)*span:] // the first stripe's lead-in is not the caller's
@@ -338,7 +342,7 @@ func (or *objectReader) finish(err error) {
 	or.releaseCur()
 	or.pipe.close()
 	e, meta := or.e, or.meta
-	e.b.reaper.unpin(meta.UUID)
+	e.b.reaper.unpin(meta.UUID, or.pin)
 	if or.userRead {
 		e.agent.Log(stats.Event{
 			Object: or.obj, Class: meta.Class,

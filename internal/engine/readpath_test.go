@@ -308,7 +308,7 @@ func corruptStripe(t *testing.T, b *Broker, meta ObjectMeta, s int) {
 		if !ok {
 			t.Fatalf("provider %s missing", name)
 		}
-		key := ChunkKey(meta.SKey, s, i)
+		key := meta.chunkKey(s, i)
 		data, err := store.Get(ctx, key)
 		if err != nil {
 			t.Fatal(err)

@@ -2,29 +2,30 @@ package engine
 
 import (
 	"context"
-	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scalia/internal/cloud"
 )
 
-// This file is the reaper: the broker-owned background deleter of
-// retired object versions, and the reader pins that hold it off.
+// This file is the reaper: the broker-owned background deleter of every
+// chunk no metadata row names any more — the broker's one garbage list —
+// and the reader pins that hold it off.
 //
-// A version is retired by Engine.publish once the row that superseded it
-// (or its tombstone) has replicated, or by the metadata read that
-// collapsed an MVCC conflict it lost (Fig. 10). Its chunk keys carry its
-// UUID and are never written again, so deleting them needs no
-// coordination with any writer — only with readers: every objectReader
-// pins its version for its lifetime, and a retired version is taken only
-// at pin count zero. The commit that retired it does not wait: deletion
-// is allowed to lag (§III-D3 postpones it outright), and the garbage
-// stays visible as scalia_retired_versions / scalia_retired_bytes until
-// it is gone. Deletes an unreachable provider refuses fall into the
-// broker's postponed set, which the reaper replays on the next market
-// event.
+// Chunks are retired as a set: a superseded version's, by Engine.publish
+// once the row that superseded it (or its tombstone) has replicated, or by
+// the metadata read that collapsed an MVCC conflict it lost (Fig. 10); the
+// copies a swap or heal replaced; what a write that never committed left
+// behind. No key is ever written twice (writeChunks), so deleting a set
+// needs no coordination with any writer — only with readers: every
+// objectReader pins its version for its lifetime, and a set is taken only
+// once the readers opened before its retirement are gone. Whoever retired
+// it does not wait: deletion may lag (§III-D3 postpones it outright), and
+// the garbage shows as scalia_retired_versions / scalia_retired_bytes
+// until a pass has been over it, and what a provider still holds then —
+// it was down, or refused — as scalia_pending_deletes, tried again on the
+// next market event and at every ProcessPendingDeletes.
 
 // maxRetiredVersions is the retired backlog past which a committing
 // request reaps on its own goroutine before it returns — what every
@@ -32,24 +33,47 @@ import (
 // of growing a queue.
 const maxRetiredVersions = 1024
 
+// chunkSet is the reaper's unit: stripes [0, upto) of a layout at some of
+// its slots.
+type chunkSet struct {
+	l     *stripeLayout
+	upto  int
+	slots []int
+	// pin names the version whose readers may hold the chunks ("" when no
+	// row ever named them): those with a ticket up to seq, the last one
+	// drawn before the set was retired.
+	pin string
+	seq uint64
+	// bytes is the stored volume of a whole superseded version (0 for any
+	// other set): RetiredStats counts it until the first pass over it.
+	bytes int64
+	// left counts the deletes the last pass left behind, at the slots still
+	// listed; 0 for a set no pass has been over.
+	left int
+}
+
 type reaper struct {
 	b     *Broker
 	bound int // maxRetiredVersions; a test lowers it
 	// run serializes reaping passes, the background goroutine's and the
 	// synchronous ones of ProcessPendingDeletes and overloaded commits
-	// alike: with one pass at a time, and a pass deleting one version at
-	// a time, at most one reaper delete is in flight per provider.
+	// alike: with one pass at a time, and a pass deleting one set at a
+	// time, at most one reaper delete is in flight per provider.
 	run sync.Mutex
 
-	mu      sync.Mutex
-	pins    map[string]int        // version UUID -> open readers
-	retired map[string]ObjectMeta // versions waiting for a pass, by UUID
-	// n and bytes count the retired versions whose chunks are not gone
-	// yet — waiting or being deleted — and their stored volume.
+	mu   sync.Mutex
+	seq  uint64              // the last reader ticket drawn
+	pins map[string][]uint64 // version UUID -> tickets of its open readers, ascending
+	sets []*chunkSet         // retired and not gone: waiting for a pass, or left behind by one
+	// n and bytes count the superseded versions no pass has been over yet
+	// — waiting or being deleted — and their stored volume.
 	n     int
 	bytes int64
+	// postponed sums left over the sets, settled the postponed deletes
+	// completed since ProcessPendingDeletes last reported.
+	postponed, settled int
 
-	replay   atomic.Bool   // a market event arrived while deletes were postponed
+	retry    atomic.Bool   // a market event arrived while deletes were postponed
 	wake     chan struct{} // capacity 1: a pending wake-up covers every cause
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -58,17 +82,17 @@ type reaper struct {
 
 func newReaper(b *Broker) *reaper {
 	r := &reaper{
-		b: b, bound: maxRetiredVersions,
-		pins: make(map[string]int), retired: make(map[string]ObjectMeta),
+		b: b, bound: maxRetiredVersions, pins: make(map[string][]uint64),
 		wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	go r.loop()
 	return r
 }
 
-// loop is the background goroutine: woken by a retirement, a released
-// pin or a market event, it reaps until nothing unpinned is left and,
-// after an event, replays the postponed deletes.
+// loop is the background goroutine: every wake-up — a retirement, a
+// released pin, a market event — is one pass, which after an event goes
+// over the postponed deletes too. What arrives during a pass leaves a
+// wake-up behind; a pass that got nowhere is not repeated before the next.
 func (r *reaper) loop() {
 	defer close(r.done)
 	for {
@@ -76,11 +100,7 @@ func (r *reaper) loop() {
 		case <-r.stop:
 			return
 		case <-r.wake:
-		}
-		for r.reap() > 0 {
-		}
-		if r.replay.Swap(false) {
-			r.b.replayPending(context.Background())
+			r.reap(r.retry.Swap(false))
 		}
 	}
 }
@@ -98,39 +118,49 @@ func (r *reaper) kick() {
 func (r *reaper) close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
-	for r.reap() > 0 {
-	}
+	r.reap(false)
 }
 
 // onMarketEvent is the registry subscriber. Like the maintenance queue's
 // it runs on whatever goroutine changed the market, so it only wakes the
-// loop. Any named event qualifies: a recovered provider takes its
-// postponed deletes now, one that left the market took its chunks along,
-// and one that is down is skipped by the replay.
+// loop. Any named event qualifies: a recovered provider takes its deletes
+// now, one that left took its chunks along, one that is down is not asked.
 func (r *reaper) onMarketEvent(ev cloud.MarketEvent) {
-	if ev.Provider != "" && r.b.pendingN.Load() > 0 {
-		r.replay.Store(true)
+	if ev.Provider != "" && r.b.PendingDeletes() > 0 {
+		r.retry.Store(true)
 		r.kick()
 	}
 }
 
-// retire hands a version no row points at any more to the reaper and
-// drops its stripes from every datacenter's cache. It makes no provider
-// call and may run under a row lock; it reports whether the backlog has
-// passed its bound, in which case the caller — once it holds no lock —
-// should reap.
-func (r *reaper) retire(meta ObjectMeta) (overloaded bool) {
-	r.b.caches.InvalidateAll(stripeCacheID(objectName(meta.Container, meta.Key), meta.UUID))
+// retire hands chunks no row names any more to the reaper. It makes no
+// provider call and may run under a row lock; it reports whether the
+// version backlog has passed its bound: the caller, lock-free, should reap.
+func (r *reaper) retire(cs *chunkSet) (overloaded bool) {
 	r.mu.Lock()
-	if _, queued := r.retired[meta.UUID]; !queued {
-		r.retired[meta.UUID] = meta
+	cs.seq = r.seq
+	r.sets = append(r.sets, cs)
+	if cs.bytes > 0 {
 		r.n++
-		r.bytes += storedBytes(meta)
+		r.bytes += cs.bytes
 	}
 	overloaded = r.n > r.bound
 	r.mu.Unlock()
 	r.kick()
 	return overloaded
+}
+
+// retireVersion retires a version no row points at any more and drops its
+// stripes from every datacenter's cache.
+func (e *Engine) retireVersion(meta ObjectMeta) (overloaded bool) {
+	e.b.caches.InvalidateAll(stripeCacheID(objectName(meta.Container, meta.Key), meta.UUID))
+	l, _ := e.layoutOf(meta) // deleting needs no coder
+	return e.b.reaper.retire(&chunkSet{l: l, upto: l.stripes, slots: l.all, pin: meta.UUID, bytes: storedBytes(meta)})
+}
+
+// discard retires chunks no row ever named: the rollback of a write or a
+// swap that did not commit, and the staged parts an upload leaves behind.
+func (e *Engine) discard(l *stripeLayout, upto int, slots []int) {
+	e.b.reaper.retire(&chunkSet{l: l, upto: upto, slots: slots})
 }
 
 // storedBytes is the volume a version's chunks occupy at its providers.
@@ -139,69 +169,75 @@ func storedBytes(meta ObjectMeta) int64 {
 	return bytes
 }
 
-// pin holds a version's chunks for one reader. The caller must then
-// check that the version is still the live one (openObjectRange): a pin
-// taken after the version was retired holds nothing.
-func (r *reaper) pin(uuid string) {
+// pin holds a version's chunks for one reader and returns the ticket to
+// release them with. It holds what is retired after it, not before: the
+// caller must then check that the row it read is still the live one.
+func (r *reaper) pin(uuid string) (ticket uint64) {
 	r.mu.Lock()
-	r.pins[uuid]++
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.seq++
+	r.pins[uuid] = append(r.pins[uuid], r.seq)
+	return r.seq
 }
 
-// unpin releases one reader's hold; the last one out wakes the reaper if
-// the version was retired meanwhile.
-func (r *reaper) unpin(uuid string) {
+// unpin releases one reader's hold; when it was the version's oldest and
+// chunks retired from under that version are waiting, the reaper wakes.
+func (r *reaper) unpin(uuid string, ticket uint64) {
 	r.mu.Lock()
-	waiting := false
-	if r.pins[uuid]--; r.pins[uuid] == 0 {
+	open := r.pins[uuid]
+	i := slices.Index(open, ticket)
+	if open = slices.Delete(open, i, i+1); len(open) == 0 {
 		delete(r.pins, uuid)
-		_, waiting = r.retired[uuid]
+	} else {
+		r.pins[uuid] = open
 	}
+	waiting := i == 0 && slices.ContainsFunc(r.sets, func(cs *chunkSet) bool { return cs.pin == uuid })
 	r.mu.Unlock()
 	if waiting {
 		r.kick()
 	}
 }
 
-// reap is one pass: it takes every retired version no reader holds and
-// deletes them through dropChunks, one version after another, the chunk
-// slots of a version — each at a provider of its own — in parallel. It
-// reports how many versions it took; a version stays counted as retired
-// until its deletes have landed or been postponed.
-func (r *reaper) reap() int {
+// reap is one pass: it takes every set no reader holds — with retry, also
+// those an earlier pass left deletes of — and deletes them through
+// dropChunks, one set after another. A set some of whose chunks are still
+// there goes back on the list with the slots that hold them. It reports
+// how many sets it took; a version counts as retired until its pass ends.
+func (r *reaper) reap(retry bool) int {
 	r.run.Lock()
 	defer r.run.Unlock()
 	r.mu.Lock()
-	var take []ObjectMeta
-	for uuid, meta := range r.retired {
-		if r.pins[uuid] == 0 {
-			take = append(take, meta)
-			delete(r.retired, uuid)
+	var take, keep []*chunkSet
+	for _, cs := range r.sets {
+		open := r.pins[cs.pin]
+		if held := len(open) > 0 && open[0] <= cs.seq; held || (cs.left > 0 && !retry) {
+			keep = append(keep, cs)
+		} else {
+			take = append(take, cs)
 		}
 	}
+	r.sets = keep
 	r.mu.Unlock()
-	e := r.b.engines[0]
-	for _, meta := range take {
-		l, _ := e.layoutOf(meta) // deleting needs no coder
-		var wg sync.WaitGroup
-		for i := range l.all {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				e.dropChunks(l, l.stripes, l.all[i:i+1], nil)
-			}(i)
-		}
-		wg.Wait()
+	for _, cs := range take {
+		was := cs.left
+		cs.slots, cs.left = r.b.dropChunks(cs.l, cs.upto, cs.slots)
 		r.mu.Lock()
-		r.n--
-		r.bytes -= storedBytes(meta)
+		if was == 0 && cs.bytes > 0 { // a version's first pass
+			r.n--
+			r.bytes -= cs.bytes
+		}
+		r.postponed += cs.left - was
+		r.settled += max(0, was-cs.left)
+		if cs.left > 0 {
+			r.sets = append(r.sets, cs)
+		}
 		r.mu.Unlock()
 	}
 	return len(take)
 }
 
-// RetiredStats is the reaper's snapshot: the superseded versions whose
-// chunks are still at their providers — the reclaim lag — and the
+// RetiredStats is the reaper's snapshot: the superseded versions a pass
+// has yet to go over and their stored bytes — the reclaim lag — and the
 // versions open readers hold.
 type RetiredStats struct {
 	Versions int   `json:"versions"`
@@ -217,52 +253,29 @@ func (b *Broker) Retired() RetiredStats {
 	return RetiredStats{Versions: r.n, Bytes: r.bytes, Pinned: len(r.pins)}
 }
 
-// ProcessPendingDeletes is the synchronous settle point of deletion: it
-// returns once every retired version no reader holds has had its chunks
-// deleted at the reachable providers, no reaper delete is in flight, and
-// every postponed delete whose provider is reachable again has been
-// replayed. It reports how many postponed deletes have completed since
-// the previous call, the reaper's own replays included. Cancelling ctx
-// stops it between passes; what is left stays queued.
-func (b *Broker) ProcessPendingDeletes(ctx context.Context) int {
-	for ctx.Err() == nil && b.reaper.reap() > 0 {
-	}
-	b.replayPending(ctx)
-	return int(b.replayed.Swap(0))
+// PendingDeletes returns the number of postponed chunk deletions: those a
+// reaper pass left behind an unreachable or failing provider.
+func (b *Broker) PendingDeletes() int {
+	b.reaper.mu.Lock()
+	defer b.reaper.mu.Unlock()
+	return b.reaper.postponed
 }
 
-// replayPending retries the postponed deletes of every provider that is
-// reachable again. pendMu is held across each delete: swap repair writes
-// under chunk keys a postponed delete may name, and cancelPendingDelete
-// must either remove the entry first or wait until the delete has landed.
-func (b *Broker) replayPending(ctx context.Context) {
-	b.pendMu.Lock()
-	queued := make([]pendingDelete, 0, len(b.pending))
-	for pd := range b.pending {
-		queued = append(queued, pd)
+// ProcessPendingDeletes is the synchronous settle point of deletion: it
+// returns once every retired set no reader holds has had its chunks
+// deleted at the reachable providers, no reaper delete is in flight, and
+// every postponed delete has been tried again. It reports how many
+// postponed deletes have completed since the previous call, the reaper's
+// own retries included. Cancelling ctx stops it between passes; what is
+// left stays queued.
+func (b *Broker) ProcessPendingDeletes(ctx context.Context) int {
+	r := b.reaper
+	for ctx.Err() == nil && r.reap(false) > 0 {
 	}
-	b.pendMu.Unlock()
-
-	for _, pd := range queued {
-		// A provider that left the market took its chunks along.
-		store, registered := b.registry.Store(pd.Provider)
-		if ctx.Err() != nil || (registered && !store.Available()) {
-			continue
-		}
-		b.pendMu.Lock()
-		if _, still := b.pending[pd]; still {
-			var err error
-			if registered {
-				t0 := time.Now()
-				err = store.Delete(ctx, pd.ChunkKey)
-				b.observeProviderOp(pd.Provider, "delete", t0, err)
-			}
-			if err == nil || errors.Is(err, cloud.ErrNotFound) { // a missing chunk is already gone
-				delete(b.pending, pd)
-				b.pendingN.Store(int64(len(b.pending)))
-				b.replayed.Add(1)
-			}
-		}
-		b.pendMu.Unlock()
-	}
+	r.reap(true)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.settled
+	r.settled = 0
+	return n
 }

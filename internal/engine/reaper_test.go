@@ -222,12 +222,15 @@ func TestHeldStreamSurvivesSwapThenOutage(t *testing.T) {
 // TestHeldStreamsThroughRepairChurn holds streams open — some stalling
 // mid-object — while one provider after another fails, is repaired around
 // and recovers. No read fails or returns other bytes than were stored,
-// and at rest every object verifies all n chunks. With one spare chunk
-// (n - m = 1) a stripe survives losing one slot of the row it reads
-// through, and its one retry one more; so the events that cost a slot —
-// an outage, and the delete of a recovered provider's stale chunks — take
-// the world lock a stripe fetch holds shared, and only the repair pass
-// overlaps the fetches.
+// and at rest every object verifies all n chunks. Recovery and the delete
+// of the recovered provider's stale chunks run against the open streams
+// like the repair pass does: the chunks a swap replaced are held for every
+// reader opened on the row that named them, so they cost nobody a slot.
+// Only the outage takes the world lock a stripe fetch holds shared: with
+// one spare chunk (n - m = 1) a fetch survives the outage that begins
+// under it, and its one retry, on the row as it is then, the next; a fetch
+// the scheduler parks across a whole round — the race detector on two
+// cores does that — would meet a third and fail honestly.
 func TestHeldStreamsThroughRepairChurn(t *testing.T) {
 	const (
 		stripe, objects = 1024, 4
@@ -289,10 +292,8 @@ func TestHeldStreamsThroughRepairChurn(t *testing.T) {
 		if _, err := b.Repair(ctx, RepairActive); err != nil {
 			t.Errorf("round %d: %v", i, err)
 		}
-		world.Lock()
 		victim.SetAvailable(true)
 		b.ProcessPendingDeletes(ctx)
-		world.Unlock()
 	}
 	close(stop)
 	wg.Wait()
@@ -582,6 +583,61 @@ func TestReaperReplaysPostponedDeletesOnRecovery(t *testing.T) {
 	}
 	if done := b.ProcessPendingDeletes(ctx); done != meta.StripeCount() {
 		t.Fatalf("settle reported %d replays, want %d", done, meta.StripeCount())
+	}
+}
+
+// TestRefusedDeleteStaysQueued: a chunk leaves the reaper's list only when
+// its delete succeeded or found nothing. A provider that answers a delete
+// with anything else — the private store's transport errors and 5xx are
+// not ErrUnavailable — keeps the chunk queued as a postponed delete, it is
+// tried again at every settle and not in between, and once the provider
+// takes the delete the providers hold exactly the live version's chunks.
+func TestRefusedDeleteStaysQueued(t *testing.T) {
+	reg, backends := hooked(repairMarket())
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024})
+	b.Rules().SetContainerRule("bk", repairRule)
+	e := b.Engine(0)
+	v1, err := e.Put(ctx, "bk", "obj", testPayload(4*1024), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refuse atomic.Bool
+	var asked atomic.Int64
+	doomed := v1.chunkKey(2, 0)
+	for _, hb := range backends {
+		hb.del = func(_ context.Context, key string) error {
+			if key == doomed && refuse.Load() {
+				asked.Add(1)
+				return errors.New("injected delete failure: 503 from the private store")
+			}
+			return nil
+		}
+	}
+	refuse.Store(true)
+	v2, err := e.Put(ctx, "bk", "obj", testPayload(1024), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for settle := 1; settle <= 2; settle++ {
+		// The first pass over the version and one retry; then a retry a settle.
+		if done := b.ProcessPendingDeletes(ctx); done != 0 || b.PendingDeletes() != 1 || asked.Load() != int64(settle+1) {
+			t.Fatalf("settle %d: %d completed, %d postponed, the provider asked %d times; want 0, 1, %d",
+				settle, done, b.PendingDeletes(), asked.Load(), settle+1)
+		}
+	}
+	if r := b.Retired(); r != (RetiredStats{}) || chunksUnder(b, v1.SKey) != 1 {
+		t.Fatalf("with one delete refused: %+v, %d old chunks; want the version through its pass and one chunk left", r, chunksUnder(b, v1.SKey))
+	}
+	refuse.Store(false)
+	if done := b.ProcessPendingDeletes(ctx); done != 1 || b.PendingDeletes() != 0 {
+		t.Fatalf("with the provider answering again: %d completed, %d postponed; want 1, 0", done, b.PendingDeletes())
+	}
+	var used int64
+	for _, s := range b.Registry().Snapshot() {
+		used += s.UsedBytes()
+	}
+	if used != storedBytes(v2) {
+		t.Fatalf("providers hold %d bytes at rest, the live version accounts for %d", used, storedBytes(v2))
 	}
 }
 

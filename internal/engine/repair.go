@@ -29,7 +29,9 @@ import (
 //
 // Bit rot is the same repair at a provider that is still there: a chunk
 // a read rejected for its sum is rewritten by a swap whose target is the
-// provider already holding it (healRot).
+// provider already holding it (healRot). Either way the replacement is
+// copy-on-write: a replaced slot gets chunk keys nothing was ever stored
+// under (planSwap), and the chunks it replaces are retired.
 
 // RepairReport summarizes an active-repair pass (§IV-E).
 type RepairReport struct {
@@ -114,12 +116,7 @@ func (b *Broker) RepairTotals() RepairTotals {
 // fallback. Like Optimize, the scan is sharded across all alive engines
 // and runs in parallel.
 func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport, error) {
-	// One pass at a time: swap repairs reuse the live version's chunk
-	// keys, so two concurrent passes planning the same deterministic
-	// swap would race commit-vs-rollback on the same keys. (The commit
-	// failure path additionally refuses to roll back chunks the live
-	// version references — see commitSwap — but serializing the passes
-	// keeps the race from arising at all.)
+	// One pass at a time: two would do every swap twice (see repairMu).
 	b.repairMu.Lock()
 	defer b.repairMu.Unlock()
 	t := trigger{degraded: true, active: policy == RepairActive}
@@ -167,13 +164,15 @@ func chunkVolume(meta ObjectMeta, m, n int) (chunks int, bytes int64) {
 }
 
 // swap is one validated chunk-swap repair: the stored layout (src), the
-// same layout with the replaced slots moved to the swap targets (dst),
-// and the read order over the surviving slots. chunks holds stripe 0 of
-// a single-stripe object between reconstruction and its batched write.
+// layout after it (dst: the replaced slots at the swap targets, under the
+// fresh generations of gens, the row's new Gens), and the read order over
+// the surviving slots. chunks holds stripe 0 of a single-stripe object
+// between reconstruction and its batched write.
 type swap struct {
 	meta     ObjectMeta
 	replaced []int // the slots rewritten, ascending
 	src, dst *stripeLayout
+	gens     []uint64
 	order    []int
 	chunks   [][]byte
 }
@@ -182,10 +181,11 @@ type swap struct {
 // resolves both sides of it. The object version's identity (UUID,
 // storage key, chunk and payload sums) is preserved by a swap — the
 // replacement chunks are the stored ones again, byte for byte — so src
-// and dst share chunk keys and differ only in the providers of the
-// replaced slots, or not at all when rot is healed in place. The repair
-// read follows the serving path's "m cheapest providers" ranking, with
-// the replaced slots excluded.
+// and dst differ only in the replaced slots: their providers, unless rot
+// is healed in place, and always their generation, drawn here, which no
+// other plan for the same slot shares. The repair read follows the
+// serving path's "m cheapest providers" ranking, with the replaced slots
+// excluded.
 func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*swap, error) {
 	n := len(meta.Chunks)
 	if to.N() != n || to.M != meta.M || len(replaced) == 0 {
@@ -193,13 +193,20 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 	}
 	moved := meta
 	moved.Chunks = slices.Clone(meta.Chunks)
+	if moved.Gens = slices.Clone(meta.Gens); moved.Gens == nil {
+		moved.Gens = make([]uint64, meta.columns())
+	}
 	for _, i := range replaced {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("engine: swap plan slot %d out of range", i)
 		}
 		moved.Chunks[i] = to.Providers[i].Name
+		gen := e.b.gen.Add(1)
+		for col := i; col < len(moved.Gens); col += n { // the slot's column of every part
+			moved.Gens[col] = gen
+		}
 	}
-	sw := &swap{meta: meta, replaced: replaced}
+	sw := &swap{meta: meta, replaced: replaced, gens: moved.Gens}
 	var err error
 	if sw.src, err = e.layoutOf(meta); err != nil {
 		return nil, err
@@ -248,8 +255,7 @@ func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error)
 // fall back from the dead provider to the survivors, post-commit
 // readers find the replacement chunk already written. On any failure,
 // including ctx cancellation mid-swap, every replacement chunk already
-// written is rolled back (see unreferenced) and the old metadata stays
-// live.
+// written is discarded and the old metadata stays live.
 func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 	wrote := make([]int64, sw.src.stripes)
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, sw.src.stripes,
@@ -264,33 +270,14 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 			}, nil
 		})
 	if err := p.drain(); err != nil {
-		cur := e.currentVersion(RowKey(sw.meta.Container, sw.meta.Key))
-		e.dropChunks(sw.dst, p.next, sw.replaced, sw.unreferenced(cur))
+		e.discard(sw.dst, p.next, sw.replaced)
 		return err
 	}
 	var bytes int64
 	for _, w := range wrote {
 		bytes += w
 	}
-	return e.commitSwap(sw, bytes, out, true)
-}
-
-// moved reports whether the swap takes a slot to another provider. A slot
-// healed in place has no stale copy to clean up: its old chunk is the key
-// the new one was written under.
-func (sw *swap) moved(slot int) bool { return sw.src.names[slot] != sw.dst.names[slot] }
-
-// unreferenced is the rollback rule of a failed swap, given the live
-// version cur: a replacement chunk goes only if cur does not point at it.
-// That spares a slot healed in place (the rewritten chunk is the live
-// one) and the chunks of a concurrent pass that committed the same swap
-// (same version, same chunk keys), and still reclaims everything once
-// the version repaired is gone.
-func (sw *swap) unreferenced(cur *ObjectMeta) func(slot int) bool {
-	return func(slot int) bool {
-		return cur == nil || cur.UUID != sw.meta.UUID || cur.SKey != sw.meta.SKey ||
-			cur.Chunks[slot] != sw.dst.names[slot]
-	}
+	return e.commitSwap(sw, bytes, out)
 }
 
 // replacedBytes totals the replacement chunks of one rebuilt stripe.
@@ -302,20 +289,24 @@ func (sw *swap) replacedBytes(chunks [][]byte) (n int64) {
 }
 
 // commitSwap installs a completed chunk swap's metadata under the row
-// lock, and only if the version repaired is still the live one: a
-// client write or delete that landed while the replacement chunks were
-// copying must win. On failure every replacement chunk is rolled back;
-// on success the swap is counted into out and the dead providers'
-// stale copies become postponed deletes (§III-D3). replicate is false
-// inside a batch, which replicates once after its last commit.
-func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome, replicate bool) error {
+// lock, and only if the row the swap was planned from is still the live
+// one: a client write or delete that landed while the replacement chunks
+// were copying must win, and so must another swap or heal of the same
+// version. On failure every replacement chunk is discarded — the keys are
+// this swap's alone. On success the swap is counted into out and the
+// copies it replaced — at the dead providers, or the rotten ones a heal
+// wrote beside — are retired: the swapped row has replicated, and readers
+// opened on the row before it pin them until they are done (§III-D3
+// postpones the delete at a provider that is still down).
+func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome) error {
 	meta, stripes, replaced := sw.meta, sw.src.stripes, sw.replaced
-	cur, err := e.publish(meta.Container, meta.Key, replicate, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
-		if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey || !slices.Equal(cur.Chunks, meta.Chunks) {
+	_, err := e.publish(meta.Container, meta.Key, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
+		if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey ||
+			!slices.Equal(cur.Chunks, meta.Chunks) || !slices.Equal(cur.Gens, meta.Gens) {
 			return nil, fmt.Errorf("engine: swap repair: object changed mid-repair")
 		}
 		newMeta := *cur
-		newMeta.Chunks = sw.dst.names
+		newMeta.Chunks, newMeta.Gens = sw.dst.names, sw.gens
 		version, err := encodeMeta(newMeta, ts)
 		if err == nil {
 			if err = e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
@@ -325,14 +316,10 @@ func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome, replicat
 		return &newMeta, err
 	})
 	if err != nil {
-		// After a failed metadata write the live version is still the one
-		// repaired, which references no moved slot.
-		e.dropChunks(sw.dst, stripes, replaced, sw.unreferenced(cur))
+		e.discard(sw.dst, stripes, replaced)
 		return err
 	}
-	// The dead providers' stale copies of the replaced chunks: deletion
-	// is postponed until the provider recovers (§III-D3).
-	e.dropChunks(sw.src, stripes, replaced, sw.moved)
+	e.b.reaper.retire(&chunkSet{l: sw.src, upto: stripes, slots: replaced, pin: meta.UUID})
 	e.b.healed(sw.src, replaced)
 	out.swapped++
 	out.chunks += stripes * len(replaced)
@@ -343,10 +330,11 @@ func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome, replicat
 // --- bit rot ---
 
 // rotEntry is the chunk slots of one object version that failed their
-// sum on a read.
+// sum on a read, each with its first chunk's key: a reader opened before
+// a heal still meets the column the heal replaced, which is not news.
 type rotEntry struct {
 	uuid  string
-	slots []int
+	slots map[int]string
 }
 
 // maxRotObjects bounds Broker.rot. Past it a rejected chunk is still
@@ -367,15 +355,16 @@ func (b *Broker) noteRot(tr *obs.Trace, l *stripeLayout, slot int) {
 	if l.obj == "" {
 		return
 	}
+	col := l.key(0, slot)
 	b.mu.Lock()
 	r, fresh := b.rot[l.obj], false
 	switch {
 	case r != nil && r.uuid == l.uuid:
-		if fresh = !slices.Contains(r.slots, slot); fresh {
-			r.slots = append(r.slots, slot)
+		if fresh = r.slots[slot] != col; fresh {
+			r.slots[slot] = col
 		}
 	case r != nil || len(b.rot) < maxRotObjects:
-		b.rot[l.obj], fresh = &rotEntry{uuid: l.uuid, slots: []int{slot}}, true
+		b.rot[l.obj], fresh = &rotEntry{uuid: l.uuid, slots: map[int]string{slot: col}}, true
 	}
 	b.mu.Unlock()
 	if fresh {
@@ -387,7 +376,9 @@ func (b *Broker) noteRot(tr *obs.Trace, l *stripeLayout, slot int) {
 func (b *Broker) healed(l *stripeLayout, slots []int) {
 	b.mu.Lock()
 	if r := b.rot[l.obj]; r != nil && r.uuid == l.uuid {
-		r.slots = slices.DeleteFunc(r.slots, func(i int) bool { return slices.Contains(slots, i) })
+		for _, i := range slots {
+			delete(r.slots, i)
+		}
 		if len(r.slots) == 0 {
 			delete(b.rot, l.obj)
 		}
@@ -398,17 +389,26 @@ func (b *Broker) healed(l *stripeLayout, slots []int) {
 // healRot rewrites the chunk slots of meta's version that reads found
 // rotten, with the machinery of a chunk swap whose targets are the
 // providers already holding them: per stripe, m chunks that pass their
-// sums are read and only the noted slots are written, in place. It
-// reports whether the row was republished. Slots it could not heal stay
-// noted for the next visit; rot noted on a version since replaced is
-// dropped.
+// sums are read and only the noted slots are written, beside the rotten
+// chunks, which are retired. It reports whether the row was republished.
+// Slots it could not heal stay noted for the next visit; rot noted on a
+// version, or a column of it, since replaced is dropped.
 func (e *Engine) healRot(ctx context.Context, obj string, meta ObjectMeta, out *outcome) bool {
 	e.b.mu.Lock()
 	var slots []int
 	if r := e.b.rot[obj]; r != nil && r.uuid != meta.UUID {
 		delete(e.b.rot, obj)
 	} else if r != nil {
-		slots = slices.Clone(r.slots)
+		for slot, col := range r.slots {
+			if col == meta.chunkKey(0, slot) {
+				slots = append(slots, slot)
+			} else {
+				delete(r.slots, slot)
+			}
+		}
+		if len(r.slots) == 0 {
+			delete(e.b.rot, obj)
+		}
 	}
 	e.b.mu.Unlock()
 	if len(slots) == 0 {
@@ -452,8 +452,8 @@ func (sb *swapBatcher) add(ctx context.Context, sw *swap, out *outcome) (err err
 
 // flush writes every pending replacement chunk, one batch per target
 // provider, then commits each object whose writes all landed. An object
-// with a failed target has the chunks that did land rolled back and is
-// counted Skipped.
+// with a failed target has its replacement chunks discarded, landed or
+// not, and is counted Skipped.
 func (sb *swapBatcher) flush(ctx context.Context, out *outcome) {
 	pend := sb.pend
 	sb.pend = nil
@@ -467,52 +467,38 @@ func (sb *swapBatcher) flush(ctx context.Context, out *outcome) {
 			groups[name] = append(groups[name], cloud.BatchItem{Key: sw.dst.key(0, i), Data: sw.chunks[i]})
 		}
 	}
-	landed := make(map[pendingDelete]bool) // (provider, chunk key) written
 	failed := make(map[string]bool)
 	for name, items := range groups {
-		n, err := sb.e.putBatch(ctx, name, items)
-		for _, it := range items[:n] {
-			landed[pendingDelete{name, it.Key}] = true
-		}
-		failed[name] = err != nil
+		failed[name] = sb.e.putBatch(ctx, name, items) != nil
 	}
 	for _, sw := range pend {
-		wrote := func(slot int) bool { return landed[pendingDelete{sw.dst.names[slot], sw.dst.key(0, slot)}] }
 		if slices.ContainsFunc(sw.replaced, func(i int) bool { return failed[sw.dst.names[i]] }) {
-			sb.e.dropChunks(sw.dst, 1, sw.replaced, wrote)
+			sb.e.discard(sw.dst, 1, sw.replaced)
 			out.skipped++
-		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), out, false) != nil {
+		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), out) != nil {
 			out.skipped++
 		}
 	}
-	sb.e.b.replicate()
 }
 
 // putBatch writes one provider's batch — through cloud.BatchWriter when
 // the backend supports it (one round-trip, all or nothing), item by item
-// otherwise — and reports how many items landed. Like writeChunks it
-// first cancels the postponed deletes of the keys it writes.
-func (e *Engine) putBatch(ctx context.Context, provider string, items []cloud.BatchItem) (landed int, err error) {
+// otherwise.
+func (e *Engine) putBatch(ctx context.Context, provider string, items []cloud.BatchItem) (err error) {
 	st, ok := e.b.registry.Store(provider)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", cloud.ErrUnavailable, provider)
-	}
-	for _, it := range items {
-		e.b.cancelPendingDelete(provider, it.Key)
+		return fmt.Errorf("%w: %s", cloud.ErrUnavailable, provider)
 	}
 	t0 := time.Now()
 	if bw, isBatch := st.(cloud.BatchWriter); isBatch {
-		if err = bw.PutBatch(ctx, items); err == nil {
-			landed = len(items)
-		}
+		err = bw.PutBatch(ctx, items)
 	} else {
 		for _, it := range items {
 			if err = st.Put(ctx, it.Key, it.Data); err != nil {
 				break
 			}
-			landed++
 		}
 	}
 	e.b.observeProviderOp(provider, "put-batch", t0, err)
-	return landed, err
+	return err
 }

@@ -2,14 +2,18 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
@@ -140,7 +144,7 @@ func TestRepairSwapPreservesIdentity(t *testing.T) {
 }
 
 // TestRepairSwapQueuesStaleChunkDeletes: the dead provider's copies of
-// the replaced chunks are orphaned by the swap; their deletion must be
+// the replaced chunks are retired by the swap; their deletion must be
 // postponed until the provider recovers (§III-D3).
 func TestRepairSwapQueuesStaleChunkDeletes(t *testing.T) {
 	b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: 64 << 10})
@@ -151,6 +155,9 @@ func TestRepairSwapQueuesStaleChunkDeletes(t *testing.T) {
 
 	if _, err := b.Repair(ctx, RepairActive); err != nil {
 		t.Fatal(err)
+	}
+	if done := b.ProcessPendingDeletes(ctx); done != 0 {
+		t.Fatalf("%d postponed deletes completed with the provider still down", done)
 	}
 	if got := b.PendingDeletes(); got != meta.StripeCount() {
 		t.Fatalf("pending deletes = %d, want %d (one stale chunk per stripe)", got, meta.StripeCount())
@@ -332,5 +339,195 @@ func TestRebuildProducesOnlyTheReplacedSlots(t *testing.T) {
 	sw.src.sums[0].Chunks[replaced] ^= 1
 	if _, err := e.rebuild(ctx, sw, 0); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("rebuild against a wrong stored sum: %v, want ErrChecksum", err)
+	}
+}
+
+// TestSwapNeverOverwrites: every provider fails the test on a Put or a
+// PutBatch item that lands on a key it already holds, through every way a
+// swap writes — a multi-stripe swap, a batch of single-stripe ones, a heal
+// beside the rotten chunk, a slot that goes P -> Q -> P while P still
+// holds the copy the first swap replaced, and a heal racing a repair pass
+// on the same object. Afterwards every object verifies all n chunks and,
+// once settled, the providers hold exactly the chunks the live rows name:
+// what a swap replaced and what the loser of a race wrote are both gone,
+// and nothing else is.
+func TestSwapNeverOverwrites(t *testing.T) {
+	const stripe = 1024
+	type env struct {
+		*testing.T
+		b    *Broker
+		e    *Engine
+		prov map[string]*hookBackend
+		// refuse makes every provider fail its deletes while set.
+		refuse atomic.Bool
+	}
+	put := func(v *env, key string, size int) ObjectMeta {
+		v.Helper()
+		meta, err := v.e.Put(ctx, "bk", key, testPayload(size), PutOptions{})
+		if err != nil || strings.Join(meta.Chunks, "") != "ABC" {
+			v.Fatalf("put %s: on %v, %v; scenario expects ABC", key, meta.Chunks, err)
+		}
+		return meta
+	}
+	repair := func(v *env, down string, swapped int) {
+		v.Helper()
+		v.prov[down].SetAvailable(false)
+		if rep, err := v.b.Repair(ctx, RepairActive); err != nil || rep.Swapped != swapped {
+			v.Fatalf("repair with %s down: %+v, %v; want %d swaps", down, rep, err, swapped)
+		}
+		v.prov[down].SetAvailable(true)
+	}
+	// rot flips a bit of a stored chunk behind the hooks' back and has a
+	// verification find it.
+	rot := func(v *env, meta ObjectMeta, s, slot int) {
+		v.Helper()
+		store, key := v.prov[meta.Chunks[slot]].BlobStore, meta.chunkKey(s, slot)
+		stored, err := store.Get(ctx, key)
+		if err != nil {
+			v.Fatal(err)
+		}
+		data := bytes.Clone(stored)
+		data[0] ^= 1
+		if err := store.Put(ctx, key, data); err != nil {
+			v.Fatal(err)
+		}
+		if n, err := v.e.VerifyObject(ctx, "bk", meta.Key); err != nil || n != len(meta.Chunks)-1 {
+			v.Fatalf("VerifyObject = %d, %v with a rotten chunk", n, err)
+		}
+	}
+	for name, run := range map[string]func(v *env) (keys []string){
+		"multi-stripe swap": func(v *env) []string {
+			put(v, "obj", 4*stripe)
+			repair(v, "B", 1)
+			return []string{"obj"}
+		},
+		"batched swap": func(v *env) []string {
+			keys := []string{"s0", "s1", "s2", "s3", "s4"}
+			for _, key := range keys {
+				put(v, key, stripe/2)
+			}
+			repair(v, "A", len(keys))
+			return keys
+		},
+		"heal": func(v *env) []string {
+			meta := put(v, "obj", 4*stripe)
+			rot(v, meta, 2, 1)
+			v.b.DrainMaintenance(ctx)
+			if after, _ := v.e.Head(ctx, "bk", "obj"); !slices.Equal(after.Chunks, meta.Chunks) || after.chunkKey(2, 1) == meta.chunkKey(2, 1) {
+				v.Fatalf("a heal must rewrite slot 1 where it is, under another key: %v %s", after.Chunks, after.chunkKey(2, 1))
+			}
+			return []string{"obj"}
+		},
+		"there and back": func(v *env) []string {
+			for _, size := range []int{4 * stripe, stripe / 2} { // per-stripe writes, and the batch
+				put(v, fmt.Sprint("o", size), size)
+			}
+			// Deletes are refused for now, so B keeps the copies the first swap
+			// replaced while the second one brings the slot back to it.
+			v.refuse.Store(true)
+			repair(v, "B", 2) // B -> D
+			repair(v, "D", 2) // D -> B
+			if v.b.ProcessPendingDeletes(ctx); v.b.PendingDeletes() == 0 {
+				v.Fatal("scenario expects B's stale chunks still queued")
+			}
+			v.refuse.Store(false)
+			return []string{fmt.Sprint("o", 4*stripe), fmt.Sprint("o", stripe/2)}
+		},
+		"heal racing repair": func(v *env) []string {
+			// A (3, 5) object — it takes two losses — with slot 1 rotten and
+			// noted and slot 0's provider down: the queue's visit and the
+			// repair pass both start by healing slot 1, from the same row,
+			// behind providers slow enough for the two to overlap.
+			first := put(v, "obj", 4*stripe)
+			if err := v.e.migrate(ctx, first, v.b.livePlacement(3, []string{"A", "B", "C", "D", "E"})); err != nil {
+				v.Fatal(err)
+			}
+			meta, err := v.e.Head(ctx, "bk", "obj")
+			if err != nil || len(meta.Chunks) != 5 {
+				v.Fatalf("scenario expects (3, 5), got %v (%v)", meta.Chunks, err)
+			}
+			rot(v, meta, 0, 1)
+			for _, hb := range v.prov {
+				hb.delay = time.Millisecond
+			}
+			v.prov["A"].SetAvailable(false)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v.b.DrainMaintenance(ctx)
+			}()
+			if _, err := v.b.Repair(ctx, RepairActive); err != nil {
+				v.Error(err)
+			}
+			wg.Wait()
+			// Whoever lost a commit left its object to the next visit.
+			v.b.DrainMaintenance(ctx)
+			if _, err := v.b.Repair(ctx, RepairActive); err != nil {
+				v.Error(err)
+			}
+			v.prov["A"].SetAvailable(true)
+			return []string{"obj"}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg, backends := hooked(marketOf("A", "B", "C", "D", "E", "F"))
+			v := &env{T: t, prov: make(map[string]*hookBackend)}
+			for _, hb := range backends {
+				hb := hb
+				v.prov[hb.Spec().Name] = hb
+				hb.put = func(ctx context.Context, key string) error {
+					if _, err := hb.BlobStore.Get(ctx, key); err == nil {
+						t.Errorf("a write to %s lands on %s, which it holds", hb.Spec().Name, key)
+					}
+					return nil
+				}
+				hb.del = func(context.Context, string) error {
+					if v.refuse.Load() {
+						return errors.New("injected delete failure")
+					}
+					return nil
+				}
+			}
+			v.b = newTestBroker(t, Config{Registry: reg, StripeBytes: stripe})
+			v.b.Rules().SetContainerRule("bk", repairRule)
+			v.e = v.b.Engine(0)
+			keys := run(v)
+
+			v.b.ProcessPendingDeletes(ctx)
+			if r, n := v.b.Retired(), v.b.PendingDeletes(); r != (RetiredStats{}) || n != 0 {
+				t.Errorf("at rest: %+v, %d postponed deletes", r, n)
+			}
+			referenced := make(map[string]bool)
+			for _, key := range keys {
+				meta, err := v.e.Head(ctx, "bk", key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, err := v.e.VerifyObject(ctx, "bk", key); err != nil || n != len(meta.Chunks) {
+					t.Errorf("%s: VerifyObject = %d, %v; want %d", key, n, err, len(meta.Chunks))
+				}
+				for s := 0; s < meta.StripeCount(); s++ {
+					for i, name := range meta.Chunks {
+						referenced[name+"|"+meta.chunkKey(s, i)] = true
+					}
+				}
+			}
+			held := 0
+			for name, hb := range v.prov {
+				stored, err := hb.List(ctx, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, key := range stored {
+					if held++; !referenced[name+"|"+key] {
+						t.Errorf("%s holds %s, which no live row names", name, key)
+					}
+				}
+			}
+			if held != len(referenced) {
+				t.Errorf("the providers hold %d chunks, the live rows name %d", held, len(referenced))
+			}
+		})
 	}
 }

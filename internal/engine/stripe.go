@@ -83,20 +83,23 @@ func (e *Engine) layoutOf(meta ObjectMeta) (*stripeLayout, error) {
 	l, err := e.resolveSlots(meta.M, meta.Chunks)
 	l.stripes, l.stripeLen, l.key, l.sums = meta.StripeCount(), meta.stripeLen, meta.chunkKey, meta.Sums
 	l.obj, l.uuid = objectName(meta.Container, meta.Key), meta.UUID
+	if len(meta.Gens) != 0 && len(meta.Gens) != meta.columns() {
+		err = fmt.Errorf("engine: %d generations for %d chunk columns", len(meta.Gens), meta.columns())
+	}
 	return l, err
 }
 
 // partLayout builds the layout of one part of an open upload: the
-// session's frozen placement, the part's own stripe geometry and
-// part-scoped keys.
-func (e *Engine) partLayout(u *uploadSession, part int, size int64) (*stripeLayout, error) {
+// session's frozen placement, the part's own stripe geometry and keys
+// scoped to the part and to the attempt at it (gen).
+func (e *Engine) partLayout(u *uploadSession, part int, gen uint64, size int64) (*stripeLayout, error) {
 	l, err := e.resolveSlots(u.placement.M, u.names)
 	stripeBytes := e.b.cfg.StripeBytes
 	l.stripes = stripeCount(size, stripeBytes)
 	l.stripeLen = func(s int) int64 {
 		return min(stripeBytes, size-int64(s)*stripeBytes)
 	}
-	l.key = func(s, i int) string { return PartChunkKey(u.skey, part, s, i) }
+	l.key = func(s, i int) string { return PartChunkKey(u.skey, part, s, i, gen) }
 	return l, err
 }
 
@@ -277,9 +280,9 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 // stripe, a swap's replaced slots for a repair) to their providers
 // concurrently, waits for every write and returns the joined error: the
 // slower writes run to completion so a rollback sees a settled picture.
-// A postponed delete still queued for a (provider, key) about to be
-// written is cancelled first — swap repair reuses chunk keys, and a
-// stale delete replayed after the write would destroy the live chunk.
+// No key is ever written twice — a version's keys carry its UUID, a part
+// attempt's and a swapped slot's their generation — so no write meets a
+// chunk a row, a reader or a queued delete still names.
 func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks [][]byte, slots []int) error {
 	start := time.Now()
 	errs := make([]error, len(slots))
@@ -289,10 +292,8 @@ func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks
 			errs[j] = fmt.Errorf("engine: provider %s vanished", l.names[i])
 			return
 		}
-		key := l.key(s, i)
-		e.b.cancelPendingDelete(l.names[i], key)
 		t0 := time.Now()
-		err := l.stores[i].Put(ctx, key, chunks[i])
+		err := l.stores[i].Put(ctx, l.key(s, i), chunks[i])
 		e.b.observeProviderOp(l.names[i], "put", t0, err)
 		if err != nil {
 			errs[j] = fmt.Errorf("engine: chunk write to %s: %w", l.names[i], err)
@@ -315,30 +316,46 @@ func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks
 	return nil
 }
 
-// dropChunks best-effort deletes the chunks of stripes [0, upto) at the
-// given slots, limited to the slots safe reports true for (nil = all of
-// them). It is the one delete primitive: the rollback of every failed
-// write and a swap's same-key slot cleanup call it on their own
-// goroutine, where request traces attribute it; the reaper calls it in
-// the background for every retired version. Deletion is cleanup that
-// must survive request cancellation, so it runs on a background context.
-// A delete refused by an unreachable provider is postponed until the
-// provider recovers (§III-D3); missing chunks are already gone.
-func (e *Engine) dropChunks(l *stripeLayout, upto int, slots []int, safe func(slot int) bool) {
-	for s := 0; s < upto; s++ {
-		for _, i := range slots {
-			if l.stores[i] == nil || (safe != nil && !safe(i)) {
-				continue // a provider that left the registry took its chunks along
+// dropChunks deletes the chunks of stripes [0, upto) at the given slots —
+// each at a provider of its own, so in parallel — and returns the slots
+// that still hold some, and how many: a chunk is gone once its delete
+// succeeds or finds nothing, and any other answer — a refusal, a transport
+// error, a 5xx — leaves it for a later pass (§III-D3). A provider that is
+// down is not asked; one that left the registry took its chunks along. It
+// is the one delete primitive and the reaper its one caller: deletion must
+// survive request cancellation, so it runs on a background context.
+func (b *Broker) dropChunks(l *stripeLayout, upto int, slots []int) (held []int, left int) {
+	kept := make([]int, len(slots))
+	var wg sync.WaitGroup
+	for j, i := range slots {
+		st := l.stores[i]
+		if st == nil {
+			continue
+		}
+		if !st.Available() {
+			kept[j] = upto
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < upto; s++ {
+				t0 := time.Now()
+				err := st.Delete(context.Background(), l.key(s, i))
+				b.observeProviderOp(l.names[i], "delete", t0, err)
+				if err != nil && !errors.Is(err, cloud.ErrNotFound) {
+					kept[j]++
+				}
 			}
-			key := l.key(s, i)
-			t0 := time.Now()
-			err := l.stores[i].Delete(context.Background(), key)
-			e.b.observeProviderOp(l.names[i], "delete", t0, err)
-			if errors.Is(err, cloud.ErrUnavailable) {
-				e.b.enqueuePendingDelete(l.names[i], key)
-			}
+		}()
+	}
+	wg.Wait()
+	for j, i := range slots {
+		if left += kept[j]; kept[j] > 0 {
+			held = append(held, i)
 		}
 	}
+	return held, left
 }
 
 // stripeOut is what one stripe of a pipe yields. slot marks a result

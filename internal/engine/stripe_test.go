@@ -188,11 +188,12 @@ func TestRepairRestripesMultipartObject(t *testing.T) {
 	}
 }
 
-// TestStalePostponedDeleteSparesLiveChunk: swap repair keeps chunk keys,
-// so when slot i moves P -> Q while P is down and later back Q -> P, the
-// delete postponed for P's stale copy names the very key the second
-// swap writes. Replaying it afterwards must not destroy the live chunk.
-// Covers the per-stripe write path and the batched single-stripe one.
+// TestStalePostponedDeleteSparesLiveChunk: when slot i moves P -> Q while
+// P is down and later back Q -> P, the delete postponed for P's stale copy
+// must not destroy the live chunk when it is replayed afterwards — which
+// it cannot: the second swap wrote the slot under another generation, so
+// the two are different keys. Covers the per-stripe write path and the
+// batched single-stripe one.
 func TestStalePostponedDeleteSparesLiveChunk(t *testing.T) {
 	for name, size := range map[string]int{"multi-stripe": 256 << 10, "single-stripe": 16 << 10} {
 		t.Run(name, func(t *testing.T) {
@@ -223,9 +224,16 @@ func TestStalePostponedDeleteSparesLiveChunk(t *testing.T) {
 			if back := swapAway(q); back != p || q == p {
 				t.Fatalf("scenario expects slot %d to go %s -> spare -> %s, went -> %s -> %s", slot, p, p, q, back)
 			}
+			after, err := b.Engine(0).Head(ctx, "bk", "obj")
+			if err != nil || after.chunkKey(0, slot) == meta.chunkKey(0, slot) {
+				t.Fatalf("back at %s the slot must have a key of its own, has %s again (%v)", p, after.chunkKey(0, slot), err)
+			}
 			b.ProcessPendingDeletes(ctx)
 			if n := b.PendingDeletes(); n != 0 {
 				t.Fatalf("%d deletes still pending with every provider up", n)
+			}
+			if keys, err := blob(t, b, p).List(ctx, meta.SKey); err != nil || len(keys) != meta.StripeCount() || keys[0] != after.chunkKey(0, slot) {
+				t.Fatalf("%s holds %v (%v), want the %d live chunks of slot %d", p, keys, err, meta.StripeCount(), slot)
 			}
 			if reachable, err := b.Engine(0).VerifyObject(ctx, "bk", "obj"); err != nil || reachable != len(meta.Chunks) {
 				t.Fatalf("VerifyObject = %d, %v; want %d", reachable, err, len(meta.Chunks))

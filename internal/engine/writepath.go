@@ -53,7 +53,7 @@ func (e *Engine) writeStripes(ctx context.Context, l *stripeLayout, r io.Reader)
 			}, nil
 		})
 	if err := p.drain(); err != nil {
-		e.dropChunks(l, p.next, l.all, nil)
+		e.discard(l, p.next, l.all)
 		return "", err
 	}
 	e.b.metrics.writeStripes.Add(int64(l.stripes))

@@ -43,6 +43,7 @@ func TestWriteCancellationRollsBackAcrossModes(t *testing.T) {
 			if _, err := e.Head(context.Background(), "c", "big"); !errors.Is(err, ErrObjectNotFound) {
 				t.Fatalf("metadata committed despite cancellation: %v", err)
 			}
+			b.ProcessPendingDeletes(context.Background())
 			for _, s := range b.Registry().Snapshot() {
 				if bs, ok := s.(*cloud.BlobStore); ok && bs.ObjectCount() != 0 {
 					t.Fatalf("%s holds %d orphan chunks after cancel", bs.Spec().Name, bs.ObjectCount())
