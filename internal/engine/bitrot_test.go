@@ -160,7 +160,7 @@ func TestBitRotIsAnErasure(t *testing.T) {
 			if !maps.Equal(reads, want(v, 0, 1, 2, 3)) || writes != 0 {
 				v.Fatalf("GET billed %v and wrote %d chunks, want %v and none", reads, writes, want(v, 0, 1, 2, 3))
 			}
-			cached, ok := v.rb.Caches().GetStripe(v.e.Datacenter(), stripeCacheID("c/k", v.meta.UUID), rotStripe)
+			cached, ok := v.rb.Caches().GetStripe(v.e.Datacenter(), v.meta.cacheID(), rotStripe)
 			if !ok || !bytes.Equal(cached, v.payload[rotStripe*1024:(rotStripe+1)*1024]) {
 				v.Fatal("the stripe read around the rotten chunk is not cached intact")
 			}

@@ -117,12 +117,12 @@ func (e *Engine) Put(ctx context.Context, container, key string, data []byte, op
 // best provider set for the object's class and rule, splits the body
 // into stripes of at most the deployment's stripe size, erasure-codes
 // each stripe into chunks written under a fresh UUID-derived storage
-// key, records metadata via MVCC, invalidates caches and logs
-// statistics (§III-D1). The body is never materialized whole: at most
-// one stripe is buffered at a time, so arbitrarily large objects stream
-// through in constant memory. size must be the exact body length.
-// Cancelling ctx aborts the in-flight chunk fan-out and rolls back the
-// chunks already written.
+// key, records metadata via MVCC, updates the caches holding the old
+// version and logs statistics (§III-D1). The body is never materialized
+// whole: at most one stripe is buffered at a time, so arbitrarily large
+// objects stream through in constant memory. size must be the exact body
+// length. Cancelling ctx aborts the in-flight chunk fan-out and rolls
+// back the chunks already written.
 func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts PutOptions) (ObjectMeta, error) {
 	if container == "" || key == "" {
 		return ObjectMeta{}, fmt.Errorf("%w: container and key are required", ErrInvalidArgument)
@@ -152,7 +152,8 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 
 	// Fast-fail the precondition before any chunk traffic; the
 	// authoritative check repeats under the row lock at commit time.
-	if err := checkWriteConditions(opts, e.currentVersion(RowKey(container, key))); err != nil {
+	cur := e.currentVersion(RowKey(container, key))
+	if err := checkWriteConditions(opts, cur); err != nil {
 		return ObjectMeta{}, err
 	}
 
@@ -177,6 +178,9 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	if err != nil {
 		return ObjectMeta{}, err
 	}
+	if cur != nil {
+		l.kept = e.b.caches.Held(cur.cacheID())
+	}
 	if meta.Checksum, err = e.writeStripes(ctx, l, r); err != nil {
 		return ObjectMeta{}, err
 	}
@@ -185,7 +189,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	// Commit under the row lock — one batched metadata commit per
 	// object, no matter how many stripes streamed through above.
 	commitStart := time.Now()
-	err = e.commitObject(&meta, opts)
+	err = e.commitObject(&meta, opts, l.kept)
 	e.b.observeStage(tr, "commit", commitStart)
 	if err != nil {
 		return ObjectMeta{}, err
@@ -255,7 +259,10 @@ func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts i
 // metadata commit serializes. On failure meta's staged chunks are rolled
 // back — except after a listing-index failure, where the object itself
 // committed and the chunks must survive.
-func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) error {
+// Once committed, each stripe cached of the version meta supersedes
+// becomes meta's, with its bytes from kept (dropped where there are none),
+// under the row lock: a later writer's retirement of meta comes after.
+func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions, kept map[int][]byte) error {
 	committed := false
 	_, err := e.publish(meta.Container, meta.Key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if err := checkWriteConditions(opts, prev); err != nil {
@@ -272,7 +279,11 @@ func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions) error {
 			return nil, fmt.Errorf("engine: metadata write: %w", err)
 		}
 		committed = true
-		return meta, e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts)
+		if err := e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts); err != nil || prev == nil {
+			return meta, err
+		}
+		e.b.caches.Replace(prev.cacheID(), meta.cacheID(), kept, false)
+		return meta, nil
 	})
 	if err != nil && !committed {
 		l, _ := e.layoutOf(*meta)      // deleting needs no coder

@@ -827,7 +827,9 @@ func TestPutReaderCancellationAbortsFanOut(t *testing.T) {
 	if _, err := e.Head(context.Background(), "c", "big"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("metadata committed despite cancellation: %v", err)
 	}
-	// Rollback must leave no orphan chunks at any provider.
+	// Rollback must leave no orphan chunks at any provider once the reaper
+	// has settled: the rollback's deletes run in the background.
+	b.ProcessPendingDeletes(ctx)
 	for _, s := range b.Registry().Snapshot() {
 		if bs, ok := s.(*cloud.BlobStore); ok && bs.ObjectCount() != 0 {
 			t.Fatalf("%s holds %d orphan chunks after cancel", bs.Spec().Name, bs.ObjectCount())

@@ -380,7 +380,7 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 
 	tr := obs.TraceFrom(ctx)
 	commitStart := time.Now()
-	err = e.commitObject(&meta, s.opts)
+	err = e.commitObject(&meta, s.opts, nil) // parts keep no copies: cached stripes are dropped
 	e.b.observeStage(tr, "commit", commitStart)
 	if err != nil {
 		return ObjectMeta{}, err

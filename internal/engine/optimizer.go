@@ -349,8 +349,9 @@ func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 // stripe: each stripe is reconstructed from the current chunks,
 // re-encoded for the target placement and written out while the next
 // ones are read, so migration of a large object never buffers it whole.
-// The commit retires the source version; its chunks go once the source
-// stream, which pins it like any reader, is closed.
+// The commit re-keys the source version's cached stripes to the new one
+// and retires the source; its chunks go once the source stream, which
+// pins it like any reader, is closed.
 func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement) error {
 	src, err := e.openObjectRange(ctx, meta, 0, meta.Size, false)
 	if err != nil {
@@ -397,7 +398,11 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 		if err != nil {
 			return nil, err
 		}
-		return &newMeta, e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version)
+		if err := e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
+			return &newMeta, err
+		}
+		e.b.caches.Replace(meta.cacheID(), newMeta.cacheID(), nil, true) // same sums, same bytes
+		return &newMeta, nil
 	}); err != nil {
 		e.discard(l, l.stripes, l.all)
 		return err

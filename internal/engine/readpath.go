@@ -43,9 +43,9 @@ type objectReader struct {
 	// objectName plus the version UUID. Versioned keys make the cache
 	// immune to the invalidate-then-fill race — a slow reader of the
 	// old version fills old-version keys, which a reader of the new
-	// version can never hit. Superseded entries are invalidated
-	// eagerly where the previous version is known and age out of the
-	// LRU otherwise.
+	// version can never hit. A commit hands a superseded version's
+	// entries to its successor and retirement drops the rest; what a
+	// slow reader fills later is never hit and ages out.
 	cacheID string
 	// via is where the stream fetches from. Outages come and go and a
 	// swap repair moves chunks of the pinned version mid-stream, so a
@@ -117,7 +117,7 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n
 	}
 	obj, span := objectName(meta.Container, meta.Key), meta.stripeSpan()
 	or := &objectReader{
-		e: e, meta: meta, obj: obj, cacheID: stripeCacheID(obj, meta.UUID),
+		e: e, meta: meta, obj: obj, cacheID: meta.cacheID(),
 		userRead: userRead, start: int(offset / span), left: n,
 	}
 	or.via.Store(via)
@@ -204,8 +204,8 @@ func (or *objectReader) refresh(stale *readVia) *readVia {
 	return or.via.Load()
 }
 
-// stripeCacheID builds the stripe-cache identity of one object version.
-func stripeCacheID(obj, uuid string) string { return obj + "\x00" + uuid }
+// cacheID is the stripe-cache identity of the object version m.
+func (m ObjectMeta) cacheID() string { return objectName(m.Container, m.Key) + "\x00" + m.UUID }
 
 // advance drops the drained stripe and takes the next one off the pipe;
 // io.EOF past the last.

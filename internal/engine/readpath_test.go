@@ -241,8 +241,8 @@ func TestGetReaderCancelTeardown(t *testing.T) {
 	// cached entry must be a whole stripe.
 	close(gate)
 	if c := b.Caches().Datacenter(e.Datacenter()); c != nil {
-		if used, entries := c.UsedBytes(), int64(c.Len()); used != entries*1024 {
-			t.Fatalf("cache holds partial stripes: %d bytes over %d entries", used, entries)
+		if st := c.Stats(); st.UsedBytes != st.Entries*1024 {
+			t.Fatalf("cache holds partial stripes: %d bytes over %d entries", st.UsedBytes, st.Entries)
 		}
 	}
 	got, _, err := e.Get(ctx, "big", "obj")
@@ -352,7 +352,7 @@ func TestCorruptStripeNeverEntersCache(t *testing.T) {
 	// Nothing corrupt may be cached: every entry still in the cache
 	// must serve healthy stripes only (stripes 0, 1, 3 at most).
 	if c := b.Caches().Datacenter(e.Datacenter()); c != nil {
-		if data, ok := c.GetStripe(stripeCacheID("c/k", meta.UUID), 2); ok {
+		if data, ok := c.GetStripe(meta.cacheID(), 2); ok {
 			t.Fatalf("corrupt stripe cached: %d bytes", len(data))
 		}
 	}

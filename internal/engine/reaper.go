@@ -152,7 +152,7 @@ func (r *reaper) retire(cs *chunkSet) (overloaded bool) {
 // retireVersion retires a version no row points at any more and drops its
 // stripes from every datacenter's cache.
 func (e *Engine) retireVersion(meta ObjectMeta) (overloaded bool) {
-	e.b.caches.InvalidateAll(stripeCacheID(objectName(meta.Container, meta.Key), meta.UUID))
+	e.b.caches.InvalidateAll(meta.cacheID())
 	l, _ := e.layoutOf(meta) // deleting needs no coder
 	return e.b.reaper.retire(&chunkSet{l: l, upto: l.stripes, slots: l.all, pin: meta.UUID, bytes: storedBytes(meta)})
 }

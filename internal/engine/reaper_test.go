@@ -316,8 +316,15 @@ func TestHeldStreamsThroughRepairChurn(t *testing.T) {
 // under its ETag before it is written. Every read that returns bytes
 // returns exactly one version's bytes; no read fails with anything but
 // ErrObjectNotFound; and at rest the providers hold exactly the live
-// versions' chunks.
+// versions' chunks. It runs with the stripe caches off and on in both
+// datacenters — on, small enough to evict — so overwrites and migrations
+// hand cached stripes on (write-update, re-key) under the same races.
 func TestSharedKeyHammer(t *testing.T) {
+	t.Run("cache-off", func(t *testing.T) { sharedKeyHammer(t, 0) })
+	t.Run("cache-on", func(t *testing.T) { sharedKeyHammer(t, 8<<10) })
+}
+
+func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 	const (
 		stripe              = 1024
 		readers, writers    = 4, 2
@@ -332,7 +339,7 @@ func TestSharedKeyHammer(t *testing.T) {
 		hb.delay, hb.put, hb.del = latency, wait, wait
 	}
 	clock := NewSimClock()
-	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Clock: clock, MigrationHorizon: 1_000_000})
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Clock: clock, MigrationHorizon: 1_000_000, CacheBytes: cacheBytes})
 	b.Rules().SetContainerRule(container, repairRule)
 
 	var oracle sync.Map // ETag (hex MD5) -> payload
@@ -449,7 +456,7 @@ func TestSharedKeyHammer(t *testing.T) {
 
 	b.DrainMaintenance(ctx)
 	b.ProcessPendingDeletes(ctx)
-	t.Logf("migrations: %d by the optimizer, %d by the event queue", migrated.Load(), b.MaintStats().Migrated)
+	t.Logf("migrations: %d by the optimizer, %d by the event queue; stripe caches %+v", migrated.Load(), b.MaintStats().Migrated, b.Caches().Stats())
 	var live, used int64
 	for k := 0; k < keyCount; k++ {
 		meta, err := b.Engine(0).Head(ctx, container, fmt.Sprintf("k%d", k))

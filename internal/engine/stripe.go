@@ -52,6 +52,7 @@ type stripeLayout struct {
 	// sums is the integrity record of each stripe: filled in by
 	// writeStripes, checked by every fetch.
 	sums []StripeSum
+	kept map[int][]byte // a PUT's: the stripes cached of what it replaces (Held), filled by encodeStripe
 	// obj and uuid name the object version a stored layout belongs to, so
 	// a fetch that rejects a chunk can say whose it was. A part still
 	// being staged has neither; nothing reads one.

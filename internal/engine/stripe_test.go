@@ -420,7 +420,7 @@ func TestStripeEngineTeardown(t *testing.T) {
 					}
 					c := b.Caches().Datacenter(e.Datacenter())
 					for s := 0; !op.small && s < f.meta.StripeCount(); s++ {
-						if data, ok := c.GetStripe(stripeCacheID("bk/obj", f.meta.UUID), s); ok && !bytes.Equal(data, f.payload[s*stripe:(s+1)*stripe]) {
+						if data, ok := c.GetStripe(f.meta.cacheID(), s); ok && !bytes.Equal(data, f.payload[s*stripe:(s+1)*stripe]) {
 							t.Fatalf("stripe cache holds a torn stripe %d (%d bytes)", s, len(data))
 						}
 					}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/md5"
 	"encoding/hex"
@@ -80,6 +81,10 @@ func (e *Engine) encodeStripe(ctx context.Context, l *stripeLayout, s int, r io.
 			return nil, fmt.Errorf("%w: body ended before the declared size", ErrInvalidArgument)
 		}
 		return nil, fmt.Errorf("engine: object body read: %w", err)
+	}
+	if _, ok := l.kept[s]; ok { // chunks and sums are cut from the bytes the caches get
+		buf = bytes.Clone(buf)
+		l.kept[s] = buf
 	}
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
