@@ -250,7 +250,6 @@ func newBenchBroker(b *testing.B, objects int) (*engine.Broker, *engine.SimClock
 			b.Fatal(err)
 		}
 	}
-	br.FlushStats()
 	return br, clock
 }
 
@@ -987,7 +986,6 @@ func BenchmarkRepairAffected(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		br.FlushStats()
 		var checked, affected int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -173,7 +173,7 @@ func (c *Config) fill() {
 }
 
 // Broker is a full Scalia deployment: shared storage registry, metadata
-// cluster, cache cluster, statistics pipeline and a set of stateless
+// cluster, cache cluster, statistics database and a set of stateless
 // engines across datacenters.
 type Broker struct {
 	cfg      Config
@@ -181,7 +181,6 @@ type Broker struct {
 	meta     *metadata.Cluster
 	caches   *cache.Cluster
 	statsDB  *stats.DB
-	agg      *stats.Aggregator
 	rules    *RuleStore
 	clock    Clock
 	engines  []*Engine
@@ -427,7 +426,6 @@ func NewBroker(cfg Config) *Broker {
 		MigrationHorizon: cfg.MigrationHorizon,
 		MigrationCost:    core.MigrationCost,
 	}
-	b.agg = stats.NewAggregator(b.statsDB, 0)
 	id := 0
 	for _, dc := range cfg.Datacenters {
 		for i := 0; i < cfg.EnginesPerDC; i++ {
@@ -435,7 +433,6 @@ func NewBroker(cfg Config) *Broker {
 				id:    fmt.Sprintf("engine%d", id),
 				dc:    dc,
 				b:     b,
-				agent: b.agg.NewAgent(),
 				alive: true,
 			})
 			id++
@@ -454,12 +451,10 @@ func NewBroker(cfg Config) *Broker {
 }
 
 // Close stops the maintenance queue workers, then the reaper — after a
-// last pass over what they retired — and releases the statistics
-// pipeline.
+// last pass over what they retired.
 func (b *Broker) Close() {
 	b.maint.close()
 	b.reaper.close()
-	b.agg.Close()
 }
 
 // ProviderIndex exposes the provider→objects inverted index (tests and
@@ -534,22 +529,6 @@ func (b *Broker) Caches() *cache.Cluster { return b.caches }
 
 // Clock exposes the deployment clock.
 func (b *Broker) Clock() Clock { return b.clock }
-
-// FlushStats drains the log pipeline and inter-DC replication; the
-// simulator calls it at period boundaries.
-func (b *Broker) FlushStats() {
-	b.agg.Flush()
-	b.replicate()
-}
-
-// replicate delivers every queued metadata change to the other
-// datacenters. Engine.publish calls it after each row commit, which is
-// what gives every caller — facade, gateway, background worker, direct
-// Broker use — read-your-writes on any engine over the eventually
-// consistent store (§III-D3).
-// Severed links (metadata.Cluster.Partition) keep their queues; tests
-// staging a cross-datacenter conflict partition first.
-func (b *Broker) replicate() { b.meta.Flush() }
 
 // CurrentPlacement returns where an object's chunks are, read from its
 // live metadata row, its providers described by their current specs.

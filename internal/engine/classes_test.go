@@ -49,7 +49,6 @@ func TestClassStatsImproveFirstPlacement(t *testing.T) {
 			}
 		}
 	}
-	b.FlushStats()
 
 	// A brand-new object of the trained class must be born read-optimized.
 	newMeta, err := e.Put(ctx, "pics", "fresh.gif", make([]byte, 256<<10),
@@ -96,7 +95,6 @@ func TestDeletionLifetimesFeedTTL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.FlushStats()
 
 	meta, err := e.Put(ctx, "logs", "new.log", make([]byte, 1024), PutOptions{MIME: "text/log"})
 	if err != nil {

@@ -42,10 +42,9 @@ var (
 // (§III-A). Each engine belongs to one datacenter and serves requests
 // against that datacenter's metadata node and cache.
 type Engine struct {
-	id    string
-	dc    string
-	b     *Broker
-	agent *stats.Agent
+	id string
+	dc string
+	b  *Broker
 
 	mu    sync.Mutex
 	alive bool
@@ -194,7 +193,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	if err != nil {
 		return ObjectMeta{}, err
 	}
-	e.agent.Log(stats.Event{
+	e.b.statsDB.Apply(stats.Event{
 		Object: obj, Class: class, Kind: stats.EventWrite,
 		Bytes: size, StorageBytes: size, Period: now,
 	})
@@ -208,13 +207,14 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 // the new row and returns it (nil for a tombstone). Still under the lock
 // — commits of one key index in the order they commit — the provider
 // index is brought in line with the stored row, a deleted object's
-// decision-period controller and noted rot are let go, and the change
-// replicates to every other datacenter, so read-your-writes holds on
-// every path — foreground or background, with or without a front-end.
-// The lock covers the replication because a row's next writer,
-// in whichever datacenter, must be shown this version as cur: its write
-// dominates every head its node holds, seen or not, so a version arriving
-// between its read and its write would vanish with nobody to retire it.
+// decision-period controller and noted rot are let go. The change has
+// already reached every other datacenter: write's metadata.Cluster.Put
+// delivers it before it returns, so read-your-writes holds on every path
+// — foreground or background, with or without a front-end. The lock
+// covers that delivery because a row's next writer, in whichever
+// datacenter, must be shown this version as cur: its write dominates
+// every head its node holds, seen or not, so a version arriving between
+// its read and its write would vanish with nobody to retire it.
 // Last, the lock released, if the stored row carries another UUID than
 // the one it replaced (or is a tombstone), the superseded version goes to
 // the reaper (retireVersion): only after replication, so no datacenter is
@@ -238,9 +238,6 @@ func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts i
 		delete(e.b.decisions, obj)
 		delete(e.b.rot, obj)
 		e.b.mu.Unlock()
-	}
-	if err == nil {
-		e.b.replicate()
 	}
 	lk.Unlock()
 	if err != nil {
@@ -533,7 +530,7 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	if err != nil {
 		return err
 	}
-	e.agent.Log(stats.Event{
+	e.b.statsDB.Apply(stats.Event{
 		Object: objectName(container, key), Class: prev.Class, Kind: stats.EventDelete,
 		StorageBytes: 0, Period: e.b.clock.Period(),
 	})

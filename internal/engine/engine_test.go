@@ -131,7 +131,6 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	// The statistics database folds the lifetime into the class and then
 	// forgets the object: deleted keys must not pile up there or be
 	// scanned by the next optimization round.
-	b.FlushStats()
 	if h := b.Stats().History("c/k"); h != nil || len(b.Stats().AccessedSince(0)) != 0 {
 		t.Fatalf("deleted object still in the statistics: history %v, accessed %v", h, b.Stats().AccessedSince(0))
 	}
@@ -291,7 +290,6 @@ func TestMultiDatacenterReadAfterReplication(t *testing.T) {
 		t.Fatal("engines must live in different DCs")
 	}
 	e1.Put(ctx, "c", "k", []byte("cross-dc"), PutOptions{})
-	b.FlushStats() // drains replication
 	got, _, err := e2.Get(ctx, "c", "k")
 	if err != nil || string(got) != "cross-dc" {
 		t.Fatalf("cross-DC read = %q, %v", got, err)
@@ -312,7 +310,7 @@ func TestConcurrentUpdateConflictResolution(t *testing.T) {
 		t.Fatalf("conflict not staged: %q %q, %d events pending", m1.UUID, m2.UUID, b.Metadata().PendingReplication())
 	}
 	b.Metadata().Heal("dc1", "dc2")
-	b.FlushStats()
+	b.Metadata().Flush()
 
 	got, _, err := e1.Get(ctx, "c", "k")
 	if err != nil {
@@ -742,9 +740,8 @@ func TestRepairShardsAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shards in other datacenters wrote migrated metadata to their own
-	// nodes; drain replication before reading through engine 0.
-	b.FlushStats()
+	// Shards in other datacenters wrote migrated metadata through their
+	// own nodes; engine 0 reads it back below.
 	if rep.Checked != objects {
 		t.Fatalf("checked = %d, want %d", rep.Checked, objects)
 	}

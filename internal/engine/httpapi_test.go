@@ -778,7 +778,6 @@ func TestGatewayRoundRobinsAcrossEngines(t *testing.T) {
 	}
 	// All four engines share the metadata fabric, so every object must be
 	// readable regardless of which engine serves the read.
-	b.FlushStats()
 	for i := 0; i < n; i++ {
 		resp := doReq(t, client, http.MethodGet,
 			fmt.Sprintf("%s/v1/objects/c/k%d", ts.URL, i), nil, nil)

@@ -385,7 +385,7 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 	if err != nil {
 		return ObjectMeta{}, err
 	}
-	e.agent.Log(stats.Event{
+	e.b.statsDB.Apply(stats.Event{
 		Object: objectName(s.container, s.key), Class: class, Kind: stats.EventWrite,
 		Bytes: size, StorageBytes: size, Period: now,
 	})

@@ -114,11 +114,10 @@ type trigger struct {
 }
 
 // pass is the one maintenance driver, under Optimize and Repair (Fig. 7,
-// steps 1-4): a leader elected among the alive engines flushes the
-// statistics pipeline, lists the pass's objects, splits them evenly
-// across the alive engines, and each engine runs the per-object step
-// over its share in parallel. The summed outcome is also folded into the
-// lifetime totals tot.
+// steps 1-4): a leader elected among the alive engines lists the pass's
+// objects, splits them evenly across the alive engines, and each engine
+// runs the per-object step over its share in parallel. The summed
+// outcome is also folded into the lifetime totals tot.
 func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTotals,
 	list func(now int64) []string) (leader string, objects int, sum outcome, err error) {
 	defer b.observeStage(obs.TraceFrom(ctx), stage, time.Now())
@@ -126,7 +125,6 @@ func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTot
 	if lead == nil {
 		return "", 0, sum, ErrNoLeader
 	}
-	b.FlushStats()
 	now := b.clock.Period()
 	objs := list(now)
 	// A quiet pass has nothing to shard and skips the fan-out machinery:

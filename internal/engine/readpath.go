@@ -344,7 +344,7 @@ func (or *objectReader) finish(err error) {
 	e, meta := or.e, or.meta
 	e.b.reaper.unpin(meta.UUID, or.pin)
 	if or.userRead {
-		e.agent.Log(stats.Event{
+		e.b.statsDB.Apply(stats.Event{
 			Object: or.obj, Class: meta.Class,
 			Kind: stats.EventRead, Bytes: or.fetched, StorageBytes: meta.Size,
 			Period: e.b.clock.Period(),

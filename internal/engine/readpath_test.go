@@ -481,7 +481,6 @@ func TestReadBufferBudgetBoundsConcurrentGets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.FlushStats()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, objects)

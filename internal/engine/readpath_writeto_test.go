@@ -26,7 +26,6 @@ type readOutcome struct {
 
 // outcomeOf snapshots a broker at rest after its reads.
 func outcomeOf(b *Broker, obj string, bodies [][]byte) readOutcome {
-	b.FlushStats()
 	out := readOutcome{bodies: bodies, stats: b.ReadStats(), retired: b.Retired()}
 	out.stats.BufferedStripesPeak = 0 // how far the read-ahead got is timing
 	u := b.Registry().TotalUsage()

@@ -446,7 +446,6 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 			return err
 		}
 		clock.Advance(1)
-		b.FlushStats() // the queue's step wants the objects' write events in
 		b.DrainMaintenance(ctx)
 		rep, err := b.Optimize(ctx)
 		migrated.Add(int64(rep.Migrated))
@@ -500,7 +499,7 @@ func TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Metadata().Heal("dc1", "dc2")
-	b.FlushStats()
+	b.Metadata().Flush()
 
 	for _, e := range []*Engine{e1, e2} {
 		if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {

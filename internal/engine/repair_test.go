@@ -66,7 +66,6 @@ func putRepairObjectUnder(t *testing.T, b *Broker, rule core.Rule, key string, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.FlushStats() // replicate metadata so engines of every DC serve reads
 	if len(meta.Chunks) != 3 || meta.M != 2 {
 		t.Fatalf("scenario expects (m=2, n=3), got m=%d chunks=%v", meta.M, meta.Chunks)
 	}

@@ -409,7 +409,6 @@ func TestStripeEngineTeardown(t *testing.T) {
 					// Post-conditions, the same for every caller.
 					store("A").SetAvailable(true)
 					b.ProcessPendingDeletes(ctx)
-					b.FlushStats() // replicate what the repair shards of the other datacenter committed
 					if rs, ws := b.ReadStats(), b.WriteStats(); rs.BufferedStripes != 0 || ws.StripesInFlight != 0 {
 						t.Fatalf("budget slots leaked: reads hold %d, writes %d", rs.BufferedStripes, ws.StripesInFlight)
 					}

@@ -11,16 +11,16 @@ type replEvent struct {
 }
 
 // Cluster wires several datacenter Stores into a multi-master replicated
-// database: every write is queued for asynchronous delivery to all other
-// datacenters, network partitions buffer the queues, and anti-entropy
-// synchronization reconciles full version sets after recovery. Reads are
-// served by the local node (eventual consistency), matching the paper's
-// Cassandra deployment.
+// database. A write is delivered to every peer it can reach before Put
+// returns; a peer behind a severed link (Partition) or down keeps the
+// write queued, and Flush delivers the queues once the link is back.
+// Anti-entropy synchronization reconciles full version sets after
+// recovery. Reads are served by the local node (eventual consistency),
+// matching the paper's Cassandra deployment.
 type Cluster struct {
 	// flushMu serializes Flush calls: one that takes events off the
 	// queues delivers them before the next looks, so a returning Flush
-	// has seen everything queued before it started delivered — the
-	// read-your-writes the facade and the gateway flush for.
+	// has seen everything queued before it started delivered.
 	flushMu sync.Mutex
 	mu      sync.Mutex
 	stores  []*Store
@@ -61,7 +61,13 @@ func (c *Cluster) Store(node string) *Store {
 	return nil
 }
 
-// Put writes through the named node and enqueues replication to peers.
+// Put writes through the named node and delivers the post-write head
+// set (the version as causally stamped by the source node, a tombstone
+// like any other) to every peer whose link is up, whose node is available
+// and whose queue from this node is empty — a write never overtakes one
+// queued before it. Every other peer gets the heads queued. Delivery runs
+// outside the cluster lock: one commit does not stall the others while it
+// writes to a peer.
 func (c *Cluster) Put(node, row string, v Version) error {
 	src := c.Store(node)
 	if src == nil {
@@ -70,24 +76,45 @@ func (c *Cluster) Put(node, row string, v Version) error {
 	if err := src.Put(row, v); err != nil {
 		return err
 	}
-	// Replicate the post-write head set (the version as causally stamped
-	// by the source node), a tombstone like any other version.
 	heads, err := src.Heads(row)
 	if err != nil {
 		return err
 	}
+	events := make([]replEvent, len(heads))
+	for i, h := range heads {
+		events[i] = replEvent{row: row, v: h}
+	}
+	var direct []*Store
 	c.mu.Lock()
+	queues := c.queues[node]
 	for _, dst := range c.stores {
-		if dst == src {
-			continue
-		}
-		for _, h := range heads {
-			c.queues[src.Node()][dst.Node()] = append(c.queues[src.Node()][dst.Node()],
-				replEvent{row: row, v: h})
+		switch {
+		case dst == src:
+		case c.links[node][dst.Node()] && len(queues[dst.Node()]) == 0 && dst.Available():
+			direct = append(direct, dst)
+		default:
+			queues[dst.Node()] = append(queues[dst.Node()], events...)
 		}
 	}
 	c.mu.Unlock()
+	for _, dst := range direct {
+		for _, ev := range events {
+			c.deliver(node, dst, ev)
+		}
+	}
 	return nil
+}
+
+// deliver merges one event into dst; a node that went down since it was
+// checked keeps the event queued. It reports whether the event landed.
+func (c *Cluster) deliver(src string, dst *Store, ev replEvent) bool {
+	if err := dst.merge(ev.row, ev.v); err != nil {
+		c.mu.Lock()
+		c.queues[src][dst.Node()] = append(c.queues[src][dst.Node()], ev)
+		c.mu.Unlock()
+		return false
+	}
+	return true
 }
 
 // Partition severs the links between two nodes in both directions;
@@ -107,8 +134,9 @@ func (c *Cluster) Heal(a, b string) {
 	c.links[b][a] = true
 }
 
-// Flush delivers every queued replication event whose link is up.
-// Returns the number of delivered events.
+// Flush delivers every queued replication event whose link is up — the
+// heal path after Partition/Heal or a node outage. Returns the number of
+// delivered events.
 func (c *Cluster) Flush() int {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
@@ -137,14 +165,9 @@ func (c *Cluster) Flush() int {
 
 	delivered := 0
 	for _, d := range deliveries {
-		// A node that went down mid-flush keeps its events queued.
-		if err := c.Store(d.dst).merge(d.ev.row, d.ev.v); err != nil {
-			c.mu.Lock()
-			c.queues[d.src][d.dst] = append(c.queues[d.src][d.dst], d.ev)
-			c.mu.Unlock()
-			continue
+		if c.deliver(d.src, c.Store(d.dst), d.ev) {
+			delivered++
 		}
-		delivered++
 	}
 	return delivered
 }

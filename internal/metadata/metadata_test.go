@@ -196,15 +196,16 @@ func twoDC() (*Cluster, *Store, *Store) {
 	return NewCluster(dc1, dc2), dc1, dc2
 }
 
+// TestClusterReplication: a peer reachable over an open link has the row
+// as soon as Put returns.
 func TestClusterReplication(t *testing.T) {
 	c, _, dc2 := twoDC()
 	if err := c.Put("dc1", "r", ver("u1", 100, map[string]string{"m": "x"})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dc2.Get("r"); !errors.Is(err, ErrRowNotFound) {
-		t.Fatal("replication must be asynchronous")
+	if n := c.PendingReplication(); n != 0 {
+		t.Fatalf("%d events queued behind an open link", n)
 	}
-	c.Flush()
 	got, _, err := dc2.Get("r")
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +220,10 @@ func TestClusterConcurrentWriteConflictFreshestWins(t *testing.T) {
 	// yields two versions; on detection the freshest timestamp wins and
 	// the deprecated version is reported for chunk cleanup.
 	c, dc1, dc2 := twoDC()
+	c.Partition("dc1", "dc2")
 	c.Put("dc1", "r", ver("old", 100, map[string]string{"v": "old"}))
 	c.Put("dc2", "r", ver("new", 200, map[string]string{"v": "new"}))
+	c.Heal("dc1", "dc2")
 	c.Flush()
 
 	for _, s := range []*Store{dc1, dc2} {
@@ -253,8 +256,10 @@ func TestClusterTombstoneWinnerReportsLiveLoser(t *testing.T) {
 	// on timestamp: the row is gone, but the overwrite's version is the
 	// only record of chunks somebody must still collect.
 	c, dc1, dc2 := twoDC()
+	c.Partition("dc1", "dc2")
 	c.Put("dc1", "r", ver("live", 100, map[string]string{"v": "live"}))
 	c.Put("dc2", "r", Version{UUID: "tomb", Timestamp: 200, Deleted: true})
+	c.Heal("dc1", "dc2")
 	c.Flush()
 
 	for _, s := range []*Store{dc1, dc2} {
@@ -280,8 +285,10 @@ func TestClusterTombstoneWinnerReportsLiveLoser(t *testing.T) {
 
 func TestClusterResolutionConverges(t *testing.T) {
 	c, dc1, dc2 := twoDC()
+	c.Partition("dc1", "dc2")
 	c.Put("dc1", "r", ver("a", 100, nil))
 	c.Put("dc2", "r", ver("b", 200, nil))
+	c.Heal("dc1", "dc2")
 	c.Flush()
 	dc1.Get("r") // resolve at dc1
 	c.AntiEntropy()
@@ -311,6 +318,37 @@ func TestClusterPartitionAndHeal(t *testing.T) {
 		t.Fatalf("after heal: %v", err)
 	}
 	_ = dc1
+}
+
+// TestClusterQueueKeepsOrder: a write behind a severed link queues, and
+// once the link heals a newer write does not overtake it — it joins the
+// queue, and Flush delivers both in order.
+func TestClusterQueueKeepsOrder(t *testing.T) {
+	c, dc1, dc2 := twoDC()
+	c.Partition("dc1", "dc2")
+	c.Put("dc1", "r", ver("u1", 100, nil))
+	c.Heal("dc1", "dc2")
+	c.Put("dc1", "s", ver("u2", 200, nil))
+	if _, _, err := dc2.Get("s"); !errors.Is(err, ErrRowNotFound) {
+		t.Fatalf("a write jumped the queue: dc2 has s (%v)", err)
+	}
+	if n := c.PendingReplication(); n != 2 {
+		t.Fatalf("%d events queued, want 2", n)
+	}
+	if n := c.Flush(); n != 2 {
+		t.Fatalf("Flush delivered %d, want 2", n)
+	}
+	for _, row := range []string{"r", "s"} {
+		for _, s := range []*Store{dc1, dc2} {
+			if _, _, err := s.Get(row); err != nil {
+				t.Fatalf("%s: %s: %v", s.Node(), row, err)
+			}
+		}
+	}
+	c.Put("dc1", "t", ver("u3", 300, nil))
+	if _, _, err := dc2.Get("t"); err != nil || c.PendingReplication() != 0 {
+		t.Fatalf("after Flush writes are direct again: %v, %d queued", err, c.PendingReplication())
+	}
 }
 
 func TestClusterDownNodeCatchesUp(t *testing.T) {

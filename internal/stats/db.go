@@ -15,9 +15,9 @@ const (
 	EventDelete
 )
 
-// Event is one logged client request, as emitted by an engine's log
-// agent. Bytes is the transferred payload; StorageBytes the logical
-// object size after the operation.
+// Event is one client request, applied by the engine that served it.
+// Bytes is the transferred payload; StorageBytes the logical object size
+// after the operation.
 type Event struct {
 	Object       string
 	Class        string
@@ -63,12 +63,14 @@ func NewDB(periodHours float64) *DB {
 // PeriodHours returns the sampling-period duration in hours.
 func (db *DB) PeriodHours() float64 { return db.periodHours }
 
-// Apply folds one event into the database. A delete is the object's last
-// event: once its lifetime is folded into the class distribution the
-// object is forgotten, so deleted keys neither accumulate nor show up in
-// AccessedSince; a key created again later starts a fresh history with
-// its write event. A delete of an object the database does not know has
-// nothing to fold or forget and is dropped.
+// Apply folds one event into the database, the whole event under one
+// lock: concurrent events for an object serialize, and a reader never
+// sees a history without its class or index entries. A delete is the
+// object's last event: once its lifetime is folded into the class
+// distribution the object is forgotten, so deleted keys neither
+// accumulate nor show up in AccessedSince; a key created again later
+// starts a fresh history with its write event. A delete of an object the
+// database does not know has nothing to fold or forget and is dropped.
 func (db *DB) Apply(ev Event) {
 	s := Sample{Period: ev.Period, StorageBytes: ev.StorageBytes}
 	switch ev.Kind {
@@ -83,10 +85,10 @@ func (db *DB) Apply(ev Event) {
 	}
 
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	h, ok := db.hist[ev.Object]
 	if !ok {
 		if ev.Kind == EventDelete {
-			db.mu.Unlock()
 			return
 		}
 		h = NewHistory(0)
@@ -97,25 +99,19 @@ func (db *DB) Apply(ev Event) {
 		db.class[ev.Object] = ev.Class
 	}
 	db.accessed[ev.Object] = ev.Period
-	created := db.created[ev.Object]
-	class := db.class[ev.Object]
-	db.mu.Unlock()
-
 	h.Record(s)
-	if class != "" {
+	if class := db.class[ev.Object]; class != "" {
 		db.classes.Class(class).ObserveSample(s)
 		if ev.Kind == EventDelete {
-			lifetime := float64(ev.Period-created) * db.periodHours
+			lifetime := float64(ev.Period-db.created[ev.Object]) * db.periodHours
 			db.classes.Class(class).ObserveDeletion(lifetime)
 		}
 	}
 	if ev.Kind == EventDelete {
-		db.mu.Lock()
 		delete(db.hist, ev.Object)
 		delete(db.class, ev.Object)
 		delete(db.accessed, ev.Object)
 		delete(db.created, ev.Object)
-		db.mu.Unlock()
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package stats implements Scalia's access-statistics layer (paper
 // §III-C2): per-object access histories aggregated over sampling periods,
 // object classes keyed by MD5(mime | discretized size), per-class
-// resource and lifetime distributions (Fig. 5/6), and the log
-// agent/aggregator pipeline that moves request logs from engines into the
-// statistics database.
+// resource and lifetime distributions (Fig. 5/6). The paper's log
+// agents and aggregators move request logs between processes; here every
+// engine shares the process, so it applies the request it served to the
+// statistics database directly (DB.Apply).
 package stats
 
 import "fmt"

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -358,43 +360,53 @@ func TestDBDeletionFeedsLifetimeThenForgets(t *testing.T) {
 	}
 }
 
-func TestAggregatorPipeline(t *testing.T) {
+// TestApplyIsOneCriticalSection races writes, reads and deletes of a few
+// objects: at rest the four per-object maps name one object set, and the
+// optimizer's working set is exactly the objects with a history.
+func TestApplyIsOneCriticalSection(t *testing.T) {
 	db := NewDB(1)
-	agg := NewAggregator(db, 8)
-	defer agg.Close()
-	agents := []*Agent{agg.NewAgent(), agg.NewAgent(), agg.NewAgent()}
+	objects := []string{"a", "b", "c"}
 	var wg sync.WaitGroup
-	for i, a := range agents {
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
-		go func(id int, a *Agent) {
+		go func(g int) {
 			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				a.Log(Event{Object: "obj", Class: "c", Kind: EventRead, Bytes: 10, Period: 1})
+			for j := 0; j < 400; j++ {
+				kind := EventKind((g + j) % 3)
+				db.Apply(Event{Object: objects[(g*7+j)%len(objects)], Class: "k", Kind: kind, Bytes: 1, Period: int64(j)})
+				db.AccessedSince(0)
 			}
-		}(i, a)
+		}(g)
 	}
 	wg.Wait()
-	agg.Flush()
-	h := db.History("obj")
-	if h == nil {
-		t.Fatal("no history after flush")
-	}
-	win := h.Window(1, 1)
-	if len(win) != 1 || win[0].Reads != 1500 {
-		t.Fatalf("reads = %+v, want 1500", win)
-	}
-}
 
-func TestAggregatorCloseDrains(t *testing.T) {
-	db := NewDB(1)
-	agg := NewAggregator(db, 4)
-	a := agg.NewAgent()
-	for i := 0; i < 100; i++ {
-		a.Log(Event{Object: "x", Kind: EventWrite, Period: 1})
+	keys := func(m map[string]int64) []string {
+		var out []string
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
 	}
-	agg.Close()
-	win := db.History("x").Window(1, 1)
-	if len(win) != 1 || win[0].Writes != 100 {
-		t.Fatalf("writes after close = %+v", win)
+	want := keys(db.created)
+	if got := keys(db.accessed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("accessed names %v, created %v", got, want)
+	}
+	if len(db.hist) != len(want) || len(db.class) != len(want) {
+		t.Fatalf("%d histories, %d classes for created %v", len(db.hist), len(db.class), want)
+	}
+	for _, obj := range want {
+		if db.hist[obj] == nil || db.class[obj] != "k" {
+			t.Fatalf("%s: history %v, class %q", obj, db.hist[obj], db.class[obj])
+		}
+	}
+	var known []string
+	for _, obj := range objects {
+		if db.History(obj) != nil {
+			known = append(known, obj)
+		}
+	}
+	if got := db.AccessedSince(0); !reflect.DeepEqual(got, known) {
+		t.Fatalf("AccessedSince(0) = %v, objects with a history %v", got, known)
 	}
 }

@@ -612,11 +612,6 @@ func (c *Client) TotalUsage() Usage { return c.broker.Registry().TotalUsage() }
 // deployments call this at period boundaries).
 func (c *Client) AccrueStorage(hours float64) { c.broker.Registry().AccrueStorage(hours) }
 
-// Flush drains the statistics pipeline; deterministic tests call it
-// before reading statistics. (Metadata needs no flushing: every commit
-// replicates to all datacenters before it returns.)
-func (c *Client) Flush() { c.broker.FlushStats() }
-
 // Broker exposes the underlying deployment for advanced integration
 // (direct registry access, the Broker().Metrics() observability registry
 // backing /metrics and /v1/stats).

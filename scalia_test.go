@@ -97,7 +97,6 @@ func TestFacadeEmbeddedControls(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ProcessPendingDeletes(ctx)
-	c.Flush()
 	if st, _ := c.Stats(ctx); st.PendingDeletes != 0 || st.Maint.Drained != 1 {
 		t.Fatalf("after the drains: %d pending deletes, maint %+v", st.PendingDeletes, st.Maint)
 	}
