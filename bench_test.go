@@ -436,8 +436,9 @@ func BenchmarkDecode(b *testing.B) {
 // one chunk of redundancy — on the paths it actually runs: the pooled
 // encode of a 4 MiB stripe, which must not allocate, and the decode of
 // that stripe with one data chunk lost and the parity in its place (a
-// degraded GET, a swap repair's rebuild) into a reused join buffer. Both
-// are one XOR pass: generator row m is all ones.
+// degraded GET, a swap repair's rebuild; the broker keeps the rebuilt
+// chunk as it is, this joins the stripe into a reused buffer besides).
+// Both are one XOR pass: generator row m is all ones.
 func BenchmarkEncodeSingleParity(b *testing.B) {
 	coder, err := erasure.Cached(4, 5)
 	if err != nil {
@@ -594,12 +595,14 @@ func BenchmarkGetLargeObject(b *testing.B) {
 		run(b, engine.Config{CacheBytes: 64 << 20}, true)
 	})
 	// The other end of the same path: no provider latency to hide behind,
-	// so what is left of a GET is checksums, the decode and copies — the
-	// bench/ large-local shape (8 MiB, paper Rule 3, two default stripes,
-	// streamed, not buffered). Its decode must be a join: the data chunks
-	// sit on the m providers the read asks, so B/op stays far below one
-	// reconstructed chunk (1 MiB).
-	b.Run("cpu-bound", func(b *testing.B) {
+	// so what is left of a GET is checksums and copies — the bench/
+	// large-local shape (8 MiB, paper Rule 3, two default stripes,
+	// streamed, not buffered). A healthy read rebuilds and joins nothing:
+	// the data chunks sit on the m providers the read asks and go out as
+	// they lie, so B/op stays far below one chunk (1 MiB). degraded is the
+	// same read with data slot 0's provider down: every stripe rebuilds
+	// that chunk from the others.
+	cpuBound := func(b *testing.B, degraded bool) {
 		br := engine.NewBroker(engine.Config{}) // the paper's five providers, no latency
 		b.Cleanup(br.Close)
 		e := br.Engine(0)
@@ -607,8 +610,13 @@ func BenchmarkGetLargeObject(b *testing.B) {
 		for i := range big {
 			big[i] = byte(i)
 		}
-		if _, err := e.Put(bgctx, "big", "blob", big, engine.PutOptions{Rule: &core.PaperRules()[2]}); err != nil {
+		meta, err := e.Put(bgctx, "big", "blob", big, engine.PutOptions{Rule: &core.PaperRules()[2]})
+		if err != nil {
 			b.Fatal(err)
+		}
+		if degraded {
+			store, _ := br.Registry().Store(meta.Chunks[0])
+			store.(cloud.AvailabilitySetter).SetAvailable(false)
 		}
 		get := func() {
 			rc, _, err := e.GetReader(bgctx, "big", "blob")
@@ -621,17 +629,24 @@ func BenchmarkGetLargeObject(b *testing.B) {
 				b.Fatalf("get: %v (%d bytes)", err, n)
 			}
 		}
-		get() // the two recycled join buffers are allocated once, not per op
+		get() // untimed: warms the erasure scratch pools a rebuild draws on
 		b.SetBytes(int64(len(big)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			get()
 		}
-		if n := br.ReadStats().StripesReconstructed; n != 0 {
-			b.Fatalf("%d stripes of a healthy read were reconstructed", n)
+		st := br.ReadStats()
+		var want int64 // healthy: none
+		if degraded {
+			want = st.StripesFetched
 		}
-	})
+		if st.StripesReconstructed != want {
+			b.Fatalf("%d of %d fetched stripes were reconstructed, want %d", st.StripesReconstructed, st.StripesFetched, want)
+		}
+	}
+	b.Run("cpu-bound", func(b *testing.B) { cpuBound(b, false) })
+	b.Run("degraded", func(b *testing.B) { cpuBound(b, true) })
 }
 
 func slowRWRegistry(delay time.Duration) *cloud.Registry {

@@ -1,7 +1,7 @@
 // Package cache implements Scalia's caching layer (paper §III-B): one
 // byte-bounded stripe cache per datacenter, serving popular reads without
 // provider traffic, and a cluster wrapper that keeps them coherent. The
-// unit is one decoded stripe, keyed by (object, stripe index), so a
+// unit is one verified stripe, keyed by (object, stripe index), so a
 // partially cached object fetches only its missing stripes.
 //
 // §III-B requires that no datacenter serve a superseded version. The
@@ -16,6 +16,7 @@ package cache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -108,15 +109,17 @@ func (c *LRU) GetStripe(obj string, stripe int) ([]byte, bool) {
 	return e.data, true
 }
 
-// PutStripe stores a copy of one decoded stripe (data stays the
-// caller's), evicting as needed. Stripes larger than the capacity are not
-// cached.
-func (c *LRU) PutStripe(obj string, stripe int, data []byte) {
-	if c.capacity <= 0 || int64(len(data)) > c.capacity {
+// PutStripe stores a copy of one stripe, the concatenation of its
+// segments (they stay the caller's), evicting as needed. Stripes larger
+// than the capacity are not cached.
+func (c *LRU) PutStripe(obj string, stripe int, data ...[]byte) {
+	if c.capacity <= 0 {
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	cp := slices.Concat(data...)
+	if int64(len(cp)) > c.capacity {
+		return
+	}
 	id := stripeID{obj, stripe}
 
 	c.mu.Lock()
@@ -289,9 +292,9 @@ func (cc *Cluster) GetStripe(dc, obj string, stripe int) ([]byte, bool) {
 
 // PutStripe fills one stripe into the named datacenter's cache (reads
 // fill only locally).
-func (cc *Cluster) PutStripe(dc, obj string, stripe int, data []byte) {
+func (cc *Cluster) PutStripe(dc, obj string, stripe int, data ...[]byte) {
 	if c := cc.Datacenter(dc); c != nil {
-		c.PutStripe(obj, stripe, data)
+		c.PutStripe(obj, stripe, data...)
 	}
 }
 

@@ -343,13 +343,16 @@ func TestFailedHealDestroysNothing(t *testing.T) {
 // TestMalformedSumsFailClosed: a stripe whose sum record is missing, or
 // does not cover exactly its n chunks, is never served, copied or called
 // healthy — every path through fetch fails with ErrChecksum before it
-// asks a provider, and none panics.
+// asks a provider, and none panics. Nor is one whose payload sum the
+// chunks that pass their own do not compose to, whether the data chunks
+// are read as they lie or one of them is rebuilt from parity.
 func TestMalformedSumsFailClosed(t *testing.T) {
 	for name, maim := range map[string]func(*ObjectMeta){
-		"nil":        func(m *ObjectMeta) { m.Sums = nil },
-		"short":      func(m *ObjectMeta) { m.Sums = m.Sums[:2] },
-		"narrow row": func(m *ObjectMeta) { m.Sums[3].Chunks = m.Sums[3].Chunks[:4] },
-		"wide row":   func(m *ObjectMeta) { m.Sums[3].Chunks = append(m.Sums[3].Chunks, 0) },
+		"nil":         func(m *ObjectMeta) { m.Sums = nil },
+		"short":       func(m *ObjectMeta) { m.Sums = m.Sums[:2] },
+		"narrow row":  func(m *ObjectMeta) { m.Sums[3].Chunks = m.Sums[3].Chunks[:4] },
+		"wide row":    func(m *ObjectMeta) { m.Sums[3].Chunks = append(m.Sums[3].Chunks, 0) },
+		"payload bit": func(m *ObjectMeta) { m.Sums[3].Payload ^= 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rb := newRotBroker(t)
@@ -384,6 +387,11 @@ func TestMalformedSumsFailClosed(t *testing.T) {
 			_, err = e.VerifyObject(ctx, "c", "k")
 			wantChecksum("VerifyObject", err)
 			wantChecksum("migrate", e.migrate(ctx, bad, rb.livePlacement(bad.M, bad.Chunks)))
+			store, _ := rb.Registry().Store(bad.Chunks[0])
+			store.(*hookBackend).SetAvailable(false) // data slot 0 is rebuilt
+			_, _, err = e.Get(ctx, "c", "k")
+			store.(*hookBackend).SetAvailable(true)
+			wantChecksum("GET with data slot 0 down", err)
 		})
 	}
 }

@@ -210,10 +210,6 @@ type Broker struct {
 	// and peak slots in use per direction (see acquireBuf).
 	bufSem            chan struct{}
 	readBuf, writeBuf bufGauge
-	// joinBufs recycles the buffers fetched stripes are decoded into: a
-	// streaming read hands each back with the stripe's budget slot, repair
-	// and verification as soon as the stripe has passed its sum.
-	joinBufs sync.Pool
 
 	// now is the wall-clock source for multipart-session idle tracking.
 	// Production brokers use time.Now; the TTL-sweep tests substitute a
@@ -291,10 +287,10 @@ type ReadPathStats struct {
 	StripesFromCache int64 `json:"stripesFromCache"`
 	StripesFetched   int64 `json:"stripesFetched"`
 	// StripesReconstructed counts the fetched stripes that came back
-	// short of a data chunk, so the decode was a GF(2^8) reconstruct and
-	// not a join: degraded reads, and layouts whose data slots a swap or
-	// a price change moved off the cheapest-to-read providers. A healthy
-	// read adds 0.
+	// short of a data chunk, so one was rebuilt from the others rather
+	// than served as it lies: degraded reads, and layouts whose data slots
+	// a swap or a price change moved off the cheapest-to-read providers.
+	// A healthy read adds 0.
 	StripesReconstructed int64 `json:"stripesReconstructed"`
 	// PrefetchedStripes counts stripes delivered by the background
 	// prefetcher rather than fetched on demand by a client Read.
@@ -565,7 +561,7 @@ func (b *Broker) livePlacement(m int, names []string) core.Placement {
 // readCost of a stripeLen-byte stripe. Slots 0..m-1 are the identity
 // rows of the systematic code, so the data chunks land on exactly the m
 // providers rank will ask and the parity on the ones it leaves out: a
-// healthy read is a join, with no Galois-field pass. Ties keep the
+// healthy read serves the data chunks as they lie. Ties keep the
 // planner's order. A stored object is never re-slotted: when a swap or
 // a price change moves rank off its data slots it still reads correctly
 // (ReadPathStats.StripesReconstructed counts those stripes).

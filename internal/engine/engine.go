@@ -22,9 +22,9 @@ import (
 var (
 	ErrObjectNotFound  = errors.New("engine: object not found")
 	ErrNotEnoughChunks = errors.New("engine: not enough reachable chunks to reconstruct")
-	// ErrChecksum marks a read the stored sums condemn: a decoded stripe
-	// that fails its sum, fewer than m chunks left that pass theirs, or a
-	// stripe stored without usable sums.
+	// ErrChecksum marks a read the stored sums condemn: a stripe whose
+	// payload fails its sum, fewer than m chunks left that pass theirs, or
+	// a stripe stored without usable sums.
 	ErrChecksum = errors.New("engine: checksum mismatch")
 	// ErrInvalidArgument marks malformed requests (missing container or
 	// key, negative size, short body); gateways map it to 400.
@@ -384,8 +384,8 @@ func (e *Engine) placeWithRetry(rule core.Rule, load stats.Summary, size int64) 
 }
 
 // Get serves an object fully buffered: stripes come from the stripe
-// cache where present, otherwise they are reconstructed from the m
-// cheapest reachable chunks, cached, and the read is logged (§III-D2).
+// cache where present, otherwise from the m cheapest reachable chunks,
+// cached, and the read is logged (§III-D2).
 // It is a thin wrapper over GetReader.
 func (e *Engine) Get(ctx context.Context, container, key string) ([]byte, ObjectMeta, error) {
 	rc, meta, err := e.GetReader(ctx, container, key)
@@ -417,32 +417,19 @@ func ReadSized(r io.Reader, size int64) ([]byte, error) {
 
 // GetReader serves an object as a stream. Each stripe is consulted in
 // the stripe-granular cache first; missing stripes are fetched from the
-// m cheapest reachable providers with a bounded parallel chunk fan-out
-// and decoded, and the stream is pipelined: while one stripe drains to
-// the caller, the next ones prefetch in the background
-// (Config.ReadParallelism / Config.PrefetchStripes). The first stripe
-// is produced eagerly so placement and availability errors surface on
-// the call itself rather than mid-stream; every fetched chunk and every
-// decoded stripe is verified against its stored sum before a byte of it
-// is handed out. The stream pins the version it was opened on until it
-// is drained or closed, so an overwrite or delete that lands meanwhile
-// cannot take its chunks away. Cancelling ctx tears down the prefetcher
-// and all in-flight chunk fetches.
+// m cheapest reachable providers with a bounded parallel chunk fan-out,
+// and the stream is pipelined: while one stripe drains to the caller,
+// the next ones prefetch in the background (Config.ReadParallelism /
+// Config.PrefetchStripes). The first stripe is produced eagerly so
+// placement and availability errors surface on the call itself rather
+// than mid-stream; every fetched chunk and every stripe's payload is
+// verified against its stored sum before a byte of it is handed out.
+// The stream pins the version it was opened on until it is drained or
+// closed, so an overwrite or delete that lands meanwhile cannot take its
+// chunks away. Cancelling ctx tears down the prefetcher and all
+// in-flight chunk fetches.
 func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
-	for {
-		meta, err := e.headMeta(container, key)
-		if err != nil {
-			return nil, ObjectMeta{}, err
-		}
-		or, err := e.openObjectRange(ctx, meta, 0, meta.Size, true)
-		if errors.Is(err, errSuperseded) {
-			continue // a commit got in before the pin: read what it stored
-		}
-		if err != nil {
-			return nil, ObjectMeta{}, err
-		}
-		return or, meta, nil
-	}
+	return e.openLive(ctx, container, key, 0, -1, false)
 }
 
 // GetRangeReader serves the byte range [offset, offset+length) of an
@@ -456,22 +443,29 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 	if offset < 0 || length == 0 || length < -1 {
 		return nil, ObjectMeta{}, fmt.Errorf("%w: range offset %d length %d", ErrInvalidArgument, offset, length)
 	}
+	return e.openLive(ctx, container, key, offset, length, true)
+}
+
+// openLive opens a user read of [offset, offset+length) (length -1: to
+// the end) of the live version; ranged, an offset at or past its end is
+// not satisfiable.
+func (e *Engine) openLive(ctx context.Context, container, key string, offset, length int64, ranged bool) (io.ReadCloser, ObjectMeta, error) {
 	for {
 		meta, err := e.headMeta(container, key)
 		if err != nil {
 			return nil, ObjectMeta{}, err
 		}
-		if offset >= meta.Size {
+		if ranged && offset >= meta.Size {
 			return nil, ObjectMeta{}, fmt.Errorf("%w: offset %d of %d-byte object",
 				ErrRangeNotSatisfiable, offset, meta.Size)
 		}
 		n := meta.Size - offset
-		if length >= 0 && length < n {
-			n = length
+		if length >= 0 {
+			n = min(n, length)
 		}
 		or, err := e.openObjectRange(ctx, meta, offset, n, true)
 		if errors.Is(err, errSuperseded) {
-			continue // as in GetReader; the new version has its own size
+			continue // a commit got in before the pin: read what it stored
 		}
 		if err != nil {
 			return nil, ObjectMeta{}, err

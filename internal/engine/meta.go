@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"scalia/internal/metadata"
@@ -76,13 +75,6 @@ type StripeSum struct {
 	Payload uint32   `json:"payload"`
 	Chunks  []uint32 `json:"chunks"`
 }
-
-// castagnoli is the CRC-32C table; amd64 and arm64 compute it in
-// hardware.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// crc32c returns the CRC-32C of data.
-func crc32c(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // Multipart reports whether this version was assembled from a
 // multipart upload. Such versions use part-scoped chunk keys and an

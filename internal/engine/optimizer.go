@@ -436,7 +436,7 @@ func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reach
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, l.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) {
-				chunks, g, err := e.fetchChunks(ctx, l, s, order, len(order))
+				_, chunks, g, err := e.fetch(ctx, l, s, order, len(order))
 				if ctx.Err() == nil {
 					got[s] = g
 				}

@@ -16,8 +16,8 @@ import (
 //
 // A read of stripe s consults the stripe cache first — a hit costs no
 // provider traffic at all — and otherwise fetches the stripe's m
-// cheapest chunks that pass their sums, decodes and verifies it, and
-// (user-facing reads only) writes it back to the cache. That per-stripe
+// cheapest chunks that pass their sums, verifies the payload they hold,
+// and (user-facing reads only) copies it into the cache. That per-stripe
 // verification is the read's whole integrity check: it holds for ranged
 // and multipart reads alike, and it runs before a stripe's first byte is
 // handed out — no hash over the whole object follows it. The stream is a
@@ -29,10 +29,10 @@ import (
 //
 // Who owns a stripe's bytes (EXPERIMENTS.md "The read path" has the whole
 // chain): provider chunks and cache hits are lent to the reader read-only
-// and are never written by their owners again; only the join buffer a
-// fetched stripe was decoded into is the reader's, for as long as it
-// holds the stripe's budget slot. Each stripe moves once on the way out:
-// copied by Read, or handed to the caller's Writer as it lies by WriteTo.
+// and are never written by their owners again. A fetched stripe is its
+// data chunks as they lie (fetch's segments), a cache hit one segment;
+// each byte moves once, copied by Read, or handed to the caller's Writer
+// as it lies by WriteTo.
 
 // objectReader streams a byte range of a stored object, stripe by stripe.
 type objectReader struct {
@@ -61,13 +61,12 @@ type objectReader struct {
 	pipe  *stripePipe
 	pin   uint64 // the reaper ticket holding meta's version
 
-	cur     []byte  // decoded, undelivered bytes of the current stripe
-	curSlot bool    // cur holds a stripe slot of the broker read budget
-	curBuf  []byte  // the fetched stripe cur is what is left of; recycled with the slot
-	tail    [1]byte // where WriteTo keeps a stream's last byte once its join buffer is gone
-	left    int64   // bytes still due to the caller; the stream ends behind the last one
-	fetched int64   // payload bytes delivered so far
-	err     error   // terminal state, set once by finish (io.EOF after full drain)
+	cur     [][]byte // undelivered bytes of the current stripe, by segment; the first never empty
+	curSlot bool     // cur holds a stripe slot of the broker read budget
+	tail    [1]byte  // where WriteTo keeps a stream's last byte once the slot is back
+	left    int64    // bytes still due to the caller; the stream ends behind the last one
+	fetched int64    // payload bytes delivered so far
+	err     error    // terminal state, set once by finish (io.EOF after full drain)
 }
 
 // readVia is one chunk->provider map of a version and its ranking:
@@ -138,12 +137,12 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n
 		e.b.reaper.unpin(meta.UUID, or.pin)
 		return nil, err
 	}
-	or.cur = or.cur[offset-int64(or.start)*span:] // the first stripe's lead-in is not the caller's
+	or.drop(offset - int64(or.start)*span) // the first stripe's lead-in is not the caller's
 	or.pipe.readAhead(e.b.cfg.PrefetchStripes)
 	return or, nil
 }
 
-// produce yields one decoded stripe: stripe cache first, then the
+// produce yields one verified stripe: stripe cache first, then the
 // provider fetch. Only fetched stripes that passed their checksum are
 // ever written back to the cache, so neither a read torn down mid-fetch
 // nor a provider serving rotted bytes can poison it. A cache hit gives
@@ -155,14 +154,13 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 	if data, ok := e.b.caches.GetStripe(e.dc, or.cacheID, s); ok {
 		e.b.metrics.readCached.Inc()
 		obs.TraceFrom(ctx).Count("stripes_cached", 1)
-		return stripeOut{data: data}, nil
+		return stripeOut{segs: [][]byte{data}}, nil
 	}
 	via := or.via.Load()
-	buf, _ := e.b.joinBufs.Get().([]byte)
-	data, err := or.fetchVia(ctx, via, s, buf)
+	segs, err := or.fetchVia(ctx, via, s)
 	if errors.Is(err, ErrNotEnoughChunks) {
 		if moved := or.refresh(via); moved != via {
-			data, err = or.fetchVia(ctx, moved, s, buf)
+			segs, err = or.fetchVia(ctx, moved, s)
 		}
 	}
 	if err != nil {
@@ -171,18 +169,18 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 	e.b.metrics.readFetched.Inc()
 	obs.TraceFrom(ctx).Count("stripes_fetched", 1)
 	if or.userRead {
-		e.b.caches.PutStripe(e.dc, or.cacheID, s, data)
+		e.b.caches.PutStripe(e.dc, or.cacheID, s, segs...)
 	}
-	return stripeOut{data: data, slot: true}, nil
+	return stripeOut{segs: segs, slot: true}, nil
 }
 
 // fetchVia fetches stripe s through one chunk->provider map.
-func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int, dst []byte) ([]byte, error) {
+func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int) ([][]byte, error) {
 	if via.rankErr != nil {
 		return nil, via.rankErr
 	}
-	data, _, _, err := or.e.fetch(ctx, via.layout, s, via.order, or.meta.M, dst)
-	return data, err
+	segs, _, _, err := or.e.fetch(ctx, via.layout, s, via.order, or.meta.M)
+	return segs, err
 }
 
 // refresh is called by a stripe that came up short of m chunks through
@@ -218,16 +216,26 @@ func (or *objectReader) advance() error {
 	if s > or.start && or.pipe.depth > 1 {
 		or.e.b.metrics.readPrefetched.Inc()
 	}
-	or.cur, or.curSlot = out.data, out.slot
-	if out.slot {
-		or.curBuf = out.data
-	}
+	or.cur, or.curSlot = out.segs, out.slot
+	or.drop(0)
 	return nil
 }
 
-// pending returns the bytes of the current stripe that are due to the
-// caller — of the next stripe once the current one is drained — or the
-// stream's terminal state.
+// drop discards the first n bytes of the current stripe, and the empty
+// segments behind them.
+func (or *objectReader) drop(n int64) {
+	for len(or.cur) > 0 && n >= int64(len(or.cur[0])) {
+		n -= int64(len(or.cur[0]))
+		or.cur = or.cur[1:]
+	}
+	if len(or.cur) > 0 {
+		or.cur[0] = or.cur[0][n:]
+	}
+}
+
+// pending returns the bytes of the current segment that are due to the
+// caller — of the next stripe's first once the current one is drained —
+// or the stream's terminal state.
 func (or *objectReader) pending() ([]byte, error) {
 	for len(or.cur) == 0 && or.err == nil {
 		if err := or.advance(); err != nil {
@@ -237,14 +245,14 @@ func (or *objectReader) pending() ([]byte, error) {
 	if or.err != nil {
 		return nil, or.err
 	}
-	return or.cur[:min(int64(len(or.cur)), or.left)], nil
+	return or.cur[0][:min(int64(len(or.cur[0])), or.left)], nil
 }
 
 // consume marks the first n pending bytes delivered. Behind the last byte
 // due the stream is over: a ranged read stops fetching stripes nobody will
 // read, and what is left of its last stripe never counts as read.
 func (or *objectReader) consume(n int) {
-	or.cur = or.cur[n:]
+	or.drop(int64(n))
 	or.fetched += int64(n)
 	if or.left -= int64(n); or.left == 0 {
 		or.finish(io.EOF)
@@ -274,11 +282,11 @@ func (or *objectReader) Read(p []byte) (int, error) {
 const maxWrite = 256 << 10
 
 // WriteTo implements io.WriterTo, which io.Copy prefers to Read: each
-// stripe reaches w straight from where its bytes live, through no transfer
-// buffer, in Writes of up to maxWrite. w must not keep the slice, as
-// io.Writer says.
-// Only the stream's last byte, when a join buffer holds it, is moved out
-// (into tail) and gets a Write of its own, after the slot went back: a
+// segment reaches w straight from where its bytes live, through no
+// transfer buffer, in Writes of up to maxWrite. w must not keep the
+// slice, as io.Writer says.
+// Only the stream's last byte, when a fetched stripe holds it, is moved
+// out (into tail) and gets a Write of its own, after the slot went back: a
 // client that has the whole body — a test, the benchmark's resting-state
 // check — finds the read budget settled, as it did when Read copied every
 // stripe out ahead of its Write.
@@ -299,8 +307,9 @@ func (or *objectReader) WriteTo(w io.Writer) (total int64, err error) {
 		or.consume(n)
 		total += int64(n)
 		if or.curSlot && or.left == 1 {
-			or.tail[0] = or.cur[0]
-			or.cur = or.tail[:]
+			or.tail[0] = or.cur[0][0]
+			or.cur = or.cur[:1]
+			or.cur[0] = or.tail[:]
 			or.releaseCur()
 		}
 		if err == nil && n < len(pending) {
@@ -313,16 +322,12 @@ func (or *objectReader) WriteTo(w io.Writer) (total int64, err error) {
 }
 
 // releaseCur returns the current stripe's read-budget slot once its
-// bytes are gone (fully drained to the caller, or dropped at teardown),
-// and with it the stripe's join buffer: the stripe cache took a copy, Read
-// copies out and a Write has returned, so the next fetch may decode into
-// it. A cache hit holds neither.
+// bytes are gone (fully drained to the caller, or dropped at teardown).
+// A cache hit holds none.
 func (or *objectReader) releaseCur() {
 	if or.curSlot {
 		or.curSlot = false
 		or.e.b.releaseBuf(&or.e.b.readBuf)
-		or.e.b.joinBufs.Put(or.curBuf) //nolint:staticcheck // a slice header per stripe is noise next to the stripe
-		or.curBuf = nil
 	}
 }
 

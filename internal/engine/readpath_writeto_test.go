@@ -71,7 +71,10 @@ func putStriped(t *testing.T, e *Engine, multipart bool) []byte {
 // Read; whichever drains a stream, the same bytes come out, the same
 // stripes are served from the cache and from the providers, the same
 // provider operations are billed, no budget slot or version pin is left,
-// and the read is logged once with the bytes delivered.
+// and the read is logged once with the bytes delivered — also when a
+// provider is down, so that a fetched stripe is served with a data
+// segment rebuilt from parity, or read from its data chunks as they lie
+// with parity lost.
 func TestWriteToMatchesRead(t *testing.T) {
 	const size = 5*1024 + 300
 	type window struct{ off, length int64 }
@@ -105,79 +108,108 @@ func TestWriteToMatchesRead(t *testing.T) {
 			}
 		}},
 	}
+	// down picks the chunk slot whose provider is unavailable (-1: none);
+	// rebuilds says every fetched stripe then has a data chunk rebuilt.
+	// A healthy cell's name carries no suffix.
+	degraded := []struct {
+		suffix   string
+		down     func(meta ObjectMeta) int
+		rebuilds bool
+	}{
+		{"", func(ObjectMeta) int { return -1 }, false},
+		{"/data slot 0 down", func(ObjectMeta) int { return 0 }, true},
+		{"/parity slot down", func(meta ObjectMeta) int { return len(meta.Chunks) - 1 }, false},
+	}
 	for _, multipart := range []bool{false, true} {
 		for _, prefetch := range []int{-1, 2} {
 			for _, req := range requests {
 				for _, w := range warmups {
-					name := fmt.Sprintf("multipart=%v/prefetch=%d/%s/%s", multipart, prefetch, req.name, w.name)
-					t.Run(name, func(t *testing.T) {
-						var payload []byte
-						serve := func(drain func(rc io.ReadCloser) ([]byte, error)) readOutcome {
-							b := newTestBroker(t, Config{StripeBytes: 1024, CacheBytes: 1 << 20, PrefetchStripes: prefetch})
-							e := b.Engine(0)
-							payload = putStriped(t, e, multipart)
-							w.warm(t, e)
-							var bodies [][]byte
-							open := func() (io.ReadCloser, ObjectMeta, error) { return e.GetReader(ctx, "c", "k") }
-							for i := 0; i < max(1, len(req.windows)); i++ {
+					for _, d := range degraded {
+						name := fmt.Sprintf("multipart=%v/prefetch=%d/%s/%s%s", multipart, prefetch, req.name, w.name, d.suffix)
+						t.Run(name, func(t *testing.T) {
+							var payload []byte
+							serve := func(drain func(rc io.ReadCloser) ([]byte, error)) readOutcome {
+								b := newTestBroker(t, Config{StripeBytes: 1024, CacheBytes: 1 << 20, PrefetchStripes: prefetch})
+								e := b.Engine(0)
+								payload = putStriped(t, e, multipart)
+								meta, err := e.Head(ctx, "c", "k")
+								if err != nil || len(meta.Chunks) <= meta.M {
+									t.Fatalf("scenario expects a parity slot, got m=%d of %d (%v)", meta.M, len(meta.Chunks), err)
+								}
+								if slot := d.down(meta); slot >= 0 {
+									blob(t, b, meta.Chunks[slot]).SetAvailable(false)
+								}
+								w.warm(t, e)
+								var bodies [][]byte
+								open := func() (io.ReadCloser, ObjectMeta, error) { return e.GetReader(ctx, "c", "k") }
+								for i := 0; i < max(1, len(req.windows)); i++ {
+									if req.windows != nil {
+										win := req.windows[i]
+										open = func() (io.ReadCloser, ObjectMeta, error) {
+											return e.GetRangeReader(ctx, "c", "k", win.off, win.length)
+										}
+									}
+									rc, _, err := open()
+									if err != nil {
+										t.Fatal(err)
+									}
+									body, err := drain(rc)
+									rc.Close()
+									if err != nil {
+										t.Fatal(err)
+									}
+									bodies = append(bodies, body)
+								}
+								return outcomeOf(b, "c/k", bodies)
+							}
+							read := serve(func(rc io.ReadCloser) ([]byte, error) { return io.ReadAll(rc) })
+							written := serve(func(rc io.ReadCloser) ([]byte, error) {
+								var buf bytes.Buffer
+								n, err := rc.(io.WriterTo).WriteTo(&buf)
+								if n != int64(buf.Len()) {
+									t.Errorf("WriteTo reports %d bytes, wrote %d", n, buf.Len())
+								}
+								return buf.Bytes(), err
+							})
+							if !reflect.DeepEqual(read, written) {
+								t.Errorf("WriteTo and Read leave different outcomes:\nRead:    %+v\nWriteTo: %+v", read.summary(), written.summary())
+							}
+							var delivered int64
+							for i, body := range written.bodies {
+								want := payload
 								if req.windows != nil {
 									win := req.windows[i]
-									open = func() (io.ReadCloser, ObjectMeta, error) {
-										return e.GetRangeReader(ctx, "c", "k", win.off, win.length)
+									want = payload[win.off:]
+									if win.length >= 0 {
+										want = want[:win.length]
 									}
 								}
-								rc, _, err := open()
-								if err != nil {
-									t.Fatal(err)
+								if !bytes.Equal(body, want) {
+									t.Errorf("stream %d: %d bytes, want the %d of the window", i, len(body), len(want))
 								}
-								body, err := drain(rc)
-								rc.Close()
-								if err != nil {
-									t.Fatal(err)
-								}
-								bodies = append(bodies, body)
+								delivered += int64(len(want))
 							}
-							return outcomeOf(b, "c/k", bodies)
-						}
-						read := serve(func(rc io.ReadCloser) ([]byte, error) { return io.ReadAll(rc) })
-						written := serve(func(rc io.ReadCloser) ([]byte, error) {
-							var buf bytes.Buffer
-							n, err := rc.(io.WriterTo).WriteTo(&buf)
-							if n != int64(buf.Len()) {
-								t.Errorf("WriteTo reports %d bytes, wrote %d", n, buf.Len())
+							// A stream closed undrained logs a read of no bytes: what
+							// is left is the warm-up's share of the period's sample.
+							warm := serve(func(io.ReadCloser) ([]byte, error) { return nil, nil })
+							if got := written.events.BytesOut - warm.events.BytesOut; got != delivered ||
+								written.events.Reads != warm.events.Reads {
+								t.Errorf("read events: %d bytes over %d reads, want %d over %d",
+									got, written.events.Reads, delivered, warm.events.Reads)
 							}
-							return buf.Bytes(), err
+							if written.stats.BufferedStripes != 0 || written.retired != (RetiredStats{}) || written.stats.CorruptChunks != 0 {
+								t.Errorf("at rest: %+v, %+v", written.stats, written.retired)
+							}
+							var rebuilt int64
+							if d.rebuilds {
+								rebuilt = written.stats.StripesFetched
+							}
+							if written.stats.StripesReconstructed != rebuilt {
+								t.Errorf("%d of %d fetched stripes rebuilt a data chunk, want %d",
+									written.stats.StripesReconstructed, written.stats.StripesFetched, rebuilt)
+							}
 						})
-						if !reflect.DeepEqual(read, written) {
-							t.Errorf("WriteTo and Read leave different outcomes:\nRead:    %+v\nWriteTo: %+v", read.summary(), written.summary())
-						}
-						var delivered int64
-						for i, body := range written.bodies {
-							want := payload
-							if req.windows != nil {
-								win := req.windows[i]
-								want = payload[win.off:]
-								if win.length >= 0 {
-									want = want[:win.length]
-								}
-							}
-							if !bytes.Equal(body, want) {
-								t.Errorf("stream %d: %d bytes, want the %d of the window", i, len(body), len(want))
-							}
-							delivered += int64(len(want))
-						}
-						// A stream closed undrained logs a read of no bytes: what
-						// is left is the warm-up's share of the period's sample.
-						warm := serve(func(io.ReadCloser) ([]byte, error) { return nil, nil })
-						if got := written.events.BytesOut - warm.events.BytesOut; got != delivered ||
-							written.events.Reads != warm.events.Reads {
-							t.Errorf("read events: %d bytes over %d reads, want %d over %d",
-								got, written.events.Reads, delivered, warm.events.Reads)
-						}
-						if written.stats.BufferedStripes != 0 || written.retired != (RetiredStats{}) || written.stats.CorruptChunks != 0 {
-							t.Errorf("at rest: %+v, %+v", written.stats, written.retired)
-						}
-					})
+					}
 				}
 			}
 		}
@@ -293,12 +325,12 @@ func (w *lastByteWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSlotIsBackBeforeTheLastByteGoesOut: WriteTo lends the join buffer
-// to the Writer, so the stripe's slot cannot go back before the Write
-// returns — except that nobody can tell a stream has ended before its
-// last byte, and that byte is sent from a buffer of its own. A client
-// that checks the budget the moment it has the whole body (the loadgen
-// and benchmark resting-state checks do) finds it settled.
+// TestSlotIsBackBeforeTheLastByteGoesOut: WriteTo lends a fetched
+// stripe's segments to the Writer, so the stripe's slot cannot go back
+// before the Write returns — except that nobody can tell a stream has
+// ended before its last byte, and that byte is sent from a buffer of its
+// own. A client that checks the budget the moment it has the whole body
+// (the loadgen and benchmark resting-state checks do) finds it settled.
 func TestSlotIsBackBeforeTheLastByteGoesOut(t *testing.T) {
 	b := newTestBroker(t, Config{StripeBytes: 1024, PrefetchStripes: -1})
 	e := b.Engine(0)
@@ -336,11 +368,12 @@ func (w *sizesWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// TestWriteToBoundsEachWrite: a stripe up to maxWrite goes out in one
-// Write; a longer one in pieces of maxWrite, fetched or cached, so no
-// single Write holds a socket for as long as a multi-megabyte copy takes.
+// TestWriteToBoundsEachWrite: a segment — a cached stripe, or a data
+// chunk's share of a fetched one — up to maxWrite goes out in one Write;
+// a longer one in pieces of maxWrite, so no single Write holds a socket
+// for as long as a multi-megabyte copy takes.
 func TestWriteToBoundsEachWrite(t *testing.T) {
-	const stripe = maxWrite + maxWrite/2
+	const stripe = 6 * maxWrite
 	for _, cached := range []bool{false, true} {
 		cfg := Config{StripeBytes: stripe, PrefetchStripes: -1}
 		if cached {
@@ -349,8 +382,12 @@ func TestWriteToBoundsEachWrite(t *testing.T) {
 		b := newTestBroker(t, cfg)
 		e := b.Engine(0)
 		payload := testPayload(2*stripe + maxWrite/4)
-		if _, err := e.Put(ctx, "c", "k", payload, PutOptions{}); err != nil {
+		meta, err := e.Put(ctx, "c", "k", payload, PutOptions{})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if meta.M < 2 || stripe/meta.M <= maxWrite {
+			t.Fatalf("m = %d: the fetched case needs data chunks of more than maxWrite, and more than one", meta.M)
 		}
 		if _, _, err := e.Get(ctx, "c", "k"); err != nil { // fills the cache, if there is one
 			t.Fatal(err)
@@ -365,11 +402,28 @@ func TestWriteToBoundsEachWrite(t *testing.T) {
 		if err != nil || !bytes.Equal(w.buf.Bytes(), payload) {
 			t.Fatalf("cached=%v: Copy: %v, %d of %d bytes", cached, err, w.buf.Len(), len(payload))
 		}
-		// Two long stripes in two pieces each, the short one whole; a
+		// A cached stripe is one segment, a fetched one its data chunks'
+		// payload prefixes; each goes out in pieces of maxWrite, and a
 		// fetched last stripe gives its last byte a Write of its own.
-		want := []int{maxWrite, maxWrite / 2, maxWrite, maxWrite / 2, maxWrite / 4}
+		var want []int
+		for _, stripeLen := range []int{stripe, stripe, maxWrite / 4} {
+			segs := []int{stripeLen}
+			if !cached {
+				c := (stripeLen + meta.M - 1) / meta.M
+				segs = nil
+				for i := 0; i*c < stripeLen; i++ {
+					segs = append(segs, min(c, stripeLen-i*c))
+				}
+			}
+			for _, seg := range segs {
+				for ; seg > 0; seg -= maxWrite {
+					want = append(want, min(seg, maxWrite))
+				}
+			}
+		}
 		if !cached {
-			want = append(want[:4], maxWrite/4-1, 1)
+			want[len(want)-1]--
+			want = append(want, 1)
 		}
 		if !reflect.DeepEqual(w.sizes, want) {
 			t.Errorf("cached=%v: Writes of %v bytes, want %v", cached, w.sizes, want)

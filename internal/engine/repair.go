@@ -8,6 +8,7 @@ import (
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
+	"scalia/internal/crc32c"
 	"scalia/internal/obs"
 )
 
@@ -227,11 +228,11 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 // and returns them with the payload verified and the replaced slots
 // reconstructed; a parity slot neither fetched nor replaced stays nil.
 // Every replacement chunk is checked against the sum stored for its
-// slot before it is returned to be written: a swap keeps the sums, so a
-// replacement that does not match would be rot written by the repair
-// itself.
+// slot (a data slot's by the fetch) before it is returned to be written:
+// a swap keeps the sums, so a replacement that does not match would be
+// rot written by the repair itself.
 func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error) {
-	chunks, _, err := e.fetchChunks(ctx, sw.src, s, sw.order, sw.meta.M)
+	_, chunks, _, err := e.fetch(ctx, sw.src, s, sw.order, sw.meta.M)
 	if err == nil {
 		err = sw.src.coder.ReconstructSlots(chunks, sw.replaced)
 	}
@@ -239,7 +240,7 @@ func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error)
 		return nil, err
 	}
 	for _, i := range sw.replaced {
-		if crc32c(chunks[i]) != sw.src.sums[s].Chunks[i] {
+		if i >= sw.meta.M && crc32c.Checksum(chunks[i]) != sw.src.sums[s].Chunks[i] {
 			return nil, fmt.Errorf("%w: rebuilt chunk %d of stripe %d", ErrChecksum, i, s)
 		}
 	}

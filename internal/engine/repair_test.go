@@ -17,6 +17,7 @@ import (
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
+	"scalia/internal/crc32c"
 )
 
 // repairMarket builds a 4-provider market where the rule's lock-in
@@ -332,12 +333,21 @@ func TestRebuildProducesOnlyTheReplacedSlots(t *testing.T) {
 	if held != meta.M+1 || absent < meta.M {
 		t.Fatalf("rebuild holds %d chunks (nil at slot %d), want the %d read, the one replaced and one parity slot left nil", held, absent, meta.M)
 	}
-	if crc32c(chunks[replaced]) != meta.Sums[0].Chunks[replaced] {
+	if crc32c.Checksum(chunks[replaced]) != meta.Sums[0].Chunks[replaced] {
 		t.Fatal("the replacement does not match its stored sum")
 	}
-	sw.src.sums[0].Chunks[replaced] ^= 1
-	if _, err := e.rebuild(ctx, sw, 0); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("rebuild against a wrong stored sum: %v, want ErrChecksum", err)
+	// A wrong stored sum — of the replaced chunk, or of the payload the
+	// chunks read compose — fails the rebuild.
+	for name, maim := range map[string]func(*StripeSum){
+		"chunk":       func(sum *StripeSum) { sum.Chunks[replaced] ^= 1 },
+		"payload bit": func(sum *StripeSum) { sum.Payload ^= 1 },
+	} {
+		sw.src.sums = slices.Clone(meta.Sums)
+		sw.src.sums[0].Chunks = slices.Clone(meta.Sums[0].Chunks)
+		maim(&sw.src.sums[0])
+		if _, err := e.rebuild(ctx, sw, 0); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("rebuild against a wrong stored %s sum: %v, want ErrChecksum", name, err)
+		}
 	}
 }
 

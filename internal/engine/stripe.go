@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/crc32c"
 	"scalia/internal/erasure"
 	"scalia/internal/obs"
 )
@@ -141,22 +142,13 @@ func (l *stripeLayout) rank(skip []int) ([]int, error) {
 	return order, nil
 }
 
-// fetchChunks is fetch for the callers that want the chunk set and not
-// the payload (repair, verification): the stripe is decoded and checked
-// in a recycled join buffer, which goes straight back.
-func (e *Engine) fetchChunks(ctx context.Context, l *stripeLayout, s int, order []int, want int) ([][]byte, int, error) {
-	buf, _ := e.b.joinBufs.Get().([]byte)
-	payload, chunks, got, err := e.fetch(ctx, l, s, order, want, buf)
-	if payload != nil {
-		e.b.joinBufs.Put(payload) //nolint:staticcheck // as in releaseCur
-	}
-	return chunks, got, err
-}
-
 // fetch reads stripe s: it retrieves chunks along the ranked candidate
 // order until it holds want of them that pass their stored CRC-32C,
-// decodes the stripe and checks the payload against its own sum — rotted
-// bytes must not reach a client, the stripe cache or a replacement chunk.
+// rebuilds any data chunk it lacks and checks the payload against its own
+// sum — rotted bytes must not reach a client, the stripe cache or a
+// replacement chunk. The code is systematic, so the payload is segs, the
+// data chunks' payload prefixes in slot order, never joined: its CRC is
+// composed from theirs, taken in the pass that checks each chunk's sum.
 // want is m for a read and len(order) for verification ("all
 // reachable"). A candidate is claimed only while chunks held plus fetches
 // in flight are short of want, so a healthy stripe costs exactly want
@@ -170,16 +162,27 @@ func (e *Engine) fetchChunks(ctx context.Context, l *stripeLayout, s int, order 
 // writes. A stripe whose sum record is missing or does not cover every
 // slot fails closed before any provider is asked, and a stripe left short
 // of m after rejecting a chunk fails with ErrChecksum. got counts the
-// chunks read and accepted; chunks has length n, nil at the slots not
-// read or rejected. The payload is decoded into dst when it has the
-// capacity (nil: a fresh buffer).
-func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int, dst []byte) (payload []byte, chunks [][]byte, got int, err error) {
+// chunks read and accepted; chunks has length n, every data slot filled
+// (a lost one rebuilt and held to its own sum), nil at the parity slots
+// not read or rejected. chunks and segs alias what the providers hold.
+func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int) (segs, chunks [][]byte, got int, err error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	if s >= len(l.sums) || len(l.sums[s].Chunks) != len(l.names) {
 		return nil, nil, 0, fmt.Errorf("%w: stripe %d has no sum for each of its %d chunks", ErrChecksum, s, len(l.names))
 	}
-	sum := l.sums[s]
+	sum, m, size := l.sums[s], l.coder.M(), int(l.stripeLen(s))
+	c := l.coder.EncodedChunkSize(size)
+	// prefix(i) is the payload in slot i's chunk (none in a parity slot:
+	// size ≤ m·c); check says whether data is that chunk — c bytes, its
+	// sum — noting heads[i], its prefix's CRC.
+	prefix := func(i int) int { return min(max(size-i*c, 0), c) }
+	heads := make([]uint32, len(l.names))
+	check := func(i int, data []byte) bool {
+		k := min(prefix(i), len(data))
+		heads[i] = crc32c.Update(0, data[:k])
+		return len(data) == c && crc32c.Update(heads[i], data[k:]) == sum.Chunks[i]
+	}
 	chunks = make([][]byte, len(l.names))
 	var (
 		mu                     sync.Mutex
@@ -214,7 +217,7 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 			var spent time.Duration
 			if err == nil {
 				t0 = time.Now()
-				rot = crc32c(data) != sum.Chunks[i]
+				rot = !check(i, data)
 				spent = time.Since(t0)
 				if rot {
 					e.b.noteRot(tr, l, i)
@@ -246,7 +249,6 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 	work()
 	wg.Wait()
 
-	m := l.coder.M()
 	if got < m {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, got, err
@@ -258,23 +260,30 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 		return nil, nil, got, fmt.Errorf("%w: fetched %d, need %d", ErrNotEnoughChunks, got, m)
 	}
 	e.b.observeStage(tr, "fetch", start)
-	if slices.ContainsFunc(chunks[:m], func(c []byte) bool { return c == nil }) {
+	start = time.Now()
+	lost := slices.DeleteFunc(slices.Clone(l.all[:m]), func(i int) bool { return chunks[i] != nil })
+	if len(lost) > 0 {
 		e.b.metrics.readReconstructed.Inc()
 		tr.Count("stripes_reconstructed", 1)
-	}
-	start = time.Now()
-	payload, err = l.coder.DecodeInto(dst, chunks, int(l.stripeLen(s)))
-	if err != nil {
-		return nil, nil, got, err
+		if err := l.coder.ReconstructSlots(chunks, lost); err != nil {
+			return nil, nil, got, err
+		}
 	}
 	e.b.observeStage(tr, "decode", start)
 	start = time.Now()
-	ok := crc32c(payload) == sum.Payload
+	ok := !slices.ContainsFunc(lost, func(i int) bool { return !check(i, chunks[i]) })
+	var payload uint32
+	segs = make([][]byte, m)
+	for i := range segs {
+		k := prefix(i)
+		payload = crc32c.Combine(payload, heads[i], k)
+		segs[i] = chunks[i][:k:k]
+	}
 	e.b.observeStageFor(tr, "verify", verifying+time.Since(start))
-	if !ok {
+	if !ok || payload != sum.Payload {
 		return nil, nil, got, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
 	}
-	return payload, chunks, got, nil
+	return segs, chunks, got, nil
 }
 
 // writeChunks writes the given slots of stripe s (l.all for a full
@@ -359,11 +368,12 @@ func (b *Broker) dropChunks(l *stripeLayout, upto int, slots []int) (held []int,
 	return held, left
 }
 
-// stripeOut is what one stripe of a pipe yields. slot marks a result
-// that still holds its stripe's budget slot (a fetched stripe waiting
-// to drain to the client); whoever drops it must release the slot.
+// stripeOut is what one stripe of a pipe yields: a read's payload, by
+// segment. slot marks a result that still holds its stripe's budget slot
+// (a fetched stripe waiting to drain to the client); whoever drops it
+// must release the slot.
 type stripeOut struct {
-	data []byte
+	segs [][]byte
 	slot bool
 }
 

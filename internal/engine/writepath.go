@@ -11,6 +11,7 @@ import (
 	"io"
 	"time"
 
+	"scalia/internal/crc32c"
 	"scalia/internal/erasure"
 	"scalia/internal/obs"
 )
@@ -97,9 +98,9 @@ func (e *Engine) encodeStripe(ctx context.Context, l *stripeLayout, s int, r io.
 	}
 	e.b.observeStage(tr, "encode", start)
 	start = time.Now()
-	sum := StripeSum{Payload: crc32c(buf), Chunks: make([]uint32, len(chunks))}
+	sum := StripeSum{Payload: crc32c.Checksum(buf), Chunks: make([]uint32, len(chunks))}
 	for i, chunk := range chunks {
-		sum.Chunks[i] = crc32c(chunk)
+		sum.Chunks[i] = crc32c.Checksum(chunk)
 	}
 	l.sums[s] = sum
 	e.b.observeStageFor(tr, "hash", hashing+time.Since(start))
