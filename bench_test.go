@@ -169,20 +169,17 @@ func BenchmarkFig18ActiveRepair(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-func benchPlacement(b *testing.B, pruned bool) {
+func BenchmarkPlacementExact(b *testing.B) {
 	load := stats.Summary{Periods: 1, Reads: 25, BytesOut: 25e6, StorageBytes: 1e6}
 	rule := core.Rule{Durability: 0.99999, Availability: 0.9999, LockIn: 1}
 	specs := cloud.PaperProviders()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BestPlacement(specs, rule, load, core.Options{Pruned: pruned}); err != nil {
+		if _, err := core.BestPlacement(specs, rule, load, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkPlacementExact(b *testing.B)  { benchPlacement(b, false) }
-func BenchmarkPlacementPruned(b *testing.B) { benchPlacement(b, true) }
 
 func BenchmarkPlacementPrepared(b *testing.B) {
 	load := stats.Summary{Periods: 1, Reads: 25, BytesOut: 25e6, StorageBytes: 1e6}
@@ -228,7 +225,7 @@ func BenchmarkPlannerReuse(b *testing.B) {
 	})
 	b.Run("planner-cached", func(b *testing.B) {
 		b.ReportAllocs()
-		planner := core.NewPlanner(1, false)
+		planner := core.NewPlanner(1)
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < objects; j++ {
 				if _, err := planner.Best(1, specs, rules[j%len(rules)], loads[j], 0, nil); err != nil {
@@ -512,26 +509,56 @@ func BenchmarkErasureDecodeWithLoss(b *testing.B) {
 }
 
 // slowBackend delays chunk fetches by a fixed latency, standing in for
-// the provider round-trip that dominates real GET latency. Writes stay
-// fast so benchmark setup is cheap.
+// the provider round-trip that dominates real GET latency. Writes pay it
+// too only when writes is set, for benchmarks whose hot path is write
+// traffic; otherwise they stay fast so benchmark setup is cheap.
 type slowBackend struct {
 	*cloud.BlobStore
-	delay time.Duration
+	delay  time.Duration
+	writes bool
+}
+
+func (s *slowBackend) wait(ctx context.Context) error {
+	select {
+	case <-time.After(s.delay):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 func (s *slowBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := s.wait(ctx); err != nil {
+		return nil, err
 	}
 	return s.BlobStore.Get(ctx, key)
 }
 
-func slowRegistry(delay time.Duration) *cloud.Registry {
+func (s *slowBackend) Put(ctx context.Context, key string, data []byte) error {
+	if s.writes {
+		if err := s.wait(ctx); err != nil {
+			return err
+		}
+	}
+	return s.BlobStore.Put(ctx, key, data)
+}
+
+// PutBatch pays the round-trip ONCE for the whole batch — the
+// amortization the swap batcher exists to exploit.
+func (s *slowBackend) PutBatch(ctx context.Context, items []cloud.BatchItem) error {
+	if s.writes {
+		if err := s.wait(ctx); err != nil {
+			return err
+		}
+	}
+	return s.BlobStore.PutBatch(ctx, items)
+}
+
+// slowRegistry is the paper's market behind slowBackends.
+func slowRegistry(delay time.Duration, writes bool) *cloud.Registry {
 	reg := cloud.NewRegistry()
 	for _, spec := range cloud.PaperProviders() {
-		reg.Register(&slowBackend{BlobStore: cloud.NewBlobStore(spec), delay: delay})
+		reg.Register(&slowBackend{BlobStore: cloud.NewBlobStore(spec), delay: delay, writes: writes})
 	}
 	return reg
 }
@@ -558,7 +585,7 @@ func BenchmarkGetLargeObject(b *testing.B) {
 
 	run := func(b *testing.B, cfg engine.Config, warmCache bool) {
 		b.Helper()
-		cfg.Registry = slowRegistry(chunkLatency)
+		cfg.Registry = slowRegistry(chunkLatency, false)
 		cfg.StripeBytes = stripeBytes
 		br := engine.NewBroker(cfg)
 		b.Cleanup(br.Close)
@@ -649,14 +676,6 @@ func BenchmarkGetLargeObject(b *testing.B) {
 	b.Run("degraded", func(b *testing.B) { cpuBound(b, true) })
 }
 
-func slowRWRegistry(delay time.Duration) *cloud.Registry {
-	reg := cloud.NewRegistry()
-	for _, spec := range cloud.PaperProviders() {
-		reg.Register(&slowRWBackend{BlobStore: cloud.NewBlobStore(spec), delay: delay})
-	}
-	return reg
-}
-
 // BenchmarkPutLargeObject measures the streaming PUT of an 8-stripe,
 // m=4 object against providers with a simulated per-op round-trip: the
 // sequential seed path (encode stripe s, fan it out, wait, touch
@@ -679,7 +698,7 @@ func BenchmarkPutLargeObject(b *testing.B) {
 
 	run := func(b *testing.B, cfg engine.Config) {
 		b.Helper()
-		cfg.Registry = slowRWRegistry(chunkLatency)
+		cfg.Registry = slowRegistry(chunkLatency, true)
 		cfg.StripeBytes = stripeBytes
 		br := engine.NewBroker(cfg)
 		b.Cleanup(br.Close)
@@ -728,44 +747,6 @@ func BenchmarkBrokerPut(b *testing.B) {
 	}
 }
 
-// slowRWBackend delays both chunk reads and writes by the provider
-// round-trip, for benchmarks whose hot path is write traffic (repair).
-type slowRWBackend struct {
-	*cloud.BlobStore
-	delay time.Duration
-}
-
-func (s *slowRWBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return s.BlobStore.Get(ctx, key)
-}
-
-func (s *slowRWBackend) Put(ctx context.Context, key string, data []byte) error {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return s.BlobStore.Put(ctx, key, data)
-}
-
-// PutBatch pays the round-trip ONCE for the whole batch — the
-// amortization the swap batcher exists to exploit. Without this
-// override the embedded BlobStore's PutBatch would be free of the
-// simulated latency entirely.
-func (s *slowRWBackend) PutBatch(ctx context.Context, items []cloud.BatchItem) error {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return s.BlobStore.PutBatch(ctx, items)
-}
-
 // BenchmarkRepairSwap measures one active repair of an 8-stripe (m=2,
 // n=3) object after a single provider failure, against providers with a
 // simulated per-op round-trip: the same-(m,n) chunk-swap path (write
@@ -808,11 +789,11 @@ func BenchmarkRepairSwap(b *testing.B) {
 			{StorageGBMonth: 0.50, BandwidthInGB: 0.5, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
 		}
 		for i, name := range names {
-			reg.Register(&slowRWBackend{BlobStore: cloud.NewBlobStore(cloud.Spec{
+			reg.Register(&slowBackend{BlobStore: cloud.NewBlobStore(cloud.Spec{
 				Name: name, Durability: 0.9999, Availability: 0.999,
 				Zones:   []cloud.Zone{cloud.ZoneUS},
 				Pricing: prices[i],
-			}), delay: opLatency})
+			}), delay: opLatency, writes: true})
 		}
 		br := engine.NewBroker(engine.Config{Registry: reg, StripeBytes: stripeBytes})
 		b.Cleanup(br.Close)

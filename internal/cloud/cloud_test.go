@@ -465,6 +465,32 @@ func TestSetPricingBumpsEpoch(t *testing.T) {
 	}
 }
 
+// silentStore can be downed and repriced but cannot tell the registry.
+type silentStore struct {
+	Backend
+	AvailabilitySetter
+	PricingSetter
+}
+
+// TestRegistryMutatesOnlyNotifyingBackends: a change the registry makes
+// reaches the market through the backend's notifier, so a backend without
+// one is refused and left as it was.
+func TestRegistryMutatesOnlyNotifyingBackends(t *testing.T) {
+	r := NewRegistry()
+	s := NewBlobStore(Spec{Name: "silent"})
+	r.Register(silentStore{s, s, s})
+	e0 := r.Epoch()
+	if _, err := r.UpdateAvailability("silent", false); !errors.Is(err, ErrUnsupportedMutation) {
+		t.Errorf("UpdateAvailability: %v, want ErrUnsupportedMutation", err)
+	}
+	if _, err := r.UpdatePricing("silent", Pricing{StorageGBMonth: 1}); !errors.Is(err, ErrUnsupportedMutation) {
+		t.Errorf("UpdatePricing: %v, want ErrUnsupportedMutation", err)
+	}
+	if !s.Available() || s.Spec().Pricing != (Pricing{}) || r.Epoch() != e0 {
+		t.Error("a refused mutation changed the backend or the epoch")
+	}
+}
+
 func TestRegistryMarketCachesSnapshot(t *testing.T) {
 	r := NewPaperRegistry()
 	e1, specs1, free1 := r.Market()

@@ -10,33 +10,18 @@ import (
 // Typed errors for the admin mutation surface: callers can distinguish
 // a name that is not in the market from a backend that exists but does
 // not support the requested mutation (remote private resources have no
-// injectable outage or mutable price sheet).
+// injectable outage, mutable price sheet or notifier back-reference).
 var (
 	ErrUnknownProvider     = errors.New("cloud: unknown provider")
 	ErrUnsupportedMutation = errors.New("cloud: provider does not support this mutation")
-)
-
-// MarketEventKind classifies a market change.
-type MarketEventKind string
-
-// Market event kinds. KindChange covers state flipped directly on a
-// backend (bypassing the registry): the notifier back-reference carries
-// the provider identity but not which of availability/pricing moved.
-const (
-	KindRegister     MarketEventKind = "register"
-	KindDeregister   MarketEventKind = "deregister"
-	KindAvailability MarketEventKind = "availability"
-	KindPricing      MarketEventKind = "pricing"
-	KindChange       MarketEventKind = "change"
 )
 
 // MarketEvent is one market change with provider identity — the signal
 // behind event-driven maintenance. Epoch is the market epoch after the
 // change.
 type MarketEvent struct {
-	Epoch    uint64          `json:"epoch"`
-	Provider string          `json:"provider,omitempty"`
-	Kind     MarketEventKind `json:"kind"`
+	Epoch    uint64 `json:"epoch"`
+	Provider string `json:"provider,omitempty"`
 }
 
 // Backend is a storage provider attached to the registry: the blob
@@ -80,13 +65,24 @@ type PricingSetter interface {
 // ChangeNotifierSetter is implemented by backends that accept a
 // registry back-reference: the registry installs a notifier at
 // Register time, and the backend calls it whenever its availability
-// changes through a path that bypasses the registry (failure injection
-// directly on the backend). Without this, a backend downed directly
-// would keep the market epoch — and every placement search cached
-// against it — valid until the next registry event.
+// or price sheet changes. It is the one way a provider change advances
+// the market epoch: the registry mutates only backends that notify.
 type ChangeNotifierSetter interface {
 	SetChangeNotifier(fn func())
 }
+
+// notifyingAvailabilitySetter and notifyingPricingSetter are the
+// backends Registry.UpdateAvailability and UpdatePricing accept.
+type (
+	notifyingAvailabilitySetter interface {
+		AvailabilitySetter
+		ChangeNotifierSetter
+	}
+	notifyingPricingSetter interface {
+		PricingSetter
+		ChangeNotifierSetter
+	}
+)
 
 // Registry is the dynamic, non-static set of storage resources Scalia
 // orchestrates (public providers plus private resources, §III). Providers
@@ -150,14 +146,14 @@ func (r *Registry) Register(s Backend) {
 			n.SetChangeNotifier(nil) // the replaced backend is detached
 		}
 	}
-	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: KindRegister})
+	r.emit(MarketEvent{Epoch: epoch, Provider: name})
 }
 
 // attach installs the registry back-reference on backends that support
-// it, so availability flipped directly on the backend still bumps the
-// market epoch. The closure captures the provider name: out-of-band
-// changes arrive as named MarketEvents, which is what lets the
-// maintenance queue invalidate only the affected objects.
+// it, so a change on the backend bumps the market epoch. The closure
+// captures the provider name: changes arrive as named MarketEvents,
+// which is what lets the maintenance queue invalidate only the affected
+// objects.
 func (r *Registry) attach(s Backend) {
 	if n, ok := s.(ChangeNotifierSetter); ok {
 		name := s.Spec().Name
@@ -165,16 +161,15 @@ func (r *Registry) attach(s Backend) {
 	}
 }
 
-// noteBackendChange records an out-of-band backend state change:
-// advance the market epoch and emit a named MarketEvent. It is the
-// callback handed to ChangeNotifierSetter backends (wrapped to capture
-// the provider name).
+// noteBackendChange records a backend state change: advance the market
+// epoch and emit a named MarketEvent. It is the callback handed to
+// ChangeNotifierSetter backends (wrapped to capture the provider name).
 func (r *Registry) noteBackendChange(name string) {
 	r.mu.Lock()
 	r.bumpEpochLocked()
 	epoch := r.epoch
 	r.mu.Unlock()
-	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: KindChange})
+	r.emit(MarketEvent{Epoch: epoch, Provider: name})
 }
 
 // Subscribe registers fn to be called (synchronously, outside the
@@ -213,7 +208,7 @@ func (r *Registry) RegisterIfAbsent(s Backend) bool {
 	epoch := r.epoch
 	r.mu.Unlock()
 	r.attach(s)
-	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: KindRegister})
+	r.emit(MarketEvent{Epoch: epoch, Provider: name})
 	return true
 }
 
@@ -235,7 +230,7 @@ func (r *Registry) Deregister(name string) (Backend, bool) {
 		if n, isNotifiable := s.(ChangeNotifierSetter); isNotifiable {
 			n.SetChangeNotifier(nil)
 		}
-		r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: KindDeregister})
+		r.emit(MarketEvent{Epoch: epoch, Provider: name})
 	}
 	return s, ok
 }
@@ -243,62 +238,46 @@ func (r *Registry) Deregister(name string) (Backend, bool) {
 // UpdateAvailability injects or clears a transient outage on the named
 // provider and reports the market epoch after the change. An unknown
 // provider fails with ErrUnknownProvider, a backend without failure
-// injection with ErrUnsupportedMutation. Backends with a registry
-// back-reference (ChangeNotifierSetter, e.g. *BlobStore) bump the
-// market epoch themselves — exactly once, and only when the state
-// actually flips — so failure injection directly on the backend
-// invalidates cached placement searches too; the registry bumps only
-// for backends without one. The setter runs outside the registry lock:
-// its back-reference notification re-enters the registry.
+// injection and a notifier back-reference with ErrUnsupportedMutation.
+// The backend bumps the market epoch itself, exactly once and only when
+// the state actually flips. The setter runs outside the registry lock:
+// its notification re-enters the registry.
 func (r *Registry) UpdateAvailability(name string, up bool) (uint64, error) {
-	r.mu.RLock()
-	s, ok := r.stores[name]
-	r.mu.RUnlock()
-	if !ok {
-		return r.Epoch(), fmt.Errorf("%w: %s", ErrUnknownProvider, name)
+	s, err := mutable[notifyingAvailabilitySetter](r, name, "no availability injection")
+	if err != nil {
+		return r.Epoch(), err
 	}
-	setter, ok := s.(AvailabilitySetter)
-	if !ok {
-		return r.Epoch(), fmt.Errorf("%w: %s has no availability injection", ErrUnsupportedMutation, name)
-	}
-	setter.SetAvailable(up)
-	if _, selfNotifying := s.(ChangeNotifierSetter); !selfNotifying {
-		r.noteNamed(name, KindAvailability)
-	}
+	s.SetAvailable(up)
 	return r.Epoch(), nil
 }
 
 // UpdatePricing replaces the named provider's price sheet at runtime
-// and reports the market epoch after the change. An unknown provider
-// fails with ErrUnknownProvider, a backend without a mutable price
-// sheet (PricingSetter) with ErrUnsupportedMutation. Epoch bookkeeping
-// and locking mirror UpdateAvailability.
+// and reports the market epoch after the change. Errors, epoch
+// bookkeeping and locking mirror UpdateAvailability.
 func (r *Registry) UpdatePricing(name string, p Pricing) (uint64, error) {
-	r.mu.RLock()
-	s, ok := r.stores[name]
-	r.mu.RUnlock()
-	if !ok {
-		return r.Epoch(), fmt.Errorf("%w: %s", ErrUnknownProvider, name)
+	s, err := mutable[notifyingPricingSetter](r, name, "no mutable price sheet")
+	if err != nil {
+		return r.Epoch(), err
 	}
-	setter, ok := s.(PricingSetter)
-	if !ok {
-		return r.Epoch(), fmt.Errorf("%w: %s has no mutable price sheet", ErrUnsupportedMutation, name)
-	}
-	setter.SetPricing(p)
-	if _, selfNotifying := s.(ChangeNotifierSetter); !selfNotifying {
-		r.noteNamed(name, KindPricing)
-	}
+	s.SetPricing(p)
 	return r.Epoch(), nil
 }
 
-// noteNamed bumps the epoch for a registry-mediated change on a backend
-// without a notifier back-reference, emitting the precise event kind.
-func (r *Registry) noteNamed(name string, kind MarketEventKind) {
-	r.mu.Lock()
-	r.bumpEpochLocked()
-	epoch := r.epoch
-	r.mu.Unlock()
-	r.emit(MarketEvent{Epoch: epoch, Provider: name, Kind: kind})
+// mutable returns the named provider as a T, the mutation surface an
+// admin update needs.
+func mutable[T any](r *Registry, name, lacks string) (T, error) {
+	r.mu.RLock()
+	s, ok := r.stores[name]
+	r.mu.RUnlock()
+	var t T
+	if !ok {
+		return t, fmt.Errorf("%w: %s", ErrUnknownProvider, name)
+	}
+	t, ok = s.(T)
+	if !ok {
+		return t, fmt.Errorf("%w: %s has %s", ErrUnsupportedMutation, name, lacks)
+	}
+	return t, nil
 }
 
 // Epoch returns the current market epoch. The epoch increases on every

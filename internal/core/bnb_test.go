@@ -67,7 +67,7 @@ func TestBestBranchAndBoundDifferential(t *testing.T) {
 			if trial%3 == 1 {
 				objectBytes = int64(load.StorageBytes)
 				free = map[string]int64{}
-				for _, spec := range s.specs {
+				for _, spec := range cloud.PaperProviders() {
 					free[spec.Name] = int64(rng.Float64() * 2 * load.StorageBytes)
 				}
 			}

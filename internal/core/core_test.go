@@ -485,33 +485,6 @@ func TestBestPlacementDeterministic(t *testing.T) {
 	}
 }
 
-func TestPrunedMatchesExactOnPaperScenarios(t *testing.T) {
-	loads := []stats.Summary{
-		coldLoad(1e6),
-		{Periods: 1, Reads: 150, BytesOut: 150e6, StorageBytes: 1e6},
-		{Periods: 1, Reads: 10, BytesOut: 10 * 250e3, StorageBytes: 250e3},
-		{Periods: 1, Writes: 1, BytesIn: 40e6, StorageBytes: 40e6},
-	}
-	for i, load := range loads {
-		exact, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, Options{Pruned: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The heuristic may be suboptimal but must stay within 10% and
-		// must evaluate far fewer candidates.
-		if pruned.Price > exact.Price*1.10+1e-12 {
-			t.Errorf("load %d: pruned price %v > 1.1 x exact %v", i, pruned.Price, exact.Price)
-		}
-		if pruned.Evaluated >= exact.Evaluated {
-			t.Errorf("load %d: pruned evaluated %d >= exact %d", i, pruned.Evaluated, exact.Evaluated)
-		}
-	}
-}
-
 func TestPlacementStringAndKey(t *testing.T) {
 	p := Placement{Providers: pick("S3(l)", "S3(h)"), M: 1}
 	if p.String() != "[S3(h), S3(l); m:1]" {

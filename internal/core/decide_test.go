@@ -142,7 +142,7 @@ func TestDecideStep(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			in := &stepInput{
-				dr:   Decider{Planner: NewPlanner(1, false), MigrationCost: MigrationCost},
+				dr:   Decider{Planner: NewPlanner(1), MigrationCost: MigrationCost},
 				o:    Object{Ctl: NewDecisionController(24, 0), Size: 1 << 20},
 				m:    Market{Now: 48, Epoch: 1, Specs: cloud.PaperProviders(), Alive: func(string) bool { return true }},
 				rule: slashdot,

@@ -12,11 +12,6 @@ import (
 type Options struct {
 	// PeriodHours is the sampling-period duration (default 1).
 	PeriodHours float64
-	// Pruned selects the polynomial heuristic instead of the exact
-	// exponential enumeration; the paper notes the exact search is
-	// feasible for today's |P| < 15 but sketches a knapsack-style
-	// approximation for larger markets.
-	Pruned bool
 	// FreeBytes, when non-nil, caps the chunk a provider can accept
 	// (remaining capacity of private resources).
 	FreeBytes map[string]int64
@@ -35,9 +30,12 @@ type Result struct {
 	Evaluated int
 }
 
-// BestPlacement implements Algorithm 1: it returns the cheapest provider
-// set and erasure threshold satisfying the rule, pricing each candidate
-// with the object's access history summary.
+// BestPlacement implements Algorithm 1 literally: it enumerates every
+// subset (getAllCombinations) and returns the cheapest provider set and
+// erasure threshold satisfying the rule, pricing each candidate with the
+// object's access history summary. Complexity O(2^|P|); the paper notes
+// exact search is feasible for today's |P| < 15. Search is the prepared
+// form the Planner caches.
 func BestPlacement(specs []cloud.Spec, rule Rule, load stats.Summary, opts Options) (Result, error) {
 	if err := rule.Validate(); err != nil {
 		return Result{}, err
@@ -54,28 +52,14 @@ func BestPlacement(specs []cloud.Spec, rule Rule, load stats.Summary, opts Optio
 	}
 	sort.Slice(filtered, func(i, j int) bool { return filtered[i].Name < filtered[j].Name })
 
-	if opts.Pruned {
-		res := prunedBest(filtered, storageCheapest(filtered), rule, load,
-			opts.PeriodHours, opts.ObjectBytes, opts.FreeBytes)
-		if !res.Feasible {
-			return Result{Evaluated: res.Evaluated}, ErrNoProviders
-		}
-		return res, nil
-	}
-	return bestExact(filtered, rule, load, opts)
-}
-
-// bestExact enumerates every subset (getAllCombinations) as in the
-// paper's Algorithm 1. Complexity O(2^|P|).
-func bestExact(specs []cloud.Spec, rule Rule, load stats.Summary, opts Options) (Result, error) {
-	n := len(specs)
+	n := len(filtered)
 	best := Result{Price: math.MaxFloat64}
 	pset := make([]cloud.Spec, 0, n)
 	for mask := 1; mask < 1<<uint(n); mask++ {
 		pset = pset[:0]
 		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				pset = append(pset, specs[i])
+				pset = append(pset, filtered[i])
 			}
 		}
 		best.Evaluated++
@@ -134,20 +118,6 @@ func tieBreak(a, b Placement) bool {
 	return false
 }
 
-// storageCheapest returns the specs reordered by storage price, then
-// name — the pruned heuristic's cold-data seed ordering. Computed once
-// per search (or once per prepared Search), not per set size.
-func storageCheapest(specs []cloud.Spec) []cloud.Spec {
-	byStorage := append([]cloud.Spec(nil), specs...)
-	sort.Slice(byStorage, func(i, j int) bool {
-		if byStorage[i].Pricing.StorageGBMonth != byStorage[j].Pricing.StorageGBMonth {
-			return byStorage[i].Pricing.StorageGBMonth < byStorage[j].Pricing.StorageGBMonth
-		}
-		return byStorage[i].Name < byStorage[j].Name
-	})
-	return byStorage
-}
-
 // chunkFits checks the chunk-size and capacity constraints (§III-A2)
 // for a candidate set at threshold m: the chunk size is
 // ceil(objectBytes/m); a provider whose MaxChunkBytes or remaining free
@@ -169,106 +139,4 @@ func chunkFits(pset []cloud.Spec, m int, objectBytes int64, free map[string]int6
 		}
 	}
 	return true
-}
-
-// prunedBest is the polynomial heuristic: for every set size k it grows
-// a candidate greedily by marginal expected price and evaluates the
-// result, plus the seed set of the k storage-cheapest providers
-// (byStorage, precomputed by the caller). It examines O(|P|^3)
-// candidates instead of 2^|P|, with all scratch state reused across the
-// greedy-growth inner loop.
-//
-// The greedy trial pricing is incremental: with the optimistic
-// threshold m = |cand|, PeriodCost over cand = grown + {s} decomposes
-// into a per-provider component divided by |cand| (storage, transfer
-// shares) plus a flat per-provider component (operations) — see
-// growthTerms. Each trial provider is therefore priced in O(1) from two
-// running sums over the grown set, instead of re-running PeriodCost in
-// O(k).
-func prunedBest(specs, byStorage []cloud.Spec, rule Rule, load stats.Summary,
-	periodHours float64, objectBytes int64, free map[string]int64) Result {
-	n := len(specs)
-	best := Result{Price: math.MaxFloat64}
-	minK := rule.MinProviders()
-	if minK < 1 {
-		minK = 1
-	}
-	div, flat := growthTerms(specs, load, periodHours)
-	used := make([]bool, n)
-	grown := make([]cloud.Spec, 0, n)
-	for k := minK; k <= n; k++ {
-		// Greedy growth by marginal price.
-		grown = grown[:0]
-		for i := range used {
-			used[i] = false
-		}
-		sumDiv, sumFlat := 0.0, 0.0 // running totals over grown
-		for len(grown) < k {
-			// Price with an optimistic threshold equal to |cand| (pure
-			// marginal ranking; feasibility is verified afterwards).
-			kTrial := float64(len(grown) + 1)
-			bestIdx, bestPrice := -1, math.MaxFloat64
-			for i := range specs {
-				if used[i] {
-					continue
-				}
-				price := (sumDiv+div[i])/kTrial + sumFlat + flat[i]
-				if price < bestPrice {
-					bestPrice, bestIdx = price, i
-				}
-			}
-			if bestIdx < 0 {
-				break
-			}
-			used[bestIdx] = true
-			grown = append(grown, specs[bestIdx])
-			sumDiv += div[bestIdx]
-			sumFlat += flat[bestIdx]
-		}
-		if len(grown) == k {
-			best.Evaluated++
-			evaluatePruned(grown, rule, load, periodHours, objectBytes, free, &best)
-		}
-		// Storage-cheapest seed of size k, useful for cold data.
-		best.Evaluated++
-		evaluatePruned(byStorage[:k], rule, load, periodHours, objectBytes, free, &best)
-	}
-	return best
-}
-
-// growthTerms precomputes each provider's contribution to the greedy
-// trial price at optimistic threshold m = n: PeriodCost then reduces to
-// sum(div)/m + sum(flat), where div holds the components whose
-// per-provider share shrinks with the set (storage chunk, transfer
-// shares) and flat the per-provider operation charges. The read
-// components follow PeriodCost's guard: with m = n every provider
-// serves reads, so the "m cheapest" selection is the whole set.
-func growthTerms(specs []cloud.Spec, load stats.Summary, periodHours float64) (div, flat []float64) {
-	if periodHours <= 0 {
-		periodHours = 1
-	}
-	storageGB := load.StorageBytes / 1e9
-	bytesInGB := load.BytesIn / 1e9
-	bytesOutGB := load.BytesOut / 1e9
-	readsActive := load.Reads > 0 && load.BytesOut >= 0
-	div = make([]float64, len(specs))
-	flat = make([]float64, len(specs))
-	for i, s := range specs {
-		div[i] = storageGB*s.Pricing.StorageGBMonth*periodHours/cloud.HoursPerMonth +
-			bytesInGB*s.Pricing.BandwidthInGB
-		flat[i] = load.Writes * s.Pricing.OpsPer1000 / 1000
-		if readsActive {
-			div[i] += bytesOutGB * s.Pricing.BandwidthOutGB
-			flat[i] += load.Reads * s.Pricing.OpsPer1000 / 1000
-		}
-	}
-	return div, flat
-}
-
-// evaluatePruned is evaluateCandidate with the per-object constraints
-// passed explicitly (the prepared-search path has no Options value).
-func evaluatePruned(pset []cloud.Spec, rule Rule, load stats.Summary,
-	periodHours float64, objectBytes int64, free map[string]int64, best *Result) {
-	opts := Options{PeriodHours: periodHours, ObjectBytes: objectBytes, FreeBytes: free}
-	evaluateCandidate(pset, rule, load, opts, best)
 }

@@ -20,7 +20,6 @@ import (
 // against the same instance.
 type Planner struct {
 	periodHours float64
-	pruned      bool
 
 	mu    sync.RWMutex
 	epoch uint64
@@ -46,15 +45,15 @@ type PlannerStats struct {
 }
 
 // NewPlanner creates a planner. periodHours is the sampling-period
-// length used for pricing (default 1); pruned selects the polynomial
-// heuristic instead of the exact enumeration.
-func NewPlanner(periodHours float64, pruned bool) *Planner {
+// length used for pricing (default 1). Trailing arguments are ignored:
+// they keep callers built against the old two-argument signature
+// compiling.
+func NewPlanner(periodHours float64, _ ...bool) *Planner {
 	if periodHours <= 0 {
 		periodHours = 1
 	}
 	return &Planner{
 		periodHours: periodHours,
-		pruned:      pruned,
 		cache:       make(map[string]plannerEntry),
 	}
 }
@@ -78,7 +77,7 @@ func (p *Planner) Search(epoch uint64, specs []cloud.Spec, rule Rule) (*Search, 
 
 	// Prepare outside the lock: NewSearch is the expensive exponential
 	// enumeration and must not serialize concurrent shards.
-	search, err := NewSearch(specs, rule, Options{PeriodHours: p.periodHours, Pruned: p.pruned})
+	search, err := NewSearch(specs, rule, Options{PeriodHours: p.periodHours})
 	p.misses.Add(1)
 
 	p.mu.Lock()
@@ -158,7 +157,7 @@ func (p *Planner) reachable(res Result, m Market, rule Rule, load stats.Summary,
 		// Copy: specs may be the registry's shared market snapshot.
 		specs = slices.DeleteFunc(slices.Clone(specs), func(s cloud.Spec) bool { return s.Name == name })
 		res, err = BestPlacement(specs, rule, load, Options{
-			PeriodHours: p.periodHours, Pruned: p.pruned, FreeBytes: m.Free, ObjectBytes: objectBytes,
+			PeriodHours: p.periodHours, FreeBytes: m.Free, ObjectBytes: objectBytes,
 		})
 	}
 	return Result{}, err

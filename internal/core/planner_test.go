@@ -11,7 +11,7 @@ import (
 )
 
 func TestPlannerCachesPerEpochAndRule(t *testing.T) {
-	p := NewPlanner(1, false)
+	p := NewPlanner(1)
 	specs := cloud.PaperProviders()
 	rules := PaperRules()
 	load := stats.Summary{Periods: 1, Reads: 5, BytesOut: 5e6, StorageBytes: 1e6}
@@ -33,7 +33,7 @@ func TestPlannerCachesPerEpochAndRule(t *testing.T) {
 }
 
 func TestPlannerEpochInvalidates(t *testing.T) {
-	p := NewPlanner(1, false)
+	p := NewPlanner(1)
 	rule := Rule{Durability: 0.99999, Availability: 0.9999, LockIn: 1}
 	load := stats.Summary{Periods: 1, StorageBytes: 40e9}
 
@@ -61,38 +61,36 @@ func TestPlannerEpochInvalidates(t *testing.T) {
 }
 
 func TestPlannerMatchesBestPlacement(t *testing.T) {
-	for _, pruned := range []bool{false, true} {
-		p := NewPlanner(1, pruned)
-		rule := Rule{Durability: 0.99999, Availability: 0.9999, LockIn: 1}
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 100; trial++ {
-			load := stats.Summary{
-				Periods:      1,
-				Reads:        float64(rng.Intn(200)),
-				Writes:       float64(rng.Intn(3)),
-				StorageBytes: float64(1+rng.Intn(100)) * 1e6,
-			}
-			load.BytesOut = load.Reads * load.StorageBytes
-			load.BytesIn = load.Writes * load.StorageBytes
+	p := NewPlanner(1)
+	rule := Rule{Durability: 0.99999, Availability: 0.9999, LockIn: 1}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		load := stats.Summary{
+			Periods:      1,
+			Reads:        float64(rng.Intn(200)),
+			Writes:       float64(rng.Intn(3)),
+			StorageBytes: float64(1+rng.Intn(100)) * 1e6,
+		}
+		load.BytesOut = load.Reads * load.StorageBytes
+		load.BytesIn = load.Writes * load.StorageBytes
 
-			want, err := BestPlacement(cloud.PaperProviders(), rule, load, Options{Pruned: pruned})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Best(1, cloud.PaperProviders(), rule, load, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Placement.Equal(want.Placement) || got.Price != want.Price {
-				t.Fatalf("pruned=%v trial %d: planner %v ($%g) != direct %v ($%g)",
-					pruned, trial, got.Placement, got.Price, want.Placement, want.Price)
-			}
+		want, err := BestPlacement(cloud.PaperProviders(), rule, load, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Best(1, cloud.PaperProviders(), rule, load, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Placement.Equal(want.Placement) || got.Price != want.Price {
+			t.Fatalf("trial %d: planner %v ($%g) != direct %v ($%g)",
+				trial, got.Placement, got.Price, want.Placement, want.Price)
 		}
 	}
 }
 
 func TestPlannerCachesInfeasibleRule(t *testing.T) {
-	p := NewPlanner(1, false)
+	p := NewPlanner(1)
 	weak := []cloud.Spec{{Name: "w", Durability: 0.5, Availability: 0.5}}
 	rule := Rule{Durability: 0.999999, Availability: 0.99, LockIn: 1}
 	for i := 0; i < 3; i++ {
@@ -106,7 +104,7 @@ func TestPlannerCachesInfeasibleRule(t *testing.T) {
 }
 
 func TestPlannerConcurrent(t *testing.T) {
-	p := NewPlanner(1, false)
+	p := NewPlanner(1)
 	specs := cloud.PaperProviders()
 	rules := PaperRules()
 	var wg sync.WaitGroup

@@ -306,7 +306,7 @@ func TestPlannerRepairFallsBackToRestripe(t *testing.T) {
 	specs := cloud.PaperProviders()
 	rule := Rule{Durability: 0.99999, Availability: 0.99, LockIn: 1.0 / float64(len(specs))}
 	load := randomLoad(10, 1, 50)
-	planner := NewPlanner(1, false)
+	planner := NewPlanner(1)
 	best, err := planner.Best(1, specs, rule, load, 0, nil)
 	if err != nil {
 		t.Fatal(err)

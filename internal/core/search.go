@@ -18,16 +18,12 @@ import (
 // optimization procedure cheap at scale (§III-A3) — the Planner caches
 // Searches per (market epoch, rule fingerprint).
 type Search struct {
-	rule        Rule
 	periodHours float64
-	pruned      bool
 
-	// specs is the zone-filtered market, sorted by name.
-	specs []cloud.Spec
-	// feasible holds the market-feasible candidate sets (exact mode),
-	// sorted ascending by storFloor so Best can stop scanning at the
-	// first candidate whose load-independent lower bound already exceeds
-	// the best price found (branch and bound).
+	// feasible holds the market-feasible candidate sets, sorted ascending
+	// by storFloor so Best can stop scanning at the first candidate whose
+	// load-independent lower bound already exceeds the best price found
+	// (branch and bound).
 	feasible []Placement
 	// storFloor[i] is feasible[i]'s storage-cost floor per stored GB and
 	// period-hour fraction: (Σ StorageGBMonth over the set) / m. Every
@@ -35,16 +31,13 @@ type Search struct {
 	// storFloor × storageGB × periodHours/HoursPerMonth lower-bounds the
 	// candidate's price at ANY load.
 	storFloor []float64
-	// byStorage is the storage-cheapest ordering of specs (pruned mode).
-	byStorage []cloud.Spec
 }
 
 // NewSearch prepares the market-scoped part of Algorithm 1 for the
 // given providers and rule. Per-object constraints (Options.ObjectBytes
 // and Options.FreeBytes) are deliberately not baked in — they are
 // evaluated by Best, so one Search is shared across objects of any
-// size. Options.Pruned selects a prepared variant of the polynomial
-// heuristic instead of the precomputed exponential enumeration.
+// size.
 func NewSearch(specs []cloud.Spec, rule Rule, opts Options) (*Search, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err
@@ -60,15 +53,7 @@ func NewSearch(specs []cloud.Spec, rule Rule, opts Options) (*Search, error) {
 	}
 	sort.Slice(filtered, func(i, j int) bool { return filtered[i].Name < filtered[j].Name })
 
-	s := &Search{rule: rule, periodHours: opts.PeriodHours, pruned: opts.Pruned, specs: filtered}
-	if opts.Pruned {
-		if len(filtered) == 0 {
-			return nil, ErrNoProviders
-		}
-		s.byStorage = storageCheapest(filtered)
-		return s, nil
-	}
-
+	s := &Search{periodHours: opts.PeriodHours}
 	n := len(filtered)
 	pset := make([]cloud.Spec, 0, n)
 	for mask := 1; mask < 1<<uint(n); mask++ {
@@ -125,8 +110,7 @@ func NewSearch(specs []cloud.Spec, rule Rule, opts Options) (*Search, error) {
 	return s, nil
 }
 
-// Candidates returns the number of market-feasible placements (exact
-// mode; zero in pruned mode, which enumerates lazily).
+// Candidates returns the number of market-feasible placements.
 func (s *Search) Candidates() int { return len(s.feasible) }
 
 // Best returns the cheapest feasible placement for the load,
@@ -136,9 +120,6 @@ func (s *Search) Candidates() int { return len(s.feasible) }
 // accept (nil means uncapped). The returned Placement shares its
 // Providers slice with the Search; callers must not mutate it.
 func (s *Search) Best(load stats.Summary, objectBytes int64, free map[string]int64) Result {
-	if s.pruned {
-		return prunedBest(s.specs, s.byStorage, s.rule, load, s.periodHours, objectBytes, free)
-	}
 	best := Result{Price: math.MaxFloat64}
 	// Load-dependent scale of the per-candidate storage floor: floor(p) =
 	// storFloor[p] × floorScale lower-bounds PeriodCost(p, load) because

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -78,56 +77,6 @@ func TestSearchHonorsZoneFilter(t *testing.T) {
 	}
 }
 
-// prunedGreedyReference is the pre-incremental greedy growth loop: every
-// trial provider is priced by re-running PeriodCost over the whole
-// candidate (O(k) per trial). Kept as the differential oracle for the
-// O(1) incremental pricing in prunedBest.
-func prunedGreedyReference(specs, byStorage []cloud.Spec, rule Rule, load stats.Summary,
-	periodHours float64, objectBytes int64, free map[string]int64) Result {
-	n := len(specs)
-	best := Result{Price: math.MaxFloat64}
-	minK := rule.MinProviders()
-	if minK < 1 {
-		minK = 1
-	}
-	used := make([]bool, n)
-	grown := make([]cloud.Spec, 0, n)
-	cand := make([]cloud.Spec, 0, n)
-	for k := minK; k <= n; k++ {
-		grown = grown[:0]
-		for i := range used {
-			used[i] = false
-		}
-		for len(grown) < k {
-			bestIdx, bestPrice := -1, math.MaxFloat64
-			for i, s := range specs {
-				if used[i] {
-					continue
-				}
-				cand = append(cand[:0], grown...)
-				cand = append(cand, s)
-				p := Placement{Providers: cand, M: len(cand)}
-				price := PeriodCost(p, load, periodHours)
-				if price < bestPrice {
-					bestPrice, bestIdx = price, i
-				}
-			}
-			if bestIdx < 0 {
-				break
-			}
-			used[bestIdx] = true
-			grown = append(grown, specs[bestIdx])
-		}
-		if len(grown) == k {
-			best.Evaluated++
-			evaluatePruned(grown, rule, load, periodHours, objectBytes, free, &best)
-		}
-		best.Evaluated++
-		evaluatePruned(byStorage[:k], rule, load, periodHours, objectBytes, free, &best)
-	}
-	return best
-}
-
 // randomMarket builds a synthetic provider market with realistic SLA
 // and price ranges, for differential and property testing.
 func randomMarket(rng *rand.Rand, n int) []cloud.Spec {
@@ -155,64 +104,6 @@ func randomMarket(rng *rand.Rand, n int) []cloud.Spec {
 		}
 	}
 	return specs
-}
-
-// TestPrunedIncrementalMatchesReference is the differential test for
-// the incremental greedy pricing: over real and synthetic markets,
-// rules and random loads, the O(1)-per-trial loop must pick the exact
-// same placements as the O(k) reference, at the same candidate counts.
-func TestPrunedIncrementalMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	markets := [][]cloud.Spec{
-		cloud.PaperProviders(),
-		append(cloud.PaperProviders(), cloud.CheapStorProvider()),
-	}
-	for i := 0; i < 6; i++ {
-		markets = append(markets, randomMarket(rng, 4+rng.Intn(5)))
-	}
-	rules := []Rule{
-		{Durability: 0.99999, Availability: 0.9999, LockIn: 1},
-		{Durability: 0.9999, Availability: 0.99, LockIn: 0.5},
-		{Durability: 0.999999, Availability: 0.999, LockIn: 0.3, Zones: []cloud.Zone{cloud.ZoneUS}},
-	}
-	checked := 0
-	for mi, specs := range markets {
-		for ri, rule := range rules {
-			search, err := NewSearch(specs, rule, Options{Pruned: true})
-			if err != nil {
-				continue // no zone-feasible provider for this pair
-			}
-			for trial := 0; trial < 50; trial++ {
-				load := randomLoad(uint16(rng.Intn(500)), uint16(rng.Intn(8)), uint8(rng.Intn(200)))
-				got := search.Best(load, 0, nil)
-				want := prunedGreedyReference(search.specs, search.byStorage, rule, load,
-					search.periodHours, 0, nil)
-				if got.Feasible != want.Feasible {
-					t.Fatalf("market %d rule %d trial %d: feasible %v != %v",
-						mi, ri, trial, got.Feasible, want.Feasible)
-				}
-				if !got.Feasible {
-					continue
-				}
-				checked++
-				if !got.Placement.Equal(want.Placement) {
-					t.Fatalf("market %d rule %d trial %d: incremental %v != reference %v (load %+v)",
-						mi, ri, trial, got.Placement, want.Placement, load)
-				}
-				if got.Evaluated != want.Evaluated {
-					t.Fatalf("market %d rule %d trial %d: evaluated %d != %d",
-						mi, ri, trial, got.Evaluated, want.Evaluated)
-				}
-				if math.Abs(got.Price-want.Price) > 1e-12*(1+math.Abs(want.Price)) {
-					t.Fatalf("market %d rule %d trial %d: price %v != %v",
-						mi, ri, trial, got.Price, want.Price)
-				}
-			}
-		}
-	}
-	if checked < 100 {
-		t.Fatalf("differential test only exercised %d feasible searches", checked)
-	}
 }
 
 func TestFeasibleThresholdLowersMForAvailability(t *testing.T) {

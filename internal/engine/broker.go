@@ -77,8 +77,6 @@ type Config struct {
 	// provider-arrival experiment behaves (§IV-D migrates for a storage
 	// price delta that pays back over months).
 	MigrationHorizon int
-	// Pruned selects the heuristic placement search.
-	Pruned bool
 	// StripeBytes bounds the per-stripe payload of streaming reads and
 	// writes (default DefaultStripeBytes). Smaller stripes lower the
 	// serving path's memory ceiling at the cost of more provider ops.
@@ -402,7 +400,7 @@ func NewBroker(cfg Config) *Broker {
 		decisions: make(map[string]*core.DecisionController),
 		rot:       make(map[string]*rotEntry),
 		uploads:   make(map[string]*uploadSession),
-		planner:   core.NewPlanner(cfg.PeriodHours, cfg.Pruned),
+		planner:   core.NewPlanner(cfg.PeriodHours),
 		provIndex: stats.NewProviderIndex(),
 		jobs:      newJobRegistry(),
 	}

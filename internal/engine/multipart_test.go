@@ -13,56 +13,34 @@ import (
 	"scalia/internal/cloud"
 )
 
-// countingBackend wraps a simulated provider and counts Put calls per
-// key, so tests can prove which chunks were (re-)transferred.
-type countingBackend struct {
-	*cloud.BlobStore
-	mu   sync.Mutex
-	puts map[string]int
-}
-
-func (c *countingBackend) Put(ctx context.Context, key string, data []byte) error {
-	c.mu.Lock()
-	if c.puts == nil {
-		c.puts = make(map[string]int)
-	}
-	c.puts[key]++
-	c.mu.Unlock()
-	return c.BlobStore.Put(ctx, key, data)
-}
-
-// putCounts returns a copy of the per-key Put tallies whose key
-// contains substr.
-func (c *countingBackend) putCounts(substr string) map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int)
-	for k, n := range c.puts {
-		if strings.Contains(k, substr) {
-			out[k] = n
-		}
-	}
-	return out
-}
-
-func countingRegistry() (*cloud.Registry, []*countingBackend) {
-	reg := cloud.NewRegistry()
-	var backends []*countingBackend
-	for _, spec := range cloud.PaperProviders() {
-		cb := &countingBackend{BlobStore: cloud.NewBlobStore(spec)}
-		backends = append(backends, cb)
-		reg.Register(cb)
-	}
-	return reg, backends
-}
-
 // TestMultipartResumeAfterDroppedPart is the resumability acceptance
 // test: part 2's connection drops mid-stream, ListParts reports what
 // survived, the client re-sends ONLY the missing part, and the
 // completed object reads back whole — with part 1's chunks provably
 // transferred exactly once.
 func TestMultipartResumeAfterDroppedPart(t *testing.T) {
-	reg, backends := countingRegistry()
+	reg, backends := hooked(cloud.NewPaperRegistry())
+	var mu sync.Mutex
+	puts := map[string]int{} // Puts per chunk key, at any provider
+	for _, hb := range backends {
+		hb.put = func(_ context.Context, key string) error {
+			mu.Lock()
+			puts[key]++
+			mu.Unlock()
+			return nil
+		}
+	}
+	part1Puts := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := make(map[string]int)
+		for k, n := range puts {
+			if strings.Contains(k, "/p00001/") {
+				out[k] = n
+			}
+		}
+		return out
+	}
 	b := newTestBroker(t, Config{StripeBytes: 1024, Registry: reg})
 	e := b.Engine(0)
 	ctx := context.Background()
@@ -90,10 +68,9 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("dropped part = %v, want the transport error", err)
 	}
-	staged, part1Chunks := 0, 0
-	for _, cb := range backends {
-		staged += cb.ObjectCount()
-		part1Chunks += len(cb.putCounts("/p00001/"))
+	staged, part1Chunks := 0, len(part1Puts())
+	for _, hb := range backends {
+		staged += hb.ObjectCount()
 	}
 	if part1Chunks == 0 || staged != part1Chunks {
 		t.Fatalf("%d chunks staged after dropped part, want exactly part 1's %d", staged, part1Chunks)
@@ -146,11 +123,9 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 
 	// The resume must not have re-transferred the completed part: every
 	// part-1 chunk was put exactly once, ever.
-	for _, cb := range backends {
-		for key, n := range cb.putCounts("/p00001/") {
-			if n != 1 {
-				t.Fatalf("%s chunk %s was transferred %d times, want 1", cb.Spec().Name, key, n)
-			}
+	for key, n := range part1Puts() {
+		if n != 1 {
+			t.Fatalf("chunk %s was transferred %d times, want 1", key, n)
 		}
 	}
 
@@ -164,7 +139,7 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 // aborting an upload removes every staged chunk from every provider,
 // and the session stops answering.
 func TestAbortUploadGarbageCollectsParts(t *testing.T) {
-	reg, backends := countingRegistry()
+	reg, backends := hooked(cloud.NewPaperRegistry())
 	b := newTestBroker(t, Config{StripeBytes: 1024, Registry: reg})
 	e := b.Engine(0)
 	ctx := context.Background()

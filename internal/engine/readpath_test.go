@@ -163,25 +163,6 @@ func TestGetRangeReader(t *testing.T) {
 	}
 }
 
-// gatedBackend blocks Gets of gated keys until the gate opens or the
-// fetch context is cancelled, so tests can freeze a read mid-stripe.
-type gatedBackend struct {
-	*cloud.BlobStore
-	gate    chan struct{}
-	gateKey func(string) bool
-}
-
-func (g *gatedBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	if g.gateKey != nil && g.gateKey(key) {
-		select {
-		case <-g.gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return g.BlobStore.Get(ctx, key)
-}
-
 // TestGetReaderCancelTeardown is the read-path teardown test:
 // cancelling a multi-stripe GET mid-stream must stop the prefetcher and
 // every in-flight chunk fetch without leaking goroutines, and must not
@@ -192,9 +173,19 @@ func TestGetReaderCancelTeardown(t *testing.T) {
 	gateKey := func(key string) bool {
 		return strings.Contains(key, "/s") && !strings.Contains(key, "/s00000/")
 	}
-	reg := cloud.NewRegistry()
-	for _, spec := range cloud.PaperProviders() {
-		reg.Register(&gatedBackend{BlobStore: cloud.NewBlobStore(spec), gate: gate, gateKey: gateKey})
+	reg, backends := hooked(cloud.NewPaperRegistry())
+	for _, hb := range backends {
+		hb.get = func(ctx context.Context, key string) error {
+			if !gateKey(key) {
+				return nil
+			}
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
 	}
 	b := newTestBroker(t, Config{
 		Registry: reg, StripeBytes: 1024, CacheBytes: 1 << 20,

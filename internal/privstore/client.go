@@ -24,7 +24,9 @@ type Client struct {
 	now   func() time.Time
 }
 
-// ErrRemote wraps non-2xx responses.
+// ErrRemote wraps non-2xx responses. A response the cloud package has a
+// sentinel for wraps that one too: 404 is cloud.ErrNotFound, 507
+// cloud.ErrOverCapacity and any other 5xx cloud.ErrUnavailable.
 var ErrRemote = errors.New("privstore: remote error")
 
 // NewClient returns a client for the service at baseURL.
@@ -49,7 +51,21 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 	ts := c.now().Unix()
 	req.Header.Set(HeaderTimestamp, fmt.Sprintf("%d", ts))
 	req.Header.Set(HeaderSignature, Sign(c.token, method, req.URL.Path, ts))
-	return c.http.Do(req)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, unavailable(ctx, err)
+	}
+	return resp, nil
+}
+
+// unavailable marks a transport failure: a service that did not answer
+// is, to the broker, a provider outage. A cancelled or expired context
+// keeps its own identity.
+func unavailable(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return err
+	}
+	return fmt.Errorf("%w: %w", cloud.ErrUnavailable, err)
 }
 
 // Put implements cloud.Store.
@@ -75,7 +91,11 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, remoteErr(resp)
 	}
-	return io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, unavailable(ctx, err)
+	}
+	return data, nil
 }
 
 // Delete implements cloud.Store.
@@ -110,7 +130,16 @@ func (c *Client) List(ctx context.Context, prefix string) ([]string, error) {
 
 func remoteErr(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	return fmt.Errorf("%w: %s: %s", ErrRemote, resp.Status, bytes.TrimSpace(body))
+	err := fmt.Errorf("%w: %s: %s", ErrRemote, resp.Status, bytes.TrimSpace(body))
+	switch code := resp.StatusCode; {
+	case code == http.StatusNotFound:
+		return fmt.Errorf("%w: %w", cloud.ErrNotFound, err)
+	case code == http.StatusInsufficientStorage:
+		return fmt.Errorf("%w: %w", cloud.ErrOverCapacity, err)
+	case code >= 500:
+		return fmt.Errorf("%w: %w", cloud.ErrUnavailable, err)
+	}
+	return err
 }
 
 var _ cloud.Store = (*Client)(nil)

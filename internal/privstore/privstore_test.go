@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scalia/internal/cloud"
 )
 
 var ctx = context.Background()
@@ -147,6 +149,33 @@ func TestKeysWithSpecialCharacters(t *testing.T) {
 	keys, _ := c.List(ctx, "")
 	if len(keys) != 1 || keys[0] != key {
 		t.Fatalf("List = %v", keys)
+	}
+}
+
+// TestStatusSpeaksTheCloudVocabulary: a refusal the cloud package has a
+// sentinel for wraps it, so the broker tells a missing chunk, a full
+// store and an outage apart; every refusal stays an ErrRemote.
+func TestStatusSpeaksTheCloudVocabulary(t *testing.T) {
+	for code, want := range map[int]error{
+		http.StatusNotFound:            cloud.ErrNotFound,
+		http.StatusInsufficientStorage: cloud.ErrOverCapacity,
+		http.StatusInternalServerError: cloud.ErrUnavailable,
+		http.StatusServiceUnavailable:  cloud.ErrUnavailable,
+		http.StatusUnauthorized:        nil,
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(code)
+		}))
+		_, err := NewClient(ts.URL, []byte("tok")).Get(ctx, "k")
+		ts.Close()
+		if !errors.Is(err, ErrRemote) {
+			t.Errorf("%d: %v is not an ErrRemote", code, err)
+		}
+		for _, sentinel := range []error{cloud.ErrNotFound, cloud.ErrOverCapacity, cloud.ErrUnavailable} {
+			if errors.Is(err, sentinel) != (sentinel == want) {
+				t.Errorf("%d: errors.Is(%v, %v) = %v", code, err, sentinel, !(sentinel == want))
+			}
+		}
 	}
 }
 

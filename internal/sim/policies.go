@@ -16,7 +16,7 @@ import (
 // production engine uses — keyed by the market's epoch, so almost every
 // period reuses the previous prepared search.
 func runScalia(sc workload.Scenario, cfg Config, mkt *market, res *Result) (float64, []float64, error) {
-	planner := core.NewPlanner(cfg.PeriodHours, cfg.Pruned)
+	planner := core.NewPlanner(cfg.PeriodHours)
 	decider := core.Decider{
 		Planner:          planner,
 		MigrationHorizon: cfg.MigrationHorizon,

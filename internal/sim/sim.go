@@ -52,8 +52,6 @@ type Config struct {
 	// billing the ~80 chunk moves of the CheapStor experiment alone cost
 	// ~21% of the experiment total, versus the paper's reported 0.35%).
 	MigrationBilling MigrationBilling
-	// Pruned selects the heuristic placement search in Scalia's engine.
-	Pruned bool
 }
 
 // MigrationBilling modes.
@@ -323,11 +321,8 @@ func Run(sc workload.Scenario, cfg Config) (*Result, error) {
 	if res.ScaliaUSD, res.CumulativeScalia, err = runScalia(sc, cfg, mkt, res); err != nil {
 		return nil, err
 	}
-	// The baseline always prices with the exact search, even when
-	// Scalia's engine runs the pruned heuristic — Pruned is an engine
-	// ablation, not a change to the ideal cost.
 	res.IdealUSD, _, err = replay(sc, cfg, mkt, policy{
-		planner: core.NewPlanner(cfg.PeriodHours, false),
+		planner: core.NewPlanner(cfg.PeriodHours),
 		price: func(obj *simObject, l workload.PeriodLoad, p int, search *core.Search) (float64, error) {
 			best := search.Best(periodSummary(l), 0, nil)
 			if !best.Feasible {
