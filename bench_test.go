@@ -464,6 +464,43 @@ func BenchmarkEncodeSingleParity(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeFill gates the write path's encode: a 4 MiB (4, 5)
+// stripe read off a body straight into its pooled data chunks
+// (erasure.EncodeFill with io.ReadFull), then the parity. It must not
+// allocate.
+func BenchmarkEncodeFill(b *testing.B) {
+	coder, err := erasure.Cached(4, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 4<<20)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	body := bytes.NewReader(data)
+	encode := func() {
+		body.Reset(data)
+		chunks, err := coder.EncodeFill(len(data), func(d []byte) error {
+			_, err := io.ReadFull(body, d)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		erasure.ReleaseChunks(chunks)
+	}
+	encode() // fill the pools
+	if a := testing.AllocsPerRun(5, encode); a != 0 {
+		b.Fatalf("pooled (4,5) fill encode: %v allocs/op, want 0", a)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
+	}
+}
+
 func BenchmarkDecodeOneLost(b *testing.B) {
 	coder, err := erasure.Cached(4, 5)
 	if err != nil {

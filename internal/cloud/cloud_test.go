@@ -97,44 +97,6 @@ func TestUsageAddCommutes(t *testing.T) {
 	}
 }
 
-func TestBlobStorePutGetDelete(t *testing.T) {
-	s := NewBlobStore(PaperProviders()[0])
-	if err := s.Put(ctx, "a/b", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(ctx, "a/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte("payload")) {
-		t.Fatalf("Get = %q", got)
-	}
-	if s.UsedBytes() != 7 {
-		t.Fatalf("UsedBytes = %d, want 7", s.UsedBytes())
-	}
-	if err := s.Delete(ctx, "a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(ctx, "a/b"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("expected ErrNotFound, got %v", err)
-	}
-	if s.UsedBytes() != 0 {
-		t.Fatalf("UsedBytes after delete = %d", s.UsedBytes())
-	}
-}
-
-func TestBlobStoreOverwriteAccounting(t *testing.T) {
-	s := NewBlobStore(Spec{Name: "t"})
-	s.Put(ctx, "k", make([]byte, 100))
-	s.Put(ctx, "k", make([]byte, 40))
-	if s.UsedBytes() != 40 {
-		t.Fatalf("UsedBytes = %d, want 40", s.UsedBytes())
-	}
-	if s.ObjectCount() != 1 {
-		t.Fatalf("ObjectCount = %d, want 1", s.ObjectCount())
-	}
-}
-
 // TestBlobStoreCopiesInAndNeverMutates is the Store contract on bytes:
 // Put and PutBatch do not retain the caller's buffer, and Get lends the
 // stored slice itself, which the store never writes again — a slice
@@ -173,28 +135,6 @@ func TestBlobStoreCopiesInAndNeverMutates(t *testing.T) {
 	}
 }
 
-func TestBlobStoreUnavailable(t *testing.T) {
-	s := NewBlobStore(Spec{Name: "t"})
-	s.Put(ctx, "k", []byte("x"))
-	s.SetAvailable(false)
-	if _, err := s.Get(ctx, "k"); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Get during outage: %v", err)
-	}
-	if err := s.Put(ctx, "k2", nil); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Put during outage: %v", err)
-	}
-	if err := s.Delete(ctx, "k"); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Delete during outage: %v", err)
-	}
-	if _, err := s.List(ctx, ""); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("List during outage: %v", err)
-	}
-	s.SetAvailable(true)
-	if got, err := s.Get(ctx, "k"); err != nil || string(got) != "x" {
-		t.Fatal("data must survive a transient outage")
-	}
-}
-
 func TestBlobStoreChunkLimit(t *testing.T) {
 	s := NewBlobStore(Spec{Name: "t", MaxChunkBytes: 10})
 	if err := s.Put(ctx, "big", make([]byte, 11)); !errors.Is(err, ErrTooLarge) {
@@ -202,34 +142,6 @@ func TestBlobStoreChunkLimit(t *testing.T) {
 	}
 	if err := s.Put(ctx, "ok", make([]byte, 10)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBlobStoreCapacity(t *testing.T) {
-	s := NewBlobStore(Spec{Name: "t", CapacityBytes: 100})
-	if err := s.Put(ctx, "a", make([]byte, 60)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ctx, "b", make([]byte, 60)); !errors.Is(err, ErrOverCapacity) {
-		t.Fatalf("expected ErrOverCapacity, got %v", err)
-	}
-	// Overwriting within capacity must be allowed.
-	if err := s.Put(ctx, "a", make([]byte, 90)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlobStoreList(t *testing.T) {
-	s := NewBlobStore(Spec{Name: "t"})
-	s.Put(ctx, "x/1", nil)
-	s.Put(ctx, "x/2", nil)
-	s.Put(ctx, "y/1", nil)
-	keys, err := s.List(ctx, "x/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] != "x/1" || keys[1] != "x/2" {
-		t.Fatalf("List = %v", keys)
 	}
 }
 

@@ -126,6 +126,9 @@ var storeCases = []struct {
 			t.Errorf("Get = %d bytes, %v; want 40", len(got), err)
 		}
 		wantList(t, s, "", "k")
+		if c, ok := s.Backend.(interface{ ObjectCount() int }); ok && c.ObjectCount() != 1 {
+			t.Errorf("ObjectCount = %d, want 1", c.ObjectCount())
+		}
 	}},
 	{name: "ListPrefixSorted", run: func(t *testing.T, s backend) {
 		for _, k := range []string{"x/2", "y/1", "x/1", "xa"} {
@@ -187,6 +190,9 @@ var storeCases = []struct {
 		}
 		wantList(t, s, "", "k")
 	}},
+	// The write path hands Put pooled chunk memory and recycles it for
+	// the next stripe once Put returns (erasure.EncodeFill); this row is
+	// what makes that safe.
 	{name: "PutCopiesIn", run: func(t *testing.T, s backend) {
 		data := []byte{1, 2, 3}
 		mustPut(t, s, "k", data)

@@ -118,10 +118,12 @@ func (e *Engine) Put(ctx context.Context, container, key string, data []byte, op
 // each stripe into chunks written under a fresh UUID-derived storage
 // key, records metadata via MVCC, updates the caches holding the old
 // version and logs statistics (§III-D1). The body is never materialized
-// whole: at most one stripe is buffered at a time, so arbitrarily large
-// objects stream through in constant memory. size must be the exact body
-// length. Cancelling ctx aborts the in-flight chunk fan-out and rolls
-// back the chunks already written.
+// whole: at most WritePipelineDepth stripes are in flight at a time, each
+// held in its own chunks and charged one slot of the MaxBufferBytes
+// budget, so arbitrarily large objects stream through in bounded memory
+// (writepath.go). size must be the exact body length. Cancelling ctx
+// aborts the in-flight chunk fan-out and rolls back the chunks already
+// written.
 func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts PutOptions) (ObjectMeta, error) {
 	if container == "" || key == "" {
 		return ObjectMeta{}, fmt.Errorf("%w: container and key are required", ErrInvalidArgument)

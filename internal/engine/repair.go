@@ -264,7 +264,7 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 			return func() (stripeOut, error) {
 				chunks, err := e.rebuild(ctx, sw, s)
 				if err == nil {
-					err = e.writeChunks(ctx, sw.dst, s, chunks, sw.replaced)
+					err = e.writeChunks(ctx, sw.dst, s, chunks, sw.replaced, nil)
 					wrote[s] = sw.replacedBytes(chunks)
 				}
 				return stripeOut{}, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -173,13 +174,11 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 	}
 	sum, m, size := l.sums[s], l.coder.M(), int(l.stripeLen(s))
 	c := l.coder.EncodedChunkSize(size)
-	// prefix(i) is the payload in slot i's chunk (none in a parity slot:
-	// size ≤ m·c); check says whether data is that chunk — c bytes, its
-	// sum — noting heads[i], its prefix's CRC.
-	prefix := func(i int) int { return min(max(size-i*c, 0), c) }
+	// check says whether data is slot i's chunk — c bytes, its sum —
+	// noting heads[i], its payload prefix's CRC.
 	heads := make([]uint32, len(l.names))
 	check := func(i int, data []byte) bool {
-		k := min(prefix(i), len(data))
+		k := min(payloadLen(size, c, i), len(data))
 		heads[i] = crc32c.Update(0, data[:k])
 		return len(data) == c && crc32c.Update(heads[i], data[k:]) == sum.Chunks[i]
 	}
@@ -272,13 +271,12 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 	e.b.observeStage(tr, "decode", start)
 	start = time.Now()
 	ok := !slices.ContainsFunc(lost, func(i int) bool { return !check(i, chunks[i]) })
-	var payload uint32
 	segs = make([][]byte, m)
 	for i := range segs {
-		k := prefix(i)
-		payload = crc32c.Combine(payload, heads[i], k)
+		k := payloadLen(size, c, i)
 		segs[i] = chunks[i][:k:k]
 	}
+	payload := payloadSum(heads[:m], size, c)
 	e.b.observeStageFor(tr, "verify", verifying+time.Since(start))
 	if !ok || payload != sum.Payload {
 		return nil, nil, got, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
@@ -286,17 +284,52 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 	return segs, chunks, got, nil
 }
 
+// payloadLen is how much of a size-byte stripe's payload the chunk in
+// slot i holds, chunks being c bytes: data slot i holds bytes [i·c,
+// (i+1)·c) of it, clamped; a parity slot none (size ≤ m·c).
+func payloadLen(size, c, i int) int { return min(max(size-i*c, 0), c) }
+
+// payloadSum composes a stripe's payload CRC-32C from heads, the CRCs of
+// its m data chunks' payload prefixes in slot order: what a write
+// records and fetch checks.
+func payloadSum(heads []uint32, size, c int) (sum uint32) {
+	for i, h := range heads {
+		sum = crc32c.Combine(sum, h, payloadLen(size, c, i))
+	}
+	return sum
+}
+
+// sumStripe takes a freshly encoded stripe's integrity record, reading
+// each byte once: a chunk's CRC-32C is its payload prefix's extended over
+// the rest, and the payload's is composed from the prefixes.
+func sumStripe(chunks [][]byte, m, size int) StripeSum {
+	c := len(chunks[0])
+	sum := StripeSum{Chunks: make([]uint32, len(chunks))}
+	for i, chunk := range chunks {
+		sum.Chunks[i] = crc32c.Update(0, chunk[:payloadLen(size, c, i)])
+	}
+	sum.Payload = payloadSum(sum.Chunks[:m], size, c)
+	for i, chunk := range chunks {
+		sum.Chunks[i] = crc32c.Update(sum.Chunks[i], chunk[payloadLen(size, c, i):])
+	}
+	return sum
+}
+
 // writeChunks writes the given slots of stripe s (l.all for a full
 // stripe, a swap's replaced slots for a repair) to their providers
-// concurrently, waits for every write and returns the joined error: the
-// slower writes run to completion so a rollback sees a settled picture.
+// concurrently, running beside (if any) while they are in flight. It
+// returns once every write and beside are done, with the writes' joined
+// error: the slower writes run to completion so a rollback sees a
+// settled picture and the caller may recycle the chunks. The fanout
+// stage is the time to the last write's return.
 // No key is ever written twice — a version's keys carry its UUID, a part
 // attempt's and a swapped slot's their generation — so no write meets a
 // chunk a row, a reader or a queued delete still names.
-func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks [][]byte, slots []int) error {
+func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks [][]byte, slots []int, beside func()) error {
 	start := time.Now()
-	errs := make([]error, len(slots))
+	errs, took := make([]error, len(slots)), make([]time.Duration, len(slots))
 	put := func(j int) {
+		defer func() { took[j] = time.Since(start) }()
 		i := slots[j]
 		if l.stores[i] == nil {
 			errs[j] = fmt.Errorf("engine: provider %s vanished", l.names[i])
@@ -309,20 +342,30 @@ func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks
 			errs[j] = fmt.Errorf("engine: chunk write to %s: %w", l.names[i], err)
 		}
 	}
+	// The calling goroutine runs beside, or else writes slot 0 itself.
+	// Beside yields first: the writes it launched are queued on its own
+	// processor, and on a busy machine they would wait behind it.
+	from, inline := 1, func() { put(0) }
+	if beside != nil {
+		from, inline = 0, func() {
+			runtime.Gosched()
+			beside()
+		}
+	}
 	var wg sync.WaitGroup
-	for j := 1; j < len(slots); j++ {
+	for j := from; j < len(slots); j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
 			put(j)
 		}(j)
 	}
-	put(0)
+	inline()
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	e.b.observeStage(obs.TraceFrom(ctx), "fanout", start)
+	e.b.observeStageFor(obs.TraceFrom(ctx), "fanout", slices.Max(took))
 	return nil
 }
 
@@ -392,9 +435,10 @@ type stripeTask struct {
 //
 // Stripes are admitted strictly in stripe order on the caller's
 // goroutine (inside take): a budget slot is reserved first, then stage
-// runs — the serial part of the stripe (a write reads, hashes and
-// encodes the body there) — and the work function it returns runs
-// concurrently with up to depth-1 other stripes. The budget rule that
+// runs — the serial part of the stripe (a write reads the body into its
+// chunks and computes the parity there) — and the work function it
+// returns runs concurrently with up to depth-1 other stripes (a write's
+// sends the chunks out and hashes them). The budget rule that
 // keeps any mix of transfers deadlock-free: a pipe waits for a slot
 // only while it has no stripe outstanding; otherwise it merely tries,
 // and falls back to finishing its own oldest stripe first. A held slot

@@ -14,6 +14,7 @@ import (
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
+	"scalia/internal/crc32c"
 )
 
 // hookBackend wraps a simulated provider with a per-op delay, hooks that
@@ -50,13 +51,26 @@ func (h *hookBackend) Get(ctx context.Context, key string) ([]byte, error) {
 	return h.BlobStore.Get(ctx, key)
 }
 
+// errLentBytesChanged is what a Put returns when its data changed while
+// the Put held it.
+var errLentBytesChanged = errors.New("hookBackend: data changed while Put held it")
+
+// Put also holds the writer to its side of the Store contract: data is
+// lent to Put until it returns (the write path recycles a stripe's chunks
+// only after its writes), so a Put whose bytes changed between its entry
+// — before the hook, which may stall it — and its return fails.
 func (h *hookBackend) Put(ctx context.Context, key string, data []byte) error {
+	sum := crc32c.Checksum(data)
 	if h.put != nil {
 		if err := h.put(ctx, key); err != nil {
 			return err
 		}
 	}
-	return h.BlobStore.Put(ctx, key, data)
+	err := h.BlobStore.Put(ctx, key, data)
+	if crc32c.Checksum(data) != sum {
+		return fmt.Errorf("%w: %s", errLentBytesChanged, key)
+	}
+	return err
 }
 
 func (h *hookBackend) PutBatch(ctx context.Context, items []cloud.BatchItem) error {

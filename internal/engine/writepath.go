@@ -7,11 +7,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"time"
 
-	"scalia/internal/crc32c"
 	"scalia/internal/erasure"
 	"scalia/internal/obs"
 )
@@ -21,17 +19,23 @@ import (
 // and migration all write a body through writeStripes.
 //
 // The stripes of a body run through a stripePipe of depth
-// WritePipelineDepth. The serial stage of stripe s reads its payload
-// off the body, folds it into the body MD5 — the one pass that makes the
-// ETag — erasure-codes it into n chunks (scratch drawn from the erasure
-// pool) and takes the CRC-32C of the payload and of each chunk;
-// the concurrent stage writes the n chunks to their providers, so
-// provider round-trips of neighbouring stripes overlap with each other
-// and with encoding. The body is consumed strictly in order, so it
-// needs no seeking, and each in-flight stripe holds one slot of the
-// MaxBufferBytes budget shared with the read path until its fan-out
-// returns. After the last stripe lands the caller commits the object's
-// metadata once — one commit per object, not per stripe.
+// WritePipelineDepth: up to that many are in flight at once, each holding
+// one slot of the MaxBufferBytes budget shared with the read path. The
+// serial stage of stripe s is what must happen in body order before its
+// chunks exist: it reads the stripe off the body straight into its m data
+// chunks — the code is systematic, so they are the payload and nothing is
+// copied — and computes the parity in place, in scratch drawn from the
+// erasure pool. Everything else runs in the concurrent stage, beside the
+// stripe's n chunk writes: the CRC-32C of every chunk and of the payload
+// (composed from the data chunks' prefix CRCs, as fetch checks it), and
+// the body MD5 — the one pass that makes the ETag — which stripe s folds
+// in only once stripe s−1 has, so the hash sees the body in order.
+// Provider round-trips of neighbouring stripes thus overlap each other,
+// the parity of the stripes behind them and the hashing. A stripe's
+// chunks go back to the pool, and its slot to the budget, once its writes
+// and its hash are both done. The body is consumed strictly in order, so
+// it needs no seeking. After the last stripe lands the caller commits the
+// object's metadata once — one commit per object, not per stripe.
 
 // writeStripes streams the body r into the layout's stripes, returning
 // the body's MD5 and leaving each stripe's integrity sums in l.sums. On any
@@ -41,15 +45,28 @@ import (
 func (e *Engine) writeStripes(ctx context.Context, l *stripeLayout, r io.Reader) (string, error) {
 	bodySum := md5.New()
 	l.sums = make([]StripeSum, l.stripes)
-	var payload []byte // reused across stripes: encoding copies out of it
+	var hashed chan struct{} // closed once the last stripe staged is in bodySum; nil before stripe 0
 	p := e.b.newStripePipe(ctx, &e.b.writeBuf, e.b.cfg.WritePipelineDepth, 0, l.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
-			chunks, err := e.encodeStripe(ctx, l, s, r, &payload, bodySum)
+			chunks, payload, err := e.encodeStripe(ctx, l, s, r)
 			if err != nil {
 				return nil, err
 			}
+			prev, done := hashed, make(chan struct{})
+			hashed = done
 			return func() (stripeOut, error) {
-				err := e.writeChunks(ctx, l, s, chunks, l.all)
+				err := e.writeChunks(ctx, l, s, chunks, l.all, func() {
+					start := time.Now()
+					l.sums[s] = sumStripe(chunks, l.coder.M(), len(payload))
+					spent := time.Since(start)
+					if prev != nil {
+						<-prev
+					}
+					start = time.Now()
+					bodySum.Write(payload)
+					close(done)
+					e.b.observeStageFor(obs.TraceFrom(ctx), "hash", spent+time.Since(start))
+				})
 				erasure.ReleaseChunks(chunks)
 				return stripeOut{}, err
 			}, nil
@@ -62,47 +79,35 @@ func (e *Engine) writeStripes(ctx context.Context, l *stripeLayout, r io.Reader)
 	return hex.EncodeToString(bodySum.Sum(nil)), nil
 }
 
-// encodeStripe reads stripe s's payload from r (into *payload, grown as
-// needed), folds it into the body MD5, erasure-codes it with pooled
-// scratch and records the CRC-32C of the payload and of every chunk —
-// the sums of what is about to be stored, so a read can tell a rotten
-// chunk from a good one before it decodes. The returned chunks must be
-// handed back via erasure.ReleaseChunks once their fan-out completes.
-func (e *Engine) encodeStripe(ctx context.Context, l *stripeLayout, s int, r io.Reader, payload *[]byte, bodySum hash.Hash) ([][]byte, error) {
-	plen := l.stripeLen(s)
-	if int64(cap(*payload)) < plen {
-		*payload = make([]byte, plen)
-	}
-	buf := (*payload)[:plen]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		// A short body is the caller's mistake; any other read error
-		// (source-provider failure during migrate, client disconnect)
-		// keeps its own identity for status mapping.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: body ended before the declared size", ErrInvalidArgument)
+// encodeStripe is stripe s's serial stage: it reads the stripe's payload
+// off r straight into its data chunks, drawn from the erasure pool, and
+// computes the parity. It returns the chunks and the payload — the bytes
+// of them the data chunks span, valid as long as the chunks are — which
+// must be handed back via erasure.ReleaseChunks once the stripe's writes
+// and hash are done. A stripe a cache holds of the version being replaced
+// is cloned here for l.kept: the write path's one copy, and only with
+// caches on.
+func (e *Engine) encodeStripe(ctx context.Context, l *stripeLayout, s int, r io.Reader) (chunks [][]byte, payload []byte, err error) {
+	var filled time.Time
+	chunks, err = l.coder.EncodeFill(int(l.stripeLen(s)), func(data []byte) error {
+		if _, err := io.ReadFull(r, data); err != nil {
+			// A short body is the caller's mistake; any other read error
+			// (source-provider failure during migrate, client disconnect)
+			// keeps its own identity for status mapping.
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return fmt.Errorf("%w: body ended before the declared size", ErrInvalidArgument)
+			}
+			return fmt.Errorf("engine: object body read: %w", err)
 		}
-		return nil, fmt.Errorf("engine: object body read: %w", err)
-	}
-	if _, ok := l.kept[s]; ok { // chunks and sums are cut from the bytes the caches get
-		buf = bytes.Clone(buf)
-		l.kept[s] = buf
-	}
-	tr := obs.TraceFrom(ctx)
-	start := time.Now()
-	bodySum.Write(buf)
-	hashing := time.Since(start)
-	start = time.Now()
-	chunks, err := l.coder.EncodePooled(buf)
+		payload, filled = data, time.Now()
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e.b.observeStage(tr, "encode", start)
-	start = time.Now()
-	sum := StripeSum{Payload: crc32c.Checksum(buf), Chunks: make([]uint32, len(chunks))}
-	for i, chunk := range chunks {
-		sum.Chunks[i] = crc32c.Checksum(chunk)
+	e.b.observeStage(obs.TraceFrom(ctx), "encode", filled)
+	if _, ok := l.kept[s]; ok {
+		l.kept[s] = bytes.Clone(payload)
 	}
-	l.sums[s] = sum
-	e.b.observeStageFor(tr, "hash", hashing+time.Since(start))
-	return chunks, nil
+	return chunks, payload, nil
 }

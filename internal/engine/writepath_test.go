@@ -7,12 +7,192 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
+	"scalia/internal/crc32c"
+	"scalia/internal/erasure"
 )
+
+// exactRule places (m, n) on a market of exactly n providers priced as
+// marketOf prices them: the lock-in admits only all n, and the
+// availability target (each provider offers 0.999) rules out every
+// threshold above m. It covers (n−1, n) for n ≤ 5 and (3, 5).
+func exactRule(m, n int) core.Rule {
+	availability := 0.9999 // one provider may be down
+	if n-m == 2 {
+		availability = 0.999999 // two may be
+	}
+	return core.Rule{Name: fmt.Sprintf("exact-%d-%d", m, n), Durability: 0.9999, Availability: availability, LockIn: 1 / float64(n)}
+}
+
+// md5Hex is the ETag of a body.
+func md5Hex(body []byte) string {
+	sum := md5.Sum(body)
+	return hex.EncodeToString(sum[:])
+}
+
+// storedAsEncoded checks body as stored at names under key: every chunk
+// is what erasure.Encode cuts from its stripe of stripeBytes, and every
+// sum record holds the CRC-32Cs taken directly over those chunks and the
+// stripe's payload.
+func storedAsEncoded(t *testing.T, b *Broker, m int, names []string, key func(s, i int) string, sums []StripeSum, body []byte, stripeBytes int) {
+	t.Helper()
+	coder, err := erasure.New(m, len(names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int(stripeCount(int64(len(body)), int64(stripeBytes))); len(sums) != want {
+		t.Fatalf("%d sum records for %d stripes", len(sums), want)
+	}
+	for s, sum := range sums {
+		payload := body[min(s*stripeBytes, len(body)):min((s+1)*stripeBytes, len(body))]
+		want, err := coder.Encode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Payload != crc32c.Checksum(payload) || len(sum.Chunks) != len(want) {
+			t.Fatalf("stripe %d: payload sum %08x over %d chunk sums, want %08x over %d",
+				s, sum.Payload, len(sum.Chunks), crc32c.Checksum(payload), len(want))
+		}
+		for i, chunk := range want {
+			store, _ := b.Registry().Store(names[i])
+			got, err := store.Get(ctx, key(s, i))
+			if err != nil || !bytes.Equal(got, chunk) {
+				t.Fatalf("stripe %d slot %d at %s: stored %d bytes (%v), not what Encode cuts", s, i, names[i], len(got), err)
+			}
+			if sum.Chunks[i] != crc32c.Checksum(chunk) {
+				t.Fatalf("stripe %d slot %d: sum %08x, want %08x", s, i, sum.Chunks[i], crc32c.Checksum(chunk))
+			}
+		}
+	}
+}
+
+// TestWriteStoresWhatTheReferenceComputes: for bodies around every
+// boundary of the stripe and chunk geometry, each code and pipe depth,
+// PutReader, UploadPart and migrate store exactly the chunks
+// erasure.Encode cuts from each stripe, record the sums taken directly
+// over them, and return the body's MD5 as the ETag.
+func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
+	const stripe = 1024
+	for _, code := range [][2]int{{1, 2}, {2, 3}, {3, 5}, {4, 5}} {
+		m, n := code[0], code[1]
+		rule := exactRule(m, n)
+		names := []string{"A", "B", "C", "D", "E"}[:n]
+		sizes := []int{0, 1, m - 1, stripe - 1, stripe, stripe + 1, 5 * stripe / 2}
+		slices.Sort(sizes)
+		sizes = slices.Compact(sizes)
+		for _, depth := range []int{1, 4} {
+			t.Run(fmt.Sprintf("(%d,%d)/depth-%d", m, n, depth), func(t *testing.T) {
+				b := newTestBroker(t, Config{Registry: marketOf(names...), StripeBytes: stripe, WritePipelineDepth: depth})
+				e := b.Engine(0)
+				to := core.Placement{M: m}
+				for _, name := range names {
+					s, _ := b.Registry().Store(name)
+					to.Providers = append(to.Providers, s.Spec())
+				}
+				for _, size := range sizes {
+					body := testPayload(size)
+					key := fmt.Sprintf("k%d", size)
+
+					meta, err := e.PutReader(ctx, "c", key, bytes.NewReader(body), int64(size), PutOptions{Rule: &rule})
+					if err != nil {
+						t.Fatalf("put %d bytes: %v", size, err)
+					}
+					if meta.M != m || len(meta.Chunks) != n {
+						t.Fatalf("scenario expects (%d, %d), placed (%d, %d)", m, n, meta.M, len(meta.Chunks))
+					}
+					if meta.Checksum != md5Hex(body) {
+						t.Fatalf("put %d bytes: ETag %s, want the body's MD5", size, meta.Checksum)
+					}
+					storedAsEncoded(t, b, m, meta.Chunks, meta.chunkKey, meta.Sums, body, stripe)
+
+					if err := e.migrate(ctx, meta, to); err != nil {
+						t.Fatalf("migrate %d bytes: %v", size, err)
+					}
+					moved, err := e.Head(ctx, "c", key)
+					if err != nil || moved.UUID == meta.UUID || moved.Checksum != md5Hex(body) {
+						t.Fatalf("migrate %d bytes: %+v, %v; want a new version with the body's MD5", size, moved, err)
+					}
+					storedAsEncoded(t, b, m, moved.Chunks, moved.chunkKey, moved.Sums, body, stripe)
+
+					if size == 0 {
+						continue // a part declares a positive size
+					}
+					up, err := e.CreateUpload(ctx, "c", "mp-"+key, int64(size), PutOptions{Rule: &rule})
+					if err != nil {
+						t.Fatal(err)
+					}
+					info, err := e.UploadPart(ctx, up.UploadID, 1, bytes.NewReader(body), int64(size))
+					if err != nil || info.ETag != md5Hex(body) {
+						t.Fatalf("part of %d bytes: ETag %s, %v; want the body's MD5", size, info.ETag, err)
+					}
+					u, err := b.getUpload(up.UploadID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					u.mu.Lock()
+					part := u.parts[1]
+					u.mu.Unlock()
+					if u.placement.M != m || len(u.names) != n {
+						t.Fatalf("upload placed (%d, %d), scenario expects (%d, %d)", u.placement.M, len(u.names), m, n)
+					}
+					partKey := func(s, i int) string { return PartChunkKey(u.skey, 1, s, i, part.gen) }
+					storedAsEncoded(t, b, m, u.names, partKey, part.sums, body, stripe)
+				}
+			})
+		}
+	}
+}
+
+// TestPooledChunksOutliveTheirReaders: a stripe's pooled chunks go back
+// to the pool only once every write of them and the stripe's hash are
+// done. Every Put checks its bytes on entry and on return (hookBackend);
+// one provider sleeps for a varying while and the others only yield, so a
+// stripe's hash and its writes finish in either order; and the stripes
+// behind fill whatever the pool hands out. A chunk recycled under a
+// reader fails a Put, the ETag or the read back.
+func TestPooledChunksOutliveTheirReaders(t *testing.T) {
+	const stripe = 64 << 10
+	reg, backends := hooked(marketOf("A", "B", "C", "D", "E"))
+	var puts atomic.Int64
+	for i, hb := range backends {
+		hb.put = func(context.Context, string) error {
+			if i == 0 {
+				time.Sleep(time.Duration(puts.Add(1)%3) * time.Millisecond)
+			} else {
+				runtime.Gosched()
+			}
+			return nil
+		}
+	}
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, WritePipelineDepth: 4, CacheBytes: 4 << 20})
+	e := b.Engine(0)
+	rule := exactRule(4, 5)
+	rng := rand.New(rand.NewSource(34))
+	for round := 0; round < 4; round++ {
+		body := make([]byte, 10*stripe+stripe/3) // 11 stripes
+		rng.Read(body)
+		meta, err := e.PutReader(ctx, "c", "k", bytes.NewReader(body), int64(len(body)), PutOptions{Rule: &rule})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if meta.Checksum != md5Hex(body) {
+			t.Fatalf("round %d: ETag %s, want the body's MD5", round, meta.Checksum)
+		}
+		got, _, err := e.Get(ctx, "c", "k") // caches it, so the next round's PUT copies what it replaces
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("round %d: read back %d bytes, %v", round, len(got), err)
+		}
+	}
+}
 
 // TestWriteCancellationRollsBackAcrossModes drives the
 // cancel-mid-upload property through every write-path mode: the

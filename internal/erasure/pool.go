@@ -22,7 +22,7 @@ type encodeScratch struct {
 
 var (
 	// encScratchPool holds filled encodeScratch boxes (buffers attached);
-	// shellPool holds empty boxes. EncodePooled moves a box from the
+	// shellPool holds empty boxes. EncodeFill moves a box from the
 	// first to the second, ReleaseChunks moves it back — boxes circulate
 	// and are never re-allocated in steady state.
 	encScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
@@ -39,24 +39,46 @@ var (
 	reconScratchPool = sync.Pool{New: func() any { return &reconScratch{} }}
 )
 
-// EncodePooled is Encode with the chunk array and its backing drawn
-// from an internal pool instead of the garbage collector. The caller
-// owns every returned chunk until it hands the whole slice back via
-// ReleaseChunks; after that the memory is recycled, so no chunk may be
-// retained past the release (backends that keep payload references
-// beyond Put's return cannot be used with the pooled path — the
-// in-tree backends all copy or serialize before returning).
-func (c *Coder) EncodePooled(data []byte) ([][]byte, error) {
+// EncodeFill is the pooled encode: the n chunks of a dataLen-byte payload
+// and their backing are drawn from an internal pool instead of the
+// garbage collector, and fill writes the payload straight into them. It
+// is handed data, the dataLen bytes the m data chunks span — the code is
+// systematic, so they are the payload and no copy is made — and must
+// write all of it or fail; the padding after it and the parity are
+// computed once it returns. A fill error hands the chunks back and is
+// returned as is.
+//
+// The caller owns every returned chunk, and data with them, until it
+// hands the whole slice back via ReleaseChunks; after that the memory is
+// recycled, so nothing may read or keep a chunk past the release. The
+// write path releases a stripe's chunks once its writes and its hash are
+// both done, which is safe only because a backend keeps no reference to
+// the bytes once Put returns — `cloud`'s PutCopiesIn conformance row.
+func (c *Coder) EncodeFill(dataLen int, fill func(data []byte) error) ([][]byte, error) {
 	sc := encScratchPool.Get().(*encodeScratch)
-	chunks, err := c.encode(data, sc.backing, sc.chunks)
+	chunks, err := c.encode(dataLen, sc.backing, sc.chunks, fill)
 	sc.backing, sc.chunks = nil, nil
 	shellPool.Put(sc)
-	return chunks, err
+	if err != nil {
+		ReleaseChunks(chunks)
+		return nil, err
+	}
+	return chunks, nil
 }
 
-// ReleaseChunks returns a chunk set obtained from EncodePooled to the
-// pool. The chunks share one backing array whose full capacity is
-// reachable through chunk 0, so the set is recycled wholesale.
+// EncodePooled is EncodeFill with data copied in; the same ownership
+// rules apply.
+func (c *Coder) EncodePooled(data []byte) ([][]byte, error) {
+	return c.EncodeFill(len(data), func(d []byte) error {
+		copy(d, data)
+		return nil
+	})
+}
+
+// ReleaseChunks returns a chunk set obtained from EncodeFill or
+// EncodePooled to the pool. The chunks share one backing array whose
+// full capacity is reachable through chunk 0, so the set is recycled
+// wholesale.
 func ReleaseChunks(chunks [][]byte) {
 	if len(chunks) == 0 {
 		return

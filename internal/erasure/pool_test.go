@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -49,6 +50,63 @@ func TestEncodePooledMatchesEncode(t *testing.T) {
 		}
 		ReleaseChunks(got)
 	}
+}
+
+// FuzzEncodeFill checks the fill core against the scalar reference
+// encoder: the pool is first left holding a larger chunk set soiled with
+// dirt, so the padding and parity the core computes land on dirty
+// backing. fill sees exactly the payload's bytes, and a fill that fails
+// gets its error back and no chunks.
+func FuzzEncodeFill(f *testing.F) {
+	f.Add(uint8(4), uint8(1), []byte("scalia"), byte(0xff), false)
+	f.Add(uint8(1), uint8(1), []byte{}, byte(0x5a), false)
+	f.Add(uint8(3), uint8(2), bytes.Repeat([]byte{7}, 1000), byte(1), false)
+	f.Add(uint8(2), uint8(1), []byte("short"), byte(0xa5), true)
+	f.Fuzz(func(t *testing.T, m, parity uint8, data []byte, dirt byte, fail bool) {
+		c, err := Cached(1+int(m%16), 1+int(m%16)+int(parity%9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		soiled, err := c.EncodePooled(make([]byte, 2*len(data)+c.m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range soiled {
+			for i := range ch {
+				ch[i] = dirt
+			}
+		}
+		ReleaseChunks(soiled)
+
+		errFill := errors.New("body ended")
+		got, err := c.EncodeFill(len(data), func(d []byte) error {
+			if len(d) != len(data) || cap(d) != len(data) {
+				t.Fatalf("fill got %d bytes of capacity %d, want %d", len(d), cap(d), len(data))
+			}
+			if fail {
+				copy(d, data[:len(data)/2])
+				return errFill
+			}
+			copy(d, data)
+			return nil
+		})
+		if fail {
+			if err != errFill || got != nil {
+				t.Fatalf("failed fill: EncodeFill = %d chunks, %v; want none, the fill's error", len(got), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.encodeRef(data)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("(%d, %d), %d bytes: chunk %d differs from encodeRef", c.m, c.n, len(data), i)
+			}
+		}
+		ReleaseChunks(got)
+	})
 }
 
 // BenchmarkEncodePooled measures the steady-state pooled encode; the

@@ -109,15 +109,24 @@ func (c *Coder) EncodedChunkSize(dataLen int) int {
 // must remember the original length (Scalia stores it in object metadata)
 // and pass it to Decode.
 func (c *Coder) Encode(data []byte) ([][]byte, error) {
-	return c.encode(data, nil, nil)
+	return c.encode(len(data), nil, nil, func(d []byte) error {
+		copy(d, data)
+		return nil
+	})
 }
 
-// encode is the shared core of Encode and EncodePooled: backing and
-// chunks are reused when their capacity suffices (their contents may be
-// arbitrary — every byte of the output is written below) and replaced
-// with fresh allocations otherwise.
-func (c *Coder) encode(data, backing []byte, chunks [][]byte) ([][]byte, error) {
-	size := c.EncodedChunkSize(len(data))
+// encode is the one encode core, under Encode, EncodePooled and
+// EncodeFill. It cuts n chunks for a dataLen-byte payload out of backing
+// and chunks — reused when their capacity suffices (their contents may
+// be arbitrary: every byte of the output is written here or by fill) and
+// replaced with fresh allocations otherwise. The chunks lie back to back
+// in backing, so the m data chunks span its first m·size bytes; the code
+// is systematic, so they are the payload: fill writes it into the first
+// dataLen of them, and encode then clears the padding after it and
+// computes the parity in place. The chunks come back even when fill
+// fails, so pooled scratch can be returned.
+func (c *Coder) encode(dataLen int, backing []byte, chunks [][]byte, fill func(data []byte) error) ([][]byte, error) {
+	size := c.EncodedChunkSize(dataLen)
 	if need := c.n * size; cap(backing) < need {
 		backing = make([]byte, need)
 	} else {
@@ -131,21 +140,13 @@ func (c *Coder) encode(data, backing []byte, chunks [][]byte) ([][]byte, error) 
 	for i := range chunks {
 		chunks[i] = backing[i*size : (i+1)*size]
 	}
-	// Data stripes: rows 0..m-1 are plain copies (systematic code). The
-	// tail past len(data) is the zero padding — cleared explicitly since
-	// pooled backing arrives dirty.
-	for i := 0; i < c.m; i++ {
-		var n int
-		if lo := i * size; lo < len(data) {
-			hi := lo + size
-			if hi > len(data) {
-				hi = len(data)
-			}
-			n = copy(chunks[i], data[lo:hi])
-		}
-		clear(chunks[i][n:])
+	// Data rows 0..m-1 are the payload itself. The tail past it is the
+	// zero padding — cleared explicitly since pooled backing arrives dirty.
+	if err := fill(backing[:dataLen:dataLen]); err != nil {
+		return chunks, err
 	}
-	// Parity stripes: rows m..n-1 are linear combinations of the data
+	clear(backing[dataLen : c.m*size])
+	// Parity: rows m..n-1 are linear combinations of the data
 	// rows, computed with the table-driven kernels and fanned out
 	// across cores for large stripes (each worker does all parity rows
 	// for its span, so data spans are read while cache-hot). The first

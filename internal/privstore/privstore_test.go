@@ -26,32 +26,6 @@ func newPair(t *testing.T, capacity int64) (*Server, *Client) {
 	return srv, NewClient(ts.URL, []byte("secret-token"))
 }
 
-func TestPutGetDeleteList(t *testing.T) {
-	_, c := newPair(t, 0)
-	if err := c.Put(ctx, "a/key1", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get(ctx, "a/key1")
-	if err != nil || !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	c.Put(ctx, "a/key2", []byte("x"))
-	c.Put(ctx, "b/key3", []byte("y"))
-	keys, err := c.List(ctx, "a/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] != "a/key1" || keys[1] != "a/key2" {
-		t.Fatalf("List = %v", keys)
-	}
-	if err := c.Delete(ctx, "a/key1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(ctx, "a/key1"); !errors.Is(err, ErrRemote) {
-		t.Fatalf("Get after delete: %v", err)
-	}
-}
-
 func TestServerRejectsBadToken(t *testing.T) {
 	srv, err := NewServer(t.TempDir(), []byte("right"), 0)
 	if err != nil {
@@ -92,23 +66,6 @@ func TestServerRejectsReplayedTimestamp(t *testing.T) {
 	}
 }
 
-func TestCapacityLimit(t *testing.T) {
-	srv, c := newPair(t, 10)
-	if err := c.Put(ctx, "a", make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(ctx, "b", make([]byte, 8)); !errors.Is(err, ErrRemote) {
-		t.Fatalf("over-capacity accepted: %v", err)
-	}
-	// Overwriting within capacity is fine.
-	if err := c.Put(ctx, "a", make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if srv.UsedBytes() != 10 {
-		t.Fatalf("UsedBytes = %d, want 10", srv.UsedBytes())
-	}
-}
-
 func TestUsageSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := NewServer(dir, []byte("tok"), 0)
@@ -133,22 +90,6 @@ func TestUsageSurvivesRestart(t *testing.T) {
 	got, err := c2.Get(ctx, "k")
 	if err != nil || len(got) != 123 {
 		t.Fatalf("data lost across restart: %v", err)
-	}
-}
-
-func TestKeysWithSpecialCharacters(t *testing.T) {
-	_, c := newPair(t, 0)
-	key := "dir/../weird key/äöü/..%2F"
-	if err := c.Put(ctx, key, []byte("safe")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Get(ctx, key)
-	if err != nil || string(got) != "safe" {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	keys, _ := c.List(ctx, "")
-	if len(keys) != 1 || keys[0] != key {
-		t.Fatalf("List = %v", keys)
 	}
 }
 

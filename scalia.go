@@ -192,9 +192,10 @@ type Options = engine.Config
 // on every transport.
 type API interface {
 	// PutReader stores or updates an object streamed from r. size must be
-	// the exact body length; at most one stripe is buffered at a time, so
-	// arbitrarily large objects upload in constant memory. Cancelling ctx
-	// aborts the in-flight chunk fan-out and rolls back written chunks.
+	// the exact body length; at most the write pipeline's depth of stripes
+	// is buffered at a time, so arbitrarily large objects upload in bounded
+	// memory. Cancelling ctx aborts the in-flight chunk fan-out and rolls
+	// back written chunks.
 	PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...PutOption) (ObjectMeta, error)
 	// GetReader fetches an object as a stream: each stripe is served from
 	// the stripe cache or reconstructed from the m cheapest reachable
