@@ -406,14 +406,14 @@ func ifRangeMatches(header string, meta ObjectMeta) bool {
 	return false
 }
 
-// etagMatches evaluates an If-None-Match header against the stored
-// version: "*", the quoted ETag, or a comma-separated candidate list.
+// etagMatches compares an If-None-Match header ("*" or a list of ETags)
+// with the stored version weakly, W/ ignored (RFC 9110 §13.1.2).
 func etagMatches(header string, meta ObjectMeta) bool {
 	if header == "*" {
 		return true
 	}
 	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimSpace(cand)
+		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
 		if cand == meta.ETag() || cand == meta.Checksum {
 			return true
 		}

@@ -196,6 +196,17 @@ func TestGatewayConditionalRequests(t *testing.T) {
 		t.Fatalf("conditional GET = %d, %d body bytes", resp.StatusCode, len(body))
 	}
 
+	// A weakened ETag matches too (If-None-Match compares weakly, RFC
+	// 9110 §13.1.2): alone, or in a list behind a stale one.
+	for _, inm := range []string{"W/" + etag, `"deadbeef", W/` + etag} {
+		resp = doReq(t, client, http.MethodGet, ts.URL+"/v1/objects/c/k", nil,
+			map[string]string{"If-None-Match": inm})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("If-None-Match %s: GET = %d, want 304", inm, resp.StatusCode)
+		}
+	}
+
 	// Stale ETag -> full 200.
 	resp = doReq(t, client, http.MethodGet, ts.URL+"/v1/objects/c/k", nil,
 		map[string]string{"If-None-Match": `"deadbeef"`})

@@ -72,8 +72,7 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 		start: time.Now(),
 
 		httpDur: reg.HistogramVec(metricHTTPDuration,
-			"Gateway request latency by method and route.",
-			obs.DefaultLatencyBuckets, "method", "route"),
+			"Gateway request latency by method and route.", "method", "route"),
 		httpReqs: reg.CounterVec("scalia_http_requests_total",
 			"Gateway requests by method, route and status code.",
 			"method", "route", "code"),
@@ -82,12 +81,10 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 			"method", "route"),
 
 		stageDur: reg.HistogramVec(metricStage,
-			"Latency of serving-path stages (plan, hash, encode, fanout, commit, fetch, verify, decode, repair, optimize).",
-			obs.DefaultLatencyBuckets, "stage"),
+			"Latency of serving-path stages (plan, hash, encode, fanout, commit, fetch, verify, decode, repair, optimize).", "stage"),
 
 		providerDur: reg.HistogramVec(metricProviderOp,
-			"Backend call latency by provider and operation (get, put, delete).",
-			obs.DefaultLatencyBuckets, "provider", "op"),
+			"Backend call latency by provider and operation (get, put, delete).", "provider", "op"),
 		providerErrs: reg.CounterVec("scalia_provider_op_errors_total",
 			"Failed backend calls by provider and operation.",
 			"provider", "op"),

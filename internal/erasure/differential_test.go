@@ -7,18 +7,12 @@ import (
 	"testing"
 )
 
-// TestDifferentialFuzzKernels drives the table-driven, span-parallel
-// production paths against the retained scalar reference across random
-// geometries (m in [1,16], n in [m,32]) and sizes — including 0, 1 and
-// non-multiples of m — asserting byte-identical results for Encode,
-// Reconstruct (random erasure patterns) and Verify (clean and with a
-// corrupted byte). The span threshold is dropped so large cases
-// exercise the parallel kernels.
+// TestDifferentialFuzzKernels drives the table-driven production paths
+// against the retained scalar reference across random geometries (m in
+// [1,16], n in [m,32]) and sizes — including 0, 1 and non-multiples of
+// m — asserting byte-identical results for Encode, Reconstruct (random
+// erasure patterns) and Verify (clean and with a corrupted byte).
 func TestDifferentialFuzzKernels(t *testing.T) {
-	old := SpanThreshold()
-	SetSpanThreshold(1 << 10)
-	defer SetSpanThreshold(old)
-
 	rng := rand.New(rand.NewSource(20260808))
 	sizes := []int{0, 1, 2, 63, 64, 65, 1000, 4096, 12289}
 	for trial := 0; trial < 250; trial++ {
@@ -214,53 +208,65 @@ func TestCoderCache(t *testing.T) {
 	}
 }
 
-// TestCoderCacheParallelHammer exercises the coder cache and the
-// span-parallel kernels concurrently; run with -race it proves both
-// are data-race free while sharing one coder across goroutines.
-func TestCoderCacheParallelHammer(t *testing.T) {
-	old := SpanThreshold()
-	SetSpanThreshold(512)
-	defer SetSpanThreshold(old)
-
+// TestSharedCoderHammer runs the whole coding cycle — EncodeFill,
+// ReconstructSlots, Verify, ReleaseChunks — from eight goroutines that
+// share Cached coders, on chunks from one byte to 1 MiB. The coder cache
+// and the scratch pools are the package's only shared state; run with
+// -race it proves them data-race free, and the byte checks prove no
+// goroutine is handed a chunk set another still holds.
+func TestSharedCoderHammer(t *testing.T) {
 	const workers = 8
+	chunkSizes := []int{1, 63, 4<<10 + 1, 64 << 10, 256<<10 + 3, 1 << 20}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 40; i++ {
-				m := 1 + rng.Intn(6)
-				n := m + rng.Intn(5)
+			for i := range chunkSizes {
+				m := 1 + rng.Intn(4)
+				n := m + 1 + rng.Intn(4)
 				c, err := Cached(m, n)
 				if err != nil {
 					t.Errorf("Cached(%d,%d): %v", m, n, err)
 					return
 				}
-				data := make([]byte, 1+rng.Intn(16<<10))
+				size := chunkSizes[(int(seed)+i)%len(chunkSizes)]
+				data := make([]byte, m*size-rng.Intn(m))
 				rng.Read(data)
-				chunks, err := c.EncodePooled(data)
+				chunks, err := c.EncodeFill(len(data), func(d []byte) error {
+					copy(d, data)
+					return nil
+				})
 				if err != nil {
-					t.Errorf("EncodePooled: %v", err)
-					return
-				}
-				if ok, err := c.Verify(chunks); err != nil || !ok {
-					t.Errorf("Verify = %v, %v", ok, err)
+					t.Errorf("EncodeFill: %v", err)
 					return
 				}
 				damaged := make([][]byte, n)
-				for j := range chunks {
-					damaged[j] = append([]byte(nil), chunks[j]...)
+				copy(damaged, chunks)
+				lost := rng.Perm(n)[:n-m]
+				for _, j := range lost {
+					damaged[j] = nil
 				}
-				ReleaseChunks(chunks)
-				for j := 0; j < n-m; j++ {
-					damaged[rng.Intn(n)] = nil
-				}
-				got, err := c.Decode(damaged, len(data))
-				if err != nil || !bytes.Equal(got, data) {
-					t.Errorf("Decode mismatch (m=%d n=%d): %v", m, n, err)
+				if err := c.ReconstructSlots(damaged, lost); err != nil {
+					t.Errorf("ReconstructSlots: %v", err)
 					return
 				}
+				for j := range chunks {
+					if !bytes.Equal(damaged[j], chunks[j]) {
+						t.Errorf("(%d,%d) chunk %d bytes: rebuilt slot %d differs from its encode", m, n, size, j)
+						return
+					}
+				}
+				if ok, err := c.Verify(damaged); err != nil || !ok {
+					t.Errorf("(%d,%d) chunk %d bytes: Verify = %v, %v", m, n, size, ok, err)
+					return
+				}
+				if got := bytes.Join(chunks[:m], nil)[:len(data)]; !bytes.Equal(got, data) {
+					t.Errorf("(%d,%d) chunk %d bytes: data chunks differ from the payload", m, n, size)
+					return
+				}
+				ReleaseChunks(chunks)
 			}
 		}(int64(w + 1))
 	}

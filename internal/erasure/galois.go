@@ -6,8 +6,8 @@
 // The implementation is self-contained (standard library only): GF(2^8)
 // arithmetic with log/exp tables, a Vandermonde-derived systematic
 // generator matrix, and Gaussian-elimination decoding. The bulk slice
-// kernels are table-driven (see kernel.go) and fan large stripes out
-// across cores; build with -tags erasure_ref to route them through the
+// kernels are table-driven (see kernel.go) and run on the calling
+// goroutine; build with -tags erasure_ref to route them through the
 // textbook single-byte scalar path instead, which serves as the
 // differential-test oracle.
 package erasure
@@ -19,8 +19,8 @@ const fieldPoly = 0x11d
 // fieldSize is the number of elements in GF(2^8).
 const fieldSize = 256
 
-// kernBlock is the unroll granularity of the bulk slice kernels and
-// the alignment of parallel span boundaries (one cache line).
+// kernBlock is the unroll granularity of the bulk slice kernels (one
+// cache line).
 const kernBlock = 64
 
 var (

@@ -15,45 +15,45 @@ import (
 // [256]byte table with a byte needs no check at all.
 //
 // kernRow is the entry point the encode, reconstruct and verify paths
-// use: it computes one output row out = sum_k coefs[k]*in[k] over a
-// span, fusing up to four inputs per pass so the accumulator stays in
-// a register instead of being re-loaded and re-stored once per input.
-// A row whose coefficients are all 1 — the first parity row of every
-// code New builds, and the decode row of a stripe that lost one data
-// chunk and holds that parity — needs no table at all: kernRow sends it
-// to a word-wide XOR. kernel_ref.go swaps in the scalar reference path
-// under -tags erasure_ref.
+// use: it computes one output row out = sum_k coefs[k]*in[k], fusing up
+// to four inputs per pass so the accumulator stays in a register
+// instead of being re-loaded and re-stored once per input. A row whose
+// coefficients are all 1 — the first parity row of every code New
+// builds, and the decode row of a stripe that lost one data chunk and
+// holds that parity — needs no table at all: kernRow sends it to a
+// word-wide XOR. kernel_ref.go swaps in the scalar reference path under
+// -tags erasure_ref.
 
-// kernRow computes dst = sum_k coefs[k] * ins[k][lo:hi], where dst has
-// length hi-lo. The first term assigns rather than accumulates, so dst
-// may arrive dirty (pooled scratch needs no pre-zeroing).
-func kernRow(coefs []byte, ins [][]byte, lo, hi int, dst []byte) {
+// kernRow computes dst = sum_k coefs[k] * ins[k][:len(dst)]. The first
+// term assigns rather than accumulates, so dst may arrive dirty (pooled
+// scratch needs no pre-zeroing).
+func kernRow(coefs []byte, ins [][]byte, dst []byte) {
 	if len(ins) >= 2 && allOnes(coefs[:len(ins)]) {
-		xorRow(ins, lo, hi, dst)
+		xorRow(ins, dst)
 		return
 	}
 	switch len(ins) {
 	case 0:
 		clear(dst)
 	case 1:
-		kernMul(coefs[0], ins[0][lo:hi], dst)
+		kernMul(coefs[0], ins[0], dst)
 	case 2:
-		mul2(coefs, ins[0][lo:hi], ins[1][lo:hi], dst)
+		mul2(coefs, ins[0], ins[1], dst)
 	case 3:
-		mul3(coefs, ins[0][lo:hi], ins[1][lo:hi], ins[2][lo:hi], dst)
+		mul3(coefs, ins[0], ins[1], ins[2], dst)
 	default:
-		mul4(coefs, ins[0][lo:hi], ins[1][lo:hi], ins[2][lo:hi], ins[3][lo:hi], dst)
+		mul4(coefs, ins[0], ins[1], ins[2], ins[3], dst)
 		k := 4
 		for ; k+4 <= len(ins); k += 4 {
-			mul4add(coefs[k:], ins[k][lo:hi], ins[k+1][lo:hi], ins[k+2][lo:hi], ins[k+3][lo:hi], dst)
+			mul4add(coefs[k:], ins[k], ins[k+1], ins[k+2], ins[k+3], dst)
 		}
 		switch len(ins) - k {
 		case 1:
-			kernMulAdd(coefs[k], ins[k][lo:hi], dst)
+			kernMulAdd(coefs[k], ins[k], dst)
 		case 2:
-			mul2add(coefs[k:], ins[k][lo:hi], ins[k+1][lo:hi], dst)
+			mul2add(coefs[k:], ins[k], ins[k+1], dst)
 		case 3:
-			mul3add(coefs[k:], ins[k][lo:hi], ins[k+1][lo:hi], ins[k+2][lo:hi], dst)
+			mul3add(coefs[k:], ins[k], ins[k+1], ins[k+2], dst)
 		}
 	}
 }
@@ -68,13 +68,12 @@ func allOnes(coefs []byte) bool {
 // one after another.
 const xorBlock = 16 << 10
 
-// xorRow computes dst = ins[0][lo:hi] ^ ins[1][lo:hi] ^ ... for two or
-// more inputs. The first pair assigns, so dst may arrive dirty.
-func xorRow(ins [][]byte, lo, hi int, dst []byte) {
-	for ; lo < hi; lo += xorBlock {
-		end := min(lo+xorBlock, hi)
-		d := dst[:end-lo]
-		dst = dst[end-lo:]
+// xorRow computes dst = ins[0] ^ ins[1] ^ ... over len(dst) bytes, for
+// two or more inputs. The first pair assigns, so dst may arrive dirty.
+func xorRow(ins [][]byte, dst []byte) {
+	for lo := 0; lo < len(dst); lo += xorBlock {
+		end := min(lo+xorBlock, len(dst))
+		d := dst[lo:end]
 		subtle.XORBytes(d, ins[0][lo:end], ins[1][lo:end])
 		for _, in := range ins[2:] {
 			subtle.XORBytes(d, d, in[lo:end])
@@ -82,22 +81,22 @@ func xorRow(ins [][]byte, lo, hi int, dst []byte) {
 	}
 }
 
-// runJobSpan computes all jobs over one span, batching groups of four
-// rows that share an input set through the 4x4 micro-kernel and
-// falling back to row-at-a-time fused kernels for the rest. Encode,
-// reconstruct and verify all build their job batches over one shared
-// input set, so the fast grouping is the common case.
-func runJobSpan(jobs []rsJob, lo, hi int) {
+// runJobs computes every job, batching groups of four rows that share
+// an input set through the 4x4 micro-kernel and falling back to
+// row-at-a-time fused kernels for the rest. Encode, reconstruct and
+// verify all build their job batches over one shared input set, so the
+// fast grouping is the common case.
+func runJobs(jobs []rsJob) {
 	i := 0
 	for i+4 <= len(jobs) && sameChunks(jobs[i].in, jobs[i+1].in) &&
 		sameChunks(jobs[i].in, jobs[i+2].in) && sameChunks(jobs[i].in, jobs[i+3].in) {
 		coefs := [4][]byte{jobs[i].row, jobs[i+1].row, jobs[i+2].row, jobs[i+3].row}
 		outs := [4][]byte{jobs[i].out, jobs[i+1].out, jobs[i+2].out, jobs[i+3].out}
-		kernRows4(&coefs, jobs[i].in, lo, hi, &outs)
+		kernRows4(&coefs, jobs[i].in, &outs)
 		i += 4
 	}
 	for ; i < len(jobs); i++ {
-		kernRow(jobs[i].row, jobs[i].in, lo, hi, jobs[i].out[lo:hi])
+		kernRow(jobs[i].row, jobs[i].in, jobs[i].out)
 	}
 }
 
@@ -106,31 +105,27 @@ func sameChunks(a, b [][]byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// kernRows4 computes four output rows over one span in a single pass:
-// outs[r][lo:hi] = sum_k coefs[r][k] * ins[k][lo:hi]. Fusing rows on
-// top of inputs amortizes every input-byte load across four outputs —
-// the 4x4 micro-kernel touches 16 product tables (4 KiB, L1-resident)
-// and performs one input load per four output bytes, where row-at-a-
-// time fusion performs four.
-func kernRows4(coefs *[4][]byte, ins [][]byte, lo, hi int, outs *[4][]byte) {
-	o0, o1, o2, o3 := outs[0][lo:hi], outs[1][lo:hi], outs[2][lo:hi], outs[3][lo:hi]
+// kernRows4 computes four equal-length output rows in a single pass:
+// outs[r] = sum_k coefs[r][k] * ins[k]. Fusing rows on top of inputs
+// amortizes every input-byte load across four outputs — the 4x4
+// micro-kernel touches 16 product tables (4 KiB, L1-resident) and
+// performs one input load per four output bytes, where row-at-a-time
+// fusion performs four.
+func kernRows4(coefs *[4][]byte, ins [][]byte, outs *[4][]byte) {
+	o0, o1, o2, o3 := outs[0], outs[1], outs[2], outs[3]
 	k := 0
 	for ; k+4 <= len(ins); k += 4 {
 		var cs [4][4]byte
 		for r := 0; r < 4; r++ {
 			copy(cs[r][:], coefs[r][k:k+4])
 		}
-		if k == 0 {
-			mul4x4(&cs, ins[k][lo:hi], ins[k+1][lo:hi], ins[k+2][lo:hi], ins[k+3][lo:hi], o0, o1, o2, o3, true)
-		} else {
-			mul4x4(&cs, ins[k][lo:hi], ins[k+1][lo:hi], ins[k+2][lo:hi], ins[k+3][lo:hi], o0, o1, o2, o3, false)
-		}
+		mul4x4(&cs, ins[k], ins[k+1], ins[k+2], ins[k+3], o0, o1, o2, o3, k == 0)
 	}
 	if k == 0 {
 		// Fewer than four inputs: fall back to row-at-a-time for the
 		// whole batch (assign semantics preserved).
 		for r := 0; r < 4; r++ {
-			kernRow(coefs[r], ins, lo, hi, outs[r][lo:hi])
+			kernRow(coefs[r], ins, outs[r])
 		}
 		return
 	}
@@ -138,24 +133,24 @@ func kernRows4(coefs *[4][]byte, ins [][]byte, lo, hi int, outs *[4][]byte) {
 	for r := 0; r < 4; r++ {
 		switch len(ins) - k {
 		case 1:
-			kernMulAdd(coefs[r][k], ins[k][lo:hi], outs[r][lo:hi])
+			kernMulAdd(coefs[r][k], ins[k], outs[r])
 		case 2:
-			mul2add(coefs[r][k:], ins[k][lo:hi], ins[k+1][lo:hi], outs[r][lo:hi])
+			mul2add(coefs[r][k:], ins[k], ins[k+1], outs[r])
 		case 3:
-			mul3add(coefs[r][k:], ins[k][lo:hi], ins[k+1][lo:hi], ins[k+2][lo:hi], outs[r][lo:hi])
+			mul3add(coefs[r][k:], ins[k], ins[k+1], ins[k+2], outs[r])
 		}
 	}
 }
 
-// mul4x4 is the 4-row x 4-input micro-kernel: one pass over four input
-// spans producing four output spans. assign selects whether the first
+// mul4x4 is the 4-row x 4-input micro-kernel: one pass over four inputs
+// producing four outputs. assign selects whether the first
 // input group overwrites (dirty buffers) or accumulates.
 func mul4x4(cs *[4][4]byte, a, b, c, d []byte, o0, o1, o2, o3 []byte, assign bool) {
 	// The 16 product tables are copied onto the stack: a fixed-offset
 	// stack array resolves each lookup with one load, where 16 table
 	// pointers would spill and cost a pointer reload per lookup. The
-	// 4 KiB copy amortizes over the span (kernRows4 calls this once
-	// per input group per span).
+	// 4 KiB copy amortizes over the chunk (kernRows4 calls this once
+	// per input group).
 	var tt [16][fieldSize]byte
 	for r := 0; r < 4; r++ {
 		for k := 0; k < 4; k++ {

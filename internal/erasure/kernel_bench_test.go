@@ -44,24 +44,6 @@ func BenchmarkEncodeScalarRef4MiB(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeSerial4MiB isolates the table kernels from the span
-// fan-out by disabling parallelism, so table-vs-scalar and
-// serial-vs-parallel contributions can be read separately.
-func BenchmarkEncodeSerial4MiB(b *testing.B) {
-	old := SpanThreshold()
-	SetSpanThreshold(0)
-	defer SetSpanThreshold(old)
-	c, data := benchStripe(b, 4<<20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chunks, err := c.EncodePooled(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ReleaseChunks(chunks)
-	}
-}
-
 // BenchmarkKernRow measures one output row over four inputs, the shape
 // of a (4, n) parity row: an all-ones coefficient row (generator row m,
 // the XOR route) against a general one (the table kernels), at a chunk
@@ -81,7 +63,7 @@ func BenchmarkKernRow(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dKiB", row.name, size>>10), func(b *testing.B) {
 				b.SetBytes(int64(4 * size))
 				for i := 0; i < b.N; i++ {
-					kernRow(row.coefs, ins, 0, size, dst)
+					kernRow(row.coefs, ins, dst)
 				}
 			})
 		}

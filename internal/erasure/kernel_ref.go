@@ -8,26 +8,26 @@ package erasure
 // reconstruct and verify through these, turning the full test suite
 // into a cross-check of everything above the kernel layer.
 
-// kernRow computes dst = sum_k coefs[k] * ins[k][lo:hi] via the scalar
-// reference path.
-func kernRow(coefs []byte, ins [][]byte, lo, hi int, dst []byte) {
+// kernRow computes dst = sum_k coefs[k] * ins[k][:len(dst)] via the
+// scalar reference path.
+func kernRow(coefs []byte, ins [][]byte, dst []byte) {
 	if len(ins) == 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return
 	}
-	mulSlice(coefs[0], ins[0][lo:hi], dst)
+	mulSlice(coefs[0], ins[0][:len(dst)], dst)
 	for k := 1; k < len(ins); k++ {
-		mulAddSlice(coefs[k], ins[k][lo:hi], dst)
+		mulAddSlice(coefs[k], ins[k][:len(dst)], dst)
 	}
 }
 
-// runJobSpan computes all jobs over one span, row at a time (the
-// reference build has no fused micro-kernels).
-func runJobSpan(jobs []rsJob, lo, hi int) {
+// runJobs computes all jobs row at a time (the reference build has no
+// fused micro-kernels).
+func runJobs(jobs []rsJob) {
 	for _, j := range jobs {
-		kernRow(j.row, j.in, lo, hi, j.out[lo:hi])
+		kernRow(j.row, j.in, j.out)
 	}
 }
 

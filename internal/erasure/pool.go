@@ -4,7 +4,7 @@ import "sync"
 
 // Scratch pooling for the coding paths. Every encoded stripe needs an
 // n-chunk backing array plus the chunk-slice header; Verify needs a
-// parity-recompute buffer per span; Reconstruct needs a decode-matrix
+// parity-recompute buffer; Reconstruct needs a decode-matrix
 // workspace. At production stripe sizes the allocator — not the Galois
 // arithmetic — shows up first in BrokerPut's allocs/op, so all of that
 // is recycled here. The pools store pointer boxes and every Get/Put
@@ -28,12 +28,9 @@ var (
 	encScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 	shellPool      = sync.Pool{New: func() any { return new(encodeScratch) }}
 
-	// scratchPool recycles span-sized work buffers (Verify's parity
+	// scratchPool recycles chunk-sized work buffers (Verify's parity
 	// recompute). Get and Put exchange the same *[]byte box.
 	scratchPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
-
-	// jobsPool recycles the kernel-job slices built per encode call.
-	jobsPool = sync.Pool{New: func() any { j := []rsJob(nil); return &j }}
 
 	// reconScratchPool recycles Reconstruct's decode-matrix workspace.
 	reconScratchPool = sync.Pool{New: func() any { return &reconScratch{} }}
@@ -106,22 +103,6 @@ func getScratch(n int) *[]byte {
 }
 
 func putScratch(bp *[]byte) { scratchPool.Put(bp) }
-
-// getJobs draws a zero-length kernel-job slice box from the pool.
-func getJobs() *[]rsJob {
-	jb := jobsPool.Get().(*[]rsJob)
-	*jb = (*jb)[:0]
-	return jb
-}
-
-// putJobs drops the chunk references the jobs hold (so pooled headers
-// never pin stripes) and returns the box.
-func putJobs(jb *[]rsJob) {
-	for i := range *jb {
-		(*jb)[i] = rsJob{}
-	}
-	jobsPool.Put(jb)
-}
 
 // reconScratch is Reconstruct's per-call workspace: the decode
 // sub-matrix backing, the surviving-chunk references, and the kernel

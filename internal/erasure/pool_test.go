@@ -109,6 +109,53 @@ func FuzzEncodeFill(f *testing.F) {
 	})
 }
 
+// raceEnabled is set by race_test.go under -race, whose sync.Pool drops
+// items at random: an allocation count means nothing there.
+var raceEnabled bool
+
+// TestVerifyAllocatesNothing pins that coding a 4 MiB stripe touches the
+// allocator nowhere once the pools are warm: Verify recomputes parity
+// into one pooled buffer, and the pooled encode keeps its job list on
+// the stack — at single parity, at the broker's (4, 5) and at four
+// parity rows, where the 4x4 micro-kernel runs.
+func TestVerifyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	data := make([]byte, 4<<20)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	for _, mn := range [][2]int{{1, 2}, {4, 5}, {4, 8}} {
+		c, err := Cached(mn[0], mn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify := func() {
+			if ok, err := c.Verify(chunks); err != nil || !ok {
+				t.Fatalf("(%d,%d): Verify = %v, %v", c.m, c.n, ok, err)
+			}
+		}
+		if a := testing.AllocsPerRun(5, verify); a != 0 {
+			t.Errorf("(%d,%d): %v allocs per Verify, want 0", c.m, c.n, a)
+		}
+		encode := func() {
+			got, err := c.EncodePooled(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseChunks(got)
+		}
+		if a := testing.AllocsPerRun(5, encode); a != 0 {
+			t.Errorf("(%d,%d): %v allocs per EncodePooled, want 0", c.m, c.n, a)
+		}
+	}
+}
+
 // BenchmarkEncodePooled measures the steady-state pooled encode; the
 // interesting number is allocs/op, which should be zero.
 func BenchmarkEncodePooled(b *testing.B) {

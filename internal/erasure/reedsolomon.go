@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Coder is a systematic (m,n) Reed–Solomon erasure coder: Encode splits
@@ -22,6 +21,15 @@ type Coder struct {
 	// slots is 0..n-1: what Reconstruct asks for, and, cut at m, what
 	// Decode does.
 	slots []int
+}
+
+// rsJob is one output row of a matrix-vector product: out = sum_k
+// row[k] * in[k], assigned (not accumulated) on the first term so dirty
+// output buffers need no pre-zeroing.
+type rsJob struct {
+	row []byte   // coefficients, one per input
+	in  [][]byte // source chunks, len(row) of them
+	out []byte
 }
 
 // Common parameter errors.
@@ -146,20 +154,17 @@ func (c *Coder) encode(dataLen int, backing []byte, chunks [][]byte, fill func(d
 		return chunks, err
 	}
 	clear(backing[dataLen : c.m*size])
-	// Parity: rows m..n-1 are linear combinations of the data
-	// rows, computed with the table-driven kernels and fanned out
-	// across cores for large stripes (each worker does all parity rows
-	// for its span, so data spans are read while cache-hot). The first
-	// term assigns rather than accumulates, so parity rows of dirty
-	// pooled backing need no pre-zeroing either.
-	jb := getJobs()
-	parity := *jb
+	// Parity: rows m..n-1 are linear combinations of the data rows,
+	// computed with the table-driven kernels. The first term assigns
+	// rather than accumulates, so parity rows of dirty pooled backing
+	// need no pre-zeroing either. The job list lives on the stack; a code
+	// with more than eight parity rows spills it to the heap.
+	var stack [8]rsJob
+	parity := stack[:0]
 	for r := c.m; r < c.n; r++ {
 		parity = append(parity, rsJob{row: c.enc.row(r), in: chunks[:c.m], out: chunks[r]})
 	}
-	runJobs(parity, size)
-	*jb = parity
-	putJobs(jb)
+	runJobs(parity)
 	return chunks, nil
 }
 
@@ -218,7 +223,7 @@ func (c *Coder) reconstruct(chunks [][]byte, slots []int) error {
 	for j := range jobs {
 		jobs[j].out = backing[j*size : (j+1)*size : (j+1)*size]
 	}
-	runJobs(jobs, size)
+	runJobs(jobs)
 	j := 0
 	for _, i := range slots {
 		if chunks[i] == nil {
@@ -324,25 +329,17 @@ func (c *Coder) Verify(chunks [][]byte) (bool, error) {
 			return false, ErrChunkSize
 		}
 	}
-	// Each span worker recomputes every parity row for its span into a
-	// pooled scratch buffer (the first kernel term assigns, so the
-	// recycled buffer needs no clearing) and compares against the
-	// stored parity. A mismatch flips the shared verdict and later
-	// spans short-circuit; workers already running finish their row.
-	var bad atomic.Bool
-	forEachSpan(size, func(lo, hi int) {
-		if bad.Load() {
-			return
+	// Each parity row is recomputed into one pooled scratch buffer (the
+	// first kernel term assigns, so the recycled buffer needs no
+	// clearing) and compared with the stored row; the first mismatch
+	// decides.
+	buf := getScratch(size)
+	defer putScratch(buf)
+	for r := c.m; r < c.n; r++ {
+		kernRow(c.enc.row(r), chunks[:c.m], *buf)
+		if !bytes.Equal(*buf, chunks[r]) {
+			return false, nil
 		}
-		buf := getScratch(hi - lo)
-		defer putScratch(buf)
-		for r := c.m; r < c.n; r++ {
-			kernRow(c.enc.row(r), chunks[:c.m], lo, hi, *buf)
-			if !bytes.Equal(*buf, chunks[r][lo:hi]) {
-				bad.Store(true)
-				return
-			}
-		}
-	})
-	return !bad.Load(), nil
+	}
+	return true, nil
 }

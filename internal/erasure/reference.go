@@ -1,13 +1,12 @@
 package erasure
 
 // Scalar reference implementations retained in every build as the
-// differential-test oracle for the table-driven, span-parallel
-// production paths. They mirror the package's original textbook
-// single-byte code exactly: sequential, log/exp multiplication, one
-// allocation per chunk. Tests assert Encode/Reconstruct/Verify are
-// byte-identical to these; under -tags erasure_ref the production
-// kernels themselves route through the same scalar arithmetic, making
-// the comparison an identity check of the surrounding plumbing.
+// differential-test oracle for the table-driven production paths. They
+// mirror the package's original textbook single-byte code exactly:
+// sequential, log/exp multiplication, one allocation per chunk. Tests
+// assert Encode/Reconstruct/Verify are byte-identical to these; under
+// -tags erasure_ref the kernels use the same scalar arithmetic, so the
+// comparison checks the plumbing around them.
 
 // encodeRef is the scalar reference Encode.
 func (c *Coder) encodeRef(data []byte) [][]byte {

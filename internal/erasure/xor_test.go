@@ -76,8 +76,8 @@ func allOnesRow(row []byte) bool {
 // TestOnesRowMatchesScalarReference drives the all-ones route of kernRow
 // — and encode, reconstruct and verify through it — against the scalar
 // reference: 2 to 8 inputs, lengths on both sides of the block sizes,
-// spans that start and end off any word or block boundary, and a dirty
-// destination (the first term must assign).
+// inputs sliced to start and end off any word or block boundary, and a
+// dirty destination (the first term must assign).
 func TestOnesRowMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for m := 2; m <= 8; m++ {
@@ -98,12 +98,14 @@ func TestOnesRowMatchesScalarReference(t *testing.T) {
 			}
 			for _, span := range [][2]int{{0, size}, {min(3, size), max(min(3, size), size-5)}} {
 				lo, hi := span[0], span[1]
+				sub := make([][]byte, m)
 				want := make([]byte, hi-lo)
 				for k := range ins {
-					mulAddSlice(1, ins[k][lo:hi], want)
+					sub[k] = ins[k][lo:hi]
+					mulAddSlice(1, sub[k], want)
 				}
 				got := bytes.Repeat([]byte{0xa5}, hi-lo+2)
-				kernRow(ones, ins, lo, hi, got[1:1+hi-lo])
+				kernRow(ones, sub, got[1:1+hi-lo])
 				if !bytes.Equal(got[1:1+hi-lo], want) {
 					t.Fatalf("m=%d size=%d span [%d,%d): kernRow differs from the scalar sum", m, size, lo, hi)
 				}

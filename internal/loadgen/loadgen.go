@@ -291,8 +291,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	reg := obs.NewRegistry()
 	r.lat = reg.HistogramVec("loadgen_op_duration_seconds",
-		"Latency from scheduled dispatch to completion, per op type.",
-		obs.DefaultLatencyBuckets, "op")
+		"Latency from scheduled dispatch to completion, per op type.", "op")
 
 	before, beforeErr := cfg.Client.Stats(ctx)
 

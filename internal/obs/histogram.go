@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// DefaultLatencyBuckets are the upper bounds (seconds) used for every
-// latency histogram in scalia: 100µs up to 10s, roughly ×2–×2.5 per
-// step. The simulated blobstores answer in the tens of microseconds to
-// low milliseconds; a real deployment lands mid-range.
-var DefaultLatencyBuckets = []float64{
+// latencyBuckets are the upper bounds (seconds) of every latency
+// histogram in scalia: 100µs up to 10s, roughly ×2–×2.5 per step. The
+// simulated blobstores answer in the tens of microseconds to low
+// milliseconds; a real deployment lands mid-range.
+var latencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -25,10 +25,10 @@ type Histogram struct {
 	sum    atomic.Uint64   // math.Float64bits of the running sum
 }
 
+// newHistogram returns a histogram over the given upper bounds (+Inf is
+// implicit): latencyBuckets for every registered family, a small layout
+// in tests.
 func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
 	bounds = append([]float64(nil), bounds...)
 	sort.Float64s(bounds)
 	return &Histogram{
@@ -123,7 +123,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 
 // Merge returns the element-wise sum of two snapshots over identical
 // bucket layouts; it panics if the layouts differ (all scalia latency
-// histograms share DefaultLatencyBuckets). Merging an empty snapshot
+// histograms share latencyBuckets). Merging an empty snapshot
 // (no bounds) with a populated one returns the populated one.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	if len(s.Bounds) == 0 {

@@ -1,6 +1,6 @@
 // Package obs is Scalia's dependency-free observability core: a metric
-// registry of atomic counters, gauges and fixed-bucket latency
-// histograms (plain and labeled families), func-backed collectors that
+// registry of atomic counters, gauges and latency histograms (labeled
+// families, one fixed bucket layout), func-backed collectors that
 // expose counters other subsystems already keep (so /metrics and
 // /v1/stats read the same bookkeeping instead of two parallel ones), a
 // hand-rolled Prometheus text encoder, and per-request tracing (request
@@ -91,7 +91,6 @@ type family struct {
 	help       string
 	kind       Kind
 	labelNames []string
-	buckets    []float64 // histogram families
 
 	mu     sync.RWMutex
 	series map[string]any // label signature -> *Counter | *Gauge | *Histogram
@@ -128,7 +127,7 @@ func (f *family) get(values []string) any {
 	case KindGauge:
 		m = &Gauge{}
 	case KindHistogram:
-		m = newHistogram(f.buckets)
+		m = newHistogram(latencyBuckets)
 	}
 	f.series[key] = m
 	f.keys = append(f.keys, key)
@@ -207,18 +206,11 @@ func (r *Registry) CollectFunc(name, help string, kind Kind, labelNames []string
 	r.add(&family{name: name, help: help, kind: kind, labelNames: labelNames, collect: fn})
 }
 
-// Histogram registers (or returns) an unlabeled histogram with the
-// given bucket upper bounds (strictly increasing; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+// HistogramVec registers a labeled latency histogram family; every
+// series has the one bucket layout, latencyBuckets.
+func (r *Registry) HistogramVec(name, help string, labelNames ...string) *HistogramVec {
 	f := r.add(&family{name: name, help: help, kind: KindHistogram,
-		buckets: buckets, series: map[string]any{}})
-	return f.get(nil).(*Histogram)
-}
-
-// HistogramVec registers a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	f := r.add(&family{name: name, help: help, kind: KindHistogram,
-		buckets: buckets, labelNames: labelNames, series: map[string]any{}})
+		labelNames: labelNames, series: map[string]any{}})
 	return &HistogramVec{f: f}
 }
 

@@ -60,7 +60,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	v := r.CounterVec("scalia_provider_ops_total", "Per-provider ops.", "provider")
 	v.With(`we"ird\pro` + "\n" + `vider`).Inc()
 	r.GaugeFunc("scalia_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
-	h := r.Histogram("scalia_latency_seconds", "Latency.", []float64{0.1, 1})
+	h := r.HistogramVec("scalia_latency_seconds", "Latency.").With()
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -99,7 +99,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestRegistryHistograms(t *testing.T) {
 	r := NewRegistry()
-	v := r.HistogramVec("scalia_op_seconds", "op latency", []float64{1, 2}, "provider", "op")
+	v := r.HistogramVec("scalia_op_seconds", "op latency", "provider", "op")
 	v.With("a", "get").Observe(0.5)
 	v.With("a", "get").Observe(0.7)
 	v.With("b", "get").Observe(1.5)
