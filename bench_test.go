@@ -580,17 +580,6 @@ func (s *slowBackend) Put(ctx context.Context, key string, data []byte) error {
 	return s.BlobStore.Put(ctx, key, data)
 }
 
-// PutBatch pays the round-trip ONCE for the whole batch — the
-// amortization the swap batcher exists to exploit.
-func (s *slowBackend) PutBatch(ctx context.Context, items []cloud.BatchItem) error {
-	if s.writes {
-		if err := s.wait(ctx); err != nil {
-			return err
-		}
-	}
-	return s.BlobStore.PutBatch(ctx, items)
-}
-
 // slowRegistry is the paper's market behind slowBackends.
 func slowRegistry(delay time.Duration, writes bool) *cloud.Registry {
 	reg := cloud.NewRegistry()

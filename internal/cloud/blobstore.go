@@ -154,10 +154,10 @@ type BatchItem struct {
 }
 
 // BatchWriter is implemented by backends that can accept many chunk
-// writes in one provider round-trip. Repairing many small objects onto
-// the same spare amortizes the per-op latency that otherwise dominates:
-// the engine groups prepared swap chunks by target provider and
-// flushes them through PutBatch.
+// writes in one provider round-trip. The broker does not call it — it
+// writes every chunk with Put, since none of the paper's providers
+// offers a multi-object PUT — but a backend may still implement it, and
+// the conformance table holds any that does to all-or-nothing.
 type BatchWriter interface {
 	PutBatch(ctx context.Context, items []BatchItem) error
 }

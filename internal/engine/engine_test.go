@@ -560,6 +560,23 @@ func TestOptimizeLeaderElection(t *testing.T) {
 	}
 }
 
+// TestPassOutlivesItsEngines: a pass reads the alive set once, so every
+// engine going down while the leader lists the objects leaves the pass
+// its leader and its shards instead of sharding over no engine at all.
+func TestPassOutlivesItsEngines(t *testing.T) {
+	b := newTestBroker(t, Config{EnginesPerDC: 2})
+	var tot passTotals
+	leader, objects, _, err := b.pass(ctx, "optimize", trigger{}, &tot, func(int64) []string {
+		for _, e := range b.Engines() {
+			e.SetAlive(false)
+		}
+		return []string{"c/k"}
+	})
+	if err != nil || leader != "engine0" || objects != 1 || tot.passes != 1 {
+		t.Fatalf("pass = %q, %d objects, %v, %d passes; want engine0, 1, nil, 1", leader, objects, err, tot.passes)
+	}
+}
+
 func TestRepairActiveMovesChunks(t *testing.T) {
 	clock := NewSimClock()
 	b := newTestBroker(t, Config{Clock: clock})

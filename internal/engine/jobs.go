@@ -144,7 +144,7 @@ func (jr *jobRegistry) list(prefix, after string, limit int) JobList {
 // --- live progress plumbing ---
 
 // progressKey threads the running job's progress counter through the
-// pass context, so Engine.maintain increments it per object
+// pass context, so each shard of a pass increments it per object
 // without the broker tracking "the current job".
 type progressKey struct{}
 

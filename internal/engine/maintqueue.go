@@ -16,8 +16,8 @@ import (
 // them. A read that rejected a rotten chunk enqueues its object the same
 // way (Broker.noteRot). A bounded worker pool (Config.ReoptWorkers)
 // drains the queue through the per-object step the periodic optimizer
-// and repair run (Engine.maintain, the zero trigger); deployments without
-// workers drain explicitly via Broker.DrainMaintenance.
+// and repair run (Engine.maintainObject, the zero trigger); deployments
+// without workers drain explicitly via Broker.DrainMaintenance.
 //
 // Scope note: a price *drop* on a provider an object is NOT placed on
 // can also make its placement suboptimal. Those opportunities are not
@@ -166,7 +166,7 @@ func (m *maintQueue) step(ctx context.Context, wait bool) bool {
 	m.inflight++
 	m.mu.Unlock()
 
-	out := m.b.NextEngine().maintain(ctx, []string{obj}, m.b.clock.Period(), trigger{})
+	out := m.b.NextEngine().maintainObject(ctx, obj, m.b.clock.Period(), trigger{})
 
 	m.mu.Lock()
 	m.inflight--

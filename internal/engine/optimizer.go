@@ -117,67 +117,54 @@ type trigger struct {
 // steps 1-4): a leader elected among the alive engines lists the pass's
 // objects, splits them evenly across the alive engines, and each engine
 // runs the per-object step over its share in parallel. The summed
-// outcome is also folded into the lifetime totals tot.
+// outcome is also folded into the lifetime totals tot. The alive set is
+// read once: the leader is its lowest id — a deterministic stand-in for
+// the paper's leader election among engines of all datacenters — and
+// its members take the shards, even if one goes down meanwhile.
 func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTotals,
 	list func(now int64) []string) (leader string, objects int, sum outcome, err error) {
 	defer b.observeStage(obs.TraceFrom(ctx), stage, time.Now())
-	lead := b.electLeader()
-	if lead == nil {
-		return "", 0, sum, ErrNoLeader
-	}
-	now := b.clock.Period()
-	objs := list(now)
-	// A quiet pass has nothing to shard and skips the fan-out machinery:
-	// the common case for a broker ticking every sampling period.
-	if len(objs) > 0 {
-		alive := b.aliveEngines()
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for i, shard := range shardObjects(objs, len(alive)) {
-			if len(shard) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(e *Engine, shard []string) {
-				defer wg.Done()
-				local := e.maintain(ctx, shard, now, t)
-				mu.Lock()
-				sum.add(local)
-				mu.Unlock()
-			}(alive[i], shard)
-		}
-		wg.Wait()
-	}
-	b.mu.Lock()
-	tot.passes++
-	tot.objects += len(objs)
-	tot.add(sum)
-	b.mu.Unlock()
-	return lead.id, len(objs), sum, ctx.Err()
-}
-
-// aliveEngines returns the engines participating in fan-out work.
-func (b *Broker) aliveEngines() []*Engine {
-	alive := make([]*Engine, 0, len(b.engines))
+	var alive []*Engine
 	for _, e := range b.engines {
 		if e.Alive() {
 			alive = append(alive, e)
 		}
 	}
-	return alive
-}
-
-// electLeader picks the alive engine with the lowest identifier — a
-// deterministic stand-in for the paper's leader election among engines
-// of all datacenters.
-func (b *Broker) electLeader() *Engine {
-	var leader *Engine
-	for _, e := range b.engines {
-		if e.Alive() && (leader == nil || e.id < leader.id) {
-			leader = e
-		}
+	if len(alive) == 0 {
+		return "", 0, sum, ErrNoLeader
 	}
-	return leader
+	leader = slices.MinFunc(alive, func(x, y *Engine) int { return strings.Compare(x.id, y.id) }).id
+	now := b.clock.Period()
+	objs := list(now)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i, shard := range shardObjects(objs, len(alive)) {
+		if len(shard) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(e *Engine, shard []string) {
+			defer wg.Done()
+			var local outcome
+			for _, obj := range shard {
+				if ctx.Err() != nil {
+					break
+				}
+				noteProgress(ctx, 1)
+				local.add(e.maintainObject(ctx, obj, now, t))
+			}
+			mu.Lock()
+			sum.add(local)
+			mu.Unlock()
+		}(alive[i], shard)
+	}
+	wg.Wait()
+	b.mu.Lock()
+	tot.passes++
+	tot.objects += len(objs)
+	tot.add(sum)
+	b.mu.Unlock()
+	return leader, len(objs), sum, ctx.Err()
 }
 
 // shardObjects splits the object list round-robin across n workers.
@@ -189,30 +176,11 @@ func shardObjects(objs []string, n int) [][]string {
 	return shards
 }
 
-// maintain runs the per-object step over objs — one engine's share of a
-// pass, or one object popped off the event queue. Single-stripe swaps
-// are batched per target provider, so many small objects repaired onto
-// the same spare cost one provider round-trip per batch; the deferred
-// flush writes into the named result, so swaps still pending at loop
-// exit are counted.
-func (e *Engine) maintain(ctx context.Context, objs []string, now int64, t trigger) (sum outcome) {
-	batch := swapBatcher{e: e}
-	defer batch.flush(ctx, &sum)
-	for _, obj := range objs {
-		if ctx.Err() != nil {
-			break
-		}
-		noteProgress(ctx, 1)
-		sum.add(e.maintainObject(ctx, obj, now, t, &batch))
-	}
-	return sum
-}
-
 // maintainObject is the per-object step every trigger shares: admit the
 // object (t), Head it, resolve its rule, let core.Decider.Decide — the
 // step the cost simulator runs too — say what to do, and execute that:
 // migrate, swap the lost chunks, re-stripe, or leave it.
-func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t trigger, batch *swapBatcher) (out outcome) {
+func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t trigger) (out outcome) {
 	// The trend gate compares the SMA of the last w periods of the
 	// object's recorded history against the SMA of the w before.
 	h := e.b.statsDB.History(obj)
@@ -287,14 +255,9 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 			out.chunks, out.bytes = chunkVolume(meta, dec.Target.M, dec.Target.N())
 		}
 	case core.Swap:
-		// A multi-stripe object's replacement chunks are written at once; a
-		// single-stripe object's are reconstructed now and their writes
-		// deferred to the per-provider batch.
 		sw, err := e.planSwap(meta, dec.Target, dec.Replaced)
-		if err == nil && sw.src.stripes > 1 {
+		if err == nil {
 			err = e.swapRepair(ctx, sw, &out)
-		} else if err == nil {
-			err = batch.add(ctx, sw, &out)
 		}
 		done = err == nil
 	}

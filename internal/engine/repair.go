@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
@@ -167,15 +166,13 @@ func chunkVolume(meta ObjectMeta, m, n int) (chunks int, bytes int64) {
 // swap is one validated chunk-swap repair: the stored layout (src), the
 // layout after it (dst: the replaced slots at the swap targets, under the
 // fresh generations of gens, the row's new Gens), and the read order over
-// the surviving slots. chunks holds stripe 0 of a single-stripe object
-// between reconstruction and its batched write.
+// the surviving slots.
 type swap struct {
 	meta     ObjectMeta
 	replaced []int // the slots rewritten, ascending
 	src, dst *stripeLayout
 	gens     []uint64
 	order    []int
-	chunks   [][]byte
 }
 
 // planSwap validates a chunk-swap plan against the stored layout and
@@ -247,16 +244,17 @@ func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error)
 	return chunks, nil
 }
 
-// swapRepair executes a multi-stripe chunk swap: stripes are
-// independent, so whole stripes run through a pipe — each one rebuilt
-// and its replacement chunks written to the swap targets — instead of
-// serializing one provider round-trip after another; then the metadata
-// is updated in place under the row lock. Only the MVCC version
-// advances, so concurrent readers are never cut off: pre-commit readers
-// fall back from the dead provider to the survivors, post-commit
-// readers find the replacement chunk already written. On any failure,
-// including ctx cancellation mid-swap, every replacement chunk already
-// written is discarded and the old metadata stays live.
+// swapRepair executes a chunk swap, of one stripe or many, and commits
+// it on its own: stripes are independent, so whole stripes run through a
+// pipe — each one rebuilt and its replacement chunks written to the swap
+// targets by writeChunks — instead of serializing one provider
+// round-trip after another; then the metadata is updated in place under
+// the row lock. Only the MVCC version advances, so concurrent readers
+// are never cut off: pre-commit readers fall back from the dead provider
+// to the survivors, post-commit readers find the replacement chunk
+// already written. On any failure, including ctx cancellation mid-swap,
+// every replacement chunk already written is discarded and the old
+// metadata stays live.
 func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 	wrote := make([]int64, sw.src.stripes)
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, sw.src.stripes,
@@ -421,85 +419,4 @@ func (e *Engine) healRot(ctx context.Context, obj string, meta ObjectMeta, out *
 		err = e.swapRepair(ctx, sw, out)
 	}
 	return err == nil
-}
-
-// --- batched swap writes ---
-
-// swapBatchSize is how many single-stripe swaps a repair pass groups
-// into one batched write per target provider.
-const swapBatchSize = 16
-
-// swapBatcher accumulates rebuilt single-stripe swaps and flushes their
-// replacement-chunk writes grouped per target provider: one PutBatch
-// round-trip per provider per flush, instead of one Put per chunk.
-// Metadata commits stay per-object (row lock, live-version check) after
-// the writes land.
-type swapBatcher struct {
-	e    *Engine
-	pend []*swap
-}
-
-// add rebuilds a single-stripe swap's replacement chunks and queues
-// their writes, flushing when the batch is full.
-func (sb *swapBatcher) add(ctx context.Context, sw *swap, out *outcome) (err error) {
-	if sw.chunks, err = sb.e.rebuild(ctx, sw, 0); err != nil {
-		return err
-	}
-	if sb.pend = append(sb.pend, sw); len(sb.pend) >= swapBatchSize {
-		sb.flush(ctx, out)
-	}
-	return nil
-}
-
-// flush writes every pending replacement chunk, one batch per target
-// provider, then commits each object whose writes all landed. An object
-// with a failed target has its replacement chunks discarded, landed or
-// not, and is counted Skipped.
-func (sb *swapBatcher) flush(ctx context.Context, out *outcome) {
-	pend := sb.pend
-	sb.pend = nil
-	if len(pend) == 0 {
-		return
-	}
-	groups := make(map[string][]cloud.BatchItem)
-	for _, sw := range pend {
-		for _, i := range sw.replaced {
-			name := sw.dst.names[i]
-			groups[name] = append(groups[name], cloud.BatchItem{Key: sw.dst.key(0, i), Data: sw.chunks[i]})
-		}
-	}
-	failed := make(map[string]bool)
-	for name, items := range groups {
-		failed[name] = sb.e.putBatch(ctx, name, items) != nil
-	}
-	for _, sw := range pend {
-		if slices.ContainsFunc(sw.replaced, func(i int) bool { return failed[sw.dst.names[i]] }) {
-			sb.e.discard(sw.dst, 1, sw.replaced)
-			out.skipped++
-		} else if sb.e.commitSwap(sw, sw.replacedBytes(sw.chunks), out) != nil {
-			out.skipped++
-		}
-	}
-}
-
-// putBatch writes one provider's batch — through cloud.BatchWriter when
-// the backend supports it (one round-trip, all or nothing), item by item
-// otherwise.
-func (e *Engine) putBatch(ctx context.Context, provider string, items []cloud.BatchItem) (err error) {
-	st, ok := e.b.registry.Store(provider)
-	if !ok {
-		return fmt.Errorf("%w: %s", cloud.ErrUnavailable, provider)
-	}
-	t0 := time.Now()
-	if bw, isBatch := st.(cloud.BatchWriter); isBatch {
-		err = bw.PutBatch(ctx, items)
-	} else {
-		for _, it := range items {
-			if err = st.Put(ctx, it.Key, it.Data); err != nil {
-				break
-			}
-		}
-	}
-	e.b.observeProviderOp(provider, "put-batch", t0, err)
-	return err
 }

@@ -232,6 +232,72 @@ func TestRepairSkippedWhenInfeasible(t *testing.T) {
 	}
 }
 
+// TestCancelledRepairSkipsNothing: a pass cancelled partway keeps the
+// swaps that committed before the cancellation, counts nothing for the
+// object it was in the middle of, and leaves no replacement chunk that
+// no live row names.
+func TestCancelledRepairSkipsNothing(t *testing.T) {
+	const stripe = 1024
+	reg, backends := hooked(repairMarket())
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Datacenters: []string{"dc1"}, EnginesPerDC: 1})
+	b.Rules().SetContainerRule("bk", repairRule)
+	var keys []string
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprint("s", i)
+		if meta, err := b.Engine(0).Put(ctx, "bk", key, testPayload(stripe/2), PutOptions{}); err != nil || meta.Chunks[0] != "A" {
+			t.Fatalf("put %s: on %v, %v; scenario expects A in slot 0", key, meta.Chunks, err)
+		}
+		keys = append(keys, key)
+	}
+	pass, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var gets atomic.Int64
+	var a *hookBackend
+	for _, hb := range backends {
+		hb.get = func(context.Context, string) error {
+			if gets.Add(1) == 7 {
+				cancel()
+			}
+			return nil
+		}
+		if hb.Spec().Name == "A" {
+			a = hb
+		}
+	}
+	a.SetAvailable(false)
+	rep, err := b.Repair(pass, RepairActive)
+	// Two Gets rebuild each object: the three before the cancellation swap.
+	if !errors.Is(err, context.Canceled) || rep.Swapped != 3 || rep.Skipped != 0 {
+		t.Fatalf("cancelled pass: %+v, %v; want 3 swaps, none skipped", rep, err)
+	}
+	if totals := b.RepairTotals(); totals.Skipped != 0 || totals.Swapped != rep.Swapped {
+		t.Fatalf("repair totals = %+v after %+v", totals, rep)
+	}
+	a.SetAvailable(true)
+	b.ProcessPendingDeletes(ctx)
+	named := make(map[string]bool)
+	for _, key := range keys {
+		meta, err := b.Engine(0).Head(ctx, "bk", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range meta.Chunks {
+			named[name+"|"+meta.chunkKey(0, i)] = true
+		}
+	}
+	for _, hb := range backends {
+		stored, err := hb.List(ctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range stored {
+			if !named[hb.Spec().Name+"|"+key] {
+				t.Errorf("%s holds %s, which no live row names", hb.Spec().Name, key)
+			}
+		}
+	}
+}
+
 // TestRepairConcurrentWithReads runs GetReader streams against an
 // object while it is being swap-repaired (run under -race): every read
 // must deliver the exact payload, before, during and after the repair —
@@ -351,15 +417,15 @@ func TestRebuildProducesOnlyTheReplacedSlots(t *testing.T) {
 	}
 }
 
-// TestSwapNeverOverwrites: every provider fails the test on a Put or a
-// PutBatch item that lands on a key it already holds, through every way a
-// swap writes — a multi-stripe swap, a batch of single-stripe ones, a heal
-// beside the rotten chunk, a slot that goes P -> Q -> P while P still
-// holds the copy the first swap replaced, and a heal racing a repair pass
-// on the same object. Afterwards every object verifies all n chunks and,
-// once settled, the providers hold exactly the chunks the live rows name:
-// what a swap replaced and what the loser of a race wrote are both gone,
-// and nothing else is.
+// TestSwapNeverOverwrites: every provider fails the test on a Put that
+// lands on a key it already holds, through every shape of swap — a
+// multi-stripe swap, several single-stripe ones, a heal beside the rotten
+// chunk, a slot that goes P -> Q -> P while P still holds the copy the
+// first swap replaced, and a heal racing a repair pass on the same
+// object. Afterwards every object verifies all n chunks and, once
+// settled, the providers hold exactly the chunks the live rows name: what
+// a swap replaced and what the loser of a race wrote are both gone, and
+// nothing else is.
 func TestSwapNeverOverwrites(t *testing.T) {
 	const stripe = 1024
 	type env struct {
@@ -410,7 +476,7 @@ func TestSwapNeverOverwrites(t *testing.T) {
 			repair(v, "B", 1)
 			return []string{"obj"}
 		},
-		"batched swap": func(v *env) []string {
+		"single-stripe swaps": func(v *env) []string {
 			keys := []string{"s0", "s1", "s2", "s3", "s4"}
 			for _, key := range keys {
 				put(v, key, stripe/2)
@@ -428,7 +494,7 @@ func TestSwapNeverOverwrites(t *testing.T) {
 			return []string{"obj"}
 		},
 		"there and back": func(v *env) []string {
-			for _, size := range []int{4 * stripe, stripe / 2} { // per-stripe writes, and the batch
+			for _, size := range []int{4 * stripe, stripe / 2} { // many stripes, and one
 				put(v, fmt.Sprint("o", size), size)
 			}
 			// Deletes are refused for now, so B keeps the copies the first swap

@@ -73,17 +73,6 @@ func (h *hookBackend) Put(ctx context.Context, key string, data []byte) error {
 	return err
 }
 
-func (h *hookBackend) PutBatch(ctx context.Context, items []cloud.BatchItem) error {
-	for _, it := range items {
-		if h.put != nil {
-			if err := h.put(ctx, it.Key); err != nil {
-				return err
-			}
-		}
-	}
-	return h.BlobStore.PutBatch(ctx, items)
-}
-
 // hooked wraps every provider of a market in a hookBackend.
 func hooked(market *cloud.Registry) (*cloud.Registry, []*hookBackend) {
 	reg := cloud.NewRegistry()
@@ -206,8 +195,8 @@ func TestRepairRestripesMultipartObject(t *testing.T) {
 // P is down and later back Q -> P, the delete postponed for P's stale copy
 // must not destroy the live chunk when it is replayed afterwards — which
 // it cannot: the second swap wrote the slot under another generation, so
-// the two are different keys. Covers the per-stripe write path and the
-// batched single-stripe one.
+// the two are different keys. Covers an object of many stripes and one
+// of a single stripe.
 func TestStalePostponedDeleteSparesLiveChunk(t *testing.T) {
 	for name, size := range map[string]int{"multi-stripe": 256 << 10, "single-stripe": 16 << 10} {
 		t.Run(name, func(t *testing.T) {
@@ -328,8 +317,8 @@ func TestStripeEngineTeardown(t *testing.T) {
 			rep, err := f.b.Repair(f.ctx, RepairActive)
 			return rep.Repaired == 0 && rep.Swapped == 0 && (err != nil) == (f.ctx.Err() != nil)
 		}},
-		{name: "batched-swap", kind: "put", small: true, down: true, run: func(f *fixture) bool {
-			// One batch per engine shard: some may land before the fault.
+		{name: "single-stripe-swap", kind: "put", small: true, down: true, run: func(f *fixture) bool {
+			// Each object's swap commits on its own: some may land before the fault.
 			rep, err := f.b.Repair(f.ctx, RepairActive)
 			return err != nil || rep.Repaired < 5
 		}},
