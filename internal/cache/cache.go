@@ -12,6 +12,10 @@
 // the new bytes (Replace), before the old one is retired and what is left
 // of it invalidated. A datacenter that held nothing gets nothing, so
 // writes never flush hot data.
+//
+// Each cache evicts by SIEVE, with nothing to tune: on the zipf-cached
+// stream it reads within 0.02 of an online LFU that remembers every key
+// (TestZipfCachedHitRatio), so a cleverer policy has little left to win.
 package cache
 
 import (
@@ -47,45 +51,36 @@ type stripeID struct {
 }
 
 // LRU is one datacenter's byte-bounded stripe cache, safe for concurrent
-// use. The name stays; the policy is S3-FIFO (Yang et al., SOSP '23): a
-// new stripe enters a small FIFO of a tenth of the bytes and leaves it for
-// the main FIFO if it was hit there, else for a ghost list of ids — a
-// ghost that comes back enters the main FIFO directly. The main FIFO's
-// oldest entry is reinserted, one hit the poorer, while it has hits left.
-// A hit only bumps a counter, so hits run under a read lock.
+// use. The policy is SIEVE (Zhang et al., NSDI '24); the type keeps the
+// name it had as an LRU because the benchmark's cache probe constructs
+// it by NewLRU. Stripes queue newest first and a hit only marks its
+// entry visited, so hits run under a read lock. To make room a hand
+// walks from the oldest entry toward the newest, wrapping round, clears
+// the marks it passes and evicts the first unmarked entry.
 type LRU struct {
 	mu                   sync.RWMutex
 	capacity             int64
-	used, smallUsed      int64                       // bytes in both FIFOs, in the small one
-	small, main          *list.List                  // front = newest; Values are *entry
-	items                map[stripeID]*list.Element  // stripe -> its element in small or main
+	used                 int64                       // bytes queued
+	queue                *list.List                  // front = newest; Values are *entry
+	hand                 *list.Element               // the next eviction candidate; nil = the oldest
+	items                map[stripeID]*list.Element  // stripe -> its element in queue
 	byObject             map[string]map[int]struct{} // object -> cached stripe indexes
-	ghost                *list.List                  // front = newest; Values are ghostEntry
-	ghosts               map[stripeID]*list.Element  // id -> its element in ghost
-	ghostBytes           int64                       // what the ghosts held, at most the main FIFO's share
 	hits, misses, evicts atomic.Int64
 }
 
 type entry struct {
-	id   stripeID
-	data []byte
-	freq atomic.Int32 // hits since it was cached or last reinserted, up to 3
-	fifo *list.List   // small or main
-}
-
-type ghostEntry struct {
-	id   stripeID
-	size int64
+	id      stripeID
+	data    []byte
+	visited atomic.Bool // hit since the hand last passed it
 }
 
 // NewLRU returns a cache bounded to capacity bytes. A non-positive
 // capacity yields a disabled cache that stores nothing.
 func NewLRU(capacity int64) *LRU {
 	return &LRU{
-		capacity: capacity, small: list.New(), main: list.New(), ghost: list.New(),
+		capacity: capacity, queue: list.New(),
 		items:    make(map[stripeID]*list.Element),
 		byObject: make(map[string]map[int]struct{}),
-		ghosts:   make(map[stripeID]*list.Element),
 	}
 }
 
@@ -103,8 +98,8 @@ func (c *LRU) GetStripe(obj string, stripe int) ([]byte, bool) {
 	}
 	c.hits.Add(1)
 	e := el.Value.(*entry)
-	if f := e.freq.Load(); f < 3 {
-		e.freq.CompareAndSwap(f, f+1) // a lost race is one hit uncounted
+	if !e.visited.Load() {
+		e.visited.Store(true)
 	}
 	return e.data, true
 }
@@ -128,16 +123,11 @@ func (c *LRU) PutStripe(obj string, stripe int, data ...[]byte) {
 		c.remove(el)
 	}
 	c.makeRoom(int64(len(cp)))
-	e := &entry{id: id, data: cp, fifo: c.small}
-	if g, ok := c.ghosts[id]; ok { // back soon after it left
-		c.dropGhost(g)
-		e.fifo = c.main
-	}
-	c.index(e.fifo.PushFront(e))
+	c.index(c.queue.PushFront(&entry{id: id, data: cp}))
 }
 
 // index enters el's entry in the stripe table, the per-object index and
-// the byte counts; unindex takes it out again, leaving it in its FIFO.
+// the byte count; unindex takes it out again, leaving it in the queue.
 func (c *LRU) index(el *list.Element) {
 	e := el.Value.(*entry)
 	c.items[e.id] = el
@@ -146,9 +136,6 @@ func (c *LRU) index(el *list.Element) {
 	}
 	c.byObject[e.id.obj][e.id.stripe] = struct{}{}
 	c.used += int64(len(e.data))
-	if e.fifo == c.small {
-		c.smallUsed += int64(len(e.data))
-	}
 }
 
 func (c *LRU) unindex(e *entry) {
@@ -157,54 +144,31 @@ func (c *LRU) unindex(e *entry) {
 		delete(c.byObject, e.id.obj)
 	}
 	c.used -= int64(len(e.data))
-	if e.fifo == c.small {
-		c.smallUsed -= int64(len(e.data))
-	}
 }
 
+// remove drops el; a hand on it moves on to its newer neighbour.
 func (c *LRU) remove(el *list.Element) {
+	if el == c.hand {
+		c.hand = el.Prev()
+	}
 	c.unindex(el.Value.(*entry))
-	el.Value.(*entry).fifo.Remove(el)
+	c.queue.Remove(el)
 }
 
-// makeRoom evicts until size more bytes fit: from the small FIFO while it
-// holds its tenth of the bytes (or the main one is empty), else from the
-// main FIFO. The small FIFO's oldest entries move on to the main one if
-// they were hit; the first that was not is evicted and becomes a ghost.
+// makeRoom evicts until size more bytes fit.
 func (c *LRU) makeRoom(size int64) {
 	for c.used+size > c.capacity && c.used > 0 {
-		q := c.main
-		if c.small.Len() > 0 && (c.smallUsed >= c.capacity/10 || c.main.Len() == 0) {
-			q = c.small
+		if c.hand == nil {
+			c.hand = c.queue.Back()
 		}
-		el := q.Back()
-		e := el.Value.(*entry)
-		switch f := e.freq.Load(); {
-		case f > 0 && e.fifo == c.small:
-			c.remove(el)
-			e.fifo = c.main
-			c.index(c.main.PushFront(e))
-		case f > 0:
-			e.freq.Store(f - 1)
-			c.main.MoveToFront(el)
-		default:
-			c.remove(el)
-			c.evicts.Add(1)
-			if e.fifo == c.small {
-				c.ghosts[e.id] = c.ghost.PushFront(ghostEntry{e.id, int64(len(e.data))})
-				c.ghostBytes += int64(len(e.data))
-				for c.ghostBytes > c.capacity-c.capacity/10 {
-					c.dropGhost(c.ghost.Back())
-				}
-			}
+		if e := c.hand.Value.(*entry); e.visited.Load() {
+			e.visited.Store(false)
+			c.hand = c.hand.Prev()
+			continue
 		}
+		c.remove(c.hand)
+		c.evicts.Add(1)
 	}
-}
-
-func (c *LRU) dropGhost(el *list.Element) {
-	g := c.ghost.Remove(el).(ghostEntry)
-	delete(c.ghosts, g.id)
-	c.ghostBytes -= g.size
 }
 
 // Invalidate removes every cached stripe of an object.
@@ -217,7 +181,7 @@ func (c *LRU) Invalidate(obj string) {
 }
 
 // Replace hands every cached stripe of object old over to object new:
-// stripe s becomes stripe s of new, in its place and with its hits,
+// stripe s becomes stripe s of new, in its place and with its mark,
 // holding data[s] — with rekey, the bytes it holds. A stripe left without
 // bytes, or that new already has, is dropped. The slices of data become
 // the cache's: nothing may write them.
@@ -236,9 +200,6 @@ func (c *LRU) Replace(old, new string, data map[int][]byte, rekey bool) {
 		}
 		c.unindex(el.Value.(*entry))
 		el.Value.(*entry).id, el.Value.(*entry).data = stripeID{new, s}, b
-		if g, ok := c.ghosts[stripeID{new, s}]; ok {
-			c.dropGhost(g)
-		}
 		c.index(el)
 	}
 	c.makeRoom(0)

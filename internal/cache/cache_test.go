@@ -2,9 +2,9 @@ package cache
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -60,11 +60,10 @@ func TestLRUCopiesInAndNeverMutates(t *testing.T) {
 	checkInvariants(t, c)
 }
 
-// TestS3FIFOScanResistance: a hot set that was hit survives a one-pass
-// scan of three times the capacity — the scan's stripes, never hit, leave
-// through the small FIFO. LRU evicts the hot set after one capacity's
-// worth of scan.
-func TestS3FIFOScanResistance(t *testing.T) {
+// TestScanResistance: a hot set that was hit survives a one-pass scan of
+// three times the capacity — the scan's stripes, never hit, are evicted
+// before it. LRU evicts the hot set after one capacity's worth of scan.
+func TestScanResistance(t *testing.T) {
 	c := NewLRU(10)
 	for i := 0; i < 4; i++ {
 		c.PutStripe(fmt.Sprint("hot", i), 0, []byte{1})
@@ -87,9 +86,9 @@ func TestS3FIFOScanResistance(t *testing.T) {
 	checkInvariants(t, c)
 }
 
-// TestS3FIFOOneHitWonders: stripes read once and never again are evicted
+// TestOneHitWonders: stripes read once and never again are evicted
 // before older ones that were read again, however recently they came in.
-func TestS3FIFOOneHitWonders(t *testing.T) {
+func TestOneHitWonders(t *testing.T) {
 	c := NewLRU(10)
 	for i := 0; i < 8; i++ {
 		c.PutStripe(fmt.Sprint("reread", i), 0, []byte{1})
@@ -102,28 +101,6 @@ func TestS3FIFOOneHitWonders(t *testing.T) {
 		if _, ok := c.GetStripe(fmt.Sprint("reread", i), 0); !ok {
 			t.Errorf("reread%d was evicted for a one-hit wonder", i)
 		}
-	}
-	checkInvariants(t, c)
-}
-
-// TestS3FIFOGhostReadmitsToMain: a stripe evicted from the small FIFO
-// unhit and requested again soon after comes back straight into the main
-// FIFO, where a following scan cannot reach it.
-func TestS3FIFOGhostReadmitsToMain(t *testing.T) {
-	c := NewLRU(10)
-	c.PutStripe("g", 0, []byte{1})
-	for i := 0; i < 10; i++ {
-		c.PutStripe(fmt.Sprint("fill", i), 0, []byte{2})
-	}
-	if _, ok := c.GetStripe("g", 0); ok {
-		t.Fatal("g should have left the small FIFO unhit")
-	}
-	c.PutStripe("g", 0, []byte{1})
-	for i := 0; i < 30; i++ {
-		c.PutStripe(fmt.Sprint("scan", i), 0, []byte{3})
-	}
-	if _, ok := c.GetStripe("g", 0); !ok {
-		t.Fatal("a stripe readmitted from the ghost list was evicted by a scan")
 	}
 	checkInvariants(t, c)
 }
@@ -411,17 +388,23 @@ func TestClusterReplaceUpdatesHoldersOnly(t *testing.T) {
 // Broker.NextEngine deals them (two engines per datacenter), 256 stripes
 // per datacenter (64 MiB of 256 KiB objects). A GET reads through; a PUT
 // supersedes the key's version as the engine's commit does — Replace in
-// the datacenters that hold it, then invalidate. On this stream LRU with
-// write-invalidate (the parent's cache) reads 0.704, LRU with
-// write-update 0.765, S3-FIFO with write-invalidate 0.720, and S3-FIFO
-// with write-update 0.797.
+// the datacenters that hold it, then invalidate.
+//
+// Reference policies replay the same GETs per datacenter with the same
+// write-update (a PUT leaves its key cached where it was): Belady's MIN
+// with bypass reads 0.880, an unbounded cache 0.937, and an online LFU
+// that counts every key it has seen 0.811. SIEVE reads 0.796, so the
+// second gate holds the cache within 0.02 of that LFU; LRU (0.764) fails
+// it. For the record: S3-FIFO read 0.797 (0.798 without its ghost list),
+// and SIEVE with write-invalidate 0.715.
 func TestZipfCachedHitRatio(t *testing.T) {
-	const clients, keys, block, warm, ops = 2, 600, 20, 3000, 20000
-	cc := NewCluster()
-	dcs := []string{"dc1", "dc2"}
-	for _, dc := range dcs {
-		cc.AddDatacenter(dc, 256)
+	const clients, keys, block, warm, ops, capacity = 2, 600, 20, 3000, 20000, 256
+	type req struct {
+		put   bool
+		dc, k int
+		next  int // for a GET, when its datacenter next reads k (MaxInt: never)
 	}
+	reqs := make([]req, warm+ops)
 	type client struct {
 		rng  *rand.Rand
 		zipf *rand.Zipf
@@ -432,49 +415,136 @@ func TestZipfCachedHitRatio(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(7919 + c*104729 + 1))) // bench/gen.go's seeding
 		cl[c] = client{rng: rng, zipf: rand.NewZipf(rng, 1.1, 1, keys-1)}
 	}
-	version := make([]int, clients*keys)
-	id := func(k int) string { return fmt.Sprintf("k%d@%d", k, version[k]) }
-	hits, gets := 0, 0
-	for i := 0; i < warm+ops; i++ {
+	for i := range reqs {
 		c := &cl[i%clients]
 		if len(c.mix) == 0 {
 			c.mix = make([]bool, block)
 			c.mix[0] = true
 			c.rng.Shuffle(block, func(a, b int) { c.mix[a], c.mix[b] = c.mix[b], c.mix[a] })
 		}
-		put := c.mix[0]
+		reqs[i] = req{put: c.mix[0], dc: i / 2 % 2, k: int(c.zipf.Uint64())*clients + i%clients}
 		c.mix = c.mix[1:]
-		k := int(c.zipf.Uint64())*clients + i%clients
-		if put {
-			old := id(k)
-			version[k]++
-			cc.Replace(old, id(k), map[int][]byte{0: {1}}, false)
-			cc.InvalidateAll(old)
-			continue
-		}
-		dc := dcs[i/2%2]
-		_, ok := cc.GetStripe(dc, id(k), 0)
-		if !ok {
-			cc.PutStripe(dc, id(k), 0, []byte{1})
-		}
-		if i >= warm {
-			gets++
-			if ok {
-				hits++
+	}
+	nextGet := make(map[[2]int]int) // (datacenter, key) -> index of its next GET
+	for i := len(reqs) - 1; i >= 0; i-- {
+		if r := &reqs[i]; !r.put {
+			r.next = math.MaxInt
+			if n, ok := nextGet[[2]int{r.dc, r.k}]; ok {
+				r.next = n
 			}
+			nextGet[[2]int{r.dc, r.k}] = i
 		}
 	}
-	ratio := float64(hits) / float64(gets)
-	t.Logf("hit ratio %.3f over %d GETs", ratio, gets)
-	if ratio < 0.78 {
-		t.Fatalf("hit ratio %.3f, want >= 0.78", ratio)
+	// ratio replays the stream through hit, which serves every request
+	// and says whether a GET hit, and scores the GETs after warm-up.
+	ratio := func(hit func(req) bool) float64 {
+		hits, gets := 0, 0
+		for i, r := range reqs {
+			if ok := hit(r); i >= warm && !r.put {
+				gets++
+				if ok {
+					hits++
+				}
+			}
+		}
+		return float64(hits) / float64(gets)
+	}
+
+	cc := NewCluster()
+	dcs := []string{"dc1", "dc2"}
+	for _, dc := range dcs {
+		cc.AddDatacenter(dc, capacity)
+	}
+	version := make([]int, clients*keys)
+	id := func(k int) string { return fmt.Sprintf("k%d@%d", k, version[k]) }
+	got := ratio(func(r req) bool {
+		if r.put {
+			old := id(r.k)
+			version[r.k]++
+			cc.Replace(old, id(r.k), map[int][]byte{0: {1}}, false)
+			cc.InvalidateAll(old)
+			return false
+		}
+		_, ok := cc.GetStripe(dcs[r.dc], id(r.k), 0)
+		if !ok {
+			cc.PutStripe(dcs[r.dc], id(r.k), 0, []byte{1})
+		}
+		return ok
+	})
+
+	// perDC runs one instance of a reference policy per datacenter on
+	// the GETs; a key is its own name across versions (write-update).
+	perDC := func(policy func() func(req) bool) func(req) bool {
+		each := []func(req) bool{policy(), policy()}
+		return func(r req) bool { return !r.put && each[r.dc](r) }
+	}
+	belady := ratio(perDC(func() func(req) bool {
+		cached := make(map[int]int) // key -> its next use
+		return func(r req) bool {
+			if _, ok := cached[r.k]; ok || len(cached) < capacity {
+				cached[r.k] = r.next
+				return ok
+			}
+			far := -1
+			for k, next := range cached {
+				if far < 0 || next > cached[far] {
+					far = k
+				}
+			}
+			if r.next < cached[far] { // else bypass: nothing cached is needed later
+				delete(cached, far)
+				cached[r.k] = r.next
+			}
+			return false
+		}
+	}))
+	unbounded := ratio(perDC(func() func(req) bool {
+		seen := make(map[int]bool)
+		return func(r req) bool {
+			ok := seen[r.k]
+			seen[r.k] = true
+			return ok
+		}
+	}))
+	lfu := ratio(perDC(func() func(req) bool {
+		count := make(map[int]int)    // every key seen -> its GETs
+		admitted := make(map[int]int) // cached key -> when it was admitted
+		n := 0
+		return func(r req) bool {
+			count[r.k]++
+			if _, ok := admitted[r.k]; ok {
+				return true
+			}
+			if len(admitted) == capacity {
+				least := -1
+				for k, at := range admitted {
+					if least < 0 || count[k] < count[least] || count[k] == count[least] && at < admitted[least] {
+						least = k
+					}
+				}
+				if count[r.k] <= count[least] {
+					return false
+				}
+				delete(admitted, least)
+			}
+			n++
+			admitted[r.k] = n
+			return false
+		}
+	}))
+	t.Logf("hit ratio: SIEVE %.3f; Belady's MIN %.3f, unbounded %.3f, online LFU %.3f", got, belady, unbounded, lfu)
+	if got < 0.78 {
+		t.Fatalf("hit ratio %.3f, want >= 0.78", got)
+	}
+	if got < lfu-0.02 {
+		t.Fatalf("hit ratio %.3f, want within 0.02 of online LFU's %.3f", got, lfu)
 	}
 }
 
 // FuzzCacheOps drives one cache through random puts, gets, invalidations,
 // updates, re-keys and oversized puts, and checks after every step that a
 // hit returns the bytes last stored under its id and that the byte
-// accounting and every index agree with the queues (checkInvariants).
+// accounting and every index agree with the queue (checkInvariants).
 func FuzzCacheOps(f *testing.F) {
 	f.Add(uint8(10), []byte{0, 1, 2, 1, 1, 0, 0, 5, 3, 3, 1, 2, 5, 5, 7, 2, 1, 0, 4, 9, 9})
 	f.Add(uint8(0), []byte{0, 0, 1, 1, 0, 0})
@@ -526,38 +596,30 @@ func FuzzCacheOps(f *testing.F) {
 	})
 }
 
-// checkInvariants checks one cache's internal consistency: the byte
-// counts are the sums over the queues, the stripe table and the
-// per-object index name exactly the queued entries, Stats agrees, the
-// cache is within its capacity, and the ghost list is within its bound
-// and names no cached stripe.
+// checkInvariants checks one cache's internal consistency: the queue,
+// the stripe table and the per-object index name the same stripes, the
+// byte count is the queue's sum, the hand is nil or in the queue, Stats
+// agrees, and the cache is within its capacity.
 func checkInvariants(t *testing.T, c *LRU) {
 	t.Helper()
 	st := c.Stats()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var used, small int64
-	for _, q := range []*list.List{c.small, c.main} {
-		for el := q.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.fifo != q {
-				t.Fatalf("%v is in the other FIFO than it says", e.id)
-			}
-			if c.items[e.id] != el {
-				t.Fatalf("the stripe table does not point at %v's entry", e.id)
-			}
-			if f := e.freq.Load(); f < 0 || f > 3 {
-				t.Fatalf("%v has %d hits counted", e.id, f)
-			}
-			used += int64(len(e.data))
-			if q == c.small {
-				small += int64(len(e.data))
-			}
+	var used int64
+	hand := c.hand == nil
+	for el := c.queue.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		if c.items[e.id] != el {
+			t.Fatalf("the stripe table does not point at %v's entry", e.id)
 		}
+		used += int64(len(e.data))
+		hand = hand || el == c.hand
 	}
-	if n := c.small.Len() + c.main.Len(); used != c.used || small != c.smallUsed || n != len(c.items) {
-		t.Fatalf("queues hold %d entries, %d bytes (%d small); counted %d entries, %d bytes (%d small)",
-			n, used, small, len(c.items), c.used, c.smallUsed)
+	if n := c.queue.Len(); used != c.used || n != len(c.items) {
+		t.Fatalf("the queue holds %d entries, %d bytes; counted %d entries, %d bytes", n, used, len(c.items), c.used)
+	}
+	if !hand {
+		t.Fatal("the hand is on an element that is not queued")
 	}
 	if c.used > max(c.capacity, 0) {
 		t.Fatalf("%d bytes cached, capacity %d", c.used, c.capacity)
@@ -579,20 +641,5 @@ func checkInvariants(t *testing.T, c *LRU) {
 	}
 	if indexed != len(c.items) {
 		t.Fatalf("per-object index names %d stripes, %d are cached", indexed, len(c.items))
-	}
-	var ghosts int64
-	for el := c.ghost.Front(); el != nil; el = el.Next() {
-		g := el.Value.(ghostEntry)
-		if c.ghosts[g.id] != el {
-			t.Fatalf("the ghost table does not point at %v's ghost", g.id)
-		}
-		if _, ok := c.items[g.id]; ok {
-			t.Fatalf("%v is cached and a ghost", g.id)
-		}
-		ghosts += g.size
-	}
-	if ghosts != c.ghostBytes || c.ghost.Len() != len(c.ghosts) || ghosts > c.capacity-c.capacity/10 {
-		t.Fatalf("%d ghosts of %d bytes (counted %d, %d bytes), bound %d",
-			c.ghost.Len(), ghosts, len(c.ghosts), c.ghostBytes, c.capacity-c.capacity/10)
 	}
 }

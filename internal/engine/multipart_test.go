@@ -68,6 +68,8 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("dropped part = %v, want the transport error", err)
 	}
+	// Its rollback is deferred to the reaper: settle it before counting.
+	b.ProcessPendingDeletes(ctx)
 	staged, part1Chunks := 0, len(part1Puts())
 	for _, hb := range backends {
 		staged += hb.ObjectCount()
