@@ -52,7 +52,7 @@ func main() {
 	multipartTTL := flag.Duration("multipart-ttl", 24*time.Hour,
 		"evict multipart upload sessions idle this long and GC their staged chunks (0 = never)")
 	reoptWorkers := flag.Int("reopt-workers", opts.ReoptWorkers,
-		"background workers draining the event-driven reoptimization queue (0 = enqueue only)")
+		"above 0, drain the event-driven reoptimization queue in the background (0 = enqueue only)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	accessLog := flag.Bool("access-log", true, "log one structured line per gateway request")
 	flag.Parse()

@@ -126,6 +126,7 @@ func (s *BlobStore) Put(ctx context.Context, key string, data []byte) error {
 	if key == "" {
 		return fmt.Errorf("cloud: empty key")
 	}
+	cp := bytes.Clone(data) // outside the lock: other keys stay served meanwhile
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
@@ -141,7 +142,7 @@ func (s *BlobStore) Put(ctx context.Context, key string, data []byte) error {
 	if s.spec.CapacityBytes > 0 && s.used+delta > s.spec.CapacityBytes {
 		return fmt.Errorf("%w: %s", ErrOverCapacity, s.spec.Name)
 	}
-	s.objects[key] = bytes.Clone(data)
+	s.objects[key] = cp
 	s.used += delta
 	s.meter.RecordIn(int64(len(data)))
 	return nil

@@ -106,11 +106,12 @@ type Config struct {
 	// cached stripes do not consume the budget (the cache has its own
 	// capacity).
 	MaxBufferBytes int64
-	// ReoptWorkers is the number of background workers draining the
-	// event-driven reoptimization queue (objects whose cached placement
-	// a market event invalidated). 0 — the default — enqueues but does
-	// not drain automatically: callers drain explicitly with
-	// DrainMaintenance (deterministic for embedded deployments and
+	// ReoptWorkers above 0 turns on the background drain of the
+	// event-driven reoptimization queue (objects whose cached placement a
+	// market event invalidated): whenever something is enqueued, one pass
+	// over every alive engine re-plans the queue. 0 — the default —
+	// enqueues but does not drain automatically: callers drain explicitly
+	// with DrainMaintenance (deterministic for embedded deployments and
 	// tests). scalia-server enables background draining with
 	// -reopt-workers.
 	ReoptWorkers int
@@ -238,8 +239,8 @@ type Broker struct {
 	// affected objects through it instead of scanning the whole store.
 	provIndex *stats.ProviderIndex
 	// maint is the event-driven reoptimization queue: a registry
-	// subscriber enqueues the objects a market event invalidated; a
-	// bounded worker pool (or an explicit drain) re-plans them.
+	// subscriber enqueues the objects a market event invalidated; a pass
+	// — the background drain's, or an explicit one — re-plans them.
 	maint *maintQueue
 	// jobs tracks asynchronous maintenance passes started through the
 	// jobs API (POST /v1/repair|optimize without ?wait=true).
@@ -253,6 +254,12 @@ type Broker struct {
 	// repeats: two attempts at one part or one swap never share a key.
 	gen atomic.Uint64
 
+	// ctx is the broker's lifetime, cancelled by Close; wg counts what
+	// goBackground runs under it: the drain, the reaper, every async job.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
 	mu        sync.Mutex
 	lastOpt   int64
 	decisions map[string]*core.DecisionController
@@ -260,9 +267,9 @@ type Broker struct {
 	// read, by object, waiting for the maintenance step to rewrite them
 	// (noteRot, Engine.healRot).
 	rot map[string]*rotEntry
-	// optimized and repaired are the lifetime sums behind OptimizeTotals
-	// and RepairTotals.
-	optimized, repaired passTotals
+	// optimized, repaired and drained are the lifetime sums behind
+	// OptimizeTotals, RepairTotals and MaintStats.
+	optimized, repaired, drained passTotals
 }
 
 // OptimizeTotals accumulates optimization activity over the broker's
@@ -404,6 +411,7 @@ func NewBroker(cfg Config) *Broker {
 		provIndex: stats.NewProviderIndex(),
 		jobs:      newJobRegistry(),
 	}
+	b.ctx, b.cancel = context.WithCancel(context.Background())
 	if cfg.MaxBufferBytes > 0 {
 		slots := cfg.MaxBufferBytes / cfg.StripeBytes
 		if slots < 1 {
@@ -435,42 +443,56 @@ func NewBroker(cfg Config) *Broker {
 	// The maintenance queue subscribes to named market events before the
 	// metric collectors are built, so its gauges are readable at scrape
 	// time.
-	b.maint = newMaintQueue(b, cfg.ReoptWorkers, DefaultReoptQueueDepth)
+	b.maint = newMaintQueue(b, DefaultReoptQueueDepth)
 	b.registry.Subscribe(b.maint.onMarketEvent)
 	b.reaper = newReaper(b)
 	b.registry.Subscribe(b.reaper.onMarketEvent)
-	// Last: the metric collectors read the fields built above.
+	// The metric collectors read the fields built above.
 	b.metrics = newBrokerMetrics(b)
+	b.goBackground(b.reaper.loop)
+	if cfg.ReoptWorkers > 0 {
+		b.goBackground(b.maint.background)
+	}
 	return b
 }
 
-// Close stops the maintenance queue workers, then the reaper — after a
-// last pass over what they retired.
+// goBackground runs f on a goroutine of its own under the broker's
+// lifetime: Close cancels f's ctx and waits for f to return. Once Close
+// has begun, f runs on the caller's goroutine with the ended ctx instead,
+// so Close never waits for a goroutine it did not count.
+func (b *Broker) goBackground(f func(ctx context.Context)) {
+	b.mu.Lock()
+	if b.ctx.Err() != nil {
+		b.mu.Unlock()
+		f(b.ctx)
+		return
+	}
+	b.wg.Add(1)
+	b.mu.Unlock()
+	go func() { defer b.wg.Done(); f(b.ctx) }()
+}
+
+// Close ends the broker's lifetime: it cancels what runs in the
+// background, waits for all of it, then reaps what it retired, so a broker
+// shut down in good order leaves no garbage at reachable providers.
 func (b *Broker) Close() {
-	b.maint.close()
-	b.reaper.close()
+	b.mu.Lock()
+	b.cancel() // under mu: goBackground counts nothing after this
+	b.mu.Unlock()
+	b.wg.Wait()
+	b.reaper.reap(false)
 }
 
 // ProviderIndex exposes the provider→objects inverted index (tests and
 // integrations; the serving path maintains it automatically).
 func (b *Broker) ProviderIndex() *stats.ProviderIndex { return b.provIndex }
 
-// MaintStats returns the maintenance-queue counter snapshot.
-func (b *Broker) MaintStats() MaintStats { return b.maint.stats() }
-
-// DrainMaintenance synchronously processes the queued invalidations
-// until the queue is empty or ctx is cancelled, returning how many
-// objects were re-planned. Deployments without background workers
-// (ReoptWorkers == 0) call this from tests, periodic tick loops or the
-// jobs API.
+// DrainMaintenance synchronously re-plans the queued invalidations in one
+// pass over every alive engine and returns how many it re-planned; what a
+// pass cut short by ctx did not get through stays queued. Without a
+// background drain (ReoptWorkers == 0), tests, tick loops and jobs call it.
 func (b *Broker) DrainMaintenance(ctx context.Context) int {
 	return b.maint.drain(ctx)
-}
-
-// WaitMaintIdle blocks until the maintenance queue is empty and no
-// worker is mid-object, or ctx is cancelled.
-func (b *Broker) WaitMaintIdle(ctx context.Context) error {
-	return b.maint.waitIdle(ctx)
 }
 
 // Engines returns all engines.

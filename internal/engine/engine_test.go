@@ -566,7 +566,7 @@ func TestOptimizeLeaderElection(t *testing.T) {
 func TestPassOutlivesItsEngines(t *testing.T) {
 	b := newTestBroker(t, Config{EnginesPerDC: 2})
 	var tot passTotals
-	leader, objects, _, err := b.pass(ctx, "optimize", trigger{}, &tot, func(int64) []string {
+	leader, objects, _, _, err := b.pass(ctx, "optimize", trigger{}, &tot, func(int64) []string {
 		for _, e := range b.Engines() {
 			e.SetAlive(false)
 		}

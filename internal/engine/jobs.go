@@ -163,25 +163,25 @@ func noteProgress(ctx context.Context, n int64) {
 // --- broker surface ---
 
 // StartRepair dispatches an asynchronous repair pass and returns its
-// job resource immediately. The pass runs under the broker's lifetime
-// context: Close cancels it.
+// job resource immediately. The pass runs under the broker's lifetime:
+// Close cancels it and returns once the job has finished.
 func (b *Broker) StartRepair(policy RepairPolicy) JobView {
 	rec := b.jobs.add(JobRepair, policy.String(), b.now())
-	go func() {
-		rep, err := b.Repair(withProgress(b.maint.ctx, rec), policy)
+	b.goBackground(func(ctx context.Context) {
+		rep, err := b.Repair(withProgress(ctx, rec), policy)
 		b.finishJob(rec, func(v *JobView) { v.Repair = &rep }, err)
-	}()
+	})
 	return rec.snapshot()
 }
 
 // StartOptimize dispatches an asynchronous optimization round and
-// returns its job resource immediately.
+// returns its job resource immediately, like StartRepair.
 func (b *Broker) StartOptimize() JobView {
 	rec := b.jobs.add(JobOptimize, "", b.now())
-	go func() {
-		rep, err := b.Optimize(withProgress(b.maint.ctx, rec))
+	b.goBackground(func(ctx context.Context) {
+		rep, err := b.Optimize(withProgress(ctx, rec))
 		b.finishJob(rec, func(v *JobView) { v.Optimize = &rep }, err)
-	}()
+	})
 	return rec.snapshot()
 }
 

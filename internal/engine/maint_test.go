@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -541,6 +542,144 @@ func TestMaintQueueWorkersAndDrainCountAlike(t *testing.T) {
 	}
 	if drained, worked := run(0), run(2); drained != worked || drained.Migrated == 0 || drained.Drained != drained.Enqueued {
 		t.Fatalf("explicit drain left %+v, workers left %+v", drained, worked)
+	}
+}
+
+// TestDrainLosesNothingItTook: a drain takes the whole queue, so a pass
+// cut short must put back what it did not get through, and count only
+// the rest. A drain cancelled mid-pass leaves those queued for the next,
+// which moves every object off the victim; with no engine alive a drain
+// re-plans nothing and the queue stays as it was, and the background
+// drain neither spins on it nor stops: it tries again at the next enqueue.
+func TestDrainLosesNothingItTook(t *testing.T) {
+	const n, size = 12, 1 << 20
+	t.Run("cancelled", func(t *testing.T) {
+		reg, backends := hooked(cloud.NewPaperRegistry())
+		b := newTestBroker(t, Config{Registry: reg, MigrationHorizon: 1_000_000})
+		victim := storeObjects(t, b, n, size)
+		invalidated := b.ProviderIndex().Count(victim)
+		raisePrices(t, b, victim)
+		pass, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var gets atomic.Int64
+		for _, hb := range backends {
+			hb.get = func(context.Context, string) error {
+				if gets.Add(1) == 5 {
+					cancel()
+				}
+				return nil
+			}
+		}
+		first := b.DrainMaintenance(pass)
+		st := b.MaintStats()
+		if first >= invalidated || st.Drained != int64(first) || first+st.QueueDepth != invalidated {
+			t.Fatalf("cancelled drain re-planned %d and left %+v; want the other %d queued", first, st, invalidated-first)
+		}
+		if got := b.DrainMaintenance(ctx); got != invalidated-first {
+			t.Fatalf("second drain re-planned %d, want %d", got, invalidated-first)
+		}
+		if st := b.MaintStats(); st.Drained != st.Enqueued || st.Drained != int64(invalidated) {
+			t.Fatalf("after both drains: %+v, want %d enqueued and drained", st, invalidated)
+		}
+		if on := b.ProviderIndex().Count(victim); on != 0 {
+			t.Fatalf("%d objects still on %s after the second drain", on, victim)
+		}
+		wantVisibleEverywhere(t, b, n, size, victim)
+	})
+	for _, width := range []int{0, 2} {
+		t.Run(fmt.Sprintf("no engine alive, workers=%d", width), func(t *testing.T) {
+			b := newTestBroker(t, Config{MigrationHorizon: 1_000_000, ReoptWorkers: width})
+			victim := storeObjects(t, b, n, size)
+			invalidated := b.ProviderIndex().Count(victim)
+			for _, e := range b.Engines() {
+				e.SetAlive(false)
+			}
+			passes := func() uint64 { return b.metrics.stageDur.With("maint").Snapshot().Count }
+			raisePrices(t, b, victim)
+			if width > 0 {
+				for deadline := time.Now().Add(10 * time.Second); passes() == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the background drain never tried")
+					}
+				}
+				time.Sleep(20 * time.Millisecond)
+				if got := passes(); got != 1 {
+					t.Fatalf("the background drain made %d passes over a queue it cannot drain, want 1", got)
+				}
+			} else if got := b.DrainMaintenance(ctx); got != 0 {
+				t.Fatalf("drain with no engine alive re-planned %d", got)
+			}
+			if st := b.MaintStats(); st.QueueDepth != invalidated || st.Drained != 0 {
+				t.Fatalf("failed drain left %+v, want %d queued", st, invalidated)
+			}
+			for _, e := range b.Engines() {
+				e.SetAlive(true)
+			}
+			if width > 0 {
+				raisePrices(t, b, victim) // every object is queued already: only a wake-up
+				waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+				defer cancel()
+				if err := b.WaitMaintIdle(waitCtx); err != nil {
+					t.Fatalf("background drain never went idle: %v (%+v)", err, b.MaintStats())
+				}
+			} else if got := b.DrainMaintenance(ctx); got != invalidated {
+				t.Fatalf("drain re-planned %d, want %d", got, invalidated)
+			}
+			if on := b.ProviderIndex().Count(victim); on != 0 {
+				t.Fatalf("%d objects still on %s", on, victim)
+			}
+		})
+	}
+}
+
+// TestCloseWaitsForJobs: Close returns only once every async job has
+// finished, a provider call that outlives the cancellation included, and
+// a job started after Close ends at once with the closed context.
+func TestCloseWaitsForJobs(t *testing.T) {
+	reg, backends := hooked(cloud.NewPaperRegistry())
+	b := newTestBroker(t, Config{Registry: reg})
+	meta, err := b.Engine(0).Put(ctx, "c", "k", testPayload(4096), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{}, 1)
+	for _, hb := range backends {
+		hb.get = func(ctx context.Context, _ string) error {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			time.Sleep(50 * time.Millisecond)
+			return ctx.Err()
+		}
+	}
+	if _, err := b.SetProviderAvailable(meta.Chunks[0], false); err != nil {
+		t.Fatal(err)
+	}
+	job := b.StartRepair(RepairActive)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the repair job never read a chunk")
+	}
+	b.Close()
+	if got, _ := b.Job(job.ID); got.State == JobRunning {
+		t.Fatalf("job state right after Close: %s", got.State)
+	}
+
+	late := b.StartRepair(RepairActive)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		got, _ := b.Job(late.ID)
+		if got.State != JobRunning {
+			if got.State != JobFailed || !strings.Contains(got.Error, context.Canceled.Error()) {
+				t.Fatalf("job started after Close: %+v", got)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a job started after Close still runs")
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-	"time"
 
 	"scalia/internal/cloud"
 )
@@ -14,10 +13,12 @@ import (
 // exactly the objects whose cached placement decision the event
 // invalidated (they hold a chunk on the changed provider) and enqueues
 // them. A read that rejected a rotten chunk enqueues its object the same
-// way (Broker.noteRot). A bounded worker pool (Config.ReoptWorkers)
-// drains the queue through the per-object step the periodic optimizer
-// and repair run (Engine.maintainObject, the zero trigger); deployments
-// without workers drain explicitly via Broker.DrainMaintenance.
+// way (Broker.noteRot). The queue is a deduplicated, depth-bounded set; a
+// drain takes all of it and re-plans it in one Broker.pass with the zero
+// trigger, the driver Optimize and Repair run, sharded over every alive
+// engine: DrainMaintenance on request, the background drain
+// (Config.ReoptWorkers > 0) whenever something is enqueued. What a pass
+// cut short did not get through goes back in the queue.
 //
 // Scope note: a price *drop* on a provider an object is NOT placed on
 // can also make its placement suboptimal. Those opportunities are not
@@ -30,12 +31,13 @@ import (
 type MaintStats struct {
 	// QueueDepth is the number of invalidated objects waiting right now.
 	QueueDepth int `json:"queueDepth"`
-	// Workers is the configured background drain pool size (0 = manual
-	// drain).
+	// Workers is Config.ReoptWorkers: above 0 the queue drains in the
+	// background (0 = manual drain).
 	Workers int `json:"workers"`
 	// Enqueued counts objects accepted into the queue since start.
 	Enqueued int64 `json:"enqueued"`
-	// Drained counts objects re-planned (by workers or DrainMaintenance).
+	// Drained counts objects re-planned (by the background drain or
+	// DrainMaintenance); what a pass cut short put back is not counted.
 	Drained int64 `json:"drained"`
 	// Dropped counts invalidations discarded because the queue was full;
 	// the periodic Optimize pass is the backstop that revisits them.
@@ -47,43 +49,22 @@ type MaintStats struct {
 }
 
 type maintQueue struct {
-	b       *Broker
-	workers int
-	depth   int
+	b     *Broker
+	depth int
+	kick  chan struct{} // capacity 1: wakes the background drain
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	mu     sync.Mutex
+	idle   *sync.Cond // signalled when a pass ends
+	queue  []string   // the set, in arrival order
+	queued map[string]struct{}
+	taken  int // objects a pass holds right now
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []string
-	queued   map[string]struct{}
-	inflight int
-	closed   bool
-	enqueued int64
-	drained  int64
-	dropped  int64
-	migrated int64
-	events   int64
+	enqueued, dropped, events int64
 }
 
-func newMaintQueue(b *Broker, workers, depth int) *maintQueue {
-	if workers < 0 {
-		workers = 0
-	}
-	m := &maintQueue{
-		b:       b,
-		workers: workers,
-		depth:   depth,
-		queued:  make(map[string]struct{}),
-	}
-	m.cond = sync.NewCond(&m.mu)
-	m.ctx, m.cancel = context.WithCancel(context.Background())
-	for i := 0; i < workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
-	}
+func newMaintQueue(b *Broker, depth int) *maintQueue {
+	m := &maintQueue{b: b, depth: depth, kick: make(chan struct{}, 1), queued: make(map[string]struct{})}
+	m.idle = sync.NewCond(&m.mu)
 	return m
 }
 
@@ -105,120 +86,110 @@ func (m *maintQueue) onMarketEvent(ev cloud.MarketEvent) {
 }
 
 // enqueue queues the objects not already waiting, counting the ones a
-// full queue turns away, and wakes the workers.
+// full queue turns away, and wakes the background drain if anything waits.
 func (m *maintQueue) enqueue(objs ...string) {
 	m.mu.Lock()
-	if !m.closed {
-		for _, obj := range objs {
-			if _, dup := m.queued[obj]; dup {
-				continue
-			}
-			if len(m.queue) >= m.depth {
-				m.dropped++
-				continue
-			}
-			m.queued[obj] = struct{}{}
-			m.queue = append(m.queue, obj)
-			m.enqueued++
+	m.enqueued += int64(m.add(objs))
+	waiting := len(m.queue) > 0
+	m.mu.Unlock()
+	if waiting {
+		select {
+		case m.kick <- struct{}{}:
+		default:
 		}
 	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
-// worker drains the queue until close, sleeping while it is empty.
-func (m *maintQueue) worker() {
-	defer m.wg.Done()
-	for m.step(m.ctx, true) {
-	}
-}
-
-// drain synchronously processes queued invalidations until the queue is
-// empty or ctx is cancelled, returning how many objects it re-planned.
-// Safe to run alongside background workers.
-func (m *maintQueue) drain(ctx context.Context) int {
+// add puts the objects not already waiting in the set, as far as depth
+// allows, and reports how many it took in. m.mu is held.
+func (m *maintQueue) add(objs []string) int {
 	n := 0
-	for ctx.Err() == nil && m.step(ctx, false) {
+	for _, obj := range objs {
+		if _, dup := m.queued[obj]; dup {
+			continue
+		}
+		if len(m.queue) >= m.depth {
+			m.dropped++
+			continue
+		}
+		m.queued[obj] = struct{}{}
+		m.queue = append(m.queue, obj)
 		n++
 	}
 	return n
 }
 
-// step pops the queue head and re-plans it, the one loop body of workers
-// and explicit drains. It reports false once there is nothing to do: the
-// queue is closed, or empty — which a caller that asked to wait sleeps
-// through until the next event.
-func (m *maintQueue) step(ctx context.Context, wait bool) bool {
+// drain re-plans everything queued in one pass and reports how many
+// objects it re-planned; what a pass cut short did not get through goes
+// back. Safe to run alongside the background drain: each takes what is there.
+func (m *maintQueue) drain(ctx context.Context) int {
+	var took []string
+	_, n, _, rest, _ := m.b.pass(ctx, "maint", trigger{}, &m.b.drained, func(int64) []string {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		took, m.queue = m.queue, nil
+		clear(m.queued)
+		m.taken += len(took)
+		return took
+	})
 	m.mu.Lock()
-	for wait && len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.queue) == 0 || m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	obj := m.queue[0]
-	m.queue = m.queue[1:]
-	if len(m.queue) == 0 {
-		m.queue = nil // let the backing array go once drained
-	}
-	delete(m.queued, obj)
-	m.inflight++
-	m.mu.Unlock()
-
-	out := m.b.NextEngine().maintainObject(ctx, obj, m.b.clock.Period(), trigger{})
-
-	m.mu.Lock()
-	m.inflight--
-	m.drained++
-	m.migrated += int64(out.migrated)
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	return true
+	defer m.mu.Unlock()
+	m.taken -= len(took)
+	m.add(rest)
+	m.idle.Broadcast()
+	return n
 }
 
-// waitIdle blocks until the queue is empty and no object is mid-flight.
-func (m *maintQueue) waitIdle(ctx context.Context) error {
+// background is the drain ReoptWorkers > 0 runs for the broker's
+// lifetime: a pass at every wake-up, which an enqueue leaves behind —
+// also one during a pass. What a failed pass left queued waits for the
+// next enqueue: the drain neither spins on it nor gives up.
+func (m *maintQueue) background(ctx context.Context) {
 	for {
-		m.mu.Lock()
-		idle := len(m.queue) == 0 && m.inflight == 0
-		m.mu.Unlock()
-		if idle {
-			return nil
-		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
+			return
+		case <-m.kick:
+			m.drain(ctx)
 		}
 	}
 }
 
-func (m *maintQueue) stats() MaintStats {
+// WaitMaintIdle blocks until the maintenance queue is empty and no pass
+// holds an object, or ctx is cancelled.
+func (b *Broker) WaitMaintIdle(ctx context.Context) error {
+	m := b.maint
+	defer context.AfterFunc(ctx, func() {
+		m.mu.Lock()
+		m.idle.Broadcast()
+		m.mu.Unlock()
+	})()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.queue) > 0 || m.taken > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		m.idle.Wait()
+	}
+	return nil
+}
+
+// MaintStats returns the maintenance-queue counter snapshot.
+func (b *Broker) MaintStats() MaintStats {
+	b.mu.Lock()
+	t := b.drained
+	b.mu.Unlock()
+	m := b.maint
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MaintStats{
 		QueueDepth: len(m.queue),
-		Workers:    m.workers,
+		Workers:    max(b.cfg.ReoptWorkers, 0),
 		Enqueued:   m.enqueued,
-		Drained:    m.drained,
+		Drained:    int64(t.objects),
 		Dropped:    m.dropped,
-		Migrated:   m.migrated,
+		Migrated:   int64(t.migrated),
 		Events:     m.events,
 	}
-}
-
-// close stops the workers (mid-object work is cancelled) and rejects
-// further enqueues.
-func (m *maintQueue) close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	m.cancel()
-	m.wg.Wait()
 }

@@ -81,7 +81,7 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 			"method", "route"),
 
 		stageDur: reg.HistogramVec(metricStage,
-			"Latency of serving-path stages (plan, hash, encode, fanout, commit, fetch, verify, decode, repair, optimize).", "stage"),
+			"Latency of serving-path stages (plan, hash, encode, fanout, commit, fetch, verify, decode, repair, optimize, maint).", "stage"),
 
 		providerDur: reg.HistogramVec(metricProviderOp,
 			"Backend call latency by provider and operation (get, put, delete).", "provider", "op"),
@@ -205,25 +205,25 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 	// Event-driven maintenance queue (source: maintQueue counters).
 	reg.GaugeFunc("scalia_maint_queue_depth",
 		"Invalidated objects waiting in the reoptimization queue.",
-		func() float64 { return float64(b.maint.stats().QueueDepth) })
+		func() float64 { return float64(b.MaintStats().QueueDepth) })
 	reg.GaugeFunc("scalia_maint_workers",
-		"Background maintenance drain workers (0 = manual drain).",
-		func() float64 { return float64(b.maint.stats().Workers) })
+		"Configured background maintenance drain (Config.ReoptWorkers; 0 = manual drain).",
+		func() float64 { return float64(b.MaintStats().Workers) })
 	reg.CounterFunc("scalia_maint_enqueued_total",
 		"Objects whose cached placement a market event invalidated.",
-		func() float64 { return float64(b.maint.stats().Enqueued) })
+		func() float64 { return float64(b.MaintStats().Enqueued) })
 	reg.CounterFunc("scalia_maint_drained_total",
 		"Invalidated objects re-planned by the maintenance queue.",
-		func() float64 { return float64(b.maint.stats().Drained) })
+		func() float64 { return float64(b.MaintStats().Drained) })
 	reg.CounterFunc("scalia_maint_dropped_total",
 		"Invalidations discarded because the queue was full.",
-		func() float64 { return float64(b.maint.stats().Dropped) })
+		func() float64 { return float64(b.MaintStats().Dropped) })
 	reg.CounterFunc("scalia_maint_migrated_total",
 		"Queue-drained objects that actually moved.",
-		func() float64 { return float64(b.maint.stats().Migrated) })
+		func() float64 { return float64(b.MaintStats().Migrated) })
 	reg.CounterFunc("scalia_maint_events_total",
 		"Market events received by the maintenance subscriber.",
-		func() float64 { return float64(b.maint.stats().Events) })
+		func() float64 { return float64(b.MaintStats().Events) })
 
 	// Deployment shape and transient state.
 	reg.GaugeFunc("scalia_pending_deletes",

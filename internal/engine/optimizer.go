@@ -19,7 +19,7 @@ import (
 // (paper Fig. 7).
 type OptimizeReport struct {
 	Leader       string
-	Scanned      int // |A|: objects accessed since the last round
+	Scanned      int // objects of A (accessed since the last round) examined; all unless ctx ended
 	TrendChanged int // objects whose access pattern changed
 	Recomputed   int // placements recomputed (Algorithm 1 runs)
 	Migrated     int // objects actually moved
@@ -48,7 +48,7 @@ var ErrNoLeader = errors.New("engine: no alive engine for leader election")
 // objects not yet examined are picked up by a later round.
 func (b *Broker) Optimize(ctx context.Context) (OptimizeReport, error) {
 	planner0 := b.planner.Stats()
-	leader, scanned, sum, err := b.pass(ctx, "optimize", trigger{gated: true}, &b.optimized, func(now int64) []string {
+	leader, scanned, sum, _, err := b.pass(ctx, "optimize", trigger{gated: true}, &b.optimized, func(now int64) []string {
 		b.mu.Lock()
 		since := b.lastOpt
 		b.lastOpt = now
@@ -113,16 +113,18 @@ type trigger struct {
 	degraded, active bool
 }
 
-// pass is the one maintenance driver, under Optimize and Repair (Fig. 7,
-// steps 1-4): a leader elected among the alive engines lists the pass's
-// objects, splits them evenly across the alive engines, and each engine
-// runs the per-object step over its share in parallel. The summed
-// outcome is also folded into the lifetime totals tot. The alive set is
-// read once: the leader is its lowest id — a deterministic stand-in for
-// the paper's leader election among engines of all datacenters — and
-// its members take the shards, even if one goes down meanwhile.
+// pass is the one maintenance driver, under all three triggers — Optimize,
+// Repair and the market-event queue's drain (Fig. 7, steps 1-4): a leader
+// elected among the alive engines lists the pass's objects, splits them
+// evenly across the alive engines, and each engine runs the per-object
+// step over its share in parallel. The summed outcome is also folded into
+// the lifetime totals tot. The alive set is read once: the leader is its
+// lowest id — a deterministic stand-in for the paper's leader election
+// among engines of all datacenters — and its members take the shards,
+// even if one goes down meanwhile. A pass cut short by ctx counts as
+// objects only the steps it finished; rest holds the others.
 func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTotals,
-	list func(now int64) []string) (leader string, objects int, sum outcome, err error) {
+	list func(now int64) []string) (leader string, objects int, sum outcome, rest []string, err error) {
 	defer b.observeStage(obs.TraceFrom(ctx), stage, time.Now())
 	var alive []*Engine
 	for _, e := range b.engines {
@@ -131,7 +133,7 @@ func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTot
 		}
 	}
 	if len(alive) == 0 {
-		return "", 0, sum, ErrNoLeader
+		return "", 0, sum, nil, ErrNoLeader
 	}
 	leader = slices.MinFunc(alive, func(x, y *Engine) int { return strings.Compare(x.id, y.id) }).id
 	now := b.clock.Period()
@@ -146,25 +148,28 @@ func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTot
 		go func(e *Engine, shard []string) {
 			defer wg.Done()
 			var local outcome
-			for _, obj := range shard {
-				if ctx.Err() != nil {
-					break
-				}
+			done := 0
+			for ; done < len(shard) && ctx.Err() == nil; done++ {
 				noteProgress(ctx, 1)
-				local.add(e.maintainObject(ctx, obj, now, t))
+				local.add(e.maintainObject(ctx, shard[done], now, t))
+			}
+			if ctx.Err() != nil && done > 0 {
+				done-- // the last step may have been cut short: it goes back too
 			}
 			mu.Lock()
 			sum.add(local)
+			objects += done
+			rest = append(rest, shard[done:]...)
 			mu.Unlock()
 		}(alive[i], shard)
 	}
 	wg.Wait()
 	b.mu.Lock()
 	tot.passes++
-	tot.objects += len(objs)
+	tot.objects += objects
 	tot.add(sum)
 	b.mu.Unlock()
-	return leader, len(objs), sum, ctx.Err()
+	return leader, objects, sum, rest, ctx.Err()
 }
 
 // shardObjects splits the object list round-robin across n workers.

@@ -73,31 +73,23 @@ type reaper struct {
 	// completed since ProcessPendingDeletes last reported.
 	postponed, settled int
 
-	retry    atomic.Bool   // a market event arrived while deletes were postponed
-	wake     chan struct{} // capacity 1: a pending wake-up covers every cause
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	retry atomic.Bool   // a market event arrived while deletes were postponed
+	wake  chan struct{} // capacity 1: a pending wake-up covers every cause
 }
 
 func newReaper(b *Broker) *reaper {
-	r := &reaper{
-		b: b, bound: maxRetiredVersions, pins: make(map[string][]uint64),
-		wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{}),
-	}
-	go r.loop()
-	return r
+	return &reaper{b: b, bound: maxRetiredVersions, pins: make(map[string][]uint64), wake: make(chan struct{}, 1)}
 }
 
-// loop is the background goroutine: every wake-up — a retirement, a
-// released pin, a market event — is one pass, which after an event goes
-// over the postponed deletes too. What arrives during a pass leaves a
-// wake-up behind; a pass that got nowhere is not repeated before the next.
-func (r *reaper) loop() {
-	defer close(r.done)
+// loop is the background goroutine, run for the broker's lifetime: every
+// wake-up — a retirement, a released pin, a market event — is one pass,
+// which after an event goes over the postponed deletes too. What arrives
+// during a pass leaves a wake-up behind; a pass that got nowhere is not
+// repeated before the next. Close makes the last pass once loop is gone.
+func (r *reaper) loop(ctx context.Context) {
 	for {
 		select {
-		case <-r.stop:
+		case <-ctx.Done():
 			return
 		case <-r.wake:
 			r.reap(r.retry.Swap(false))
@@ -110,15 +102,6 @@ func (r *reaper) kick() {
 	case r.wake <- struct{}{}:
 	default:
 	}
-}
-
-// close stops the background goroutine and reaps what it left, so a
-// broker shut down in good order leaves no garbage at reachable
-// providers.
-func (r *reaper) close() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
-	r.reap(false)
 }
 
 // onMarketEvent is the registry subscriber. Like the maintenance queue's

@@ -120,7 +120,7 @@ func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport,
 	b.repairMu.Lock()
 	defer b.repairMu.Unlock()
 	t := trigger{degraded: true, active: policy == RepairActive}
-	_, _, sum, err := b.pass(ctx, "repair", t, &b.repaired, func(int64) []string {
+	_, _, sum, _, err := b.pass(ctx, "repair", t, &b.repaired, func(int64) []string {
 		affected := b.provIndex.ObjectsOn(b.unreachableProviders())
 		b.metrics.repairIndexed.Add(int64(len(affected)))
 		return affected

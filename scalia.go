@@ -399,7 +399,7 @@ func ServerOptions() Options {
 	}
 }
 
-// Close releases the deployment's background pipelines.
+// Close stops the deployment's background work, async jobs included, and waits for it.
 func (c *Client) Close() { c.broker.Close() }
 
 // engine returns the next engine round-robin, matching the paper's
@@ -579,10 +579,9 @@ func NewPrivateStoreServer(dir string, token []byte, capacityBytes int64) (*priv
 }
 
 // DrainMaintenance synchronously re-plans the objects queued by market
-// events until the queue is empty or ctx is cancelled, returning how
-// many it processed. Deployments with Options.ReoptWorkers > 0 drain in
-// the background and rarely need this; tests and worker-less embedders
-// call it for deterministic draining.
+// events in one pass over every alive engine and returns how many; what
+// a pass cut short by ctx did not get through stays queued. Deployments with
+// Options.ReoptWorkers > 0 drain in the background and rarely need this.
 func (c *Client) DrainMaintenance(ctx context.Context) int {
 	return c.broker.DrainMaintenance(ctx)
 }
