@@ -224,11 +224,20 @@ func writeOptionsValidated(t *tc) {
 		_, err = t.CreateUpload(ctx, t.container, "k", 0, scalia.WithTTL(ttl))
 		t.wantErr(err, scalia.ErrInvalidArgument, fmt.Sprintf("upload with TTL %v", ttl))
 	}
+	// A container holding '|' or '/' could share a row with another's.
+	for _, container := range []string{t.container + "|k", t.container + "/k"} {
+		_, err := t.Put(ctx, container, "k", []byte("hello"))
+		t.wantErr(err, scalia.ErrInvalidArgument, fmt.Sprintf("put into container %q", container))
+		_, err = t.CreateUpload(ctx, container, "k", 0)
+		t.wantErr(err, scalia.ErrInvalidArgument, fmt.Sprintf("upload into container %q", container))
+	}
 	if ops := t.stats().Usage.Ops - before; ops != 0 {
 		t.Fatalf("refused writes cost %v provider ops, want 0", ops)
 	}
 	_, err := t.Head(ctx, t.container, "k")
 	t.wantErr(err, scalia.ErrObjectNotFound, "Head after refused writes")
+	t.put("a|b/c", []byte("hello"))
+	t.wantBody("a|b/c", []byte("hello"))
 }
 
 func streamsMultiStripe(t *tc) {

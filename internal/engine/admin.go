@@ -115,8 +115,11 @@ func validRule(r core.Rule) error {
 	return nil
 }
 
-// SetContainerRule validates a placement rule and pins it to a container.
+// SetContainerRule pins a valid placement rule to a validly named container.
 func (b *Broker) SetContainerRule(container string, r core.Rule) error {
+	if err := validContainer(container); err != nil {
+		return err
+	}
 	if err := validRule(r); err != nil {
 		return err
 	}

@@ -77,7 +77,10 @@ type PutOptions struct {
 	// TTLHours is the user's lifetime hint (§III-A: "an indication of the
 	// object lifetime may be provided by the end user at write time").
 	TTLHours float64
-	// Rule overrides rule resolution for this object.
+	// Rule pins the placement rule of the version written (§II-B's
+	// per-object rule): it is kept in the version's row (ObjectMeta.Rule),
+	// so optimize, repair and the event drain re-plan the object under it
+	// too. An overwrite without it follows the container's rule again.
 	Rule *core.Rule
 	// IfMatch, when non-empty, makes the write conditional: it succeeds
 	// only if the stored version's ETag equals IfMatch ("*" matches any
@@ -88,11 +91,10 @@ type PutOptions struct {
 	IfAbsent bool
 }
 
-// validate is the one check of caller-supplied write options, run at the
-// engine entry of PutReader and CreateUpload before any planning or chunk
-// traffic: a TTL hint must be a finite, non-negative hour count (it is
-// stored in the metadata row, which cannot encode NaN or Inf) and a
-// pinned rule must be well-formed.
+// validate is the one check of caller-supplied write options, run by
+// draft before any planning or chunk traffic: a TTL hint must be a
+// finite, non-negative hour count (it is stored in the metadata row,
+// which cannot encode NaN or Inf) and a pinned rule must be well-formed.
 func (o PutOptions) validate() error {
 	if math.IsNaN(o.TTLHours) || math.IsInf(o.TTLHours, 0) || o.TTLHours < 0 {
 		return fmt.Errorf("%w: TTL hint %v hours is not a finite, non-negative number", ErrInvalidArgument, o.TTLHours)
@@ -112,69 +114,25 @@ func (e *Engine) Put(ctx context.Context, container, key string, data []byte, op
 	return e.PutReader(ctx, container, key, bytes.NewReader(data), int64(len(data)), opts)
 }
 
-// PutReader stores (or updates) an object streamed from r: it picks the
-// best provider set for the object's class and rule, splits the body
-// into stripes of at most the deployment's stripe size, erasure-codes
-// each stripe into chunks written under a fresh UUID-derived storage
-// key, records metadata via MVCC, updates the caches holding the old
-// version and logs statistics (§III-D1). The body is never materialized
-// whole: at most WritePipelineDepth stripes are in flight at a time, each
-// held in its own chunks and charged one slot of the MaxBufferBytes
-// budget, so arbitrarily large objects stream through in bounded memory
-// (writepath.go). size must be the exact body length. Cancelling ctx
+// PutReader stores (or updates) an object streamed from r: it drafts the
+// version (the best provider set for its class and rule), erasure-codes
+// each stripe of at most the deployment's stripe size into chunks under
+// the draft's fresh UUID-derived storage key, and commits it (§III-D1).
+// The body is never materialized whole: at most WritePipelineDepth
+// stripes are in flight at a time, each held in its own chunks and
+// charged one slot of the MaxBufferBytes budget, so arbitrarily large
+// objects stream through in bounded memory (writepath.go). size must be the exact body length. Cancelling ctx
 // aborts the in-flight chunk fan-out and rolls back the chunks already
 // written.
 func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts PutOptions) (ObjectMeta, error) {
-	if container == "" || key == "" {
-		return ObjectMeta{}, fmt.Errorf("%w: container and key are required", ErrInvalidArgument)
-	}
 	if size < 0 {
 		return ObjectMeta{}, fmt.Errorf("%w: object size must be declared up front", ErrInvalidArgument)
 	}
-	if err := opts.validate(); err != nil {
-		return ObjectMeta{}, err
-	}
-	class := stats.ClassKey(opts.MIME, size)
-	rule := e.b.rules.Resolve(container, key, class)
-	if opts.Rule != nil {
-		rule = *opts.Rule
-	}
-	obj := objectName(container, key)
-	now := e.b.clock.Period()
-
-	tr := obs.TraceFrom(ctx)
-	load := e.writeLoad(obj, class, size)
-	planStart := time.Now()
-	res, err := e.placeWithRetry(rule, load, size)
+	meta, cur, err := e.draft(ctx, container, key, size, opts)
 	if err != nil {
 		return ObjectMeta{}, err
 	}
-	e.b.observeStage(tr, "plan", planStart)
-
-	// Fast-fail the precondition before any chunk traffic; the
-	// authoritative check repeats under the row lock at commit time.
-	cur := e.currentVersion(RowKey(container, key))
-	if err := checkWriteConditions(opts, cur); err != nil {
-		return ObjectMeta{}, err
-	}
-
-	uuid := NewUUID()
-	meta := ObjectMeta{
-		Container:   container,
-		Key:         key,
-		MIME:        opts.MIME,
-		Size:        size,
-		RuleName:    rule.Name,
-		Class:       class,
-		SKey:        StorageKey(container, key, uuid),
-		M:           res.Placement.M,
-		UUID:        uuid,
-		TTLHours:    opts.TTLHours,
-		CreatedAt:   now,
-		Stripes:     stripeCount(size, e.b.cfg.StripeBytes),
-		StripeBytes: e.b.cfg.StripeBytes,
-	}
-	meta.Chunks = slotNames(res.Placement, meta.stripeLen(0))
+	meta.Size, meta.Stripes = size, stripeCount(size, e.b.cfg.StripeBytes)
 	l, err := e.layoutOf(meta)
 	if err != nil {
 		return ObjectMeta{}, err
@@ -186,20 +144,73 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 		return ObjectMeta{}, err
 	}
 	meta.Sums = l.sums
-
-	// Commit under the row lock — one batched metadata commit per
-	// object, no matter how many stripes streamed through above.
-	commitStart := time.Now()
-	err = e.commitObject(&meta, opts, l.kept)
-	e.b.observeStage(tr, "commit", commitStart)
-	if err != nil {
+	if err := e.commitWrite(ctx, &meta, opts, l.kept); err != nil {
 		return ObjectMeta{}, err
 	}
-	e.b.statsDB.Apply(stats.Event{
-		Object: obj, Class: class, Kind: stats.EventWrite,
-		Bytes: size, StorageBytes: size, Period: now,
-	})
 	return meta, nil
+}
+
+// validContainer refuses a container that could share a row, MD5(container
+// | key), or an object name, container/key, with another container's
+// objects: one holding '|' or '/'. Keys keep every character.
+func validContainer(container string) error {
+	if container == "" || strings.ContainsAny(container, "|/") {
+		return fmt.Errorf("%w: container %q must be non-empty and hold no '|' or '/'", ErrInvalidArgument, container)
+	}
+	return nil
+}
+
+// draft is the one step that starts every new version, a PUT's and a
+// multipart upload's alike: it checks the name and the options, classifies
+// a planBytes-byte body, resolves its rule (opts.Rule, kept in the row,
+// first), plans it on the providers reachable right now ("Scalia will
+// choose the best placement that does not include the faulty provider",
+// §III-D3) and fast-fails the preconditions against the stored version,
+// cur (nil = absent); commitWrite repeats them under the row lock. The
+// version returned has no body: the caller fills in Size, Stripes,
+// Checksum and Sums.
+func (e *Engine) draft(ctx context.Context, container, key string, planBytes int64, opts PutOptions) (meta ObjectMeta, cur *ObjectMeta, err error) {
+	if err := ctx.Err(); err != nil {
+		return ObjectMeta{}, nil, err
+	}
+	if err := validContainer(container); err != nil {
+		return ObjectMeta{}, nil, err
+	}
+	if key == "" {
+		return ObjectMeta{}, nil, fmt.Errorf("%w: key is required", ErrInvalidArgument)
+	}
+	if err := opts.validate(); err != nil {
+		return ObjectMeta{}, nil, err
+	}
+	class := stats.ClassKey(opts.MIME, planBytes)
+	rule := e.b.rules.Resolve(container, class, opts.Rule)
+	now := e.b.clock.Period()
+	planStart := time.Now()
+	res, err := e.b.planner.BestAlive(e.b.marketView(now), rule, e.writeLoad(objectName(container, key), class, planBytes), planBytes)
+	if err != nil {
+		return ObjectMeta{}, nil, err
+	}
+	e.b.observeStage(obs.TraceFrom(ctx), "plan", planStart)
+	cur = e.currentVersion(RowKey(container, key))
+	if err := checkWriteConditions(opts, cur); err != nil {
+		return ObjectMeta{}, nil, err
+	}
+	uuid := NewUUID()
+	return ObjectMeta{
+		Container:   container,
+		Key:         key,
+		MIME:        opts.MIME,
+		RuleName:    rule.Name,
+		Rule:        opts.Rule,
+		Class:       class,
+		SKey:        StorageKey(container, key, uuid),
+		M:           res.Placement.M,
+		Chunks:      slotNames(res.Placement, min(planBytes, e.b.cfg.StripeBytes)),
+		UUID:        uuid,
+		TTLHours:    opts.TTLHours,
+		CreatedAt:   now,
+		StripeBytes: e.b.cfg.StripeBytes,
+	}, cur, nil
 }
 
 // publish is the one step that makes a row change visible, and the one
@@ -251,18 +262,22 @@ func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts i
 	return cur, nil
 }
 
-// commitObject publishes meta as its row's live version: the write
-// preconditions are re-checked against the stored version inside the
-// row lock, so two concurrent conditional writes cannot both pass the
-// check-then-act window. The body transfer runs unlocked; only this
-// metadata commit serializes. On failure meta's staged chunks are rolled
-// back — except after a listing-index failure, where the object itself
-// committed and the chunks must survive.
+// commitWrite is the one commit of a drafted version, a PUT's and a
+// multipart upload's alike: it publishes meta as its row's live version,
+// with the write preconditions re-checked against the stored version
+// inside the row lock, so two concurrent conditional writes cannot both
+// pass the check-then-act window (the body transfer runs unlocked; only
+// this metadata commit serializes), records the commit span and logs the
+// write at the period meta was drafted in. On failure meta's staged
+// chunks are rolled back — except after a listing-index failure, where
+// the object itself committed and the chunks must survive.
 // Once committed, each stripe cached of the version meta supersedes
 // becomes meta's, with its bytes from kept (dropped where there are none),
 // under the row lock: a later writer's retirement of meta comes after.
-func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions, kept map[int][]byte) error {
+func (e *Engine) commitWrite(ctx context.Context, meta *ObjectMeta, opts PutOptions, kept map[int][]byte) error {
+	period := meta.CreatedAt // an overwrite keeps the first write's
 	committed := false
+	start := time.Now()
 	_, err := e.publish(meta.Container, meta.Key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
 		if err := checkWriteConditions(opts, prev); err != nil {
 			return nil, err
@@ -284,11 +299,19 @@ func (e *Engine) commitObject(meta *ObjectMeta, opts PutOptions, kept map[int][]
 		e.b.caches.Replace(prev.cacheID(), meta.cacheID(), kept, false)
 		return meta, nil
 	})
-	if err != nil && !committed {
-		l, _ := e.layoutOf(*meta)      // deleting needs no coder
-		e.discard(l, l.stripes, l.all) // the commit never happened; reclaim the staged chunks
+	e.b.observeStage(obs.TraceFrom(ctx), "commit", start)
+	if err != nil {
+		if !committed {
+			l, _ := e.layoutOf(*meta)      // deleting needs no coder
+			e.discard(l, l.stripes, l.all) // the commit never happened; reclaim the staged chunks
+		}
+		return err
 	}
-	return err
+	e.b.statsDB.Apply(stats.Event{
+		Object: objectName(meta.Container, meta.Key), Class: meta.Class, Kind: stats.EventWrite,
+		Bytes: meta.Size, StorageBytes: meta.Size, Period: period,
+	})
+	return nil
 }
 
 // liveRow reads a row's winning version from the engine's datacenter
@@ -373,16 +396,6 @@ func (e *Engine) writeLoad(obj, class string, size int64) stats.Summary {
 		Periods: 1, Writes: 1,
 		BytesIn: float64(size), StorageBytes: float64(size),
 	}
-}
-
-// placeWithRetry plans a write's placement through the broker's shared
-// planner, on providers that are reachable right now: one found down
-// after the decision — including one whose outage was injected directly
-// on the backend, bypassing the registry's market epoch — is excluded
-// and the placement re-planned ("Scalia will choose the best placement
-// that does not include the faulty provider", §III-D3).
-func (e *Engine) placeWithRetry(rule core.Rule, load stats.Summary, size int64) (core.Result, error) {
-	return e.b.planner.BestAlive(e.b.marketView(e.b.clock.Period()), rule, load, size)
 }
 
 // Get serves an object fully buffered: stripes come from the stripe

@@ -371,15 +371,60 @@ func TestRuleResolutionPrecedence(t *testing.T) {
 	contRule := core.Rule{Name: "container", Durability: 0.9999, Availability: 0.999, LockIn: 1}
 	objRule := core.Rule{Name: "object", Durability: 0.99999, Availability: 0.9999, LockIn: 0.5}
 	rs.SetContainerRule("c", contRule)
-	rs.SetObjectRule("c", "special", objRule)
-	if got := rs.Resolve("c", "plain", "cls"); got.Name != "container" {
+	if got := rs.Resolve("c", "cls", nil); got.Name != "container" {
 		t.Fatalf("container rule not applied: %v", got.Name)
 	}
-	if got := rs.Resolve("c", "special", "cls"); got.Name != "object" {
+	if got := rs.Resolve("c", "cls", &objRule); got.Name != "object" {
 		t.Fatalf("object rule not applied: %v", got.Name)
 	}
-	if got := rs.Resolve("other", "k", "cls"); got.Name != "default" {
+	if got := rs.Resolve("other", "cls", nil); got.Name != "default" {
 		t.Fatalf("default rule not applied: %v", got.Name)
+	}
+}
+
+// TestContainerNamesCannotCollide: a row is MD5(container | key) and the
+// maintenance passes name an object container/key, so a container may
+// hold neither '|' (two containers would share a row) nor '/' (its
+// objects would never be maintained). Keys keep every character.
+func TestContainerNamesCannotCollide(t *testing.T) {
+	for _, tc := range []struct{ container, key, twinContainer, twinKey string }{
+		{"a|b", "c", "a", "b|c"}, // the same row
+		{"x/y", "k", "x", "y/k"}, // the same object name
+	} {
+		t.Run(tc.container, func(t *testing.T) {
+			b := newTestBroker(t, Config{})
+			e := b.Engine(0)
+			if _, err := e.Put(ctx, tc.twinContainer, tc.twinKey, []byte("first"), PutOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			before := b.Registry().TotalUsage().Ops
+			_, err := e.Put(ctx, tc.container, tc.key, []byte("second"), PutOptions{})
+			if !errors.Is(err, ErrInvalidArgument) {
+				t.Fatalf("put into container %q: %v, want ErrInvalidArgument", tc.container, err)
+			}
+			if _, err := e.CreateUpload(ctx, tc.container, tc.key, 0, PutOptions{}); !errors.Is(err, ErrInvalidArgument) {
+				t.Fatalf("upload into container %q: %v, want ErrInvalidArgument", tc.container, err)
+			}
+			if err := b.SetContainerRule(tc.container, DefaultRule); !errors.Is(err, ErrInvalidArgument) {
+				t.Fatalf("rule for container %q: %v, want ErrInvalidArgument", tc.container, err)
+			}
+			if ops := b.Registry().TotalUsage().Ops - before; ops != 0 {
+				t.Fatalf("the refused writes cost %v provider ops", ops)
+			}
+			if got, _, err := e.Get(ctx, tc.twinContainer, tc.twinKey); err != nil || string(got) != "first" {
+				t.Fatalf("%s/%s reads %q, %v; want first", tc.twinContainer, tc.twinKey, got, err)
+			}
+			// The key holding both characters is maintained like any other.
+			meta, err := e.Put(ctx, "c", "a|b/c", []byte("third"), PutOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob(t, b, meta.Chunks[0]).SetAvailable(false)
+			on := b.ProviderIndex().Count(meta.Chunks[0])
+			if rep, err := b.Repair(ctx, RepairWait); err != nil || rep.Checked != on || rep.Affected != on {
+				t.Fatalf("repair with %d objects down = %+v, %v; want all checked and affected", on, rep, err)
+			}
+		})
 	}
 }
 
@@ -387,7 +432,7 @@ func TestClassRuleApplies(t *testing.T) {
 	b := newTestBroker(t, Config{})
 	class := stats.ClassKey("video/mp4", 1000)
 	b.Rules().SetClassRule(class, core.Rule{Name: "video", Durability: 0.9999, Availability: 0.999, LockIn: 1})
-	if got := b.Rules().Resolve("c", "k", class); got.Name != "video" {
+	if got := b.Rules().Resolve("c", class, nil); got.Name != "video" {
 		t.Fatalf("class rule not applied: %v", got.Name)
 	}
 }

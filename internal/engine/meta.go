@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 
+	"scalia/internal/core"
 	"scalia/internal/metadata"
 )
 
@@ -22,7 +23,10 @@ type ObjectMeta struct {
 	Size      int64  `json:"size"`
 	Checksum  string `json:"checksum"` // MD5 of the object payload: the ETag
 	RuleName  string `json:"policy"`
-	Class     string `json:"class"`
+	// Rule is the rule the write pinned (PutOptions.Rule), which every
+	// re-plan of the version honours; nil = resolve it by container, class.
+	Rule  *core.Rule `json:"rule,omitempty"`
+	Class string     `json:"class"`
 
 	SKey      string   `json:"skey"`      // MD5(container | key | UUID)
 	M         int      `json:"m"`         // erasure threshold
@@ -226,6 +230,11 @@ func (m ObjectMeta) clone() ObjectMeta {
 	m.Sums = slices.Clone(m.Sums)
 	for i := range m.Sums {
 		m.Sums[i].Chunks = slices.Clone(m.Sums[i].Chunks)
+	}
+	if m.Rule != nil {
+		r := *m.Rule
+		r.Zones = slices.Clone(r.Zones)
+		m.Rule = &r
 	}
 	return m
 }

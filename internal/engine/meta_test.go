@@ -4,13 +4,16 @@ import (
 	"reflect"
 	"testing"
 
+	"scalia/internal/cloud"
+	"scalia/internal/core"
 	"scalia/internal/metadata"
 )
 
 // TestDecodedMetaIsPerVersionAndUnshared pins the row memo: a version
 // carries the value it encodes, every decode is the caller's own (no
 // slice shared with the writer, the store or the next decode), a version
-// without one still parses its column to the same value, and a swap —
+// without one still parses its column to the same value — the pinned
+// rule and its zones included — and a swap —
 // the same UUID republished with a new timestamp, new Chunks and new Gens —
 // decodes to the new layout, never to the one remembered for that UUID.
 func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
@@ -20,6 +23,7 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 		Sums:        []StripeSum{{Payload: 1, Chunks: []uint32{10, 11, 12}}, {Payload: 2, Chunks: []uint32{20, 21, 22}}},
 		PartStripes: []int{1, 1},
 		Gens:        []uint64{4, 4, 4, 5, 9, 5},
+		Rule:        &core.Rule{Name: "pinned", Durability: 0.99, Availability: 0.99, Zones: []cloud.Zone{cloud.ZoneEU, cloud.ZoneUS}, LockIn: 1},
 	}
 	v, err := encodeMeta(meta, 7)
 	if err != nil {
@@ -30,6 +34,7 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 		t.Fatalf("column decodes to %+v (%v), want %+v", want, err, meta)
 	}
 	meta.Chunks[0], meta.Sums[1].Chunks[2], meta.PartStripes[0], meta.Gens[4] = "writer", 99, 9, 99 // the writer moves on
+	meta.Rule.Name, meta.Rule.Zones[0] = "writer", cloud.ZoneAPAC
 
 	store := metadata.NewStore("dc1")
 	if err := store.Put("row", v); err != nil {
@@ -49,6 +54,7 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 		}
 		got.Chunks[0], got.Sums[0].Chunks[0], got.PartStripes[1], got.Gens[0] = "reader", 77, 7, 77
 		got.Sums[1] = StripeSum{}
+		got.Rule.Name, got.Rule.Zones[1] = "reader", cloud.ZoneAPAC
 	}
 
 	swapped := want
@@ -120,6 +126,7 @@ func FuzzDecodeMeta(f *testing.F) {
 		Chunks: []string{"A", "B", "C"}, Stripes: 2, StripeBytes: 4096,
 		Sums:        []StripeSum{{Payload: 1, Chunks: []uint32{10, 11, 12}}, {Payload: 2, Chunks: []uint32{20, 21, 22}}},
 		PartStripes: []int{1, 1}, Gens: []uint64{4, 4, 4, 5, 9, 5},
+		Rule: &core.Rule{Name: "Rule 2", Zones: []cloud.Zone{cloud.ZoneEU}, LockIn: 1},
 	}, 1)
 	if err != nil {
 		f.Fatal(err)
@@ -147,6 +154,12 @@ func FuzzDecodeMeta(f *testing.F) {
 			clone.Gens[0]++
 			if clone.Gens[0] == meta.Gens[0] {
 				t.Fatal("clone shares Gens with its source")
+			}
+		}
+		if clone.Rule != nil && len(clone.Rule.Zones) > 0 {
+			clone.Rule.Zones[0] += "!"
+			if clone.Rule == meta.Rule || clone.Rule.Zones[0] == meta.Rule.Zones[0] {
+				t.Fatal("clone shares its rule with its source")
 			}
 		}
 	})

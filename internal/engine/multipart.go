@@ -13,8 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"scalia/internal/core"
-	"scalia/internal/obs"
 	"scalia/internal/stats"
 )
 
@@ -65,20 +63,14 @@ type CompletedPart struct {
 	ETag       string `json:"etag"`
 }
 
-// uploadSession is one open multipart upload. The placement — and with
-// it the (m, n) code and provider set — is planned once at creation so
-// every part stripes identically.
+// uploadSession is one open multipart upload. It keeps the version's
+// draft — identity, rule and placement, and with it the (m, n) code and
+// provider set — made once at creation, so every part stripes
+// identically, and CompleteUpload fills in the body the parts make.
 type uploadSession struct {
-	id        string
-	container string
-	key       string
-	opts      PutOptions
-	ruleName  string
-	uuid      string // version identity the completed object commits under
-	skey      string
-	placement core.Placement
-	names     []string // provider name per chunk index, placement order
-	createdAt int64
+	id    string
+	draft ObjectMeta // what CompleteUpload commits, less its body
+	opts  PutOptions
 
 	mu       sync.Mutex
 	closed   bool
@@ -133,53 +125,27 @@ func (b *Broker) removeUpload(id string) {
 // --- engine operations ---
 
 // CreateUpload opens a multipart upload session for an object. The
-// placement is planned now — sizeHint (0 = unknown, planned at one
-// stripe) feeds the cost model — and every part inherits it, so all
-// parts stripe across the same provider set with the same threshold.
-// opts preconditions are fast-checked here and re-checked
+// version is drafted now, as a PUT's is — sizeHint (0 = unknown, planned
+// at one stripe) feeds the cost model — and every part inherits its
+// placement, so all parts stripe across the same provider set with the
+// same threshold. opts preconditions are fast-checked here and re-checked
 // authoritatively when the upload completes.
 func (e *Engine) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts PutOptions) (UploadInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return UploadInfo{}, err
-	}
-	if container == "" || key == "" {
-		return UploadInfo{}, fmt.Errorf("%w: container and key are required", ErrInvalidArgument)
-	}
 	if sizeHint < 0 {
 		return UploadInfo{}, fmt.Errorf("%w: negative size hint", ErrInvalidArgument)
-	}
-	if err := opts.validate(); err != nil {
-		return UploadInfo{}, err
 	}
 	planBytes := sizeHint
 	if planBytes == 0 {
 		planBytes = e.b.cfg.StripeBytes
 	}
-	class := stats.ClassKey(opts.MIME, planBytes)
-	rule := e.b.rules.Resolve(container, key, class)
-	if opts.Rule != nil {
-		rule = *opts.Rule
-	}
-	res, err := e.placeWithRetry(rule, e.writeLoad(objectName(container, key), class, planBytes), planBytes)
+	draft, _, err := e.draft(ctx, container, key, planBytes, opts)
 	if err != nil {
 		return UploadInfo{}, err
 	}
-	if err := checkWriteConditions(opts, e.currentVersion(RowKey(container, key))); err != nil {
-		return UploadInfo{}, err
-	}
-
-	uuid := NewUUID()
 	s := &uploadSession{
 		id:         NewUUID(),
-		container:  container,
-		key:        key,
+		draft:      draft,
 		opts:       opts,
-		ruleName:   rule.Name,
-		uuid:       uuid,
-		skey:       StorageKey(container, key, uuid),
-		placement:  res.Placement,
-		names:      slotNames(res.Placement, min(planBytes, e.b.cfg.StripeBytes)),
-		createdAt:  e.b.clock.Period(),
 		inflight:   make(map[int]bool),
 		parts:      make(map[int]*stagedPart),
 		lastActive: e.b.now(),
@@ -287,7 +253,7 @@ func (e *Engine) ListParts(ctx context.Context, uploadID string) (UploadInfo, []
 		out = append(out, PartInfo{PartNumber: p.number, ETag: p.etag, Size: p.size, Stripes: p.stripes})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PartNumber < out[j].PartNumber })
-	return UploadInfo{UploadID: s.id, Container: s.container, Key: s.key}, out, nil
+	return UploadInfo{UploadID: s.id, Container: s.draft.Container, Key: s.draft.Key}, out, nil
 }
 
 // CompleteUpload assembles the staged parts into the live object
@@ -332,63 +298,31 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 		e.deletePartChunks(s, p)
 	}
 
-	var (
-		size        int64
-		totalStripe int
-		partStripes = make([]int, len(staged))
-		gens        = make([]uint64, 0, len(staged)*len(s.names))
-		sums        []StripeSum
-		etagSum     = md5.New()
-	)
+	meta := s.draft
+	meta.PartStripes = make([]int, len(staged))
+	meta.Gens = make([]uint64, 0, len(staged)*len(meta.Chunks))
+	etagSum := md5.New()
 	for i, p := range staged {
-		size += p.size
-		totalStripe += p.stripes
-		partStripes[i] = p.stripes
-		for range s.names {
-			gens = append(gens, p.gen)
+		meta.Size += p.size
+		meta.Stripes += p.stripes
+		meta.PartStripes[i] = p.stripes
+		for range meta.Chunks {
+			meta.Gens = append(meta.Gens, p.gen)
 		}
-		sums = append(sums, p.sums...)
+		meta.Sums = append(meta.Sums, p.sums...)
 		if raw, err := hex.DecodeString(p.etag); err == nil {
 			etagSum.Write(raw) //nolint:errcheck
 		}
 	}
-	now := e.b.clock.Period()
-	class := stats.ClassKey(s.opts.MIME, size)
-	meta := ObjectMeta{
-		Container: s.container,
-		Key:       s.key,
-		MIME:      s.opts.MIME,
-		Size:      size,
-		// S3-style composite: MD5 over the concatenated part digests,
-		// suffixed with the part count. Not a body MD5; reads verify the
-		// per-stripe sums, as they do for every object.
-		Checksum:    hex.EncodeToString(etagSum.Sum(nil)) + "-" + strconv.Itoa(len(staged)),
-		RuleName:    s.ruleName,
-		Class:       class,
-		SKey:        s.skey,
-		M:           s.placement.M,
-		Chunks:      s.names,
-		UUID:        s.uuid,
-		TTLHours:    s.opts.TTLHours,
-		CreatedAt:   now,
-		Stripes:     totalStripe,
-		StripeBytes: e.b.cfg.StripeBytes,
-		Sums:        sums,
-		PartStripes: partStripes,
-		Gens:        gens,
-	}
-
-	tr := obs.TraceFrom(ctx)
-	commitStart := time.Now()
-	err = e.commitObject(&meta, s.opts, nil) // parts keep no copies: cached stripes are dropped
-	e.b.observeStage(tr, "commit", commitStart)
-	if err != nil {
+	// S3-style composite: MD5 over the concatenated part digests, suffixed
+	// with the part count. Not a body MD5; reads verify the per-stripe
+	// sums, as they do for every object.
+	meta.Checksum = hex.EncodeToString(etagSum.Sum(nil)) + "-" + strconv.Itoa(len(staged))
+	meta.Class = stats.ClassKey(meta.MIME, meta.Size)
+	meta.CreatedAt = e.b.clock.Period()
+	if err := e.commitWrite(ctx, &meta, s.opts, nil); err != nil { // parts keep no copies: cached stripes are dropped
 		return ObjectMeta{}, err
 	}
-	e.b.statsDB.Apply(stats.Event{
-		Object: objectName(s.container, s.key), Class: class, Kind: stats.EventWrite,
-		Bytes: size, StorageBytes: size, Period: now,
-	})
 	return meta, nil
 }
 

@@ -182,9 +182,10 @@ func shardObjects(objs []string, n int) [][]string {
 }
 
 // maintainObject is the per-object step every trigger shares: admit the
-// object (t), Head it, resolve its rule, let core.Decider.Decide — the
-// step the cost simulator runs too — say what to do, and execute that:
-// migrate, swap the lost chunks, re-stripe, or leave it.
+// object (t), Head it, resolve its rule (the one its version pins
+// first), let core.Decider.Decide — the step the cost simulator runs
+// too — say what to do, and execute that: migrate, swap the lost chunks,
+// re-stripe, or leave it.
 func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t trigger) (out outcome) {
 	// The trend gate compares the SMA of the last w periods of the
 	// object's recorded history against the SMA of the w before.
@@ -230,7 +231,7 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 		h = stats.NewHistory(0) // repair it on its storage cost alone
 	}
 
-	rule := e.b.rules.Resolve(container, key, meta.Class)
+	rule := e.b.rules.Resolve(container, meta.Class, meta.Rule)
 	view := e.b.marketView(now)
 	// A rule this market cannot satisfy has no search; Decide keeps the
 	// object (a repair may still find a swap).

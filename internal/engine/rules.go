@@ -8,11 +8,13 @@ import (
 
 // RuleStore resolves the placement rule for an object, in the paper's
 // precedence order (§II-B): a per-object rule, then a per-container
-// rule, then a per-class rule, then the default rule.
+// rule, then a per-class rule, then the default rule. The per-object
+// rule is not kept here: a write pins it (PutOptions.Rule) and its
+// version keeps it in the metadata row (ObjectMeta.Rule, the policy of
+// Fig. 11), whence every re-plan passes it back to Resolve.
 type RuleStore struct {
 	mu          sync.RWMutex
 	def         core.Rule
-	byObject    map[string]core.Rule // "container/key"
 	byContainer map[string]core.Rule
 	byClass     map[string]core.Rule
 }
@@ -34,7 +36,6 @@ func NewRuleStore(def core.Rule) *RuleStore {
 	}
 	return &RuleStore{
 		def:         def,
-		byObject:    make(map[string]core.Rule),
 		byContainer: make(map[string]core.Rule),
 		byClass:     make(map[string]core.Rule),
 	}
@@ -44,13 +45,6 @@ func NewRuleStore(def core.Rule) *RuleStore {
 func (rs *RuleStore) SetDefault(r core.Rule) {
 	rs.mu.Lock()
 	rs.def = r
-	rs.mu.Unlock()
-}
-
-// SetObjectRule pins a rule to one object.
-func (rs *RuleStore) SetObjectRule(container, key string, r core.Rule) {
-	rs.mu.Lock()
-	rs.byObject[container+"/"+key] = r
 	rs.mu.Unlock()
 }
 
@@ -68,13 +62,14 @@ func (rs *RuleStore) SetClassRule(classKey string, r core.Rule) {
 	rs.mu.Unlock()
 }
 
-// Resolve returns the rule governing the object.
-func (rs *RuleStore) Resolve(container, key, classKey string) core.Rule {
+// Resolve returns the rule governing an object of the container and
+// class whose version pins the rule pinned (nil = none).
+func (rs *RuleStore) Resolve(container, classKey string, pinned *core.Rule) core.Rule {
+	if pinned != nil {
+		return *pinned
+	}
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
-	if r, ok := rs.byObject[container+"/"+key]; ok {
-		return r
-	}
 	if r, ok := rs.byContainer[container]; ok {
 		return r
 	}

@@ -118,7 +118,7 @@ func putVia(t *testing.T, b *Broker, entry string, rule core.Rule, payload []byt
 	opts := PutOptions{Rule: &rule}
 	// What the planner hands a write: the same call the write makes.
 	planned := func() core.Placement {
-		res, err := e.placeWithRetry(rule, e.writeLoad("c/k", stats.ClassKey("", size), size), size)
+		res, err := e.b.planner.BestAlive(e.b.marketView(e.b.clock.Period()), rule, e.writeLoad("c/k", stats.ClassKey("", size), size), size)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,16 +93,16 @@ func (e *Engine) layoutOf(meta ObjectMeta) (*stripeLayout, error) {
 }
 
 // partLayout builds the layout of one part of an open upload: the
-// session's frozen placement, the part's own stripe geometry and keys
-// scoped to the part and to the attempt at it (gen).
+// draft's placement, the part's own stripe geometry and keys scoped to
+// the part and to the attempt at it (gen).
 func (e *Engine) partLayout(u *uploadSession, part int, gen uint64, size int64) (*stripeLayout, error) {
-	l, err := e.resolveSlots(u.placement.M, u.names)
+	l, err := e.resolveSlots(u.draft.M, u.draft.Chunks)
 	stripeBytes := e.b.cfg.StripeBytes
 	l.stripes = stripeCount(size, stripeBytes)
 	l.stripeLen = func(s int) int64 {
 		return min(stripeBytes, size-int64(s)*stripeBytes)
 	}
-	l.key = func(s, i int) string { return PartChunkKey(u.skey, part, s, i, gen) }
+	l.key = func(s, i int) string { return PartChunkKey(u.draft.SKey, part, s, i, gen) }
 	return l, err
 }
 

@@ -141,11 +141,11 @@ func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
 					u.mu.Lock()
 					part := u.parts[1]
 					u.mu.Unlock()
-					if u.placement.M != m || len(u.names) != n {
-						t.Fatalf("upload placed (%d, %d), scenario expects (%d, %d)", u.placement.M, len(u.names), m, n)
+					if u.draft.M != m || len(u.draft.Chunks) != n {
+						t.Fatalf("upload placed (%d, %d), scenario expects (%d, %d)", u.draft.M, len(u.draft.Chunks), m, n)
 					}
-					partKey := func(s, i int) string { return PartChunkKey(u.skey, 1, s, i, part.gen) }
-					storedAsEncoded(t, b, m, u.names, partKey, part.sums, body, stripe)
+					partKey := func(s, i int) string { return PartChunkKey(u.draft.SKey, 1, s, i, part.gen) }
+					storedAsEncoded(t, b, m, u.draft.Chunks, partKey, part.sums, body, stripe)
 				}
 			})
 		}

@@ -7,9 +7,8 @@
 // arithmetic with log/exp tables, a Vandermonde-derived systematic
 // generator matrix, and Gaussian-elimination decoding. The bulk slice
 // kernels are table-driven (see kernel.go) and run on the calling
-// goroutine; build with -tags erasure_ref to route them through the
-// textbook single-byte scalar path instead, which serves as the
-// differential-test oracle.
+// goroutine; the textbook single-byte scalar path (reference.go) is the
+// differential-test oracle they are compared to.
 package erasure
 
 // GF(2^8) with the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d),

@@ -1,5 +1,3 @@
-//go:build !erasure_ref
-
 package erasure
 
 import (
@@ -21,8 +19,7 @@ import (
 // coefficients are all 1 — the first parity row of every code New
 // builds, and the decode row of a stripe that lost one data chunk and
 // holds that parity — needs no table at all: kernRow sends it to a
-// word-wide XOR. kernel_ref.go swaps in the scalar reference path under
-// -tags erasure_ref.
+// word-wide XOR.
 
 // kernRow computes dst = sum_k coefs[k] * ins[k][:len(dst)]. The first
 // term assigns rather than accumulates, so dst may arrive dirty (pooled

@@ -4,9 +4,8 @@ package erasure
 // differential-test oracle for the table-driven production paths. They
 // mirror the package's original textbook single-byte code exactly:
 // sequential, log/exp multiplication, one allocation per chunk. Tests
-// assert Encode/Reconstruct/Verify are byte-identical to these; under
-// -tags erasure_ref the kernels use the same scalar arithmetic, so the
-// comparison checks the plumbing around them.
+// assert Encode/Reconstruct/Verify are byte-identical to these, which
+// checks the table-driven kernels and the plumbing around them at once.
 
 // encodeRef is the scalar reference Encode.
 func (c *Coder) encodeRef(data []byte) [][]byte {

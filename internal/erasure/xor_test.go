@@ -36,7 +36,7 @@ func TestGeneratorFirstParityRowIsOnes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if row := c.enc.row(m); !allOnesRow(row) {
+			if row := c.enc.row(m); len(row) == 0 || !allOnes(row) {
 				t.Errorf("(%d,%d): generator row m = %v, want all ones", m, n, row)
 			}
 			if n > 10 {
@@ -67,12 +67,6 @@ func TestGeneratorFirstParityRowIsOnes(t *testing.T) {
 	}
 }
 
-// allOnesRow is the test's own spelling of "every coefficient is 1"
-// (kernel.go's allOnes is not built under -tags erasure_ref).
-func allOnesRow(row []byte) bool {
-	return len(row) > 0 && bytes.Count(row, []byte{1}) == len(row)
-}
-
 // TestOnesRowMatchesScalarReference drives the all-ones route of kernRow
 // — and encode, reconstruct and verify through it — against the scalar
 // reference: 2 to 8 inputs, lengths on both sides of the block sizes,
@@ -90,7 +84,7 @@ func TestOnesRowMatchesScalarReference(t *testing.T) {
 		if m == 4 {
 			big = 4<<20 + 3
 		}
-		for _, size := range []int{0, 1, 63, 64, 65, xorBlockBytes - 1, xorBlockBytes + 9, big/m + 1} {
+		for _, size := range []int{0, 1, 63, 64, 65, xorBlock - 1, xorBlock + 9, big/m + 1} {
 			ins := make([][]byte, m)
 			for k := range ins {
 				ins[k] = make([]byte, size)
@@ -150,10 +144,6 @@ func TestOnesRowMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// xorBlockBytes mirrors kernel.go's xorBlock, which -tags erasure_ref
-// does not build.
-const xorBlockBytes = 16 << 10
-
 // TestOneLostDataChunkDecodesByXOR pins why a degraded read and a swap
 // repair leave the Galois field: with one data chunk lost and the row-m
 // parity among the first m chunks present, the decode row is all ones —
@@ -179,7 +169,7 @@ func TestOneLostDataChunkDecodesByXOR(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(jobs) != 1 || len(jobs[0].in) != c.m || !allOnesRow(jobs[0].row) {
+			if len(jobs) != 1 || len(jobs[0].in) != c.m || len(jobs[0].row) == 0 || !allOnes(jobs[0].row) {
 				t.Fatalf("(%d,%d) lost %d: decode jobs %v, want one all-ones row over m inputs", c.m, c.n, lost, jobs)
 			}
 			got, err := c.Decode(chunks, len(data))

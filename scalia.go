@@ -433,8 +433,10 @@ func WithTTL(hours float64) PutOption {
 	return func(o *engine.PutOptions) { o.TTLHours = hours }
 }
 
-// WithRule pins a placement rule for this object. It has no wire form:
-// the remote client refuses it with ErrInvalidArgument.
+// WithRule pins a placement rule for this object. The version keeps it:
+// optimize, repair and the event drain honour it, and an overwrite without
+// it follows the container's rule. It has no wire form: the remote client
+// refuses it with ErrInvalidArgument.
 func WithRule(r Rule) PutOption {
 	return func(o *engine.PutOptions) { o.Rule = &r }
 }
