@@ -328,17 +328,21 @@ func conditionalWrites(t *tc) {
 	t.wantErr(err, scalia.ErrPreconditionFailed, "stale If-Match")
 	_, err = t.Put(ctx, t.container, "ghost", []byte("v"), scalia.WithIfMatch("*"))
 	t.wantErr(err, scalia.ErrPreconditionFailed, "If-Match on a missing object")
-	v2 := t.put("k", []byte("v2"), scalia.WithIfMatch(etag))
+	v2 := t.put("k", []byte("v1"), scalia.WithIfMatch(etag)) // the same bytes: still a new write
 	if v2.ETag() == etag {
-		t.Fatal("update kept the ETag")
+		t.Fatal("an identical update kept the ETag")
 	}
 	_, err = t.Put(ctx, t.container, "k", []byte("v3"), scalia.WithIfAbsent())
 	t.wantErr(err, scalia.ErrPreconditionFailed, "create-only over an existing object")
-	t.wantBody("k", []byte("v2"))
+	_, err = t.Put(ctx, t.container, "k", []byte("v3"), scalia.WithIfMatch("W/"+v2.ETag()))
+	t.wantErr(err, scalia.ErrPreconditionFailed, "If-Match with the current ETag weakened")
+	t.wantBody("k", []byte("v1"))
+	v3 := t.put("k", []byte("v3"), scalia.WithIfMatch(`"bogus", `+v2.ETag()))
 
 	t.wantErr(t.DeleteIf(ctx, t.container, "k", etag), scalia.ErrPreconditionFailed, "delete with the stale ETag")
-	t.wantBody("k", []byte("v2"))
-	t.must(t.DeleteIf(ctx, t.container, "k", v2.ETag()))
+	t.wantErr(t.DeleteIf(ctx, t.container, "k", etag+", W/"+v3.ETag()), scalia.ErrPreconditionFailed, "delete with a stale and a weak ETag")
+	t.wantBody("k", []byte("v3"))
+	t.must(t.DeleteIf(ctx, t.container, "k", etag+", "+v3.ETag()))
 	t.wantErr(t.DeleteIf(ctx, t.container, "k", "*"), scalia.ErrObjectNotFound, "delete of a deleted object")
 }
 

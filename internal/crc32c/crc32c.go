@@ -15,10 +15,10 @@ func Update(crc uint32, data []byte) uint32 { return crc32.Update(crc, table, da
 // Combine returns Checksum(a‖b) from crcA = Checksum(a), crcB =
 // Checksum(b) and lenB = len(b) — zlib's crc32_combine (M. Adler): a CRC
 // is linear over GF(2), so appending lenB bytes multiplies a's by
-// x^(8·lenB) modulo the polynomial; the conditioning cancels.
+// x^(8·lenB) mod the polynomial, a no-op on 0; the conditioning cancels.
 func Combine(crcA, crcB uint32, lenB int) uint32 {
 	shift, sq := uint32(1)<<31, uint32(1)<<(31-8) // x^0; x^8, squared per bit of lenB
-	for ; lenB > 0; lenB >>= 1 {
+	for ; lenB > 0 && crcA != 0; lenB >>= 1 {
 		if lenB&1 != 0 {
 			shift = mulmod(sq, shift)
 		}

@@ -83,12 +83,15 @@ type PutOptions struct {
 	// too. An overwrite without it follows the container's rule again.
 	Rule *core.Rule
 	// IfMatch, when non-empty, makes the write conditional: it succeeds
-	// only if the stored version's ETag equals IfMatch ("*" matches any
-	// existing version). A mismatch fails with ErrPreconditionFailed.
+	// only if IfMatch ("*" or a list of ETags, matchETags) names the stored
+	// version. A mismatch fails with ErrPreconditionFailed.
 	IfMatch string
 	// IfAbsent makes the write create-only: it fails with
 	// ErrPreconditionFailed when a live version already exists.
 	IfAbsent bool
+	// CRC32C, when set, is the client's CRC-32C of the body: a write whose
+	// sums compose to another (ObjectMeta.CRC32C) fails with ErrInvalidArgument.
+	CRC32C *uint32
 }
 
 // validate is the one check of caller-supplied write options, run by
@@ -140,7 +143,7 @@ func (e *Engine) PutReader(ctx context.Context, container, key string, r io.Read
 	if cur != nil {
 		l.kept = e.b.caches.Held(cur.cacheID())
 	}
-	if meta.Checksum, err = e.writeStripes(ctx, l, r); err != nil {
+	if err := e.writeStripes(ctx, l, r); err != nil {
 		return ObjectMeta{}, err
 	}
 	meta.Sums = l.sums
@@ -166,9 +169,9 @@ func validContainer(container string) error {
 // first), plans it on the providers reachable right now ("Scalia will
 // choose the best placement that does not include the faulty provider",
 // §III-D3) and fast-fails the preconditions against the stored version,
-// cur (nil = absent); commitWrite repeats them under the row lock. The
-// version returned has no body: the caller fills in Size, Stripes,
-// Checksum and Sums.
+// cur (nil = absent); commitWrite repeats them under the row lock. It
+// mints the version's ETag token (newToken). The version returned has no
+// body: the caller fills in Size, Stripes and Sums.
 func (e *Engine) draft(ctx context.Context, container, key string, planBytes int64, opts PutOptions) (meta ObjectMeta, cur *ObjectMeta, err error) {
 	if err := ctx.Err(); err != nil {
 		return ObjectMeta{}, nil, err
@@ -200,6 +203,7 @@ func (e *Engine) draft(ctx context.Context, container, key string, planBytes int
 		Container:   container,
 		Key:         key,
 		MIME:        opts.MIME,
+		Checksum:    newToken(uuid),
 		RuleName:    rule.Name,
 		Rule:        opts.Rule,
 		Class:       class,
@@ -268,9 +272,10 @@ func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts i
 // inside the row lock, so two concurrent conditional writes cannot both
 // pass the check-then-act window (the body transfer runs unlocked; only
 // this metadata commit serializes), records the commit span and logs the
-// write at the period meta was drafted in. On failure meta's staged
-// chunks are rolled back — except after a listing-index failure, where
-// the object itself committed and the chunks must survive.
+// write at the period meta was drafted in. A body that fails the client's
+// opts.CRC32C is refused like a stale precondition. On failure meta's
+// staged chunks are rolled back — except after a listing-index failure,
+// where the object itself committed and the chunks must survive.
 // Once committed, each stripe cached of the version meta supersedes
 // becomes meta's, with its bytes from kept (dropped where there are none),
 // under the row lock: a later writer's retirement of meta comes after.
@@ -279,6 +284,9 @@ func (e *Engine) commitWrite(ctx context.Context, meta *ObjectMeta, opts PutOpti
 	committed := false
 	start := time.Now()
 	_, err := e.publish(meta.Container, meta.Key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
+		if opts.CRC32C != nil && *opts.CRC32C != meta.CRC32C() {
+			return nil, fmt.Errorf("%w: the body's CRC-32C is %08x, not %08x", ErrInvalidArgument, meta.CRC32C(), *opts.CRC32C)
+		}
 		if err := checkWriteConditions(opts, prev); err != nil {
 			return nil, err
 		}
@@ -337,28 +345,37 @@ func (e *Engine) currentVersion(row string) *ObjectMeta {
 	return nil
 }
 
-// checkWriteConditions evaluates a write's If-Match / create-only
-// preconditions against the stored version (nil = absent).
+// checkWriteConditions evaluates a write's (or a DeleteIf's) If-Match /
+// create-only preconditions against the stored version (nil = absent).
 func checkWriteConditions(opts PutOptions, prev *ObjectMeta) error {
-	if opts.IfAbsent && prev != nil {
+	switch {
+	case opts.IfAbsent && prev != nil:
 		return fmt.Errorf("%w: object already exists", ErrPreconditionFailed)
-	}
-	return checkPrecondition(opts.IfMatch, prev)
-}
-
-// checkPrecondition evaluates an If-Match condition against the stored
-// version (nil = absent).
-func checkPrecondition(ifMatch string, prev *ObjectMeta) error {
-	if ifMatch == "" {
+	case opts.IfMatch == "":
 		return nil
-	}
-	if prev == nil {
+	case prev == nil:
 		return fmt.Errorf("%w: no stored version to match", ErrPreconditionFailed)
-	}
-	if ifMatch != "*" && ifMatch != prev.ETag() && ifMatch != prev.Checksum {
+	case !matchETags(opts.IfMatch, *prev, false):
 		return fmt.Errorf("%w: stored version is %s", ErrPreconditionFailed, prev.ETag())
 	}
 	return nil
+}
+
+// matchETags reports whether an If-Match or If-None-Match value — "*" or
+// a list of entity-tags, quoted or bare — names meta: weakly, W/ ignored,
+// for If-None-Match; strongly, W/ never matching, for If-Match (RFC 9110
+// §13.1.1–2).
+func matchETags(header string, meta ObjectMeta, weak bool) bool {
+	for _, tag := range strings.Split(header, ",") {
+		tag = strings.TrimSpace(tag)
+		if weak {
+			tag = strings.TrimPrefix(tag, "W/")
+		}
+		if tag == "*" || tag == meta.ETag() || tag == meta.Checksum {
+			return true
+		}
+	}
+	return false
 }
 
 // stripeCount returns how many stripes an object of the given size
@@ -526,7 +543,7 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 		if prev == nil {
 			return nil, ErrObjectNotFound
 		}
-		if err := checkPrecondition(ifMatch, prev); err != nil {
+		if err := checkWriteConditions(PutOptions{IfMatch: ifMatch}, prev); err != nil {
 			return nil, err
 		}
 		if err := e.b.meta.Put(e.dc, RowKey(container, key), metadata.Version{

@@ -31,7 +31,8 @@ import (
 //
 //	PUT    /v1/objects/{container}/{key}  store (streaming body;
 //	       Content-Type = MIME, X-Scalia-TTL-Hours = lifetime hint,
-//	       If-Match / If-None-Match:* = conditional write)        201
+//	       If-Match / If-None-Match:* = conditional write,
+//	       X-Checksum-CRC32C = the body's, checked before commit) 201
 //	GET    /v1/objects/{container}/{key}  fetch (streaming; If-None-Match
 //	       -> 304; Range: bytes=... -> 206, mapped onto whole stripes so
 //	       only the overlapped stripes are fetched or served from cache;
@@ -48,7 +49,7 @@ import (
 //	       planning; Content-Type / TTL / preconditions as PUT)      201
 //	PUT    …/{key}?partNumber=N&uploadId=ID  stage one part (streaming
 //	       body; every part except the final one must be a whole multiple
-//	       of the stripe size); the response ETag is the part's MD5   200
+//	       of the stripe size); the response ETag names the attempt  200
 //	POST   …/{key}?uploadId=ID             complete: JSON body
 //	       {"parts":[{"partNumber":1,"etag":"..."}, ...]}            201
 //	GET    …/{key}?uploadId=ID             list staged parts         200

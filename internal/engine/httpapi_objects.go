@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -28,11 +30,11 @@ func (g *Gateway) objectRoutes() {
 // --- write options on the wire ---
 
 // parsePutOptions decodes the write options shared by PUT and the
-// multipart session open from their headers: MIME, conditional headers
-// and the TTL hint. A value the client explicitly sent is never silently
-// dropped: a non-"*" If-None-Match (RFC 9110 §13.1.2) or an unparsable
-// TTL is an invalid_argument. Range checks belong to the engine
-// (PutOptions.validate).
+// multipart session open from their headers: MIME, conditional headers,
+// the TTL hint and the body's CRC-32C. A value the client explicitly sent
+// is never silently dropped: a non-"*" If-None-Match (RFC 9110 §13.1.2),
+// an unparsable TTL or CRC-32C is an invalid_argument. Range checks belong
+// to the engine (PutOptions.validate).
 func parsePutOptions(h http.Header) (PutOptions, error) {
 	opts := PutOptions{
 		MIME:    h.Get("Content-Type"),
@@ -54,7 +56,22 @@ func parsePutOptions(h http.Header) (PutOptions, error) {
 		}
 		opts.TTLHours = v
 	}
+	if crc := h.Get(crc32cHeader); crc != "" {
+		raw, err := base64.StdEncoding.DecodeString(crc)
+		if err != nil || len(raw) != 4 {
+			return PutOptions{}, fmt.Errorf("%w: %s must be the base64 of a big-endian CRC-32C", ErrInvalidArgument, crc32cHeader)
+		}
+		v := binary.BigEndian.Uint32(raw)
+		opts.CRC32C = &v
+	}
 	return opts, nil
+}
+
+// crc32cHeader carries a body's CRC-32C in S3's flexible-checksum form.
+const crc32cHeader = "X-Checksum-CRC32C"
+
+func formatCRC32C(crc uint32) string {
+	return base64.StdEncoding.EncodeToString(binary.BigEndian.AppendUint32(nil, crc))
 }
 
 // EncodePutOptions is parsePutOptions' inverse, used by the typed client:
@@ -112,7 +129,7 @@ func (g *Gateway) putObject(h http.Header, r *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	writeMetaHeaders(h, meta)
+	writeMetaHeaders(h, meta, true)
 	return http.StatusCreated, meta, nil
 }
 
@@ -136,13 +153,13 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request) {
 			failErr(w, err)
 			return
 		}
-		if inm != "" && etagMatches(inm, meta) {
+		if inm != "" && matchETags(inm, meta, true) {
 			w.Header().Set("ETag", meta.ETag())
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 		if r.Method == http.MethodHead {
-			writeMetaHeaders(w.Header(), meta)
+			writeMetaHeaders(w.Header(), meta, true)
 			if meta.MIME != "" {
 				w.Header().Set("Content-Type", meta.MIME)
 			}
@@ -157,13 +174,14 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request) {
 			// If-Range gates the range on validator currency (RFC 9110
 			// §13.1.5): current ETag -> the 206 the client asked for,
 			// stale -> the full 200 body so a resumed download cannot
-			// splice bytes of two different versions.
+			// splice bytes of two different versions. A W/ tag or a date
+			// (no Last-Modified is served) never matches.
 			head, err := e.Head(r.Context(), container, key)
 			if err != nil {
 				failErr(w, err)
 				return
 			}
-			serve = ifRangeMatches(ir, head)
+			serve = ir == head.ETag()
 		}
 		if serve {
 			if len(specs) == 1 {
@@ -180,7 +198,7 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rc.Close()
-	writeMetaHeaders(w.Header(), meta)
+	writeMetaHeaders(w.Header(), meta, true)
 	if meta.MIME != "" {
 		w.Header().Set("Content-Type", meta.MIME)
 	}
@@ -303,7 +321,7 @@ func (g *Gateway) serveRange(w http.ResponseWriter, r *http.Request, e *Engine, 
 	if rest := meta.Size - offset; served < 0 || served > rest {
 		served = rest
 	}
-	writeMetaHeaders(w.Header(), meta)
+	writeMetaHeaders(w.Header(), meta, false)
 	if meta.MIME != "" {
 		w.Header().Set("Content-Type", meta.MIME)
 	}
@@ -360,7 +378,7 @@ func (g *Gateway) serveMultiRange(w http.ResponseWriter, r *http.Request, e *Eng
 	}
 
 	mw := multipart.NewWriter(w)
-	writeMetaHeaders(w.Header(), head)
+	writeMetaHeaders(w.Header(), head, false)
 	w.Header().Set("Content-Type", "multipart/byteranges; boundary="+mw.Boundary())
 	w.WriteHeader(http.StatusPartialContent)
 	for _, win := range windows {
@@ -388,37 +406,6 @@ func (g *Gateway) serveMultiRange(w http.ResponseWriter, r *http.Request, e *Eng
 		}
 	}
 	mw.Close() //nolint:errcheck
-}
-
-// ifRangeMatches evaluates an If-Range validator against the stored
-// version. Only a strong entity-tag comparison can authorize the range
-// (RFC 9110 §13.1.5): a weak ETag ("W/...") never matches, and an
-// HTTP-date validator is treated as stale because the gateway does not
-// serve Last-Modified. Anything but an exact current ETag falls back
-// to the full 200 body.
-func ifRangeMatches(header string, meta ObjectMeta) bool {
-	if strings.HasPrefix(header, "W/") {
-		return false
-	}
-	if strings.HasPrefix(header, `"`) {
-		return header == meta.ETag()
-	}
-	return false
-}
-
-// etagMatches compares an If-None-Match header ("*" or a list of ETags)
-// with the stored version weakly, W/ ignored (RFC 9110 §13.1.2).
-func etagMatches(header string, meta ObjectMeta) bool {
-	if header == "*" {
-		return true
-	}
-	for _, cand := range strings.Split(header, ",") {
-		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
-		if cand == meta.ETag() || cand == meta.Checksum {
-			return true
-		}
-	}
-	return false
 }
 
 func (g *Gateway) deleteObject(_ http.Header, r *http.Request) (int, any, error) {
@@ -503,7 +490,7 @@ func (g *Gateway) completeUpload(h http.Header, r *http.Request) (int, any, erro
 	if err != nil {
 		return 0, nil, err
 	}
-	writeMetaHeaders(h, meta)
+	writeMetaHeaders(h, meta, true)
 	return http.StatusCreated, meta, nil
 }
 
@@ -518,7 +505,12 @@ func (g *Gateway) listParts(_ http.Header, r *http.Request) (int, any, error) {
 	return http.StatusOK, ListPartsResult{Upload: info, Parts: parts}, err
 }
 
-func writeMetaHeaders(h http.Header, meta ObjectMeta) {
+// writeMetaHeaders describes meta's version on a reply; one that stands
+// for the whole object (whole) names its CRC-32C too.
+func writeMetaHeaders(h http.Header, meta ObjectMeta, whole bool) {
+	if whole {
+		h.Set(crc32cHeader, formatCRC32C(meta.CRC32C()))
+	}
 	h.Set("ETag", meta.ETag())
 	h.Set("X-Scalia-M", strconv.Itoa(meta.M))
 	h.Set("X-Scalia-Providers", strings.Join(meta.Chunks, ","))

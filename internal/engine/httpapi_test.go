@@ -3,8 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,12 +12,14 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
+	"scalia/internal/crc32c"
 )
 
 func newGatewayServer(t *testing.T, cfg Config) (*Broker, *httptest.Server) {
@@ -129,7 +129,8 @@ func TestGatewayPutGetHeadDeleteList(t *testing.T) {
 // TestGatewayStreamsMultiStripeObject proves the acceptance criterion:
 // a multi-chunk, multi-stripe object round-trips through the gateway
 // with the body split into stripes on the serving path, and every
-// stripe is parity-consistent at the providers.
+// stripe is parity-consistent at the providers. The PUT, GET and HEAD
+// replies name the body's CRC-32C, composed from the stripe sums.
 func TestGatewayStreamsMultiStripeObject(t *testing.T) {
 	b, ts := newGatewayServer(t, Config{StripeBytes: 1024})
 	client := ts.Client()
@@ -148,9 +149,9 @@ func TestGatewayStreamsMultiStripeObject(t *testing.T) {
 	if meta.Stripes != 11 {
 		t.Fatalf("Stripes = %d, want 11", meta.Stripes)
 	}
-	wantSum := md5.Sum(payload)
-	if meta.Checksum != hex.EncodeToString(wantSum[:]) {
-		t.Fatal("streamed checksum mismatch")
+	wantCRC := formatCRC32C(crc32c.Checksum(payload))
+	if got := resp.Header.Get("X-Checksum-CRC32C"); got != wantCRC {
+		t.Fatalf("PUT X-Checksum-CRC32C = %q, want %q", got, wantCRC)
 	}
 
 	resp = doReq(t, client, http.MethodGet, ts.URL+"/v1/objects/big/blob", nil, nil)
@@ -158,6 +159,14 @@ func TestGatewayStreamsMultiStripeObject(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, payload) {
 		t.Fatalf("GET = %d, %d bytes (want %d)", resp.StatusCode, len(got), len(payload))
+	}
+	if resp.Header.Get("X-Checksum-CRC32C") != wantCRC || resp.Header.Get("ETag") != meta.ETag() {
+		t.Fatalf("GET headers %v, want CRC-32C %s and ETag %s", resp.Header, wantCRC, meta.ETag())
+	}
+	resp = doReq(t, client, http.MethodHead, ts.URL+"/v1/objects/big/blob", nil, nil)
+	resp.Body.Close()
+	if resp.Header.Get("X-Checksum-CRC32C") != wantCRC {
+		t.Fatalf("HEAD headers %v, want CRC-32C %s", resp.Header, wantCRC)
 	}
 
 	// Every stripe must verify against its parity at the providers.
@@ -305,20 +314,23 @@ func TestGatewayTypedErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// A lifetime hint the client sent is validated before any chunk
-	// traffic: never silently dropped ("abc" used to be a 201 without the
-	// hint), never discovered after the chunks were written and billed
-	// ("+Inf" used to be a 500 after a roll-back).
+	// A lifetime hint or a CRC-32C the client sent is validated before
+	// any chunk traffic: never silently dropped ("abc" used to be a 201
+	// without the hint), never discovered after the chunks were written
+	// and billed ("+Inf" used to be a 500 after a roll-back).
 	ops := b.Registry().TotalUsage().Ops
-	for _, ttl := range []string{"abc", "+Inf", "NaN", "-1"} {
+	for _, hdr := range []map[string]string{
+		{"X-Scalia-TTL-Hours": "abc"}, {"X-Scalia-TTL-Hours": "+Inf"}, {"X-Scalia-TTL-Hours": "NaN"}, {"X-Scalia-TTL-Hours": "-1"},
+		{"X-Checksum-CRC32C": "not base64"}, {"X-Checksum-CRC32C": "AAAA"}, // three bytes, not four
+	} {
 		for _, u := range []string{"/v1/objects/c/ttl", "/v1/objects/c/ttl?uploads"} {
 			method := http.MethodPut
 			if strings.HasSuffix(u, "?uploads") {
 				method = http.MethodPost
 			}
-			resp = doReq(t, client, method, ts.URL+u, []byte("hello"), map[string]string{"X-Scalia-TTL-Hours": ttl})
+			resp = doReq(t, client, method, ts.URL+u, []byte("hello"), hdr)
 			if resp.StatusCode != http.StatusBadRequest || errCode(t, resp) != "invalid_argument" {
-				t.Fatalf("%s %s with TTL %q = %d, want 400 invalid_argument", method, u, ttl, resp.StatusCode)
+				t.Fatalf("%s %s with %v = %d, want 400 invalid_argument", method, u, hdr, resp.StatusCode)
 			}
 			resp.Body.Close()
 		}
@@ -983,8 +995,9 @@ func TestGatewayFaultInjectionRepairSwap(t *testing.T) {
 		t.Fatal("stream spanning the repair delivered corrupted bytes")
 	}
 
-	// Post-repair: the object references the spare, a fresh GET matches,
-	// and the repaired chunk's MD5/parity verifies across all n chunks.
+	// Post-repair: the object references the spare, a fresh GET matches
+	// with the ETag and CRC-32C of before, and the repaired chunk's sum and
+	// parity verify across all n chunks.
 	resp = doReq(t, client, http.MethodGet, ts.URL+"/v1/objects/bk/obj", nil, nil)
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -994,9 +1007,8 @@ func TestGatewayFaultInjectionRepairSwap(t *testing.T) {
 	if providers := resp.Header.Get("X-Scalia-Providers"); strings.Contains(providers, victim) {
 		t.Fatalf("repaired object still references %s: %s", victim, providers)
 	}
-	sum := md5.Sum(body)
-	if hex.EncodeToString(sum[:]) != meta.Checksum {
-		t.Fatal("post-repair checksum mismatch")
+	if resp.Header.Get("ETag") != meta.ETag() || resp.Header.Get("X-Checksum-CRC32C") != formatCRC32C(crc32c.Checksum(payload)) {
+		t.Fatalf("post-repair headers %v, want ETag %s and the payload's CRC-32C", resp.Header, meta.ETag())
 	}
 	reachable, err := b.Engine(0).VerifyObject(context.Background(), "bk", "obj")
 	if err != nil {
@@ -1015,6 +1027,129 @@ func TestGatewayFaultInjectionRepairSwap(t *testing.T) {
 	resp.Body.Close()
 	if stats.Repair.Swapped != 1 || stats.Repair.Passes != 1 {
 		t.Fatalf("stats.repair = %+v", stats.Repair)
+	}
+}
+
+// TestGatewayChecksumCRC32C: X-Checksum-CRC32C is the body's end-to-end
+// digest, composed from the stripe sums. A PUT that sends the right one
+// lands; one whose bytes do not match it is a 400 invalid_argument before
+// it commits — the live version stays, and nothing is left at the
+// providers. A multipart upload's is the assembled object's, checked when
+// the upload completes.
+func TestGatewayChecksumCRC32C(t *testing.T) {
+	b, ts := newGatewayServer(t, Config{StripeBytes: 1024})
+	payload := testPayload(5*1024 + 77) // six stripes, ragged tail
+	sum := crc32c.Checksum(payload)
+	put := func(key string, body []byte, crc uint32) *http.Response {
+		t.Helper()
+		return doReq(t, ts.Client(), http.MethodPut, ts.URL+"/v1/objects/c/"+key, body,
+			map[string]string{"X-Checksum-CRC32C": formatCRC32C(crc)})
+	}
+	resp := put("k", payload, sum)
+	resp.Body.Close()
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusCreated || resp.Header.Get("X-Checksum-CRC32C") != formatCRC32C(sum) {
+		t.Fatalf("PUT with the body's CRC-32C = %d, headers %v", resp.StatusCode, resp.Header)
+	}
+	b.ProcessPendingDeletes(ctx)
+	before := usedBytesTotal(b)
+
+	for _, refused := range []struct {
+		key  string
+		body []byte
+		crc  uint32
+	}{
+		{"k", testPayload(len(payload) + 1)[1:], sum}, // an overwrite: other bytes, same length
+		{"fresh", payload, sum + 1},
+	} {
+		resp := put(refused.key, refused.body, refused.crc)
+		if resp.StatusCode != http.StatusBadRequest || errCode(t, resp) != "invalid_argument" {
+			t.Fatalf("PUT %s whose bytes miss its CRC-32C = %d, want 400 invalid_argument", refused.key, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	e, bad := b.Engine(0), sum+1
+	up, err := e.CreateUpload(ctx, "c", "mp", 0, PutOptions{CRC32C: &bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := e.UploadPart(ctx, up.UploadID, 1, bytes.NewReader(payload), int64(len(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CompleteUpload(ctx, up.UploadID, []CompletedPart{{PartNumber: 1, ETag: part.ETag}}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("upload completing with a wrong CRC-32C = %v, want ErrInvalidArgument", err)
+	}
+
+	b.ProcessPendingDeletes(ctx)
+	if after := usedBytesTotal(b); after != before {
+		t.Fatalf("refused writes left %d bytes at the providers", after-before)
+	}
+	got, meta, err := e.Get(ctx, "c", "k")
+	if err != nil || !bytes.Equal(got, payload) || meta.ETag() != etag {
+		t.Fatalf("after the refused overwrite: %v, ETag %s (want %s)", err, meta.ETag(), etag)
+	}
+	for _, key := range []string{"fresh", "mp"} {
+		if _, err := e.Head(ctx, "c", key); !errors.Is(err, ErrObjectNotFound) {
+			t.Fatalf("Head %s after its refused write = %v", key, err)
+		}
+	}
+}
+
+// TestETagSurvivesMaintenance: an ETag names the write, and neither a
+// migration nor a swap repair is one — they rewrite chunks, not the
+// object — so If-None-Match with the ETag a client holds still gets a 304
+// after each, and If-Match still names the version.
+func TestETagSurvivesMaintenance(t *testing.T) {
+	b, ts := newGatewayServer(t, Config{Registry: marketOf("A", "B", "C", "D")})
+	client := ts.Client()
+	rule := exactRule(2, 3) // three of the four: one spare to swap onto
+	b.Rules().SetContainerRule("c", rule)
+	resp := doReq(t, client, http.MethodPut, ts.URL+"/v1/objects/c/k", testPayload(5000), nil)
+	resp.Body.Close()
+	etag := resp.Header.Get("ETag")
+	notModified := func(after string) {
+		t.Helper()
+		resp := doReq(t, client, http.MethodGet, ts.URL+"/v1/objects/c/k", nil, map[string]string{"If-None-Match": etag})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("If-None-Match %s after %s: GET = %d, want 304", etag, after, resp.StatusCode)
+		}
+	}
+	notModified("the PUT")
+
+	e := b.Engine(0)
+	meta, err := e.Head(ctx, "c", "k")
+	if err != nil || len(meta.Chunks) != 3 {
+		t.Fatalf("Head = %+v, %v; the scenario needs three of four providers", meta, err)
+	}
+	to := core.Placement{M: meta.M}
+	for _, name := range meta.Chunks {
+		s, _ := b.Registry().Store(name)
+		to.Providers = append(to.Providers, s.Spec())
+	}
+	if err := e.migrate(ctx, meta, to); err != nil {
+		t.Fatal(err)
+	}
+	if moved, _ := e.Head(ctx, "c", "k"); moved.UUID == meta.UUID {
+		t.Fatal("the migration wrote no new version")
+	}
+	notModified("a migration")
+
+	b.Registry().UpdateAvailability(meta.Chunks[0], false)
+	if rep, err := b.Repair(ctx, RepairActive); err != nil || rep.Swapped != 1 {
+		t.Fatalf("repair = %+v, %v; want one swap", rep, err)
+	}
+	b.Registry().UpdateAvailability(meta.Chunks[0], true)
+	if swapped, _ := e.Head(ctx, "c", "k"); slices.Contains(swapped.Chunks, meta.Chunks[0]) {
+		t.Fatalf("the swap left %s in %v", meta.Chunks[0], swapped.Chunks)
+	}
+	notModified("a swap repair")
+
+	resp = doReq(t, client, http.MethodPut, ts.URL+"/v1/objects/c/k", testPayload(5000), map[string]string{"If-Match": etag})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || resp.Header.Get("ETag") == etag {
+		t.Fatalf("If-Match PUT after maintenance = %d, ETag %s; want 201 and a new ETag", resp.StatusCode, resp.Header.Get("ETag"))
 	}
 }
 

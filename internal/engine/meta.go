@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 
 	"scalia/internal/core"
+	"scalia/internal/crc32c"
 	"scalia/internal/metadata"
 )
 
@@ -21,7 +23,7 @@ type ObjectMeta struct {
 	Key       string `json:"key"`
 	MIME      string `json:"mime"`
 	Size      int64  `json:"size"`
-	Checksum  string `json:"checksum"` // MD5 of the object payload: the ETag
+	Checksum  string `json:"checksum"` // the write's token, quoted as the ETag
 	RuleName  string `json:"policy"`
 	// Rule is the rule the write pinned (PutOptions.Rule), which every
 	// re-plan of the version honours; nil = resolve it by container, class.
@@ -46,9 +48,6 @@ type ObjectMeta struct {
 	// what every fetched chunk and every decoded payload is checked
 	// against. Every writer sets it; a stripe whose record is missing or
 	// does not cover all n chunk slots fails its read with ErrChecksum.
-	// Checksum stays an MD5 because it is the wire-visible, S3-compatible
-	// ETag; it is computed once, as the body streams in, and no read
-	// recomputes it.
 	Sums []StripeSum `json:"sums,omitempty"`
 	// PartStripes, set on objects assembled from a multipart upload,
 	// records how many stripes each part contributed (part 1 first; the
@@ -81,8 +80,7 @@ type StripeSum struct {
 }
 
 // Multipart reports whether this version was assembled from a
-// multipart upload. Such versions use part-scoped chunk keys and an
-// ETag-of-ETags checksum instead of a whole-body MD5.
+// multipart upload. Such versions use part-scoped chunk keys.
 func (m ObjectMeta) Multipart() bool { return len(m.PartStripes) > 0 }
 
 // StripeCount returns the number of stripes the object is stored as
@@ -120,8 +118,21 @@ func (m ObjectMeta) stripeLen(s int) int64 {
 }
 
 // ETag returns the object's entity tag for conditional HTTP requests:
-// the quoted content checksum, as S3 does for simple uploads.
+// Checksum quoted — a token that names the write, not a digest of the
+// bytes (the rule is stated on scalia.API).
 func (m ObjectMeta) ETag() string { return `"` + m.Checksum + `"` }
+
+// newToken mints a write's token (Checksum): the 32 hex digits of a NewUUID.
+func newToken(uuid string) string { return strings.ReplaceAll(uuid, "-", "") }
+
+// CRC32C composes the whole payload's CRC-32C from the stripes' sums.
+func (m ObjectMeta) CRC32C() uint32 {
+	var crc uint32
+	for s, sum := range m.Sums {
+		crc = crc32c.Combine(crc, sum.Payload, int(m.stripeLen(s)))
+	}
+	return crc
+}
 
 // RowKey returns the metadata row key: MD5(container | key) (§III-D1).
 func RowKey(container, key string) string {

@@ -2,13 +2,10 @@ package engine
 
 import (
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -51,7 +48,7 @@ type UploadInfo struct {
 // PartInfo describes one staged part of a multipart upload.
 type PartInfo struct {
 	PartNumber int    `json:"partNumber"`
-	ETag       string `json:"etag"` // MD5 of the part payload, hex
+	ETag       string `json:"etag"` // the part attempt's token (newToken)
 	Size       int64  `json:"size"`
 	Stripes    int    `json:"stripes"`
 }
@@ -208,13 +205,12 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 		settle()
 		return PartInfo{}, err
 	}
-	etag, err := e.writeStripes(ctx, l, r)
-	if err != nil {
+	if err := e.writeStripes(ctx, l, r); err != nil {
 		settle()
 		return PartInfo{}, err
 	}
 	part := &stagedPart{
-		number: partNumber, gen: gen, size: size, etag: etag,
+		number: partNumber, gen: gen, size: size, etag: newToken(NewUUID()),
 		stripes: l.stripes, sums: l.sums,
 	}
 	s.mu.Lock()
@@ -229,7 +225,7 @@ func (e *Engine) UploadPart(ctx context.Context, uploadID string, partNumber int
 	delete(s.inflight, partNumber)
 	s.lastActive = e.b.now()
 	s.mu.Unlock()
-	return PartInfo{PartNumber: partNumber, ETag: etag, Size: size, Stripes: l.stripes}, nil
+	return PartInfo{PartNumber: partNumber, ETag: part.etag, Size: size, Stripes: l.stripes}, nil
 }
 
 // ListParts reports the staged parts of an open upload, sorted by part
@@ -301,7 +297,6 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 	meta := s.draft
 	meta.PartStripes = make([]int, len(staged))
 	meta.Gens = make([]uint64, 0, len(staged)*len(meta.Chunks))
-	etagSum := md5.New()
 	for i, p := range staged {
 		meta.Size += p.size
 		meta.Stripes += p.stripes
@@ -310,14 +305,7 @@ func (e *Engine) CompleteUpload(ctx context.Context, uploadID string, parts []Co
 			meta.Gens = append(meta.Gens, p.gen)
 		}
 		meta.Sums = append(meta.Sums, p.sums...)
-		if raw, err := hex.DecodeString(p.etag); err == nil {
-			etagSum.Write(raw) //nolint:errcheck
-		}
 	}
-	// S3-style composite: MD5 over the concatenated part digests, suffixed
-	// with the part count. Not a body MD5; reads verify the per-stripe
-	// sums, as they do for every object.
-	meta.Checksum = hex.EncodeToString(etagSum.Sum(nil)) + "-" + strconv.Itoa(len(staged))
 	meta.Class = stats.ClassKey(meta.MIME, meta.Size)
 	meta.CreatedAt = e.b.clock.Period()
 	if err := e.commitWrite(ctx, &meta, s.opts, nil); err != nil { // parts keep no copies: cached stripes are dropped

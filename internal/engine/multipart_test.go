@@ -101,7 +101,22 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 	}); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("complete with wrong etag = %v, want ErrInvalidArgument", err)
 	}
+	// Re-sending part 2's very bytes is a new attempt with an ETag of its
+	// own, and the replaced attempt's no longer completes the upload.
+	stale := p2
+	if p2, err = e.UploadPart(ctx, up.UploadID, 2, bytes.NewReader(part2), int64(len(part2))); err != nil || p2.ETag == stale.ETag {
+		t.Fatalf("identical re-send of part 2: %+v, %v; want a new ETag", p2, err)
+	}
+	if _, err := e.CompleteUpload(ctx, up.UploadID, []CompletedPart{
+		{PartNumber: 1, ETag: p1.ETag}, {PartNumber: 2, ETag: stale.ETag},
+	}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("complete with the replaced attempt's ETag = %v, want ErrInvalidArgument", err)
+	}
 
+	u, err := b.getUpload(up.UploadID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	meta, err := e.CompleteUpload(ctx, up.UploadID, []CompletedPart{
 		{PartNumber: 1, ETag: p1.ETag}, {PartNumber: 2, ETag: p2.ETag},
 	})
@@ -112,8 +127,8 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 	if meta.Size != int64(len(want)) || meta.StripeCount() != 4 || !meta.Multipart() {
 		t.Fatalf("completed meta = %+v", meta)
 	}
-	if !strings.HasSuffix(meta.Checksum, "-2") {
-		t.Fatalf("multipart checksum %q should carry the part count suffix", meta.Checksum)
+	if meta.Checksum != u.draft.Checksum || meta.Checksum == p1.ETag || meta.Checksum == p2.ETag {
+		t.Fatalf("completed ETag %q, want the draft's token %q", meta.Checksum, u.draft.Checksum)
 	}
 	got, gotMeta, err := e.Get(ctx, "mp", "big")
 	if err != nil || !bytes.Equal(got, want) {

@@ -335,21 +335,16 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	if err != nil {
 		return err
 	}
-	bodySum, err := e.writeStripes(ctx, l, src)
-	if err != nil {
+	if err := e.writeStripes(ctx, l, src); err != nil {
 		return fmt.Errorf("engine: migrate write: %w", err)
 	}
 	// End-to-end check of the copy: every stripe's payload sum must come
-	// out as stored, and so must the body MD5 — except for a multipart
-	// version, whose Checksum is the md5-N composite of its part ETags, not
-	// a body MD5, and is carried over unchanged. The chunk sums are the
-	// destination's own: a new (m, n) cuts different chunks.
-	if !meta.Multipart() {
-		newMeta.Checksum = bodySum
-	}
+	// out as stored. The chunk sums are the destination's own: a new
+	// (m, n) cuts different chunks. The ETag token is carried over: the
+	// object did not change.
 	newMeta.Sums = l.sums
 	samePayload := func(a, b StripeSum) bool { return a.Payload == b.Payload }
-	if !slices.EqualFunc(l.sums, meta.Sums, samePayload) || newMeta.Checksum != meta.Checksum {
+	if !slices.EqualFunc(l.sums, meta.Sums, samePayload) {
 		e.discard(l, l.stripes, l.all)
 		return fmt.Errorf("engine: migrate: %w", ErrChecksum)
 	}

@@ -3,8 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -318,7 +316,9 @@ func TestHeldStreamsThroughRepairChurn(t *testing.T) {
 // hold their stream open), overwriters, a deleter and the optimizer — with price swings that make it migrate — on
 // the same few multi-stripe keys, behind providers that take a couple of
 // milliseconds per operation. Every version is registered in the oracle
-// under its ETag before it is written. Every read that returns bytes
+// under the ETag its Put returned; a reader can see a version before its
+// Put has returned, so every read is recorded — ETag, offset, bytes — and
+// checked once everything is done. Every read that returns bytes
 // returns exactly one version's bytes; no read fails with anything but
 // ErrObjectNotFound; and at rest the providers hold exactly the live
 // versions' chunks. It runs with the stripe caches off and on in both
@@ -347,25 +347,33 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Clock: clock, MigrationHorizon: 1_000_000, CacheBytes: cacheBytes})
 	b.Rules().SetContainerRule(container, repairRule)
 
-	var oracle sync.Map // ETag (hex MD5) -> payload
-	version := func(rng *rand.Rand) []byte {
+	var oracle sync.Map // the ETag a Put returned -> its payload
+	put := func(e *Engine, key string, rng *rand.Rand) error {
 		p := make([]byte, 3*stripe+rng.Intn(2*stripe)) // 4 or 5 stripes, ragged tail
 		rng.Read(p)
-		sum := md5.Sum(p)
-		oracle.Store(hex.EncodeToString(sum[:]), p)
-		return p
+		meta, err := e.Put(ctx, container, key, p, PutOptions{})
+		if err == nil {
+			oracle.Store(meta.Checksum, p)
+		}
+		return err
 	}
 	key := func(rng *rand.Rand) string { return fmt.Sprintf("k%d", rng.Intn(keyCount)) }
-	check := func(meta ObjectMeta, off int64, got []byte) {
-		want, ok := oracle.Load(meta.Checksum)
-		if !ok {
-			t.Errorf("read returned version %s nobody wrote", meta.Checksum)
-		} else if w := want.([]byte)[off:]; len(got) > len(w) || !bytes.Equal(got, w[:len(got)]) {
-			t.Errorf("read of version %s at %d: %d bytes that are not that version's", meta.Checksum, off, len(got))
-		}
+	type read struct {
+		etag string
+		off  int64
+		got  []byte
+	}
+	var (
+		seenMu sync.Mutex
+		seen   []read
+	)
+	record := func(meta ObjectMeta, off int64, got []byte) {
+		seenMu.Lock()
+		seen = append(seen, read{meta.Checksum, off, got})
+		seenMu.Unlock()
 	}
 	for k := 0; k < keyCount; k++ {
-		if _, err := b.Engine(0).Put(ctx, container, fmt.Sprintf("k%d", k), version(rand.New(rand.NewSource(int64(k)))), PutOptions{}); err != nil {
+		if err := put(b.Engine(0), fmt.Sprintf("k%d", k), rand.New(rand.NewSource(int64(k)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,7 +402,7 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 				defer rc.Close()
 				got, err := io.ReadAll(rc)
 				if err == nil {
-					check(meta, off, got)
+					record(meta, off, got)
 				}
 				return err
 			}
@@ -421,7 +429,7 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 			if err != io.EOF {
 				return err
 			}
-			check(meta, 0, got)
+			record(meta, 0, got)
 			if int64(len(got)) != meta.Size {
 				t.Errorf("full read of %s: %d of %d bytes", meta.Checksum, len(got), meta.Size)
 			}
@@ -430,8 +438,7 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 	}
 	for w := 0; w < writers; w++ {
 		run(writes, int64(200+w), func(e *Engine, rng *rand.Rand) error {
-			_, err := e.Put(ctx, container, key(rng), version(rng), PutOptions{})
-			return err
+			return put(e, key(rng), rng)
 		})
 	}
 	run(deletes, 300, func(e *Engine, rng *rand.Rand) error {
@@ -457,6 +464,14 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 		return err
 	})
 	wg.Wait()
+	for _, r := range seen {
+		want, ok := oracle.Load(r.etag)
+		if !ok {
+			t.Errorf("read returned version %s nobody wrote", r.etag)
+		} else if w := want.([]byte)[r.off:]; len(r.got) > len(w) || !bytes.Equal(r.got, w[:len(r.got)]) {
+			t.Errorf("read of version %s at %d: %d bytes that are not that version's", r.etag, r.off, len(r.got))
+		}
+	}
 
 	b.DrainMaintenance(ctx)
 	b.ProcessPendingDeletes(ctx)

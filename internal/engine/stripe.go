@@ -438,7 +438,7 @@ type stripeTask struct {
 // runs — the serial part of the stripe (a write reads the body into its
 // chunks and computes the parity there) — and the work function it
 // returns runs concurrently with up to depth-1 other stripes (a write's
-// sends the chunks out and hashes them). The budget rule that
+// sends the chunks out and sums them). The budget rule that
 // keeps any mix of transfers deadlock-free: a pipe waits for a slot
 // only while it has no stripe outstanding; otherwise it merely tries,
 // and falls back to finishing its own oldest stripe first. A held slot

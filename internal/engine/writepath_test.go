@@ -3,8 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,12 +29,6 @@ func exactRule(m, n int) core.Rule {
 		availability = 0.999999 // two may be
 	}
 	return core.Rule{Name: fmt.Sprintf("exact-%d-%d", m, n), Durability: 0.9999, Availability: availability, LockIn: 1 / float64(n)}
-}
-
-// md5Hex is the ETag of a body.
-func md5Hex(body []byte) string {
-	sum := md5.Sum(body)
-	return hex.EncodeToString(sum[:])
 }
 
 // storedAsEncoded checks body as stored at names under key: every chunk
@@ -78,8 +70,9 @@ func storedAsEncoded(t *testing.T, b *Broker, m int, names []string, key func(s,
 // TestWriteStoresWhatTheReferenceComputes: for bodies around every
 // boundary of the stripe and chunk geometry, each code and pipe depth,
 // PutReader, UploadPart and migrate store exactly the chunks
-// erasure.Encode cuts from each stripe, record the sums taken directly
-// over them, and return the body's MD5 as the ETag.
+// erasure.Encode cuts from each stripe and record the sums taken directly
+// over them; the sums compose to the body's CRC-32C; a PUT mints a fresh
+// ETag token and a migration keeps it.
 func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
 	const stripe = 1024
 	for _, code := range [][2]int{{1, 2}, {2, 3}, {3, 5}, {4, 5}} {
@@ -109,8 +102,9 @@ func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
 					if meta.M != m || len(meta.Chunks) != n {
 						t.Fatalf("scenario expects (%d, %d), placed (%d, %d)", m, n, meta.M, len(meta.Chunks))
 					}
-					if meta.Checksum != md5Hex(body) {
-						t.Fatalf("put %d bytes: ETag %s, want the body's MD5", size, meta.Checksum)
+					if meta.Checksum != newToken(meta.UUID) || meta.CRC32C() != crc32c.Checksum(body) {
+						t.Fatalf("put %d bytes: ETag %s, CRC-32C %08x; want the version's token and %08x",
+							size, meta.Checksum, meta.CRC32C(), crc32c.Checksum(body))
 					}
 					storedAsEncoded(t, b, m, meta.Chunks, meta.chunkKey, meta.Sums, body, stripe)
 
@@ -118,8 +112,8 @@ func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
 						t.Fatalf("migrate %d bytes: %v", size, err)
 					}
 					moved, err := e.Head(ctx, "c", key)
-					if err != nil || moved.UUID == meta.UUID || moved.Checksum != md5Hex(body) {
-						t.Fatalf("migrate %d bytes: %+v, %v; want a new version with the body's MD5", size, moved, err)
+					if err != nil || moved.UUID == meta.UUID || moved.Checksum != meta.Checksum || moved.CRC32C() != crc32c.Checksum(body) {
+						t.Fatalf("migrate %d bytes: %+v, %v; want a new version with the same ETag and CRC-32C", size, moved, err)
 					}
 					storedAsEncoded(t, b, m, moved.Chunks, moved.chunkKey, moved.Sums, body, stripe)
 
@@ -130,13 +124,13 @@ func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					info, err := e.UploadPart(ctx, up.UploadID, 1, bytes.NewReader(body), int64(size))
-					if err != nil || info.ETag != md5Hex(body) {
-						t.Fatalf("part of %d bytes: ETag %s, %v; want the body's MD5", size, info.ETag, err)
-					}
 					u, err := b.getUpload(up.UploadID)
 					if err != nil {
 						t.Fatal(err)
+					}
+					info, err := e.UploadPart(ctx, up.UploadID, 1, bytes.NewReader(body), int64(size))
+					if err != nil || len(info.ETag) != 32 || info.ETag == u.draft.Checksum {
+						t.Fatalf("part of %d bytes: ETag %q, %v; want a token of its own", size, info.ETag, err)
 					}
 					u.mu.Lock()
 					part := u.parts[1]
@@ -153,12 +147,12 @@ func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
 }
 
 // TestPooledChunksOutliveTheirReaders: a stripe's pooled chunks go back
-// to the pool only once every write of them and the stripe's hash are
+// to the pool only once every write of them and the stripe's sums are
 // done. Every Put checks its bytes on entry and on return (hookBackend);
 // one provider sleeps for a varying while and the others only yield, so a
-// stripe's hash and its writes finish in either order; and the stripes
+// stripe's sums and its writes finish in either order; and the stripes
 // behind fill whatever the pool hands out. A chunk recycled under a
-// reader fails a Put, the ETag or the read back.
+// reader fails a Put, the sums' CRC-32C of the body or the read back.
 func TestPooledChunksOutliveTheirReaders(t *testing.T) {
 	const stripe = 64 << 10
 	reg, backends := hooked(marketOf("A", "B", "C", "D", "E"))
@@ -184,8 +178,8 @@ func TestPooledChunksOutliveTheirReaders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if meta.Checksum != md5Hex(body) {
-			t.Fatalf("round %d: ETag %s, want the body's MD5", round, meta.Checksum)
+		if meta.CRC32C() != crc32c.Checksum(body) {
+			t.Fatalf("round %d: the sums compose to CRC-32C %08x, the body's is %08x", round, meta.CRC32C(), crc32c.Checksum(body))
 		}
 		got, _, err := e.Get(ctx, "c", "k") // caches it, so the next round's PUT copies what it replaces
 		if err != nil || !bytes.Equal(got, body) {
@@ -317,18 +311,25 @@ func TestWriteGaugesWithUnboundedBudget(t *testing.T) {
 // reader and a repairer concurrently — the torn-state hunt for the
 // write pipeline, the versioned read path and repair sharing one row.
 // Run under -race; the invariant checked on every successful read is
-// that body, size and checksum belong to ONE committed version.
+// that body, size and ETag belong to ONE committed version: the bytes are
+// exactly one generation's payload, and the ETag is the one the Put of
+// that generation returned. A read can see a version before its Put has
+// returned, so the ETags are checked once every goroutine is done.
 func TestConcurrentPutGetRepair(t *testing.T) {
 	b := newTestBroker(t, Config{StripeBytes: 1024, CacheBytes: 1 << 20})
 	e := b.Engine(0)
 	mkPayload := func(gen int) []byte {
 		return bytes.Repeat([]byte{byte(gen)}, 4*1024)
 	}
-	if _, err := e.Put(context.Background(), "c", "k", mkPayload(0), PutOptions{}); err != nil {
+	const iters = 25
+	written := make([]string, iters+1) // generation -> the ETag its Put returned
+	seen := make(map[string]int)       // ETag read -> the generation read with it (reader only)
+	v0, err := e.Put(context.Background(), "c", "k", mkPayload(0), PutOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	written[0] = v0.Checksum
 
-	const iters = 25
 	var wg sync.WaitGroup
 	fail := make(chan error, 3)
 	report := func(err error) {
@@ -343,7 +344,8 @@ func TestConcurrentPutGetRepair(t *testing.T) {
 		defer wg.Done()
 		for i := 1; i <= iters; i++ {
 			p := mkPayload(i)
-			_, err := e.PutReader(context.Background(), "c", "k", bytes.NewReader(p), int64(len(p)), PutOptions{})
+			meta, err := e.PutReader(context.Background(), "c", "k", bytes.NewReader(p), int64(len(p)), PutOptions{})
+			written[i] = meta.Checksum
 			if err != nil && !errors.Is(err, core.ErrNoProviders) && !errors.Is(err, cloud.ErrUnavailable) {
 				// Placement may be briefly infeasible while the repairer
 				// holds a provider down; anything else is a real failure.
@@ -367,11 +369,16 @@ func TestConcurrentPutGetRepair(t *testing.T) {
 				report(fmt.Errorf("torn read: %d bytes, meta says %d", len(data), meta.Size))
 				return
 			}
-			sum := md5.Sum(data)
-			if got := hex.EncodeToString(sum[:]); got != meta.Checksum {
-				report(fmt.Errorf("read of version %s does not match its checksum", meta.UUID))
+			gen := int(data[0])
+			if gen > iters || !bytes.Equal(data, mkPayload(gen)) {
+				report(fmt.Errorf("read of version %s: bytes that no generation wrote", meta.UUID))
 				return
 			}
+			if prev, ok := seen[meta.Checksum]; ok && prev != gen {
+				report(fmt.Errorf("ETag %s read with generations %d and %d", meta.Checksum, prev, gen))
+				return
+			}
+			seen[meta.Checksum] = gen
 		}
 	}()
 	go func() { // repairer: rotate provider outages through repair passes
@@ -393,6 +400,11 @@ func TestConcurrentPutGetRepair(t *testing.T) {
 	case err := <-fail:
 		t.Fatal(err)
 	default:
+	}
+	for etag, gen := range seen {
+		if written[gen] != etag {
+			t.Fatalf("a read of generation %d carried ETag %s, its Put returned %q", gen, etag, written[gen])
+		}
 	}
 
 	data, meta, err := e.Get(context.Background(), "c", "k")

@@ -48,7 +48,7 @@ var (
 // The caller owns every returned chunk, and data with them, until it
 // hands the whole slice back via ReleaseChunks; after that the memory is
 // recycled, so nothing may read or keep a chunk past the release. The
-// write path releases a stripe's chunks once its writes and its hash are
+// write path releases a stripe's chunks once its writes and its sums are
 // both done, which is safe only because a backend keeps no reference to
 // the bytes once Put returns — `cloud`'s PutCopiesIn conformance row.
 func (c *Coder) EncodeFill(dataLen int, fill func(data []byte) error) ([][]byte, error) {

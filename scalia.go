@@ -190,6 +190,12 @@ type Options = engine.Config
 // inverse. One conformance suite (internal/apitest) runs against all of
 // them. Failures wrap the sentinel errors of this package, identically
 // on every transport.
+//
+// An ETag names the write, not the bytes: every PUT, completed upload and
+// part attempt gets a new one, even for identical bytes, and repair and
+// migration keep it, so If-Match and If-None-Match hold across
+// maintenance. The body's digest is its CRC-32C (ObjectMeta.CRC32C; on the
+// wire X-Checksum-CRC32C, which a PUT may send to have its bytes checked).
 type API interface {
 	// PutReader stores or updates an object streamed from r. size must be
 	// the exact body length; at most the write pipeline's depth of stripes
