@@ -773,6 +773,30 @@ func BenchmarkBrokerPut(b *testing.B) {
 	}
 }
 
+// BenchmarkList measures one page of a container listing in a store of
+// 20 000 one-byte objects spread over 10 containers: the listing reads
+// every object row of the engine's datacenter node and keeps the
+// container's, so its cost follows the store, not the page.
+func BenchmarkList(b *testing.B) {
+	const objects, containers = 20000, 10
+	br := engine.NewBroker(engine.Config{})
+	b.Cleanup(br.Close)
+	e := br.Engine(0)
+	for i := 0; i < objects; i++ {
+		if _, err := e.Put(bgctx, fmt.Sprintf("c%d", i%containers), fmt.Sprintf("k%06d", i), []byte{1}, engine.PutOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.List(bgctx, "c3", engine.ListOptions{})
+		if err != nil || len(res.Keys) != engine.MaxListLimit || !res.Truncated {
+			b.Fatalf("List = %d keys (truncated %v), %v", len(res.Keys), res.Truncated, err)
+		}
+	}
+}
+
 // BenchmarkRepairSwap measures one active repair of an 8-stripe (m=2,
 // n=3) object after a single provider failure, against providers with a
 // simulated per-op round-trip: the same-(m,n) chunk-swap path (write

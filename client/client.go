@@ -296,6 +296,8 @@ func (c *Client) Head(ctx context.Context, container, key string) (scalia.Object
 		// HEAD responses carry no body, hence no code; the status alone
 		// names the sentinel.
 		return scalia.ObjectMeta{}, fmt.Errorf("%w: %s/%s", scalia.ErrObjectNotFound, container, key)
+	case http.StatusBadRequest:
+		return scalia.ObjectMeta{}, fmt.Errorf("%w: %s/%s", scalia.ErrInvalidArgument, container, key)
 	default:
 		return scalia.ObjectMeta{}, fmt.Errorf("%w: %s", ErrRemote, resp.Status)
 	}

@@ -58,6 +58,7 @@ var cases = []struct {
 	}, streamsMultiStripe)},
 	{"GetRange", with(scalia.Options{StripeBytes: 2048, CacheBytes: 1 << 20}, getRange)},
 	{"OverwriteDuringRead", with(scalia.Options{StripeBytes: 2048}, overwriteDuringRead)},
+	{"ContainerNamesValidated", with(scalia.Options{}, containerNamesValidated)},
 	{"ConditionalWrites", with(scalia.Options{}, conditionalWrites)},
 	{"PagedList", with(scalia.Options{}, pagedList)},
 	{"Multipart", with(scalia.Options{}, multipart)},
@@ -238,6 +239,27 @@ func writeOptionsValidated(t *tc) {
 	t.wantErr(err, scalia.ErrObjectNotFound, "Head after refused writes")
 	t.put("a|b/c", []byte("hello"))
 	t.wantBody("a|b/c", []byte("hello"))
+}
+
+// containerNamesValidated: a read, delete or listing that names an
+// invalid container is refused like a write, and does not reach the
+// object whose row, MD5(container | key), it would share: container|b's
+// "x" is the container's "b|x".
+func containerNamesValidated(t *tc) {
+	t.put("b|x", []byte("hello"))
+	for _, c := range []string{t.container + "|b", t.container + "/b"} {
+		_, headErr := t.Head(ctx, c, "x")
+		_, _, getErr := t.Get(ctx, c, "x")
+		_, _, rangeErr := t.GetRange(ctx, c, "x", 0, 1)
+		_, listErr := t.List(ctx, c, scalia.ListOptions{})
+		for op, err := range map[string]error{"Head": headErr, "Get": getErr, "GetRange": rangeErr, "List": listErr, "Delete": t.Delete(ctx, c, "x")} {
+			t.wantErr(err, scalia.ErrInvalidArgument, fmt.Sprintf("%s in container %q", op, c))
+		}
+	}
+	t.wantBody("b|x", []byte("hello"))
+	if all, err := t.ListAll(ctx, t.container, ""); err != nil || fmt.Sprint(all) != "[b|x]" {
+		t.Fatalf("ListAll = %v, %v", all, err)
+	}
 }
 
 func streamsMultiStripe(t *tc) {

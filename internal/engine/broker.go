@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -550,7 +548,7 @@ func (b *Broker) Clock() Clock { return b.clock }
 // live metadata row, its providers described by their current specs.
 func (b *Broker) CurrentPlacement(object string) (core.Placement, bool) {
 	container, key, _ := splitObjectName(object) // a malformed name is no object's
-	meta, err := b.engines[0].headMeta(container, key)
+	meta, err := b.engines[0].Head(context.TODO(), container, key)
 	if err != nil {
 		return core.Placement{}, false
 	}
@@ -604,45 +602,4 @@ func slotNames(p core.Placement, stripeLen int64) []string {
 func (b *Broker) marketView(now int64) core.Market {
 	epoch, specs, free := b.registry.Market()
 	return core.Market{Now: now, Epoch: epoch, Specs: specs, Free: free, Alive: b.alive}
-}
-
-// --- container index ---
-
-const indexPrefix = "idx|"
-
-func indexRow(container, key string) string {
-	return indexPrefix + container + "|" + key
-}
-
-// writeIndex records (container, key) in the metadata store for listing.
-func (b *Broker) writeIndex(dc, container, key, uuid string, ts int64) error {
-	return b.meta.Put(dc, indexRow(container, key), metadata.Version{
-		UUID: uuid, Timestamp: ts,
-		Columns: map[string]string{"key": key},
-	})
-}
-
-// removeIndex tombstones the listing entry.
-func (b *Broker) removeIndex(dc, container, key, uuid string, ts int64) error {
-	return b.meta.Put(dc, indexRow(container, key), metadata.Version{
-		UUID: uuid, Timestamp: ts, Deleted: true,
-	})
-}
-
-// listContainer returns the keys of a container from the dc's node,
-// sorted so pagination cursors are stable.
-func (b *Broker) listContainer(dc, container string) ([]string, error) {
-	node := b.meta.Store(dc)
-	if node == nil {
-		return nil, fmt.Errorf("engine: unknown datacenter %q", dc)
-	}
-	prefix := indexPrefix + container + "|"
-	var keys []string
-	for _, row := range node.Rows() {
-		if strings.HasPrefix(row, prefix) {
-			keys = append(keys, strings.TrimPrefix(row, prefix))
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
 }

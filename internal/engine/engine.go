@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -217,38 +218,54 @@ func (e *Engine) draft(ctx context.Context, container, key string, planBytes int
 	}, cur, nil
 }
 
-// publish is the one step that makes a row change visible, and the one
-// place a version is retired. Under the row lock it re-reads the live
-// version and hands it to write, which either vetoes (a stale
-// precondition, a version that changed under a background copy) or stores
-// the new row and returns it (nil for a tombstone). Still under the lock
-// — commits of one key index in the order they commit — the provider
-// index is brought in line with the stored row, a deleted object's
-// decision-period controller and noted rot are let go. The change has
-// already reached every other datacenter: write's metadata.Cluster.Put
-// delivers it before it returns, so read-your-writes holds on every path
-// — foreground or background, with or without a front-end. The lock
-// covers that delivery because a row's next writer, in whichever
-// datacenter, must be shown this version as cur: its write dominates
-// every head its node holds, seen or not, so a version arriving between
-// its read and its write would vanish with nobody to retire it.
-// Last, the lock released, if the stored row carries another UUID than
-// the one it replaced (or is a tombstone), the superseded version goes to
-// the reaper (retireVersion): only after replication, so no datacenter is
-// left serving a row whose chunks are going, and without waiting for a
-// single provider — its chunks are deleted in the background once no
-// reader pins them. Past the backlog bound the committer reaps before it
-// returns. cur is the version write was shown (nil = absent).
-func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts int64) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
+// publish is the one place a row is written. Under the row lock it
+// re-reads the live version, cur (nil = absent), and hands it to next,
+// which vetoes with an error (a stale precondition, a version that changed
+// under a background copy) or returns the version to store, nil for a
+// tombstone; publish stamps, encodes and stores it. Still under the lock,
+// so commits of one key land in the order they commit, the provider index
+// follows the stored row, and cur's cached stripes become the new
+// version's: re-keyed if it carries cur's token (the same bytes), else
+// holding kept's stripes or dropped. A tombstone lets go of the object's
+// decision-period controller and noted rot. The lock covers the row's
+// delivery to every other datacenter (metadata.Cluster.Put), so
+// read-your-writes holds on every path, and a row's next writer, in
+// whichever datacenter, is shown this version as cur: its write dominates
+// every head its node holds, so a version arriving between its read and
+// its write would vanish with nobody to retire it. Last, the lock
+// released, a cur the row no longer names goes to the reaper
+// (retireVersion), whose chunks are deleted in the background once no
+// reader pins them; past the backlog bound the committer reaps before it
+// returns.
+func (e *Engine) publish(container, key string, kept map[int][]byte, next func(cur *ObjectMeta) (*ObjectMeta, error)) (cur *ObjectMeta, err error) {
+	if err := validContainer(container); err != nil {
+		return nil, err
+	}
 	row := RowKey(container, key)
 	lk := e.b.rowLock(row)
 	lk.Lock()
 	cur = e.currentVersion(row)
-	stored, err := write(cur, e.b.clock.Timestamp())
+	stored, err := next(cur)
+	if err == nil {
+		var v metadata.Version
+		if ts := e.b.clock.Timestamp(); stored != nil {
+			v, err = encodeMeta(*stored, ts)
+		} else {
+			v = metadata.Version{UUID: NewUUID(), Timestamp: ts, Deleted: true}
+		}
+		if err == nil {
+			if err = e.b.meta.Put(e.dc, row, v); err != nil {
+				err = fmt.Errorf("engine: metadata write: %w", err)
+			}
+		}
+	}
 	switch obj := objectName(container, key); {
-	case err != nil: // vetoed or failed: the index keeps what it has
+	case err != nil: // vetoed or failed: nothing was stored
 	case stored != nil:
 		e.b.provIndex.Set(obj, stored.Chunks)
+		if cur != nil && stored.UUID != cur.UUID {
+			e.b.caches.Replace(cur.cacheID(), stored.cacheID(), kept, stored.Checksum == cur.Checksum)
+		}
 	default:
 		e.b.provIndex.Drop(obj)
 		e.b.mu.Lock()
@@ -267,23 +284,19 @@ func (e *Engine) publish(container, key string, write func(cur *ObjectMeta, ts i
 }
 
 // commitWrite is the one commit of a drafted version, a PUT's and a
-// multipart upload's alike: it publishes meta as its row's live version,
-// with the write preconditions re-checked against the stored version
-// inside the row lock, so two concurrent conditional writes cannot both
-// pass the check-then-act window (the body transfer runs unlocked; only
-// this metadata commit serializes), records the commit span and logs the
-// write at the period meta was drafted in. A body that fails the client's
-// opts.CRC32C is refused like a stale precondition. On failure meta's
-// staged chunks are rolled back — except after a listing-index failure,
-// where the object itself committed and the chunks must survive.
-// Once committed, each stripe cached of the version meta supersedes
-// becomes meta's, with its bytes from kept (dropped where there are none),
-// under the row lock: a later writer's retirement of meta comes after.
+// multipart upload's alike. It publishes meta with the write preconditions
+// re-checked against the stored version inside the row lock, so two
+// concurrent conditional writes cannot both pass the check-then-act window
+// (the body transfer runs unlocked; only this commit serializes). A body
+// that fails the client's opts.CRC32C is refused like a stale
+// precondition. It records the commit span and logs the write at the
+// period meta was drafted in. If the row was not stored, meta's staged
+// chunks are rolled back. kept holds the new version's bytes of the
+// stripes cached of the one it replaces (publish).
 func (e *Engine) commitWrite(ctx context.Context, meta *ObjectMeta, opts PutOptions, kept map[int][]byte) error {
 	period := meta.CreatedAt // an overwrite keeps the first write's
-	committed := false
 	start := time.Now()
-	_, err := e.publish(meta.Container, meta.Key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	_, err := e.publish(meta.Container, meta.Key, kept, func(prev *ObjectMeta) (*ObjectMeta, error) {
 		if opts.CRC32C != nil && *opts.CRC32C != meta.CRC32C() {
 			return nil, fmt.Errorf("%w: the body's CRC-32C is %08x, not %08x", ErrInvalidArgument, meta.CRC32C(), *opts.CRC32C)
 		}
@@ -293,26 +306,12 @@ func (e *Engine) commitWrite(ctx context.Context, meta *ObjectMeta, opts PutOpti
 		if prev != nil {
 			meta.CreatedAt = prev.CreatedAt
 		}
-		version, err := encodeMeta(*meta, ts)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
-			return nil, fmt.Errorf("engine: metadata write: %w", err)
-		}
-		committed = true
-		if err := e.b.writeIndex(e.dc, meta.Container, meta.Key, meta.UUID, ts); err != nil || prev == nil {
-			return meta, err
-		}
-		e.b.caches.Replace(prev.cacheID(), meta.cacheID(), kept, false)
 		return meta, nil
 	})
 	e.b.observeStage(obs.TraceFrom(ctx), "commit", start)
 	if err != nil {
-		if !committed {
-			l, _ := e.layoutOf(*meta)      // deleting needs no coder
-			e.discard(l, l.stripes, l.all) // the commit never happened; reclaim the staged chunks
-		}
+		l, _ := e.layoutOf(*meta)      // deleting needs no coder
+		e.discard(l, l.stripes, l.all) // the commit never happened; reclaim the staged chunks
 		return err
 	}
 	e.b.statsDB.Apply(stats.Event{
@@ -320,21 +319,6 @@ func (e *Engine) commitWrite(ctx context.Context, meta *ObjectMeta, opts PutOpti
 		Bytes: meta.Size, StorageBytes: meta.Size, Period: period,
 	})
 	return nil
-}
-
-// liveRow reads a row's winning version from the engine's datacenter
-// node. The read collapses an MVCC conflict it finds, and the versions
-// that lost are retired here (Fig. 10) — also when the winner is a
-// tombstone and the row reads as not found: handing them to the reaper
-// costs no provider call, so this may run under the row lock.
-func (e *Engine) liveRow(row string) (metadata.Version, error) {
-	v, losers, err := e.b.meta.Store(e.dc).Get(row)
-	for _, l := range losers {
-		if m, derr := decodeMeta(l); !l.Deleted && derr == nil {
-			e.retireVersion(m)
-		}
-	}
-	return v, err
 }
 
 // currentVersion reads a row's live version, nil when there is none.
@@ -483,7 +467,7 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 // not satisfiable.
 func (e *Engine) openLive(ctx context.Context, container, key string, offset, length int64, ranged bool) (io.ReadCloser, ObjectMeta, error) {
 	for {
-		meta, err := e.headMeta(container, key)
+		meta, err := e.Head(ctx, container, key)
 		if err != nil {
 			return nil, ObjectMeta{}, err
 		}
@@ -506,19 +490,22 @@ func (e *Engine) openLive(ctx context.Context, container, key string, offset, le
 	}
 }
 
-// headMeta resolves an object's live metadata from the engine's
-// datacenter node.
-func (e *Engine) headMeta(container, key string) (ObjectMeta, error) {
-	return e.rowMeta(RowKey(container, key))
-}
-
-// rowMeta decodes a row's live version.
+// rowMeta reads a row's live version from the engine's datacenter node.
+// The read collapses an MVCC conflict it finds, and the versions that lost
+// are retired here (Fig. 10) — also when the winner is a tombstone and the
+// row reads as not found: handing them to the reaper costs no provider
+// call, so this may run under the row lock.
 func (e *Engine) rowMeta(row string) (ObjectMeta, error) {
-	v, err := e.liveRow(row)
-	if err != nil {
-		if errors.Is(err, metadata.ErrRowNotFound) {
-			return ObjectMeta{}, ErrObjectNotFound
+	v, losers, err := e.b.meta.Store(e.dc).Get(row)
+	for _, l := range losers {
+		if m, derr := decodeMeta(l); !l.Deleted && derr == nil {
+			e.retireVersion(m)
 		}
+	}
+	switch {
+	case errors.Is(err, metadata.ErrRowNotFound):
+		return ObjectMeta{}, ErrObjectNotFound
+	case err != nil:
 		return ObjectMeta{}, err
 	}
 	return decodeMeta(v)
@@ -539,19 +526,11 @@ func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	prev, err := e.publish(container, key, func(prev *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	prev, err := e.publish(container, key, nil, func(prev *ObjectMeta) (*ObjectMeta, error) {
 		if prev == nil {
 			return nil, ErrObjectNotFound
 		}
-		if err := checkWriteConditions(PutOptions{IfMatch: ifMatch}, prev); err != nil {
-			return nil, err
-		}
-		if err := e.b.meta.Put(e.dc, RowKey(container, key), metadata.Version{
-			UUID: NewUUID(), Timestamp: ts, Deleted: true,
-		}); err != nil {
-			return nil, err
-		}
-		return nil, e.b.removeIndex(e.dc, container, key, NewUUID(), ts)
+		return nil, checkWriteConditions(PutOptions{IfMatch: ifMatch}, prev)
 	})
 	if err != nil {
 		return err
@@ -597,27 +576,29 @@ func pageLimit(limit int) int {
 }
 
 // List returns one page of the keys stored in a container, sorted, so
-// the cursor of a truncated page is simply its last key.
+// the cursor of a truncated page is simply its last key. It reads the
+// rows Head reads, on the engine's datacenter node, each resolved as Head
+// resolves it: a listed key is one Head finds.
 func (e *Engine) List(ctx context.Context, container string, opts ListOptions) (ListResult, error) {
 	res := ListResult{Container: container, Keys: []string{}}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	keys, err := e.b.listContainer(e.dc, container)
+	if err := validContainer(container); err != nil {
+		return res, err
+	}
+	rows, err := e.b.meta.Store(e.dc).Scan()
 	if err != nil {
 		return res, err
 	}
-	limit := pageLimit(opts.Limit)
-	for _, k := range keys {
-		if !strings.HasPrefix(k, opts.Prefix) || (opts.After != "" && k <= opts.After) {
-			continue
+	for _, v := range rows {
+		if m, err := viewMeta(v); err == nil && m.Container == container && strings.HasPrefix(m.Key, opts.Prefix) && m.Key > opts.After {
+			res.Keys = append(res.Keys, m.Key)
 		}
-		if len(res.Keys) == limit {
-			res.Truncated = true
-			res.Next = res.Keys[len(res.Keys)-1]
-			break
-		}
-		res.Keys = append(res.Keys, k)
+	}
+	slices.Sort(res.Keys)
+	if limit := pageLimit(opts.Limit); len(res.Keys) > limit {
+		res.Keys, res.Truncated, res.Next = res.Keys[:limit], true, res.Keys[limit-1]
 	}
 	return res, nil
 }
@@ -627,5 +608,8 @@ func (e *Engine) Head(ctx context.Context, container, key string) (ObjectMeta, e
 	if err := ctx.Err(); err != nil {
 		return ObjectMeta{}, err
 	}
-	return e.headMeta(container, key)
+	if err := validContainer(container); err != nil {
+		return ObjectMeta{}, err
+	}
+	return e.rowMeta(RowKey(container, key))
 }

@@ -219,18 +219,27 @@ func encodeMeta(m ObjectMeta, timestamp int64) (metadata.Version, error) {
 	}, nil
 }
 
-// decodeMeta unpacks an MVCC version into an ObjectMeta the caller owns:
-// a copy of the value encodeMeta attached, or, for a version that
-// carries none, the parsed column.
+// decodeMeta unpacks an MVCC version into an ObjectMeta the caller owns.
 func decodeMeta(v metadata.Version) (ObjectMeta, error) {
+	m, err := viewMeta(v)
+	if err != nil {
+		return ObjectMeta{}, err
+	}
+	return m.clone(), nil
+}
+
+// viewMeta returns the ObjectMeta a version holds, to be read and not
+// written: the value encodeMeta attached, or, for a version that carries
+// none, the parsed column.
+func viewMeta(v metadata.Version) (*ObjectMeta, error) {
 	if own, ok := v.Decoded.(*ObjectMeta); ok {
-		return own.clone(), nil
+		return own, nil
 	}
 	var m ObjectMeta
 	if err := json.Unmarshal([]byte(v.Columns[metaColumn]), &m); err != nil {
-		return ObjectMeta{}, fmt.Errorf("engine: decode meta: %w", err)
+		return nil, fmt.Errorf("engine: decode meta: %w", err)
 	}
-	return m, nil
+	return &m, nil
 }
 
 // clone returns a copy of m that shares no slice with it.

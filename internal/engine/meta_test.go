@@ -99,13 +99,7 @@ func TestMalformedGensFailClosed(t *testing.T) {
 		if key := l.key(0, len(meta.Chunks)-1); key != meta.chunkKey(0, len(meta.Chunks)-1) {
 			t.Fatalf("%s: an uncovered column names %s, want generation 0", name, key)
 		}
-		if _, err := e.publish("c", "k", func(_ *ObjectMeta, ts int64) (*ObjectMeta, error) {
-			version, err := encodeMeta(bad, ts)
-			if err != nil {
-				return nil, err
-			}
-			return &bad, b.meta.Put(e.dc, RowKey("c", "k"), version)
-		}); err != nil {
+		if _, err := e.publish("c", "k", nil, func(*ObjectMeta) (*ObjectMeta, error) { return &bad, nil }); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := e.Get(ctx, "c", "k"); err == nil {

@@ -352,19 +352,11 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	// client write (or delete) that landed while the chunks were copying
 	// must win — a background migration may never clobber an acknowledged
 	// update or resurrect a tombstone.
-	if _, err := e.publish(meta.Container, meta.Key, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	if _, err := e.publish(meta.Container, meta.Key, nil, func(cur *ObjectMeta) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID {
 			return nil, fmt.Errorf("engine: migrate: object changed mid-migration")
 		}
-		version, err := encodeMeta(newMeta, ts)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
-			return &newMeta, err
-		}
-		e.b.caches.Replace(meta.cacheID(), newMeta.cacheID(), nil, true) // same sums, same bytes
-		return &newMeta, nil
+		return &newMeta, nil // its token is cur's: the cached stripes are re-keyed
 	}); err != nil {
 		e.discard(l, l.stripes, l.all)
 		return err

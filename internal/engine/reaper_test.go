@@ -504,7 +504,9 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 // TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans: a delete in
 // one datacenter that wins against an overwrite in the other hides a live
 // version nobody retired. The read that resolves the conflict must hand
-// it to the reaper, or its chunks stay at the providers for good.
+// it to the reaper, or its chunks stay at the providers for good. The
+// listing reads the conflicted rows before any read has resolved them,
+// and must not show the key in either datacenter.
 func TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans(t *testing.T) {
 	b := newTestBroker(t, Config{Datacenters: []string{"dc1", "dc2"}, EnginesPerDC: 1})
 	e1, e2 := b.Engine(0), b.Engine(1)
@@ -522,6 +524,9 @@ func TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans(t *testing.T) {
 	b.Metadata().Flush()
 
 	for _, e := range []*Engine{e1, e2} {
+		if res, err := e.List(ctx, "c", ListOptions{}); err != nil || len(res.Keys) != 0 {
+			t.Fatalf("%s: List = %v, %v; want the deleted key gone", e.Datacenter(), res.Keys, err)
+		}
 		if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {
 			t.Fatalf("%s: Get = %v, want the delete to have won", e.Datacenter(), err)
 		}

@@ -299,20 +299,14 @@ func (sw *swap) replacedBytes(chunks [][]byte) (n int64) {
 // postpones the delete at a provider that is still down).
 func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome) error {
 	meta, stripes, replaced := sw.meta, sw.src.stripes, sw.replaced
-	_, err := e.publish(meta.Container, meta.Key, func(cur *ObjectMeta, ts int64) (*ObjectMeta, error) {
+	_, err := e.publish(meta.Container, meta.Key, nil, func(cur *ObjectMeta) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey ||
 			!slices.Equal(cur.Chunks, meta.Chunks) || !slices.Equal(cur.Gens, meta.Gens) {
 			return nil, fmt.Errorf("engine: swap repair: object changed mid-repair")
 		}
 		newMeta := *cur
 		newMeta.Chunks, newMeta.Gens = sw.dst.names, sw.gens
-		version, err := encodeMeta(newMeta, ts)
-		if err == nil {
-			if err = e.b.meta.Put(e.dc, RowKey(meta.Container, meta.Key), version); err != nil {
-				err = fmt.Errorf("engine: swap repair metadata write: %w", err)
-			}
-		}
-		return &newMeta, err
+		return &newMeta, nil
 	})
 	if err != nil {
 		e.discard(sw.dst, stripes, replaced)

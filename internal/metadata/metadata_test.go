@@ -3,6 +3,7 @@ package metadata
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,14 +139,56 @@ func TestStoreVersionIsolation(t *testing.T) {
 func TestStoreTombstone(t *testing.T) {
 	s := NewStore("dc1")
 	s.Put("r", ver("u1", 1, nil))
-	if err := s.Delete("r", "u2", 2); err != nil {
+	if err := s.Put("r", Version{UUID: "u2", Timestamp: 2, Deleted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get("r"); !errors.Is(err, ErrRowNotFound) {
 		t.Fatalf("deleted row err = %v", err)
 	}
-	if got := s.Rows(); len(got) != 0 {
-		t.Fatalf("Rows = %v", got)
+	if got := scanUUIDs(t, s); len(got) != 0 {
+		t.Fatalf("Scan = %v", got)
+	}
+}
+
+// scanUUIDs lists, sorted, the UUIDs of the versions Scan returns.
+func scanUUIDs(t *testing.T, s *Store) []string {
+	t.Helper()
+	vs, err := s.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uuids []string
+	for _, v := range vs {
+		uuids = append(uuids, v.UUID)
+	}
+	sort.Strings(uuids)
+	return uuids
+}
+
+// TestScanResolvesLikeGet: Scan returns a conflicted row's version Get
+// would return, leaves the row out when a tombstone wins, and collapses
+// nothing.
+func TestScanResolvesLikeGet(t *testing.T) {
+	c, dc1, _ := twoDC()
+	c.Partition("dc1", "dc2")
+	c.Put("dc1", "deleted", ver("live", 1, nil))
+	c.Put("dc2", "deleted", Version{UUID: "gone", Timestamp: 2, Deleted: true})
+	c.Put("dc1", "overwritten", ver("old", 1, nil))
+	c.Put("dc2", "overwritten", ver("new", 2, nil))
+	c.Heal("dc1", "dc2")
+	c.Flush()
+
+	if got := scanUUIDs(t, dc1); fmt.Sprint(got) != "[new]" {
+		t.Fatalf("Scan = %v, want only overwritten's newest version", got)
+	}
+	for _, row := range []string{"deleted", "overwritten"} {
+		if heads, _ := dc1.Heads(row); len(heads) != 2 {
+			t.Fatalf("%s has %d heads after Scan, want the conflict left for Get", row, len(heads))
+		}
+	}
+	dc1.SetAvailable(false)
+	if _, err := dc1.Scan(); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Scan on a down node = %v", err)
 	}
 }
 
@@ -179,11 +222,11 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := len(s.Rows()); got != 10 {
+	if got := len(scanUUIDs(t, s)); got != 10 {
 		t.Fatalf("rows = %d, want 10", got)
 	}
-	for _, row := range s.Rows() {
-		if _, _, err := s.Get(row); err != nil {
+	for j := 0; j < 10; j++ {
+		if _, _, err := s.Get(fmt.Sprintf("row%d", j)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,7 +426,7 @@ func TestClusterTombstoneReplicates(t *testing.T) {
 	c, dc1, dc2 := twoDC()
 	c.Put("dc1", "r", ver("u1", 100, nil))
 	c.Flush()
-	if err := dc1.Delete("r", "u2", 200); err != nil {
+	if err := dc1.Put("r", Version{UUID: "u2", Timestamp: 200, Deleted: true}); err != nil {
 		t.Fatal(err)
 	}
 	c.AntiEntropy()
@@ -400,7 +443,7 @@ func TestClusterThreeDatacenters(t *testing.T) {
 	c.Put("dc3", "c", ver("u3", 3, nil))
 	c.Flush()
 	for _, s := range c.Stores() {
-		if got := len(s.Rows()); got != 3 {
+		if got := len(scanUUIDs(t, s)); got != 3 {
 			t.Fatalf("%s has %d rows, want 3", s.Node(), got)
 		}
 	}
@@ -428,13 +471,14 @@ func TestClusterConcurrentUse(t *testing.T) {
 	c.AntiEntropy()
 	// Resolve everything everywhere; stores must converge.
 	for _, s := range c.Stores() {
-		for _, row := range s.Rows() {
-			s.Get(row)
+		for j := 0; j < 5; j++ {
+			s.Get(fmt.Sprintf("r%d", j)) //nolint:errcheck
 		}
 	}
 	c.AntiEntropy()
 	a, b := c.Stores()[0], c.Stores()[1]
-	for _, row := range a.Rows() {
+	for j := 0; j < 5; j++ {
+		row := fmt.Sprintf("r%d", j)
 		va, _, _ := a.Get(row)
 		vb, _, _ := b.Get(row)
 		if va.UUID != vb.UUID {

@@ -190,31 +190,30 @@ func (s *Store) Get(row string) (Version, []Version, error) {
 	return winner, losers, nil
 }
 
-// Delete writes a tombstone version for the row.
-func (s *Store) Delete(row string, uuid string, timestamp int64) error {
-	return s.Put(row, Version{UUID: uuid, Timestamp: timestamp, Deleted: true})
-}
-
-// Rows returns all row keys with at least one live (non-tombstone)
-// head, sorted.
-func (s *Store) Rows() []string {
+// Scan returns the winning version of every row, resolved as Get resolves
+// it, in no particular order; a row a tombstone wins is left out. It is
+// read-only: a conflict is resolved for the caller, not collapsed. The
+// versions share their Columns and Decoded with the store: read them, do
+// not write them.
+func (s *Store) Scan() ([]Version, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.rows))
-	for row, heads := range s.rows {
-		live := false
-		for _, h := range heads {
-			if !h.Deleted {
-				live = true
-				break
+	if s.down {
+		return nil, ErrNodeDown
+	}
+	out := make([]Version, 0, len(s.rows))
+	for _, heads := range s.rows {
+		winner := heads[0]
+		for _, h := range heads[1:] {
+			if h.Newer(winner) {
+				winner = h
 			}
 		}
-		if live {
-			out = append(out, row)
+		if !winner.Deleted {
+			out = append(out, winner)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // Len returns the number of rows (including tombstoned ones).

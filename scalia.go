@@ -196,6 +196,11 @@ type Options = engine.Config
 // migration keep it, so If-Match and If-None-Match hold across
 // maintenance. The body's digest is its CRC-32C (ObjectMeta.CRC32C; on the
 // wire X-Checksum-CRC32C, which a PUT may send to have its bytes checked).
+//
+// A container name is non-empty and holds no '|' or '/'; keys keep every
+// character. Every operation that names a container — PutReader,
+// GetReader, GetRange, Head, DeleteIf, List, CreateUpload and
+// SetContainerRule — fails with ErrInvalidArgument for any other name.
 type API interface {
 	// PutReader stores or updates an object streamed from r. size must be
 	// the exact body length; at most the write pipeline's depth of stripes
@@ -220,7 +225,9 @@ type API interface {
 	// DeleteIf removes an object, if ifMatch is non-empty only when its
 	// stored ETag matches ("*" = any existing version).
 	DeleteIf(ctx context.Context, container, key, ifMatch string) error
-	// List returns one page of a container's keys, sorted.
+	// List returns one page of a container's keys, sorted. It reads the
+	// rows Head reads, resolved as Head resolves them: a listed key is one
+	// Head finds.
 	List(ctx context.Context, container string, opts ListOptions) (ListResult, error)
 
 	// CreateUpload opens a resumable multipart upload. The placement —
