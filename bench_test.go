@@ -1,11 +1,11 @@
 package scalia
 
 // One benchmark per table/figure of the paper's evaluation (the
-// regenerators behind DESIGN.md's experiment index), plus the ablation
-// benches for the design choices DESIGN.md calls out. Figure benches
-// report the headline reproduction metric (over-cost %) via
-// b.ReportMetric, so `go test -bench .` doubles as the reproduction
-// harness summary.
+// regenerators behind EXPERIMENTS.md's experiment index), plus the
+// ablation benches for the design choices its "Benchmarks" section
+// names. Figure benches report the headline reproduction metric
+// (over-cost %) via b.ReportMetric, so `go test -bench .` doubles as the
+// reproduction harness summary.
 
 import (
 	"bytes"
@@ -167,7 +167,7 @@ func BenchmarkFig18ActiveRepair(b *testing.B) {
 	b.ReportMetric(gap, "scalia-saving-USD")
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (EXPERIMENTS.md "Benchmarks") ---
 
 func BenchmarkPlacementExact(b *testing.B) {
 	load := stats.Summary{Periods: 1, Reads: 25, BytesOut: 25e6, StorageBytes: 1e6}

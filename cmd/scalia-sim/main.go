@@ -1,6 +1,6 @@
 // Command scalia-sim regenerates the paper's tables and figures from
 // the simulator. Each -experiment value corresponds to one artifact of
-// the evaluation section (see DESIGN.md for the index).
+// the evaluation section (see EXPERIMENTS.md for the index).
 package main
 
 import (

@@ -281,8 +281,10 @@ func mutable[T any](r *Registry, name, lacks string) (T, error) {
 }
 
 // Epoch returns the current market epoch. The epoch increases on every
-// Register, Deregister and UpdateAvailability; two equal epochs guarantee
-// the available-provider market has not changed through the registry.
+// Register, Deregister, UpdateAvailability and UpdatePricing, and on any
+// other change a backend reports; two equal epochs guarantee the
+// available-provider market and its prices have not changed through the
+// registry.
 func (r *Registry) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -306,7 +308,7 @@ func (r *Registry) bumpEpochLocked() {
 // Availability flipped directly on a backend (bypassing
 // Registry.UpdateAvailability) is not visible until the next epoch bump;
 // write paths must re-verify reachability of chosen providers, which
-// the engine's placement retry loop does (§III-D3).
+// Planner.BestAlive's re-plan does (§III-D3).
 func (r *Registry) Market() (epoch uint64, specs []Spec, free map[string]int64) {
 	r.mu.RLock()
 	snap := r.snap

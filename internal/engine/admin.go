@@ -160,7 +160,7 @@ type Stats struct {
 	Providers      int `json:"providers"`
 	PendingDeletes int `json:"pendingDeletes"`
 	// Retired is the reaper's backlog: superseded versions whose chunks
-	// are still at their providers, and the versions open reads pin.
+	// are still at their providers, and the objects open reads pin.
 	Retired RetiredStats `json:"retired"`
 	// StripeBytes is the deployment's stripe size. Multipart callers
 	// need it to build stripe-aligned non-final parts.

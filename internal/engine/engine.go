@@ -249,14 +249,12 @@ func (e *Engine) publish(container, key string, kept map[int][]byte, next func(c
 	if err == nil {
 		var v metadata.Version
 		if ts := e.b.clock.Timestamp(); stored != nil {
-			v, err = encodeMeta(*stored, ts)
+			v = rowVersion(*stored, ts)
 		} else {
 			v = metadata.Version{UUID: NewUUID(), Timestamp: ts, Deleted: true}
 		}
-		if err == nil {
-			if err = e.b.meta.Put(e.dc, row, v); err != nil {
-				err = fmt.Errorf("engine: metadata write: %w", err)
-			}
+		if err = e.b.meta.Put(e.dc, row, v); err != nil {
+			err = fmt.Errorf("engine: metadata write: %w", err)
 		}
 	}
 	switch obj := objectName(container, key); {
@@ -440,12 +438,16 @@ func ReadSized(r io.Reader, size int64) ([]byte, error) {
 // placement and availability errors surface on the call itself rather
 // than mid-stream; every fetched chunk and every stripe's payload is
 // verified against its stored sum before a byte of it is handed out.
-// The stream pins the version it was opened on until it is drained or
-// closed, so an overwrite or delete that lands meanwhile cannot take its
-// chunks away. Cancelling ctx tears down the prefetcher and all
-// in-flight chunk fetches.
+// The stream pins the object before it reads the row, until it is
+// drained or closed, so an overwrite or delete that lands meanwhile
+// cannot take away the chunks of the version it reads. Cancelling ctx
+// tears down the prefetcher and all in-flight chunk fetches.
 func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
-	return e.openLive(ctx, container, key, 0, -1, false)
+	or, err := e.openObject(ctx, container, key, 0, -1, false, true)
+	if err != nil {
+		return nil, ObjectMeta{}, err
+	}
+	return or, or.meta, nil
 }
 
 // GetRangeReader serves the byte range [offset, offset+length) of an
@@ -459,35 +461,11 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 	if offset < 0 || length == 0 || length < -1 {
 		return nil, ObjectMeta{}, fmt.Errorf("%w: range offset %d length %d", ErrInvalidArgument, offset, length)
 	}
-	return e.openLive(ctx, container, key, offset, length, true)
-}
-
-// openLive opens a user read of [offset, offset+length) (length -1: to
-// the end) of the live version; ranged, an offset at or past its end is
-// not satisfiable.
-func (e *Engine) openLive(ctx context.Context, container, key string, offset, length int64, ranged bool) (io.ReadCloser, ObjectMeta, error) {
-	for {
-		meta, err := e.Head(ctx, container, key)
-		if err != nil {
-			return nil, ObjectMeta{}, err
-		}
-		if ranged && offset >= meta.Size {
-			return nil, ObjectMeta{}, fmt.Errorf("%w: offset %d of %d-byte object",
-				ErrRangeNotSatisfiable, offset, meta.Size)
-		}
-		n := meta.Size - offset
-		if length >= 0 {
-			n = min(n, length)
-		}
-		or, err := e.openObjectRange(ctx, meta, offset, n, true)
-		if errors.Is(err, errSuperseded) {
-			continue // a commit got in before the pin: read what it stored
-		}
-		if err != nil {
-			return nil, ObjectMeta{}, err
-		}
-		return or, meta, nil
+	or, err := e.openObject(ctx, container, key, offset, length, true, true)
+	if err != nil {
+		return nil, ObjectMeta{}, err
 	}
+	return or, or.meta, nil
 }
 
 // rowMeta reads a row's live version from the engine's datacenter node.

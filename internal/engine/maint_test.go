@@ -64,11 +64,7 @@ func TestRepairIndexedOutage1M(t *testing.T) {
 			Chunks: []string{"V", "A", "B"},
 			UUID:   uuid, SKey: StorageKey("hot", key, uuid),
 		}
-		version, err := encodeMeta(meta, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.meta.Put(e0.dc, RowKey("hot", key), version); err != nil {
+		if err := b.meta.Put(e0.dc, RowKey("hot", key), rowVersion(meta, ts)); err != nil {
 			t.Fatal(err)
 		}
 		b.provIndex.Set("hot/"+key, meta.Chunks)

@@ -4,7 +4,6 @@ import (
 	"crypto/md5"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -198,25 +197,12 @@ func NewUUID() string {
 	return fmt.Sprintf("%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
 }
 
-// metaColumn is the column name holding the JSON-encoded ObjectMeta.
-const metaColumn = "meta"
-
-// encodeMeta packs an ObjectMeta into an MVCC version. The version
-// carries, beside the JSON column, a private copy of the value it
-// encodes: it lives exactly as long as the stored version does and
-// spares every later read of the row its json.Unmarshal.
-func encodeMeta(m ObjectMeta, timestamp int64) (metadata.Version, error) {
-	blob, err := json.Marshal(m)
-	if err != nil {
-		return metadata.Version{}, fmt.Errorf("engine: encode meta: %w", err)
-	}
+// rowVersion packs an ObjectMeta into an MVCC version. The version holds
+// a private copy of m as its Value: it lives exactly as long as the stored
+// version does, and every read of the row shares it, read-only.
+func rowVersion(m ObjectMeta, timestamp int64) metadata.Version {
 	own := m.clone()
-	return metadata.Version{
-		UUID:      m.UUID,
-		Timestamp: timestamp,
-		Columns:   map[string]string{metaColumn: string(blob)},
-		Decoded:   &own,
-	}, nil
+	return metadata.Version{UUID: m.UUID, Timestamp: timestamp, Value: &own}
 }
 
 // decodeMeta unpacks an MVCC version into an ObjectMeta the caller owns.
@@ -229,17 +215,12 @@ func decodeMeta(v metadata.Version) (ObjectMeta, error) {
 }
 
 // viewMeta returns the ObjectMeta a version holds, to be read and not
-// written: the value encodeMeta attached, or, for a version that carries
-// none, the parsed column.
+// written.
 func viewMeta(v metadata.Version) (*ObjectMeta, error) {
-	if own, ok := v.Decoded.(*ObjectMeta); ok {
-		return own, nil
+	if m, ok := v.Value.(*ObjectMeta); ok {
+		return m, nil
 	}
-	var m ObjectMeta
-	if err := json.Unmarshal([]byte(v.Columns[metaColumn]), &m); err != nil {
-		return nil, fmt.Errorf("engine: decode meta: %w", err)
-	}
-	return &m, nil
+	return nil, fmt.Errorf("engine: row %s holds no object metadata", v.UUID)
 }
 
 // clone returns a copy of m that shares no slice with it.

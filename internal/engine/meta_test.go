@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -9,13 +10,12 @@ import (
 	"scalia/internal/metadata"
 )
 
-// TestDecodedMetaIsPerVersionAndUnshared pins the row memo: a version
-// carries the value it encodes, every decode is the caller's own (no
-// slice shared with the writer, the store or the next decode), a version
-// without one still parses its column to the same value — the pinned
-// rule and its zones included — and a swap —
-// the same UUID republished with a new timestamp, new Chunks and new Gens —
-// decodes to the new layout, never to the one remembered for that UUID.
+// TestDecodedMetaIsPerVersionAndUnshared pins the row's value: a version
+// carries its own copy of the ObjectMeta it was made from, every decode is
+// the caller's own (no slice shared with the writer, the store or the next
+// decode) — the pinned rule and its zones included — and a swap — the same
+// UUID republished with a new timestamp, new Chunks and new Gens — decodes
+// to the new layout, never to the one remembered for that UUID.
 func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	meta := ObjectMeta{
 		Container: "c", Key: "k", Size: 5000, UUID: "u1", SKey: "s", M: 2,
@@ -25,14 +25,11 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 		Gens:        []uint64{4, 4, 4, 5, 9, 5},
 		Rule:        &core.Rule{Name: "pinned", Durability: 0.99, Availability: 0.99, Zones: []cloud.Zone{cloud.ZoneEU, cloud.ZoneUS}, LockIn: 1},
 	}
-	v, err := encodeMeta(meta, 7)
-	if err != nil {
-		t.Fatal(err)
+	v := rowVersion(meta, 7)
+	if v.Columns != nil {
+		t.Fatalf("the version carries columns %v beside its value", v.Columns)
 	}
-	want, err := decodeMeta(metadata.Version{Columns: v.Columns}) // the JSON path
-	if err != nil || !reflect.DeepEqual(want, meta) {
-		t.Fatalf("column decodes to %+v (%v), want %+v", want, err, meta)
-	}
+	want := meta.clone()
 	meta.Chunks[0], meta.Sums[1].Chunks[2], meta.PartStripes[0], meta.Gens[4] = "writer", 99, 9, 99 // the writer moves on
 	meta.Rule.Name, meta.Rule.Zones[0] = "writer", cloud.ZoneAPAC
 
@@ -45,8 +42,8 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stored.Decoded == nil {
-			t.Fatal("the stored version lost its decoded value")
+		if stored.Value == nil {
+			t.Fatal("the stored version lost its value")
 		}
 		got, err := decodeMeta(stored)
 		if err != nil || !reflect.DeepEqual(got, want) {
@@ -60,11 +57,7 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	swapped := want
 	swapped.Chunks = []string{"A", "D", "C"}
 	swapped.Gens = []uint64{4, 12, 4, 5, 12, 5}
-	sv, err := encodeMeta(swapped, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put("row", sv); err != nil {
+	if err := store.Put("row", rowVersion(swapped, 8)); err != nil {
 		t.Fatal(err)
 	}
 	stored, _, err := store.Get("row")
@@ -111,30 +104,34 @@ func TestMalformedGensFailClosed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMeta feeds arbitrary bytes as a row's metadata column through
-// decodeMeta and layoutOf and names every chunk of what comes out: hostile
-// or damaged rows may fail, never panic.
+// FuzzDecodeMeta parses arbitrary JSON as an ObjectMeta, stores it through
+// rowVersion and decodeMeta, runs it through layoutOf and names every chunk
+// of what comes out: hostile or damaged rows may fail, never panic.
 func FuzzDecodeMeta(f *testing.F) {
-	seed, err := encodeMeta(ObjectMeta{
+	seed, err := json.Marshal(ObjectMeta{
 		Container: "c", Key: "k", Size: 5000, UUID: "u1", SKey: "s", M: 2,
 		Chunks: []string{"A", "B", "C"}, Stripes: 2, StripeBytes: 4096,
 		Sums:        []StripeSum{{Payload: 1, Chunks: []uint32{10, 11, 12}}, {Payload: 2, Chunks: []uint32{20, 21, 22}}},
 		PartStripes: []int{1, 1}, Gens: []uint64{4, 4, 4, 5, 9, 5},
 		Rule: &core.Rule{Name: "Rule 2", Zones: []cloud.Zone{cloud.ZoneEU}, LockIn: 1},
-	}, 1)
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed.Columns[metaColumn])
+	f.Add(string(seed))
 	f.Add(`{"m":2,"chunks":["A","B","C"],"gens":[1]}`)
 	f.Add(`{"m":0,"chunks":[],"stripes":-1,"partStripes":[-3,9223372036854775807],"gens":[1,2]}`)
 	b := NewBroker(Config{})
 	f.Cleanup(b.Close)
 	e := b.Engine(0)
 	f.Fuzz(func(t *testing.T, column string) {
-		meta, err := decodeMeta(metadata.Version{Columns: map[string]string{metaColumn: column}})
-		if err != nil {
+		var parsed ObjectMeta
+		if json.Unmarshal([]byte(column), &parsed) != nil {
 			return
+		}
+		meta, err := decodeMeta(rowVersion(parsed, 1))
+		if err != nil {
+			t.Fatal(err)
 		}
 		l, _ := e.layoutOf(meta) // a layout that failed must still not panic whoever deletes through it
 		for s := 0; s < min(l.stripes, 64); s++ {

@@ -235,8 +235,8 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 	reg.GaugeFunc("scalia_retired_bytes",
 		"Stored bytes of the retired versions still at their providers (reclaim lag).",
 		func() float64 { return float64(b.Retired().Bytes) })
-	reg.GaugeFunc("scalia_pinned_versions",
-		"Object versions held by open read streams.",
+	reg.GaugeFunc("scalia_pinned_objects",
+		"Objects open read streams pin: their retired chunks wait for the streams.",
 		func() float64 { return float64(b.Retired().Pinned) })
 	reg.GaugeFunc("scalia_engines",
 		"Stateless engines in the deployment.",

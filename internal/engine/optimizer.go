@@ -316,15 +316,20 @@ func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 // stripe: each stripe is reconstructed from the current chunks,
 // re-encoded for the target placement and written out while the next
 // ones are read, so migration of a large object never buffers it whole.
-// The commit re-keys the source version's cached stripes to the new one
-// and retires the source; its chunks go once the source stream, which
-// pins it like any reader, is closed.
+// The source stream opens the object by name like any reader; a row other
+// than the version meta planned from (another UUID, or a swap's new Gens)
+// gives the object up. The commit re-keys the source version's cached
+// stripes to the new one and retires the source; its chunks go once the
+// source stream, which pins the object like any reader, is closed.
 func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement) error {
-	src, err := e.openObjectRange(ctx, meta, 0, meta.Size, false)
+	src, err := e.openObject(ctx, meta.Container, meta.Key, 0, -1, false, false)
 	if err != nil {
 		return fmt.Errorf("engine: migrate read: %w", err)
 	}
 	defer src.Close()
+	if src.meta.UUID != meta.UUID || !slices.Equal(src.meta.Gens, meta.Gens) {
+		return fmt.Errorf("engine: migrate: object changed before the copy began")
+	}
 	newMeta := meta
 	newMeta.UUID = NewUUID()
 	newMeta.SKey = StorageKey(meta.Container, meta.Key, newMeta.UUID)

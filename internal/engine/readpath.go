@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
-	"slices"
 	"sync/atomic"
 
 	"scalia/internal/obs"
@@ -48,7 +48,7 @@ type objectReader struct {
 	// slow reader fills later is never hit and ages out.
 	cacheID string
 	// via is where the stream fetches from. Outages come and go and a
-	// swap repair moves chunks of the pinned version mid-stream, so a
+	// swap repair moves chunks of the version read mid-stream, so a
 	// stripe that comes up short replaces it from the live row (refresh)
 	// while other stripes are being produced.
 	via atomic.Pointer[readVia]
@@ -59,7 +59,7 @@ type objectReader struct {
 
 	start int // first stripe of the range
 	pipe  *stripePipe
-	pin   uint64 // the reaper ticket holding meta's version
+	pin   uint64 // the reaper ticket holding obj's retired chunks
 
 	cur     [][]byte // undelivered bytes of the current stripe, by segment; the first never empty
 	curSlot bool     // cur holds a stripe slot of the broker read budget
@@ -90,41 +90,53 @@ func (e *Engine) readViaOf(meta ObjectMeta) (*readVia, error) {
 	return via, nil
 }
 
-// errSuperseded fails an open whose row stopped being the live one before
-// the reader had pinned it. User reads start over on the row that
-// replaced it; a migration gives the object up.
-var errSuperseded = errors.New("engine: row superseded before the read pinned it")
-
-// openObjectRange builds the stream of the n bytes at offset (a range
-// inside the object) over the stripes they lie in, and takes the first
-// stripe before returning, so placement and availability errors surface
-// at open rather than mid-stream. userRead selects client-read semantics:
-// stripe-cache fill and a read statistics event when the stream ends.
+// openObject builds the stream of [offset, offset+length) (length -1: to
+// the end) of the live version of container/key over the stripes it lies
+// in, and takes the first stripe before returning, so placement and
+// availability errors surface at open rather than mid-stream; ranged, an
+// offset at or past the end is not satisfiable. userRead selects
+// client-read semantics: stripe-cache fill and a read statistics event
+// when the stream ends.
 //
-// Every stream pins meta's version against the reaper until it is
-// drained or closed. Pin first, then look at the row again: chunks are
-// retired only after the row that no longer names them has been stored
-// and replicated, so if the row still is the one in hand — same version,
-// same generations: a swap keeps the one and changes the other — the pin
-// precedes the retirement and the reaper will see it; if the row has
-// moved, the pin may have come too late and the open fails with
-// errSuperseded.
-func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n int64, userRead bool) (*objectReader, error) {
-	via, err := e.readViaOf(meta)
-	if err != nil {
+// Every stream pins its object against the reaper until it is drained or
+// closed, and pins before it reads the row: a version is retired only
+// after the row that superseded it has been stored and replicated, so the
+// version the read finds is retired, if at all, after the pin, and the
+// reaper holds its chunks for the stream. A swap is no different: it keeps
+// the version and retires the copies it replaced once its row is stored.
+func (e *Engine) openObject(ctx context.Context, container, key string, offset, length int64, ranged, userRead bool) (*objectReader, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	obj, span := objectName(meta.Container, meta.Key), meta.stripeSpan()
+	if err := validContainer(container); err != nil {
+		return nil, err
+	}
+	obj := objectName(container, key)
+	pin := e.b.reaper.pin(obj)
+	fail := func(err error) (*objectReader, error) {
+		e.b.reaper.unpin(obj, pin)
+		return nil, err
+	}
+	meta, err := e.rowMeta(RowKey(container, key))
+	if err != nil {
+		return fail(err)
+	}
+	if ranged && offset >= meta.Size {
+		return fail(fmt.Errorf("%w: offset %d of %d-byte object", ErrRangeNotSatisfiable, offset, meta.Size))
+	}
+	via, err := e.readViaOf(meta)
+	if err != nil {
+		return fail(err)
+	}
+	n, span := meta.Size-offset, meta.stripeSpan()
+	if length >= 0 {
+		n = min(n, length)
+	}
 	or := &objectReader{
 		e: e, meta: meta, obj: obj, cacheID: meta.cacheID(),
-		userRead: userRead, start: int(offset / span), left: n,
+		userRead: userRead, start: int(offset / span), left: n, pin: pin,
 	}
 	or.via.Store(via)
-	or.pin = e.b.reaper.pin(meta.UUID)
-	if cur := e.currentVersion(RowKey(meta.Container, meta.Key)); cur == nil || cur.UUID != meta.UUID || !slices.Equal(cur.Gens, meta.Gens) {
-		e.b.reaper.unpin(meta.UUID, or.pin)
-		return nil, errSuperseded
-	}
 	// The first stripe is taken alone, inline on the caller's goroutine,
 	// so a failing open has fetched one stripe, not PrefetchStripes more;
 	// read-ahead starts once it is in hand.
@@ -134,8 +146,7 @@ func (e *Engine) openObjectRange(ctx context.Context, meta ObjectMeta, offset, n
 		})
 	if err := or.advance(); err != nil {
 		or.pipe.close()
-		e.b.reaper.unpin(meta.UUID, or.pin)
-		return nil, err
+		return fail(err)
 	}
 	or.drop(offset - int64(or.start)*span) // the first stripe's lead-in is not the caller's
 	or.pipe.readAhead(e.b.cfg.PrefetchStripes)
@@ -185,9 +196,9 @@ func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int) ([][]
 
 // refresh is called by a stripe that came up short of m chunks through
 // stale: providers ranked at open have gone, or a swap repair has moved
-// chunks of the pinned version since. It returns what the stream reads
+// chunks of the version read since. It returns what the stream reads
 // through now — what a concurrent stripe already replaced stale with, or,
-// while the live row still names the pinned version, that row's map
+// while the live row still names the version read, that row's map
 // ranked afresh; otherwise stale itself, and the shortage stands.
 func (or *objectReader) refresh(stale *readVia) *readVia {
 	if now := or.via.Load(); now != stale {
@@ -347,7 +358,7 @@ func (or *objectReader) finish(err error) {
 	or.releaseCur()
 	or.pipe.close()
 	e, meta := or.e, or.meta
-	e.b.reaper.unpin(meta.UUID, or.pin)
+	e.b.reaper.unpin(or.obj, or.pin)
 	if or.userRead {
 		e.b.statsDB.Apply(stats.Event{
 			Object: or.obj, Class: meta.Class,

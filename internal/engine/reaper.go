@@ -19,13 +19,13 @@ import (
 // copies a swap or heal replaced; what a write that never committed left
 // behind. No key is ever written twice (writeChunks), so deleting a set
 // needs no coordination with any writer — only with readers: every
-// objectReader pins its version for its lifetime, and a set is taken only
-// once the readers opened before its retirement are gone. Whoever retired
-// it does not wait: deletion may lag (§III-D3 postpones it outright), and
-// the garbage shows as scalia_retired_versions / scalia_retired_bytes
-// until a pass has been over it, and what a provider still holds then —
-// it was down, or refused — as scalia_pending_deletes, tried again on the
-// next market event and at every ProcessPendingDeletes.
+// objectReader pins its object for its lifetime, and a set is taken only
+// once the readers of its object opened before its retirement are gone.
+// Whoever retired it does not wait: deletion may lag (§III-D3 postpones it
+// outright), and the garbage shows as scalia_retired_versions /
+// scalia_retired_bytes until a pass has been over it, and what a provider
+// still holds then — it was down, or refused — as scalia_pending_deletes,
+// tried again on the next market event and at every ProcessPendingDeletes.
 
 // maxRetiredVersions is the retired backlog past which a committing
 // request reaps on its own goroutine before it returns — what every
@@ -39,7 +39,7 @@ type chunkSet struct {
 	l     *stripeLayout
 	upto  int
 	slots []int
-	// pin names the version whose readers may hold the chunks ("" when no
+	// pin names the object whose readers may hold the chunks ("" when no
 	// row ever named them): those with a ticket up to seq, the last one
 	// drawn before the set was retired.
 	pin string
@@ -63,7 +63,7 @@ type reaper struct {
 
 	mu   sync.Mutex
 	seq  uint64              // the last reader ticket drawn
-	pins map[string][]uint64 // version UUID -> tickets of its open readers, ascending
+	pins map[string][]uint64 // object name -> tickets of its open readers, ascending
 	sets []*chunkSet         // retired and not gone: waiting for a pass, or left behind by one
 	// n and bytes count the superseded versions no pass has been over yet
 	// — waiting or being deleted — and their stored volume.
@@ -137,7 +137,7 @@ func (r *reaper) retire(cs *chunkSet) (overloaded bool) {
 func (e *Engine) retireVersion(meta ObjectMeta) (overloaded bool) {
 	e.b.caches.InvalidateAll(meta.cacheID())
 	l, _ := e.layoutOf(meta) // deleting needs no coder
-	return e.b.reaper.retire(&chunkSet{l: l, upto: l.stripes, slots: l.all, pin: meta.UUID, bytes: storedBytes(meta)})
+	return e.b.reaper.retire(&chunkSet{l: l, upto: l.stripes, slots: l.all, pin: l.obj, bytes: storedBytes(meta)})
 }
 
 // discard retires chunks no row ever named: the rollback of a write or a
@@ -152,29 +152,29 @@ func storedBytes(meta ObjectMeta) int64 {
 	return bytes
 }
 
-// pin holds a version's chunks for one reader and returns the ticket to
+// pin holds an object's chunks for one reader and returns the ticket to
 // release them with. It holds what is retired after it, not before: the
-// caller must then check that the row it read is still the live one.
-func (r *reaper) pin(uuid string) (ticket uint64) {
+// caller reads the object's row after it.
+func (r *reaper) pin(obj string) (ticket uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	r.pins[uuid] = append(r.pins[uuid], r.seq)
+	r.pins[obj] = append(r.pins[obj], r.seq)
 	return r.seq
 }
 
-// unpin releases one reader's hold; when it was the version's oldest and
-// chunks retired from under that version are waiting, the reaper wakes.
-func (r *reaper) unpin(uuid string, ticket uint64) {
+// unpin releases one reader's hold; when it was the object's oldest and
+// chunks retired from under that object are waiting, the reaper wakes.
+func (r *reaper) unpin(obj string, ticket uint64) {
 	r.mu.Lock()
-	open := r.pins[uuid]
+	open := r.pins[obj]
 	i := slices.Index(open, ticket)
 	if open = slices.Delete(open, i, i+1); len(open) == 0 {
-		delete(r.pins, uuid)
+		delete(r.pins, obj)
 	} else {
-		r.pins[uuid] = open
+		r.pins[obj] = open
 	}
-	waiting := i == 0 && slices.ContainsFunc(r.sets, func(cs *chunkSet) bool { return cs.pin == uuid })
+	waiting := i == 0 && slices.ContainsFunc(r.sets, func(cs *chunkSet) bool { return cs.pin == obj })
 	r.mu.Unlock()
 	if waiting {
 		r.kick()
@@ -221,7 +221,7 @@ func (r *reaper) reap(retry bool) int {
 
 // RetiredStats is the reaper's snapshot: the superseded versions a pass
 // has yet to go over and their stored bytes — the reclaim lag — and the
-// versions open readers hold.
+// objects open readers pin.
 type RetiredStats struct {
 	Versions int   `json:"versions"`
 	Bytes    int64 `json:"bytes"`

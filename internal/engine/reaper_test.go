@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,9 +65,9 @@ func TestHeldStreamSurvivesOverwrite(t *testing.T) {
 	}
 	var text bytes.Buffer
 	b.Metrics().WritePrometheus(&text) //nolint:errcheck
-	if g := promValues(t, text.String()); g["scalia_retired_versions"] != 1 || g["scalia_pinned_versions"] != 1 ||
+	if g := promValues(t, text.String()); g["scalia_retired_versions"] != 1 || g["scalia_pinned_objects"] != 1 ||
 		g["scalia_retired_bytes"] != float64(storedBytes(v1)) {
-		t.Fatalf("gauges with the stream open: %v retired, %v bytes, %v pinned", g["scalia_retired_versions"], g["scalia_retired_bytes"], g["scalia_pinned_versions"])
+		t.Fatalf("gauges with the stream open: %v retired, %v bytes, %v pinned", g["scalia_retired_versions"], g["scalia_retired_bytes"], g["scalia_pinned_objects"])
 	}
 	if n := chunksUnder(b, v1.SKey); n != held {
 		t.Fatalf("the settle took %d of the pinned version's %d chunks", held-n, held)
@@ -541,6 +542,58 @@ func TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans(t *testing.T) {
 	}
 	if r := b.Retired(); r != (RetiredStats{}) || b.PendingDeletes() != 0 {
 		t.Errorf("at rest: %+v, %d postponed deletes", r, b.PendingDeletes())
+	}
+}
+
+// TestMigrateGivesUpOnAMovedRow: a migration decided on a version that has
+// since been overwritten, or swap-repaired to new generations, opens the
+// object by name, finds a row other than the one it planned from, and
+// gives up: the row it found stays live and byte-exact, and once the
+// reaper has settled the providers hold that row's chunks and nothing of
+// a copy.
+func TestMigrateGivesUpOnAMovedRow(t *testing.T) {
+	for _, name := range []string{"overwrite", "swap"} {
+		t.Run(name, func(t *testing.T) {
+			b := newTestBroker(t, Config{Registry: repairMarket(), StripeBytes: 1024})
+			e := b.Engine(0)
+			want, planned := putRepairObject(t, b, "obj", 3*1024)
+			if name == "overwrite" {
+				want = bytes.Repeat([]byte("v2"), 1500)
+				if _, err := e.Put(ctx, "bk", "obj", want, PutOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				to := slices.Clone(planned.Chunks)
+				for _, spare := range []string{"A", "B", "C", "D"} {
+					if !slices.Contains(to, spare) {
+						to[0] = spare
+					}
+				}
+				sw, err := e.planSwap(planned, b.livePlacement(planned.M, to), []int{0})
+				if err == nil {
+					err = e.swapRepair(ctx, sw, &outcome{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.migrate(ctx, planned, b.livePlacement(planned.M, planned.Chunks)); err == nil {
+				t.Fatal("a migration of a row that has moved on committed")
+			}
+			got, live, err := e.Get(ctx, "bk", "obj")
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("after the migration: %d bytes, same %v (%v)", len(got), bytes.Equal(got, want), err)
+			}
+			b.ProcessPendingDeletes(ctx)
+			stored := 0
+			for _, s := range b.Registry().Snapshot() {
+				keys, _ := s.List(ctx, "")
+				stored += len(keys)
+			}
+			if n := chunksUnder(b, live.SKey); stored != n || n != len(live.Chunks)*live.StripeCount() {
+				t.Fatalf("providers hold %d chunks, %d of the live row; want only its %d", stored, n, len(live.Chunks)*live.StripeCount())
+			}
+		})
 	}
 }
 

@@ -312,7 +312,7 @@ func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome) error {
 		e.discard(sw.dst, stripes, replaced)
 		return err
 	}
-	e.b.reaper.retire(&chunkSet{l: sw.src, upto: stripes, slots: replaced, pin: meta.UUID})
+	e.b.reaper.retire(&chunkSet{l: sw.src, upto: stripes, slots: replaced, pin: sw.src.obj})
 	e.b.healed(sw.src, replaced)
 	out.swapped++
 	out.chunks += stripes * len(replaced)

@@ -2,36 +2,33 @@ package metadata
 
 import (
 	"errors"
+	"maps"
 	"sort"
 	"sync"
 )
 
 // Version is one MVCC version of a row, as in the paper's Fig. 10: the
 // row key maps to one or more versions keyed by UUID, each carrying a
-// timestamp used for freshest-wins conflict resolution. Columns hold the
-// file metadata and striping metadata (Fig. 11) as opaque strings.
+// timestamp used for freshest-wins conflict resolution. Value holds the
+// file metadata and striping metadata (Fig. 11), opaque to the store.
 type Version struct {
 	UUID      string
 	Timestamp int64 // engines are NTP-synchronized; ties break on UUID
 	Clock     VectorClock
-	Columns   map[string]string
-	Deleted   bool // tombstone
-	// Decoded is the writer's parsed form of Columns, when it attached
-	// one, so a reader need not parse them again. It is opaque here and
-	// shared by every copy of the version — it lives and dies with the
-	// stored version — so whoever reads it must treat it as immutable.
-	Decoded any
+	Columns   map[string]string // string columns, for writers that keep them
+	Deleted   bool              // tombstone
+	// Value is the writer's value. It is shared by every copy of the
+	// version — it lives and dies with the stored version — so whoever
+	// reads it must treat it as immutable.
+	Value any
 }
 
-// Clone returns a deep copy of the version; Decoded is carried by
+// Clone returns a deep copy of the version; Value is carried by
 // reference.
 func (v Version) Clone() Version {
 	out := v
 	out.Clock = v.Clock.Clone()
-	out.Columns = make(map[string]string, len(v.Columns))
-	for k, c := range v.Columns {
-		out.Columns[k] = c
-	}
+	out.Columns = maps.Clone(v.Columns)
 	return out
 }
 
@@ -193,7 +190,7 @@ func (s *Store) Get(row string) (Version, []Version, error) {
 // Scan returns the winning version of every row, resolved as Get resolves
 // it, in no particular order; a row a tombstone wins is left out. It is
 // read-only: a conflict is resolved for the caller, not collapsed. The
-// versions share their Columns and Decoded with the store: read them, do
+// versions share their Columns and Value with the store: read them, do
 // not write them.
 func (s *Store) Scan() ([]Version, error) {
 	s.mu.RLock()

@@ -146,29 +146,3 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	}
 	return out
 }
-
-// Sub returns the per-bucket difference s − earlier, for isolating a
-// measurement window (e.g. one benchmark run) out of cumulative
-// counts. Buckets where earlier exceeds s clamp to zero.
-func (s HistogramSnapshot) Sub(earlier HistogramSnapshot) HistogramSnapshot {
-	if len(earlier.Bounds) == 0 {
-		return s
-	}
-	if len(s.Bounds) != len(earlier.Bounds) {
-		panic("obs: diffing histograms with different bucket layouts")
-	}
-	out := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-	}
-	for i := range s.Counts {
-		if s.Counts[i] > earlier.Counts[i] {
-			out.Counts[i] = s.Counts[i] - earlier.Counts[i]
-		}
-		out.Count += out.Counts[i]
-	}
-	if s.Sum > earlier.Sum {
-		out.Sum = s.Sum - earlier.Sum
-	}
-	return out
-}

@@ -95,17 +95,6 @@ func TestSnapshotMergeAndSub(t *testing.T) {
 	if got := a.Snapshot().Merge(HistogramSnapshot{}); got.Count != 2 {
 		t.Errorf("merge with zero snapshot lost data: %+v", got)
 	}
-
-	early := a.Snapshot()
-	a.Observe(1.8)
-	a.Observe(1.9)
-	d := a.Snapshot().Sub(early)
-	if d.Count != 2 || d.Counts[1] != 2 {
-		t.Errorf("diff = %+v, want 2 observations in bucket le=2", d)
-	}
-	if math.Abs(d.Sum-3.7) > 1e-9 {
-		t.Errorf("diff Sum = %v, want 3.7", d.Sum)
-	}
 }
 
 // TestHistogramConcurrent hammers one histogram from many goroutines

@@ -1,5 +1,5 @@
 // Package obs is Scalia's dependency-free observability core: a metric
-// registry of atomic counters, gauges and latency histograms (labeled
+// registry of atomic counters and latency histograms (labeled
 // families, one fixed bucket layout), func-backed collectors that
 // expose counters other subsystems already keep (so /metrics and
 // /v1/stats read the same bookkeeping instead of two parallel ones), a
@@ -8,8 +8,8 @@
 // context.Context).
 //
 // Everything in this package is safe for concurrent use and allocates
-// nothing on the metric hot paths (Counter.Inc, Gauge.Set,
-// Histogram.Observe on a resolved series).
+// nothing on the metric hot paths (Counter.Inc, Histogram.Observe on a
+// resolved series).
 package obs
 
 import (
@@ -68,23 +68,8 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an integer gauge (float-valued gauges are exposed through
-// GaugeFunc, reading whatever source owns the value).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current reading.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // family is one named metric family: either a set of owned series
-// (Counter/Gauge/Histogram, keyed by label values) or a func-backed
+// (Counter/Histogram, keyed by label values) or a func-backed
 // collector read at scrape time.
 type family struct {
 	name       string
@@ -93,7 +78,7 @@ type family struct {
 	labelNames []string
 
 	mu     sync.RWMutex
-	series map[string]any // label signature -> *Counter | *Gauge | *Histogram
+	series map[string]any // label signature -> *Counter | *Histogram
 	keys   []string       // insertion-ordered signatures (sorted at encode)
 
 	collect func() []Sample // exclusive with series
@@ -124,8 +109,6 @@ func (f *family) get(values []string) any {
 	switch f.kind {
 	case KindCounter:
 		m = &Counter{}
-	case KindGauge:
-		m = &Gauge{}
 	case KindHistogram:
 		m = newHistogram(latencyBuckets)
 	}
@@ -173,12 +156,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 	f := r.add(&family{name: name, help: help, kind: KindCounter,
 		labelNames: labelNames, series: map[string]any{}})
 	return &CounterVec{f: f}
-}
-
-// Gauge registers (or returns) an unlabeled integer gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.add(&family{name: name, help: help, kind: KindGauge, series: map[string]any{}})
-	return f.get(nil).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape

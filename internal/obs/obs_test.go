@@ -21,13 +21,6 @@ func TestCounterAndGauge(t *testing.T) {
 	if again := r.Counter("scalia_test_total", "test counter"); again != c {
 		t.Error("re-registration returned a different counter")
 	}
-
-	g := r.Gauge("scalia_test_gauge", "test gauge")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Errorf("gauge = %d, want 5", g.Value())
-	}
 }
 
 func TestVecSeriesIdentity(t *testing.T) {
@@ -203,5 +196,5 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 			t.Error("expected panic re-registering counter as gauge")
 		}
 	}()
-	r.Gauge("scalia_x", "x")
+	r.GaugeFunc("scalia_x", "x", func() float64 { return 0 })
 }

@@ -72,8 +72,6 @@ func encodeFamily(b *strings.Builder, f *family) {
 		switch m := series[i].(type) {
 		case *Counter:
 			writeSample(b, f.name, f.labelNames, values, "", "", float64(m.Value()))
-		case *Gauge:
-			writeSample(b, f.name, f.labelNames, values, "", "", float64(m.Value()))
 		case *Histogram:
 			s := m.Snapshot()
 			var cum uint64

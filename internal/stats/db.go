@@ -35,13 +35,18 @@ type Event struct {
 type DB struct {
 	periodHours float64
 
-	mu       sync.RWMutex
-	hist     map[string]*History
-	class    map[string]string // object -> class key
-	accessed map[string]int64  // object -> last access period
-	created  map[string]int64  // object -> creation period
+	mu      sync.RWMutex
+	objects map[string]*record
 
 	classes *ClassStats
+}
+
+// record is what the database keeps of one object.
+type record struct {
+	hist     *History
+	class    string // "" until an event names it
+	accessed int64  // last access period
+	created  int64  // creation period
 }
 
 // NewDB returns an empty statistics database. periodHours is the wall
@@ -52,10 +57,7 @@ func NewDB(periodHours float64) *DB {
 	}
 	return &DB{
 		periodHours: periodHours,
-		hist:        make(map[string]*History),
-		class:       make(map[string]string),
-		accessed:    make(map[string]int64),
-		created:     make(map[string]int64),
+		objects:     make(map[string]*record),
 		classes:     NewClassStats(),
 	}
 }
@@ -86,32 +88,28 @@ func (db *DB) Apply(ev Event) {
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	h, ok := db.hist[ev.Object]
+	rec, ok := db.objects[ev.Object]
 	if !ok {
 		if ev.Kind == EventDelete {
 			return
 		}
-		h = NewHistory(0)
-		db.hist[ev.Object] = h
-		db.created[ev.Object] = ev.Period
+		rec = &record{hist: NewHistory(0), created: ev.Period}
+		db.objects[ev.Object] = rec
 	}
 	if ev.Class != "" {
-		db.class[ev.Object] = ev.Class
+		rec.class = ev.Class
 	}
-	db.accessed[ev.Object] = ev.Period
-	h.Record(s)
-	if class := db.class[ev.Object]; class != "" {
-		db.classes.Class(class).ObserveSample(s)
+	rec.accessed = ev.Period
+	rec.hist.Record(s)
+	if rec.class != "" {
+		db.classes.Class(rec.class).ObserveSample(s)
 		if ev.Kind == EventDelete {
-			lifetime := float64(ev.Period-db.created[ev.Object]) * db.periodHours
-			db.classes.Class(class).ObserveDeletion(lifetime)
+			lifetime := float64(ev.Period-rec.created) * db.periodHours
+			db.classes.Class(rec.class).ObserveDeletion(lifetime)
 		}
 	}
 	if ev.Kind == EventDelete {
-		delete(db.hist, ev.Object)
-		delete(db.class, ev.Object)
-		delete(db.accessed, ev.Object)
-		delete(db.created, ev.Object)
+		delete(db.objects, ev.Object)
 	}
 }
 
@@ -119,7 +117,10 @@ func (db *DB) Apply(ev Event) {
 func (db *DB) History(object string) *History {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.hist[object]
+	if rec := db.objects[object]; rec != nil {
+		return rec.hist
+	}
+	return nil
 }
 
 // Classes exposes the per-class aggregates.
@@ -131,8 +132,8 @@ func (db *DB) AccessedSince(period int64) []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []string
-	for obj, last := range db.accessed {
-		if last >= period {
+	for obj, rec := range db.objects {
+		if rec.accessed >= period {
 			out = append(out, obj)
 		}
 	}
@@ -144,8 +145,10 @@ func (db *DB) AccessedSince(period int64) []string {
 func (db *DB) CreatedAt(object string) (int64, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	p, ok := db.created[object]
-	return p, ok
+	if rec := db.objects[object]; rec != nil {
+		return rec.created, true
+	}
+	return 0, false
 }
 
 // AgeHours returns the object's age at the given period, in hours.
