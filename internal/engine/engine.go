@@ -443,11 +443,7 @@ func ReadSized(r io.Reader, size int64) ([]byte, error) {
 // cannot take away the chunks of the version it reads. Cancelling ctx
 // tears down the prefetcher and all in-flight chunk fetches.
 func (e *Engine) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
-	or, err := e.openObject(ctx, container, key, 0, -1, false, true)
-	if err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	return or, or.meta, nil
+	return e.stream(ctx, container, key, 0, -1, false)
 }
 
 // GetRangeReader serves the byte range [offset, offset+length) of an
@@ -461,8 +457,17 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 	if offset < 0 || length == 0 || length < -1 {
 		return nil, ObjectMeta{}, fmt.Errorf("%w: range offset %d length %d", ErrInvalidArgument, offset, length)
 	}
-	or, err := e.openObject(ctx, container, key, offset, length, true, true)
+	return e.stream(ctx, container, key, offset, length, true)
+}
+
+// stream opens container/key for a user read and begins its stream.
+func (e *Engine) stream(ctx context.Context, container, key string, offset, length int64, ranged bool) (io.ReadCloser, ObjectMeta, error) {
+	or, err := e.openObject(ctx, container, key, true)
 	if err != nil {
+		return nil, ObjectMeta{}, err
+	}
+	if err := or.begin(ctx, offset, length, ranged); err != nil {
+		or.Close()
 		return nil, ObjectMeta{}, err
 	}
 	return or, or.meta, nil

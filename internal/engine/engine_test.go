@@ -365,6 +365,35 @@ func TestVerifyObject(t *testing.T) {
 	}
 }
 
+// TestVerifyObjectPinsItsVersion: VerifyObject pins the version it
+// checks, so an overwrite and a settle that land during its first chunk
+// fetch take none of the chunks it is reading.
+func TestVerifyObjectPinsItsVersion(t *testing.T) {
+	reg, backends := hooked(repairMarket())
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024})
+	b.Rules().SetContainerRule("c", repairRule)
+	e := b.Engine(0)
+	meta, err := e.Put(ctx, "c", "k", testPayload(5000), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	for _, hb := range backends {
+		hb.get = func(context.Context, string) error {
+			once.Do(func() {
+				if _, err := e.Put(ctx, "c", "k", testPayload(3000), PutOptions{}); err != nil {
+					t.Error(err)
+				}
+				b.ProcessPendingDeletes(ctx)
+			})
+			return nil
+		}
+	}
+	if n, err := e.VerifyObject(ctx, "c", "k"); err != nil || n != len(meta.Chunks) {
+		t.Fatalf("VerifyObject = %d, %v; want %d", n, err, len(meta.Chunks))
+	}
+}
+
 func TestRuleResolutionPrecedence(t *testing.T) {
 	b := newTestBroker(t, Config{})
 	rs := b.Rules()

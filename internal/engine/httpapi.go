@@ -39,6 +39,8 @@ import (
 //	       multi-range requests stream a multipart/byteranges body; If-Range
 //	       gates the range on the current ETag)                     200
 //	HEAD   /v1/objects/{container}/{key}  metadata only              200
+//	       (every GET or HEAD answer — 304, 416, headers, each range
+//	       and each part — is decided on the one version its open pinned)
 //	DELETE /v1/objects/{container}/{key}  delete (If-Match = conditional)  204
 //	GET    /v1/objects/{container}?prefix=&limit=&after=  one list page  200
 //

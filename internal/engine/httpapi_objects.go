@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/base64"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
@@ -138,269 +137,159 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request) {
 		serve(g.listParts)(w, r)
 		return
 	}
-	container, key := r.PathValue("container"), r.PathValue("key")
-	e := g.engine()
 	w.Header().Set("Accept-Ranges", "bytes")
-	// HEAD and conditional GET resolve from metadata alone, so the
-	// common revalidation case (ETag still current -> 304) never touches
-	// a chunk. A stale ETag pays one extra in-memory metadata read when
-	// GetReader re-resolves below — and serves whatever version is live
-	// at that moment, which is the later of the two and self-consistent
-	// with its own headers.
-	if inm := r.Header.Get("If-None-Match"); inm != "" || r.Method == http.MethodHead {
-		meta, err := e.Head(r.Context(), container, key)
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		if inm != "" && matchETags(inm, meta, true) {
-			w.Header().Set("ETag", meta.ETag())
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if r.Method == http.MethodHead {
-			writeMetaHeaders(w.Header(), meta, true)
-			if meta.MIME != "" {
-				w.Header().Set("Content-Type", meta.MIME)
-			}
-			w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-	}
-	if specs, ok := parseRangeHeader(r.Header.Get("Range")); ok {
-		serve := true
-		if ir := strings.TrimSpace(r.Header.Get("If-Range")); ir != "" {
-			// If-Range gates the range on validator currency (RFC 9110
-			// §13.1.5): current ETag -> the 206 the client asked for,
-			// stale -> the full 200 body so a resumed download cannot
-			// splice bytes of two different versions. A W/ tag or a date
-			// (no Last-Modified is served) never matches.
-			head, err := e.Head(r.Context(), container, key)
-			if err != nil {
-				failErr(w, err)
-				return
-			}
-			serve = ir == head.ETag()
-		}
-		if serve {
-			if len(specs) == 1 {
-				g.serveRange(w, r, e, container, key, specs[0])
-			} else {
-				g.serveMultiRange(w, r, e, container, key, specs)
-			}
-			return
-		}
-	}
-	rc, meta, err := e.GetReader(r.Context(), container, key)
+	// One open pins the object and reads its row once; every answer below
+	// is decided on that version. A HEAD, a 304 and a 416 fetch no stripe,
+	// and a body — whole, one range or several — is bytes of that version
+	// alone, so If-Range cannot pass on one version and serve the next.
+	or, err := g.engine().openObject(r.Context(), r.PathValue("container"), r.PathValue("key"), true)
 	if err != nil {
 		failErr(w, err)
 		return
 	}
-	defer rc.Close()
-	writeMetaHeaders(w.Header(), meta, true)
-	if meta.MIME != "" {
-		w.Header().Set("Content-Type", meta.MIME)
+	defer or.Close()
+	meta := or.meta
+	if inm := r.Header.Get("If-None-Match"); inm != "" && matchETags(inm, meta, true) {
+		w.Header().Set("ETag", meta.ETag())
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-	w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
-	w.WriteHeader(http.StatusOK)
-	// The body streams stripe by stripe; a mid-stream failure can only
-	// truncate the response (the status is already on the wire), which
-	// the client detects against Content-Length.
-	io.Copy(w, rc) //nolint:errcheck
+	windows, elements, ranged := parseRanges(r.Header.Get("Range"), meta.Size)
+	if ir := strings.TrimSpace(r.Header.Get("If-Range")); ir != "" && ir != meta.ETag() {
+		// If-Range gates the range on validator currency (RFC 9110
+		// §13.1.5): stale -> the full 200 body, so a resumed download
+		// cannot splice bytes of two versions. A W/ tag or a date (no
+		// Last-Modified is served) never matches.
+		ranged = false
+	}
+	switch {
+	case r.Method == http.MethodHead || !ranged:
+		serveOne(w, r, or, byteRange{0, meta.Size}, true)
+	case len(windows) == 0:
+		w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(meta.Size, 10))
+		failErr(w, fmt.Errorf("%w: no satisfiable range in a %d-byte object", ErrRangeNotSatisfiable, meta.Size))
+	case elements == 1:
+		serveOne(w, r, or, windows[0], false)
+	default:
+		serveMultiRange(w, r, or, windows)
+	}
 }
 
-// rangeSpec is one parsed single-range header. Exactly one of the two
-// forms is set: suffix < 0 means an absolute range [start, start+length)
-// with length < 0 standing for "to the object end"; suffix >= 0 means
-// "the last suffix bytes".
-type rangeSpec struct {
-	start, length int64
-	suffix        int64
-}
+// byteRange is a non-empty window [offset, offset+length) of an object.
+type byteRange struct{ offset, length int64 }
 
-// parseRangeHeader parses a "bytes=" Range header into its full
-// ranges-specifier list. One element yields a plain 206 (serveRange);
-// several yield a multipart/byteranges body (serveMultiRange, RFC 9110
-// §14.6). Any syntactically invalid element invalidates the whole
-// header (§14.2 — an invalid ranges-specifier is ignored), reported as
-// !ok so the caller falls back to the full 200 body.
-func parseRangeHeader(h string) ([]rangeSpec, bool) {
-	const prefix = "bytes="
-	if !strings.HasPrefix(h, prefix) {
-		return nil, false
+// parseRanges resolves a "bytes=" Range header against an object of size
+// bytes: the satisfiable windows, in request order and clamped to the
+// object (RFC 9110 §14.1.2), and how many elements the header named. One
+// element is a plain 206, several a multipart/byteranges body (§14.6),
+// even when only one of them is satisfiable; none satisfiable is a 416.
+// Any syntactically invalid element invalidates the whole header (§14.2 —
+// an invalid ranges-specifier is ignored), reported as !ok so the caller
+// falls back to the full 200 body.
+func parseRanges(header string, size int64) (windows []byteRange, elements int, ok bool) {
+	spec, found := strings.CutPrefix(header, "bytes=")
+	if !found {
+		return nil, 0, false
 	}
-	parts := strings.Split(strings.TrimPrefix(h, prefix), ",")
-	specs := make([]rangeSpec, 0, len(parts))
-	for _, part := range parts {
-		spec, ok := parseRangeSpec(strings.TrimSpace(part))
-		if !ok {
-			return nil, false
+	for _, elem := range strings.Split(spec, ",") {
+		first, last, found := strings.Cut(strings.TrimSpace(elem), "-")
+		if !found {
+			return nil, 0, false
 		}
-		specs = append(specs, spec)
+		first, last = strings.TrimSpace(first), strings.TrimSpace(last)
+		var start, end int64
+		if first == "" {
+			// Suffix form: bytes=-N, the last N bytes (none for -0).
+			n, err := strconv.ParseInt(last, 10, 64)
+			if err != nil || n < 0 {
+				return nil, 0, false
+			}
+			start, end = max(size-n, 0), size-1
+		} else {
+			var err error
+			if start, err = strconv.ParseInt(first, 10, 64); err != nil || start < 0 {
+				return nil, 0, false
+			}
+			end = size - 1 // open-ended: bytes=N-
+			if last != "" {
+				n, err := strconv.ParseInt(last, 10, 64)
+				if err != nil || n < start {
+					return nil, 0, false
+				}
+				end = min(n, end)
+			}
+		}
+		if start <= end {
+			windows = append(windows, byteRange{start, end - start + 1})
+		}
+		elements++
 	}
-	return specs, true
+	return windows, elements, true
 }
 
-// parseRangeSpec parses one ranges-specifier element ("a-b", "a-",
-// "-n").
-func parseRangeSpec(val string) (rangeSpec, bool) {
-	spec := rangeSpec{suffix: -1}
-	if val == "" {
-		return spec, false
-	}
-	dash := strings.IndexByte(val, '-')
-	if dash < 0 {
-		return spec, false
-	}
-	first, last := strings.TrimSpace(val[:dash]), strings.TrimSpace(val[dash+1:])
-	if first == "" {
-		// Suffix form: bytes=-N, the last N bytes.
-		n, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || n < 0 {
-			return spec, false
-		}
-		spec.suffix = n
-		return spec, true
-	}
-	start, err := strconv.ParseInt(first, 10, 64)
-	if err != nil || start < 0 {
-		return spec, false
-	}
-	spec.start = start
-	spec.length = -1 // open-ended: bytes=N-
-	if last != "" {
-		end, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || end < start {
-			return spec, false
-		}
-		spec.length = end - start + 1
-	}
-	return spec, true
-}
-
-// serveRange answers a single-range GET: the engine maps the byte range
-// onto the stripes it overlaps, so only those are consulted in the
-// stripe cache or fetched from the providers. GetRangeReader owns the
-// clamp and the unsatisfiable check; the gateway only translates the
-// suffix form (which needs the object size before the offset exists)
-// and the wire headers.
-func (g *Gateway) serveRange(w http.ResponseWriter, r *http.Request, e *Engine, container, key string, spec rangeSpec) {
-	offset, length := spec.start, spec.length
-	if spec.suffix >= 0 {
-		// Head is a pure in-memory metadata read.
-		head, err := e.Head(r.Context(), container, key)
-		if err != nil {
+// serveOne answers with one window of or's version as the whole body: the
+// object (whole, a 200; for a HEAD only its headers) or a single range (a
+// 206). The first stripe is in hand before the status line goes out, so
+// an unreadable object is still an error reply; after it, a mid-stream
+// failure can only truncate the body, which the client detects against
+// Content-Length.
+func serveOne(w http.ResponseWriter, r *http.Request, or *objectReader, win byteRange, whole bool) {
+	head := r.Method == http.MethodHead
+	if !head {
+		if err := or.begin(r.Context(), win.offset, win.length, !whole); err != nil {
 			failErr(w, err)
 			return
 		}
-		if spec.suffix == 0 {
-			w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(head.Size, 10))
-			failErr(w, fmt.Errorf("%w: zero-length suffix range", ErrRangeNotSatisfiable))
-			return
-		}
-		offset = head.Size - spec.suffix
-		if offset < 0 {
-			offset = 0
-		}
-		length = -1
 	}
-	rc, meta, err := e.GetRangeReader(r.Context(), container, key, offset, length)
-	if err != nil {
-		if errors.Is(err, ErrRangeNotSatisfiable) {
-			if head, herr := e.Head(r.Context(), container, key); herr == nil {
-				w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(head.Size, 10))
-			}
-		}
-		failErr(w, err)
-		return
-	}
-	defer rc.Close()
-	// Mirror the reader's clamp against the meta it actually resolved.
-	served := length
-	if rest := meta.Size - offset; served < 0 || served > rest {
-		served = rest
-	}
-	writeMetaHeaders(w.Header(), meta, false)
+	meta, h := or.meta, w.Header()
+	writeMetaHeaders(h, meta, whole)
 	if meta.MIME != "" {
-		w.Header().Set("Content-Type", meta.MIME)
+		h.Set("Content-Type", meta.MIME)
 	}
-	w.Header().Set("Content-Range",
-		fmt.Sprintf("bytes %d-%d/%d", offset, offset+served-1, meta.Size))
-	w.Header().Set("Content-Length", strconv.FormatInt(served, 10))
-	w.WriteHeader(http.StatusPartialContent)
-	io.Copy(w, rc) //nolint:errcheck
+	h.Set("Content-Length", strconv.FormatInt(win.length, 10))
+	if whole {
+		w.WriteHeader(http.StatusOK)
+	} else {
+		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", win.offset, win.offset+win.length-1, meta.Size))
+		w.WriteHeader(http.StatusPartialContent)
+	}
+	if !head {
+		io.Copy(w, or) //nolint:errcheck
+	}
 }
 
 // serveMultiRange answers a multi-range GET with a multipart/byteranges
 // body (RFC 9110 §14.6): one part per satisfiable requested range, in
-// request order, each carrying its own Content-Range. All ranges are
-// resolved against a single metadata snapshot so every Content-Range
-// names the same complete-length. Unsatisfiable elements are dropped
-// (§15.3.7 allows serving the satisfiable subset); a request with no
-// satisfiable range at all is a 416. Ranges are served as requested —
-// overlapping or out-of-order elements are not coalesced. The body
-// streams stripe by stripe per part, so there is no Content-Length; a
-// mid-stream failure truncates the multipart payload, which the client
-// detects by the missing closing boundary.
-func (g *Gateway) serveMultiRange(w http.ResponseWriter, r *http.Request, e *Engine, container, key string, specs []rangeSpec) {
-	head, err := e.Head(r.Context(), container, key)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	type window struct{ offset, length int64 }
-	windows := make([]window, 0, len(specs))
-	for _, spec := range specs {
-		offset, length := spec.start, spec.length
-		if spec.suffix >= 0 {
-			if spec.suffix == 0 {
-				continue
-			}
-			offset = head.Size - spec.suffix
-			if offset < 0 {
-				offset = 0
-			}
-			length = -1
-		}
-		if offset >= head.Size {
-			continue
-		}
-		if rest := head.Size - offset; length < 0 || length > rest {
-			length = rest
-		}
-		windows = append(windows, window{offset, length})
-	}
-	if len(windows) == 0 {
-		w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(head.Size, 10))
-		failErr(w, fmt.Errorf("%w: no satisfiable range", ErrRangeNotSatisfiable))
-		return
-	}
-
+// request order, each carrying its own Content-Range, each streamed from
+// a window of or, so every part is bytes of one version. Unsatisfiable
+// elements were dropped (§15.3.7 allows serving the satisfiable subset).
+// Ranges are served as requested — overlapping or out-of-order elements
+// are not coalesced. The body has no Content-Length; a mid-stream failure
+// truncates the multipart payload, which the client detects by the
+// missing closing boundary.
+func serveMultiRange(w http.ResponseWriter, r *http.Request, or *objectReader, windows []byteRange) {
+	meta := or.meta
 	mw := multipart.NewWriter(w)
-	writeMetaHeaders(w.Header(), head, false)
+	writeMetaHeaders(w.Header(), meta, false)
 	w.Header().Set("Content-Type", "multipart/byteranges; boundary="+mw.Boundary())
 	w.WriteHeader(http.StatusPartialContent)
 	for _, win := range windows {
-		rc, _, err := e.GetRangeReader(r.Context(), container, key, win.offset, win.length)
+		part, err := or.window(r.Context(), win.offset, win.length)
 		if err != nil {
 			// The 206 status line is already on the wire: all we can do
 			// is stop, leaving the payload visibly truncated.
 			return
 		}
 		ph := make(textproto.MIMEHeader)
-		if head.MIME != "" {
-			ph.Set("Content-Type", head.MIME)
+		if meta.MIME != "" {
+			ph.Set("Content-Type", meta.MIME)
 		}
-		ph.Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/%d", win.offset, win.offset+win.length-1, head.Size))
+		ph.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", win.offset, win.offset+win.length-1, meta.Size))
 		pw, err := mw.CreatePart(ph)
-		if err != nil {
-			rc.Close()
-			return
+		if err == nil {
+			_, err = io.Copy(pw, part)
 		}
-		_, err = io.Copy(pw, rc)
-		rc.Close()
+		part.Close()
 		if err != nil {
 			return
 		}

@@ -186,7 +186,7 @@ func TestGatewayStreamsMultiStripeObject(t *testing.T) {
 }
 
 func TestGatewayConditionalRequests(t *testing.T) {
-	_, ts := newGatewayServer(t, Config{})
+	b, ts := newGatewayServer(t, Config{})
 	client := ts.Client()
 
 	resp := doReq(t, client, http.MethodPut, ts.URL+"/v1/objects/c/k", []byte("v1"), nil)
@@ -194,6 +194,35 @@ func TestGatewayConditionalRequests(t *testing.T) {
 	resp.Body.Close()
 	if etag == "" {
 		t.Fatal("no ETag on PUT")
+	}
+
+	// A HEAD, a 304 and a 416 are answered from the row alone: they ask
+	// no provider, take no stripe and log no read.
+	reads := func() (n int64) {
+		for _, s := range b.Stats().History("c/k").Window(b.Clock().Period(), 1) {
+			n += s.Reads
+		}
+		return n
+	}
+	ops, rs, before := b.Registry().TotalUsage().Ops, b.ReadStats(), reads()
+	for _, req := range []struct {
+		method string
+		hdr    map[string]string
+		want   int
+	}{
+		{http.MethodHead, nil, http.StatusOK},
+		{http.MethodGet, map[string]string{"If-None-Match": etag}, http.StatusNotModified},
+		{http.MethodGet, map[string]string{"Range": "bytes=2-"}, http.StatusRequestedRangeNotSatisfiable},
+	} {
+		resp = doReq(t, client, req.method, ts.URL+"/v1/objects/c/k", nil, req.hdr)
+		resp.Body.Close()
+		if resp.StatusCode != req.want {
+			t.Fatalf("%s %v = %d, want %d", req.method, req.hdr, resp.StatusCode, req.want)
+		}
+	}
+	if b.Registry().TotalUsage().Ops != ops || b.ReadStats() != rs || reads() != before {
+		t.Fatalf("HEAD, 304 and 416 read: provider ops %d -> %d, read stats %+v -> %+v, logged reads %d -> %d",
+			ops, b.Registry().TotalUsage().Ops, rs, b.ReadStats(), before, reads())
 	}
 
 	// Conditional GET with the current ETag -> 304, no body.
@@ -529,6 +558,18 @@ func TestGatewayRangeRequests(t *testing.T) {
 		t.Fatalf("suffix Content-Range = %q", cr)
 	}
 
+	// A last-pos past the end clamps to it (RFC 9110 §14.1.2), however
+	// far past.
+	resp = get("bytes=0-9223372036854775807")
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, payload) {
+		t.Fatalf("range to the largest last-pos = %d, %d bytes; want 206 of the whole body", resp.StatusCode, len(body))
+	}
+	if cr := resp.Header.Get("Content-Range"); cr != fmt.Sprintf("bytes 0-%d/%d", size-1, size) {
+		t.Fatalf("clamped Content-Range = %q", cr)
+	}
+
 	// Unsatisfiable: starts at/past the end.
 	resp = get(fmt.Sprintf("bytes=%d-", size))
 	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
@@ -616,6 +657,65 @@ func TestGatewayRangeRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || int64(len(body)) != size {
 			t.Fatalf("range %q = %d (%d bytes), want full 200", rng, resp.StatusCode, len(body))
 		}
+	}
+}
+
+// overwriteOnWrite is a ResponseWriter that runs overwrite on the first
+// body Write it gets.
+type overwriteOnWrite struct {
+	*httptest.ResponseRecorder
+	overwrite func()
+}
+
+func (w *overwriteOnWrite) Write(p []byte) (int, error) {
+	if f := w.overwrite; f != nil {
+		w.overwrite = nil
+		f()
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestGatewayMultiRangeServesOneVersion: every part of a multi-range 206
+// is bytes of the version its Content-Range and ETag describe, also when
+// an overwrite, and a settle behind it, land after the first part began.
+func TestGatewayMultiRangeServesOneVersion(t *testing.T) {
+	b := newTestBroker(t, Config{})
+	e := b.Engine(0)
+	old := bytes.Repeat([]byte("A"), 4000)
+	if _, err := e.Put(ctx, "c", "k", old, PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	w := &overwriteOnWrite{ResponseRecorder: httptest.NewRecorder(), overwrite: func() {
+		if _, err := e.Put(ctx, "c", "k", bytes.Repeat([]byte("B"), 4000), PutOptions{}); err != nil {
+			t.Error(err)
+		}
+		b.ProcessPendingDeletes(ctx)
+	}}
+	req := httptest.NewRequest(http.MethodGet, "/v1/objects/c/k", nil)
+	req.Header.Set("Range", "bytes=0-9,3000-3009")
+	NewGateway(b).ServeHTTP(w, req)
+	if w.Code != http.StatusPartialContent {
+		t.Fatalf("multi-range GET = %d, want 206", w.Code)
+	}
+	_, params, err := mime.ParseMediaType(w.Header().Get("Content-Type"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr := multipart.NewReader(w.Body, params["boundary"])
+	var parts []string
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %q: %v", parts, err)
+		}
+		got, _ := io.ReadAll(part)
+		parts = append(parts, string(got))
+	}
+	if want := []string{string(old[:10]), string(old[3000:3010])}; !slices.Equal(parts, want) {
+		t.Fatalf("parts = %q, want %q: the body spliced two versions", parts, want)
 	}
 }
 
@@ -1153,36 +1253,35 @@ func TestETagSurvivesMaintenance(t *testing.T) {
 	}
 }
 
-// FuzzParseRangeHeader: whatever a client sends as Range, the parser
-// never panics, and a header it accepts yields only well-formed specs —
-// each exactly one of the absolute and suffix forms, no negative field.
+// FuzzParseRangeHeader: whatever a client sends as Range, parseRanges
+// never panics, and against any object size a header it accepts yields no
+// more windows than it has elements, each non-empty and inside the object;
+// a header it rejects yields none.
 func FuzzParseRangeHeader(f *testing.F) {
 	for _, seed := range []string{
 		"bytes=1500-2499", "bytes=8192-", "bytes=-100", "bytes=8392-", "bytes=1500-2499,4000-4099",
 		"bytes=0-99,8392-", "bytes=8392-,-0", "bytes=abc-def", "bytes=abc-def,0-10", "bytes=0-10,abc-def",
 		"items=0-1", "", "bytes=", "bytes=-", "bytes= 1 - 2 , -3", "bytes=5-4", "bytes=9223372036854775807-",
+		"bytes=0-9223372036854775807", "bytes=-9223372036854775807",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, header string) {
-		specs, ok := parseRangeHeader(header)
-		if !ok {
-			if specs != nil {
-				t.Fatalf("%q rejected but returned %v", header, specs)
-			}
-			return
-		}
-		if len(specs) == 0 {
-			t.Fatalf("%q accepted with no specs", header)
-		}
-		for _, s := range specs {
-			switch {
-			case s.suffix >= 0: // suffix form: the absolute fields stay zero
-				if s.start != 0 || s.length != 0 {
-					t.Fatalf("%q: suffix spec with absolute fields: %+v", header, s)
+		for _, size := range []int64{0, 1, 8392, 1 << 62} {
+			windows, elements, ok := parseRanges(header, size)
+			if !ok {
+				if windows != nil {
+					t.Fatalf("%q rejected for size %d but returned %v", header, size, windows)
 				}
-			case s.suffix != -1 || s.start < 0 || s.length == 0 || s.length < -1:
-				t.Fatalf("%q: malformed absolute spec: %+v", header, s)
+				continue
+			}
+			if len(windows) > elements {
+				t.Fatalf("%q, size %d: %d windows from %d elements", header, size, len(windows), elements)
+			}
+			for _, w := range windows {
+				if w.offset < 0 || w.length < 1 || w.offset >= size || w.length > size-w.offset {
+					t.Fatalf("%q, size %d: window %+v outside the object", header, size, w)
+				}
 			}
 		}
 	})

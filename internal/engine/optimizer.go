@@ -318,17 +318,21 @@ func (e *Engine) ttlPeriods(obj string, meta ObjectMeta, now int64) int {
 // ones are read, so migration of a large object never buffers it whole.
 // The source stream opens the object by name like any reader; a row other
 // than the version meta planned from (another UUID, or a swap's new Gens)
-// gives the object up. The commit re-keys the source version's cached
-// stripes to the new one and retires the source; its chunks go once the
-// source stream, which pins the object like any reader, is closed.
+// gives the object up before the stream begins, at no stripe fetch. The
+// commit re-keys the source version's cached stripes to the new one and
+// retires the source; its chunks go once the source stream, which pins the
+// object like any reader, is closed.
 func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement) error {
-	src, err := e.openObject(ctx, meta.Container, meta.Key, 0, -1, false, false)
+	src, err := e.openObject(ctx, meta.Container, meta.Key, false)
 	if err != nil {
 		return fmt.Errorf("engine: migrate read: %w", err)
 	}
 	defer src.Close()
 	if src.meta.UUID != meta.UUID || !slices.Equal(src.meta.Gens, meta.Gens) {
 		return fmt.Errorf("engine: migrate: object changed before the copy began")
+	}
+	if err := src.begin(ctx, 0, -1, false); err != nil {
+		return fmt.Errorf("engine: migrate read: %w", err)
 	}
 	newMeta := meta
 	newMeta.UUID = NewUUID()
@@ -375,12 +379,15 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 // are reachable and pass their own sum — a rotten chunk counts as a lost
 // one, and is noted for the maintenance queue like any a read finds.
 // Verification reads every reachable chunk from its provider (never the
-// stripe cache — a cached stripe proves nothing about chunk health).
+// stripe cache — a cached stripe proves nothing about chunk health). It
+// pins the version it checks like any reader.
 func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reachable int, err error) {
-	meta, err := e.Head(ctx, container, key)
+	or, err := e.openObject(ctx, container, key, false)
 	if err != nil {
 		return 0, err
 	}
+	defer or.Close()
+	meta := or.meta
 	l, err := e.layoutOf(meta)
 	if err != nil {
 		return 0, err

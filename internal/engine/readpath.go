@@ -59,7 +59,7 @@ type objectReader struct {
 
 	start int // first stripe of the range
 	pipe  *stripePipe
-	pin   uint64 // the reaper ticket holding obj's retired chunks
+	pin   uint64 // the reaper ticket holding obj's retired chunks; 0 for a window, which holds none
 
 	cur     [][]byte // undelivered bytes of the current stripe, by segment; the first never empty
 	curSlot bool     // cur holds a stripe slot of the broker read budget
@@ -90,21 +90,19 @@ func (e *Engine) readViaOf(meta ObjectMeta) (*readVia, error) {
 	return via, nil
 }
 
-// openObject builds the stream of [offset, offset+length) (length -1: to
-// the end) of the live version of container/key over the stripes it lies
-// in, and takes the first stripe before returning, so placement and
-// availability errors surface at open rather than mid-stream; ranged, an
-// offset at or past the end is not satisfiable. userRead selects
-// client-read semantics: stripe-cache fill and a read statistics event
-// when the stream ends.
+// openObject pins container/key's object against the reaper and reads its
+// row once: the reader holds that one version, on which its caller decides
+// everything (conditionals, ranges, headers) before begin streams any of
+// it. It asks no provider. userRead selects client-read semantics:
+// stripe-cache fill and a read statistics event when a begun stream ends.
 //
-// Every stream pins its object against the reaper until it is drained or
-// closed, and pins before it reads the row: a version is retired only
-// after the row that superseded it has been stored and replicated, so the
-// version the read finds is retired, if at all, after the pin, and the
-// reaper holds its chunks for the stream. A swap is no different: it keeps
-// the version and retires the copies it replaced once its row is stored.
-func (e *Engine) openObject(ctx context.Context, container, key string, offset, length int64, ranged, userRead bool) (*objectReader, error) {
+// The pin comes before the row read: a version is retired only after the
+// row that superseded it has been stored and replicated, so the version
+// the read finds is retired, if at all, after the pin, and the reaper
+// holds its chunks until the reader is closed. A swap is no different: it
+// keeps the version and retires the copies it replaced once its row is
+// stored.
+func (e *Engine) openObject(ctx context.Context, container, key string, userRead bool) (*objectReader, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -113,32 +111,37 @@ func (e *Engine) openObject(ctx context.Context, container, key string, offset, 
 	}
 	obj := objectName(container, key)
 	pin := e.b.reaper.pin(obj)
-	fail := func(err error) (*objectReader, error) {
+	meta, err := e.rowMeta(RowKey(container, key))
+	if err != nil {
 		e.b.reaper.unpin(obj, pin)
 		return nil, err
 	}
-	meta, err := e.rowMeta(RowKey(container, key))
-	if err != nil {
-		return fail(err)
-	}
+	return &objectReader{e: e, meta: meta, obj: obj, cacheID: meta.cacheID(), userRead: userRead, pin: pin}, nil
+}
+
+// begin starts the stream of [offset, offset+length) (length -1: to the
+// end) over the stripes it lies in, and takes the first stripe before
+// returning, so placement and availability errors surface here rather
+// than mid-stream; ranged, an offset at or past the end is not
+// satisfiable. A reader begins once; one whose begin failed is only
+// closed.
+func (or *objectReader) begin(ctx context.Context, offset, length int64, ranged bool) error {
+	e, meta := or.e, or.meta
 	if ranged && offset >= meta.Size {
-		return fail(fmt.Errorf("%w: offset %d of %d-byte object", ErrRangeNotSatisfiable, offset, meta.Size))
+		return fmt.Errorf("%w: offset %d of %d-byte object", ErrRangeNotSatisfiable, offset, meta.Size)
 	}
 	via, err := e.readViaOf(meta)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	n, span := meta.Size-offset, meta.stripeSpan()
 	if length >= 0 {
 		n = min(n, length)
 	}
-	or := &objectReader{
-		e: e, meta: meta, obj: obj, cacheID: meta.cacheID(),
-		userRead: userRead, start: int(offset / span), left: n, pin: pin,
-	}
+	or.start, or.left = int(offset/span), n
 	or.via.Store(via)
 	// The first stripe is taken alone, inline on the caller's goroutine,
-	// so a failing open has fetched one stripe, not PrefetchStripes more;
+	// so a failing begin has fetched one stripe, not PrefetchStripes more;
 	// read-ahead starts once it is in hand.
 	or.pipe = e.b.newStripePipe(ctx, &e.b.readBuf, 1, or.start, int((offset+max(n, 1)-1)/span)+1,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
@@ -146,11 +149,23 @@ func (e *Engine) openObject(ctx context.Context, container, key string, offset, 
 		})
 	if err := or.advance(); err != nil {
 		or.pipe.close()
-		return fail(err)
+		or.pipe = nil
+		return err
 	}
 	or.drop(offset - int64(or.start)*span) // the first stripe's lead-in is not the caller's
 	or.pipe.readAhead(e.b.cfg.PrefetchStripes)
-	return or, nil
+	return nil
+}
+
+// window begins a stream of [offset, offset+length) of the version or
+// holds, under or's pin: or must outlive it. A multi-range GET serves each
+// of its parts through one, so all of them are bytes of one version.
+func (or *objectReader) window(ctx context.Context, offset, length int64) (*objectReader, error) {
+	w := &objectReader{e: or.e, meta: or.meta, obj: or.obj, cacheID: or.cacheID, userRead: or.userRead}
+	if err := w.begin(ctx, offset, length, true); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // produce yields one verified stripe: stripe cache first, then the
@@ -195,7 +210,7 @@ func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int) ([][]
 }
 
 // refresh is called by a stripe that came up short of m chunks through
-// stale: providers ranked at open have gone, or a swap repair has moved
+// stale: providers ranked at begin have gone, or a swap repair has moved
 // chunks of the version read since. It returns what the stream reads
 // through now — what a concurrent stripe already replaced stale with, or,
 // while the live row still names the version read, that row's map
@@ -344,11 +359,11 @@ func (or *objectReader) releaseCur() {
 
 // finish ends the stream in state err, once: it cancels every in-flight
 // chunk fetch, returns the budget slots of the current stripe and of those
-// fetched ahead, releases the stream's pin on its version — no fetch is in
-// flight any more and none will start — and, for a user-facing stream,
-// emits the read statistics event with the payload bytes actually
+// fetched ahead, releases the pin the reader owns — no fetch is in flight
+// any more and none will start — and, for a user-facing stream that
+// began, emits the read statistics event with the payload bytes actually
 // delivered: an aborted download must not inflate the access statistics
-// that drive placement.
+// that drive placement, and a HEAD, a 304 or a 416 read nothing.
 func (or *objectReader) finish(err error) {
 	if or.err != nil {
 		return
@@ -356,10 +371,15 @@ func (or *objectReader) finish(err error) {
 	or.err = err
 	or.cur = nil
 	or.releaseCur()
-	or.pipe.close()
+	began := or.pipe != nil
+	if began {
+		or.pipe.close()
+	}
 	e, meta := or.e, or.meta
-	e.b.reaper.unpin(or.obj, or.pin)
-	if or.userRead {
+	if or.pin != 0 {
+		e.b.reaper.unpin(or.obj, or.pin)
+	}
+	if or.userRead && began {
 		e.b.statsDB.Apply(stats.Event{
 			Object: or.obj, Class: meta.Class,
 			Kind: stats.EventRead, Bytes: or.fetched, StorageBytes: meta.Size,
