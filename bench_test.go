@@ -979,6 +979,7 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 		cycle(c) // one warm-up cycle per victim, as bench/ does
 	}
 	repair, drain, swapped, skipped = 0, 0, 0, 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle(len(providers) + i)

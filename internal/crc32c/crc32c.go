@@ -16,16 +16,27 @@ func Update(crc uint32, data []byte) uint32 { return crc32.Update(crc, table, da
 // Checksum(b) and lenB = len(b) — zlib's crc32_combine (M. Adler): a CRC
 // is linear over GF(2), so appending lenB bytes multiplies a's by
 // x^(8·lenB) mod the polynomial, a no-op on 0; the conditioning cancels.
+// The factor is the product of x^(8·2^k) over the bits k set in lenB,
+// each taken from x8pow.
 func Combine(crcA, crcB uint32, lenB int) uint32 {
-	shift, sq := uint32(1)<<31, uint32(1)<<(31-8) // x^0; x^8, squared per bit of lenB
-	for ; lenB > 0 && crcA != 0; lenB >>= 1 {
+	shift := uint32(1) << 31 // x^0
+	for k := 0; lenB > 0 && crcA != 0; lenB, k = lenB>>1, k+1 {
 		if lenB&1 != 0 {
-			shift = mulmod(sq, shift)
+			shift = mulmod(x8pow[k], shift)
 		}
-		sq = mulmod(sq, sq)
 	}
 	return mulmod(shift, crcA) ^ crcB
 }
+
+// x8pow[k] is x^(8·2^k) mod the polynomial, one entry per bit of an int
+// length, squared up from x^8 once.
+var x8pow = func() (t [64]uint32) {
+	t[0] = 1 << (31 - 8)
+	for k := 1; k < len(t); k++ {
+		t[k] = mulmod(t[k-1], t[k-1])
+	}
+	return t
+}()
 
 // mulmod multiplies two polynomials modulo the Castagnoli polynomial, both
 // in the CRC's reflected form: bit 31 is x^0.

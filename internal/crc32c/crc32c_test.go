@@ -85,3 +85,30 @@ func FuzzCRC32CCombine(f *testing.F) {
 		checkStripe(t, data, m, max(1, (len(data)+m-1)/m)+int(pad%3))
 	})
 }
+
+// TestCombineTableMatchesSquaring: the tabled factors give what squaring
+// x^8 once per bit of the length gives, for lengths across the whole int
+// range — past 2^32 too, which no stripe reaches.
+func TestCombineTableMatchesSquaring(t *testing.T) {
+	squaring := func(crcA, crcB uint32, lenB int) uint32 {
+		shift, sq := uint32(1)<<31, uint32(1)<<(31-8)
+		for ; lenB > 0; lenB >>= 1 {
+			if lenB&1 != 0 {
+				shift = mulmod(sq, shift)
+			}
+			sq = mulmod(sq, sq)
+		}
+		return mulmod(shift, crcA) ^ crcB
+	}
+	rng := rand.New(rand.NewSource(2))
+	lens := []int{0, 1, 255, 1 << 31, 1<<32 - 1, 1 << 32, 1<<32 + 7, 1<<62 + 3, int(^uint(0) >> 1)}
+	for i := 0; i < 200; i++ {
+		lens = append(lens, int(rng.Int63()>>rng.Intn(63)))
+	}
+	for _, n := range lens {
+		a, b := rng.Uint32(), rng.Uint32()
+		if got, want := Combine(a, b, n), squaring(a, b, n); got != want {
+			t.Fatalf("Combine(%#08x, %#08x, %d) = %#08x, squaring gives %#08x", a, b, n, got, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"scalia/internal/core"
@@ -148,17 +149,40 @@ func StorageKey(container, key, uuid string) string {
 }
 
 // ChunkKey names generation gen of chunk i of stripe s of a plain
-// (non-multipart) object version.
+// (non-multipart) object version: skey/sSSSSS/chunkIII.gen.
 func ChunkKey(skey string, s, i int, gen uint64) string {
-	return fmt.Sprintf("%s/s%05d/chunk%03d.%d", skey, s, i, gen)
+	var buf [128]byte
+	return string(appendChunkKey(append(buf[:0], skey...), s, i, gen))
 }
 
 // PartChunkKey names generation gen of chunk i of local stripe s of part
-// number part of a multipart upload. Parts stage their chunks under these
-// keys, and a completed multipart object keeps them, so completion is a
-// metadata-only commit.
+// number part of a multipart upload: skey/pPPPPP/sSSSSS/chunkIII.gen.
+// Parts stage their chunks under these keys, and a completed multipart
+// object keeps them, so completion is a metadata-only commit.
 func PartChunkKey(skey string, part, s, i int, gen uint64) string {
-	return fmt.Sprintf("%s/p%05d/s%05d/chunk%03d.%d", skey, part, s, i, gen)
+	var buf [128]byte
+	b := appendPadded(append(append(buf[:0], skey...), "/p"...), part, 5)
+	return string(appendChunkKey(b, s, i, gen))
+}
+
+// appendChunkKey appends the tail both key shapes share,
+// /sSSSSS/chunkIII.gen. Keys are built on every chunk read and write, so
+// this is strconv on a stack buffer, not fmt.
+func appendChunkKey(b []byte, s, i int, gen uint64) []byte {
+	b = appendPadded(append(b, "/s"...), s, 5)
+	b = appendPadded(append(b, "/chunk"...), i, 3)
+	return strconv.AppendUint(append(b, '.'), gen, 10)
+}
+
+// appendPadded appends v ≥ 0 in decimal, zero-padded to width digits
+// (fmt's %0*d).
+func appendPadded(b []byte, v, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(v), 10)
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // chunkKey names chunk i of stripe s of this object version. For

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalia/internal/cloud"
@@ -154,4 +156,36 @@ func FuzzDecodeMeta(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChunkKeysKeepTheirFormat: the strconv-built keys are the ones the
+// fmt format "%s/s%05d/chunk%03d.%d" (and its /p%05d part form) gives,
+// past the padding widths too, and building one allocates only the
+// string.
+func TestChunkKeysKeepTheirFormat(t *testing.T) {
+	skeys := []string{"", StorageKey("bk", "obj", NewUUID()), strings.Repeat("k", 200)}
+	nums := []int{0, 7, 99, 999, 1000, 12345, 99999, 123456}
+	gens := []uint64{0, 1, 42, 1<<64 - 1}
+	for _, skey := range skeys {
+		for _, s := range nums {
+			for _, i := range nums[:5] {
+				for _, gen := range gens {
+					if got, want := ChunkKey(skey, s, i, gen), fmt.Sprintf("%s/s%05d/chunk%03d.%d", skey, s, i, gen); got != want {
+						t.Fatalf("ChunkKey = %q, want %q", got, want)
+					}
+					part := s%7 + 1
+					if got, want := PartChunkKey(skey, part, s, i, gen), fmt.Sprintf("%s/p%05d/s%05d/chunk%03d.%d", skey, part, s, i, gen); got != want {
+						t.Fatalf("PartChunkKey = %q, want %q", got, want)
+					}
+				}
+			}
+		}
+	}
+	skey := skeys[1]
+	if a := testing.AllocsPerRun(100, func() { _ = ChunkKey(skey, 3, 2, 17) }); a != 1 {
+		t.Errorf("ChunkKey: %v allocs, want 1 (the string)", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = PartChunkKey(skey, 4, 3, 2, 17) }); a != 1 {
+		t.Errorf("PartChunkKey: %v allocs, want 1 (the string)", a)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scalia/internal/core"
+	"scalia/internal/erasure"
 	"scalia/internal/obs"
 	"scalia/internal/stats"
 	"scalia/internal/trend"
@@ -70,8 +71,9 @@ func (b *Broker) Optimize(ctx context.Context) (OptimizeReport, error) {
 type outcome struct {
 	checked, affected, waited          int // Repair's admission counts
 	trendChanged, recomputed, migrated int
-	swapped, restriped, skipped        int
-	evaluated                          int // candidate sets priced
+	swapped, restriped                 int
+	skipped                            [skipReasons]int // Repair's unrepaired, by why
+	evaluated                          int              // candidate sets priced
 	migrationUSD                       float64
 	chunks                             int // replacement chunks repairs wrote
 	bytes                              int64
@@ -86,7 +88,9 @@ func (o *outcome) add(x outcome) {
 	o.migrated += x.migrated
 	o.swapped += x.swapped
 	o.restriped += x.restriped
-	o.skipped += x.skipped
+	for why, n := range x.skipped {
+		o.skipped[why] += n
+	}
 	o.evaluated += x.evaluated
 	o.migrationUSD += x.migrationUSD
 	o.chunks += x.chunks
@@ -249,31 +253,32 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 	out.recomputed = 1
 	out.evaluated = dec.Evaluated
 
-	done := false
+	err = errNoPlan // Keep
 	switch dec.Action {
 	case core.Migrate:
-		if done = e.migrate(ctx, meta, dec.Target) == nil; done {
+		if err = e.migrate(ctx, meta, dec.Target); err == nil {
 			out.migrated, out.migrationUSD = 1, dec.MigrationCost
 		}
 	case core.Restripe:
-		if done = e.migrate(ctx, meta, dec.Target) == nil; done {
+		if err = e.migrate(ctx, meta, dec.Target); err == nil {
 			out.restriped = 1
 			out.chunks, out.bytes = chunkVolume(meta, dec.Target.M, dec.Target.N())
 		}
 	case core.Swap:
-		sw, err := e.planSwap(meta, dec.Target, dec.Replaced)
-		if err == nil {
+		var sw *swap
+		if sw, err = e.planSwap(meta, dec.Target, dec.Replaced); err != nil {
+			err = fmt.Errorf("%w: %w", errNoPlan, err)
+		} else {
 			err = e.swapRepair(ctx, sw, &out)
 		}
-		done = err == nil
 	}
 	// A degraded object with no feasible plan, or whose repair failed (a
-	// survivor or target died mid-copy, rot), stays degraded, which the
-	// report must show. It is still indexed on the dead provider, so the
-	// next repair pass plans it again on the market as it is then. A
-	// cancelled pass counts nothing.
-	if !done && why == core.Repairing && ctx.Err() == nil {
-		out.skipped = 1
+	// survivor or target died mid-copy, rot) or lost its commit to a
+	// write, stays degraded, which the report must show, and why. It is
+	// still indexed on the dead provider, so the next repair pass plans it
+	// again on the market as it is then. A cancelled pass counts nothing.
+	if err != nil && why == core.Repairing && ctx.Err() == nil {
+		out.skipped[skipReasonOf(err)]++
 	}
 	return out
 }
@@ -329,7 +334,7 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	}
 	defer src.Close()
 	if src.meta.UUID != meta.UUID || !slices.Equal(src.meta.Gens, meta.Gens) {
-		return fmt.Errorf("engine: migrate: object changed before the copy began")
+		return fmt.Errorf("engine: migrate: %w before the copy began", errRowChanged)
 	}
 	if err := src.begin(ctx, 0, -1, false); err != nil {
 		return fmt.Errorf("engine: migrate read: %w", err)
@@ -363,7 +368,7 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	// update or resurrect a tombstone.
 	if _, err := e.publish(meta.Container, meta.Key, nil, func(cur *ObjectMeta) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID {
-			return nil, fmt.Errorf("engine: migrate: object changed mid-migration")
+			return nil, fmt.Errorf("engine: migrate: %w", errRowChanged)
 		}
 		return &newMeta, nil // its token is cur's: the cached stripes are re-keyed
 	}); err != nil {
@@ -404,16 +409,17 @@ func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reach
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, l.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) {
-				_, chunks, g, err := e.fetch(ctx, l, s, order, len(order))
+				f, err := e.fetch(ctx, l, s, order, len(order), nil)
 				if ctx.Err() == nil {
-					got[s] = g
+					got[s] = f.got
 				}
-				if err == nil && g == n {
+				if err == nil && f.got == n {
 					var ok bool
-					if ok, err = l.coder.Verify(chunks); err == nil && !ok {
+					if ok, err = l.coder.Verify(f.chunks); err == nil && !ok {
 						err = ErrChecksum
 					}
 				}
+				erasure.ReleaseScratch(f.scratch)
 				return stripeOut{}, err
 			}, nil
 		})

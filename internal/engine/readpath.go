@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync/atomic"
 
+	"scalia/internal/erasure"
 	"scalia/internal/obs"
 	"scalia/internal/stats"
 )
@@ -61,12 +62,13 @@ type objectReader struct {
 	pipe  *stripePipe
 	pin   uint64 // the reaper ticket holding obj's retired chunks; 0 for a window, which holds none
 
-	cur     [][]byte // undelivered bytes of the current stripe, by segment; the first never empty
-	curSlot bool     // cur holds a stripe slot of the broker read budget
-	tail    [1]byte  // where WriteTo keeps a stream's last byte once the slot is back
-	left    int64    // bytes still due to the caller; the stream ends behind the last one
-	fetched int64    // payload bytes delivered so far
-	err     error    // terminal state, set once by finish (io.EOF after full drain)
+	cur        [][]byte // undelivered bytes of the current stripe, by segment; the first never empty
+	curSlot    bool     // cur holds a stripe slot of the broker read budget
+	curScratch *[]byte  // the memory cur's rebuilt chunks were lent, handed back with the slot
+	tail       [1]byte  // where WriteTo keeps a stream's last byte once the slot is back
+	left       int64    // bytes still due to the caller; the stream ends behind the last one
+	fetched    int64    // payload bytes delivered so far
+	err        error    // terminal state, set once by finish (io.EOF after full drain)
 }
 
 // readVia is one chunk->provider map of a version and its ranking:
@@ -183,10 +185,10 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 		return stripeOut{segs: [][]byte{data}}, nil
 	}
 	via := or.via.Load()
-	segs, err := or.fetchVia(ctx, via, s)
+	f, err := or.fetchVia(ctx, via, s)
 	if errors.Is(err, ErrNotEnoughChunks) {
 		if moved := or.refresh(via); moved != via {
-			segs, err = or.fetchVia(ctx, moved, s)
+			f, err = or.fetchVia(ctx, moved, s)
 		}
 	}
 	if err != nil {
@@ -195,18 +197,17 @@ func (or *objectReader) produce(ctx context.Context, s int) (stripeOut, error) {
 	e.b.metrics.readFetched.Inc()
 	obs.TraceFrom(ctx).Count("stripes_fetched", 1)
 	if or.userRead {
-		e.b.caches.PutStripe(e.dc, or.cacheID, s, segs...)
+		e.b.caches.PutStripe(e.dc, or.cacheID, s, f.segs...)
 	}
-	return stripeOut{segs: segs, slot: true}, nil
+	return stripeOut{segs: f.segs, slot: true, scratch: f.scratch}, nil
 }
 
 // fetchVia fetches stripe s through one chunk->provider map.
-func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int) ([][]byte, error) {
+func (or *objectReader) fetchVia(ctx context.Context, via *readVia, s int) (fetched, error) {
 	if via.rankErr != nil {
-		return nil, via.rankErr
+		return fetched{}, via.rankErr
 	}
-	segs, _, _, err := or.e.fetch(ctx, via.layout, s, via.order, or.meta.M)
-	return segs, err
+	return or.e.fetch(ctx, via.layout, s, via.order, or.meta.M, nil)
 }
 
 // refresh is called by a stripe that came up short of m chunks through
@@ -242,7 +243,7 @@ func (or *objectReader) advance() error {
 	if s > or.start && or.pipe.depth > 1 {
 		or.e.b.metrics.readPrefetched.Inc()
 	}
-	or.cur, or.curSlot = out.segs, out.slot
+	or.cur, or.curSlot, or.curScratch = out.segs, out.slot, out.scratch
 	or.drop(0)
 	return nil
 }
@@ -348,11 +349,14 @@ func (or *objectReader) WriteTo(w io.Writer) (total int64, err error) {
 }
 
 // releaseCur returns the current stripe's read-budget slot once its
-// bytes are gone (fully drained to the caller, or dropped at teardown).
-// A cache hit holds none.
+// bytes are gone (fully drained to the caller, or dropped at teardown),
+// and with it the scratch its rebuilt chunks were lent. A cache hit holds
+// neither.
 func (or *objectReader) releaseCur() {
 	if or.curSlot {
 		or.curSlot = false
+		erasure.ReleaseScratch(or.curScratch)
+		or.curScratch = nil
 		or.e.b.releaseBuf(&or.e.b.readBuf)
 	}
 }

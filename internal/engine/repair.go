@@ -2,12 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
 	"scalia/internal/cloud"
 	"scalia/internal/core"
-	"scalia/internal/crc32c"
+	"scalia/internal/erasure"
 	"scalia/internal/obs"
 )
 
@@ -43,14 +44,65 @@ type RepairReport struct {
 	// chunk swaps versus full re-placements.
 	Swapped   int
 	Restriped int
-	// Skipped counts active-policy objects left unrepaired: no feasible
-	// plan on the current market, or the repair write failed.
+	// Skipped counts active-policy objects left unrepaired, and Skips
+	// splits it by reason (zero counts left out, nil when none):
+	//   - "no-plan": no feasible swap or re-stripe on the current market;
+	//   - "io-failed": a survivor read or a repair write failed;
+	//   - "row-changed": a write, a delete or another repair of the object
+	//     landed while the repair copied, and won.
 	Skipped int
+	Skips   map[string]int
 	// ChunksWritten and BytesWritten total the replacement chunks the
 	// pass wrote — a swap writes only the missing chunks, a re-stripe
 	// all n of every stripe.
 	ChunksWritten int
 	BytesWritten  int64
+}
+
+// skipReason is why an active repair left an object degraded.
+type skipReason int
+
+const (
+	skipNoPlan skipReason = iota
+	skipFailed
+	skipRowChanged
+	skipReasons
+)
+
+// skipNames are the RepairReport.Skips keys.
+var skipNames = [skipReasons]string{"no-plan", "io-failed", "row-changed"}
+
+var (
+	// errNoPlan is a repair the market offers no way to carry out.
+	errNoPlan = errors.New("engine: no feasible repair plan")
+	// errRowChanged is a repair or migration whose object's row moved on
+	// under it: the other write wins.
+	errRowChanged = errors.New("engine: object changed mid-repair")
+)
+
+// skipReasonOf classifies the error a repair step ended with.
+func skipReasonOf(err error) skipReason {
+	switch {
+	case errors.Is(err, errNoPlan):
+		return skipNoPlan
+	case errors.Is(err, errRowChanged), errors.Is(err, ErrObjectNotFound):
+		return skipRowChanged
+	}
+	return skipFailed
+}
+
+// skips sums skipped, and names its nonzero reasons.
+func skips(skipped [skipReasons]int) (total int, by map[string]int) {
+	for why, n := range skipped {
+		if n > 0 {
+			total += n
+			if by == nil {
+				by = make(map[string]int, len(skipped))
+			}
+			by[skipNames[why]] = n
+		}
+	}
+	return total, by
 }
 
 // RepairPolicy selects how to treat chunks at failed providers.
@@ -99,9 +151,10 @@ func (b *Broker) RepairTotals() RepairTotals {
 	b.mu.Lock()
 	t := b.repaired
 	b.mu.Unlock()
+	skipped, _ := skips(t.skipped)
 	return RepairTotals{
 		Passes: t.passes, Repaired: t.swapped + t.restriped, Swapped: t.swapped,
-		Restriped: t.restriped, Skipped: t.skipped,
+		Restriped: t.restriped, Skipped: skipped,
 		ChunksWritten: t.chunks, BytesWritten: t.bytes,
 	}
 }
@@ -125,12 +178,13 @@ func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport,
 		b.metrics.repairIndexed.Add(int64(len(affected)))
 		return affected
 	})
-	return RepairReport{
+	rep := RepairReport{
 		Checked: sum.checked, Affected: sum.affected, Waited: sum.waited,
 		Repaired: sum.swapped + sum.restriped, Swapped: sum.swapped,
-		Restriped: sum.restriped, Skipped: sum.skipped,
-		ChunksWritten: sum.chunks, BytesWritten: sum.bytes,
-	}, err
+		Restriped: sum.restriped, ChunksWritten: sum.chunks, BytesWritten: sum.bytes,
+	}
+	rep.Skipped, rep.Skips = skips(sum.skipped)
+	return rep, err
 }
 
 // unreachableProviders returns the indexed providers that are currently
@@ -223,47 +277,40 @@ func (e *Engine) planSwap(meta ObjectMeta, to core.Placement, replaced []int) (*
 
 // rebuild fetches m surviving chunks of stripe s that pass their sums
 // and returns them with the payload verified and the replaced slots
-// reconstructed; a parity slot neither fetched nor replaced stays nil.
-// Every replacement chunk is checked against the sum stored for its
-// slot (a data slot's by the fetch) before it is returned to be written:
-// a swap keeps the sums, so a replacement that does not match would be
-// rot written by the repair itself.
-func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) ([][]byte, error) {
-	_, chunks, _, err := e.fetch(ctx, sw.src, s, sw.order, sw.meta.M)
-	if err == nil {
-		err = sw.src.coder.ReconstructSlots(chunks, sw.replaced)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range sw.replaced {
-		if i >= sw.meta.M && crc32c.Checksum(chunks[i]) != sw.src.sums[s].Chunks[i] {
-			return nil, fmt.Errorf("%w: rebuilt chunk %d of stripe %d", ErrChecksum, i, s)
-		}
-	}
-	return chunks, nil
+// rebuilt; a parity slot neither fetched nor replaced stays nil. fetch
+// holds every replacement to the sum stored for its slot before it is
+// returned to be written: a swap keeps the sums, so a replacement that
+// does not match would be rot written by the repair itself. A rebuilt
+// chunk lives in the pooled scratch fetch returns, the caller's to hand
+// back once the writes have returned; at m = 1 the replacement is the
+// verified survivor itself and there is no scratch.
+func (e *Engine) rebuild(ctx context.Context, sw *swap, s int) (fetched, error) {
+	return e.fetch(ctx, sw.src, s, sw.order, sw.meta.M, sw.replaced)
 }
 
 // swapRepair executes a chunk swap, of one stripe or many, and commits
 // it on its own: stripes are independent, so whole stripes run through a
 // pipe — each one rebuilt and its replacement chunks written to the swap
-// targets by writeChunks — instead of serializing one provider
-// round-trip after another; then the metadata is updated in place under
-// the row lock. Only the MVCC version advances, so concurrent readers
-// are never cut off: pre-commit readers fall back from the dead provider
-// to the survivors, post-commit readers find the replacement chunk
-// already written. On any failure, including ctx cancellation mid-swap,
-// every replacement chunk already written is discarded and the old
-// metadata stays live.
+// targets by writeChunks, then its scratch handed back: a backend keeps
+// no reference to the bytes once Put returns (`cloud`'s PutCopiesIn
+// conformance row) — instead of serializing one provider round-trip
+// after another; then the metadata is updated in place under the row
+// lock. Only the MVCC version advances, so concurrent readers are never
+// cut off: pre-commit readers fall back from the dead provider to the
+// survivors, post-commit readers find the replacement chunk already
+// written. On any failure, including ctx cancellation mid-swap, every
+// replacement chunk already written is discarded and the old metadata
+// stays live.
 func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 	wrote := make([]int64, sw.src.stripes)
 	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, sw.src.stripes,
 		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
 			return func() (stripeOut, error) {
-				chunks, err := e.rebuild(ctx, sw, s)
+				f, err := e.rebuild(ctx, sw, s)
 				if err == nil {
-					err = e.writeChunks(ctx, sw.dst, s, chunks, sw.replaced, nil)
-					wrote[s] = sw.replacedBytes(chunks)
+					err = e.writeChunks(ctx, sw.dst, s, f.chunks, sw.replaced, nil)
+					wrote[s] = sw.replacedBytes(f.chunks)
+					erasure.ReleaseScratch(f.scratch)
 				}
 				return stripeOut{}, err
 			}, nil
@@ -302,7 +349,7 @@ func (e *Engine) commitSwap(sw *swap, bytesWritten int64, out *outcome) error {
 	_, err := e.publish(meta.Container, meta.Key, nil, func(cur *ObjectMeta) (*ObjectMeta, error) {
 		if cur == nil || cur.UUID != meta.UUID || cur.SKey != meta.SKey ||
 			!slices.Equal(cur.Chunks, meta.Chunks) || !slices.Equal(cur.Gens, meta.Gens) {
-			return nil, fmt.Errorf("engine: swap repair: object changed mid-repair")
+			return nil, fmt.Errorf("engine: swap repair: %w", errRowChanged)
 		}
 		newMeta := *cur
 		newMeta.Chunks, newMeta.Gens = sw.dst.names, sw.gens

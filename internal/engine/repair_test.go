@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"scalia/internal/cloud"
 	"scalia/internal/core"
 	"scalia/internal/crc32c"
+	"scalia/internal/erasure"
 )
 
 // repairMarket builds a 4-provider market where the rule's lock-in
@@ -206,29 +208,68 @@ func TestRepairSwapWritesFewerBytesThanRestripe(t *testing.T) {
 	}
 }
 
-// TestRepairSkippedWhenInfeasible: with no spare and a rule the
-// surviving market cannot satisfy, the active pass must report the
-// object skipped — and leave it readable from the survivors.
+// TestRepairSkippedWhenInfeasible: an active pass that cannot repair an
+// object reports it skipped, says why, and leaves it readable. With no
+// spare and a rule the surviving market cannot satisfy there is no plan;
+// a swap whose replacement write fails failed; and a swap whose object is
+// overwritten while it copies loses its commit to the write.
 func TestRepairSkippedWhenInfeasible(t *testing.T) {
-	b := newTestBroker(t, Config{Registry: marketOf("A", "B", "C")})
-	payload := bytes.Repeat([]byte("x"), 30<<10)
 	rule := core.Rule{Name: "all3", Durability: 0.9999, Availability: 0.99, LockIn: 1.0 / 3}
-	b.Rules().SetContainerRule("bk", rule)
-	meta, err := b.Engine(0).Put(ctx, "bk", "obj", payload, PutOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob(t, b, meta.Chunks[0]).SetAvailable(false)
-	rep, err := b.Repair(ctx, RepairActive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Affected != 1 || rep.Skipped != 1 || rep.Repaired != 0 {
-		t.Fatalf("repair report = %+v", rep)
-	}
-	got, _, err := b.Engine(0).Get(ctx, "bk", "obj")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("skipped object must stay readable: %v", err)
+	payload := bytes.Repeat([]byte("x"), 30<<10)
+	overwrite := bytes.Repeat([]byte("y"), 20<<10)
+	for _, tc := range []struct {
+		why    string
+		market *cloud.Registry
+		// spare arms the spare D's Put hook, if the market has D.
+		spare func(b *Broker) func(context.Context, string) error
+		want  []byte // what the object reads afterwards
+	}{
+		{why: "no-plan", market: marketOf("A", "B", "C"), want: payload},
+		{why: "io-failed", market: repairMarket(), want: payload,
+			spare: func(*Broker) func(context.Context, string) error {
+				return func(context.Context, string) error { return errors.New("D refuses the write") }
+			}},
+		{why: "row-changed", market: repairMarket(), want: overwrite,
+			spare: func(b *Broker) func(context.Context, string) error {
+				var once atomic.Bool // the overwrite writes to D too
+				return func(context.Context, string) error {
+					if once.CompareAndSwap(false, true) {
+						if _, err := b.Engine(1).Put(ctx, "bk", "obj", overwrite, PutOptions{}); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+			}},
+	} {
+		t.Run(tc.why, func(t *testing.T) {
+			reg, backends := hooked(tc.market)
+			b := newTestBroker(t, Config{Registry: reg})
+			b.Rules().SetContainerRule("bk", rule)
+			meta, err := b.Engine(0).Put(ctx, "bk", "obj", payload, PutOptions{})
+			if err != nil || meta.Chunks[0] != "A" {
+				t.Fatalf("put: on %v, %v; scenario expects A in slot 0", meta.Chunks, err)
+			}
+			for _, hb := range backends {
+				switch hb.Spec().Name {
+				case "A":
+					hb.SetAvailable(false)
+				case "D":
+					hb.put = tc.spare(b)
+				}
+			}
+			rep, err := b.Repair(ctx, RepairActive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Affected != 1 || rep.Skipped != 1 || rep.Repaired != 0 || !reflect.DeepEqual(rep.Skips, map[string]int{tc.why: 1}) {
+				t.Fatalf("repair report = %+v, want one skip for %s", rep, tc.why)
+			}
+			got, _, err := b.Engine(0).Get(ctx, "bk", "obj")
+			if err != nil || !bytes.Equal(got, tc.want) {
+				t.Fatalf("skipped object must stay readable: %v", err)
+			}
+		})
 	}
 }
 
@@ -384,10 +425,11 @@ func TestRebuildProducesOnlyTheReplacedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, err := e.rebuild(ctx, sw, 0)
+	f, err := e.rebuild(ctx, sw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunks := f.chunks
 	held, absent := 0, -1
 	for i, ch := range chunks {
 		if ch != nil {
@@ -604,5 +646,128 @@ func TestSwapNeverOverwrites(t *testing.T) {
 				t.Errorf("the providers hold %d chunks, the live rows name %d", held, len(referenced))
 			}
 		})
+	}
+}
+
+// TestPooledRebuildAcrossSwaps runs swap after swap of (1, 2) and (3, 4)
+// objects of several stripes, the victim going round every provider, with
+// degraded reads racing each pass. A swap rebuilds into pooled scratch and
+// hands it back once the stripe's writes return, a degraded read once the
+// stripe drained, and the next stripe, swap or read reuses it; an (1, 2)
+// swap writes the survivor itself. Scratch recycled while a Put held it
+// fails that Put (hookBackend), and so the swap; scratch recycled before
+// its chunk was written, or while a read drained it, shows at the end:
+// every object must verify all n chunks and read back its payload.
+func TestPooledRebuildAcrossSwaps(t *testing.T) {
+	const stripe = 4 << 10
+	reg, backends := hooked(marketOf("A", "B", "C", "D", "E", "F"))
+	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe})
+	b.Rules().SetContainerRule("bk", core.Rule{Name: "loose", Durability: 0.9, Availability: 0.9, LockIn: 1})
+	prov := make(map[string]*hookBackend)
+	for _, hb := range backends {
+		prov[hb.Spec().Name] = hb
+	}
+	e := b.Engine(0)
+	shapes := []struct {
+		m  int
+		on []string
+	}{{1, []string{"A", "B"}}, {3, []string{"C", "D", "E", "F"}}, {1, []string{"E", "F"}}, {3, []string{"A", "B", "C", "D"}}}
+	payloads := make(map[string][]byte)
+	for k := 0; k < 8; k++ {
+		key, sh := fmt.Sprint("o", k), shapes[k%len(shapes)]
+		payload := make([]byte, 3*stripe+100*k) // the last stripe short
+		rand.New(rand.NewSource(int64(k))).Read(payload)
+		first, err := e.Put(ctx, "bk", key, payload, PutOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.migrate(ctx, first, b.livePlacement(sh.m, sh.on)); err != nil {
+			t.Fatal(err)
+		}
+		payloads[key] = payload
+	}
+	swapped := 0
+	for _, victim := range []string{"A", "C", "E", "B", "D", "F", "A", "D"} {
+		prov[victim].SetAvailable(false)
+		var wg sync.WaitGroup
+		for key, payload := range payloads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, _, err := b.Engine(1).Get(ctx, "bk", key)
+				if err != nil || !bytes.Equal(got, payload) {
+					t.Errorf("degraded read of %s with %s down: %d bytes, %v", key, victim, len(got), err)
+				}
+			}()
+		}
+		rep, err := b.Repair(ctx, RepairActive)
+		wg.Wait()
+		if err != nil || rep.Skipped != 0 || rep.Restriped != 0 {
+			t.Fatalf("repair with %s down: %+v, %v", victim, rep, err)
+		}
+		swapped += rep.Swapped
+		prov[victim].SetAvailable(true)
+		b.ProcessPendingDeletes(ctx)
+	}
+	if swapped < 2*len(payloads) {
+		t.Fatalf("%d swaps over the rounds; the scenario expects at least %d", swapped, 2*len(payloads))
+	}
+	for key, payload := range payloads {
+		meta, err := e.Head(ctx, "bk", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := e.VerifyObject(ctx, "bk", key); err != nil || n != len(meta.Chunks) {
+			t.Errorf("%s (m=%d on %v): VerifyObject = %d, %v", key, meta.M, meta.Chunks, n, err)
+		}
+		if got, _, err := e.Get(ctx, "bk", key); err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%s reads back wrong after its swaps: %v", key, err)
+		}
+	}
+}
+
+// TestSwapRebuildAllocatesLessThanAChunk: once the scratch pool is warm,
+// rebuilding the lost data chunk of a 128 KiB (3, 4) object for a swap —
+// a read of three survivors, a rebuild, the sums — allocates less than
+// one chunk's bytes: the rebuilt chunk lives in scratch handed back after
+// each swap, not in a fresh allocation.
+func TestSwapRebuildAllocatesLessThanAChunk(t *testing.T) {
+	b := newTestBroker(t, Config{Registry: marketOf("A", "B", "C", "D", "E")})
+	e := b.Engine(0)
+	first, err := e.Put(ctx, "bk", "obj", testPayload(128<<10), PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.migrate(ctx, first, b.livePlacement(3, []string{"A", "B", "C", "D"})); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := e.Head(ctx, "bk", "obj")
+	if err != nil || meta.M != 3 || len(meta.Chunks) != 4 || meta.StripeCount() != 1 {
+		t.Fatalf("scenario expects one (3, 4) stripe, got m=%d on %v (%v)", meta.M, meta.Chunks, err)
+	}
+	sw, err := e.planSwap(meta, b.livePlacement(3, []string{"A", "E", "C", "D"}), []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap := func() {
+		f, err := e.rebuild(ctx, sw, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		erasure.ReleaseScratch(f.scratch)
+	}
+	swap() // warm the pool
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		swap()
+	}
+	runtime.ReadMemStats(&after)
+	chunk := (128<<10 + 2) / 3
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per rebuild of a %d-byte chunk", per, chunk)
+	if per >= uint64(chunk) {
+		t.Fatalf("a swap's rebuild allocates %d bytes, want less than one %d-byte chunk", per, chunk)
 	}
 }

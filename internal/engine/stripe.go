@@ -143,13 +143,30 @@ func (l *stripeLayout) rank(skip []int) ([]int, error) {
 	return order, nil
 }
 
+// fetched is one stripe as fetch read it. chunks has length n, every
+// data slot and every extra slot asked for filled, nil at the other slots
+// not read or rejected; segs is the payload, the data chunks' payload
+// prefixes in slot order, never joined. Both alias what the providers
+// hold, and the chunks fetch rebuilt alias scratch: memory lent by
+// erasure.ReconstructPooled (nil when nothing was rebuilt, or when m = 1
+// made every rebuilt chunk the survivor itself). The holder hands scratch
+// back (erasure.ReleaseScratch) once nothing reads those chunks any more,
+// or drops it for the garbage collector. got counts the chunks read and
+// accepted.
+type fetched struct {
+	segs, chunks [][]byte
+	got          int
+	scratch      *[]byte
+}
+
 // fetch reads stripe s: it retrieves chunks along the ranked candidate
 // order until it holds want of them that pass their stored CRC-32C,
-// rebuilds any data chunk it lacks and checks the payload against its own
-// sum — rotted bytes must not reach a client, the stripe cache or a
-// replacement chunk. The code is systematic, so the payload is segs, the
-// data chunks' payload prefixes in slot order, never joined: its CRC is
-// composed from theirs, taken in the pass that checks each chunk's sum.
+// rebuilds the data chunks it lacks and the extra slots asked for (a
+// swap's replaced slots), holds each rebuilt chunk to its slot's sum and
+// checks the payload against its own — rotted bytes must not reach a
+// client, the stripe cache or a replacement chunk. The code is
+// systematic, so the payload's CRC is composed from the data chunks'
+// payload prefixes, taken in the pass that checks each chunk's sum.
 // want is m for a read and len(order) for verification ("all
 // reachable"). A candidate is claimed only while chunks held plus fetches
 // in flight are short of want, so a healthy stripe costs exactly want
@@ -162,15 +179,13 @@ func (l *stripeLayout) rank(skip []int) ([]int, error) {
 // for the maintenance queue to rewrite (noteRot); the read itself never
 // writes. A stripe whose sum record is missing or does not cover every
 // slot fails closed before any provider is asked, and a stripe left short
-// of m after rejecting a chunk fails with ErrChecksum. got counts the
-// chunks read and accepted; chunks has length n, every data slot filled
-// (a lost one rebuilt and held to its own sum), nil at the parity slots
-// not read or rejected. chunks and segs alias what the providers hold.
-func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int) (segs, chunks [][]byte, got int, err error) {
+// of m after rejecting a chunk fails with ErrChecksum. On error only got
+// is set.
+func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int, want int, extra []int) (fetched, error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	if s >= len(l.sums) || len(l.sums[s].Chunks) != len(l.names) {
-		return nil, nil, 0, fmt.Errorf("%w: stripe %d has no sum for each of its %d chunks", ErrChecksum, s, len(l.names))
+		return fetched{}, fmt.Errorf("%w: stripe %d has no sum for each of its %d chunks", ErrChecksum, s, len(l.names))
 	}
 	sum, m, size := l.sums[s], l.coder.M(), int(l.stripeLen(s))
 	c := l.coder.EncodedChunkSize(size)
@@ -182,11 +197,11 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 		heads[i] = crc32c.Update(0, data[:k])
 		return len(data) == c && crc32c.Update(heads[i], data[k:]) == sum.Chunks[i]
 	}
-	chunks = make([][]byte, len(l.names))
+	chunks := make([][]byte, len(l.names))
 	var (
-		mu                     sync.Mutex
-		next, inFlight, rotten int
-		verifying              time.Duration // summed over the workers
+		mu                          sync.Mutex
+		got, next, inFlight, rotten int
+		verifying                   time.Duration // summed over the workers
 	)
 	work := func() {
 		for {
@@ -250,38 +265,56 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 
 	if got < m {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, got, err
+			return fetched{got: got}, err
 		}
 		if rotten > 0 {
-			return nil, nil, got, fmt.Errorf("%w: stripe %d: %d chunks failed their sum, %d of the %d needed are left",
+			return fetched{got: got}, fmt.Errorf("%w: stripe %d: %d chunks failed their sum, %d of the %d needed are left",
 				ErrChecksum, s, rotten, got, m)
 		}
-		return nil, nil, got, fmt.Errorf("%w: fetched %d, need %d", ErrNotEnoughChunks, got, m)
+		return fetched{got: got}, fmt.Errorf("%w: fetched %d, need %d", ErrNotEnoughChunks, got, m)
 	}
 	e.b.observeStage(tr, "fetch", start)
 	start = time.Now()
-	lost := slices.DeleteFunc(slices.Clone(l.all[:m]), func(i int) bool { return chunks[i] != nil })
+	f := fetched{chunks: chunks, got: got}
+	var err error
+	var lost []int // the data and extra slots to rebuild, ascending
+	for _, i := range l.all {
+		if chunks[i] == nil && (i < m || slices.Contains(extra, i)) {
+			lost = append(lost, i)
+		}
+	}
 	if len(lost) > 0 {
-		e.b.metrics.readReconstructed.Inc()
-		tr.Count("stripes_reconstructed", 1)
-		if err := l.coder.ReconstructSlots(chunks, lost); err != nil {
-			return nil, nil, got, err
+		if lost[0] < m {
+			e.b.metrics.readReconstructed.Inc()
+			tr.Count("stripes_reconstructed", 1)
+		}
+		if m == 1 {
+			// Every generator row of a (1, n) code is [1]: each chunk is
+			// the payload, so the survivor is every lost chunk, byte for
+			// byte, and it is held to each slot's sum like a rebuilt one.
+			survivor := chunks[slices.IndexFunc(chunks, func(ch []byte) bool { return ch != nil })]
+			for _, i := range lost {
+				chunks[i] = survivor
+			}
+		} else if f.scratch, err = l.coder.ReconstructPooled(chunks, lost); err != nil {
+			return fetched{got: got}, err
 		}
 	}
 	e.b.observeStage(tr, "decode", start)
 	start = time.Now()
 	ok := !slices.ContainsFunc(lost, func(i int) bool { return !check(i, chunks[i]) })
-	segs = make([][]byte, m)
-	for i := range segs {
+	f.segs = make([][]byte, m)
+	for i := range f.segs {
 		k := payloadLen(size, c, i)
-		segs[i] = chunks[i][:k:k]
+		f.segs[i] = chunks[i][:k:k]
 	}
 	payload := payloadSum(heads[:m], size, c)
 	e.b.observeStageFor(tr, "verify", verifying+time.Since(start))
 	if !ok || payload != sum.Payload {
-		return nil, nil, got, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
+		erasure.ReleaseScratch(f.scratch)
+		return fetched{got: got}, fmt.Errorf("%w: stripe %d", ErrChecksum, s)
 	}
-	return segs, chunks, got, nil
+	return f, nil
 }
 
 // payloadLen is how much of a size-byte stripe's payload the chunk in
@@ -414,10 +447,12 @@ func (b *Broker) dropChunks(l *stripeLayout, upto int, slots []int) (held []int,
 // stripeOut is what one stripe of a pipe yields: a read's payload, by
 // segment. slot marks a result that still holds its stripe's budget slot
 // (a fetched stripe waiting to drain to the client); whoever drops it
-// must release the slot.
+// must release the slot. scratch is the fetch's (see fetched): whoever
+// releases the slot may hand it back with it, or drop it for the GC.
 type stripeOut struct {
-	segs [][]byte
-	slot bool
+	segs    [][]byte
+	slot    bool
+	scratch *[]byte
 }
 
 // stripeTask is one admitted stripe of a pipe.

@@ -28,8 +28,9 @@ var (
 	encScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 	shellPool      = sync.Pool{New: func() any { return new(encodeScratch) }}
 
-	// scratchPool recycles chunk-sized work buffers (Verify's parity
-	// recompute). Get and Put exchange the same *[]byte box.
+	// scratchPool recycles chunk-sized work buffers: Verify's parity
+	// recompute and ReconstructPooled's rebuilt chunks. Get and Put
+	// exchange the same *[]byte box.
 	scratchPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
 
 	// reconScratchPool recycles Reconstruct's decode-matrix workspace.
@@ -104,11 +105,25 @@ func getScratch(n int) *[]byte {
 
 func putScratch(bp *[]byte) { scratchPool.Put(bp) }
 
+// ReleaseScratch hands the scratch of a ReconstructPooled back to the
+// pool; nil (nothing was rebuilt) is a no-op. Like ReleaseChunks after
+// EncodeFill, it ends the loan: the chunks cut from it must not be read
+// after. A swap repair releases once its writes have returned — safe
+// because a backend keeps no reference to the bytes once Put returns
+// (`cloud`'s PutCopiesIn conformance row) — and a read once the stripe's
+// bytes have drained to the client.
+func ReleaseScratch(scratch *[]byte) {
+	if scratch != nil {
+		putScratch(scratch)
+	}
+}
+
 // reconScratch is Reconstruct's per-call workspace: the decode
 // sub-matrix backing, the surviving-chunk references, and the kernel
 // job list. Pooling it keeps the slow path's fixed overhead off the
-// allocator; the reconstructed chunks themselves are NOT pooled — they
-// are handed to the caller.
+// allocator. The reconstructed chunks are handed to the caller: in a
+// fresh allocation it keeps (Reconstruct, ReconstructSlots, Decode), or
+// in scratchPool memory it lends back (ReconstructPooled).
 type reconScratch struct {
 	matData   []byte
 	chunkRefs [][]byte

@@ -170,25 +170,41 @@ func (c *Coder) encode(dataLen int, backing []byte, chunks [][]byte, fill func(d
 
 // Reconstruct fills in missing (nil) chunks in place. chunks must have
 // length n; at least m entries must be non-nil and of equal size.
-func (c *Coder) Reconstruct(chunks [][]byte) error { return c.reconstruct(chunks, c.slots) }
+func (c *Coder) Reconstruct(chunks [][]byte) error {
+	_, err := c.reconstruct(chunks, c.slots, false)
+	return err
+}
 
 // ReconstructSlots is Reconstruct for the listed slots only: a nil chunk
 // outside slots stays nil — a swap repair has no use for the chunks it
 // does not rewrite.
 func (c *Coder) ReconstructSlots(chunks [][]byte, slots []int) error {
-	for _, i := range slots {
-		if i < 0 || i >= c.n {
-			return fmt.Errorf("%w: slot %d of %d", ErrChunkCount, i, c.n)
-		}
-	}
-	return c.reconstruct(chunks, slots)
+	_, err := c.reconstruct(chunks, slots, false)
+	return err
+}
+
+// ReconstructPooled is ReconstructSlots with the rebuilt chunks cut from
+// pooled scratch instead of a fresh allocation, which it returns (nil
+// when nothing was missing). The caller owns the rebuilt chunks until it
+// hands scratch back via ReleaseScratch; after that the memory is
+// recycled, so nothing may read or keep them past the release. Scratch
+// never handed back is left to the garbage collector.
+func (c *Coder) ReconstructPooled(chunks [][]byte, slots []int) (scratch *[]byte, err error) {
+	return c.reconstruct(chunks, slots, true)
 }
 
 // reconstruct fills in the missing chunks among slots, each in one
-// kernel pass over the first m chunks present.
-func (c *Coder) reconstruct(chunks [][]byte, slots []int) error {
+// kernel pass over the first m chunks present. One backing serves every
+// missing chunk: pooled scratch, returned, when pooled is set; otherwise a
+// plain allocation whose ownership passes to the caller through chunks.
+func (c *Coder) reconstruct(chunks [][]byte, slots []int, pooled bool) (*[]byte, error) {
 	if len(chunks) != c.n {
-		return fmt.Errorf("%w: got %d want %d", ErrChunkCount, len(chunks), c.n)
+		return nil, fmt.Errorf("%w: got %d want %d", ErrChunkCount, len(chunks), c.n)
+	}
+	for _, i := range slots {
+		if i < 0 || i >= c.n {
+			return nil, fmt.Errorf("%w: slot %d of %d", ErrChunkCount, i, c.n)
+		}
 	}
 	size := -1
 	present := 0
@@ -200,26 +216,31 @@ func (c *Coder) reconstruct(chunks [][]byte, slots []int) error {
 		if size < 0 {
 			size = len(ch)
 		} else if len(ch) != size {
-			return ErrChunkSize
+			return nil, ErrChunkSize
 		}
 	}
 	if present < c.m {
-		return fmt.Errorf("%w: have %d need %d", ErrTooFewChunks, present, c.m)
+		return nil, fmt.Errorf("%w: have %d need %d", ErrTooFewChunks, present, c.m)
 	}
 	if !slices.ContainsFunc(slots, func(i int) bool { return chunks[i] == nil }) {
-		return nil
+		return nil, nil
 	}
 	sc := reconScratchPool.Get().(*reconScratch)
 	defer sc.release()
 	jobs, err := c.decodeJobs(chunks, slots, sc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// One backing allocation serves every missing chunk. It is a plain
-	// allocation, not pooled scratch: ownership of the reconstructed
-	// chunks passes to the caller through the chunks slice, so the
-	// memory can never be recycled from here.
-	backing := make([]byte, len(jobs)*size)
+	// The kernels assign their first term, so pooled scratch needs no
+	// clearing.
+	var scratch *[]byte
+	var backing []byte
+	if pooled {
+		scratch = getScratch(len(jobs) * size)
+		backing = *scratch
+	} else {
+		backing = make([]byte, len(jobs)*size)
+	}
 	for j := range jobs {
 		jobs[j].out = backing[j*size : (j+1)*size : (j+1)*size]
 	}
@@ -231,7 +252,7 @@ func (c *Coder) reconstruct(chunks [][]byte, slots []int) error {
 			j++
 		}
 	}
-	return nil
+	return scratch, nil
 }
 
 // decodeJobs returns one job per missing chunk among slots, in slots'
@@ -295,7 +316,7 @@ func (c *Coder) Decode(chunks [][]byte, size int) ([]byte, error) {
 // otherwise), so a caller that reads stripe after stripe can recycle one
 // join buffer. The returned slice does not alias any chunk.
 func (c *Coder) DecodeInto(dst []byte, chunks [][]byte, size int) ([]byte, error) {
-	if err := c.reconstruct(chunks, c.slots[:c.m]); err != nil {
+	if _, err := c.reconstruct(chunks, c.slots[:c.m], false); err != nil {
 		return nil, err
 	}
 	chunkSize := len(chunks[0])

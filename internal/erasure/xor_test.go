@@ -67,6 +67,24 @@ func TestGeneratorFirstParityRowIsOnes(t *testing.T) {
 	}
 }
 
+// TestReplicationRowsAreOnes: at m = 1 every generator row is [1], so
+// every chunk is the payload byte for byte — what lets a swap repair of
+// an (1, n) object write the verified survivor itself as the
+// replacement instead of rebuilding it.
+func TestReplicationRowsAreOnes(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		c, err := New(1, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if row := c.enc.row(i); len(row) != 1 || row[0] != 1 {
+				t.Errorf("(1,%d): generator row %d = %v, want [1]", n, i, row)
+			}
+		}
+	}
+}
+
 // TestOnesRowMatchesScalarReference drives the all-ones route of kernRow
 // — and encode, reconstruct and verify through it — against the scalar
 // reference: 2 to 8 inputs, lengths on both sides of the block sizes,
