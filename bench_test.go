@@ -435,7 +435,7 @@ func BenchmarkDecode(b *testing.B) {
 // that stripe with one data chunk lost and the parity in its place (a
 // degraded GET, a swap repair's rebuild; the broker keeps the rebuilt
 // chunk as it is, this joins the stripe into a reused buffer besides).
-// Both are one XOR pass: generator row m is all ones.
+// Both are XOR only: generator row m is all ones.
 func BenchmarkEncodeSingleParity(b *testing.B) {
 	coder, err := erasure.Cached(4, 5)
 	if err != nil {
@@ -465,11 +465,20 @@ func BenchmarkEncodeSingleParity(b *testing.B) {
 }
 
 // BenchmarkEncodeFill gates the write path's encode: a 4 MiB (4, 5)
-// stripe read off a body straight into its pooled data chunks
-// (erasure.EncodeFill with io.ReadFull), then the parity. It must not
-// allocate.
-func BenchmarkEncodeFill(b *testing.B) {
-	coder, err := erasure.Cached(4, 5)
+// stripe read off a body that delivers 64 KiB per Read, as a socket
+// would, straight into its pooled data chunks (erasure.EncodeFill with
+// io.ReadFull per piece), each piece folded into the parity as it
+// arrives. It must not allocate.
+func BenchmarkEncodeFill(b *testing.B) { benchEncodeFill(b, 4, 5) }
+
+// BenchmarkEncodeFillMultiParity is BenchmarkEncodeFill at (4, 8), the
+// code BenchmarkEncode gates: its parity rows past the first are not all
+// ones, so EncodeFill computes them after the fill with the fused
+// four-row kernel instead of folding.
+func BenchmarkEncodeFillMultiParity(b *testing.B) { benchEncodeFill(b, 4, 8) }
+
+func benchEncodeFill(b *testing.B, m, n int) {
+	coder, err := erasure.Cached(m, n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -477,12 +486,12 @@ func BenchmarkEncodeFill(b *testing.B) {
 	for i := range data {
 		data[i] = byte(i * 13)
 	}
-	body := bytes.NewReader(data)
+	src := bytes.NewReader(data)
+	body := &pieceReader{r: src, max: 64 << 10}
 	encode := func() {
-		body.Reset(data)
-		chunks, err := coder.EncodeFill(len(data), func(d []byte) error {
-			_, err := io.ReadFull(body, d)
-			return err
+		src.Reset(data)
+		chunks, err := coder.EncodeFill(len(data), func(_ int, piece []byte) (int, error) {
+			return io.ReadFull(body, piece)
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -491,7 +500,7 @@ func BenchmarkEncodeFill(b *testing.B) {
 	}
 	encode() // fill the pools
 	if a := testing.AllocsPerRun(5, encode); a != 0 {
-		b.Fatalf("pooled (4,5) fill encode: %v allocs/op, want 0", a)
+		b.Fatalf("pooled (%d,%d) fill encode: %v allocs/op, want 0", m, n, a)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
@@ -500,6 +509,14 @@ func BenchmarkEncodeFill(b *testing.B) {
 		encode()
 	}
 }
+
+// pieceReader hands out at most max bytes of r per Read.
+type pieceReader struct {
+	r   io.Reader
+	max int
+}
+
+func (p *pieceReader) Read(b []byte) (int, error) { return p.r.Read(b[:min(len(b), p.max)]) }
 
 func BenchmarkDecodeOneLost(b *testing.B) {
 	coder, err := erasure.Cached(4, 5)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ type Planner struct {
 
 	mu    sync.RWMutex
 	epoch uint64
-	cache map[string]plannerEntry // rule fingerprint -> prepared search
+	cache map[ruleKey]plannerEntry // a rule's placement parameters -> prepared search
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -54,7 +55,7 @@ func NewPlanner(periodHours float64, _ ...bool) *Planner {
 	}
 	return &Planner{
 		periodHours: periodHours,
-		cache:       make(map[string]plannerEntry),
+		cache:       make(map[ruleKey]plannerEntry),
 	}
 }
 
@@ -63,11 +64,11 @@ func NewPlanner(periodHours float64, _ ...bool) *Planner {
 // must be the market's available providers at that epoch; a changed
 // epoch invalidates every cached search.
 func (p *Planner) Search(epoch uint64, specs []cloud.Spec, rule Rule) (*Search, error) {
-	fp := rule.Fingerprint()
+	key := keyOf(rule)
 
 	p.mu.RLock()
 	if p.epoch == epoch {
-		if e, ok := p.cache[fp]; ok {
+		if e, ok := p.cache[key]; ok {
 			p.mu.RUnlock()
 			p.hits.Add(1)
 			return e.search, e.err
@@ -87,20 +88,48 @@ func (p *Planner) Search(epoch uint64, specs []cloud.Spec, rule Rule) (*Search, 
 		// an older epoch (reset it before storing).
 		if epochNewer(epoch, p.epoch) {
 			p.epoch = epoch
-			p.cache = map[string]plannerEntry{fp: {search: search, err: err}}
+			p.cache = map[ruleKey]plannerEntry{key: {search: search, err: err}}
 		}
 		p.mu.Unlock()
 		return search, err
 	}
-	if e, ok := p.cache[fp]; ok {
+	if e, ok := p.cache[key]; ok {
 		// A concurrent caller prepared the same search first; converge on
 		// the cached instance so every shard shares one Search.
 		p.mu.Unlock()
 		return e.search, e.err
 	}
-	p.cache[fp] = plannerEntry{search: search, err: err}
+	p.cache[key] = plannerEntry{search: search, err: err}
 	p.mu.Unlock()
 	return search, err
+}
+
+// ruleKey is what Rule.Fingerprint spells out — a rule's
+// placement-relevant parameters — as a comparable value, so a cache hit
+// formats no string: the floats by their bits (which tell apart whatever
+// the fingerprint's round-trip formatting does), the zones sorted. A rule
+// with more zones than the array holds keys by its fingerprint instead.
+type ruleKey struct {
+	durability, availability, lockIn uint64
+	zones                            [4]cloud.Zone
+	nZones                           int
+	fingerprint                      string
+}
+
+func keyOf(r Rule) ruleKey {
+	k := ruleKey{
+		durability:   math.Float64bits(r.Durability),
+		availability: math.Float64bits(r.Availability),
+		lockIn:       math.Float64bits(r.LockIn),
+		nZones:       len(r.Zones),
+	}
+	if len(r.Zones) > len(k.zones) {
+		k.fingerprint = r.Fingerprint()
+		return k
+	}
+	copy(k.zones[:], r.Zones)
+	slices.Sort(k.zones[:k.nZones])
+	return k
 }
 
 // epochNewer reports whether a is a later epoch than b. Registry epochs

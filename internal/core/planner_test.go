@@ -197,3 +197,35 @@ func TestRuleFingerprint(t *testing.T) {
 		t.Fatal("fingerprint must reflect lock-in")
 	}
 }
+
+// TestPlannerHitAllocatesNothing: a cache hit keys the rule without
+// formatting it, so it allocates nothing; rules that differ only in name
+// or zone order share one prepared search, and a rule with more zones
+// than the key holds inline still hits on its second use.
+func TestPlannerHitAllocatesNothing(t *testing.T) {
+	p := NewPlanner(1)
+	specs := cloud.PaperProviders()
+	rules := PaperRules()
+	for _, r := range rules {
+		if _, err := p.Search(1, specs, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range rules {
+		if a := testing.AllocsPerRun(100, func() { p.Search(1, specs, r) }); a != 0 {
+			t.Errorf("%s: %v allocs per cache hit, want 0", r.Name, a)
+		}
+	}
+	swapped := rules[0]
+	swapped.Name = "Rule 1, zones reversed"
+	swapped.Zones = []cloud.Zone{cloud.ZoneUS, cloud.ZoneEU}
+	many := rules[2]
+	many.Zones = []cloud.Zone{"e", "d", "c", cloud.ZoneAPAC, cloud.ZoneUS, cloud.ZoneEU}
+	misses := p.Stats().Misses
+	for _, r := range []Rule{swapped, many, many} {
+		p.Search(1, specs, r) //nolint:errcheck // only the counters matter
+	}
+	if got := p.Stats().Misses - misses; got != 1 {
+		t.Fatalf("%d misses, want 1: the reversed zones must hit Rule 1's search, the six-zone rule its own", got)
+	}
+}

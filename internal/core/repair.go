@@ -74,6 +74,8 @@ func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
 	}
 
 	plan := RepairPlan{Mode: Swap}
+	// swapped is the one copy of cur: each candidate spare is tried in its
+	// dead slot in place, and the slot keeps the cheapest.
 	swapped := Placement{M: cur.M, Providers: append([]cloud.Spec(nil), cur.Providers...)}
 	for i, s := range swapped.Providers {
 		if alive(s.Name) {
@@ -82,10 +84,9 @@ func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
 		bestIdx := -1
 		bestPrice := 0.0
 		for j, spare := range spares {
-			cand := Placement{M: cur.M, Providers: append([]cloud.Spec(nil), swapped.Providers...)}
-			cand.Providers[i] = spare
+			swapped.Providers[i] = spare
 			plan.Evaluated++
-			price := PeriodCost(cand, load, periodHours)
+			price := PeriodCost(swapped, load, periodHours)
 			if bestIdx < 0 || price < bestPrice {
 				bestIdx, bestPrice = j, price
 			}

@@ -16,16 +16,29 @@ func Update(crc uint32, data []byte) uint32 { return crc32.Update(crc, table, da
 // Checksum(b) and lenB = len(b) — zlib's crc32_combine (M. Adler): a CRC
 // is linear over GF(2), so appending lenB bytes multiplies a's by
 // x^(8·lenB) mod the polynomial, a no-op on 0; the conditioning cancels.
-// The factor is the product of x^(8·2^k) over the bits k set in lenB,
-// each taken from x8pow.
 func Combine(crcA, crcB uint32, lenB int) uint32 {
-	shift := uint32(1) << 31 // x^0
-	for k := 0; lenB > 0 && crcA != 0; lenB, k = lenB>>1, k+1 {
-		if lenB&1 != 0 {
-			shift = mulmod(x8pow[k], shift)
+	if crcA == 0 {
+		return crcB
+	}
+	return mulmod(shift(lenB), crcA) ^ crcB
+}
+
+// Zeros returns Checksum(make([]byte, n)) in O(log n): the register starts
+// all ones, n zero bytes multiply it by x^(8·n), and the result is
+// inverted. A CRC is affine over GF(2), so for equal-length a and b
+// Checksum(a^b) = Checksum(a) ^ Checksum(b) ^ Zeros(len(a)).
+func Zeros(n int) uint32 { return ^mulmod(shift(n), ^uint32(0)) }
+
+// shift returns x^(8·n) mod the polynomial: the product of x^(8·2^k)
+// over the bits k set in n, each taken from x8pow.
+func shift(n int) uint32 {
+	p := uint32(1) << 31 // x^0
+	for k := 0; n > 0; n, k = n>>1, k+1 {
+		if n&1 != 0 {
+			p = mulmod(x8pow[k], p)
 		}
 	}
-	return mulmod(shift, crcA) ^ crcB
+	return p
 }
 
 // x8pow[k] is x^(8·2^k) mod the polynomial, one entry per bit of an int

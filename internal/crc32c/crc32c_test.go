@@ -112,3 +112,18 @@ func TestCombineTableMatchesSquaring(t *testing.T) {
 		}
 	}
 }
+
+// TestZeros: Zeros(n) is the CRC-32C of n zero bytes, for the empty
+// buffer, one byte, every power of two up to 4 MiB and its neighbours.
+func TestZeros(t *testing.T) {
+	lens := []int{0, 1}
+	for p := 2; p <= 4<<20; p <<= 1 {
+		lens = append(lens, p-1, p, p+1)
+	}
+	zeros := make([]byte, 4<<20+1)
+	for _, n := range lens {
+		if got, want := Zeros(n), crc32.Checksum(zeros[:n], oracle); got != want {
+			t.Fatalf("Zeros(%d) = %#08x, want %#08x", n, got, want)
+		}
+	}
+}

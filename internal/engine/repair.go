@@ -308,7 +308,7 @@ func (e *Engine) swapRepair(ctx context.Context, sw *swap, out *outcome) error {
 			return func() (stripeOut, error) {
 				f, err := e.rebuild(ctx, sw, s)
 				if err == nil {
-					err = e.writeChunks(ctx, sw.dst, s, f.chunks, sw.replaced, nil)
+					err = e.writeChunks(ctx, sw.dst, s, f.chunks, sw.replaced)
 					wrote[s] = sw.replacedBytes(f.chunks)
 					erasure.ReleaseScratch(f.scratch)
 				}

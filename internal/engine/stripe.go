@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -332,33 +331,51 @@ func payloadSum(heads []uint32, size, c int) (sum uint32) {
 	return sum
 }
 
-// sumStripe takes a freshly encoded stripe's integrity record, reading
-// each byte once: a chunk's CRC-32C is its payload prefix's extended over
-// the rest, and the payload's is composed from the prefixes.
-func sumStripe(chunks [][]byte, m, size int) StripeSum {
-	c := len(chunks[0])
-	sum := StripeSum{Chunks: make([]uint32, len(chunks))}
-	for i, chunk := range chunks {
-		sum.Chunks[i] = crc32c.Update(0, chunk[:payloadLen(size, c, i)])
+// stripeSum completes a freshly encoded stripe's integrity record from
+// heads, the CRCs of its m data chunks' payload prefixes, reading no
+// payload byte again: a data chunk's sum is its head extended over its
+// zero padding, and the payload's is composed from the heads. A parity
+// chunk whose generator row is all ones — the XOR of the data chunks: the
+// single parity of every code, every replica of a (1, n) one — is summed
+// by derivation. A CRC is affine over GF(2), so the XOR of m equal-length
+// chunks has the XOR of their sums, the conditioning cancelling in pairs:
+// an even m leaves one crc32c.Zeros(c) to take back. Any other parity
+// chunk is summed over its bytes, right after the encode wrote them.
+// fetch holds every chunk to its sum on every read, so a fold that went
+// wrong fails there; a derived sum is the correct parity's.
+func stripeSum(coder *erasure.Coder, chunks [][]byte, heads []uint32, size int) StripeSum {
+	m, c := len(heads), len(chunks[0])
+	sum := StripeSum{Payload: payloadSum(heads, size, c), Chunks: make([]uint32, len(chunks))}
+	var xor uint32
+	if m%2 == 0 {
+		xor = crc32c.Zeros(c)
 	}
-	sum.Payload = payloadSum(sum.Chunks[:m], size, c)
-	for i, chunk := range chunks {
-		sum.Chunks[i] = crc32c.Update(sum.Chunks[i], chunk[payloadLen(size, c, i):])
+	for i, head := range heads {
+		pad := c - payloadLen(size, c, i)
+		sum.Chunks[i] = crc32c.Combine(head, crc32c.Zeros(pad), pad)
+		xor ^= sum.Chunks[i]
+	}
+	for i := m; i < len(chunks); i++ {
+		if coder.XORParity(i) {
+			sum.Chunks[i] = xor
+		} else {
+			sum.Chunks[i] = crc32c.Checksum(chunks[i])
+		}
 	}
 	return sum
 }
 
 // writeChunks writes the given slots of stripe s (l.all for a full
 // stripe, a swap's replaced slots for a repair) to their providers
-// concurrently, running beside (if any) while they are in flight. It
-// returns once every write and beside are done, with the writes' joined
-// error: the slower writes run to completion so a rollback sees a
-// settled picture and the caller may recycle the chunks. The fanout
-// stage is the time to the last write's return.
+// concurrently, the calling goroutine writing the first itself. It
+// returns once every write is done, with the writes' joined error: the
+// slower writes run to completion so a rollback sees a settled picture
+// and the caller may recycle the chunks. The fanout stage is the time to
+// the last write's return.
 // No key is ever written twice — a version's keys carry its UUID, a part
 // attempt's and a swapped slot's their generation — so no write meets a
 // chunk a row, a reader or a queued delete still names.
-func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks [][]byte, slots []int, beside func()) error {
+func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks [][]byte, slots []int) error {
 	start := time.Now()
 	errs, took := make([]error, len(slots)), make([]time.Duration, len(slots))
 	put := func(j int) {
@@ -375,25 +392,15 @@ func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks
 			errs[j] = fmt.Errorf("engine: chunk write to %s: %w", l.names[i], err)
 		}
 	}
-	// The calling goroutine runs beside, or else writes slot 0 itself.
-	// Beside yields first: the writes it launched are queued on its own
-	// processor, and on a busy machine they would wait behind it.
-	from, inline := 1, func() { put(0) }
-	if beside != nil {
-		from, inline = 0, func() {
-			runtime.Gosched()
-			beside()
-		}
-	}
 	var wg sync.WaitGroup
-	for j := from; j < len(slots); j++ {
+	for j := 1; j < len(slots); j++ {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
 			put(j)
 		}(j)
 	}
-	inline()
+	put(0)
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return err
@@ -471,9 +478,9 @@ type stripeTask struct {
 // Stripes are admitted strictly in stripe order on the caller's
 // goroutine (inside take): a budget slot is reserved first, then stage
 // runs — the serial part of the stripe (a write reads the body into its
-// chunks and computes the parity there) — and the work function it
-// returns runs concurrently with up to depth-1 other stripes (a write's
-// sends the chunks out and sums them). The budget rule that
+// chunks, folding the parity and the sums in as it goes) — and the work
+// function it returns runs concurrently with up to depth-1 other stripes
+// (a write's sends the chunks out). The budget rule that
 // keeps any mix of transfers deadlock-free: a pipe waits for a slot
 // only while it has no stripe outstanding; otherwise it merely tries,
 // and falls back to finishing its own oldest stripe first. A held slot

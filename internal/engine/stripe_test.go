@@ -15,6 +15,7 @@ import (
 	"scalia/internal/cloud"
 	"scalia/internal/core"
 	"scalia/internal/crc32c"
+	"scalia/internal/erasure"
 )
 
 // hookBackend wraps a simulated provider with a per-op delay, hooks that
@@ -460,6 +461,50 @@ func TestStripeEngineTeardown(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestStripeSumMatchesTheChunks: the integrity record stripeSum completes
+// from the data chunks' payload heads equals CRC-32Cs taken directly over
+// every chunk and the payload. The single parity of (m, m+1), m = 1..8,
+// and the replicas of (1, 3) are summed by derivation — an even m takes
+// the conditioning back — and the rows of (3, 6) past the first are
+// summed over their bytes; stripes end on a chunk boundary, inside a
+// chunk, and before the last chunks hold any payload.
+func TestStripeSumMatchesTheChunks(t *testing.T) {
+	codes := [][2]int{{1, 3}, {3, 6}}
+	for m := 1; m <= 8; m++ {
+		codes = append(codes, [2]int{m, m + 1})
+	}
+	for _, code := range codes {
+		coder, err := erasure.New(code[0], code[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := coder.M()
+		for _, size := range []int{0, 1, m, 64*m - 1, 64 * m, 64*m + 1, 640*m - 700} {
+			size = max(size, 0)
+			payload := testPayload(size)
+			chunks, err := coder.Encode(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := len(chunks[0])
+			heads := make([]uint32, m)
+			for i := range heads {
+				heads[i] = crc32c.Checksum(chunks[i][:payloadLen(size, c, i)])
+			}
+			sum := stripeSum(coder, chunks, heads, size)
+			if sum.Payload != crc32c.Checksum(payload) {
+				t.Fatalf("(%d, %d), %d bytes: payload sum %08x, want %08x", m, coder.N(), size, sum.Payload, crc32c.Checksum(payload))
+			}
+			for i, chunk := range chunks {
+				if want := crc32c.Checksum(chunk); sum.Chunks[i] != want {
+					t.Fatalf("(%d, %d), %d bytes: chunk %d sum %08x, want %08x (derived: %v)",
+						m, coder.N(), size, i, sum.Chunks[i], want, coder.XORParity(i))
+				}
 			}
 		}
 	}

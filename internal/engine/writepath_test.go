@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"scalia/internal/cloud"
@@ -67,83 +70,117 @@ func storedAsEncoded(t *testing.T, b *Broker, m int, names []string, key func(s,
 	}
 }
 
+// bodyReaders are the ways a body can arrive: whole, one byte per Read,
+// half of what each Read asks for, and with io.EOF on the last bytes.
+var bodyReaders = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"data-eof", iotest.DataErrReader},
+}
+
 // TestWriteStoresWhatTheReferenceComputes: for bodies around every
-// boundary of the stripe and chunk geometry, each code and pipe depth,
-// PutReader, UploadPart and migrate store exactly the chunks
+// boundary of the stripe and chunk geometry — and stripes the body is
+// read into in several pieces — each code and pipe depth, and bodies
+// that arrive whole, a byte at a time, in halves or with io.EOF on their
+// last bytes, PutReader, UploadPart and migrate store exactly the chunks
 // erasure.Encode cuts from each stripe and record the sums taken directly
 // over them; the sums compose to the body's CRC-32C; a PUT mints a fresh
 // ETag token and a migration keeps it.
 func TestWriteStoresWhatTheReferenceComputes(t *testing.T) {
-	const stripe = 1024
-	for _, code := range [][2]int{{1, 2}, {2, 3}, {3, 5}, {4, 5}} {
-		m, n := code[0], code[1]
-		rule := exactRule(m, n)
-		names := []string{"A", "B", "C", "D", "E"}[:n]
-		sizes := []int{0, 1, m - 1, stripe - 1, stripe, stripe + 1, 5 * stripe / 2}
-		slices.Sort(sizes)
-		sizes = slices.Compact(sizes)
-		for _, depth := range []int{1, 4} {
-			t.Run(fmt.Sprintf("(%d,%d)/depth-%d", m, n, depth), func(t *testing.T) {
-				b := newTestBroker(t, Config{Registry: marketOf(names...), StripeBytes: stripe, WritePipelineDepth: depth})
-				e := b.Engine(0)
-				to := core.Placement{M: m}
-				for _, name := range names {
-					s, _ := b.Registry().Store(name)
-					to.Providers = append(to.Providers, s.Spec())
-				}
-				for _, size := range sizes {
-					body := testPayload(size)
-					key := fmt.Sprintf("k%d", size)
-
-					meta, err := e.PutReader(ctx, "c", key, bytes.NewReader(body), int64(size), PutOptions{Rule: &rule})
-					if err != nil {
-						t.Fatalf("put %d bytes: %v", size, err)
+	for _, geo := range []struct {
+		name   string
+		stripe int
+		sizes  func(m int) []int
+	}{
+		{"", 1024, func(m int) []int { return []int{0, 1, m - 1, 1023, 1024, 1025, 5 * 1024 / 2} }},
+		{"pieces/", 640 << 10, func(int) []int { return []int{640<<10 + 100<<10 + 3} }}, // stripe 0 is read in two pieces
+	} {
+		stripe := geo.stripe
+		for _, code := range [][2]int{{1, 2}, {2, 3}, {3, 5}, {4, 5}} {
+			m, n := code[0], code[1]
+			rule := exactRule(m, n)
+			names := []string{"A", "B", "C", "D", "E"}[:n]
+			sizes := geo.sizes(m)
+			slices.Sort(sizes)
+			sizes = slices.Compact(sizes)
+			for _, depth := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s(%d,%d)/depth-%d", geo.name, m, n, depth), func(t *testing.T) {
+					b := newTestBroker(t, Config{Registry: marketOf(names...), StripeBytes: int64(stripe), WritePipelineDepth: depth})
+					e := b.Engine(0)
+					to := core.Placement{M: m}
+					for _, name := range names {
+						s, _ := b.Registry().Store(name)
+						to.Providers = append(to.Providers, s.Spec())
 					}
-					if meta.M != m || len(meta.Chunks) != n {
-						t.Fatalf("scenario expects (%d, %d), placed (%d, %d)", m, n, meta.M, len(meta.Chunks))
+					for _, size := range sizes {
+						for _, rd := range bodyReaders {
+							writeAsEncoded(t, b, e, m, n, &rule, to, size, rd.name, rd.wrap, stripe)
+						}
 					}
-					if meta.Checksum != newToken(meta.UUID) || meta.CRC32C() != crc32c.Checksum(body) {
-						t.Fatalf("put %d bytes: ETag %s, CRC-32C %08x; want the version's token and %08x",
-							size, meta.Checksum, meta.CRC32C(), crc32c.Checksum(body))
-					}
-					storedAsEncoded(t, b, m, meta.Chunks, meta.chunkKey, meta.Sums, body, stripe)
-
-					if err := e.migrate(ctx, meta, to); err != nil {
-						t.Fatalf("migrate %d bytes: %v", size, err)
-					}
-					moved, err := e.Head(ctx, "c", key)
-					if err != nil || moved.UUID == meta.UUID || moved.Checksum != meta.Checksum || moved.CRC32C() != crc32c.Checksum(body) {
-						t.Fatalf("migrate %d bytes: %+v, %v; want a new version with the same ETag and CRC-32C", size, moved, err)
-					}
-					storedAsEncoded(t, b, m, moved.Chunks, moved.chunkKey, moved.Sums, body, stripe)
-
-					if size == 0 {
-						continue // a part declares a positive size
-					}
-					up, err := e.CreateUpload(ctx, "c", "mp-"+key, int64(size), PutOptions{Rule: &rule})
-					if err != nil {
-						t.Fatal(err)
-					}
-					u, err := b.getUpload(up.UploadID)
-					if err != nil {
-						t.Fatal(err)
-					}
-					info, err := e.UploadPart(ctx, up.UploadID, 1, bytes.NewReader(body), int64(size))
-					if err != nil || len(info.ETag) != 32 || info.ETag == u.draft.Checksum {
-						t.Fatalf("part of %d bytes: ETag %q, %v; want a token of its own", size, info.ETag, err)
-					}
-					u.mu.Lock()
-					part := u.parts[1]
-					u.mu.Unlock()
-					if u.draft.M != m || len(u.draft.Chunks) != n {
-						t.Fatalf("upload placed (%d, %d), scenario expects (%d, %d)", u.draft.M, len(u.draft.Chunks), m, n)
-					}
-					partKey := func(s, i int) string { return PartChunkKey(u.draft.SKey, 1, s, i, part.gen) }
-					storedAsEncoded(t, b, m, u.draft.Chunks, partKey, part.sums, body, stripe)
-				}
-			})
+				})
+			}
 		}
 	}
+}
+
+// writeAsEncoded is one body of TestWriteStoresWhatTheReferenceComputes:
+// it puts, migrates and uploads as a part size bytes arriving through
+// wrap, checking each against storedAsEncoded.
+func writeAsEncoded(t *testing.T, b *Broker, e *Engine, m, n int, rule *core.Rule, to core.Placement,
+	size int, how string, wrap func(io.Reader) io.Reader, stripe int) {
+	t.Helper()
+	body := testPayload(size)
+	key := fmt.Sprintf("k%d-%s", size, how)
+
+	meta, err := e.PutReader(ctx, "c", key, wrap(bytes.NewReader(body)), int64(size), PutOptions{Rule: rule})
+	if err != nil {
+		t.Fatalf("put %d bytes %s: %v", size, how, err)
+	}
+	if meta.M != m || len(meta.Chunks) != n {
+		t.Fatalf("scenario expects (%d, %d), placed (%d, %d)", m, n, meta.M, len(meta.Chunks))
+	}
+	if meta.Checksum != newToken(meta.UUID) || meta.CRC32C() != crc32c.Checksum(body) {
+		t.Fatalf("put %d bytes %s: ETag %s, CRC-32C %08x; want the version's token and %08x",
+			size, how, meta.Checksum, meta.CRC32C(), crc32c.Checksum(body))
+	}
+	storedAsEncoded(t, b, m, meta.Chunks, meta.chunkKey, meta.Sums, body, stripe)
+
+	if err := e.migrate(ctx, meta, to); err != nil {
+		t.Fatalf("migrate %d bytes: %v", size, err)
+	}
+	moved, err := e.Head(ctx, "c", key)
+	if err != nil || moved.UUID == meta.UUID || moved.Checksum != meta.Checksum || moved.CRC32C() != crc32c.Checksum(body) {
+		t.Fatalf("migrate %d bytes: %+v, %v; want a new version with the same ETag and CRC-32C", size, moved, err)
+	}
+	storedAsEncoded(t, b, m, moved.Chunks, moved.chunkKey, moved.Sums, body, stripe)
+
+	if size == 0 {
+		return // a part declares a positive size
+	}
+	up, err := e.CreateUpload(ctx, "c", "mp-"+key, int64(size), PutOptions{Rule: rule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := b.getUpload(up.UploadID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := e.UploadPart(ctx, up.UploadID, 1, wrap(bytes.NewReader(body)), int64(size))
+	if err != nil || len(info.ETag) != 32 || info.ETag == u.draft.Checksum {
+		t.Fatalf("part of %d bytes %s: ETag %q, %v; want a token of its own", size, how, info.ETag, err)
+	}
+	u.mu.Lock()
+	part := u.parts[1]
+	u.mu.Unlock()
+	if u.draft.M != m || len(u.draft.Chunks) != n {
+		t.Fatalf("upload placed (%d, %d), scenario expects (%d, %d)", u.draft.M, len(u.draft.Chunks), m, n)
+	}
+	partKey := func(s, i int) string { return PartChunkKey(u.draft.SKey, 1, s, i, part.gen) }
+	storedAsEncoded(t, b, m, u.draft.Chunks, partKey, part.sums, body, stripe)
 }
 
 // TestPooledChunksOutliveTheirReaders: a stripe's pooled chunks go back
@@ -410,5 +447,67 @@ func TestConcurrentPutGetRepair(t *testing.T) {
 	data, meta, err := e.Get(context.Background(), "c", "k")
 	if err != nil || int64(len(data)) != meta.Size {
 		t.Fatalf("final read: %v (%d bytes)", err, len(data))
+	}
+}
+
+// TestBodyReadContract pins what the write path's body read owes its
+// callers, on stripes read in several pieces: a body shorter than its
+// declared size — ending mid-piece, on a piece or a stripe boundary, or
+// one byte short — is ErrInvalidArgument (HTTP 400); any other read error
+// keeps its own identity; a Read that returns its last bytes with io.EOF
+// succeeds; and a cancel mid-body rolls back every chunk written. None
+// leaves a chunk behind once the reaper settles.
+func TestBodyReadContract(t *testing.T) {
+	const stripe = 768 << 10
+	b := newTestBroker(t, Config{StripeBytes: stripe})
+	e := b.Engine(0)
+	body := testPayload(2*stripe + 5)
+	noOrphans := func(what string) {
+		t.Helper()
+		b.ProcessPendingDeletes(ctx)
+		for _, s := range b.Registry().Snapshot() {
+			if bs, ok := s.(*cloud.BlobStore); ok && bs.ObjectCount() != 0 {
+				t.Fatalf("%s: %s holds %d chunks", what, bs.Spec().Name, bs.ObjectCount())
+			}
+		}
+		if _, err := e.Head(ctx, "c", "k"); !errors.Is(err, ErrObjectNotFound) {
+			t.Fatalf("%s: committed a version: %v", what, err)
+		}
+	}
+	put := func(r io.Reader) error {
+		_, err := e.PutReader(ctx, "c", "k", r, int64(len(body)), PutOptions{})
+		return err
+	}
+
+	for _, got := range []int{0, 1000, 512 << 10, stripe, stripe + 3, len(body) - 1} {
+		err := put(bytes.NewReader(body[:got]))
+		if status, _ := statusFromErr(err); !errors.Is(err, ErrInvalidArgument) || status != http.StatusBadRequest {
+			t.Fatalf("body of %d of %d bytes: %v (HTTP %d), want ErrInvalidArgument (HTTP 400)", got, len(body), err, status)
+		}
+		noOrphans(fmt.Sprintf("short body of %d bytes", got))
+	}
+
+	boom := errors.New("connection reset")
+	for _, at := range []int{0, 1000, stripe + 3} {
+		err := put(io.MultiReader(bytes.NewReader(body[:at]), iotest.ErrReader(boom)))
+		if !errors.Is(err, boom) || errors.Is(err, ErrInvalidArgument) {
+			t.Fatalf("read error after %d bytes: %v, want the reader's own error", at, err)
+		}
+		noOrphans(fmt.Sprintf("read error after %d bytes", at))
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	_, err := e.PutReader(cctx, "c", "k", &cancelAfterReader{n: stripe + 3000, cancel: cancel}, int64(len(body)), PutOptions{})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel mid-body: %v, want context.Canceled", err)
+	}
+	noOrphans("cancel mid-body")
+
+	if err := put(iotest.DataErrReader(bytes.NewReader(body))); err != nil {
+		t.Fatalf("last bytes returned with io.EOF: %v", err)
+	}
+	if got, _, err := e.Get(ctx, "c", "k"); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("read back %d bytes, %v", len(got), err)
 	}
 }

@@ -234,9 +234,8 @@ func TestSharedCoderHammer(t *testing.T) {
 				size := chunkSizes[(int(seed)+i)%len(chunkSizes)]
 				data := make([]byte, m*size-rng.Intn(m))
 				rng.Read(data)
-				chunks, err := c.EncodeFill(len(data), func(d []byte) error {
-					copy(d, data)
-					return nil
+				chunks, err := c.EncodeFill(len(data), func(off int, piece []byte) (int, error) {
+					return copy(piece, data[off:]), nil
 				})
 				if err != nil {
 					t.Errorf("EncodeFill: %v", err)

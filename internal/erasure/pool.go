@@ -37,27 +37,33 @@ var (
 	reconScratchPool = sync.Pool{New: func() any { return &reconScratch{} }}
 )
 
-// EncodeFill is the pooled encode: the n chunks of a dataLen-byte payload
-// and their backing are drawn from an internal pool instead of the
-// garbage collector, and fill writes the payload straight into them. It
-// is handed data, the dataLen bytes the m data chunks span — the code is
-// systematic, so they are the payload and no copy is made — and must
-// write all of it or fail; the padding after it and the parity are
-// computed once it returns. A fill error hands the chunks back and is
-// returned as is.
+// EncodeFill is the pooled encode of a dataLen-byte payload that is
+// written straight into its chunks: the n chunks and their backing are
+// drawn from an internal pool instead of the garbage collector, and the
+// code is systematic, so the m data chunks are the payload and no copy
+// is made. EncodeFill hands fill the payload piece by piece, in order —
+// off is the piece's offset in the payload, and a piece may span a chunk
+// boundary. fill writes a non-empty prefix of the piece and returns its
+// length, or fails; a failure hands the chunks back and is returned as
+// is. fill may read its prefix too (the write path takes its CRC-32C
+// there), while it is still in cache. For a code whose parity is the XOR
+// of the data chunks — every (1, n) and (m, m+1) code — each prefix is
+// folded into the parity right after fill returns, so a stripe's bytes
+// are read once; any other code's parity is computed once the payload is
+// in. The padding is cleared at the end.
 //
-// The caller owns every returned chunk, and data with them, until it
-// hands the whole slice back via ReleaseChunks; after that the memory is
-// recycled, so nothing may read or keep a chunk past the release. The
-// write path releases a stripe's chunks once its writes and its sums are
-// both done, which is safe only because a backend keeps no reference to
-// the bytes once Put returns — `cloud`'s PutCopiesIn conformance row.
-func (c *Coder) EncodeFill(dataLen int, fill func(data []byte) error) ([][]byte, error) {
+// The caller owns every returned chunk until it hands the whole slice
+// back via ReleaseChunks; after that the memory is recycled, so nothing
+// may read or keep a chunk past the release. The write path releases a
+// stripe's chunks once its writes are done, which is safe only because a
+// backend keeps no reference to the bytes once Put returns — `cloud`'s
+// PutCopiesIn conformance row.
+func (c *Coder) EncodeFill(dataLen int, fill func(off int, piece []byte) (int, error)) ([][]byte, error) {
 	sc := encScratchPool.Get().(*encodeScratch)
-	chunks, err := c.encode(dataLen, sc.backing, sc.chunks, fill)
+	chunks := c.cut(dataLen, sc.backing, sc.chunks)
 	sc.backing, sc.chunks = nil, nil
 	shellPool.Put(sc)
-	if err != nil {
+	if err := c.encodeFill(dataLen, chunks, fill); err != nil {
 		ReleaseChunks(chunks)
 		return nil, err
 	}
@@ -67,9 +73,8 @@ func (c *Coder) EncodeFill(dataLen int, fill func(data []byte) error) ([][]byte,
 // EncodePooled is EncodeFill with data copied in; the same ownership
 // rules apply.
 func (c *Coder) EncodePooled(data []byte) ([][]byte, error) {
-	return c.EncodeFill(len(data), func(d []byte) error {
-		copy(d, data)
-		return nil
+	return c.EncodeFill(len(data), func(off int, piece []byte) (int, error) {
+		return copy(piece, data[off:]), nil
 	})
 }
 

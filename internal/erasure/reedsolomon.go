@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"slices"
@@ -115,25 +116,30 @@ func (c *Coder) EncodedChunkSize(dataLen int) int {
 // Encode splits data into n chunks of equal size ceil(len(data)/m).
 // The data is padded with zeros to a multiple of the chunk size; callers
 // must remember the original length (Scalia stores it in object metadata)
-// and pass it to Decode.
+// and pass it to Decode. Its parity is computed over the whole buffer by
+// the kernels reconstruct uses, never folded in as EncodeFill does, so
+// the write path's tests have an independent reference.
 func (c *Coder) Encode(data []byte) ([][]byte, error) {
-	return c.encode(len(data), nil, nil, func(d []byte) error {
-		copy(d, data)
-		return nil
-	})
+	chunks := c.cut(len(data), nil, nil)
+	backing := chunks[0][:c.m*len(chunks[0])]
+	clear(backing[copy(backing, data):])
+	c.parity(chunks)
+	return chunks, nil
 }
 
-// encode is the one encode core, under Encode, EncodePooled and
-// EncodeFill. It cuts n chunks for a dataLen-byte payload out of backing
-// and chunks — reused when their capacity suffices (their contents may
-// be arbitrary: every byte of the output is written here or by fill) and
-// replaced with fresh allocations otherwise. The chunks lie back to back
-// in backing, so the m data chunks span its first m·size bytes; the code
-// is systematic, so they are the payload: fill writes it into the first
-// dataLen of them, and encode then clears the padding after it and
-// computes the parity in place. The chunks come back even when fill
-// fails, so pooled scratch can be returned.
-func (c *Coder) encode(dataLen int, backing []byte, chunks [][]byte, fill func(data []byte) error) ([][]byte, error) {
+// XORParity reports whether chunk i is a parity chunk that is the plain
+// XOR of the data chunks — its generator row is all ones: row m of every
+// code New builds, and every parity row of a (1, n) code, whose chunks
+// are replicas.
+func (c *Coder) XORParity(i int) bool { return i >= c.m && allOnes(c.enc.row(i)) }
+
+// cut cuts n chunks for a dataLen-byte payload out of backing and chunks
+// — reused when their capacity suffices (their contents may be arbitrary:
+// the encoders write every byte) and replaced with fresh allocations
+// otherwise. The chunks lie back to back in backing, so the m data chunks
+// span its first m·size bytes; the code is systematic, so they are the
+// payload.
+func (c *Coder) cut(dataLen int, backing []byte, chunks [][]byte) [][]byte {
 	size := c.EncodedChunkSize(dataLen)
 	if need := c.n * size; cap(backing) < need {
 		backing = make([]byte, need)
@@ -148,24 +154,95 @@ func (c *Coder) encode(dataLen int, backing []byte, chunks [][]byte, fill func(d
 	for i := range chunks {
 		chunks[i] = backing[i*size : (i+1)*size]
 	}
-	// Data rows 0..m-1 are the payload itself. The tail past it is the
-	// zero padding — cleared explicitly since pooled backing arrives dirty.
-	if err := fill(backing[:dataLen:dataLen]); err != nil {
-		return chunks, err
-	}
-	clear(backing[dataLen : c.m*size])
-	// Parity: rows m..n-1 are linear combinations of the data rows,
-	// computed with the table-driven kernels. The first term assigns
-	// rather than accumulates, so parity rows of dirty pooled backing
-	// need no pre-zeroing either. The job list lives on the stack; a code
-	// with more than eight parity rows spills it to the heap.
+	return chunks
+}
+
+// parity computes parity rows m..n-1 in place from the data chunks with
+// the table-driven kernels. The first term assigns rather than
+// accumulates, so parity rows of dirty pooled backing need no
+// pre-zeroing. The job list lives on the stack; a code with more than
+// eight parity rows spills it to the heap.
+func (c *Coder) parity(chunks [][]byte) {
 	var stack [8]rsJob
 	parity := stack[:0]
 	for r := c.m; r < c.n; r++ {
 		parity = append(parity, rsJob{row: c.enc.row(r), in: chunks[:c.m], out: chunks[r]})
 	}
 	runJobs(parity)
-	return chunks, nil
+}
+
+// fillPiece is the most EncodeFill hands fill at once: small enough to
+// stay in a core's L2 cache while it is read in, summed by the caller and
+// folded into the parity, and large enough that reading a body off a
+// socket takes few system calls: an 8 MiB PUT over loopback read in
+// 128 KiB pieces spent more time receiving than the smaller pieces saved.
+const fillPiece = 512 << 10
+
+// encodeFill is EncodeFill's core over chunks cut for dataLen bytes. It
+// hands fill successive pieces of the payload — at most fillPiece bytes,
+// cut wherever the payload is, chunk boundaries included — and clears
+// the data padding once the payload is in. When every parity row is all
+// ones — a (1, n) code's replicas, an (m, m+1) code's single parity — it
+// folds each prefix fill reports into the parity while it is still in
+// cache. Any other code's parity is computed after the fill, where the
+// table kernels fuse four rows per pass over the data; folded piece by
+// piece, each row would pay for its own pass.
+func (c *Coder) encodeFill(dataLen int, chunks [][]byte, fill func(off int, piece []byte) (int, error)) error {
+	size := len(chunks[0])
+	data := chunks[0][:dataLen:dataLen]
+	p1 := min(max(dataLen-size, 0), size) // chunk 1's payload
+	xor := true
+	for r := c.m; r < c.n; r++ {
+		xor = xor && c.XORParity(r)
+	}
+	for off := 0; off < dataLen; {
+		n, err := fill(off, data[off:min(off+fillPiece, dataLen)])
+		if err != nil {
+			return err
+		}
+		if xor {
+			c.fold(chunks, off, off+n, p1)
+		}
+		off += n
+	}
+	clear(chunks[0][dataLen : c.m*size])
+	if !xor {
+		c.parity(chunks)
+		return nil
+	}
+	for _, out := range chunks[c.m:] {
+		clear(out[min(dataLen, size):])
+	}
+	return nil
+}
+
+// fold folds payload bytes [from, to), just written, into every parity
+// chunk, each the XOR of the data chunks; p1 is how much payload chunk 1
+// holds. Chunk 0 enters together with chunk 1, as the two-input XOR — the
+// assignment that needs no cleared parity and no copy pass — so its bytes
+// below p1 wait for chunk 1's, and only those past p1, which no later
+// chunk meets, are copied alone. Chunks 2 and up accumulate.
+func (c *Coder) fold(chunks [][]byte, from, to, p1 int) {
+	size := len(chunks[0])
+	for from < to {
+		k, a := from/size, from%size
+		b := min(size, a+to-from)
+		from += b - a
+		if k == 0 {
+			a = max(a, p1)
+		}
+		for _, out := range chunks[c.m:] {
+			switch {
+			case a >= b:
+			case k == 0:
+				copy(out[a:b], chunks[0][a:b])
+			case k == 1:
+				subtle.XORBytes(out[a:b], chunks[0][a:b], chunks[1][a:b])
+			default:
+				subtle.XORBytes(out[a:b], out[a:b], chunks[k][a:b])
+			}
+		}
+	}
 }
 
 // Reconstruct fills in missing (nil) chunks in place. chunks must have
