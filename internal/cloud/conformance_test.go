@@ -21,6 +21,9 @@ type backend struct {
 	setAvailable func(up bool)
 	// another opens a second empty store of the same kind and spec.
 	another func() backend
+	// requests counts the requests a remote store was sent; nil for an
+	// in-memory one.
+	requests *atomic.Int64
 }
 
 // backends opens a fresh, empty store of each kind for spec; a private
@@ -45,7 +48,9 @@ func openPrivstore(t *testing.T, spec cloud.Spec) backend {
 		t.Fatal(err)
 	}
 	var down atomic.Bool
+	var requests atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
 		if down.Load() {
 			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
 				conn.Close()
@@ -56,7 +61,7 @@ func openPrivstore(t *testing.T, spec cloud.Spec) backend {
 	}))
 	t.Cleanup(ts.Close)
 	b := privstore.NewBackend(privstore.NewClient(ts.URL, token), spec)
-	return backend{Backend: b, setAvailable: func(up bool) { down.Store(!up) }}
+	return backend{Backend: b, setAvailable: func(up bool) { down.Store(!up) }, requests: &requests}
 }
 
 var ctx = context.Background()
@@ -149,12 +154,11 @@ var storeCases = []struct {
 			t.Errorf("UsedBytes = %d, want 100", got)
 		}
 	}},
+	// A store is known to be down by its failed calls: after the four
+	// below, Available must say so, and one answer brings it back.
 	{name: "DownIsUnavailable", run: func(t *testing.T, s backend) {
 		mustPut(t, s, "k", []byte("x"))
 		s.setAvailable(false)
-		if s.Available() {
-			t.Error("Available while down")
-		}
 		if _, err := s.Get(ctx, "k"); !errors.Is(err, cloud.ErrUnavailable) {
 			t.Errorf("Get while down: %v", err)
 		}
@@ -167,12 +171,36 @@ var storeCases = []struct {
 		if _, err := s.List(ctx, ""); !errors.Is(err, cloud.ErrUnavailable) {
 			t.Errorf("List while down: %v", err)
 		}
+		if s.Available() {
+			t.Error("Available after four failed calls")
+		}
 		// A transient outage keeps the data.
 		s.setAvailable(true)
 		if got, err := s.Get(ctx, "k"); err != nil || string(got) != "x" {
 			t.Errorf("Get after recovery = %q, %v", got, err)
 		}
+		if !s.Available() {
+			t.Error("not Available after an answer")
+		}
 		wantList(t, s, "", "k")
+	}},
+	// Available and UsedBytes are read under the registry's market
+	// rebuild and on every write's capacity check: they answer from
+	// memory and send nothing.
+	{name: "HealthAnswersFromMemory", spec: cloud.Spec{CapacityBytes: 100}, run: func(t *testing.T, s backend) {
+		mustPut(t, s, "k", make([]byte, 30))
+		var sent int64
+		if s.requests != nil {
+			sent = s.requests.Load()
+		}
+		for i := 0; i < 10; i++ {
+			if !s.Available() || s.UsedBytes() != 30 {
+				t.Fatalf("Available = %v, UsedBytes = %d; want true, 30", s.Available(), s.UsedBytes())
+			}
+		}
+		if s.requests != nil && s.requests.Load() != sent {
+			t.Errorf("Available and UsedBytes sent %d requests", s.requests.Load()-sent)
+		}
 	}},
 	{name: "CancelledContext", run: func(t *testing.T, s backend) {
 		mustPut(t, s, "k", []byte("x"))

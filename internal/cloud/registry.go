@@ -10,7 +10,7 @@ import (
 // Typed errors for the admin mutation surface: callers can distinguish
 // a name that is not in the market from a backend that exists but does
 // not support the requested mutation (remote private resources have no
-// injectable outage, mutable price sheet or notifier back-reference).
+// injectable outage or mutable price sheet).
 var (
 	ErrUnknownProvider     = errors.New("cloud: unknown provider")
 	ErrUnsupportedMutation = errors.New("cloud: provider does not support this mutation")
@@ -27,7 +27,13 @@ type MarketEvent struct {
 // Backend is a storage provider attached to the registry: the blob
 // Store operations plus the descriptive surface the placement engine
 // needs. In-memory simulated providers (*BlobStore) and remote private
-// resources (privstore.Backend) both implement it.
+// resources (privstore.Backend) both implement it, and both are
+// ChangeNotifierSetters.
+//
+// The contract: Available and UsedBytes answer from memory, never with a
+// request, and every change of Available is announced through the
+// notifier the registry installs. So the market epoch is the one truth
+// about which providers are up.
 type Backend interface {
 	Store
 	// Spec returns the provider description and price sheet.
@@ -305,10 +311,11 @@ func (r *Registry) bumpEpochLocked() {
 // common case). The specs slice is rebuilt only when the epoch changes;
 // free bytes are recomputed per call because they move with every write.
 //
-// Availability flipped directly on a backend (bypassing
-// Registry.UpdateAvailability) is not visible until the next epoch bump;
-// write paths must re-verify reachability of chosen providers, which
-// Planner.BestAlive's re-plan does (§III-D3).
+// A provider that goes down or comes back, through
+// Registry.UpdateAvailability or on its own, notifies the registry, which
+// advances the epoch: the specs always list exactly the providers up at
+// the returned epoch, so a plan made on them leaves out every faulty one
+// (§III-D3).
 func (r *Registry) Market() (epoch uint64, specs []Spec, free map[string]int64) {
 	r.mu.RLock()
 	snap := r.snap
@@ -326,28 +333,23 @@ func (r *Registry) Market() (epoch uint64, specs []Spec, free map[string]int64) 
 	return snap.epoch, snap.specs, free
 }
 
-// rebuildSnapshot recomputes the cached market view. Availability
-// probes run outside the registry lock — a remote private resource
-// answers them over HTTP and must not stall concurrent registry reads.
+// rebuildSnapshot recomputes the cached market view for the current
+// epoch. Backends answer Available from memory, so it runs under the
+// lock.
 func (r *Registry) rebuildSnapshot() *marketSnapshot {
-	r.mu.RLock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.snap != nil {
-		snap := r.snap
-		r.mu.RUnlock()
-		return snap
+		return r.snap
 	}
-	epoch := r.epoch
-	backends := make([]Backend, 0, len(r.stores))
-	for _, s := range r.stores {
-		backends = append(backends, s)
+	names := make([]string, 0, len(r.stores))
+	for name := range r.stores {
+		names = append(names, name)
 	}
-	r.mu.RUnlock()
-
-	sort.Slice(backends, func(i, j int) bool {
-		return backends[i].Spec().Name < backends[j].Spec().Name
-	})
-	snap := &marketSnapshot{epoch: epoch}
-	for _, s := range backends {
+	sort.Strings(names)
+	snap := &marketSnapshot{epoch: r.epoch}
+	for _, name := range names {
+		s := r.stores[name]
 		if !s.Available() {
 			continue
 		}
@@ -357,18 +359,7 @@ func (r *Registry) rebuildSnapshot() *marketSnapshot {
 			snap.capped = append(snap.capped, s)
 		}
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.epoch == epoch {
-		if r.snap == nil {
-			r.snap = snap
-		}
-		return r.snap
-	}
-	// The market moved while we probed: serve the view we built (it was
-	// consistent at probe time) without caching it; the next call
-	// rebuilds against the new epoch.
+	r.snap = snap
 	return snap
 }
 

@@ -343,7 +343,7 @@ func slashdotRule() Rule {
 }
 
 func TestBestPlacementColdObjectPrefersStorageCheapSets(t *testing.T) {
-	res, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), coldLoad(1e6), Options{})
+	res, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), coldLoad(1e6), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestBestPlacementHotObjectPicksM1PairPaperShape(t *testing.T) {
 	// During the Slashdot peak (150 reads/hour on a 1 MB object) the
 	// paper reports [S3(h), S3(l); m:1] as the cheapest feasible set.
 	load := stats.Summary{Periods: 1, Reads: 150, BytesOut: 150 * 1e6, StorageBytes: 1e6}
-	res, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, Options{})
+	res, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestBestPlacementHotObjectPicksM1PairPaperShape(t *testing.T) {
 
 func TestBestPlacementRespectsAvailability(t *testing.T) {
 	// A single provider never satisfies 99.99% availability at 99.9% SLA.
-	res, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), coldLoad(1e6), Options{})
+	res, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), coldLoad(1e6), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestBestPlacementRespectsAvailability(t *testing.T) {
 
 func TestBestPlacementLockInForcesWidth(t *testing.T) {
 	rule := Rule{Durability: 0.9999, Availability: 0.999, LockIn: 0.25}
-	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(40e6), Options{})
+	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(40e6), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestLockInFilterExact(t *testing.T) {
 	// lockin(pset) = 1/|pset| <= rule.LockIn. With LockIn = 0.5 a
 	// single-provider set (lockin 1) must be rejected even if cheapest.
 	rule := Rule{Durability: 0.99, Availability: 0.99, LockIn: 0.5}
-	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(1e6), Options{})
+	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(1e6), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestBestPlacementZoneFilter(t *testing.T) {
 	// EU-only rule: only the two S3 profiles serve EU in Fig. 3.
 	rule := Rule{Durability: 0.9999, Availability: 0.9999,
 		Zones: []cloud.Zone{cloud.ZoneEU}, LockIn: 1}
-	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(1e6), Options{})
+	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(1e6), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestBestPlacementInfeasible(t *testing.T) {
 		{Name: "w2", Durability: 0.9, Availability: 0.9, Pricing: cloud.Pricing{StorageGBMonth: 0.1}},
 	}
 	rule := Rule{Durability: 0.999999999, Availability: 0.99, LockIn: 1}
-	if _, err := BestPlacement(weak, rule, coldLoad(1e6), Options{}); err == nil {
+	if _, err := BestPlacement(weak, rule, coldLoad(1e6), 0, nil); err == nil {
 		t.Fatal("expected ErrNoProviders")
 	}
 }
@@ -446,7 +446,7 @@ func TestBestPlacementChunkConstraintExcludesProvider(t *testing.T) {
 		}
 	}
 	rule := Rule{Durability: 0.9999, Availability: 0.9999, LockIn: 1}
-	res, err := BestPlacement(specs, rule, coldLoad(1<<20), Options{ObjectBytes: 1 << 20})
+	res, err := BestPlacement(specs, rule, coldLoad(1<<20), 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestBestPlacementFreeBytesConstraint(t *testing.T) {
 	rule := Rule{Durability: 0.9999, Availability: 0.9999, LockIn: 1}
 	free := map[string]int64{"S3(l)": 10} // S3(l) almost full
 	res, err := BestPlacement(cloud.PaperProviders(), rule, coldLoad(1e6),
-		Options{ObjectBytes: 1e6, FreeBytes: free})
+		1e6, free)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +470,12 @@ func TestBestPlacementFreeBytesConstraint(t *testing.T) {
 
 func TestBestPlacementDeterministic(t *testing.T) {
 	load := stats.Summary{Periods: 1, Reads: 3, BytesOut: 3e6, StorageBytes: 1e6}
-	a, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, Options{})
+	a, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		b, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, Options{})
+		b, err := BestPlacement(cloud.PaperProviders(), slashdotRule(), load, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"scalia/internal/cloud"
 	"scalia/internal/stats"
 )
@@ -83,13 +85,17 @@ type Market struct {
 	Now int64
 	// Epoch, Specs and Free are the registry's view: the available
 	// providers at that epoch and the free capacity of the bounded ones
-	// (nil when none is).
+	// (nil when none is). Every availability change is an epoch, so a
+	// provider missing from Specs is down or gone.
 	Epoch uint64
 	Specs []cloud.Spec
 	Free  map[string]int64
-	// Alive is ground truth, as for PlanSwap: a backend can die without a
-	// registry event, so Specs may still list it.
-	Alive func(name string) bool
+}
+
+// Lists reports whether the market holds the named provider: registered
+// and available at its epoch.
+func (m Market) Lists(name string) bool {
+	return slices.ContainsFunc(m.Specs, func(s cloud.Spec) bool { return s.Name == name })
 }
 
 // Decider runs decisions for one deployment.
@@ -177,11 +183,7 @@ func (dr Decider) Decide(o Object, m Market, rule Rule, search *Search, why Trig
 			res = search.Best(load, o.FitBytes, m.Free)
 		}
 		dec.Evaluated += res.Evaluated
-		err := ErrNoProviders
-		if res.Feasible {
-			res, err = dr.Planner.reachable(res, m, rule, load, o.FitBytes)
-		}
-		if err != nil {
+		if !res.Feasible {
 			return keep(ReasonInfeasible)
 		}
 		dec.Target, price = res.Placement, res.Price

@@ -30,16 +30,16 @@ func (in *stepInput) decide() Decision {
 	return in.dr.Decide(in.o, in.m, in.rule, search, in.why)
 }
 
-// kill takes provider name out of the market and the alive set.
+// kill takes provider name out of the market, as its outage's market
+// event does.
 func (in *stepInput) kill(name string) {
 	in.m.Specs = removeByName(in.m.Specs, name)
-	in.m.Alive = func(n string) bool { return n != name }
 }
 
 func TestDecideStep(t *testing.T) {
 	slashdot := Rule{Durability: 0.99999, Availability: 0.9999, LockIn: 1}
 	best := func(specs []cloud.Spec, rule Rule, size int64) Placement {
-		res, err := BestPlacement(specs, rule, coldLoad(size), Options{})
+		res, err := BestPlacement(specs, rule, coldLoad(size), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestDecideStep(t *testing.T) {
 			in.o.Current = Placement{M: 2, Providers: pick("S3(h)", "Azu", "Ggl")}
 			in.kill("Azu")
 		}, action: Swap, check: func(t *testing.T, in *stepInput, dec Decision) {
-			if !slices.Equal(dec.Replaced, []int{1}) || !in.m.Alive(dec.Target.Providers[1].Name) ||
+			if !slices.Equal(dec.Replaced, []int{1}) || !slices.ContainsFunc(in.m.Specs, func(s cloud.Spec) bool { return s.Name == dec.Target.Providers[1].Name }) ||
 				dec.Target.M != in.o.Current.M || dec.Target.N() != in.o.Current.N() ||
 				dec.Target.Providers[0].Name != in.o.Current.Providers[0].Name {
 				t.Fatalf("swap of %v rewrites slots %v onto %v", in.o.Current, dec.Replaced, dec.Target)
@@ -122,14 +122,6 @@ func TestDecideStep(t *testing.T) {
 		}, action: Keep, reason: ReasonInfeasible},
 		{name: "rule the market cannot satisfy", bend: func(in *stepInput) { in.rule.LockIn = 0.1 },
 			action: Keep, reason: ReasonInfeasible},
-		{name: "planned provider died without a market event", bend: func(in *stepInput) {
-			in.reads = 150
-			in.m.Alive = func(n string) bool { return n != "S3(h)" }
-		}, action: Migrate, check: func(t *testing.T, in *stepInput, dec Decision) {
-			if dec.Target.Has("S3(h)") {
-				t.Fatalf("target %v includes the dead provider", dec.Target)
-			}
-		}},
 		{name: "controller not due", bend: func(in *stepInput) {
 			in.o.Ctl.Update(1, in.o.Ctl.Candidates(0)) // D adequate: T = 2, next tick is not due
 		}, action: Keep, reason: ReasonAlreadyBest, check: func(t *testing.T, in *stepInput, dec Decision) {
@@ -144,7 +136,7 @@ func TestDecideStep(t *testing.T) {
 			in := &stepInput{
 				dr:   Decider{Planner: NewPlanner(1), MigrationCost: MigrationCost},
 				o:    Object{Ctl: NewDecisionController(24, 0), Size: 1 << 20},
-				m:    Market{Now: 48, Epoch: 1, Specs: cloud.PaperProviders(), Alive: func(string) bool { return true }},
+				m:    Market{Now: 48, Epoch: 1, Specs: cloud.PaperProviders()},
 				rule: slashdot,
 			}
 			in.o.Current = best(in.m.Specs, in.rule, in.o.Size)

@@ -158,40 +158,6 @@ func (p *Planner) Best(epoch uint64, specs []cloud.Spec, rule Rule,
 	return res, nil
 }
 
-// BestAlive is Best restricted to providers that are alive right now:
-// the one place a freshly planned placement is re-checked against ground
-// truth, under the write path, every re-plan and every repair.
-func (p *Planner) BestAlive(m Market, rule Rule, load stats.Summary, objectBytes int64) (Result, error) {
-	res, err := p.Best(m.Epoch, m.Specs, rule, load, objectBytes, m.Free)
-	if err != nil {
-		return res, err
-	}
-	return p.reachable(res, m, rule, load, objectBytes)
-}
-
-// reachable returns res once every provider of its placement passes
-// m.Alive. While one does not — a backend can die without a registry
-// event, so the epoch-cached market may still list it ("Scalia will
-// choose the best placement that does not include the faulty provider",
-// §III-D3) — that provider is dropped and the placement re-planned,
-// un-prepared, on what is left of the market.
-func (p *Planner) reachable(res Result, m Market, rule Rule, load stats.Summary, objectBytes int64) (Result, error) {
-	var err error
-	for specs := m.Specs; err == nil; {
-		dead := slices.IndexFunc(res.Placement.Providers, func(s cloud.Spec) bool { return !m.Alive(s.Name) })
-		if dead < 0 {
-			return res, nil
-		}
-		name := res.Placement.Providers[dead].Name
-		// Copy: specs may be the registry's shared market snapshot.
-		specs = slices.DeleteFunc(slices.Clone(specs), func(s cloud.Spec) bool { return s.Name == name })
-		res, err = BestPlacement(specs, rule, load, Options{
-			PeriodHours: p.periodHours, FreeBytes: m.Free, ObjectBytes: objectBytes,
-		})
-	}
-	return Result{}, err
-}
-
 // Stats returns the cumulative cache hit/miss counters.
 func (p *Planner) Stats() PlannerStats {
 	return PlannerStats{Hits: p.hits.Load(), Misses: p.misses.Load()}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +68,7 @@ func TestBestPlacementNeverBeatenByCandidateProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
 		load := randomLoad(uint16(rng.Intn(500)), uint16(rng.Intn(4)), uint8(rng.Intn(200)))
-		best, err := BestPlacement(specs, rule, load, Options{})
+		best, err := BestPlacement(specs, rule, load, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,16 +168,14 @@ func TestPlanSwapSingleFailureProperty(t *testing.T) {
 		specs := randomMarket(rng, 5+rng.Intn(4))
 		rule := rules[rng.Intn(len(rules))]
 		load := randomLoad(uint16(rng.Intn(500)), uint16(rng.Intn(8)), uint8(rng.Intn(200)))
-		best, err := BestPlacement(specs, rule, load, Options{})
+		best, err := BestPlacement(specs, rule, load, 0, nil)
 		if err != nil {
 			continue
 		}
 		cur := best.Placement
 		deadSlot := rng.Intn(cur.N())
 		dead := cur.Providers[deadSlot].Name
-		alive := func(name string) bool { return name != dead }
-
-		plan, ok := PlanSwap(cur, specs, alive, rule, load, 1, 0, nil)
+		plan, ok := PlanSwap(cur, removeByName(specs, dead), rule, load, 1, 0, nil)
 		if !ok {
 			continue
 		}
@@ -227,7 +226,7 @@ func TestPlanSwapSingleFailureProperty(t *testing.T) {
 		// Repair traffic: the swap writes one chunk (size/m); a full
 		// re-placement re-stripes and writes n'/m' >= 1 >= 1/m of the
 		// size. Never more.
-		full, err := BestPlacement(removeByName(specs, dead), rule, load, Options{})
+		full, err := BestPlacement(removeByName(specs, dead), rule, load, 0, nil)
 		if err == nil {
 			swapWrite := float64(len(plan.Replaced)) / float64(cur.M)
 			fullWrite := float64(full.Placement.N()) / float64(full.Placement.M)
@@ -253,7 +252,7 @@ func TestPlanSwapMultiFailureProperty(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		specs := randomMarket(rng, 6+rng.Intn(4))
 		load := randomLoad(uint16(rng.Intn(300)), uint16(rng.Intn(4)), uint8(rng.Intn(100)))
-		best, err := BestPlacement(specs, rule, load, Options{})
+		best, err := BestPlacement(specs, rule, load, 0, nil)
 		if err != nil {
 			continue
 		}
@@ -267,9 +266,8 @@ func TestPlanSwapMultiFailureProperty(t *testing.T) {
 		for len(deadSet) < deadCount {
 			deadSet[cur.Providers[rng.Intn(cur.N())].Name] = true
 		}
-		alive := func(name string) bool { return !deadSet[name] }
-
-		plan, ok := PlanSwap(cur, specs, alive, rule, load, 1, 0, nil)
+		market := slices.DeleteFunc(slices.Clone(specs), func(s cloud.Spec) bool { return deadSet[s.Name] })
+		plan, ok := PlanSwap(cur, market, rule, load, 1, 0, nil)
 		if !ok {
 			continue
 		}
@@ -316,8 +314,7 @@ func TestPlannerRepairFallsBackToRestripe(t *testing.T) {
 	}
 	dead := best.Placement.Providers[0].Name
 	aliveSpecs := removeByName(specs, dead)
-	alive := func(name string) bool { return name != dead }
-	plan, err := planner.Repair(Market{Epoch: 2, Specs: aliveSpecs, Alive: alive}, rule, best.Placement, load, 0)
+	plan, err := planner.Repair(Market{Epoch: 2, Specs: aliveSpecs}, rule, best.Placement, load, 0)
 	if err == nil {
 		t.Fatalf("no market subset satisfies lock-in 1/%d with %d providers; want error, got %+v",
 			len(specs), len(aliveSpecs), plan)
@@ -332,7 +329,7 @@ func TestPlannerRepairFallsBackToRestripe(t *testing.T) {
 	// Build a degraded placement over every surviving provider plus the
 	// dead one, so no spare exists.
 	cur := Placement{M: best.Placement.M, Providers: append([]cloud.Spec(nil), specs...)}
-	plan, err = planner.Repair(Market{Epoch: 2, Specs: aliveSpecs, Alive: alive}, loose, cur, load, 0)
+	plan, err = planner.Repair(Market{Epoch: 2, Specs: aliveSpecs}, loose, cur, load, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,21 +29,20 @@ type RepairPlan struct {
 }
 
 // PlanSwap builds the cheapest same-(m,n) swap repair for the degraded
-// placement cur: every slot whose provider is not alive is filled with
-// the spare (alive, not already used, zone- and capacity-feasible)
-// market provider that minimizes the expected period cost, greedily per
-// slot. Surviving assignments are never touched. The second return is
-// false when cur has no dead slot, when a dead slot has no usable
-// spare, or when the swapped set no longer satisfies the rule at
+// placement cur: every slot whose provider is missing from market is
+// filled with the spare (in market, not already used, zone- and
+// capacity-feasible) provider that minimizes the expected period cost,
+// greedily per slot. Surviving assignments are never touched. The second
+// return is false when cur has no dead slot, when a dead slot has no
+// usable spare, or when the swapped set no longer satisfies the rule at
 // threshold cur.M — the callers then fall back to a full re-placement.
 //
-// market is the current available-provider view (a planner market
-// snapshot); alive is the ground-truth reachability predicate, so a
-// provider that died after the snapshot was cut is neither kept nor
-// chosen as a spare. objectBytes and free apply the §III-A2 chunk-size
-// and capacity constraints to the incoming spares (zero / nil skip
-// them).
-func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
+// market is the available-provider view at one epoch: every provider
+// that is unavailable or gone is missing from it, because every
+// availability change is a market epoch. objectBytes and free apply the
+// §III-A2 chunk-size and capacity constraints to the incoming spares
+// (zero / nil skip them).
+func PlanSwap(cur Placement, market []cloud.Spec,
 	rule Rule, load stats.Summary, periodHours float64,
 	objectBytes int64, free map[string]int64) (RepairPlan, bool) {
 	if cur.M <= 0 || cur.N() == 0 {
@@ -53,13 +52,14 @@ func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
 	for _, s := range cur.Providers {
 		used[s.Name] = true
 	}
+	alive := Market{Specs: market}.Lists
 	var chunk int64
 	if objectBytes > 0 {
 		chunk = (objectBytes + int64(cur.M) - 1) / int64(cur.M)
 	}
 	var spares []cloud.Spec
 	for _, s := range market {
-		if used[s.Name] || !alive(s.Name) || !s.ServesAny(rule.Zones) {
+		if used[s.Name] || !s.ServesAny(rule.Zones) {
 			continue
 		}
 		if chunk > 0 {
@@ -112,13 +112,14 @@ func PlanSwap(cur Placement, market []cloud.Spec, alive func(string) bool,
 // Repair plans the repair of a degraded placement on the market m: the
 // cheap same-(m,n) chunk swap when one is feasible (§IV-E's "only the
 // faulty chunk needs to be written"), otherwise the best full
-// re-placement that is reachable right now (BestAlive). Decider.Decide
-// plans every repair, the broker's and the simulator's, through it.
+// re-placement on the market, which holds only the reachable providers.
+// Decider.Decide plans every repair, the broker's and the simulator's,
+// through it.
 func (p *Planner) Repair(m Market, rule Rule, cur Placement, load stats.Summary, objectBytes int64) (RepairPlan, error) {
-	if plan, ok := PlanSwap(cur, m.Specs, m.Alive, rule, load, p.periodHours, objectBytes, m.Free); ok {
+	if plan, ok := PlanSwap(cur, m.Specs, rule, load, p.periodHours, objectBytes, m.Free); ok {
 		return plan, nil
 	}
-	res, err := p.BestAlive(m, rule, load, objectBytes)
+	res, err := p.Best(m.Epoch, m.Specs, rule, load, objectBytes, m.Free)
 	if err != nil {
 		return RepairPlan{}, err
 	}

@@ -34,10 +34,9 @@ type Search struct {
 }
 
 // NewSearch prepares the market-scoped part of Algorithm 1 for the
-// given providers and rule. Per-object constraints (Options.ObjectBytes
-// and Options.FreeBytes) are deliberately not baked in — they are
-// evaluated by Best, so one Search is shared across objects of any
-// size.
+// given providers and rule. Per-object constraints (object size and
+// free capacity) are deliberately not baked in — they are evaluated by
+// Best, so one Search is shared across objects of any size.
 func NewSearch(specs []cloud.Spec, rule Rule, opts Options) (*Search, error) {
 	if err := rule.Validate(); err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ func TestSearchMatchesBestPlacement(t *testing.T) {
 		load.BytesOut = load.Reads * load.StorageBytes
 		load.BytesIn = load.Writes * load.StorageBytes
 
-		want, err := BestPlacement(cloud.PaperProviders(), rule, load, Options{})
+		want, err := BestPlacement(cloud.PaperProviders(), rule, load, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

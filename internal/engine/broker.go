@@ -187,13 +187,6 @@ type Broker struct {
 	// Optimize, Repair and the event queue — for every re-plan.
 	planner *core.Planner
 	decider core.Decider
-	// alive is the ground-truth reachability of a provider by name:
-	// registered and answering, whatever the market epoch believes.
-	alive func(name string) bool
-	// next drives NextEngine's round-robin. The facade and the HTTP
-	// gateway share this one counter, so mixed embedded/remote traffic
-	// still spreads evenly across all engines of all datacenters.
-	next atomic.Uint64
 	// metrics is the broker's observability surface (see metrics.go):
 	// the registry behind GET /metrics plus the registry-owned hot-path
 	// counters — including the read-path counters (stripes served from
@@ -201,6 +194,10 @@ type Broker struct {
 	// ReadStats reports, so /v1/stats and /metrics share one
 	// bookkeeping path.
 	metrics *brokerMetrics
+	// next drives NextEngine's round-robin. The facade and the HTTP
+	// gateway share this one counter, so mixed embedded/remote traffic
+	// still spreads evenly across all engines of all datacenters.
+	next atomic.Uint64
 	// bufSem is the broker-wide stripe-buffer budget shared by the
 	// streaming read and write paths: one token per stripe slot of
 	// Config.MaxBufferBytes. nil = unbounded. The gauges track current
@@ -417,10 +414,6 @@ func NewBroker(cfg Config) *Broker {
 		}
 		b.bufSem = make(chan struct{}, slots)
 	}
-	b.alive = func(name string) bool {
-		s, ok := b.registry.Store(name)
-		return ok && s.Available()
-	}
 	b.decider = core.Decider{
 		Planner:          b.planner,
 		MigrationHorizon: cfg.MigrationHorizon,
@@ -560,8 +553,8 @@ func (b *Broker) CurrentPlacement(object string) (core.Placement, bool) {
 // index i is the provider holding chunk i, the alignment the swap
 // planner and executor need, and the price sheets are the live ones,
 // which is what "what does staying put cost now" must be priced with.
-// Providers that left the registry are represented by name alone; an
-// alive predicate reports them dead and the planner replaces them.
+// Providers that left the registry are represented by name alone; the
+// market does not list them, so the planner replaces them.
 func (b *Broker) livePlacement(m int, names []string) core.Placement {
 	p := core.Placement{M: m, Providers: make([]cloud.Spec, len(names))}
 	for i, name := range names {
@@ -597,9 +590,9 @@ func slotNames(p core.Placement, stripeLen int64) []string {
 
 // marketView is the market a decision at period now is taken on: the
 // registry's epoch-cached available providers (shared slice — do not
-// mutate), the free capacities of the capacity-bounded ones (nil when
-// none) and the ground-truth reachability check.
+// mutate) and the free capacities of the capacity-bounded ones (nil when
+// none).
 func (b *Broker) marketView(now int64) core.Market {
 	epoch, specs, free := b.registry.Market()
-	return core.Market{Now: now, Epoch: epoch, Specs: specs, Free: free, Alive: b.alive}
+	return core.Market{Now: now, Epoch: epoch, Specs: specs, Free: free}
 }

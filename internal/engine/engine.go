@@ -190,7 +190,8 @@ func (e *Engine) draft(ctx context.Context, container, key string, planBytes int
 	rule := e.b.rules.Resolve(container, class, opts.Rule)
 	now := e.b.clock.Period()
 	planStart := time.Now()
-	res, err := e.b.planner.BestAlive(e.b.marketView(now), rule, e.writeLoad(objectName(container, key), class, planBytes), planBytes)
+	epoch, specs, free := e.b.registry.Market()
+	res, err := e.b.planner.Best(epoch, specs, rule, e.writeLoad(objectName(container, key), class, planBytes), planBytes, free)
 	if err != nil {
 		return ObjectMeta{}, nil, err
 	}

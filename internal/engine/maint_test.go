@@ -202,7 +202,7 @@ func TestMaintQueueConcurrentMutations(t *testing.T) {
 
 	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	if err := b.WaitMaintIdle(waitCtx); err != nil {
+	if err := waitMaintIdle(waitCtx, b); err != nil {
 		t.Fatalf("queue never went idle: %v", err)
 	}
 	st := b.MaintStats()
@@ -390,7 +390,7 @@ func TestPriceRiseMigratesOffProvider(t *testing.T) {
 				if got := b.DrainMaintenance(ctx); got != invalidated {
 					t.Fatalf("drained %d, want %d", got, invalidated)
 				}
-			} else if err := b.WaitMaintIdle(ctx); err != nil {
+			} else if err := waitMaintIdle(ctx, b); err != nil {
 				t.Fatal(err)
 			}
 			if st := b.MaintStats(); st.Migrated != int64(invalidated) || invalidated == 0 {
@@ -529,7 +529,7 @@ func TestMaintQueueWorkersAndDrainCountAlike(t *testing.T) {
 		victim := storeObjects(t, b, 12, 1<<20)
 		raisePrices(t, b, victim)
 		b.DrainMaintenance(ctx)
-		if err := b.WaitMaintIdle(ctx); err != nil {
+		if err := waitMaintIdle(ctx, b); err != nil {
 			t.Fatal(err)
 		}
 		st := b.MaintStats()
@@ -615,7 +615,7 @@ func TestDrainLosesNothingItTook(t *testing.T) {
 				raisePrices(t, b, victim) // every object is queued already: only a wake-up
 				waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 				defer cancel()
-				if err := b.WaitMaintIdle(waitCtx); err != nil {
+				if err := waitMaintIdle(waitCtx, b); err != nil {
 					t.Fatalf("background drain never went idle: %v (%+v)", err, b.MaintStats())
 				}
 			} else if got := b.DrainMaintenance(ctx); got != invalidated {
@@ -735,4 +735,23 @@ func TestDirectRepairVisibleEverywhere(t *testing.T) {
 		t.Fatalf("repair = %+v, %v", rep, err)
 	}
 	wantVisibleEverywhere(t, b, n, size, victim)
+}
+
+// waitMaintIdle waits until the maintenance queue is empty and no pass
+// holds an object, or ctx ends.
+func waitMaintIdle(ctx context.Context, b *Broker) error {
+	for {
+		m := b.maint
+		m.mu.Lock()
+		idle := len(m.queue) == 0 && m.taken == 0
+		m.mu.Unlock()
+		if idle {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
 }

@@ -54,8 +54,7 @@ type maintQueue struct {
 	kick  chan struct{} // capacity 1: wakes the background drain
 
 	mu     sync.Mutex
-	idle   *sync.Cond // signalled when a pass ends
-	queue  []string   // the set, in arrival order
+	queue  []string // the set, in arrival order
 	queued map[string]struct{}
 	taken  int // objects a pass holds right now
 
@@ -63,9 +62,7 @@ type maintQueue struct {
 }
 
 func newMaintQueue(b *Broker, depth int) *maintQueue {
-	m := &maintQueue{b: b, depth: depth, kick: make(chan struct{}, 1), queued: make(map[string]struct{})}
-	m.idle = sync.NewCond(&m.mu)
-	return m
+	return &maintQueue{b: b, depth: depth, kick: make(chan struct{}, 1), queued: make(map[string]struct{})}
 }
 
 // onMarketEvent is the registry subscriber: it runs synchronously on
@@ -136,7 +133,6 @@ func (m *maintQueue) drain(ctx context.Context) int {
 	defer m.mu.Unlock()
 	m.taken -= len(took)
 	m.add(rest)
-	m.idle.Broadcast()
 	return n
 }
 
@@ -153,26 +149,6 @@ func (m *maintQueue) background(ctx context.Context) {
 			m.drain(ctx)
 		}
 	}
-}
-
-// WaitMaintIdle blocks until the maintenance queue is empty and no pass
-// holds an object, or ctx is cancelled.
-func (b *Broker) WaitMaintIdle(ctx context.Context) error {
-	m := b.maint
-	defer context.AfterFunc(ctx, func() {
-		m.mu.Lock()
-		m.idle.Broadcast()
-		m.mu.Unlock()
-	})()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) > 0 || m.taken > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		m.idle.Wait()
-	}
-	return nil
 }
 
 // MaintStats returns the maintenance-queue counter snapshot.

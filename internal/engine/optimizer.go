@@ -216,9 +216,10 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 			return out
 		}
 	}
+	view := e.b.marketView(now)
 	why := core.CostDriven
 	if t.degraded {
-		if !slices.ContainsFunc(meta.Chunks, func(name string) bool { return !e.b.alive(name) }) {
+		if !slices.ContainsFunc(meta.Chunks, func(name string) bool { return !view.Lists(name) }) {
 			return out
 		}
 		out.affected = 1
@@ -236,7 +237,6 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 	}
 
 	rule := e.b.rules.Resolve(container, meta.Class, meta.Rule)
-	view := e.b.marketView(now)
 	// A rule this market cannot satisfy has no search; Decide keeps the
 	// object (a repair may still find a swap).
 	search, _ := e.b.planner.Search(view.Epoch, view.Specs, rule)

@@ -187,13 +187,14 @@ func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport,
 	return rep, err
 }
 
-// unreachableProviders returns the indexed providers that are currently
-// unregistered or unavailable — the providers whose objects a repair
-// pass must examine. Cost is O(providers carrying data), not O(objects).
+// unreachableProviders returns the indexed providers the market does not
+// list — unregistered or unavailable — whose objects a repair pass must
+// examine. Cost is O(providers carrying data), not O(objects).
 func (b *Broker) unreachableProviders() []string {
+	view := b.marketView(b.clock.Period())
 	var down []string
 	for _, name := range b.provIndex.ProviderNames() {
-		if !b.alive(name) {
+		if !view.Lists(name) {
 			down = append(down, name)
 		}
 	}

@@ -118,7 +118,8 @@ func putVia(t *testing.T, b *Broker, entry string, rule core.Rule, payload []byt
 	opts := PutOptions{Rule: &rule}
 	// What the planner hands a write: the same call the write makes.
 	planned := func() core.Placement {
-		res, err := e.b.planner.BestAlive(e.b.marketView(e.b.clock.Period()), rule, e.writeLoad("c/k", stats.ClassKey("", size), size), size)
+		epoch, specs, free := e.b.registry.Market()
+		res, err := e.b.planner.Best(epoch, specs, rule, e.writeLoad("c/k", stats.ClassKey("", size), size), size, free)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,12 @@ import (
 // MaxClockSkew bounds the accepted request-timestamp drift.
 const MaxClockSkew = 5 * time.Minute
 
-// Signature headers.
+// Signature headers, and the used-bytes header: the server's used bytes
+// after the request, on every answer to a PUT, a DELETE and GET /stats.
 const (
 	HeaderTimestamp = "X-Scalia-Timestamp"
 	HeaderSignature = "X-Scalia-Signature"
+	HeaderUsedBytes = "X-Scalia-Used-Bytes"
 )
 
 // Sign computes the request signature: HMAC-SHA256 over
@@ -135,8 +137,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/list" && r.Method == http.MethodGet:
 		s.list(w, r.URL.Query().Get("prefix"))
 	case r.URL.Path == "/stats" && r.Method == http.MethodGet:
+		used := s.UsedBytes()
+		w.Header().Set(HeaderUsedBytes, strconv.FormatInt(used, 10))
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]int64{"usedBytes": s.UsedBytes()}) //nolint:errcheck
+		json.NewEncoder(w).Encode(map[string]int64{"usedBytes": used}) //nolint:errcheck
 	case strings.HasPrefix(r.URL.Path, "/objects/"):
 		key := strings.TrimPrefix(r.URL.Path, "/objects/")
 		if key == "" {
@@ -145,17 +149,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		switch r.Method {
 		case http.MethodPut:
-			s.put(w, r, key)
+			s.put(usedWriter{w, s}, r, key)
 		case http.MethodGet:
 			s.get(w, key)
 		case http.MethodDelete:
-			s.delete(w, key)
+			s.delete(usedWriter{w, s}, key)
 		default:
 			http.Error(w, "unsupported method", http.StatusMethodNotAllowed)
 		}
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 	}
+}
+
+// usedWriter stamps HeaderUsedBytes on the answer as it is written, so
+// the value is the server's after the request, whatever the outcome.
+type usedWriter struct {
+	http.ResponseWriter
+	s *Server
+}
+
+func (w usedWriter) WriteHeader(code int) {
+	w.Header().Set(HeaderUsedBytes, strconv.FormatInt(w.s.UsedBytes(), 10))
+	w.ResponseWriter.WriteHeader(code)
 }
 
 func (s *Server) put(w http.ResponseWriter, r *http.Request, key string) {

@@ -94,10 +94,7 @@ func adaptScalia(objects []*simObject, cfg Config, mkt *market, decider core.Dec
 	search *core.Search, p int, res *Result) (usd, inGB, outGB float64) {
 	membership := mkt.membershipChanged(p)
 	_, up := mkt.specsAt(p)
-	view := core.Market{
-		Now: int64(p), Epoch: mkt.epochAt(p), Specs: up,
-		Alive: func(name string) bool { return mkt.isUp(name, p) },
-	}
+	view := core.Market{Now: int64(p), Epoch: mkt.epochAt(p), Specs: up}
 	for _, obj := range objects {
 		if !obj.alive {
 			continue

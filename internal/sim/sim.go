@@ -124,28 +124,6 @@ type Result struct {
 	PlannerMisses uint64
 }
 
-// BestStatic returns the cheapest static baseline.
-func (r *Result) BestStatic() StaticCost {
-	best := r.Statics[0]
-	for _, s := range r.Statics[1:] {
-		if s.CostUSD < best.CostUSD {
-			best = s
-		}
-	}
-	return best
-}
-
-// WorstStatic returns the priciest static baseline.
-func (r *Result) WorstStatic() StaticCost {
-	worst := r.Statics[0]
-	for _, s := range r.Statics[1:] {
-		if s.CostUSD > worst.CostUSD {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // simObject is the simulator's view of one stored object. The replay
 // driver owns name, size and alive; placement, hist and ctl belong to
 // the policy being priced.

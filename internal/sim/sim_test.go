@@ -320,3 +320,25 @@ func TestPoliciesShareObjectLifecycle(t *testing.T) {
 			res.ScaliaUSD-res.CumulativeScalia[4], cut.ScaliaUSD)
 	}
 }
+
+// BestStatic returns the cheapest static baseline.
+func (r *Result) BestStatic() StaticCost {
+	best := r.Statics[0]
+	for _, s := range r.Statics[1:] {
+		if s.CostUSD < best.CostUSD {
+			best = s
+		}
+	}
+	return best
+}
+
+// WorstStatic returns the priciest static baseline.
+func (r *Result) WorstStatic() StaticCost {
+	worst := r.Statics[0]
+	for _, s := range r.Statics[1:] {
+		if s.CostUSD > worst.CostUSD {
+			worst = s
+		}
+	}
+	return worst
+}

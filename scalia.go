@@ -412,8 +412,18 @@ func ServerOptions() Options {
 	}
 }
 
-// Close stops the deployment's background work, async jobs included, and waits for it.
-func (c *Client) Close() { c.broker.Close() }
+// Close stops the deployment's background work, async jobs included,
+// and waits for it. It deregisters the private resources, which ends
+// their health loops.
+func (c *Client) Close() {
+	c.broker.Close()
+	reg := c.broker.Registry()
+	for _, s := range reg.Snapshot() {
+		if _, private := s.(*privstore.Backend); private {
+			reg.Deregister(s.Spec().Name)
+		}
+	}
+}
 
 // engine returns the next engine round-robin, matching the paper's
 // "requests are routed to all datacenters indifferently". The counter
