@@ -107,7 +107,7 @@ type Config struct {
 	// ReoptWorkers above 0 turns on the background drain of the
 	// event-driven reoptimization queue (objects whose cached placement a
 	// market event invalidated): whenever something is enqueued, one pass
-	// over every alive engine re-plans the queue. 0 — the default —
+	// over every engine re-plans the queue. 0 — the default —
 	// enqueues but does not drain automatically: callers drain explicitly
 	// with DrainMaintenance (deterministic for embedded deployments and
 	// tests). scalia-server enables background draining with
@@ -196,8 +196,9 @@ type Broker struct {
 	metrics *brokerMetrics
 	// next drives NextEngine's round-robin. The facade and the HTTP
 	// gateway share this one counter, so mixed embedded/remote traffic
-	// still spreads evenly across all engines of all datacenters.
-	next atomic.Uint64
+	// still spreads evenly across all engines of all datacenters. Every
+	// request writes it, so it keeps a cache line to itself (lone).
+	next lone
 	// bufSem is the broker-wide stripe-buffer budget shared by the
 	// streaming read and write paths: one token per stripe slot of
 	// Config.MaxBufferBytes. nil = unbounded. The gauges track current
@@ -265,6 +266,15 @@ type Broker struct {
 	// optimized, repaired and drained are the lifetime sums behind
 	// OptimizeTotals, RepairTotals and MaintStats.
 	optimized, repaired, drained passTotals
+}
+
+// lone is a counter alone on its 64-byte cache line: with 56 bytes empty
+// on either side, no other field of the struct it is in shares the line,
+// wherever the struct lies in memory.
+type lone struct {
+	_ [56]byte
+	atomic.Uint64
+	_ [56]byte
 }
 
 // OptimizeTotals accumulates optimization activity over the broker's
@@ -423,10 +433,9 @@ func NewBroker(cfg Config) *Broker {
 	for _, dc := range cfg.Datacenters {
 		for i := 0; i < cfg.EnginesPerDC; i++ {
 			b.engines = append(b.engines, &Engine{
-				id:    fmt.Sprintf("engine%d", id),
-				dc:    dc,
-				b:     b,
-				alive: true,
+				id: fmt.Sprintf("engine%d", id),
+				dc: dc,
+				b:  b,
 			})
 			id++
 		}
@@ -479,7 +488,7 @@ func (b *Broker) Close() {
 func (b *Broker) ProviderIndex() *stats.ProviderIndex { return b.provIndex }
 
 // DrainMaintenance synchronously re-plans the queued invalidations in one
-// pass over every alive engine and returns how many it re-planned; what a
+// pass over every engine and returns how many it re-planned; what a
 // pass cut short by ctx did not get through stays queued. Without a
 // background drain (ReoptWorkers == 0), tests, tick loops and jobs call it.
 func (b *Broker) DrainMaintenance(ctx context.Context) int {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"scalia/internal/core"
@@ -46,9 +45,6 @@ type Engine struct {
 	id string
 	dc string
 	b  *Broker
-
-	mu    sync.Mutex
-	alive bool
 }
 
 // ID returns the engine identifier.
@@ -56,21 +52,6 @@ func (e *Engine) ID() string { return e.id }
 
 // Datacenter returns the engine's datacenter.
 func (e *Engine) Datacenter() string { return e.dc }
-
-// SetAlive marks the engine up or down (for leader-election tests and
-// failure injection).
-func (e *Engine) SetAlive(up bool) {
-	e.mu.Lock()
-	e.alive = up
-	e.mu.Unlock()
-}
-
-// Alive reports whether the engine participates in optimization.
-func (e *Engine) Alive() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.alive
-}
 
 // PutOptions carries optional write parameters.
 type PutOptions struct {
@@ -320,10 +301,11 @@ func (e *Engine) commitWrite(ctx context.Context, meta *ObjectMeta, opts PutOpti
 	return nil
 }
 
-// currentVersion reads a row's live version, nil when there is none.
+// currentVersion reads a row's live version (rowMeta), nil when there is
+// none.
 func (e *Engine) currentVersion(row string) *ObjectMeta {
 	if m, err := e.rowMeta(row); err == nil {
-		return &m
+		return m
 	}
 	return nil
 }
@@ -461,7 +443,8 @@ func (e *Engine) GetRangeReader(ctx context.Context, container, key string, offs
 	return e.stream(ctx, container, key, offset, length, true)
 }
 
-// stream opens container/key for a user read and begins its stream.
+// stream opens container/key for a user read and begins its stream. The
+// meta returned is the caller's own copy.
 func (e *Engine) stream(ctx context.Context, container, key string, offset, length int64, ranged bool) (io.ReadCloser, ObjectMeta, error) {
 	or, err := e.openObject(ctx, container, key, true)
 	if err != nil {
@@ -471,28 +454,29 @@ func (e *Engine) stream(ctx context.Context, container, key string, offset, leng
 		or.Close()
 		return nil, ObjectMeta{}, err
 	}
-	return or, or.meta, nil
+	return or, or.meta.clone(), nil
 }
 
-// rowMeta reads a row's live version from the engine's datacenter node.
-// The read collapses an MVCC conflict it finds, and the versions that lost
-// are retired here (Fig. 10) — also when the winner is a tombstone and the
-// row reads as not found: handing them to the reaper costs no provider
-// call, so this may run under the row lock.
-func (e *Engine) rowMeta(row string) (ObjectMeta, error) {
+// rowMeta reads a row's live version from the engine's datacenter node:
+// the stored version itself (viewMeta), which the caller reads and never
+// writes. The read collapses an MVCC conflict it finds, and the versions
+// that lost are retired here (Fig. 10) — also when the winner is a
+// tombstone and the row reads as not found: handing them to the reaper
+// costs no provider call, so this may run under the row lock.
+func (e *Engine) rowMeta(row string) (*ObjectMeta, error) {
 	v, losers, err := e.b.meta.Store(e.dc).Get(row)
 	for _, l := range losers {
-		if m, derr := decodeMeta(l); !l.Deleted && derr == nil {
-			e.retireVersion(m)
+		if m, verr := viewMeta(l); !l.Deleted && verr == nil {
+			e.retireVersion(*m)
 		}
 	}
 	switch {
 	case errors.Is(err, metadata.ErrRowNotFound):
-		return ObjectMeta{}, ErrObjectNotFound
+		return nil, ErrObjectNotFound
 	case err != nil:
-		return ObjectMeta{}, err
+		return nil, err
 	}
-	return decodeMeta(v)
+	return viewMeta(v)
 }
 
 // Delete removes an object: it tombstones the metadata — which retires
@@ -587,7 +571,8 @@ func (e *Engine) List(ctx context.Context, container string, opts ListOptions) (
 	return res, nil
 }
 
-// Head returns an object's metadata without transferring the payload.
+// Head returns an object's metadata, the caller's own copy, without
+// transferring the payload.
 func (e *Engine) Head(ctx context.Context, container, key string) (ObjectMeta, error) {
 	if err := ctx.Err(); err != nil {
 		return ObjectMeta{}, err
@@ -595,5 +580,9 @@ func (e *Engine) Head(ctx context.Context, container, key string) (ObjectMeta, e
 	if err := validContainer(container); err != nil {
 		return ObjectMeta{}, err
 	}
-	return e.rowMeta(RowKey(container, key))
+	m, err := e.rowMeta(RowKey(container, key))
+	if err != nil {
+		return ObjectMeta{}, err
+	}
+	return m.clone(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,8 +307,11 @@ func TestConcurrentUpdateConflictResolution(t *testing.T) {
 	b.Metadata().Partition("dc1", "dc2")
 	m1, _ := e1.Put(ctx, "c", "k", []byte("from-dc1"), PutOptions{})
 	m2, _ := e2.Put(ctx, "c", "k", []byte("from-dc2"), PutOptions{})
-	if m1.UUID == "" || m2.UUID == "" || b.Metadata().PendingReplication() == 0 {
-		t.Fatalf("conflict not staged: %q %q, %d events pending", m1.UUID, m2.UUID, b.Metadata().PendingReplication())
+	if m1.UUID == "" || m2.UUID == "" {
+		t.Fatalf("conflict not staged: %q %q", m1.UUID, m2.UUID)
+	}
+	if seen, err := e2.Head(ctx, "c", "k"); err != nil || seen.UUID != m2.UUID {
+		t.Fatalf("dc2 serves %q (%v) across the partition, want only its own %q", seen.UUID, err, m2.UUID)
 	}
 	b.Metadata().Heal("dc1", "dc2")
 	b.Metadata().Flush()
@@ -318,6 +322,71 @@ func TestConcurrentUpdateConflictResolution(t *testing.T) {
 	}
 	if string(got) != "from-dc2" {
 		t.Fatalf("winner = %q, want the freshest write", got)
+	}
+}
+
+// TestReturnedMetaIsTheCallers: what Head and GetReader return is the
+// caller's own copy of the stored version; writing to it does not change
+// what the next Head reads.
+func TestReturnedMetaIsTheCallers(t *testing.T) {
+	b := newTestBroker(t, Config{StripeBytes: 1024})
+	e := b.Engine(0)
+	rule := core.Rule{Name: "pinned", Durability: 0.9999, Availability: 0.99, LockIn: 1, Zones: []cloud.Zone{cloud.ZoneEU, cloud.ZoneUS}}
+	if _, err := e.Put(ctx, "c", "k", testPayload(3000), PutOptions{Rule: &rule}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.Head(ctx, "c", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = want.clone()
+	scribble := func(m ObjectMeta) {
+		m.Chunks[0], m.Sums[0].Chunks[0], m.Sums[1] = "scribbled", 1, StripeSum{}
+		m.Rule.Name, m.Rule.Zones[0] = "scribbled", cloud.ZoneAPAC
+	}
+	head, err := e.Head(ctx, "c", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(head)
+	rc, meta, err := e.GetReader(ctx, "c", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(meta)
+	rc.Close()
+	rc, meta, err = e.GetRangeReader(ctx, "c", "k", 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(meta)
+	rc.Close()
+	if got, err := e.Head(ctx, "c", "k"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Head after the caller wrote to returned metas = %+v (%v), want %+v", got, err, want)
+	}
+}
+
+// TestNextEngineCounterOwnsItsCacheLine: every request writes NextEngine's
+// counter, so no other Broker field may share its 64-byte cache line,
+// wherever the broker lies in memory: none may lie within 56 bytes of it.
+func TestNextEngineCounterOwnsItsCacheLine(t *testing.T) {
+	typ := reflect.TypeOf(Broker{})
+	next, _ := typ.FieldByName("next")
+	counter, ok := next.Type.FieldByName("Uint64")
+	if !ok {
+		t.Fatalf("Broker.next is a %s, not a padded counter", next.Type)
+	}
+	const line = 64
+	lo := next.Offset + counter.Offset
+	hi := lo + counter.Type.Size()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "next" {
+			continue
+		}
+		if end := f.Offset + f.Type.Size(); end > hi-line && f.Offset < lo+line {
+			t.Errorf("Broker.%s [%d, %d) can share a cache line with the counter at [%d, %d)", f.Name, f.Offset, end, lo, hi)
+		}
 	}
 }
 
@@ -617,37 +686,6 @@ func TestOptimizeLeaderElection(t *testing.T) {
 	}
 	if rep.Leader != "engine0" {
 		t.Fatalf("leader = %s, want engine0", rep.Leader)
-	}
-	b.Engines()[0].SetAlive(false)
-	rep, err = b.Optimize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Leader != "engine1" {
-		t.Fatalf("leader after failure = %s, want engine1", rep.Leader)
-	}
-	for _, e := range b.Engines() {
-		e.SetAlive(false)
-	}
-	if _, err := b.Optimize(ctx); !errors.Is(err, ErrNoLeader) {
-		t.Fatalf("err = %v, want ErrNoLeader", err)
-	}
-}
-
-// TestPassOutlivesItsEngines: a pass reads the alive set once, so every
-// engine going down while the leader lists the objects leaves the pass
-// its leader and its shards instead of sharding over no engine at all.
-func TestPassOutlivesItsEngines(t *testing.T) {
-	b := newTestBroker(t, Config{EnginesPerDC: 2})
-	var tot passTotals
-	leader, objects, _, _, err := b.pass(ctx, "optimize", trigger{}, &tot, func(int64) []string {
-		for _, e := range b.Engines() {
-			e.SetAlive(false)
-		}
-		return []string{"c/k"}
-	})
-	if err != nil || leader != "engine0" || objects != 1 || tot.passes != 1 {
-		t.Fatalf("pass = %q, %d objects, %v, %d passes; want engine0, 1, nil, 1", leader, objects, err, tot.passes)
 	}
 }
 

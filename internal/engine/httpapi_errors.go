@@ -72,7 +72,6 @@ var wireErrors = []struct {
 	// Stored bytes the sums condemn, beyond what the spare chunks could
 	// cover: server trouble, and not the retryable kind.
 	{ErrChecksum, http.StatusInternalServerError, "checksum_mismatch"},
-	{ErrNoLeader, http.StatusServiceUnavailable, "unavailable"},
 	// The client went away mid-request; it will not read the status, but
 	// logs and tests should not see a 500.
 	{context.Canceled, http.StatusRequestTimeout, "request_cancelled"},

@@ -544,9 +544,7 @@ func TestMaintQueueWorkersAndDrainCountAlike(t *testing.T) {
 // TestDrainLosesNothingItTook: a drain takes the whole queue, so a pass
 // cut short must put back what it did not get through, and count only
 // the rest. A drain cancelled mid-pass leaves those queued for the next,
-// which moves every object off the victim; with no engine alive a drain
-// re-plans nothing and the queue stays as it was, and the background
-// drain neither spins on it nor stops: it tries again at the next enqueue.
+// which moves every object off the victim.
 func TestDrainLosesNothingItTook(t *testing.T) {
 	const n, size = 12, 1 << 20
 	t.Run("cancelled", func(t *testing.T) {
@@ -582,50 +580,6 @@ func TestDrainLosesNothingItTook(t *testing.T) {
 		}
 		wantVisibleEverywhere(t, b, n, size, victim)
 	})
-	for _, width := range []int{0, 2} {
-		t.Run(fmt.Sprintf("no engine alive, workers=%d", width), func(t *testing.T) {
-			b := newTestBroker(t, Config{MigrationHorizon: 1_000_000, ReoptWorkers: width})
-			victim := storeObjects(t, b, n, size)
-			invalidated := b.ProviderIndex().Count(victim)
-			for _, e := range b.Engines() {
-				e.SetAlive(false)
-			}
-			passes := func() uint64 { return b.metrics.stageDur.With("maint").Snapshot().Count }
-			raisePrices(t, b, victim)
-			if width > 0 {
-				for deadline := time.Now().Add(10 * time.Second); passes() == 0; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("the background drain never tried")
-					}
-				}
-				time.Sleep(20 * time.Millisecond)
-				if got := passes(); got != 1 {
-					t.Fatalf("the background drain made %d passes over a queue it cannot drain, want 1", got)
-				}
-			} else if got := b.DrainMaintenance(ctx); got != 0 {
-				t.Fatalf("drain with no engine alive re-planned %d", got)
-			}
-			if st := b.MaintStats(); st.QueueDepth != invalidated || st.Drained != 0 {
-				t.Fatalf("failed drain left %+v, want %d queued", st, invalidated)
-			}
-			for _, e := range b.Engines() {
-				e.SetAlive(true)
-			}
-			if width > 0 {
-				raisePrices(t, b, victim) // every object is queued already: only a wake-up
-				waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-				defer cancel()
-				if err := waitMaintIdle(waitCtx, b); err != nil {
-					t.Fatalf("background drain never went idle: %v (%+v)", err, b.MaintStats())
-				}
-			} else if got := b.DrainMaintenance(ctx); got != invalidated {
-				t.Fatalf("drain re-planned %d, want %d", got, invalidated)
-			}
-			if on := b.ProviderIndex().Count(victim); on != 0 {
-				t.Fatalf("%d objects still on %s", on, victim)
-			}
-		})
-	}
 }
 
 // TestCloseWaitsForJobs: Close returns only once every async job has

@@ -15,7 +15,7 @@ import (
 // them. A read that rejected a rotten chunk enqueues its object the same
 // way (Broker.noteRot). The queue is a deduplicated, depth-bounded set; a
 // drain takes all of it and re-plans it in one Broker.pass with the zero
-// trigger, the driver Optimize and Repair run, sharded over every alive
+// trigger, the driver Optimize and Repair run, sharded over every
 // engine: DrainMaintenance on request, the background drain
 // (Config.ReoptWorkers > 0) whenever something is enqueued. What a pass
 // cut short did not get through goes back in the queue.
@@ -138,8 +138,7 @@ func (m *maintQueue) drain(ctx context.Context) int {
 
 // background is the drain ReoptWorkers > 0 runs for the broker's
 // lifetime: a pass at every wake-up, which an enqueue leaves behind —
-// also one during a pass. What a failed pass left queued waits for the
-// next enqueue: the drain neither spins on it nor gives up.
+// also one during a pass.
 func (m *maintQueue) background(ctx context.Context) {
 	for {
 		select {

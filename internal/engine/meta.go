@@ -221,25 +221,20 @@ func NewUUID() string {
 	return fmt.Sprintf("%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
 }
 
-// rowVersion packs an ObjectMeta into an MVCC version. The version holds
-// a private copy of m as its Value: it lives exactly as long as the stored
-// version does, and every read of the row shares it, read-only.
+// rowVersion packs an ObjectMeta into an MVCC version. A stored version
+// is never written again (metadata.Version), and its Value is no
+// exception: the version holds a private copy of m, which lives exactly as
+// long as the stored version does. The writer keeps m to edit as it likes.
 func rowVersion(m ObjectMeta, timestamp int64) metadata.Version {
 	own := m.clone()
 	return metadata.Version{UUID: m.UUID, Timestamp: timestamp, Value: &own}
 }
 
-// decodeMeta unpacks an MVCC version into an ObjectMeta the caller owns.
-func decodeMeta(v metadata.Version) (ObjectMeta, error) {
-	m, err := viewMeta(v)
-	if err != nil {
-		return ObjectMeta{}, err
-	}
-	return m.clone(), nil
-}
-
-// viewMeta returns the ObjectMeta a version holds, to be read and not
-// written.
+// viewMeta returns the ObjectMeta a version holds: the stored value
+// itself, shared by every reader of the row, which reads it and never
+// writes it. A writer edits a clone, or builds a new ObjectMeta, and
+// stores that through rowVersion; what leaves the engine (Head, the meta
+// of GetReader) is a clone too.
 func viewMeta(v metadata.Version) (*ObjectMeta, error) {
 	if m, ok := v.Value.(*ObjectMeta); ok {
 		return m, nil

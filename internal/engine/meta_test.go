@@ -13,11 +13,11 @@ import (
 )
 
 // TestDecodedMetaIsPerVersionAndUnshared pins the row's value: a version
-// carries its own copy of the ObjectMeta it was made from, every decode is
-// the caller's own (no slice shared with the writer, the store or the next
-// decode) — the pinned rule and its zones included — and a swap — the same
-// UUID republished with a new timestamp, new Chunks and new Gens — decodes
-// to the new layout, never to the one remembered for that UUID.
+// carries its own copy of the ObjectMeta it was made from (no slice shared
+// with the writer, the pinned rule and its zones included), every read of
+// the row shares that one value, and a swap — the same UUID republished
+// with a new timestamp, new Chunks and new Gens — reads as the new layout,
+// never as the one remembered for that UUID.
 func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	meta := ObjectMeta{
 		Container: "c", Key: "k", Size: 5000, UUID: "u1", SKey: "s", M: 2,
@@ -36,38 +36,41 @@ func TestDecodedMetaIsPerVersionAndUnshared(t *testing.T) {
 	meta.Rule.Name, meta.Rule.Zones[0] = "writer", cloud.ZoneAPAC
 
 	store := metadata.NewStore("dc1")
-	if err := store.Put("row", v); err != nil {
+	if _, err := store.Put("row", v); err != nil {
 		t.Fatal(err)
 	}
+	var first *ObjectMeta
 	for round := 0; round < 2; round++ {
 		stored, _, err := store.Get("row")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stored.Value == nil {
-			t.Fatal("the stored version lost its value")
+		got, err := viewMeta(stored)
+		if err != nil || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("round %d: read %+v (%v), want %+v", round, got, err, want)
 		}
-		got, err := decodeMeta(stored)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: decoded %+v (%v), want %+v", round, got, err, want)
+		if first == nil {
+			first = got
+		} else if got != first {
+			t.Fatal("two reads of one version hold two values: a read copied it")
 		}
-		got.Chunks[0], got.Sums[0].Chunks[0], got.PartStripes[1], got.Gens[0] = "reader", 77, 7, 77
-		got.Sums[1] = StripeSum{}
-		got.Rule.Name, got.Rule.Zones[1] = "reader", cloud.ZoneAPAC
 	}
 
 	swapped := want
 	swapped.Chunks = []string{"A", "D", "C"}
 	swapped.Gens = []uint64{4, 12, 4, 5, 12, 5}
-	if err := store.Put("row", rowVersion(swapped, 8)); err != nil {
+	if _, err := store.Put("row", rowVersion(swapped, 8)); err != nil {
 		t.Fatal(err)
 	}
 	stored, _, err := store.Get("row")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeMeta(stored); err != nil || stored.UUID != "u1" || !reflect.DeepEqual(got, swapped) {
-		t.Fatalf("after the swap: decoded %+v (%v), want %+v", got, err, swapped)
+	if got, err := viewMeta(stored); err != nil || stored.UUID != "u1" || !reflect.DeepEqual(*got, swapped) {
+		t.Fatalf("after the swap: read %+v (%v), want %+v", got, err, swapped)
+	}
+	if !reflect.DeepEqual(*first, want) {
+		t.Fatalf("the swap changed the version it replaced: %+v", *first)
 	}
 }
 
@@ -106,9 +109,10 @@ func TestMalformedGensFailClosed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMeta parses arbitrary JSON as an ObjectMeta, stores it through
-// rowVersion and decodeMeta, runs it through layoutOf and names every chunk
-// of what comes out: hostile or damaged rows may fail, never panic.
+// FuzzDecodeMeta parses arbitrary JSON as an ObjectMeta, packs it through
+// rowVersion and reads it back through viewMeta, runs it through layoutOf
+// and names every chunk of what comes out: hostile or damaged rows may
+// fail, never panic.
 func FuzzDecodeMeta(f *testing.F) {
 	seed, err := json.Marshal(ObjectMeta{
 		Container: "c", Key: "k", Size: 5000, UUID: "u1", SKey: "s", M: 2,
@@ -131,11 +135,11 @@ func FuzzDecodeMeta(f *testing.F) {
 		if json.Unmarshal([]byte(column), &parsed) != nil {
 			return
 		}
-		meta, err := decodeMeta(rowVersion(parsed, 1))
+		meta, err := viewMeta(rowVersion(parsed, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _ := e.layoutOf(meta) // a layout that failed must still not panic whoever deletes through it
+		l, _ := e.layoutOf(*meta) // a layout that failed must still not panic whoever deletes through it
 		for s := 0; s < min(l.stripes, 64); s++ {
 			l.stripeLen(s)
 			for i := range l.names {

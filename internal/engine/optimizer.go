@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -36,9 +35,6 @@ type OptimizeReport struct {
 	PlannerHits   uint64
 	PlannerMisses uint64
 }
-
-// ErrNoLeader is returned when no engine is alive to lead a round.
-var ErrNoLeader = errors.New("engine: no alive engine for leader election")
 
 // Optimize runs one optimization procedure: a leader elected among all
 // engines retrieves the set A of objects accessed since the last round,
@@ -118,33 +114,23 @@ type trigger struct {
 }
 
 // pass is the one maintenance driver, under all three triggers — Optimize,
-// Repair and the market-event queue's drain (Fig. 7, steps 1-4): a leader
-// elected among the alive engines lists the pass's objects, splits them
-// evenly across the alive engines, and each engine runs the per-object
-// step over its share in parallel. The summed outcome is also folded into
-// the lifetime totals tot. The alive set is read once: the leader is its
-// lowest id — a deterministic stand-in for the paper's leader election
-// among engines of all datacenters — and its members take the shards,
-// even if one goes down meanwhile. A pass cut short by ctx counts as
-// objects only the steps it finished; rest holds the others.
+// Repair and the market-event queue's drain (Fig. 7, steps 1-4): the
+// leader lists the pass's objects, splits them evenly across the engines,
+// and each engine runs the per-object step over its share in parallel.
+// The summed outcome is also folded into the lifetime totals tot. The
+// leader is the engine with the lowest id — a deterministic stand-in for
+// the paper's leader election among engines of all datacenters. A pass
+// cut short by ctx counts as objects only the steps it finished; rest
+// holds the others, and err is ctx's.
 func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTotals,
 	list func(now int64) []string) (leader string, objects int, sum outcome, rest []string, err error) {
 	defer b.observeStage(obs.TraceFrom(ctx), stage, time.Now())
-	var alive []*Engine
-	for _, e := range b.engines {
-		if e.Alive() {
-			alive = append(alive, e)
-		}
-	}
-	if len(alive) == 0 {
-		return "", 0, sum, nil, ErrNoLeader
-	}
-	leader = slices.MinFunc(alive, func(x, y *Engine) int { return strings.Compare(x.id, y.id) }).id
+	leader = b.engines[0].id // engines are numbered from 0
 	now := b.clock.Period()
 	objs := list(now)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for i, shard := range shardObjects(objs, len(alive)) {
+	for i, shard := range shardObjects(objs, len(b.engines)) {
 		if len(shard) == 0 {
 			continue
 		}
@@ -165,7 +151,7 @@ func (b *Broker) pass(ctx context.Context, stage string, t trigger, tot *passTot
 			objects += done
 			rest = append(rest, shard[done:]...)
 			mu.Unlock()
-		}(alive[i], shard)
+		}(b.engines[i], shard)
 	}
 	wg.Wait()
 	b.mu.Lock()
@@ -204,18 +190,20 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 	if !ok {
 		return out
 	}
-	meta, err := e.Head(ctx, container, key)
+	row := RowKey(container, key)
+	stored, err := e.rowMeta(row)
 	if err != nil {
 		return out
 	}
 	out.checked = 1
 	// Chunks a read found rotten come first, whatever brought the pass
 	// here; the step then goes on with the healed row.
-	if e.healRot(ctx, obj, meta, &out) {
-		if meta, err = e.Head(ctx, container, key); err != nil {
+	if e.healRot(ctx, obj, *stored, &out) {
+		if stored, err = e.rowMeta(row); err != nil {
 			return out
 		}
 	}
+	meta := *stored // the stored version's fields, its slices shared: read only
 	view := e.b.marketView(now)
 	why := core.CostDriven
 	if t.degraded {

@@ -38,7 +38,7 @@ import (
 // objectReader streams a byte range of a stored object, stripe by stripe.
 type objectReader struct {
 	e    *Engine
-	meta ObjectMeta
+	meta ObjectMeta // the stored version's fields, its slices shared: read only
 	obj  string
 	// cacheID is the stripe-cache identity of this object VERSION:
 	// objectName plus the version UUID. Versioned keys make the cache
@@ -118,7 +118,7 @@ func (e *Engine) openObject(ctx context.Context, container, key string, userRead
 		e.b.reaper.unpin(obj, pin)
 		return nil, err
 	}
-	return &objectReader{e: e, meta: meta, obj: obj, cacheID: meta.cacheID(), userRead: userRead, pin: pin}, nil
+	return &objectReader{e: e, meta: *meta, obj: obj, cacheID: meta.cacheID(), userRead: userRead, pin: pin}, nil
 }
 
 // begin starts the stream of [offset, offset+length) (length -1: to the
@@ -222,7 +222,7 @@ func (or *objectReader) refresh(stale *readVia) *readVia {
 	}
 	cur, err := or.e.rowMeta(RowKey(or.meta.Container, or.meta.Key))
 	if err == nil && cur.UUID == or.meta.UUID {
-		if fresh, err := or.e.readViaOf(cur); err == nil {
+		if fresh, err := or.e.readViaOf(*cur); err == nil {
 			or.via.CompareAndSwap(stale, fresh)
 		}
 	}

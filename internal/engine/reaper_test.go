@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -326,11 +327,14 @@ func TestHeldStreamsThroughRepairChurn(t *testing.T) {
 // datacenters — on, small enough to evict — so overwrites and migrations
 // hand cached stripes on (write-update, re-key) under the same races.
 func TestSharedKeyHammer(t *testing.T) {
-	t.Run("cache-off", func(t *testing.T) { sharedKeyHammer(t, 0) })
-	t.Run("cache-on", func(t *testing.T) { sharedKeyHammer(t, 8<<10) })
+	t.Run("cache-off", func(t *testing.T) { sharedKeyHammer(t, 0, nil) })
+	t.Run("cache-on", func(t *testing.T) { sharedKeyHammer(t, 8<<10, nil) })
 }
 
-func sharedKeyHammer(t *testing.T, cacheBytes int64) {
+// sharedKeyHammer runs TestSharedKeyHammer's mix on a broker of its own,
+// which it returns. watch, if not nil, is started once the keys are
+// stored, and the stop function it returns is called when the mix is done.
+func sharedKeyHammer(t *testing.T, cacheBytes int64, watch func(b *Broker) (stop func())) *Broker {
 	const (
 		stripe              = 1024
 		readers, writers    = 4, 2
@@ -379,6 +383,10 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 		}
 	}
 
+	stopWatch := func() {}
+	if watch != nil {
+		stopWatch = watch(b)
+	}
 	var wg sync.WaitGroup
 	run := func(n int, seed int64, step func(e *Engine, rng *rand.Rand) error) {
 		wg.Add(1)
@@ -465,6 +473,7 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 		return err
 	})
 	wg.Wait()
+	stopWatch()
 	for _, r := range seen {
 		want, ok := oracle.Load(r.etag)
 		if !ok {
@@ -500,6 +509,128 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64) {
 	if n := b.ReadStats().CorruptChunks; n != 0 {
 		t.Errorf("%d chunks failed their sum: somebody wrote to bytes it had borrowed", n)
 	}
+	return b
+}
+
+// storedVersions remembers every stored ObjectMeta it has seen on the
+// watched rows, each with a deep snapshot taken when it first saw it.
+type storedVersions struct {
+	b    *Broker
+	rows []string
+	mu   sync.Mutex
+	seen map[*ObjectMeta]ObjectMeta
+}
+
+// observe snapshots the stored versions of the watched rows it has not
+// seen yet, in every datacenter.
+func (sv *storedVersions) observe() {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	for _, dc := range sv.b.cfg.Datacenters {
+		for _, row := range sv.rows {
+			heads, _ := sv.b.meta.Store(dc).Heads(row)
+			for _, v := range heads {
+				if m, err := viewMeta(v); err == nil {
+					if _, ok := sv.seen[m]; !ok {
+						sv.seen[m] = m.clone()
+					}
+				}
+			}
+		}
+	}
+}
+
+// follow observes until the returned stop is called.
+func (sv *storedVersions) follow() (stop func()) {
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			sv.observe()
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	return func() { close(done); <-exited }
+}
+
+// TestStoredVersionsStayAsPublished: a stored version is never written
+// again, by any engine path. TestSharedKeyHammer's mix — reads, overwrites,
+// deletes, migrations by the optimizer and the event queue — runs while
+// every version stored on its rows is snapshotted as it appears, and then a
+// multipart completion, a repair that swaps chunks and a re-plan that
+// migrates run on the same broker. At the end every version seen, stored
+// or superseded, must still equal its snapshot.
+func TestStoredVersionsStayAsPublished(t *testing.T) {
+	sv := &storedVersions{seen: make(map[*ObjectMeta]ObjectMeta)}
+	for _, key := range []string{"k0", "k1", "k2", "mp"} {
+		sv.rows = append(sv.rows, RowKey("hammer", key))
+	}
+	b := sharedKeyHammer(t, 8<<10, func(b *Broker) func() {
+		sv.b = b
+		return sv.follow()
+	})
+	e := b.Engine(0)
+	for i, name := range []string{"A", "B", "C"} { // the prices repairMarket started with
+		if _, err := b.SetProviderPricing(name, cloud.Pricing{StorageGBMonth: 0.10 + 0.01*float64(i), BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.DrainMaintenance(ctx)
+
+	up, err := e.CreateUpload(ctx, "hammer", "mp", 3000, PutOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []CompletedPart
+	for i, size := range []int{2048, 952} { // the stripe is 1024 bytes
+		p, err := e.UploadPart(ctx, up.UploadID, i+1, bytes.NewReader(testPayload(size)), int64(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, CompletedPart{PartNumber: i + 1, ETag: p.ETag})
+	}
+	mp, err := e.CompleteUpload(ctx, up.UploadID, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.observe()
+
+	victim := mp.Chunks[0]
+	if _, err := b.SetProviderAvailable(victim, false); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := b.Repair(ctx, RepairActive); err != nil || rep.Swapped == 0 {
+		t.Fatalf("repair with %s down = %+v, %v; want a swap", victim, rep, err)
+	}
+	if _, err := b.SetProviderAvailable(victim, true); err != nil {
+		t.Fatal(err)
+	}
+	b.DrainMaintenance(ctx)
+	sv.observe()
+
+	swapped, err := e.Head(ctx, "hammer", "mp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.SetProviderPricing(swapped.Chunks[0], cloud.Pricing{StorageGBMonth: 500, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	b.DrainMaintenance(ctx)
+	if moved, err := e.Head(ctx, "hammer", "mp"); err != nil || moved.UUID == swapped.UUID {
+		t.Fatalf("no migration off the priced-out %s: %v", swapped.Chunks[0], err)
+	}
+	sv.observe()
+
+	for m, snap := range sv.seen {
+		if !reflect.DeepEqual(*m, snap) {
+			t.Errorf("stored version %s changed after it was stored:\n now  %+v\n then %+v", snap.UUID, *m, snap)
+		}
+	}
+	t.Logf("%d stored versions checked", len(sv.seen))
 }
 
 // TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans: a delete in

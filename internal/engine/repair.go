@@ -166,7 +166,7 @@ func (b *Broker) RepairTotals() RepairTotals {
 // single-provider outage costs O(affected), not O(store). Under
 // RepairActive each affected object is repaired by the cheapest
 // feasible mechanism — chunk swap first, full re-placement as the
-// fallback. Like Optimize, the scan is sharded across all alive engines
+// fallback. Like Optimize, the scan is sharded across all engines
 // and runs in parallel.
 func (b *Broker) Repair(ctx context.Context, policy RepairPolicy) (RepairReport, error) {
 	// One pass at a time: two would do every swap twice (see repairMu).

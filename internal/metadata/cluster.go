@@ -13,10 +13,11 @@ type replEvent struct {
 // Cluster wires several datacenter Stores into a multi-master replicated
 // database. A write is delivered to every peer it can reach before Put
 // returns; a peer behind a severed link (Partition) or down keeps the
-// write queued, and Flush delivers the queues once the link is back.
-// Anti-entropy synchronization reconciles full version sets after
-// recovery. Reads are served by the local node (eventual consistency),
-// matching the paper's Cassandra deployment.
+// write queued, and Flush — the one heal path — delivers the queues once
+// the link is back. A conflict one node collapses on a read is collapsed
+// by every other node on its own read, to the same winner. Reads are
+// served by the local node (eventual consistency), matching the paper's
+// Cassandra deployment.
 type Cluster struct {
 	// flushMu serializes Flush calls: one that takes events off the
 	// queues delivers them before the next looks, so a returning Flush
@@ -48,9 +49,6 @@ func NewCluster(stores ...*Store) *Cluster {
 	return c
 }
 
-// Stores returns the member nodes.
-func (c *Cluster) Stores() []*Store { return c.stores }
-
 // Store returns the node with the given name, or nil.
 func (c *Cluster) Store(node string) *Store {
 	for _, s := range c.stores {
@@ -73,10 +71,7 @@ func (c *Cluster) Put(node, row string, v Version) error {
 	if src == nil {
 		return ErrNodeDown
 	}
-	if err := src.Put(row, v); err != nil {
-		return err
-	}
-	heads, err := src.Heads(row)
+	heads, err := src.Put(row, v)
 	if err != nil {
 		return err
 	}
@@ -170,46 +165,4 @@ func (c *Cluster) Flush() int {
 		}
 	}
 	return delivered
-}
-
-// AntiEntropy performs a full pairwise reconciliation: every node's
-// version sets are exchanged and merged, converging all reachable nodes
-// to identical row states (Cassandra's repair path; run after partitions
-// heal).
-func (c *Cluster) AntiEntropy() {
-	for _, src := range c.stores {
-		if !src.Available() {
-			continue
-		}
-		snapshot := src.dump()
-		for _, dst := range c.stores {
-			if dst == src || !dst.Available() {
-				continue
-			}
-			c.mu.Lock()
-			linked := c.links[src.Node()][dst.Node()]
-			c.mu.Unlock()
-			if !linked {
-				continue
-			}
-			for row, versions := range snapshot {
-				for _, v := range versions {
-					dst.merge(row, v) //nolint:errcheck // down nodes re-sync later
-				}
-			}
-		}
-	}
-}
-
-// PendingReplication counts undelivered replication events.
-func (c *Cluster) PendingReplication() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, byDst := range c.queues {
-		for _, events := range byDst {
-			n += len(events)
-		}
-	}
-	return n
 }

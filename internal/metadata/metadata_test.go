@@ -3,8 +3,12 @@ package metadata
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -88,7 +92,7 @@ func ver(uuid string, ts int64, cols map[string]string) Version {
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore("dc1")
-	if err := s.Put("row1", ver("u1", 100, map[string]string{"meta": "a"})); err != nil {
+	if _, err := s.Put("row1", ver("u1", 100, map[string]string{"meta": "a"})); err != nil {
 		t.Fatal(err)
 	}
 	got, losers, err := s.Get("row1")
@@ -129,17 +133,107 @@ func TestStoreVersionIsolation(t *testing.T) {
 	if got.Columns["k"] != "v" {
 		t.Error("store must deep-copy versions")
 	}
-	got.Columns["k"] = "mutated2"
-	again, _, _ := s.Get("r")
-	if again.Columns["k"] != "v" {
-		t.Error("returned versions must be copies")
+}
+
+// TestStoredVersionsNeverChange: a version Get, Heads or Scan returned is
+// the stored one, shared, and still reads the same after later Puts,
+// Flushes and a collapse of its row — every write builds a new version
+// instead of editing one.
+func TestStoredVersionsNeverChange(t *testing.T) {
+	c, dc1, _ := twoDC()
+	c.Put("dc1", "r", ver("a", 1, map[string]string{"k": "a"}))
+	c.Put("dc1", "s", ver("x", 1, map[string]string{"k": "x"}))
+	type held struct {
+		v     Version
+		clock VectorClock
+		cols  map[string]string
+	}
+	var seen []held
+	hold := func(vs ...Version) {
+		for _, v := range vs {
+			seen = append(seen, held{v, v.Clock.Clone(), maps.Clone(v.Columns)})
+		}
+	}
+	got, _, err := dc1.Get("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads, _ := dc1.Heads("r")
+	scanned, _ := dc1.Scan()
+	hold(got)
+	hold(heads...)
+	hold(scanned...)
+
+	c.Partition("dc1", "dc2")
+	c.Put("dc1", "r", ver("b", 2, map[string]string{"k": "b"}))
+	c.Put("dc2", "r", ver("c", 3, map[string]string{"k": "c"}))
+	c.Put("dc1", "s", ver("y", 2, map[string]string{"k": "y"}))
+	c.Heal("dc1", "dc2")
+	c.Flush()
+	heads, _ = dc1.Heads("r")
+	hold(heads...)
+	if len(heads) != 2 {
+		t.Fatalf("%d heads, want the conflict staged", len(heads))
+	}
+	if winner, losers, err := dc1.Get("r"); err != nil || winner.UUID != "c" || len(losers) != 1 {
+		t.Fatalf("collapse = %+v, %+v, %v", winner, losers, err)
+	}
+	c.Put("dc2", "r", ver("d", 4, map[string]string{"k": "d"}))
+	c.Flush()
+
+	for _, h := range seen {
+		if h.v.Clock.Compare(h.clock) != Equal || !maps.Equal(h.v.Columns, h.cols) || h.v.Columns["k"] != h.v.UUID {
+			t.Errorf("version %s changed: clock %v -> %v, columns %v -> %v", h.v.UUID, h.clock, h.v.Clock, h.cols, h.v.Columns)
+		}
+	}
+}
+
+// TestGetCollapseKeepsRacingWrite: a Get that collapses a conflicted row
+// races a Put on it. The Put's version dominates every head it saw, so
+// whichever lands first, it must be a head afterwards: a collapse of the
+// heads read before the Put would overwrite it, and the acknowledged
+// write would be neither served nor retired at that node.
+func TestGetCollapseKeepsRacingWrite(t *testing.T) {
+	const rounds = 5000
+	lost := 0
+	for i := 0; i < rounds; i++ {
+		c, dc1, _ := twoDC()
+		c.Partition("dc1", "dc2")
+		c.Put("dc1", "r", ver("a", 1, nil))
+		c.Put("dc2", "r", ver("b", 2, nil))
+		c.Heal("dc1", "dc2")
+		c.Flush()
+		var arrived atomic.Int32
+		meet := func() { // start both calls at once
+			for arrived.Add(1); arrived.Load() < 2; {
+				runtime.Gosched()
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			meet()
+			dc1.Get("r") //nolint:errcheck
+		}()
+		meet()
+		if err := c.Put("dc1", "r", ver("c", 3, nil)); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		heads, err := dc1.Heads("r")
+		if err != nil || !slices.ContainsFunc(heads, func(v Version) bool { return v.UUID == "c" }) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acknowledged writes lost to a racing collapse", lost, rounds)
 	}
 }
 
 func TestStoreTombstone(t *testing.T) {
 	s := NewStore("dc1")
 	s.Put("r", ver("u1", 1, nil))
-	if err := s.Put("r", Version{UUID: "u2", Timestamp: 2, Deleted: true}); err != nil {
+	if _, err := s.Put("r", Version{UUID: "u2", Timestamp: 2, Deleted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get("r"); !errors.Is(err, ErrRowNotFound) {
@@ -196,7 +290,7 @@ func TestStoreDownNode(t *testing.T) {
 	s := NewStore("dc1")
 	s.Put("r", ver("u1", 1, nil))
 	s.SetAvailable(false)
-	if err := s.Put("r", ver("u2", 2, nil)); !errors.Is(err, ErrNodeDown) {
+	if _, err := s.Put("r", ver("u2", 2, nil)); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("Put on down node: %v", err)
 	}
 	if _, _, err := s.Get("r"); !errors.Is(err, ErrNodeDown) {
@@ -245,9 +339,6 @@ func TestClusterReplication(t *testing.T) {
 	c, _, dc2 := twoDC()
 	if err := c.Put("dc1", "r", ver("u1", 100, map[string]string{"m": "x"})); err != nil {
 		t.Fatal(err)
-	}
-	if n := c.PendingReplication(); n != 0 {
-		t.Fatalf("%d events queued behind an open link", n)
 	}
 	got, _, err := dc2.Get("r")
 	if err != nil {
@@ -326,24 +417,6 @@ func TestClusterTombstoneWinnerReportsLiveLoser(t *testing.T) {
 	}
 }
 
-func TestClusterResolutionConverges(t *testing.T) {
-	c, dc1, dc2 := twoDC()
-	c.Partition("dc1", "dc2")
-	c.Put("dc1", "r", ver("a", 100, nil))
-	c.Put("dc2", "r", ver("b", 200, nil))
-	c.Heal("dc1", "dc2")
-	c.Flush()
-	dc1.Get("r") // resolve at dc1
-	c.AntiEntropy()
-	heads, err := dc2.Heads("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(heads) != 1 || heads[0].UUID != "b" {
-		t.Fatalf("dc2 after anti-entropy: %+v", heads)
-	}
-}
-
 func TestClusterPartitionAndHeal(t *testing.T) {
 	c, dc1, dc2 := twoDC()
 	c.Partition("dc1", "dc2")
@@ -351,9 +424,6 @@ func TestClusterPartitionAndHeal(t *testing.T) {
 	c.Flush()
 	if _, _, err := dc2.Get("r"); !errors.Is(err, ErrRowNotFound) {
 		t.Fatal("partitioned peer must not receive the write")
-	}
-	if c.PendingReplication() == 0 {
-		t.Fatal("events must queue during the partition")
 	}
 	c.Heal("dc1", "dc2")
 	c.Flush()
@@ -372,11 +442,10 @@ func TestClusterQueueKeepsOrder(t *testing.T) {
 	c.Put("dc1", "r", ver("u1", 100, nil))
 	c.Heal("dc1", "dc2")
 	c.Put("dc1", "s", ver("u2", 200, nil))
-	if _, _, err := dc2.Get("s"); !errors.Is(err, ErrRowNotFound) {
-		t.Fatalf("a write jumped the queue: dc2 has s (%v)", err)
-	}
-	if n := c.PendingReplication(); n != 2 {
-		t.Fatalf("%d events queued, want 2", n)
+	for _, row := range []string{"r", "s"} {
+		if _, _, err := dc2.Get(row); !errors.Is(err, ErrRowNotFound) {
+			t.Fatalf("a write jumped the queue: dc2 has %s (%v)", row, err)
+		}
 	}
 	if n := c.Flush(); n != 2 {
 		t.Fatalf("Flush delivered %d, want 2", n)
@@ -389,8 +458,8 @@ func TestClusterQueueKeepsOrder(t *testing.T) {
 		}
 	}
 	c.Put("dc1", "t", ver("u3", 300, nil))
-	if _, _, err := dc2.Get("t"); err != nil || c.PendingReplication() != 0 {
-		t.Fatalf("after Flush writes are direct again: %v, %d queued", err, c.PendingReplication())
+	if _, _, err := dc2.Get("t"); err != nil {
+		t.Fatalf("after Flush writes are direct again: %v", err)
 	}
 }
 
@@ -423,13 +492,11 @@ func TestClusterWritesSurviveSingleDCOutage(t *testing.T) {
 }
 
 func TestClusterTombstoneReplicates(t *testing.T) {
-	c, dc1, dc2 := twoDC()
+	c, _, dc2 := twoDC()
 	c.Put("dc1", "r", ver("u1", 100, nil))
-	c.Flush()
-	if err := dc1.Put("r", Version{UUID: "u2", Timestamp: 200, Deleted: true}); err != nil {
+	if err := c.Put("dc1", "r", Version{UUID: "u2", Timestamp: 200, Deleted: true}); err != nil {
 		t.Fatal(err)
 	}
-	c.AntiEntropy()
 	if _, _, err := dc2.Get("r"); !errors.Is(err, ErrRowNotFound) {
 		t.Fatalf("tombstone must replicate, got %v", err)
 	}
@@ -442,7 +509,7 @@ func TestClusterThreeDatacenters(t *testing.T) {
 	c.Put("dc2", "b", ver("u2", 2, nil))
 	c.Put("dc3", "c", ver("u3", 3, nil))
 	c.Flush()
-	for _, s := range c.Stores() {
+	for _, s := range []*Store{dc1, dc2, dc3} {
 		if got := len(scanUUIDs(t, s)); got != 3 {
 			t.Fatalf("%s has %d rows, want 3", s.Node(), got)
 		}
@@ -450,7 +517,7 @@ func TestClusterThreeDatacenters(t *testing.T) {
 }
 
 func TestClusterConcurrentUse(t *testing.T) {
-	c, _, _ := twoDC()
+	c, a, b := twoDC()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -468,15 +535,13 @@ func TestClusterConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	c.AntiEntropy()
+	c.Flush()
 	// Resolve everything everywhere; stores must converge.
-	for _, s := range c.Stores() {
+	for _, s := range []*Store{a, b} {
 		for j := 0; j < 5; j++ {
 			s.Get(fmt.Sprintf("r%d", j)) //nolint:errcheck
 		}
 	}
-	c.AntiEntropy()
-	a, b := c.Stores()[0], c.Stores()[1]
 	for j := 0; j < 5; j++ {
 		row := fmt.Sprintf("r%d", j)
 		va, _, _ := a.Get(row)

@@ -7,9 +7,9 @@ import (
 )
 
 // TestClusterConvergenceProperty drives random write/partition/heal
-// schedules against a 2-3 DC cluster and checks that after healing,
-// anti-entropy and conflict resolution every node agrees on every row —
-// the eventual-consistency guarantee §III-D3 relies on.
+// schedules against a 2-3 DC cluster and checks that after healing, a
+// Flush of the queues and conflict resolution every node agrees on every
+// row — the eventual-consistency guarantee §III-D3 relies on.
 func TestClusterConvergenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,14 +56,12 @@ func TestClusterConvergenceProperty(t *testing.T) {
 			c.Heal("dc1", "dc2")
 		}
 		c.Flush()
-		c.AntiEntropy()
-		// Resolve all conflicts everywhere, then re-sync the resolutions.
+		// Resolve all conflicts everywhere.
 		for _, s := range nodes {
 			for r := 0; r < 5; r++ {
 				s.Get(fmt.Sprintf("row%d", r)) //nolint:errcheck
 			}
 		}
-		c.AntiEntropy()
 
 		// All nodes must agree on the winning version of every row.
 		ref := nodes[0]
@@ -117,7 +115,6 @@ func TestFreshestAlwaysWinsProperty(t *testing.T) {
 		}
 		c.Heal("dc1", "dc2")
 		c.Flush()
-		c.AntiEntropy()
 		for _, s := range []*Store{dc1, dc2} {
 			got, _, err := s.Get("r")
 			if err != nil {

@@ -3,7 +3,7 @@ package metadata
 import (
 	"errors"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -11,16 +11,19 @@ import (
 // row key maps to one or more versions keyed by UUID, each carrying a
 // timestamp used for freshest-wins conflict resolution. Value holds the
 // file metadata and striping metadata (Fig. 11), opaque to the store.
+//
+// A stored version is never written again. The store copies the version
+// a caller puts, builds a new one when it collapses a conflict, and
+// otherwise hands versions out, and takes replicated ones in, as they are:
+// every holder shares the stored Clock, Columns and Value, and reads them
+// only.
 type Version struct {
 	UUID      string
 	Timestamp int64 // engines are NTP-synchronized; ties break on UUID
 	Clock     VectorClock
 	Columns   map[string]string // string columns, for writers that keep them
 	Deleted   bool              // tombstone
-	// Value is the writer's value. It is shared by every copy of the
-	// version — it lives and dies with the stored version — so whoever
-	// reads it must treat it as immutable.
-	Value any
+	Value     any               // the writer's value
 }
 
 // Clone returns a deep copy of the version; Value is carried by
@@ -56,7 +59,6 @@ type Store struct {
 	mu   sync.RWMutex
 	rows map[string][]Version
 	down bool
-	seq  uint64
 }
 
 // NewStore returns an empty node named node (e.g. "dc1").
@@ -81,14 +83,15 @@ func (s *Store) Available() bool {
 	return !s.down
 }
 
-// Put writes a new version of row. The version's clock is advanced with
-// this node's counter (merged over the row's current heads so causally
-// later writes dominate earlier ones seen here).
-func (s *Store) Put(row string, v Version) error {
+// Put writes a new version of row and returns the row's heads as they
+// stand after the write. The version stored is a copy of v, its clock
+// advanced with this node's counter (merged over the row's current heads
+// so causally later writes dominate earlier ones seen here).
+func (s *Store) Put(row string, v Version) ([]Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
-		return ErrNodeDown
+		return nil, ErrNodeDown
 	}
 	v = v.Clone()
 	if v.Clock == nil {
@@ -97,10 +100,9 @@ func (s *Store) Put(row string, v Version) error {
 	for _, head := range s.rows[row] {
 		v.Clock.Merge(head.Clock)
 	}
-	s.seq++
 	v.Clock.Tick(s.node)
 	s.insertLocked(row, v)
-	return nil
+	return slices.Clone(s.rows[row]), nil
 }
 
 // insertLocked merges v into the row's version set, dropping any version
@@ -122,14 +124,15 @@ func (s *Store) insertLocked(row string, v Version) {
 	s.rows[row] = append(heads, v)
 }
 
-// merge applies a replicated version without ticking the local clock.
+// merge stores a replicated version as received, without ticking the
+// local clock.
 func (s *Store) merge(row string, v Version) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
 		return ErrNodeDown
 	}
-	s.insertLocked(row, v.Clone())
+	s.insertLocked(row, v)
 	return nil
 }
 
@@ -141,15 +144,24 @@ func (s *Store) Heads(row string) ([]Version, error) {
 	if s.down {
 		return nil, ErrNodeDown
 	}
-	heads := s.rows[row]
+	return newestFirst(s.rows[row])
+}
+
+// newestFirst copies a row's heads, newest first; s.mu is held.
+func newestFirst(heads []Version) ([]Version, error) {
 	if len(heads) == 0 {
 		return nil, ErrRowNotFound
 	}
-	out := make([]Version, len(heads))
-	for i, h := range heads {
-		out[i] = h.Clone()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Newer(out[j]) })
+	out := slices.Clone(heads)
+	slices.SortFunc(out, func(a, b Version) int {
+		switch {
+		case a.Newer(b):
+			return -1
+		case b.Newer(a):
+			return 1
+		}
+		return 0
+	})
 	return out, nil
 }
 
@@ -161,25 +173,24 @@ func (s *Store) Heads(row string) ([]Version, error) {
 // and the losers — the only record left of the live versions the delete
 // raced — are still returned.
 func (s *Store) Get(row string) (Version, []Version, error) {
-	heads, err := s.Heads(row)
-	if err != nil {
-		return Version{}, nil, err
+	s.mu.RLock()
+	heads, down := s.rows[row], s.down
+	var winner Version
+	if len(heads) == 1 {
+		winner = heads[0] // insertLocked reuses the row's array: copy it under the lock
 	}
-	winner, losers := heads[0], heads[1:]
-	if len(losers) > 0 {
-		// Collapse the row to the winner; its clock absorbs the losers' so
-		// replication converges.
-		s.mu.Lock()
-		if !s.down {
-			merged := winner.Clone()
-			for _, l := range losers {
-				merged.Clock.Merge(l.Clock)
-			}
-			merged.Clock.Tick(s.node)
-			s.rows[row] = []Version{merged}
-			winner = merged
+	s.mu.RUnlock()
+	var losers []Version
+	switch {
+	case down:
+		return Version{}, nil, ErrNodeDown
+	case len(heads) == 0:
+		return Version{}, nil, ErrRowNotFound
+	case len(heads) > 1:
+		var err error
+		if winner, losers, err = s.collapse(row); err != nil {
+			return Version{}, nil, err
 		}
-		s.mu.Unlock()
 	}
 	if winner.Deleted {
 		return Version{}, losers, ErrRowNotFound
@@ -187,11 +198,37 @@ func (s *Store) Get(row string) (Version, []Version, error) {
 	return winner, losers, nil
 }
 
+// collapse resolves a conflicted row in one critical section: it reads
+// the heads again, so a version stored since Get looked is resolved with
+// them rather than overwritten, and replaces them with a new version of
+// the winner whose clock absorbs the losers', so the row's next write
+// here dominates them all at every peer too.
+func (s *Store) collapse(row string) (Version, []Version, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.down {
+		return Version{}, nil, ErrNodeDown
+	}
+	heads, err := newestFirst(s.rows[row])
+	if err != nil {
+		return Version{}, nil, err
+	}
+	if len(heads) == 1 {
+		return heads[0], nil, nil
+	}
+	merged := heads[0]
+	merged.Clock = merged.Clock.Clone()
+	for _, l := range heads[1:] {
+		merged.Clock.Merge(l.Clock)
+	}
+	merged.Clock.Tick(s.node)
+	s.rows[row] = []Version{merged}
+	return merged, heads[1:], nil
+}
+
 // Scan returns the winning version of every row, resolved as Get resolves
 // it, in no particular order; a row a tombstone wins is left out. It is
-// read-only: a conflict is resolved for the caller, not collapsed. The
-// versions share their Columns and Value with the store: read them, do
-// not write them.
+// read-only: a conflict is resolved for the caller, not collapsed.
 func (s *Store) Scan() ([]Version, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -218,19 +255,4 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.rows)
-}
-
-// dump snapshots every version of every row for anti-entropy exchange.
-func (s *Store) dump() map[string][]Version {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string][]Version, len(s.rows))
-	for row, heads := range s.rows {
-		vs := make([]Version, len(heads))
-		for i, h := range heads {
-			vs[i] = h.Clone()
-		}
-		out[row] = vs
-	}
-	return out
 }

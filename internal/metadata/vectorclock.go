@@ -2,9 +2,8 @@
 // from-scratch multi-master NoSQL key-value store with multi-version
 // concurrency control, vector-clock conflict detection (the paper's
 // "anti-entropy mechanisms such as vector clocks"), latest-timestamp
-// conflict resolution (§III-D), tombstoned deletes, and asynchronous
-// multi-datacenter replication with partition tolerance and anti-entropy
-// synchronization.
+// conflict resolution (§III-D), tombstoned deletes, and multi-datacenter
+// replication with partition tolerance.
 package metadata
 
 // Ordering is the result of comparing two vector clocks.

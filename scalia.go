@@ -604,7 +604,7 @@ func NewPrivateStoreServer(dir string, token []byte, capacityBytes int64) (*priv
 }
 
 // DrainMaintenance synchronously re-plans the objects queued by market
-// events in one pass over every alive engine and returns how many; what
+// events in one pass over every engine and returns how many; what
 // a pass cut short by ctx did not get through stays queued. Deployments with
 // Options.ReoptWorkers > 0 drain in the background and rarely need this.
 func (c *Client) DrainMaintenance(ctx context.Context) int {
