@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
 	"scalia/internal/engine"
 	"scalia/internal/erasure"
@@ -572,50 +573,6 @@ func BenchmarkErasureDecodeWithLoss(b *testing.B) {
 	}
 }
 
-// slowBackend delays chunk fetches by a fixed latency, standing in for
-// the provider round-trip that dominates real GET latency. Writes pay it
-// too only when writes is set, for benchmarks whose hot path is write
-// traffic; otherwise they stay fast so benchmark setup is cheap.
-type slowBackend struct {
-	*cloud.BlobStore
-	delay  time.Duration
-	writes bool
-}
-
-func (s *slowBackend) wait(ctx context.Context) error {
-	select {
-	case <-time.After(s.delay):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *slowBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := s.wait(ctx); err != nil {
-		return nil, err
-	}
-	return s.BlobStore.Get(ctx, key)
-}
-
-func (s *slowBackend) Put(ctx context.Context, key string, data []byte) error {
-	if s.writes {
-		if err := s.wait(ctx); err != nil {
-			return err
-		}
-	}
-	return s.BlobStore.Put(ctx, key, data)
-}
-
-// slowRegistry is the paper's market behind slowBackends.
-func slowRegistry(delay time.Duration, writes bool) *cloud.Registry {
-	reg := cloud.NewRegistry()
-	for _, spec := range cloud.PaperProviders() {
-		reg.Register(&slowBackend{BlobStore: cloud.NewBlobStore(spec), delay: delay, writes: writes})
-	}
-	return reg
-}
-
 // BenchmarkGetLargeObject measures the streaming GET of an 8-stripe,
 // m=4 object against providers with a simulated per-fetch round-trip:
 // the sequential seed path (one chunk at a time, no read-ahead) vs the
@@ -638,7 +595,11 @@ func BenchmarkGetLargeObject(b *testing.B) {
 
 	run := func(b *testing.B, cfg engine.Config, warmCache bool) {
 		b.Helper()
-		cfg.Registry = slowRegistry(chunkLatency, false)
+		reg, providers := cloudtest.Wrap(cloud.NewPaperRegistry())
+		for _, f := range providers {
+			f.GetDelay = chunkLatency // writes stay fast, so setup is cheap
+		}
+		cfg.Registry = reg
 		cfg.StripeBytes = stripeBytes
 		br := engine.NewBroker(cfg)
 		b.Cleanup(br.Close)
@@ -751,7 +712,11 @@ func BenchmarkPutLargeObject(b *testing.B) {
 
 	run := func(b *testing.B, cfg engine.Config) {
 		b.Helper()
-		cfg.Registry = slowRegistry(chunkLatency, true)
+		reg, providers := cloudtest.Wrap(cloud.NewPaperRegistry())
+		for _, f := range providers {
+			f.GetDelay, f.PutDelay = chunkLatency, chunkLatency
+		}
+		cfg.Registry = reg
 		cfg.StripeBytes = stripeBytes
 		br := engine.NewBroker(cfg)
 		b.Cleanup(br.Close)
@@ -866,11 +831,11 @@ func BenchmarkRepairSwap(b *testing.B) {
 			{StorageGBMonth: 0.50, BandwidthInGB: 0.5, BandwidthOutGB: 0.15, OpsPer1000: 0.01},
 		}
 		for i, name := range names {
-			reg.Register(&slowBackend{BlobStore: cloud.NewBlobStore(cloud.Spec{
+			reg.Register(&cloudtest.Faulty{BlobStore: cloud.NewBlobStore(cloud.Spec{
 				Name: name, Durability: 0.9999, Availability: 0.999,
 				Zones:   []cloud.Zone{cloud.ZoneUS},
 				Pricing: prices[i],
-			}), delay: opLatency, writes: true})
+			}), GetDelay: opLatency, PutDelay: opLatency})
 		}
 		br := engine.NewBroker(engine.Config{Registry: reg, StripeBytes: stripeBytes})
 		b.Cleanup(br.Close)

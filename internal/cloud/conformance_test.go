@@ -9,8 +9,10 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/privstore"
 )
 
@@ -37,6 +39,14 @@ var backends = []struct {
 		return backend{Backend: s, setAvailable: s.SetAvailable}
 	}},
 	{"privstore", openPrivstore},
+	// The fake the engine's tests stand on, armed with a delay and hooks
+	// that let every op through.
+	{"Faulty", func(t *testing.T, spec cloud.Spec) backend {
+		f := &cloudtest.Faulty{BlobStore: cloud.NewBlobStore(spec), GetDelay: time.Microsecond, PutDelay: time.Microsecond, DeleteDelay: time.Microsecond}
+		pass := func(context.Context, string) error { return nil }
+		f.OnGet, f.OnPut, f.OnDelete = pass, pass, pass
+		return backend{Backend: f, setAvailable: f.SetAvailable}
+	}},
 }
 
 // openPrivstore serves a private store on httptest. While it is down the

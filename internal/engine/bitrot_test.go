@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
 )
 
@@ -26,16 +27,16 @@ type rotBroker struct {
 }
 
 func newRotBroker(t *testing.T) *rotBroker {
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	rb := &rotBroker{reads: map[string]int{}}
 	for _, hb := range backends {
-		hb.get = func(_ context.Context, key string) error {
+		hb.OnGet = func(_ context.Context, key string) error {
 			rb.mu.Lock()
 			rb.reads[key[:strings.LastIndex(key, "/chunk")]]++
 			rb.mu.Unlock()
 			return nil
 		}
-		hb.put = func(context.Context, string) error {
+		hb.OnPut = func(context.Context, string) error {
 			rb.mu.Lock()
 			rb.writes++
 			rb.mu.Unlock()
@@ -312,7 +313,7 @@ func TestFailedHealDestroysNothing(t *testing.T) {
 	rotChunk(t, rb.Broker, meta, 2, slot)
 	hb, _ := rb.Registry().Store(meta.Chunks[slot])
 	stripe3 := strings.TrimSuffix(meta.chunkKey(3, slot), "0") // of any generation
-	hb.(*hookBackend).put = func(_ context.Context, key string) error {
+	hb.(*cloudtest.Faulty).OnPut = func(_ context.Context, key string) error {
 		if strings.HasPrefix(key, stripe3) {
 			return errors.New("injected write failure")
 		}
@@ -382,9 +383,9 @@ func TestMalformedSumsFailClosed(t *testing.T) {
 			wantChecksum("VerifyObject", err)
 			wantChecksum("migrate", e.migrate(ctx, bad, rb.livePlacement(bad.M, bad.Chunks)))
 			store, _ := rb.Registry().Store(bad.Chunks[0])
-			store.(*hookBackend).SetAvailable(false) // data slot 0 is rebuilt
+			store.(*cloudtest.Faulty).SetAvailable(false) // data slot 0 is rebuilt
 			_, _, err = e.Get(ctx, "c", "k")
-			store.(*hookBackend).SetAvailable(true)
+			store.(*cloudtest.Faulty).SetAvailable(true)
 			wantChecksum("GET with data slot 0 down", err)
 		})
 	}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"scalia/internal/cloud/cloudtest"
 )
 
 // readOps reads an object through one engine and reports the provider
@@ -121,7 +123,7 @@ func TestWriteUpdateCoherence(t *testing.T) {
 	})
 
 	t.Run("if-match-veto", func(t *testing.T) {
-		reg, backends := hooked(repairMarket())
+		reg, backends := cloudtest.Wrap(repairMarket())
 		b, dc1, dc2 := newBroker(t, Config{Registry: reg})
 		b.Rules().SetContainerRule("c", repairRule)
 		v1 := put(t, dc1, "k", testPayload(2*stripe), PutOptions{})
@@ -143,7 +145,7 @@ func TestWriteUpdateCoherence(t *testing.T) {
 		var v2meta ObjectMeta
 		var v2err error
 		for _, hb := range backends {
-			hb.put = func(context.Context, string) error {
+			hb.OnPut = func(context.Context, string) error {
 				if armed.CompareAndSwap(true, false) {
 					v2meta, v2err = dc2.Put(ctx, "c", "k", v2, PutOptions{})
 				}
@@ -238,7 +240,7 @@ func TestMigrationKeepsCachedStripes(t *testing.T) {
 // migration copies wins, and the migration re-keys nothing — the
 // overwrite's own update of the cache stands.
 func TestMigrationLosesToOverwrite(t *testing.T) {
-	reg, backends := hooked(repairMarket())
+	reg, backends := cloudtest.Wrap(repairMarket())
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024, CacheBytes: 1 << 20})
 	_, v1 := putRepairObject(t, b, "obj", 3*1024)
 	readOps(t, b, b.Engine(0), "bk", "obj")
@@ -248,7 +250,7 @@ func TestMigrationLosesToOverwrite(t *testing.T) {
 	var v2meta ObjectMeta
 	var v2err error
 	for _, hb := range backends {
-		hb.put = func(context.Context, string) error {
+		hb.OnPut = func(context.Context, string) error {
 			if armed.CompareAndSwap(true, false) {
 				v2meta, v2err = b.Engine(2).Put(ctx, "bk", "obj", v2, PutOptions{})
 			}

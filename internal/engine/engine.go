@@ -168,7 +168,7 @@ func (e *Engine) draft(ctx context.Context, container, key string, planBytes int
 		return ObjectMeta{}, nil, err
 	}
 	class := stats.ClassKey(opts.MIME, planBytes)
-	rule := e.b.rules.Resolve(container, class, opts.Rule)
+	rule := e.b.rules.Resolve(container, opts.Rule)
 	now := e.b.clock.Period()
 	planStart := time.Now()
 	epoch, specs, free := e.b.registry.Market()

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
-	"scalia/internal/stats"
 )
 
 var ctx = context.Background()
@@ -438,7 +438,7 @@ func TestVerifyObject(t *testing.T) {
 // checks, so an overwrite and a settle that land during its first chunk
 // fetch take none of the chunks it is reading.
 func TestVerifyObjectPinsItsVersion(t *testing.T) {
-	reg, backends := hooked(repairMarket())
+	reg, backends := cloudtest.Wrap(repairMarket())
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024})
 	b.Rules().SetContainerRule("c", repairRule)
 	e := b.Engine(0)
@@ -448,7 +448,7 @@ func TestVerifyObjectPinsItsVersion(t *testing.T) {
 	}
 	var once sync.Once
 	for _, hb := range backends {
-		hb.get = func(context.Context, string) error {
+		hb.OnGet = func(context.Context, string) error {
 			once.Do(func() {
 				if _, err := e.Put(ctx, "c", "k", testPayload(3000), PutOptions{}); err != nil {
 					t.Error(err)
@@ -469,13 +469,13 @@ func TestRuleResolutionPrecedence(t *testing.T) {
 	contRule := core.Rule{Name: "container", Durability: 0.9999, Availability: 0.999, LockIn: 1}
 	objRule := core.Rule{Name: "object", Durability: 0.99999, Availability: 0.9999, LockIn: 0.5}
 	rs.SetContainerRule("c", contRule)
-	if got := rs.Resolve("c", "cls", nil); got.Name != "container" {
+	if got := rs.Resolve("c", nil); got.Name != "container" {
 		t.Fatalf("container rule not applied: %v", got.Name)
 	}
-	if got := rs.Resolve("c", "cls", &objRule); got.Name != "object" {
+	if got := rs.Resolve("c", &objRule); got.Name != "object" {
 		t.Fatalf("object rule not applied: %v", got.Name)
 	}
-	if got := rs.Resolve("other", "cls", nil); got.Name != "default" {
+	if got := rs.Resolve("other", nil); got.Name != "default" {
 		t.Fatalf("default rule not applied: %v", got.Name)
 	}
 }
@@ -523,15 +523,6 @@ func TestContainerNamesCannotCollide(t *testing.T) {
 				t.Fatalf("repair with %d objects down = %+v, %v; want all checked and affected", on, rep, err)
 			}
 		})
-	}
-}
-
-func TestClassRuleApplies(t *testing.T) {
-	b := newTestBroker(t, Config{})
-	class := stats.ClassKey("video/mp4", 1000)
-	b.Rules().SetClassRule(class, core.Rule{Name: "video", Durability: 0.9999, Availability: 0.999, LockIn: 1})
-	if got := b.Rules().Resolve("c", class, nil); got.Name != "video" {
-		t.Fatalf("class rule not applied: %v", got.Name)
 	}
 }
 

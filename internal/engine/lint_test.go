@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -11,8 +12,9 @@ import (
 )
 
 // TestSourceLints holds the engine's non-test sources to four structural
-// promises, each stated where it is kept: checked on the parsed files —
-// imports and call sites, never comments or strings.
+// promises, and its tests and the root package's to one, each stated where
+// it is kept: checked on the parsed files — imports, call sites and
+// declarations, never comments or strings.
 func TestSourceLints(t *testing.T) {
 	names, err := filepath.Glob("*.go")
 	if err != nil {
@@ -101,6 +103,33 @@ func TestSourceLints(t *testing.T) {
 			return fn == "Head" && recv != nil || fn == "GetReader" || fn == "GetRangeReader"
 		}) {
 			t.Errorf("%s: the gateway reads a row or opens an object outside its one openObject", at)
+		}
+	})
+	t.Run("one provider fake", func(t *testing.T) {
+		// Provider faults are armed on cloudtest.Faulty, which the Store
+		// conformance table holds to the contract; a test's own wrapper
+		// around the simulated store would be held to nothing.
+		for _, dir := range []string{".", "../.."} {
+			tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range tests {
+				f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if st, ok := n.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							if star, ok := field.Type.(*ast.StarExpr); ok && len(field.Names) == 0 && types.ExprString(star.X) == "cloud.BlobStore" {
+								t.Errorf("%s: a struct embeds *cloud.BlobStore; arm the fault on cloudtest.Faulty", fset.Position(field.Pos()))
+							}
+						}
+					}
+					return true
+				})
+			}
 		}
 	})
 	t.Run("no JSON rows", func(t *testing.T) {

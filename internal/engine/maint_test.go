@@ -8,11 +8,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
 )
 
@@ -435,7 +435,7 @@ func wantIndexedAsStored(t *testing.T, b *Broker, container, key string) {
 // would never see an outage of B's other providers. Then the same at rest,
 // after a hammer of concurrent overwrites (run under -race).
 func TestProviderIndexFollowsCommitOrder(t *testing.T) {
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	b := newTestBroker(t, Config{Registry: reg})
 	narrow := core.Rule{Name: "narrow", Durability: 0.9999, Availability: 0.99, LockIn: 1}
 	wide := core.Rule{Name: "wide", Durability: 0.9999, Availability: 0.99, LockIn: 0.25}
@@ -448,14 +448,9 @@ func TestProviderIndexFollowsCommitOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	stalled, release := make(chan struct{}, len(v0.Chunks)), make(chan struct{})
+	stall := cloudtest.Stall(func(key string) bool { return strings.HasPrefix(key, v0.SKey) }, stalled, release)
 	for _, hb := range backends {
-		hb.del = func(_ context.Context, key string) error {
-			if strings.HasPrefix(key, v0.SKey) {
-				stalled <- struct{}{}
-				<-release
-			}
-			return nil
-		}
+		hb.OnDelete = stall
 	}
 	aDone := make(chan error, 1)
 	go func() { aDone <- put(b.Engine(0), "A", &narrow) }()
@@ -548,21 +543,16 @@ func TestMaintQueueWorkersAndDrainCountAlike(t *testing.T) {
 func TestDrainLosesNothingItTook(t *testing.T) {
 	const n, size = 12, 1 << 20
 	t.Run("cancelled", func(t *testing.T) {
-		reg, backends := hooked(cloud.NewPaperRegistry())
+		reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 		b := newTestBroker(t, Config{Registry: reg, MigrationHorizon: 1_000_000})
 		victim := storeObjects(t, b, n, size)
 		invalidated := b.ProviderIndex().Count(victim)
 		raisePrices(t, b, victim)
 		pass, cancel := context.WithCancel(ctx)
 		defer cancel()
-		var gets atomic.Int64
+		cancelAt := cloudtest.CancelAt(5, cancel)
 		for _, hb := range backends {
-			hb.get = func(context.Context, string) error {
-				if gets.Add(1) == 5 {
-					cancel()
-				}
-				return nil
-			}
+			hb.OnGet = cancelAt
 		}
 		first := b.DrainMaintenance(pass)
 		st := b.MaintStats()
@@ -586,7 +576,7 @@ func TestDrainLosesNothingItTook(t *testing.T) {
 // finished, a provider call that outlives the cancellation included, and
 // a job started after Close ends at once with the closed context.
 func TestCloseWaitsForJobs(t *testing.T) {
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	b := newTestBroker(t, Config{Registry: reg})
 	meta, err := b.Engine(0).Put(ctx, "c", "k", testPayload(4096), PutOptions{})
 	if err != nil {
@@ -594,7 +584,7 @@ func TestCloseWaitsForJobs(t *testing.T) {
 	}
 	entered := make(chan struct{}, 1)
 	for _, hb := range backends {
-		hb.get = func(ctx context.Context, _ string) error {
+		hb.OnGet = func(ctx context.Context, _ string) error {
 			select {
 			case entered <- struct{}{}:
 			default:

@@ -11,6 +11,7 @@ import (
 	"testing/iotest"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 )
 
 // TestMultipartResumeAfterDroppedPart is the resumability acceptance
@@ -19,11 +20,11 @@ import (
 // completed object reads back whole — with part 1's chunks provably
 // transferred exactly once.
 func TestMultipartResumeAfterDroppedPart(t *testing.T) {
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	var mu sync.Mutex
 	puts := map[string]int{} // Puts per chunk key, at any provider
 	for _, hb := range backends {
-		hb.put = func(_ context.Context, key string) error {
+		hb.OnPut = func(_ context.Context, key string) error {
 			mu.Lock()
 			puts[key]++
 			mu.Unlock()
@@ -156,7 +157,7 @@ func TestMultipartResumeAfterDroppedPart(t *testing.T) {
 // aborting an upload removes every staged chunk from every provider,
 // and the session stops answering.
 func TestAbortUploadGarbageCollectsParts(t *testing.T) {
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	b := newTestBroker(t, Config{StripeBytes: 1024, Registry: reg})
 	e := b.Engine(0)
 	ctx := context.Background()

@@ -224,7 +224,7 @@ func (e *Engine) maintainObject(ctx context.Context, obj string, now int64, t tr
 		h = stats.NewHistory(0) // repair it on its storage cost alone
 	}
 
-	rule := e.b.rules.Resolve(container, meta.Class, meta.Rule)
+	rule := e.b.rules.Resolve(container, meta.Rule)
 	// A rule this market cannot satisfy has no search; Decide keeps the
 	// object (a repair may still find a swap).
 	search, _ := e.b.planner.Search(view.Epoch, view.Specs, rule)

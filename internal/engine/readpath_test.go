@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 )
 
 // testPayload builds a deterministic, position-dependent payload so a
@@ -173,19 +174,9 @@ func TestGetReaderCancelTeardown(t *testing.T) {
 	gateKey := func(key string) bool {
 		return strings.Contains(key, "/s") && !strings.Contains(key, "/s00000/")
 	}
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	for _, hb := range backends {
-		hb.get = func(ctx context.Context, key string) error {
-			if !gateKey(key) {
-				return nil
-			}
-			select {
-			case <-gate:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
+		hb.OnGet = cloudtest.Stall(gateKey, nil, gate)
 	}
 	b := newTestBroker(t, Config{
 		Registry: reg, StripeBytes: 1024, CacheBytes: 1 << 20,
@@ -290,24 +281,12 @@ func TestFullyCachedObjectReadableDuringOutage(t *testing.T) {
 	}
 }
 
-// corruptStripe flips a byte in every stored chunk of one stripe, so
-// whichever m chunks the read picks, the decode output is wrong.
+// corruptStripe rots every stored chunk of one stripe, so whichever m
+// chunks the read picks, the decode output is wrong.
 func corruptStripe(t *testing.T, b *Broker, meta ObjectMeta, s int) {
 	t.Helper()
-	for i, name := range meta.Chunks {
-		store, ok := b.Registry().Store(name)
-		if !ok {
-			t.Fatalf("provider %s missing", name)
-		}
-		key := meta.chunkKey(s, i)
-		data, err := store.Get(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] ^= 0xff
-		if err := store.Put(ctx, key, data); err != nil {
-			t.Fatal(err)
-		}
+	for i := range meta.Chunks {
+		rotChunk(t, b, meta, s, i)
 	}
 }
 

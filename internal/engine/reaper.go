@@ -64,7 +64,9 @@ type reaper struct {
 	mu   sync.Mutex
 	seq  uint64              // the last reader ticket drawn
 	pins map[string][]uint64 // object name -> tickets of its open readers, ascending
-	sets []*chunkSet         // retired and not gone: waiting for a pass, or left behind by one
+	// Retired and not gone: fresh sets wait for their first pass, behind
+	// ones a pass left deletes of, and only a retry pass visits those.
+	fresh, behind []*chunkSet
 	// n and bytes count the superseded versions no pass has been over yet
 	// — waiting or being deleted — and their stored volume.
 	n     int
@@ -121,7 +123,7 @@ func (r *reaper) onMarketEvent(ev cloud.MarketEvent) {
 func (r *reaper) retire(cs *chunkSet) (overloaded bool) {
 	r.mu.Lock()
 	cs.seq = r.seq
-	r.sets = append(r.sets, cs)
+	r.fresh = append(r.fresh, cs)
 	if cs.bytes > 0 {
 		r.n++
 		r.bytes += cs.bytes
@@ -174,7 +176,7 @@ func (r *reaper) unpin(obj string, ticket uint64) {
 	} else {
 		r.pins[obj] = open
 	}
-	waiting := i == 0 && slices.ContainsFunc(r.sets, func(cs *chunkSet) bool { return cs.pin == obj })
+	waiting := i == 0 && slices.ContainsFunc(r.fresh, func(cs *chunkSet) bool { return cs.pin == obj })
 	r.mu.Unlock()
 	if waiting {
 		r.kick()
@@ -190,16 +192,18 @@ func (r *reaper) reap(retry bool) int {
 	r.run.Lock()
 	defer r.run.Unlock()
 	r.mu.Lock()
-	var take, keep []*chunkSet
-	for _, cs := range r.sets {
-		open := r.pins[cs.pin]
-		if held := len(open) > 0 && open[0] <= cs.seq; held || (cs.left > 0 && !retry) {
-			keep = append(keep, cs)
-		} else {
-			take = append(take, cs)
+	var take []*chunkSet
+	free := func(cs *chunkSet) bool { // DeleteFunc asks once per set
+		if open := r.pins[cs.pin]; len(open) > 0 && open[0] <= cs.seq {
+			return false
 		}
+		take = append(take, cs)
+		return true
 	}
-	r.sets = keep
+	r.fresh = slices.DeleteFunc(r.fresh, free)
+	if retry {
+		r.behind = slices.DeleteFunc(r.behind, free)
+	}
 	r.mu.Unlock()
 	for _, cs := range take {
 		was := cs.left
@@ -212,7 +216,7 @@ func (r *reaper) reap(retry bool) int {
 		r.postponed += cs.left - was
 		r.settled += max(0, was-cs.left)
 		if cs.left > 0 {
-			r.sets = append(r.sets, cs)
+			r.behind = append(r.behind, cs)
 		}
 		r.mu.Unlock()
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 )
 
 // chunksUnder counts the chunks the providers hold under a version's
@@ -343,10 +344,9 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64, watch func(b *Broker) (stop
 		latency             = 2 * time.Millisecond
 		container, keyCount = "hammer", 3
 	)
-	reg, backends := hooked(repairMarket())
-	wait := func(context.Context, string) error { time.Sleep(latency); return nil }
+	reg, backends := cloudtest.Wrap(repairMarket())
 	for _, hb := range backends {
-		hb.delay, hb.put, hb.del = latency, wait, wait
+		hb.GetDelay, hb.PutDelay, hb.DeleteDelay = latency, latency, latency
 	}
 	clock := NewSimClock()
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Clock: clock, MigrationHorizon: 1_000_000, CacheBytes: cacheBytes})
@@ -512,28 +512,25 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64, watch func(b *Broker) (stop
 	return b
 }
 
-// storedVersions remembers every stored ObjectMeta it has seen on the
-// watched rows, each with a deep snapshot taken when it first saw it.
+// storedVersions remembers every stored ObjectMeta it has seen win its
+// row, each with a deep snapshot taken when it first saw it.
 type storedVersions struct {
 	b    *Broker
-	rows []string
 	mu   sync.Mutex
 	seen map[*ObjectMeta]ObjectMeta
 }
 
-// observe snapshots the stored versions of the watched rows it has not
-// seen yet, in every datacenter.
+// observe snapshots the winning versions it has not seen yet, in every
+// datacenter.
 func (sv *storedVersions) observe() {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	for _, dc := range sv.b.cfg.Datacenters {
-		for _, row := range sv.rows {
-			heads, _ := sv.b.meta.Store(dc).Heads(row)
-			for _, v := range heads {
-				if m, err := viewMeta(v); err == nil {
-					if _, ok := sv.seen[m]; !ok {
-						sv.seen[m] = m.clone()
-					}
+		winners, _ := sv.b.meta.Store(dc).Scan()
+		for _, v := range winners {
+			if m, err := viewMeta(v); err == nil {
+				if _, ok := sv.seen[m]; !ok {
+					sv.seen[m] = m.clone()
 				}
 			}
 		}
@@ -566,9 +563,6 @@ func (sv *storedVersions) follow() (stop func()) {
 // or superseded, must still equal its snapshot.
 func TestStoredVersionsStayAsPublished(t *testing.T) {
 	sv := &storedVersions{seen: make(map[*ObjectMeta]ObjectMeta)}
-	for _, key := range []string{"k0", "k1", "k2", "mp"} {
-		sv.rows = append(sv.rows, RowKey("hammer", key))
-	}
 	b := sharedKeyHammer(t, 8<<10, func(b *Broker) func() {
 		sv.b = b
 		return sv.follow()
@@ -733,11 +727,11 @@ func TestMigrateGivesUpOnAMovedRow(t *testing.T) {
 // the reaper — every delete of the version an overwrite retired has landed
 // by the time the overwrite returns, with no settle call.
 func TestRetiredBacklogBoundReapsInline(t *testing.T) {
-	reg, backends := hooked(repairMarket())
+	reg, backends := cloudtest.Wrap(repairMarket())
 	var inPut atomic.Bool
 	var duringPut, afterPut atomic.Int64
 	for _, hb := range backends {
-		hb.del = func(_ context.Context, key string) error {
+		hb.OnDelete = func(_ context.Context, key string) error {
 			time.Sleep(time.Millisecond) // a provider round trip: a background delete would outlast the Put
 			if inPut.Load() {
 				duringPut.Add(1)
@@ -808,7 +802,7 @@ func TestReaperReplaysPostponedDeletesOnRecovery(t *testing.T) {
 // tried again at every settle and not in between, and once the provider
 // takes the delete the providers hold exactly the live version's chunks.
 func TestRefusedDeleteStaysQueued(t *testing.T) {
-	reg, backends := hooked(repairMarket())
+	reg, backends := cloudtest.Wrap(repairMarket())
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024})
 	b.Rules().SetContainerRule("bk", repairRule)
 	e := b.Engine(0)
@@ -820,7 +814,7 @@ func TestRefusedDeleteStaysQueued(t *testing.T) {
 	var asked atomic.Int64
 	doomed := v1.chunkKey(2, 0)
 	for _, hb := range backends {
-		hb.del = func(_ context.Context, key string) error {
+		hb.OnDelete = func(_ context.Context, key string) error {
 			if key == doomed && refuse.Load() {
 				asked.Add(1)
 				return errors.New("injected delete failure: 503 from the private store")
@@ -882,5 +876,39 @@ func TestCloseStopsReaper(t *testing.T) {
 			stacks := string(buf[:runtime.Stack(buf, true)])
 			t.Fatalf("goroutines %d -> %d after Close (reaper present: %v)", base, runtime.NumGoroutine(), strings.Contains(stacks, "(*reaper)"))
 		}
+	}
+}
+
+// BenchmarkReapBehindAnOutage is one retire and one pass that takes it
+// during an outage, over a backlog of sets earlier passes left behind at
+// the down provider. A pass that is no retry visits only the sets waiting
+// for their first pass, so its cost does not follow the backlog.
+func BenchmarkReapBehindAnOutage(b *testing.B) {
+	for _, backlog := range []int{10, 100, 1000, 10000} {
+		b.Run(fmt.Sprint("behind-", backlog), func(b *testing.B) {
+			br := NewBroker(Config{Registry: marketOf("A", "B", "C"), StripeBytes: 1024})
+			b.Cleanup(br.Close)
+			e := br.Engine(0)
+			meta, err := e.Put(ctx, "c", "k", testPayload(1024), PutOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, _ := e.layoutOf(meta)
+			s, _ := br.Registry().Store(meta.Chunks[0])
+			s.(*cloud.BlobStore).SetAvailable(false)
+			down, up := []int{0}, []int{1}
+			for i := 0; i < backlog; i++ {
+				e.discard(l, l.stripes, down)
+			}
+			br.ProcessPendingDeletes(ctx)
+			if n := br.PendingDeletes(); n != backlog*l.stripes {
+				b.Fatalf("%d deletes left behind, want %d", n, backlog*l.stripes)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.discard(l, l.stripes, up)
+				br.reaper.reap(false)
+			}
+		})
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
 	"scalia/internal/crc32c"
 	"scalia/internal/erasure"
@@ -243,7 +244,7 @@ func TestRepairSkippedWhenInfeasible(t *testing.T) {
 			}},
 	} {
 		t.Run(tc.why, func(t *testing.T) {
-			reg, backends := hooked(tc.market)
+			reg, backends := cloudtest.Wrap(tc.market)
 			b := newTestBroker(t, Config{Registry: reg})
 			b.Rules().SetContainerRule("bk", rule)
 			meta, err := b.Engine(0).Put(ctx, "bk", "obj", payload, PutOptions{})
@@ -255,7 +256,7 @@ func TestRepairSkippedWhenInfeasible(t *testing.T) {
 				case "A":
 					hb.SetAvailable(false)
 				case "D":
-					hb.put = tc.spare(b)
+					hb.OnPut = tc.spare(b)
 				}
 			}
 			rep, err := b.Repair(ctx, RepairActive)
@@ -279,7 +280,7 @@ func TestRepairSkippedWhenInfeasible(t *testing.T) {
 // no live row names.
 func TestCancelledRepairSkipsNothing(t *testing.T) {
 	const stripe = 1024
-	reg, backends := hooked(repairMarket())
+	reg, backends := cloudtest.Wrap(repairMarket())
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe, Datacenters: []string{"dc1"}, EnginesPerDC: 1})
 	b.Rules().SetContainerRule("bk", repairRule)
 	var keys []string
@@ -292,15 +293,10 @@ func TestCancelledRepairSkipsNothing(t *testing.T) {
 	}
 	pass, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var gets atomic.Int64
-	var a *hookBackend
+	cancelAt := cloudtest.CancelAt(7, cancel)
+	var a *cloudtest.Faulty
 	for _, hb := range backends {
-		hb.get = func(context.Context, string) error {
-			if gets.Add(1) == 7 {
-				cancel()
-			}
-			return nil
-		}
+		hb.OnGet = cancelAt
 		if hb.Spec().Name == "A" {
 			a = hb
 		}
@@ -474,7 +470,7 @@ func TestSwapNeverOverwrites(t *testing.T) {
 		*testing.T
 		b    *Broker
 		e    *Engine
-		prov map[string]*hookBackend
+		prov map[string]*cloudtest.Faulty
 		// refuse makes every provider fail its deletes while set.
 		refuse atomic.Bool
 	}
@@ -565,7 +561,7 @@ func TestSwapNeverOverwrites(t *testing.T) {
 			}
 			rot(v, meta, 0, 1)
 			for _, hb := range v.prov {
-				hb.delay = time.Millisecond
+				hb.GetDelay = time.Millisecond
 			}
 			v.prov["A"].SetAvailable(false)
 			var wg sync.WaitGroup
@@ -588,18 +584,18 @@ func TestSwapNeverOverwrites(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			reg, backends := hooked(marketOf("A", "B", "C", "D", "E", "F"))
-			v := &env{T: t, prov: make(map[string]*hookBackend)}
+			reg, backends := cloudtest.Wrap(marketOf("A", "B", "C", "D", "E", "F"))
+			v := &env{T: t, prov: make(map[string]*cloudtest.Faulty)}
 			for _, hb := range backends {
 				hb := hb
 				v.prov[hb.Spec().Name] = hb
-				hb.put = func(ctx context.Context, key string) error {
+				hb.OnPut = func(ctx context.Context, key string) error {
 					if _, err := hb.BlobStore.Get(ctx, key); err == nil {
 						t.Errorf("a write to %s lands on %s, which it holds", hb.Spec().Name, key)
 					}
 					return nil
 				}
-				hb.del = func(context.Context, string) error {
+				hb.OnDelete = func(context.Context, string) error {
 					if v.refuse.Load() {
 						return errors.New("injected delete failure")
 					}
@@ -655,15 +651,15 @@ func TestSwapNeverOverwrites(t *testing.T) {
 // hands it back once the stripe's writes return, a degraded read once the
 // stripe drained, and the next stripe, swap or read reuses it; an (1, 2)
 // swap writes the survivor itself. Scratch recycled while a Put held it
-// fails that Put (hookBackend), and so the swap; scratch recycled before
+// fails that Put (cloudtest.Faulty), and so the swap; scratch recycled before
 // its chunk was written, or while a read drained it, shows at the end:
 // every object must verify all n chunks and read back its payload.
 func TestPooledRebuildAcrossSwaps(t *testing.T) {
 	const stripe = 4 << 10
-	reg, backends := hooked(marketOf("A", "B", "C", "D", "E", "F"))
+	reg, backends := cloudtest.Wrap(marketOf("A", "B", "C", "D", "E", "F"))
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: stripe})
 	b.Rules().SetContainerRule("bk", core.Rule{Name: "loose", Durability: 0.9, Availability: 0.9, LockIn: 1})
-	prov := make(map[string]*hookBackend)
+	prov := make(map[string]*cloudtest.Faulty)
 	for _, hb := range backends {
 		prov[hb.Spec().Name] = hb
 	}

@@ -8,7 +8,8 @@ import (
 
 // RuleStore resolves the placement rule for an object, in the paper's
 // precedence order (§II-B): a per-object rule, then a per-container
-// rule, then a per-class rule, then the default rule. The per-object
+// rule, then the default rule (the paper's per-class rule has no setter
+// in the API, so nothing here keeps one). The per-object
 // rule is not kept here: a write pins it (PutOptions.Rule) and its
 // version keeps it in the metadata row (ObjectMeta.Rule, the policy of
 // Fig. 11), whence every re-plan passes it back to Resolve.
@@ -16,7 +17,6 @@ type RuleStore struct {
 	mu          sync.RWMutex
 	def         core.Rule
 	byContainer map[string]core.Rule
-	byClass     map[string]core.Rule
 }
 
 // DefaultRule is used when the customer sets nothing: two providers
@@ -37,7 +37,6 @@ func NewRuleStore(def core.Rule) *RuleStore {
 	return &RuleStore{
 		def:         def,
 		byContainer: make(map[string]core.Rule),
-		byClass:     make(map[string]core.Rule),
 	}
 }
 
@@ -55,25 +54,15 @@ func (rs *RuleStore) SetContainerRule(container string, r core.Rule) {
 	rs.mu.Unlock()
 }
 
-// SetClassRule pins a rule to an object class.
-func (rs *RuleStore) SetClassRule(classKey string, r core.Rule) {
-	rs.mu.Lock()
-	rs.byClass[classKey] = r
-	rs.mu.Unlock()
-}
-
-// Resolve returns the rule governing an object of the container and
-// class whose version pins the rule pinned (nil = none).
-func (rs *RuleStore) Resolve(container, classKey string, pinned *core.Rule) core.Rule {
+// Resolve returns the rule governing an object of the container whose
+// version pins the rule pinned (nil = none).
+func (rs *RuleStore) Resolve(container string, pinned *core.Rule) core.Rule {
 	if pinned != nil {
 		return *pinned
 	}
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
 	if r, ok := rs.byContainer[container]; ok {
-		return r
-	}
-	if r, ok := rs.byClass[classKey]; ok {
 		return r
 	}
 	return rs.def

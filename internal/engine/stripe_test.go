@@ -13,78 +13,11 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
 	"scalia/internal/crc32c"
 	"scalia/internal/erasure"
 )
-
-// hookBackend wraps a simulated provider with a per-op delay, hooks that
-// can fail (or observe, or stall) Gets, Puts and Deletes before they
-// reach the store, and
-// tallies of the Gets that succeeded and failed. It still reports
-// Available() while its hooks fail — the §III-D3 provider that dies
-// between ranking and fetch.
-type hookBackend struct {
-	*cloud.BlobStore
-	delay         time.Duration
-	get, put, del func(ctx context.Context, key string) error
-	gets, getErrs atomic.Int64
-}
-
-func (h *hookBackend) Delete(ctx context.Context, key string) error {
-	if h.del != nil {
-		if err := h.del(ctx, key); err != nil {
-			return err
-		}
-	}
-	return h.BlobStore.Delete(ctx, key)
-}
-
-func (h *hookBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	time.Sleep(h.delay)
-	if h.get != nil {
-		if err := h.get(ctx, key); err != nil {
-			h.getErrs.Add(1)
-			return nil, err
-		}
-	}
-	h.gets.Add(1)
-	return h.BlobStore.Get(ctx, key)
-}
-
-// errLentBytesChanged is what a Put returns when its data changed while
-// the Put held it.
-var errLentBytesChanged = errors.New("hookBackend: data changed while Put held it")
-
-// Put also holds the writer to its side of the Store contract: data is
-// lent to Put until it returns (the write path recycles a stripe's chunks
-// only after its writes), so a Put whose bytes changed between its entry
-// — before the hook, which may stall it — and its return fails.
-func (h *hookBackend) Put(ctx context.Context, key string, data []byte) error {
-	sum := crc32c.Checksum(data)
-	if h.put != nil {
-		if err := h.put(ctx, key); err != nil {
-			return err
-		}
-	}
-	err := h.BlobStore.Put(ctx, key, data)
-	if crc32c.Checksum(data) != sum {
-		return fmt.Errorf("%w: %s", errLentBytesChanged, key)
-	}
-	return err
-}
-
-// hooked wraps every provider of a market in a hookBackend.
-func hooked(market *cloud.Registry) (*cloud.Registry, []*hookBackend) {
-	reg := cloud.NewRegistry()
-	var backends []*hookBackend
-	for _, s := range market.Snapshot() {
-		hb := &hookBackend{BlobStore: s.(*cloud.BlobStore)}
-		backends = append(backends, hb)
-		reg.Register(hb)
-	}
-	return reg, backends
-}
 
 // TestFetchReadsExactlyMChunks pins the paper's read rule (§III-B: "the
 // m cheapest providers") under provider latency: a healthy stripe costs
@@ -92,9 +25,9 @@ func hooked(market *cloud.Registry) (*cloud.Registry, []*hookBackend) {
 // to claim the spare while its peers are still in flight — and a failed
 // read costs exactly one more, from the spare.
 func TestFetchReadsExactlyMChunks(t *testing.T) {
-	reg, backends := hooked(cloud.NewPaperRegistry())
+	reg, backends := cloudtest.Wrap(cloud.NewPaperRegistry())
 	for _, hb := range backends {
-		hb.delay = 2 * time.Millisecond
+		hb.GetDelay = 2 * time.Millisecond
 	}
 	b := newTestBroker(t, Config{Registry: reg, StripeBytes: 1024})
 	b.Rules().SetContainerRule("c", core.PaperRules()[2])
@@ -110,8 +43,8 @@ func TestFetchReadsExactlyMChunks(t *testing.T) {
 	read := func() (ok, failed, fallbacks int64) {
 		t.Helper()
 		for _, hb := range backends {
-			hb.gets.Store(0)
-			hb.getErrs.Store(0)
+			hb.Gets.Store(0)
+			hb.GetErrs.Store(0)
 		}
 		before := b.ReadStats().FetchFallbacks
 		got, _, err := e.Get(ctx, "c", "k")
@@ -119,8 +52,8 @@ func TestFetchReadsExactlyMChunks(t *testing.T) {
 			t.Fatalf("read: %v", err)
 		}
 		for _, hb := range backends {
-			ok += hb.gets.Load()
-			failed += hb.getErrs.Load()
+			ok += hb.Gets.Load()
+			failed += hb.GetErrs.Load()
 		}
 		return ok, failed, b.ReadStats().FetchFallbacks - before
 	}
@@ -129,8 +62,8 @@ func TestFetchReadsExactlyMChunks(t *testing.T) {
 	}
 	// Break one of the providers the healthy read chose.
 	for _, hb := range backends {
-		if hb.gets.Load() > 0 {
-			hb.get = func(context.Context, string) error { return errors.New("injected fetch failure") }
+		if hb.Gets.Load() > 0 {
+			hb.OnGet = func(context.Context, string) error { return errors.New("injected fetch failure") }
 			break
 		}
 	}
@@ -335,7 +268,7 @@ func TestStripeEngineTeardown(t *testing.T) {
 			}
 			for _, depth := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/depth-%d", op.name, fault, depth), func(t *testing.T) {
-					reg, backends := hooked(repairMarket())
+					reg, backends := cloudtest.Wrap(repairMarket())
 					knob := depth // a negative knob is how a deployment asks for depth 1
 					if depth == 1 {
 						knob = -1
@@ -347,7 +280,7 @@ func TestStripeEngineTeardown(t *testing.T) {
 					b.Rules().SetContainerRule("bk", repairRule)
 					store := func(name string) *cloud.BlobStore {
 						s, _ := b.Registry().Store(name)
-						return s.(*hookBackend).BlobStore
+						return s.(*cloudtest.Faulty).BlobStore
 					}
 					e := b.Engine(0)
 					f := &fixture{b: b, e: e, payload: testPayload(8 * stripe)}
@@ -396,9 +329,9 @@ func TestStripeEngineTeardown(t *testing.T) {
 					} else {
 						for _, hb := range backends {
 							if op.kind == "get" {
-								hb.get = hook
+								hb.OnGet = hook
 							} else {
-								hb.put = hook
+								hb.OnPut = hook
 							}
 						}
 					}

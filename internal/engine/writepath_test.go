@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"scalia/internal/cloud"
+	"scalia/internal/cloud/cloudtest"
 	"scalia/internal/core"
 	"scalia/internal/crc32c"
 	"scalia/internal/erasure"
@@ -185,17 +186,17 @@ func writeAsEncoded(t *testing.T, b *Broker, e *Engine, m, n int, rule *core.Rul
 
 // TestPooledChunksOutliveTheirReaders: a stripe's pooled chunks go back
 // to the pool only once every write of them and the stripe's sums are
-// done. Every Put checks its bytes on entry and on return (hookBackend);
+// done. Every Put checks its bytes on entry and on return (cloudtest.Faulty);
 // one provider sleeps for a varying while and the others only yield, so a
 // stripe's sums and its writes finish in either order; and the stripes
 // behind fill whatever the pool hands out. A chunk recycled under a
 // reader fails a Put, the sums' CRC-32C of the body or the read back.
 func TestPooledChunksOutliveTheirReaders(t *testing.T) {
 	const stripe = 64 << 10
-	reg, backends := hooked(marketOf("A", "B", "C", "D", "E"))
+	reg, backends := cloudtest.Wrap(marketOf("A", "B", "C", "D", "E"))
 	var puts atomic.Int64
 	for i, hb := range backends {
-		hb.put = func(context.Context, string) error {
+		hb.OnPut = func(context.Context, string) error {
 			if i == 0 {
 				time.Sleep(time.Duration(puts.Add(1)%3) * time.Millisecond)
 			} else {

@@ -10,8 +10,8 @@ import (
 // TestDifferentialFuzzKernels drives the table-driven production paths
 // against the retained scalar reference across random geometries (m in
 // [1,16], n in [m,32]) and sizes — including 0, 1 and non-multiples of
-// m — asserting byte-identical results for Encode, Reconstruct (random
-// erasure patterns) and Verify (clean and with a corrupted byte).
+// m — asserting byte-identical results for Encode, ReconstructPooled
+// (random erasure patterns) and Verify (clean and with a corrupted byte).
 func TestDifferentialFuzzKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	sizes := []int{0, 1, 2, 63, 64, 65, 1000, 4096, 12289}
@@ -42,7 +42,7 @@ func TestDifferentialFuzzKernels(t *testing.T) {
 		}
 
 		// Random erasure pattern within tolerance, applied to two
-		// copies: production Reconstruct vs the scalar reference.
+		// copies: production ReconstructPooled vs the scalar reference.
 		erase := rng.Intn(n - m + 1)
 		perm := rng.Perm(n)
 		prod := make([][]byte, n)
@@ -54,8 +54,8 @@ func TestDifferentialFuzzKernels(t *testing.T) {
 		for i := 0; i < erase; i++ {
 			prod[perm[i]], ref[perm[i]] = nil, nil
 		}
-		if err := c.Reconstruct(prod); err != nil {
-			t.Fatalf("trial %d: Reconstruct: %v", trial, err)
+		if err := reconstruct(t, c, prod); err != nil {
+			t.Fatalf("trial %d: ReconstructPooled: %v", trial, err)
 		}
 		if err := c.reconstructRef(ref); err != nil {
 			t.Fatalf("trial %d: reconstructRef: %v", trial, err)
@@ -92,7 +92,7 @@ func TestDifferentialFuzzKernels(t *testing.T) {
 }
 
 // TestReconstructParityOnlyFastPath pins the identity fast path: when
-// every data chunk survives, Reconstruct regenerates parity without
+// every data chunk survives, ReconstructPooled regenerates parity without
 // touching the decode-matrix machinery, and the regenerated parity is
 // byte-identical to the scalar reference's inversion-based result.
 func TestReconstructParityOnlyFastPath(t *testing.T) {
@@ -108,7 +108,7 @@ func TestReconstructParityOnlyFastPath(t *testing.T) {
 		chunks[i] = append([]byte(nil), want[i]...)
 	}
 	// All n-m parity chunks lost, all m data chunks intact.
-	if err := c.Reconstruct(chunks); err != nil {
+	if err := reconstruct(t, c, chunks); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -148,7 +148,7 @@ func TestZeroLengthInvariant(t *testing.T) {
 		}
 	}
 	chunks[0], chunks[3] = nil, nil
-	if err := c.Reconstruct(chunks); err != nil {
+	if err := reconstruct(t, c, chunks); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Decode(chunks, 0)
@@ -209,7 +209,7 @@ func TestCoderCache(t *testing.T) {
 }
 
 // TestSharedCoderHammer runs the whole coding cycle — EncodeFill,
-// ReconstructSlots, Verify, ReleaseChunks — from eight goroutines that
+// ReconstructPooled, Verify, ReleaseScratch, ReleaseChunks — from eight goroutines that
 // share Cached coders, on chunks from one byte to 1 MiB. The coder cache
 // and the scratch pools are the package's only shared state; run with
 // -race it proves them data-race free, and the byte checks prove no
@@ -247,8 +247,9 @@ func TestSharedCoderHammer(t *testing.T) {
 				for _, j := range lost {
 					damaged[j] = nil
 				}
-				if err := c.ReconstructSlots(damaged, lost); err != nil {
-					t.Errorf("ReconstructSlots: %v", err)
+				scratch, err := c.ReconstructPooled(damaged, lost)
+				if err != nil {
+					t.Errorf("ReconstructPooled: %v", err)
 					return
 				}
 				for j := range chunks {
@@ -265,6 +266,7 @@ func TestSharedCoderHammer(t *testing.T) {
 					t.Errorf("(%d,%d) chunk %d bytes: data chunks differ from the payload", m, n, size)
 					return
 				}
+				ReleaseScratch(scratch)
 				ReleaseChunks(chunks)
 			}
 		}(int64(w + 1))

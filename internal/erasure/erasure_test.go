@@ -188,7 +188,7 @@ func TestReconstructRestoresParity(t *testing.T) {
 	chunks := make([][]byte, 4)
 	chunks[0] = append([]byte(nil), orig[0]...)
 	chunks[1] = append([]byte(nil), orig[1]...)
-	if err := c.Reconstruct(chunks); err != nil {
+	if err := reconstruct(t, c, chunks); err != nil {
 		t.Fatal(err)
 	}
 	for i := range orig {
@@ -209,7 +209,7 @@ func TestReconstructTooFew(t *testing.T) {
 	chunks := make([][]byte, 5)
 	chunks[0] = orig[0]
 	chunks[4] = orig[4]
-	if err := c.Reconstruct(chunks); err == nil {
+	if err := reconstruct(t, c, chunks); err == nil {
 		t.Fatal("expected ErrTooFewChunks")
 	}
 }
@@ -332,4 +332,16 @@ func TestRateOverhead(t *testing.T) {
 	if c.Rate() != 0.75 {
 		t.Errorf("Rate = %v, want 0.75", c.Rate())
 	}
+}
+
+// reconstruct rebuilds the missing chunks among slots (every slot, when
+// none are named) with ReconstructPooled, and hands the scratch back when
+// the test ends: the rebuilt chunks stay readable until then.
+func reconstruct(t testing.TB, c *Coder, chunks [][]byte, slots ...int) error {
+	if slots == nil {
+		slots = c.slots
+	}
+	scratch, err := c.ReconstructPooled(chunks, slots)
+	t.Cleanup(func() { ReleaseScratch(scratch) })
+	return err
 }

@@ -4,7 +4,7 @@ import "sync"
 
 // Scratch pooling for the coding paths. Every encoded stripe needs an
 // n-chunk backing array plus the chunk-slice header; Verify needs a
-// parity-recompute buffer; Reconstruct needs a decode-matrix
+// parity-recompute buffer; a rebuild needs a decode-matrix
 // workspace. At production stripe sizes the allocator — not the Galois
 // arithmetic — shows up first in BrokerPut's allocs/op, so all of that
 // is recycled here. The pools store pointer boxes and every Get/Put
@@ -33,7 +33,7 @@ var (
 	// exchange the same *[]byte box.
 	scratchPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
 
-	// reconScratchPool recycles Reconstruct's decode-matrix workspace.
+	// reconScratchPool recycles a rebuild's decode-matrix workspace.
 	reconScratchPool = sync.Pool{New: func() any { return &reconScratch{} }}
 )
 
@@ -123,12 +123,12 @@ func ReleaseScratch(scratch *[]byte) {
 	}
 }
 
-// reconScratch is Reconstruct's per-call workspace: the decode
+// reconScratch is a rebuild's per-call workspace: the decode
 // sub-matrix backing, the surviving-chunk references, and the kernel
 // job list. Pooling it keeps the slow path's fixed overhead off the
 // allocator. The reconstructed chunks are handed to the caller: in a
-// fresh allocation it keeps (Reconstruct, ReconstructSlots, Decode), or
-// in scratchPool memory it lends back (ReconstructPooled).
+// fresh allocation it keeps (Decode), or in scratchPool memory it lends
+// back (ReconstructPooled).
 type reconScratch struct {
 	matData   []byte
 	chunkRefs [][]byte

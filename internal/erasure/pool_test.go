@@ -264,14 +264,14 @@ func BenchmarkEncodePooled(b *testing.B) {
 	}
 }
 
-// TestReconstructPooledMatchesReconstructSlots runs the pooled rebuild
+// TestReconstructPooledOnDirtyScratch runs the pooled rebuild
 // over rounds of differently-sized stripes and erasure sets, releasing
 // each round's scratch so the next one lands on recycled, dirty memory,
 // and checks every rebuilt chunk against the encoded one. Nothing missing
 // among the slots asked for lends no scratch; once the pool is warm a
 // rebuild of lost parity allocates nothing (a lost data chunk still
 // costs the decode matrix's few small allocations).
-func TestReconstructPooledMatchesReconstructSlots(t *testing.T) {
+func TestReconstructPooledOnDirtyScratch(t *testing.T) {
 	c, err := New(3, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,7 @@ type Coder struct {
 	// enc is the n x m systematic generator matrix: the top m rows are the
 	// identity, so the first m chunks are the raw data stripes.
 	enc matrix
-	// slots is 0..n-1: what Reconstruct asks for, and, cut at m, what
-	// Decode does.
+	// slots is 0..n-1; cut at m, it is what Decode rebuilds.
 	slots []int
 }
 
@@ -39,7 +38,6 @@ var (
 	ErrTooFewChunks  = errors.New("erasure: fewer than m chunks available")
 	ErrChunkCount    = errors.New("erasure: wrong number of chunks")
 	ErrChunkSize     = errors.New("erasure: chunks have inconsistent sizes")
-	ErrShortData     = errors.New("erasure: data shorter than declared size")
 )
 
 // New returns an (m,n) coder. m is the reconstruction threshold (the
@@ -245,27 +243,15 @@ func (c *Coder) fold(chunks [][]byte, from, to, p1 int) {
 	}
 }
 
-// Reconstruct fills in missing (nil) chunks in place. chunks must have
-// length n; at least m entries must be non-nil and of equal size.
-func (c *Coder) Reconstruct(chunks [][]byte) error {
-	_, err := c.reconstruct(chunks, c.slots, false)
-	return err
-}
-
-// ReconstructSlots is Reconstruct for the listed slots only: a nil chunk
-// outside slots stays nil — a swap repair has no use for the chunks it
-// does not rewrite.
-func (c *Coder) ReconstructSlots(chunks [][]byte, slots []int) error {
-	_, err := c.reconstruct(chunks, slots, false)
-	return err
-}
-
-// ReconstructPooled is ReconstructSlots with the rebuilt chunks cut from
-// pooled scratch instead of a fresh allocation, which it returns (nil
-// when nothing was missing). The caller owns the rebuilt chunks until it
-// hands scratch back via ReleaseScratch; after that the memory is
-// recycled, so nothing may read or keep them past the release. Scratch
-// never handed back is left to the garbage collector.
+// ReconstructPooled fills in, in place, the missing (nil) chunks among
+// slots: a nil chunk outside slots stays nil — a swap repair has no use
+// for the chunks it does not rewrite. chunks must have length n; at least
+// m entries must be non-nil and of equal size. The rebuilt chunks are cut
+// from pooled scratch, which it returns (nil when nothing was missing
+// among slots). The caller owns the rebuilt chunks until it hands scratch
+// back via ReleaseScratch; after that the memory is recycled, so nothing
+// may read or keep them past the release. Scratch never handed back is
+// left to the garbage collector.
 func (c *Coder) ReconstructPooled(chunks [][]byte, slots []int) (scratch *[]byte, err error) {
 	return c.reconstruct(chunks, slots, true)
 }
@@ -398,8 +384,7 @@ func (c *Coder) DecodeInto(dst []byte, chunks [][]byte, size int) ([]byte, error
 	}
 	chunkSize := len(chunks[0])
 	if c.m*chunkSize < size {
-		return nil, fmt.Errorf("%w: chunks hold %d bytes, need %d",
-			ErrShortData, c.m*chunkSize, size)
+		return nil, fmt.Errorf("erasure: chunks hold %d bytes, need %d", c.m*chunkSize, size)
 	}
 	if cap(dst) < size {
 		dst = make([]byte, size)

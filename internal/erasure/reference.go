@@ -4,7 +4,7 @@ package erasure
 // differential-test oracle for the table-driven production paths. They
 // mirror the package's original textbook single-byte code exactly:
 // sequential, log/exp multiplication, one allocation per chunk. Tests
-// assert Encode/Reconstruct/Verify are byte-identical to these, which
+// assert Encode/ReconstructPooled/Verify are byte-identical to these, which
 // checks the table-driven kernels and the plumbing around them at once.
 
 // encodeRef is the scalar reference Encode.
@@ -30,8 +30,9 @@ func (c *Coder) encodeRef(data []byte) [][]byte {
 	return chunks
 }
 
-// reconstructRef is the scalar reference Reconstruct: always builds and
-// inverts the decode matrix (no parity-only fast path), sequential.
+// reconstructRef is the scalar reference rebuild of every slot: always
+// builds and inverts the decode matrix (no parity-only fast path),
+// sequential.
 func (c *Coder) reconstructRef(chunks [][]byte) error {
 	if len(chunks) != c.n {
 		return ErrChunkCount

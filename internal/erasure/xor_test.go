@@ -148,7 +148,7 @@ func TestOnesRowMatchesScalarReference(t *testing.T) {
 			copy(prod, got)
 			copy(ref, want)
 			prod[lost], ref[lost] = nil, nil
-			if err := c.Reconstruct(prod); err != nil {
+			if err := reconstruct(t, c, prod); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.reconstructRef(ref); err != nil {
@@ -198,8 +198,8 @@ func TestOneLostDataChunkDecodesByXOR(t *testing.T) {
 	}
 }
 
-// TestReconstructSlotsFillsOnlyWhatIsAsked: a nil chunk outside the
-// slots asked for stays nil, and a wanted parity chunk is produced
+// TestReconstructSlotsFillsOnlyWhatIsAsked: ReconstructPooled leaves a
+// nil chunk outside the slots asked for nil, and a wanted parity chunk is produced
 // straight from the survivors even when a data chunk nobody asked for is
 // missing too.
 func TestReconstructSlotsFillsOnlyWhatIsAsked(t *testing.T) {
@@ -225,7 +225,7 @@ func TestReconstructSlotsFillsOnlyWhatIsAsked(t *testing.T) {
 			for _, i := range tc.have {
 				chunks[i] = full[i]
 			}
-			if err := c.ReconstructSlots(chunks, tc.want); err != nil {
+			if err := reconstruct(t, c, chunks, tc.want...); err != nil {
 				t.Fatal(err)
 			}
 			filled := map[int]bool{}
@@ -242,7 +242,7 @@ func TestReconstructSlotsFillsOnlyWhatIsAsked(t *testing.T) {
 			}
 		})
 	}
-	if err := c.ReconstructSlots(make([][]byte, c.n), []int{c.n}); err == nil {
+	if err := reconstruct(t, c, make([][]byte, c.n), c.n); err == nil {
 		t.Error("slot n accepted")
 	}
 }

@@ -115,7 +115,7 @@ func TestStoreLocalOverwriteSupersedes(t *testing.T) {
 	s := NewStore("dc1")
 	s.Put("r", ver("u1", 100, nil))
 	s.Put("r", ver("u2", 200, nil))
-	heads, err := s.Heads("r")
+	heads, err := headsOf(s, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestStoreVersionIsolation(t *testing.T) {
 	}
 }
 
-// TestStoredVersionsNeverChange: a version Get, Heads or Scan returned is
-// the stored one, shared, and still reads the same after later Puts,
+// TestStoredVersionsNeverChange: a version Get or Scan returned, or a row
+// holds as a head, is the stored one, shared, and still reads the same after later Puts,
 // Flushes and a collapse of its row — every write builds a new version
 // instead of editing one.
 func TestStoredVersionsNeverChange(t *testing.T) {
@@ -158,7 +158,7 @@ func TestStoredVersionsNeverChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads, _ := dc1.Heads("r")
+	heads, _ := headsOf(dc1, "r")
 	scanned, _ := dc1.Scan()
 	hold(got)
 	hold(heads...)
@@ -170,7 +170,7 @@ func TestStoredVersionsNeverChange(t *testing.T) {
 	c.Put("dc1", "s", ver("y", 2, map[string]string{"k": "y"}))
 	c.Heal("dc1", "dc2")
 	c.Flush()
-	heads, _ = dc1.Heads("r")
+	heads, _ = headsOf(dc1, "r")
 	hold(heads...)
 	if len(heads) != 2 {
 		t.Fatalf("%d heads, want the conflict staged", len(heads))
@@ -220,7 +220,7 @@ func TestGetCollapseKeepsRacingWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-done
-		heads, err := dc1.Heads("r")
+		heads, err := headsOf(dc1, "r")
 		if err != nil || !slices.ContainsFunc(heads, func(v Version) bool { return v.UUID == "c" }) {
 			lost++
 		}
@@ -276,7 +276,7 @@ func TestScanResolvesLikeGet(t *testing.T) {
 		t.Fatalf("Scan = %v, want only overwritten's newest version", got)
 	}
 	for _, row := range []string{"deleted", "overwritten"} {
-		if heads, _ := dc1.Heads(row); len(heads) != 2 {
+		if heads, _ := headsOf(dc1, row); len(heads) != 2 {
 			t.Fatalf("%s has %d heads after Scan, want the conflict left for Get", row, len(heads))
 		}
 	}
@@ -361,7 +361,7 @@ func TestClusterConcurrentWriteConflictFreshestWins(t *testing.T) {
 	c.Flush()
 
 	for _, s := range []*Store{dc1, dc2} {
-		heads, err := s.Heads("r")
+		heads, err := headsOf(s, "r")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestClusterConcurrentWriteConflictFreshestWins(t *testing.T) {
 			t.Fatalf("%s: losers = %+v", s.Node(), losers)
 		}
 		// Conflict is resolved permanently.
-		if heads, _ := s.Heads("r"); len(heads) != 1 {
+		if heads, _ := headsOf(s, "r"); len(heads) != 1 {
 			t.Fatalf("%s: conflict must collapse to one head", s.Node())
 		}
 	}
@@ -397,7 +397,7 @@ func TestClusterTombstoneWinnerReportsLiveLoser(t *testing.T) {
 	c.Flush()
 
 	for _, s := range []*Store{dc1, dc2} {
-		if heads, err := s.Heads("r"); err != nil || len(heads) != 2 || !heads[0].Deleted {
+		if heads, err := headsOf(s, "r"); err != nil || len(heads) != 2 || !heads[0].Deleted {
 			t.Fatalf("%s: heads = %+v, %v, want the tombstone ahead of the version it hides", s.Node(), heads, err)
 		}
 		_, losers, err := s.Get("r")
@@ -411,7 +411,7 @@ func TestClusterTombstoneWinnerReportsLiveLoser(t *testing.T) {
 		if _, losers, err := s.Get("r"); !errors.Is(err, ErrRowNotFound) || len(losers) != 0 {
 			t.Fatalf("%s: second Get = %+v, %v", s.Node(), losers, err)
 		}
-		if heads, err := s.Heads("r"); err != nil || len(heads) != 1 || !heads[0].Deleted {
+		if heads, err := headsOf(s, "r"); err != nil || len(heads) != 1 || !heads[0].Deleted {
 			t.Fatalf("%s: heads after collapse = %+v, %v, want the tombstone alone", s.Node(), heads, err)
 		}
 	}
@@ -550,4 +550,15 @@ func TestClusterConcurrentUse(t *testing.T) {
 			t.Fatalf("row %s diverged: %s vs %s", row, va.UUID, vb.UUID)
 		}
 	}
+}
+
+// headsOf returns all current (mutually concurrent) versions of a row,
+// tombstones included, newest first. A single head means no conflict.
+func headsOf(s *Store, row string) ([]Version, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.down {
+		return nil, ErrNodeDown
+	}
+	return newestFirst(s.rows[row])
 }

@@ -126,7 +126,7 @@ func TestFreshestAlwaysWinsProperty(t *testing.T) {
 			// version may differ from the raw max; what must always hold is
 			// that both replicas agree and the timestamp is not below any
 			// other surviving head's.
-			heads, _ := s.Heads("r")
+			heads, _ := headsOf(s, "r")
 			for _, h := range heads {
 				if h.Timestamp > got.Timestamp {
 					t.Fatalf("seed %d: winner %d older than head %d", seed, got.Timestamp, h.Timestamp)

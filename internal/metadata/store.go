@@ -136,17 +136,6 @@ func (s *Store) merge(row string, v Version) error {
 	return nil
 }
 
-// Heads returns all current (mutually concurrent) versions of a row,
-// tombstones included, newest first. A single head means no conflict.
-func (s *Store) Heads(row string) ([]Version, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.down {
-		return nil, ErrNodeDown
-	}
-	return newestFirst(s.rows[row])
-}
-
 // newestFirst copies a row's heads, newest first; s.mu is held.
 func newestFirst(heads []Version) ([]Version, error) {
 	if len(heads) == 0 {
