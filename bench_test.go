@@ -690,6 +690,65 @@ func BenchmarkGetLargeObject(b *testing.B) {
 	b.Run("degraded", func(b *testing.B) { cpuBound(b, true) })
 }
 
+// BenchmarkGetUnevenProviders measures the GET of a 1 MiB, four-stripe
+// paper Rule 3 (4, 5) object from providers whose Gets take 5, 6, 7, 8
+// and 9 ms in PaperProviders order: bench/'s rtt-striped shape at half
+// its latencies. The steps are whole milliseconds because timers fire on
+// a millisecond grid on some boxes, where 1.2 to 1.8 ms all wait about
+// 2.2 ms and the order would not show. Rackspace is the cheapest to read
+// and the other four cost the same, so which of those four holds the
+// parity slot decides what each stripe round waits for: the slowest
+// provider among the data slots. The setup writes and reads the object
+// until every provider's read latency has been sampled, then times reads
+// of the last version written; a healthy read rebuilds nothing.
+func BenchmarkGetUnevenProviders(b *testing.B) {
+	const stripeBytes = 256 << 10
+	reg, providers := cloudtest.Wrap(cloud.NewPaperRegistry())
+	for i, spec := range cloud.PaperProviders() {
+		for _, f := range providers {
+			if f.Spec().Name == spec.Name {
+				f.GetDelay = time.Duration(5+i) * time.Millisecond
+			}
+		}
+	}
+	br := engine.NewBroker(engine.Config{Registry: reg, StripeBytes: stripeBytes})
+	b.Cleanup(br.Close)
+	e := br.Engine(0)
+	payload := make([]byte, 4*stripeBytes)
+	for i := range payload {
+		payload[i] = byte(i * 5)
+	}
+	get := func() {
+		got, _, err := e.Get(bgctx, "uneven", "blob")
+		if err != nil || len(got) != len(payload) {
+			b.Fatalf("get: %v (%d bytes)", err, len(got))
+		}
+	}
+	// The first version lands in the planner's order, whose parity
+	// provider no read asks; the second puts it on a data slot, where it
+	// is sampled; the third is what a settled record writes.
+	for round := 0; round < 3; round++ {
+		meta, err := e.Put(bgctx, "uneven", "blob", payload, engine.PutOptions{Rule: &core.PaperRules()[2]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if meta.M != 4 || len(meta.Chunks) != 5 || meta.StripeCount() != 4 {
+			b.Fatalf("placement (%d, %d) in %d stripes, want (4, 5) in 4", meta.M, len(meta.Chunks), meta.StripeCount())
+		}
+		for r := 0; r < 8; r++ {
+			get()
+		}
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+	if n := br.ReadStats().StripesReconstructed; n != 0 {
+		b.Fatalf("healthy reads reconstructed %d stripes", n)
+	}
+}
+
 // BenchmarkPutLargeObject measures the streaming PUT of an 8-stripe,
 // m=4 object against providers with a simulated per-op round-trip: the
 // sequential seed path (encode stripe s, fan it out, wait, touch

@@ -341,6 +341,36 @@ func TestFailedHealDestroysNothing(t *testing.T) {
 	}
 }
 
+// TestSurvivorHeldToTheLostSlotsSum: a (1, 2) object's lost slot is the
+// survivor byte for byte, which fetch takes without summing it again;
+// the survivor still has to hold the lost slot's stored sum. With slot
+// 0's provider down, a read serves the survivor while the two slots'
+// sums agree, and fails with ErrChecksum once slot 0's sum disagrees.
+func TestSurvivorHeldToTheLostSlotsSum(t *testing.T) {
+	b := newTestBroker(t, Config{StripeBytes: 1024})
+	e := b.Engine(0)
+	payload := testPayload(3*1024 + 500)
+	meta, err := e.Put(ctx, "c", "k", payload, PutOptions{Rule: &core.PaperRules()[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.M != 1 || len(meta.Chunks) != 2 {
+		t.Fatalf("scenario expects a (1, 2) object, got (%d, %d)", meta.M, len(meta.Chunks))
+	}
+	blob(t, b, meta.Chunks[0]).SetAvailable(false)
+	if got, _, err := e.Get(ctx, "c", "k"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read with slot 0 down: %v", err)
+	}
+	bad := meta.clone()
+	bad.Sums[2].Chunks[0] ^= 1
+	if _, err := e.publish("c", "k", nil, func(*ObjectMeta) (*ObjectMeta, error) { return &bad, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Get(ctx, "c", "k"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("read with slot 0 down and its sum disagreeing = %v, want ErrChecksum", err)
+	}
+}
+
 // TestMalformedSumsFailClosed: a stripe whose sum record is missing, or
 // does not cover exactly its n chunks, is never served, copied or called
 // healthy — every path through fetch fails with ErrChecksum before it

@@ -192,7 +192,7 @@ func (e *Engine) draft(ctx context.Context, container, key string, planBytes int
 		Class:       class,
 		SKey:        StorageKey(container, key, uuid),
 		M:           res.Placement.M,
-		Chunks:      slotNames(res.Placement, min(planBytes, e.b.cfg.StripeBytes)),
+		Chunks:      e.b.slotNames(res.Placement, min(planBytes, e.b.cfg.StripeBytes)),
 		UUID:        uuid,
 		TTLHours:    opts.TTLHours,
 		CreatedAt:   now,

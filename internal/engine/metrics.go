@@ -303,11 +303,16 @@ func registerCacheFamily(reg *obs.Registry, b *Broker, name string, kind obs.Kin
 func (b *Broker) Metrics() *obs.Registry { return b.metrics.reg }
 
 // observeProviderOp records one backend call's latency (and failure)
-// under the per-provider series.
+// under the per-provider series; a successful Get's latency also feeds
+// the provider's read-latency record.
 func (b *Broker) observeProviderOp(provider, op string, start time.Time, err error) {
-	b.metrics.providerDur.With(provider, op).ObserveSince(start)
-	if err != nil {
+	d := time.Since(start)
+	b.metrics.providerDur.With(provider, op).Observe(d.Seconds())
+	switch {
+	case err != nil:
 		b.metrics.providerErrs.With(provider, op).Inc()
+	case op == "get":
+		b.readLatency.observe(provider, d)
 	}
 }
 

@@ -331,7 +331,7 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 	newMeta.UUID = NewUUID()
 	newMeta.SKey = StorageKey(meta.Container, meta.Key, newMeta.UUID)
 	newMeta.M = to.M
-	newMeta.Chunks = slotNames(to, meta.stripeLen(0))
+	newMeta.Chunks = e.b.slotNames(to, meta.stripeLen(0))
 	newMeta.Gens = nil // fresh keys under a fresh UUID: nothing to tell apart
 	l, err := e.layoutOf(newMeta)
 	if err != nil {

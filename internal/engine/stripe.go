@@ -108,7 +108,8 @@ func (e *Engine) partLayout(u *uploadSession, part int, gen uint64, size int64) 
 // readCost is what the meter charges one provider for its chunk of a
 // stripeLen-byte stripe cut m ways: the chunk's bytes out (never fewer
 // than the one an empty stripe stores) plus one operation. It is the
-// stripe engine's only ordering: rank and slotNames both sort by it.
+// stripe engine's first ordering: rank sorts by it alone, slotNames by
+// it and then, among exact ties, by read latency.
 func readCost(pr cloud.Pricing, stripeLen int64, m int) float64 {
 	chunk := max(1, (stripeLen+int64(m)-1)/int64(m))
 	return cloud.GB(chunk)*pr.BandwidthOutGB + pr.OpsPer1000/1000
@@ -119,9 +120,11 @@ func readCost(pr cloud.Pricing, stripeLen int64, m int) float64 {
 // providers" (§III-B). The stripe priced is the first, the full-size one
 // of a many-stripe body: the meter charges an operation per stripe, not
 // per object. Ties keep slot order, so among equals a read prefers the
-// data slots. Slots in skip and unreachable providers are left out; when
-// fewer than m remain, the ranking and an ErrNotEnoughChunks are both
-// returned so the caller can still serve cached stripes.
+// data slots — which slotNames gave to the fastest of the equally cheap
+// — and decodes nothing; rank itself never looks at latency. Slots in
+// skip and unreachable providers are left out; when fewer than m remain,
+// the ranking and an ErrNotEnoughChunks are both returned so the caller
+// can still serve cached stripes.
 func (l *stripeLayout) rank(skip []int) ([]int, error) {
 	m := l.coder.M()
 	// Priced once per slot: a price change must not unsettle the sort.
@@ -282,6 +285,8 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 			lost = append(lost, i)
 		}
 	}
+	// held says whether rebuilt slot i holds its slot's sum.
+	held := func(i int) bool { return check(i, chunks[i]) }
 	if len(lost) > 0 {
 		if lost[0] < m {
 			e.b.metrics.readReconstructed.Inc()
@@ -290,18 +295,25 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 		if m == 1 {
 			// Every generator row of a (1, n) code is [1]: each chunk is
 			// the payload, so the survivor is every lost chunk, byte for
-			// byte, and it is held to each slot's sum like a rebuilt one.
-			survivor := chunks[slices.IndexFunc(chunks, func(ch []byte) bool { return ch != nil })]
+			// byte. It passed its own slot's sum, so it holds a lost
+			// slot's exactly when the two stored sums agree, and its
+			// payload prefix is none of it or all of it (c bytes): the
+			// head is 0 or the survivor's sum. Nothing is summed again.
+			j := slices.IndexFunc(chunks, func(ch []byte) bool { return ch != nil })
 			for _, i := range lost {
-				chunks[i] = survivor
+				chunks[i] = chunks[j]
+				if payloadLen(size, c, i) == c {
+					heads[i] = sum.Chunks[j]
+				}
 			}
+			held = func(i int) bool { return sum.Chunks[i] == sum.Chunks[j] }
 		} else if f.scratch, err = l.coder.ReconstructPooled(chunks, lost); err != nil {
 			return fetched{got: got}, err
 		}
 	}
 	e.b.observeStage(tr, "decode", start)
 	start = time.Now()
-	ok := !slices.ContainsFunc(lost, func(i int) bool { return !check(i, chunks[i]) })
+	ok := !slices.ContainsFunc(lost, func(i int) bool { return !held(i) })
 	f.segs = make([][]byte, m)
 	for i := range f.segs {
 		k := payloadLen(size, c, i)

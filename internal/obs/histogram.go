@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // latencyBuckets are the upper bounds (seconds) of every latency
@@ -49,11 +48,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the elapsed time since start, in seconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Snapshot returns a point-in-time copy. Concurrent Observe calls may
