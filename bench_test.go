@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -580,7 +581,10 @@ func BenchmarkErasureDecodeWithLoss(b *testing.B) {
 // and, with the round-trip taken away, what the broker's own CPU makes
 // of a large GET (cpu-bound). The acceptance bar for the read-path
 // rebuild is parallel-prefetch >= 2x faster than sequential; the
-// bench-gate CI job watches all four for regressions.
+// bench-gate CI job watches all four for regressions. The round-trip is
+// a timer wait, so it lasts what the host's timers make of 300 µs: on a
+// 2-vCPU box whose timers fire on a ~1 ms grid, waits of 300 µs and of
+// 1 ms both took ≈ 1.1 ms, and every fetch here costs that.
 func BenchmarkGetLargeObject(b *testing.B) {
 	const (
 		stripeBytes  = 256 << 10
@@ -948,7 +952,10 @@ func BenchmarkRepairSwap(b *testing.B) {
 // per-request benchmarks never enter; repair-ms/op and drain-ms/op say
 // where a change sits, swapped/op and skipped/op that the passes still
 // do the same work (Rule 3's (4,5) spans all five providers, so it has
-// no spare to swap onto and is skipped).
+// no spare to swap onto and is skipped). The drains, repair passes and
+// optimize passes run under the pprof label phase=drain|repair|optimize,
+// which the goroutines they start inherit, so
+// go tool pprof -tagfocus phase=repair isolates a repair pass's CPU.
 func BenchmarkMaintenanceCycle(b *testing.B) {
 	const objects, objectBytes, foreground = 1500, 128 << 10, 200
 	clock := engine.NewSimClock()
@@ -985,12 +992,13 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 	providers := cloud.PaperProviders()
 	var repair, drain time.Duration
 	var swapped, skipped, next int
+	phase := func(name string, f func(ctx context.Context)) { pprof.Do(bgctx, pprof.Labels("phase", name), f) }
 	setVictim := func(name string, up bool) {
 		if _, err := br.Registry().UpdateAvailability(name, up); err != nil {
 			b.Fatal(err)
 		}
 		t0 := time.Now()
-		br.DrainMaintenance(bgctx)
+		phase("drain", func(ctx context.Context) { br.DrainMaintenance(ctx) })
 		drain += time.Since(t0)
 		br.Metadata().Flush()
 	}
@@ -1002,7 +1010,9 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 			next += 7
 		}
 		t0 := time.Now()
-		rep, err := br.Repair(bgctx, engine.RepairActive)
+		var rep engine.RepairReport
+		var err error
+		phase("repair", func(ctx context.Context) { rep, err = br.Repair(ctx, engine.RepairActive) })
 		br.Metadata().Flush()
 		repair += time.Since(t0)
 		if err != nil {
@@ -1021,7 +1031,8 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 			next += 7
 		}
 		clock.Advance(1)
-		if _, err := br.Optimize(bgctx); err != nil {
+		phase("optimize", func(ctx context.Context) { _, err = br.Optimize(ctx) })
+		if err != nil {
 			b.Fatal(err)
 		}
 		br.Metadata().Flush()

@@ -42,7 +42,7 @@ func main() {
 	}
 	defer client.Close()
 
-	client.AddPrivateResource(ts.URL, token, scalia.Provider{
+	err = client.AddPrivateResource(ts.URL, token, scalia.Provider{
 		Name:          "corp-nas",
 		Description:   "corporate NAS behind the privstore web service",
 		Durability:    0.999999,
@@ -51,6 +51,9 @@ func main() {
 		Pricing:       scalia.Pricing{StorageGBMonth: 0.001, BandwidthInGB: 0, BandwidthOutGB: 0},
 		CapacityBytes: capacity,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	rule := scalia.Rule{Name: "hybrid", Durability: 0.99999, Availability: 0.9999, LockIn: 1}
 	// Small objects fit the NAS and the engine prefers its near-zero

@@ -64,6 +64,7 @@ var cases = []struct {
 	{"Multipart", with(scalia.Options{}, multipart)},
 	{"ProviderLifecycle", with(scalia.Options{}, providerLifecycle)},
 	{"ProviderMutations", with(scalia.Options{}, providerMutations)},
+	{"ProviderInputValidated", with(scalia.Options{}, providerInputValidated)},
 	{"ContainerRule", with(scalia.Options{}, containerRule)},
 	{"OutageAndRepair", with(scalia.Options{}, outageAndRepair)},
 	{"BitRot", with(scalia.Options{}, bitRot)},
@@ -540,6 +541,61 @@ func providerMutations(t *tc) {
 	t.wantErr(err, scalia.ErrUnknownProvider, "outage on an unknown provider")
 	_, err = t.SetProviderPricing(ctx, "no-such-provider", raised)
 	t.wantErr(err, scalia.ErrUnknownProvider, "pricing of an unknown provider")
+}
+
+// providerInputValidated: a provider spec or price sheet the planner
+// cannot plan with is refused where it enters, one field at a time, with
+// ErrInvalidArgument (400 invalid_argument on the wire), and the market
+// is left as it was.
+func providerInputValidated(t *tc) {
+	base := scalia.Provider{
+		Name: "hostile-" + t.container, Durability: 0.999999, Availability: 0.999,
+		Zones:   []scalia.Zone{scalia.ZoneUS},
+		Pricing: scalia.Pricing{StorageGBMonth: 0.01, BandwidthInGB: 0.01, BandwidthOutGB: 0.01, OpsPer1000: 0.01},
+	}
+	prices := map[string]func(*scalia.Pricing){
+		"negative storage price": func(p *scalia.Pricing) { p.StorageGBMonth = -0.01 },
+		"negative ingress price": func(p *scalia.Pricing) { p.BandwidthInGB = -1 },
+		"negative egress price":  func(p *scalia.Pricing) { p.BandwidthOutGB = -1e-9 },
+		"negative ops price":     func(p *scalia.Pricing) { p.OpsPer1000 = -5 },
+	}
+	specs := map[string]func(*scalia.Provider){
+		"durability above 1":     func(s *scalia.Provider) { s.Durability = 1.5 },
+		"durability below 0":     func(s *scalia.Provider) { s.Durability = -0.5 },
+		"availability above 1":   func(s *scalia.Provider) { s.Availability = 2 },
+		"availability below 0":   func(s *scalia.Provider) { s.Availability = -3 },
+		"negative maxChunkBytes": func(s *scalia.Provider) { s.MaxChunkBytes = -1 },
+		"negative capacityBytes": func(s *scalia.Provider) { s.CapacityBytes = -1 },
+	}
+	for name, bad := range prices {
+		specs[name] = func(s *scalia.Provider) { bad(&s.Pricing) }
+	}
+	before, err := t.Providers(ctx)
+	t.must(err)
+	for name, bad := range specs {
+		spec := base
+		bad(&spec)
+		t.wantErr(t.AddProvider(ctx, spec), scalia.ErrInvalidArgument, "add with "+name)
+	}
+	if after, _ := t.Providers(ctx); len(after) != len(before) {
+		t.Fatalf("refused specs changed the market: %d providers, was %d", len(after), len(before))
+	}
+
+	victim := before[0]
+	for name, bad := range prices {
+		sheet := victim.Pricing
+		bad(&sheet)
+		_, err := t.SetProviderPricing(ctx, victim.Name, sheet)
+		t.wantErr(err, scalia.ErrInvalidArgument, "pricing with "+name)
+	}
+	if got := t.provider(victim.Name).Pricing; got != victim.Pricing {
+		t.Fatalf("refused price sheets changed %s's to %+v", victim.Name, got)
+	}
+	// The edge of the valid range: a provider that charges nothing.
+	gratis := base
+	gratis.Pricing = scalia.Pricing{}
+	t.must(t.AddProvider(ctx, gratis))
+	t.must(t.RemoveProvider(ctx, gratis.Name))
 }
 
 func containerRule(t *tc) {

@@ -45,6 +45,43 @@ func TestPaperProvidersTable(t *testing.T) {
 	}
 }
 
+// TestSpecValidate: every spec the market ships with is valid, and so is
+// a provider that charges nothing; each field out of its range is not.
+func TestSpecValidate(t *testing.T) {
+	for _, s := range append(PaperProviders(), CheapStorProvider(), Spec{Name: "free"}) {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	good := PaperProviders()[0]
+	for name, bad := range map[string]func(*Spec){
+		"no name":              func(s *Spec) { s.Name = "" },
+		"durability above 1":   func(s *Spec) { s.Durability = 1.5 },
+		"durability below 0":   func(s *Spec) { s.Durability = -0.1 },
+		"durability NaN":       func(s *Spec) { s.Durability = math.NaN() },
+		"availability above 1": func(s *Spec) { s.Availability = 1.0001 },
+		"availability below 0": func(s *Spec) { s.Availability = -3 },
+		"negative chunk bound": func(s *Spec) { s.MaxChunkBytes = -1 },
+		"negative capacity":    func(s *Spec) { s.CapacityBytes = -1 },
+		"negative storage":     func(s *Spec) { s.Pricing.StorageGBMonth = -0.01 },
+		"negative ingress":     func(s *Spec) { s.Pricing.BandwidthInGB = -0.01 },
+		"negative egress":      func(s *Spec) { s.Pricing.BandwidthOutGB = -0.01 },
+		"negative ops":         func(s *Spec) { s.Pricing.OpsPer1000 = -0.01 },
+		"infinite storage":     func(s *Spec) { s.Pricing.StorageGBMonth = math.Inf(1) },
+		"NaN egress":           func(s *Spec) { s.Pricing.BandwidthOutGB = math.NaN() },
+		"-Inf ops":             func(s *Spec) { s.Pricing.OpsPer1000 = math.Inf(-1) },
+	} {
+		s := good
+		bad(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: %+v validated", name, s)
+		}
+		if perr := s.Pricing.Validate(); (perr != nil) != (s.Pricing != good.Pricing) {
+			t.Errorf("%s: Pricing.Validate = %v", name, perr)
+		}
+	}
+}
+
 func TestZones(t *testing.T) {
 	byName := map[string]Spec{}
 	for _, s := range PaperProviders() {

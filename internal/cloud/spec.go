@@ -12,7 +12,9 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -59,6 +61,39 @@ type Spec struct {
 	// Private marks corporate-owned resources registered through the
 	// private storage web service.
 	Private bool `json:"private,omitempty"`
+}
+
+// Validate reports a price that is negative or not finite: the placement
+// search's branch-and-bound cost floor is a lower bound only for
+// non-negative prices.
+func (p Pricing) Validate() error {
+	for _, f := range []struct {
+		name string
+		usd  float64
+	}{{"storageGBMonth", p.StorageGBMonth}, {"bandwidthInGB", p.BandwidthInGB},
+		{"bandwidthOutGB", p.BandwidthOutGB}, {"opsPer1000", p.OpsPer1000}} {
+		if !(f.usd >= 0) || math.IsInf(f.usd, 1) {
+			return fmt.Errorf("cloud: price %s = %v is not a finite, non-negative number", f.name, f.usd)
+		}
+	}
+	return nil
+}
+
+// Validate reports a spec the planner cannot plan with: no name, an SLA
+// probability outside [0, 1], a negative size bound or an invalid price.
+func (s Spec) Validate() error {
+	switch {
+	case s.Name == "":
+		return errors.New("cloud: provider name is required")
+	case !(s.Durability >= 0 && s.Durability <= 1):
+		return fmt.Errorf("cloud: provider %s: durability %v is not in [0, 1]", s.Name, s.Durability)
+	case !(s.Availability >= 0 && s.Availability <= 1):
+		return fmt.Errorf("cloud: provider %s: availability %v is not in [0, 1]", s.Name, s.Availability)
+	case s.MaxChunkBytes < 0 || s.CapacityBytes < 0:
+		return fmt.Errorf("cloud: provider %s: maxChunkBytes %d and capacityBytes %d must not be negative",
+			s.Name, s.MaxChunkBytes, s.CapacityBytes)
+	}
+	return s.Pricing.Validate()
 }
 
 // String implements fmt.Stringer.

@@ -34,15 +34,24 @@ func exhaustiveBest(s *Search, load stats.Summary, objectBytes int64, free map[s
 // TestBestBranchAndBoundDifferential fuzzes random loads and per-object
 // constraints against the exhaustive oracle: the pruned scan must pick
 // the identical placement at the identical price while never evaluating
-// more candidates, and must actually prune on storage-heavy loads.
+// more candidates, and must actually prune on storage-heavy loads. It
+// runs on the paper's market and on that market with a provider that
+// charges nothing, the edge of the prices cloud.Pricing.Validate accepts.
 func TestBestBranchAndBoundDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	zeroPriced := cloud.Spec{Name: "free", Durability: 0.9999, Availability: 0.99, Zones: []cloud.Zone{cloud.ZoneUS}}
+	for _, market := range [][]cloud.Spec{cloud.PaperProviders(), append(cloud.PaperProviders(), zeroPriced)} {
+		testBestBranchAndBound(t, rng, market)
+	}
+}
+
+func testBestBranchAndBound(t *testing.T, rng *rand.Rand, market []cloud.Spec) {
 	for _, rule := range []Rule{
 		{Durability: 0.99999, Availability: 0.9999, LockIn: 1},
 		{Durability: 0.999999, Availability: 0.9999, LockIn: 0.5},
 		{Durability: 0.99999, Availability: 0.999, LockIn: 0.34, Zones: []cloud.Zone{cloud.ZoneUS, cloud.ZoneEU}},
 	} {
-		s, err := NewSearch(cloud.PaperProviders(), rule, Options{PeriodHours: 1})
+		s, err := NewSearch(market, rule, Options{PeriodHours: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +76,7 @@ func TestBestBranchAndBoundDifferential(t *testing.T) {
 			if trial%3 == 1 {
 				objectBytes = int64(load.StorageBytes)
 				free = map[string]int64{}
-				for _, spec := range cloud.PaperProviders() {
+				for _, spec := range market {
 					free[spec.Name] = int64(rng.Float64() * 2 * load.StorageBytes)
 				}
 			}

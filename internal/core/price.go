@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,14 +37,13 @@ func (p Placement) String() string {
 }
 
 // Equal reports whether two placements use the same provider names and
-// threshold.
+// threshold. A placement names each provider once.
 func (p Placement) Equal(other Placement) bool {
 	if p.M != other.M || len(p.Providers) != len(other.Providers) {
 		return false
 	}
-	a, b := p.Names(), other.Names()
-	for i := range a {
-		if a[i] != b[i] {
+	for _, s := range p.Providers {
+		if !other.Has(s.Name) {
 			return false
 		}
 	}
@@ -58,6 +58,17 @@ func (p Placement) Has(name string) bool {
 		}
 	}
 	return false
+}
+
+// nextMoved returns the provider of p that other lacks whose name comes
+// next after the name after (the first, when first is set), if any.
+func (p Placement) nextMoved(other Placement, after string, first bool) (next cloud.Spec, ok bool) {
+	for _, s := range p.Providers {
+		if (first || s.Name > after) && (!ok || s.Name < next.Name) && !other.Has(s.Name) {
+			next, ok = s, true
+		}
+	}
+	return next, ok
 }
 
 // ChunkGB returns the per-chunk size in GB for an object of the given
@@ -144,23 +155,16 @@ func MigrationCost(from, to Placement, storageGB float64) float64 {
 	// chunk keeps its stripe identity and moves by a direct copy from the
 	// leaving provider to the incoming one — no reconstruction.
 	if from.M == to.M && from.N() == to.N() {
+		// The i-th leaving provider by name sends to the i-th incoming.
 		chunkGB := from.ChunkGB(storageGB)
-		var leaving, incoming []cloud.Spec
-		for _, s := range from.Providers {
-			if !to.Has(s.Name) {
-				leaving = append(leaving, s)
-			}
-		}
-		for _, s := range to.Providers {
-			if !from.Has(s.Name) {
-				incoming = append(incoming, s)
-			}
-		}
-		sort.Slice(leaving, func(i, j int) bool { return leaving[i].Name < leaving[j].Name })
-		sort.Slice(incoming, func(i, j int) bool { return incoming[i].Name < incoming[j].Name })
 		var cost float64
-		for i := range incoming {
-			src, dst := leaving[i], incoming[i]
+		var src, dst cloud.Spec
+		for first := true; ; first = false {
+			var ok bool
+			if dst, ok = to.nextMoved(from, dst.Name, first); !ok {
+				break
+			}
+			src, _ = from.nextMoved(to, src.Name, first)
 			cost += chunkGB*src.Pricing.BandwidthOutGB + src.Pricing.OpsPer1000/1000 // read
 			cost += chunkGB*dst.Pricing.BandwidthInGB + dst.Pricing.OpsPer1000/1000  // write
 			cost += src.Pricing.OpsPer1000 / 1000                                    // delete
@@ -172,11 +176,11 @@ func MigrationCost(from, to Placement, storageGB float64) float64 {
 	// old chunks.
 	var cost float64
 	chunkGB := from.ChunkGB(storageGB)
-	reads := make([]float64, 0, from.N())
+	reads := make([]float64, 0, 16) // on the stack up to 16 providers
 	for _, s := range from.Providers {
 		reads = append(reads, chunkGB*s.Pricing.BandwidthOutGB+s.Pricing.OpsPer1000/1000)
 	}
-	sort.Float64s(reads)
+	slices.Sort(reads)
 	for i := 0; i < from.M && i < len(reads); i++ {
 		cost += reads[i]
 	}

@@ -36,12 +36,13 @@ func (b *Broker) Providers() []ProviderStatus {
 var ErrProviderExists = fmt.Errorf("%w: provider is already registered", ErrPreconditionFailed)
 
 // AddProvider registers a simulated storage provider at runtime (the
-// paper's CheapStor scenario). It only ever adds: replacing a live
-// backend would orphan every chunk stored at it, so a name already in
-// the market fails with ErrProviderExists.
+// paper's CheapStor scenario). A spec cloud.Spec.Validate refuses fails
+// with ErrInvalidArgument. It only ever adds: replacing a live backend
+// would orphan every chunk stored at it, so a name already in the market
+// fails with ErrProviderExists.
 func (b *Broker) AddProvider(spec cloud.Spec) error {
-	if spec.Name == "" {
-		return fmt.Errorf("%w: provider name is required", ErrInvalidArgument)
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
 	if !b.registry.RegisterIfAbsent(cloud.NewBlobStore(spec)) {
 		return fmt.Errorf("%w: %s", ErrProviderExists, spec.Name)
@@ -92,9 +93,13 @@ func (b *Broker) SetProviderAvailable(name string, up bool) (ProviderMutation, e
 // SetProviderPricing replaces a provider's price sheet at runtime — the
 // paper's provider "suddenly increasing its pricing policy". The market
 // epoch bumps, so later placements plan against the new prices and the
-// maintenance queue re-plans the objects placed on the provider. Error
-// contract as SetProviderAvailable.
+// maintenance queue re-plans the objects placed on the provider. A sheet
+// cloud.Pricing.Validate refuses fails with ErrInvalidArgument; otherwise
+// the error contract is SetProviderAvailable's.
 func (b *Broker) SetProviderPricing(name string, p cloud.Pricing) (ProviderMutation, error) {
+	if err := p.Validate(); err != nil {
+		return ProviderMutation{}, fmt.Errorf("%w: %w", ErrInvalidArgument, err)
+	}
 	epoch, err := b.registry.UpdatePricing(name, p)
 	if err != nil {
 		return ProviderMutation{}, err

@@ -249,9 +249,10 @@ type Broker struct {
 	// gen is the source of chunk generations (ObjectMeta.Gens). It never
 	// repeats: two attempts at one part or one swap never share a key.
 	gen atomic.Uint64
-	// readLatency is each provider's smoothed Get latency, the tie-break
-	// of slotNames among equally cheap providers (latency.go).
-	readLatency readLatency
+	// providers holds what the broker learns about each provider from
+	// its traffic: its op series and its smoothed Get latency, the
+	// tie-break of slotNames among equally cheap providers (providers.go).
+	providers providerRecords
 
 	// ctx is the broker's lifetime, cancelled by Close; wg counts what
 	// goBackground runs under it: the drain, the reaper, every async job.
@@ -420,6 +421,7 @@ func NewBroker(cfg Config) *Broker {
 		jobs:      newJobRegistry(),
 	}
 	b.ctx, b.cancel = context.WithCancel(context.Background())
+	b.providers.by.Store(&map[string]*providerRecord{})
 	if cfg.MaxBufferBytes > 0 {
 		slots := cfg.MaxBufferBytes / cfg.StripeBytes
 		if slots < 1 {
@@ -582,16 +584,17 @@ func (b *Broker) livePlacement(m int, names []string) core.Placement {
 // slotNames assigns a placement's providers to chunk slots (chunk i of
 // every stripe goes to the i-th name): cheapest to read first by the
 // readCost of a stripeLen-byte stripe, then, among exactly equal costs,
-// fastest first by the read-latency record. Slots 0..m-1 are the
-// identity rows of the systematic code, so the data chunks land on
-// exactly the m providers rank will ask, the fastest it may ask at that
-// cost, and the parity on the ones it leaves out: a healthy read serves
-// the data chunks as they lie. Latencies the record cannot tell apart
-// keep the planner's order; a provider no Get has reached yet counts as
-// below the floor, so it goes ahead of any measured slower and earns a
-// first sample. A stored object is never re-slotted, and rank does not
-// re-order by latency (a healthy read would then decode): when a swap or
-// a price change moves rank off its data slots it still reads correctly
+// fastest first by the smoothed Get latency of their records
+// (providers.go). Slots 0..m-1 are the identity rows of the systematic
+// code, so the data chunks land on exactly the m providers rank will ask,
+// the fastest it may ask at that cost, and the parity on the ones it
+// leaves out: a healthy read serves the data chunks as they lie.
+// Latencies the record cannot tell apart keep the planner's order; a
+// provider no Get has reached yet counts as below the floor, so it goes
+// ahead of any measured slower and earns a first sample. A stored object
+// is never re-slotted, and rank does not re-order by latency (a healthy
+// read would then decode): when a swap or a price change moves rank off
+// its data slots it still reads correctly
 // (ReadPathStats.StripesReconstructed counts those stripes).
 func (b *Broker) slotNames(p core.Placement, stripeLen int64) []string {
 	type slot struct {
@@ -601,7 +604,7 @@ func (b *Broker) slotNames(p core.Placement, stripeLen int64) []string {
 	}
 	slots := make([]slot, len(p.Providers))
 	for i, spec := range p.Providers {
-		slots[i] = slot{spec.Name, readCost(spec.Pricing, stripeLen, p.M), b.readLatency.level(spec.Name)}
+		slots[i] = slot{spec.Name, readCost(spec.Pricing, stripeLen, p.M), b.providers.record(spec.Name).level()}
 	}
 	slices.SortStableFunc(slots, func(x, y slot) int {
 		return cmp.Or(cmp.Compare(x.cost, y.cost), cmp.Compare(x.level, y.level))

@@ -46,21 +46,6 @@ type Health struct {
 
 func (g *Gateway) healthz(http.Header, *http.Request) (int, any, error) {
 	b := g.broker
-	// Per-provider latency: merge that provider's get/put/delete series
-	// out of the backend-call histogram family.
-	byProvider := make(map[string]obs.HistogramSnapshot)
-	errsByProvider := make(map[string]int64)
-	for _, lh := range b.Metrics().Histograms(metricProviderOp) {
-		p := lh.Labels["provider"]
-		byProvider[p] = byProvider[p].Merge(lh.Snapshot)
-	}
-	for _, s := range b.registry.Snapshot() {
-		name := s.Spec().Name
-		errsByProvider[name] = b.metrics.providerErrs.With(name, "get").Value() +
-			b.metrics.providerErrs.With(name, "put").Value() +
-			b.metrics.providerErrs.With(name, "delete").Value()
-	}
-
 	h := Health{
 		Status:         "ok",
 		GoVersion:      runtime.Version(),
@@ -70,14 +55,18 @@ func (g *Gateway) healthz(http.Header, *http.Request) (int, any, error) {
 		Providers:      []ProviderHealth{},
 	}
 	for _, s := range b.registry.Snapshot() {
-		name := s.Spec().Name
-		ph := ProviderHealth{
-			Name:      name,
-			Available: s.Available(),
-			UsedBytes: s.UsedBytes(),
-			Errors:    errsByProvider[name],
+		ph := ProviderHealth{Name: s.Spec().Name, Available: s.Available(), UsedBytes: s.UsedBytes()}
+		// The provider's get, put and delete series, merged; asking for
+		// the error counts lists each in /metrics.
+		rec := b.providers.record(ph.Name)
+		var snap obs.HistogramSnapshot
+		for op := range providerOpNames {
+			ph.Errors += series(&rec.errs[op], b.metrics.providerErrs.With, ph.Name, providerOp(op)).Value()
+			if d := rec.dur[op].Load(); d != nil {
+				snap = snap.Merge(d.Snapshot())
+			}
 		}
-		if snap, ok := byProvider[name]; ok && snap.Count > 0 {
+		if snap.Count > 0 {
 			ph.Calls = snap.Count
 			// Quantile is NaN only on empty snapshots, which Count>0
 			// excludes — and NaN must never reach encoding/json.

@@ -135,8 +135,7 @@ func TestEqualCostSlotsGoToTheFastest(t *testing.T) {
 func TestUnsampledProviderTies(t *testing.T) {
 	b := newTestBroker(t, Config{})
 	set := func(name string, d time.Duration) {
-		b.readLatency.observe(name, 0) // the slot
-		b.readLatency.slot(name).Store(int64(d))
+		b.providers.record(name).srtt.Store(int64(d))
 	}
 	set("under", latencyFloor/2)
 	set("slow", 2*time.Millisecond)
@@ -175,7 +174,7 @@ func TestFailedGetsAreNoSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	readBack(t, b, "first", payload)
-	before := b.readLatency.slot(cloud.NameGoogle).Load()
+	before := b.providers.record(cloud.NameGoogle).srtt.Load()
 	if before < int64(latencyFloor) {
 		t.Fatalf("Google's record reads %v after its slow Gets", time.Duration(before))
 	}
@@ -189,7 +188,7 @@ func TestFailedGetsAreNoSamples(t *testing.T) {
 	if ggl.GetErrs.Load() == 0 {
 		t.Fatal("scenario expects Google's Gets to fail")
 	}
-	if after := b.readLatency.slot(cloud.NameGoogle).Load(); after != before {
+	if after := b.providers.record(cloud.NameGoogle).srtt.Load(); after != before {
 		t.Fatalf("failed Gets moved Google's record from %v to %v", time.Duration(before), time.Duration(after))
 	}
 	meta, err := e.Put(ctx, "c", "second", payload, PutOptions{})

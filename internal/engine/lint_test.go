@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// TestSourceLints holds the engine's non-test sources to four structural
+// TestSourceLints holds the engine's non-test sources to five structural
 // promises, and its tests and the root package's to one, each stated where
 // it is kept: checked on the parsed files — imports, call sites and
 // declarations, never comments or strings.
@@ -130,6 +130,28 @@ func TestSourceLints(t *testing.T) {
 					return true
 				})
 			}
+		}
+	})
+	t.Run("one provider record", func(t *testing.T) {
+		// What the broker learns about a provider from its own traffic is
+		// its record (providers.go): observeProviderOp is the one path that
+		// writes it, and the health endpoint reads the error series through
+		// it. Reaching the op series or the smoothed latency from anywhere
+		// else is a second observation path.
+		owners := map[string]bool{"metrics.go": true, "providers.go": true, "httpapi_obs.go": true}
+		for name, f := range files {
+			if owners[name] {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					switch sel.Sel.Name {
+					case "providerDur", "providerErrs", "srtt":
+						t.Errorf("%s: %s outside the provider record", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
 		}
 	})
 	t.Run("no JSON rows", func(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"time"
 
+	"scalia/internal/cache"
+	"scalia/internal/cloud"
 	"scalia/internal/obs"
 )
 
@@ -27,9 +29,8 @@ type brokerMetrics struct {
 	// verify, decode, repair, optimize.
 	stageDur *obs.HistogramVec // {stage}
 
-	// Per-provider backend calls, observed at the engine call sites
-	// (wrapping cloud.Backend itself would break the failure-injection
-	// type assertions tests rely on).
+	// Per-provider backend calls, observed at the engine call sites and
+	// resolved once in each provider's record (providers.go).
 	providerDur  *obs.HistogramVec // {provider, op}
 	providerErrs *obs.CounterVec   // {provider, op}
 	// chunkSumFailures counts chunks a provider served whose bytes failed
@@ -54,13 +55,8 @@ type brokerMetrics struct {
 	repairIndexed *obs.Counter
 }
 
-// Metric family names, shared by the encoder output, the health
-// endpoint and the bench harness.
-const (
-	metricHTTPDuration = "scalia_http_request_duration_seconds"
-	metricProviderOp   = "scalia_provider_op_duration_seconds"
-	metricStage        = "scalia_stage_duration_seconds"
-)
+// metricProviderOp names the provider op latency family.
+const metricProviderOp = "scalia_provider_op_duration_seconds"
 
 // newBrokerMetrics builds the broker's registry. It must run after the
 // broker's registry/caches/planner/engines are in place, because the
@@ -71,7 +67,7 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 		reg:   reg,
 		start: time.Now(),
 
-		httpDur: reg.HistogramVec(metricHTTPDuration,
+		httpDur: reg.HistogramVec("scalia_http_request_duration_seconds",
 			"Gateway request latency by method and route.", "method", "route"),
 		httpReqs: reg.CounterVec("scalia_http_requests_total",
 			"Gateway requests by method, route and status code.",
@@ -80,7 +76,7 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 			"Response body bytes written by method and route.",
 			"method", "route"),
 
-		stageDur: reg.HistogramVec(metricStage,
+		stageDur: reg.HistogramVec("scalia_stage_duration_seconds",
 			"Latency of serving-path stages (plan, hash, encode, fanout, commit, fetch, verify, decode, repair, optimize, maint).", "stage"),
 
 		providerDur: reg.HistogramVec(metricProviderOp,
@@ -119,40 +115,45 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 		func() float64 { return float64(b.planner.Stats().Misses) })
 
 	// Stripe caches, one series per datacenter (source: cache.Cluster).
-	registerCacheFamily(reg, b, "scalia_cache_hits_total", obs.KindCounter,
-		"Stripe-cache hits by datacenter.", func(hits, misses, ev, entries, used int64) int64 { return hits })
-	registerCacheFamily(reg, b, "scalia_cache_misses_total", obs.KindCounter,
-		"Stripe-cache misses by datacenter.", func(hits, misses, ev, entries, used int64) int64 { return misses })
-	registerCacheFamily(reg, b, "scalia_cache_evictions_total", obs.KindCounter,
-		"Stripe-cache evictions by datacenter.", func(hits, misses, ev, entries, used int64) int64 { return ev })
-	registerCacheFamily(reg, b, "scalia_cache_entries", obs.KindGauge,
-		"Cached stripes by datacenter.", func(hits, misses, ev, entries, used int64) int64 { return entries })
-	registerCacheFamily(reg, b, "scalia_cache_used_bytes", obs.KindGauge,
-		"Cached byte volume by datacenter.", func(hits, misses, ev, entries, used int64) int64 { return used })
+	cacheFamily := func(name string, kind obs.Kind, help string, pick func(cache.Stats) int64) {
+		reg.CollectFunc(name, help, kind, []string{"dc"}, func() []obs.Sample {
+			var out []obs.Sample
+			for dc, s := range b.caches.StatsByDC() {
+				out = append(out, obs.Sample{LabelValues: []string{dc}, Value: float64(pick(s))})
+			}
+			return out
+		})
+	}
+	cacheFamily("scalia_cache_hits_total", obs.KindCounter,
+		"Stripe-cache hits by datacenter.", func(s cache.Stats) int64 { return s.Hits })
+	cacheFamily("scalia_cache_misses_total", obs.KindCounter,
+		"Stripe-cache misses by datacenter.", func(s cache.Stats) int64 { return s.Misses })
+	cacheFamily("scalia_cache_evictions_total", obs.KindCounter,
+		"Stripe-cache evictions by datacenter.", func(s cache.Stats) int64 { return s.Evictions })
+	cacheFamily("scalia_cache_entries", obs.KindGauge,
+		"Cached stripes by datacenter.", func(s cache.Stats) int64 { return s.Entries })
+	cacheFamily("scalia_cache_used_bytes", obs.KindGauge,
+		"Cached byte volume by datacenter.", func(s cache.Stats) int64 { return s.UsedBytes })
 
 	// Provider health and footprint (source: cloud.Registry).
-	reg.CollectFunc("scalia_provider_up",
-		"Provider reachability (1 = available).",
-		obs.KindGauge, []string{"provider"}, func() []obs.Sample {
+	providerGauge := func(name, help string, value func(cloud.Backend) float64) {
+		reg.CollectFunc(name, help, obs.KindGauge, []string{"provider"}, func() []obs.Sample {
 			var out []obs.Sample
 			for _, s := range b.registry.Snapshot() {
-				v := 0.0
-				if s.Available() {
-					v = 1
-				}
-				out = append(out, obs.Sample{LabelValues: []string{s.Spec().Name}, Value: v})
+				out = append(out, obs.Sample{LabelValues: []string{s.Spec().Name}, Value: value(s)})
 			}
 			return out
 		})
-	reg.CollectFunc("scalia_provider_used_bytes",
-		"Bytes stored per provider.",
-		obs.KindGauge, []string{"provider"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, s := range b.registry.Snapshot() {
-				out = append(out, obs.Sample{LabelValues: []string{s.Spec().Name}, Value: float64(s.UsedBytes())})
-			}
-			return out
-		})
+	}
+	providerGauge("scalia_provider_up", "Provider reachability (1 = available).", func(s cloud.Backend) float64 {
+		if s.Available() {
+			return 1
+		}
+		return 0
+	})
+	providerGauge("scalia_provider_used_bytes", "Bytes stored per provider.", func(s cloud.Backend) float64 {
+		return float64(s.UsedBytes())
+	})
 
 	// Billable usage and cost (source: per-backend cloud.Meters).
 	reg.CounterFunc("scalia_usage_ops_total",
@@ -281,40 +282,9 @@ func newBrokerMetrics(b *Broker) *brokerMetrics {
 	return m
 }
 
-// registerCacheFamily registers one per-datacenter series family backed
-// by cache.Cluster.StatsByDC.
-func registerCacheFamily(reg *obs.Registry, b *Broker, name string, kind obs.Kind, help string,
-	pick func(hits, misses, evictions, entries, usedBytes int64) int64) {
-	reg.CollectFunc(name, help, kind, []string{"dc"}, func() []obs.Sample {
-		by := b.caches.StatsByDC()
-		out := make([]obs.Sample, 0, len(by))
-		for dc, s := range by {
-			out = append(out, obs.Sample{
-				LabelValues: []string{dc},
-				Value:       float64(pick(s.Hits, s.Misses, s.Evictions, s.Entries, s.UsedBytes)),
-			})
-		}
-		return out
-	})
-}
-
 // Metrics exposes the broker's metric registry (the gateway's /metrics
 // endpoint, the bench harness and embedded deployments scrape it).
 func (b *Broker) Metrics() *obs.Registry { return b.metrics.reg }
-
-// observeProviderOp records one backend call's latency (and failure)
-// under the per-provider series; a successful Get's latency also feeds
-// the provider's read-latency record.
-func (b *Broker) observeProviderOp(provider, op string, start time.Time, err error) {
-	d := time.Since(start)
-	b.metrics.providerDur.With(provider, op).Observe(d.Seconds())
-	switch {
-	case err != nil:
-		b.metrics.providerErrs.With(provider, op).Inc()
-	case op == "get":
-		b.readLatency.observe(provider, d)
-	}
-}
 
 // observeStage records one serving-path stage that ran from start until
 // now.

@@ -223,7 +223,7 @@ func (e *Engine) fetch(ctx context.Context, l *stripeLayout, s int, order []int,
 				// Cancellation is stream teardown (a range read that got
 				// its bytes), not a provider failure — keep it out of the
 				// series.
-				e.b.observeProviderOp(l.names[i], "get", t0, err)
+				e.b.observeProviderOp(l.names[i], opGet, t0, err)
 				if err != nil {
 					e.b.metrics.readFallbacks.Inc()
 					tr.Count("fallbacks", 1)
@@ -399,7 +399,7 @@ func (e *Engine) writeChunks(ctx context.Context, l *stripeLayout, s int, chunks
 		}
 		t0 := time.Now()
 		err := l.stores[i].Put(ctx, l.key(s, i), chunks[i])
-		e.b.observeProviderOp(l.names[i], "put", t0, err)
+		e.b.observeProviderOp(l.names[i], opPut, t0, err)
 		if err != nil {
 			errs[j] = fmt.Errorf("engine: chunk write to %s: %w", l.names[i], err)
 		}
@@ -447,7 +447,7 @@ func (b *Broker) dropChunks(l *stripeLayout, upto int, slots []int) (held []int,
 			for s := 0; s < upto; s++ {
 				t0 := time.Now()
 				err := st.Delete(context.Background(), l.key(s, i))
-				b.observeProviderOp(l.names[i], "delete", t0, err)
+				b.observeProviderOp(l.names[i], opDelete, t0, err)
 				if err != nil && !errors.Is(err, cloud.ErrNotFound) {
 					kept[j]++
 				}

@@ -55,20 +55,28 @@ func (h *History) evictOldestLocked() {
 // Periods with no recorded sample are omitted; Summarize with total = n
 // treats them as zero-access periods.
 func (h *History) Window(now int64, n int) []Sample {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	out := make([]Sample, 0, n)
-	for p := now - int64(n) + 1; p <= now; p++ {
-		if s, ok := h.samples[p]; ok {
-			out = append(out, s)
-		}
-	}
+	h.each(now, n, func(s Sample) { out = append(out, s) })
 	return out
 }
 
-// Summary aggregates the last n periods ending at now.
+// Summary aggregates the last n periods ending at now: Summarize of
+// Window(now, n), summed as the window is read rather than gathered.
 func (h *History) Summary(now int64, n int) Summary {
-	return Summarize(h.Window(now, n), n)
+	var acc summer
+	h.each(now, n, acc.add)
+	return acc.summary(n)
+}
+
+// each calls f with the samples of the periods (now-n, now], oldest first.
+func (h *History) each(now int64, n int, f func(Sample)) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for p := now - int64(n) + 1; p <= now; p++ {
+		if s, ok := h.samples[p]; ok {
+			f(s)
+		}
+	}
 }
 
 // Len returns the number of recorded (non-empty) periods.

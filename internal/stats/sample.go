@@ -63,25 +63,40 @@ type Summary struct {
 // slice) count as zero-access periods when total is > len(samples);
 // passing total = 0 uses len(samples).
 func Summarize(samples []Sample, total int) Summary {
+	var acc summer
+	for _, s := range samples {
+		acc.add(s)
+	}
+	return acc.summary(total)
+}
+
+// summer is Summarize's running sum, fed one sample at a time.
+type summer struct {
+	sum                     Summary
+	samples, storagePeriods int
+}
+
+func (a *summer) add(s Sample) {
+	a.samples++
+	a.sum.Reads += float64(s.Reads)
+	a.sum.Writes += float64(s.Writes)
+	a.sum.BytesOut += float64(s.BytesOut)
+	a.sum.BytesIn += float64(s.BytesIn)
+	if s.StorageBytes > 0 {
+		a.sum.StorageBytes += float64(s.StorageBytes)
+		a.storagePeriods++
+	}
+}
+
+func (a *summer) summary(total int) Summary {
 	if total <= 0 {
-		total = len(samples)
+		total = a.samples
 	}
 	if total == 0 {
 		return Summary{}
 	}
-	var sum Summary
+	sum, storagePeriods := a.sum, a.storagePeriods
 	sum.Periods = total
-	var storagePeriods int
-	for _, s := range samples {
-		sum.Reads += float64(s.Reads)
-		sum.Writes += float64(s.Writes)
-		sum.BytesOut += float64(s.BytesOut)
-		sum.BytesIn += float64(s.BytesIn)
-		if s.StorageBytes > 0 {
-			sum.StorageBytes += float64(s.StorageBytes)
-			storagePeriods++
-		}
-	}
 	n := float64(total)
 	sum.Reads /= n
 	sum.Writes /= n

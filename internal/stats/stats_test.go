@@ -68,6 +68,29 @@ func TestHistoryWindow(t *testing.T) {
 	}
 }
 
+// TestHistorySummaryIsSummarizeOfWindow: Summary sums the window as it
+// reads it, to the bit what Summarize makes of Window, and allocates
+// nothing.
+func TestHistorySummaryIsSummarizeOfWindow(t *testing.T) {
+	h := NewHistory(0)
+	for p := int64(1); p <= 40; p++ {
+		if p%3 != 0 { // gaps count as idle periods
+			h.Record(Sample{Period: p, Reads: p * 7, Writes: p % 5, BytesOut: p * 1e9 / 3, BytesIn: p * 12345, StorageBytes: (p % 4) * 1e7})
+		}
+	}
+	for _, w := range []struct {
+		now int64
+		n   int
+	}{{40, 1}, {40, 7}, {40, 24}, {45, 24}, {10, 40}, {40, 0}, {0, 5}} {
+		if got, want := h.Summary(w.now, w.n), Summarize(h.Window(w.now, w.n), w.n); !reflect.DeepEqual(got, want) {
+			t.Errorf("Summary(%d, %d) = %+v, Summarize of the window %+v", w.now, w.n, got, want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Summary(40, 24) }); a != 0 {
+		t.Fatalf("Summary: %v allocations", a)
+	}
+}
+
 func TestHistoryMergesSamePeriod(t *testing.T) {
 	h := NewHistory(0)
 	h.Record(Sample{Period: 5, Reads: 1})

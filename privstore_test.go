@@ -2,6 +2,7 @@ package scalia_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -218,5 +219,33 @@ func TestCloseEndsPrivateHealthLoops(t *testing.T) {
 	time.Sleep(1500 * time.Millisecond)
 	if n := p.stats.Load(); n != calls {
 		t.Fatalf("%d stats requests after Close", n-calls)
+	}
+}
+
+// TestAddPrivateResourceValidates: a private resource whose spec the
+// planner cannot plan with is refused with ErrInvalidArgument before it
+// reaches the market; a valid one registers.
+func TestAddPrivateResourceValidates(t *testing.T) {
+	p := servePrivateStore(t, 0)
+	c := newClient(t, scalia.Options{})
+	for name, bad := range map[string]func(*scalia.Provider){
+		"negative capacity":  func(s *scalia.Provider) { s.CapacityBytes = -1 },
+		"negative price":     func(s *scalia.Provider) { s.Pricing.BandwidthOutGB = -0.01 },
+		"durability above 1": func(s *scalia.Provider) { s.Durability = 1.5 },
+	} {
+		spec := nasSpec(0)
+		bad(&spec)
+		if err := c.AddPrivateResource(p.url, nasToken, spec); !errors.Is(err, scalia.ErrInvalidArgument) {
+			t.Errorf("%s: AddPrivateResource = %v, want ErrInvalidArgument", name, err)
+		}
+		if _, ok := c.Broker().Registry().Store(spec.Name); ok {
+			t.Fatalf("%s: the refused resource is in the market", name)
+		}
+	}
+	if err := c.AddPrivateResource(p.url, nasToken, nasSpec(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Broker().Registry().Store("corp-nas"); !ok {
+		t.Fatal("the valid resource is not in the market")
 	}
 }

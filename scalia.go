@@ -591,9 +591,15 @@ func (c *Client) SetDefaultRule(r Rule) error {
 // AddPrivateResource registers a corporate private storage resource
 // served by a privstore web service (§III-E). The spec carries the
 // resource's capacity and prices; requests are HMAC-signed with token.
-func (c *Client) AddPrivateResource(baseURL string, token []byte, spec Provider) {
+// A spec the planner cannot plan with (cloud.Spec.Validate) registers
+// nothing and fails with ErrInvalidArgument.
+func (c *Client) AddPrivateResource(baseURL string, token []byte, spec Provider) error {
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
+	}
 	client := privstore.NewClient(baseURL, token)
 	c.broker.Registry().Register(privstore.NewBackend(client, spec))
+	return nil
 }
 
 // NewPrivateStoreServer creates the standalone web service that exposes
