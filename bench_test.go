@@ -949,10 +949,14 @@ func BenchmarkRepairSwap(b *testing.B) {
 // (the victim rotates) -> drain -> degraded GETs -> Repair -> recovery
 // -> drain -> healthy PUTs and GETs -> Optimize. It gates the control
 // plane — row decoding, re-planning, swap repair's rebuild — that the
-// per-request benchmarks never enter; repair-ms/op and drain-ms/op say
-// where a change sits, swapped/op and skipped/op that the passes still
-// do the same work (Rule 3's (4,5) spans all five providers, so it has
-// no spare to swap onto and is skipped). The drains, repair passes and
+// per-request benchmarks never enter. The cycle's wall time splits into
+// drain-ms/op (both drains), degraded-ms/op (the GETs during the
+// outage), repair-ms/op, reap-ms/op (the pending deletes after the
+// recovery), healthy-ms/op (the PUTs and GETs after it) and
+// optimize-ms/op, so they say where a change sits; swapped/op and
+// skipped/op say that the passes still do the same work (Rule 3's (4,5)
+// spans all five providers, so it has no spare to swap onto and is
+// skipped). The drains, repair passes and
 // optimize passes run under the pprof label phase=drain|repair|optimize,
 // which the goroutines they start inherit, so
 // go tool pprof -tagfocus phase=repair isolates a repair pass's CPU.
@@ -990,7 +994,7 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 	}
 	br.Metadata().Flush()
 	providers := cloud.PaperProviders()
-	var repair, drain time.Duration
+	var repair, drain, degraded, reap, healthy, optimize time.Duration
 	var swapped, skipped, next int
 	phase := func(name string, f func(ctx context.Context)) { pprof.Do(bgctx, pprof.Labels("phase", name), f) }
 	setVictim := func(name string, up bool) {
@@ -1005,11 +1009,13 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 	cycle := func(c int) {
 		victim := providers[c%len(providers)].Name
 		setVictim(victim, false)
+		t0 := time.Now()
 		for i := 0; i < foreground; i++ {
 			get(next % objects)
 			next += 7
 		}
-		t0 := time.Now()
+		degraded += time.Since(t0)
+		t0 = time.Now()
 		var rep engine.RepairReport
 		var err error
 		phase("repair", func(ctx context.Context) { rep, err = br.Repair(ctx, engine.RepairActive) })
@@ -1021,7 +1027,10 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 		swapped += rep.Swapped
 		skipped += rep.Skipped
 		setVictim(victim, true)
+		t0 = time.Now()
 		br.ProcessPendingDeletes(bgctx)
+		reap += time.Since(t0)
+		t0 = time.Now()
 		for i := 0; i < foreground; i++ {
 			if i%2 == 0 {
 				put(next % objects)
@@ -1030,17 +1039,21 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 			}
 			next += 7
 		}
+		healthy += time.Since(t0)
 		clock.Advance(1)
+		t0 = time.Now()
 		phase("optimize", func(ctx context.Context) { _, err = br.Optimize(ctx) })
 		if err != nil {
 			b.Fatal(err)
 		}
 		br.Metadata().Flush()
+		optimize += time.Since(t0)
 	}
 	for c := 0; c < len(providers); c++ {
 		cycle(c) // one warm-up cycle per victim, as bench/ does
 	}
-	repair, drain, swapped, skipped = 0, 0, 0, 0
+	repair, drain, degraded, reap, healthy, optimize = 0, 0, 0, 0, 0, 0
+	swapped, skipped = 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1049,6 +1062,10 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
 	b.ReportMetric(ms(repair), "repair-ms/op")
 	b.ReportMetric(ms(drain), "drain-ms/op")
+	b.ReportMetric(ms(degraded), "degraded-ms/op")
+	b.ReportMetric(ms(reap), "reap-ms/op")
+	b.ReportMetric(ms(healthy), "healthy-ms/op")
+	b.ReportMetric(ms(optimize), "optimize-ms/op")
 	b.ReportMetric(float64(swapped)/float64(b.N), "swapped/op")
 	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
 }

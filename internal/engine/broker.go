@@ -252,7 +252,7 @@ type Broker struct {
 	// providers holds what the broker learns about each provider from
 	// its traffic: its op series and its smoothed Get latency, the
 	// tie-break of slotNames among equally cheap providers (providers.go).
-	providers providerRecords
+	providers records[string, providerRecord]
 
 	// ctx is the broker's lifetime, cancelled by Close; wg counts what
 	// goBackground runs under it: the drain, the reaper, every async job.
@@ -421,7 +421,6 @@ func NewBroker(cfg Config) *Broker {
 		jobs:      newJobRegistry(),
 	}
 	b.ctx, b.cancel = context.WithCancel(context.Background())
-	b.providers.by.Store(&map[string]*providerRecord{})
 	if cfg.MaxBufferBytes > 0 {
 		slots := cfg.MaxBufferBytes / cfg.StripeBytes
 		if slots < 1 {

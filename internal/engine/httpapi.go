@@ -96,6 +96,7 @@ import (
 type Gateway struct {
 	broker *Broker
 	mux    *http.ServeMux
+	routes records[routeKey, routeRecord]
 	// MaxObjectBytes bounds accepted uploads (default 1 GiB).
 	MaxObjectBytes int64
 	// Logger, when non-nil, receives one structured access-log line per
@@ -158,10 +159,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if code == 0 {
 		code = http.StatusOK
 	}
-	m := g.broker.metrics
-	m.httpDur.With(r.Method, route).Observe(dur.Seconds())
-	m.httpReqs.With(r.Method, route, strconv.Itoa(code)).Inc()
-	m.httpBytes.With(r.Method, route).Add(sw.bytes)
+	g.observe(r.Method, route, code, dur, sw.bytes)
 
 	if g.Logger != nil {
 		counts := tr.Counts()
@@ -179,6 +177,35 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"spans", tr.SpanSummary(),
 		)
 	}
+}
+
+// routeKey names the requests one routeRecord counts.
+type routeKey struct{ method, route string }
+
+// routeRecord holds one (method, route)'s series, resolved when the pair
+// is first served, and each status code's request counter, resolved at
+// the code's first use.
+type routeRecord struct {
+	dur   *obs.Histogram
+	bytes *obs.Counter
+	codes records[int, obs.Counter]
+}
+
+// observe records one served request in its route's series.
+func (g *Gateway) observe(method, route string, code int, dur time.Duration, bytes int64) {
+	m := g.broker.metrics
+	key := routeKey{method, route}
+	rec := g.routes.get(key)
+	if rec == nil {
+		rec = g.routes.add(key, &routeRecord{dur: m.httpDur.With(method, route), bytes: m.httpBytes.With(method, route)})
+	}
+	reqs := rec.codes.get(code)
+	if reqs == nil {
+		reqs = rec.codes.add(code, m.httpReqs.With(method, route, strconv.Itoa(code)))
+	}
+	rec.dur.Observe(dur.Seconds())
+	reqs.Inc()
+	rec.bytes.Add(bytes)
 }
 
 // statusWriter captures the status code and body bytes of a response.

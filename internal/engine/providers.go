@@ -44,26 +44,44 @@ type providerRecord struct {
 	srtt atomic.Int64
 }
 
-// providerRecords holds one record per provider, made at its first use.
-// The map is replaced, never written, so a record costs an atomic load
-// and a lookup by name. NewBroker stores the first, empty map.
-type providerRecords struct {
+// records holds one record per key, made at its first use. The map is
+// replaced, never written, so a record costs an atomic load and a
+// lookup; the zero value is empty.
+type records[K comparable, V any] struct {
 	mu sync.Mutex // serializes new records
-	by atomic.Pointer[map[string]*providerRecord]
+	by atomic.Pointer[map[K]*V]
 }
 
-func (r *providerRecords) record(name string) *providerRecord {
-	if rec := (*r.by.Load())[name]; rec != nil {
-		return rec
+// get returns k's record, or nil before its first add.
+func (r *records[K, V]) get(k K) *V {
+	if by := r.by.Load(); by != nil {
+		return (*by)[k]
 	}
+	return nil
+}
+
+// add makes v k's record unless k has one already, and returns k's
+// record.
+func (r *records[K, V]) add(k K, v *V) *V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	by := maps.Clone(*r.by.Load())
-	if by[name] == nil {
-		by[name] = new(providerRecord)
-		r.by.Store(&by)
+	if old := r.get(k); old != nil {
+		return old
 	}
-	return by[name]
+	by := map[K]*V{k: v}
+	if old := r.by.Load(); old != nil {
+		maps.Copy(by, *old)
+	}
+	r.by.Store(&by)
+	return v
+}
+
+// record returns k's record, a zero V made at its first use.
+func (r *records[K, V]) record(k K) *V {
+	if v := r.get(k); v != nil {
+		return v
+	}
+	return r.add(k, new(V))
 }
 
 // observeProviderOp records one backend call's latency, and its failure,

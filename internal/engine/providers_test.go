@@ -132,3 +132,33 @@ func TestObserveProviderOpAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayObserveAllocatesNothing: a request on a route and status
+// the gateway has served before updates series its route record holds;
+// a new status adds its own counter, and /metrics counts both.
+func TestGatewayObserveAllocatesNothing(t *testing.T) {
+	b := newTestBroker(t, Config{})
+	g := NewGateway(b)
+	const route = "/v1/objects/{container}/{key...}"
+	observe := func() { g.observe(http.MethodGet, route, http.StatusOK, time.Millisecond, 10) }
+	observe() // the record and its 200 counter
+	if a := testing.AllocsPerRun(100, observe); a != 0 {
+		t.Fatalf("%v allocations per request", a)
+	}
+	g.observe(http.MethodGet, route, http.StatusNotFound, time.Millisecond, 0)
+	var text strings.Builder
+	if err := b.metrics.reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	labels := `{method="GET",route="` + route + `"`
+	for _, want := range []string{
+		`scalia_http_requests_total` + labels + `,code="200"} 102`,
+		`scalia_http_requests_total` + labels + `,code="404"} 1`,
+		`scalia_http_request_duration_seconds_count` + labels + `} 103`,
+		`scalia_http_response_bytes_total` + labels + `} 1020`,
+	} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}

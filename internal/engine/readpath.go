@@ -28,12 +28,12 @@ import (
 // cost overlap with client consumption. Cancelling the request context
 // tears down every in-flight chunk fetch.
 //
-// Who owns a stripe's bytes (EXPERIMENTS.md "The read path" has the whole
-// chain): provider chunks and cache hits are lent to the reader read-only
-// and are never written by their owners again. A fetched stripe is its
-// data chunks as they lie (fetch's segments), a cache hit one segment;
-// each byte moves once, copied by Read, or handed to the caller's Writer
-// as it lies by WriteTo.
+// Who owns a stripe's bytes (DESIGN.md "The read path and the stripe
+// cache" has the chain): provider chunks and cache hits are lent to the
+// reader read-only and are never written by their owners again. A
+// fetched stripe is its data chunks as they lie (fetch's segments), a
+// cache hit one segment; each byte moves once, copied by Read, or handed
+// to the caller's Writer as it lies by WriteTo.
 
 // objectReader streams a byte range of a stored object, stripe by stripe.
 type objectReader struct {

@@ -53,9 +53,9 @@ func (h *History) evictOldestLocked() {
 
 // Window returns the samples of the periods (now-n, now], oldest first.
 // Periods with no recorded sample are omitted; Summarize with total = n
-// treats them as zero-access periods.
+// treats them as zero-access periods. A window of n <= 0 periods is empty.
 func (h *History) Window(now int64, n int) []Sample {
-	out := make([]Sample, 0, n)
+	out := make([]Sample, 0, max(n, 0))
 	h.each(now, n, func(s Sample) { out = append(out, s) })
 	return out
 }
@@ -108,11 +108,11 @@ func (h *History) Span(now int64) int {
 
 // OpsSeries returns the per-period operation counts for the periods
 // (now-n, now], with zeros for unrecorded periods — the input the trend
-// detector consumes (Figs. 8, 9 plot this series).
+// detector consumes (Figs. 8, 9 plot this series). It is empty for n <= 0.
 func (h *History) OpsSeries(now int64, n int) []float64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	out := make([]float64, 0, n)
+	out := make([]float64, 0, max(n, 0))
 	for p := now - int64(n) + 1; p <= now; p++ {
 		out = append(out, float64(h.samples[p].Ops()))
 	}

@@ -68,6 +68,26 @@ func TestHistoryWindow(t *testing.T) {
 	}
 }
 
+// TestHistoryShortWindows: a window of n <= 0 periods is empty, as
+// Summary already treats it, and n = 1 is the period at now.
+func TestHistoryShortWindows(t *testing.T) {
+	h := NewHistory(0)
+	for p := int64(1); p <= 5; p++ {
+		h.Record(Sample{Period: p, Reads: p})
+	}
+	for _, c := range []struct{ n, want int }{{-1, 0}, {0, 0}, {1, 1}} {
+		if got := h.Window(5, c.n); len(got) != c.want {
+			t.Errorf("Window(5, %d) = %+v, want %d samples", c.n, got, c.want)
+		}
+		if got := h.OpsSeries(5, c.n); len(got) != c.want {
+			t.Errorf("OpsSeries(5, %d) = %v, want %d periods", c.n, got, c.want)
+		}
+		if got, want := h.Summary(5, c.n), Summarize(h.Window(5, c.n), c.n); !reflect.DeepEqual(got, want) {
+			t.Errorf("Summary(5, %d) = %+v, Summarize of the window %+v", c.n, got, want)
+		}
+	}
+}
+
 // TestHistorySummaryIsSummarizeOfWindow: Summary sums the window as it
 // reads it, to the bit what Summarize makes of Window, and allocates
 // nothing.
