@@ -253,9 +253,9 @@ func newBenchBroker(b *testing.B, objects int) (*engine.Broker, *engine.SimClock
 	clock := engine.NewSimClock()
 	br := engine.NewBroker(engine.Config{Clock: clock})
 	b.Cleanup(br.Close)
-	e := br.Engine(0)
+	api := Helpers{API: br}
 	for i := 0; i < objects; i++ {
-		if _, err := e.Put(bgctx, "c", fmt.Sprintf("k%d", i), make([]byte, 4096), engine.PutOptions{}); err != nil {
+		if _, err := api.Put(bgctx, "c", fmt.Sprintf("k%d", i), make([]byte, 4096)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,14 +276,14 @@ func BenchmarkOptimizeTrendGated(b *testing.B) {
 func benchRead(b *testing.B, cacheBytes int64) {
 	br := engine.NewBroker(engine.Config{CacheBytes: cacheBytes})
 	b.Cleanup(br.Close)
-	e := br.Engine(0)
-	if _, err := e.Put(bgctx, "c", "k", make([]byte, 256<<10), engine.PutOptions{}); err != nil {
+	api := Helpers{API: br}
+	if _, err := api.Put(bgctx, "c", "k", make([]byte, 256<<10)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(256 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Get(bgctx, "c", "k"); err != nil {
+		if _, _, err := api.Get(bgctx, "c", "k"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,7 +318,7 @@ func BenchmarkGatewayCachedGet(b *testing.B) {
 	payload := make([]byte, size)
 	for i := 0; i < keys; i++ {
 		payload[0] = byte(i)
-		if _, err := br.Engine(0).Put(bgctx, "c", fmt.Sprintf("k%d", i), payload, engine.PutOptions{}); err != nil {
+		if _, err := (Helpers{API: br}).Put(bgctx, "c", fmt.Sprintf("k%d", i), payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -607,23 +607,25 @@ func BenchmarkGetLargeObject(b *testing.B) {
 		cfg.StripeBytes = stripeBytes
 		br := engine.NewBroker(cfg)
 		b.Cleanup(br.Close)
-		e := br.Engine(0)
-		meta, err := e.Put(bgctx, "big", "blob", payload, engine.PutOptions{Rule: &rule})
+		api := Helpers{API: br}
+		meta, err := api.Put(bgctx, "big", "blob", payload, WithRule(rule))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if meta.M != 4 || meta.StripeCount() != stripes {
 			b.Fatalf("placement m=%d stripes=%d, want m=4 stripes=%d", meta.M, meta.StripeCount(), stripes)
 		}
-		if warmCache {
-			if _, _, err := e.Get(bgctx, "big", "blob"); err != nil {
-				b.Fatal(err)
+		if warmCache { // one read per engine: every datacenter's cache holds the stripes
+			for range br.Engines() {
+				if _, _, err := api.Get(bgctx, "big", "blob"); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.SetBytes(int64(len(payload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, _, err := e.Get(bgctx, "big", "blob")
+			got, _, err := api.Get(bgctx, "big", "blob")
 			if err != nil || len(got) != len(payload) {
 				b.Fatalf("get: %v (%d bytes)", err, len(got))
 			}
@@ -650,12 +652,12 @@ func BenchmarkGetLargeObject(b *testing.B) {
 	cpuBound := func(b *testing.B, degraded bool) {
 		br := engine.NewBroker(engine.Config{}) // the paper's five providers, no latency
 		b.Cleanup(br.Close)
-		e := br.Engine(0)
+		api := Helpers{API: br}
 		big := make([]byte, 8<<20)
 		for i := range big {
 			big[i] = byte(i)
 		}
-		meta, err := e.Put(bgctx, "big", "blob", big, engine.PutOptions{Rule: &core.PaperRules()[2]})
+		meta, err := api.Put(bgctx, "big", "blob", big, WithRule(core.PaperRules()[2]))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -664,7 +666,7 @@ func BenchmarkGetLargeObject(b *testing.B) {
 			store.(cloud.AvailabilitySetter).SetAvailable(false)
 		}
 		get := func() {
-			rc, _, err := e.GetReader(bgctx, "big", "blob")
+			rc, _, err := br.GetReader(bgctx, "big", "blob")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -717,13 +719,13 @@ func BenchmarkGetUnevenProviders(b *testing.B) {
 	}
 	br := engine.NewBroker(engine.Config{Registry: reg, StripeBytes: stripeBytes})
 	b.Cleanup(br.Close)
-	e := br.Engine(0)
+	api := Helpers{API: br}
 	payload := make([]byte, 4*stripeBytes)
 	for i := range payload {
 		payload[i] = byte(i * 5)
 	}
 	get := func() {
-		got, _, err := e.Get(bgctx, "uneven", "blob")
+		got, _, err := api.Get(bgctx, "uneven", "blob")
 		if err != nil || len(got) != len(payload) {
 			b.Fatalf("get: %v (%d bytes)", err, len(got))
 		}
@@ -732,7 +734,7 @@ func BenchmarkGetUnevenProviders(b *testing.B) {
 	// provider no read asks; the second puts it on a data slot, where it
 	// is sampled; the third is what a settled record writes.
 	for round := 0; round < 3; round++ {
-		meta, err := e.Put(bgctx, "uneven", "blob", payload, engine.PutOptions{Rule: &core.PaperRules()[2]})
+		meta, err := api.Put(bgctx, "uneven", "blob", payload, WithRule(core.PaperRules()[2]))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -783,8 +785,8 @@ func BenchmarkPutLargeObject(b *testing.B) {
 		cfg.StripeBytes = stripeBytes
 		br := engine.NewBroker(cfg)
 		b.Cleanup(br.Close)
-		e := br.Engine(0)
-		meta, err := e.PutReader(bgctx, "big", "blob", bytes.NewReader(payload), int64(len(payload)), engine.PutOptions{Rule: &rule})
+		opts := []PutOption{WithRule(rule)}
+		meta, err := br.PutReader(bgctx, "big", "blob", bytes.NewReader(payload), int64(len(payload)), opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -794,7 +796,7 @@ func BenchmarkPutLargeObject(b *testing.B) {
 		b.SetBytes(int64(len(payload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.PutReader(bgctx, "big", "blob", bytes.NewReader(payload), int64(len(payload)), engine.PutOptions{Rule: &rule}); err != nil {
+			if _, err := br.PutReader(bgctx, "big", "blob", bytes.NewReader(payload), int64(len(payload)), opts...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -817,12 +819,12 @@ func BenchmarkPutLargeObject(b *testing.B) {
 func BenchmarkBrokerPut(b *testing.B) {
 	br := engine.NewBroker(engine.Config{})
 	b.Cleanup(br.Close)
-	e := br.Engine(0)
+	api := Helpers{API: br}
 	payload := make([]byte, 64<<10)
 	b.SetBytes(64 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Put(bgctx, "c", fmt.Sprintf("k%d", i), payload, engine.PutOptions{}); err != nil {
+		if _, err := api.Put(bgctx, "c", fmt.Sprintf("k%d", i), payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -836,16 +838,16 @@ func BenchmarkList(b *testing.B) {
 	const objects, containers = 20000, 10
 	br := engine.NewBroker(engine.Config{})
 	b.Cleanup(br.Close)
-	e := br.Engine(0)
+	api := Helpers{API: br}
 	for i := 0; i < objects; i++ {
-		if _, err := e.Put(bgctx, fmt.Sprintf("c%d", i%containers), fmt.Sprintf("k%06d", i), []byte{1}, engine.PutOptions{}); err != nil {
+		if _, err := api.Put(bgctx, fmt.Sprintf("c%d", i%containers), fmt.Sprintf("k%06d", i), []byte{1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.List(bgctx, "c3", engine.ListOptions{})
+		res, err := br.List(bgctx, "c3", engine.ListOptions{})
 		if err != nil || len(res.Keys) != engine.MaxListLimit || !res.Truncated {
 			b.Fatalf("List = %d keys (truncated %v), %v", len(res.Keys), res.Truncated, err)
 		}
@@ -903,13 +905,13 @@ func BenchmarkRepairSwap(b *testing.B) {
 		br := engine.NewBroker(engine.Config{Registry: reg, StripeBytes: stripeBytes})
 		b.Cleanup(br.Close)
 		br.Rules().SetContainerRule("bk", rule)
-		e := br.Engine(0)
+		api := Helpers{API: br}
 		var bytesWritten, chunksWritten int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			// Every repair starts from a fresh (2, 3) placement.
-			meta, err := e.Put(bgctx, "bk", "obj", payload, engine.PutOptions{})
+			meta, err := api.Put(bgctx, "bk", "obj", payload)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -976,16 +978,17 @@ func BenchmarkMaintenanceCycle(b *testing.B) {
 		payload[i] = byte(i * 13)
 	}
 	name := func(k int) (container, key string) { return containers[k%3], fmt.Sprintf("k%07d", k) }
+	api := Helpers{API: br}
 	put := func(k int) {
 		payload[0]++ // every version differs
 		c, key := name(k)
-		if _, err := br.NextEngine().Put(bgctx, c, key, payload, engine.PutOptions{}); err != nil {
+		if _, err := api.Put(bgctx, c, key, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 	get := func(k int) {
 		c, key := name(k)
-		if got, _, err := br.NextEngine().Get(bgctx, c, key); err != nil || len(got) != objectBytes {
+		if got, _, err := api.Get(bgctx, c, key); err != nil || len(got) != objectBytes {
 			b.Fatalf("get %s/%s: %d bytes, %v", c, key, len(got), err)
 		}
 	}
@@ -1101,14 +1104,14 @@ func BenchmarkRepairAffected(b *testing.B) {
 		br.Rules().SetContainerRule("vic", core.Rule{
 			Durability: 0.999, Availability: 0.99, Zones: []cloud.Zone{cloud.ZoneAPAC}, LockIn: 1,
 		})
-		e := br.Engine(0)
+		api := Helpers{API: br}
 		payload := make([]byte, 512)
 		for i := 0; i < total; i++ {
 			container := "hot"
 			if i%affectedPct == 0 {
 				container = "vic"
 			}
-			if _, err := e.Put(bgctx, container, fmt.Sprintf("k%d", i), payload, engine.PutOptions{}); err != nil {
+			if _, err := api.Put(bgctx, container, fmt.Sprintf("k%d", i), payload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1171,7 +1174,7 @@ func BenchmarkReoptimizeEvent(b *testing.B) {
 			b.StopTimer()
 			clock.Advance(1)
 			for k := 0; k < objects; k++ {
-				if _, _, err := br.Engine(0).Get(bgctx, "c", fmt.Sprintf("k%d", k)); err != nil {
+				if _, _, err := (Helpers{API: br}).Get(bgctx, "c", fmt.Sprintf("k%d", k)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,7 @@
 // Package client is the typed Go client for the Scalia v1 HTTP gateway
 // (cmd/scalia-server, engine.NewGateway): the inverse of the gateway's
 // codec. *Client implements scalia.API — the same contract the
-// in-process scalia.Client facade implements — so embedded and remote
+// in-process broker implements — so embedded and remote
 // callers are interchangeable, and embeds scalia.Helpers for the Put /
 // Get / Delete / ListAll / WaitForJob conveniences. The route table is
 // documented once, on engine.Gateway.

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -100,8 +101,14 @@ func main() {
 		gw.EnablePprof()
 	}
 
+	// The listener is bound before the start is logged, so the line names
+	// the address it serves on (a :0 listener's port included).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	logger.Info("scalia-server starting",
-		"addr", *addr,
+		"addr", ln.Addr().String(),
 		"engines", len(client.Broker().Engines()),
 		"enginesPerDC", *enginesPerDC,
 		"stripeBytes", *stripeMB<<20,
@@ -112,16 +119,13 @@ func main() {
 		"pprof", *pprofOn,
 		"providers", "Fig. 3 simulated set")
 
-	srv := &http.Server{
-		Addr: *addr, Handler: gw,
-		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
-	}
+	srv := &http.Server{Handler: gw, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errCh:
-		log.Fatal(err) // bind failure etc.; never ErrServerClosed here
+		log.Fatal(err) // never ErrServerClosed here
 	case <-ctx.Done():
 	}
 

@@ -1,16 +1,67 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"io"
 
 	"scalia/internal/cache"
 	"scalia/internal/cloud"
 	"scalia/internal/core"
 )
 
-// This file is the broker's side of the v1 admin operations: what each
-// one means. The embedded facade and the HTTP gateway both call these
-// methods and add nothing of their own.
+// This file is the broker's side of the v1 contract (scalia.API, which
+// documents each operation): *Broker implements it, the embedded facade
+// is this implementation, and the HTTP gateway decodes a request into one
+// of these calls and adds nothing of its own.
+
+// The object operations are one engine's, picked round-robin
+// (NextEngine).
+
+func (b *Broker) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...PutOption) (ObjectMeta, error) {
+	return b.NextEngine().PutReader(ctx, container, key, r, size, PutOptionsOf(opts))
+}
+
+func (b *Broker) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
+	return b.NextEngine().GetReader(ctx, container, key)
+}
+
+func (b *Broker) GetRange(ctx context.Context, container, key string, offset, length int64) (io.ReadCloser, ObjectMeta, error) {
+	return b.NextEngine().GetRangeReader(ctx, container, key, offset, length)
+}
+
+func (b *Broker) Head(ctx context.Context, container, key string) (ObjectMeta, error) {
+	return b.NextEngine().Head(ctx, container, key)
+}
+
+func (b *Broker) DeleteIf(ctx context.Context, container, key, ifMatch string) error {
+	return b.NextEngine().DeleteIf(ctx, container, key, ifMatch)
+}
+
+func (b *Broker) List(ctx context.Context, container string, opts ListOptions) (ListResult, error) {
+	return b.NextEngine().List(ctx, container, opts)
+}
+
+func (b *Broker) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...PutOption) (UploadInfo, error) {
+	return b.NextEngine().CreateUpload(ctx, container, key, sizeHint, PutOptionsOf(opts))
+}
+
+func (b *Broker) UploadPart(ctx context.Context, up UploadInfo, partNumber int, r io.Reader, size int64) (PartInfo, error) {
+	return b.NextEngine().UploadPart(ctx, up.UploadID, partNumber, r, size)
+}
+
+func (b *Broker) ListParts(ctx context.Context, up UploadInfo) ([]PartInfo, error) {
+	_, parts, err := b.NextEngine().ListParts(ctx, up.UploadID)
+	return parts, err
+}
+
+func (b *Broker) CompleteUpload(ctx context.Context, up UploadInfo, parts []CompletedPart) (ObjectMeta, error) {
+	return b.NextEngine().CompleteUpload(ctx, up.UploadID, parts)
+}
+
+func (b *Broker) AbortUpload(ctx context.Context, up UploadInfo) error {
+	return b.NextEngine().AbortUpload(ctx, up.UploadID)
+}
 
 // ProviderStatus describes one market participant (GET /v1/providers).
 type ProviderStatus struct {
@@ -20,7 +71,7 @@ type ProviderStatus struct {
 }
 
 // Providers lists the provider market, sorted by name.
-func (b *Broker) Providers() []ProviderStatus {
+func (b *Broker) Providers(context.Context) ([]ProviderStatus, error) {
 	stores := b.registry.Snapshot()
 	out := make([]ProviderStatus, 0, len(stores))
 	for _, s := range stores {
@@ -28,7 +79,7 @@ func (b *Broker) Providers() []ProviderStatus {
 			Spec: s.Spec(), Available: s.Available(), UsedBytes: s.UsedBytes(),
 		})
 	}
-	return out
+	return out, nil
 }
 
 // ErrProviderExists is returned by AddProvider for a name already in the
@@ -40,7 +91,7 @@ var ErrProviderExists = fmt.Errorf("%w: provider is already registered", ErrPrec
 // with ErrInvalidArgument. It only ever adds: replacing a live backend
 // would orphan every chunk stored at it, so a name already in the market
 // fails with ErrProviderExists.
-func (b *Broker) AddProvider(spec cloud.Spec) error {
+func (b *Broker) AddProvider(_ context.Context, spec cloud.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
@@ -52,7 +103,7 @@ func (b *Broker) AddProvider(spec cloud.Spec) error {
 
 // RemoveProvider deregisters a provider (market exit). An unknown name
 // fails with ErrObjectNotFound.
-func (b *Broker) RemoveProvider(name string) error {
+func (b *Broker) RemoveProvider(_ context.Context, name string) error {
 	if _, ok := b.registry.Deregister(name); !ok {
 		return fmt.Errorf("%w: unknown provider %s", ErrObjectNotFound, name)
 	}
@@ -82,7 +133,7 @@ type ProviderMutation struct {
 // Unknown providers fail with cloud.ErrUnknownProvider, backends without
 // failure injection (remote private resources) with
 // cloud.ErrUnsupportedMutation.
-func (b *Broker) SetProviderAvailable(name string, up bool) (ProviderMutation, error) {
+func (b *Broker) SetProviderAvailable(_ context.Context, name string, up bool) (ProviderMutation, error) {
 	epoch, err := b.registry.UpdateAvailability(name, up)
 	if err != nil {
 		return ProviderMutation{}, err
@@ -96,7 +147,7 @@ func (b *Broker) SetProviderAvailable(name string, up bool) (ProviderMutation, e
 // maintenance queue re-plans the objects placed on the provider. A sheet
 // cloud.Pricing.Validate refuses fails with ErrInvalidArgument; otherwise
 // the error contract is SetProviderAvailable's.
-func (b *Broker) SetProviderPricing(name string, p cloud.Pricing) (ProviderMutation, error) {
+func (b *Broker) SetProviderPricing(_ context.Context, name string, p cloud.Pricing) (ProviderMutation, error) {
 	if err := p.Validate(); err != nil {
 		return ProviderMutation{}, fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
@@ -121,7 +172,7 @@ func validRule(r core.Rule) error {
 }
 
 // SetContainerRule pins a valid placement rule to a validly named container.
-func (b *Broker) SetContainerRule(container string, r core.Rule) error {
+func (b *Broker) SetContainerRule(_ context.Context, container string, r core.Rule) error {
 	if err := validContainer(container); err != nil {
 		return err
 	}
@@ -172,8 +223,8 @@ type Stats struct {
 	StripeBytes int64 `json:"stripeBytes"`
 }
 
-// DeploymentStats assembles the operational counter snapshot.
-func (b *Broker) DeploymentStats() Stats {
+// Stats assembles the operational counter snapshot.
+func (b *Broker) Stats(context.Context) (Stats, error) {
 	return Stats{
 		Planner:        b.planner.Stats(),
 		Optimizer:      b.OptimizeTotals(),
@@ -189,5 +240,5 @@ func (b *Broker) DeploymentStats() Stats {
 		PendingDeletes: b.PendingDeletes(),
 		Retired:        b.Retired(),
 		StripeBytes:    b.cfg.StripeBytes,
-	}
+	}, nil
 }

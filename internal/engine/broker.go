@@ -194,10 +194,10 @@ type Broker struct {
 	// ReadStats reports, so /v1/stats and /metrics share one
 	// bookkeeping path.
 	metrics *brokerMetrics
-	// next drives NextEngine's round-robin. The facade and the HTTP
-	// gateway share this one counter, so mixed embedded/remote traffic
-	// still spreads evenly across all engines of all datacenters. Every
-	// request writes it, so it keeps a cache line to itself (lone).
+	// next drives NextEngine's round-robin. Every contract call shares
+	// this one counter, embedded or through the HTTP gateway, so mixed
+	// traffic still spreads evenly across all engines of all datacenters.
+	// Every request writes it, so it keeps a cache line to itself (lone).
 	next lone
 	// bufSem is the broker-wide stripe-buffer budget shared by the
 	// streaming read and write paths: one token per stripe slot of
@@ -537,9 +537,6 @@ func (b *Broker) Planner() *core.Planner { return b.planner }
 
 // Rules exposes the rule store.
 func (b *Broker) Rules() *RuleStore { return b.rules }
-
-// Stats exposes the statistics database.
-func (b *Broker) Stats() *stats.DB { return b.statsDB }
 
 // Metadata exposes the metadata cluster.
 func (b *Broker) Metadata() *metadata.Cluster { return b.meta }

@@ -100,7 +100,7 @@ func TestDeletionLifetimesFeedTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ttl, ok := b.Stats().Classes().ExpectedTTL(meta.Class, 0)
+	ttl, ok := b.statsDB.Classes().ExpectedTTL(meta.Class, 0)
 	if !ok {
 		t.Fatal("class lifetime distribution missing after deletions")
 	}

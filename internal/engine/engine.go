@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -76,6 +75,23 @@ type PutOptions struct {
 	CRC32C *uint32
 }
 
+// PutOption customizes a write (PutReader, CreateUpload), on either
+// transport.
+type PutOption func(*PutOptions)
+
+// PutOptionsOf folds write options into the value the engine — or the
+// remote client's header encoder — takes.
+func PutOptionsOf(opts []PutOption) PutOptions {
+	if len(opts) == 0 {
+		return PutOptions{} // the options escape to them: a write without any allocates none
+	}
+	po := new(PutOptions)
+	for _, opt := range opts {
+		opt(po)
+	}
+	return *po
+}
+
 // validate is the one check of caller-supplied write options, run by
 // draft before any planning or chunk traffic: a TTL hint must be a
 // finite, non-negative hour count (it is stored in the metadata row,
@@ -92,12 +108,6 @@ func (o PutOptions) validate() error {
 
 // objectName joins container and key into the statistics identity.
 func objectName(container, key string) string { return container + "/" + key }
-
-// Put stores (or updates) an object from an in-memory payload. It is a
-// thin compatibility wrapper over PutReader.
-func (e *Engine) Put(ctx context.Context, container, key string, data []byte, opts PutOptions) (ObjectMeta, error) {
-	return e.PutReader(ctx, container, key, bytes.NewReader(data), int64(len(data)), opts)
-}
 
 // PutReader stores (or updates) an object streamed from r: it drafts the
 // version (the best provider set for its class and rule), erasure-codes
@@ -380,23 +390,6 @@ func (e *Engine) writeLoad(obj, class string, size int64) stats.Summary {
 	}
 }
 
-// Get serves an object fully buffered: stripes come from the stripe
-// cache where present, otherwise from the m cheapest reachable chunks,
-// cached, and the read is logged (§III-D2).
-// It is a thin wrapper over GetReader.
-func (e *Engine) Get(ctx context.Context, container, key string) ([]byte, ObjectMeta, error) {
-	rc, meta, err := e.GetReader(ctx, container, key)
-	if err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	defer rc.Close()
-	data, err := ReadSized(rc, meta.Size)
-	if err != nil {
-		return nil, ObjectMeta{}, err
-	}
-	return data, meta, nil
-}
-
 // ReadSized buffers a body of known length — an object's Size, a
 // response's Content-Length — in one allocation of that size, where
 // io.ReadAll doubles its way to several times the body. A body that ends
@@ -479,17 +472,12 @@ func (e *Engine) rowMeta(row string) (*ObjectMeta, error) {
 	return viewMeta(v)
 }
 
-// Delete removes an object: it tombstones the metadata — which retires
-// the version: its cached stripes go at once, its chunks in the
-// background (see publish) — and logs the deletion for lifetime
-// statistics.
-func (e *Engine) Delete(ctx context.Context, container, key string) error {
-	return e.DeleteIf(ctx, container, key, "")
-}
-
-// DeleteIf is Delete with an optional If-Match precondition ("" = none).
-// The precondition check and the tombstone write run under the row
-// lock, so a concurrent conditional write cannot slip between them.
+// DeleteIf removes an object, if ifMatch is non-empty only when it names
+// the stored version: it tombstones the metadata — which retires the
+// version: its cached stripes go at once, its chunks in the background
+// (see publish) — and logs the deletion for lifetime statistics. The
+// precondition check and the tombstone write run under the row lock, so
+// a concurrent conditional write cannot slip between them.
 func (e *Engine) DeleteIf(ctx context.Context, container, key, ifMatch string) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -132,10 +132,10 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	// The statistics database folds the lifetime into the class and then
 	// forgets the object: deleted keys must not pile up there or be
 	// scanned by the next optimization round.
-	if h := b.Stats().History("c/k"); h != nil || len(b.Stats().AccessedSince(0)) != 0 {
-		t.Fatalf("deleted object still in the statistics: history %v, accessed %v", h, b.Stats().AccessedSince(0))
+	if h := b.statsDB.History("c/k"); h != nil || len(b.statsDB.AccessedSince(0)) != 0 {
+		t.Fatalf("deleted object still in the statistics: history %v, accessed %v", h, b.statsDB.AccessedSince(0))
 	}
-	if n := b.Stats().Classes().Class(meta.Class).Lifetimes().Count(); n != 1 {
+	if n := b.statsDB.Classes().Class(meta.Class).Lifetimes().Count(); n != 1 {
 		t.Fatalf("class lifetime observations = %d, want 1", n)
 	}
 	if rep, err := b.Optimize(ctx); err != nil || rep.Scanned != 0 || b.ProviderIndex().Len() != 0 {
@@ -503,7 +503,7 @@ func TestContainerNamesCannotCollide(t *testing.T) {
 			if _, err := e.CreateUpload(ctx, tc.container, tc.key, 0, PutOptions{}); !errors.Is(err, ErrInvalidArgument) {
 				t.Fatalf("upload into container %q: %v, want ErrInvalidArgument", tc.container, err)
 			}
-			if err := b.SetContainerRule(tc.container, DefaultRule); !errors.Is(err, ErrInvalidArgument) {
+			if err := b.SetContainerRule(ctx, tc.container, DefaultRule); !errors.Is(err, ErrInvalidArgument) {
 				t.Fatalf("rule for container %q: %v, want ErrInvalidArgument", tc.container, err)
 			}
 			if ops := b.Registry().TotalUsage().Ops - before; ops != 0 {

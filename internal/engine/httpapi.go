@@ -17,12 +17,15 @@ import (
 // the paper's "Amazon S3-like interface ... where the users can put,
 // get, list and delete their data" (§III), grown into a v1 wire
 // protocol. It is the HTTP codec of the v1 contract (scalia.API): every
-// handler decodes a request, calls the one broker or engine method that
-// owns the operation's meaning, and encodes the reply or the error — it
-// adds no behaviour of its own. Requests are routed round-robin across
-// all engines of all datacenters (the counter the embedded facade
-// shares), object bodies stream stripe by stripe in both directions, and
-// the request context cancels in-flight chunk fan-out.
+// handler decodes a request, calls the broker's method of the contract,
+// and encodes the reply or the error — it adds no behaviour of its own.
+// Two reads have no contract method yet and call an engine: GET and HEAD
+// open one version and decide every answer on it (openObject), and
+// listing an upload's parts echoes the upload (Engine.ListParts).
+// Requests are routed round-robin across all engines of all datacenters
+// (the counter every contract call shares), object bodies stream stripe
+// by stripe in both directions, and the request context cancels
+// in-flight chunk fan-out.
 //
 // This is the one route table of the protocol; the typed scalia/client
 // package is its inverse.
@@ -238,10 +241,6 @@ func (sw *statusWriter) Flush() {
 		f.Flush()
 	}
 }
-
-// engine picks the serving engine for one request: round-robin over all
-// engines of all datacenters via the broker's shared counter.
-func (g *Gateway) engine() *Engine { return g.broker.NextEngine() }
 
 // --- the JSON codec ---
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,32 +15,32 @@ import (
 // decode of the request, one broker call and a status.
 func (g *Gateway) adminRoutes() {
 	b := g.broker
-	g.handle("GET /v1/providers", func(http.Header, *http.Request) (int, any, error) {
-		return http.StatusOK, b.Providers(), nil
+	g.handle("GET /v1/providers", func(_ http.Header, r *http.Request) (int, any, error) {
+		ps, err := b.Providers(r.Context())
+		return http.StatusOK, ps, err
 	})
 	g.handle("POST /v1/providers", func(_ http.Header, r *http.Request) (int, any, error) {
 		var spec cloud.Spec
 		if err := decodeBody(r, &spec, "provider spec"); err != nil {
 			return 0, nil, err
 		}
-		return http.StatusCreated, spec, b.AddProvider(spec)
+		return http.StatusCreated, spec, b.AddProvider(r.Context(), spec)
 	})
 	g.handle("DELETE /v1/providers/{name}", func(_ http.Header, r *http.Request) (int, any, error) {
-		return http.StatusNoContent, nil, b.RemoveProvider(r.PathValue("name"))
+		return http.StatusNoContent, nil, b.RemoveProvider(r.Context(), r.PathValue("name"))
 	})
-	g.handle("PUT /v1/providers/{name}/availability", providerMutation("available",
-		func(name string, up bool) (ProviderMutation, error) { return b.SetProviderAvailable(name, up) }))
-	g.handle("PUT /v1/providers/{name}/pricing", providerMutation("pricing",
-		func(name string, p cloud.Pricing) (ProviderMutation, error) { return b.SetProviderPricing(name, p) }))
+	g.handle("PUT /v1/providers/{name}/availability", providerMutation("available", b.SetProviderAvailable))
+	g.handle("PUT /v1/providers/{name}/pricing", providerMutation("pricing", b.SetProviderPricing))
 	g.handle("PUT /v1/rules/{container}", func(_ http.Header, r *http.Request) (int, any, error) {
 		var rule core.Rule
 		if err := decodeBody(r, &rule, "rule"); err != nil {
 			return 0, nil, err
 		}
-		return http.StatusNoContent, nil, b.SetContainerRule(r.PathValue("container"), rule)
+		return http.StatusNoContent, nil, b.SetContainerRule(r.Context(), r.PathValue("container"), rule)
 	})
 	g.handle("POST /v1/optimize", func(h http.Header, r *http.Request) (int, any, error) {
-		return maintenance(h, r, func() (any, error) { return b.Optimize(r.Context()) }, b.StartOptimize)
+		return maintenance(h, r, func() (any, error) { return b.Optimize(r.Context()) },
+			func() (JobView, error) { return b.StartOptimize(r.Context()) })
 	})
 	g.handle("POST /v1/repair", func(h http.Header, r *http.Request) (int, any, error) {
 		policy, err := ParseRepairPolicy(r.URL.Query().Get("policy"))
@@ -47,32 +48,37 @@ func (g *Gateway) adminRoutes() {
 			return 0, nil, err
 		}
 		return maintenance(h, r, func() (any, error) { return b.Repair(r.Context(), policy) },
-			func() JobView { return b.StartRepair(policy) })
+			func() (JobView, error) { return b.StartRepair(r.Context(), policy) })
 	})
 	g.handle("GET /v1/jobs", func(_ http.Header, r *http.Request) (int, any, error) {
 		opts, err := listOptions(r)
-		return http.StatusOK, b.Jobs(opts), err
+		if err != nil {
+			return 0, nil, err
+		}
+		jobs, err := b.Jobs(r.Context(), opts)
+		return http.StatusOK, jobs, err
 	})
 	g.handle("GET /v1/jobs/{id}", func(_ http.Header, r *http.Request) (int, any, error) {
-		job, err := b.Job(r.PathValue("id"))
+		job, err := b.Job(r.Context(), r.PathValue("id"))
 		return http.StatusOK, job, err
 	})
-	g.handle("GET /v1/stats", func(http.Header, *http.Request) (int, any, error) {
-		return http.StatusOK, b.DeploymentStats(), nil
+	g.handle("GET /v1/stats", func(_ http.Header, r *http.Request) (int, any, error) {
+		st, err := b.Stats(r.Context())
+		return http.StatusOK, st, err
 	})
 }
 
 // providerMutation is the body of both provider-mutation routes: the
 // request document is {field: value} with the value required, and the
 // reply is the broker's ProviderMutation.
-func providerMutation[T any](field string, apply func(name string, v T) (ProviderMutation, error)) operation {
+func providerMutation[T any](field string, apply func(ctx context.Context, name string, v T) (ProviderMutation, error)) operation {
 	return func(_ http.Header, r *http.Request) (int, any, error) {
 		var req map[string]json.RawMessage
 		var v *T
 		if err := decodeBody(r, &req, "body"); err != nil || json.Unmarshal(req[field], &v) != nil || v == nil {
 			return 0, nil, fmt.Errorf("%w: body must be {%q: ...}", ErrInvalidArgument, field)
 		}
-		mut, err := apply(r.PathValue("name"), *v)
+		mut, err := apply(r.Context(), r.PathValue("name"), *v)
 		return http.StatusOK, mut, err
 	}
 }
@@ -82,7 +88,7 @@ func providerMutation[T any](field string, apply func(name string, v T) (Provide
 // resource and a Location header pointing at /v1/jobs/{id}; poll there
 // for progress and the final report. ?wait=true is the synchronous mode
 // that holds the request open and answers 200 with the report.
-func maintenance(h http.Header, r *http.Request, run func() (any, error), start func() JobView) (int, any, error) {
+func maintenance(h http.Header, r *http.Request, run func() (any, error), start func() (JobView, error)) (int, any, error) {
 	if s := r.URL.Query().Get("wait"); s != "" {
 		wait, err := strconv.ParseBool(s)
 		if err != nil {
@@ -93,7 +99,10 @@ func maintenance(h http.Header, r *http.Request, run func() (any, error), start 
 			return http.StatusOK, rep, err
 		}
 	}
-	job := start()
+	job, err := start()
+	if err != nil {
+		return 0, nil, err
+	}
 	h.Set("Location", "/v1/jobs/"+job.ID)
 	return http.StatusAccepted, job, nil
 }

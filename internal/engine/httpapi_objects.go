@@ -66,6 +66,10 @@ func parsePutOptions(h http.Header) (PutOptions, error) {
 	return opts, nil
 }
 
+// set is the option that writes o whole: the options a request's headers
+// decoded to, handed to a contract write.
+func (o PutOptions) set(p *PutOptions) { *p = o }
+
 // crc32cHeader carries a body's CRC-32C in S3's flexible-checksum form.
 const crc32cHeader = "X-Checksum-CRC32C"
 
@@ -124,7 +128,7 @@ func (g *Gateway) putObject(h http.Header, r *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	meta, err := g.engine().PutReader(r.Context(), r.PathValue("container"), r.PathValue("key"), r.Body, size, opts)
+	meta, err := g.broker.PutReader(r.Context(), r.PathValue("container"), r.PathValue("key"), r.Body, size, opts.set)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -142,7 +146,7 @@ func (g *Gateway) getObject(w http.ResponseWriter, r *http.Request) {
 	// is decided on that version. A HEAD, a 304 and a 416 fetch no stripe,
 	// and a body — whole, one range or several — is bytes of that version
 	// alone, so If-Range cannot pass on one version and serve the next.
-	or, err := g.engine().openObject(r.Context(), r.PathValue("container"), r.PathValue("key"), true)
+	or, err := g.broker.NextEngine().openObject(r.Context(), r.PathValue("container"), r.PathValue("key"), true)
 	if err != nil {
 		failErr(w, err)
 		return
@@ -299,9 +303,9 @@ func serveMultiRange(w http.ResponseWriter, r *http.Request, or *objectReader, w
 
 func (g *Gateway) deleteObject(_ http.Header, r *http.Request) (int, any, error) {
 	if id := r.URL.Query().Get("uploadId"); id != "" {
-		return http.StatusNoContent, nil, g.engine().AbortUpload(r.Context(), id)
+		return http.StatusNoContent, nil, g.broker.AbortUpload(r.Context(), UploadInfo{UploadID: id})
 	}
-	return http.StatusNoContent, nil, g.engine().DeleteIf(r.Context(),
+	return http.StatusNoContent, nil, g.broker.DeleteIf(r.Context(),
 		r.PathValue("container"), r.PathValue("key"), r.Header.Get("If-Match"))
 }
 
@@ -310,7 +314,7 @@ func (g *Gateway) listObjects(_ http.Header, r *http.Request) (int, any, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err := g.engine().List(r.Context(), r.PathValue("container"), opts)
+	res, err := g.broker.List(r.Context(), r.PathValue("container"), opts)
 	return http.StatusOK, res, err
 }
 
@@ -340,7 +344,7 @@ func (g *Gateway) createUpload(_ http.Header, r *http.Request) (int, any, error)
 			return 0, nil, fmt.Errorf("%w: X-Scalia-Size-Hint must be a non-negative byte count", ErrInvalidArgument)
 		}
 	}
-	info, err := g.engine().CreateUpload(r.Context(), r.PathValue("container"), r.PathValue("key"), sizeHint, opts)
+	info, err := g.broker.CreateUpload(r.Context(), r.PathValue("container"), r.PathValue("key"), sizeHint, opts.set)
 	return http.StatusCreated, info, err
 }
 
@@ -357,7 +361,7 @@ func (g *Gateway) uploadPart(h http.Header, r *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	part, err := g.engine().UploadPart(r.Context(), q.Get("uploadId"), partNumber, r.Body, size)
+	part, err := g.broker.UploadPart(r.Context(), UploadInfo{UploadID: q.Get("uploadId")}, partNumber, r.Body, size)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -375,7 +379,7 @@ func (g *Gateway) completeUpload(h http.Header, r *http.Request) (int, any, erro
 	if err := decodeBody(r, &req, "part list"); err != nil {
 		return 0, nil, err
 	}
-	meta, err := g.engine().CompleteUpload(r.Context(), r.URL.Query().Get("uploadId"), req.Parts)
+	meta, err := g.broker.CompleteUpload(r.Context(), UploadInfo{UploadID: r.URL.Query().Get("uploadId")}, req.Parts)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -390,7 +394,7 @@ type ListPartsResult struct {
 }
 
 func (g *Gateway) listParts(_ http.Header, r *http.Request) (int, any, error) {
-	info, parts, err := g.engine().ListParts(r.Context(), r.URL.Query().Get("uploadId"))
+	info, parts, err := g.broker.NextEngine().ListParts(r.Context(), r.URL.Query().Get("uploadId"))
 	return http.StatusOK, ListPartsResult{Upload: info, Parts: parts}, err
 }
 

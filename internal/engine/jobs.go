@@ -165,24 +165,24 @@ func noteProgress(ctx context.Context, n int64) {
 // StartRepair dispatches an asynchronous repair pass and returns its
 // job resource immediately. The pass runs under the broker's lifetime:
 // Close cancels it and returns once the job has finished.
-func (b *Broker) StartRepair(policy RepairPolicy) JobView {
+func (b *Broker) StartRepair(_ context.Context, policy RepairPolicy) (JobView, error) {
 	rec := b.jobs.add(JobRepair, policy.String(), b.now())
 	b.goBackground(func(ctx context.Context) {
 		rep, err := b.Repair(withProgress(ctx, rec), policy)
 		b.finishJob(rec, func(v *JobView) { v.Repair = &rep }, err)
 	})
-	return rec.snapshot()
+	return rec.snapshot(), nil
 }
 
 // StartOptimize dispatches an asynchronous optimization round and
 // returns its job resource immediately, like StartRepair.
-func (b *Broker) StartOptimize() JobView {
+func (b *Broker) StartOptimize(context.Context) (JobView, error) {
 	rec := b.jobs.add(JobOptimize, "", b.now())
 	b.goBackground(func(ctx context.Context) {
 		rep, err := b.Optimize(withProgress(ctx, rec))
 		b.finishJob(rec, func(v *JobView) { v.Optimize = &rep }, err)
 	})
-	return rec.snapshot()
+	return rec.snapshot(), nil
 }
 
 func (b *Broker) finishJob(rec *jobRecord, attach func(*JobView), err error) {
@@ -204,7 +204,7 @@ func (b *Broker) finishJob(rec *jobRecord, attach func(*JobView), err error) {
 var ErrJobNotFound = fmt.Errorf("%w: no such job", ErrObjectNotFound)
 
 // Job returns one job by ID, or ErrJobNotFound.
-func (b *Broker) Job(id string) (JobView, error) {
+func (b *Broker) Job(_ context.Context, id string) (JobView, error) {
 	rec, ok := b.jobs.get(id)
 	if !ok {
 		return JobView{}, fmt.Errorf("%w: %s", ErrJobNotFound, id)
@@ -215,6 +215,6 @@ func (b *Broker) Job(id string) (JobView, error) {
 // Jobs lists jobs with the object-listing pagination shape: opts.Limit
 // resolves like an object page's (<= 0 or above MaxListLimit means
 // MaxListLimit).
-func (b *Broker) Jobs(opts ListOptions) JobList {
-	return b.jobs.list(opts.Prefix, opts.After, pageLimit(opts.Limit))
+func (b *Broker) Jobs(_ context.Context, opts ListOptions) (JobList, error) {
+	return b.jobs.list(opts.Prefix, opts.After, pageLimit(opts.Limit)), nil
 }

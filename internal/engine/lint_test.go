@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -12,9 +13,10 @@ import (
 )
 
 // TestSourceLints holds the engine's non-test sources to five structural
-// promises, and its tests and the root package's to one, each stated where
-// it is kept: checked on the parsed files — imports, call sites and
-// declarations, never comments or strings.
+// promises, its tests and the root package's to one, and the module's
+// non-test sources to two more, each stated where it is kept: checked on
+// the parsed files — imports, call sites, declarations and identifiers,
+// never comments or strings.
 func TestSourceLints(t *testing.T) {
 	names, err := filepath.Glob("*.go")
 	if err != nil {
@@ -159,4 +161,188 @@ func TestSourceLints(t *testing.T) {
 		// nothing encodes or parses it. JSON belongs to the HTTP API alone.
 		imports(t, "encoding/json", gateway)
 	})
+	module := moduleSources(t, fset)
+	t.Run("no facade mirror", func(t *testing.T) {
+		// The broker is the v1 contract's one in-process implementation:
+		// scalia.Client embeds it as its API, so a Client method named
+		// like a contract method would be a second one to keep in step.
+		contract := map[string]bool{}
+		for _, f := range module.root {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "API" {
+					if it, ok := ts.Type.(*ast.InterfaceType); ok {
+						for _, m := range it.Methods.List {
+							for _, name := range m.Names {
+								contract[name.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		if len(contract) == 0 {
+			t.Fatal("no scalia.API interface in the root package")
+		}
+		for _, f := range module.root {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && receiver(fn) == "Client" && contract[fn.Name.Name] {
+					t.Errorf("%s: scalia.Client declares %s, a method of scalia.API; the broker implements it", fset.Position(fn.Pos()), fn.Name.Name)
+				}
+			}
+		}
+	})
+	t.Run("production uses its exports", func(t *testing.T) {
+		// An exported identifier under internal/ is named by some non-test
+		// file other than its declaration: what only tests call belongs in
+		// a test file. The check is by name, so it may miss a test-only
+		// method with a common name, but it never flags a used one.
+		excused := map[string]bool{}
+		for _, d := range module.exports {
+			switch {
+			case module.named[d.name] > 0, standardMethods[d.name] && d.recv != "":
+			case exportedForOthers[d.key] != "":
+				excused[d.key] = true
+			default:
+				t.Errorf("%s: %s is exported but no non-test file names it", d.at, d.key)
+			}
+		}
+		for key := range exportedForOthers {
+			if !excused[key] {
+				t.Errorf("exportedForOthers lists %s, which is no unused export: strike its line", key)
+			}
+		}
+	})
+}
+
+// standardMethods are the methods a standard interface calls, which no
+// source file of the module need name.
+var standardMethods = map[string]bool{
+	"Error": true, "String": true, "Format": true, "GoString": true, "Unwrap": true, "Is": true, "As": true,
+	"Read": true, "Write": true, "Close": true, "ReadFrom": true, "WriteTo": true, "Seek": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true,
+}
+
+// exportedForOthers is the set of exports under internal/ that no
+// non-test file of the module names, each kept for a reason outside it.
+var exportedForOthers = map[string]string{
+	// bench/ is a module of its own and drives these directly; ROADMAP
+	// item 15(b) deletes them once 15(a) moves bench/ onto the contract.
+	"cloud.BlobStore.PutBatch":    "bench/: BatchWriter behind its latency wrapper",
+	"cloud.BlobStore.ObjectCount": "bench/: the store probe",
+	"engine.Broker.Caches":        "bench/: cache statistics of a run",
+	"engine.Broker.Metadata":      "bench/: Flush before the timed window",
+	"erasure.Coder.EncodePooled":  "bench/: the encode probe",
+	// Scaffolding the open items need in production code.
+	"erasure.Coder.Verify":       "the parity oracle of the engine tests' VerifyObject; ROADMAP item 4(a)'s deep audit",
+	"metadata.Cluster.Partition": "partition-and-heal, ROADMAP items 4(b) and 22",
+	"metadata.Cluster.Heal":      "partition-and-heal, ROADMAP items 4(b) and 22",
+}
+
+// receiver returns the name of fn's receiver type, "" for a function.
+func receiver(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return ""
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch generic := typ.(type) {
+	case *ast.IndexExpr:
+		typ = generic.X
+	case *ast.IndexListExpr:
+		typ = generic.X
+	}
+	return typ.(*ast.Ident).Name
+}
+
+// export is one exported declaration under internal/: name, its receiver
+// type ("" for none), its key pkg.[Recv.]Name and where it is.
+type export struct{ name, recv, key, at string }
+
+// sources is what moduleSources reads of the module's non-test files.
+type sources struct {
+	root    []*ast.File    // the root package's
+	exports []export       // the exported declarations under internal/, test-support packages left out
+	named   map[string]int // identifier name -> uses: every identifier but a declared name
+}
+
+// moduleSources parses the module's non-test Go files, bench/ (a module
+// of its own) left out.
+func moduleSources(t *testing.T, fset *token.FileSet) sources {
+	t.Helper()
+	const root = "../.."
+	src := sources{named: map[string]int{}}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
+		if dir == "." {
+			src.root = append(src.root, f)
+		}
+		checked := strings.HasPrefix(dir, "internal/") && dir != "internal/cloud/cloudtest" && dir != "internal/apitest"
+		declared := map[*ast.Ident]bool{}
+		declare := func(id *ast.Ident, recv string) {
+			declared[id] = true
+			if checked && id.IsExported() {
+				key := f.Name.Name + "." + id.Name
+				if recv != "" {
+					key = f.Name.Name + "." + recv + "." + id.Name
+				}
+				src.exports = append(src.exports, export{id.Name, recv, key, fset.Position(id.Pos()).String()})
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				declare(d.Name, receiver(d))
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declare(spec.Name, "")
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							declare(id, "")
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool { // fields, methods of interfaces, parameters
+			if field, ok := n.(*ast.Field); ok {
+				for _, id := range field.Names {
+					declared[id] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				src.named[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }

@@ -594,23 +594,23 @@ func TestCloseWaitsForJobs(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	if _, err := b.SetProviderAvailable(meta.Chunks[0], false); err != nil {
+	if _, err := b.SetProviderAvailable(ctx, meta.Chunks[0], false); err != nil {
 		t.Fatal(err)
 	}
-	job := b.StartRepair(RepairActive)
+	job, _ := b.StartRepair(ctx, RepairActive)
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the repair job never read a chunk")
 	}
 	b.Close()
-	if got, _ := b.Job(job.ID); got.State == JobRunning {
+	if got, _ := b.Job(ctx, job.ID); got.State == JobRunning {
 		t.Fatalf("job state right after Close: %s", got.State)
 	}
 
-	late := b.StartRepair(RepairActive)
+	late, _ := b.StartRepair(ctx, RepairActive)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		got, _ := b.Job(late.ID)
+		got, _ := b.Job(ctx, late.ID)
 		if got.State != JobRunning {
 			if got.State != JobFailed || !strings.Contains(got.Error, context.Canceled.Error()) {
 				t.Fatalf("job started after Close: %+v", got)
@@ -644,7 +644,7 @@ func raisePrices(t *testing.T, b *Broker, provider string) {
 	store, _ := b.Registry().Store(provider)
 	p := store.Spec().Pricing
 	p.StorageGBMonth, p.BandwidthOutGB, p.OpsPer1000 = p.StorageGBMonth*1000, p.BandwidthOutGB*1000, p.OpsPer1000*1000
-	if _, err := b.SetProviderPricing(provider, p); err != nil {
+	if _, err := b.SetProviderPricing(ctx, provider, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -654,7 +654,7 @@ func raisePrices(t *testing.T, b *Broker, provider string) {
 func TestCurrentPlacementCarriesLivePrices(t *testing.T) {
 	b := newTestBroker(t, Config{})
 	victim := storeObjects(t, b, 1, 4096)
-	if _, err := b.SetProviderPricing(victim, cloud.Pricing{StorageGBMonth: 7}); err != nil {
+	if _, err := b.SetProviderPricing(ctx, victim, cloud.Pricing{StorageGBMonth: 7}); err != nil {
 		t.Fatal(err)
 	}
 	cur, _ := b.CurrentPlacement("c/k00")
@@ -671,7 +671,7 @@ func TestDirectRepairVisibleEverywhere(t *testing.T) {
 	const n, size = 24, 64 << 10
 	b := newTestBroker(t, Config{})
 	victim := storeObjects(t, b, n, size)
-	if _, err := b.SetProviderAvailable(victim, false); err != nil {
+	if _, err := b.SetProviderAvailable(ctx, victim, false); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := b.Repair(ctx, RepairActive)

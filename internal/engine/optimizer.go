@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scalia/internal/core"
-	"scalia/internal/erasure"
 	"scalia/internal/obs"
 	"scalia/internal/stats"
 	"scalia/internal/trend"
@@ -364,55 +363,6 @@ func (e *Engine) migrate(ctx context.Context, meta ObjectMeta, to core.Placement
 		return err
 	}
 	return nil
-}
-
-// VerifyObject checks that an object's stored chunks are sufficient,
-// decode to the stored per-stripe sums and are parity-consistent across
-// every stripe, returning the minimum over the stripes of the chunks that
-// are reachable and pass their own sum — a rotten chunk counts as a lost
-// one, and is noted for the maintenance queue like any a read finds.
-// Verification reads every reachable chunk from its provider (never the
-// stripe cache — a cached stripe proves nothing about chunk health). It
-// pins the version it checks like any reader.
-func (e *Engine) VerifyObject(ctx context.Context, container, key string) (reachable int, err error) {
-	or, err := e.openObject(ctx, container, key, false)
-	if err != nil {
-		return 0, err
-	}
-	defer or.Close()
-	meta := or.meta
-	l, err := e.layoutOf(meta)
-	if err != nil {
-		return 0, err
-	}
-	n := len(meta.Chunks)
-	// Fewer than m reachable is reported by the fetch, with the count.
-	order, _ := l.rank(nil)
-	// Per-stripe reachable counts; a stripe never read, or cut short by
-	// another stripe's failure, does not lower the minimum.
-	got := make([]int, l.stripes)
-	for s := range got {
-		got[s] = n
-	}
-	p := e.b.newStripePipe(ctx, nil, e.b.cfg.ReadParallelism, 0, l.stripes,
-		func(ctx context.Context, s int) (func() (stripeOut, error), error) {
-			return func() (stripeOut, error) {
-				f, err := e.fetch(ctx, l, s, order, len(order), nil)
-				if ctx.Err() == nil {
-					got[s] = f.got
-				}
-				if err == nil && f.got == n {
-					var ok bool
-					if ok, err = l.coder.Verify(f.chunks); err == nil && !ok {
-						err = ErrChecksum
-					}
-				}
-				erasure.ReleaseScratch(f.scratch)
-				return stripeOut{}, err
-			}, nil
-		})
-	err = p.drain()
-	return slices.Min(got), err
 }
 
 // splitObjectName parses "container/key" (keys may contain slashes).

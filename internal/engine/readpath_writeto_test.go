@@ -30,10 +30,9 @@ func outcomeOf(b *Broker, obj string, bodies [][]byte) readOutcome {
 	out.stats.BufferedStripesPeak = 0 // how far the read-ahead got is timing
 	u := b.Registry().TotalUsage()
 	out.ops, out.outBytes = u.Ops, int64(math.Round(u.BandwidthOutGB*(1<<30)))
-	if h := b.Stats().History(obj); h != nil {
-		for _, s := range h.Window(b.Clock().Period(), 1) {
-			out.events = s
-		}
+	if h := b.statsDB.History(obj); h != nil {
+		e := h.Summary(b.Clock().Period(), 1) // one period: its sums, exactly
+		out.events = stats.Sample{Reads: int64(e.Reads), Writes: int64(e.Writes), BytesOut: int64(e.BytesOut), BytesIn: int64(e.BytesIn), StorageBytes: int64(e.StorageBytes)}
 	}
 	return out
 }

@@ -33,6 +33,9 @@ import (
 // of growing a queue.
 const maxRetiredVersions = 1024
 
+// retiredChunks is how many retired chunks the reaper remembers.
+const retiredChunks = 4 * maxRetiredVersions
+
 // chunkSet is the reaper's unit: stripes [0, upto) of a layout at some of
 // its slots.
 type chunkSet struct {
@@ -74,13 +77,22 @@ type reaper struct {
 	// postponed sums left over the sets, settled the postponed deletes
 	// completed since ProcessPendingDeletes last reported.
 	postponed, settled int
+	// seen holds the stripe-0 chunk of each slot retired lately, the last
+	// retiredChunks of them in ring (next is the oldest), so a slot retired
+	// twice is deleted and counted once: a healed conflict's loser is
+	// retired by every datacenter whose read collapses the conflict, and
+	// one may read it long after another's deletes are done.
+	seen map[chunkID]struct{}
+	ring []chunkID
+	next int
 
 	retry atomic.Bool   // a market event arrived while deletes were postponed
 	wake  chan struct{} // capacity 1: a pending wake-up covers every cause
 }
 
 func newReaper(b *Broker) *reaper {
-	return &reaper{b: b, bound: maxRetiredVersions, pins: make(map[string][]uint64), wake: make(chan struct{}, 1)}
+	return &reaper{b: b, bound: maxRetiredVersions, pins: make(map[string][]uint64), wake: make(chan struct{}, 1),
+		seen: make(map[chunkID]struct{}), ring: make([]chunkID, retiredChunks)}
 }
 
 // loop is the background goroutine, run for the broker's lifetime: every
@@ -117,11 +129,16 @@ func (r *reaper) onMarketEvent(ev cloud.MarketEvent) {
 	}
 }
 
-// retire hands chunks no row names any more to the reaper. It makes no
+// retire hands chunks no row names any more to the reaper; slots retired
+// before are dropped, and so is a set left with none. It makes no
 // provider call and may run under a row lock; it reports whether the
 // version backlog has passed its bound: the caller, lock-free, should reap.
 func (r *reaper) retire(cs *chunkSet) (overloaded bool) {
 	r.mu.Lock()
+	if cs.slots = r.unseen(cs.l, cs.slots); len(cs.slots) == 0 {
+		r.mu.Unlock()
+		return false
+	}
 	cs.seq = r.seq
 	r.fresh = append(r.fresh, cs)
 	if cs.bytes > 0 {
@@ -132,6 +149,35 @@ func (r *reaper) retire(cs *chunkSet) (overloaded bool) {
 	r.mu.Unlock()
 	r.kick()
 	return overloaded
+}
+
+// unseen returns the slots whose stripe-0 chunk no set retired before,
+// and remembers them. It allocates only when it drops a slot: slots may be
+// the layout's own.
+func (r *reaper) unseen(l *stripeLayout, slots []int) []int {
+	var keep []int
+	for j, i := range slots {
+		id := chunkID{skey: l.skey, slot: i}
+		if i < len(l.gens) {
+			id.gen = l.gens[i]
+		}
+		if _, dup := r.seen[id]; dup {
+			if keep == nil {
+				keep = append(make([]int, 0, len(slots)), slots[:j]...)
+			}
+			continue
+		}
+		if keep != nil {
+			keep = append(keep, i)
+		}
+		delete(r.seen, r.ring[r.next])
+		r.ring[r.next], r.seen[id] = id, struct{}{}
+		r.next = (r.next + 1) % len(r.ring)
+	}
+	if keep == nil {
+		return slots
+	}
+	return keep
 }
 
 // retireVersion retires a version no row points at any more and drops its

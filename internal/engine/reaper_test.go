@@ -463,7 +463,7 @@ func sharedKeyHammer(t *testing.T, cacheBytes int64, watch func(b *Broker) (stop
 		if rng.Intn(2) == 0 {
 			storage = 500
 		}
-		if _, err := b.SetProviderPricing(name, cloud.Pricing{StorageGBMonth: storage, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
+		if _, err := b.SetProviderPricing(ctx, name, cloud.Pricing{StorageGBMonth: storage, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
 			return err
 		}
 		clock.Advance(1)
@@ -569,7 +569,7 @@ func TestStoredVersionsStayAsPublished(t *testing.T) {
 	})
 	e := b.Engine(0)
 	for i, name := range []string{"A", "B", "C"} { // the prices repairMarket started with
-		if _, err := b.SetProviderPricing(name, cloud.Pricing{StorageGBMonth: 0.10 + 0.01*float64(i), BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
+		if _, err := b.SetProviderPricing(ctx, name, cloud.Pricing{StorageGBMonth: 0.10 + 0.01*float64(i), BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -594,13 +594,13 @@ func TestStoredVersionsStayAsPublished(t *testing.T) {
 	sv.observe()
 
 	victim := mp.Chunks[0]
-	if _, err := b.SetProviderAvailable(victim, false); err != nil {
+	if _, err := b.SetProviderAvailable(ctx, victim, false); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := b.Repair(ctx, RepairActive); err != nil || rep.Swapped == 0 {
 		t.Fatalf("repair with %s down = %+v, %v; want a swap", victim, rep, err)
 	}
-	if _, err := b.SetProviderAvailable(victim, true); err != nil {
+	if _, err := b.SetProviderAvailable(ctx, victim, true); err != nil {
 		t.Fatal(err)
 	}
 	b.DrainMaintenance(ctx)
@@ -610,7 +610,7 @@ func TestStoredVersionsStayAsPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SetProviderPricing(swapped.Chunks[0], cloud.Pricing{StorageGBMonth: 500, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
+	if _, err := b.SetProviderPricing(ctx, swapped.Chunks[0], cloud.Pricing{StorageGBMonth: 500, BandwidthInGB: 0.1, BandwidthOutGB: 0.15, OpsPer1000: 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	b.DrainMaintenance(ctx)
@@ -667,6 +667,68 @@ func TestDeleteRacingOverwriteAcrossDatacentersLeavesNoOrphans(t *testing.T) {
 	}
 	if r := b.Retired(); r != (RetiredStats{}) || b.PendingDeletes() != 0 {
 		t.Errorf("at rest: %+v, %d postponed deletes", r, b.PendingDeletes())
+	}
+}
+
+// TestHealedLoserIsRetiredOnce: dc1 is cut off from the other
+// datacenters, and each side writes the object once. After the heal every
+// datacenter holds both versions and collapses the conflict on its first
+// read; each retires the loser, and the reaper deletes it once: its n
+// chunks draw exactly n provider deletes, and RetiredStats counts it once
+// while a reader opened on the winner holds it.
+func TestHealedLoserIsRetiredOnce(t *testing.T) {
+	for _, dcs := range [][]string{{"dc1", "dc2"}, {"dc1", "dc2", "dc3"}} {
+		t.Run(fmt.Sprintf("%d-datacenters", len(dcs)), func(t *testing.T) {
+			reg, providers := cloudtest.Wrap(cloud.NewPaperRegistry())
+			var deletes atomic.Int64
+			for _, f := range providers {
+				f.OnDelete = func(context.Context, string) error { deletes.Add(1); return nil }
+			}
+			b := newTestBroker(t, Config{Registry: reg, Datacenters: dcs, EnginesPerDC: 1})
+			for _, dc := range dcs[1:] {
+				b.Metadata().Partition("dc1", dc)
+			}
+			var written []ObjectMeta
+			for _, e := range []*Engine{b.Engine(0), b.Engine(1)} {
+				meta, err := e.Put(ctx, "c", "k", testPayload(4096), PutOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				written = append(written, meta)
+			}
+			for _, dc := range dcs[1:] {
+				b.Metadata().Heal("dc1", dc)
+			}
+			b.Metadata().Flush()
+
+			rc, winner, err := b.Engine(0).GetReader(ctx, "c", "k") // pins what the collapse retires
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range b.Engines()[1:] {
+				if meta, err := e.Head(ctx, "c", "k"); err != nil || meta.UUID != winner.UUID {
+					t.Fatalf("%s: Head = %s, %v; want the winner %s", e.Datacenter(), meta.UUID, err, winner.UUID)
+				}
+			}
+			loser := written[0]
+			if loser.UUID == winner.UUID {
+				loser = written[1]
+			}
+			if r := b.Retired(); r.Versions != 1 || r.Bytes != storedBytes(loser) {
+				t.Errorf("with the winner open: %+v, want the loser (%d bytes) retired once", r, storedBytes(loser))
+			}
+			rc.Close()
+			b.ProcessPendingDeletes(ctx)
+			if n, want := deletes.Load(), int64(len(loser.Chunks)*loser.StripeCount()); n != want {
+				t.Errorf("%d provider deletes, want the loser's %d chunks", n, want)
+			}
+			if n := chunksUnder(b, loser.SKey); n != 0 {
+				t.Errorf("%d chunks of the loser left", n)
+			}
+			if r := b.Retired(); r != (RetiredStats{}) {
+				t.Errorf("at rest: %+v", r)
+			}
+		})
 	}
 }
 

@@ -379,8 +379,8 @@ type rotEntry struct {
 }
 
 // maxRotObjects bounds Broker.rot. Past it a rejected chunk is still
-// counted and read around, just not noted: the next read of it, or a
-// VerifyObject, notes it again once there is room.
+// counted and read around, just not noted: the next read of it notes it
+// again once there is room.
 const maxRotObjects = 1024
 
 // noteRot is what a fetch does about a chunk that failed its sum, besides

@@ -79,7 +79,7 @@ func TestPinnedRuleGovernsEveryReplan(t *testing.T) {
 				store, _ := b.Registry().Store(name)
 				p := store.Spec().Pricing
 				p.StorageGBMonth *= 50
-				if _, err := b.SetProviderPricing(name, p); err != nil {
+				if _, err := b.SetProviderPricing(ctx, name, p); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -111,7 +111,7 @@ func TestPinnedRuleGovernsEveryReplan(t *testing.T) {
 		{"overwrite", func(t *testing.T, b *Broker, _ *SimClock) {
 			e := b.Engine(0)
 			wide := core.PaperRules()[2] // Rule 3: five providers at least
-			if err := b.SetContainerRule("c", wide); err != nil {
+			if err := b.SetContainerRule(ctx, "c", wide); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.Put(ctx, "c", "k", make([]byte, 4<<10), PutOptions{Rule: &eu}); err != nil {

@@ -166,7 +166,7 @@ func putVia(t *testing.T, b *Broker, entry string, rule core.Rule, payload []byt
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.SetProviderPricing(arrival.Name, cheap); err != nil {
+		if _, err := b.SetProviderPricing(ctx, arrival.Name, cheap); err != nil {
 			t.Fatal(err)
 		}
 		b.clock.(*SimClock).Advance(4)
@@ -305,7 +305,7 @@ func TestSwapKeepsSlots(t *testing.T) {
 	// 0 for the parity slot, and the stored object is not re-slotted.
 	pr := blob(t, b, after.Chunks[0]).Spec().Pricing
 	pr.BandwidthOutGB *= 2
-	if _, err := b.SetProviderPricing(after.Chunks[0], pr); err != nil {
+	if _, err := b.SetProviderPricing(ctx, after.Chunks[0], pr); err != nil {
 		t.Fatal(err)
 	}
 	if d := readOnce(t, b, "bk", "obj"); !bytes.Equal(d.body, payload) || d.reconstructed != stripes {

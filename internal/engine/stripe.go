@@ -58,6 +58,20 @@ type stripeLayout struct {
 	// a fetch that rejects a chunk can say whose it was. A part still
 	// being staged has neither; nothing reads one.
 	obj, uuid string
+	// skey and gens name the chunks of stripe 0 without building their
+	// keys: the storage key and each slot's generation there (none: 0).
+	skey string
+	gens []uint64
+}
+
+// chunkID names chunk slot of a layout's stripe 0, the one key(0, slot)
+// builds, without building the key. A version's stripe 0 is its first
+// part's, and no two write attempts share a generation, so two layouts'
+// chunkIDs are equal exactly when their keys are.
+type chunkID struct {
+	skey string
+	slot int
+	gen  uint64
 }
 
 // resolveSlots starts a layout from its chunk->provider map. A coder
@@ -85,6 +99,7 @@ func (e *Engine) layoutOf(meta ObjectMeta) (*stripeLayout, error) {
 	l, err := e.resolveSlots(meta.M, meta.Chunks)
 	l.stripes, l.stripeLen, l.key, l.sums = meta.StripeCount(), meta.stripeLen, meta.chunkKey, meta.Sums
 	l.obj, l.uuid = objectName(meta.Container, meta.Key), meta.UUID
+	l.skey, l.gens = meta.SKey, meta.Gens
 	if len(meta.Gens) != 0 && len(meta.Gens) != meta.columns() {
 		err = fmt.Errorf("engine: %d generations for %d chunk columns", len(meta.Gens), meta.columns())
 	}
@@ -102,6 +117,10 @@ func (e *Engine) partLayout(u *uploadSession, part int, gen uint64, size int64) 
 		return min(stripeBytes, size-int64(s)*stripeBytes)
 	}
 	l.key = func(s, i int) string { return PartChunkKey(u.draft.SKey, part, s, i, gen) }
+	l.skey, l.gens = u.draft.SKey, make([]uint64, len(l.all))
+	for i := range l.gens {
+		l.gens[i] = gen
+	}
 	return l, err
 }
 

@@ -43,6 +43,20 @@ func mustSchedule(t *testing.T, src string) *loadgen.Schedule {
 // with the same seed, scenario and chaos schedule dispatch a
 // byte-identical op trace — the replayability contract behind every
 // BENCH comparison.
+// zipfPeriods and churnPeriods are stock scenarios cut to their first n
+// periods.
+func zipfPeriods(n int) workload.Scenario {
+	z := workload.NewZipf(1)
+	z.TotalPeriods = n
+	return z
+}
+
+func churnPeriods(n int) workload.Scenario {
+	c := workload.NewChurn(3)
+	c.TotalPeriods = n
+	return c
+}
+
 func TestDeterministicOpSequence(t *testing.T) {
 	const chaosSrc = `[
 		{"at": "10ms", "action": "provider-down", "provider": "S3(l)"},
@@ -54,7 +68,7 @@ func TestDeterministicOpSequence(t *testing.T) {
 		var trace bytes.Buffer
 		rep, err := loadgen.Run(ctx, loadgen.Config{
 			Client:   c,
-			Scenario: workload.Truncate(workload.NewZipf(1), 2),
+			Scenario: zipfPeriods(2),
 			Seed:     7,
 			Workers:  4,
 			Rate:     2000,
@@ -82,7 +96,7 @@ func TestDeterministicOpSequence(t *testing.T) {
 	var other bytes.Buffer
 	if _, err := loadgen.Run(ctx, loadgen.Config{
 		Client:   c,
-		Scenario: workload.Truncate(workload.NewZipf(1), 2),
+		Scenario: zipfPeriods(2),
 		Seed:     8,
 		Workers:  4,
 		Rate:     2000,
@@ -103,7 +117,7 @@ func TestMixedScenarioUnderChaos(t *testing.T) {
 	_, c := newDeployment(t, scalia.Options{})
 	rep, err := loadgen.Run(ctx, loadgen.Config{
 		Client:   c,
-		Scenario: workload.Truncate(workload.NewChurn(3), 24),
+		Scenario: churnPeriods(24),
 		Seed:     11,
 		Workers:  4,
 		Rate:     1500,

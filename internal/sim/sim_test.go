@@ -275,10 +275,10 @@ func TestTrendGatingSparse(t *testing.T) {
 
 // recreate is a scenario that deletes a name and later re-creates it at
 // another size, next to an object that lives throughout.
-type recreate struct{}
+type recreate struct{ periods int }
 
-func (recreate) Name() string { return "recreate" }
-func (recreate) Periods() int { return 10 }
+func (recreate) Name() string   { return "recreate" }
+func (r recreate) Periods() int { return r.periods }
 func (recreate) Load(p int) []workload.PeriodLoad {
 	var loads []workload.PeriodLoad
 	switch p {
@@ -302,7 +302,7 @@ func (recreate) Load(p int) []workload.PeriodLoad {
 func TestPoliciesShareObjectLifecycle(t *testing.T) {
 	cfg := Config{Rule: BackupRule, Specs: cloud.PaperProviders()[:2]}
 	cfg.StaticBaselines = []StaticSet{{Index: 1, Names: []string{cfg.Specs[0].Name, cfg.Specs[1].Name}}}
-	res, err := Run(recreate{}, cfg)
+	res, err := Run(recreate{10}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestPoliciesShareObjectLifecycle(t *testing.T) {
 			t.Errorf("%s = %.9f USD, ideal = %.9f USD: not the same object-periods", name, usd, res.IdealUSD)
 		}
 	}
-	cut, err := Run(workload.Truncate(recreate{}, 5), cfg)
+	cut, err := Run(recreate{5}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,17 +51,9 @@ func (h *History) evictOldestLocked() {
 	delete(h.samples, oldest)
 }
 
-// Window returns the samples of the periods (now-n, now], oldest first.
-// Periods with no recorded sample are omitted; Summarize with total = n
-// treats them as zero-access periods. A window of n <= 0 periods is empty.
-func (h *History) Window(now int64, n int) []Sample {
-	out := make([]Sample, 0, max(n, 0))
-	h.each(now, n, func(s Sample) { out = append(out, s) })
-	return out
-}
-
-// Summary aggregates the last n periods ending at now: Summarize of
-// Window(now, n), summed as the window is read rather than gathered.
+// Summary aggregates the last n periods ending at now, (now-n, now]:
+// periods with no recorded sample count as zero-access periods, and a
+// window of n <= 0 periods is empty. It sums the window as it reads it.
 func (h *History) Summary(now int64, n int) Summary {
 	var acc summer
 	h.each(now, n, acc.add)

@@ -59,18 +59,7 @@ type Summary struct {
 	StorageBytes float64 // average logical bytes stored
 }
 
-// Summarize aggregates a window of samples. Missing periods (gaps in the
-// slice) count as zero-access periods when total is > len(samples);
-// passing total = 0 uses len(samples).
-func Summarize(samples []Sample, total int) Summary {
-	var acc summer
-	for _, s := range samples {
-		acc.add(s)
-	}
-	return acc.summary(total)
-}
-
-// summer is Summarize's running sum, fed one sample at a time.
+// summer is a window's running sum, fed one sample at a time (History.Summary).
 type summer struct {
 	sum                     Summary
 	samples, storagePeriods int
@@ -88,6 +77,9 @@ func (a *summer) add(s Sample) {
 	}
 }
 
+// summary averages the sum over total periods: periods with no sample
+// count as zero-access periods, storage averages over the periods that
+// had some, and total <= 0 means the samples added.
 func (a *summer) summary(total int) Summary {
 	if total <= 0 {
 		total = a.samples

@@ -25,12 +25,28 @@ func TestSampleOpsAndMerge(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	samples := []Sample{
-		{Period: 1, Reads: 10, BytesOut: 1000, StorageBytes: 500},
-		{Period: 2, Reads: 20, BytesOut: 2000, StorageBytes: 500},
+// window gathers the samples of the periods (now-n, now], oldest first,
+// and summarize sums a gathered window: the two steps History.Summary
+// takes at once, kept apart as its reference.
+func window(h *History, now int64, n int) []Sample {
+	var out []Sample
+	h.each(now, n, func(s Sample) { out = append(out, s) })
+	return out
+}
+
+func summarize(samples []Sample, total int) Summary {
+	var acc summer
+	for _, s := range samples {
+		acc.add(s)
 	}
-	sum := Summarize(samples, 4) // two zero periods implied
+	return acc.summary(total)
+}
+
+func TestHistorySummary(t *testing.T) {
+	h := NewHistory(0)
+	h.Record(Sample{Period: 1, Reads: 10, BytesOut: 1000, StorageBytes: 500})
+	h.Record(Sample{Period: 2, Reads: 20, BytesOut: 2000, StorageBytes: 500})
+	sum := h.Summary(4, 4) // two zero periods implied
 	if sum.Periods != 4 {
 		t.Fatalf("Periods = %d", sum.Periods)
 	}
@@ -46,28 +62,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSummarizeEmpty(t *testing.T) {
-	if got := Summarize(nil, 0); got != (Summary{}) {
-		t.Fatalf("Summarize(nil) = %+v", got)
-	}
-}
-
-func TestHistoryWindow(t *testing.T) {
-	h := NewHistory(0)
-	for p := int64(1); p <= 10; p++ {
-		h.Record(Sample{Period: p, Reads: p})
-	}
-	win := h.Window(10, 3)
-	if len(win) != 3 || win[0].Period != 8 || win[2].Period != 10 {
-		t.Fatalf("Window = %+v", win)
-	}
-	// Gap handling: window over missing periods returns only present ones.
-	win = h.Window(15, 6)
-	if len(win) != 1 || win[0].Period != 10 {
-		t.Fatalf("Window with gap = %+v", win)
-	}
-}
-
 // TestHistoryShortWindows: a window of n <= 0 periods is empty, as
 // Summary already treats it, and n = 1 is the period at now.
 func TestHistoryShortWindows(t *testing.T) {
@@ -76,21 +70,21 @@ func TestHistoryShortWindows(t *testing.T) {
 		h.Record(Sample{Period: p, Reads: p})
 	}
 	for _, c := range []struct{ n, want int }{{-1, 0}, {0, 0}, {1, 1}} {
-		if got := h.Window(5, c.n); len(got) != c.want {
-			t.Errorf("Window(5, %d) = %+v, want %d samples", c.n, got, c.want)
+		if got := window(h, 5, c.n); len(got) != c.want {
+			t.Errorf("window(5, %d) = %+v, want %d samples", c.n, got, c.want)
 		}
 		if got := h.OpsSeries(5, c.n); len(got) != c.want {
 			t.Errorf("OpsSeries(5, %d) = %v, want %d periods", c.n, got, c.want)
 		}
-		if got, want := h.Summary(5, c.n), Summarize(h.Window(5, c.n), c.n); !reflect.DeepEqual(got, want) {
+		if got, want := h.Summary(5, c.n), summarize(window(h, 5, c.n), c.n); !reflect.DeepEqual(got, want) {
 			t.Errorf("Summary(5, %d) = %+v, Summarize of the window %+v", c.n, got, want)
 		}
 	}
 }
 
 // TestHistorySummaryIsSummarizeOfWindow: Summary sums the window as it
-// reads it, to the bit what Summarize makes of Window, and allocates
-// nothing.
+// reads it, to the bit what summarize makes of the gathered window, and
+// allocates nothing.
 func TestHistorySummaryIsSummarizeOfWindow(t *testing.T) {
 	h := NewHistory(0)
 	for p := int64(1); p <= 40; p++ {
@@ -102,7 +96,7 @@ func TestHistorySummaryIsSummarizeOfWindow(t *testing.T) {
 		now int64
 		n   int
 	}{{40, 1}, {40, 7}, {40, 24}, {45, 24}, {10, 40}, {40, 0}, {0, 5}} {
-		if got, want := h.Summary(w.now, w.n), Summarize(h.Window(w.now, w.n), w.n); !reflect.DeepEqual(got, want) {
+		if got, want := h.Summary(w.now, w.n), summarize(window(h, w.now, w.n), w.n); !reflect.DeepEqual(got, want) {
 			t.Errorf("Summary(%d, %d) = %+v, Summarize of the window %+v", w.now, w.n, got, want)
 		}
 	}
@@ -115,9 +109,8 @@ func TestHistoryMergesSamePeriod(t *testing.T) {
 	h := NewHistory(0)
 	h.Record(Sample{Period: 5, Reads: 1})
 	h.Record(Sample{Period: 5, Reads: 2})
-	win := h.Window(5, 1)
-	if len(win) != 1 || win[0].Reads != 3 {
-		t.Fatalf("merged window = %+v", win)
+	if sum := h.Summary(5, 1); sum.Reads != 3 {
+		t.Fatalf("merged period = %+v", sum)
 	}
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", h.Len())
@@ -170,7 +163,7 @@ func TestHistoryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for p := int64(0); p < 200; p++ {
 				h.Record(Sample{Period: p, Reads: 1})
-				h.Window(p, 10)
+				h.Summary(p, 10)
 			}
 		}(int64(g))
 	}

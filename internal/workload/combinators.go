@@ -156,33 +156,6 @@ func (s *scale) Load(p int) []PeriodLoad {
 	return out
 }
 
-// Truncate cuts a scenario to at most `periods` periods.
-func Truncate(s Scenario, periods int) Scenario {
-	if periods > s.Periods() {
-		periods = s.Periods()
-	}
-	if periods < 0 {
-		periods = 0
-	}
-	return &truncate{inner: s, periods: periods}
-}
-
-type truncate struct {
-	inner   Scenario
-	periods int
-}
-
-func (t *truncate) Name() string { return fmt.Sprintf("truncate(%s,%d)", t.inner.Name(), t.periods) }
-
-func (t *truncate) Periods() int { return t.periods }
-
-func (t *truncate) Load(p int) []PeriodLoad {
-	if p >= t.periods {
-		return nil
-	}
-	return t.inner.Load(p)
-}
-
 // namespaced wraps each part under a "p<k>/" key prefix.
 func namespaced(parts []Scenario) []Scenario {
 	out := make([]Scenario, len(parts))

@@ -139,16 +139,3 @@ func TestScaleIdentity(t *testing.T) {
 		}
 	}
 }
-
-func TestTruncate(t *testing.T) {
-	tr := Truncate(NewSlashdot(), 50)
-	if tr.Periods() != 50 {
-		t.Fatalf("Periods = %d", tr.Periods())
-	}
-	if len(tr.Load(60)) != 0 {
-		t.Fatal("loads past the cut must vanish")
-	}
-	if Truncate(NewSlashdot(), 999).Periods() != 180 {
-		t.Fatal("truncate cannot extend a scenario")
-	}
-}

@@ -59,7 +59,7 @@ const DefaultMaxOps = 100_000
 // the namespace invariant the load generator relies on: every OpGet and
 // OpDelete targets an object a preceding OpPut in the same sequence
 // created and no later OpDelete has removed. Reads or deletes of
-// objects the scenario never wrote (possible under Shift/Truncate
+// objects the scenario never wrote (possible under Shift
 // compositions) are silently dropped.
 //
 // The result is capped at maxOps (DefaultMaxOps when <= 0). Identical

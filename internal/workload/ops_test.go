@@ -9,7 +9,8 @@ import (
 // (scenario, seed, cap) always compiles to the identical sequence, and
 // a different seed reorders the reads.
 func TestCompileOpsDeterministic(t *testing.T) {
-	s := Truncate(NewZipf(1), 3)
+	s := NewZipf(1)
+	s.TotalPeriods = 3
 	a := CompileOps(s, 7, 2000)
 	b := CompileOps(s, 7, 2000)
 	if len(a) == 0 {
@@ -31,7 +32,8 @@ func TestCompileOpsDeterministic(t *testing.T) {
 // object a preceding Put created and no earlier Delete removed — on a
 // churn scenario, which exercises both creations and lifetime deletes.
 func TestCompileOpsNamespaceInvariant(t *testing.T) {
-	s := Truncate(NewChurn(3), 12)
+	s := NewChurn(3)
+	s.TotalPeriods = 12
 	ops := CompileOps(s, 3, 0)
 	if len(ops) == 0 {
 		t.Fatal("compiled zero ops")

@@ -20,11 +20,12 @@
 // # The v1 API
 //
 // The API interface is the v1 contract, written down once: every
-// operation that has a v1 route. *Client (this package, in-process) and
-// *client.Client (package scalia/client, over HTTP against
-// engine.NewGateway / cmd/scalia-server) both implement it, so embedded
-// and remote callers are interchangeable; Helpers adds the byte-slice
-// and loop conveniences (Put, Get, Delete, ListAll, WaitForJob) to both.
+// operation that has a v1 route. The broker implements it, and *Client
+// (this package, in-process) embeds the broker; *client.Client (package
+// scalia/client, over HTTP against engine.NewGateway / cmd/scalia-server)
+// implements it too, so embedded and remote callers are interchangeable;
+// Helpers adds the byte-slice and loop conveniences (Put, Get, Delete,
+// ListAll, WaitForJob) to both.
 // Every method takes a context.Context; cancelling it aborts the
 // in-flight chunk fan-out against the providers. Large objects stream:
 // PutReader and GetReader split the body into erasure-coded stripes so
@@ -184,12 +185,13 @@ func PaperRules() []Rule { return core.PaperRules() }
 type Options = engine.Config
 
 // API is the v1 contract: every operation that has a v1 route, with one
-// shape — ctx first, error last, wire types in and out. The broker owns
-// what each operation means; *Client is the Go-call codec of this
-// interface, engine.Gateway the HTTP codec and *client.Client its
-// inverse. One conformance suite (internal/apitest) runs against all of
-// them. Failures wrap the sentinel errors of this package, identically
-// on every transport.
+// shape — ctx first, error last, wire types in and out. The broker
+// (*engine.Broker, embedded in *Client) is its one in-process
+// implementation and owns what each operation means; engine.Gateway is
+// its HTTP codec and *client.Client that codec's inverse. One conformance
+// suite (internal/apitest) runs against the embedded client and the
+// remote one. Failures wrap the sentinel errors of this package,
+// identically on every transport.
 //
 // An ETag names the write, not the bytes: every PUT, completed upload and
 // part attempt gets a new one, even for identical bytes, and repair and
@@ -300,7 +302,8 @@ type API interface {
 	Stats(ctx context.Context) (Stats, error)
 }
 
-var _ API = (*Client)(nil)
+// The broker is the contract's one in-process implementation.
+var _ API = (*engine.Broker)(nil)
 
 // Helpers is the derived part of the v1 surface: conveniences that are
 // loops or wrappers over API methods, written once and embedded by both
@@ -378,10 +381,11 @@ func (h Helpers) WaitForJob(ctx context.Context, id string, interval time.Durati
 	}
 }
 
-// Client is an embedded Scalia deployment: the Go-call codec of API over
-// a broker it owns, plus the embedded-only controls below the contract
-// methods. It is safe for concurrent use.
+// Client is an embedded Scalia deployment. The broker it owns is its API,
+// so a contract call is the broker's own method; Client adds Helpers and
+// the embedded-only controls. It is safe for concurrent use.
 type Client struct {
+	API
 	Helpers
 	broker *engine.Broker
 }
@@ -393,9 +397,8 @@ func New(opts Options) (*Client, error) {
 			return nil, err
 		}
 	}
-	c := &Client{broker: engine.NewBroker(opts)}
-	c.Helpers = Helpers{API: c}
-	return c, nil
+	b := engine.NewBroker(opts)
+	return &Client{API: b, Helpers: Helpers{API: b}, broker: b}, nil
 }
 
 // ServerOptions is the deployment cmd/scalia-server runs when no flag
@@ -425,25 +428,13 @@ func (c *Client) Close() {
 	}
 }
 
-// engine returns the next engine round-robin, matching the paper's
-// "requests are routed to all datacenters indifferently". The counter
-// lives on the broker and is shared with the HTTP gateway, so mixed
-// embedded/remote traffic spreads evenly.
-func (c *Client) engine() *engine.Engine { return c.broker.NextEngine() }
-
 // PutOption customizes a write (PutReader, Put, CreateUpload), on either
 // transport.
-type PutOption func(*engine.PutOptions)
+type PutOption = engine.PutOption
 
 // PutOptionsOf folds write options into the value the engine — or the
 // remote client's header encoder — takes.
-func PutOptionsOf(opts []PutOption) engine.PutOptions {
-	var po engine.PutOptions
-	for _, opt := range opts {
-		opt(&po)
-	}
-	return po
-}
+func PutOptionsOf(opts []PutOption) engine.PutOptions { return engine.PutOptionsOf(opts) }
 
 // WithMIME sets the object's MIME type (classification input).
 func WithMIME(mime string) PutOption {
@@ -476,105 +467,6 @@ func WithIfMatch(etag string) PutOption {
 // If-None-Match: *).
 func WithIfAbsent() PutOption {
 	return func(o *engine.PutOptions) { o.IfAbsent = true }
-}
-
-// --- the contract, as Go calls (documented on API) ---
-
-func (c *Client) PutReader(ctx context.Context, container, key string, r io.Reader, size int64, opts ...PutOption) (ObjectMeta, error) {
-	return c.engine().PutReader(ctx, container, key, r, size, PutOptionsOf(opts))
-}
-
-func (c *Client) GetReader(ctx context.Context, container, key string) (io.ReadCloser, ObjectMeta, error) {
-	return c.engine().GetReader(ctx, container, key)
-}
-
-func (c *Client) GetRange(ctx context.Context, container, key string, offset, length int64) (io.ReadCloser, ObjectMeta, error) {
-	return c.engine().GetRangeReader(ctx, container, key, offset, length)
-}
-
-func (c *Client) Head(ctx context.Context, container, key string) (ObjectMeta, error) {
-	return c.engine().Head(ctx, container, key)
-}
-
-func (c *Client) DeleteIf(ctx context.Context, container, key, ifMatch string) error {
-	return c.engine().DeleteIf(ctx, container, key, ifMatch)
-}
-
-func (c *Client) List(ctx context.Context, container string, opts ListOptions) (ListResult, error) {
-	return c.engine().List(ctx, container, opts)
-}
-
-func (c *Client) CreateUpload(ctx context.Context, container, key string, sizeHint int64, opts ...PutOption) (UploadInfo, error) {
-	return c.engine().CreateUpload(ctx, container, key, sizeHint, PutOptionsOf(opts))
-}
-
-func (c *Client) UploadPart(ctx context.Context, up UploadInfo, partNumber int, r io.Reader, size int64) (PartInfo, error) {
-	return c.engine().UploadPart(ctx, up.UploadID, partNumber, r, size)
-}
-
-func (c *Client) ListParts(ctx context.Context, up UploadInfo) ([]PartInfo, error) {
-	_, parts, err := c.engine().ListParts(ctx, up.UploadID)
-	return parts, err
-}
-
-func (c *Client) CompleteUpload(ctx context.Context, up UploadInfo, parts []CompletedPart) (ObjectMeta, error) {
-	return c.engine().CompleteUpload(ctx, up.UploadID, parts)
-}
-
-func (c *Client) AbortUpload(ctx context.Context, up UploadInfo) error {
-	return c.engine().AbortUpload(ctx, up.UploadID)
-}
-
-func (c *Client) Providers(ctx context.Context) ([]ProviderStatus, error) {
-	return c.broker.Providers(), nil
-}
-
-func (c *Client) AddProvider(ctx context.Context, spec Provider) error {
-	return c.broker.AddProvider(spec)
-}
-
-func (c *Client) RemoveProvider(ctx context.Context, name string) error {
-	return c.broker.RemoveProvider(name)
-}
-
-func (c *Client) SetProviderAvailable(ctx context.Context, name string, up bool) (ProviderMutation, error) {
-	return c.broker.SetProviderAvailable(name, up)
-}
-
-func (c *Client) SetProviderPricing(ctx context.Context, name string, p Pricing) (ProviderMutation, error) {
-	return c.broker.SetProviderPricing(name, p)
-}
-
-func (c *Client) SetContainerRule(ctx context.Context, container string, r Rule) error {
-	return c.broker.SetContainerRule(container, r)
-}
-
-func (c *Client) Optimize(ctx context.Context) (OptimizeReport, error) {
-	return c.broker.Optimize(ctx)
-}
-
-func (c *Client) Repair(ctx context.Context, policy RepairPolicy) (RepairReport, error) {
-	return c.broker.Repair(ctx, policy)
-}
-
-func (c *Client) StartOptimize(ctx context.Context) (Job, error) {
-	return c.broker.StartOptimize(), nil
-}
-
-func (c *Client) StartRepair(ctx context.Context, policy RepairPolicy) (Job, error) {
-	return c.broker.StartRepair(policy), nil
-}
-
-func (c *Client) Job(ctx context.Context, id string) (Job, error) {
-	return c.broker.Job(id)
-}
-
-func (c *Client) Jobs(ctx context.Context, opts ListOptions) (JobList, error) {
-	return c.broker.Jobs(opts), nil
-}
-
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	return c.broker.DeploymentStats(), nil
 }
 
 // --- embedded-only control ---
