@@ -42,7 +42,9 @@ func summarize(samples []Sample, total int) Summary {
 	return acc.summary(total)
 }
 
-func TestHistorySummary(t *testing.T) {
+// TestSummarize: Summary sums a window's samples, averaging over every
+// period of the window, present or not.
+func TestSummarize(t *testing.T) {
 	h := NewHistory(0)
 	h.Record(Sample{Period: 1, Reads: 10, BytesOut: 1000, StorageBytes: 500})
 	h.Record(Sample{Period: 2, Reads: 20, BytesOut: 2000, StorageBytes: 500})
@@ -59,6 +61,32 @@ func TestHistorySummary(t *testing.T) {
 	// Storage averages only over periods where the object existed.
 	if sum.StorageBytes != 500 {
 		t.Errorf("StorageBytes = %v, want 500", sum.StorageBytes)
+	}
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	if got := NewHistory(0).Summary(0, 0); got != (Summary{}) {
+		t.Fatalf("Summary of nothing = %+v", got)
+	}
+}
+
+// TestHistoryWindow: a window is the last n periods up to now, and a
+// window over missing periods holds only the present ones.
+func TestHistoryWindow(t *testing.T) {
+	h := NewHistory(0)
+	for p := int64(1); p <= 10; p++ {
+		h.Record(Sample{Period: p, Reads: p})
+	}
+	win := window(h, 10, 3)
+	if len(win) != 3 || win[0].Period != 8 || win[2].Period != 10 {
+		t.Fatalf("window = %+v", win)
+	}
+	if sum := h.Summary(10, 3); sum.Reads != 9 { // (8+9+10)/3
+		t.Fatalf("Summary(10, 3).Reads = %v, want 9", sum.Reads)
+	}
+	win = window(h, 15, 6)
+	if len(win) != 1 || win[0].Period != 10 {
+		t.Fatalf("window with gap = %+v", win)
 	}
 }
 
